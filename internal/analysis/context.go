@@ -40,7 +40,10 @@ type passContext struct {
 	// calleesOf and callersOf are the static in-module call graph.
 	// Dynamic calls (function values, unresolved interface calls) are
 	// absent; passes built on the graph are deliberately
-	// under-approximate there and say so in their docs.
+	// under-approximate there and say so in their docs. The one dynamic
+	// shape it does resolve is the callback interface (callbackTargets):
+	// how the file systems reach their commit phases through the shared
+	// journal engine.
 	calleesOf map[*types.Func][]callEdge
 	callersOf map[*types.Func][]callEdge
 }
@@ -87,13 +90,56 @@ func newPassContext(mod *module, cfg Config, dirs *directiveSet, taint *taintSet
 			if _, inModule := ctx.byObj[callee]; !inModule {
 				return true
 			}
-			e := callEdge{caller: fi.obj, callee: callee, pos: call.Pos()}
-			ctx.calleesOf[fi.obj] = append(ctx.calleesOf[fi.obj], e)
-			ctx.callersOf[callee] = append(ctx.callersOf[callee], e)
+			for _, target := range append([]*types.Func{callee}, callbackTargets(fi.pkg.info, call, callee)...) {
+				if _, inModule := ctx.byObj[target]; !inModule {
+					continue
+				}
+				e := callEdge{caller: fi.obj, callee: target, pos: call.Pos()}
+				ctx.calleesOf[fi.obj] = append(ctx.calleesOf[fi.obj], e)
+				ctx.callersOf[target] = append(ctx.callersOf[target], e)
+			}
 			return true
 		})
 	}
 	return ctx
+}
+
+// callbackTargets resolves the callback-interface shape: a call that hands
+// a concrete value to a parameter typed as an interface the callee's own
+// package declares (engine.Commit(fs) with fs a journal.Committer). The
+// callee exists to call those methods back, so the caller is treated as
+// calling the concrete value's implementations of them. Interfaces from
+// other packages (disk.Device, vfs.FileSystem passed around as plain
+// dependencies) stay unresolved, as does a value that is already an
+// interface at the call site.
+func callbackTargets(info *types.Info, call *ast.CallExpr, callee *types.Func) []*types.Func {
+	sig, ok := callee.Type().(*types.Signature)
+	if !ok || sig.Variadic() {
+		return nil
+	}
+	var out []*types.Func
+	for i, arg := range call.Args {
+		if i >= sig.Params().Len() {
+			break
+		}
+		named, ok := sig.Params().At(i).Type().(*types.Named)
+		if !ok || named.Obj().Pkg() != callee.Pkg() {
+			continue
+		}
+		iface, ok := named.Underlying().(*types.Interface)
+		argType := info.TypeOf(arg)
+		if !ok || argType == nil || types.IsInterface(argType) {
+			continue
+		}
+		for m := 0; m < iface.NumMethods(); m++ {
+			method := iface.Method(m)
+			obj, _, _ := types.LookupFieldOrMethod(argType, true, method.Pkg(), method.Name())
+			if fn, ok := obj.(*types.Func); ok {
+				out = append(out, fn)
+			}
+		}
+	}
+	return out
 }
 
 // position resolves a token.Pos against the module's fileset.

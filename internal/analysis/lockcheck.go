@@ -147,7 +147,9 @@ func heldKeys(held map[string]int) string {
 	return out
 }
 
-// mutexOp classifies callee as a sync mutex lock or unlock operation.
+// mutexOp classifies callee as a sync mutex lock or unlock operation. A
+// sync.Locker counts: the journal engine holds its file system's big lock
+// under that type.
 func mutexOp(callee *types.Func) (int, bool) {
 	sig, ok := callee.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
@@ -161,7 +163,7 @@ func mutexOp(callee *types.Func) (int, bool) {
 	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
 		return 0, false
 	}
-	if name := named.Obj().Name(); name != "Mutex" && name != "RWMutex" {
+	if name := named.Obj().Name(); name != "Mutex" && name != "RWMutex" && name != "Locker" {
 		return 0, false
 	}
 	switch callee.Name() {

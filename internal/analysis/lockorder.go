@@ -425,10 +425,11 @@ func (lo *lockorder) ranks() (map[string]int, map[string]*Directive) {
 	return ranks, dirOf
 }
 
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex.
+// isMutexType reports whether t is sync.Mutex, sync.RWMutex, or a
+// sync.Locker standing in for one.
 func isMutexType(t types.Type) bool {
 	n := namedOf(t)
-	return n == "sync.Mutex" || n == "sync.RWMutex"
+	return n == "sync.Mutex" || n == "sync.RWMutex" || n == "sync.Locker"
 }
 
 // reportInversions flags edges that contradict the declared ranks.

@@ -1,7 +1,7 @@
 // Package lockordercases is the lockorder analyzer corpus: an intra-
 // function ABBA cycle with a rank inversion, an interprocedural cycle, a
 // direct recursive acquisition, the sanctioned unlock/relock helper shape,
-// and a waived reversal.
+// a waived reversal, and a lock held through a sync.Locker field.
 package lockordercases
 
 import (
@@ -97,4 +97,37 @@ func (s *shared) waivedFE() {
 	s.muE.Lock()
 	s.muE.Unlock()
 	s.muF.Unlock()
+}
+
+// engine is the journal-engine shape: it holds its owner's lock as a
+// sync.Locker. Operations through the Locker field are lock events under
+// the field's identity, and the field can carry a rank.
+type engine struct {
+	//iron:lockorder 10 corpus: the owner's outer lock under its engine-side name
+	lk sync.Locker
+	//iron:lockorder 20 corpus: nests under lk
+	inner sync.Mutex
+}
+
+// window releases and retakes the owner's lock, as a commit does around
+// its device writes; callers hold it on entry.
+func (e *engine) window() {
+	e.lk.Unlock()
+	e.lk.Lock()
+}
+
+// lockerThenInner nests inner under the Locker — the sanctioned order.
+func (e *engine) lockerThenInner() {
+	e.lk.Lock()
+	e.inner.Lock()
+	e.inner.Unlock()
+	e.lk.Unlock()
+}
+
+// badLockerUnderInner acquires the Locker while inner is held.
+func (e *engine) badLockerUnderInner() {
+	e.inner.Lock()
+	e.lk.Lock() // want lockorder: cycle + rank inversion through a sync.Locker
+	e.lk.Unlock()
+	e.inner.Unlock()
 }

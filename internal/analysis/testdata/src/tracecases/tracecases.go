@@ -1,10 +1,11 @@
 // Package tracecases is the tracecheck analyzer corpus: phase-named
 // functions in a traced package that emit directly, through a
-// same-package helper, through the recorder bridge, not at all, or not at
-// all with a waiver.
+// same-package helper, through the recorder bridge, through a shared
+// engine's callback interface, not at all, or not at all with a waiver.
 package tracecases
 
 import (
+	"enginekit"
 	"tracekit"
 )
 
@@ -52,4 +53,27 @@ func (fs *FS) dispatchQuiet() {
 // helperTick has no phase hint in its name, so silence is fine.
 func (fs *FS) helperTick() {
 	fs.log = append(fs.log, 2)
+}
+
+// commitViaEngine delegates to a shared engine that calls fs.Freeze back
+// through enginekit.Committer; the callback edge makes Freeze's emit count
+// as a same-package callee.
+func (fs *FS) commitViaEngine(eng *enginekit.Engine) error {
+	return eng.Run(fs)
+}
+
+// Freeze implements enginekit.Committer and emits.
+func (fs *FS) Freeze() error {
+	fs.tr.Phase("commit", "frozen")
+	return nil
+}
+
+// mute implements enginekit.Committer without emitting.
+type mute struct{}
+
+func (mute) Freeze() error { return nil }
+
+// badCommitViaEngine hands the engine a callback that emits nothing.
+func (fs *FS) badCommitViaEngine(eng *enginekit.Engine) error { // want tracecheck: silent phase behind a callback
+	return eng.Run(mute{})
 }

@@ -10,6 +10,7 @@ import (
 	"ironfs/internal/disk"
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
+	"ironfs/internal/journal"
 	"ironfs/internal/trace"
 	"ironfs/internal/vfs"
 )
@@ -41,34 +42,23 @@ type FS struct {
 	mounted     bool
 	sbDirty     bool
 	gdDirty     bool
-	seq         uint64 // journal commit sequence
-	jhead       int64  // region-relative next free journal block
+	jhead       int64 // region-relative next free journal block
 	pending     pendingState
 	rmapScanned bool
 	parityskip  bool  // whole-file truncate: parity reset, not folded
 	timeCtr     int64 // logical clock for timestamps
 
-	// committing is true while a frozen transaction's device writes are in
-	// flight with fs.mu released. It serializes commits (and checkpoints)
-	// against each other while letting the running transaction keep
-	// accepting operations. commitDone is signalled when it clears.
-	committing bool
-	commitDone *sync.Cond
-	// durableSeq is the last commit sequence whose records are fully on
-	// the device. It trails fs.seq exactly while a commit is in flight;
-	// fsync waiters wait on it rather than on fs.committing, so a stream
-	// of back-to-back commits cannot starve them.
-	durableSeq uint64
+	// jn owns the commit sequence space and coordinates the committer
+	// with its fsync waiters; FS implements its journal.Committer.
+	jn *journal.Engine
 
 	// retries counts successful RRetry recoveries, for reports. Atomic:
 	// the data read path increments it under a shared (read) lock.
 	retries atomic.Int64
 
-	// clk is the stack's simulated clock (nil over clockless devices);
-	// st holds the journal path's live-metrics handles. Both resolved at
+	// st holds the journal path's live-metrics handles, resolved at
 	// construction.
-	clk *disk.Clock
-	st  vfs.FSMetrics
+	st vfs.FSMetrics
 }
 
 // assert the interface is satisfied.
@@ -83,11 +73,10 @@ func New(dev disk.Device, opts Options, rec *iron.Recorder) *FS {
 		rec:   rec,
 		tr:    trace.Of(dev),
 		cache: bcache.New(2048),
-		clk:   disk.ClockOf(dev),
 	}
 	fs.st = vfs.NewFSMetrics(fs.variantName())
 	fs.cache.SetTracer(fs.tr)
-	fs.commitDone = sync.NewCond(&fs.mu)
+	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
 	return fs
 }
 
@@ -378,13 +367,12 @@ func (fs *FS) Mount() error {
 			return vfs.ErrCorrupt
 		}
 		if js.StartSeq > 0 {
-			fs.seq = js.StartSeq - 1
+			fs.jn.Recovered(js.StartSeq - 1)
 		}
 		fs.jhead = 1
 	}
 
 	fs.tx = newTxn(fs)
-	fs.durableSeq = fs.seq
 	fs.pending = pendingState{}
 	fs.rmapScanned = false
 	fs.lay.sb.Clean = 0

@@ -3,10 +3,10 @@ package ext3
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
+	"ironfs/internal/journal"
 	"ironfs/internal/vfs"
 )
 
@@ -90,7 +90,7 @@ func (t *txn) empty() bool {
 // meta returns a mutable buffer for metadata block blk, reading it with
 // full policy on first touch and registering it for journaling.
 func (t *txn) meta(blk int64, bt iron.BlockType) ([]byte, error) {
-	buf, err := t.fs.readMetaFor(blk, bt)
+	buf, err := t.fs.readMeta(blk, bt)
 	if err != nil {
 		return nil, err
 	}
@@ -160,28 +160,13 @@ func (t *txn) revoke(blk int64) {
 	t.revokes = append(t.revokes, blk)
 	if _, ok := t.metaType[blk]; ok {
 		delete(t.metaType, blk)
-		t.metaOrder = removeBlock(t.metaOrder, blk)
+		t.metaOrder = journal.RemoveBlock(t.metaOrder, blk)
 	}
 	if _, ok := t.dataType[blk]; ok {
 		delete(t.dataType, blk)
-		t.dataOrder = removeBlock(t.dataOrder, blk)
+		t.dataOrder = journal.RemoveBlock(t.dataOrder, blk)
 	}
 	t.fs.cache.Drop(blk)
-}
-
-func removeBlock(s []int64, blk int64) []int64 {
-	for i, b := range s {
-		if b == blk {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
-// readMetaFor lets txn.meta reuse the policy read while keeping the public
-// readMeta free of transaction concerns.
-func (fs *FS) readMetaFor(blk int64, bt iron.BlockType) ([]byte, error) {
-	return fs.readMeta(blk, bt)
 }
 
 // checkpointEntry is one committed home block awaiting its final write.
@@ -212,11 +197,6 @@ type pendingState struct {
 // pinned set well under the cache capacity.
 const maxTxnData = 768
 
-// commitYields is how many scheduler yields the committer grants, with the
-// lock released, before freezing — the window in which concurrent clients
-// join the transaction (JBD's commit-batching sleep, in yield form).
-const commitYields = 8
-
 // maybeCommit commits the running transaction if it has grown large. While
 // a commit is writing, the running transaction keeps absorbing operations —
 // but not without bound: a frozen transaction gets exactly one descriptor
@@ -232,14 +212,10 @@ func (fs *FS) maybeCommit() error {
 	return fs.commitLocked()
 }
 
-// commitPlan is a frozen transaction: every device request materialized
-// (payloads copied) so the writes can proceed without the file-system
-// lock. While a plan's I/O is in flight the running transaction keeps
-// accepting operations — the JBD running/committing split — which is what
-// lets concurrent clients pile into the next commit instead of stalling.
+// commitPlan is ext3's journal.Plan: the frozen transaction as JBD records
+// (revoke blocks, descriptor, journaled copies, commit block) plus the
+// ordered data that must reach home first.
 type commitPlan struct {
-	seq       uint64
-	headEnd   int64 // journal head after this transaction's records
 	dataReqs  []disk.Request
 	dataTypes []iron.BlockType
 	jReqs     []disk.Request
@@ -260,65 +236,23 @@ type commitPlan struct {
 // transactional checksums (Tc) the commit block carries a checksum of the
 // whole transaction and is issued in the same batch — no ordering barrier
 // (§6.1). Checkpointing of home locations is deferred until the journal
-// fills, sync is *not* required to checkpoint.
-//
-// The commit runs in three phases: freeze (under fs.mu) materializes the
-// plan and installs a fresh running transaction; the device writes happen
-// with fs.mu RELEASED, serialized against other commits by fs.committing;
-// finish (under fs.mu again) queues the checkpoint work. Callers hold
-// fs.mu for writing and get it back on return, but must tolerate the
-// window — every caller commits at the end of its operation, with no
-// state carried across the call.
+// fills, sync is *not* required to checkpoint. The engine runs the
+// freeze/write/finish protocol and releases fs.mu around the writes.
 //
 //iron:commitpoint the group-commit body; its error means the journal write or barrier failed
-func (fs *FS) commitLocked() error {
-	for fs.committing {
-		fs.commitDone.Wait()
-	}
-	if fs.tx.empty() {
-		return nil
-	}
-	if err := fs.health.CheckWrite(); err != nil {
-		return err
-	}
-	// Commit batching: before freezing, release the lock and yield so
-	// other clients mid-operation can finish joining the running
-	// transaction — their fsyncs then ride this commit instead of paying
-	// for their own. A lone caller loses nothing: the yields return
-	// immediately and the transaction freezes unchanged.
-	fs.committing = true
-	fs.mu.Unlock()
-	for i := 0; i < commitYields; i++ {
-		runtime.Gosched()
-	}
-	fs.mu.Lock()
-	plan, err := fs.freezeTxnLocked()
-	if err == nil {
-		fs.mu.Unlock()
-		err = fs.writeCommitPlan(plan)
-		fs.mu.Lock()
-	}
-	fs.committing = false
-	if plan != nil {
-		// Advance even on a failed write: waiters must not hang, and the
-		// failure surfaces through the health state they re-check.
-		fs.durableSeq = plan.seq
-	}
-	fs.commitDone.Broadcast()
-	if err != nil {
-		return err
-	}
-	return fs.finishCommitLocked(plan)
-}
+func (fs *FS) commitLocked() error { return fs.jn.Commit(fs) }
 
-// freezeTxnLocked materializes the running transaction into a commitPlan
-// and installs a fresh running transaction. Every payload is copied under
-// the lock, so later mutations of the cached buffers cannot tear the
-// frozen image. The journal head and sequence advance here — reservations
-// are serialized because freezes only run with no commit in flight.
-func (fs *FS) freezeTxnLocked() (*commitPlan, error) {
+// DirtyLocked implements journal.Committer.
+func (fs *FS) DirtyLocked() bool { return !fs.tx.empty() }
+
+// TouchedLocked implements journal.Committer; key is an inode number.
+func (fs *FS) TouchedLocked(key uint64) bool { return fs.tx.touched(uint32(key)) }
+
+// FreezeLocked implements journal.Committer: it encodes the running
+// transaction as JBD records at the journal head, which advances here.
+func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	t := fs.tx
-	fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d data=%d", fs.seq+1, len(t.metaOrder), len(t.dataOrder)))
+	fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d data=%d", seq, len(t.metaOrder), len(t.dataOrder)))
 	fs.st.Commits.Inc()
 	fs.st.TxnBlocks.Observe(int64(len(t.metaOrder) + len(t.dataOrder)))
 
@@ -375,7 +309,6 @@ func (fs *FS) freezeTxnLocked() (*commitPlan, error) {
 
 	// The journal records. Layout: revoke blocks, descriptor, journaled
 	// copies, commit.
-	seq := fs.seq + 1
 	nJData := len(t.metaOrder)
 	if nJData > PtrsPerBlock-2 {
 		// Unreachable by construction — maybeCommit flushes the running
@@ -482,27 +415,22 @@ func (fs *FS) freezeTxnLocked() (*commitPlan, error) {
 		rel++
 	}
 
-	plan.seq = seq
-	plan.headEnd = rel
-	fs.seq = seq
 	fs.jhead = rel
 	fs.tx = newTxn(fs)
 	return plan, nil
 }
 
-// writeCommitPlan issues the frozen transaction's device writes. It runs
-// without fs.mu held — fs.committing serializes it against other commits
-// and checkpoints — and touches only the plan's frozen payloads plus
-// thread-safe members (device, recorder, health, tracer).
+// WritePlan implements journal.Committer.
 //
 //iron:txentry commit machinery: writes the frozen commit plan (journal descriptor/data/commit blocks) to disk
-func (fs *FS) writeCommitPlan(plan *commitPlan) error {
+func (fs *FS) WritePlan(p journal.Plan) error {
+	plan := p.(*commitPlan)
 	// Barrier failures, unlike write failures, are not part of the
 	// reproduced stock-ext3 bug surface: a failed ordering point means the
 	// commit's durability cannot be vouched for, so the journal aborts —
-	// otherwise a concurrent fsync waiter would see durableSeq advance
-	// with health still Healthy and report durability for a commit whose
-	// ordering barrier failed.
+	// otherwise a concurrent fsync waiter would see the durable sequence
+	// advance with health still Healthy and report durability for a commit
+	// whose ordering barrier failed.
 	if len(plan.dataReqs) > 0 {
 		if err := fs.devWriteBatch(plan.dataReqs, plan.dataTypes); err != nil {
 			return err // FixBugs only: stock ext3 sails on
@@ -544,9 +472,10 @@ func (fs *FS) writeCommitPlan(plan *commitPlan) error {
 	return nil
 }
 
-// finishCommitLocked queues the durable transaction's home writes for
-// checkpoint and unpins its ordered data.
-func (fs *FS) finishCommitLocked(plan *commitPlan) error {
+// FinishLocked implements journal.Committer: it queues the durable
+// transaction's home writes for checkpoint and unpins its ordered data.
+func (fs *FS) FinishLocked(p journal.Plan) error {
+	plan := p.(*commitPlan)
 	if fs.pending.seen == nil {
 		fs.pending.seen = map[int64]int{}
 	}
@@ -572,18 +501,8 @@ func (fs *FS) finishCommitLocked(plan *commitPlan) error {
 		fs.pending.entries = append(fs.pending.entries,
 			checkpointEntry{home: blk, bt: plan.metaType[blk], data: plan.metaCopies[i]})
 	}
-	// Ordered data is already home; unpin it — unless the running
-	// transaction re-dirtied the block while the commit was in flight,
-	// in which case the pin now belongs to it.
-	for _, blk := range plan.dataOrder {
-		if _, again := fs.tx.dataType[blk]; again {
-			continue
-		}
-		if _, again := fs.tx.metaType[blk]; again {
-			continue
-		}
-		fs.cache.MarkClean(blk)
-	}
+	// Ordered data is already home.
+	journal.Unpin(fs.cache, plan.dataOrder, fs.tx.metaType, fs.tx.dataType)
 
 	if len(fs.pending.entries) >= checkpointHighWater {
 		return fs.checkpointLocked()
@@ -647,7 +566,7 @@ func (fs *FS) checkpointLocked() error {
 	fs.pending = pendingState{}
 
 	// Advance the tail: everything up to the head is dead.
-	js := jsuper{Magic: jMagicSuper, StartRel: 1, StartSeq: fs.seq + 1}
+	js := jsuper{Magic: jMagicSuper, StartRel: 1, StartSeq: fs.jn.Seq() + 1}
 	buf := make([]byte, BlockSize)
 	js.marshal(buf)
 	if err := fs.devWrite(int64(fs.lay.sb.JournalStart), buf, BTJSuper); err != nil {
@@ -838,7 +757,7 @@ func (fs *FS) replayJournal() error {
 	if err := fs.devWrite(base, reset, BTJSuper); err != nil {
 		return err
 	}
-	fs.seq = seq
+	fs.jn.Recovered(seq)
 	fs.jhead = 1
 	return nil
 }

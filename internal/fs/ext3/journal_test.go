@@ -205,7 +205,7 @@ func TestBarrierFailureDegradesHealth(t *testing.T) {
 	if st := fs.Health(); st == vfs.Healthy {
 		t.Fatal("health still Healthy after commit barrier failure")
 	}
-	// The regression: with durableSeq advanced past the failed commit, a
+	// The regression: with the durable sequence advanced past the failed commit, a
 	// second fsync must not report the data durable.
 	if err := fs.Fsync("/f"); err == nil {
 		t.Fatal("Fsync reported durability for a commit whose barrier failed")
@@ -217,7 +217,18 @@ func TestBarrierFailureDegradesHealth(t *testing.T) {
 // past the commit threshold — unbounded growth would overflow the single
 // descriptor block a frozen transaction gets (PtrsPerBlock-2 tags).
 func TestRunningTxnCappedWhileCommitInFlight(t *testing.T) {
-	fs, _ := newTestFS(t, Options{})
+	d, err := disk.New(8192, disk.DefaultGeometry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Mkfs(d, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	sd := &stallDev{Device: d, stalled: make(chan struct{}), release: make(chan struct{})}
+	fs := New(sd, Options{}, iron.NewRecorder())
+	if err := fs.Mount(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Pre-create the directories with commits enabled; the file created in
 	// each later dirties that directory's own dir block, so every create
@@ -232,11 +243,16 @@ func TestRunningTxnCappedWhileCommitInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate an in-flight commit. Operations keep joining the running
-	// transaction until it reaches the cap, then block in commitLocked.
-	fs.mu.Lock()
-	fs.committing = true
-	fs.mu.Unlock()
+	// Hold a real commit in flight: its first barrier stalls in the device
+	// with fs.mu released. Operations keep joining the running transaction
+	// until it reaches the cap, then block in commitLocked.
+	if err := fs.Create("/seed", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sd.arm.Store(true)
+	syncDone := make(chan error, 1)
+	go func() { syncDone <- fs.Sync() }()
+	<-sd.stalled
 
 	maxSeen := 0
 	done := make(chan struct{})
@@ -257,16 +273,16 @@ func TestRunningTxnCappedWhileCommitInFlight(t *testing.T) {
 
 	select {
 	case <-done:
-		// Never blocked: the cap never engaged, so every Mkdir piled into
+		// Never blocked: the cap never engaged, so every Create piled into
 		// the running transaction — maxSeen below will tell.
 	case <-time.After(200 * time.Millisecond):
 		// Blocked waiting for the in-flight commit, as intended.
 	}
-	fs.mu.Lock()
-	fs.committing = false
-	fs.commitDone.Broadcast()
-	fs.mu.Unlock()
+	close(sd.release)
 	<-done
+	if err := <-syncDone; err != nil {
+		t.Fatalf("stalled Sync: %v", err)
+	}
 
 	// Allow generous per-operation overshoot above the threshold, but the
 	// transaction must stay far below the descriptor block's capacity.
@@ -283,4 +299,21 @@ func TestRunningTxnCappedWhileCommitInFlight(t *testing.T) {
 	if err := fs.Unmount(); err != nil {
 		t.Fatalf("Unmount: %v", err)
 	}
+}
+
+// stallDev parks the first Barrier issued after arm is set until release
+// is closed, announcing the stall on stalled: a commit held in flight.
+type stallDev struct {
+	disk.Device
+	arm     atomic.Bool
+	stalled chan struct{}
+	release chan struct{}
+}
+
+func (d *stallDev) Barrier() error {
+	if d.arm.CompareAndSwap(true, false) {
+		close(d.stalled)
+		<-d.release
+	}
+	return d.Device.Barrier()
 }

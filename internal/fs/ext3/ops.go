@@ -789,49 +789,20 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 }
 
 // Fsync implements vfs.FileSystem: commits the running transaction if it
-// holds changes to the named file. When the file's state already reached
-// the journal — typically because another client's fsync committed the
-// shared running transaction moments ago — there is nothing left to make
-// durable and the call returns without a commit. That skip is what turns
-// concurrent fsync-heavy clients into a group commit: the first fsync in
-// a window pays for the batch, the rest ride along free.
+// holds changes to the named file, else waits for the commit that carried
+// them (journal.Engine.Fsync is the group-commit protocol).
 func (fs *FS) Fsync(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if err := fs.guardWrite(); err != nil {
 		return err
 	}
-	if fs.clk != nil {
-		// Fsync wait: everything between here and return — resolving,
-		// waiting out in-flight commits, and any commit this call pays
-		// for — is durability latency the caller experienced.
-		start := int64(fs.clk.Now())
-		defer func() { fs.st.FsyncWait.Observe(int64(fs.clk.Now()) - start) }()
-	}
+	defer fs.jn.EndFsync(fs.jn.BeginFsync())
 	ino, _, err := fs.resolve(path, true)
 	if err != nil {
 		return err
 	}
-	// Group commit. If the running transaction does not hold this inode,
-	// its state is durable or riding the in-flight commit — wait for that
-	// specific sequence, not for fs.committing to clear, so a stream of
-	// back-to-back commits from a busy client cannot starve this one. If
-	// the inode is in the running transaction while a commit is writing,
-	// wait and re-check: the next freeze usually carries it, making this
-	// fsync free.
-	for {
-		if !fs.tx.touched(ino) {
-			need := fs.seq
-			for fs.durableSeq < need {
-				fs.commitDone.Wait()
-			}
-			return fs.health.CheckWrite()
-		}
-		if !fs.committing {
-			return fs.commitLocked()
-		}
-		fs.commitDone.Wait()
-	}
+	return fs.jn.Fsync(fs, uint64(ino))
 }
 
 // Chmod implements vfs.FileSystem.

@@ -52,7 +52,7 @@ type scrubTarget struct {
 
 // cksumApplies reports whether blocks of type bt are covered by the
 // enabled checksumming level. The split mirrors the write side
-// (freezeTxnLocked): Dc covers the ordered-data types (data and parity),
+// (FreezeLocked): Dc covers the ordered-data types (data and parity),
 // Mc covers every metadata type. Gating on MetaChecksum alone — as the
 // scrubber once did — left data blocks unverified on a Dc-only volume.
 func (fs *FS) cksumApplies(bt iron.BlockType) bool {

@@ -3,10 +3,10 @@ package jfs
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
+	"ironfs/internal/journal"
 	"ironfs/internal/vfs"
 )
 
@@ -108,21 +108,11 @@ func (fs *FS) stageData(blk int64, data []byte) {
 // dropBlock removes a freed block from the transaction and cache.
 func (fs *FS) dropBlock(blk int64) {
 	delete(fs.tx.data, blk)
-	for i, b := range fs.tx.dataOrder {
-		if b == blk {
-			fs.tx.dataOrder = append(fs.tx.dataOrder[:i], fs.tx.dataOrder[i+1:]...)
-			break
-		}
-	}
+	fs.tx.dataOrder = journal.RemoveBlock(fs.tx.dataOrder, blk)
 	fs.cache.Drop(blk)
 }
 
 const maxTxnRecords = 256
-
-// commitYields is how many scheduler yields the committer grants, with the
-// lock released, before freezing — the window in which concurrent clients
-// join the transaction (JBD-style commit batching, in yield form).
-const commitYields = 8
 
 //iron:commitpoint the operation-facing commit funnel; its error means the transaction did not reach disk
 func (fs *FS) maybeCommit() error {
@@ -132,12 +122,9 @@ func (fs *FS) maybeCommit() error {
 	return nil
 }
 
-// commitPlan is a frozen transaction: every device request materialized
-// (payloads copied) so the writes can proceed without the file-system
-// lock. While a plan's I/O is in flight the running transaction keeps
-// accepting operations — the JBD running/committing split.
+// commitPlan is JFS's journal.Plan: the frozen transaction as packed redo
+// records plus a commit record in log blocks, and its immediate checkpoint.
 type commitPlan struct {
-	seq      uint64
 	dataReqs []disk.Request
 	// wrapSuper, when non-nil, points the log superblock at the ring's new
 	// start; it must reach disk (with a barrier) before the log blocks.
@@ -156,72 +143,32 @@ type commitPlan struct {
 // record into the log, checkpoints the dirty blocks, and advances the log
 // superblock. Write errors on data, log-data and checkpoint writes are all
 // ignored (the §5.3 DZero finding); only the log-superblock write is
-// checked — and crashes on failure.
-//
-// The commit runs in three phases: freeze (under fs.mu) materializes the
-// plan and installs a fresh running transaction; the device writes happen
-// with fs.mu RELEASED, serialized against other commits by fs.committing;
-// finish (under fs.mu again) unpins the checkpointed blocks.
+// checked — and crashes on failure. The engine runs the freeze/write/finish
+// protocol and releases fs.mu around the writes.
 //
 //iron:txentry commit machinery: jfs group commit writes log records then checkpoints home blocks
 //iron:commitpoint the group-commit body; its error means the journal write or barrier failed
-func (fs *FS) commitLocked() error {
-	for fs.committing {
-		fs.commitDone.Wait()
-	}
-	if fs.tx.empty() {
-		return nil
-	}
-	if err := fs.health.CheckWrite(); err != nil {
-		return err
-	}
-	// Commit batching: release the lock and yield before freezing so
-	// other clients mid-operation can join the running transaction and
-	// ride this commit instead of paying for their own.
-	fs.committing = true
-	fs.mu.Unlock()
-	for i := 0; i < commitYields; i++ {
-		runtime.Gosched()
-	}
-	fs.mu.Lock()
-	plan, err := fs.freezeTxnLocked()
-	if err == nil && plan != nil {
-		fs.mu.Unlock()
-		err = fs.writeCommitPlan(plan)
-		fs.mu.Lock()
-	}
-	fs.committing = false
-	if plan != nil {
-		// Advance even on a failed write: waiters must not hang, and the
-		// failure surfaces through the health state they re-check.
-		fs.durableSeq = plan.seq
-	}
-	fs.commitDone.Broadcast()
-	if err != nil {
-		return err
-	}
-	if plan != nil {
-		fs.finishCommitLocked(plan)
-	}
-	return nil
-}
+func (fs *FS) commitLocked() error { return fs.jn.Commit(fs) }
 
-// freezeTxnLocked materializes the running transaction into a commitPlan
-// and installs a fresh running transaction. Every payload is copied under
-// the lock, so later mutations of the cached buffers cannot tear the
-// frozen image. The log head and sequence advance here — reservations are
-// serialized because freezes only run with no commit in flight.
-func (fs *FS) freezeTxnLocked() (*commitPlan, error) {
+// DirtyLocked implements journal.Committer.
+func (fs *FS) DirtyLocked() bool { return !fs.tx.empty() }
+
+// TouchedLocked implements journal.Committer; key is an inode number.
+func (fs *FS) TouchedLocked(key uint64) bool { return fs.tx.touched(uint32(key)) }
+
+// FreezeLocked implements journal.Committer: it packs the running
+// transaction's records into log blocks at the log head, which advances
+// here.
+func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	t := fs.tx
 	if t.empty() {
 		return nil, nil
 	}
-	fs.tr.Phase("commit", fmt.Sprintf("seq=%d records=%d data=%d", fs.seq+1, len(t.records), len(t.dataOrder)))
+	fs.tr.Phase("commit", fmt.Sprintf("seq=%d records=%d data=%d", seq, len(t.records), len(t.dataOrder)))
 	fs.st.Commits.Inc()
 	fs.st.TxnBlocks.Observe(int64(len(t.records) + len(t.dataOrder)))
-	seq := fs.seq + 1
 	base := int64(fs.sb.LogStart)
-	plan := &commitPlan{seq: seq, dirtyOrd: t.dirtyOrd, dataOrd: t.dataOrder}
+	plan := &commitPlan{dirtyOrd: t.dirtyOrd, dataOrd: t.dataOrder}
 
 	// Ordered data (frozen copies).
 	for _, blk := range t.dataOrder {
@@ -294,7 +241,6 @@ func (fs *FS) freezeTxnLocked() (*commitPlan, error) {
 	plan.advSuper = make([]byte, BlockSize)
 	ls.marshal(plan.advSuper)
 
-	fs.seq = seq
 	fs.tx = newTxn()
 	return plan, nil
 }
@@ -302,9 +248,9 @@ func (fs *FS) freezeTxnLocked() (*commitPlan, error) {
 // commitBarrier is an ordering point inside the commit path. A barrier
 // failure means the commit's durability cannot be vouched for; JFS's
 // milder stop applies — propagate and remount read-only. Without the
-// degrade, an fsync waiter would see durableSeq advance with health still
-// Healthy and report durability for a commit whose ordering barrier
-// failed.
+// degrade, an fsync waiter would see the durable sequence advance with
+// health still Healthy and report durability for a commit whose ordering
+// barrier failed.
 func (fs *FS) commitBarrier(bt iron.BlockType) error {
 	if err := fs.dev.Barrier(); err != nil {
 		fs.rec.Detect(iron.DErrorCode, bt, "barrier failed")
@@ -314,13 +260,11 @@ func (fs *FS) commitBarrier(bt iron.BlockType) error {
 	return nil
 }
 
-// writeCommitPlan issues the frozen transaction's device writes. It runs
-// without fs.mu held — fs.committing serializes it against other commits —
-// and touches only the plan's frozen payloads plus thread-safe members
-// (device, recorder, health, tracer).
+// WritePlan implements journal.Committer.
 //
 //iron:txentry commit machinery: writes the frozen commit plan (ordered data, log records, checkpoint) and advances the log superblock
-func (fs *FS) writeCommitPlan(plan *commitPlan) error {
+func (fs *FS) WritePlan(p journal.Plan) error {
+	plan := p.(*commitPlan)
 	base := int64(fs.sb.LogStart)
 
 	// Ordered data first.
@@ -354,30 +298,13 @@ func (fs *FS) writeCommitPlan(plan *commitPlan) error {
 	return fs.devWrite(base, plan.advSuper, BTJSuper)
 }
 
-// finishCommitLocked unpins the checkpointed blocks — unless the running
-// transaction re-dirtied a block while the commit was in flight, in which
-// case the dirty pin now belongs to it.
-//
-//iron:traceok in-memory pin bookkeeping after the commit's device writes; the commit phase itself traces in writeCommitPlan
-func (fs *FS) finishCommitLocked(plan *commitPlan) {
-	for _, blk := range plan.dirtyOrd {
-		if _, live := fs.tx.dirty[blk]; live {
-			continue
-		}
-		if _, live := fs.tx.data[blk]; live {
-			continue
-		}
-		fs.cache.MarkClean(blk)
-	}
-	for _, blk := range plan.dataOrd {
-		if _, live := fs.tx.dirty[blk]; live {
-			continue
-		}
-		if _, live := fs.tx.data[blk]; live {
-			continue
-		}
-		fs.cache.MarkClean(blk)
-	}
+// FinishLocked implements journal.Committer: the plan's blocks are
+// checkpointed, so their dirty pins come off.
+func (fs *FS) FinishLocked(p journal.Plan) error {
+	plan := p.(*commitPlan)
+	journal.Unpin(fs.cache, plan.dirtyOrd, fs.tx.dirty, fs.tx.data)
+	journal.Unpin(fs.cache, plan.dataOrd, fs.tx.dirty, fs.tx.data)
+	return nil
 }
 
 // loadLogSuper initializes the sequence space from the log superblock,
@@ -399,7 +326,7 @@ func (fs *FS) loadLogSuper() error {
 		return vfs.ErrCorrupt
 	}
 	if ls.StartSeq > 0 {
-		fs.seq = ls.StartSeq - 1
+		fs.jn.Recovered(ls.StartSeq - 1)
 	}
 	fs.jhead = int64(ls.StartRel)
 	if fs.jhead == 0 {
@@ -422,7 +349,7 @@ func (fs *FS) replayLog() error {
 	base := int64(fs.sb.LogStart)
 	le := binary.LittleEndian
 	rel := fs.jhead
-	seq := fs.seq + 1
+	seq := fs.jn.Seq() + 1
 
 	var pending []redoRec
 scan:
@@ -500,7 +427,7 @@ scan:
 	if err := fs.devWrite(base, lb, BTJSuper); err != nil {
 		return err
 	}
-	fs.seq = seq - 1
+	fs.jn.Recovered(seq - 1)
 	fs.jhead = 1
 	return nil
 }

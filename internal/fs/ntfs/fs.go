@@ -4,13 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"ironfs/internal/bcache"
 	"ironfs/internal/disk"
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
+	"ironfs/internal/journal"
 	"ironfs/internal/trace"
 	"ironfs/internal/vfs"
 )
@@ -20,11 +20,9 @@ type FS struct {
 	dev disk.Device
 	rec *iron.Recorder
 	tr  *trace.Tracer
-	// clk is the stack's simulated clock (nil over clockless devices);
-	// st holds the journal path's live-metrics handles. Both resolved at
+	// st holds the journal path's live-metrics handles, resolved at
 	// construction.
-	clk *disk.Clock
-	st  vfs.FSMetrics
+	st vfs.FSMetrics
 	// repairHooks bracket fsck repair transactions (crash-idempotence
 	// harness); set before repair traffic via SetRepairHooks.
 	repairHooks *fsck.RepairHooks
@@ -37,18 +35,11 @@ type FS struct {
 	tx      *txn
 	mounted bool
 	noatime bool
-	seq     uint64
 	jhead   int64
 	timeCtr int64
-	// committing is true while a frozen transaction's device writes are in
-	// flight with fs.mu released; the running transaction keeps accepting
-	// operations. commitDone is signalled when it clears.
-	committing bool
-	commitDone *sync.Cond
-	// durableSeq is the last commit sequence fully on disk. Fsync waiters
-	// wait on it rather than on fs.committing, so a stream of back-to-back
-	// commits from a busy client cannot starve them.
-	durableSeq uint64
+	// jn owns the commit sequence space and coordinates the committer
+	// with its fsync waiters; FS implements its journal.Committer.
+	jn *journal.Engine
 	// ra is the sequential read-ahead detector for data reads (nil =
 	// read-ahead off, the default). Set before Mount via SetReadAhead.
 	ra *bcache.Prefetcher
@@ -59,9 +50,9 @@ var _ vfs.FileSystem = (*FS)(nil)
 // New binds an NTFS instance to a formatted device. Mount before use.
 func New(dev disk.Device, rec *iron.Recorder) *FS {
 	fs := &FS{dev: dev, rec: rec, tr: trace.Of(dev), cache: bcache.New(2048),
-		clk: disk.ClockOf(dev), st: vfs.NewFSMetrics("ntfs")}
+		st: vfs.NewFSMetrics("ntfs")}
 	fs.cache.SetTracer(fs.tr)
-	fs.commitDone = sync.NewCond(&fs.mu)
+	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
 	return fs
 }
 
@@ -218,22 +209,13 @@ func (fs *FS) dropBlock(blk int64) {
 	if _, ok := fs.tx.meta[blk]; ok {
 		delete(fs.tx.meta, blk)
 		delete(fs.tx.metaType, blk)
-		fs.tx.metaOrder = removeBlk(fs.tx.metaOrder, blk)
+		fs.tx.metaOrder = journal.RemoveBlock(fs.tx.metaOrder, blk)
 	}
 	if _, ok := fs.tx.data[blk]; ok {
 		delete(fs.tx.data, blk)
-		fs.tx.dataOrder = removeBlk(fs.tx.dataOrder, blk)
+		fs.tx.dataOrder = journal.RemoveBlock(fs.tx.dataOrder, blk)
 	}
 	fs.cache.Drop(blk)
-}
-
-func removeBlk(s []int64, blk int64) []int64 {
-	for i, b := range s {
-		if b == blk {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
 }
 
 const maxTxnMeta = 48
@@ -243,11 +225,6 @@ const maxTxnMeta = 48
 // transaction far below this even while a commit is in flight.
 const maxDescTags = (BlockSize - 16) / 8
 
-// commitYields is how many scheduler yields the committer grants, with the
-// lock released, before freezing — the window in which concurrent clients
-// join the transaction (JBD-style commit batching, in yield form).
-const commitYields = 8
-
 //iron:commitpoint the operation-facing commit funnel; its error means the transaction did not reach disk
 func (fs *FS) maybeCommit() error {
 	if len(fs.tx.metaOrder) >= maxTxnMeta {
@@ -256,10 +233,9 @@ func (fs *FS) maybeCommit() error {
 	return nil
 }
 
-// commitPlan is a frozen transaction: every device payload materialized
-// (copied) so the writes can proceed without the file-system lock. While a
-// plan's I/O is in flight the running transaction keeps accepting
-// operations — the JBD running/committing split.
+// commitPlan is NTFS's journal.Plan: the frozen transaction as a logfile
+// descriptor + journaled copies + commit block, with the restart-area
+// updates that bracket it, and its immediate checkpoint.
 type commitPlan struct {
 	seq     uint64
 	headEnd int64
@@ -282,69 +258,28 @@ type commitPlan struct {
 }
 
 // commitLocked writes ordered data, the logfile transaction, then
-// checkpoints home locations.
-//
-// The commit runs in three phases: freeze (under fs.mu) materializes the
-// plan and installs a fresh running transaction; the device writes happen
-// with fs.mu RELEASED, serialized against other commits by fs.committing;
-// finish (under fs.mu again) unpins the checkpointed blocks.
+// checkpoints home locations; the engine runs the freeze/write/finish
+// protocol and releases fs.mu around the writes.
 //
 //iron:commitpoint the group-commit body; its error means the journal write or barrier failed
-func (fs *FS) commitLocked() error {
-	for fs.committing {
-		fs.commitDone.Wait()
-	}
-	if fs.tx.empty() {
-		return nil
-	}
-	if err := fs.health.CheckWrite(); err != nil {
-		return err
-	}
-	// Commit batching: release the lock and yield before freezing so
-	// other clients mid-operation can join the running transaction and
-	// ride this commit instead of paying for their own.
-	fs.committing = true
-	fs.mu.Unlock()
-	for i := 0; i < commitYields; i++ {
-		runtime.Gosched()
-	}
-	fs.mu.Lock()
-	plan, err := fs.freezeTxnLocked()
-	if err == nil && plan != nil {
-		fs.mu.Unlock()
-		err = fs.writeCommitPlan(plan)
-		fs.mu.Lock()
-	}
-	fs.committing = false
-	if plan != nil {
-		// Advance even on a failed write: waiters must not hang, and the
-		// failure surfaces through the health state they re-check.
-		fs.durableSeq = plan.seq
-	}
-	fs.commitDone.Broadcast()
-	if err != nil {
-		return err
-	}
-	if plan != nil {
-		fs.finishCommitLocked(plan)
-	}
-	return nil
-}
+func (fs *FS) commitLocked() error { return fs.jn.Commit(fs) }
 
-// freezeTxnLocked materializes the running transaction into a commitPlan
-// and installs a fresh running transaction. Every payload is copied under
-// the lock, so later mutations of the cached buffers cannot tear the
-// frozen image. The logfile head and sequence advance here — reservations
-// are serialized because freezes only run with no commit in flight.
-func (fs *FS) freezeTxnLocked() (*commitPlan, error) {
+// DirtyLocked implements journal.Committer.
+func (fs *FS) DirtyLocked() bool { return !fs.tx.empty() }
+
+// TouchedLocked implements journal.Committer; key is an MFT record number.
+func (fs *FS) TouchedLocked(key uint64) bool { return fs.tx.touched(uint32(key)) }
+
+// FreezeLocked implements journal.Committer: it encodes the running
+// transaction at the logfile head, which advances here.
+func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	t := fs.tx
 	if t.empty() {
 		return nil, nil
 	}
-	fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d data=%d", fs.seq+1, len(t.metaOrder), len(t.dataOrder)))
+	fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d data=%d", seq, len(t.metaOrder), len(t.dataOrder)))
 	fs.st.Commits.Inc()
 	fs.st.TxnBlocks.Observe(int64(len(t.metaOrder) + len(t.dataOrder)))
-	seq := fs.seq + 1
 	base := int64(fs.boot.LogStart)
 	le := binary.LittleEndian
 
@@ -401,7 +336,6 @@ func (fs *FS) freezeTxnLocked() (*commitPlan, error) {
 	rel++
 
 	plan.headEnd = rel
-	fs.seq = seq
 	fs.jhead = rel
 	fs.tx = newTxn()
 	return plan, nil
@@ -410,9 +344,9 @@ func (fs *FS) freezeTxnLocked() (*commitPlan, error) {
 // commitBarrier is an ordering point inside the commit path. A barrier
 // failure means the commit's durability cannot be vouched for; NTFS's
 // reaction to an unrecoverable write-path failure applies — the volume is
-// marked unusable. Without the degrade, an fsync waiter would see
-// durableSeq advance with health still Healthy and report durability for
-// a commit whose ordering barrier failed.
+// marked unusable. Without the degrade, an fsync waiter would see the
+// durable sequence advance with health still Healthy and report durability
+// for a commit whose ordering barrier failed.
 func (fs *FS) commitBarrier(bt iron.BlockType) error {
 	if err := fs.dev.Barrier(); err != nil {
 		fs.rec.Detect(iron.DErrorCode, bt, "barrier failed")
@@ -423,12 +357,10 @@ func (fs *FS) commitBarrier(bt iron.BlockType) error {
 	return nil
 }
 
-// writeCommitPlan issues the frozen transaction's device writes. It runs
-// without fs.mu held — fs.committing serializes it against other commits —
-// and touches only the plan's frozen payloads plus thread-safe members
-// (device, recorder, health, tracer). Every block keeps NTFS's per-type
-// writeRetry persistence.
-func (fs *FS) writeCommitPlan(plan *commitPlan) error {
+// WritePlan implements journal.Committer. Every block keeps NTFS's
+// per-type writeRetry persistence.
+func (fs *FS) WritePlan(p journal.Plan) error {
+	plan := p.(*commitPlan)
 	base := int64(fs.boot.LogStart)
 	hdrEnd := plan.headEnd - 1 // commit block sits just before headEnd
 
@@ -478,30 +410,13 @@ func (fs *FS) writeCommitPlan(plan *commitPlan) error {
 	return fs.writeRestart(plan.seq+1, plan.headEnd)
 }
 
-// finishCommitLocked unpins the checkpointed blocks — unless the running
-// transaction re-dirtied a block while the commit was in flight, in which
-// case the dirty pin now belongs to it.
-//
-//iron:traceok in-memory pin bookkeeping after the commit's device writes; the commit phase itself traces in writeCommitPlan
-func (fs *FS) finishCommitLocked(plan *commitPlan) {
-	for _, blk := range plan.metaOrder {
-		if _, live := fs.tx.meta[blk]; live {
-			continue
-		}
-		if _, live := fs.tx.data[blk]; live {
-			continue
-		}
-		fs.cache.MarkClean(blk)
-	}
-	for _, blk := range plan.dataOrder {
-		if _, live := fs.tx.meta[blk]; live {
-			continue
-		}
-		if _, live := fs.tx.data[blk]; live {
-			continue
-		}
-		fs.cache.MarkClean(blk)
-	}
+// FinishLocked implements journal.Committer: the plan's blocks are
+// checkpointed, so their dirty pins come off.
+func (fs *FS) FinishLocked(p journal.Plan) error {
+	plan := p.(*commitPlan)
+	journal.Unpin(fs.cache, plan.metaOrder, fs.tx.meta, fs.tx.data)
+	journal.Unpin(fs.cache, plan.dataOrder, fs.tx.meta, fs.tx.data)
+	return nil
 }
 
 // writeRestart updates the logfile restart area.
@@ -598,7 +513,7 @@ func (fs *FS) replayLog() error {
 	if err := fs.writeRestart(seq, 1); err != nil {
 		return err
 	}
-	fs.seq = seq - 1
+	fs.jn.Recovered(seq - 1)
 	fs.jhead = 1
 	fs.cache.Reset()
 	return nil
@@ -655,14 +570,11 @@ func (fs *FS) Mount() error {
 		}
 		fs.jhead = startRel
 		if nextSeq > 0 {
-			fs.seq = nextSeq - 1
+			fs.jn.Recovered(nextSeq - 1)
 		}
 	}
 
 	fs.tx = newTxn()
-	// Everything up to the replayed/loaded sequence is on disk; an fsync
-	// waiter for a pre-mount sequence must not park forever.
-	fs.durableSeq = fs.seq
 	fs.boot.Clean = 0
 	bbuf := make([]byte, BlockSize)
 	fs.boot.marshal(bbuf)

@@ -3,75 +3,10 @@ package reiser
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
-	"time"
 
-	"ironfs/internal/disk"
-	"ironfs/internal/iron"
 	"ironfs/internal/vfs"
 )
-
-// barrierFaildev passes everything through to the disk but fails Barrier
-// while armed, modeling a drive that loses its cache-flush command.
-type barrierFaildev struct {
-	disk.Device
-	mu    sync.Mutex
-	armed bool
-}
-
-var errBarrier = errors.New("injected barrier failure")
-
-func (d *barrierFaildev) Barrier() error {
-	d.mu.Lock()
-	armed := d.armed
-	d.mu.Unlock()
-	if armed {
-		return errBarrier
-	}
-	return d.Device.Barrier()
-}
-
-func (d *barrierFaildev) arm() {
-	d.mu.Lock()
-	d.armed = true
-	d.mu.Unlock()
-}
-
-// TestCommitBarrierFailurePanics: a barrier failure inside the commit path
-// is a write-path failure, and ReiserFS's policy for those is to panic the
-// machine (§5.2). Pre-hardening, the barrier error surfaced as a plain
-// ErrIO with health still Healthy, so an fsync waiter could observe
-// durableSeq advance and report durability for a commit whose ordering
-// barrier never reached the drive.
-func TestCommitBarrierFailurePanics(t *testing.T) {
-	d, err := disk.New(8192, disk.DefaultGeometry(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Mkfs(d); err != nil {
-		t.Fatal(err)
-	}
-	bd := &barrierFaildev{Device: d}
-	fs := New(bd, iron.NewRecorder())
-	if err := fs.Mount(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Create("/f", 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bd.arm()
-	if err := fs.Sync(); !errors.Is(err, vfs.ErrPanicked) {
-		t.Fatalf("Sync under barrier failure = %v, want ErrPanicked", err)
-	}
-	if st := fs.Health(); st != vfs.Panicked {
-		t.Fatalf("health after commit barrier failure = %v, want Panicked", st)
-	}
-	if err := fs.Create("/g", 0o644); !errors.Is(err, vfs.ErrPanicked) {
-		t.Fatalf("write after panic = %v, want ErrPanicked", err)
-	}
-}
 
 // TestFrozenCommitPayloads: freezing must copy every payload under the
 // lock. The cache hands out live slices — the same backing arrays the
@@ -98,10 +33,10 @@ func TestFrozenCommitPayloads(t *testing.T) {
 	for _, blk := range staged {
 		want[blk] = append([]byte(nil), fs.tx.meta[blk]...)
 	}
-	plan, err := fs.freezeTxnLocked()
+	plan, err := fs.FreezeLocked(fs.jn.Seq() + 1)
 	if err != nil || plan == nil {
 		fs.mu.Unlock()
-		t.Fatalf("freezeTxnLocked = %v, %v", plan, err)
+		t.Fatalf("FreezeLocked = %v, %v", plan, err)
 	}
 	// Model a concurrent operation re-dirtying every staged block while
 	// the commit's I/O is in flight.
@@ -112,12 +47,15 @@ func TestFrozenCommitPayloads(t *testing.T) {
 			}
 		}
 	}
-	if err := fs.writeCommitPlan(plan); err != nil {
+	if err := fs.WritePlan(plan); err != nil {
 		fs.mu.Unlock()
-		t.Fatalf("writeCommitPlan: %v", err)
+		t.Fatalf("WritePlan: %v", err)
 	}
-	fs.finishCommitLocked(plan)
+	err = fs.FinishLocked(plan)
 	fs.mu.Unlock()
+	if err != nil {
+		t.Fatalf("FinishLocked: %v", err)
+	}
 
 	buf := make([]byte, BlockSize)
 	for _, blk := range staged {
@@ -139,138 +77,12 @@ func TestTxnOverflowPanics(t *testing.T) {
 	for i := 0; i <= maxDescTags; i++ {
 		fs.tx.putMeta(int64(4000+i), make([]byte, BlockSize), BTInternal)
 	}
-	_, err := fs.freezeTxnLocked()
+	_, err := fs.FreezeLocked(fs.jn.Seq() + 1)
 	fs.mu.Unlock()
 	if !errors.Is(err, vfs.ErrPanicked) {
 		t.Fatalf("freeze of oversized txn = %v, want ErrPanicked", err)
 	}
 	if st := fs.Health(); st != vfs.Panicked {
 		t.Fatalf("health after descriptor overflow = %v, want Panicked", st)
-	}
-}
-
-// TestFsyncUntouchedObjectNoCommit: fsync of an object the running
-// transaction hasn't touched must not force a commit — it only needs the
-// commits covering the object's last update on disk, which they already
-// are. Forcing one would make every fsync pay for every other client's
-// running transaction.
-func TestFsyncUntouchedObjectNoCommit(t *testing.T) {
-	fs, _ := newTestFS(t)
-	if err := fs.Create("/a", 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Create("/b", 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs.mu.Lock()
-	seqBefore := fs.seq
-	fs.mu.Unlock()
-	if err := fs.Fsync("/a"); err != nil {
-		t.Fatal(err)
-	}
-	fs.mu.Lock()
-	seqAfterA, durable := fs.seq, fs.durableSeq
-	fs.mu.Unlock()
-	if seqAfterA != seqBefore {
-		t.Fatalf("fsync of untouched /a committed (seq %d → %d)", seqBefore, seqAfterA)
-	}
-	if durable != seqBefore {
-		t.Fatalf("durableSeq = %d after fsync, want %d", durable, seqBefore)
-	}
-	// /b IS touched: its fsync must commit.
-	if err := fs.Fsync("/b"); err != nil {
-		t.Fatal(err)
-	}
-	fs.mu.Lock()
-	seqAfterB := fs.seq
-	fs.mu.Unlock()
-	if seqAfterB != seqBefore+1 {
-		t.Fatalf("fsync of touched /b: seq %d → %d, want one commit", seqBefore, seqAfterB)
-	}
-}
-
-// TestConcurrentFsyncClients drives the running/committing split under
-// the race detector: clients keep creating, writing and fsyncing while
-// other clients' commits are in flight, and every file must come back
-// intact afterwards.
-func TestConcurrentFsyncClients(t *testing.T) {
-	fs, _ := newTestFS(t)
-	const clients, files = 8, 12
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for f := 0; f < files; f++ {
-				p := fmt.Sprintf("/c%d-f%d", c, f)
-				if err := fs.Create(p, 0o644); err != nil {
-					errs[c] = fmt.Errorf("create %s: %w", p, err)
-					return
-				}
-				if _, err := fs.Write(p, 0, []byte(p)); err != nil {
-					errs[c] = fmt.Errorf("write %s: %w", p, err)
-					return
-				}
-				if err := fs.Fsync(p); err != nil {
-					errs[c] = fmt.Errorf("fsync %s: %w", p, err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for c := 0; c < clients; c++ {
-		for f := 0; f < files; f++ {
-			p := fmt.Sprintf("/c%d-f%d", c, f)
-			buf := make([]byte, len(p))
-			if n, err := fs.Read(p, 0, buf); err != nil || n != len(p) || string(buf) != p {
-				t.Fatalf("readback %s = %q, %d, %v", p, buf, n, err)
-			}
-		}
-	}
-	if err := fs.Unmount(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFsyncUntouchedAfterRemount: a remounted volume starts with a journal
-// sequence recovered from the header, and everything up to it is already
-// on disk. Fsync of an object untouched since mount must return
-// immediately. Pre-fix, durableSeq was left at zero while fs.seq came back
-// nonzero, so the waiter parked on commitDone forever — found by ironhunt,
-// whose every replay is a remount.
-func TestFsyncUntouchedAfterRemount(t *testing.T) {
-	fs, d := newTestFS(t)
-	if err := fs.Create("/f", 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Fsync("/f"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Unmount(); err != nil {
-		t.Fatal(err)
-	}
-	fs2 := New(d, iron.NewRecorder())
-	if err := fs2.Mount(); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- fs2.Fsync("/f") }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("fsync after remount: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("fsync of untouched object deadlocked after remount")
 	}
 }

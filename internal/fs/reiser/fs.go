@@ -8,6 +8,7 @@ import (
 	"ironfs/internal/disk"
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
+	"ironfs/internal/journal"
 	"ironfs/internal/trace"
 	"ironfs/internal/vfs"
 )
@@ -17,11 +18,9 @@ type FS struct {
 	dev disk.Device
 	rec *iron.Recorder
 	tr  *trace.Tracer
-	// clk is the stack's simulated clock (nil over clockless devices);
-	// st holds the journal path's live-metrics handles. Both resolved at
+	// st holds the journal path's live-metrics handles, resolved at
 	// construction.
-	clk *disk.Clock
-	st  vfs.FSMetrics
+	st vfs.FSMetrics
 	// repairHooks bracket fsck repair transactions (crash-idempotence
 	// harness); set before repair traffic via SetRepairHooks.
 	repairHooks *fsck.RepairHooks
@@ -35,18 +34,11 @@ type FS struct {
 	tx      *txn
 	mounted bool
 	noatime bool
-	seq     uint64
 	jhead   int64
 	timeCtr int64
-	// committing is true while a frozen transaction's device writes are in
-	// flight with fs.mu released; the running transaction keeps accepting
-	// operations. commitDone is signalled when it clears.
-	committing bool
-	commitDone *sync.Cond
-	// durableSeq is the last commit sequence fully on disk. Fsync waiters
-	// wait on it rather than on fs.committing, so a stream of back-to-back
-	// commits from a busy client cannot starve them.
-	durableSeq uint64
+	// jn owns the commit sequence space and coordinates the committer
+	// with its fsync waiters; FS implements its journal.Committer.
+	jn *journal.Engine
 	// ra is the sequential read-ahead detector for data reads (nil =
 	// read-ahead off, the default). Set before Mount via SetReadAhead.
 	ra *bcache.Prefetcher
@@ -57,9 +49,9 @@ var _ vfs.FileSystem = (*FS)(nil)
 // New binds a ReiserFS instance to a formatted device. Mount before use.
 func New(dev disk.Device, rec *iron.Recorder) *FS {
 	fs := &FS{dev: dev, rec: rec, tr: trace.Of(dev), cache: bcache.New(2048),
-		clk: disk.ClockOf(dev), st: vfs.NewFSMetrics("reiserfs")}
+		st: vfs.NewFSMetrics("reiserfs")}
 	fs.cache.SetTracer(fs.tr)
-	fs.commitDone = sync.NewCond(&fs.mu)
+	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
 	return fs
 }
 
@@ -231,9 +223,6 @@ func (fs *FS) Mount() error {
 	}
 
 	fs.tx = newTxn()
-	// Everything up to the replayed/loaded sequence is on disk; an fsync
-	// waiter for a pre-mount sequence must not park forever.
-	fs.durableSeq = fs.seq
 	fs.sb.Clean = 0
 	fs.sbDirty = true
 	sbuf := make([]byte, BlockSize)

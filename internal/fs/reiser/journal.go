@@ -3,10 +3,10 @@ package reiser
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
+	"ironfs/internal/journal"
 	"ironfs/internal/vfs"
 )
 
@@ -96,21 +96,12 @@ func (t *txn) drop(blk int64) {
 	if _, ok := t.meta[blk]; ok {
 		delete(t.meta, blk)
 		delete(t.metaType, blk)
-		t.metaOrder = removeBlk(t.metaOrder, blk)
+		t.metaOrder = journal.RemoveBlock(t.metaOrder, blk)
 	}
 	if _, ok := t.data[blk]; ok {
 		delete(t.data, blk)
-		t.dataOrder = removeBlk(t.dataOrder, blk)
+		t.dataOrder = journal.RemoveBlock(t.dataOrder, blk)
 	}
-}
-
-func removeBlk(s []int64, blk int64) []int64 {
-	for i, b := range s {
-		if b == blk {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
 }
 
 // maxTxnMeta bounds a transaction before auto-commit.
@@ -120,11 +111,6 @@ const maxTxnMeta = 48
 // would scribble past the block. maybeCommit keeps the running
 // transaction far below this even while a commit is in flight.
 const maxDescTags = (BlockSize - 16) / 8
-
-// commitYields is how many scheduler yields the committer grants, with the
-// lock released, before freezing — the window in which concurrent clients
-// join the transaction (JBD's commit-batching sleep, in yield form).
-const commitYields = 8
 
 // stageMeta records a metadata image in the transaction and the cache, so
 // subsequent reads observe it.
@@ -149,14 +135,11 @@ func (fs *FS) maybeCommit() error {
 	return nil
 }
 
-// commitPlan is a frozen transaction: every device request materialized
-// (payloads copied) so the writes can proceed without the file-system
-// lock. While a plan's I/O is in flight the running transaction keeps
-// accepting operations — the JBD running/committing split — which is what
-// lets concurrent clients pile into the next commit instead of stalling
-// behind ReiserFS's commit-under-the-big-lock shape.
+// commitPlan is ReiserFS's journal.Plan: the frozen transaction as a
+// descriptor + journaled copies + commit block at the ring head, plus its
+// immediate checkpoint. Writing it with the lock released is what keeps
+// clients from stalling behind ReiserFS's commit-under-the-big-lock shape.
 type commitPlan struct {
-	seq     uint64
 	headEnd int64
 	// wrapHdr, when non-nil, is the journal header pointing at the ring's
 	// new start; it must reach disk (with a barrier) before the
@@ -175,67 +158,25 @@ type commitPlan struct {
 	dataOrder []int64
 }
 
-// commitLocked commits and immediately checkpoints the running transaction.
-//
-// The commit runs in three phases: freeze (under fs.mu) materializes the
-// plan and installs a fresh running transaction; the device writes happen
-// with fs.mu RELEASED, serialized against other commits by fs.committing;
-// finish (under fs.mu again) unpins the checkpointed blocks. Callers hold
-// fs.mu and get it back on return, but must tolerate the window — every
-// caller commits at the end of its operation, with no state carried
-// across the call.
+// commitLocked commits and immediately checkpoints the running
+// transaction; the engine runs the freeze/write/finish protocol and
+// releases fs.mu around the writes.
 //
 //iron:txentry commit machinery: reiser whole-metadata group commit writes the journal then checkpoints home blocks
 //iron:commitpoint the group-commit body; its error means the journal write or barrier failed
-func (fs *FS) commitLocked() error {
-	for fs.committing {
-		fs.commitDone.Wait()
-	}
-	if fs.tx.empty() && !fs.sbDirty {
-		return nil
-	}
-	if err := fs.health.CheckWrite(); err != nil {
-		return err
-	}
-	// Commit batching: before freezing, release the lock and yield so
-	// other clients mid-operation can finish joining the running
-	// transaction — their fsyncs then ride this commit instead of paying
-	// for their own. A lone caller loses nothing: the yields return
-	// immediately and the transaction freezes unchanged.
-	fs.committing = true
-	fs.mu.Unlock()
-	for i := 0; i < commitYields; i++ {
-		runtime.Gosched()
-	}
-	fs.mu.Lock()
-	plan, err := fs.freezeTxnLocked()
-	if err == nil && plan != nil {
-		fs.mu.Unlock()
-		err = fs.writeCommitPlan(plan)
-		fs.mu.Lock()
-	}
-	fs.committing = false
-	if plan != nil {
-		// Advance even on a failed write: waiters must not hang, and the
-		// failure surfaces through the health state they re-check.
-		fs.durableSeq = plan.seq
-	}
-	fs.commitDone.Broadcast()
-	if err != nil {
-		return err
-	}
-	if plan != nil {
-		fs.finishCommitLocked(plan)
-	}
-	return nil
+func (fs *FS) commitLocked() error { return fs.jn.Commit(fs) }
+
+// DirtyLocked implements journal.Committer.
+func (fs *FS) DirtyLocked() bool { return !fs.tx.empty() || fs.sbDirty }
+
+// TouchedLocked implements journal.Committer; key packs an objRef.
+func (fs *FS) TouchedLocked(key uint64) bool {
+	return fs.tx.touched(objRef{DirID: uint32(key >> 32), ObjID: uint32(key)})
 }
 
-// freezeTxnLocked materializes the running transaction into a commitPlan
-// and installs a fresh running transaction. Every payload is copied under
-// the lock, so later mutations of the cached buffers cannot tear the
-// frozen image. The journal head and sequence advance here — reservations
-// are serialized because freezes only run with no commit in flight.
-func (fs *FS) freezeTxnLocked() (*commitPlan, error) {
+// FreezeLocked implements journal.Committer: it encodes the running
+// transaction at the ring head, which advances here.
+func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	t := fs.tx
 	if fs.sbDirty {
 		sbuf := make([]byte, BlockSize)
@@ -246,10 +187,9 @@ func (fs *FS) freezeTxnLocked() (*commitPlan, error) {
 	if t.empty() {
 		return nil, nil
 	}
-	fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d", fs.seq+1, len(t.metaOrder)))
+	fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d", seq, len(t.metaOrder)))
 	fs.st.Commits.Inc()
 	fs.st.TxnBlocks.Observe(int64(len(t.metaOrder)))
-	seq := fs.seq + 1
 	base := int64(fs.sb.JournalStart)
 	if len(t.metaOrder) > maxDescTags {
 		// Unreachable by construction — maybeCommit flushes the running
@@ -264,7 +204,7 @@ func (fs *FS) freezeTxnLocked() (*commitPlan, error) {
 	if fs.jhead == 0 {
 		fs.jhead = 1
 	}
-	plan := &commitPlan{seq: seq, metaOrder: t.metaOrder, dataOrder: t.dataOrder}
+	plan := &commitPlan{metaOrder: t.metaOrder, dataOrder: t.dataOrder}
 	if fs.jhead+need > int64(fs.sb.JournalLen) {
 		// The ring wraps; prior transactions are checkpointed already.
 		fs.jhead = 1
@@ -315,7 +255,6 @@ func (fs *FS) freezeTxnLocked() (*commitPlan, error) {
 	jh.marshal(plan.advHdr)
 
 	plan.headEnd = rel
-	fs.seq = seq
 	fs.jhead = rel
 	fs.tx = newTxn()
 	return plan, nil
@@ -324,9 +263,9 @@ func (fs *FS) freezeTxnLocked() (*commitPlan, error) {
 // commitBarrier is an ordering point inside the commit path. A barrier
 // failure means the commit's durability cannot be vouched for — and
 // ReiserFS's policy for any write-path failure is to panic the machine
-// (§5.2). Without the degrade, a concurrent fsync waiter would see
-// durableSeq advance with health still Healthy and report durability for
-// a commit whose ordering barrier failed.
+// (§5.2). Without the degrade, a concurrent fsync waiter would see the
+// durable sequence advance with health still Healthy and report durability
+// for a commit whose ordering barrier failed.
 func (fs *FS) commitBarrier(bt iron.BlockType) error {
 	if err := fs.dev.Barrier(); err != nil {
 		fs.rec.Detect(iron.DErrorCode, bt, "barrier failed")
@@ -336,13 +275,11 @@ func (fs *FS) commitBarrier(bt iron.BlockType) error {
 	return nil
 }
 
-// writeCommitPlan issues the frozen transaction's device writes. It runs
-// without fs.mu held — fs.committing serializes it against other commits —
-// and touches only the plan's frozen payloads plus thread-safe members
-// (device, recorder, health, tracer).
+// WritePlan implements journal.Committer.
 //
 //iron:txentry commit machinery: writes the frozen commit plan (journal descriptor/data/commit blocks) and its immediate checkpoint to disk
-func (fs *FS) writeCommitPlan(plan *commitPlan) error {
+func (fs *FS) WritePlan(p journal.Plan) error {
+	plan := p.(*commitPlan)
 	base := int64(fs.sb.JournalStart)
 	hdrEnd := plan.headEnd - 1 // commit block sits just before headEnd
 
@@ -391,30 +328,13 @@ func (fs *FS) writeCommitPlan(plan *commitPlan) error {
 	return fs.devWriteMeta(base, plan.advHdr, BTJHeader)
 }
 
-// finishCommitLocked unpins the checkpointed blocks — unless the running
-// transaction re-dirtied a block while the commit was in flight, in which
-// case the dirty pin now belongs to it.
-//
-//iron:traceok in-memory pin bookkeeping after the commit's device writes; the commit phase itself traces in writeCommitPlan
-func (fs *FS) finishCommitLocked(plan *commitPlan) {
-	for _, blk := range plan.metaOrder {
-		if _, live := fs.tx.meta[blk]; live {
-			continue
-		}
-		if _, live := fs.tx.data[blk]; live {
-			continue
-		}
-		fs.cache.MarkClean(blk)
-	}
-	for _, blk := range plan.dataOrder {
-		if _, live := fs.tx.meta[blk]; live {
-			continue
-		}
-		if _, live := fs.tx.data[blk]; live {
-			continue
-		}
-		fs.cache.MarkClean(blk)
-	}
+// FinishLocked implements journal.Committer: the plan's blocks are
+// checkpointed, so their dirty pins come off.
+func (fs *FS) FinishLocked(p journal.Plan) error {
+	plan := p.(*commitPlan)
+	journal.Unpin(fs.cache, plan.metaOrder, fs.tx.meta, fs.tx.data)
+	journal.Unpin(fs.cache, plan.dataOrder, fs.tx.meta, fs.tx.data)
+	return nil
 }
 
 // loadJournalHeader initializes the sequence space on a clean mount.
@@ -435,7 +355,7 @@ func (fs *FS) loadJournalHeader() error {
 		return vfs.ErrCorrupt
 	}
 	if jh.StartSeq > 0 {
-		fs.seq = jh.StartSeq - 1
+		fs.jn.Recovered(jh.StartSeq - 1)
 	}
 	fs.jhead = int64(jh.StartRel)
 	if fs.jhead == 0 {
@@ -457,7 +377,7 @@ func (fs *FS) replayJournal() error {
 	}
 	le := binary.LittleEndian
 	rel := fs.jhead
-	seq := fs.seq + 1
+	seq := fs.jn.Seq() + 1
 
 	for rel < int64(fs.sb.JournalLen) {
 		hdr := make([]byte, BlockSize)
@@ -522,7 +442,7 @@ func (fs *FS) replayJournal() error {
 	if err := fs.devWriteMeta(base, hbuf, BTJHeader); err != nil {
 		return err
 	}
-	fs.seq = seq - 1
+	fs.jn.Recovered(seq - 1)
 	fs.jhead = 1
 
 	// The replayed superblock may have changed under us; reload it. If the

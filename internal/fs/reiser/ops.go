@@ -478,42 +478,20 @@ func (fs *FS) Truncate(path string, size int64) error {
 	return fs.maybeCommit()
 }
 
-// Fsync implements vfs.FileSystem.
+// Fsync implements vfs.FileSystem (journal.Engine.Fsync is the
+// group-commit protocol).
 func (fs *FS) Fsync(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if err := fs.guardWrite(); err != nil {
 		return err
 	}
-	if fs.clk != nil {
-		// Fsync wait: resolve + the commit this call pays for is the
-		// durability latency the caller experienced.
-		start := int64(fs.clk.Now())
-		defer func() { fs.st.FsyncWait.Observe(int64(fs.clk.Now()) - start) }()
-	}
+	defer fs.jn.EndFsync(fs.jn.BeginFsync())
 	ref, _, err := fs.resolve(path, true)
 	if err != nil {
 		return err
 	}
-	// Group commit: if the object is untouched by the running transaction,
-	// its durability only needs every commit up to the current sequence on
-	// disk — wait for that instead of forcing (or joining) a commit. If it
-	// IS touched, drive a commit ourselves unless one is already in
-	// flight, in which case wait and re-check: the in-flight freeze may
-	// already have swept our updates in.
-	for {
-		if !fs.tx.touched(ref) {
-			need := fs.seq
-			for fs.durableSeq < need {
-				fs.commitDone.Wait()
-			}
-			return fs.health.CheckWrite()
-		}
-		if !fs.committing {
-			return fs.commitLocked()
-		}
-		fs.commitDone.Wait()
-	}
+	return fs.jn.Fsync(fs, uint64(ref.DirID)<<32|uint64(ref.ObjID))
 }
 
 // Unlink implements vfs.FileSystem.

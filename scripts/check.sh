@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Pre-merge gate: formatting, vet, build, race-enabled tests, and ironvet
-# (the multi-pass crash-consistency analyzer suite; see docs/ANALYSIS.md).
+# Pre-merge gate: formatting, vet, build, race-enabled tests, the bench/
+# module's own vet and tests, and ironvet (the multi-pass crash-consistency
+# analyzer suite; see docs/ANALYSIS.md).
 # ironvet analyzes the whole module: errprop and lockcheck guard error
 # propagation and lock/I-O discipline, txcheck pins metadata writes to the
 # journal machinery, degradecheck forbids success-before-commit-check
@@ -22,6 +23,12 @@ fi
 go vet ./...
 go build ./...
 go test -race ./...
+
+# bench/ is its own module (BENCHMARK.json's benchmark carries its own
+# build file), so the root ./... patterns above never see it: a refactor of
+# what it imports can break the benchmark's build unnoticed. Vet and test
+# it where it lives.
+(cd bench && go vet . && go test .)
 
 # ironvet self-check: findings gate the merge, then two more runs must
 # produce byte-identical JSON.
