@@ -75,6 +75,12 @@ type Disk struct {
 	// st holds the live-metrics handles, resolved once at construction
 	// from the process-wide registry (see internal/stat).
 	st diskMetrics
+	// gen counts media modifications (one per block written, one per
+	// Restore); wlog[g%writeLogLen] is the block that write g landed on
+	// and logFloor the oldest generation the ring can still answer for.
+	gen      int64
+	logFloor int64
+	wlog     [writeLogLen]int64
 }
 
 // diskMetrics are the disk's live-metrics handles: exact service-time
@@ -277,6 +283,7 @@ func (d *Disk) WriteBlock(n int64, buf []byte) error {
 	d.serviceLocked(n)
 	off := n * int64(d.geom.BlockSize)
 	copy(d.data[off:off+int64(d.geom.BlockSize)], buf)
+	d.noteWriteLocked(n)
 	d.stats.Writes++
 	d.stats.BytesWritten += int64(d.geom.BlockSize)
 	d.st.writeSvc.Observe(int64(d.clock.Now() - start))
@@ -316,6 +323,7 @@ func (d *Disk) WriteBatch(reqs []Request) error {
 		d.serviceLocked(r.Block)
 		off := r.Block * int64(d.geom.BlockSize)
 		copy(d.data[off:off+int64(d.geom.BlockSize)], r.Data)
+		d.noteWriteLocked(r.Block)
 		d.stats.Writes++
 		d.stats.BytesWritten += int64(d.geom.BlockSize)
 		d.st.writeSvc.Observe(int64(d.clock.Now() - start))
@@ -344,12 +352,35 @@ func (d *Disk) ReadRaw(n int64, buf []byte) error {
 	return nil
 }
 
-// WriteGeneration returns a counter that changes whenever the media is
-// modified; resolvers use it to cache classification maps.
-func (d *Disk) WriteGeneration() int64 {
+// writeLogLen is how many of the most recent writes the disk remembers by
+// block number (WritesSince). Above the fault layer one or two writes land
+// between consecutive classifications; a reader further behind than this
+// (raw mkfs traffic, a replayed cache log) is told to start over.
+const writeLogLen = 64
+
+// noteWriteLocked logs a write to block n where it landed — below every
+// wrapper, so misdirected writes and raw mkfs traffic are seen too.
+func (d *Disk) noteWriteLocked(n int64) {
+	d.wlog[d.gen%writeLogLen] = n
+	d.gen++
+}
+
+// WritesSince appends to dst the block numbers written after generation
+// since and returns them with the current generation. ok is false when
+// the log cannot answer — since predates a Restore or lies more than the
+// ring's length back — and the caller must assume any block changed.
+// Gray-box resolvers use it to keep a classification map across writes
+// that touched nothing the map was derived from.
+func (d *Disk) WritesSince(since int64, dst []int64) (blocks []int64, gen int64, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.stats.Writes
+	if since < d.logFloor || d.gen-since > writeLogLen {
+		return dst, d.gen, false
+	}
+	for g := since; g < d.gen; g++ {
+		dst = append(dst, d.wlog[g%writeLogLen])
+	}
+	return dst, d.gen, true
 }
 
 // Snapshot returns a copy of the raw disk contents, for crash-consistency
@@ -363,6 +394,7 @@ func (d *Disk) Snapshot() []byte {
 }
 
 // Restore overwrites the raw disk contents from a snapshot taken earlier.
+// Every block may have changed, so the write log starts over.
 func (d *Disk) Restore(img []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -370,6 +402,8 @@ func (d *Disk) Restore(img []byte) error {
 		return fmt.Errorf("disk: snapshot size %d != disk size %d", len(img), len(d.data))
 	}
 	copy(d.data, img)
+	d.gen++
+	d.logFloor = d.gen
 	return nil
 }
 

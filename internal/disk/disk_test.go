@@ -276,3 +276,66 @@ func TestGeometryValidation(t *testing.T) {
 		t.Error("accepted zero RPM")
 	}
 }
+
+// TestWritesSince pins the write log gray-box resolvers lean on: every
+// block written is reported where it landed, in order, until the reader
+// falls further behind than the ring reaches or the image is restored.
+func TestWritesSince(t *testing.T) {
+	d := newDisk(t, 256)
+	buf := make([]byte, 4096)
+	_, g0, ok := d.WritesSince(0, nil)
+	if !ok || g0 != 0 {
+		t.Fatalf("fresh disk: gen %d ok %v", g0, ok)
+	}
+	if _, _, ok := d.WritesSince(-1, nil); ok {
+		t.Fatal("a reader that has seen nothing must be told to start over")
+	}
+
+	if err := d.WriteBlock(9, buf); err != nil {
+		t.Fatal(err)
+	}
+	// The batch is serviced in elevator order, which is the order logged.
+	if err := d.WriteBatch([]Request{{Block: 40, Data: buf}, {Block: 7, Data: buf}}); err != nil {
+		t.Fatal(err)
+	}
+	scratch := make([]int64, 0, writeLogLen)
+	got, g1, ok := d.WritesSince(g0, scratch)
+	if !ok || g1 != 3 || len(got) != 3 || got[0] != 9 || got[1] != 7 || got[2] != 40 {
+		t.Fatalf("WritesSince(%d) = %v gen %d ok %v", g0, got, g1, ok)
+	}
+	if got, _, _ := d.WritesSince(g1, scratch); len(got) != 0 {
+		t.Fatalf("nothing written since %d, got %v", g1, got)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.WritesSince(g0, scratch) }); n != 0 {
+		t.Fatalf("WritesSince allocates %v times into a large enough buffer", n)
+	}
+
+	// Exactly a ring's worth behind still answers; one more does not.
+	for i := 0; i < writeLogLen-3; i++ {
+		if err := d.WriteBlock(int64(100+i), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _, ok := d.WritesSince(g0, scratch); !ok || len(got) != writeLogLen || got[0] != 9 {
+		t.Fatalf("a full ring back: %d blocks ok %v", len(got), ok)
+	}
+	if err := d.WriteBlock(1, buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := d.WritesSince(g0, scratch); ok {
+		t.Fatal("ring overflow went unreported")
+	}
+
+	// Restore modifies every block: the generation moves and nothing
+	// before it can be answered.
+	_, g2, _ := d.WritesSince(g1, scratch)
+	if err := d.Restore(d.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if _, g3, ok := d.WritesSince(g2, scratch); ok || g3 == g2 {
+		t.Fatalf("after Restore: gen %d -> %d ok %v", g2, g3, ok)
+	}
+	if _, g4, ok := d.WritesSince(g2+1, scratch); !ok || g4 != g2+1 {
+		t.Fatalf("a reader current as of the Restore: gen %d ok %v", g4, ok)
+	}
+}

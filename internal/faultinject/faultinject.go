@@ -12,6 +12,7 @@
 package faultinject
 
 import (
+	"maps"
 	"math/rand"
 	"sort"
 	"sync"
@@ -103,8 +104,11 @@ type Device struct {
 	// type-classified view of every I/O plus fault-firing events.
 	tr *trace.Tracer
 
-	mu      sync.Mutex
-	faults  []*Fault
+	mu     sync.Mutex
+	faults []*Fault
+	// counts is the per-(type, op) tally of every I/O seen; trace keeps
+	// the raw entries too, but only while tracing is on.
+	counts  map[iron.BlockType][2]int
 	trace   []TraceEntry
 	tracing bool
 	seed    int64
@@ -128,7 +132,8 @@ func New(dev disk.Device, resolver TypeResolver) *Device {
 // failures seen in one run can be replayed exactly.
 func NewSeeded(dev disk.Device, resolver TypeResolver, seed int64) *Device {
 	return &Device{inner: dev, resolver: resolver, tr: trace.Of(dev),
-		seed: seed, rng: rand.New(rand.NewSource(seed)), tracing: true}
+		seed: seed, rng: rand.New(rand.NewSource(seed)),
+		counts: map[iron.BlockType][2]int{}}
 }
 
 // Seed returns the seed the corruption RNG was created with.
@@ -166,14 +171,16 @@ func (d *Device) Fired() int {
 	return d.fires
 }
 
-// SetTracing enables or disables trace collection (enabled by default).
+// SetTracing turns retention of raw per-I/O trace entries on or off. It is
+// off by default — a long-lived device would grow without bound — and does
+// not affect AccessCounts, which are always kept.
 func (d *Device) SetTracing(on bool) {
 	d.mu.Lock()
 	d.tracing = on
 	d.mu.Unlock()
 }
 
-// Trace returns a copy of the I/O trace.
+// Trace returns a copy of the I/O trace retained while tracing was on.
 func (d *Device) Trace() []TraceEntry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -182,25 +189,21 @@ func (d *Device) Trace() []TraceEntry {
 	return out
 }
 
-// ResetTrace discards the I/O trace.
+// ResetTrace discards the I/O trace and zeroes the access counts.
 func (d *Device) ResetTrace() {
 	d.mu.Lock()
 	d.trace = d.trace[:0]
+	clear(d.counts)
 	d.mu.Unlock()
 }
 
-// AccessCounts aggregates the trace into per-(type, op) access counts,
-// which the fingerprinter uses to decide which scenarios are applicable.
+// AccessCounts returns the per-(type, op) access counts since the last
+// ResetTrace, which the fingerprinter uses to decide which scenarios are
+// applicable.
 func (d *Device) AccessCounts() map[iron.BlockType][2]int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := map[iron.BlockType][2]int{}
-	for _, t := range d.trace {
-		c := out[t.Type]
-		c[t.Op]++
-		out[t.Type] = c
-	}
-	return out
+	return maps.Clone(d.counts)
 }
 
 // classify consults the resolver. Caller must not hold d.mu (resolvers read
@@ -263,6 +266,9 @@ func (d *Device) matchLocked(class iron.FaultClass, bt iron.BlockType, block int
 // media).
 func (d *Device) record(op disk.Op, block int64, bt iron.BlockType, faulted bool, err error, at, svc int64) {
 	d.mu.Lock()
+	c := d.counts[bt]
+	c[op]++
+	d.counts[bt] = c
 	if d.tracing {
 		d.trace = append(d.trace, TraceEntry{Op: op, Block: block, Type: bt, Faulted: faulted, Err: err})
 	}

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -190,6 +191,7 @@ func TestRangeTargeting(t *testing.T) {
 func TestTraceAndAccessCounts(t *testing.T) {
 	_, fd := newStack(t)
 	fd.SetResolver(typeMap(map[int64]iron.BlockType{5: "super"}))
+	fd.SetTracing(true)
 	buf := make([]byte, 4096)
 	_ = fd.WriteBlock(5, buf)
 	_ = fd.ReadBlock(5, buf)
@@ -206,8 +208,51 @@ func TestTraceAndAccessCounts(t *testing.T) {
 		t.Fatalf("unclassified counts = %v", c)
 	}
 	fd.ResetTrace()
-	if len(fd.Trace()) != 0 {
+	if len(fd.Trace()) != 0 || len(fd.AccessCounts()) != 0 {
 		t.Fatal("trace not reset")
+	}
+}
+
+// TestDefaultDeviceRetainsNoTrace pins the fault layer's memory bound: a
+// default device keeps only the running per-(type, op) counts, however
+// many I/Os pass, and those counts are what aggregating a retained trace
+// gives.
+func TestDefaultDeviceRetainsNoTrace(t *testing.T) {
+	types := typeMap(map[int64]iron.BlockType{1: "inode", 2: "dir", 3: "inode"})
+	_, fd := newStack(t)
+	fd.SetResolver(types)
+	_, traced := newStack(t)
+	traced.SetResolver(types)
+	traced.SetTracing(true)
+	fd.Arm(&Fault{Class: iron.ReadFailure, Target: "dir", Sticky: true})
+	traced.Arm(&Fault{Class: iron.ReadFailure, Target: "dir", Sticky: true})
+
+	buf := make([]byte, 4096)
+	for i := 0; i < 100000; i++ {
+		for _, dev := range []*Device{fd, traced} {
+			if i%3 == 0 {
+				_ = dev.WriteBlock(int64(i%5), buf)
+			} else {
+				_ = dev.ReadBlock(int64(i%5), buf)
+			}
+		}
+	}
+	if n := len(fd.Trace()); n != 0 {
+		t.Fatalf("default device retained %d trace entries", n)
+	}
+	want := map[iron.BlockType][2]int{}
+	for _, e := range traced.Trace() {
+		c := want[e.Type]
+		c[e.Op]++
+		want[e.Type] = c
+	}
+	if len(traced.Trace()) != 100000 || !reflect.DeepEqual(fd.AccessCounts(), want) ||
+		!reflect.DeepEqual(traced.AccessCounts(), want) {
+		t.Fatalf("AccessCounts = %v / %v, trace aggregates to %v", fd.AccessCounts(), traced.AccessCounts(), want)
+	}
+	traced.ResetTrace()
+	if len(traced.Trace()) != 0 || len(traced.AccessCounts()) != 0 {
+		t.Fatal("ResetTrace left entries or counts behind")
 	}
 }
 

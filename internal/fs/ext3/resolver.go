@@ -2,82 +2,45 @@ package ext3
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"ironfs/internal/disk"
+	"ironfs/internal/faultinject"
 	"ironfs/internal/iron"
 )
 
-// Resolver is the gray-box type resolver for ext3/ixt3 images: it
-// classifies raw block numbers into the Table 4 structure types by reading
-// the on-disk image through the disk's raw debug port — never through the
-// fault-injection layer, so classification neither perturbs the simulated
-// clock nor trips armed faults. This mirrors how the paper's type-aware
-// injector is "tailored to each file system" using knowledge of its on-disk
-// structures (§4.2).
-type Resolver struct {
-	raw *disk.Disk
-
-	//iron:lockorder 15 resolver cache nests under the FS lock and calls nothing that locks
-	mu    sync.Mutex
-	gen   int64
-	valid bool
-	lay   layout
-	dyn   map[int64]iron.BlockType
+// image is the ext3/ixt3 half of the gray-box type resolver: the inode walk
+// and the static-region switch that classify raw block numbers into the
+// Table 4 structure types. The shared faultinject.TypeMap owns caching and
+// reads the image through the disk's raw debug port.
+type image struct {
+	lay layout
 }
 
 // NewResolver returns a resolver bound to the raw disk under the file
 // system being fingerprinted.
-func NewResolver(raw *disk.Disk) *Resolver {
-	return &Resolver{raw: raw, gen: -1}
+func NewResolver(raw *disk.Disk) *faultinject.TypeMap {
+	return faultinject.NewTypeMap(raw, &image{}, BTSuper, sbBlock)
 }
 
-// Classify implements faultinject.TypeResolver.
-func (r *Resolver) Classify(block int64) iron.BlockType {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g := r.raw.WriteGeneration(); g != r.gen || !r.valid {
-		r.rebuild()
-		r.gen = g
-	}
-	if !r.valid {
-		if block == sbBlock {
-			return BTSuper
-		}
-		return iron.Unclassified
-	}
-	return r.classifyLocked(block)
-}
-
-func (r *Resolver) readRaw(blk int64) ([]byte, bool) {
-	buf := make([]byte, BlockSize)
-	if err := r.raw.ReadRaw(blk, buf); err != nil {
-		return nil, false
-	}
-	return buf, true
-}
-
-// rebuild re-derives the static layout and walks every allocated inode to
-// classify dynamically allocated blocks (directory, indirect, data,
-// parity).
-func (r *Resolver) rebuild() {
-	r.valid = false
-	buf, ok := r.readRaw(sbBlock)
+// Walk implements faultinject.Image: it re-derives the static layout and
+// walks every allocated inode to classify dynamically allocated blocks
+// (directory, indirect, data, parity).
+func (r *image) Walk(m *faultinject.TypeMap) bool {
+	buf, ok := m.Read(0, sbBlock)
 	if !ok {
-		return
+		return false
 	}
 	var sb superblock
 	sb.unmarshal(buf)
-	if sb.sane(r.raw.NumBlocks()) != nil {
-		return
+	if sb.sane(m.NumBlocks()) != nil {
+		return false
 	}
 	r.lay = layout{sb: sb}
-	r.dyn = make(map[int64]iron.BlockType)
 
 	for g := uint32(0); g < sb.GroupCount; g++ {
 		itStart := r.lay.groupStart(g) + groupMetaBlks
 		for t := int64(0); t < int64(sb.ITableBlocks); t++ {
-			it, ok := r.readRaw(itStart + t)
+			it, ok := m.Read(0, itStart+t)
 			if !ok {
 				continue
 			}
@@ -87,40 +50,41 @@ func (r *Resolver) rebuild() {
 				if !in.allocated() {
 					continue
 				}
-				r.walkInode(&in)
+				r.walkInode(m, &in)
 			}
 		}
 	}
-	r.valid = true
+	return true
 }
 
 // walkInode classifies the blocks reachable from one inode.
-func (r *Resolver) walkInode(in *inode) {
+func (r *image) walkInode(m *faultinject.TypeMap, in *inode) {
 	leaf := BTData
 	if in.isDir() {
 		leaf = BTDir
 	}
 	if in.Parity != 0 && r.inBounds(int64(in.Parity)) {
-		r.dyn[int64(in.Parity)] = BTParity
+		m.Set(int64(in.Parity), BTParity)
 	}
 	for _, p := range in.Direct {
 		if p != 0 && r.inBounds(int64(p)) {
-			r.dyn[int64(p)] = leaf
+			m.Set(int64(p), leaf)
 		}
 	}
-	r.walkTree(int64(in.Ind), 1, leaf)
-	r.walkTree(int64(in.DInd), 2, leaf)
-	r.walkTree(int64(in.TInd), 3, leaf)
+	r.walkTree(m, int64(in.Ind), 1, leaf)
+	r.walkTree(m, int64(in.DInd), 2, leaf)
+	r.walkTree(m, int64(in.TInd), 3, leaf)
 }
 
 // walkTree classifies an indirect tree: interior blocks are "indirect",
-// leaves take the inode's leaf type.
-func (r *Resolver) walkTree(blk int64, depth int, leaf iron.BlockType) {
+// leaves take the inode's leaf type. The inode-table block stays live at
+// scratch level 0, so a block depth levels above the leaves reads at depth.
+func (r *image) walkTree(m *faultinject.TypeMap, blk int64, depth int, leaf iron.BlockType) {
 	if blk == 0 || !r.inBounds(blk) {
 		return
 	}
-	r.dyn[blk] = BTIndirect
-	buf, ok := r.readRaw(blk)
+	m.Set(blk, BTIndirect)
+	buf, ok := m.Read(depth, blk)
 	if !ok {
 		return
 	}
@@ -130,15 +94,15 @@ func (r *Resolver) walkTree(blk int64, depth int, leaf iron.BlockType) {
 			continue
 		}
 		if depth == 1 {
-			r.dyn[p] = leaf
+			m.Set(p, leaf)
 		} else {
-			r.walkTree(p, depth-1, leaf)
+			r.walkTree(m, p, depth-1, leaf)
 		}
 	}
 }
 
 // inBounds keeps corrupt pointers from classifying foreign regions.
-func (r *Resolver) inBounds(blk int64) bool {
+func (r *image) inBounds(blk int64) bool {
 	sb := &r.lay.sb
 	if blk < firstGroupBlk {
 		return false
@@ -147,7 +111,8 @@ func (r *Resolver) inBounds(blk int64) bool {
 	return blk < end
 }
 
-func (r *Resolver) classifyLocked(blk int64) iron.BlockType {
+// Static implements faultinject.Image.
+func (r *image) Static(m *faultinject.TypeMap, blk int64) iron.BlockType {
 	sb := &r.lay.sb
 	switch {
 	case blk == sbBlock:
@@ -160,7 +125,7 @@ func (r *Resolver) classifyLocked(blk int64) iron.BlockType {
 		if blk == int64(sb.JournalStart) {
 			return BTJSuper
 		}
-		if buf, ok := r.readRaw(blk); ok {
+		if buf, ok := m.Peek(blk); ok {
 			switch binary.LittleEndian.Uint32(buf[0:]) {
 			case jMagicDesc:
 				return BTJDesc
@@ -197,9 +162,5 @@ func (r *Resolver) classifyLocked(blk int64) iron.BlockType {
 	case within < groupMetaBlks+int64(sb.ITableBlocks):
 		return BTInode
 	}
-	// Dynamically allocated blocks from the inode walk.
-	if bt, ok := r.dyn[blk]; ok {
-		return bt
-	}
-	return iron.Unclassified
+	return ""
 }

@@ -9,6 +9,7 @@ package ixt3
 
 import (
 	"ironfs/internal/disk"
+	"ironfs/internal/faultinject"
 	"ironfs/internal/fs/ext3"
 	"ironfs/internal/iron"
 )
@@ -72,7 +73,7 @@ func New(dev disk.Device, f Features, rec *iron.Recorder) *ext3.FS {
 
 // NewResolver returns the gray-box block-type resolver for ixt3 images
 // (identical layout to ext3).
-func NewResolver(raw *disk.Disk) *ext3.Resolver { return ext3.NewResolver(raw) }
+func NewResolver(raw *disk.Disk) *faultinject.TypeMap { return ext3.NewResolver(raw) }
 
 // Check is the crash-exploration consistency oracle for an ixt3 image
 // with the given feature set: mount (running recovery, with Tc's

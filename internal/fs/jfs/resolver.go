@@ -2,69 +2,36 @@ package jfs
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"ironfs/internal/disk"
+	"ironfs/internal/faultinject"
 	"ironfs/internal/iron"
 )
 
-// Resolver is the gray-box block-type resolver for JFS images.
-type Resolver struct {
-	raw *disk.Disk
-
-	//iron:lockorder 15 resolver cache nests under the FS lock and calls nothing that locks
-	mu    sync.Mutex
-	gen   int64
-	valid bool
-	sb    superblock
-	dyn   map[int64]iron.BlockType
+// image is the JFS half of the gray-box type resolver.
+type image struct {
+	sb superblock
 }
 
 // NewResolver returns a resolver bound to the raw disk beneath the file
 // system under test.
-func NewResolver(raw *disk.Disk) *Resolver {
-	return &Resolver{raw: raw, gen: -1}
+func NewResolver(raw *disk.Disk) *faultinject.TypeMap {
+	return faultinject.NewTypeMap(raw, &image{}, BTSuper, sbPrimary, sbSecondary)
 }
 
-// Classify implements faultinject.TypeResolver.
-func (r *Resolver) Classify(block int64) iron.BlockType {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g := r.raw.WriteGeneration(); g != r.gen || !r.valid {
-		r.rebuild()
-		r.gen = g
-	}
-	if !r.valid {
-		if block == sbPrimary || block == sbSecondary {
-			return BTSuper
-		}
-		return iron.Unclassified
-	}
-	return r.classifyLocked(block)
-}
-
-func (r *Resolver) readRaw(blk int64) ([]byte, bool) {
-	buf := make([]byte, BlockSize)
-	if err := r.raw.ReadRaw(blk, buf); err != nil {
-		return nil, false
-	}
-	return buf, true
-}
-
-func (r *Resolver) rebuild() {
-	r.valid = false
-	buf, ok := r.readRaw(sbPrimary)
+// Walk implements faultinject.Image: it walks every allocated inode,
+// classifying dir/data/internal blocks.
+func (r *image) Walk(m *faultinject.TypeMap) bool {
+	buf, ok := m.Read(0, sbPrimary)
 	if !ok {
-		return
+		return false
 	}
 	r.sb.unmarshal(buf)
-	if r.sb.sane(r.raw.NumBlocks()) != nil {
-		return
+	if r.sb.sane(m.NumBlocks()) != nil {
+		return false
 	}
-	r.dyn = map[int64]iron.BlockType{}
-	// Walk every allocated inode, classifying dir/data/internal blocks.
 	for t := int64(0); t < int64(r.sb.ITabLen); t++ {
-		it, ok := r.readRaw(int64(r.sb.ITabStart) + t)
+		it, ok := m.Read(0, int64(r.sb.ITabStart)+t)
 		if !ok {
 			continue
 		}
@@ -80,31 +47,32 @@ func (r *Resolver) rebuild() {
 			}
 			for _, p := range in.Direct {
 				if p != 0 && int64(p) < int64(r.sb.BlockCount) {
-					r.dyn[int64(p)] = leaf
+					m.Set(int64(p), leaf)
 				}
 			}
 			for _, ip := range in.Intern {
 				if ip == 0 || int64(ip) >= int64(r.sb.BlockCount) {
 					continue
 				}
-				r.dyn[int64(ip)] = BTInternal
-				ibuf, ok := r.readRaw(int64(ip))
+				m.Set(int64(ip), BTInternal)
+				ibuf, ok := m.Read(1, int64(ip))
 				if !ok {
 					continue
 				}
 				for i := 0; i < ptrsPerInt; i++ {
 					p := int64(binary.LittleEndian.Uint64(ibuf[8+i*8:]))
 					if p > 0 && p < int64(r.sb.BlockCount) {
-						r.dyn[p] = leaf
+						m.Set(p, leaf)
 					}
 				}
 			}
 		}
 	}
-	r.valid = true
+	return true
 }
 
-func (r *Resolver) classifyLocked(blk int64) iron.BlockType {
+// Static implements faultinject.Image.
+func (r *image) Static(_ *faultinject.TypeMap, blk int64) iron.BlockType {
 	sb := &r.sb
 	switch {
 	case blk == sbPrimary || blk == sbSecondary:
@@ -127,8 +95,5 @@ func (r *Resolver) classifyLocked(blk int64) iron.BlockType {
 		}
 		return BTJData
 	}
-	if bt, ok := r.dyn[blk]; ok {
-		return bt
-	}
-	return iron.Unclassified
+	return ""
 }

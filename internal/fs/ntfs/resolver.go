@@ -2,69 +2,36 @@ package ntfs
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"ironfs/internal/disk"
+	"ironfs/internal/faultinject"
 	"ironfs/internal/iron"
 )
 
-// Resolver is the gray-box block-type resolver for NTFS volumes. The
-// paper's NTFS analysis is partial (closed-source structures); so is this
-// resolver's fidelity — it classifies the Table 4 types the paper lists.
-type Resolver struct {
-	raw *disk.Disk
-
-	//iron:lockorder 15 resolver cache nests under the FS lock and calls nothing that locks
-	mu    sync.Mutex
-	gen   int64
-	valid bool
-	boot  boot
-	dyn   map[int64]iron.BlockType
+// image is the NTFS half of the gray-box type resolver. The paper's NTFS
+// analysis is partial (closed-source structures); so is this resolver's
+// fidelity — it classifies the Table 4 types the paper lists.
+type image struct {
+	boot boot
 }
 
 // NewResolver returns a resolver bound to the raw disk beneath the volume.
-func NewResolver(raw *disk.Disk) *Resolver {
-	return &Resolver{raw: raw, gen: -1}
+func NewResolver(raw *disk.Disk) *faultinject.TypeMap {
+	return faultinject.NewTypeMap(raw, &image{}, BTBoot, 0)
 }
 
-// Classify implements faultinject.TypeResolver.
-func (r *Resolver) Classify(block int64) iron.BlockType {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g := r.raw.WriteGeneration(); g != r.gen || !r.valid {
-		r.rebuild()
-		r.gen = g
-	}
-	if !r.valid {
-		if block == 0 {
-			return BTBoot
-		}
-		return iron.Unclassified
-	}
-	return r.classifyLocked(block)
-}
-
-func (r *Resolver) readRaw(blk int64) ([]byte, bool) {
-	buf := make([]byte, BlockSize)
-	if err := r.raw.ReadRaw(blk, buf); err != nil {
-		return nil, false
-	}
-	return buf, true
-}
-
-func (r *Resolver) rebuild() {
-	r.valid = false
-	buf, ok := r.readRaw(0)
+// Walk implements faultinject.Image.
+func (r *image) Walk(m *faultinject.TypeMap) bool {
+	buf, ok := m.Read(0, 0)
 	if !ok {
-		return
+		return false
 	}
 	r.boot.unmarshal(buf)
-	if r.boot.sane(r.raw.NumBlocks()) != nil {
-		return
+	if r.boot.sane(m.NumBlocks()) != nil {
+		return false
 	}
-	r.dyn = map[int64]iron.BlockType{}
 	for t := int64(0); t < int64(r.boot.MFTLen); t++ {
-		mb, ok := r.readRaw(int64(r.boot.MFTStart) + t)
+		mb, ok := m.Read(0, int64(r.boot.MFTStart)+t)
 		if !ok {
 			continue
 		}
@@ -80,31 +47,32 @@ func (r *Resolver) rebuild() {
 			}
 			for _, p := range rec.Direct {
 				if p != 0 && p < r.boot.BlockCount {
-					r.dyn[int64(p)] = leaf
+					m.Set(int64(p), leaf)
 				}
 			}
 			for _, e := range rec.Ext {
 				if e == 0 || e >= r.boot.BlockCount {
 					continue
 				}
-				r.dyn[int64(e)] = BTMFT // run-extension: MFT metadata
-				eb, ok := r.readRaw(int64(e))
+				m.Set(int64(e), BTMFT) // run-extension: MFT metadata
+				eb, ok := m.Read(1, int64(e))
 				if !ok {
 					continue
 				}
 				for i := 0; i < ptrsPerExt; i++ {
 					p := binary.LittleEndian.Uint64(eb[i*8:])
 					if p != 0 && p < r.boot.BlockCount {
-						r.dyn[int64(p)] = leaf
+						m.Set(int64(p), leaf)
 					}
 				}
 			}
 		}
 	}
-	r.valid = true
+	return true
 }
 
-func (r *Resolver) classifyLocked(blk int64) iron.BlockType {
+// Static implements faultinject.Image.
+func (r *image) Static(_ *faultinject.TypeMap, blk int64) iron.BlockType {
 	b := &r.boot
 	switch {
 	case blk == 0:
@@ -118,8 +86,5 @@ func (r *Resolver) classifyLocked(blk int64) iron.BlockType {
 	case blk >= int64(b.LogStart) && blk < int64(b.LogStart+b.LogLen):
 		return BTLogfile
 	}
-	if bt, ok := r.dyn[blk]; ok {
-		return bt
-	}
-	return iron.Unclassified
+	return ""
 }

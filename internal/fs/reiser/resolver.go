@@ -2,82 +2,49 @@ package reiser
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"ironfs/internal/disk"
+	"ironfs/internal/faultinject"
 	"ironfs/internal/iron"
 )
 
-// Resolver is the gray-box block-type resolver for ReiserFS images: it
-// walks the on-disk tree from the superblock's root pointer (through the
-// disk's raw debug port) and classifies every reachable block — root,
-// internal, leaves by their item mix, unformatted data by the indirect
-// items pointing at them.
-type Resolver struct {
-	raw *disk.Disk
-
-	//iron:lockorder 15 resolver cache nests under the FS lock and calls nothing that locks
-	mu    sync.Mutex
-	gen   int64
-	valid bool
-	sb    superblock
-	dyn   map[int64]iron.BlockType
+// image is the ReiserFS half of the gray-box type resolver: it walks the
+// on-disk tree from the superblock's root pointer and classifies every
+// reachable block — root, internal, leaves by their item mix, unformatted
+// data by the indirect items pointing at them.
+type image struct {
+	sb superblock
 }
 
 // NewResolver returns a resolver bound to the raw disk beneath the file
 // system under test.
-func NewResolver(raw *disk.Disk) *Resolver {
-	return &Resolver{raw: raw, gen: -1}
+func NewResolver(raw *disk.Disk) *faultinject.TypeMap {
+	return faultinject.NewTypeMap(raw, &image{}, BTSuper, 0)
 }
 
-// Classify implements faultinject.TypeResolver.
-func (r *Resolver) Classify(block int64) iron.BlockType {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g := r.raw.WriteGeneration(); g != r.gen || !r.valid {
-		r.rebuild()
-		r.gen = g
-	}
-	if !r.valid {
-		if block == 0 {
-			return BTSuper
-		}
-		return iron.Unclassified
-	}
-	return r.classifyLocked(block)
-}
-
-func (r *Resolver) readRaw(blk int64) ([]byte, bool) {
-	buf := make([]byte, BlockSize)
-	if err := r.raw.ReadRaw(blk, buf); err != nil {
-		return nil, false
-	}
-	return buf, true
-}
-
-func (r *Resolver) rebuild() {
-	r.valid = false
-	buf, ok := r.readRaw(0)
+// Walk implements faultinject.Image.
+func (r *image) Walk(m *faultinject.TypeMap) bool {
+	buf, ok := m.Read(0, 0)
 	if !ok {
-		return
+		return false
 	}
 	r.sb.unmarshal(buf)
-	if r.sb.sane(r.raw.NumBlocks()) != nil {
-		return
+	if r.sb.sane(m.NumBlocks()) != nil {
+		return false
 	}
-	r.dyn = map[int64]iron.BlockType{}
 	if r.sb.Root != 0 {
-		r.walk(int64(r.sb.Root), 0)
+		r.walk(m, int64(r.sb.Root), 0)
 	}
-	r.valid = true
+	return true
 }
 
-// walk classifies the subtree rooted at blk.
-func (r *Resolver) walk(blk int64, depth int) {
+// walk classifies the subtree rooted at blk. unmarshalNode copies what it
+// keeps, so every depth reads through the same scratch block.
+func (r *image) walk(m *faultinject.TypeMap, blk int64, depth int) {
 	if depth > MaxLevel || blk <= 0 || blk >= int64(r.sb.BlockCount) {
 		return
 	}
-	buf, ok := r.readRaw(blk)
+	buf, ok := m.Read(0, blk)
 	if !ok {
 		return
 	}
@@ -86,7 +53,7 @@ func (r *Resolver) walk(blk int64, depth int) {
 		return
 	}
 	if n.isLeaf() {
-		r.dyn[blk] = leafType(n)
+		m.Set(blk, leafType(n))
 		for _, it := range n.Items {
 			if it.K.Type != itemIndirect {
 				continue
@@ -94,23 +61,24 @@ func (r *Resolver) walk(blk int64, depth int) {
 			for i := 0; i+8 <= len(it.Body); i += 8 {
 				p := int64(binary.LittleEndian.Uint64(it.Body[i:]))
 				if p > 0 && p < int64(r.sb.BlockCount) {
-					r.dyn[p] = BTData
+					m.Set(p, BTData)
 				}
 			}
 		}
 		return
 	}
 	if blk == int64(r.sb.Root) {
-		r.dyn[blk] = BTRoot
+		m.Set(blk, BTRoot)
 	} else {
-		r.dyn[blk] = BTInternal
+		m.Set(blk, BTInternal)
 	}
 	for _, c := range n.Children {
-		r.walk(c, depth+1)
+		r.walk(m, c, depth+1)
 	}
 }
 
-func (r *Resolver) classifyLocked(blk int64) iron.BlockType {
+// Static implements faultinject.Image.
+func (r *image) Static(m *faultinject.TypeMap, blk int64) iron.BlockType {
 	sb := &r.sb
 	switch {
 	case blk == 0:
@@ -121,7 +89,7 @@ func (r *Resolver) classifyLocked(blk int64) iron.BlockType {
 		if blk == int64(sb.JournalStart) {
 			return BTJHeader
 		}
-		if buf, ok := r.readRaw(blk); ok {
+		if buf, ok := m.Peek(blk); ok {
 			switch binary.LittleEndian.Uint32(buf[0:]) {
 			case jMagicDesc:
 				return BTJDesc
@@ -136,8 +104,5 @@ func (r *Resolver) classifyLocked(blk int64) iron.BlockType {
 	if blk == int64(sb.Root) {
 		return BTRoot
 	}
-	if bt, ok := r.dyn[blk]; ok {
-		return bt
-	}
-	return iron.Unclassified
+	return ""
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Pre-merge gate: formatting, vet, build, race-enabled tests, the bench/
-# module's own vet and tests, and ironvet (the multi-pass crash-consistency
-# analyzer suite; see docs/ANALYSIS.md).
+# Pre-merge gate: formatting, vet, build, race-enabled tests, the resolver
+# cost benchmarks, the bench/ module's own vet and tests, and ironvet (the
+# multi-pass crash-consistency analyzer suite; see docs/ANALYSIS.md).
 # ironvet analyzes the whole module: errprop and lockcheck guard error
 # propagation and lock/I-O discipline, txcheck pins metadata writes to the
 # journal machinery, degradecheck forbids success-before-commit-check
@@ -20,9 +20,21 @@ if [ -n "$fmt" ]; then
 	exit 1
 fi
 
+vetdir=$(mktemp -d)
+trap 'rm -rf "$vetdir"' EXIT
+
 go vet ./...
 go build ./...
-go test -race ./...
+# internal/fingerprint is most of this run and every I/O it issues goes
+# through the fault layer: print its wall time so a change to that layer's
+# cost shows in the log.
+{ go test -race ./... || touch "$vetdir/test.failed"; } | tee "$vetdir/test.log"
+[ ! -e "$vetdir/test.failed" ]
+awk '$2=="ironfs/internal/fingerprint" { print "check: internal/fingerprint test wall time " $3 }' "$vetdir/test.log"
+
+# The gray-box resolver's cost benchmarks (docs/PERF.md, "Fault layer
+# cost"), one iteration each so they cannot rot.
+go test -run '^$' -bench 'Classify' -benchtime 1x ./internal/fs/...
 
 # bench/ is its own module (BENCHMARK.json's benchmark carries its own
 # build file), so the root ./... patterns above never see it: a refactor of
@@ -32,8 +44,6 @@ go test -race ./...
 
 # ironvet self-check: findings gate the merge, then two more runs must
 # produce byte-identical JSON.
-vetdir=$(mktemp -d)
-trap 'rm -rf "$vetdir"' EXIT
 go build -o "$vetdir/ironvet" ./cmd/ironvet
 "$vetdir/ironvet" ./...
 "$vetdir/ironvet" -json ./... > "$vetdir/vet1.json"
