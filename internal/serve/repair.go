@@ -8,7 +8,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 
 	"ironfs/internal/disk"
 	"ironfs/internal/fs"
@@ -137,8 +136,7 @@ func (s *Server) ScrubStep() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	worked := false
-	for _, id := range s.volumeIDs() {
-		v := s.volumes[id]
+	for _, v := range s.vols {
 		sc := v.scrub
 		if sc == nil || sc.phase == ScrubDone {
 			continue
@@ -150,20 +148,10 @@ func (s *Server) ScrubStep() bool {
 		t0 := s.clk.Now()
 		s.scrubAdvance(v, sc)
 		sc.used += s.clk.Now() - t0
-		s.reg.Counter("serve_scrub_steps", "volume", id).Inc()
+		s.reg.Counter("serve_scrub_steps", "volume", v.id).Inc()
 		worked = true
 	}
 	return worked
-}
-
-// volumeIDs returns hosted volume IDs in sorted order. Caller holds s.mu.
-func (s *Server) volumeIDs() []string {
-	ids := make([]string, 0, len(s.volumes))
-	for id := range s.volumes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // scrubAdvance runs one unit of scrub work. Caller holds s.mu.

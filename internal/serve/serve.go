@@ -16,16 +16,24 @@
 // request's start tag is max(server virtual time, its tenant's last
 // finish tag) and its finish tag adds tagScale/weight, so a tenant with
 // weight w receives a w-proportional share of dispatch slots while idle
-// tenants build no credit. All tag arithmetic is integral and ties break
-// on (start tag, tenant name, arrival sequence), which makes dispatch
-// order — and therefore every latency in the simulation — a pure
-// function of the submitted workload. The determinism gates in CI
-// (byte-identical ironload JSON across runs) rest on that.
+// tenants build no credit. All tag arithmetic is integral and requests
+// dispatch in (start tag, admission sequence) order — the sequence is
+// unique, so the order is total — which makes dispatch order, and
+// therefore every latency in the simulation, a pure function of the
+// submitted workload. The determinism gates in CI (byte-identical
+// ironload JSON across runs) rest on that.
+//
+// The dispatcher is a binary min-heap of the tenants that have queued
+// work, keyed on their head request (queue.go): a dispatch costs
+// O(log tenants), and the serving tier's own work per request — one
+// allocation at admission, metrics through handles resolved once —
+// does not grow with the number of registered tenants.
 package serve
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -172,9 +180,12 @@ func (e *RouteError) Unwrap() error { return e.Err }
 // floating-point drift.
 const tagScale = 1 << 16
 
+// pending is one admitted request. It embeds the Response Submit hands
+// out, so admission is a single allocation.
 type pending struct {
+	resp  Response
 	req   *Request
-	resp  *Response
+	vol   *volume
 	start int64 // SFQ start tag
 	seq   uint64
 }
@@ -182,12 +193,30 @@ type pending struct {
 type tenant struct {
 	name   string
 	cfg    TenantConfig
-	queue  []*pending
+	queue  ring
 	finish int64 // finish tag of the last admitted request
 	// Token bucket state, refilled lazily on the virtual clock.
 	tokens   float64
 	lastFill disk.Duration
+	// lat is the tenant's exact end-to-end latency histogram, kept
+	// outside the metrics registry so thousands of tenants don't bloat
+	// its key space.
+	lat *stat.Histogram
+	// admitted is serve_admitted{tenant}, resolved at first admission.
+	admitted *stat.Counter
 }
+
+// outcome labels serve_requests.
+type outcome int
+
+const (
+	outcomeOK outcome = iota
+	outcomeError
+	outcomeRefused
+	numOutcomes
+)
+
+var outcomeNames = [numOutcomes]string{"ok", "error", "refused"}
 
 type volume struct {
 	id  string
@@ -197,6 +226,11 @@ type volume struct {
 	// refuses new ones, per the drain contract.
 	draining bool
 	scrub    *scrubState
+	// Per-request metric handles, each resolved at its first use: the
+	// registry's key set stays exactly the metrics that were recorded,
+	// and the request path skips its key rendering and lock.
+	requests [numOutcomes]*stat.Counter // serve_requests{volume,outcome}
+	latency  *stat.Histogram            // serve_latency{volume}
 }
 
 // Server hosts volumes and dispatches tenant requests. All methods are
@@ -208,13 +242,19 @@ type Server struct {
 	mu      sync.Mutex
 	clk     *disk.Clock
 	volumes map[string]*volume
+	vols    []*volume // the same volumes, sorted by id
 	tenants map[string]*tenant
-	vtime   int64 // SFQ virtual time: start tag of the last dispatch
-	seq     uint64
-	reg     *stat.Registry
-	// perTenant collects exact latency histograms outside the metrics
-	// registry so thousands of tenants don't bloat its key space.
-	perTenant map[string]*stat.Histogram
+	// ready is a binary min-heap of the tenants with queued work, ordered
+	// by their head request's (start tag, admission sequence); queued
+	// counts the requests those tenants hold.
+	ready  []*tenant
+	queued int
+	vtime  int64 // SFQ virtual time: start tag of the last dispatch
+	seq    uint64
+	reg    *stat.Registry
+	// readBuf receives OpRead's bytes: a Response carries only the
+	// count, and requests execute one at a time under mu.
+	readBuf []byte
 }
 
 // New creates a server around one shared virtual clock. Every hosted
@@ -222,11 +262,10 @@ type Server struct {
 // are comparable.
 func New(clk *disk.Clock) *Server {
 	return &Server{
-		clk:       clk,
-		volumes:   make(map[string]*volume),
-		tenants:   make(map[string]*tenant),
-		reg:       stat.Default(),
-		perTenant: make(map[string]*stat.Histogram),
+		clk:     clk,
+		volumes: make(map[string]*volume),
+		tenants: make(map[string]*tenant),
+		reg:     stat.Default(),
 	}
 }
 
@@ -249,7 +288,10 @@ func (s *Server) AddVolume(id string, o fs.MountOpts) (*fs.Volume, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.volumes[id] = &volume{id: id, vol: v}
+	hv := &volume{id: id, vol: v}
+	s.volumes[id] = hv
+	at := sort.Search(len(s.vols), func(i int) bool { return s.vols[i].id > id })
+	s.vols = slices.Insert(s.vols, at, hv)
 	s.reg.Gauge("serve_volumes").Set(int64(len(s.volumes)))
 	return v, nil
 }
@@ -276,8 +318,8 @@ func (s *Server) AddTenant(name string, cfg TenantConfig) error {
 		cfg:      cfg,
 		tokens:   float64(cfg.Burst),
 		lastFill: s.clk.Now(),
+		lat:      stat.NewHistogram(),
 	}
-	s.perTenant[name] = stat.NewHistogram()
 	return nil
 }
 
@@ -297,7 +339,10 @@ func (s *Server) VolumeHealth(id string) (vfs.HealthState, error) {
 func (s *Server) TenantHistogram(name string) *stat.Histogram {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.perTenant[name]
+	if t, ok := s.tenants[name]; ok {
+		return t.lat
+	}
+	return nil
 }
 
 // Submit runs admission control and, if the request is admitted,
@@ -336,7 +381,7 @@ func (s *Server) Submit(req *Request) (*Response, error) {
 		}
 		t.tokens--
 	}
-	if len(t.queue) >= t.cfg.QueueCap {
+	if t.queue.n >= t.cfg.QueueCap {
 		s.reg.Counter("serve_rejects", "reason", "queue-full").Inc()
 		return nil, fmt.Errorf("%w: %s", ErrQueueFull, t.name)
 	}
@@ -349,15 +394,23 @@ func (s *Server) Submit(req *Request) (*Response, error) {
 	}
 	t.finish = start + tagScale/int64(t.cfg.Weight)
 	p := &pending{
+		resp:  Response{Tenant: req.Tenant, Volume: req.Volume, Op: req.Op, Queued: now},
 		req:   req,
-		resp:  &Response{Tenant: req.Tenant, Volume: req.Volume, Op: req.Op, Queued: now},
+		vol:   v,
 		start: start,
 		seq:   s.seq,
 	}
 	s.seq++
-	t.queue = append(t.queue, p)
-	s.reg.Counter("serve_admitted", "tenant", t.name).Inc()
-	return p.resp, nil
+	t.queue.push(p)
+	s.queued++
+	if t.queue.n == 1 {
+		s.readyPush(t)
+	}
+	if t.admitted == nil {
+		t.admitted = s.reg.Counter("serve_admitted", "tenant", t.name)
+	}
+	t.admitted.Inc()
+	return &p.resp, nil
 }
 
 // route is the health check shared by admission and dispatch. Caller
@@ -383,11 +436,7 @@ func (s *Server) route(v *volume, op Op) error {
 func (s *Server) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, t := range s.tenants {
-		n += len(t.queue)
-	}
-	return n
+	return s.queued
 }
 
 // Dispatch pops and executes the next request in weighted-fair order.
@@ -398,56 +447,29 @@ func (s *Server) Pending() int {
 func (s *Server) Dispatch() (*Response, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, t := s.next()
-	if p == nil {
+	if len(s.ready) == 0 {
 		return nil, false
 	}
+	t := s.ready[0]
+	p := t.queue.pop()
+	s.queued--
+	s.readyFixRoot()
 	// Advance virtual time to the dispatched start tag; tags only grow.
 	if p.start > s.vtime {
 		s.vtime = p.start
 	}
-	t.queue = t.queue[1:]
 	s.execute(p, t)
-	return p.resp, true
-}
-
-// next picks the pending request with the minimum (start tag, tenant
-// name, sequence) across tenants. Caller holds s.mu. Linear in the
-// number of tenants with queued work; tenant counts in the thousands
-// keep this comfortably cheap next to a single simulated disk I/O.
-func (s *Server) next() (*pending, *tenant) {
-	names := make([]string, 0, len(s.tenants))
-	for name, t := range s.tenants {
-		if len(t.queue) > 0 {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return nil, nil
-	}
-	sort.Strings(names)
-	var best *pending
-	var bestT *tenant
-	for _, name := range names {
-		t := s.tenants[name]
-		p := t.queue[0]
-		if best == nil || p.start < best.start ||
-			(p.start == best.start && p.seq < best.seq) {
-			best, bestT = p, t
-		}
-	}
-	return best, bestT
+	return &p.resp, true
 }
 
 // execute runs one request against its volume. Caller holds s.mu; the
 // per-FS lock (rank 10) nests inside, per the declared lock order.
 func (s *Server) execute(p *pending, t *tenant) {
-	req, resp := p.req, p.resp
+	req, resp, v := p.req, &p.resp, p.vol
 	resp.Started = s.clk.Now()
-	v := s.volumes[req.Volume]
 	if err := s.route(v, req.Op); err != nil {
 		resp.Err = err
-		s.finish(p, t, "refused")
+		s.finish(p, t, outcomeRefused)
 		return
 	}
 	fsys := v.vol.FS
@@ -455,8 +477,10 @@ func (s *Server) execute(p *pending, t *tenant) {
 	case OpOpen:
 		resp.Err = fsys.Open(req.Path)
 	case OpRead:
-		buf := make([]byte, req.Size)
-		resp.N, resp.Err = fsys.Read(req.Path, req.Off, buf)
+		if cap(s.readBuf) < req.Size {
+			s.readBuf = make([]byte, req.Size)
+		}
+		resp.N, resp.Err = fsys.Read(req.Path, req.Off, s.readBuf[:req.Size])
 	case OpWrite:
 		resp.N, resp.Err = fsys.Write(req.Path, req.Off, req.Data)
 	case OpCreate:
@@ -476,21 +500,27 @@ func (s *Server) execute(p *pending, t *tenant) {
 	default:
 		resp.Err = fmt.Errorf("serve: unknown op %v", req.Op)
 	}
-	outcome := "ok"
+	o := outcomeOK
 	if resp.Err != nil {
-		outcome = "error"
+		o = outcomeError
 	}
-	s.finish(p, t, outcome)
+	s.finish(p, t, o)
 }
 
 // finish stamps completion and records latency. Caller holds s.mu.
-func (s *Server) finish(p *pending, t *tenant, outcome string) {
-	resp := p.resp
+func (s *Server) finish(p *pending, t *tenant, o outcome) {
+	resp, v := &p.resp, p.vol
 	resp.Done = s.clk.Now()
 	lat := int64(resp.Done - resp.Queued)
-	s.perTenant[t.name].Observe(lat)
-	s.reg.Counter("serve_requests", "volume", p.req.Volume, "outcome", outcome).Inc()
-	s.reg.Histogram("serve_latency", "volume", p.req.Volume).Observe(lat)
+	t.lat.Observe(lat)
+	if v.requests[o] == nil {
+		v.requests[o] = s.reg.Counter("serve_requests", "volume", v.id, "outcome", outcomeNames[o])
+	}
+	v.requests[o].Inc()
+	if v.latency == nil {
+		v.latency = s.reg.Histogram("serve_latency", "volume", v.id)
+	}
+	v.latency.Observe(lat)
 }
 
 // Drain dispatches until every tenant queue is empty.
@@ -508,19 +538,13 @@ func (s *Server) Drain() {
 func (s *Server) Unmount() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.volumes))
-	for id := range s.volumes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	var first error
-	for _, id := range ids {
-		v := s.volumes[id]
+	for _, v := range s.vols {
 		if v.vol.Health() == vfs.Panicked {
 			continue
 		}
 		if err := v.vol.Unmount(); err != nil && first == nil {
-			first = fmt.Errorf("serve: unmount %s: %w", id, err)
+			first = fmt.Errorf("serve: unmount %s: %w", v.id, err)
 		}
 	}
 	return first

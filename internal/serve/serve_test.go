@@ -25,16 +25,22 @@ func newTestServer(t *testing.T, tenants map[string]TenantConfig) (*Server, *fs.
 			t.Fatalf("AddTenant %s: %v", name, err)
 		}
 	}
+	seedFile(t, v)
+	return s, v
+}
+
+// seedFile creates /f with one block of data on the volume and syncs.
+func seedFile(tb testing.TB, v *fs.Volume) {
+	tb.Helper()
 	if err := v.FS.Create("/f", 0o644); err != nil {
-		t.Fatalf("seed create: %v", err)
+		tb.Fatalf("seed create: %v", err)
 	}
 	if _, err := v.FS.Write("/f", 0, make([]byte, 4096)); err != nil {
-		t.Fatalf("seed write: %v", err)
+		tb.Fatalf("seed write: %v", err)
 	}
 	if err := v.FS.Sync(); err != nil {
-		t.Fatalf("seed sync: %v", err)
+		tb.Fatalf("seed sync: %v", err)
 	}
-	return s, v
 }
 
 func TestSubmitUnknownTenantAndVolume(t *testing.T) {

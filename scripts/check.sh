@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Pre-merge gate: formatting, vet, build, race-enabled tests, the resolver
-# cost benchmarks, the bench/ module's own vet and tests, and ironvet (the
-# multi-pass crash-consistency analyzer suite; see docs/ANALYSIS.md).
+# and dispatch cost benchmarks, the bench/ module's own vet and tests, the
+# committed ironload pin, and ironvet (the multi-pass crash-consistency
+# analyzer suite; see docs/ANALYSIS.md).
 # ironvet analyzes the whole module: errprop and lockcheck guard error
 # propagation and lock/I-O discipline, txcheck pins metadata writes to the
 # journal machinery, degradecheck forbids success-before-commit-check
@@ -35,6 +36,9 @@ awk '$2=="ironfs/internal/fingerprint" { print "check: internal/fingerprint test
 # The gray-box resolver's cost benchmarks (docs/PERF.md, "Fault layer
 # cost"), one iteration each so they cannot rot.
 go test -run '^$' -bench 'Classify' -benchtime 1x ./internal/fs/...
+# Likewise the serving tier's dispatch cost at 64, 1024 and 16384
+# backlogged tenants (docs/PERF.md, "Serve layer cost").
+go test -run '^$' -bench Dispatch -benchtime 1x ./internal/serve
 
 # bench/ is its own module (BENCHMARK.json's benchmark carries its own
 # build file), so the root ./... patterns above never see it: a refactor of
@@ -116,12 +120,19 @@ END { if (!found) { print "check: sweep output missing reiserfs createheavy row"
 # refusals, online repair under its I/O-share cap, and the mixed-tenant
 # scale sweep — must hold their self-asserted bounds (exit 0) and two
 # runs must emit byte-identical JSON. The committed full-size pin is
-# BENCH_4.json.
+# BENCH_4.json, and a fresh full-size run (about half a second) must
+# reproduce it byte for byte: a PR that moves a served latency
+# regenerates the pin or fails here.
 go build -o "$vetdir/ironload" ./cmd/ironload
 "$vetdir/ironload" -quick -json -out "$vetdir/load1.json"
 "$vetdir/ironload" -quick -json -out "$vetdir/load2.json"
 cmp "$vetdir/load1.json" "$vetdir/load2.json" || {
 	echo "check: ironload output is nondeterministic between identical runs" >&2
+	exit 1
+}
+"$vetdir/ironload" -json -out "$vetdir/load-full.json"
+cmp "$vetdir/load-full.json" BENCH_4.json || {
+	echo "check: BENCH_4.json is stale; regenerate it with: go run ./cmd/ironload -json -out BENCH_4.json" >&2
 	exit 1
 }
 
