@@ -18,11 +18,11 @@ import (
 
 const dirHdrLen = 8
 
-// dirEntry is a parsed directory entry.
+// dirEntry is a directory entry read in place.
 type dirEntry struct {
 	Ino     uint32
 	RecLen  int
-	Name    string
+	Name    []byte // aliases the block
 	FType   byte
 	blkOff  int // byte offset of the entry within its block
 	prevOff int // byte offset of the previous live-or-free entry, -1 if first
@@ -33,31 +33,36 @@ func entryLen(nameLen int) int {
 	return (dirHdrLen + nameLen + 7) &^ 7
 }
 
-// parseDirBlock walks the entries of one directory block. Malformed
+// dirIter walks the entries of one directory block in place. Malformed
 // records terminate the walk without error (the stock-ext3 DZero policy).
-func parseDirBlock(buf []byte) []dirEntry {
-	var out []dirEntry
-	off, prev := 0, -1
-	for off+dirHdrLen <= BlockSize {
-		le := binary.LittleEndian
-		rec := int(le.Uint16(buf[off+4:]))
-		nameLen := int(buf[off+6])
-		if rec < dirHdrLen || off+rec > BlockSize || rec%8 != 0 || dirHdrLen+nameLen > rec {
-			return out // corrupt chain: stop quietly
-		}
-		e := dirEntry{
-			Ino:     le.Uint32(buf[off:]),
-			RecLen:  rec,
-			FType:   buf[off+7],
-			Name:    string(buf[off+dirHdrLen : off+dirHdrLen+nameLen]),
-			blkOff:  off,
-			prevOff: prev,
-		}
-		out = append(out, e)
-		prev = off
-		off += rec
+type dirIter struct {
+	buf       []byte
+	off, prev int
+}
+
+func dirBlockIter(buf []byte) dirIter { return dirIter{buf: buf, prev: -1} }
+
+func (it *dirIter) next() (dirEntry, bool) {
+	buf, off := it.buf, it.off
+	if off+dirHdrLen > BlockSize {
+		return dirEntry{}, false
 	}
-	return out
+	le := binary.LittleEndian
+	rec := int(le.Uint16(buf[off+4:]))
+	nameLen := int(buf[off+6])
+	if rec < dirHdrLen || off+rec > BlockSize || rec%8 != 0 || dirHdrLen+nameLen > rec {
+		return dirEntry{}, false // corrupt chain: stop quietly
+	}
+	e := dirEntry{
+		Ino:     le.Uint32(buf[off:]),
+		RecLen:  rec,
+		FType:   buf[off+7],
+		Name:    buf[off+dirHdrLen : off+dirHdrLen+nameLen],
+		blkOff:  off,
+		prevOff: it.prev,
+	}
+	it.prev, it.off = off, off+rec
+	return e, true
 }
 
 // writeEntry serializes an entry at offset off.
@@ -85,8 +90,9 @@ func (fs *FS) dirLookup(in *inode, name string) (uint32, byte, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		for _, e := range parseDirBlock(buf) {
-			if e.Ino != 0 && e.Name == name {
+		it := dirBlockIter(buf)
+		for e, ok := it.next(); ok; e, ok = it.next() {
+			if e.Ino != 0 && string(e.Name) == name {
 				return e.Ino, e.FType, nil
 			}
 		}
@@ -110,9 +116,10 @@ func (fs *FS) dirList(in *inode) ([]vfs.DirEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range parseDirBlock(buf) {
+		it := dirBlockIter(buf)
+		for e, ok := it.next(); ok; e, ok = it.next() {
 			if e.Ino != 0 {
-				out = append(out, vfs.DirEntry{Name: e.Name, Ino: e.Ino, Type: vfs.FileType(e.FType)})
+				out = append(out, vfs.DirEntry{Name: string(e.Name), Ino: e.Ino, Type: vfs.FileType(e.FType)})
 			}
 		}
 	}
@@ -149,7 +156,8 @@ func (fs *FS) dirAdd(dirIno uint32, in *inode, name string, ino uint32, ftype by
 		if err != nil {
 			return err
 		}
-		for _, e := range parseDirBlock(buf) {
+		it := dirBlockIter(buf)
+		for e, ok := it.next(); ok; e, ok = it.next() {
 			var avail, newOff int
 			if e.Ino == 0 {
 				avail, newOff = e.RecLen, e.blkOff
@@ -200,8 +208,9 @@ func (fs *FS) dirRemove(in *inode, name string) (uint32, error) {
 		if err != nil {
 			return 0, err
 		}
-		for _, e := range parseDirBlock(buf) {
-			if e.Ino == 0 || e.Name != name {
+		it := dirBlockIter(buf)
+		for e, ok := it.next(); ok; e, ok = it.next() {
+			if e.Ino == 0 || string(e.Name) != name {
 				continue
 			}
 			mbuf, err := fs.tx.meta(phys, BTDir)

@@ -559,14 +559,14 @@ func TestSuperblockMarshalRoundTrip(t *testing.T) {
 func TestDirEntryPackUnpack(t *testing.T) {
 	buf := make([]byte, BlockSize)
 	writeEntry(buf, 0, 42, BlockSize, "hello.txt", 1)
-	ents := parseDirBlock(buf)
+	ents := iterDirBlock(buf)
 	if len(ents) != 1 || ents[0].Ino != 42 || ents[0].Name != "hello.txt" || ents[0].FType != 1 {
 		t.Fatalf("parse = %+v", ents)
 	}
 	// A corrupt recLen terminates parsing without panicking (§5.1: no
 	// type checks on directory contents).
 	buf[4] = 3 // recLen 3 < header
-	if got := parseDirBlock(buf); len(got) != 0 {
+	if got := iterDirBlock(buf); len(got) != 0 {
 		t.Fatalf("corrupt chain yielded %d entries", len(got))
 	}
 }

@@ -196,11 +196,11 @@ func (fs *FS) census(workers int, stats *fsck.Stats) (*jfsCensus, error) {
 		if !in.isDir() {
 			continue
 		}
-		err := fs.dirBlocks(in, func(_ int64, _ []byte, ents []dirEnt) (bool, error) {
-			for _, e := range ents {
+		err := fs.dirBlocks(in, func(_ int64, _ []byte, it dirIter) (bool, error) {
+			for e, ok := it.next(); ok; e, ok = it.next() {
 				dunits++
 				cs.refs[e.Ino]++
-				cs.entries = append(cs.entries, jfsEntry{dir: ino, name: e.Name, child: e.Ino})
+				cs.entries = append(cs.entries, jfsEntry{dir: ino, name: string(e.Name), child: e.Ino})
 				if t, ok := cs.alloc[e.Ino]; !ok || t == nil {
 					badf("dangling-entry", "dir %d entry %q -> unallocated inode %d",
 						ino, e.Name, e.Ino)

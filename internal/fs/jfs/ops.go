@@ -381,45 +381,63 @@ const dirEntHdr = 6
 type dirEnt struct {
 	Ino   uint32
 	FType byte
-	Name  string
-	off   int // byte offset in block
+	Name  []byte // aliases the block
+	off   int    // byte offset in block
 	end   int
 }
 
-// parseDir decodes a directory block, applying the entry-count sanity
-// check JFS performs on directory blocks.
-func (fs *FS) parseDir(buf []byte) ([]dirEnt, error) {
+// dirIter walks the entries of one directory block in place.
+type dirIter struct {
+	buf  []byte
+	left uint32 // entries the count header still promises
+	off  int
+}
+
+// iterDir starts a walk of a directory block, applying the entry-count
+// sanity check JFS performs on directory blocks.
+func (fs *FS) iterDir(buf []byte) (dirIter, error) {
 	count := binary.LittleEndian.Uint32(buf[0:])
 	if count > maxEntsDir {
 		fs.rec.Detect(iron.DSanity, BTDir, "directory entry count out of range")
 		fs.rec.Recover(iron.RPropagate, BTDir, "error propagated")
 		fs.remountRO(BTDir, "directory sanity failure")
-		return nil, vfs.ErrCorrupt
+		return dirIter{}, vfs.ErrCorrupt
 	}
+	return dirIter{buf: buf, left: count, off: 4}, nil
+}
+
+// next returns the next entry; a truncated chain just ends the walk
+// (believed silently: the block carries no type information).
+func (it *dirIter) next() (dirEnt, bool) {
+	buf, off := it.buf, it.off
+	if it.left == 0 || off+dirEntHdr > BlockSize {
+		return dirEnt{}, false
+	}
+	end := off + dirEntHdr + int(buf[off+5])
+	if end > BlockSize || end == off+dirEntHdr {
+		return dirEnt{}, false
+	}
+	it.left, it.off = it.left-1, end
+	return dirEnt{
+		Ino:   binary.LittleEndian.Uint32(buf[off:]),
+		FType: buf[off+4],
+		Name:  buf[off+dirEntHdr : end],
+		off:   off,
+		end:   end,
+	}, true
+}
+
+// all collects the entries the walk has not yet returned.
+func (it dirIter) all() []dirEnt {
 	var out []dirEnt
-	off := 4
-	for i := uint32(0); i < count; i++ {
-		if off+dirEntHdr > BlockSize {
-			break // truncated chain: believed silently (no type info)
-		}
-		nameLen := int(buf[off+5])
-		if off+dirEntHdr+nameLen > BlockSize || nameLen == 0 {
-			break
-		}
-		out = append(out, dirEnt{
-			Ino:   binary.LittleEndian.Uint32(buf[off:]),
-			FType: buf[off+4],
-			Name:  string(buf[off+dirEntHdr : off+dirEntHdr+nameLen]),
-			off:   off,
-			end:   off + dirEntHdr + nameLen,
-		})
-		off += dirEntHdr + nameLen
+	for e, ok := it.next(); ok; e, ok = it.next() {
+		out = append(out, e)
 	}
-	return out, nil
+	return out
 }
 
 // dirBlocks iterates a directory's data blocks.
-func (fs *FS) dirBlocks(in *inode, fn func(blk int64, buf []byte, ents []dirEnt) (bool, error)) error {
+func (fs *FS) dirBlocks(in *inode, fn func(blk int64, buf []byte, it dirIter) (bool, error)) error {
 	nblocks := (int64(in.Size) + BlockSize - 1) / BlockSize
 	for l := int64(0); l < nblocks; l++ {
 		blk, err := fs.blockPtr(in, l, false, true)
@@ -433,11 +451,11 @@ func (fs *FS) dirBlocks(in *inode, fn func(blk int64, buf []byte, ents []dirEnt)
 		if err != nil {
 			return err
 		}
-		ents, err := fs.parseDir(buf)
+		it, err := fs.iterDir(buf)
 		if err != nil {
 			return err
 		}
-		stop, err := fn(blk, buf, ents)
+		stop, err := fn(blk, buf, it)
 		if err != nil || stop {
 			return err
 		}
@@ -449,9 +467,9 @@ func (fs *FS) dirBlocks(in *inode, fn func(blk int64, buf []byte, ents []dirEnt)
 func (fs *FS) dirLookup(in *inode, name string) (uint32, byte, error) {
 	var ino uint32
 	var ftype byte
-	err := fs.dirBlocks(in, func(_ int64, _ []byte, ents []dirEnt) (bool, error) {
-		for _, e := range ents {
-			if e.Name == name {
+	err := fs.dirBlocks(in, func(_ int64, _ []byte, it dirIter) (bool, error) {
+		for e, ok := it.next(); ok; e, ok = it.next() {
+			if string(e.Name) == name {
 				ino, ftype = e.Ino, e.FType
 				return true, nil
 			}
@@ -480,7 +498,8 @@ func (fs *FS) dirAdd(dirIno uint32, in *inode, name string, ino uint32, ftype by
 	copy(ent[dirEntHdr:], name)
 
 	done := false
-	err := fs.dirBlocks(in, func(blk int64, buf []byte, ents []dirEnt) (bool, error) {
+	err := fs.dirBlocks(in, func(blk int64, buf []byte, it dirIter) (bool, error) {
+		ents := it.all()
 		end := 4
 		if n := len(ents); n > 0 {
 			end = ents[n-1].end
@@ -523,9 +542,10 @@ func (fs *FS) dirAdd(dirIno uint32, in *inode, name string, ino uint32, ftype by
 // dirRemove deletes an entry, compacting the block.
 func (fs *FS) dirRemove(in *inode, name string) (uint32, error) {
 	var removed uint32
-	err := fs.dirBlocks(in, func(blk int64, buf []byte, ents []dirEnt) (bool, error) {
+	err := fs.dirBlocks(in, func(blk int64, buf []byte, it dirIter) (bool, error) {
+		ents := it.all()
 		for i, e := range ents {
-			if e.Name != name {
+			if string(e.Name) != name {
 				continue
 			}
 			removed = e.Ino
@@ -562,12 +582,10 @@ func (fs *FS) dirRemove(in *inode, name string) (uint32, error) {
 // dirEmpty reports whether the directory has no entries.
 func (fs *FS) dirEmpty(in *inode) (bool, error) {
 	empty := true
-	err := fs.dirBlocks(in, func(_ int64, _ []byte, ents []dirEnt) (bool, error) {
-		if len(ents) > 0 {
-			empty = false
-			return true, nil
-		}
-		return false, nil
+	err := fs.dirBlocks(in, func(_ int64, _ []byte, it dirIter) (bool, error) {
+		_, has := it.next()
+		empty = !has
+		return has, nil
 	})
 	return empty, err
 }

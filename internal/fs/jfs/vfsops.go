@@ -151,9 +151,9 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 		return nil, vfs.ErrNotDir
 	}
 	var out []vfs.DirEntry
-	err = fs.dirBlocks(in, func(_ int64, _ []byte, ents []dirEnt) (bool, error) {
-		for _, e := range ents {
-			out = append(out, vfs.DirEntry{Name: e.Name, Ino: e.Ino, Type: vfs.FileType(e.FType)})
+	err = fs.dirBlocks(in, func(_ int64, _ []byte, it dirIter) (bool, error) {
+		for e, ok := it.next(); ok; e, ok = it.next() {
+			out = append(out, vfs.DirEntry{Name: string(e.Name), Ino: e.Ino, Type: vfs.FileType(e.FType)})
 		}
 		return false, nil
 	})

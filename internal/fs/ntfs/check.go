@@ -206,11 +206,11 @@ func (fs *FS) census(workers int, stats *fsck.Stats) (*ntfsCensus, error) {
 		if !r.isDir() {
 			continue
 		}
-		err := fs.dirBlocks(r, func(_ int64, _ []byte, ents []dirEnt) (bool, error) {
-			for _, e := range ents {
+		err := fs.dirBlocks(r, func(_ int64, _ []byte, it dirIter) (bool, error) {
+			for e, ok := it.next(); ok; e, ok = it.next() {
 				dunits++
 				cs.refs[e.Rec]++
-				cs.entries = append(cs.entries, ntfsEntry{dir: rec, name: e.Name, child: e.Rec})
+				cs.entries = append(cs.entries, ntfsEntry{dir: rec, name: string(e.Name), child: e.Rec})
 				if _, ok := cs.inUse[e.Rec]; !ok {
 					badf("dangling-entry", "dir record %d entry %q -> free record %d",
 						rec, e.Name, e.Rec)

@@ -341,7 +341,7 @@ const dirEntHdr = 6
 type dirEnt struct {
 	Rec   uint32
 	FType byte
-	Name  string
+	Name  []byte // aliases the block
 	off   int
 	end   int
 }
@@ -350,37 +350,57 @@ type dirEnt struct {
 // metadata sanity checking (§5.4).
 const maxEntsDir = BlockSize / dirEntHdr
 
-func (fs *FS) parseDir(buf []byte) ([]dirEnt, error) {
+// dirIter walks the entries of one directory block in place.
+type dirIter struct {
+	buf  []byte
+	left uint32 // entries the count header still promises
+	off  int
+}
+
+// iterDir starts a walk of a directory block, applying the entry-count
+// sanity check first.
+func (fs *FS) iterDir(buf []byte) (dirIter, error) {
 	count := binary.LittleEndian.Uint32(buf[0:])
 	if count > maxEntsDir {
 		fs.rec.Detect(iron.DSanity, BTDir, "directory entry count out of range")
 		fs.rec.Recover(iron.RPropagate, BTDir, "error propagated")
 		fs.unmountable(BTDir, "corrupt directory block")
-		return nil, vfs.ErrCorrupt
+		return dirIter{}, vfs.ErrCorrupt
 	}
-	var out []dirEnt
-	off := 4
-	for i := uint32(0); i < count; i++ {
-		if off+dirEntHdr > BlockSize {
-			break
-		}
-		nameLen := int(buf[off+5])
-		if off+dirEntHdr+nameLen > BlockSize || nameLen == 0 {
-			break
-		}
-		out = append(out, dirEnt{
-			Rec:   binary.LittleEndian.Uint32(buf[off:]),
-			FType: buf[off+4],
-			Name:  string(buf[off+dirEntHdr : off+dirEntHdr+nameLen]),
-			off:   off,
-			end:   off + dirEntHdr + nameLen,
-		})
-		off += dirEntHdr + nameLen
-	}
-	return out, nil
+	return dirIter{buf: buf, left: count, off: 4}, nil
 }
 
-func (fs *FS) dirBlocks(r *mftRecord, fn func(blk int64, buf []byte, ents []dirEnt) (bool, error)) error {
+// next returns the next entry; a truncated chain just ends the walk
+// (believed silently: the block carries no type information).
+func (it *dirIter) next() (dirEnt, bool) {
+	buf, off := it.buf, it.off
+	if it.left == 0 || off+dirEntHdr > BlockSize {
+		return dirEnt{}, false
+	}
+	end := off + dirEntHdr + int(buf[off+5])
+	if end > BlockSize || end == off+dirEntHdr {
+		return dirEnt{}, false
+	}
+	it.left, it.off = it.left-1, end
+	return dirEnt{
+		Rec:   binary.LittleEndian.Uint32(buf[off:]),
+		FType: buf[off+4],
+		Name:  buf[off+dirEntHdr : end],
+		off:   off,
+		end:   end,
+	}, true
+}
+
+// all collects the entries the walk has not yet returned.
+func (it dirIter) all() []dirEnt {
+	var out []dirEnt
+	for e, ok := it.next(); ok; e, ok = it.next() {
+		out = append(out, e)
+	}
+	return out
+}
+
+func (fs *FS) dirBlocks(r *mftRecord, fn func(blk int64, buf []byte, it dirIter) (bool, error)) error {
 	nblocks := (int64(r.Size) + BlockSize - 1) / BlockSize
 	for l := int64(0); l < nblocks; l++ {
 		blk, err := fs.blockPtr(r, l, false)
@@ -394,11 +414,11 @@ func (fs *FS) dirBlocks(r *mftRecord, fn func(blk int64, buf []byte, ents []dirE
 		if err != nil {
 			return err
 		}
-		ents, perr := fs.parseDir(buf)
+		it, perr := fs.iterDir(buf)
 		if perr != nil {
 			return perr
 		}
-		stop, err := fn(blk, buf, ents)
+		stop, err := fn(blk, buf, it)
 		if err != nil || stop {
 			return err
 		}
@@ -410,9 +430,9 @@ func (fs *FS) dirLookup(r *mftRecord, name string) (uint32, byte, error) {
 	var rec uint32
 	var ftype byte
 	found := false
-	err := fs.dirBlocks(r, func(_ int64, _ []byte, ents []dirEnt) (bool, error) {
-		for _, e := range ents {
-			if e.Name == name {
+	err := fs.dirBlocks(r, func(_ int64, _ []byte, it dirIter) (bool, error) {
+		for e, ok := it.next(); ok; e, ok = it.next() {
+			if string(e.Name) == name {
 				rec, ftype, found = e.Rec, e.FType, true
 				return true, nil
 			}
@@ -434,7 +454,8 @@ func (fs *FS) dirAdd(dirRec uint32, r *mftRecord, name string, child uint32, fty
 	}
 	need := dirEntHdr + len(name)
 	done := false
-	err := fs.dirBlocks(r, func(blk int64, buf []byte, ents []dirEnt) (bool, error) {
+	err := fs.dirBlocks(r, func(blk int64, buf []byte, it dirIter) (bool, error) {
+		ents := it.all()
 		end := 4
 		if n := len(ents); n > 0 {
 			end = ents[n-1].end
@@ -475,9 +496,10 @@ func (fs *FS) dirAdd(dirRec uint32, r *mftRecord, name string, child uint32, fty
 func (fs *FS) dirRemove(r *mftRecord, name string) (uint32, error) {
 	var removed uint32
 	found := false
-	err := fs.dirBlocks(r, func(blk int64, buf []byte, ents []dirEnt) (bool, error) {
+	err := fs.dirBlocks(r, func(blk int64, buf []byte, it dirIter) (bool, error) {
+		ents := it.all()
 		for i, e := range ents {
-			if e.Name != name {
+			if string(e.Name) != name {
 				continue
 			}
 			removed, found = e.Rec, true
@@ -505,12 +527,10 @@ func (fs *FS) dirRemove(r *mftRecord, name string) (uint32, error) {
 
 func (fs *FS) dirEmpty(r *mftRecord) (bool, error) {
 	empty := true
-	err := fs.dirBlocks(r, func(_ int64, _ []byte, ents []dirEnt) (bool, error) {
-		if len(ents) > 0 {
-			empty = false
-			return true, nil
-		}
-		return false, nil
+	err := fs.dirBlocks(r, func(_ int64, _ []byte, it dirIter) (bool, error) {
+		_, has := it.next()
+		empty = !has
+		return has, nil
 	})
 	return empty, err
 }

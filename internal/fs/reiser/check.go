@@ -126,10 +126,11 @@ func (fs *FS) census() (*rsCensus, error) {
 		visited[blk] = true
 		cs.units++
 		claim(blk, fmt.Sprintf("tree node (level %d)", level))
-		n, err := fs.readNode(blk, BTInternal)
+		v, err := fs.readNode(blk, BTInternal)
 		if err != nil {
 			return err // sanity check fired: detected, not silent
 		}
+		n := v.decode()
 		if n.Level != level {
 			badf("tree-level", "block %d has level %d, expected %d", blk, n.Level, level)
 		}

@@ -327,57 +327,103 @@ func marshalNode(n *node) []byte {
 	return b
 }
 
-// unmarshalNode parses a block into a node, applying the block-header
-// sanity checks ReiserFS performs (level, item count, free space,
-// item-header bounds). It returns a descriptive error on any violation.
-func unmarshalNode(b []byte) (*node, error) {
-	le := binary.LittleEndian
-	level := int(le.Uint16(b[0:]))
-	count := int(le.Uint16(b[2:]))
-	free := int(le.Uint16(b[4:]))
+// nodeView is a tree block that passed checkNode, read in place: lookups
+// compare keys and hand out bodies straight from the block instead of
+// decoding it. A view aliases the live cache buffer, so it is never held
+// across stageMeta/stageData and the bodies it hands out are cap-limited.
+type nodeView []byte
+
+// checkNode applies the block-header sanity checks ReiserFS performs
+// (level, item count, free space, item-header bounds, key order) without
+// decoding anything. It returns a descriptive error on any violation.
+func checkNode(b []byte) (nodeView, error) {
+	v := nodeView(b)
+	level, count := v.level(), v.count()
+	free := int(binary.LittleEndian.Uint16(b[4:]))
 	if level < 1 || level > MaxLevel {
 		return nil, fmt.Errorf("block header level %d invalid", level)
 	}
-	if count < 0 || nodeHdrLen+count*itemHdrLen > BlockSize {
+	if nodeHdrLen+count*itemHdrLen > BlockSize {
 		return nil, fmt.Errorf("block header item count %d invalid", count)
 	}
 	if free > BlockSize {
 		return nil, fmt.Errorf("block header free space %d invalid", free)
 	}
-	n := &node{Level: level}
-	if level == 1 {
-		off := nodeHdrLen
-		for i := 0; i < count; i++ {
-			k := unmarshalKey(b[off:])
-			blen := int(le.Uint16(b[off+20:]))
-			loc := int(le.Uint16(b[off+22:]))
-			if loc < nodeHdrLen || loc+blen > BlockSize {
-				return nil, fmt.Errorf("item %d location %d+%d out of bounds", i, loc, blen)
-			}
-			body := make([]byte, blen)
-			copy(body, b[loc:loc+blen])
-			n.Items = append(n.Items, item{K: k, Body: body})
-			off += itemHdrLen
+	if !v.isLeaf() {
+		if nodeHdrLen+count*itemHdrLen+(count+1)*8 > BlockSize {
+			return nil, fmt.Errorf("internal node overflows block")
 		}
-		// Keys must be strictly increasing — part of the format check.
-		for i := 1; i < len(n.Items); i++ {
-			if n.Items[i-1].K.cmp(n.Items[i].K) >= 0 {
-				return nil, fmt.Errorf("leaf keys out of order at %d", i)
-			}
-		}
-		return n, nil
-	}
-	off := nodeHdrLen
-	if nodeHdrLen+count*itemHdrLen+(count+1)*8 > BlockSize {
-		return nil, fmt.Errorf("internal node overflows block")
+		return v, nil
 	}
 	for i := 0; i < count; i++ {
-		n.Keys = append(n.Keys, unmarshalKey(b[off:]))
-		off += itemHdrLen
+		if loc, blen := v.bodyAt(i); loc < nodeHdrLen || loc+blen > BlockSize {
+			return nil, fmt.Errorf("item %d location %d+%d out of bounds", i, loc, blen)
+		}
 	}
-	for i := 0; i <= count; i++ {
-		n.Children = append(n.Children, int64(le.Uint64(b[off:])))
-		off += 8
+	// Keys must be strictly increasing — part of the format check.
+	for i, prev := 1, v.key(0); i < count; i++ {
+		k := v.key(i)
+		if prev.cmp(k) >= 0 {
+			return nil, fmt.Errorf("leaf keys out of order at %d", i)
+		}
+		prev = k
 	}
-	return n, nil
+	return v, nil
+}
+
+func (v nodeView) level() int   { return int(binary.LittleEndian.Uint16(v[0:])) }
+func (v nodeView) count() int   { return int(binary.LittleEndian.Uint16(v[2:])) }
+func (v nodeView) isLeaf() bool { return v.level() == 1 }
+
+// key returns item i's key (leaf) or separator i (internal).
+func (v nodeView) key(i int) key { return unmarshalKey(v[nodeHdrLen+i*itemHdrLen:]) }
+
+// bodyAt returns where leaf item i's header says its body lies.
+func (v nodeView) bodyAt(i int) (loc, blen int) {
+	h := v[nodeHdrLen+i*itemHdrLen:]
+	return int(binary.LittleEndian.Uint16(h[22:])), int(binary.LittleEndian.Uint16(h[20:]))
+}
+
+// body returns leaf item i's body in place. The capacity stops at the
+// body's end: an append must copy, never grow into the neighbouring item.
+func (v nodeView) body(i int) []byte {
+	loc, blen := v.bodyAt(i)
+	return v[loc : loc+blen : loc+blen]
+}
+
+// child returns child pointer i of an internal node (0 <= i <= count).
+func (v nodeView) child(i int) int64 {
+	return int64(binary.LittleEndian.Uint64(v[nodeHdrLen+v.count()*itemHdrLen+i*8:]))
+}
+
+// decode materialises the node for the code that rewrites or walks all of
+// it; everything it returns is a copy.
+func (v nodeView) decode() *node {
+	n := &node{Level: v.level()}
+	count := v.count()
+	if v.isLeaf() {
+		n.Items = make([]item, count)
+		for i := range n.Items {
+			n.Items[i] = item{K: v.key(i), Body: append([]byte{}, v.body(i)...)}
+		}
+		return n
+	}
+	n.Keys = make([]key, count)
+	for i := range n.Keys {
+		n.Keys[i] = v.key(i)
+	}
+	n.Children = make([]int64, count+1)
+	for i := range n.Children {
+		n.Children[i] = v.child(i)
+	}
+	return n
+}
+
+// unmarshalNode parses a block into a node: checkNode, then a full copy.
+func unmarshalNode(b []byte) (*node, error) {
+	v, err := checkNode(b)
+	if err != nil {
+		return nil, err
+	}
+	return v.decode(), nil
 }

@@ -97,33 +97,52 @@ func appendEnt(body []byte, e dirEnt) []byte {
 	return append(append(body, h[:]...), e.Name...)
 }
 
-// parseEnts decodes a directory item body. A malformed record is a format
-// violation ReiserFS's sanity checks catch.
-func parseEnts(body []byte) ([]dirEnt, bool) {
-	var out []dirEnt
-	off := 0
-	for off < len(body) {
-		if off+dirEntHdr > len(body) {
-			return out, false
-		}
-		nameLen := int(body[off+9])
-		if off+dirEntHdr+nameLen > len(body) || nameLen == 0 {
-			return out, false
-		}
-		out = append(out, dirEnt{
-			Child: objRef{
-				DirID: binary.LittleEndian.Uint32(body[off:]),
-				ObjID: binary.LittleEndian.Uint32(body[off+4:]),
-			},
-			FType: body[off+8],
-			Name:  string(body[off+dirEntHdr : off+dirEntHdr+nameLen]),
-		})
-		off += dirEntHdr + nameLen
-	}
-	return out, true
+// entIter walks the records of a directory item body in place. next stops
+// at the body's end or at a malformed record — a format violation
+// ReiserFS's sanity checks catch, which it reports in bad.
+type entIter struct {
+	body []byte
+	off  int
+	bad  bool
 }
 
-// dirItems returns the directory's items (offset, entries) in order.
+// next returns the next entry and its name, which aliases the body; the
+// entry's Name is left empty so a scan builds no string.
+func (it *entIter) next() (e dirEnt, name []byte, ok bool) {
+	body, off := it.body, it.off
+	if off >= len(body) {
+		return dirEnt{}, nil, false
+	}
+	end := off + dirEntHdr
+	if end > len(body) || body[off+9] == 0 || end+int(body[off+9]) > len(body) {
+		it.bad = true
+		return dirEnt{}, nil, false
+	}
+	end += int(body[off+9])
+	it.off = end
+	return dirEnt{
+		Child: objRef{
+			DirID: binary.LittleEndian.Uint32(body[off:]),
+			ObjID: binary.LittleEndian.Uint32(body[off+4:]),
+		},
+		FType: body[off+8],
+	}, body[off+dirEntHdr : end], true
+}
+
+// parseEnts decodes a directory item body; false reports a malformed
+// record (the entries before it are still returned).
+func parseEnts(body []byte) ([]dirEnt, bool) {
+	var out []dirEnt
+	it := entIter{body: body}
+	for e, name, ok := it.next(); ok; e, name, ok = it.next() {
+		e.Name = string(name)
+		out = append(out, e)
+	}
+	return out, !it.bad
+}
+
+// dirItems returns the directory's items in order. Their bodies are views:
+// callers derive what they stage from them before staging it.
 func (fs *FS) dirItems(r objRef) ([]item, error) {
 	var items []item
 	err := fs.rangeItems(r.dirKey(1), r.dirKey(math.MaxUint64), func(it item) error {
@@ -133,6 +152,14 @@ func (fs *FS) dirItems(r objRef) ([]item, error) {
 		return nil
 	})
 	return items, err
+}
+
+// dirItemCorrupt is the reaction to a directory item that fails its format
+// check: ReiserFS panics.
+func (fs *FS) dirItemCorrupt() error {
+	fs.rec.Detect(iron.DSanity, BTDirItem, "directory item format violation")
+	fs.panicFS(BTDirItem, "directory item corrupt")
+	return vfs.ErrPanicked
 }
 
 // dirEntries parses every entry of a directory.
@@ -145,27 +172,42 @@ func (fs *FS) dirEntries(r objRef) ([]dirEnt, error) {
 	for _, it := range items {
 		ents, ok := parseEnts(it.Body)
 		if !ok {
-			fs.rec.Detect(iron.DSanity, BTDirItem, "directory item format violation")
-			fs.panicFS(BTDirItem, "directory item corrupt")
-			return nil, vfs.ErrPanicked
+			return nil, fs.dirItemCorrupt()
 		}
 		out = append(out, ents...)
 	}
 	return out, nil
 }
 
-// dirLookup finds a name in a directory.
+// dirLookup finds a name in a directory, scanning its items in place. It
+// answers as dirEntries would: only once the whole walk has succeeded and
+// every item — those past the match too — has passed its format check.
 func (fs *FS) dirLookup(r objRef, name string) (dirEnt, error) {
-	ents, err := fs.dirEntries(r)
-	if err != nil {
-		return dirEnt{}, err
-	}
-	for _, e := range ents {
-		if e.Name == name {
-			return e, nil
+	var hit dirEnt
+	found, bad := false, false
+	err := fs.rangeItems(r.dirKey(1), r.dirKey(math.MaxUint64), func(it item) error {
+		if it.K.Type != itemDir || bad {
+			return nil
 		}
+		ents := entIter{body: it.Body}
+		for e, n, ok := ents.next(); ok; e, n, ok = ents.next() {
+			if !found && string(n) == name {
+				hit, found = e, true
+			}
+		}
+		bad = ents.bad
+		return nil
+	})
+	switch {
+	case err != nil:
+		return dirEnt{}, err
+	case bad:
+		return dirEnt{}, fs.dirItemCorrupt()
+	case !found:
+		return dirEnt{}, vfs.ErrNotExist
 	}
-	return dirEnt{}, vfs.ErrNotExist
+	hit.Name = name
+	return hit, nil
 }
 
 // dirAddEntry appends an entry, extending the last directory item or
@@ -198,9 +240,7 @@ func (fs *FS) dirRemoveEntry(r objRef, name string) (dirEnt, error) {
 	for _, it := range items {
 		ents, ok := parseEnts(it.Body)
 		if !ok {
-			fs.rec.Detect(iron.DSanity, BTDirItem, "directory item format violation")
-			fs.panicFS(BTDirItem, "directory item corrupt")
-			return dirEnt{}, vfs.ErrPanicked
+			return dirEnt{}, fs.dirItemCorrupt()
 		}
 		for i, e := range ents {
 			if e.Name != name {
@@ -242,7 +282,7 @@ func ptrsBody(ptrs []int64) []byte {
 	return body
 }
 
-// hasTail reports whether the file currently stores its body as a tail.
+// hasTail reports whether the file stores its body as a tail (a view of it).
 func (fs *FS) hasTail(r objRef) (bool, []byte, error) {
 	it, err := fs.findItem(r.directKey())
 	if err == nil {
@@ -263,13 +303,15 @@ func (fs *FS) blockPtr(r objRef, idx int64, alloc bool) (int64, error) {
 	it, err := fs.findItem(k)
 	switch {
 	case err == nil:
-		ptrs := ptrsOf(it.Body)
-		if within < len(ptrs) && ptrs[within] != 0 {
-			return ptrs[within], nil
+		if within < len(it.Body)/8 {
+			if p := int64(binary.LittleEndian.Uint64(it.Body[within*8:])); p != 0 {
+				return p, nil
+			}
 		}
 		if !alloc {
 			return 0, nil
 		}
+		ptrs := ptrsOf(it.Body)
 		for len(ptrs) <= within {
 			ptrs = append(ptrs, 0)
 		}
@@ -302,12 +344,12 @@ func (fs *FS) convertTail(r objRef) error {
 	if err != nil || !has {
 		return err
 	}
+	buf := make([]byte, BlockSize)
+	copy(buf, tail)
 	blk, err := fs.blockPtr(r, 0, true)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, BlockSize)
-	copy(buf, tail)
 	fs.stageData(blk, buf)
 	return fs.deleteItem(r.directKey())
 }
@@ -333,6 +375,7 @@ func (fs *FS) freeFileBlocks(r objRef, newSize int64) error {
 	var items []item
 	err := fs.rangeItems(r.firstKey(), r.lastKey(), func(it item) error {
 		if it.K.Type == itemIndirect {
+			it.Body = append([]byte{}, it.Body...) // held across the frees below
 			items = append(items, it)
 		}
 		return nil

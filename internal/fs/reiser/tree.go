@@ -14,11 +14,20 @@ import (
 // under-full siblings (a documented simplification — correctness is
 // unaffected, occupancy can be lower than real ReiserFS).
 
-// pathElem is one step of a root-to-leaf descent.
+// pathElem is one step of a root-to-leaf descent. search fills in v; a
+// mutator materialises n before its first staging call kills the views.
 type pathElem struct {
 	blk int64
+	v   nodeView
 	n   *node
 	idx int // child index taken (internal) or item position (leaf)
+}
+
+// materialise decodes every node of path.
+func materialise(path []pathElem) {
+	for i := range path {
+		path[i].n = path[i].v.decode()
+	}
 }
 
 // errTreeCorrupt marks a sanity-check failure inside the tree.
@@ -26,22 +35,42 @@ type errTreeCorrupt struct{ msg string }
 
 func (e errTreeCorrupt) Error() string { return "reiser: tree corrupt: " + e.msg }
 
-// readNode reads and parses a tree node with full policy: error-code
+// readNode reads and checks a tree node with full policy: error-code
 // checking on the read and ReiserFS's block-header sanity checks on the
 // contents. Per §5.2, a failed sanity check on a tree block makes ReiserFS
 // panic rather than return an error (one of its documented excesses).
-func (fs *FS) readNode(blk int64, bt iron.BlockType) (*node, error) {
+func (fs *FS) readNode(blk int64, bt iron.BlockType) (nodeView, error) {
 	buf, err := fs.readMetaBlock(blk, bt)
 	if err != nil {
 		return nil, err
 	}
-	n, perr := unmarshalNode(buf)
+	v, perr := checkNode(buf)
 	if perr != nil {
 		fs.rec.Detect(iron.DSanity, bt, perr.Error())
 		fs.panicFS(bt, "sanity check failed: "+perr.Error())
 		return nil, vfs.ErrPanicked
 	}
-	return n, nil
+	return v, nil
+}
+
+// rootOrInternal attributes a node being read on the way down.
+func (fs *FS) rootOrInternal(blk int64) iron.BlockType {
+	if blk == int64(fs.sb.Root) {
+		return BTRoot
+	}
+	return BTInternal
+}
+
+// childOf returns child i of the internal node v (read as bt), refusing a
+// pointer outside the volume.
+func (fs *FS) childOf(v nodeView, i int, bt iron.BlockType) (int64, error) {
+	c := v.child(i)
+	if c <= 0 || c >= int64(fs.sb.BlockCount) {
+		fs.rec.Detect(iron.DSanity, bt, "child pointer out of range")
+		fs.panicFS(bt, "wild child pointer")
+		return 0, vfs.ErrPanicked
+	}
+	return c, nil
 }
 
 // nodeType classifies a tree block for event attribution: the root, an
@@ -84,10 +113,11 @@ func (fs *FS) writeNode(blk int64, n *node) {
 	fs.stageMeta(blk, marshalNode(n), fs.nodeType(blk, n))
 }
 
-// search descends from the root to the leaf that would contain k. The
-// returned path includes every node visited; found reports an exact match
-// and path[len-1].idx is the item position (or insertion point).
-func (fs *FS) search(k key) (path []pathElem, found bool, err error) {
+// search descends from the root to the leaf that would contain k,
+// appending every node visited to path (pass a stack buffer to descend
+// without allocating). found reports an exact match and path[len-1].idx is
+// the item position (or insertion point).
+func (fs *FS) search(k key, path []pathElem) (_ []pathElem, found bool, err error) {
 	if fs.sb.Root == 0 {
 		return nil, false, nil
 	}
@@ -98,46 +128,34 @@ func (fs *FS) search(k key) (path []pathElem, found bool, err error) {
 			fs.panicFS(BTInternal, "tree too deep")
 			return nil, false, vfs.ErrPanicked
 		}
-		bt := BTInternal
-		if blk == int64(fs.sb.Root) {
-			bt = BTRoot
-		}
-		n, err := fs.readNode(blk, bt)
+		bt := fs.rootOrInternal(blk)
+		v, err := fs.readNode(blk, bt)
 		if err != nil {
 			return nil, false, err
 		}
-		if n.isLeaf() {
-			idx, ok := leafFind(n, k)
-			path = append(path, pathElem{blk: blk, n: n, idx: idx})
-			return path, ok, nil
+		if v.isLeaf() {
+			idx, ok := leafFind(v, k)
+			return append(path, pathElem{blk: blk, v: v, idx: idx}), ok, nil
 		}
 		// children[i] holds keys < Keys[i]; Keys[i] is the first key of
 		// children[i+1].
 		ci := 0
-		for ci < len(n.Keys) && n.Keys[ci].cmp(k) <= 0 {
+		for ci < v.count() && v.key(ci).cmp(k) <= 0 {
 			ci++
 		}
-		if ci >= len(n.Children) {
-			fs.rec.Detect(iron.DSanity, bt, "internal node child index out of range")
-			fs.panicFS(bt, "malformed internal node")
-			return nil, false, vfs.ErrPanicked
-		}
-		path = append(path, pathElem{blk: blk, n: n, idx: ci})
-		blk = n.Children[ci]
-		if blk <= 0 || blk >= int64(fs.sb.BlockCount) {
-			fs.rec.Detect(iron.DSanity, bt, "child pointer out of range")
-			fs.panicFS(bt, "wild child pointer")
-			return nil, false, vfs.ErrPanicked
+		path = append(path, pathElem{blk: blk, v: v, idx: ci})
+		if blk, err = fs.childOf(v, ci, bt); err != nil {
+			return nil, false, err
 		}
 	}
 }
 
 // leafFind locates k in a leaf, returning (position, exact).
-func leafFind(n *node, k key) (int, bool) {
-	lo, hi := 0, len(n.Items)
+func leafFind(v nodeView, k key) (int, bool) {
+	lo, hi := 0, v.count()
 	for lo < hi {
 		mid := (lo + hi) / 2
-		switch c := n.Items[mid].K.cmp(k); {
+		switch c := v.key(mid).cmp(k); {
 		case c == 0:
 			return mid, true
 		case c < 0:
@@ -149,9 +167,11 @@ func leafFind(n *node, k key) (int, bool) {
 	return lo, false
 }
 
-// findItem returns a copy of the item with exactly key k.
+// findItem returns the item with exactly key k. Its body is a view of the
+// cached leaf: copy it before the next staging call if it must outlive one.
 func (fs *FS) findItem(k key) (item, error) {
-	path, found, err := fs.search(k)
+	var buf [MaxLevel + 1]pathElem
+	path, found, err := fs.search(k, buf[:0])
 	if err != nil {
 		return item{}, err
 	}
@@ -159,10 +179,7 @@ func (fs *FS) findItem(k key) (item, error) {
 		return item{}, vfs.ErrNotExist
 	}
 	leaf := path[len(path)-1]
-	it := leaf.n.Items[leaf.idx]
-	body := make([]byte, len(it.Body))
-	copy(body, it.Body)
-	return item{K: it.K, Body: body}, nil
+	return item{K: k, Body: leaf.v.body(leaf.idx)}, nil
 }
 
 // insertItem places it into the tree, splitting nodes as needed.
@@ -183,7 +200,7 @@ func (fs *FS) insertItem(it item) error {
 		fs.sbDirty = true
 		return nil
 	}
-	path, found, err := fs.search(it.K)
+	path, found, err := fs.search(it.K, nil)
 	if err != nil {
 		return err
 	}
@@ -191,7 +208,7 @@ func (fs *FS) insertItem(it item) error {
 		return vfs.ErrExist
 	}
 	leaf := path[len(path)-1]
-	n := leaf.n
+	n := leaf.v.decode()
 	n.Items = append(n.Items, item{})
 	copy(n.Items[leaf.idx+1:], n.Items[leaf.idx:])
 	n.Items[leaf.idx] = it
@@ -202,6 +219,7 @@ func (fs *FS) insertItem(it item) error {
 	}
 	// Split the leaf: right half moves to a new block; the separator (the
 	// right node's first key) climbs into the parent.
+	materialise(path[:len(path)-1])
 	mid := len(n.Items) / 2
 	right := &node{Level: 1, Items: append([]item{}, n.Items[mid:]...)}
 	n.Items = n.Items[:mid]
@@ -270,7 +288,7 @@ func (fs *FS) insertSeparator(path []pathElem, sep key, rightChild int64) error 
 // falling back to delete+insert when the leaf would overflow.
 func (fs *FS) replaceItem(k key, body []byte) error {
 	fs.tx.touch(k)
-	path, found, err := fs.search(k)
+	path, found, err := fs.search(k, nil)
 	if err != nil {
 		return err
 	}
@@ -278,14 +296,12 @@ func (fs *FS) replaceItem(k key, body []byte) error {
 		return vfs.ErrNotExist
 	}
 	leaf := path[len(path)-1]
-	n := leaf.n
-	old := n.Items[leaf.idx].Body
+	n := leaf.v.decode()
 	n.Items[leaf.idx].Body = body
 	if leafSpace(n.Items) <= BlockSize {
 		fs.writeNode(leaf.blk, n)
 		return nil
 	}
-	n.Items[leaf.idx].Body = old
 	if err := fs.deleteItem(k); err != nil {
 		return err
 	}
@@ -296,7 +312,7 @@ func (fs *FS) replaceItem(k key, body []byte) error {
 // their parents and freed, and a single-child root collapses.
 func (fs *FS) deleteItem(k key) error {
 	fs.tx.touch(k)
-	path, found, err := fs.search(k)
+	path, found, err := fs.search(k, nil)
 	if err != nil {
 		return err
 	}
@@ -304,12 +320,14 @@ func (fs *FS) deleteItem(k key) error {
 		return vfs.ErrNotExist
 	}
 	leaf := path[len(path)-1]
-	n := leaf.n
+	n := leaf.v.decode()
 	n.Items = append(n.Items[:leaf.idx], n.Items[leaf.idx+1:]...)
-	fs.writeNode(leaf.blk, n)
 	if len(n.Items) > 0 {
+		fs.writeNode(leaf.blk, n)
 		return nil
 	}
+	materialise(path[:len(path)-1])
+	fs.writeNode(leaf.blk, n)
 	return fs.removeChild(path[:len(path)-1], leaf.blk)
 }
 
@@ -366,8 +384,8 @@ func (fs *FS) removeChild(path []pathElem, child int64) error {
 	return nil
 }
 
-// rangeItems invokes fn on a copy of every item with lo <= key <= hi, in
-// key order.
+// rangeItems invokes fn on every item with lo <= key <= hi, in key order.
+// Bodies are views: fn copies what it keeps past the next staging call.
 func (fs *FS) rangeItems(lo, hi key, fn func(item) error) error {
 	if fs.sb.Root == 0 {
 		return nil
@@ -376,43 +394,37 @@ func (fs *FS) rangeItems(lo, hi key, fn func(item) error) error {
 }
 
 func (fs *FS) rangeWalk(blk int64, lo, hi key, fn func(item) error) error {
-	bt := BTInternal
-	if blk == int64(fs.sb.Root) {
-		bt = BTRoot
-	}
-	n, err := fs.readNode(blk, bt)
+	bt := fs.rootOrInternal(blk)
+	v, err := fs.readNode(blk, bt)
 	if err != nil {
 		return err
 	}
-	if n.isLeaf() {
-		for _, it := range n.Items {
-			if it.K.cmp(lo) < 0 {
+	if v.isLeaf() {
+		for i := 0; i < v.count(); i++ {
+			k := v.key(i)
+			if k.cmp(lo) < 0 {
 				continue
 			}
-			if it.K.cmp(hi) > 0 {
+			if k.cmp(hi) > 0 {
 				break
 			}
-			body := make([]byte, len(it.Body))
-			copy(body, it.Body)
-			if err := fn(item{K: it.K, Body: body}); err != nil {
+			if err := fn(item{K: k, Body: v.body(i)}); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	for i, c := range n.Children {
-		// Child i spans (Keys[i-1], Keys[i]]; skip subtrees outside the
-		// range.
-		if i > 0 && n.Keys[i-1].cmp(hi) > 0 {
+	for i := 0; i <= v.count(); i++ {
+		// Child i spans [key(i-1), key(i)); skip subtrees outside the range.
+		if i > 0 && v.key(i-1).cmp(hi) > 0 {
 			break
 		}
-		if i < len(n.Keys) && n.Keys[i].cmp(lo) < 0 {
+		if i < v.count() && v.key(i).cmp(lo) < 0 {
 			continue
 		}
-		if c <= 0 || c >= int64(fs.sb.BlockCount) {
-			fs.rec.Detect(iron.DSanity, bt, "child pointer out of range")
-			fs.panicFS(bt, "wild child pointer")
-			return vfs.ErrPanicked
+		c, err := fs.childOf(v, i, bt)
+		if err != nil {
+			return err
 		}
 		if err := fs.rangeWalk(c, lo, hi, fn); err != nil {
 			return err

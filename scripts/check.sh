@@ -39,6 +39,9 @@ go test -run '^$' -bench 'Classify' -benchtime 1x ./internal/fs/...
 # Likewise the serving tier's dispatch cost at 64, 1024 and 16384
 # backlogged tenants (docs/PERF.md, "Serve layer cost").
 go test -run '^$' -bench Dispatch -benchtime 1x ./internal/serve
+# And a path lookup on each file system plus reiser's tree descent
+# (docs/PERF.md, "File-system lookup cost").
+go test -run '^$' -bench 'PathLookup|TreeLookup' -benchtime 1x ./internal/fs/...
 
 # bench/ is its own module (BENCHMARK.json's benchmark carries its own
 # build file), so the root ./... patterns above never see it: a refactor of
