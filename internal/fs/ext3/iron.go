@@ -3,7 +3,7 @@ package ext3
 import (
 	"encoding/binary"
 	"errors"
-	"hash/fnv"
+	"hash/crc32"
 
 	"ironfs/internal/iron"
 	"ironfs/internal/vfs"
@@ -16,14 +16,26 @@ import (
 // errNoRedundancy reports that a redundant copy was unavailable.
 var errNoRedundancy = errors.New("ext3: no redundant copy available")
 
-// cksumBlock computes the 64-bit FNV-1a checksum of a block. The paper uses
-// SHA-1; any digest suffices for corruption *detection*, and FNV keeps the
-// simulation fast (see DESIGN.md).
+// castagnoli is the CRC32C table: the polynomial ext4 metadata_csum, btrfs
+// and iSCSI use, computed by SSE4.2 / ARMv8 CRC instructions where the CPU
+// has them.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// cksumTag fills the high word of every stored checksum, so a stored value
+// is never 0 — which the checksum table and the commit block reserve for
+// "never checksummed".
+const cksumTag = uint64(0x49524f4e) << 32 // "IRON"
+
+// cksumBlock computes the stored checksum of a block: its CRC32C under
+// cksumTag. The paper uses SHA-1; a CRC suffices for corruption *detection*
+// (no adversary forges blocks here) and runs at memory speed (see
+// DESIGN.md).
 func cksumBlock(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
+	return cksumStored(crc32.Checksum(data, castagnoli))
 }
+
+// cksumStored is the on-disk form of a finished CRC32C.
+func cksumStored(crc uint32) uint64 { return cksumTag | uint64(crc) }
 
 // cksumCovers reports whether block blk has an entry in the checksum table.
 // Only the group area plus the superblock and descriptor table are covered;

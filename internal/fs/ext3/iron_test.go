@@ -2,8 +2,10 @@ package ext3
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -399,9 +401,11 @@ func TestTcReducesCommitTime(t *testing.T) {
 	}
 }
 
-func TestTcDiscardsCorruptTransactionAtReplay(t *testing.T) {
-	opts := Options{TxnChecksum: true, FixBugs: true}
-	d, fdev, rec, fs := ironStack(t, opts)
+// tcTailTxn leaves a Tc volume as a crash would: /committed checkpointed
+// home, and a later transaction committed to the journal only.
+func tcTailTxn(t *testing.T) (*disk.Disk, *iron.Recorder, *FS) {
+	t.Helper()
+	d, _, rec, fs := ironStack(t, Options{TxnChecksum: true, FixBugs: true})
 	if err := fs.Create("/committed", 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -417,39 +421,21 @@ func TestTcDiscardsCorruptTransactionAtReplay(t *testing.T) {
 	if err := fs.Fsync("/tail-txn"); err != nil { // commits, no checkpoint
 		t.Fatal(err)
 	}
-	// Corrupt one journal data block on the media, then "crash".
-	jstart := int64(fs.lay.sb.JournalStart)
-	garbage := make([]byte, BlockSize)
-	for i := range garbage {
-		garbage[i] = 0x77
-	}
-	found := false
-	for rel := int64(1); rel < int64(fs.lay.sb.JournalLen); rel++ {
-		raw := make([]byte, BlockSize)
-		if err := d.ReadRaw(jstart+rel, raw); err != nil {
-			t.Fatal(err)
-		}
-		if NewResolver(d).Classify(jstart+rel) == BTJData {
-			if err := d.WriteBlock(jstart+rel, garbage); err != nil {
-				t.Fatal(err)
-			}
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no journal data block found to corrupt")
-	}
-	_ = fdev
+	return d, rec, fs
+}
 
-	fs2 := New(d, opts, rec)
+// requireTcDiscards recovers the media with a fresh instance and requires
+// that Tc flagged the damaged tail transaction and replayed none of it.
+func requireTcDiscards(t *testing.T, d *disk.Disk, crashed *FS, rec *iron.Recorder) {
+	t.Helper()
+	fs2 := New(d, crashed.opts, rec)
 	if err := fs2.Mount(); err != nil {
 		t.Fatalf("recovery mount: %v", err)
 	}
 	if !rec.Detections().Has(iron.DRedundancy) {
-		t.Errorf("transactional checksum did not flag the corrupt journal:\n%s", rec.Summary())
+		t.Errorf("transactional checksum did not flag the damaged journal:\n%s", rec.Summary())
 	}
-	// The undamaged earlier file is intact; the corrupt transaction was
+	// The undamaged earlier file is intact; the damaged transaction was
 	// not replayed and must not have destroyed anything.
 	buf := make([]byte, 5)
 	if _, err := fs2.Read("/committed", 0, buf); err != nil || string(buf) != "first" {
@@ -458,6 +444,77 @@ func TestTcDiscardsCorruptTransactionAtReplay(t *testing.T) {
 	if _, err := fs2.CheckConsistency(); err != nil {
 		t.Fatalf("consistency check: %v", err)
 	}
+}
+
+func TestTcDiscardsCorruptTransactionAtReplay(t *testing.T) {
+	d, rec, fs := tcTailTxn(t)
+	// Corrupt one journal data block on the media, then "crash".
+	jstart := int64(fs.lay.sb.JournalStart)
+	garbage := bytes.Repeat([]byte{0x77}, BlockSize)
+	res := NewResolver(d)
+	found := false
+	for rel := int64(1); rel < int64(fs.lay.sb.JournalLen) && !found; rel++ {
+		if res.Classify(jstart+rel) == BTJData {
+			if err := d.WriteBlock(jstart+rel, garbage); err != nil {
+				t.Fatal(err)
+			}
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("no journal data block found to corrupt")
+	}
+	requireTcDiscards(t, d, fs, rec)
+}
+
+// TestTcDetectsSwappedJournalBlocks: two journaled copies of a committed
+// transaction trade places in the log (a misdirected pair of writes). Every
+// block of the transaction is present and intact, so only a checksum that
+// depends on log order can tell; replaying it would write each copy to the
+// other's home block.
+func TestTcDetectsSwappedJournalBlocks(t *testing.T) {
+	d, rec, fs := tcTailTxn(t)
+	// The tail transaction is the descriptor with the highest sequence.
+	le := binary.LittleEndian
+	jstart := int64(fs.lay.sb.JournalStart)
+	descBlk, descSeq, n := int64(-1), uint64(0), int64(0)
+	hdr := make([]byte, BlockSize)
+	for rel := int64(1); rel < int64(fs.lay.sb.JournalLen); rel++ {
+		if err := d.ReadRaw(jstart+rel, hdr); err != nil {
+			t.Fatal(err)
+		}
+		if le.Uint32(hdr[0:]) == jMagicDesc && le.Uint64(hdr[8:]) >= descSeq {
+			descBlk, descSeq, n = jstart+rel, le.Uint64(hdr[8:]), int64(le.Uint32(hdr[4:]))
+		}
+	}
+	if descBlk < 0 {
+		t.Fatal("no descriptor block in the journal")
+	}
+	// Swap the first journaled copy with the first one that differs from it.
+	a, b := make([]byte, BlockSize), make([]byte, BlockSize)
+	if err := d.ReadRaw(descBlk+1, a); err != nil {
+		t.Fatal(err)
+	}
+	swapped := false
+	for i := int64(2); i <= n && !swapped; i++ {
+		if err := d.ReadRaw(descBlk+i, b); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(a, b) {
+			continue
+		}
+		if err := d.WriteBlock(descBlk+1, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WriteBlock(descBlk+i, a); err != nil {
+			t.Fatal(err)
+		}
+		swapped = true
+	}
+	if !swapped {
+		t.Fatalf("tail transaction (%d journaled copies) has no two distinct copies to swap", n)
+	}
+	requireTcDiscards(t, d, fs, rec)
 }
 
 // --- Scrub ---------------------------------------------------------------------
@@ -571,19 +628,152 @@ func TestDirEntryPackUnpack(t *testing.T) {
 	}
 }
 
+// TestCksumBlockDistinguishesContent: equal blocks agree, and blocks drawn
+// at random differ. CRC32C leaves a 2^-32 chance per differing pair, far
+// below what 200 pairs can hit; the exhaustive guarantees are in
+// TestCksumDetectsEverySingleBitFlip.
 func TestCksumBlockDistinguishesContent(t *testing.T) {
 	f := func(a, b []byte) bool {
 		pa := make([]byte, BlockSize)
 		pb := make([]byte, BlockSize)
 		copy(pa, a)
 		copy(pb, b)
-		if bytes.Equal(pa, pb) {
-			return cksumBlock(pa) == cksumBlock(pb)
-		}
-		return cksumBlock(pa) != cksumBlock(pb) // collisions vanishingly unlikely
+		return bytes.Equal(pa, pb) == (cksumBlock(pa) == cksumBlock(pb))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCksumKnownAnswer pins the on-disk value: the CRC32C check value of
+// "123456789" in the low word, the fixed tag in the high word.
+func TestCksumKnownAnswer(t *testing.T) {
+	const want = uint64(0x49524f4e_e3069283)
+	if got := cksumBlock([]byte("123456789")); got != want {
+		t.Fatalf("cksumBlock(\"123456789\") = %#x, want %#x", got, want)
+	}
+}
+
+// TestCksumNeverZero: 0 in the checksum table means "never checksummed",
+// so no block may hash to it.
+func TestCksumNeverZero(t *testing.T) {
+	for _, fill := range []byte{0x00, 0xFF} {
+		blk := bytes.Repeat([]byte{fill}, BlockSize)
+		if cksumBlock(blk) == 0 {
+			t.Errorf("cksumBlock of the all-%#02x block is 0", fill)
+		}
+	}
+	if cksumStored(0) == 0 {
+		t.Error("a zero CRC is stored as 0")
+	}
+}
+
+// cksumFixture writes a tree with every covered block type to an all-IRON
+// volume, checkpoints it and remounts cold, so every home block matches
+// its checksum-table entry.
+func cksumFixture(t *testing.T) (faultinject.TypeResolver, *faultinject.Device, *FS) {
+	t.Helper()
+	d, fdev, _, fs := ironStack(t, AllIron())
+	if err := fs.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Create("/d/f", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 20*BlockSize)
+	rand.New(rand.NewSource(7)).Read(payload)
+	if _, err := fs.Write("/d/f", 0, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return NewResolver(d), fdev, remountCold(t, fs)
+}
+
+// firstBlockOfType returns the lowest checksum-covered block the resolver
+// classifies as bt.
+func firstBlockOfType(t *testing.T, res faultinject.TypeResolver, fs *FS, bt iron.BlockType) int64 {
+	t.Helper()
+	for blk := int64(0); blk < int64(fs.lay.sb.CksumStart); blk++ {
+		if res.Classify(blk) == bt {
+			return blk
+		}
+	}
+	t.Fatalf("no %s block on the fixture volume", bt)
+	return 0
+}
+
+func TestCksumDetectsEverySingleBitFlip(t *testing.T) {
+	res, fdev, fs := cksumFixture(t)
+	blk := firstBlockOfType(t, res, fs, BTData)
+	data := make([]byte, BlockSize)
+	if err := fdev.ReadBlock(blk, data); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := fs.verifyCksum(blk, data); err != nil || !ok {
+		t.Fatalf("intact block fails verification: ok=%v err=%v", ok, err)
+	}
+	for bit := 0; bit < 8*BlockSize; bit++ {
+		data[bit/8] ^= 1 << (bit % 8)
+		if ok, err := fs.verifyCksum(blk, data); err != nil || ok {
+			t.Fatalf("flip of bit %d undetected: ok=%v err=%v", bit, ok, err)
+		}
+		data[bit/8] ^= 1 << (bit % 8)
+	}
+}
+
+func TestCksumDetectsDefaultNoiseOnEveryCoveredType(t *testing.T) {
+	res, fdev, fs := cksumFixture(t)
+	for _, bt := range []iron.BlockType{
+		BTSuper, BTGDesc, BTBitmap, BTIBitmap, BTInode, BTDir, BTIndirect, BTData, BTParity,
+	} {
+		blk := firstBlockOfType(t, res, fs, bt)
+		buf := make([]byte, BlockSize)
+		if err := fdev.ReadBlock(blk, buf); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := fs.verifyCksum(blk, buf); err != nil || !ok {
+			t.Errorf("%s block %d: intact copy fails verification: ok=%v err=%v", bt, blk, ok, err)
+			continue
+		}
+		fired := fdev.Fired()
+		fdev.Arm(&faultinject.Fault{
+			Class: iron.Corruption, Count: 1,
+			Range: faultinject.BlockRange{Start: blk, End: blk + 1},
+		})
+		if err := fdev.ReadBlock(blk, buf); err != nil {
+			t.Fatal(err)
+		}
+		fdev.Disarm()
+		if fdev.Fired() != fired+1 {
+			t.Fatalf("%s block %d: corruption never fired", bt, blk)
+		}
+		if ok, err := fs.verifyCksum(blk, buf); err != nil || ok {
+			t.Errorf("%s block %d: default noise corruption undetected: ok=%v err=%v", bt, blk, ok, err)
+		}
+	}
+}
+
+func BenchmarkCksumBlock(b *testing.B) {
+	blk := make([]byte, BlockSize)
+	rand.New(rand.NewSource(7)).Read(blk)
+	b.SetBytes(BlockSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += cksumBlock(blk)
+	}
+	if sink == 0 {
+		b.Fatal("checksum of a random block is 0")
+	}
+}
+
+func TestCksumAllocs(t *testing.T) {
+	blk := make([]byte, BlockSize)
+	if n := testing.AllocsPerRun(100, func() { cksumBlock(blk) }); n != 0 {
+		t.Fatalf("cksumBlock allocates %.0f times per call, want 0", n)
 	}
 }
 

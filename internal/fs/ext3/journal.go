@@ -3,6 +3,7 @@ package ext3
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
@@ -248,6 +249,18 @@ func (fs *FS) DirtyLocked() bool { return !fs.tx.empty() }
 // TouchedLocked implements journal.Committer; key is an inode number.
 func (fs *FS) TouchedLocked(key uint64) bool { return fs.tx.touched(uint32(key)) }
 
+// tcFold extends the transactional checksum with the next block of the
+// transaction. Tc is one running CRC32C over the descriptor and the
+// journaled copies in log order — at freeze and again at replay — so a
+// swapped or duplicated journal block changes it. Without Tc nothing is
+// hashed.
+func (fs *FS) tcFold(tc uint32, blk []byte) uint32 {
+	if !fs.opts.TxnChecksum {
+		return tc
+	}
+	return crc32.Update(tc, castagnoli, blk)
+}
+
 // FreezeLocked implements journal.Committer: it encodes the running
 // transaction as JBD records at the journal head, which advances here.
 func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
@@ -361,7 +374,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	rel++
 
 	// Journaled copies of the metadata.
-	tcHash := cksumBlock(desc)
+	tc := fs.tcFold(0, desc)
 	for _, blk := range t.metaOrder {
 		data := fs.cache.Get(blk)
 		if data == nil {
@@ -376,9 +389,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 		plan.jReqs = append(plan.jReqs, disk.Request{Block: base + rel, Data: cp})
 		plan.jTypes = append(plan.jTypes, BTJData)
 		plan.metaCopies = append(plan.metaCopies, cp)
-		if fs.opts.TxnChecksum {
-			tcHash ^= cksumBlock(cp)
-		}
+		tc = fs.tcFold(tc, cp)
 		rel++
 	}
 
@@ -400,7 +411,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	le.PutUint32(commit[4:], uint32(nJData))
 	le.PutUint64(commit[8:], seq)
 	if fs.opts.TxnChecksum {
-		le.PutUint64(commit[16:], tcHash)
+		le.PutUint64(commit[16:], cksumStored(tc))
 	}
 
 	if fs.opts.TxnChecksum {
@@ -663,7 +674,7 @@ func (fs *FS) replayJournal() error {
 				continue
 			}
 			rec := txnRec{}
-			tcHash := cksumBlock(hdr)
+			tc := fs.tcFold(0, hdr)
 			ok := true
 			for i := 0; i < n; i++ {
 				rec.homes = append(rec.homes, int64(le.Uint64(hdr[16+8*i:])))
@@ -674,9 +685,7 @@ func (fs *FS) replayJournal() error {
 					fs.rec.Recover(iron.RStop, BTJData, "recovery aborted")
 					return vfs.ErrIO
 				}
-				if fs.opts.TxnChecksum {
-					tcHash ^= cksumBlock(pb)
-				}
+				tc = fs.tcFold(tc, pb)
 				rec.payload = append(rec.payload, pb)
 			}
 			cb := make([]byte, BlockSize)
@@ -696,7 +705,7 @@ func (fs *FS) replayJournal() error {
 				}
 				ok = false
 			} else if fs.opts.TxnChecksum {
-				if le.Uint64(cb[16:]) != tcHash {
+				if le.Uint64(cb[16:]) != cksumStored(tc) {
 					// Transactional checksum mismatch: either a crash
 					// mid-commit (Tc's whole point) or corrupt journal
 					// payload; the transaction is reliably discarded.

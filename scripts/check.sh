@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# Pre-merge gate: formatting, vet, build, race-enabled tests, the resolver
-# and dispatch cost benchmarks, the bench/ module's own vet and tests, the
-# committed ironload pin, and ironvet (the multi-pass crash-consistency
-# analyzer suite; see docs/ANALYSIS.md).
+# Pre-merge gate: formatting, vet, build, race-enabled tests, the resolver,
+# dispatch, lookup and checksum cost benchmarks, the bench/ module's own vet
+# and tests, the committed ironload pin, and ironvet (the multi-pass
+# crash-consistency analyzer suite; see docs/ANALYSIS.md).
 # ironvet analyzes the whole module: errprop and lockcheck guard error
 # propagation and lock/I-O discipline, txcheck pins metadata writes to the
 # journal machinery, degradecheck forbids success-before-commit-check
@@ -42,6 +42,9 @@ go test -run '^$' -bench Dispatch -benchtime 1x ./internal/serve
 # And a path lookup on each file system plus reiser's tree descent
 # (docs/PERF.md, "File-system lookup cost").
 go test -run '^$' -bench 'PathLookup|TreeLookup' -benchtime 1x ./internal/fs/...
+# And ixt3's block checksum over one 4 KiB block (docs/PERF.md,
+# "Redundancy path cost").
+go test -run '^$' -bench CksumBlock -benchtime 1x ./internal/fs/ext3
 
 # bench/ is its own module (BENCHMARK.json's benchmark carries its own
 # build file), so the root ./... patterns above never see it: a refactor of
