@@ -158,6 +158,7 @@ func TestDegradecheckFixtures(t *testing.T) {
 		"scrub_counts_failed_writes.go",
 		"cksum_verify_gap.go",
 		"repair_fixed_before_commit.go",
+		"driver_fixed_before_reconcile.go",
 	} {
 		if perFile[bug] == 0 {
 			t.Errorf("pre-fix bug shape in %s produced no degradecheck finding", bug)

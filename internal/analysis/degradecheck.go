@@ -15,7 +15,10 @@ import (
 // evaporate into a nil return.
 //
 // The commit machinery is annotated //iron:commitpoint (per FS: the
-// commit, checkpoint, and transactional-repair functions). "Success" is
+// commit, checkpoint, and transactional-repair functions). A call to an
+// interface method counts as a commitpoint call when every in-module
+// implementation of the method is one — the seam the shared fsck driver
+// reaches each file system's repair transaction through. "Success" is
 // an assignment, increment, or append to one of Config.SuccessFields
 // (Fixed, Repaired — the fsck.Report and ScrubReport vocabulary), or a
 // nil error return. Raw device writes count as repair writes inside
@@ -159,6 +162,33 @@ type degradecheck struct {
 	findings      []Finding
 }
 
+// commitpoint reports whether f is a commitpoint: annotated, or an
+// interface method with at least one in-module implementation, all of them
+// annotated. Verdicts on unannotated functions are memoized in
+// d.commitpoints.
+func (d *degradecheck) commitpoint(f *types.Func) bool {
+	if is, known := d.commitpoints[f]; known {
+		return is
+	}
+	impls, commits := 0, 0
+	if sig, _ := f.Type().(*types.Signature); sig != nil && sig.Recv() != nil {
+		if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
+			for _, fi := range d.ctx.funcs {
+				recv := fi.obj.Type().(*types.Signature).Recv()
+				if fi.obj.Name() != f.Name() || recv == nil || !types.Implements(recv.Type(), iface) {
+					continue
+				}
+				impls++
+				if d.commitpoints[fi.obj] {
+					commits++
+				}
+			}
+		}
+	}
+	d.commitpoints[f] = impls > 0 && commits == impls
+	return d.commitpoints[f]
+}
+
 // pendingErr is one bound-but-unexamined commit/repair-write error.
 type pendingErr struct {
 	callee string
@@ -178,7 +208,7 @@ func (d *degradecheck) report(fi *funcInfo, pos token.Pos, format string, args .
 // any.
 func (d *degradecheck) commitCallee(fi *funcInfo, call *ast.CallExpr) (string, bool) {
 	f := calleeOf(fi.pkg.info, call)
-	if f != nil && d.commitpoints[f] {
+	if f != nil && d.commitpoint(f) {
 		return funcLabel(f), true
 	}
 	return "", false

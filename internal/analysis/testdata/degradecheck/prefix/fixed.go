@@ -66,3 +66,16 @@ func (fs *FS) waivedScrub(t int64, buf []byte) ScrubReport {
 	rep.Repaired++
 	return rep
 }
+
+// driverReconcilesThenCounts records Fixed only after the repair
+// transaction, reached through the target interface, went through; the
+// describe call before it is no commitpoint and constrains nothing.
+func (d *driver) driverReconcilesThenCounts(found int) (Report, error) {
+	var rep Report
+	if err := d.t.reconcile(); err != nil {
+		return rep, err
+	}
+	rep.Fixed = found
+	err := d.t.describe()
+	return rep, err
+}

@@ -1,42 +1,15 @@
 package ext3
 
 import (
-	"fmt"
-
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
-	"ironfs/internal/vfs"
 )
 
-// CheckImage is the crash-exploration consistency oracle: it mounts the
-// image on d (running journal recovery if the volume is dirty) and scans
-// it with CheckConsistency. Structural damage the file system did not
+// CheckImage is the crash-exploration consistency oracle (fsck.Driver's
+// Oracle) for an image on dev: structural damage the file system did not
 // itself flag comes back wrapped in vfs.ErrInconsistent — the "silently
 // corrupt" verdict; detected damage (mount refusal, a sanity check firing
 // during the scan) comes back as the file system's own error.
-//
-// The lazily maintained superblock counters (FreeBlocks/FreeInodes) are
-// written outside the journal on unmount, so after any crash they are
-// legitimately stale; the oracle ignores those two problem kinds.
 func CheckImage(dev disk.Device, opts Options) error {
-	rec := iron.NewRecorder()
-	fs := New(dev, opts, rec)
-	if err := fs.Mount(); err != nil {
-		return fmt.Errorf("ext3 oracle mount: %w", err)
-	}
-	probs, err := fs.CheckConsistency()
-	if err != nil {
-		return fmt.Errorf("ext3 oracle scan: %w", err)
-	}
-	var real []Problem
-	for _, p := range probs {
-		if p.Kind == "free-blocks" || p.Kind == "free-inodes" {
-			continue
-		}
-		real = append(real, p)
-	}
-	if len(real) > 0 {
-		return fmt.Errorf("%w: ext3: %d problems, first: %s", vfs.ErrInconsistent, len(real), real[0])
-	}
-	return nil
+	return New(dev, opts, iron.NewRecorder()).Oracle()
 }

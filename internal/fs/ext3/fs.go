@@ -28,9 +28,6 @@ type FS struct {
 	opts Options
 	rec  *iron.Recorder
 	tr   *trace.Tracer
-	// repairHooks bracket fsck repair transactions (crash-idempotence
-	// harness); set before repair traffic via SetRepairHooks.
-	repairHooks *fsck.RepairHooks
 
 	//iron:lockorder 10 the per-FS big lock is always outermost
 	mu          sync.RWMutex
@@ -59,6 +56,11 @@ type FS struct {
 	// st holds the journal path's live-metrics handles, resolved at
 	// construction.
 	st vfs.FSMetrics
+
+	// Driver is the check-and-repair sequence (fs.Repairer); FS implements
+	// its fsck.Target. It sits last so the fields the read path touches
+	// keep the cache lines they had.
+	fsck.Driver
 }
 
 // assert the interface is satisfied.
@@ -77,6 +79,7 @@ func New(dev disk.Device, opts Options, rec *iron.Recorder) *FS {
 	fs.st = vfs.NewFSMetrics(fs.variantName())
 	fs.cache.SetTracer(fs.tr)
 	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
+	fs.Driver = fsck.New(fs, fsck.Volume{Label: "ext3", Mu: &fs.mu, Health: &fs.health, Tracer: fs.tr, Cache: fs.cache, Lazy: lazyKinds})
 	return fs
 }
 

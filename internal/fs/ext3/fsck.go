@@ -2,6 +2,7 @@ package ext3
 
 import (
 	"fmt"
+	"slices"
 
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
@@ -24,10 +25,15 @@ import (
 // for every worker count; workers=1 runs inline on the calling goroutine,
 // byte-identical to the historical serial pass.
 
-// Problem is one inconsistency found by CheckConsistency. The kinds used
-// here: "block-bitmap", "inode-bitmap", "link-count", "free-blocks",
-// "free-inodes", "orphan-inode", "double-ref", "bad-pointer", "bad-size".
-type Problem = fsck.Problem
+// The problem kinds used here: "block-bitmap", "inode-bitmap", "link-count",
+// "free-blocks", "free-inodes", "orphan-inode", "double-ref", "bad-pointer",
+// "bad-size". The two free counters are written outside the journal on
+// unmount, so after any crash they are legitimately stale: the oracle
+// ignores them.
+var lazyKinds = []string{"free-blocks", "free-inodes"}
+
+// MountedLocked implements fsck.Target.
+func (fs *FS) MountedLocked() bool { return fs.mounted }
 
 // fsckState is the reachability census both passes share.
 type fsckState struct {
@@ -166,25 +172,20 @@ func (fs *FS) census() (*fsckState, error) {
 }
 
 // groupCheck is one block group's verification result: problems in
-// in-group scan order, the group's contribution to the free counter, the
-// units of work done (for the benchmark's CPU model), and the first error.
+// in-group scan order and the group's contribution to the free counter.
 type groupCheck struct {
-	probs []Problem
+	probs []fsck.Problem
 	free  uint64
-	units int64
-	err   error
 }
 
 // checkBlockGroup verifies one group's data bitmap against the census.
 // Read-only: safe to run concurrently with other groups while the caller
 // holds fs.mu (the cache, recorder, and device are internally
 // synchronized, and the census map is never written here).
-func (fs *FS) checkBlockGroup(g uint32, st *fsckState) groupCheck {
-	var r groupCheck
+func (fs *FS) checkBlockGroup(g uint32, st *fsckState) (r groupCheck, units int64, err error) {
 	bm, err := fs.readMeta(int64(fs.gds[g].DataBitmap), BTBitmap)
 	if err != nil {
-		r.err = err
-		return r
+		return r, 0, err
 	}
 	start := fs.lay.groupStart(g)
 	first := groupMetaBlks + int64(fs.lay.sb.ITableBlocks)
@@ -194,44 +195,41 @@ func (fs *FS) checkBlockGroup(g uint32, st *fsckState) groupCheck {
 		used := st.usedBlocks[abs]
 		switch {
 		case marked && !used:
-			r.probs = append(r.probs, Problem{Kind: "block-bitmap",
+			r.probs = append(r.probs, fsck.Problem{Kind: "block-bitmap",
 				Detail: fmt.Sprintf("block %d marked allocated but unreachable", abs)})
 		case !marked && used:
-			r.probs = append(r.probs, Problem{Kind: "block-bitmap",
+			r.probs = append(r.probs, fsck.Problem{Kind: "block-bitmap",
 				Detail: fmt.Sprintf("block %d in use but marked free", abs)})
 		}
 		if !marked {
 			r.free++
 		}
-		r.units++
+		units++
 	}
-	return r
+	return r, units, nil
 }
 
 // checkInodeGroup verifies one group's slice of the inode table: bitmap
 // bits, orphans, and link counts, in inode order.
-func (fs *FS) checkInodeGroup(g uint32, st *fsckState) groupCheck {
-	var r groupCheck
+func (fs *FS) checkInodeGroup(g uint32, st *fsckState) (r groupCheck, units int64, err error) {
 	bm, err := fs.readMeta(int64(fs.gds[g].INodeBMap), BTIBitmap)
 	if err != nil {
-		r.err = err
-		return r
+		return r, 0, err
 	}
 	perGroup := fs.lay.sb.InodesPerGroup
 	for within := uint32(0); within < perGroup; within++ {
 		ino := g*perGroup + within + 1
 		in, err := fs.loadInode(ino)
 		if err != nil {
-			r.err = err
-			return r
+			return r, units, err
 		}
 		marked := testBit(bm, int64(within))
 		switch {
 		case in.allocated() && !marked:
-			r.probs = append(r.probs, Problem{Kind: "inode-bitmap",
+			r.probs = append(r.probs, fsck.Problem{Kind: "inode-bitmap",
 				Detail: fmt.Sprintf("inode %d in use but marked free", ino)})
 		case !in.allocated() && marked:
-			r.probs = append(r.probs, Problem{Kind: "inode-bitmap",
+			r.probs = append(r.probs, fsck.Problem{Kind: "inode-bitmap",
 				Detail: fmt.Sprintf("inode %d free but marked allocated", ino)})
 		}
 		if !marked {
@@ -239,170 +237,79 @@ func (fs *FS) checkInodeGroup(g uint32, st *fsckState) groupCheck {
 		}
 		if in.allocated() {
 			if !st.reachable[ino] {
-				r.probs = append(r.probs, Problem{Kind: "orphan-inode",
+				r.probs = append(r.probs, fsck.Problem{Kind: "orphan-inode",
 					Detail: fmt.Sprintf("inode %d allocated but unreachable", ino)})
 			} else if in.Links != st.linkCounts[ino] {
-				r.probs = append(r.probs, Problem{Kind: "link-count",
+				r.probs = append(r.probs, fsck.Problem{Kind: "link-count",
 					Detail: fmt.Sprintf("inode %d has links=%d, directory tree says %d",
 						ino, in.Links, st.linkCounts[ino])})
 			}
 		}
-		r.units++
+		units++
 	}
-	return r
+	return r, units, nil
 }
 
-// CheckConsistency scans the whole volume and reports every cross-block
+// ScanLocked implements fsck.Target. It reports every cross-block
 // inconsistency: bitmap bits that disagree with reachability, wrong link
 // counts, stale free counters, unreachable (orphan) inodes, doubly
-// referenced blocks, and wild pointers. It does not modify anything.
-func (fs *FS) CheckConsistency() ([]Problem, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	probs, _, err := fs.checkLocked(1)
-	return probs, err
-}
-
-// CheckParallel is CheckConsistency with the verify stage fanned out over
-// `workers` goroutines. The problem list is identical to the serial scan's
-// for any worker count; Stats reports per-phase, per-worker work for the
-// fsck benchmark's virtual-CPU model.
-func (fs *FS) CheckParallel(workers int) ([]Problem, fsck.Stats, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.checkLocked(workers)
-}
-
-func (fs *FS) checkLocked(workers int) ([]Problem, fsck.Stats, error) {
-	var stats fsck.Stats
-	if !fs.mounted {
-		return nil, stats, vfs.ErrNotMounted
-	}
-	fs.tr.Phase("fsck:census", fmt.Sprintf("workers=%d", workers))
+// referenced blocks, and wild pointers.
+func (fs *FS) ScanLocked(s *fsck.Scan) error {
+	fs.tr.Phase("fsck:census", fmt.Sprintf("workers=%d", s.Workers))
 	st, err := fs.census()
 	if err != nil {
-		return nil, stats, err
+		return err
 	}
-	stats.Add("census", 1, []int64{int64(len(st.usedBlocks) + len(st.reachable))})
-	var probs []Problem
-	add := func(kind, format string, args ...interface{}) {
-		probs = append(probs, Problem{Kind: kind, Detail: fmt.Sprintf(format, args...)})
-	}
+	s.Stats.Add("census", 1, []int64{int64(len(st.usedBlocks) + len(st.reachable))})
 	for _, b := range st.doubleRef {
-		add("double-ref", "block %d referenced more than once", b)
+		s.Problemf("double-ref", "block %d referenced more than once", b)
 	}
 	for _, p := range st.badPtrs {
-		add("bad-pointer", "%s", p)
+		s.Problemf("bad-pointer", "%s", p)
 	}
-	for _, s := range st.badSizes {
-		add("bad-size", "%s", s)
+	for _, x := range st.badSizes {
+		s.Problemf("bad-size", "%s", x)
 	}
 
-	// Block bitmaps vs reachability, one task per group.
 	groups := int(fs.lay.sb.GroupCount)
-	fs.tr.Phase("fsck:verify-blocks", fmt.Sprintf("groups=%d workers=%d", groups, workers))
-	blockRes := fsck.Map(workers, groups, func(i int) groupCheck {
+	var free uint64
+	merge := func(r groupCheck) {
+		s.Problems = append(s.Problems, r.probs...)
+		free += r.free
+	}
+	// Block bitmaps vs reachability, one task per group.
+	err = fsck.Stage(s, "verify:blocks", "groups", groups, func(i int) (groupCheck, int64, error) {
 		return fs.checkBlockGroup(uint32(i), st)
-	})
-	units := make([]int64, groups)
-	var freeBlocks uint64
-	for i, r := range blockRes {
-		units[i] = r.units
-		probs = append(probs, r.probs...)
-		if r.err != nil {
-			stats.Add("verify:blocks", workers, units)
-			return probs, stats, r.err
-		}
-		freeBlocks += r.free
+	}, merge)
+	if err != nil {
+		return err
 	}
-	stats.Add("verify:blocks", workers, units)
-	if freeBlocks != fs.lay.sb.FreeBlocks {
-		add("free-blocks", "superblock says %d free, bitmaps say %d", fs.lay.sb.FreeBlocks, freeBlocks)
+	if free != fs.lay.sb.FreeBlocks {
+		s.Problemf("free-blocks", "superblock says %d free, bitmaps say %d", fs.lay.sb.FreeBlocks, free)
 	}
-
 	// Inode bitmaps, link counts, orphans, one task per group.
-	fs.tr.Phase("fsck:verify-inodes", fmt.Sprintf("groups=%d workers=%d", groups, workers))
-	inodeRes := fsck.Map(workers, groups, func(i int) groupCheck {
+	free = 0
+	err = fsck.Stage(s, "verify:inodes", "groups", groups, func(i int) (groupCheck, int64, error) {
 		return fs.checkInodeGroup(uint32(i), st)
-	})
-	units = make([]int64, groups)
-	var freeInodes uint64
-	for i, r := range inodeRes {
-		units[i] = r.units
-		probs = append(probs, r.probs...)
-		if r.err != nil {
-			stats.Add("verify:inodes", workers, units)
-			return probs, stats, r.err
-		}
-		freeInodes += r.free
+	}, merge)
+	if err != nil {
+		return err
 	}
-	stats.Add("verify:inodes", workers, units)
-	if freeInodes != fs.lay.sb.FreeInodes {
-		add("free-inodes", "superblock says %d free, bitmaps say %d", fs.lay.sb.FreeInodes, freeInodes)
+	if free != fs.lay.sb.FreeInodes {
+		s.Problemf("free-inodes", "superblock says %d free, bitmaps say %d", fs.lay.sb.FreeInodes, free)
 	}
-	return probs, stats, nil
+	return nil
 }
 
-// Repair runs the consistency scan and fixes what it finds: bitmap bits
-// are reconciled with reachability, link counts corrected, free counters
-// recomputed, and orphan inodes freed, all staged in one journal
-// transaction. Every fix is recorded as RRepair.
+// ReconcileLocked implements fsck.Target: bitmap bits are reconciled with
+// reachability, link counts corrected, free counters recomputed, and
+// orphan inodes freed, all staged in the running transaction — one journal
+// transaction, so the image on disk goes from what the scan found to
+// fully reconciled or stays put — then committed and checkpointed. Every
+// fix is recorded as RRepair.
 //
-// The pass is transactional: either the whole reconciliation commits (a
-// re-check then splits Found into Fixed and, for problem kinds with no
-// automatic fix, Unrecovered) or the staged updates are
-// discarded, the journal aborts, and the volume degrades to read-only with
-// the problems reported Unrecovered. A mid-pass failure can never leave
-// the image half-repaired-and-healthy — before this contract, an
-// interrupted pass left half-reconciled bitmaps staged in the running
-// transaction and mutated in the cache, where a later commit (or any read)
-// would see repairs the check never finished.
-func (fs *FS) Repair() (fsck.Report, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var rep fsck.Report
-	if !fs.mounted {
-		return rep, vfs.ErrNotMounted
-	}
-	if err := fs.health.CheckWrite(); err != nil {
-		return rep, err
-	}
-	probs, _, err := fs.checkLocked(1)
-	rep.Found = probs
-	if err != nil {
-		// The scan itself failed; nothing was staged, but the found
-		// problems (if any) are not fixable this pass.
-		rep.Unrecovered = probs
-		return rep, err
-	}
-	if len(probs) == 0 {
-		return rep, nil
-	}
-	fs.tr.Phase("fsck:reconcile", fmt.Sprintf("problems=%d", len(probs)))
-	fs.repairHooks.EnterRepair()
-	err = fs.repairLocked()
-	fs.repairHooks.ExitRepair()
-	if err != nil {
-		fs.discardRepairLocked()
-		rep.Unrecovered = probs
-		return rep, err
-	}
-	// Re-check: problems with no automatic fix (wild pointers, damaged
-	// metadata the scan could only note) survive the commit and are
-	// reported Unrecovered rather than claimed Fixed.
-	after, _, cerr := fs.checkLocked(1)
-	if cerr != nil {
-		rep.Unrecovered = probs
-		return rep, cerr
-	}
-	rep.Unrecovered = after
-	rep.Fixed = fsck.Subtract(probs, after)
-	return rep, nil
-}
-
-// repairLocked stages the full reconciliation in the running transaction
-// and commits it. On error the caller discards the half-built state.
-func (fs *FS) repairLocked() error {
+//iron:commitpoint the repair transaction; its error means the reconciliation did not reach disk
+func (fs *FS) ReconcileLocked() error {
 	st, err := fs.census()
 	if err != nil {
 		return err
@@ -489,16 +396,7 @@ func (fs *FS) repairLocked() error {
 	fs.lay.sb.FreeBlocks = freeBlocks
 	fs.lay.sb.FreeInodes = freeInodes
 	fs.sbDirty = true
-	// Snapshot the staged block list before commit: on a commit failure
-	// the blocks have already moved out of fs.tx into the frozen plan,
-	// but their mutated cache copies must still be discarded.
-	staged := make([]int64, 0, len(fs.tx.metaOrder)+len(fs.tx.dataOrder))
-	staged = append(staged, fs.tx.metaOrder...)
-	staged = append(staged, fs.tx.dataOrder...)
 	if err := fs.commitLocked(); err != nil {
-		for _, blk := range staged {
-			fs.cache.Drop(blk)
-		}
 		return err
 	}
 	if err := fs.checkpointLocked(); err != nil {
@@ -507,30 +405,17 @@ func (fs *FS) repairLocked() error {
 	return fs.writeSuperLocked(0)
 }
 
-// discardRepairLocked throws away whatever the failed repair pass staged —
-// the running transaction's blocks and their mutated cache copies — and
-// aborts the journal, degrading to read-only. The on-disk image stays
-// exactly as the (failed) check found it: consistent-or-degraded, never
-// half-repaired. Reads after this re-fetch home locations; a remount
-// replays any previously committed transactions as usual.
-func (fs *FS) discardRepairLocked() {
-	for _, blk := range fs.tx.metaOrder {
-		fs.cache.Drop(blk)
-	}
-	for _, blk := range fs.tx.dataOrder {
-		fs.cache.Drop(blk)
+// AbortLocked implements fsck.Target: the running transaction goes and the
+// journal aborts, degrading to read-only. What earlier transactions
+// committed but have not checkpointed exists only in the cache the driver
+// just emptied, so their frozen images go back in; a remount replays them
+// from the journal as usual.
+func (fs *FS) AbortLocked() {
+	for _, e := range fs.pending.entries {
+		if e.data != nil {
+			fs.cache.Put(e.home, slices.Clone(e.data), true)
+		}
 	}
 	fs.tx = newTxn(fs)
 	fs.abortJournal(BTBitmap, "consistency repair failed mid-pass")
-}
-
-// SetRepairHooks installs hooks bracketing future repair transactions
-// (nil uninstalls). Harness-only: install while the volume is quiet, not
-// during a concurrent repair.
-//
-//iron:traceok hook installer, not a repair phase: runs while the volume is quiet and touches no blocks
-func (fs *FS) SetRepairHooks(h *fsck.RepairHooks) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.repairHooks = h
 }

@@ -22,7 +22,9 @@ import (
 
 // Repairer is the unified check-and-repair surface (the paper's §3.3
 // RRepair, "checking across blocks ... similar to fsck"). All five
-// built-in file systems implement it (ixt3 shares ext3's concrete type).
+// built-in file systems implement it by embedding the one fsck.Driver
+// (ixt3 shares ext3's concrete type); what each supplies to the driver is
+// its fsck.Target.
 //
 // CheckParallel's contract is the load-bearing one: the problem list is
 // identical to CheckConsistency's for any worker count — parallelism
@@ -50,7 +52,7 @@ func AsRepairer(fsys vfs.FileSystem) (Repairer, bool) {
 
 // RepairHooker is implemented by file systems whose repair transactions
 // can be bracketed with harness hooks (the ironhunt fsck
-// crash-idempotence mode). All five built-ins implement it.
+// crash-idempotence mode): fsck.Driver again, so all five built-ins.
 type RepairHooker interface {
 	SetRepairHooks(*fsck.RepairHooks)
 }

@@ -1,10 +1,15 @@
 package fs
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"ironfs/internal/disk"
+	"ironfs/internal/faultinject"
+	"ironfs/internal/fsck"
+	"ironfs/internal/iron"
+	"ironfs/internal/vfs"
 )
 
 // buildVolume formats the named file system and populates it with enough
@@ -58,7 +63,7 @@ func TestFsckConverges(t *testing.T) {
 			if len(res.Problems) == 0 {
 				t.Fatal("damaged image checked clean")
 			}
-			if res.Repair == nil || !res.Repair.FullyRepaired() {
+			if res.Repair == nil || !res.Repair.AllFixed() {
 				t.Fatalf("repair did not fix everything: %+v", res.Repair)
 			}
 			if !res.CleanAfter {
@@ -129,6 +134,90 @@ func TestFsckCleanImage(t *testing.T) {
 			}
 			if len(res.Problems) != 0 || !res.CleanAfter || res.Repair != nil {
 				t.Fatalf("clean image: %+v", res)
+			}
+		})
+	}
+}
+
+// TestRepairFailurePolicy pins what a repair that cannot write does, per
+// file system: the device starts failing every write the moment the
+// reconciliation begins. The journaling file systems that check write
+// errors stop per their §5 policy with nothing claimed Fixed, and — the
+// part three of them got wrong — neither the degraded mount nor a fresh
+// mount of the image may then report fewer problems than the damage that
+// is still on disk: a failed repair must not leave its rebuilt bitmaps in
+// the cache.
+func TestRepairFailurePolicy(t *testing.T) {
+	type row struct {
+		err    error // Repair's error
+		health vfs.HealthState
+		create error // a following Create's error
+	}
+	rows := map[string]row{
+		"reiserfs": {vfs.ErrPanicked, vfs.Panicked, vfs.ErrPanicked},
+		"jfs":      {vfs.ErrPanicked, vfs.Panicked, vfs.ErrPanicked}, // a log write failure is a §5.3 crash
+		"ntfs":     {vfs.ErrIO, vfs.ReadOnly, vfs.ErrReadOnly},
+		"ixt3":     {vfs.ErrIO, vfs.ReadOnly, vfs.ErrReadOnly},
+		// §5.1: stock ext3 ignores write errors. The repair "succeeds",
+		// the volume stays healthy, and the damage stays on disk.
+		"ext3": {nil, vfs.Healthy, nil},
+	}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			want := rows[name]
+			d := newDisk(t)
+			buildVolume(t, name, d)
+			if _, err := DamageBitmaps(name, d, 6); err != nil {
+				t.Fatal(err)
+			}
+			before, err := Fsck(name, d, Options{}, FsckConfig{})
+			if err != nil || len(before.Problems) == 0 {
+				t.Fatalf("pre-repair check: %d problems, %v", len(before.Problems), err)
+			}
+			fd := faultinject.New(d, nil)
+			fsys, err := Mount(name, fd, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, _ := AsRepairer(fsys)
+			SetRepairHooks(fsys, &fsck.RepairHooks{Begin: func() {
+				fd.Arm(&faultinject.Fault{Class: iron.WriteFailure, Sticky: true})
+			}})
+			report, err := rep.Repair()
+			if !errors.Is(err, want.err) {
+				t.Fatalf("Repair error = %v, want %v", err, want.err)
+			}
+			if !reflect.DeepEqual(report.Found, before.Problems) {
+				t.Fatalf("Found = %v, want %v", report.Found, before.Problems)
+			}
+			if h, _ := Health(fsys); h != want.health {
+				t.Fatalf("health = %v, want %v", h, want.health)
+			}
+			if err := fsys.Create("/after", 0o644); !errors.Is(err, want.create) {
+				t.Fatalf("Create after repair = %v, want %v", err, want.create)
+			}
+			fresh, err := Fsck(name, d, Options{}, FsckConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fresh.Problems, before.Problems) {
+				t.Fatalf("fresh fsck of the image = %v, want the pre-repair list %v", fresh.Problems, before.Problems)
+			}
+			if want.err == nil {
+				if len(report.Unrecovered) != 0 || !reflect.DeepEqual(report.Fixed, report.Found) {
+					t.Fatalf("ext3 ignores the write errors and claims everything fixed; got %+v", report)
+				}
+				return
+			}
+			if len(report.Fixed) != 0 || !reflect.DeepEqual(report.Unrecovered, report.Found) {
+				t.Fatalf("failed repair must fix nothing: %+v", report)
+			}
+			again, err := rep.CheckConsistency()
+			if err != nil {
+				t.Fatalf("re-check on the degraded mount: %v", err)
+			}
+			if !reflect.DeepEqual(again, before.Problems) {
+				t.Fatalf("same-mount re-check = %v, want the pre-repair list %v", again, before.Problems)
 			}
 		})
 	}

@@ -3,207 +3,97 @@ package jfs
 import (
 	"fmt"
 
-	"ironfs/internal/disk"
 	"ironfs/internal/fsck"
-	"ironfs/internal/iron"
-	"ironfs/internal/vfs"
 )
 
-// Problem aliases the unified fsck vocabulary so the registry and the
-// repair pass speak one type.
-type Problem = fsck.Problem
+// The consistency scan (the fsck.Target and fsck.Fixer enumerators): the
+// inode table against the allocation maps and the directory tree. It
+// reports map bits that disagree with the table and with block
+// reachability, wild or doubly referenced pointers, dangling directory
+// entries, orphan inodes, and wrong file link counts. The lazily kept
+// counters (superblock, bmap descriptor, imap control) are not checked.
 
-// Check is the crash-exploration consistency oracle: mount the image on
-// dev (replaying the record-level log if the volume is dirty) and verify
-// the inode table against the allocation maps and the directory tree.
-// Damage JFS itself flagged (mount refusal, a sanity check firing during
-// the scan) comes back as its own error; damage it accepted silently comes
-// back wrapped in vfs.ErrInconsistent. The lazily kept counters
-// (superblock, bmap descriptor, imap control) are not checked.
-func Check(dev disk.Device) error {
-	rec := iron.NewRecorder()
-	fs := New(dev, rec)
-	if err := fs.Mount(); err != nil {
-		return fmt.Errorf("jfs oracle mount: %w", err)
-	}
-	return fs.checkConsistency()
+// MountedLocked implements fsck.Target.
+func (fs *FS) MountedLocked() bool { return fs.mounted }
+
+// inodeCount is the number of inode-table slots.
+func (fs *FS) inodeCount() uint32 { return uint32(int64(fs.sb.ITabLen) * InodesPB) }
+
+// tabCensus is one inode-table block's census: the allocated inodes and
+// the blocks they map, entered into the claim map serially in table order.
+type tabCensus struct {
+	objs   []fsck.Object[*inode]
+	claims []fsck.Event
 }
 
-// checkConsistency is the oracle entry point: the serial scan, rendered
-// as a single error for the crash explorer.
-func (fs *FS) checkConsistency() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	probs, _, err := fs.checkLocked(1)
-	if err != nil {
-		return err
-	}
-	if len(probs) > 0 {
-		return fmt.Errorf("%w: jfs: %d problems, first: %s",
-			vfs.ErrInconsistent, len(probs), probs[0])
-	}
-	return nil
-}
-
-// CheckConsistency scans the whole volume and reports every cross-block
-// inconsistency: allocation-map bits that disagree with the inode table
-// and block reachability, wild or doubly referenced pointers, dangling
-// directory entries, orphan inodes, and wrong file link counts. It does
-// not modify anything.
-func (fs *FS) CheckConsistency() ([]Problem, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	probs, _, err := fs.checkLocked(1)
-	return probs, err
-}
-
-// CheckParallel is CheckConsistency with the inode-table census and the
-// allocation-map verify fanned out over `workers` goroutines. The problem
-// list is identical to the serial scan's for any worker count; Stats
-// reports per-phase, per-worker work for the fsck benchmark.
-func (fs *FS) CheckParallel(workers int) ([]Problem, fsck.Stats, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.checkLocked(workers)
-}
-
-// jfsClaim is one block reference discovered by a census task, replayed
-// serially in task order so the claim map (and therefore the wild-pointer
-// and double-ref problems) come out in table order.
-type jfsClaim struct {
-	blk  int64
-	what string
-}
-
-// jfsTabCheck is one inode-table block's census result.
-type jfsTabCheck struct {
-	inos   []uint32
-	inodes []*inode
-	claims []jfsClaim
-	units  int64
-	err    error
-}
-
-// censusTableBlock scans the InodesPB slots of one inode-table block,
-// collecting allocated inodes and the blocks they map. Read-only, so
-// table blocks scan concurrently.
-func (fs *FS) censusTableBlock(t int64, total uint32) jfsTabCheck {
-	var r jfsTabCheck
+// censusTableBlock scans the InodesPB slots of one inode-table block.
+// Read-only, so table blocks scan concurrently.
+func (fs *FS) censusTableBlock(t int64, total uint32) (r tabCensus, units int64, err error) {
 	for s := int64(0); s < InodesPB; s++ {
 		ino := uint32(t*InodesPB + s + 1)
 		if ino > total {
 			break
 		}
-		r.units++
+		units++
 		in, err := fs.loadInode(ino)
 		if err != nil {
-			r.err = err // sanity check fired: detected, not silent
-			return r
+			return r, units, err // sanity check fired: detected, not silent
 		}
 		if !in.allocated() {
 			continue
 		}
-		r.inos = append(r.inos, ino)
-		r.inodes = append(r.inodes, in)
+		r.objs = append(r.objs, fsck.Object[*inode]{ID: uint64(ino), Links: int(in.Links),
+			Dir: in.isDir(), Root: ino == RootIno, Node: in})
 		nblocks := (int64(in.Size) + BlockSize - 1) / BlockSize
 		for l := int64(0); l < nblocks; l++ {
 			blk, err := fs.blockPtr(in, l, false, false)
 			if err != nil {
-				r.err = err
-				return r
+				return r, units, err
 			}
 			if blk != 0 {
-				r.claims = append(r.claims, jfsClaim{blk, fmt.Sprintf("inode %d block %d", ino, l)})
+				r.claims = append(r.claims, fsck.Event{Blk: blk, What: fmt.Sprintf("inode %d block %d", ino, l)})
 			}
 		}
 		for g, ib := range in.Intern {
 			if ib != 0 {
-				r.claims = append(r.claims, jfsClaim{int64(ib), fmt.Sprintf("inode %d internal %d", ino, g)})
+				r.claims = append(r.claims, fsck.Event{Blk: int64(ib), What: fmt.Sprintf("inode %d internal %d", ino, g)})
 			}
 		}
 	}
-	return r
+	return r, units, nil
 }
 
-// jfsEntry is one directory entry, in directory-scan order, retained so
-// repair can remove dangling names deterministically.
-type jfsEntry struct {
-	dir   uint32
-	name  string
-	child uint32
-}
-
-// jfsCensus is everything the table and directory scans learn.
-type jfsCensus struct {
-	used    map[int64]string
-	alloc   map[uint32]*inode
-	order   []uint32 // allocated inos in table order
-	refs    map[uint32]int
-	entries []jfsEntry
-	probs   []Problem
-}
-
-// census runs the inode-table scan (fanned out over workers) and the
-// serial directory scan, merging results in table order.
-func (fs *FS) census(workers int, stats *fsck.Stats) (*jfsCensus, error) {
-	cs := &jfsCensus{
-		used:  map[int64]string{},
-		alloc: map[uint32]*inode{},
-		refs:  map[uint32]int{},
-	}
-	badf := func(kind, format string, args ...interface{}) {
-		cs.probs = append(cs.probs, Problem{Kind: kind, Detail: fmt.Sprintf(format, args...)})
-	}
-	claim := func(blk int64, what string) {
-		if blk <= 0 || blk >= int64(fs.sb.BlockCount) {
-			badf("wild-pointer", "%s -> block %d", what, blk)
-			return
-		}
-		if prev, ok := cs.used[blk]; ok {
-			badf("double-ref", "block %d claimed by %s and %s", blk, prev, what)
-			return
-		}
-		cs.used[blk] = what
-	}
-
-	total := uint32(int64(fs.sb.ITabLen) * InodesPB)
-	fs.tr.Phase("fsck:census", fmt.Sprintf("itable=%d workers=%d", fs.sb.ITabLen, workers))
-	res := fsck.Map(workers, int(fs.sb.ITabLen), func(i int) jfsTabCheck {
+// CensusLocked implements fsck.Fixer: the inode-table scan (fanned out
+// over the scan's workers) and the serial directory scan, in table order.
+func (fs *FS) CensusLocked(s *fsck.Scan) (*fsck.Refs[*inode], error) {
+	c := fsck.NewRefs[*inode](s)
+	s.Blocks = int64(fs.sb.BlockCount)
+	total := fs.inodeCount()
+	err := fsck.Stage(s, "census", "itable", int(fs.sb.ITabLen), func(i int) (tabCensus, int64, error) {
 		return fs.censusTableBlock(int64(i), total)
+	}, func(r tabCensus) {
+		for _, o := range r.objs {
+			c.Add(o)
+		}
+		s.Enter(r.claims)
 	})
-	units := make([]int64, len(res))
-	for i, r := range res {
-		units[i] = r.units
-		if r.err != nil {
-			stats.Add("census", workers, units)
-			return nil, r.err
-		}
-		for j, ino := range r.inos {
-			cs.alloc[ino] = r.inodes[j]
-			cs.order = append(cs.order, ino)
-		}
-		for _, c := range r.claims {
-			claim(c.blk, c.what)
-		}
+	if err != nil {
+		return nil, err
 	}
-	stats.Add("census", workers, units)
 
-	// Directory entries vs the inode table, in table order.
-	fs.tr.Phase("fsck:verify-dirs", fmt.Sprintf("inodes=%d", len(cs.order)))
-	var dunits int64
-	for _, ino := range cs.order {
-		in := cs.alloc[ino]
-		if !in.isDir() {
+	objs := c.Objects()
+	fs.tr.Phase("fsck:verify-dirs", fmt.Sprintf("inodes=%d", len(objs)))
+	var units int64
+	for _, o := range objs {
+		if !o.Dir {
 			continue
 		}
-		err := fs.dirBlocks(in, func(_ int64, _ []byte, it dirIter) (bool, error) {
+		err := fs.dirBlocks(o.Node, func(_ int64, _ []byte, it dirIter) (bool, error) {
 			for e, ok := it.next(); ok; e, ok = it.next() {
-				dunits++
-				cs.refs[e.Ino]++
-				cs.entries = append(cs.entries, jfsEntry{dir: ino, name: string(e.Name), child: e.Ino})
-				if t, ok := cs.alloc[e.Ino]; !ok || t == nil {
-					badf("dangling-entry", "dir %d entry %q -> unallocated inode %d",
-						ino, e.Name, e.Ino)
+				units++
+				c.Entry(o.ID, string(e.Name), uint64(e.Ino))
+				if !c.Has(uint64(e.Ino)) {
+					c.Problemf("dangling-entry", "dir %d entry %q -> unallocated inode %d", o.ID, e.Name, e.Ino)
 				}
 			}
 			return false, nil
@@ -212,45 +102,22 @@ func (fs *FS) census(workers int, stats *fsck.Stats) (*jfsCensus, error) {
 			return nil, err
 		}
 	}
-	stats.Add("verify:dirs", 1, []int64{dunits})
-	return cs, nil
+	s.Stats.Add("verify:dirs", 1, []int64{units})
+	return c, nil
 }
 
-// jfsBmCheck is the result of verifying one allocation-map block.
-type jfsBmCheck struct {
-	probs []Problem
-	units int64
-	err   error
+var nouns = fsck.Nouns{
+	Object:     func(id uint64) string { return fmt.Sprintf("inode %d", id) },
+	OrphanKind: "orphan-inode", Orphan: " allocated but unreachable",
 }
 
-// checkIMapChunk verifies one ChunkBits-wide span of inode-map bits
-// against the table census. Chunks are finer than map blocks (intra-block
-// sharding), so the verify parallelizes even on volumes whose whole inode
-// map fits one block.
-func (fs *FS) checkIMapChunk(c int, total uint32, alloc map[uint32]*inode) jfsBmCheck {
-	var r jfsBmCheck
-	lo, hi := fsck.ChunkRange(c, int64(total))
-	buf, err := fs.readMeta(int64(fs.sb.IMapStart)+lo/bitsPerBlock, BTIMap)
-	if err != nil {
-		r.err = err
-		return r
-	}
-	for idx := lo; idx < hi; idx++ {
-		bit := idx % bitsPerBlock
-		ino := uint32(idx + 1)
-		r.units++
-		marked := buf[bit/8]&(1<<uint(bit%8)) != 0
-		_, isAlloc := alloc[ino]
-		switch {
-		case marked && !isAlloc:
-			r.probs = append(r.probs, Problem{Kind: "imap",
-				Detail: fmt.Sprintf("inode %d marked allocated but table slot is free", ino)})
-		case !marked && isAlloc:
-			r.probs = append(r.probs, Problem{Kind: "imap",
-				Detail: fmt.Sprintf("inode %d in use but marked free", ino)})
-		}
-	}
-	return r
+// inodeMap describes the inode map: a bit per table slot, set for the
+// inodes c found allocated.
+func (fs *FS) inodeMap(c *fsck.Refs[*inode]) *fsck.Bitmap {
+	return &fsck.Bitmap{Name: "imap", Kind: "imap", Bits: int64(fs.inodeCount()), BlockBits: bitsPerBlock, First: 1,
+		Stale: "inode %d marked allocated but table slot is free", Lost: "inode %d in use but marked free",
+		Read:  func(i int64) ([]byte, error) { return fs.readMeta(int64(fs.sb.IMapStart)+i, BTIMap) },
+		InUse: func(ino int64) bool { return c.Has(uint64(ino)) }}
 }
 
 // fixedBlock reports whether blk lies in the always-allocated aggregate
@@ -259,98 +126,25 @@ func (fs *FS) fixedBlock(blk int64) bool {
 	return blk < int64(fs.sb.ITabStart+fs.sb.ITabLen) || blk >= int64(fs.sb.LogStart)
 }
 
-// checkBMapChunk verifies one ChunkBits-wide span of block-map bits
-// against reachability.
-func (fs *FS) checkBMapChunk(c int, used map[int64]string) jfsBmCheck {
-	var r jfsBmCheck
-	lo, hi := fsck.ChunkRange(c, int64(fs.sb.BlockCount))
-	buf, err := fs.readMeta(int64(fs.sb.BMapStart)+lo/bitsPerBlock, BTBMap)
-	if err != nil {
-		r.err = err
-		return r
-	}
-	for blk := lo; blk < hi; blk++ {
-		bit := blk % bitsPerBlock
-		r.units++
-		marked := buf[bit/8]&(1<<uint(bit%8)) != 0
-		_, reachable := used[blk]
-		inUse := reachable || fs.fixedBlock(blk)
-		switch {
-		case marked && !inUse:
-			r.probs = append(r.probs, Problem{Kind: "bmap",
-				Detail: fmt.Sprintf("block %d marked allocated but unreachable", blk)})
-		case !marked && inUse:
-			r.probs = append(r.probs, Problem{Kind: "bmap",
-				Detail: fmt.Sprintf("block %d in use but marked free", blk)})
-		}
-	}
-	return r
+// blockMap describes the block map: a bit per block, set for the fixed
+// regions and every block s saw claimed.
+func (fs *FS) blockMap(s *fsck.Scan) *fsck.Bitmap {
+	return &fsck.Bitmap{Name: "bmap", Kind: "bmap", Bits: int64(fs.sb.BlockCount), BlockBits: bitsPerBlock,
+		Stale: "block %d marked allocated but unreachable", Lost: "block %d in use but marked free",
+		Read:  func(i int64) ([]byte, error) { return fs.readMeta(int64(fs.sb.BMapStart)+i, BTBMap) },
+		InUse: func(blk int64) bool { return s.Claimed(blk) || fs.fixedBlock(blk) }}
 }
 
-// checkLocked is the full scan: table census and directory scan, then the
-// table-order cross-check, then both allocation maps verified one task
-// per map block.
-func (fs *FS) checkLocked(workers int) ([]Problem, fsck.Stats, error) {
-	var stats fsck.Stats
-	if !fs.mounted {
-		return nil, stats, vfs.ErrNotMounted
-	}
-	cs, err := fs.census(workers, &stats)
+// ScanLocked implements fsck.Target: table census and directory scan, the
+// table-order cross-check, then both allocation maps.
+func (fs *FS) ScanLocked(s *fsck.Scan) error {
+	c, err := fs.CensusLocked(s)
 	if err != nil {
-		return nil, stats, err
+		return err
 	}
-	probs := cs.probs
-	add := func(kind, format string, args ...interface{}) {
-		probs = append(probs, Problem{Kind: kind, Detail: fmt.Sprintf(format, args...)})
+	c.CrossCheck(nouns)
+	if err := fs.inodeMap(c).Verify(s); err != nil {
+		return err
 	}
-	for _, ino := range cs.order {
-		if ino == RootIno {
-			continue
-		}
-		in := cs.alloc[ino]
-		n := cs.refs[ino]
-		if n == 0 {
-			add("orphan-inode", "inode %d allocated but unreachable", ino)
-			continue
-		}
-		if !in.isDir() && int(in.Links) != n {
-			add("link-count", "inode %d says %d, directory tree says %d", ino, in.Links, n)
-		}
-	}
-
-	// Inode map bits vs the table, one task per bit chunk.
-	total := uint32(int64(fs.sb.ITabLen) * InodesPB)
-	nim := fsck.NumChunks(int64(total))
-	fs.tr.Phase("fsck:verify-imap", fmt.Sprintf("chunks=%d workers=%d", nim, workers))
-	imRes := fsck.Map(workers, nim, func(i int) jfsBmCheck {
-		return fs.checkIMapChunk(i, total, cs.alloc)
-	})
-	units := make([]int64, nim)
-	for i, r := range imRes {
-		units[i] = r.units
-		probs = append(probs, r.probs...)
-		if r.err != nil {
-			stats.Add("verify:imap", workers, units)
-			return probs, stats, r.err
-		}
-	}
-	stats.Add("verify:imap", workers, units)
-
-	// Block map bits vs reachability, one task per bit chunk.
-	nbm := fsck.NumChunks(int64(fs.sb.BlockCount))
-	fs.tr.Phase("fsck:verify-bmap", fmt.Sprintf("chunks=%d workers=%d", nbm, workers))
-	bmRes := fsck.Map(workers, nbm, func(i int) jfsBmCheck {
-		return fs.checkBMapChunk(i, cs.used)
-	})
-	units = make([]int64, nbm)
-	for i, r := range bmRes {
-		units[i] = r.units
-		probs = append(probs, r.probs...)
-		if r.err != nil {
-			stats.Add("verify:bmap", workers, units)
-			return probs, stats, r.err
-		}
-	}
-	stats.Add("verify:bmap", workers, units)
-	return probs, stats, nil
+	return fs.blockMap(s).Verify(s)
 }

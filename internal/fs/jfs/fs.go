@@ -21,9 +21,6 @@ type FS struct {
 	// st holds the journal path's live-metrics handles, resolved at
 	// construction.
 	st vfs.FSMetrics
-	// repairHooks bracket fsck repair transactions (crash-idempotence
-	// harness); set before repair traffic via SetRepairHooks.
-	repairHooks *fsck.RepairHooks
 
 	//iron:lockorder 10 the per-FS big lock is always outermost
 	mu      sync.Mutex
@@ -44,6 +41,11 @@ type FS struct {
 	// ra is the sequential read-ahead detector for data reads (nil =
 	// read-ahead off, the default). Set before Mount via SetReadAhead.
 	ra *bcache.Prefetcher
+
+	// Driver is the check-and-repair sequence (fs.Repairer); FS implements
+	// its fsck.Target. It sits last so the fields the read path touches
+	// keep the cache lines they had.
+	fsck.Driver
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -54,6 +56,7 @@ func New(dev disk.Device, rec *iron.Recorder) *FS {
 		st: vfs.NewFSMetrics("jfs")}
 	fs.cache.SetTracer(fs.tr)
 	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
+	fs.Driver = fsck.New(fs, fsck.Volume{Label: "jfs", Mu: &fs.mu, Health: &fs.health, Tracer: fs.tr, Cache: fs.cache})
 	return fs
 }
 

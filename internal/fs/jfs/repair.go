@@ -1,76 +1,57 @@
 package jfs
 
 import (
-	"fmt"
-
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
-	"ironfs/internal/vfs"
 )
 
-// Repair runs the consistency scan and fixes what it can: dangling
-// directory entries are removed, orphan inodes reclaimed, file link
-// counts corrected, and both allocation maps — plus the lazily kept
-// bmap-descriptor and imap-control counters — rebuilt from the inode
-// table and block reachability. Fixes stage as record-level redo spans
-// through the log in bounded transactions, so every intermediate commit
-// is itself a consistent volume.
+// The repair primitives (fsck.Fixer): dangling directory entries are
+// removed, orphan inodes reclaimed, file link counts corrected, and both
+// allocation maps — plus the lazily kept bmap-descriptor and imap-control
+// counters — rebuilt from the inode table and block reachability. Fixes
+// stage as record-level redo spans through the log in bounded
+// transactions, so every intermediate commit is itself a consistent
+// volume. A failed pass remounts read-only (JFS's §5.3 stop).
+
+// ReconcileLocked implements fsck.Target.
 //
-// On a mid-pass failure the uncommitted tail is discarded and the volume
-// remounts read-only (JFS's §5.3 stop), so the image is always
-// consistent-or-degraded, never half-repaired-and-healthy. After a
-// successful pass the volume is re-checked: problems with no automatic
-// fix are reported Unrecovered rather than claimed Fixed.
-func (fs *FS) Repair() (fsck.Report, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var rep fsck.Report
-	if !fs.mounted {
-		return rep, vfs.ErrNotMounted
+//iron:commitpoint the repair transaction sequence; its error means some part of the reconciliation did not reach disk
+func (fs *FS) ReconcileLocked() error { return fsck.Reconcile[*inode](fs.tr, fs) }
+
+// RemoveEntryLocked implements fsck.Fixer.
+func (fs *FS) RemoveEntryLocked(c *fsck.Refs[*inode], e fsck.Entry) error {
+	if _, err := fs.dirRemove(c.Node(e.Dir), e.Name); err != nil {
+		return err
 	}
-	if err := fs.health.CheckWrite(); err != nil {
-		return rep, err
-	}
-	probs, _, err := fs.checkLocked(1)
-	rep.Found = probs
-	if err != nil {
-		// The scan itself failed; nothing was staged, but the found
-		// problems (if any) are not fixable this pass.
-		rep.Unrecovered = probs
-		return rep, err
-	}
-	if len(probs) == 0 {
-		return rep, nil
-	}
-	fs.tr.Phase("fsck:reconcile", fmt.Sprintf("problems=%d", len(probs)))
-	fs.repairHooks.EnterRepair()
-	err = fs.repairLocked()
-	fs.repairHooks.ExitRepair()
-	if err != nil {
-		fs.discardRepairLocked()
-		rep.Unrecovered = probs
-		return rep, err
-	}
-	after, _, cerr := fs.checkLocked(1)
-	if cerr != nil {
-		rep.Unrecovered = probs
-		return rep, cerr
-	}
-	rep.Unrecovered = after
-	rep.Fixed = fsck.Subtract(probs, after)
-	return rep, nil
+	fs.rec.Recover(iron.RRepair, BTDir, "fsck removed dangling entry")
+	return fs.maybeCommit()
 }
 
-// logMetaDiff logs the byte ranges where want differs from the current
-// image of blk — record-level redo spans, the journaling style JFS is
-// known for. Runs are capped so every record fits a log block.
-func (fs *FS) logMetaDiff(blk int64, want []byte, bt iron.BlockType) (bool, error) {
-	cur, err := fs.readMeta(blk, bt)
-	if err != nil {
-		return false, err
+// ReclaimLocked implements fsck.Fixer: clear the table slot; the map
+// rebuild reclaims the bit and every block the orphan mapped.
+func (fs *FS) ReclaimLocked(o fsck.Object[*inode]) error {
+	if err := fs.clearInode(uint32(o.ID)); err != nil {
+		return err
 	}
+	fs.rec.Recover(iron.RRepair, BTInode, "fsck reclaimed orphan inode")
+	return fs.maybeCommit()
+}
+
+// SetLinksLocked implements fsck.Fixer.
+func (fs *FS) SetLinksLocked(o fsck.Object[*inode], links int) error {
+	o.Node.Links = uint16(links)
+	if err := fs.storeInode(uint32(o.ID), o.Node); err != nil {
+		return err
+	}
+	fs.rec.Recover(iron.RRepair, BTInode, "fsck corrected link count")
+	return fs.maybeCommit()
+}
+
+// logMetaDiff logs the byte ranges where want differs from cur, the
+// current image of blk — record-level redo spans, the journaling style JFS
+// is known for. Runs are capped so every record fits a log block.
+func (fs *FS) logMetaDiff(blk int64, cur, want []byte, bt iron.BlockType) error {
 	const maxRun = 1024
-	changed := false
 	for i := 0; i < BlockSize; {
 		if cur[i] == want[i] {
 			i++
@@ -81,127 +62,38 @@ func (fs *FS) logMetaDiff(blk int64, want []byte, bt iron.BlockType) (bool, erro
 			j++
 		}
 		if err := fs.logMeta(blk, i, want[i:j], bt); err != nil {
-			return changed, err
+			return err
 		}
-		changed = true
 		i = j
 	}
-	return changed, nil
+	return nil
 }
 
-// repairLocked applies the reconciliation. Tree fixes reuse the ordinary
-// record-level operations; the map rebuild and counters stage last.
-func (fs *FS) repairLocked() error {
-	var stats fsck.Stats
-	cs, err := fs.census(1, &stats)
+// relog logs the redo spans that bring the blocks of bm, which start at
+// block `start`, to what the census says they should be, and returns the
+// number of clear bits.
+func (fs *FS) relog(bm *fsck.Bitmap, start uint64, bt iron.BlockType, why string) (uint64, error) {
+	return bm.Rebuild(func(i int64, cur, want []byte) error {
+		if err := fs.logMetaDiff(int64(start)+i, cur, want, bt); err != nil {
+			return err
+		}
+		fs.rec.Recover(iron.RRepair, bt, why)
+		return nil
+	})
+}
+
+// RebuildMapsLocked implements fsck.Fixer: both allocation maps and the
+// lazy counters, in the commit that ends the pass.
+func (fs *FS) RebuildMapsLocked(c *fsck.Refs[*inode]) error {
+	freeInodes, err := fs.relog(fs.inodeMap(c), fs.sb.IMapStart, BTIMap, "fsck rebuilt inode map")
 	if err != nil {
 		return err
 	}
-
-	// Dangling entries: remove names whose inode slot is unallocated, in
-	// the directory-scan order the census saw them.
-	for _, e := range cs.entries {
-		if t, ok := cs.alloc[e.child]; ok && t != nil {
-			continue
-		}
-		if _, err := fs.dirRemove(cs.alloc[e.dir], e.name); err != nil {
-			return err
-		}
-		fs.rec.Recover(iron.RRepair, BTDir, "fsck removed dangling entry")
-		if err := fs.maybeCommit(); err != nil {
-			return err
-		}
-	}
-
-	// Orphan inodes: clear the table slot; the map rebuild below reclaims
-	// the bit and every block the orphan mapped.
-	for _, ino := range cs.order {
-		if ino == RootIno || cs.refs[ino] != 0 {
-			continue
-		}
-		if err := fs.clearInode(ino); err != nil {
-			return err
-		}
-		fs.rec.Recover(iron.RRepair, BTInode, "fsck reclaimed orphan inode")
-		if err := fs.maybeCommit(); err != nil {
-			return err
-		}
-	}
-
-	// Link counts (files only), measured against the post-reclaim table.
-	cs, err = fs.census(1, &stats)
+	free, err := fs.relog(fs.blockMap(c.Scan), fs.sb.BMapStart, BTBMap, "fsck rebuilt block map")
 	if err != nil {
 		return err
 	}
-	for _, ino := range cs.order {
-		if ino == RootIno {
-			continue
-		}
-		in := cs.alloc[ino]
-		n := cs.refs[ino]
-		if n == 0 || in.isDir() || int(in.Links) == n {
-			continue
-		}
-		in.Links = uint16(n)
-		if err := fs.storeInode(ino, in); err != nil {
-			return err
-		}
-		fs.rec.Recover(iron.RRepair, BTInode, "fsck corrected link count")
-		if err := fs.maybeCommit(); err != nil {
-			return err
-		}
-	}
-
-	// Rebuild both allocation maps and the lazy counters from the final
-	// census. Bits past the last inode / block stay zero, matching mkfs.
-	cs, err = fs.census(1, &stats)
-	if err != nil {
-		return err
-	}
-	total := uint32(int64(fs.sb.ITabLen) * InodesPB)
-	nim := (int64(total) + bitsPerBlock - 1) / bitsPerBlock
-	for i := int64(0); i < nim; i++ {
-		want := make([]byte, BlockSize)
-		for bit := int64(0); bit < bitsPerBlock; bit++ {
-			ino := uint32(i*bitsPerBlock + bit + 1)
-			if ino > total {
-				break
-			}
-			if _, ok := cs.alloc[ino]; ok {
-				want[bit/8] |= 1 << uint(bit%8)
-			}
-		}
-		changed, err := fs.logMetaDiff(int64(fs.sb.IMapStart)+i, want, BTIMap)
-		if err != nil {
-			return err
-		}
-		if changed {
-			fs.rec.Recover(iron.RRepair, BTIMap, "fsck rebuilt inode map")
-		}
-	}
-	var free uint64
-	for bm := int64(0); bm < int64(fs.sb.BMapLen); bm++ {
-		want := make([]byte, BlockSize)
-		for bit := int64(0); bit < bitsPerBlock; bit++ {
-			blk := bm*bitsPerBlock + bit
-			if blk >= int64(fs.sb.BlockCount) {
-				break
-			}
-			if _, reachable := cs.used[blk]; reachable || fs.fixedBlock(blk) {
-				want[bit/8] |= 1 << uint(bit%8)
-			} else {
-				free++
-			}
-		}
-		changed, err := fs.logMetaDiff(int64(fs.sb.BMapStart)+bm, want, BTBMap)
-		if err != nil {
-			return err
-		}
-		if changed {
-			fs.rec.Recover(iron.RRepair, BTBMap, "fsck rebuilt block map")
-		}
-	}
-	if freeInodes := uint64(total) - uint64(len(cs.order)); fs.imc.FreeInodes != freeInodes {
+	if fs.imc.FreeInodes != freeInodes {
 		fs.imc.FreeInodes = freeInodes
 		if err := fs.writeIMapCtl(); err != nil {
 			return err
@@ -218,29 +110,11 @@ func (fs *FS) repairLocked() error {
 	return fs.commitLocked()
 }
 
-// discardRepairLocked throws away whatever the failed repair pass staged
-// but had not committed — cache copies included, so later reads cannot
-// see half-finished fixes — and remounts read-only. Transactions the pass
-// already committed were each consistent, so the on-disk image is a valid
-// (if still damaged) volume.
-func (fs *FS) discardRepairLocked() {
-	for _, blk := range fs.tx.dirtyOrd {
-		fs.cache.Drop(blk)
-	}
-	for _, blk := range fs.tx.dataOrder {
-		fs.cache.Drop(blk)
-	}
+// AbortLocked implements fsck.Target: the running transaction goes, and
+// the volume remounts read-only. Transactions the pass already committed
+// were each consistent, so the on-disk image is a valid (if still damaged)
+// volume.
+func (fs *FS) AbortLocked() {
 	fs.tx = newTxn()
 	fs.remountRO(BTBMap, "consistency repair failed mid-pass")
-}
-
-// SetRepairHooks installs hooks bracketing future repair transactions
-// (nil uninstalls). Harness-only: install while the volume is quiet, not
-// during a concurrent repair.
-//
-//iron:traceok hook installer, not a repair phase: runs while the volume is quiet and touches no blocks
-func (fs *FS) SetRepairHooks(h *fsck.RepairHooks) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.repairHooks = h
 }

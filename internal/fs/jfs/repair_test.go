@@ -2,9 +2,11 @@ package jfs
 
 import (
 	"testing"
+
+	"ironfs/internal/fsck"
 )
 
-func hasKind(probs []Problem, kind string) bool {
+func hasKind(probs []fsck.Problem, kind string) bool {
 	for _, p := range probs {
 		if p.Kind == kind {
 			return true
@@ -28,7 +30,7 @@ func checkRepairConverges(t *testing.T, fs *FS, kind string) {
 	if err != nil {
 		t.Fatalf("Repair: %v (%+v)", err, rep)
 	}
-	if !rep.FullyRepaired() {
+	if !rep.AllFixed() {
 		t.Fatalf("repair left problems: %+v", rep)
 	}
 	probs, err = fs.CheckConsistency()

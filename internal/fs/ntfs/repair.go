@@ -1,197 +1,81 @@
 package ntfs
 
 import (
-	"bytes"
-	"fmt"
-
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
-	"ironfs/internal/vfs"
 )
 
-// Repair runs the consistency scan and fixes what it can: dangling
-// directory entries are removed, orphan MFT records reclaimed, file link
-// counts corrected, and both bitmaps rebuilt from the record flags and
-// block reachability. Fixes stage through the logfile in bounded
-// transactions, so every intermediate commit is itself a consistent
-// volume; the bitmap reconciliation stages last.
+// The repair primitives (fsck.Fixer): dangling directory entries are
+// removed, orphan MFT records reclaimed, file link counts corrected, and
+// both bitmaps rebuilt from the record flags and block reachability.
+// Fixes stage through the logfile in bounded transactions, so every
+// intermediate commit is itself a consistent volume; the bitmap
+// reconciliation stages last. A failed pass leaves the volume read-only
+// (NTFS's §5.4 "unusable" stop).
+
+// ReconcileLocked implements fsck.Target.
 //
-// On a mid-pass failure the uncommitted tail is discarded and the volume
-// degrades read-only (NTFS's §5.4 "unusable" stop), so the image is
-// always consistent-or-degraded, never half-repaired-and-healthy. After a
-// successful pass the volume is re-checked: problems with no automatic
-// fix are reported Unrecovered rather than claimed Fixed.
-func (fs *FS) Repair() (fsck.Report, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var rep fsck.Report
-	if !fs.mounted {
-		return rep, vfs.ErrNotMounted
+//iron:commitpoint the repair transaction sequence; its error means some part of the reconciliation did not reach disk
+func (fs *FS) ReconcileLocked() error { return fsck.Reconcile[*mftRecord](fs.tr, fs) }
+
+// RemoveEntryLocked implements fsck.Fixer.
+func (fs *FS) RemoveEntryLocked(c *fsck.Refs[*mftRecord], e fsck.Entry) error {
+	if _, err := fs.dirRemove(c.Node(e.Dir), e.Name); err != nil {
+		return err
 	}
-	if err := fs.health.CheckWrite(); err != nil {
-		return rep, err
-	}
-	probs, _, err := fs.checkLocked(1)
-	rep.Found = probs
-	if err != nil {
-		// The scan itself failed; nothing was staged, but the found
-		// problems (if any) are not fixable this pass.
-		rep.Unrecovered = probs
-		return rep, err
-	}
-	if len(probs) == 0 {
-		return rep, nil
-	}
-	fs.tr.Phase("fsck:reconcile", fmt.Sprintf("problems=%d", len(probs)))
-	fs.repairHooks.EnterRepair()
-	err = fs.repairLocked()
-	fs.repairHooks.ExitRepair()
-	if err != nil {
-		fs.discardRepairLocked()
-		rep.Unrecovered = probs
-		return rep, err
-	}
-	after, _, cerr := fs.checkLocked(1)
-	if cerr != nil {
-		rep.Unrecovered = probs
-		return rep, cerr
-	}
-	rep.Unrecovered = after
-	rep.Fixed = fsck.Subtract(probs, after)
-	return rep, nil
+	fs.rec.Recover(iron.RRepair, BTDir, "fsck removed dangling entry")
+	return fs.maybeCommit()
 }
 
-// repairLocked applies the reconciliation. Record fixes reuse the
-// ordinary staged operations; the bitmap rebuild stages last and commits
-// with whatever tail remains.
-func (fs *FS) repairLocked() error {
-	var stats fsck.Stats
-	cs, err := fs.census(1, &stats)
-	if err != nil {
+// ReclaimLocked implements fsck.Fixer: clear the slot; the bitmap rebuild
+// reclaims the MFT bit and every block the orphan mapped.
+func (fs *FS) ReclaimLocked(o fsck.Object[*mftRecord]) error {
+	if err := fs.clearRecord(uint32(o.ID)); err != nil {
 		return err
 	}
+	fs.rec.Recover(iron.RRepair, BTMFT, "fsck reclaimed orphan record")
+	return fs.maybeCommit()
+}
 
-	// Dangling entries: remove names whose record slot is free, in the
-	// directory-scan order the census saw them.
-	for _, e := range cs.entries {
-		if _, ok := cs.inUse[e.child]; ok {
-			continue
-		}
-		if _, err := fs.dirRemove(cs.inUse[e.dir], e.name); err != nil {
-			return err
-		}
-		fs.rec.Recover(iron.RRepair, BTDir, "fsck removed dangling entry")
-		if err := fs.maybeCommit(); err != nil {
-			return err
-		}
-	}
-
-	// Orphan records: clear the slot; the bitmap rebuild below reclaims
-	// the MFT bit and every block the orphan mapped.
-	for _, rec := range cs.order {
-		if rec == 0 || rec == RootRec || cs.refs[rec] != 0 {
-			continue
-		}
-		if err := fs.clearRecord(rec); err != nil {
-			return err
-		}
-		fs.rec.Recover(iron.RRepair, BTMFT, "fsck reclaimed orphan record")
-		if err := fs.maybeCommit(); err != nil {
-			return err
-		}
-	}
-
-	// Link counts (files only), measured against the post-reclaim MFT.
-	cs, err = fs.census(1, &stats)
-	if err != nil {
+// SetLinksLocked implements fsck.Fixer.
+func (fs *FS) SetLinksLocked(o fsck.Object[*mftRecord], links int) error {
+	o.Node.Links = uint16(links)
+	if err := fs.storeRecord(uint32(o.ID), o.Node); err != nil {
 		return err
 	}
-	for _, rec := range cs.order {
-		if rec == 0 || rec == RootRec {
-			continue
-		}
-		r := cs.inUse[rec]
-		n := cs.refs[rec]
-		if n == 0 || r.isDir() || int(r.Links) == n {
-			continue
-		}
-		r.Links = uint16(n)
-		if err := fs.storeRecord(rec, r); err != nil {
-			return err
-		}
-		fs.rec.Recover(iron.RRepair, BTMFT, "fsck corrected link count")
-		if err := fs.maybeCommit(); err != nil {
-			return err
-		}
-	}
+	fs.rec.Recover(iron.RRepair, BTMFT, "fsck corrected link count")
+	return fs.maybeCommit()
+}
 
-	// Rebuild both bitmaps from the final census. NTFS keeps no free
-	// counters, so the bitmaps are the whole reconciliation.
-	cs, err = fs.census(1, &stats)
-	if err != nil {
+// restage stages the blocks of bm, which start at block `start`, whose
+// image is not what the census says it should be.
+func (fs *FS) restage(bm *fsck.Bitmap, start uint64, bt iron.BlockType, why string) error {
+	_, err := bm.Rebuild(func(i int64, _, want []byte) error {
+		fs.stageMeta(int64(start)+i, want, bt)
+		fs.rec.Recover(iron.RRepair, bt, why)
+		return nil
+	})
+	return err
+}
+
+// RebuildMapsLocked implements fsck.Fixer: both bitmaps, in the commit
+// that ends the pass. NTFS keeps no free counters, so the bitmaps are the
+// whole reconciliation.
+func (fs *FS) RebuildMapsLocked(c *fsck.Refs[*mftRecord]) error {
+	if err := fs.restage(fs.mftBitmap(c), fs.boot.MFTBmp, BTMFTBmp, "fsck rebuilt MFT bitmap"); err != nil {
 		return err
 	}
-	total := uint32(int64(fs.boot.MFTLen) * RecsPB)
-	cur, err := fs.readBlockRetry(int64(fs.boot.MFTBmp), BTMFTBmp)
-	if err != nil {
+	if err := fs.restage(fs.volBitmap(c.Scan), fs.boot.VolBmpStart, BTVolBmp, "fsck rebuilt volume bitmap"); err != nil {
 		return err
-	}
-	want := make([]byte, BlockSize)
-	for rec := uint32(0); rec < total; rec++ {
-		if _, ok := cs.inUse[rec]; ok {
-			want[rec/8] |= 1 << uint(rec%8)
-		}
-	}
-	if !bytes.Equal(cur, want) {
-		fs.stageMeta(int64(fs.boot.MFTBmp), want, BTMFTBmp)
-		fs.rec.Recover(iron.RRepair, BTMFTBmp, "fsck rebuilt MFT bitmap")
-	}
-	for bm := int64(0); bm < int64(fs.boot.VolBmpLen); bm++ {
-		cur, err := fs.readBlockRetry(int64(fs.boot.VolBmpStart)+bm, BTVolBmp)
-		if err != nil {
-			return err
-		}
-		want := make([]byte, BlockSize)
-		for bit := int64(0); bit < bitsPerBlock; bit++ {
-			blk := bm*bitsPerBlock + bit
-			if blk >= int64(fs.boot.BlockCount) {
-				break
-			}
-			if _, reachable := cs.used[blk]; reachable || fs.fixedBlock(blk) {
-				want[bit/8] |= 1 << uint(bit%8)
-			}
-		}
-		if !bytes.Equal(cur, want) {
-			fs.stageMeta(int64(fs.boot.VolBmpStart)+bm, want, BTVolBmp)
-			fs.rec.Recover(iron.RRepair, BTVolBmp, "fsck rebuilt volume bitmap")
-		}
 	}
 	return fs.commitLocked()
 }
 
-// discardRepairLocked throws away whatever the failed repair pass staged
-// but had not committed — cache copies included, so later reads cannot
-// see half-finished fixes — and marks the volume unusable. Transactions
-// the pass already committed were each consistent, so the on-disk image
-// is a valid (if still damaged) volume.
-func (fs *FS) discardRepairLocked() {
-	for _, blk := range fs.tx.metaOrder {
-		fs.cache.Drop(blk)
-	}
-	for _, blk := range fs.tx.dataOrder {
-		fs.cache.Drop(blk)
-	}
+// AbortLocked implements fsck.Target: the running transaction goes, and
+// the volume is marked unusable. Transactions the pass already committed
+// were each consistent, so the on-disk image is a valid (if still damaged)
+// volume.
+func (fs *FS) AbortLocked() {
 	fs.tx = newTxn()
 	fs.unmountable(BTVolBmp, "consistency repair failed mid-pass")
-}
-
-// SetRepairHooks installs hooks bracketing future repair transactions
-// (nil uninstalls). Harness-only: install while the volume is quiet, not
-// during a concurrent repair.
-//
-//iron:traceok hook installer, not a repair phase: runs while the volume is quiet and touches no blocks
-func (fs *FS) SetRepairHooks(h *fsck.RepairHooks) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.repairHooks = h
 }

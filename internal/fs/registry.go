@@ -3,9 +3,9 @@
 // "reiserfs", "jfs", "ntfs", "ixt3" — and get back the same four verbs for
 // each: Mkfs, New/Mount, Check, NewResolver. Before this registry existed,
 // every tool carried its own per-FS switch statement and each FS exposed a
-// differently-shaped oracle (ext3.CheckImage took ext3.Options, ixt3.Check
-// took ixt3.Features, the other three took nothing); the registry absorbs
-// those shapes behind one Options struct with per-FS validation, so a flag
+// differently-shaped constructor and oracle (ext3's took ext3.Options,
+// ixt3's took ixt3.Features, the other three took nothing); the registry
+// absorbs those shapes behind one Options struct with per-FS validation, so a flag
 // parsed by a CLI maps 1:1 onto a field here and an unsupported
 // combination fails loudly at mount time instead of being silently
 // ignored.
@@ -62,16 +62,21 @@ func (o Options) ext3Options() ext3.Options {
 // Checker is the unified consistency oracle: Check mounts (replaying any
 // journal) and walks the image, returning nil for a consistent image,
 // vfs.ErrInconsistent (possibly wrapped) for structural damage, or another
-// error when the image cannot be examined at all. It absorbs the five
-// per-FS oracle shapes (ext3.CheckImage, ixt3.Check, reiser.Check,
-// jfs.Check, ntfs.Check).
+// error when the image cannot be examined at all. Every file system's
+// oracle is the same sequence, fsck.Driver's Oracle, over a fresh instance.
 type Checker interface {
 	Check(dev disk.Device) error
 }
 
-type checkerFunc func(disk.Device) error
+// checker is the Checker of one (file system, options) pair.
+type checker struct {
+	e    *entry
+	opts Options
+}
 
-func (f checkerFunc) Check(dev disk.Device) error { return f(dev) }
+func (c checker) Check(dev disk.Device) error {
+	return c.e.newFS(dev, c.opts, iron.NewRecorder()).(interface{ Oracle() error }).Oracle()
+}
 
 // entry is one registered file system.
 type entry struct {
@@ -80,7 +85,6 @@ type entry struct {
 	validate func(Options) error
 	mkfs     func(disk.Device, Options) error
 	newFS    func(disk.Device, Options, *iron.Recorder) vfs.FileSystem
-	check    func(disk.Device, Options) error
 	resolver func(*disk.Disk) faultinject.TypeResolver
 	health   func(vfs.FileSystem) (vfs.HealthState, bool)
 }
@@ -156,7 +160,6 @@ var registry = []entry{
 		newFS: func(dev disk.Device, o Options, rec *iron.Recorder) vfs.FileSystem {
 			return ext3.New(dev, o.ext3Options(), rec)
 		},
-		check:    func(dev disk.Device, o Options) error { return ext3.CheckImage(dev, o.ext3Options()) },
 		resolver: func(raw *disk.Disk) faultinject.TypeResolver { return ext3.NewResolver(raw) },
 		health:   ext3Health,
 	},
@@ -170,7 +173,6 @@ var registry = []entry{
 			f.SetNoAtime(o.NoAtime)
 			return f
 		},
-		check:    func(dev disk.Device, o Options) error { return reiser.Check(dev) },
 		resolver: func(raw *disk.Disk) faultinject.TypeResolver { return reiser.NewResolver(raw) },
 		health: func(fsys vfs.FileSystem) (vfs.HealthState, bool) {
 			if f, ok := fsys.(*reiser.FS); ok {
@@ -189,7 +191,6 @@ var registry = []entry{
 			f.SetNoAtime(o.NoAtime)
 			return f
 		},
-		check:    func(dev disk.Device, o Options) error { return jfs.Check(dev) },
 		resolver: func(raw *disk.Disk) faultinject.TypeResolver { return jfs.NewResolver(raw) },
 		health: func(fsys vfs.FileSystem) (vfs.HealthState, bool) {
 			if f, ok := fsys.(*jfs.FS); ok {
@@ -208,7 +209,6 @@ var registry = []entry{
 			f.SetNoAtime(o.NoAtime)
 			return f
 		},
-		check:    func(dev disk.Device, o Options) error { return ntfs.Check(dev) },
 		resolver: func(raw *disk.Disk) faultinject.TypeResolver { return ntfs.NewResolver(raw) },
 		health: func(fsys vfs.FileSystem) (vfs.HealthState, bool) {
 			if f, ok := fsys.(*ntfs.FS); ok {
@@ -228,10 +228,6 @@ var registry = []entry{
 		newFS: func(dev disk.Device, o Options, rec *iron.Recorder) vfs.FileSystem {
 			o.FixBugs = true
 			return ext3.New(dev, o.ext3Options(), rec)
-		},
-		check: func(dev disk.Device, o Options) error {
-			o.FixBugs = true
-			return ext3.CheckImage(dev, o.ext3Options())
 		},
 		resolver: func(raw *disk.Disk) faultinject.TypeResolver { return ext3.NewResolver(raw) },
 		health:   ext3Health,
@@ -318,8 +314,7 @@ func NewChecker(name string, opts Options) (Checker, error) {
 	if err := e.validate(opts); err != nil {
 		return nil, err
 	}
-	check := e.check
-	return checkerFunc(func(dev disk.Device) error { return check(dev, opts) }), nil
+	return checker{e, opts}, nil
 }
 
 // Check runs the named file system's consistency oracle once.

@@ -1,169 +1,62 @@
 package reiser
 
 import (
-	"bytes"
-	"fmt"
-
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
-	"ironfs/internal/vfs"
 )
 
-// Repair runs the consistency scan and fixes what it can: dangling
-// directory entries are removed, orphan objects reclaimed, file link
-// counts corrected, and the allocation bitmaps and free counter rebuilt
-// from tree reachability. Fixes stage through the journal in bounded
-// transactions — every intermediate commit is itself a consistent tree —
-// with the bitmap/counter reconciliation as the final atomic commit.
+// The repair primitives (fsck.Fixer): dangling directory entries are
+// removed, orphan objects reclaimed, file link counts corrected, and the
+// allocation bitmaps and free counter rebuilt from tree reachability.
+// Tree fixes reuse the ordinary object operations, so they stage through
+// the journal in bounded transactions — every intermediate commit is
+// itself a consistent tree — with the bitmap/counter reconciliation as
+// the final atomic commit. A failed pass panics the volume (ReiserFS's
+// §5.2 write-failure policy).
+
+// ReconcileLocked implements fsck.Target.
 //
-// On a mid-pass failure the uncommitted tail is discarded and the volume
-// panics (ReiserFS's §5.2 write-failure policy), so the image is always
-// consistent-or-degraded, never half-repaired-and-healthy. After a
-// successful pass the volume is re-checked: problems with no automatic
-// fix are reported Unrecovered rather than claimed Fixed.
-func (fs *FS) Repair() (fsck.Report, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var rep fsck.Report
-	if !fs.mounted {
-		return rep, vfs.ErrNotMounted
+//iron:commitpoint the repair transaction sequence; its error means some part of the reconciliation did not reach disk
+func (fs *FS) ReconcileLocked() error { return fsck.Reconcile[statData](fs.tr, fs) }
+
+// RemoveEntryLocked implements fsck.Fixer.
+func (fs *FS) RemoveEntryLocked(_ *fsck.Refs[statData], e fsck.Entry) error {
+	if _, err := fs.dirRemoveEntry(refOf(e.Dir), e.Name); err != nil {
+		return err
 	}
-	if err := fs.health.CheckWrite(); err != nil {
-		return rep, err
-	}
-	probs, _, err := fs.checkLocked(1)
-	rep.Found = probs
-	if err != nil {
-		// The scan itself failed; nothing was staged, but the found
-		// problems (if any) are not fixable this pass.
-		rep.Unrecovered = probs
-		return rep, err
-	}
-	if len(probs) == 0 {
-		return rep, nil
-	}
-	fs.tr.Phase("fsck:reconcile", fmt.Sprintf("problems=%d", len(probs)))
-	fs.repairHooks.EnterRepair()
-	err = fs.repairLocked()
-	fs.repairHooks.ExitRepair()
-	if err != nil {
-		fs.discardRepairLocked()
-		rep.Unrecovered = probs
-		return rep, err
-	}
-	after, _, cerr := fs.checkLocked(1)
-	if cerr != nil {
-		rep.Unrecovered = probs
-		return rep, cerr
-	}
-	rep.Unrecovered = after
-	rep.Fixed = fsck.Subtract(probs, after)
-	return rep, nil
+	fs.rec.Recover(iron.RRepair, BTDirItem, "fsck removed dangling entry")
+	return fs.maybeCommit()
 }
 
-// repairLocked applies the reconciliation. Tree fixes reuse the ordinary
-// object operations (so they stage and auto-commit like any mutation);
-// the bitmap rebuild and superblock counter stage last and commit
-// together.
-func (fs *FS) repairLocked() error {
-	cs, err := fs.census()
-	if err != nil {
+// ReclaimLocked implements fsck.Fixer.
+func (fs *FS) ReclaimLocked(o fsck.Object[statData]) error {
+	if err := fs.removeObject(refOf(o.ID)); err != nil {
 		return err
 	}
+	fs.rec.Recover(iron.RRepair, BTStat, "fsck reclaimed orphan object")
+	return fs.maybeCommit()
+}
 
-	// Dangling entries: remove names whose object has no stat item, in
-	// the tree order the census saw them.
-	for _, e := range cs.entries {
-		if _, ok := cs.stats[e.child]; ok {
-			continue
-		}
-		if _, err := fs.dirRemoveEntry(e.parent, e.name); err != nil {
-			return err
-		}
-		fs.rec.Recover(iron.RRepair, BTDirItem, "fsck removed dangling entry")
-		if err := fs.maybeCommit(); err != nil {
-			return err
-		}
-	}
-
-	// Orphan objects: reclaim stat items no directory references.
-	root := rootRef()
-	var rs []objRef
-	for r := range cs.stats {
-		rs = append(rs, r)
-	}
-	sortObjRefs(rs)
-	for _, r := range rs {
-		if r == root || cs.refs[r] != 0 {
-			continue
-		}
-		if err := fs.removeObject(r); err != nil {
-			return err
-		}
-		fs.rec.Recover(iron.RRepair, BTStat, "fsck reclaimed orphan object")
-		if err := fs.maybeCommit(); err != nil {
-			return err
-		}
-	}
-
-	// Link counts (files only), measured against the post-reclaim tree.
-	cs, err = fs.census()
-	if err != nil {
+// SetLinksLocked implements fsck.Fixer.
+func (fs *FS) SetLinksLocked(o fsck.Object[statData], links int) error {
+	o.Node.Links = uint16(links)
+	if err := fs.putStat(refOf(o.ID), &o.Node); err != nil {
 		return err
 	}
-	rs = rs[:0]
-	for r := range cs.stats {
-		rs = append(rs, r)
-	}
-	sortObjRefs(rs)
-	for _, r := range rs {
-		if r == root {
-			continue
-		}
-		sd := cs.stats[r]
-		n := cs.refs[r]
-		if n == 0 || sd.isDir() || int(sd.Links) == n {
-			continue
-		}
-		sd.Links = uint16(n)
-		if err := fs.putStat(r, &sd); err != nil {
-			return err
-		}
-		fs.rec.Recover(iron.RRepair, BTStat, "fsck corrected link count")
-		if err := fs.maybeCommit(); err != nil {
-			return err
-		}
-	}
+	fs.rec.Recover(iron.RRepair, BTStat, "fsck corrected link count")
+	return fs.maybeCommit()
+}
 
-	// Rebuild the allocation bitmaps and the free counter from the final
-	// census; the bitmap images and the superblock commit as one
-	// transaction. Bits past BlockCount stay zero, matching mkfs.
-	cs, err = fs.census()
+// RebuildMapsLocked implements fsck.Fixer: the bitmap images and the
+// superblock's free counter commit as one transaction.
+func (fs *FS) RebuildMapsLocked(c *fsck.Refs[statData]) error {
+	free, err := fs.bitmap(c.Scan).Rebuild(func(i int64, _, want []byte) error {
+		fs.stageMeta(int64(fs.sb.BitmapStart)+i, want, BTBitmap)
+		fs.rec.Recover(iron.RRepair, BTBitmap, "fsck rebuilt allocation bitmap")
+		return nil
+	})
 	if err != nil {
 		return err
-	}
-	var free uint64
-	for bm := int64(0); bm < int64(fs.sb.BitmapLen); bm++ {
-		cur, err := fs.readMetaBlock(int64(fs.sb.BitmapStart)+bm, BTBitmap)
-		if err != nil {
-			return err
-		}
-		buf := make([]byte, BlockSize)
-		for bit := int64(0); bit < bitsPerBlock; bit++ {
-			blk := bm*bitsPerBlock + bit
-			if blk >= int64(fs.sb.BlockCount) {
-				break
-			}
-			if _, reachable := cs.used[blk]; reachable || fs.fixedBlock(blk) {
-				buf[bit/8] |= 1 << uint(bit%8)
-			} else {
-				free++
-			}
-		}
-		if !bytes.Equal(cur, buf) {
-			fs.stageMeta(int64(fs.sb.BitmapStart)+bm, buf, BTBitmap)
-			fs.rec.Recover(iron.RRepair, BTBitmap, "fsck rebuilt allocation bitmap")
-		}
 	}
 	if fs.sb.FreeBlocks != free {
 		fs.sb.FreeBlocks = free
@@ -173,30 +66,11 @@ func (fs *FS) repairLocked() error {
 	return fs.commitLocked()
 }
 
-// discardRepairLocked throws away whatever the failed repair pass staged
-// but had not committed — cache copies included, so later reads cannot
-// see half-finished fixes — and panics the volume. Transactions the pass
-// already committed were each consistent, so the image on disk is a valid
-// (if still damaged) tree.
-func (fs *FS) discardRepairLocked() {
-	for _, blk := range fs.tx.metaOrder {
-		fs.cache.Drop(blk)
-	}
-	for _, blk := range fs.tx.dataOrder {
-		fs.cache.Drop(blk)
-	}
+// AbortLocked implements fsck.Target: the running transaction goes, and
+// the volume panics. Transactions the pass already committed were each
+// consistent, so the image on disk is a valid (if still damaged) tree.
+func (fs *FS) AbortLocked() {
 	fs.tx = newTxn()
 	fs.sbDirty = false
 	fs.panicFS(BTBitmap, "consistency repair failed mid-pass")
-}
-
-// SetRepairHooks installs hooks bracketing future repair transactions
-// (nil uninstalls). Harness-only: install while the volume is quiet, not
-// during a concurrent repair.
-//
-//iron:traceok hook installer, not a repair phase: runs while the volume is quiet and touches no blocks
-func (fs *FS) SetRepairHooks(h *fsck.RepairHooks) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.repairHooks = h
 }

@@ -17,15 +17,15 @@ type RepairHooks struct {
 	End func()
 }
 
-// EnterRepair invokes Begin, nil-safely.
-func (h *RepairHooks) EnterRepair() {
+// enter invokes Begin, nil-safely.
+func (h *RepairHooks) enter() {
 	if h != nil && h.Begin != nil {
 		h.Begin()
 	}
 }
 
-// ExitRepair invokes End, nil-safely.
-func (h *RepairHooks) ExitRepair() {
+// exit invokes End, nil-safely.
+func (h *RepairHooks) exit() {
 	if h != nil && h.End != nil {
 		h.End()
 	}

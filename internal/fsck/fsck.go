@@ -1,14 +1,20 @@
-// Package fsck holds the shared vocabulary of the unified check-and-repair
-// subsystem (the paper's §3.1 "checking across blocks ... similar to fsck"
-// and §3.3 RRepair): the Problem/Report types every file system's
-// consistency pass speaks, per-phase work accounting for the parallel
-// pipeline, and a deterministic worker pool.
+// Package fsck is the check-and-repair skeleton every file system runs on
+// (the paper's §3.1 "checking across blocks ... similar to fsck" and §3.3
+// RRepair). What differs between ext3, ReiserFS, JFS and NTFS is what a
+// volume is made of and how a fix is staged — not how a scan's stages are
+// merged, what makes a block pointer wild, how a bitmap is verified, or in
+// what order a repair gates, scans, reconciles, gives up and re-scans. All
+// of that is stated once, here: Driver is the sequence (a file system
+// embeds it and implements Target), Scan the state of one scan, Stage the
+// one parallel stage runner, Bitmap one allocation map's verify and
+// rebuild, Refs and Reconcile the reference cross-check and repair order
+// of the file systems whose objects are named by directory entries.
 //
 // Determinism is the load-bearing property. pFSCK-style parallelism is only
 // trustworthy if the parallel check returns the *identical* problem list as
 // the serial one, so Map assigns tasks to workers statically (worker w runs
 // tasks i ≡ w mod W) and returns results indexed by task, never by
-// completion order. Callers merge per-task results in task order; the
+// completion order. Stage merges per-task results in task order; the
 // goroutine schedule can then reorder disk accesses but never the verdict.
 package fsck
 
@@ -41,8 +47,8 @@ type Report struct {
 }
 
 // Subtract returns the problems in found that do not appear in remaining,
-// compared by rendered string. Repair implementations use it to split
-// Found into Fixed and Unrecovered after the post-repair re-check.
+// compared by rendered string. Repair uses it to split Found into Fixed
+// and Unrecovered after the post-repair re-scan.
 func Subtract(found, remaining []Problem) []Problem {
 	if len(remaining) == 0 {
 		return found
@@ -63,8 +69,8 @@ func Subtract(found, remaining []Problem) []Problem {
 // Clean reports whether the pre-repair check found nothing.
 func (r Report) Clean() bool { return len(r.Found) == 0 }
 
-// FullyRepaired reports whether every found problem was fixed.
-func (r Report) FullyRepaired() bool { return len(r.Unrecovered) == 0 }
+// AllFixed reports whether every found problem was fixed.
+func (r Report) AllFixed() bool { return len(r.Unrecovered) == 0 }
 
 // Phase is the work accounting of one pipeline stage: how many units
 // (blocks or table slots examined) each worker processed. Because Map's

@@ -59,12 +59,12 @@ func TestStatsAdd(t *testing.T) {
 
 func TestReportPredicates(t *testing.T) {
 	var r Report
-	if !r.Clean() || !r.FullyRepaired() {
+	if !r.Clean() || !r.AllFixed() {
 		t.Error("empty report should be clean and fully repaired")
 	}
 	r.Found = []Problem{{Kind: "k", Detail: "d"}}
 	r.Unrecovered = r.Found
-	if r.Clean() || r.FullyRepaired() {
+	if r.Clean() || r.AllFixed() {
 		t.Error("unrecovered report misclassified")
 	}
 	if got := r.Found[0].String(); got != "k: d" {

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Pre-merge gate: formatting, vet, build, race-enabled tests, the resolver,
 # dispatch, lookup and checksum cost benchmarks, the bench/ module's own vet
-# and tests, the committed ironload pin, and ironvet (the multi-pass
-# crash-consistency analyzer suite; see docs/ANALYSIS.md).
+# and tests, the fsck lock, the committed ironload pin, and ironvet (the
+# multi-pass crash-consistency analyzer suite; see docs/ANALYSIS.md).
 # ironvet analyzes the whole module: errprop and lockcheck guard error
 # propagation and lock/I-O discipline, txcheck pins metadata writes to the
 # journal machinery, degradecheck forbids success-before-commit-check
@@ -81,6 +81,34 @@ fi
 "$vetdir/ironhunt" -quick -fs ext3-nobarrier -json > "$vetdir/hunt2.json" || true
 cmp "$vetdir/hunt1.json" "$vetdir/hunt2.json" || {
 	echo "check: ironhunt output is nondeterministic between identical runs" >&2
+	exit 1
+}
+
+# fsck gate (docs/FSCK.md): the check-and-repair skeleton is locked by
+# what it does to the disk. Crashing each file system's repair at every
+# device write must leave fsck idempotent (exit 0) and two runs must emit
+# byte-identical JSON — the crash points are the repair's write sequence;
+# the 7-worker check of the damaged images must find the damage (exit 1)
+# with each of the five problem lists identical to its serial scan's; and
+# the repair must bring all five volumes back to clean (exit 0). The
+# BENCH_2.json pin is held by TestFsckBenchMatchesPin in the race run
+# above.
+"$vetdir/ironhunt" -fsck -json > "$vetdir/fsckhunt1.json"
+"$vetdir/ironhunt" -fsck -json > "$vetdir/fsckhunt2.json"
+cmp "$vetdir/fsckhunt1.json" "$vetdir/fsckhunt2.json" || {
+	echo "check: ironhunt -fsck output is nondeterministic between identical runs" >&2
+	exit 1
+}
+go build -o "$vetdir/ironfsck" ./cmd/ironfsck
+code=0
+"$vetdir/ironfsck" -parallel 7 check > "$vetdir/fsck-check.txt" || code=$?
+if [ "$code" -ne 1 ] || [ "$(grep -c 'identical to serial' "$vetdir/fsck-check.txt")" -ne 5 ]; then
+	echo "check: ironfsck -parallel 7 check: exit $code, want 1 with five lists identical to serial" >&2
+	cat "$vetdir/fsck-check.txt" >&2
+	exit 1
+fi
+"$vetdir/ironfsck" -parallel 4 repair > /dev/null || {
+	echo "check: ironfsck repair left a volume damaged" >&2
 	exit 1
 }
 
