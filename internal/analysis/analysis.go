@@ -201,7 +201,7 @@ func DefaultConfig() Config {
 		DegradeMethods: []string{"Degrade"},
 		SuccessFields:  []string{"Fixed", "Repaired"},
 
-		LockPkgs: []string{"ironfs/internal/fs", "ironfs/internal/faultinject", "ironfs/internal/journal", "ironfs/internal/sched", "ironfs/internal/bcache", "ironfs/internal/fsck", "ironfs/internal/serve"},
+		LockPkgs: []string{"ironfs/internal/fs", "ironfs/internal/faultinject", "ironfs/internal/journal", "ironfs/internal/sched", "ironfs/internal/bcache", "ironfs/internal/fsck", "ironfs/internal/namei", "ironfs/internal/serve"},
 
 		TracePkg:         "ironfs/internal/trace",
 		TracerType:       "Tracer",

@@ -159,6 +159,7 @@ func TestDegradecheckFixtures(t *testing.T) {
 		"cksum_verify_gap.go",
 		"repair_fixed_before_commit.go",
 		"driver_fixed_before_reconcile.go",
+		"namespace_ok_before_commit.go",
 	} {
 		if perFile[bug] == 0 {
 			t.Errorf("pre-fix bug shape in %s produced no degradecheck finding", bug)

@@ -175,7 +175,7 @@ func (d *degradecheck) commitpoint(f *types.Func) bool {
 		if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
 			for _, fi := range d.ctx.funcs {
 				recv := fi.obj.Type().(*types.Signature).Recv()
-				if fi.obj.Name() != f.Name() || recv == nil || !types.Implements(recv.Type(), iface) {
+				if fi.obj.Name() != f.Name() || recv == nil || !implements(recv.Type(), sig.Recv().Type(), iface) {
 					continue
 				}
 				impls++
@@ -187,6 +187,31 @@ func (d *degradecheck) commitpoint(f *types.Func) bool {
 	}
 	d.commitpoints[f] = impls > 0 && commits == impls
 	return d.commitpoints[f]
+}
+
+// implements reports whether t implements the interface named by recv. A
+// generic interface (namei.Store[R, N]) is called inside generic code,
+// where its type arguments are the caller's own type parameters and no
+// concrete type satisfies it; there t implements it when it has a method
+// of every name the interface lists, with the same number of parameters
+// and results.
+func implements(t, recv types.Type, iface *types.Interface) bool {
+	if named, ok := recv.(*types.Named); !ok || named.TypeArgs().Len() == 0 {
+		return types.Implements(t, iface)
+	}
+	ms := types.NewMethodSet(t)
+	for i := 0; i < iface.NumMethods(); i++ {
+		m := iface.Method(i)
+		sel := ms.Lookup(m.Pkg(), m.Name())
+		if sel == nil {
+			return false
+		}
+		have, want := sel.Type().(*types.Signature), m.Type().(*types.Signature)
+		if have.Params().Len() != want.Params().Len() || have.Results().Len() != want.Results().Len() {
+			return false
+		}
+	}
+	return true
 }
 
 // pendingErr is one bound-but-unexamined commit/repair-write error.

@@ -79,3 +79,12 @@ func (d *driver) driverReconcilesThenCounts(found int) (Report, error) {
 	err := d.t.describe()
 	return rep, err
 }
+
+// setattrCommitsThenAnswers hands the commit funnel's error, reached
+// through the generic store interface, straight to its caller.
+func (ns *namespace[R]) setattrCommitsThenAnswers(ref R) error {
+	if err := ns.s.storeNode(ref); err != nil {
+		return err
+	}
+	return ns.s.maybeCommit()
+}

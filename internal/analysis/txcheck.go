@@ -28,7 +28,7 @@ import (
 //
 // The second rule is one level deep on purpose: a transitive version
 // would flag every operation that (correctly) reaches the journal through
-// maybeCommit. Deliberate raw writes outside the machinery carry
+// MaybeCommitLocked. Deliberate raw writes outside the machinery carry
 // //iron:txok on the call line or the enclosing function. The directive
 // validator reports //iron:txentry annotations that no longer attach to a
 // function, so the sanctioned-entry-point list cannot rot.

@@ -1,5 +1,5 @@
 // Package cli factors out the flag vocabulary and I/O plumbing shared by
-// every command in this repository. The nine mains each grew their own
+// every command in this repository. The eleven mains each grew their own
 // copies of the same four idioms — a validated -fs name (with "all"
 // fan-out), -seed defaulting to the fault layer's fixed seed, -trace
 // NDJSON wiring ("-" = stdout, buffered file otherwise), and

@@ -136,7 +136,7 @@ func (fs *FS) dirIsEmpty(in *inode) (bool, error) {
 }
 
 // dirAdd inserts (name → ino). dirIno is the directory's inode number and
-// in its in-memory inode, which may gain a block (caller must storeInode).
+// in its in-memory inode, which may gain a block (caller must StoreLocked).
 func (fs *FS) dirAdd(dirIno uint32, in *inode, name string, ino uint32, ftype byte) error {
 	if len(name) > vfs.MaxNameLen {
 		return vfs.ErrNameTooLong

@@ -235,7 +235,7 @@ func TestDirLookupStopsQuietlyLikeReference(t *testing.T) {
 
 func mustInode(t *testing.T, fs *FS, ino uint32) *inode {
 	t.Helper()
-	in, err := fs.loadInode(ino)
+	in, err := fs.LoadLocked(ino)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
 	"ironfs/internal/journal"
+	"ironfs/internal/namei"
 	"ironfs/internal/trace"
 	"ironfs/internal/vfs"
 )
@@ -42,8 +43,7 @@ type FS struct {
 	jhead       int64 // region-relative next free journal block
 	pending     pendingState
 	rmapScanned bool
-	parityskip  bool  // whole-file truncate: parity reset, not folded
-	timeCtr     int64 // logical clock for timestamps
+	parityskip  bool // whole-file truncate: parity reset, not folded
 
 	// jn owns the commit sequence space and coordinates the committer
 	// with its fsync waiters; FS implements its journal.Committer.
@@ -61,6 +61,10 @@ type FS struct {
 	// its fsck.Target. It sits last so the fields the read path touches
 	// keep the cache lines they had.
 	fsck.Driver
+
+	// Namespace is the path walk and the lookup and attribute operations
+	// of vfs.FileSystem; FS implements its namei.Store. Last, like Driver.
+	namei.Namespace[uint32, *inode]
 }
 
 // assert the interface is satisfied.
@@ -80,24 +84,12 @@ func New(dev disk.Device, opts Options, rec *iron.Recorder) *FS {
 	fs.cache.SetTracer(fs.tr)
 	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
 	fs.Driver = fsck.New(fs, fsck.Volume{Label: "ext3", Mu: &fs.mu, Health: &fs.health, Tracer: fs.tr, Cache: fs.cache, Lazy: lazyKinds})
+	fs.Namespace = namei.New[uint32, *inode](fs, namei.Volume{Mu: &fs.mu, RMu: fs.mu.RLocker(), Health: &fs.health, Journal: fs.jn})
 	return fs
 }
 
 // Options returns the options the instance was created with.
 func (fs *FS) Options() Options { return fs.opts }
-
-// Health returns the current RStop state of the file system.
-func (fs *FS) Health() vfs.HealthState { return fs.health.State() }
-
-// HealthTransitions returns the degrade transition log: every downward
-// health move with the subsystem and cause that forced it.
-func (fs *FS) HealthTransitions() []vfs.Transition { return fs.health.Transitions() }
-
-// now advances and returns the logical timestamp counter.
-func (fs *FS) now() int64 {
-	fs.timeCtr++
-	return fs.timeCtr
-}
 
 // variantName names the configuration for reports. Only the IRON feature
 // set and the bug fixes make an ixt3: layout overrides and NoBarrier are
@@ -440,26 +432,16 @@ func (fs *FS) writeSuperLocked(clean uint32) error {
 	return nil
 }
 
-// Sync commits the running transaction and flushes the superblock.
-func (fs *FS) Sync() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.syncLocked()
-}
-
-func (fs *FS) syncLocked() error {
-	if !fs.mounted {
-		return vfs.ErrNotMounted
-	}
-	if err := fs.health.CheckWrite(); err != nil {
-		return err
-	}
+// SyncLocked implements namei.Store. sync(2) semantics: everything reaches
+// its home location, so the checkpoint runs too (in the kernel, kjournald
+// gets there shortly after; the harness needs it now so write traffic is
+// observable), and the superblock is flushed.
+//
+//iron:commitpoint sync's commit, checkpoint and superblock write; its error means one of them did not reach disk
+func (fs *FS) SyncLocked() error {
 	if err := fs.commitLocked(); err != nil {
 		return err
 	}
-	// sync(2) semantics: everything reaches its home location, so the
-	// checkpoint runs too (in the kernel, kjournald gets there shortly
-	// after; the harness needs it now so write traffic is observable).
 	if err := fs.checkpointLocked(); err != nil {
 		return err
 	}
@@ -470,10 +452,7 @@ func (fs *FS) syncLocked() error {
 func (fs *FS) Statfs() (vfs.StatFS, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	if !fs.mounted {
-		return vfs.StatFS{}, vfs.ErrNotMounted
-	}
-	if err := fs.health.CheckRead(); err != nil {
+	if err := fs.GuardReadLocked(); err != nil {
 		return vfs.StatFS{}, err
 	}
 	sb := &fs.lay.sb
@@ -484,22 +463,6 @@ func (fs *FS) Statfs() (vfs.StatFS, error) {
 		TotalInodes: int64(sb.InodesPerGroup) * int64(sb.GroupCount),
 		FreeInodes:  int64(sb.FreeInodes),
 	}, nil
-}
-
-// guardWrite is the common prologue for mutating operations.
-func (fs *FS) guardWrite() error {
-	if !fs.mounted {
-		return vfs.ErrNotMounted
-	}
-	return fs.health.CheckWrite()
-}
-
-// guardRead is the common prologue for read-only operations.
-func (fs *FS) guardRead() error {
-	if !fs.mounted {
-		return vfs.ErrNotMounted
-	}
-	return fs.health.CheckRead()
 }
 
 // String describes the instance.

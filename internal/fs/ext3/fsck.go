@@ -69,11 +69,11 @@ func (fs *FS) census() (*fsckState, error) {
 
 	var walkDir func(ino uint32, depth int) error
 	visitInode := func(ino uint32, what string) (*inode, error) {
-		in, err := fs.loadInode(ino)
+		in, err := fs.LoadLocked(ino)
 		if err != nil {
 			return nil, err
 		}
-		if !in.allocated() {
+		if !in.Allocated() {
 			return nil, nil
 		}
 		if st.reachable[ino] {
@@ -142,7 +142,7 @@ func (fs *FS) census() (*fsckState, error) {
 		if err != nil || in == nil {
 			return err
 		}
-		if !in.isDir() {
+		if !in.IsDir() {
 			return nil
 		}
 		ents, err := fs.dirList(in)
@@ -219,23 +219,23 @@ func (fs *FS) checkInodeGroup(g uint32, st *fsckState) (r groupCheck, units int6
 	perGroup := fs.lay.sb.InodesPerGroup
 	for within := uint32(0); within < perGroup; within++ {
 		ino := g*perGroup + within + 1
-		in, err := fs.loadInode(ino)
+		in, err := fs.LoadLocked(ino)
 		if err != nil {
 			return r, units, err
 		}
 		marked := testBit(bm, int64(within))
 		switch {
-		case in.allocated() && !marked:
+		case in.Allocated() && !marked:
 			r.probs = append(r.probs, fsck.Problem{Kind: "inode-bitmap",
 				Detail: fmt.Sprintf("inode %d in use but marked free", ino)})
-		case !in.allocated() && marked:
+		case !in.Allocated() && marked:
 			r.probs = append(r.probs, fsck.Problem{Kind: "inode-bitmap",
 				Detail: fmt.Sprintf("inode %d free but marked allocated", ino)})
 		}
 		if !marked {
 			r.free++
 		}
-		if in.allocated() {
+		if in.Allocated() {
 			if !st.reachable[ino] {
 				r.probs = append(r.probs, fsck.Problem{Kind: "orphan-inode",
 					Detail: fmt.Sprintf("inode %d allocated but unreachable", ino)})
@@ -351,7 +351,7 @@ func (fs *FS) ReconcileLocked() error {
 	total := fs.lay.sb.InodesPerGroup * fs.lay.sb.GroupCount
 	perGroupFree := make([]uint32, fs.lay.sb.GroupCount)
 	for ino := uint32(1); ino <= total; ino++ {
-		in, err := fs.loadInode(ino)
+		in, err := fs.LoadLocked(ino)
 		if err != nil {
 			return err
 		}
@@ -362,7 +362,7 @@ func (fs *FS) ReconcileLocked() error {
 		}
 		within := int64((ino - 1) % fs.lay.sb.InodesPerGroup)
 		switch {
-		case in.allocated() && !st.reachable[ino]:
+		case in.Allocated() && !st.reachable[ino]:
 			if err := fs.clearInode(ino); err != nil {
 				return err
 			}
@@ -370,11 +370,11 @@ func (fs *FS) ReconcileLocked() error {
 			freeInodes++
 			perGroupFree[g]++
 			fs.rec.Recover(iron.RRepair, BTInode, fmt.Sprintf("orphan inode %d freed", ino))
-		case in.allocated():
+		case in.Allocated():
 			setBit(bm, within)
 			if want := st.linkCounts[ino]; in.Links != want {
 				in.Links = want
-				if err := fs.storeInode(ino, in); err != nil {
+				if err := fs.StoreLocked(ino, in); err != nil {
 					return err
 				}
 				fs.rec.Recover(iron.RRepair, BTInode, fmt.Sprintf("inode %d link count corrected", ino))

@@ -5,6 +5,8 @@ import (
 
 	"ironfs/internal/faultinject"
 	"ironfs/internal/iron"
+	"ironfs/internal/namei"
+	"ironfs/internal/vfs"
 )
 
 // cleanFS builds a populated, consistent file system.
@@ -48,13 +50,13 @@ func TestFsckCleanVolume(t *testing.T) {
 func TestFsckDetectsAndRepairsBitmapDamage(t *testing.T) {
 	fs, rec := cleanFS(t)
 	// Clear an in-use data block's bit (simulated bitmap corruption).
-	in, err := fs.loadInode(RootIno)
+	in, err := fs.LoadLocked(RootIno)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = in
 	// Find any used data block: the root directory's first block.
-	rootIn, _ := fs.loadInode(RootIno)
+	rootIn, _ := fs.LoadLocked(RootIno)
 	blk, err := fs.bmap(rootIn, 0, false)
 	if err != nil || blk == 0 {
 		t.Fatalf("no root dir block: %d %v", blk, err)
@@ -101,12 +103,12 @@ func TestFsckDetectsAndRepairsBitmapDamage(t *testing.T) {
 func TestFsckDetectsAndRepairsLinkCount(t *testing.T) {
 	fs, _ := cleanFS(t)
 	// Corrupt /top's link count on disk (it really has 2 links).
-	ino, in, err := fs.resolve("/top", true)
+	ino, in, err := fs.ResolveLocked("/top", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in.Links = 9
-	if err := fs.storeInode(ino, in); err != nil {
+	if err := fs.StoreLocked(ino, in); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Sync(); err != nil {
@@ -145,8 +147,8 @@ func TestFsckDetectsOrphanInode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orphan := &inode{Mode: modeRegular | 0o644, Links: 1}
-	if err := fs.storeInode(ino, orphan); err != nil {
+	orphan := &inode{TypedAttr: namei.Typed(vfs.TypeRegular, namei.Attr{Mode: 0o644, Links: 1})}
+	if err := fs.StoreLocked(ino, orphan); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Sync(); err != nil {
@@ -178,12 +180,12 @@ func TestFsckDetectsWildPointer(t *testing.T) {
 	fs, _ := cleanFS(t)
 	// Point /top's first block at the journal region (a wild pointer no
 	// sanity check catches during normal operation — §5.1).
-	ino, in, err := fs.resolve("/top", true)
+	ino, in, err := fs.ResolveLocked("/top", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in.Direct[0] = fs.lay.sb.JournalStart + 5
-	if err := fs.storeInode(ino, in); err != nil {
+	if err := fs.StoreLocked(ino, in); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Sync(); err != nil {

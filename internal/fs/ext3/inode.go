@@ -3,28 +3,13 @@ package ext3
 import (
 	"encoding/binary"
 
-	"ironfs/internal/vfs"
+	"ironfs/internal/namei"
 )
 
-// File-type bits stored in the inode mode's high nibble.
-const (
-	modeRegular = uint16(0x1000)
-	modeDir     = uint16(0x2000)
-	modeSymlink = uint16(0x3000)
-	modeTypeMsk = uint16(0xF000)
-	modePermMsk = uint16(0x0FFF)
-)
-
-// inode is the in-memory form of an on-disk inode.
+// inode is the in-memory form of an on-disk inode. The file type sits in
+// the mode's high nibble (namei.TypedAttr).
 type inode struct {
-	Mode   uint16
-	Links  uint16
-	UID    uint32
-	GID    uint32
-	Size   uint64
-	Atime  int64
-	Mtime  int64
-	Ctime  int64
+	namei.TypedAttr
 	Flags  uint32
 	Parity uint64 // parity block for this file's data (ixt3 Dp); 0 = none
 	Direct [DirectBlocks]uint64
@@ -32,21 +17,6 @@ type inode struct {
 	DInd   uint64
 	TInd   uint64
 }
-
-func (in *inode) fileType() vfs.FileType {
-	switch in.Mode & modeTypeMsk {
-	case modeDir:
-		return vfs.TypeDirectory
-	case modeSymlink:
-		return vfs.TypeSymlink
-	default:
-		return vfs.TypeRegular
-	}
-}
-
-func (in *inode) isDir() bool     { return in.Mode&modeTypeMsk == modeDir }
-func (in *inode) isSymlink() bool { return in.Mode&modeTypeMsk == modeSymlink }
-func (in *inode) allocated() bool { return in.Mode != 0 }
 
 func (in *inode) marshal(b []byte) {
 	le := binary.LittleEndian
@@ -91,20 +61,4 @@ func (in *inode) unmarshal(b []byte) {
 	in.Ind = le.Uint64(b[off:])
 	in.DInd = le.Uint64(b[off+8:])
 	in.TInd = le.Uint64(b[off+16:])
-}
-
-// fileInfo converts an inode to the VFS stat form.
-func (in *inode) fileInfo(ino uint32) vfs.FileInfo {
-	return vfs.FileInfo{
-		Ino:   ino,
-		Type:  in.fileType(),
-		Size:  int64(in.Size),
-		Links: in.Links,
-		Mode:  in.Mode & modePermMsk,
-		UID:   in.UID,
-		GID:   in.GID,
-		Atime: in.Atime,
-		Mtime: in.Mtime,
-		Ctime: in.Ctime,
-	}
 }

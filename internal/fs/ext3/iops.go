@@ -10,11 +10,11 @@ import (
 // This file implements inode load/store and the logical-to-physical block
 // map (bmap) over direct, indirect, double- and triple-indirect pointers.
 
-// loadInode reads inode ino from its table block. Per §5.1, stock ext3
-// applies a few field sanity checks when an inode is brought in (an
-// overly-large size field is caught and reported) but does not validate
-// pointers.
-func (fs *FS) loadInode(ino uint32) (*inode, error) {
+// LoadLocked implements namei.Store: it reads inode ino from its table
+// block. Per §5.1, stock ext3 applies a few field sanity checks when an
+// inode is brought in (an overly-large size field is caught and reported)
+// but does not validate pointers.
+func (fs *FS) LoadLocked(ino uint32) (*inode, error) {
 	blk, off, err := fs.lay.inodeLoc(ino)
 	if err != nil {
 		return nil, vfs.ErrInval
@@ -25,7 +25,7 @@ func (fs *FS) loadInode(ino uint32) (*inode, error) {
 	}
 	in := &inode{}
 	in.unmarshal(buf[off : off+InodeSize])
-	if in.allocated() && int64(in.Size) > MaxFileSize {
+	if in.Allocated() && int64(in.Size) > MaxFileSize {
 		fs.rec.Detect(iron.DSanity, BTInode, "inode size field overly large")
 		fs.rec.Recover(iron.RPropagate, BTInode, "open reports error")
 		return nil, vfs.ErrCorrupt
@@ -33,8 +33,8 @@ func (fs *FS) loadInode(ino uint32) (*inode, error) {
 	return in, nil
 }
 
-// storeInode journals inode ino's new contents.
-func (fs *FS) storeInode(ino uint32, in *inode) error {
+// StoreLocked implements namei.Store: it journals inode ino's new contents.
+func (fs *FS) StoreLocked(ino uint32, in *inode) error {
 	blk, off, err := fs.lay.inodeLoc(ino)
 	if err != nil {
 		return vfs.ErrInval
@@ -79,7 +79,7 @@ func getPtr(buf []byte, i int64) int64 {
 
 // bmap maps logical file block l to a physical block. With alloc set,
 // missing blocks (and intermediate indirect blocks) are allocated and the
-// in-memory inode is updated; the caller must storeInode afterwards.
+// in-memory inode is updated; the caller must StoreLocked afterwards.
 // Without alloc, 0 is returned for holes.
 //
 // Note the reproduced policy point: pointers loaded from indirect blocks

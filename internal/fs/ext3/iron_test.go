@@ -12,6 +12,7 @@ import (
 	"ironfs/internal/disk"
 	"ironfs/internal/faultinject"
 	"ironfs/internal/iron"
+	"ironfs/internal/namei"
 	"ironfs/internal/vfs"
 )
 
@@ -131,7 +132,7 @@ func TestParityRecoversEachBlockOfFile(t *testing.T) {
 	}
 
 	// Locate each block's physical home and fail it, one at a time.
-	_, in, err := fs.resolve("/f", true)
+	_, in, err := fs.ResolveLocked("/f", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestParityMaintainedAcrossOverwriteAndTruncate(t *testing.T) {
 	copy(want[4*BlockSize:], bytes.Repeat([]byte("c"), BlockSize))
 
 	// Fail each remaining block; parity must still be exact.
-	_, in, err := fs.resolve("/f", true)
+	_, in, err := fs.ResolveLocked("/f", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,10 +574,9 @@ func TestScrubRepairsLatentError(t *testing.T) {
 
 func TestInodeMarshalRoundTrip(t *testing.T) {
 	f := func(mode, links uint16, uid, gid uint32, size uint64, a, m, c int64, parity uint64) bool {
-		in := inode{
-			Mode: mode, Links: links, UID: uid, GID: gid,
-			Size: size, Atime: a, Mtime: m, Ctime: c, Parity: parity,
-		}
+		in := inode{Parity: parity}
+		in.Attr = namei.Attr{Mode: mode, Links: links, UID: uid, GID: gid,
+			Size: size, Atime: a, Mtime: m, Ctime: c}
 		for i := range in.Direct {
 			in.Direct[i] = uint64(i) * 131
 		}

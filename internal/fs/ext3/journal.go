@@ -62,7 +62,7 @@ type txn struct {
 	dataType  map[int64]iron.BlockType
 	revokes   []int64
 	// inodes are the inode numbers this transaction has modified (every
-	// inode mutation funnels through storeInode/clearInode). Fsync uses
+	// inode mutation funnels through StoreLocked/clearInode). Fsync uses
 	// it for group commit: when another client's commit already carried
 	// this file's state to the journal, the inode is absent here and the
 	// fsync returns without paying for a commit of strangers' blocks.
@@ -198,7 +198,7 @@ type pendingState struct {
 // pinned set well under the cache capacity.
 const maxTxnData = 768
 
-// maybeCommit commits the running transaction if it has grown large. While
+// MaybeCommitLocked commits the running transaction if it has grown large. While
 // a commit is writing, the running transaction keeps absorbing operations —
 // but not without bound: a frozen transaction gets exactly one descriptor
 // block (PtrsPerBlock-2 tags), so once the running transaction reaches the
@@ -206,7 +206,7 @@ const maxTxnData = 768
 // does) instead of growing past the descriptor's capacity.
 //
 //iron:commitpoint the operation-facing commit funnel; its error means the transaction did not reach disk
-func (fs *FS) maybeCommit() error {
+func (fs *FS) MaybeCommitLocked() error {
 	if len(fs.tx.metaOrder) < maxTxnMeta && len(fs.tx.dataOrder) < maxTxnData {
 		return nil
 	}
@@ -324,7 +324,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	// copies, commit.
 	nJData := len(t.metaOrder)
 	if nJData > PtrsPerBlock-2 {
-		// Unreachable by construction — maybeCommit flushes the running
+		// Unreachable by construction — MaybeCommitLocked flushes the running
 		// transaction far below one descriptor block's tag capacity, even
 		// while a commit is in flight — but an overflow would scribble
 		// past the descriptor block, so fail the commit instead.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"ironfs/internal/disk"
+	"ironfs/internal/namei"
+	"ironfs/internal/vfs"
 )
 
 // Mkfs formats dev as an ext3/ixt3 file system. The IRON features in opts
@@ -141,7 +143,7 @@ func Mkfs(dev disk.Device, opts Options) error {
 		for t := int64(0); t < itb; t++ {
 			it := blockOf()
 			if g == 0 && t == 0 {
-				root := inode{Mode: modeDir | 0o755, Links: 1}
+				root := inode{TypedAttr: namei.Typed(vfs.TypeDirectory, namei.Attr{Mode: 0o755, Links: 1})}
 				root.marshal(it[0:InodeSize])
 			}
 			reqs = append(reqs, disk.Request{Block: start + groupMetaBlks + t, Data: it})

@@ -4,13 +4,13 @@ import (
 	"errors"
 
 	"ironfs/internal/iron"
+	"ironfs/internal/namei"
 	"ironfs/internal/vfs"
 )
 
-// This file implements the vfs.FileSystem operations.
-
-// maxSymlinkDepth bounds symlink chains during path resolution.
-const maxSymlinkDepth = 8
+// This file implements ext3's namei.Store and the vfs.FileSystem operations
+// that carry its data layout and §5.1 reactions; the path walk and the
+// lookup and attribute operations are namei.Namespace's.
 
 // swallowIO reproduces the §5.1 bug in which some ext3 operations
 // (truncate, rmdir) detect an I/O problem but fail *silently*: the error is
@@ -25,79 +25,30 @@ func (fs *FS) swallowIO(err error) error {
 	return err
 }
 
-// resolve walks an absolute path to an inode. follow controls whether a
-// symlink in the final component is chased.
-func (fs *FS) resolve(path string, follow bool) (uint32, *inode, error) {
-	parts, err := vfs.SplitPath(path)
+// RootLocked implements namei.Store.
+func (fs *FS) RootLocked() (uint32, *inode, error) {
+	in, err := fs.LoadLocked(RootIno)
 	if err != nil {
 		return 0, nil, err
 	}
-	return fs.walk(parts, follow, 0)
-}
-
-func (fs *FS) walk(parts []string, follow bool, depth int) (uint32, *inode, error) {
-	if depth > maxSymlinkDepth {
-		return 0, nil, vfs.ErrInval
-	}
-	ino := RootIno
-	in, err := fs.loadInode(ino)
-	if err != nil {
-		return 0, nil, err
-	}
-	if !in.allocated() {
+	if !in.Allocated() {
 		return 0, nil, vfs.ErrCorrupt
 	}
-	for i, name := range parts {
-		if !in.isDir() {
-			return 0, nil, vfs.ErrNotDir
-		}
-		child, _, err := fs.dirLookup(in, name)
-		if err != nil {
-			return 0, nil, err
-		}
-		cin, err := fs.loadInode(child)
-		if err != nil {
-			return 0, nil, err
-		}
-		if !cin.allocated() {
-			return 0, nil, vfs.ErrNotExist
-		}
-		last := i == len(parts)-1
-		if cin.isSymlink() && (!last || follow) {
-			target, err := fs.readSymlink(cin)
-			if err != nil {
-				return 0, nil, err
-			}
-			tparts, err := vfs.SplitPath(target)
-			if err != nil {
-				return 0, nil, err
-			}
-			rest := append(append([]string{}, tparts...), parts[i+1:]...)
-			return fs.walk(rest, follow, depth+1)
-		}
-		ino, in = child, cin
-	}
-	return ino, in, nil
+	return RootIno, in, nil
 }
 
-// resolveParent resolves the directory containing path's final component.
-func (fs *FS) resolveParent(path string) (uint32, *inode, string, error) {
-	dirParts, name, err := vfs.SplitDir(path)
-	if err != nil {
-		return 0, nil, "", err
-	}
-	ino, in, err := fs.walk(dirParts, true, 0)
-	if err != nil {
-		return 0, nil, "", err
-	}
-	if !in.isDir() {
-		return 0, nil, "", vfs.ErrNotDir
-	}
-	return ino, in, name, nil
+// LookupLocked implements namei.Store.
+func (fs *FS) LookupLocked(_ uint32, dn *inode, name string) (uint32, error) {
+	ino, _, err := fs.dirLookup(dn, name)
+	return ino, err
 }
 
-// readSymlink reads a symlink's target from its single data block.
-func (fs *FS) readSymlink(in *inode) (string, error) {
+// KeyOf implements namei.Store: the inode number.
+func (fs *FS) KeyOf(ino uint32) uint64 { return uint64(ino) }
+
+// ReadLinkLocked implements namei.Store: the target is the link's single
+// data block.
+func (fs *FS) ReadLinkLocked(_ uint32, in *inode) (string, error) {
 	if in.Size == 0 || in.Size > BlockSize {
 		return "", vfs.ErrCorrupt
 	}
@@ -115,26 +66,16 @@ func (fs *FS) readSymlink(in *inode) (string, error) {
 	return string(buf[:in.Size]), nil
 }
 
-// createNode is the shared creation path for files, directories, symlinks.
-func (fs *FS) createNode(path string, mode uint16, ftype uint16) (uint32, *inode, error) {
-	pIno, pIn, name, err := fs.resolveParent(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	if _, _, err := fs.dirLookup(pIn, name); err == nil {
-		return 0, nil, vfs.ErrExist
-	} else if !errors.Is(err, vfs.ErrNotExist) {
-		return 0, nil, err
-	}
+// CreateLocked implements namei.Store.
+func (fs *FS) CreateLocked(pIno uint32, pIn *inode, name string, kind vfs.FileType, a namei.Attr) (uint32, *inode, error) {
 	ino, err := fs.allocInode(fs.groupOfInode(pIno))
 	if err != nil {
 		return 0, nil, err
 	}
-	now := fs.now()
-	in := &inode{Mode: ftype | (mode & modePermMsk), Links: 1, Atime: now, Mtime: now, Ctime: now}
+	in := &inode{TypedAttr: namei.Typed(kind, a)}
 
 	// ixt3 Dp: preallocate the file's parity block at create (§6.1).
-	if fs.opts.DataParity && ftype == modeRegular {
+	if fs.opts.DataParity && kind == vfs.TypeRegular {
 		pblk, err := fs.allocBlock(fs.groupOfInode(ino), BTParity)
 		if err == nil {
 			in.Parity = uint64(pblk)
@@ -142,16 +83,7 @@ func (fs *FS) createNode(path string, mode uint16, ftype uint16) (uint32, *inode
 		}
 	}
 
-	var vt vfs.FileType
-	switch ftype {
-	case modeDir:
-		vt = vfs.TypeDirectory
-	case modeSymlink:
-		vt = vfs.TypeSymlink
-	default:
-		vt = vfs.TypeRegular
-	}
-	if err := fs.dirAdd(pIno, pIn, name, ino, byte(vt)); err != nil {
+	if err := fs.dirAdd(pIno, pIn, name, ino, byte(kind)); err != nil {
 		if ferr := fs.freeInode(ino); ferr != nil {
 			// The create already failed and that error propagates; a
 			// cleanup failure on top additionally leaks the inode until
@@ -161,53 +93,27 @@ func (fs *FS) createNode(path string, mode uint16, ftype uint16) (uint32, *inode
 		}
 		return 0, nil, err
 	}
-	pIn.Mtime = now
-	if err := fs.storeInode(pIno, pIn); err != nil {
+	pIn.Mtime = a.Mtime
+	if err := fs.StoreLocked(pIno, pIn); err != nil {
 		return 0, nil, err
 	}
-	if err := fs.storeInode(ino, in); err != nil {
+	if err := fs.StoreLocked(ino, in); err != nil {
 		return 0, nil, err
 	}
 	return ino, in, nil
-}
-
-// Create implements vfs.FileSystem.
-func (fs *FS) Create(path string, mode uint16) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	if _, _, err := fs.createNode(path, mode, modeRegular); err != nil {
-		return err
-	}
-	return fs.maybeCommit()
-}
-
-// Mkdir implements vfs.FileSystem.
-func (fs *FS) Mkdir(path string, mode uint16) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	if _, _, err := fs.createNode(path, mode, modeDir); err != nil {
-		return err
-	}
-	return fs.maybeCommit()
 }
 
 // Symlink implements vfs.FileSystem.
 func (fs *FS) Symlink(target, linkpath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
 	if target == "" || len(target) > BlockSize {
 		return vfs.ErrInval
 	}
-	ino, in, err := fs.createNode(linkpath, 0o777, modeSymlink)
+	ino, in, err := fs.MknodLocked(linkpath, 0o777, vfs.TypeSymlink)
 	if err != nil {
 		return err
 	}
@@ -218,91 +124,24 @@ func (fs *FS) Symlink(target, linkpath string) error {
 	buf := fs.tx.dataNew(phys, BTData)
 	copy(buf, target)
 	in.Size = uint64(len(target))
-	if err := fs.storeInode(ino, in); err != nil {
+	if err := fs.StoreLocked(ino, in); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
-}
-
-// Readlink implements vfs.FileSystem.
-func (fs *FS) Readlink(path string) (string, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	if err := fs.guardRead(); err != nil {
-		return "", err
-	}
-	_, in, err := fs.resolve(path, false)
-	if err != nil {
-		return "", err
-	}
-	if !in.isSymlink() {
-		return "", vfs.ErrInval
-	}
-	return fs.readSymlink(in)
-}
-
-// Open implements vfs.FileSystem: a pure existence/type walk.
-func (fs *FS) Open(path string) error {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	if err := fs.guardRead(); err != nil {
-		return err
-	}
-	_, _, err := fs.resolve(path, true)
-	return err
-}
-
-// Access implements vfs.FileSystem.
-func (fs *FS) Access(path string) error {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	if err := fs.guardRead(); err != nil {
-		return err
-	}
-	_, _, err := fs.resolve(path, true)
-	return err
-}
-
-// Stat implements vfs.FileSystem.
-func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	if err := fs.guardRead(); err != nil {
-		return vfs.FileInfo{}, err
-	}
-	ino, in, err := fs.resolve(path, true)
-	if err != nil {
-		return vfs.FileInfo{}, err
-	}
-	return in.fileInfo(ino), nil
-}
-
-// Lstat implements vfs.FileSystem.
-func (fs *FS) Lstat(path string) (vfs.FileInfo, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	if err := fs.guardRead(); err != nil {
-		return vfs.FileInfo{}, err
-	}
-	ino, in, err := fs.resolve(path, false)
-	if err != nil {
-		return vfs.FileInfo{}, err
-	}
-	return in.fileInfo(ino), nil
+	return fs.MaybeCommitLocked()
 }
 
 // ReadDir implements vfs.FileSystem.
 func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	if err := fs.guardRead(); err != nil {
+	if err := fs.GuardReadLocked(); err != nil {
 		return nil, err
 	}
-	_, in, err := fs.resolve(path, true)
+	_, in, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return nil, err
 	}
-	if !in.isDir() {
+	if !in.IsDir() {
 		return nil, vfs.ErrNotDir
 	}
 	return fs.dirList(in)
@@ -330,9 +169,9 @@ func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 	// atime update, journaled like any metadata change (only when the
 	// file system is still writable).
 	if fs.health.State() == vfs.Healthy {
-		in.Atime = fs.now()
-		if serr := fs.storeInode(ino, in); serr == nil {
-			if cerr := fs.maybeCommit(); cerr != nil {
+		in.Atime = fs.Now()
+		if serr := fs.StoreLocked(ino, in); serr == nil {
+			if cerr := fs.MaybeCommitLocked(); cerr != nil {
 				return n, cerr
 			}
 		}
@@ -343,14 +182,14 @@ func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 // readLocked is the body of Read minus the atime update; the caller holds
 // fs.mu (shared or exclusive).
 func (fs *FS) readLocked(path string, off int64, buf []byte) (int, uint32, *inode, error) {
-	if err := fs.guardRead(); err != nil {
+	if err := fs.GuardReadLocked(); err != nil {
 		return 0, 0, nil, err
 	}
-	ino, in, err := fs.resolve(path, true)
+	ino, in, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	if in.isDir() {
+	if in.IsDir() {
 		return 0, 0, nil, vfs.ErrIsDir
 	}
 	if off < 0 {
@@ -400,14 +239,14 @@ func (fs *FS) readLocked(path string, off int64, buf []byte) (int, uint32, *inod
 func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return 0, err
 	}
-	ino, in, err := fs.resolve(path, true)
+	ino, in, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return 0, err
 	}
-	if in.isDir() {
+	if in.IsDir() {
 		return 0, vfs.ErrIsDir
 	}
 	if off < 0 || off+int64(len(data)) > MaxFileSize {
@@ -461,11 +300,11 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 	if off+n > int64(in.Size) {
 		in.Size = uint64(off + n)
 	}
-	in.Mtime = fs.now()
-	if err := fs.storeInode(ino, in); err != nil {
+	in.Mtime = fs.Now()
+	if err := fs.StoreLocked(ino, in); err != nil {
 		return int(written), err
 	}
-	if err := fs.maybeCommit(); err != nil {
+	if err := fs.MaybeCommitLocked(); err != nil {
 		return int(written), err
 	}
 	return int(written), nil
@@ -485,14 +324,14 @@ func (fs *FS) bmapHas(in *inode, l int64) bool {
 func (fs *FS) Truncate(path string, size int64) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	ino, in, err := fs.resolve(path, true)
+	ino, in, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return err
 	}
-	if in.isDir() {
+	if in.IsDir() {
 		return vfs.ErrIsDir
 	}
 	if size < 0 || size > MaxFileSize {
@@ -527,11 +366,11 @@ func (fs *FS) Truncate(path string, size int64) error {
 		}
 	}
 	in.Size = uint64(size)
-	in.Mtime = fs.now()
-	if err := fs.storeInode(ino, in); err != nil {
+	in.Mtime = fs.Now()
+	if err := fs.StoreLocked(ino, in); err != nil {
 		return fs.swallowIO(err)
 	}
-	if err := fs.maybeCommit(); err != nil {
+	if err := fs.MaybeCommitLocked(); err != nil {
 		return fs.swallowIO(err)
 	}
 	return nil
@@ -543,10 +382,10 @@ func (fs *FS) Truncate(path string, size int64) error {
 func (fs *FS) Unlink(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	pIno, pIn, name, err := fs.resolveParent(path)
+	pIno, pIn, name, err := fs.ParentLocked(path)
 	if err != nil {
 		return err
 	}
@@ -554,11 +393,11 @@ func (fs *FS) Unlink(path string) error {
 	if err != nil {
 		return err
 	}
-	cIn, err := fs.loadInode(cIno)
+	cIn, err := fs.LoadLocked(cIno)
 	if err != nil {
 		return err
 	}
-	if cIn.isDir() {
+	if cIn.IsDir() {
 		return vfs.ErrIsDir
 	}
 	if fs.opts.FixBugs && cIn.Links == 0 {
@@ -569,8 +408,8 @@ func (fs *FS) Unlink(path string) error {
 	if _, err := fs.dirRemove(pIn, name); err != nil {
 		return err
 	}
-	pIn.Mtime = fs.now()
-	if err := fs.storeInode(pIno, pIn); err != nil {
+	pIn.Mtime = fs.Now()
+	if err := fs.StoreLocked(pIno, pIn); err != nil {
 		return err
 	}
 	cIn.Links-- // underflows on corruption without FixBugs — reproduced bug
@@ -592,12 +431,12 @@ func (fs *FS) Unlink(path string) error {
 			return err
 		}
 	} else {
-		cIn.Ctime = fs.now()
-		if err := fs.storeInode(cIno, cIn); err != nil {
+		cIn.Ctime = fs.Now()
+		if err := fs.StoreLocked(cIno, cIn); err != nil {
 			return err
 		}
 	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // Rmdir implements vfs.FileSystem; its silent-failure bug mirrors
@@ -605,10 +444,10 @@ func (fs *FS) Unlink(path string) error {
 func (fs *FS) Rmdir(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	pIno, pIn, name, err := fs.resolveParent(path)
+	pIno, pIn, name, err := fs.ParentLocked(path)
 	if err != nil {
 		return err
 	}
@@ -616,11 +455,11 @@ func (fs *FS) Rmdir(path string) error {
 	if err != nil {
 		return err
 	}
-	cIn, err := fs.loadInode(cIno)
+	cIn, err := fs.LoadLocked(cIno)
 	if err != nil {
 		return fs.swallowIO(err)
 	}
-	if !cIn.isDir() {
+	if !cIn.IsDir() {
 		return vfs.ErrNotDir
 	}
 	empty, err := fs.dirIsEmpty(cIn)
@@ -633,8 +472,8 @@ func (fs *FS) Rmdir(path string) error {
 	if _, err := fs.dirRemove(pIn, name); err != nil {
 		return fs.swallowIO(err)
 	}
-	pIn.Mtime = fs.now()
-	if err := fs.storeInode(pIno, pIn); err != nil {
+	pIn.Mtime = fs.Now()
+	if err := fs.StoreLocked(pIno, pIn); err != nil {
 		return err
 	}
 	if err := fs.truncateBlocks(cIn, 0); err != nil {
@@ -648,27 +487,27 @@ func (fs *FS) Rmdir(path string) error {
 	if err := fs.clearInode(cIno); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // Link implements vfs.FileSystem.
 func (fs *FS) Link(oldpath, newpath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	oIno, oIn, err := fs.resolve(oldpath, false)
+	oIno, oIn, err := fs.ResolveLocked(oldpath, false)
 	if err != nil {
 		return err
 	}
-	if oIn.isDir() {
+	if oIn.IsDir() {
 		return vfs.ErrIsDir
 	}
 	if oIn.Links == 0xFFFF {
 		return vfs.ErrTooManyLink
 	}
-	pIno, pIn, name, err := fs.resolveParent(newpath)
+	pIno, pIn, name, err := fs.ParentLocked(newpath)
 	if err != nil {
 		return err
 	}
@@ -677,19 +516,19 @@ func (fs *FS) Link(oldpath, newpath string) error {
 	} else if !errors.Is(err, vfs.ErrNotExist) {
 		return err
 	}
-	if err := fs.dirAdd(pIno, pIn, name, oIno, byte(oIn.fileType())); err != nil {
+	if err := fs.dirAdd(pIno, pIn, name, oIno, byte(oIn.FileType())); err != nil {
 		return err
 	}
-	pIn.Mtime = fs.now()
-	if err := fs.storeInode(pIno, pIn); err != nil {
+	pIn.Mtime = fs.Now()
+	if err := fs.StoreLocked(pIno, pIn); err != nil {
 		return err
 	}
 	oIn.Links++
-	oIn.Ctime = fs.now()
-	if err := fs.storeInode(oIno, oIn); err != nil {
+	oIn.Ctime = fs.Now()
+	if err := fs.StoreLocked(oIno, oIn); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // Rename implements vfs.FileSystem. An existing target file is replaced;
@@ -697,10 +536,10 @@ func (fs *FS) Link(oldpath, newpath string) error {
 func (fs *FS) Rename(oldpath, newpath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	oPIno, oPIn, oName, err := fs.resolveParent(oldpath)
+	oPIno, oPIn, oName, err := fs.ParentLocked(oldpath)
 	if err != nil {
 		return err
 	}
@@ -708,16 +547,16 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if err != nil {
 		return err
 	}
-	nPIno, nPIn, nName, err := fs.resolveParent(newpath)
+	nPIno, nPIn, nName, err := fs.ParentLocked(newpath)
 	if err != nil {
 		return err
 	}
 	if tIno, _, err := fs.dirLookup(nPIn, nName); err == nil {
-		tIn, err := fs.loadInode(tIno)
+		tIn, err := fs.LoadLocked(tIno)
 		if err != nil {
 			return err
 		}
-		if tIn.isDir() {
+		if tIn.IsDir() {
 			empty, err := fs.dirIsEmpty(tIn)
 			if err != nil {
 				return err
@@ -757,7 +596,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 				if err := fs.clearInode(tIno); err != nil {
 					return err
 				}
-			} else if err := fs.storeInode(tIno, tIn); err != nil {
+			} else if err := fs.StoreLocked(tIno, tIn); err != nil {
 				return err
 			}
 		}
@@ -768,9 +607,9 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if _, err := fs.dirRemove(oPIn, oName); err != nil {
 		return err
 	}
-	now := fs.now()
+	now := fs.Now()
 	oPIn.Mtime = now
-	if err := fs.storeInode(oPIno, oPIn); err != nil {
+	if err := fs.StoreLocked(oPIno, oPIn); err != nil {
 		return err
 	}
 	// Re-load the destination parent if it is the same directory: the
@@ -782,64 +621,8 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 		return err
 	}
 	nPIn.Mtime = now
-	if err := fs.storeInode(nPIno, nPIn); err != nil {
+	if err := fs.StoreLocked(nPIno, nPIn); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
-}
-
-// Fsync implements vfs.FileSystem: commits the running transaction if it
-// holds changes to the named file, else waits for the commit that carried
-// them (journal.Engine.Fsync is the group-commit protocol).
-func (fs *FS) Fsync(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	defer fs.jn.EndFsync(fs.jn.BeginFsync())
-	ino, _, err := fs.resolve(path, true)
-	if err != nil {
-		return err
-	}
-	return fs.jn.Fsync(fs, uint64(ino))
-}
-
-// Chmod implements vfs.FileSystem.
-func (fs *FS) Chmod(path string, mode uint16) error {
-	return fs.setattr(path, func(in *inode) {
-		in.Mode = (in.Mode & modeTypeMsk) | (mode & modePermMsk)
-	})
-}
-
-// Chown implements vfs.FileSystem.
-func (fs *FS) Chown(path string, uid, gid uint32) error {
-	return fs.setattr(path, func(in *inode) {
-		in.UID, in.GID = uid, gid
-	})
-}
-
-// Utimes implements vfs.FileSystem.
-func (fs *FS) Utimes(path string, atime, mtime int64) error {
-	return fs.setattr(path, func(in *inode) {
-		in.Atime, in.Mtime = atime, mtime
-	})
-}
-
-func (fs *FS) setattr(path string, mutate func(*inode)) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	ino, in, err := fs.resolve(path, true)
-	if err != nil {
-		return err
-	}
-	mutate(in)
-	in.Ctime = fs.now()
-	if err := fs.storeInode(ino, in); err != nil {
-		return err
-	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }

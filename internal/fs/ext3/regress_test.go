@@ -100,7 +100,7 @@ func TestRepairCommitFailureLeavesHonestState(t *testing.T) {
 	}
 	// Clear an in-use block's bitmap bit, committed to disk: real damage
 	// the check must find and the repair will try to fix.
-	rootIn, err := fs.loadInode(RootIno)
+	rootIn, err := fs.LoadLocked(RootIno)
 	if err != nil {
 		t.Fatal(err)
 	}

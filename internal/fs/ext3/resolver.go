@@ -47,7 +47,7 @@ func (r *image) Walk(m *faultinject.TypeMap) bool {
 			for s := 0; s < InodesPerBlock; s++ {
 				var in inode
 				in.unmarshal(it[s*InodeSize : (s+1)*InodeSize])
-				if !in.allocated() {
+				if !in.Allocated() {
 					continue
 				}
 				r.walkInode(m, &in)
@@ -60,7 +60,7 @@ func (r *image) Walk(m *faultinject.TypeMap) bool {
 // walkInode classifies the blocks reachable from one inode.
 func (r *image) walkInode(m *faultinject.TypeMap, in *inode) {
 	leaf := BTData
-	if in.isDir() {
+	if in.IsDir() {
 		leaf = BTDir
 	}
 	if in.Parity != 0 && r.inBounds(int64(in.Parity)) {

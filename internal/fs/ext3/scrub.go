@@ -124,15 +124,15 @@ func (fs *FS) Scrub() (ScrubReport, error) {
 			rep.Batches++
 			var targets []scrubTarget
 			for ; ino <= totalInodes && len(targets) < scrubBatchBlocks; ino++ {
-				in, err := fs.loadInode(ino)
+				in, err := fs.LoadLocked(ino)
 				if err != nil {
 					continue // damaged table block: the static sweep already saw it
 				}
-				if !in.allocated() {
+				if !in.Allocated() {
 					continue
 				}
 				leaf := BTData
-				if in.isDir() {
+				if in.IsDir() {
 					leaf = BTDir
 				}
 				if in.Parity != 0 {
@@ -243,11 +243,11 @@ func (fs *FS) scrubTargetsLocked(targets []scrubTarget, rep *ScrubReport) error 
 func (fs *FS) forEachInode(fn func(ino uint32, in *inode) error) error {
 	total := fs.lay.sb.InodesPerGroup * fs.lay.sb.GroupCount
 	for ino := uint32(1); ino <= total; ino++ {
-		in, err := fs.loadInode(ino)
+		in, err := fs.LoadLocked(ino)
 		if err != nil {
 			continue // damaged table block: the scrub check() already saw it
 		}
-		if !in.allocated() {
+		if !in.Allocated() {
 			continue
 		}
 		if err := fn(ino, in); err != nil {

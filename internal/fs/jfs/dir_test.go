@@ -226,7 +226,7 @@ func TestDirLookupMatchesReference(t *testing.T) {
 		if err := fs.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		root, err := fs.loadInode(RootIno)
+		root, err := fs.LoadLocked(RootIno)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestDirLookupMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dir, err := fs.loadInode(id)
+		dir, err := fs.LoadLocked(id)
 		if err != nil {
 			t.Fatal(err)
 		}

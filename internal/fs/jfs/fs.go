@@ -9,6 +9,7 @@ import (
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
 	"ironfs/internal/journal"
+	"ironfs/internal/namei"
 	"ironfs/internal/trace"
 	"ironfs/internal/vfs"
 )
@@ -34,7 +35,6 @@ type FS struct {
 	mounted bool
 	noatime bool
 	jhead   int64
-	timeCtr int64
 	// jn owns the commit sequence space and coordinates the committer
 	// with its fsync waiters; FS implements its journal.Committer.
 	jn *journal.Engine
@@ -46,6 +46,10 @@ type FS struct {
 	// its fsck.Target. It sits last so the fields the read path touches
 	// keep the cache lines they had.
 	fsck.Driver
+
+	// Namespace is the path walk and the lookup and attribute operations
+	// of vfs.FileSystem; FS implements its namei.Store. Last, like Driver.
+	namei.Namespace[uint32, *inode]
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -57,6 +61,7 @@ func New(dev disk.Device, rec *iron.Recorder) *FS {
 	fs.cache.SetTracer(fs.tr)
 	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
 	fs.Driver = fsck.New(fs, fsck.Volume{Label: "jfs", Mu: &fs.mu, Health: &fs.health, Tracer: fs.tr, Cache: fs.cache})
+	fs.Namespace = namei.New[uint32, *inode](fs, namei.Volume{Mu: &fs.mu, RMu: &fs.mu, Health: &fs.health, Journal: fs.jn})
 	return fs
 }
 
@@ -67,18 +72,6 @@ func (fs *FS) SetNoAtime(on bool) { fs.noatime = on }
 // SetReadAhead enables sequential read-ahead on data reads, prefetching up
 // to window blocks once a scan is detected (0 disables). Set before Mount.
 func (fs *FS) SetReadAhead(window int) { fs.ra = bcache.NewPrefetcher(window) }
-
-// Health returns the current RStop state.
-func (fs *FS) Health() vfs.HealthState { return fs.health.State() }
-
-// HealthTransitions returns the degrade transition log: every downward
-// health move with the subsystem and cause that forced it.
-func (fs *FS) HealthTransitions() []vfs.Transition { return fs.health.Transitions() }
-
-func (fs *FS) now() int64 {
-	fs.timeCtr++
-	return fs.timeCtr
-}
 
 // crash models JFS's explicit-crash reaction (allocation-map read failure,
 // journal-superblock write failure).
@@ -340,27 +333,11 @@ func (fs *FS) Unmount() error {
 	return fs.dev.Barrier()
 }
 
-// Sync commits the running transaction.
-func (fs *FS) Sync() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if !fs.mounted {
-		return vfs.ErrNotMounted
-	}
-	if err := fs.health.CheckWrite(); err != nil {
-		return err
-	}
-	return fs.commitLocked()
-}
-
 // Statfs implements vfs.FileSystem.
 func (fs *FS) Statfs() (vfs.StatFS, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if !fs.mounted {
-		return vfs.StatFS{}, vfs.ErrNotMounted
-	}
-	if err := fs.health.CheckRead(); err != nil {
+	if err := fs.GuardReadLocked(); err != nil {
 		return vfs.StatFS{}, err
 	}
 	return vfs.StatFS{
@@ -370,20 +347,6 @@ func (fs *FS) Statfs() (vfs.StatFS, error) {
 		TotalInodes: int64(fs.imc.TotInodes),
 		FreeInodes:  int64(fs.imc.FreeInodes),
 	}, nil
-}
-
-func (fs *FS) guardWrite() error {
-	if !fs.mounted {
-		return vfs.ErrNotMounted
-	}
-	return fs.health.CheckWrite()
-}
-
-func (fs *FS) guardRead() error {
-	if !fs.mounted {
-		return vfs.ErrNotMounted
-	}
-	return fs.health.CheckRead()
 }
 
 // DropCaches empties the buffer cache, modeling a cold-cache restart for

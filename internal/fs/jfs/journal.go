@@ -115,7 +115,7 @@ func (fs *FS) dropBlock(blk int64) {
 const maxTxnRecords = 256
 
 //iron:commitpoint the operation-facing commit funnel; its error means the transaction did not reach disk
-func (fs *FS) maybeCommit() error {
+func (fs *FS) MaybeCommitLocked() error {
 	if len(fs.tx.records) >= maxTxnRecords {
 		return fs.commitLocked()
 	}
@@ -149,6 +149,12 @@ type commitPlan struct {
 //iron:txentry commit machinery: jfs group commit writes log records then checkpoints home blocks
 //iron:commitpoint the group-commit body; its error means the journal write or barrier failed
 func (fs *FS) commitLocked() error { return fs.jn.Commit(fs) }
+
+// SyncLocked implements namei.Store: sync(2) is one group commit, whose
+// immediate checkpoint brings every block home.
+//
+//iron:commitpoint sync is the group commit; its error means the journal write or barrier failed
+func (fs *FS) SyncLocked() error { return fs.commitLocked() }
 
 // DirtyLocked implements journal.Committer.
 func (fs *FS) DirtyLocked() bool { return !fs.tx.empty() }

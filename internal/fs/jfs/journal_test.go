@@ -8,6 +8,7 @@ import (
 	"ironfs/internal/disk"
 	"ironfs/internal/faultinject"
 	"ironfs/internal/iron"
+	"ironfs/internal/namei"
 	"ironfs/internal/vfs"
 )
 
@@ -156,8 +157,8 @@ func TestMarshalRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	in := inode{Mode: modeRegular | 0o644, Links: 3, UID: 1, GID: 2, Size: 999,
-		Atime: 10, Mtime: 20, Ctime: 30}
+	in := inode{TypedAttr: namei.Typed(vfs.TypeRegular, namei.Attr{Mode: 0o644, Links: 3, UID: 1, GID: 2, Size: 999,
+		Atime: 10, Mtime: 20, Ctime: 30})}
 	for i := range in.Direct {
 		in.Direct[i] = uint64(100 + i)
 	}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"ironfs/internal/iron"
+	"ironfs/internal/namei"
 )
 
 // BlockSize is the logical block size this implementation requires.
@@ -230,31 +231,13 @@ func (c *imapCtl) unmarshal(b []byte) {
 }
 
 // inode is a JFS inode: direct single-block extents plus pointers to
-// internal (pointer) blocks.
+// internal (pointer) blocks. The file type sits in the mode's high nibble
+// (namei.TypedAttr).
 type inode struct {
-	Mode   uint16
-	Links  uint16
-	UID    uint32
-	GID    uint32
-	Size   uint64
-	Atime  int64
-	Mtime  int64
-	Ctime  int64
+	namei.TypedAttr
 	Direct [directExts]uint64
 	Intern [internPtrs]uint64
 }
-
-const (
-	modeRegular = uint16(0x1000)
-	modeDir     = uint16(0x2000)
-	modeSymlink = uint16(0x3000)
-	modeTypeMsk = uint16(0xF000)
-	modePermMsk = uint16(0x0FFF)
-)
-
-func (in *inode) allocated() bool { return in.Mode != 0 }
-func (in *inode) isDir() bool     { return in.Mode&modeTypeMsk == modeDir }
-func (in *inode) isSymlink() bool { return in.Mode&modeTypeMsk == modeSymlink }
 
 func (in *inode) marshal(b []byte) {
 	le := binary.LittleEndian

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"ironfs/internal/disk"
+	"ironfs/internal/namei"
+	"ironfs/internal/vfs"
 )
 
 // defaultLogLen is the record-log size in blocks (superblock included).
@@ -101,7 +103,7 @@ func Mkfs(dev disk.Device) error {
 	for t := int64(0); t < defaultITabBlocks; t++ {
 		buf := blockOf()
 		if t == 0 {
-			root := inode{Mode: modeDir | 0o755, Links: 1}
+			root := inode{TypedAttr: namei.Typed(vfs.TypeDirectory, namei.Attr{Mode: 0o755, Links: 1})}
 			root.marshal(buf[0:InodeSize])
 		}
 		reqs = append(reqs, disk.Request{Block: itStart + t, Data: buf})

@@ -2,13 +2,14 @@ package jfs
 
 import (
 	"encoding/binary"
-	"errors"
 
 	"ironfs/internal/iron"
+	"ironfs/internal/namei"
 	"ironfs/internal/vfs"
 )
 
-// Allocation, inodes, directories, file mapping, and the VFS operations.
+// Allocation, inodes, directories, file mapping, and the namei.Store the
+// shared path walk runs on.
 
 // ---------------------------------------------------------------------------
 // Allocation maps.
@@ -173,10 +174,10 @@ func (fs *FS) inodeLoc(ino uint32) (int64, int, error) {
 	return int64(fs.sb.ITabStart) + idx/InodesPB, int(idx%InodesPB) * InodeSize, nil
 }
 
-// loadInode reads an inode, applying JFS's entry-count-style sanity checks
-// (size bound, valid type bits). A violation propagates and remounts
-// read-only (§5.3).
-func (fs *FS) loadInode(ino uint32) (*inode, error) {
+// LoadLocked implements namei.Store: it reads an inode, applying JFS's
+// entry-count-style sanity checks (size bound, valid type bits). A
+// violation propagates and remounts read-only (§5.3).
+func (fs *FS) LoadLocked(ino uint32) (*inode, error) {
 	blk, off, err := fs.inodeLoc(ino)
 	if err != nil {
 		return nil, err
@@ -187,15 +188,15 @@ func (fs *FS) loadInode(ino uint32) (*inode, error) {
 	}
 	in := &inode{}
 	in.unmarshal(buf[off : off+InodeSize])
-	if in.allocated() {
+	if in.Allocated() {
 		if int64(in.Size) > maxFileBlocks*BlockSize {
 			fs.rec.Detect(iron.DSanity, BTInode, "inode size exceeds maximum")
 			fs.rec.Recover(iron.RPropagate, BTInode, "error propagated")
 			fs.remountRO(BTInode, "inode sanity failure")
 			return nil, vfs.ErrCorrupt
 		}
-		switch in.Mode & modeTypeMsk {
-		case modeRegular, modeDir, modeSymlink:
+		switch in.Mode & namei.ModeTypeMsk {
+		case namei.ModeRegular, namei.ModeDir, namei.ModeSymlink:
 		default:
 			fs.rec.Detect(iron.DSanity, BTInode, "inode type bits invalid")
 			fs.rec.Recover(iron.RPropagate, BTInode, "error propagated")
@@ -206,9 +207,9 @@ func (fs *FS) loadInode(ino uint32) (*inode, error) {
 	return in, nil
 }
 
-// storeInode logs the inode's new image (a 256-byte redo record — the
-// record-level journaling JFS is known for).
-func (fs *FS) storeInode(ino uint32, in *inode) error {
+// StoreLocked implements namei.Store: it logs the inode's new image (a
+// 256-byte redo record — the record-level journaling JFS is known for).
+func (fs *FS) StoreLocked(ino uint32, in *inode) error {
 	blk, off, err := fs.inodeLoc(ino)
 	if err != nil {
 		return err
@@ -256,7 +257,7 @@ func (fs *FS) readInternal(blk int64, guessOnFail bool) ([]byte, error) {
 }
 
 // blockPtr maps logical file block l; alloc creates missing levels. The
-// caller must storeInode if the inode changed. readPath selects the RGuess
+// caller must StoreLocked if the inode changed. readPath selects the RGuess
 // behavior for sanity failures.
 func (fs *FS) blockPtr(in *inode, l int64, alloc, readPath bool) (int64, error) {
 	if l < 0 || l >= maxFileBlocks {
@@ -536,7 +537,7 @@ func (fs *FS) dirAdd(dirIno uint32, in *inode, name string, ino uint32, ftype by
 		return err
 	}
 	in.Size = uint64((l + 1) * BlockSize)
-	return fs.storeInode(dirIno, in)
+	return fs.StoreLocked(dirIno, in)
 }
 
 // dirRemove deletes an entry, compacting the block.
@@ -591,77 +592,27 @@ func (fs *FS) dirEmpty(in *inode) (bool, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Path resolution.
+// namei.Store: what the shared path walk asks of JFS.
 // ---------------------------------------------------------------------------
 
-const maxSymlinkDepth = 8
-
-func (fs *FS) resolve(path string, follow bool) (uint32, *inode, error) {
-	parts, err := vfs.SplitPath(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	return fs.walk(parts, follow, 0)
+// RootLocked implements namei.Store.
+func (fs *FS) RootLocked() (uint32, *inode, error) {
+	in, err := fs.LoadLocked(RootIno)
+	return RootIno, in, err
 }
 
-func (fs *FS) walk(parts []string, follow bool, depth int) (uint32, *inode, error) {
-	if depth > maxSymlinkDepth {
-		return 0, nil, vfs.ErrInval
-	}
-	ino := RootIno
-	in, err := fs.loadInode(ino)
-	if err != nil {
-		return 0, nil, err
-	}
-	for i, name := range parts {
-		if !in.isDir() {
-			return 0, nil, vfs.ErrNotDir
-		}
-		child, _, err := fs.dirLookup(in, name)
-		if err != nil {
-			return 0, nil, err
-		}
-		cin, err := fs.loadInode(child)
-		if err != nil {
-			return 0, nil, err
-		}
-		if !cin.allocated() {
-			return 0, nil, vfs.ErrNotExist
-		}
-		last := i == len(parts)-1
-		if cin.isSymlink() && (!last || follow) {
-			target, err := fs.readSymlink(cin)
-			if err != nil {
-				return 0, nil, err
-			}
-			tparts, err := vfs.SplitPath(target)
-			if err != nil {
-				return 0, nil, err
-			}
-			rest := append(append([]string{}, tparts...), parts[i+1:]...)
-			return fs.walk(rest, follow, depth+1)
-		}
-		ino, in = child, cin
-	}
-	return ino, in, nil
+// LookupLocked implements namei.Store.
+func (fs *FS) LookupLocked(_ uint32, dn *inode, name string) (uint32, error) {
+	ino, _, err := fs.dirLookup(dn, name)
+	return ino, err
 }
 
-func (fs *FS) resolveParent(path string) (uint32, *inode, string, error) {
-	dirParts, name, err := vfs.SplitDir(path)
-	if err != nil {
-		return 0, nil, "", err
-	}
-	ino, in, err := fs.walk(dirParts, true, 0)
-	if err != nil {
-		return 0, nil, "", err
-	}
-	if !in.isDir() {
-		return 0, nil, "", vfs.ErrNotDir
-	}
-	return ino, in, name, nil
-}
+// KeyOf implements namei.Store: the inode number.
+func (fs *FS) KeyOf(ino uint32) uint64 { return uint64(ino) }
 
-func (fs *FS) readSymlink(in *inode) (string, error) {
+// ReadLinkLocked implements namei.Store: the target is the link's single
+// data block.
+func (fs *FS) ReadLinkLocked(_ uint32, in *inode) (string, error) {
 	if in.Size == 0 || in.Size > BlockSize {
 		return "", vfs.ErrCorrupt
 	}
@@ -679,40 +630,21 @@ func (fs *FS) readSymlink(in *inode) (string, error) {
 	return string(buf[:in.Size]), nil
 }
 
-// createNode is the shared creation path.
-func (fs *FS) createNode(path string, mode uint16, ftype uint16) (uint32, *inode, error) {
-	pIno, pIn, name, err := fs.resolveParent(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	if _, _, err := fs.dirLookup(pIn, name); err == nil {
-		return 0, nil, vfs.ErrExist
-	} else if !errors.Is(err, vfs.ErrNotExist) {
-		return 0, nil, err
-	}
+// CreateLocked implements namei.Store.
+func (fs *FS) CreateLocked(pIno uint32, pIn *inode, name string, kind vfs.FileType, a namei.Attr) (uint32, *inode, error) {
 	ino, err := fs.allocInode()
 	if err != nil {
 		return 0, nil, err
 	}
-	now := fs.now()
-	in := &inode{Mode: ftype | (mode & modePermMsk), Links: 1, Atime: now, Mtime: now, Ctime: now}
-	var vt vfs.FileType
-	switch ftype {
-	case modeDir:
-		vt = vfs.TypeDirectory
-	case modeSymlink:
-		vt = vfs.TypeSymlink
-	default:
-		vt = vfs.TypeRegular
-	}
-	if err := fs.dirAdd(pIno, pIn, name, ino, byte(vt)); err != nil {
+	in := &inode{TypedAttr: namei.Typed(kind, a)}
+	if err := fs.dirAdd(pIno, pIn, name, ino, byte(kind)); err != nil {
 		return 0, nil, err
 	}
-	pIn.Mtime = now
-	if err := fs.storeInode(pIno, pIn); err != nil {
+	pIn.Mtime = a.Mtime
+	if err := fs.StoreLocked(pIno, pIn); err != nil {
 		return 0, nil, err
 	}
-	if err := fs.storeInode(ino, in); err != nil {
+	if err := fs.StoreLocked(ino, in); err != nil {
 		return 0, nil, err
 	}
 	return ino, in, nil

@@ -24,7 +24,7 @@ func (fs *FS) RemoveEntryLocked(c *fsck.Refs[*inode], e fsck.Entry) error {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTDir, "fsck removed dangling entry")
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // ReclaimLocked implements fsck.Fixer: clear the table slot; the map
@@ -34,17 +34,17 @@ func (fs *FS) ReclaimLocked(o fsck.Object[*inode]) error {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTInode, "fsck reclaimed orphan inode")
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // SetLinksLocked implements fsck.Fixer.
 func (fs *FS) SetLinksLocked(o fsck.Object[*inode], links int) error {
 	o.Node.Links = uint16(links)
-	if err := fs.storeInode(uint32(o.ID), o.Node); err != nil {
+	if err := fs.StoreLocked(uint32(o.ID), o.Node); err != nil {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTInode, "fsck corrected link count")
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // logMetaDiff logs the byte ranges where want differs from cur, the

@@ -52,7 +52,7 @@ func TestRepairReclaimsOrphanInode(t *testing.T) {
 	}
 	// Drop the directory entry but keep the inode: an orphan.
 	fs.mu.Lock()
-	root, err := fs.loadInode(RootIno)
+	root, err := fs.LoadLocked(RootIno)
 	if err == nil {
 		_, err = fs.dirRemove(root, "f")
 	}
@@ -77,7 +77,7 @@ func TestRepairRemovesDanglingEntry(t *testing.T) {
 	// Clear the inode slot but keep the name: a dangling entry, plus
 	// block-map bits the dead file still holds.
 	fs.mu.Lock()
-	ino, _, err := fs.resolve("/f", true)
+	ino, _, err := fs.ResolveLocked("/f", true)
 	if err == nil {
 		err = fs.clearInode(ino)
 	}
@@ -97,10 +97,10 @@ func TestRepairCorrectsLinkCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.mu.Lock()
-	ino, in, err := fs.resolve("/f", true)
+	ino, in, err := fs.ResolveLocked("/f", true)
 	if err == nil {
 		in.Links = 9
-		err = fs.storeInode(ino, in)
+		err = fs.StoreLocked(ino, in)
 	}
 	if err == nil {
 		err = fs.commitLocked()

@@ -38,11 +38,11 @@ func (r *image) Walk(m *faultinject.TypeMap) bool {
 		for s := 0; s < InodesPB; s++ {
 			var in inode
 			in.unmarshal(it[s*InodeSize : (s+1)*InodeSize])
-			if !in.allocated() {
+			if !in.Allocated() {
 				continue
 			}
 			leaf := BTData
-			if in.isDir() {
+			if in.IsDir() {
 				leaf = BTDir
 			}
 			for _, p := range in.Direct {

@@ -6,45 +6,20 @@ import (
 	"ironfs/internal/vfs"
 )
 
-// The vfs.FileSystem operations.
-
-// Create implements vfs.FileSystem.
-func (fs *FS) Create(path string, mode uint16) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	if _, _, err := fs.createNode(path, mode, modeRegular); err != nil {
-		return err
-	}
-	return fs.maybeCommit()
-}
-
-// Mkdir implements vfs.FileSystem.
-func (fs *FS) Mkdir(path string, mode uint16) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	if _, _, err := fs.createNode(path, mode, modeDir); err != nil {
-		return err
-	}
-	return fs.maybeCommit()
-}
+// The vfs.FileSystem operations that carry JFS's data layout and §5.3
+// reactions; the rest are namei.Namespace's.
 
 // Symlink implements vfs.FileSystem.
 func (fs *FS) Symlink(target, linkpath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
 	if target == "" || len(target) > BlockSize {
 		return vfs.ErrInval
 	}
-	ino, in, err := fs.createNode(linkpath, 0o777, modeSymlink)
+	ino, in, err := fs.MknodLocked(linkpath, 0o777, vfs.TypeSymlink)
 	if err != nil {
 		return err
 	}
@@ -56,98 +31,24 @@ func (fs *FS) Symlink(target, linkpath string) error {
 	copy(buf, target)
 	fs.stageData(blk, buf)
 	in.Size = uint64(len(target))
-	if err := fs.storeInode(ino, in); err != nil {
+	if err := fs.StoreLocked(ino, in); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
-}
-
-// Readlink implements vfs.FileSystem.
-func (fs *FS) Readlink(path string) (string, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
-		return "", err
-	}
-	_, in, err := fs.resolve(path, false)
-	if err != nil {
-		return "", err
-	}
-	if !in.isSymlink() {
-		return "", vfs.ErrInval
-	}
-	return fs.readSymlink(in)
-}
-
-// Open implements vfs.FileSystem.
-func (fs *FS) Open(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
-		return err
-	}
-	_, _, err := fs.resolve(path, true)
-	return err
-}
-
-// Access implements vfs.FileSystem.
-func (fs *FS) Access(path string) error { return fs.Open(path) }
-
-func fileInfo(ino uint32, in *inode) vfs.FileInfo {
-	t := vfs.TypeRegular
-	switch in.Mode & modeTypeMsk {
-	case modeDir:
-		t = vfs.TypeDirectory
-	case modeSymlink:
-		t = vfs.TypeSymlink
-	}
-	return vfs.FileInfo{
-		Ino: ino, Type: t, Size: int64(in.Size), Links: in.Links,
-		Mode: in.Mode & modePermMsk, UID: in.UID, GID: in.GID,
-		Atime: in.Atime, Mtime: in.Mtime, Ctime: in.Ctime,
-	}
-}
-
-// Stat implements vfs.FileSystem.
-func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
-		return vfs.FileInfo{}, err
-	}
-	ino, in, err := fs.resolve(path, true)
-	if err != nil {
-		return vfs.FileInfo{}, err
-	}
-	return fileInfo(ino, in), nil
-}
-
-// Lstat implements vfs.FileSystem.
-func (fs *FS) Lstat(path string) (vfs.FileInfo, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
-		return vfs.FileInfo{}, err
-	}
-	ino, in, err := fs.resolve(path, false)
-	if err != nil {
-		return vfs.FileInfo{}, err
-	}
-	return fileInfo(ino, in), nil
+	return fs.MaybeCommitLocked()
 }
 
 // ReadDir implements vfs.FileSystem.
 func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
+	if err := fs.GuardReadLocked(); err != nil {
 		return nil, err
 	}
-	_, in, err := fs.resolve(path, true)
+	_, in, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return nil, err
 	}
-	if !in.isDir() {
+	if !in.IsDir() {
 		return nil, vfs.ErrNotDir
 	}
 	var out []vfs.DirEntry
@@ -164,14 +65,14 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
+	if err := fs.GuardReadLocked(); err != nil {
 		return 0, err
 	}
-	ino, in, err := fs.resolve(path, true)
+	ino, in, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return 0, err
 	}
-	if in.isDir() {
+	if in.IsDir() {
 		return 0, vfs.ErrIsDir
 	}
 	if off < 0 {
@@ -214,9 +115,9 @@ func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 		read += chunk
 	}
 	if !fs.noatime && fs.health.State() == vfs.Healthy {
-		in.Atime = fs.now()
-		if err := fs.storeInode(ino, in); err == nil {
-			if cerr := fs.maybeCommit(); cerr != nil {
+		in.Atime = fs.Now()
+		if err := fs.StoreLocked(ino, in); err == nil {
+			if cerr := fs.MaybeCommitLocked(); cerr != nil {
 				return int(read), cerr
 			}
 		}
@@ -228,14 +129,14 @@ func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return 0, err
 	}
-	ino, in, err := fs.resolve(path, true)
+	ino, in, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return 0, err
 	}
-	if in.isDir() {
+	if in.IsDir() {
 		return 0, vfs.ErrIsDir
 	}
 	if off < 0 || off+int64(len(data)) > maxFileBlocks*BlockSize {
@@ -271,11 +172,11 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 	if off+n > int64(in.Size) {
 		in.Size = uint64(off + n)
 	}
-	in.Mtime = fs.now()
-	if err := fs.storeInode(ino, in); err != nil {
+	in.Mtime = fs.Now()
+	if err := fs.StoreLocked(ino, in); err != nil {
 		return int(written), err
 	}
-	if err := fs.maybeCommit(); err != nil {
+	if err := fs.MaybeCommitLocked(); err != nil {
 		return int(written), err
 	}
 	return int(written), nil
@@ -285,14 +186,14 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 func (fs *FS) Truncate(path string, size int64) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	ino, in, err := fs.resolve(path, true)
+	ino, in, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return err
 	}
-	if in.isDir() {
+	if in.IsDir() {
 		return vfs.ErrIsDir
 	}
 	if size < 0 || size > maxFileBlocks*BlockSize {
@@ -313,37 +214,21 @@ func (fs *FS) Truncate(path string, size int64) error {
 		}
 	}
 	in.Size = uint64(size)
-	in.Mtime = fs.now()
-	if err := fs.storeInode(ino, in); err != nil {
+	in.Mtime = fs.Now()
+	if err := fs.StoreLocked(ino, in); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
-}
-
-// Fsync implements vfs.FileSystem (journal.Engine.Fsync is the
-// group-commit protocol).
-func (fs *FS) Fsync(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	defer fs.jn.EndFsync(fs.jn.BeginFsync())
-	ino, _, err := fs.resolve(path, true)
-	if err != nil {
-		return err
-	}
-	return fs.jn.Fsync(fs, uint64(ino))
+	return fs.MaybeCommitLocked()
 }
 
 // Unlink implements vfs.FileSystem.
 func (fs *FS) Unlink(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	pIno, pIn, name, err := fs.resolveParent(path)
+	pIno, pIn, name, err := fs.ParentLocked(path)
 	if err != nil {
 		return err
 	}
@@ -351,18 +236,18 @@ func (fs *FS) Unlink(path string) error {
 	if err != nil {
 		return err
 	}
-	cIn, err := fs.loadInode(cIno)
+	cIn, err := fs.LoadLocked(cIno)
 	if err != nil {
 		return err
 	}
-	if cIn.isDir() {
+	if cIn.IsDir() {
 		return vfs.ErrIsDir
 	}
 	if _, err := fs.dirRemove(pIn, name); err != nil {
 		return err
 	}
-	pIn.Mtime = fs.now()
-	if err := fs.storeInode(pIno, pIn); err != nil {
+	pIn.Mtime = fs.Now()
+	if err := fs.StoreLocked(pIno, pIn); err != nil {
 		return err
 	}
 	cIn.Links--
@@ -377,22 +262,22 @@ func (fs *FS) Unlink(path string) error {
 			return err
 		}
 	} else {
-		cIn.Ctime = fs.now()
-		if err := fs.storeInode(cIno, cIn); err != nil {
+		cIn.Ctime = fs.Now()
+		if err := fs.StoreLocked(cIno, cIn); err != nil {
 			return err
 		}
 	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // Rmdir implements vfs.FileSystem.
 func (fs *FS) Rmdir(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	pIno, pIn, name, err := fs.resolveParent(path)
+	pIno, pIn, name, err := fs.ParentLocked(path)
 	if err != nil {
 		return err
 	}
@@ -400,11 +285,11 @@ func (fs *FS) Rmdir(path string) error {
 	if err != nil {
 		return err
 	}
-	cIn, err := fs.loadInode(cIno)
+	cIn, err := fs.LoadLocked(cIno)
 	if err != nil {
 		return err
 	}
-	if !cIn.isDir() {
+	if !cIn.IsDir() {
 		return vfs.ErrNotDir
 	}
 	empty, err := fs.dirEmpty(cIn)
@@ -417,8 +302,8 @@ func (fs *FS) Rmdir(path string) error {
 	if _, err := fs.dirRemove(pIn, name); err != nil {
 		return err
 	}
-	pIn.Mtime = fs.now()
-	if err := fs.storeInode(pIno, pIn); err != nil {
+	pIn.Mtime = fs.Now()
+	if err := fs.StoreLocked(pIno, pIn); err != nil {
 		return err
 	}
 	if err := fs.freeFileBlocks(cIn, 0); err != nil {
@@ -430,24 +315,24 @@ func (fs *FS) Rmdir(path string) error {
 	if err := fs.clearInode(cIno); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // Link implements vfs.FileSystem.
 func (fs *FS) Link(oldpath, newpath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	oIno, oIn, err := fs.resolve(oldpath, false)
+	oIno, oIn, err := fs.ResolveLocked(oldpath, false)
 	if err != nil {
 		return err
 	}
-	if oIn.isDir() {
+	if oIn.IsDir() {
 		return vfs.ErrIsDir
 	}
-	pIno, pIn, name, err := fs.resolveParent(newpath)
+	pIno, pIn, name, err := fs.ParentLocked(newpath)
 	if err != nil {
 		return err
 	}
@@ -456,33 +341,29 @@ func (fs *FS) Link(oldpath, newpath string) error {
 	} else if !errors.Is(err, vfs.ErrNotExist) {
 		return err
 	}
-	t := vfs.TypeRegular
-	if oIn.isSymlink() {
-		t = vfs.TypeSymlink
-	}
-	if err := fs.dirAdd(pIno, pIn, name, oIno, byte(t)); err != nil {
+	if err := fs.dirAdd(pIno, pIn, name, oIno, byte(oIn.FileType())); err != nil {
 		return err
 	}
-	pIn.Mtime = fs.now()
-	if err := fs.storeInode(pIno, pIn); err != nil {
+	pIn.Mtime = fs.Now()
+	if err := fs.StoreLocked(pIno, pIn); err != nil {
 		return err
 	}
 	oIn.Links++
-	oIn.Ctime = fs.now()
-	if err := fs.storeInode(oIno, oIn); err != nil {
+	oIn.Ctime = fs.Now()
+	if err := fs.StoreLocked(oIno, oIn); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // Rename implements vfs.FileSystem.
 func (fs *FS) Rename(oldpath, newpath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	oPIno, oPIn, oName, err := fs.resolveParent(oldpath)
+	oPIno, oPIn, oName, err := fs.ParentLocked(oldpath)
 	if err != nil {
 		return err
 	}
@@ -490,7 +371,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if err != nil {
 		return err
 	}
-	nPIno, nPIn, nName, err := fs.resolveParent(newpath)
+	nPIno, nPIn, nName, err := fs.ParentLocked(newpath)
 	if err != nil {
 		return err
 	}
@@ -498,11 +379,11 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 		nPIn = oPIn
 	}
 	if tIno, _, err := fs.dirLookup(nPIn, nName); err == nil {
-		tIn, lerr := fs.loadInode(tIno)
+		tIn, lerr := fs.LoadLocked(tIno)
 		if lerr != nil {
 			return lerr
 		}
-		if tIn.isDir() {
+		if tIn.IsDir() {
 			empty, derr := fs.dirEmpty(tIn)
 			if derr != nil {
 				return derr
@@ -515,7 +396,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 			return derr
 		}
 		tIn.Links--
-		if tIn.Links == 0 || tIn.isDir() {
+		if tIn.Links == 0 || tIn.IsDir() {
 			if derr := fs.freeFileBlocks(tIn, 0); derr != nil {
 				return derr
 			}
@@ -525,7 +406,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 			if derr := fs.clearInode(tIno); derr != nil {
 				return derr
 			}
-		} else if serr := fs.storeInode(tIno, tIn); serr != nil {
+		} else if serr := fs.StoreLocked(tIno, tIn); serr != nil {
 			return serr
 		}
 	} else if !errors.Is(err, vfs.ErrNotExist) {
@@ -534,52 +415,17 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if _, err := fs.dirRemove(oPIn, oName); err != nil {
 		return err
 	}
-	now := fs.now()
+	now := fs.Now()
 	oPIn.Mtime = now
-	if err := fs.storeInode(oPIno, oPIn); err != nil {
+	if err := fs.StoreLocked(oPIno, oPIn); err != nil {
 		return err
 	}
 	if err := fs.dirAdd(nPIno, nPIn, nName, cIno, cType); err != nil {
 		return err
 	}
 	nPIn.Mtime = now
-	if err := fs.storeInode(nPIno, nPIn); err != nil {
+	if err := fs.StoreLocked(nPIno, nPIn); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
-}
-
-// Chmod implements vfs.FileSystem.
-func (fs *FS) Chmod(path string, mode uint16) error {
-	return fs.setattr(path, func(in *inode) {
-		in.Mode = (in.Mode & modeTypeMsk) | (mode & modePermMsk)
-	})
-}
-
-// Chown implements vfs.FileSystem.
-func (fs *FS) Chown(path string, uid, gid uint32) error {
-	return fs.setattr(path, func(in *inode) { in.UID, in.GID = uid, gid })
-}
-
-// Utimes implements vfs.FileSystem.
-func (fs *FS) Utimes(path string, atime, mtime int64) error {
-	return fs.setattr(path, func(in *inode) { in.Atime, in.Mtime = atime, mtime })
-}
-
-func (fs *FS) setattr(path string, mutate func(*inode)) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	ino, in, err := fs.resolve(path, true)
-	if err != nil {
-		return err
-	}
-	mutate(in)
-	in.Ctime = fs.now()
-	if err := fs.storeInode(ino, in); err != nil {
-		return err
-	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }

@@ -34,11 +34,11 @@ func (fs *FS) censusMFTBlock(t int64, total uint32) (out mftCensus, units int64,
 			break
 		}
 		units++
-		r, err := fs.loadRecord(rec)
+		r, err := fs.LoadLocked(rec)
 		if err != nil {
 			return out, units, err // record magic check fired: detected, not silent
 		}
-		if !r.inUse() {
+		if !r.Allocated() {
 			continue
 		}
 		// $MFT and the root have no parent entry.

@@ -11,6 +11,7 @@ import (
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
 	"ironfs/internal/journal"
+	"ironfs/internal/namei"
 	"ironfs/internal/trace"
 	"ironfs/internal/vfs"
 )
@@ -33,7 +34,6 @@ type FS struct {
 	mounted bool
 	noatime bool
 	jhead   int64
-	timeCtr int64
 	// jn owns the commit sequence space and coordinates the committer
 	// with its fsync waiters; FS implements its journal.Committer.
 	jn *journal.Engine
@@ -45,6 +45,10 @@ type FS struct {
 	// its fsck.Target. It sits last so the fields the read path touches
 	// keep the cache lines they had.
 	fsck.Driver
+
+	// Namespace is the path walk and the lookup and attribute operations
+	// of vfs.FileSystem; FS implements its namei.Store. Last, like Driver.
+	namei.Namespace[uint32, *mftRecord]
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -56,6 +60,7 @@ func New(dev disk.Device, rec *iron.Recorder) *FS {
 	fs.cache.SetTracer(fs.tr)
 	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
 	fs.Driver = fsck.New(fs, fsck.Volume{Label: "ntfs", Mu: &fs.mu, Health: &fs.health, Tracer: fs.tr, Cache: fs.cache})
+	fs.Namespace = namei.New[uint32, *mftRecord](fs, namei.Volume{Mu: &fs.mu, RMu: &fs.mu, Health: &fs.health, Journal: fs.jn})
 	return fs
 }
 
@@ -66,18 +71,6 @@ func (fs *FS) SetNoAtime(on bool) { fs.noatime = on }
 // SetReadAhead enables sequential read-ahead on data reads, prefetching up
 // to window blocks once a scan is detected (0 disables). Set before Mount.
 func (fs *FS) SetReadAhead(window int) { fs.ra = bcache.NewPrefetcher(window) }
-
-// Health returns the current RStop state.
-func (fs *FS) Health() vfs.HealthState { return fs.health.State() }
-
-// HealthTransitions returns the degrade transition log: every downward
-// health move with the subsystem and cause that forced it.
-func (fs *FS) HealthTransitions() []vfs.Transition { return fs.health.Transitions() }
-
-func (fs *FS) now() int64 {
-	fs.timeCtr++
-	return fs.timeCtr
-}
 
 // unmountable is NTFS's reaction to corrupt metadata: the volume goes
 // read-only and stays that way (§5.4: "the file system becomes
@@ -224,12 +217,12 @@ func (fs *FS) dropBlock(blk int64) {
 const maxTxnMeta = 48
 
 // maxDescTags is the hard capacity of one logfile descriptor block: more
-// tags would scribble past the block. maybeCommit keeps the running
+// tags would scribble past the block. MaybeCommitLocked keeps the running
 // transaction far below this even while a commit is in flight.
 const maxDescTags = (BlockSize - 16) / 8
 
 //iron:commitpoint the operation-facing commit funnel; its error means the transaction did not reach disk
-func (fs *FS) maybeCommit() error {
+func (fs *FS) MaybeCommitLocked() error {
 	if len(fs.tx.metaOrder) >= maxTxnMeta {
 		return fs.commitLocked()
 	}
@@ -267,6 +260,12 @@ type commitPlan struct {
 //iron:commitpoint the group-commit body; its error means the journal write or barrier failed
 func (fs *FS) commitLocked() error { return fs.jn.Commit(fs) }
 
+// SyncLocked implements namei.Store: sync(2) is one group commit, whose
+// immediate checkpoint brings every block home.
+//
+//iron:commitpoint sync is the group commit; its error means the journal write or barrier failed
+func (fs *FS) SyncLocked() error { return fs.commitLocked() }
+
 // DirtyLocked implements journal.Committer.
 func (fs *FS) DirtyLocked() bool { return !fs.tx.empty() }
 
@@ -287,7 +286,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	le := binary.LittleEndian
 
 	if len(t.metaOrder) > maxDescTags {
-		// Unreachable by construction — maybeCommit flushes the running
+		// Unreachable by construction — MaybeCommitLocked flushes the running
 		// transaction far below one descriptor block's tag capacity — but
 		// an overflow would scribble past the descriptor block, and
 		// NTFS's reaction to a metadata-structural hazard is to mark the
@@ -611,27 +610,11 @@ func (fs *FS) Unmount() error {
 	return fs.dev.Barrier()
 }
 
-// Sync commits the running transaction.
-func (fs *FS) Sync() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if !fs.mounted {
-		return vfs.ErrNotMounted
-	}
-	if err := fs.health.CheckWrite(); err != nil {
-		return err
-	}
-	return fs.commitLocked()
-}
-
 // Statfs implements vfs.FileSystem.
 func (fs *FS) Statfs() (vfs.StatFS, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if !fs.mounted {
-		return vfs.StatFS{}, vfs.ErrNotMounted
-	}
-	if err := fs.health.CheckRead(); err != nil {
+	if err := fs.GuardReadLocked(); err != nil {
 		return vfs.StatFS{}, err
 	}
 	// NTFS propagates metadata read failures (§5.4); a bitmap read error
@@ -652,20 +635,6 @@ func (fs *FS) Statfs() (vfs.StatFS, error) {
 		TotalInodes: recs,
 		FreeInodes:  freeRecs,
 	}, nil
-}
-
-func (fs *FS) guardWrite() error {
-	if !fs.mounted {
-		return vfs.ErrNotMounted
-	}
-	return fs.health.CheckWrite()
-}
-
-func (fs *FS) guardRead() error {
-	if !fs.mounted {
-		return vfs.ErrNotMounted
-	}
-	return fs.health.CheckRead()
 }
 
 // DropCaches empties the buffer cache, modeling a cold-cache restart for

@@ -19,6 +19,8 @@ import (
 	"fmt"
 
 	"ironfs/internal/iron"
+	"ironfs/internal/namei"
+	"ironfs/internal/vfs"
 )
 
 // BlockSize is the logical block size this implementation requires.
@@ -128,25 +130,42 @@ const (
 	flagSymlink = uint16(0x0004)
 )
 
-// mftRecord is one 1 KiB MFT record.
+// mftRecord is one 1 KiB MFT record. The file type sits in Flags, not in
+// the mode, so it embeds the plain attribute set.
 type mftRecord struct {
-	Magic  uint32
-	Flags  uint16
-	Links  uint16
-	Mode   uint16
-	UID    uint32
-	GID    uint32
-	Size   uint64
-	Atime  int64
-	Mtime  int64
-	Ctime  int64
+	Magic uint32
+	Flags uint16
+	namei.Attr
 	Direct [directRuns]uint64
 	Ext    [runExtCount]uint64
 }
 
-func (r *mftRecord) inUse() bool     { return r.Flags&flagInUse != 0 }
+// Allocated implements namei.Node.
+func (r *mftRecord) Allocated() bool { return r.Flags&flagInUse != 0 }
 func (r *mftRecord) isDir() bool     { return r.Flags&flagDir != 0 }
 func (r *mftRecord) isSymlink() bool { return r.Flags&flagSymlink != 0 }
+
+// FileType implements namei.Node.
+func (r *mftRecord) FileType() vfs.FileType {
+	switch {
+	case r.isDir():
+		return vfs.TypeDirectory
+	case r.isSymlink():
+		return vfs.TypeSymlink
+	}
+	return vfs.TypeRegular
+}
+
+// kindFlags is FileType's inverse: the record flags of a new object.
+func kindFlags(kind vfs.FileType) uint16 {
+	switch kind {
+	case vfs.TypeDirectory:
+		return flagInUse | flagDir
+	case vfs.TypeSymlink:
+		return flagInUse | flagSymlink
+	}
+	return flagInUse
+}
 
 func (r *mftRecord) marshal(b []byte) {
 	le := binary.LittleEndian

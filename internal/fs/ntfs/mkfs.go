@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ironfs/internal/disk"
+	"ironfs/internal/namei"
 )
 
 // defaultLogLen sizes the logfile region.
@@ -67,9 +68,9 @@ func Mkfs(dev disk.Device) error {
 	for t := int64(0); t < mftBlocks; t++ {
 		buf := blockOf()
 		if t == 0 {
-			mft := mftRecord{Magic: recMagic, Flags: flagInUse, Links: 1}
+			mft := mftRecord{Magic: recMagic, Flags: flagInUse, Attr: namei.Attr{Links: 1}}
 			mft.marshal(buf[0:RecordSize])
-			root := mftRecord{Magic: recMagic, Flags: flagInUse | flagDir, Links: 1, Mode: 0o755}
+			root := mftRecord{Magic: recMagic, Flags: flagInUse | flagDir, Attr: namei.Attr{Links: 1, Mode: 0o755}}
 			root.marshal(buf[RecordSize : 2*RecordSize])
 		}
 		reqs = append(reqs, disk.Request{Block: mftStart + t, Data: buf})

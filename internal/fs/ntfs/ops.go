@@ -164,10 +164,10 @@ func (fs *FS) recordLoc(rec uint32) (int64, int, error) {
 	return int64(fs.boot.MFTStart) + int64(rec)/RecsPB, int(rec%RecsPB) * RecordSize, nil
 }
 
-// loadRecord reads an MFT record, verifying its "FILE" magic — NTFS's
-// strong metadata sanity check (§5.4). A corrupt record renders the
-// volume unusable.
-func (fs *FS) loadRecord(rec uint32) (*mftRecord, error) {
+// LoadLocked implements namei.Store: it reads an MFT record, verifying its
+// "FILE" magic — NTFS's strong metadata sanity check (§5.4). A corrupt
+// record renders the volume unusable.
+func (fs *FS) LoadLocked(rec uint32) (*mftRecord, error) {
 	blk, off, err := fs.recordLoc(rec)
 	if err != nil {
 		return nil, err
@@ -187,8 +187,8 @@ func (fs *FS) loadRecord(rec uint32) (*mftRecord, error) {
 	return r, nil
 }
 
-// storeRecord stages an MFT record update.
-func (fs *FS) storeRecord(rec uint32, r *mftRecord) error {
+// StoreLocked implements namei.Store: it stages an MFT record update.
+func (fs *FS) StoreLocked(rec uint32, r *mftRecord) error {
 	blk, off, err := fs.recordLoc(rec)
 	if err != nil {
 		return err
@@ -490,7 +490,7 @@ func (fs *FS) dirAdd(dirRec uint32, r *mftRecord, name string, child uint32, fty
 	copy(nb[4+dirEntHdr:], name)
 	fs.stageMeta(blk, nb, BTDir)
 	r.Size = uint64((l + 1) * BlockSize)
-	return fs.storeRecord(dirRec, r)
+	return fs.StoreLocked(dirRec, r)
 }
 
 func (fs *FS) dirRemove(r *mftRecord, name string) (uint32, error) {

@@ -7,6 +7,7 @@ import (
 	"ironfs/internal/disk"
 	"ironfs/internal/faultinject"
 	"ironfs/internal/iron"
+	"ironfs/internal/namei"
 	"ironfs/internal/vfs"
 )
 
@@ -155,8 +156,8 @@ func TestBootAndRecordRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := mftRecord{Magic: recMagic, Flags: flagInUse | flagDir, Links: 2, Mode: 0o755,
-		UID: 5, GID: 6, Size: 12345, Atime: 1, Mtime: 2, Ctime: 3}
+	r := mftRecord{Magic: recMagic, Flags: flagInUse | flagDir, Attr: namei.Attr{Links: 2, Mode: 0o755,
+		UID: 5, GID: 6, Size: 12345, Atime: 1, Mtime: 2, Ctime: 3}}
 	r.Direct[3] = 333
 	r.Ext[1] = 444
 	buf := make([]byte, RecordSize)

@@ -24,7 +24,7 @@ func (fs *FS) RemoveEntryLocked(c *fsck.Refs[*mftRecord], e fsck.Entry) error {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTDir, "fsck removed dangling entry")
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // ReclaimLocked implements fsck.Fixer: clear the slot; the bitmap rebuild
@@ -34,17 +34,17 @@ func (fs *FS) ReclaimLocked(o fsck.Object[*mftRecord]) error {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTMFT, "fsck reclaimed orphan record")
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // SetLinksLocked implements fsck.Fixer.
 func (fs *FS) SetLinksLocked(o fsck.Object[*mftRecord], links int) error {
 	o.Node.Links = uint16(links)
-	if err := fs.storeRecord(uint32(o.ID), o.Node); err != nil {
+	if err := fs.StoreLocked(uint32(o.ID), o.Node); err != nil {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTMFT, "fsck corrected link count")
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // restage stages the blocks of bm, which start at block `start`, whose

@@ -52,7 +52,7 @@ func TestRepairReclaimsOrphanRecord(t *testing.T) {
 	}
 	// Drop the directory entry but keep the record in use: an orphan.
 	fs.mu.Lock()
-	root, err := fs.loadRecord(RootRec)
+	root, err := fs.LoadLocked(RootRec)
 	if err == nil {
 		_, err = fs.dirRemove(root, "f")
 	}
@@ -77,7 +77,7 @@ func TestRepairRemovesDanglingEntry(t *testing.T) {
 	// Clear the MFT record but keep the name: a dangling entry, plus the
 	// bitmap bits the dead file still holds.
 	fs.mu.Lock()
-	rec, _, err := fs.resolve("/f", true)
+	rec, _, err := fs.ResolveLocked("/f", true)
 	if err == nil {
 		err = fs.clearRecord(rec)
 	}
@@ -97,10 +97,10 @@ func TestRepairCorrectsLinkCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.mu.Lock()
-	rec, r, err := fs.resolve("/f", true)
+	rec, r, err := fs.ResolveLocked("/f", true)
 	if err == nil {
 		r.Links = 9
-		err = fs.storeRecord(rec, r)
+		err = fs.StoreLocked(rec, r)
 	}
 	if err == nil {
 		err = fs.commitLocked()

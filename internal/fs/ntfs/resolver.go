@@ -38,7 +38,7 @@ func (r *image) Walk(m *faultinject.TypeMap) bool {
 		for s := 0; s < RecsPB; s++ {
 			var rec mftRecord
 			rec.unmarshal(mb[s*RecordSize : (s+1)*RecordSize])
-			if !rec.inUse() || rec.Magic != recMagic {
+			if !rec.Allocated() || rec.Magic != recMagic {
 				continue
 			}
 			leaf := BTData

@@ -3,79 +3,32 @@ package ntfs
 import (
 	"errors"
 
+	"ironfs/internal/namei"
 	"ironfs/internal/vfs"
 )
 
-// The vfs.FileSystem operations.
+// NTFS's namei.Store and the vfs.FileSystem operations that carry its data
+// layout and §5.4 reactions; the path walk and the lookup and attribute
+// operations are namei.Namespace's.
 
-const maxSymlinkDepth = 8
-
-func (fs *FS) resolve(path string, follow bool) (uint32, *mftRecord, error) {
-	parts, err := vfs.SplitPath(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	return fs.walk(parts, follow, 0)
+// RootLocked implements namei.Store.
+func (fs *FS) RootLocked() (uint32, *mftRecord, error) {
+	r, err := fs.LoadLocked(RootRec)
+	return RootRec, r, err
 }
 
-func (fs *FS) walk(parts []string, follow bool, depth int) (uint32, *mftRecord, error) {
-	if depth > maxSymlinkDepth {
-		return 0, nil, vfs.ErrInval
-	}
-	rec := RootRec
-	r, err := fs.loadRecord(rec)
-	if err != nil {
-		return 0, nil, err
-	}
-	for i, name := range parts {
-		if !r.isDir() {
-			return 0, nil, vfs.ErrNotDir
-		}
-		child, _, err := fs.dirLookup(r, name)
-		if err != nil {
-			return 0, nil, err
-		}
-		cr, err := fs.loadRecord(child)
-		if err != nil {
-			return 0, nil, err
-		}
-		if !cr.inUse() {
-			return 0, nil, vfs.ErrNotExist
-		}
-		last := i == len(parts)-1
-		if cr.isSymlink() && (!last || follow) {
-			target, err := fs.readSymlink(cr)
-			if err != nil {
-				return 0, nil, err
-			}
-			tparts, err := vfs.SplitPath(target)
-			if err != nil {
-				return 0, nil, err
-			}
-			rest := append(append([]string{}, tparts...), parts[i+1:]...)
-			return fs.walk(rest, follow, depth+1)
-		}
-		rec, r = child, cr
-	}
-	return rec, r, nil
+// LookupLocked implements namei.Store.
+func (fs *FS) LookupLocked(_ uint32, dr *mftRecord, name string) (uint32, error) {
+	rec, _, err := fs.dirLookup(dr, name)
+	return rec, err
 }
 
-func (fs *FS) resolveParent(path string) (uint32, *mftRecord, string, error) {
-	dirParts, name, err := vfs.SplitDir(path)
-	if err != nil {
-		return 0, nil, "", err
-	}
-	rec, r, err := fs.walk(dirParts, true, 0)
-	if err != nil {
-		return 0, nil, "", err
-	}
-	if !r.isDir() {
-		return 0, nil, "", vfs.ErrNotDir
-	}
-	return rec, r, name, nil
-}
+// KeyOf implements namei.Store: the MFT record number.
+func (fs *FS) KeyOf(rec uint32) uint64 { return uint64(rec) }
 
-func (fs *FS) readSymlink(r *mftRecord) (string, error) {
+// ReadLinkLocked implements namei.Store: the target is the link's single
+// data block.
+func (fs *FS) ReadLinkLocked(_ uint32, r *mftRecord) (string, error) {
 	if r.Size == 0 || r.Size > BlockSize {
 		return "", vfs.ErrCorrupt
 	}
@@ -93,82 +46,37 @@ func (fs *FS) readSymlink(r *mftRecord) (string, error) {
 	return string(buf[:r.Size]), nil
 }
 
-func (fs *FS) createNode(path string, mode uint16, flags uint16) (uint32, *mftRecord, error) {
-	pRec, pR, name, err := fs.resolveParent(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	if _, _, err := fs.dirLookup(pR, name); err == nil {
-		return 0, nil, vfs.ErrExist
-	} else if !errors.Is(err, vfs.ErrNotExist) {
-		return 0, nil, err
-	}
+// CreateLocked implements namei.Store.
+func (fs *FS) CreateLocked(pRec uint32, pR *mftRecord, name string, kind vfs.FileType, a namei.Attr) (uint32, *mftRecord, error) {
 	rec, err := fs.allocRecord()
 	if err != nil {
 		return 0, nil, err
 	}
-	now := fs.now()
-	r := &mftRecord{Magic: recMagic, Flags: flagInUse | flags, Links: 1,
-		Mode: mode, Atime: now, Mtime: now, Ctime: now}
-	var vt vfs.FileType
-	switch {
-	case flags&flagDir != 0:
-		vt = vfs.TypeDirectory
-	case flags&flagSymlink != 0:
-		vt = vfs.TypeSymlink
-	default:
-		vt = vfs.TypeRegular
-	}
-	if err := fs.dirAdd(pRec, pR, name, rec, byte(vt)); err != nil {
+	r := &mftRecord{Magic: recMagic, Flags: kindFlags(kind), Attr: a}
+	if err := fs.dirAdd(pRec, pR, name, rec, byte(kind)); err != nil {
 		return 0, nil, err
 	}
-	pR.Mtime = now
-	if err := fs.storeRecord(pRec, pR); err != nil {
+	pR.Mtime = a.Mtime
+	if err := fs.StoreLocked(pRec, pR); err != nil {
 		return 0, nil, err
 	}
-	if err := fs.storeRecord(rec, r); err != nil {
+	if err := fs.StoreLocked(rec, r); err != nil {
 		return 0, nil, err
 	}
 	return rec, r, nil
-}
-
-// Create implements vfs.FileSystem.
-func (fs *FS) Create(path string, mode uint16) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	if _, _, err := fs.createNode(path, mode, 0); err != nil {
-		return err
-	}
-	return fs.maybeCommit()
-}
-
-// Mkdir implements vfs.FileSystem.
-func (fs *FS) Mkdir(path string, mode uint16) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	if _, _, err := fs.createNode(path, mode, flagDir); err != nil {
-		return err
-	}
-	return fs.maybeCommit()
 }
 
 // Symlink implements vfs.FileSystem.
 func (fs *FS) Symlink(target, linkpath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
 	if target == "" || len(target) > BlockSize {
 		return vfs.ErrInval
 	}
-	rec, r, err := fs.createNode(linkpath, 0o777, flagSymlink)
+	rec, r, err := fs.MknodLocked(linkpath, 0o777, vfs.TypeSymlink)
 	if err != nil {
 		return err
 	}
@@ -180,94 +88,20 @@ func (fs *FS) Symlink(target, linkpath string) error {
 	copy(buf, target)
 	fs.stageData(blk, buf)
 	r.Size = uint64(len(target))
-	if err := fs.storeRecord(rec, r); err != nil {
+	if err := fs.StoreLocked(rec, r); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
-}
-
-// Readlink implements vfs.FileSystem.
-func (fs *FS) Readlink(path string) (string, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
-		return "", err
-	}
-	_, r, err := fs.resolve(path, false)
-	if err != nil {
-		return "", err
-	}
-	if !r.isSymlink() {
-		return "", vfs.ErrInval
-	}
-	return fs.readSymlink(r)
-}
-
-// Open implements vfs.FileSystem.
-func (fs *FS) Open(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
-		return err
-	}
-	_, _, err := fs.resolve(path, true)
-	return err
-}
-
-// Access implements vfs.FileSystem.
-func (fs *FS) Access(path string) error { return fs.Open(path) }
-
-func fileInfo(rec uint32, r *mftRecord) vfs.FileInfo {
-	t := vfs.TypeRegular
-	switch {
-	case r.isDir():
-		t = vfs.TypeDirectory
-	case r.isSymlink():
-		t = vfs.TypeSymlink
-	}
-	return vfs.FileInfo{
-		Ino: rec, Type: t, Size: int64(r.Size), Links: r.Links,
-		Mode: r.Mode, UID: r.UID, GID: r.GID,
-		Atime: r.Atime, Mtime: r.Mtime, Ctime: r.Ctime,
-	}
-}
-
-// Stat implements vfs.FileSystem.
-func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
-		return vfs.FileInfo{}, err
-	}
-	rec, r, err := fs.resolve(path, true)
-	if err != nil {
-		return vfs.FileInfo{}, err
-	}
-	return fileInfo(rec, r), nil
-}
-
-// Lstat implements vfs.FileSystem.
-func (fs *FS) Lstat(path string) (vfs.FileInfo, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
-		return vfs.FileInfo{}, err
-	}
-	rec, r, err := fs.resolve(path, false)
-	if err != nil {
-		return vfs.FileInfo{}, err
-	}
-	return fileInfo(rec, r), nil
+	return fs.MaybeCommitLocked()
 }
 
 // ReadDir implements vfs.FileSystem.
 func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
+	if err := fs.GuardReadLocked(); err != nil {
 		return nil, err
 	}
-	_, r, err := fs.resolve(path, true)
+	_, r, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return nil, err
 	}
@@ -288,10 +122,10 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
+	if err := fs.GuardReadLocked(); err != nil {
 		return 0, err
 	}
-	rec, r, err := fs.resolve(path, true)
+	rec, r, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return 0, err
 	}
@@ -338,9 +172,9 @@ func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 		read += chunk
 	}
 	if !fs.noatime && fs.health.State() == vfs.Healthy {
-		r.Atime = fs.now()
-		if err := fs.storeRecord(rec, r); err == nil {
-			if cerr := fs.maybeCommit(); cerr != nil {
+		r.Atime = fs.Now()
+		if err := fs.StoreLocked(rec, r); err == nil {
+			if cerr := fs.MaybeCommitLocked(); cerr != nil {
 				return int(read), cerr
 			}
 		}
@@ -352,10 +186,10 @@ func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return 0, err
 	}
-	rec, r, err := fs.resolve(path, true)
+	rec, r, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return 0, err
 	}
@@ -395,11 +229,11 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 	if off+n > int64(r.Size) {
 		r.Size = uint64(off + n)
 	}
-	r.Mtime = fs.now()
-	if err := fs.storeRecord(rec, r); err != nil {
+	r.Mtime = fs.Now()
+	if err := fs.StoreLocked(rec, r); err != nil {
 		return int(written), err
 	}
-	if err := fs.maybeCommit(); err != nil {
+	if err := fs.MaybeCommitLocked(); err != nil {
 		return int(written), err
 	}
 	return int(written), nil
@@ -409,10 +243,10 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 func (fs *FS) Truncate(path string, size int64) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	rec, r, err := fs.resolve(path, true)
+	rec, r, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return err
 	}
@@ -437,37 +271,21 @@ func (fs *FS) Truncate(path string, size int64) error {
 		}
 	}
 	r.Size = uint64(size)
-	r.Mtime = fs.now()
-	if err := fs.storeRecord(rec, r); err != nil {
+	r.Mtime = fs.Now()
+	if err := fs.StoreLocked(rec, r); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
-}
-
-// Fsync implements vfs.FileSystem (journal.Engine.Fsync is the
-// group-commit protocol).
-func (fs *FS) Fsync(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	defer fs.jn.EndFsync(fs.jn.BeginFsync())
-	rec, _, err := fs.resolve(path, true)
-	if err != nil {
-		return err
-	}
-	return fs.jn.Fsync(fs, uint64(rec))
+	return fs.MaybeCommitLocked()
 }
 
 // Unlink implements vfs.FileSystem.
 func (fs *FS) Unlink(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	pRec, pR, name, err := fs.resolveParent(path)
+	pRec, pR, name, err := fs.ParentLocked(path)
 	if err != nil {
 		return err
 	}
@@ -475,7 +293,7 @@ func (fs *FS) Unlink(path string) error {
 	if err != nil {
 		return err
 	}
-	cR, err := fs.loadRecord(cRec)
+	cR, err := fs.LoadLocked(cRec)
 	if err != nil {
 		return err
 	}
@@ -485,8 +303,8 @@ func (fs *FS) Unlink(path string) error {
 	if _, err := fs.dirRemove(pR, name); err != nil {
 		return err
 	}
-	pR.Mtime = fs.now()
-	if err := fs.storeRecord(pRec, pR); err != nil {
+	pR.Mtime = fs.Now()
+	if err := fs.StoreLocked(pRec, pR); err != nil {
 		return err
 	}
 	cR.Links--
@@ -501,22 +319,22 @@ func (fs *FS) Unlink(path string) error {
 			return err
 		}
 	} else {
-		cR.Ctime = fs.now()
-		if err := fs.storeRecord(cRec, cR); err != nil {
+		cR.Ctime = fs.Now()
+		if err := fs.StoreLocked(cRec, cR); err != nil {
 			return err
 		}
 	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // Rmdir implements vfs.FileSystem.
 func (fs *FS) Rmdir(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	pRec, pR, name, err := fs.resolveParent(path)
+	pRec, pR, name, err := fs.ParentLocked(path)
 	if err != nil {
 		return err
 	}
@@ -524,7 +342,7 @@ func (fs *FS) Rmdir(path string) error {
 	if err != nil {
 		return err
 	}
-	cR, err := fs.loadRecord(cRec)
+	cR, err := fs.LoadLocked(cRec)
 	if err != nil {
 		return err
 	}
@@ -541,8 +359,8 @@ func (fs *FS) Rmdir(path string) error {
 	if _, err := fs.dirRemove(pR, name); err != nil {
 		return err
 	}
-	pR.Mtime = fs.now()
-	if err := fs.storeRecord(pRec, pR); err != nil {
+	pR.Mtime = fs.Now()
+	if err := fs.StoreLocked(pRec, pR); err != nil {
 		return err
 	}
 	if err := fs.freeFileBlocks(cR, 0); err != nil {
@@ -554,24 +372,24 @@ func (fs *FS) Rmdir(path string) error {
 	if err := fs.clearRecord(cRec); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // Link implements vfs.FileSystem.
 func (fs *FS) Link(oldpath, newpath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	oRec, oR, err := fs.resolve(oldpath, false)
+	oRec, oR, err := fs.ResolveLocked(oldpath, false)
 	if err != nil {
 		return err
 	}
 	if oR.isDir() {
 		return vfs.ErrIsDir
 	}
-	pRec, pR, name, err := fs.resolveParent(newpath)
+	pRec, pR, name, err := fs.ParentLocked(newpath)
 	if err != nil {
 		return err
 	}
@@ -580,33 +398,29 @@ func (fs *FS) Link(oldpath, newpath string) error {
 	} else if !errors.Is(err, vfs.ErrNotExist) {
 		return err
 	}
-	t := vfs.TypeRegular
-	if oR.isSymlink() {
-		t = vfs.TypeSymlink
-	}
-	if err := fs.dirAdd(pRec, pR, name, oRec, byte(t)); err != nil {
+	if err := fs.dirAdd(pRec, pR, name, oRec, byte(oR.FileType())); err != nil {
 		return err
 	}
-	pR.Mtime = fs.now()
-	if err := fs.storeRecord(pRec, pR); err != nil {
+	pR.Mtime = fs.Now()
+	if err := fs.StoreLocked(pRec, pR); err != nil {
 		return err
 	}
 	oR.Links++
-	oR.Ctime = fs.now()
-	if err := fs.storeRecord(oRec, oR); err != nil {
+	oR.Ctime = fs.Now()
+	if err := fs.StoreLocked(oRec, oR); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // Rename implements vfs.FileSystem.
 func (fs *FS) Rename(oldpath, newpath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	oPRec, oPR, oName, err := fs.resolveParent(oldpath)
+	oPRec, oPR, oName, err := fs.ParentLocked(oldpath)
 	if err != nil {
 		return err
 	}
@@ -614,7 +428,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if err != nil {
 		return err
 	}
-	nPRec, nPR, nName, err := fs.resolveParent(newpath)
+	nPRec, nPR, nName, err := fs.ParentLocked(newpath)
 	if err != nil {
 		return err
 	}
@@ -622,7 +436,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 		nPR = oPR
 	}
 	if tRec, _, err := fs.dirLookup(nPR, nName); err == nil {
-		tR, lerr := fs.loadRecord(tRec)
+		tR, lerr := fs.LoadLocked(tRec)
 		if lerr != nil {
 			return lerr
 		}
@@ -649,7 +463,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 			if derr := fs.clearRecord(tRec); derr != nil {
 				return derr
 			}
-		} else if serr := fs.storeRecord(tRec, tR); serr != nil {
+		} else if serr := fs.StoreLocked(tRec, tR); serr != nil {
 			return serr
 		}
 	} else if !errors.Is(err, vfs.ErrNotExist) {
@@ -658,50 +472,17 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if _, err := fs.dirRemove(oPR, oName); err != nil {
 		return err
 	}
-	now := fs.now()
+	now := fs.Now()
 	oPR.Mtime = now
-	if err := fs.storeRecord(oPRec, oPR); err != nil {
+	if err := fs.StoreLocked(oPRec, oPR); err != nil {
 		return err
 	}
 	if err := fs.dirAdd(nPRec, nPR, nName, cRec, cType); err != nil {
 		return err
 	}
 	nPR.Mtime = now
-	if err := fs.storeRecord(nPRec, nPR); err != nil {
+	if err := fs.StoreLocked(nPRec, nPR); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
-}
-
-// Chmod implements vfs.FileSystem.
-func (fs *FS) Chmod(path string, mode uint16) error {
-	return fs.setattr(path, func(r *mftRecord) { r.Mode = mode })
-}
-
-// Chown implements vfs.FileSystem.
-func (fs *FS) Chown(path string, uid, gid uint32) error {
-	return fs.setattr(path, func(r *mftRecord) { r.UID, r.GID = uid, gid })
-}
-
-// Utimes implements vfs.FileSystem.
-func (fs *FS) Utimes(path string, atime, mtime int64) error {
-	return fs.setattr(path, func(r *mftRecord) { r.Atime, r.Mtime = atime, mtime })
-}
-
-func (fs *FS) setattr(path string, mutate func(*mftRecord)) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	rec, r, err := fs.resolve(path, true)
-	if err != nil {
-		return err
-	}
-	mutate(r)
-	r.Ctime = fs.now()
-	if err := fs.storeRecord(rec, r); err != nil {
-		return err
-	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }

@@ -86,7 +86,6 @@ type entry struct {
 	mkfs     func(disk.Device, Options) error
 	newFS    func(disk.Device, Options, *iron.Recorder) vfs.FileSystem
 	resolver func(*disk.Disk) faultinject.TypeResolver
-	health   func(vfs.FileSystem) (vfs.HealthState, bool)
 }
 
 // rejectOpts fails when any option outside allowed (a field-name set) is
@@ -142,14 +141,6 @@ var ixt3Allowed = map[string]bool{
 	"journal-blocks": true, "blocks-per-group": true, "itable-blocks": true,
 }
 
-// ext3Health covers ext3 and ixt3 (same concrete type).
-func ext3Health(fsys vfs.FileSystem) (vfs.HealthState, bool) {
-	if f, ok := fsys.(*ext3.FS); ok {
-		return f.Health(), true
-	}
-	return 0, false
-}
-
 // registry lists the built-in file systems in the paper's order.
 var registry = []entry{
 	{
@@ -161,7 +152,6 @@ var registry = []entry{
 			return ext3.New(dev, o.ext3Options(), rec)
 		},
 		resolver: func(raw *disk.Disk) faultinject.TypeResolver { return ext3.NewResolver(raw) },
-		health:   ext3Health,
 	},
 	{
 		name:     "reiserfs",
@@ -174,12 +164,6 @@ var registry = []entry{
 			return f
 		},
 		resolver: func(raw *disk.Disk) faultinject.TypeResolver { return reiser.NewResolver(raw) },
-		health: func(fsys vfs.FileSystem) (vfs.HealthState, bool) {
-			if f, ok := fsys.(*reiser.FS); ok {
-				return f.Health(), true
-			}
-			return 0, false
-		},
 	},
 	{
 		name:     "jfs",
@@ -192,12 +176,6 @@ var registry = []entry{
 			return f
 		},
 		resolver: func(raw *disk.Disk) faultinject.TypeResolver { return jfs.NewResolver(raw) },
-		health: func(fsys vfs.FileSystem) (vfs.HealthState, bool) {
-			if f, ok := fsys.(*jfs.FS); ok {
-				return f.Health(), true
-			}
-			return 0, false
-		},
 	},
 	{
 		name:     "ntfs",
@@ -210,12 +188,6 @@ var registry = []entry{
 			return f
 		},
 		resolver: func(raw *disk.Disk) faultinject.TypeResolver { return ntfs.NewResolver(raw) },
-		health: func(fsys vfs.FileSystem) (vfs.HealthState, bool) {
-			if f, ok := fsys.(*ntfs.FS); ok {
-				return f.Health(), true
-			}
-			return 0, false
-		},
 	},
 	{
 		name:     "ixt3",
@@ -230,7 +202,6 @@ var registry = []entry{
 			return ext3.New(dev, o.ext3Options(), rec)
 		},
 		resolver: func(raw *disk.Disk) faultinject.TypeResolver { return ext3.NewResolver(raw) },
-		health:   ext3Health,
 	},
 }
 
@@ -349,10 +320,8 @@ func BlockTypes(name string) ([]iron.BlockType, error) {
 // Health reports the RStop state of an instance produced by this registry,
 // regardless of which concrete file system it is.
 func Health(fsys vfs.FileSystem) (vfs.HealthState, bool) {
-	for i := range registry {
-		if st, ok := registry[i].health(fsys); ok {
-			return st, true
-		}
+	if f, ok := fsys.(interface{ Health() vfs.HealthState }); ok {
+		return f.Health(), true
 	}
 	return 0, false
 }

@@ -69,7 +69,7 @@ func (fs *FS) census(s *fsck.Scan) (*fsck.Refs[statData], int64, error) {
 						c.Problemf("stat-item", "stat item for (%d,%d): %v", r.DirID, r.ObjID, err)
 						continue
 					}
-					c.Add(fsck.Object[statData]{ID: r.id(), Links: int(sd.Links), Dir: sd.isDir(),
+					c.Add(fsck.Object[statData]{ID: r.id(), Links: int(sd.Links), Dir: sd.IsDir(),
 						Root: r == rootRef(), Node: sd})
 				case itemDir:
 					ents, ok := parseEnts(it.Body)

@@ -108,7 +108,7 @@ func (t *txn) drop(blk int64) {
 const maxTxnMeta = 48
 
 // maxDescTags is the hard capacity of one descriptor block: more tags
-// would scribble past the block. maybeCommit keeps the running
+// would scribble past the block. MaybeCommitLocked keeps the running
 // transaction far below this even while a commit is in flight.
 const maxDescTags = (BlockSize - 16) / 8
 
@@ -125,10 +125,10 @@ func (fs *FS) stageData(blk int64, data []byte) {
 	fs.tx.putData(blk, data)
 }
 
-// maybeCommit commits when the running transaction grows large.
+// MaybeCommitLocked commits when the running transaction grows large.
 //
 //iron:commitpoint the operation-facing commit funnel; its error means the transaction did not reach disk
-func (fs *FS) maybeCommit() error {
+func (fs *FS) MaybeCommitLocked() error {
 	if len(fs.tx.metaOrder) >= maxTxnMeta {
 		return fs.commitLocked()
 	}
@@ -166,6 +166,12 @@ type commitPlan struct {
 //iron:commitpoint the group-commit body; its error means the journal write or barrier failed
 func (fs *FS) commitLocked() error { return fs.jn.Commit(fs) }
 
+// SyncLocked implements namei.Store: sync(2) is one group commit, whose
+// immediate checkpoint brings every block home.
+//
+//iron:commitpoint sync is the group commit; its error means the journal write or barrier failed
+func (fs *FS) SyncLocked() error { return fs.commitLocked() }
+
 // DirtyLocked implements journal.Committer.
 func (fs *FS) DirtyLocked() bool { return !fs.tx.empty() || fs.sbDirty }
 
@@ -192,7 +198,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	fs.st.TxnBlocks.Observe(int64(len(t.metaOrder)))
 	base := int64(fs.sb.JournalStart)
 	if len(t.metaOrder) > maxDescTags {
-		// Unreachable by construction — maybeCommit flushes the running
+		// Unreachable by construction — MaybeCommitLocked flushes the running
 		// transaction far below one descriptor block's tag capacity, even
 		// while a commit is in flight — but an overflow would scribble
 		// past the descriptor block, and ReiserFS's answer to a

@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"ironfs/internal/iron"
+	"ironfs/internal/namei"
 )
 
 // BlockSize is the logical block size this implementation requires.
@@ -159,17 +160,13 @@ type item struct {
 	Body []byte
 }
 
-// statData is the body of a stat item.
-type statData struct {
-	Mode  uint16
-	Links uint16
-	UID   uint32
-	GID   uint32
-	Size  uint64
-	Atime int64
-	Mtime int64
-	Ctime int64
-}
+// statData is the body of a stat item. The file type sits in the mode's
+// high nibble (namei.TypedAttr).
+type statData struct{ namei.TypedAttr }
+
+// Allocated implements namei.Node. An object exists exactly when its stat
+// item is in the tree: there is no inode table to leave a stale slot in.
+func (s *statData) Allocated() bool { return true }
 
 const statLen = 2 + 2 + 4 + 4 + 8 + 8 + 8 + 8
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"ironfs/internal/disk"
+	"ironfs/internal/namei"
+	"ironfs/internal/vfs"
 )
 
 // defaultJournalLen is the journal ring size in blocks (header included).
@@ -67,7 +69,7 @@ func Mkfs(dev disk.Device) error {
 	reqs = append(reqs, disk.Request{Block: jStart, Data: jhBuf})
 
 	// Root leaf with the root directory's stat item.
-	rootStat := statData{Mode: modeDir | 0o755, Links: 1}
+	rootStat := statData{namei.Typed(vfs.TypeDirectory, namei.Attr{Mode: 0o755, Links: 1})}
 	root := &node{Level: 1, Items: []item{{K: rootRef().statKey(), Body: rootStat.marshal()}}}
 	reqs = append(reqs, disk.Request{Block: rootBlk, Data: marshalNode(root)})
 

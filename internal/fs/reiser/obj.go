@@ -32,31 +32,10 @@ func (r objRef) indirectKey(itemIdx int64) key {
 	return key{r.DirID, r.ObjID, uint64(itemIdx)*maxIndirectPtrs*BlockSize + 1, itemIndirect}
 }
 
-// Mode type bits (shared convention with ext3's simulator).
-const (
-	modeRegular = uint16(0x1000)
-	modeDir     = uint16(0x2000)
-	modeSymlink = uint16(0x3000)
-	modeTypeMsk = uint16(0xF000)
-	modePermMsk = uint16(0x0FFF)
-)
-
-func (s *statData) fileType() vfs.FileType {
-	switch s.Mode & modeTypeMsk {
-	case modeDir:
-		return vfs.TypeDirectory
-	case modeSymlink:
-		return vfs.TypeSymlink
-	default:
-		return vfs.TypeRegular
-	}
-}
-
-func (s *statData) isDir() bool { return s.Mode&modeTypeMsk == modeDir }
-
-// getStat loads an object's stat item, sanity-checking its format (§5.2:
-// "inodes and directory blocks have known formats" that ReiserFS verifies).
-func (fs *FS) getStat(r objRef) (*statData, error) {
+// LoadLocked implements namei.Store: it loads an object's stat item,
+// sanity-checking its format (§5.2: "inodes and directory blocks have known
+// formats" that ReiserFS verifies).
+func (fs *FS) LoadLocked(r objRef) (*statData, error) {
 	it, err := fs.findItem(r.statKey())
 	if err != nil {
 		return nil, err
@@ -70,8 +49,8 @@ func (fs *FS) getStat(r objRef) (*statData, error) {
 	return sd, nil
 }
 
-// putStat stores an object's stat item.
-func (fs *FS) putStat(r objRef, sd *statData) error {
+// StoreLocked implements namei.Store: it stores an object's stat item.
+func (fs *FS) StoreLocked(r objRef, sd *statData) error {
 	return fs.replaceItem(r.statKey(), sd.marshal())
 }
 

@@ -3,79 +3,31 @@ package reiser
 import (
 	"errors"
 
+	"ironfs/internal/namei"
 	"ironfs/internal/vfs"
 )
 
-// VFS operations over the tree engine.
+// ReiserFS's namei.Store and the vfs.FileSystem operations that carry its
+// data layout and §5.2 reactions, over the tree engine; the path walk and
+// the lookup and attribute operations are namei.Namespace's.
 
-const maxSymlinkDepth = 8
-
-// resolve walks an absolute path to an object reference and its stat data.
-func (fs *FS) resolve(path string, follow bool) (objRef, *statData, error) {
-	parts, err := vfs.SplitPath(path)
-	if err != nil {
-		return objRef{}, nil, err
-	}
-	return fs.walk(parts, follow, 0)
+// RootLocked implements namei.Store.
+func (fs *FS) RootLocked() (objRef, *statData, error) {
+	sd, err := fs.LoadLocked(rootRef())
+	return rootRef(), sd, err
 }
 
-func (fs *FS) walk(parts []string, follow bool, depth int) (objRef, *statData, error) {
-	if depth > maxSymlinkDepth {
-		return objRef{}, nil, vfs.ErrInval
-	}
-	ref := rootRef()
-	sd, err := fs.getStat(ref)
-	if err != nil {
-		return objRef{}, nil, err
-	}
-	for i, name := range parts {
-		if !sd.isDir() {
-			return objRef{}, nil, vfs.ErrNotDir
-		}
-		ent, err := fs.dirLookup(ref, name)
-		if err != nil {
-			return objRef{}, nil, err
-		}
-		cRef := ent.Child
-		cSd, err := fs.getStat(cRef)
-		if err != nil {
-			return objRef{}, nil, err
-		}
-		last := i == len(parts)-1
-		if cSd.fileType() == vfs.TypeSymlink && (!last || follow) {
-			target, err := fs.readSymlink(cRef, cSd)
-			if err != nil {
-				return objRef{}, nil, err
-			}
-			tparts, err := vfs.SplitPath(target)
-			if err != nil {
-				return objRef{}, nil, err
-			}
-			rest := append(append([]string{}, tparts...), parts[i+1:]...)
-			return fs.walk(rest, follow, depth+1)
-		}
-		ref, sd = cRef, cSd
-	}
-	return ref, sd, nil
+// LookupLocked implements namei.Store.
+func (fs *FS) LookupLocked(dir objRef, _ *statData, name string) (objRef, error) {
+	ent, err := fs.dirLookup(dir, name)
+	return ent.Child, err
 }
 
-// resolveParent resolves the directory containing path's final component.
-func (fs *FS) resolveParent(path string) (objRef, *statData, string, error) {
-	dirParts, name, err := vfs.SplitDir(path)
-	if err != nil {
-		return objRef{}, nil, "", err
-	}
-	ref, sd, err := fs.walk(dirParts, true, 0)
-	if err != nil {
-		return objRef{}, nil, "", err
-	}
-	if !sd.isDir() {
-		return objRef{}, nil, "", vfs.ErrNotDir
-	}
-	return ref, sd, name, nil
-}
+// KeyOf implements namei.Store: the key prefix, object id low.
+func (fs *FS) KeyOf(r objRef) uint64 { return uint64(r.DirID)<<32 | uint64(r.ObjID) }
 
-func (fs *FS) readSymlink(r objRef, sd *statData) (string, error) {
+// ReadLinkLocked implements namei.Store: the target is the link's tail.
+func (fs *FS) ReadLinkLocked(r objRef, sd *statData) (string, error) {
 	has, tail, err := fs.hasTail(r)
 	if err != nil {
 		return "", err
@@ -86,178 +38,60 @@ func (fs *FS) readSymlink(r objRef, sd *statData) (string, error) {
 	return string(tail[:sd.Size]), nil
 }
 
-// createNode allocates an object and links it into its parent.
-func (fs *FS) createNode(path string, mode uint16, ftype uint16) (objRef, error) {
-	pRef, _, name, err := fs.resolveParent(path)
-	if err != nil {
-		return objRef{}, err
-	}
-	if _, err := fs.dirLookup(pRef, name); err == nil {
-		return objRef{}, vfs.ErrExist
-	} else if !errors.Is(err, vfs.ErrNotExist) {
-		return objRef{}, err
-	}
+// CreateLocked implements namei.Store: the stat item goes in first, then
+// the directory entry.
+func (fs *FS) CreateLocked(pRef objRef, _ *statData, name string, kind vfs.FileType, a namei.Attr) (objRef, *statData, error) {
 	ref := objRef{DirID: pRef.ObjID, ObjID: fs.allocOID()}
-	now := fs.now()
-	sd := &statData{Mode: ftype | (mode & modePermMsk), Links: 1, Atime: now, Mtime: now, Ctime: now}
+	sd := &statData{namei.Typed(kind, a)}
 	if err := fs.insertItem(item{K: ref.statKey(), Body: sd.marshal()}); err != nil {
-		return objRef{}, err
+		return objRef{}, nil, err
 	}
-	var vt vfs.FileType
-	switch ftype {
-	case modeDir:
-		vt = vfs.TypeDirectory
-	case modeSymlink:
-		vt = vfs.TypeSymlink
-	default:
-		vt = vfs.TypeRegular
+	if err := fs.dirAddEntry(pRef, dirEnt{Child: ref, FType: byte(kind), Name: name}); err != nil {
+		return objRef{}, nil, err
 	}
-	if err := fs.dirAddEntry(pRef, dirEnt{Child: ref, FType: byte(vt), Name: name}); err != nil {
-		return objRef{}, err
-	}
-	return ref, nil
-}
-
-// Create implements vfs.FileSystem.
-func (fs *FS) Create(path string, mode uint16) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	if _, err := fs.createNode(path, mode, modeRegular); err != nil {
-		return err
-	}
-	return fs.maybeCommit()
-}
-
-// Mkdir implements vfs.FileSystem.
-func (fs *FS) Mkdir(path string, mode uint16) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	if _, err := fs.createNode(path, mode, modeDir); err != nil {
-		return err
-	}
-	return fs.maybeCommit()
+	return ref, sd, nil
 }
 
 // Symlink implements vfs.FileSystem; the target is stored as a tail.
 func (fs *FS) Symlink(target, linkpath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
 	if target == "" || len(target) > tailMax {
 		return vfs.ErrInval
 	}
-	ref, err := fs.createNode(linkpath, 0o777, modeSymlink)
+	ref, _, err := fs.MknodLocked(linkpath, 0o777, vfs.TypeSymlink)
 	if err != nil {
 		return err
 	}
 	if err := fs.insertItem(item{K: ref.directKey(), Body: []byte(target)}); err != nil {
 		return err
 	}
-	sd, err := fs.getStat(ref)
+	sd, err := fs.LoadLocked(ref)
 	if err != nil {
 		return err
 	}
 	sd.Size = uint64(len(target))
-	if err := fs.putStat(ref, sd); err != nil {
+	if err := fs.StoreLocked(ref, sd); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
-}
-
-// Readlink implements vfs.FileSystem.
-func (fs *FS) Readlink(path string) (string, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
-		return "", err
-	}
-	ref, sd, err := fs.resolve(path, false)
-	if err != nil {
-		return "", err
-	}
-	if sd.fileType() != vfs.TypeSymlink {
-		return "", vfs.ErrInval
-	}
-	return fs.readSymlink(ref, sd)
-}
-
-// Open implements vfs.FileSystem.
-func (fs *FS) Open(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
-		return err
-	}
-	_, _, err := fs.resolve(path, true)
-	return err
-}
-
-// Access implements vfs.FileSystem.
-func (fs *FS) Access(path string) error { return fs.Open(path) }
-
-// Stat implements vfs.FileSystem.
-func (fs *FS) Stat(path string) (vfs.FileInfo, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
-		return vfs.FileInfo{}, err
-	}
-	ref, sd, err := fs.resolve(path, true)
-	if err != nil {
-		return vfs.FileInfo{}, err
-	}
-	return fileInfo(ref, sd), nil
-}
-
-// Lstat implements vfs.FileSystem.
-func (fs *FS) Lstat(path string) (vfs.FileInfo, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
-		return vfs.FileInfo{}, err
-	}
-	ref, sd, err := fs.resolve(path, false)
-	if err != nil {
-		return vfs.FileInfo{}, err
-	}
-	return fileInfo(ref, sd), nil
-}
-
-func fileInfo(ref objRef, sd *statData) vfs.FileInfo {
-	return vfs.FileInfo{
-		Ino:   ref.ObjID,
-		Type:  sd.fileType(),
-		Size:  int64(sd.Size),
-		Links: sd.Links,
-		Mode:  sd.Mode & modePermMsk,
-		UID:   sd.UID,
-		GID:   sd.GID,
-		Atime: sd.Atime,
-		Mtime: sd.Mtime,
-		Ctime: sd.Ctime,
-	}
+	return fs.MaybeCommitLocked()
 }
 
 // ReadDir implements vfs.FileSystem.
 func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
+	if err := fs.GuardReadLocked(); err != nil {
 		return nil, err
 	}
-	ref, sd, err := fs.resolve(path, true)
+	ref, sd, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return nil, err
 	}
-	if !sd.isDir() {
+	if !sd.IsDir() {
 		return nil, vfs.ErrNotDir
 	}
 	ents, err := fs.dirEntries(ref)
@@ -275,14 +109,14 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardRead(); err != nil {
+	if err := fs.GuardReadLocked(); err != nil {
 		return 0, err
 	}
-	ref, sd, err := fs.resolve(path, true)
+	ref, sd, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return 0, err
 	}
-	if sd.isDir() {
+	if sd.IsDir() {
 		return 0, vfs.ErrIsDir
 	}
 	if off < 0 {
@@ -331,9 +165,9 @@ func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 		read += chunk
 	}
 	if !fs.noatime && fs.health.State() == vfs.Healthy {
-		sd.Atime = fs.now()
-		if err := fs.putStat(ref, sd); err == nil {
-			if cerr := fs.maybeCommit(); cerr != nil {
+		sd.Atime = fs.Now()
+		if err := fs.StoreLocked(ref, sd); err == nil {
+			if cerr := fs.MaybeCommitLocked(); cerr != nil {
 				return int(read), cerr
 			}
 		}
@@ -345,14 +179,14 @@ func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return 0, err
 	}
-	ref, sd, err := fs.resolve(path, true)
+	ref, sd, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return 0, err
 	}
-	if sd.isDir() {
+	if sd.IsDir() {
 		return 0, vfs.ErrIsDir
 	}
 	if off < 0 {
@@ -422,11 +256,11 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 	if off+int64(len(data)) > int64(sd.Size) {
 		sd.Size = uint64(off + int64(len(data)))
 	}
-	sd.Mtime = fs.now()
-	if err := fs.putStat(ref, sd); err != nil {
+	sd.Mtime = fs.Now()
+	if err := fs.StoreLocked(ref, sd); err != nil {
 		return 0, err
 	}
-	if err := fs.maybeCommit(); err != nil {
+	if err := fs.MaybeCommitLocked(); err != nil {
 		return 0, err
 	}
 	return len(data), nil
@@ -436,14 +270,14 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 func (fs *FS) Truncate(path string, size int64) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	ref, sd, err := fs.resolve(path, true)
+	ref, sd, err := fs.ResolveLocked(path, true)
 	if err != nil {
 		return err
 	}
-	if sd.isDir() {
+	if sd.IsDir() {
 		return vfs.ErrIsDir
 	}
 	if size < 0 {
@@ -471,37 +305,21 @@ func (fs *FS) Truncate(path string, size int64) error {
 		}
 	}
 	sd.Size = uint64(size)
-	sd.Mtime = fs.now()
-	if err := fs.putStat(ref, sd); err != nil {
+	sd.Mtime = fs.Now()
+	if err := fs.StoreLocked(ref, sd); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
-}
-
-// Fsync implements vfs.FileSystem (journal.Engine.Fsync is the
-// group-commit protocol).
-func (fs *FS) Fsync(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	defer fs.jn.EndFsync(fs.jn.BeginFsync())
-	ref, _, err := fs.resolve(path, true)
-	if err != nil {
-		return err
-	}
-	return fs.jn.Fsync(fs, uint64(ref.DirID)<<32|uint64(ref.ObjID))
+	return fs.MaybeCommitLocked()
 }
 
 // Unlink implements vfs.FileSystem.
 func (fs *FS) Unlink(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	pRef, _, name, err := fs.resolveParent(path)
+	pRef, _, name, err := fs.ParentLocked(path)
 	if err != nil {
 		return err
 	}
@@ -509,11 +327,11 @@ func (fs *FS) Unlink(path string) error {
 	if err != nil {
 		return err
 	}
-	sd, err := fs.getStat(ent.Child)
+	sd, err := fs.LoadLocked(ent.Child)
 	if err != nil {
 		return err
 	}
-	if sd.isDir() {
+	if sd.IsDir() {
 		return vfs.ErrIsDir
 	}
 	if _, err := fs.dirRemoveEntry(pRef, name); err != nil {
@@ -525,22 +343,22 @@ func (fs *FS) Unlink(path string) error {
 			return err
 		}
 	} else {
-		sd.Ctime = fs.now()
-		if err := fs.putStat(ent.Child, sd); err != nil {
+		sd.Ctime = fs.Now()
+		if err := fs.StoreLocked(ent.Child, sd); err != nil {
 			return err
 		}
 	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // Rmdir implements vfs.FileSystem.
 func (fs *FS) Rmdir(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	pRef, _, name, err := fs.resolveParent(path)
+	pRef, _, name, err := fs.ParentLocked(path)
 	if err != nil {
 		return err
 	}
@@ -548,11 +366,11 @@ func (fs *FS) Rmdir(path string) error {
 	if err != nil {
 		return err
 	}
-	sd, err := fs.getStat(ent.Child)
+	sd, err := fs.LoadLocked(ent.Child)
 	if err != nil {
 		return err
 	}
-	if !sd.isDir() {
+	if !sd.IsDir() {
 		return vfs.ErrNotDir
 	}
 	ents, err := fs.dirEntries(ent.Child)
@@ -568,24 +386,24 @@ func (fs *FS) Rmdir(path string) error {
 	if err := fs.removeObject(ent.Child); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // Link implements vfs.FileSystem.
 func (fs *FS) Link(oldpath, newpath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	oRef, oSd, err := fs.resolve(oldpath, false)
+	oRef, oSd, err := fs.ResolveLocked(oldpath, false)
 	if err != nil {
 		return err
 	}
-	if oSd.isDir() {
+	if oSd.IsDir() {
 		return vfs.ErrIsDir
 	}
-	pRef, _, name, err := fs.resolveParent(newpath)
+	pRef, _, name, err := fs.ParentLocked(newpath)
 	if err != nil {
 		return err
 	}
@@ -594,25 +412,25 @@ func (fs *FS) Link(oldpath, newpath string) error {
 	} else if !errors.Is(err, vfs.ErrNotExist) {
 		return err
 	}
-	if err := fs.dirAddEntry(pRef, dirEnt{Child: oRef, FType: byte(oSd.fileType()), Name: name}); err != nil {
+	if err := fs.dirAddEntry(pRef, dirEnt{Child: oRef, FType: byte(oSd.FileType()), Name: name}); err != nil {
 		return err
 	}
 	oSd.Links++
-	oSd.Ctime = fs.now()
-	if err := fs.putStat(oRef, oSd); err != nil {
+	oSd.Ctime = fs.Now()
+	if err := fs.StoreLocked(oRef, oSd); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // Rename implements vfs.FileSystem.
 func (fs *FS) Rename(oldpath, newpath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
+	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	oPRef, _, oName, err := fs.resolveParent(oldpath)
+	oPRef, _, oName, err := fs.ParentLocked(oldpath)
 	if err != nil {
 		return err
 	}
@@ -620,16 +438,16 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if err != nil {
 		return err
 	}
-	nPRef, _, nName, err := fs.resolveParent(newpath)
+	nPRef, _, nName, err := fs.ParentLocked(newpath)
 	if err != nil {
 		return err
 	}
 	if tEnt, err := fs.dirLookup(nPRef, nName); err == nil {
-		tSd, serr := fs.getStat(tEnt.Child)
+		tSd, serr := fs.LoadLocked(tEnt.Child)
 		if serr != nil {
 			return serr
 		}
-		if tSd.isDir() {
+		if tSd.IsDir() {
 			tents, derr := fs.dirEntries(tEnt.Child)
 			if derr != nil {
 				return derr
@@ -652,7 +470,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 				if derr := fs.removeObject(tEnt.Child); derr != nil {
 					return derr
 				}
-			} else if perr := fs.putStat(tEnt.Child, tSd); perr != nil {
+			} else if perr := fs.StoreLocked(tEnt.Child, tSd); perr != nil {
 				return perr
 			}
 		}
@@ -665,40 +483,5 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if err := fs.dirAddEntry(nPRef, dirEnt{Child: ent.Child, FType: ent.FType, Name: nName}); err != nil {
 		return err
 	}
-	return fs.maybeCommit()
-}
-
-// Chmod implements vfs.FileSystem.
-func (fs *FS) Chmod(path string, mode uint16) error {
-	return fs.setattr(path, func(sd *statData) {
-		sd.Mode = (sd.Mode & modeTypeMsk) | (mode & modePermMsk)
-	})
-}
-
-// Chown implements vfs.FileSystem.
-func (fs *FS) Chown(path string, uid, gid uint32) error {
-	return fs.setattr(path, func(sd *statData) { sd.UID, sd.GID = uid, gid })
-}
-
-// Utimes implements vfs.FileSystem.
-func (fs *FS) Utimes(path string, atime, mtime int64) error {
-	return fs.setattr(path, func(sd *statData) { sd.Atime, sd.Mtime = atime, mtime })
-}
-
-func (fs *FS) setattr(path string, mutate func(*statData)) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.guardWrite(); err != nil {
-		return err
-	}
-	ref, sd, err := fs.resolve(path, true)
-	if err != nil {
-		return err
-	}
-	mutate(sd)
-	sd.Ctime = fs.now()
-	if err := fs.putStat(ref, sd); err != nil {
-		return err
-	}
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }

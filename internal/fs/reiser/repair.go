@@ -25,7 +25,7 @@ func (fs *FS) RemoveEntryLocked(_ *fsck.Refs[statData], e fsck.Entry) error {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTDirItem, "fsck removed dangling entry")
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // ReclaimLocked implements fsck.Fixer.
@@ -34,17 +34,17 @@ func (fs *FS) ReclaimLocked(o fsck.Object[statData]) error {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTStat, "fsck reclaimed orphan object")
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // SetLinksLocked implements fsck.Fixer.
 func (fs *FS) SetLinksLocked(o fsck.Object[statData], links int) error {
 	o.Node.Links = uint16(links)
-	if err := fs.putStat(refOf(o.ID), &o.Node); err != nil {
+	if err := fs.StoreLocked(refOf(o.ID), &o.Node); err != nil {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTStat, "fsck corrected link count")
-	return fs.maybeCommit()
+	return fs.MaybeCommitLocked()
 }
 
 // RebuildMapsLocked implements fsck.Fixer: the bitmap images and the

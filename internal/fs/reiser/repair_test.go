@@ -75,7 +75,7 @@ func TestRepairRemovesDanglingEntry(t *testing.T) {
 	}
 	// Delete the object's items but keep the name: a dangling entry.
 	fs.mu.Lock()
-	r, _, err := fs.resolve("/f", true)
+	r, _, err := fs.ResolveLocked("/f", true)
 	if err == nil {
 		err = fs.removeObject(r)
 	}
@@ -95,10 +95,10 @@ func TestRepairCorrectsLinkCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.mu.Lock()
-	r, sd, err := fs.resolve("/f", true)
+	r, sd, err := fs.ResolveLocked("/f", true)
 	if err == nil {
 		sd.Links = 9
-		err = fs.putStat(r, sd)
+		err = fs.StoreLocked(r, sd)
 	}
 	if err == nil {
 		err = fs.commitLocked()

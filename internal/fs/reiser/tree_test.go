@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"ironfs/internal/namei"
 )
 
 // treeFS builds a mounted FS for direct tree-engine testing.
@@ -251,7 +253,7 @@ func TestNodeSanityRejectsGarbage(t *testing.T) {
 
 func TestStatDataRoundTrip(t *testing.T) {
 	f := func(mode, links uint16, uid, gid uint32, size uint64, a, m, c int64) bool {
-		sd := statData{Mode: mode, Links: links, UID: uid, GID: gid, Size: size, Atime: a, Mtime: m, Ctime: c}
+		sd := statData{namei.TypedAttr{Attr: namei.Attr{Mode: mode, Links: links, UID: uid, GID: gid, Size: size, Atime: a, Mtime: m, Ctime: c}}}
 		var out statData
 		if err := out.unmarshal(sd.marshal()); err != nil {
 			return false

@@ -87,7 +87,7 @@ func (f *fakeFS) WritePlan(p Plan) error {
 func (f *fakeFS) FinishLocked(p Plan) error { f.log("finish", p.(uint64)); return nil }
 
 // commit dirties the running transaction and commits it, as an operation
-// ending in maybeCommit would.
+// ending in MaybeCommitLocked would.
 func (f *fakeFS) commit() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()

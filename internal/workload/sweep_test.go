@@ -50,9 +50,11 @@ func TestSweepLadderFits(t *testing.T) {
 	}
 }
 
-// TestSweepSpeedupGate pins the tentpole result at sweep scale: reiserfs
-// createheavy under 64 clients must beat the serial baseline by the same
-// ≥2.5× margin CI enforces.
+// TestSweepSpeedupGate is the one statement of the sweep-scale floor:
+// reiserfs createheavy under 64 clients must beat the serial baseline by
+// ≥ 2.5×, and both runs' latency quantiles must be plausible order
+// statistics. scripts/check.sh runs it (go test) and separately holds the
+// quick sweep's serialization byte-identical across two runs.
 func TestSweepSpeedupGate(t *testing.T) {
 	base, err := RunSweepPoint(SweepConfig{FS: "reiserfs", Workload: CreateHeavy, Clients: 1, QueueDepth: 1, Quick: true})
 	if err != nil {
@@ -65,5 +67,12 @@ func TestSweepSpeedupGate(t *testing.T) {
 	row := SweepRow{Baseline: base, Concurrent: conc}
 	if s := row.Speedup(); s < 2.5 {
 		t.Fatalf("reiserfs createheavy speedup at 64 clients = %.2fx, want >= 2.5x", s)
+	}
+	j := row.JSON()
+	for _, run := range []MultiClientRunJSON{j.Baseline, j.Concurrent} {
+		if !(0 < run.P50Ns && run.P50Ns <= run.P99Ns && run.P99Ns <= run.P999Ns) {
+			t.Errorf("implausible latency quantiles at %d clients: p50=%d p99=%d p999=%d",
+				run.Clients, run.P50Ns, run.P99Ns, run.P999Ns)
+		}
 	}
 }
