@@ -30,7 +30,7 @@ func testBit(bm []byte, i int64) bool {
 
 // writeGroupDesc journals the descriptor table entry for group g.
 func (fs *FS) writeGroupDesc(g uint32) error {
-	buf, err := fs.tx.meta(gdtBlock, BTGDesc)
+	buf, err := fs.txMeta(gdtBlock, BTGDesc)
 	if err != nil {
 		return err
 	}
@@ -49,7 +49,7 @@ func (fs *FS) allocBlock(pref uint32, bt iron.BlockType) (int64, error) {
 			continue
 		}
 		bmBlk := int64(fs.gds[g].DataBitmap)
-		bm, err := fs.tx.meta(bmBlk, BTBitmap)
+		bm, err := fs.txMeta(bmBlk, BTBitmap)
 		if err != nil {
 			return 0, err
 		}
@@ -86,7 +86,7 @@ func (fs *FS) freeBlock(blk int64) error {
 		return nil
 	}
 	bmBlk := int64(fs.gds[g].DataBitmap)
-	bm, err := fs.tx.meta(bmBlk, BTBitmap)
+	bm, err := fs.txMeta(bmBlk, BTBitmap)
 	if err != nil {
 		return err
 	}
@@ -100,7 +100,7 @@ func (fs *FS) freeBlock(blk int64) error {
 			return err
 		}
 	}
-	fs.tx.revoke(blk)
+	fs.revoke(blk)
 	return nil
 }
 
@@ -113,7 +113,7 @@ func (fs *FS) allocInode(pref uint32) (uint32, error) {
 			continue
 		}
 		bmBlk := int64(fs.gds[g].INodeBMap)
-		bm, err := fs.tx.meta(bmBlk, BTIBitmap)
+		bm, err := fs.txMeta(bmBlk, BTIBitmap)
 		if err != nil {
 			return 0, err
 		}
@@ -146,7 +146,7 @@ func (fs *FS) freeInode(ino uint32) error {
 	}
 	within := int64((ino - 1) % fs.lay.sb.InodesPerGroup)
 	bmBlk := int64(fs.gds[g].INodeBMap)
-	bm, err := fs.tx.meta(bmBlk, BTIBitmap)
+	bm, err := fs.txMeta(bmBlk, BTIBitmap)
 	if err != nil {
 		return err
 	}

@@ -168,7 +168,7 @@ func (fs *FS) dirAdd(dirIno uint32, in *inode, name string, ino uint32, ftype by
 			if avail < need {
 				continue
 			}
-			mbuf, err := fs.tx.meta(phys, BTDir)
+			mbuf, err := fs.txMeta(phys, BTDir)
 			if err != nil {
 				return err
 			}
@@ -186,7 +186,7 @@ func (fs *FS) dirAdd(dirIno uint32, in *inode, name string, ino uint32, ftype by
 	if err != nil {
 		return err
 	}
-	buf := fs.tx.metaNew(phys, BTDir)
+	buf := fs.txMetaNew(phys, BTDir)
 	writeEntry(buf, 0, ino, BlockSize, name, ftype)
 	in.Size += BlockSize
 	return nil
@@ -213,7 +213,7 @@ func (fs *FS) dirRemove(in *inode, name string) (uint32, error) {
 			if e.Ino == 0 || string(e.Name) != name {
 				continue
 			}
-			mbuf, err := fs.tx.meta(phys, BTDir)
+			mbuf, err := fs.txMeta(phys, BTDir)
 			if err != nil {
 				return 0, err
 			}

@@ -36,11 +36,11 @@ type FS struct {
 	lay         layout
 	gds         []groupDesc
 	cache       *bcache.Cache
-	tx          *txn
+	tx          *journal.Txn[uint32]
 	mounted     bool
 	sbDirty     bool
 	gdDirty     bool
-	jhead       int64 // region-relative next free journal block
+	ring        *journal.Ring
 	pending     pendingState
 	rmapScanned bool
 	parityskip  bool // whole-file truncate: parity reset, not folded
@@ -65,6 +65,12 @@ type FS struct {
 	// Namespace is the path walk and the lookup and attribute operations
 	// of vfs.FileSystem; FS implements its namei.Store. Last, like Driver.
 	namei.Namespace[uint32, *inode]
+
+	// revokes are the blocks the running transaction has freed, in order:
+	// the commit logs them as revoke records, and once it is durable they
+	// kill any checkpoint an earlier commit queued for the same block.
+	// After the embeds, so the fields before them keep their offsets.
+	revokes []int64
 }
 
 // assert the interface is satisfied.
@@ -346,15 +352,14 @@ func (fs *FS) Mount() error {
 	} else {
 		// Resume the sequence space where the last session left it, so a
 		// stale transaction in the dead journal can never replay.
-		jbuf := make([]byte, BlockSize)
-		if err := fs.dev.ReadBlock(int64(fs.lay.sb.JournalStart), jbuf); err != nil {
+		jbuf, err := fs.openJournal()
+		if err != nil {
 			fs.rec.Detect(iron.DErrorCode, BTJSuper, "journal superblock read failed")
 			fs.rec.Recover(iron.RPropagate, BTJSuper, "mount fails")
 			fs.rec.Recover(iron.RStop, BTJSuper, "mount aborted")
 			return vfs.ErrIO
 		}
-		var js jsuper
-		js.unmarshal(jbuf)
+		js := journal.ParseHeader(jbuf)
 		if js.Magic != jMagicSuper {
 			fs.rec.Detect(iron.DSanity, BTJSuper, "journal superblock bad magic")
 			fs.rec.Recover(iron.RPropagate, BTJSuper, "mount fails")
@@ -364,10 +369,11 @@ func (fs *FS) Mount() error {
 		if js.StartSeq > 0 {
 			fs.jn.Recovered(js.StartSeq - 1)
 		}
-		fs.jhead = 1
+		fs.ring.Reset()
 	}
 
-	fs.tx = newTxn(fs)
+	fs.tx = journal.NewTxn[uint32](fs.cache)
+	fs.revokes = nil
 	fs.pending = pendingState{}
 	fs.rmapScanned = false
 	fs.lay.sb.Clean = 0

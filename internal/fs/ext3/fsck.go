@@ -6,6 +6,7 @@ import (
 
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
+	"ironfs/internal/journal"
 	"ironfs/internal/vfs"
 )
 
@@ -319,7 +320,7 @@ func (fs *FS) ReconcileLocked() error {
 	fs.rec.Detect(iron.DSanity, BTBitmap, "full-scan integrity check found inconsistencies")
 	var freeBlocks uint64
 	for g := uint32(0); g < fs.lay.sb.GroupCount; g++ {
-		bm, err := fs.tx.meta(int64(fs.gds[g].DataBitmap), BTBitmap)
+		bm, err := fs.txMeta(int64(fs.gds[g].DataBitmap), BTBitmap)
 		if err != nil {
 			return err
 		}
@@ -356,7 +357,7 @@ func (fs *FS) ReconcileLocked() error {
 			return err
 		}
 		g := fs.groupOfInode(ino)
-		bm, err := fs.tx.meta(int64(fs.gds[g].INodeBMap), BTIBitmap)
+		bm, err := fs.txMeta(int64(fs.gds[g].INodeBMap), BTIBitmap)
 		if err != nil {
 			return err
 		}
@@ -416,6 +417,7 @@ func (fs *FS) AbortLocked() {
 			fs.cache.Put(e.home, slices.Clone(e.data), true)
 		}
 	}
-	fs.tx = newTxn(fs)
+	fs.tx = journal.NewTxn[uint32](fs.cache)
+	fs.revokes = nil
 	fs.abortJournal(BTBitmap, "consistency repair failed mid-pass")
 }

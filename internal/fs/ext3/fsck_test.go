@@ -62,7 +62,7 @@ func TestFsckDetectsAndRepairsBitmapDamage(t *testing.T) {
 		t.Fatalf("no root dir block: %d %v", blk, err)
 	}
 	g := fs.lay.groupOf(blk)
-	bm, err := fs.tx.meta(int64(fs.gds[g].DataBitmap), BTBitmap)
+	bm, err := fs.txMeta(int64(fs.gds[g].DataBitmap), BTBitmap)
 	if err != nil {
 		t.Fatal(err)
 	}

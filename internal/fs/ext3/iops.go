@@ -39,12 +39,12 @@ func (fs *FS) StoreLocked(ino uint32, in *inode) error {
 	if err != nil {
 		return vfs.ErrInval
 	}
-	buf, err := fs.tx.meta(blk, BTInode)
+	buf, err := fs.txMeta(blk, BTInode)
 	if err != nil {
 		return err
 	}
 	in.marshal(buf[off : off+InodeSize])
-	fs.tx.touchInode(ino)
+	fs.tx.Touch(ino)
 	return nil
 }
 
@@ -54,14 +54,14 @@ func (fs *FS) clearInode(ino uint32) error {
 	if err != nil {
 		return vfs.ErrInval
 	}
-	buf, err := fs.tx.meta(blk, BTInode)
+	buf, err := fs.txMeta(blk, BTInode)
 	if err != nil {
 		return err
 	}
 	for i := 0; i < InodeSize; i++ {
 		buf[off+i] = 0
 	}
-	fs.tx.touchInode(ino)
+	fs.tx.Touch(ino)
 	return nil
 }
 
@@ -134,7 +134,7 @@ func (fs *FS) mapVia(root *uint64, idx int64, depth int, alloc bool, pref uint32
 		if err != nil {
 			return 0, err
 		}
-		fs.tx.metaNew(blk, BTIndirect)
+		fs.txMetaNew(blk, BTIndirect)
 		*root = uint64(blk)
 	}
 	cur := int64(*root)
@@ -163,9 +163,9 @@ func (fs *FS) mapVia(root *uint64, idx int64, depth int, alloc bool, pref uint32
 				return 0, err
 			}
 			if level > 1 {
-				fs.tx.metaNew(nb, BTIndirect)
+				fs.txMetaNew(nb, BTIndirect)
 			}
-			mbuf, err := fs.tx.meta(cur, BTIndirect)
+			mbuf, err := fs.txMeta(cur, BTIndirect)
 			if err != nil {
 				return 0, err
 			}
@@ -217,7 +217,7 @@ func (fs *FS) truncateBlocks(in *inode, newSize int64) error {
 	// every block out one read at a time — an empty file's parity is all
 	// zeros (and on unlink the parity block is freed right after anyway).
 	if newSize == 0 && fs.opts.DataParity && in.Parity != 0 {
-		fs.tx.dataNew(int64(in.Parity), BTParity)
+		fs.txDataNew(int64(in.Parity), BTParity)
 		fs.parityskip = true
 		defer func() { fs.parityskip = false }()
 	}
@@ -361,7 +361,7 @@ func (fs *FS) pruneNode(in *inode, blk int64, depth int, base, childSpan, keep, 
 				return false, err
 			}
 			if mbuf == nil {
-				if mbuf, err = fs.tx.meta(blk, BTIndirect); err != nil {
+				if mbuf, err = fs.txMeta(blk, BTIndirect); err != nil {
 					return false, err
 				}
 			}
@@ -377,7 +377,7 @@ func (fs *FS) pruneNode(in *inode, blk int64, depth int, base, childSpan, keep, 
 				return false, err
 			}
 			if mbuf == nil {
-				if mbuf, err = fs.tx.meta(blk, BTIndirect); err != nil {
+				if mbuf, err = fs.txMeta(blk, BTIndirect); err != nil {
 					return false, err
 				}
 			}

@@ -89,7 +89,7 @@ func (fs *FS) verifyCksum(blk int64, data []byte) (ok bool, err error) {
 // transaction, so the entry commits atomically with the data it covers.
 func (fs *FS) updateCksumTxn(blk int64, data []byte) error {
 	cblk, off := fs.cksumLoc(blk)
-	buf, err := fs.tx.meta(cblk, BTCksum)
+	buf, err := fs.txMeta(cblk, BTCksum)
 	if err != nil {
 		return err
 	}
@@ -185,7 +185,7 @@ func (fs *FS) ensureReplica(blk int64) (int64, error) {
 	fs.lay.sb.ReplicaNext++
 	fs.sbDirty = true
 	rblk, off := fs.rmapLoc(blk)
-	m, err := fs.tx.meta(rblk, BTRMap)
+	m, err := fs.txMeta(rblk, BTRMap)
 	if err != nil {
 		return 0, err
 	}
@@ -260,7 +260,7 @@ func (fs *FS) updateParityDelta(in *inode, oldData, newData []byte) error {
 		return nil
 	}
 	pblk := int64(in.Parity)
-	pbuf, err := fs.tx.data(pblk, BTParity)
+	pbuf, err := fs.txData(pblk, BTParity)
 	if err != nil {
 		return err
 	}

@@ -28,146 +28,60 @@ const maxTxnMeta = 64
 // are awaiting checkpoint, bounding pinned cache.
 const checkpointHighWater = 256
 
-// jsuper is the journal superblock, stored in the first block of the
-// journal region. It records where the oldest live (committed but not yet
-// checkpointed) transaction begins.
-type jsuper struct {
-	Magic    uint32
-	StartRel uint64 // region-relative block of the oldest live txn (1 = none pending at head reset)
-	StartSeq uint64 // sequence number expected at StartRel
-}
+// The running transaction (fs.tx) stages blocks through these four. ext3
+// hands its callers the pinned cache buffer itself, to mutate in place; the
+// transaction registers that same buffer.
 
-func (j *jsuper) marshal(b []byte) {
-	le := binary.LittleEndian
-	le.PutUint32(b[0:], j.Magic)
-	le.PutUint64(b[8:], j.StartRel)
-	le.PutUint64(b[16:], j.StartSeq)
-}
-
-func (j *jsuper) unmarshal(b []byte) {
-	le := binary.LittleEndian
-	j.Magic = le.Uint32(b[0:])
-	j.StartRel = le.Uint64(b[8:])
-	j.StartSeq = le.Uint64(b[16:])
-}
-
-// txn is the running (uncommitted) transaction. Dirty block contents live
-// in the buffer cache, pinned; the transaction tracks which blocks are
-// journaled metadata versus ordered data, and which were revoked.
-type txn struct {
-	fs        *FS
-	metaOrder []int64
-	metaType  map[int64]iron.BlockType
-	dataOrder []int64
-	dataType  map[int64]iron.BlockType
-	revokes   []int64
-	// inodes are the inode numbers this transaction has modified (every
-	// inode mutation funnels through StoreLocked/clearInode). Fsync uses
-	// it for group commit: when another client's commit already carried
-	// this file's state to the journal, the inode is absent here and the
-	// fsync returns without paying for a commit of strangers' blocks.
-	inodes map[uint32]bool
-}
-
-func newTxn(fs *FS) *txn {
-	return &txn{
-		fs:       fs,
-		metaType: make(map[int64]iron.BlockType),
-		dataType: make(map[int64]iron.BlockType),
-		inodes:   make(map[uint32]bool),
-	}
-}
-
-// touchInode records that ino was modified in this transaction.
-func (t *txn) touchInode(ino uint32) { t.inodes[ino] = true }
-
-// touched reports whether ino has uncommitted changes in this transaction.
-func (t *txn) touched(ino uint32) bool { return t.inodes[ino] }
-
-func (t *txn) empty() bool {
-	return len(t.metaOrder) == 0 && len(t.dataOrder) == 0 && len(t.revokes) == 0
-}
-
-// meta returns a mutable buffer for metadata block blk, reading it with
-// full policy on first touch and registering it for journaling.
-func (t *txn) meta(blk int64, bt iron.BlockType) ([]byte, error) {
-	buf, err := t.fs.readMeta(blk, bt)
+// txMeta returns a mutable buffer for metadata block blk, reading it with
+// full policy on first touch and staging it for journaling.
+func (fs *FS) txMeta(blk int64, bt iron.BlockType) ([]byte, error) {
+	buf, err := fs.readMeta(blk, bt)
 	if err != nil {
 		return nil, err
 	}
 	// The fresh read may already have been evicted (it can be the only
-	// clean block in a dirty-saturated cache); re-inserting as dirty pins
-	// this exact buffer for the transaction.
-	if !t.fs.cache.MarkDirty(blk) {
-		t.fs.cache.Put(blk, buf, true)
-	}
-	t.registerMeta(blk, bt)
+	// clean block in a dirty-saturated cache); staging re-inserts this
+	// exact buffer, pinned for the transaction.
+	fs.tx.StageMeta(blk, buf, bt)
 	return buf, nil
 }
 
-// metaNew installs a zeroed buffer for a freshly allocated metadata block,
-// skipping the read of its stale contents.
-func (t *txn) metaNew(blk int64, bt iron.BlockType) []byte {
+// txMetaNew installs a zeroed buffer for a freshly allocated metadata
+// block, skipping the read of its stale contents.
+func (fs *FS) txMetaNew(blk int64, bt iron.BlockType) []byte {
 	buf := make([]byte, BlockSize)
-	t.fs.cache.Put(blk, buf, true)
-	t.registerMeta(blk, bt)
+	fs.tx.StageMeta(blk, buf, bt)
 	return buf
 }
 
-func (t *txn) registerMeta(blk int64, bt iron.BlockType) {
-	t.fs.cache.MarkDirty(blk)
-	if _, ok := t.metaType[blk]; !ok {
-		t.metaOrder = append(t.metaOrder, blk)
-		t.metaType[blk] = bt
-	}
-}
-
-// data returns a mutable buffer for an ordered-data block, reading the old
-// contents on first touch (needed for partial overwrites and parity).
-func (t *txn) data(blk int64, bt iron.BlockType) ([]byte, error) {
-	buf := t.fs.cache.Get(blk)
+// txData returns a mutable buffer for an ordered-data block, reading the
+// old contents on first touch (needed for partial overwrites and parity).
+func (fs *FS) txData(blk int64, bt iron.BlockType) ([]byte, error) {
+	buf := fs.cache.Get(blk)
 	if buf == nil {
 		buf = make([]byte, BlockSize)
-		if err := t.fs.dev.ReadBlock(blk, buf); err != nil {
-			t.fs.rec.Detect(iron.DErrorCode, bt, "data read for modify failed")
-			t.fs.rec.Recover(iron.RPropagate, bt, "write aborted")
+		if err := fs.dev.ReadBlock(blk, buf); err != nil {
+			fs.rec.Detect(iron.DErrorCode, bt, "data read for modify failed")
+			fs.rec.Recover(iron.RPropagate, bt, "write aborted")
 			return nil, vfs.ErrIO
 		}
 	}
-	t.fs.cache.Put(blk, buf, true) // pin this buffer for the transaction
-	t.registerData(blk, bt)
+	fs.tx.StageData(blk, buf, bt)
 	return buf, nil
 }
 
-// dataNew installs a zeroed buffer for a freshly allocated data block.
-func (t *txn) dataNew(blk int64, bt iron.BlockType) []byte {
+// txDataNew installs a zeroed buffer for a freshly allocated data block.
+func (fs *FS) txDataNew(blk int64, bt iron.BlockType) []byte {
 	buf := make([]byte, BlockSize)
-	t.fs.cache.Put(blk, buf, true)
-	t.registerData(blk, bt)
+	fs.tx.StageData(blk, buf, bt)
 	return buf
 }
 
-func (t *txn) registerData(blk int64, bt iron.BlockType) {
-	t.fs.cache.MarkDirty(blk)
-	if _, ok := t.dataType[blk]; !ok {
-		t.dataOrder = append(t.dataOrder, blk)
-		t.dataType[blk] = bt
-	}
-}
-
 // revoke records that blk was freed: replay must not resurrect it from any
-// earlier journaled copy. The block leaves the dirty sets and the cache.
-func (t *txn) revoke(blk int64) {
-	t.revokes = append(t.revokes, blk)
-	if _, ok := t.metaType[blk]; ok {
-		delete(t.metaType, blk)
-		t.metaOrder = journal.RemoveBlock(t.metaOrder, blk)
-	}
-	if _, ok := t.dataType[blk]; ok {
-		delete(t.dataType, blk)
-		t.dataOrder = journal.RemoveBlock(t.dataOrder, blk)
-	}
-	t.fs.cache.Drop(blk)
+// earlier journaled copy. The block leaves the transaction and the cache.
+func (fs *FS) revoke(blk int64) {
+	fs.revokes = append(fs.revokes, blk)
+	fs.tx.Drop(blk)
 }
 
 // checkpointEntry is one committed home block awaiting its final write.
@@ -201,35 +115,30 @@ const maxTxnData = 768
 // MaybeCommitLocked commits the running transaction if it has grown large. While
 // a commit is writing, the running transaction keeps absorbing operations —
 // but not without bound: a frozen transaction gets exactly one descriptor
-// block (PtrsPerBlock-2 tags), so once the running transaction reaches the
+// block (journal.MaxTags tags), so once the running transaction reaches the
 // commit threshold it must wait out the in-flight commit (commitLocked
 // does) instead of growing past the descriptor's capacity.
 //
 //iron:commitpoint the operation-facing commit funnel; its error means the transaction did not reach disk
 func (fs *FS) MaybeCommitLocked() error {
-	if len(fs.tx.metaOrder) < maxTxnMeta && len(fs.tx.dataOrder) < maxTxnData {
-		return nil
+	if fs.tx.Full(maxTxnMeta, maxTxnData) {
+		return fs.commitLocked()
 	}
-	return fs.commitLocked()
+	return nil
 }
 
 // commitPlan is ext3's journal.Plan: the frozen transaction as JBD records
 // (revoke blocks, descriptor, journaled copies, commit block) plus the
 // ordered data that must reach home first.
 type commitPlan struct {
-	dataReqs  []disk.Request
-	dataTypes []iron.BlockType
-	jReqs     []disk.Request
-	jTypes    []iron.BlockType
-	commitBlk int64
-	commit    []byte
-	metaOrder []int64
-	metaType  map[int64]iron.BlockType
-	// metaCopies holds the frozen payload of each metaOrder block; the
-	// checkpoint writes these, not the live cache buffers.
-	metaCopies [][]byte
-	dataOrder  []int64
-	revokes    []int64
+	// fz is the frozen transaction: fz.Data goes home before the journal
+	// is written; fz.Meta holds the payloads the journal carries and the
+	// checkpoint later writes home — never the live cache buffers.
+	fz      journal.Frozen
+	jReqs   []disk.Request
+	jTypes  []iron.BlockType
+	commit  disk.Request // written apart, after a barrier — unless Tc put it in jReqs
+	revokes []int64
 }
 
 // commitLocked commits the running transaction: ordered data first, then
@@ -244,10 +153,10 @@ type commitPlan struct {
 func (fs *FS) commitLocked() error { return fs.jn.Commit(fs) }
 
 // DirtyLocked implements journal.Committer.
-func (fs *FS) DirtyLocked() bool { return !fs.tx.empty() }
+func (fs *FS) DirtyLocked() bool { return !fs.tx.Empty() || len(fs.revokes) > 0 }
 
 // TouchedLocked implements journal.Committer; key is an inode number.
-func (fs *FS) TouchedLocked(key uint64) bool { return fs.tx.touched(uint32(key)) }
+func (fs *FS) TouchedLocked(key uint64) bool { return fs.tx.Touched(uint32(key)) }
 
 // tcFold extends the transactional checksum with the next block of the
 // transaction. Tc is one running CRC32C over the descriptor and the
@@ -265,25 +174,25 @@ func (fs *FS) tcFold(tc uint32, blk []byte) uint32 {
 // transaction as JBD records at the journal head, which advances here.
 func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	t := fs.tx
-	fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d data=%d", seq, len(t.metaOrder), len(t.dataOrder)))
+	fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d data=%d", seq, t.Meta.Len(), t.Data.Len()))
 	fs.st.Commits.Inc()
-	fs.st.TxnBlocks.Observe(int64(len(t.metaOrder) + len(t.dataOrder)))
+	fs.st.TxnBlocks.Observe(int64(t.Meta.Len() + t.Data.Len()))
 
 	// Fold checksum-table updates into the transaction so the entries
 	// commit atomically with the blocks they cover. New checksum blocks
 	// appended by the update are themselves uncovered, so one pass over a
 	// growing list terminates.
 	if fs.opts.needsCksum() {
-		for i := 0; i < len(t.dataOrder); i++ {
-			blk := t.dataOrder[i]
+		for i := 0; i < t.Data.Len(); i++ {
+			blk := t.Data.Block(i)
 			if fs.opts.DataChecksum && fs.cksumCovers(blk) {
 				if err := fs.updateCksumTxn(blk, fs.cache.Get(blk)); err != nil {
 					return nil, err
 				}
 			}
 		}
-		for i := 0; i < len(t.metaOrder); i++ {
-			blk := t.metaOrder[i]
+		for i := 0; i < t.Meta.Len(); i++ {
+			blk := t.Meta.Block(i)
 			if fs.opts.MetaChecksum && fs.cksumCovers(blk) {
 				if err := fs.updateCksumTxn(blk, fs.cache.Get(blk)); err != nil {
 					return nil, err
@@ -296,8 +205,8 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	// journal with this same transaction.
 	replicaOf := map[int64]int64{}
 	if fs.opts.MetaReplica {
-		for i := 0; i < len(t.metaOrder); i++ {
-			blk := t.metaOrder[i]
+		for i := 0; i < t.Meta.Len(); i++ {
+			blk := t.Meta.Block(i)
 			if fs.replicaCovers(blk) {
 				rep, err := fs.ensureReplica(blk)
 				if err == nil && rep != 0 {
@@ -307,23 +216,20 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 		}
 	}
 
-	// Ordered data to its home location (written before the metadata that
-	// references it commits). The payloads are frozen copies.
-	plan := &commitPlan{
-		metaOrder: t.metaOrder, metaType: t.metaType, dataOrder: t.dataOrder,
-		revokes: t.revokes,
-	}
-	for _, blk := range t.dataOrder {
-		cp := make([]byte, BlockSize)
-		copy(cp, fs.cache.Get(blk))
-		plan.dataReqs = append(plan.dataReqs, disk.Request{Block: blk, Data: cp})
-		plan.dataTypes = append(plan.dataTypes, t.dataType[blk])
+	// Operations mutated the staged blocks through the pinned cache buffer,
+	// so the image to freeze is the one the cache holds now: each block is
+	// looked up there and that buffer registered for the freeze to copy.
+	// (The lookups are traced and touch the LRU: data here, metadata after
+	// the space check below, is an order the goldens hold.)
+	for i := 0; i < t.Data.Len(); i++ {
+		blk := t.Data.Block(i)
+		t.Data.Bind(blk, fs.cache.Get(blk))
 	}
 
 	// The journal records. Layout: revoke blocks, descriptor, journaled
 	// copies, commit.
-	nJData := len(t.metaOrder)
-	if nJData > PtrsPerBlock-2 {
+	nJData := t.Meta.Len()
+	if nJData > journal.MaxTags {
 		// Unreachable by construction — MaybeCommitLocked flushes the running
 		// transaction far below one descriptor block's tag capacity, even
 		// while a commit is in flight — but an overflow would scribble
@@ -331,66 +237,56 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 		fs.abortJournal(BTJDesc, "transaction overflows descriptor block")
 		return nil, vfs.ErrIO
 	}
-	nRevoke := 0
-	if len(t.revokes) > 0 {
-		nRevoke = (len(t.revokes) + PtrsPerBlock - 3) / (PtrsPerBlock - 2)
-	}
+	nRevoke := (len(fs.revokes) + journal.MaxTags - 1) / journal.MaxTags
 	txnLen := int64(nRevoke + 1 + nJData + 1) // revokes + desc + data + commit
-	if err := fs.ensureJournalSpace(txnLen); err != nil {
-		return nil, err
-	}
-	base := int64(fs.lay.sb.JournalStart)
-	rel := fs.jhead
-
-	le := binary.LittleEndian
-
-	// Revoke blocks.
-	for i := 0; i < nRevoke; i++ {
-		b := make([]byte, BlockSize)
-		le.PutUint32(b[0:], jMagicRevoke)
-		le.PutUint64(b[8:], seq)
-		lo := i * (PtrsPerBlock - 2)
-		hi := min(lo+(PtrsPerBlock-2), len(t.revokes))
-		le.PutUint32(b[4:], uint32(hi-lo))
-		for j, blk := range t.revokes[lo:hi] {
-			le.PutUint64(b[16+8*j:], uint64(blk))
+	if !fs.ring.Fits(txnLen) {
+		// Checkpoint everything, freeing the whole journal.
+		if err := fs.checkpointLocked(); err != nil {
+			return nil, err
 		}
-		plan.jReqs = append(plan.jReqs, disk.Request{Block: base + rel, Data: b})
+	}
+	for i := 0; i < nJData; i++ {
+		blk := t.Meta.Block(i)
+		data := fs.cache.Get(blk)
+		if data == nil {
+			// A staged metadata block stays pinned dirty until its commit
+			// checkpoints; losing it from the cache would journal a stale
+			// image, so fail the commit instead.
+			fs.abortJournal(t.Meta.Type(blk), "journaled metadata lost from cache")
+			return nil, vfs.ErrIO
+		}
+		t.Meta.Bind(blk, data)
+	}
+	plan := &commitPlan{fz: t.Freeze(), revokes: fs.revokes}
+	fs.revokes = nil
+	rel, _ := fs.ring.Reserve(txnLen)
+	plan.jReqs = make([]disk.Request, 0, int(txnLen)+len(replicaOf))
+	plan.jTypes = make([]iron.BlockType, 0, cap(plan.jReqs))
+
+	// Revoke blocks: record blocks whose tags are the freed blocks.
+	for lo := 0; lo < len(plan.revokes); lo += journal.MaxTags {
+		chunk := plan.revokes[lo:min(lo+journal.MaxTags, len(plan.revokes))]
+		b := journal.NewRecord(jMagicRevoke, len(chunk), seq)
+		for j, blk := range chunk {
+			journal.PutTag(b, j, blk)
+		}
+		plan.jReqs = append(plan.jReqs, disk.Request{Block: fs.ring.Base + rel, Data: b})
 		plan.jTypes = append(plan.jTypes, BTJRevoke)
 		rel++
 	}
 
-	// Descriptor block: magic, count, seq, then one tag (home block
-	// number) per journaled block.
-	desc := make([]byte, BlockSize)
-	le.PutUint32(desc[0:], jMagicDesc)
-	le.PutUint32(desc[4:], uint32(nJData))
-	le.PutUint64(desc[8:], seq)
-	for i, blk := range t.metaOrder {
-		le.PutUint64(desc[16+8*i:], uint64(blk))
-	}
-	plan.jReqs = append(plan.jReqs, disk.Request{Block: base + rel, Data: desc})
-	plan.jTypes = append(plan.jTypes, BTJDesc)
-	rel++
-
-	// Journaled copies of the metadata.
-	tc := fs.tcFold(0, desc)
-	for _, blk := range t.metaOrder {
-		data := fs.cache.Get(blk)
-		if data == nil {
-			// A registered metadata block stays pinned dirty until its
-			// commit checkpoints; losing it from the cache would journal
-			// a zero block, so fail the commit instead.
-			fs.abortJournal(t.metaType[blk], "journaled metadata lost from cache")
-			return nil, vfs.ErrIO
+	// Descriptor block and the journaled copies of the metadata; Tc runs
+	// over them in log order.
+	var tc uint32
+	log, commit := fs.ring.Log(rel, seq, plan.fz.Meta, nJData)
+	for i, r := range log {
+		bt := BTJData
+		if i == 0 {
+			bt = BTJDesc
 		}
-		cp := make([]byte, BlockSize)
-		copy(cp, data)
-		plan.jReqs = append(plan.jReqs, disk.Request{Block: base + rel, Data: cp})
-		plan.jTypes = append(plan.jTypes, BTJData)
-		plan.metaCopies = append(plan.metaCopies, cp)
-		tc = fs.tcFold(tc, cp)
-		rel++
+		plan.jReqs = append(plan.jReqs, r)
+		plan.jTypes = append(plan.jTypes, bt)
+		tc = fs.tcFold(tc, r.Data)
 	}
 
 	// Replica log (Mr): the journaled metadata is also written to its
@@ -398,36 +294,23 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	// (§6.1: "all metadata blocks are written to a separate replica log"),
 	// so every commit pays the extra seek and writes — the cost Table 6
 	// charges to Mr.
-	for i, blk := range t.metaOrder {
-		if rep := replicaOf[blk]; rep != 0 {
-			plan.jReqs = append(plan.jReqs, disk.Request{Block: rep, Data: plan.metaCopies[i]})
+	for _, m := range plan.fz.Meta {
+		if rep := replicaOf[m.Block]; rep != 0 {
+			plan.jReqs = append(plan.jReqs, disk.Request{Block: rep, Data: m.Data})
 			plan.jTypes = append(plan.jTypes, BTReplica)
 		}
 	}
 
 	// Commit block.
-	commit := make([]byte, BlockSize)
-	le.PutUint32(commit[0:], jMagicCommit)
-	le.PutUint32(commit[4:], uint32(nJData))
-	le.PutUint64(commit[8:], seq)
-	if fs.opts.TxnChecksum {
-		le.PutUint64(commit[16:], cksumStored(tc))
-	}
-
 	if fs.opts.TxnChecksum {
 		// Tc: the whole transaction, commit included, goes out in one
 		// batch — the checksum, not ordering, proves atomicity.
-		plan.jReqs = append(plan.jReqs, disk.Request{Block: base + rel, Data: commit})
+		binary.LittleEndian.PutUint64(commit.Data[16:], cksumStored(tc))
+		plan.jReqs = append(plan.jReqs, commit)
 		plan.jTypes = append(plan.jTypes, BTJCommit)
-		rel++
 	} else {
-		plan.commitBlk = base + rel
 		plan.commit = commit
-		rel++
 	}
-
-	fs.jhead = rel
-	fs.tx = newTxn(fs)
 	return plan, nil
 }
 
@@ -442,8 +325,8 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 	// otherwise a concurrent fsync waiter would see the durable sequence
 	// advance with health still Healthy and report durability for a commit
 	// whose ordering barrier failed.
-	if len(plan.dataReqs) > 0 {
-		if err := fs.devWriteBatch(plan.dataReqs, plan.dataTypes); err != nil {
+	if len(plan.fz.Data) > 0 {
+		if err := fs.devWriteBatch(plan.fz.Data, plan.fz.DataType); err != nil {
 			return err // FixBugs only: stock ext3 sails on
 		}
 		if err := fs.dev.Barrier(); err != nil {
@@ -472,7 +355,7 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 				return vfs.ErrIO
 			}
 		}
-		if err := fs.devWrite(plan.commitBlk, plan.commit, BTJCommit); err != nil {
+		if err := fs.devWrite(plan.commit.Block, plan.commit.Data, BTJCommit); err != nil {
 			return err
 		}
 	}
@@ -501,36 +384,23 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 			delete(fs.pending.seen, blk)
 		}
 	}
-	for i, blk := range plan.metaOrder {
-		if j, ok := fs.pending.seen[blk]; ok {
+	for i, m := range plan.fz.Meta {
+		e := checkpointEntry{home: m.Block, bt: plan.fz.MetaType[i], data: m.Data}
+		if j, ok := fs.pending.seen[m.Block]; ok {
 			// A newer committed image supersedes the queued one.
-			fs.pending.entries[j].bt = plan.metaType[blk]
-			fs.pending.entries[j].data = plan.metaCopies[i]
+			fs.pending.entries[j] = e
 			continue
 		}
-		fs.pending.seen[blk] = len(fs.pending.entries)
-		fs.pending.entries = append(fs.pending.entries,
-			checkpointEntry{home: blk, bt: plan.metaType[blk], data: plan.metaCopies[i]})
+		fs.pending.seen[m.Block] = len(fs.pending.entries)
+		fs.pending.entries = append(fs.pending.entries, e)
 	}
 	// Ordered data is already home.
-	journal.Unpin(fs.cache, plan.dataOrder, fs.tx.metaType, fs.tx.dataType)
+	fs.tx.Unpin(plan.fz.Data)
 
 	if len(fs.pending.entries) >= checkpointHighWater {
 		return fs.checkpointLocked()
 	}
 	return nil
-}
-
-// ensureJournalSpace checkpoints everything (freeing the whole journal)
-// when the next transaction would not fit before the region's end.
-func (fs *FS) ensureJournalSpace(txnLen int64) error {
-	if fs.jhead == 0 {
-		fs.jhead = 1 // block 0 of the region is the journal superblock
-	}
-	if fs.jhead+txnLen <= int64(fs.lay.sb.JournalLen) {
-		return nil
-	}
-	return fs.checkpointLocked()
 }
 
 // checkpointLocked writes every committed home block (and its replica) to
@@ -560,36 +430,59 @@ func (fs *FS) checkpointLocked() error {
 		if err := fs.dev.Barrier(); err != nil {
 			return vfs.ErrIO
 		}
-		for _, e := range fs.pending.entries {
-			// The home write above used the payload frozen at commit; the
-			// cache buffer may carry the running transaction's uncommitted
-			// state on top of it, in which case the dirty pin now belongs
-			// to that transaction and must survive the checkpoint.
-			if _, live := fs.tx.metaType[e.home]; live {
-				continue
-			}
-			if _, live := fs.tx.dataType[e.home]; live {
-				continue
-			}
-			fs.cache.MarkClean(e.home)
-		}
+		// The home writes above used the payloads frozen at commit; a cache
+		// buffer may carry the running transaction's uncommitted state on
+		// top of its, in which case the dirty pin now belongs to that
+		// transaction and survives the checkpoint.
+		fs.tx.Unpin(reqs)
 	}
 	fs.pending = pendingState{}
 
 	// Advance the tail: everything up to the head is dead.
-	js := jsuper{Magic: jMagicSuper, StartRel: 1, StartSeq: fs.jn.Seq() + 1}
-	buf := make([]byte, BlockSize)
-	js.marshal(buf)
-	if err := fs.devWrite(int64(fs.lay.sb.JournalStart), buf, BTJSuper); err != nil {
+	buf := journal.Header{Magic: jMagicSuper, StartRel: 1, StartSeq: fs.jn.Seq() + 1}.Block()
+	if err := fs.devWrite(fs.ring.Base, buf, BTJSuper); err != nil {
 		return err
 	}
-	fs.jhead = 1
+	fs.ring.Reset()
 	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Replay (mount-time recovery).
 // ---------------------------------------------------------------------------
+
+// openJournal initializes the ring from the layout and reads the block
+// that should hold the journal superblock; judging it is the caller's.
+func (fs *FS) openJournal() ([]byte, error) {
+	fs.ring = &journal.Ring{Base: int64(fs.lay.sb.JournalStart), Len: int64(fs.lay.sb.JournalLen),
+		Desc: jMagicDesc, Commit: jMagicCommit}
+	buf := make([]byte, BlockSize)
+	return buf, fs.dev.ReadBlock(fs.ring.Base, buf)
+}
+
+// readLog is replay's reader: a failed read of any journal block fails the
+// mount.
+func (fs *FS) readLog(blk int64, part journal.Part) ([]byte, error) {
+	buf := make([]byte, BlockSize)
+	if err := fs.dev.ReadBlock(blk, buf); err == nil {
+		return buf, nil
+	}
+	switch part {
+	case journal.PartDesc:
+		fs.rec.Detect(iron.DErrorCode, BTJDesc, "journal read failed during recovery")
+		fs.rec.Recover(iron.RPropagate, BTJDesc, "mount fails")
+		fs.rec.Recover(iron.RStop, BTJDesc, "recovery aborted")
+	case journal.PartCopy:
+		fs.rec.Detect(iron.DErrorCode, BTJData, "journal data read failed during recovery")
+		fs.rec.Recover(iron.RPropagate, BTJData, "mount fails")
+		fs.rec.Recover(iron.RStop, BTJData, "recovery aborted")
+	case journal.PartCommit:
+		fs.rec.Detect(iron.DErrorCode, BTJCommit, "commit block read failed during recovery")
+		fs.rec.Recover(iron.RPropagate, BTJCommit, "mount fails")
+		fs.rec.Recover(iron.RStop, BTJCommit, "recovery aborted")
+	}
+	return nil, vfs.ErrIO
+}
 
 // replayJournal recovers committed transactions after an unclean shutdown.
 // Policy notes reproduced from §5.1/§5.2: journal block magic numbers are
@@ -601,146 +494,97 @@ func (fs *FS) checkpointLocked() error {
 func (fs *FS) replayJournal() error {
 	fs.tr.Phase("replay", fs.variantName())
 	fs.st.Replays.Inc()
-	base := int64(fs.lay.sb.JournalStart)
-	buf := make([]byte, BlockSize)
-	if err := fs.dev.ReadBlock(base, buf); err != nil {
+	buf, err := fs.openJournal()
+	if err != nil {
 		fs.rec.Detect(iron.DErrorCode, BTJSuper, "journal superblock read failed")
 		fs.rec.Recover(iron.RPropagate, BTJSuper, "mount fails")
 		fs.rec.Recover(iron.RStop, BTJSuper, "recovery aborted")
 		return vfs.ErrIO
 	}
-	var js jsuper
-	js.unmarshal(buf)
+	js := journal.ParseHeader(buf)
 	if js.Magic != jMagicSuper {
 		fs.rec.Detect(iron.DSanity, BTJSuper, "journal superblock bad magic")
 		fs.rec.Recover(iron.RPropagate, BTJSuper, "mount fails")
 		fs.rec.Recover(iron.RStop, BTJSuper, "recovery aborted")
 		return vfs.ErrCorrupt
 	}
+	fs.ring.Resume(js)
+	at := journal.Cursor{Rel: fs.ring.Head(), Seq: js.StartSeq}
 
-	le := binary.LittleEndian
-	rel := int64(js.StartRel)
-	if rel == 0 {
-		rel = 1
-	}
-	seq := js.StartSeq
-
-	type txnRec struct {
-		homes   []int64
-		payload [][]byte
-	}
-	var txns []txnRec
+	// The scan collects; nothing is applied until the whole log has been
+	// read, because a revoke in a later transaction cancels an earlier
+	// one's copy.
+	var txns []journal.Replayed
 	revoked := map[int64]uint64{} // home -> latest revoking sequence
-
-	for rel < int64(fs.lay.sb.JournalLen) {
-		hdr := make([]byte, BlockSize)
-		if err := fs.dev.ReadBlock(base+rel, hdr); err != nil {
-			fs.rec.Detect(iron.DErrorCode, BTJDesc, "journal read failed during recovery")
-			fs.rec.Recover(iron.RPropagate, BTJDesc, "mount fails")
-			fs.rec.Recover(iron.RStop, BTJDesc, "recovery aborted")
-			return vfs.ErrIO
+	collect := func(txn journal.Replayed) (bool, error) {
+		if fs.opts.TxnChecksum {
+			tc := fs.tcFold(0, txn.Desc)
+			for _, c := range txn.Copies {
+				tc = fs.tcFold(tc, c.Data)
+			}
+			if binary.LittleEndian.Uint64(txn.Commit[16:]) != cksumStored(tc) {
+				// Transactional checksum mismatch: either a crash
+				// mid-commit (Tc's whole point) or corrupt journal
+				// payload; the transaction is reliably discarded.
+				fs.rec.Detect(iron.DRedundancy, BTJData, "transactional checksum mismatch")
+				fs.rec.Recover(iron.RStop, BTJData, "transaction not replayed")
+				return false, nil
+			}
 		}
-		magic := le.Uint32(hdr[0:])
-		switch magic {
-		case jMagicRevoke:
-			if le.Uint64(hdr[8:]) != seq {
-				rel = int64(fs.lay.sb.JournalLen) // end of log
-				continue
-			}
-			n := int(le.Uint32(hdr[4:]))
-			if n < 0 || n > PtrsPerBlock-2 {
-				fs.rec.Detect(iron.DSanity, BTJRevoke, "revoke count out of range")
-				rel = int64(fs.lay.sb.JournalLen)
-				continue
-			}
-			for i := 0; i < n; i++ {
-				h := int64(le.Uint64(hdr[16+8*i:]))
-				if revoked[h] < seq {
-					revoked[h] = seq
-				}
-			}
-			rel++
-		case jMagicDesc:
-			if le.Uint64(hdr[8:]) != seq {
-				rel = int64(fs.lay.sb.JournalLen)
-				continue
-			}
-			n := int(le.Uint32(hdr[4:]))
-			if n < 0 || n > PtrsPerBlock-2 || rel+int64(n)+1 >= int64(fs.lay.sb.JournalLen) {
-				// Stock ext3 sanity-checks its journal descriptor
-				// fields; a bad count ends recovery quietly.
-				fs.rec.Detect(iron.DSanity, BTJDesc, "descriptor count out of range")
-				rel = int64(fs.lay.sb.JournalLen)
-				continue
-			}
-			rec := txnRec{}
-			tc := fs.tcFold(0, hdr)
-			ok := true
-			for i := 0; i < n; i++ {
-				rec.homes = append(rec.homes, int64(le.Uint64(hdr[16+8*i:])))
-				pb := make([]byte, BlockSize)
-				if err := fs.dev.ReadBlock(base+rel+1+int64(i), pb); err != nil {
-					fs.rec.Detect(iron.DErrorCode, BTJData, "journal data read failed during recovery")
-					fs.rec.Recover(iron.RPropagate, BTJData, "mount fails")
-					fs.rec.Recover(iron.RStop, BTJData, "recovery aborted")
-					return vfs.ErrIO
-				}
-				tc = fs.tcFold(tc, pb)
-				rec.payload = append(rec.payload, pb)
-			}
-			cb := make([]byte, BlockSize)
-			if err := fs.dev.ReadBlock(base+rel+1+int64(n), cb); err != nil {
-				fs.rec.Detect(iron.DErrorCode, BTJCommit, "commit block read failed during recovery")
-				fs.rec.Recover(iron.RPropagate, BTJCommit, "mount fails")
-				fs.rec.Recover(iron.RStop, BTJCommit, "recovery aborted")
-				return vfs.ErrIO
-			}
-			if le.Uint32(cb[0:]) != jMagicCommit || le.Uint64(cb[8:]) != seq {
-				// No commit: the crash interrupted this transaction and
-				// it is discarded. A *nonzero* foreign magic is not a
-				// torn write, though — it fails ext3's journal type
-				// check (§5.1).
-				if m := le.Uint32(cb[0:]); m != 0 && m != jMagicCommit {
-					fs.rec.Detect(iron.DSanity, BTJCommit, "commit block fails type check")
-				}
-				ok = false
-			} else if fs.opts.TxnChecksum {
-				if le.Uint64(cb[16:]) != cksumStored(tc) {
-					// Transactional checksum mismatch: either a crash
-					// mid-commit (Tc's whole point) or corrupt journal
-					// payload; the transaction is reliably discarded.
-					fs.rec.Detect(iron.DRedundancy, BTJData, "transactional checksum mismatch")
-					fs.rec.Recover(iron.RStop, BTJData, "transaction not replayed")
-					ok = false
-				}
-			}
-			if !ok {
-				rel = int64(fs.lay.sb.JournalLen)
-				continue
-			}
-			txns = append(txns, rec)
-			rel += int64(n) + 2
-			seq++
-		default:
-			// Unrecognized block where a descriptor was expected: the end
-			// of the log — but a nonzero foreign magic fails the journal
-			// type check (§5.1) rather than looking like a clean tail.
-			if magic != 0 {
+		txns = append(txns, txn)
+		return true, nil
+	}
+	for {
+		why, blk, err := fs.ring.Scan(&at, fs.readLog, collect)
+		if err != nil {
+			return err
+		}
+		// What ended the scan is the end of the log unless it is a revoke
+		// block of the expected sequence; a block that is none of ext3's
+		// own fails the journal type check (§5.1) rather than looking like
+		// a clean tail.
+		switch why {
+		case journal.StopNotDesc:
+			magic, n, seq := journal.RecordHead(blk)
+			switch {
+			case magic == jMagicRevoke && seq != at.Seq, magic == jMagicDesc, magic == 0:
+			case magic != jMagicRevoke:
 				fs.rec.Detect(iron.DSanity, BTJDesc, "journal block fails type check")
 				fs.rec.Recover(iron.RStop, BTJDesc, "recovery ends at corrupt record")
+			case n > journal.MaxTags:
+				fs.rec.Detect(iron.DSanity, BTJRevoke, "revoke count out of range")
+			default:
+				for i := 0; i < n; i++ {
+					if h := journal.Tag(blk, i); revoked[h] < seq {
+						revoked[h] = seq
+					}
+				}
+				at.Rel++
+				continue
 			}
-			rel = int64(fs.lay.sb.JournalLen)
+		case journal.StopBadCount:
+			// Stock ext3 sanity-checks its journal descriptor fields; a bad
+			// count ends recovery quietly.
+			fs.rec.Detect(iron.DSanity, BTJDesc, "descriptor count out of range")
+		case journal.StopNoCommit:
+			// No commit: the crash interrupted this transaction and it is
+			// discarded. A *nonzero* foreign magic is not a torn write,
+			// though.
+			if m, _, _ := journal.RecordHead(blk); m != 0 && m != jMagicCommit {
+				fs.rec.Detect(iron.DSanity, BTJCommit, "commit block fails type check")
+			}
 		}
+		break
 	}
 
 	// Apply in commit order, honoring revokes from later transactions.
 	applySeq := js.StartSeq
-	for _, rec := range txns {
-		for i, home := range rec.homes {
-			if rv, ok := revoked[home]; ok && rv >= applySeq {
+	for _, txn := range txns {
+		for _, c := range txn.Copies {
+			if rv, ok := revoked[c.Block]; ok && rv >= applySeq {
 				continue
 			}
-			if home < 0 || home >= fs.dev.NumBlocks() {
+			if c.Block < 0 || c.Block >= fs.dev.NumBlocks() {
 				// NOTE: reproduced vulnerability — stock ext3 performs
 				// no sanity check on replayed home locations; we bound
 				// them to the device to avoid a simulator fault, but a
@@ -749,7 +593,7 @@ func (fs *FS) replayJournal() error {
 				// the same).
 				continue
 			}
-			if err := fs.devWrite(home, rec.payload[i], BTData); err != nil {
+			if err := fs.devWrite(c.Block, c.Data, BTData); err != nil {
 				return err
 			}
 		}
@@ -760,20 +604,11 @@ func (fs *FS) replayJournal() error {
 	}
 
 	// Reset the journal: recovered transactions are now home.
-	js = jsuper{Magic: jMagicSuper, StartRel: 1, StartSeq: seq + 1}
-	reset := make([]byte, BlockSize)
-	js.marshal(reset)
-	if err := fs.devWrite(base, reset, BTJSuper); err != nil {
+	reset := journal.Header{Magic: jMagicSuper, StartRel: 1, StartSeq: at.Seq + 1}.Block()
+	if err := fs.devWrite(fs.ring.Base, reset, BTJSuper); err != nil {
 		return err
 	}
-	fs.jn.Recovered(seq)
-	fs.jhead = 1
+	fs.jn.Recovered(at.Seq)
+	fs.ring.Reset()
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

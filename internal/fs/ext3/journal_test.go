@@ -2,14 +2,17 @@ package ext3
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
+	"ironfs/internal/journal"
 	"ironfs/internal/vfs"
 )
 
@@ -139,7 +142,8 @@ func TestCheckpointKeepsRunningTxnPinned(t *testing.T) {
 	// The re-dirtied metadata must still be registered dirty in the cache
 	// for the running transaction (MarkDirty reports presence; a wrongly
 	// MarkCleaned block would be evictable and journal zeros later).
-	for blk := range fs.tx.metaType {
+	for i := 0; i < fs.tx.Meta.Len(); i++ {
+		blk := fs.tx.Meta.Block(i)
 		if !fs.cache.MarkDirty(blk) {
 			t.Errorf("running-txn metadata block %d lost from cache after checkpoint", blk)
 		}
@@ -215,7 +219,7 @@ func TestBarrierFailureDegradesHealth(t *testing.T) {
 // TestRunningTxnCappedWhileCommitInFlight: while a commit is writing with
 // fs.mu released, joining operations must not grow the running transaction
 // past the commit threshold — unbounded growth would overflow the single
-// descriptor block a frozen transaction gets (PtrsPerBlock-2 tags).
+// descriptor block a frozen transaction gets (journal.MaxTags tags).
 func TestRunningTxnCappedWhileCommitInFlight(t *testing.T) {
 	d, err := disk.New(8192, disk.DefaultGeometry(), nil)
 	if err != nil {
@@ -264,7 +268,7 @@ func TestRunningTxnCappedWhileCommitInFlight(t *testing.T) {
 				return
 			}
 			fs.mu.Lock()
-			if n := len(fs.tx.metaOrder); n > maxSeen {
+			if n := fs.tx.Meta.Len(); n > maxSeen {
 				maxSeen = n
 			}
 			fs.mu.Unlock()
@@ -290,7 +294,7 @@ func TestRunningTxnCappedWhileCommitInFlight(t *testing.T) {
 		t.Errorf("running transaction grew to %d metadata blocks while a commit was in flight (cap %d)",
 			maxSeen, maxTxnMeta)
 	}
-	if maxSeen > PtrsPerBlock-2 {
+	if maxSeen > journal.MaxTags {
 		t.Errorf("running transaction overflowed descriptor capacity: %d tags", maxSeen)
 	}
 	if err := fs.Sync(); err != nil {
@@ -316,4 +320,52 @@ func (d *stallDev) Barrier() error {
 		<-d.release
 	}
 	return d.Device.Barrier()
+}
+
+// pinned renders a journal block as the hex of everything up to its last
+// nonzero byte.
+func pinned(b []byte) string {
+	return hex.EncodeToString(bytes.TrimRight(b, "\x00"))
+}
+
+// TestJournalFormatPinned holds the journal's on-disk bytes — superblock,
+// revoke block, descriptor, commit block with and without Tc — to what
+// this package's own encoders produced for the same transaction before
+// journal.Ring's shared codec replaced them.
+func TestJournalFormatPinned(t *testing.T) {
+	for _, tc := range []bool{false, true} {
+		fs, _ := newTestFS(t, Options{TxnChecksum: tc})
+		fs.mu.Lock()
+		for _, blk := range []int64{3, 0x0A0B0C0D0E0F, 510} {
+			fs.txMetaNew(blk, BTIndirect)
+		}
+		fs.revoke(77)
+		fs.revoke(0x0102030405)
+		p, err := fs.FreezeLocked(0x1122334455667788)
+		fs.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := p.(*commitPlan)
+		commit, wantCommit := plan.commit.Data, "02393bc0030000008877665544332211"
+		if tc {
+			commit, wantCommit = plan.jReqs[len(plan.jReqs)-1].Data, "02393bc00300000088776655443322112a4eecad4e4f5249"
+		}
+		for _, c := range []struct{ what, got, want string }{
+			{"revoke block", pinned(plan.jReqs[0].Data), "03393bc00200000088776655443322114d000000000000000504030201"},
+			{"descriptor", pinned(plan.jReqs[1].Data), "01393bc003000000887766554433221103000000000000000f0e0d0c0b0a0000fe01"},
+			{"commit", pinned(commit), wantCommit},
+		} {
+			if c.got != c.want {
+				t.Errorf("Tc=%v %s = %s, want %s", tc, c.what, c.got, c.want)
+			}
+		}
+		if !slices.Equal(plan.jTypes[:3], []iron.BlockType{BTJRevoke, BTJDesc, BTJData}) {
+			t.Errorf("Tc=%v journal writes typed %v", tc, plan.jTypes)
+		}
+	}
+	js := journal.Header{Magic: jMagicSuper, StartRel: 7, StartSeq: 0x0102030405060708}.Block()
+	if got, want := pinned(js), "98393bc00000000007000000000000000807060504030201"; got != want {
+		t.Errorf("journal superblock = %s, want %s", got, want)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ironfs/internal/disk"
+	"ironfs/internal/journal"
 	"ironfs/internal/namei"
 	"ironfs/internal/vfs"
 )
@@ -159,9 +160,7 @@ func Mkfs(dev disk.Device, opts Options) error {
 	}
 
 	// Journal superblock.
-	js := jsuper{Magic: jMagicSuper, StartRel: 1, StartSeq: 1}
-	jsBuf := blockOf()
-	js.marshal(jsBuf)
+	jsBuf := journal.Header{Magic: jMagicSuper, StartRel: 1, StartSeq: 1}.Block()
 	reqs = append(reqs, disk.Request{Block: jStart, Data: jsBuf})
 
 	if err := dev.WriteBatch(reqs); err != nil {

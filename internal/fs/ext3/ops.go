@@ -79,7 +79,7 @@ func (fs *FS) CreateLocked(pIno uint32, pIn *inode, name string, kind vfs.FileTy
 		pblk, err := fs.allocBlock(fs.groupOfInode(ino), BTParity)
 		if err == nil {
 			in.Parity = uint64(pblk)
-			fs.tx.dataNew(pblk, BTParity)
+			fs.txDataNew(pblk, BTParity)
 		}
 	}
 
@@ -121,7 +121,7 @@ func (fs *FS) Symlink(target, linkpath string) error {
 	if err != nil {
 		return err
 	}
-	buf := fs.tx.dataNew(phys, BTData)
+	buf := fs.txDataNew(phys, BTData)
 	copy(buf, target)
 	in.Size = uint64(len(target))
 	if err := fs.StoreLocked(ino, in); err != nil {
@@ -269,7 +269,7 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 		}
 		var buf []byte
 		if !pre {
-			buf = fs.tx.dataNew(phys, BTData)
+			buf = fs.txDataNew(phys, BTData)
 		} else {
 			// Populate the cache with verified (and, with Dp, recovered)
 			// contents before the read-modify-write, so a latent error or
@@ -278,7 +278,7 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 			if _, rerr := fs.readData(phys, BTData, in, l, false); rerr != nil && (bo != 0 || chunk != BlockSize) {
 				return int(written), rerr
 			}
-			buf, err = fs.tx.data(phys, BTData)
+			buf, err = fs.txData(phys, BTData)
 			if err != nil {
 				return int(written), err
 			}
@@ -348,7 +348,7 @@ func (fs *FS) Truncate(path string, size int64) error {
 			if phys, err := fs.bmap(in, size/BlockSize, false); err == nil && phys != 0 {
 				//iron:policy ext3 §5.1:RZero truncate fails silently: the tail-zero priming read's error vanishes with the rest of the truncate path
 				_, _ = fs.readData(phys, BTData, in, size/BlockSize, false)
-				if buf, err := fs.tx.data(phys, BTData); err == nil {
+				if buf, err := fs.txData(phys, BTData); err == nil {
 					var old []byte
 					if fs.opts.DataParity && in.Parity != 0 {
 						old = make([]byte, BlockSize)

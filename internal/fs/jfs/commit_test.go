@@ -2,9 +2,11 @@ package jfs
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"testing"
 
+	"ironfs/internal/journal"
 	"ironfs/internal/vfs"
 )
 
@@ -21,14 +23,16 @@ func TestFrozenCommitPayloads(t *testing.T) {
 	}
 
 	fs.mu.Lock()
-	staged := append([]int64(nil), fs.tx.dirtyOrd...)
+	var staged []int64
+	want := map[int64][]byte{}
+	for i := 0; i < fs.tx.Meta.Len(); i++ {
+		blk := fs.tx.Meta.Block(i)
+		staged = append(staged, blk)
+		want[blk] = append([]byte(nil), fs.tx.Meta.Payload(blk)...)
+	}
 	if len(staged) == 0 {
 		fs.mu.Unlock()
 		t.Fatal("no dirty metadata to freeze")
-	}
-	want := map[int64][]byte{}
-	for _, blk := range staged {
-		want[blk] = append([]byte(nil), fs.tx.dirty[blk]...)
 	}
 	plan, err := fs.FreezeLocked(fs.jn.Seq() + 1)
 	if err != nil || plan == nil {
@@ -73,10 +77,13 @@ func TestTxnOverflowCrashes(t *testing.T) {
 	fs.mu.Lock()
 	ringBlocks := int(fs.sb.LogLen)
 	// Each max-payload redo record fills most of a log block, so LogLen+2
-	// of them cannot fit even after a wrap.
+	// of them — staged through logMeta — cannot fit even after a wrap.
 	payload := make([]byte, BlockSize-2*recHdrLen-16)
 	for i := 0; i < ringBlocks+2; i++ {
-		fs.tx.records = append(fs.tx.records, redoRec{Blk: 1, Off: 0, Data: payload})
+		if err := fs.logMeta(int64(fs.sb.BMapStart), 0, payload, BTBMap); err != nil {
+			fs.mu.Unlock()
+			t.Fatal(err)
+		}
 	}
 	_, err := fs.FreezeLocked(fs.jn.Seq() + 1)
 	fs.mu.Unlock()
@@ -85,5 +92,16 @@ func TestTxnOverflowCrashes(t *testing.T) {
 	}
 	if st := fs.Health(); st != vfs.Panicked {
 		t.Fatalf("health after log-ring overflow = %v, want Panicked (explicit crash)", st)
+	}
+}
+
+// TestLogSuperFormatPinned holds the log superblock's on-disk bytes to what
+// this package's own encoder produced before journal.Header's shared codec
+// replaced it. (The redo-record encoding is still this package's.)
+func TestLogSuperFormatPinned(t *testing.T) {
+	b := journal.Header{Magic: jMagic, Version: 1, StartRel: 7, StartSeq: 0x0102030405060708}.Block()
+	got := hex.EncodeToString(bytes.TrimRight(b, "\x00"))
+	if want := "474f4c4a0100000007000000000000000807060504030201"; got != want || len(b) != BlockSize {
+		t.Errorf("log superblock = %s (%d bytes), want %s", got, len(b), want)
 	}
 }

@@ -31,10 +31,10 @@ type FS struct {
 	bmd     bmapDesc
 	imc     imapCtl
 	cache   *bcache.Cache
-	tx      *txn
+	tx      *journal.Txn[uint32]
 	mounted bool
 	noatime bool
-	jhead   int64
+	ring    *journal.Ring
 	// jn owns the commit sequence space and coordinates the committer
 	// with its fsync waiters; FS implements its journal.Committer.
 	jn *journal.Engine
@@ -50,6 +50,12 @@ type FS struct {
 	// Namespace is the path walk and the lookup and attribute operations
 	// of vfs.FileSystem; FS implements its namei.Store. Last, like Driver.
 	namei.Namespace[uint32, *inode]
+
+	// records are the running transaction's redo records, in the order
+	// logMeta appended them: JFS logs these, not block images, and
+	// checkpoints the full images fs.tx stages alongside. After the embeds,
+	// so the fields before them keep their offsets.
+	records []redoRec
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -293,7 +299,8 @@ func (fs *FS) Mount() error {
 		return err
 	}
 
-	fs.tx = newTxn()
+	fs.tx = journal.NewTxn[uint32](fs.cache)
+	fs.records = nil
 	fs.sb.Clean = 0
 	sbuf := make([]byte, BlockSize)
 	fs.sb.marshal(sbuf)

@@ -23,30 +23,6 @@ const (
 	recHdrLen = 16
 )
 
-// logSuper fronts the log region.
-type logSuper struct {
-	Magic    uint32
-	Version  uint32
-	StartRel uint64
-	StartSeq uint64
-}
-
-func (l *logSuper) marshal(b []byte) {
-	le := binary.LittleEndian
-	le.PutUint32(b[0:], l.Magic)
-	le.PutUint32(b[4:], l.Version)
-	le.PutUint64(b[8:], l.StartRel)
-	le.PutUint64(b[16:], l.StartSeq)
-}
-
-func (l *logSuper) unmarshal(b []byte) {
-	le := binary.LittleEndian
-	l.Magic = le.Uint32(b[0:])
-	l.Version = le.Uint32(b[4:])
-	l.StartRel = le.Uint64(b[8:])
-	l.StartSeq = le.Uint64(b[16:])
-}
-
 // redoRec is one sub-block redo record.
 type redoRec struct {
 	Blk  int64
@@ -54,69 +30,31 @@ type redoRec struct {
 	Data []byte
 }
 
-// txn is the running transaction.
-type txn struct {
-	records   []redoRec
-	dirty     map[int64][]byte // full images for checkpoint
-	dirtyOrd  []int64
-	dataOrder []int64
-	data      map[int64][]byte
-	// inodes tracks which inodes this transaction has updated, so fsync
-	// can tell "needs this commit" from "only needs earlier commits".
-	inodes map[uint32]bool
-}
-
-func newTxn() *txn {
-	return &txn{dirty: map[int64][]byte{}, data: map[int64][]byte{}, inodes: map[uint32]bool{}}
-}
-
-func (t *txn) touch(ino uint32)        { t.inodes[ino] = true }
-func (t *txn) touched(ino uint32) bool { return t.inodes[ino] }
-
-func (t *txn) empty() bool { return len(t.records) == 0 && len(t.dataOrder) == 0 }
-
-// logMeta applies a sub-block mutation: the cache block is updated, a redo
-// record is appended, and the block joins the checkpoint set.
+// logMeta applies a sub-block mutation: the block's full image is staged in
+// the running transaction (and so in the cache) for the checkpoint, and a
+// redo record for just the mutated bytes is appended for the log.
 func (fs *FS) logMeta(blk int64, off int, data []byte, bt iron.BlockType) error {
 	cur, err := fs.readMeta(blk, bt)
 	if err != nil {
 		return err
 	}
-	img, ok := fs.tx.dirty[blk]
-	if !ok {
+	img := fs.tx.Meta.Payload(blk)
+	if img == nil {
 		img = make([]byte, BlockSize)
 		copy(img, cur)
-		fs.tx.dirty[blk] = img
-		fs.tx.dirtyOrd = append(fs.tx.dirtyOrd, blk)
 	}
 	copy(img[off:], data)
-	fs.cache.Put(blk, img, true)
-	rec := redoRec{Blk: blk, Off: off, Data: append([]byte{}, data...)}
-	fs.tx.records = append(fs.tx.records, rec)
+	fs.tx.StageMeta(blk, img, bt)
+	fs.records = append(fs.records, redoRec{Blk: blk, Off: off, Data: append([]byte{}, data...)})
 	return nil
 }
 
-// stageData stages an ordered-data block image.
-func (fs *FS) stageData(blk int64, data []byte) {
-	if _, ok := fs.tx.data[blk]; !ok {
-		fs.tx.dataOrder = append(fs.tx.dataOrder, blk)
-	}
-	fs.tx.data[blk] = data
-	fs.cache.Put(blk, data, true)
-}
-
-// dropBlock removes a freed block from the transaction and cache.
-func (fs *FS) dropBlock(blk int64) {
-	delete(fs.tx.data, blk)
-	fs.tx.dataOrder = journal.RemoveBlock(fs.tx.dataOrder, blk)
-	fs.cache.Drop(blk)
-}
-
+// maxTxnRecords bounds a transaction's redo records before auto-commit.
 const maxTxnRecords = 256
 
 //iron:commitpoint the operation-facing commit funnel; its error means the transaction did not reach disk
 func (fs *FS) MaybeCommitLocked() error {
-	if len(fs.tx.records) >= maxTxnRecords {
+	if len(fs.records) >= maxTxnRecords {
 		return fs.commitLocked()
 	}
 	return nil
@@ -125,18 +63,15 @@ func (fs *FS) MaybeCommitLocked() error {
 // commitPlan is JFS's journal.Plan: the frozen transaction as packed redo
 // records plus a commit record in log blocks, and its immediate checkpoint.
 type commitPlan struct {
-	dataReqs []disk.Request
+	// fz is the frozen transaction: the ordered data, and — the immediate
+	// checkpoint — frozen copies of the full dirty images, never the live
+	// cache buffers, which the running transaction may be mutating.
+	fz journal.Frozen
 	// wrapSuper, when non-nil, points the log superblock at the ring's new
 	// start; it must reach disk (with a barrier) before the log blocks.
 	wrapSuper []byte
 	logReqs   []disk.Request
-	// homeReqs is the immediate checkpoint: frozen copies of the full
-	// dirty images — never the live cache buffers, which the running
-	// transaction may be mutating.
-	homeReqs []disk.Request
-	advSuper []byte // log-superblock advance after the checkpoint
-	dirtyOrd []int64
-	dataOrd  []int64
+	advSuper  []byte // log-superblock advance after the checkpoint
 }
 
 // commitLocked writes ordered data, streams the redo records plus a commit
@@ -157,31 +92,22 @@ func (fs *FS) commitLocked() error { return fs.jn.Commit(fs) }
 func (fs *FS) SyncLocked() error { return fs.commitLocked() }
 
 // DirtyLocked implements journal.Committer.
-func (fs *FS) DirtyLocked() bool { return !fs.tx.empty() }
+func (fs *FS) DirtyLocked() bool { return !fs.tx.Empty() }
 
 // TouchedLocked implements journal.Committer; key is an inode number.
-func (fs *FS) TouchedLocked(key uint64) bool { return fs.tx.touched(uint32(key)) }
+func (fs *FS) TouchedLocked(key uint64) bool { return fs.tx.Touched(uint32(key)) }
 
 // FreezeLocked implements journal.Committer: it packs the running
 // transaction's records into log blocks at the log head, which advances
 // here.
 func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	t := fs.tx
-	if t.empty() {
+	if t.Empty() {
 		return nil, nil
 	}
-	fs.tr.Phase("commit", fmt.Sprintf("seq=%d records=%d data=%d", seq, len(t.records), len(t.dataOrder)))
+	fs.tr.Phase("commit", fmt.Sprintf("seq=%d records=%d data=%d", seq, len(fs.records), t.Data.Len()))
 	fs.st.Commits.Inc()
-	fs.st.TxnBlocks.Observe(int64(len(t.records) + len(t.dataOrder)))
-	base := int64(fs.sb.LogStart)
-	plan := &commitPlan{dirtyOrd: t.dirtyOrd, dataOrd: t.dataOrder}
-
-	// Ordered data (frozen copies).
-	for _, blk := range t.dataOrder {
-		cp := make([]byte, BlockSize)
-		copy(cp, t.data[blk])
-		plan.dataReqs = append(plan.dataReqs, disk.Request{Block: blk, Data: cp})
-	}
+	fs.st.TxnBlocks.Observe(int64(len(fs.records) + t.Data.Len()))
 
 	// Pack records into log blocks. The redo payloads were copied when
 	// the records were logged, so the packed blocks are already frozen.
@@ -203,7 +129,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 		copy(cur[off+recHdrLen:], payload)
 		off += need
 	}
-	for _, r := range t.records {
+	for _, r := range fs.records {
 		emit(recRedo, r.Blk, r.Off, r.Data)
 	}
 	var seqb [8]byte
@@ -211,7 +137,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	emit(recCommit, 0, 0, seqb[:])
 	logBlocks = append(logBlocks, cur)
 
-	if int64(len(logBlocks))+1 > int64(fs.sb.LogLen) {
+	if int64(len(logBlocks))+1 > fs.ring.Len {
 		// Unreachable by construction — maxTxnRecords keeps a transaction
 		// far below the ring's capacity even while a commit is in flight
 		// — but a transaction larger than the whole ring would scribble
@@ -220,34 +146,18 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 		fs.crash(BTJData, "transaction overflows log ring")
 		return nil, vfs.ErrPanicked
 	}
-	if fs.jhead == 0 {
-		fs.jhead = 1
-	}
-	if fs.jhead+int64(len(logBlocks)) > int64(fs.sb.LogLen) {
+	plan := &commitPlan{fz: t.Freeze()}
+	fs.records = nil
+	rel, wrapped := fs.ring.Reserve(int64(len(logBlocks)))
+	if wrapped {
 		// Wrap: point the log superblock at the new start first.
-		fs.jhead = 1
-		ls := logSuper{Magic: jMagic, Version: 1, StartRel: 1, StartSeq: seq}
-		plan.wrapSuper = make([]byte, BlockSize)
-		ls.marshal(plan.wrapSuper)
+		plan.wrapSuper = journal.Header{Magic: jMagic, Version: 1, StartRel: 1, StartSeq: seq}.Block()
 	}
+	plan.logReqs = make([]disk.Request, len(logBlocks))
 	for i, lb := range logBlocks {
-		plan.logReqs = append(plan.logReqs, disk.Request{Block: base + fs.jhead + int64(i), Data: lb})
+		plan.logReqs[i] = disk.Request{Block: fs.ring.Base + rel + int64(i), Data: lb}
 	}
-
-	// Checkpoint images (frozen copies of the full dirty blocks).
-	plan.homeReqs = make([]disk.Request, 0, len(t.dirtyOrd))
-	for _, blk := range t.dirtyOrd {
-		cp := make([]byte, BlockSize)
-		copy(cp, t.dirty[blk])
-		plan.homeReqs = append(plan.homeReqs, disk.Request{Block: blk, Data: cp})
-	}
-
-	fs.jhead += int64(len(logBlocks))
-	ls := logSuper{Magic: jMagic, Version: 1, StartRel: uint64(fs.jhead), StartSeq: seq + 1}
-	plan.advSuper = make([]byte, BlockSize)
-	ls.marshal(plan.advSuper)
-
-	fs.tx = newTxn()
+	plan.advSuper = journal.Header{Magic: jMagic, Version: 1, StartRel: uint64(fs.ring.Head()), StartSeq: seq + 1}.Block()
 	return plan, nil
 }
 
@@ -271,18 +181,17 @@ func (fs *FS) commitBarrier(bt iron.BlockType) error {
 //iron:txentry commit machinery: writes the frozen commit plan (ordered data, log records, checkpoint) and advances the log superblock
 func (fs *FS) WritePlan(p journal.Plan) error {
 	plan := p.(*commitPlan)
-	base := int64(fs.sb.LogStart)
 
 	// Ordered data first.
-	if len(plan.dataReqs) > 0 {
-		fs.devWriteBatch(plan.dataReqs)
+	if len(plan.fz.Data) > 0 {
+		fs.devWriteBatch(plan.fz.Data)
 		if err := fs.commitBarrier(BTData); err != nil {
 			return err
 		}
 	}
 
 	if plan.wrapSuper != nil {
-		if err := fs.devWrite(base, plan.wrapSuper, BTJSuper); err != nil {
+		if err := fs.devWrite(fs.ring.Base, plan.wrapSuper, BTJSuper); err != nil {
 			return err
 		}
 		if err := fs.commitBarrier(BTJSuper); err != nil {
@@ -296,35 +205,34 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 	}
 
 	// Checkpoint full dirty images (write errors ignored).
-	fs.devWriteBatch(plan.homeReqs)
+	fs.devWriteBatch(plan.fz.Meta)
 	if err := fs.commitBarrier(BTData); err != nil {
 		return err
 	}
 
-	return fs.devWrite(base, plan.advSuper, BTJSuper)
+	return fs.devWrite(fs.ring.Base, plan.advSuper, BTJSuper)
 }
 
 // FinishLocked implements journal.Committer: the plan's blocks are
 // checkpointed, so their dirty pins come off.
 func (fs *FS) FinishLocked(p journal.Plan) error {
 	plan := p.(*commitPlan)
-	journal.Unpin(fs.cache, plan.dirtyOrd, fs.tx.dirty, fs.tx.data)
-	journal.Unpin(fs.cache, plan.dataOrd, fs.tx.dirty, fs.tx.data)
+	fs.tx.Unpin(plan.fz.Meta, plan.fz.Data)
 	return nil
 }
 
-// loadLogSuper initializes the sequence space from the log superblock,
-// sanity-checking its magic and version (§5.3).
+// loadLogSuper initializes the ring and the sequence space from the log
+// superblock, sanity-checking its magic and version (§5.3).
 func (fs *FS) loadLogSuper() error {
+	fs.ring = &journal.Ring{Base: int64(fs.sb.LogStart), Len: int64(fs.sb.LogLen)}
 	buf := make([]byte, BlockSize)
-	if err := fs.dev.ReadBlock(int64(fs.sb.LogStart), buf); err != nil {
+	if err := fs.dev.ReadBlock(fs.ring.Base, buf); err != nil {
 		fs.rec.Detect(iron.DErrorCode, BTJSuper, "log superblock read failed")
 		fs.rec.Recover(iron.RPropagate, BTJSuper, "mount fails")
 		fs.rec.Recover(iron.RStop, BTJSuper, "mount aborted")
 		return vfs.ErrIO
 	}
-	var ls logSuper
-	ls.unmarshal(buf)
+	ls := journal.ParseHeader(buf)
 	if ls.Magic != jMagic || ls.Version != 1 {
 		fs.rec.Detect(iron.DSanity, BTJSuper, "log superblock bad magic/version")
 		fs.rec.Recover(iron.RPropagate, BTJSuper, "mount fails")
@@ -334,10 +242,7 @@ func (fs *FS) loadLogSuper() error {
 	if ls.StartSeq > 0 {
 		fs.jn.Recovered(ls.StartSeq - 1)
 	}
-	fs.jhead = int64(ls.StartRel)
-	if fs.jhead == 0 {
-		fs.jhead = 1
-	}
+	fs.ring.Resume(ls)
 	return nil
 }
 
@@ -352,14 +257,14 @@ func (fs *FS) replayLog() error {
 	if err := fs.loadLogSuper(); err != nil {
 		return err
 	}
-	base := int64(fs.sb.LogStart)
+	base := fs.ring.Base
 	le := binary.LittleEndian
-	rel := fs.jhead
+	rel := fs.ring.Head()
 	seq := fs.jn.Seq() + 1
 
 	var pending []redoRec
 scan:
-	for rel < int64(fs.sb.LogLen) {
+	for rel < fs.ring.Len {
 		buf := make([]byte, BlockSize)
 		if err := fs.dev.ReadBlock(base+rel, buf); err != nil {
 			fs.rec.Detect(iron.DErrorCode, BTJData, "log read failed during recovery")
@@ -427,13 +332,11 @@ scan:
 	if err := fs.dev.Barrier(); err != nil {
 		return vfs.ErrIO
 	}
-	ls := logSuper{Magic: jMagic, Version: 1, StartRel: 1, StartSeq: seq}
-	lb := make([]byte, BlockSize)
-	ls.marshal(lb)
+	lb := journal.Header{Magic: jMagic, Version: 1, StartRel: 1, StartSeq: seq}.Block()
 	if err := fs.devWrite(base, lb, BTJSuper); err != nil {
 		return err
 	}
 	fs.jn.Recovered(seq - 1)
-	fs.jhead = 1
+	fs.ring.Reset()
 	return nil
 }

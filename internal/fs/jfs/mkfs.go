@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ironfs/internal/disk"
+	"ironfs/internal/journal"
 	"ironfs/internal/namei"
 	"ironfs/internal/vfs"
 )
@@ -110,9 +111,7 @@ func Mkfs(dev disk.Device) error {
 	}
 
 	// Log superblock.
-	ls := logSuper{Magic: jMagic, Version: 1, StartRel: 1, StartSeq: 1}
-	lBuf := blockOf()
-	ls.marshal(lBuf)
+	lBuf := journal.Header{Magic: jMagic, Version: 1, StartRel: 1, StartSeq: 1}.Block()
 	reqs = append(reqs, disk.Request{Block: logStart, Data: lBuf})
 
 	if err := dev.WriteBatch(reqs); err != nil {

@@ -2,6 +2,7 @@ package jfs
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"ironfs/internal/iron"
 	"ironfs/internal/namei"
@@ -95,7 +96,12 @@ func (fs *FS) freeBlock(blk int64) error {
 			return err
 		}
 	}
-	fs.dropBlock(blk)
+	// The freed block leaves the transaction whole: its staged image, and
+	// the redo records that would replay over its next owner.
+	if fs.tx.Meta.Payload(blk) != nil {
+		fs.records = slices.DeleteFunc(fs.records, func(r redoRec) bool { return r.Blk == blk })
+	}
+	fs.tx.Drop(blk)
 	return nil
 }
 
@@ -216,7 +222,7 @@ func (fs *FS) StoreLocked(ino uint32, in *inode) error {
 	}
 	img := make([]byte, InodeSize)
 	in.marshal(img)
-	fs.tx.touch(ino)
+	fs.tx.Touch(ino)
 	return fs.logMeta(blk, off, img, BTInode)
 }
 
@@ -226,7 +232,7 @@ func (fs *FS) clearInode(ino uint32) error {
 	if err != nil {
 		return err
 	}
-	fs.tx.touch(ino)
+	fs.tx.Touch(ino)
 	return fs.logMeta(blk, off, make([]byte, InodeSize), BTInode)
 }
 

@@ -3,6 +3,7 @@ package jfs
 import (
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
+	"ironfs/internal/journal"
 )
 
 // The repair primitives (fsck.Fixer): dangling directory entries are
@@ -115,6 +116,7 @@ func (fs *FS) RebuildMapsLocked(c *fsck.Refs[*inode]) error {
 // were each consistent, so the on-disk image is a valid (if still damaged)
 // volume.
 func (fs *FS) AbortLocked() {
-	fs.tx = newTxn()
+	fs.tx = journal.NewTxn[uint32](fs.cache)
+	fs.records = nil
 	fs.remountRO(BTBMap, "consistency repair failed mid-pass")
 }

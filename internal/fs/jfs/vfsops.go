@@ -29,7 +29,7 @@ func (fs *FS) Symlink(target, linkpath string) error {
 	}
 	buf := make([]byte, BlockSize)
 	copy(buf, target)
-	fs.stageData(blk, buf)
+	fs.tx.StageData(blk, buf, BTData)
 	in.Size = uint64(len(target))
 	if err := fs.StoreLocked(ino, in); err != nil {
 		return err
@@ -166,7 +166,7 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 			}
 		}
 		copy(buf[bo:bo+chunk], data[written:written+chunk])
-		fs.stageData(blk, buf)
+		fs.tx.StageData(blk, buf, BTData)
 		written += chunk
 	}
 	if off+n > int64(in.Size) {
@@ -208,7 +208,7 @@ func (fs *FS) Truncate(path string, size int64) error {
 				if old, rerr := fs.readData(blk); rerr == nil {
 					nb := make([]byte, BlockSize)
 					copy(nb, old[:size%BlockSize])
-					fs.stageData(blk, nb)
+					fs.tx.StageData(blk, nb, BTData)
 				}
 			}
 		}

@@ -2,9 +2,11 @@ package ntfs
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"testing"
 
+	"ironfs/internal/journal"
 	"ironfs/internal/vfs"
 )
 
@@ -23,14 +25,16 @@ func TestFrozenCommitPayloads(t *testing.T) {
 	}
 
 	fs.mu.Lock()
-	staged := append([]int64(nil), fs.tx.metaOrder...)
+	var staged []int64
+	want := map[int64][]byte{}
+	for i := 0; i < fs.tx.Meta.Len(); i++ {
+		blk := fs.tx.Meta.Block(i)
+		staged = append(staged, blk)
+		want[blk] = append([]byte(nil), fs.tx.Meta.Payload(blk)...)
+	}
 	if len(staged) == 0 {
 		fs.mu.Unlock()
 		t.Fatal("no staged metadata to freeze")
-	}
-	want := map[int64][]byte{}
-	for _, blk := range staged {
-		want[blk] = append([]byte(nil), fs.tx.meta[blk]...)
 	}
 	plan, err := fs.FreezeLocked(fs.jn.Seq() + 1)
 	if err != nil || plan == nil {
@@ -73,8 +77,8 @@ func TestFrozenCommitPayloads(t *testing.T) {
 func TestTxnOverflowUnmountable(t *testing.T) {
 	fs, _ := newTestFS(t)
 	fs.mu.Lock()
-	for i := 0; i <= maxDescTags; i++ {
-		fs.stageMeta(int64(4000+i), make([]byte, BlockSize), BTMFT)
+	for i := 0; i <= journal.MaxTags; i++ {
+		fs.tx.StageMeta(int64(4000+i), make([]byte, BlockSize), BTMFT)
 	}
 	_, err := fs.FreezeLocked(fs.jn.Seq() + 1)
 	fs.mu.Unlock()
@@ -83,5 +87,45 @@ func TestTxnOverflowUnmountable(t *testing.T) {
 	}
 	if st := fs.Health(); st != vfs.ReadOnly {
 		t.Fatalf("health after descriptor overflow = %v, want ReadOnly (unmountable)", st)
+	}
+}
+
+// pinned renders a log block as the hex of everything up to its last
+// nonzero byte.
+func pinned(b []byte) string {
+	return hex.EncodeToString(bytes.TrimRight(b, "\x00"))
+}
+
+// TestLogFormatPinned holds the logfile's on-disk bytes — restart area,
+// descriptor, commit record — to what this package's own encoders produced
+// for the same transaction before journal.Ring's shared codec replaced
+// them.
+func TestLogFormatPinned(t *testing.T) {
+	fs, d := newTestFS(t)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for _, blk := range []int64{3, 0x0A0B0C0D0E0F, 510} {
+		fs.tx.StageMeta(blk, make([]byte, BlockSize), BTMFT)
+	}
+	p, err := fs.FreezeLocked(0x1122334455667788)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := p.(*commitPlan)
+	if err := fs.writeRestart(0x0102030405060708, 7); err != nil {
+		t.Fatal(err)
+	}
+	restart := make([]byte, BlockSize)
+	if err := d.ReadBlock(int64(fs.boot.LogStart), restart); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ what, got, want string }{
+		{"descriptor", pinned(plan.jReqs[0].Data), "4452435203000000887766554433221103000000000000000f0e0d0c0b0a0000fe01"},
+		{"commit", pinned(plan.commit.Data), "54494d43000000008877665544332211"},
+		{"restart area", pinned(restart), "525453520000000007000000000000000807060504030201"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.what, c.got, c.want)
+		}
 	}
 }

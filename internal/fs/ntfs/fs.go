@@ -1,7 +1,6 @@
 package ntfs
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -30,10 +29,10 @@ type FS struct {
 	health  vfs.Health
 	boot    boot
 	cache   *bcache.Cache
-	tx      *txn
+	tx      *journal.Txn[uint32]
 	mounted bool
 	noatime bool
-	jhead   int64
+	ring    *journal.Ring
 	// jn owns the commit sequence space and coordinates the committer
 	// with its fsync waiters; FS implements its journal.Committer.
 	jn *journal.Engine
@@ -162,68 +161,13 @@ func (fs *FS) writeRetry(blk int64, data []byte, bt iron.BlockType) error {
 // Logfile: whole-block redo transactions, checkpointed immediately.
 // ---------------------------------------------------------------------------
 
-type txn struct {
-	metaOrder []int64
-	meta      map[int64][]byte
-	metaType  map[int64]iron.BlockType
-	dataOrder []int64
-	data      map[int64][]byte
-	// recs tracks which MFT records this transaction has updated, so
-	// fsync can tell "needs this commit" from "only needs earlier
-	// commits".
-	recs map[uint32]bool
-}
-
-func newTxn() *txn {
-	return &txn{meta: map[int64][]byte{}, metaType: map[int64]iron.BlockType{}, data: map[int64][]byte{},
-		recs: map[uint32]bool{}}
-}
-
-func (t *txn) touch(rec uint32)        { t.recs[rec] = true }
-func (t *txn) touched(rec uint32) bool { return t.recs[rec] }
-
-func (t *txn) empty() bool { return len(t.metaOrder) == 0 && len(t.dataOrder) == 0 }
-
-func (fs *FS) stageMeta(blk int64, data []byte, bt iron.BlockType) {
-	fs.cache.Put(blk, data, true)
-	if _, ok := fs.tx.meta[blk]; !ok {
-		fs.tx.metaOrder = append(fs.tx.metaOrder, blk)
-	}
-	fs.tx.meta[blk] = data
-	fs.tx.metaType[blk] = bt
-}
-
-func (fs *FS) stageData(blk int64, data []byte) {
-	fs.cache.Put(blk, data, true)
-	if _, ok := fs.tx.data[blk]; !ok {
-		fs.tx.dataOrder = append(fs.tx.dataOrder, blk)
-	}
-	fs.tx.data[blk] = data
-}
-
-func (fs *FS) dropBlock(blk int64) {
-	if _, ok := fs.tx.meta[blk]; ok {
-		delete(fs.tx.meta, blk)
-		delete(fs.tx.metaType, blk)
-		fs.tx.metaOrder = journal.RemoveBlock(fs.tx.metaOrder, blk)
-	}
-	if _, ok := fs.tx.data[blk]; ok {
-		delete(fs.tx.data, blk)
-		fs.tx.dataOrder = journal.RemoveBlock(fs.tx.dataOrder, blk)
-	}
-	fs.cache.Drop(blk)
-}
-
+// maxTxnMeta bounds a transaction's journaled metadata before auto-commit;
+// file data is not capped.
 const maxTxnMeta = 48
-
-// maxDescTags is the hard capacity of one logfile descriptor block: more
-// tags would scribble past the block. MaybeCommitLocked keeps the running
-// transaction far below this even while a commit is in flight.
-const maxDescTags = (BlockSize - 16) / 8
 
 //iron:commitpoint the operation-facing commit funnel; its error means the transaction did not reach disk
 func (fs *FS) MaybeCommitLocked() error {
-	if len(fs.tx.metaOrder) >= maxTxnMeta {
+	if fs.tx.Full(maxTxnMeta, journal.NoCap) {
 		return fs.commitLocked()
 	}
 	return nil
@@ -233,24 +177,20 @@ func (fs *FS) MaybeCommitLocked() error {
 // descriptor + journaled copies + commit block, with the restart-area
 // updates that bracket it, and its immediate checkpoint.
 type commitPlan struct {
-	seq     uint64
-	headEnd int64
+	seq uint64
+	// fz is the frozen transaction. Its metadata payloads go out twice:
+	// into the logfile, and — the immediate checkpoint — to their home
+	// locations, never from the live cache buffers, which the running
+	// transaction may be mutating. fz.MetaType keeps each home block's
+	// type for writeRetry's per-type retry budget and degrade attribution.
+	fz journal.Frozen
 	// wrap is set when the logfile ring wrapped: the restart area must
 	// point at the new start (with a barrier) before the transaction is
 	// written.
-	wrap     bool
-	dataReqs []disk.Request
-	jReqs    []disk.Request // descriptor + journaled copies, all BTLogfile
-	commit   []byte
-	// homeReqs is the immediate checkpoint: the same frozen payloads the
-	// logfile carries, aimed at their home locations — never the live
-	// cache buffers, which the running transaction may be mutating.
-	// homeType keeps each home block's type for writeRetry's per-type
-	// retry budget and degrade attribution.
-	homeReqs  []disk.Request
-	homeType  []iron.BlockType
-	metaOrder []int64
-	dataOrder []int64
+	wrap    bool
+	jReqs   []disk.Request // descriptor + journaled copies, all BTLogfile
+	commit  disk.Request
+	headEnd int64 // where the restart area points once the checkpoint is done
 }
 
 // commitLocked writes ordered data, the logfile transaction, then
@@ -267,25 +207,23 @@ func (fs *FS) commitLocked() error { return fs.jn.Commit(fs) }
 func (fs *FS) SyncLocked() error { return fs.commitLocked() }
 
 // DirtyLocked implements journal.Committer.
-func (fs *FS) DirtyLocked() bool { return !fs.tx.empty() }
+func (fs *FS) DirtyLocked() bool { return !fs.tx.Empty() }
 
 // TouchedLocked implements journal.Committer; key is an MFT record number.
-func (fs *FS) TouchedLocked(key uint64) bool { return fs.tx.touched(uint32(key)) }
+func (fs *FS) TouchedLocked(key uint64) bool { return fs.tx.Touched(uint32(key)) }
 
 // FreezeLocked implements journal.Committer: it encodes the running
 // transaction at the logfile head, which advances here.
 func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	t := fs.tx
-	if t.empty() {
+	if t.Empty() {
 		return nil, nil
 	}
-	fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d data=%d", seq, len(t.metaOrder), len(t.dataOrder)))
+	fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d data=%d", seq, t.Meta.Len(), t.Data.Len()))
 	fs.st.Commits.Inc()
-	fs.st.TxnBlocks.Observe(int64(len(t.metaOrder) + len(t.dataOrder)))
-	base := int64(fs.boot.LogStart)
-	le := binary.LittleEndian
+	fs.st.TxnBlocks.Observe(int64(t.Meta.Len() + t.Data.Len()))
 
-	if len(t.metaOrder) > maxDescTags {
+	if t.Meta.Len() > journal.MaxTags {
 		// Unreachable by construction — MaybeCommitLocked flushes the running
 		// transaction far below one descriptor block's tag capacity — but
 		// an overflow would scribble past the descriptor block, and
@@ -295,51 +233,12 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 		return nil, vfs.ErrIO
 	}
 
-	plan := &commitPlan{seq: seq, metaOrder: t.metaOrder, dataOrder: t.dataOrder}
-	for _, blk := range t.dataOrder {
-		cp := make([]byte, BlockSize)
-		copy(cp, t.data[blk])
-		plan.dataReqs = append(plan.dataReqs, disk.Request{Block: blk, Data: cp})
-	}
-
-	need := int64(len(t.metaOrder) + 2)
-	if fs.jhead == 0 {
-		fs.jhead = 1
-	}
-	if fs.jhead+need > int64(fs.boot.LogLen) {
-		fs.jhead = 1
-		plan.wrap = true
-	}
-	rel := fs.jhead
-
-	desc := make([]byte, BlockSize)
-	le.PutUint32(desc[0:], logDesc)
-	le.PutUint32(desc[4:], uint32(len(t.metaOrder)))
-	le.PutUint64(desc[8:], seq)
-	for i, blk := range t.metaOrder {
-		le.PutUint64(desc[16+8*i:], uint64(blk))
-	}
-	plan.jReqs = append(plan.jReqs, disk.Request{Block: base + rel, Data: desc})
-	rel++
-	plan.homeReqs = make([]disk.Request, 0, len(t.metaOrder))
-	plan.homeType = make([]iron.BlockType, 0, len(t.metaOrder))
-	for _, blk := range t.metaOrder {
-		cp := make([]byte, BlockSize)
-		copy(cp, t.meta[blk])
-		plan.jReqs = append(plan.jReqs, disk.Request{Block: base + rel, Data: cp})
-		plan.homeReqs = append(plan.homeReqs, disk.Request{Block: blk, Data: cp})
-		plan.homeType = append(plan.homeType, t.metaType[blk])
-		rel++
-	}
-
-	plan.commit = make([]byte, BlockSize)
-	le.PutUint32(plan.commit[0:], logCommit)
-	le.PutUint64(plan.commit[8:], seq)
-	rel++
-
-	plan.headEnd = rel
-	fs.jhead = rel
-	fs.tx = newTxn()
+	plan := &commitPlan{seq: seq, fz: t.Freeze()}
+	var rel int64
+	rel, plan.wrap = fs.ring.Reserve(int64(len(plan.fz.Meta)) + 2)
+	// The logfile's commit record stores no count.
+	plan.jReqs, plan.commit = fs.ring.Log(rel, seq, plan.fz.Meta, 0)
+	plan.headEnd = fs.ring.Head()
 	return plan, nil
 }
 
@@ -363,11 +262,9 @@ func (fs *FS) commitBarrier(bt iron.BlockType) error {
 // per-type writeRetry persistence.
 func (fs *FS) WritePlan(p journal.Plan) error {
 	plan := p.(*commitPlan)
-	base := int64(fs.boot.LogStart)
-	hdrEnd := plan.headEnd - 1 // commit block sits just before headEnd
 
-	if len(plan.dataReqs) > 0 {
-		for _, r := range plan.dataReqs {
+	if len(plan.fz.Data) > 0 {
+		for _, r := range plan.fz.Data {
 			if err := fs.writeRetry(r.Block, r.Data, BTData); err != nil {
 				return err
 			}
@@ -394,15 +291,15 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 	if err := fs.commitBarrier(BTLogfile); err != nil {
 		return err
 	}
-	if err := fs.writeRetry(base+hdrEnd, plan.commit, BTLogfile); err != nil {
+	if err := fs.writeRetry(plan.commit.Block, plan.commit.Data, BTLogfile); err != nil {
 		return err
 	}
 	if err := fs.commitBarrier(BTLogfile); err != nil {
 		return err
 	}
 
-	for i, r := range plan.homeReqs {
-		if err := fs.writeRetry(r.Block, r.Data, plan.homeType[i]); err != nil {
+	for i, r := range plan.fz.Meta {
+		if err := fs.writeRetry(r.Block, r.Data, plan.fz.MetaType[i]); err != nil {
 			return err
 		}
 	}
@@ -416,107 +313,82 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 // checkpointed, so their dirty pins come off.
 func (fs *FS) FinishLocked(p journal.Plan) error {
 	plan := p.(*commitPlan)
-	journal.Unpin(fs.cache, plan.metaOrder, fs.tx.meta, fs.tx.data)
-	journal.Unpin(fs.cache, plan.dataOrder, fs.tx.meta, fs.tx.data)
+	fs.tx.Unpin(plan.fz.Meta, plan.fz.Data)
 	return nil
 }
 
 // writeRestart updates the logfile restart area.
 func (fs *FS) writeRestart(nextSeq uint64, startRel int64) error {
-	buf := make([]byte, BlockSize)
-	le := binary.LittleEndian
-	le.PutUint32(buf[0:], logMagic)
-	le.PutUint64(buf[8:], uint64(startRel))
-	le.PutUint64(buf[16:], nextSeq)
-	return fs.writeRetry(int64(fs.boot.LogStart), buf, BTLogfile)
+	buf := journal.Header{Magic: logMagic, StartRel: uint64(startRel), StartSeq: nextSeq}.Block()
+	return fs.writeRetry(fs.ring.Base, buf, BTLogfile)
 }
 
-// loadRestart reads the restart area, sanity-checking its magic.
-func (fs *FS) loadRestart() (startRel int64, nextSeq uint64, err error) {
-	buf, rerr := fs.readBlockRetry(int64(fs.boot.LogStart), BTLogfile)
-	if rerr != nil {
-		return 0, 0, rerr
+// loadRestart initializes the ring and the sequence space from the restart
+// area, sanity-checking its magic.
+func (fs *FS) loadRestart() error {
+	fs.ring = &journal.Ring{Base: int64(fs.boot.LogStart), Len: int64(fs.boot.LogLen),
+		Desc: logDesc, Commit: logCommit}
+	buf, err := fs.readBlockRetry(fs.ring.Base, BTLogfile)
+	if err != nil {
+		return err
 	}
-	le := binary.LittleEndian
-	if le.Uint32(buf[0:]) != logMagic {
+	h := journal.ParseHeader(buf)
+	if h.Magic != logMagic {
 		fs.rec.Detect(iron.DSanity, BTLogfile, "restart area bad magic")
 		fs.rec.Recover(iron.RPropagate, BTLogfile, "mount fails")
 		fs.rec.Recover(iron.RStop, BTLogfile, "mount aborted")
-		return 0, 0, vfs.ErrCorrupt
+		return vfs.ErrCorrupt
 	}
-	startRel = int64(le.Uint64(buf[8:]))
-	nextSeq = le.Uint64(buf[16:])
-	if startRel == 0 {
-		startRel = 1
+	if h.StartSeq > 0 {
+		fs.jn.Recovered(h.StartSeq - 1)
 	}
-	return startRel, nextSeq, nil
+	fs.ring.Resume(h)
+	return nil
 }
 
 // replayLog applies committed logfile transactions after a crash.
 func (fs *FS) replayLog() error {
 	fs.tr.Phase("replay", "ntfs")
 	fs.st.Replays.Inc()
-	startRel, nextSeq, err := fs.loadRestart()
+	if err := fs.loadRestart(); err != nil {
+		return err
+	}
+	at := journal.Cursor{Rel: fs.ring.Head(), Seq: fs.jn.Seq() + 1}
+	// Every log read keeps NTFS's retry persistence. A descriptor or commit
+	// block that is not the expected one ends the log quietly — a torn
+	// transaction is discarded; only the descriptor's count is
+	// sanity-checked.
+	why, _, err := fs.ring.Scan(&at, func(blk int64, _ journal.Part) ([]byte, error) {
+		buf, err := fs.readBlockRetry(blk, BTLogfile)
+		if err != nil {
+			fs.rec.Recover(iron.RStop, BTLogfile, "recovery aborted")
+		}
+		return buf, err
+	}, func(txn journal.Replayed) (bool, error) {
+		for _, c := range txn.Copies {
+			if c.Block < 0 || c.Block >= fs.dev.NumBlocks() {
+				continue
+			}
+			if err := fs.writeRetry(c.Block, c.Data, BTMFT); err != nil {
+				return false, err
+			}
+		}
+		return true, nil
+	})
 	if err != nil {
 		return err
 	}
-	base := int64(fs.boot.LogStart)
-	le := binary.LittleEndian
-	rel := startRel
-	seq := nextSeq
-
-	for rel < int64(fs.boot.LogLen) {
-		hdr, rerr := fs.readBlockRetry(base+rel, BTLogfile)
-		if rerr != nil {
-			fs.rec.Recover(iron.RStop, BTLogfile, "recovery aborted")
-			return rerr
-		}
-		if le.Uint32(hdr[0:]) != logDesc || le.Uint64(hdr[8:]) != seq {
-			break
-		}
-		n := int(le.Uint32(hdr[4:]))
-		if n < 0 || 16+8*n > BlockSize || rel+int64(n)+1 >= int64(fs.boot.LogLen) {
-			fs.rec.Detect(iron.DSanity, BTLogfile, "descriptor count out of range")
-			break
-		}
-		homes := make([]int64, n)
-		payload := make([][]byte, n)
-		for i := 0; i < n; i++ {
-			homes[i] = int64(le.Uint64(hdr[16+8*i:]))
-			pb, perr := fs.readBlockRetry(base+rel+1+int64(i), BTLogfile)
-			if perr != nil {
-				fs.rec.Recover(iron.RStop, BTLogfile, "recovery aborted")
-				return perr
-			}
-			payload[i] = pb
-		}
-		cb, cerr := fs.readBlockRetry(base+rel+1+int64(n), BTLogfile)
-		if cerr != nil {
-			fs.rec.Recover(iron.RStop, BTLogfile, "recovery aborted")
-			return cerr
-		}
-		if le.Uint32(cb[0:]) != logCommit || le.Uint64(cb[8:]) != seq {
-			break // torn transaction: discarded
-		}
-		for i := 0; i < n; i++ {
-			if homes[i] < 0 || homes[i] >= fs.dev.NumBlocks() {
-				continue
-			}
-			if werr := fs.writeRetry(homes[i], payload[i], BTMFT); werr != nil {
-				return werr
-			}
-		}
-		rel += int64(n) + 2
-		seq++
+	if why == journal.StopBadCount {
+		fs.rec.Detect(iron.DSanity, BTLogfile, "descriptor count out of range")
 	}
 	if err := fs.dev.Barrier(); err != nil {
 		return vfs.ErrIO
 	}
-	if err := fs.writeRestart(seq, 1); err != nil {
+	if err := fs.writeRestart(at.Seq, 1); err != nil {
 		return err
 	}
-	fs.jn.Recovered(seq - 1)
-	fs.jhead = 1
+	fs.jn.Recovered(at.Seq - 1)
+	fs.ring.Reset()
 	fs.cache.Reset()
 	return nil
 }
@@ -565,18 +437,11 @@ func (fs *FS) Mount() error {
 		if err := fs.replayLog(); err != nil {
 			return err
 		}
-	} else {
-		startRel, nextSeq, lerr := fs.loadRestart()
-		if lerr != nil {
-			return lerr
-		}
-		fs.jhead = startRel
-		if nextSeq > 0 {
-			fs.jn.Recovered(nextSeq - 1)
-		}
+	} else if err := fs.loadRestart(); err != nil {
+		return err
 	}
 
-	fs.tx = newTxn()
+	fs.tx = journal.NewTxn[uint32](fs.cache)
 	fs.boot.Clean = 0
 	bbuf := make([]byte, BlockSize)
 	fs.boot.marshal(bbuf)

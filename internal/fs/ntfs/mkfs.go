@@ -1,10 +1,10 @@
 package ntfs
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"ironfs/internal/disk"
+	"ironfs/internal/journal"
 	"ironfs/internal/namei"
 )
 
@@ -97,10 +97,7 @@ func Mkfs(dev disk.Device) error {
 	}
 
 	// Logfile restart area.
-	rb := blockOf()
-	binary.LittleEndian.PutUint32(rb[0:], logMagic)
-	binary.LittleEndian.PutUint64(rb[8:], 1)
-	binary.LittleEndian.PutUint64(rb[16:], 1)
+	rb := journal.Header{Magic: logMagic, StartRel: 1, StartSeq: 1}.Block()
 	reqs = append(reqs, disk.Request{Block: logStart, Data: rb})
 
 	if err := dev.WriteBatch(reqs); err != nil {

@@ -38,7 +38,7 @@ func (fs *FS) allocBlock() (int64, error) {
 				nb := make([]byte, BlockSize)
 				copy(nb, buf)
 				nb[i] |= 1 << bit
-				fs.stageMeta(bmBlk, nb, BTVolBmp)
+				fs.tx.StageMeta(bmBlk, nb, BTVolBmp)
 				return blk, nil
 			}
 		}
@@ -61,9 +61,9 @@ func (fs *FS) freeBlock(blk int64) error {
 		nb := make([]byte, BlockSize)
 		copy(nb, buf)
 		nb[i] &^= 1 << bit
-		fs.stageMeta(bmBlk, nb, BTVolBmp)
+		fs.tx.StageMeta(bmBlk, nb, BTVolBmp)
 	}
-	fs.dropBlock(blk)
+	fs.tx.Drop(blk)
 	return nil
 }
 
@@ -90,7 +90,7 @@ func (fs *FS) allocRecord() (uint32, error) {
 			nb := make([]byte, BlockSize)
 			copy(nb, buf)
 			nb[i] |= 1 << bit
-			fs.stageMeta(bmBlk, nb, BTMFTBmp)
+			fs.tx.StageMeta(bmBlk, nb, BTMFTBmp)
 			return rec, nil
 		}
 	}
@@ -109,7 +109,7 @@ func (fs *FS) freeRecord(rec uint32) error {
 		nb := make([]byte, BlockSize)
 		copy(nb, buf)
 		nb[i] &^= 1 << bit
-		fs.stageMeta(bmBlk, nb, BTMFTBmp)
+		fs.tx.StageMeta(bmBlk, nb, BTMFTBmp)
 	}
 	return nil
 }
@@ -201,8 +201,8 @@ func (fs *FS) StoreLocked(rec uint32, r *mftRecord) error {
 	copy(nb, buf)
 	r.Magic = recMagic
 	r.marshal(nb[off : off+RecordSize])
-	fs.tx.touch(rec)
-	fs.stageMeta(blk, nb, BTMFT)
+	fs.tx.Touch(rec)
+	fs.tx.StageMeta(blk, nb, BTMFT)
 	return nil
 }
 
@@ -221,8 +221,8 @@ func (fs *FS) clearRecord(rec uint32) error {
 	for i := 0; i < RecordSize; i++ {
 		nb[off+i] = 0
 	}
-	fs.tx.touch(rec)
-	fs.stageMeta(blk, nb, BTMFT)
+	fs.tx.Touch(rec)
+	fs.tx.StageMeta(blk, nb, BTMFT)
 	return nil
 }
 
@@ -255,7 +255,7 @@ func (fs *FS) blockPtr(r *mftRecord, l int64, alloc bool) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		fs.stageMeta(blk, make([]byte, BlockSize), BTMFT)
+		fs.tx.StageMeta(blk, make([]byte, BlockSize), BTMFT)
 		r.Ext[g] = uint64(blk)
 	}
 	eb := int64(r.Ext[g])
@@ -272,7 +272,7 @@ func (fs *FS) blockPtr(r *mftRecord, l int64, alloc bool) (int64, error) {
 		nb := make([]byte, BlockSize)
 		copy(nb, buf)
 		binary.LittleEndian.PutUint64(nb[idx*8:], uint64(blk))
-		fs.stageMeta(eb, nb, BTMFT)
+		fs.tx.StageMeta(eb, nb, BTMFT)
 		ptr = blk
 	}
 	return ptr, nil
@@ -324,7 +324,7 @@ func (fs *FS) freeFileBlocks(r *mftRecord, newSize int64) error {
 			}
 			r.Ext[g] = 0
 		} else if changed {
-			fs.stageMeta(eb, nb, BTMFT)
+			fs.tx.StageMeta(eb, nb, BTMFT)
 		}
 	}
 	return nil
@@ -470,7 +470,7 @@ func (fs *FS) dirAdd(dirRec uint32, r *mftRecord, name string, child uint32, fty
 		nb[end+4] = ftype
 		nb[end+5] = byte(len(name))
 		copy(nb[end+dirEntHdr:], name)
-		fs.stageMeta(blk, nb, BTDir)
+		fs.tx.StageMeta(blk, nb, BTDir)
 		done = true
 		return true, nil
 	})
@@ -488,7 +488,7 @@ func (fs *FS) dirAdd(dirRec uint32, r *mftRecord, name string, child uint32, fty
 	nb[8] = ftype
 	nb[9] = byte(len(name))
 	copy(nb[4+dirEntHdr:], name)
-	fs.stageMeta(blk, nb, BTDir)
+	fs.tx.StageMeta(blk, nb, BTDir)
 	r.Size = uint64((l + 1) * BlockSize)
 	return fs.StoreLocked(dirRec, r)
 }
@@ -511,7 +511,7 @@ func (fs *FS) dirRemove(r *mftRecord, name string) (uint32, error) {
 				copy(nb[off:], buf[o.off:o.end])
 				off += o.end - o.off
 			}
-			fs.stageMeta(blk, nb, BTDir)
+			fs.tx.StageMeta(blk, nb, BTDir)
 			return true, nil
 		}
 		return false, nil

@@ -3,6 +3,7 @@ package ntfs
 import (
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
+	"ironfs/internal/journal"
 )
 
 // The repair primitives (fsck.Fixer): dangling directory entries are
@@ -51,7 +52,7 @@ func (fs *FS) SetLinksLocked(o fsck.Object[*mftRecord], links int) error {
 // image is not what the census says it should be.
 func (fs *FS) restage(bm *fsck.Bitmap, start uint64, bt iron.BlockType, why string) error {
 	_, err := bm.Rebuild(func(i int64, _, want []byte) error {
-		fs.stageMeta(int64(start)+i, want, bt)
+		fs.tx.StageMeta(int64(start)+i, want, bt)
 		fs.rec.Recover(iron.RRepair, bt, why)
 		return nil
 	})
@@ -76,6 +77,6 @@ func (fs *FS) RebuildMapsLocked(c *fsck.Refs[*mftRecord]) error {
 // were each consistent, so the on-disk image is a valid (if still damaged)
 // volume.
 func (fs *FS) AbortLocked() {
-	fs.tx = newTxn()
+	fs.tx = journal.NewTxn[uint32](fs.cache)
 	fs.unmountable(BTVolBmp, "consistency repair failed mid-pass")
 }

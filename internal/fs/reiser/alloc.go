@@ -37,7 +37,7 @@ func (fs *FS) allocBlock(bt iron.BlockType) (int64, error) {
 				nb := make([]byte, BlockSize)
 				copy(nb, buf)
 				nb[i] |= 1 << bit
-				fs.stageMeta(bmBlk, nb, BTBitmap)
+				fs.tx.StageMeta(bmBlk, nb, BTBitmap)
 				if fs.sb.FreeBlocks > 0 {
 					fs.sb.FreeBlocks--
 				}
@@ -65,12 +65,11 @@ func (fs *FS) freeBlock(blk int64) error {
 		nb := make([]byte, BlockSize)
 		copy(nb, buf)
 		nb[i] &^= 1 << bit
-		fs.stageMeta(bmBlk, nb, BTBitmap)
+		fs.tx.StageMeta(bmBlk, nb, BTBitmap)
 		fs.sb.FreeBlocks++
 		fs.sbDirty = true
 	}
-	fs.tx.drop(blk)
-	fs.cache.Drop(blk)
+	fs.tx.Drop(blk)
 	return nil
 }
 

@@ -61,7 +61,7 @@ func (fs *FS) census(s *fsck.Scan) (*fsck.Refs[statData], int64, error) {
 		}
 		if n.isLeaf() {
 			for _, it := range n.Items {
-				r := objRef{DirID: it.K.DirID, ObjID: it.K.ObjID}
+				r := it.K.obj()
 				switch it.K.Type {
 				case itemStat:
 					var sd statData

@@ -2,9 +2,11 @@ package reiser
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"testing"
 
+	"ironfs/internal/journal"
 	"ironfs/internal/vfs"
 )
 
@@ -24,14 +26,16 @@ func TestFrozenCommitPayloads(t *testing.T) {
 	}
 
 	fs.mu.Lock()
-	staged := append([]int64(nil), fs.tx.metaOrder...)
+	var staged []int64
+	want := map[int64][]byte{}
+	for i := 0; i < fs.tx.Meta.Len(); i++ {
+		blk := fs.tx.Meta.Block(i)
+		staged = append(staged, blk)
+		want[blk] = append([]byte(nil), fs.tx.Meta.Payload(blk)...)
+	}
 	if len(staged) == 0 {
 		fs.mu.Unlock()
 		t.Fatal("no staged metadata to freeze")
-	}
-	want := map[int64][]byte{}
-	for _, blk := range staged {
-		want[blk] = append([]byte(nil), fs.tx.meta[blk]...)
 	}
 	plan, err := fs.FreezeLocked(fs.jn.Seq() + 1)
 	if err != nil || plan == nil {
@@ -74,8 +78,8 @@ func TestFrozenCommitPayloads(t *testing.T) {
 func TestTxnOverflowPanics(t *testing.T) {
 	fs, _ := newTestFS(t)
 	fs.mu.Lock()
-	for i := 0; i <= maxDescTags; i++ {
-		fs.tx.putMeta(int64(4000+i), make([]byte, BlockSize), BTInternal)
+	for i := 0; i <= journal.MaxTags; i++ {
+		fs.tx.StageMeta(int64(4000+i), make([]byte, BlockSize), BTInternal)
 	}
 	_, err := fs.FreezeLocked(fs.jn.Seq() + 1)
 	fs.mu.Unlock()
@@ -84,5 +88,40 @@ func TestTxnOverflowPanics(t *testing.T) {
 	}
 	if st := fs.Health(); st != vfs.Panicked {
 		t.Fatalf("health after descriptor overflow = %v, want Panicked", st)
+	}
+}
+
+// pinned renders a log block as the hex of everything up to its last
+// nonzero byte.
+func pinned(b []byte) string {
+	return hex.EncodeToString(bytes.TrimRight(b, "\x00"))
+}
+
+// TestLogFormatPinned holds the journal's on-disk bytes — header,
+// descriptor, commit block — to what this package's own encoders produced
+// for the same transaction before journal.Ring's shared codec replaced
+// them.
+func TestLogFormatPinned(t *testing.T) {
+	fs, _ := newTestFS(t)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.sbDirty = false
+	for _, blk := range []int64{3, 0x0A0B0C0D0E0F, 510} {
+		fs.tx.StageMeta(blk, make([]byte, BlockSize), BTInternal)
+	}
+	p, err := fs.FreezeLocked(0x1122334455667788)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := p.(*commitPlan)
+	for _, c := range []struct{ what, got, want string }{
+		{"descriptor", pinned(plan.jReqs[0].Data), "3644524a03000000887766554433221103000000000000000f0e0d0c0b0a0000fe01"},
+		{"commit", pinned(plan.commit.Data), "3743524a030000008877665544332211"},
+		{"header", pinned(journal.Header{Magic: jMagicHeader, StartRel: 7, StartSeq: 0x0102030405060708}.Block()),
+			"3548524a0000000007000000000000000807060504030201"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.what, c.got, c.want)
+		}
 	}
 }

@@ -29,10 +29,10 @@ type FS struct {
 	sb      superblock
 	sbDirty bool
 	cache   *bcache.Cache
-	tx      *txn
+	tx      *journal.Txn[objRef]
 	mounted bool
 	noatime bool
-	jhead   int64
+	ring    *journal.Ring
 	// jn owns the commit sequence space and coordinates the committer
 	// with its fsync waiters; FS implements its journal.Committer.
 	jn *journal.Engine
@@ -218,7 +218,7 @@ func (fs *FS) Mount() error {
 		return err
 	}
 
-	fs.tx = newTxn()
+	fs.tx = journal.NewTxn[objRef](fs.cache)
 	fs.sb.Clean = 0
 	fs.sbDirty = true
 	sbuf := make([]byte, BlockSize)

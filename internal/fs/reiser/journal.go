@@ -1,7 +1,6 @@
 package reiser
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"ironfs/internal/disk"
@@ -22,114 +21,15 @@ import (
 // corrupted journal data block destroys whatever home location its
 // descriptor names ("e.g., the block is written as the super block").
 
-// jheader is the journal header (first block of the journal region).
-type jheader struct {
-	Magic    uint32
-	StartRel uint64
-	StartSeq uint64
-}
-
-func (j *jheader) marshal(b []byte) {
-	le := binary.LittleEndian
-	le.PutUint32(b[0:], j.Magic)
-	le.PutUint64(b[8:], j.StartRel)
-	le.PutUint64(b[16:], j.StartSeq)
-}
-
-func (j *jheader) unmarshal(b []byte) {
-	le := binary.LittleEndian
-	j.Magic = le.Uint32(b[0:])
-	j.StartRel = le.Uint64(b[8:])
-	j.StartSeq = le.Uint64(b[16:])
-}
-
-// txn is the running transaction: metadata block images plus ordered data.
-type txn struct {
-	metaOrder []int64
-	meta      map[int64][]byte
-	metaType  map[int64]iron.BlockType
-	dataOrder []int64
-	data      map[int64][]byte
-	// objs records which objects this transaction touched (any tree item
-	// under their key prefix inserted, replaced, or deleted), so fsync of
-	// an object whose state already rode an earlier commit is free.
-	objs map[objRef]bool
-}
-
-func newTxn() *txn {
-	return &txn{
-		meta:     map[int64][]byte{},
-		metaType: map[int64]iron.BlockType{},
-		data:     map[int64][]byte{},
-		objs:     map[objRef]bool{},
-	}
-}
-
-func (t *txn) empty() bool { return len(t.metaOrder) == 0 && len(t.dataOrder) == 0 }
-
-// touch records that obj's state changed in this transaction.
-func (t *txn) touch(k key) { t.objs[objRef{DirID: k.DirID, ObjID: k.ObjID}] = true }
-
-// touched reports whether obj has uncommitted changes in this transaction.
-func (t *txn) touched(r objRef) bool { return t.objs[r] }
-
-// putMeta stages a full metadata block image for journaling.
-func (t *txn) putMeta(blk int64, data []byte, bt iron.BlockType) {
-	if _, ok := t.meta[blk]; !ok {
-		t.metaOrder = append(t.metaOrder, blk)
-	}
-	t.meta[blk] = data
-	t.metaType[blk] = bt
-}
-
-// putData stages an ordered data block image.
-func (t *txn) putData(blk int64, data []byte) {
-	if _, ok := t.data[blk]; !ok {
-		t.dataOrder = append(t.dataOrder, blk)
-	}
-	t.data[blk] = data
-}
-
-// drop removes a staged block (used when the block is freed in the same
-// transaction).
-func (t *txn) drop(blk int64) {
-	if _, ok := t.meta[blk]; ok {
-		delete(t.meta, blk)
-		delete(t.metaType, blk)
-		t.metaOrder = journal.RemoveBlock(t.metaOrder, blk)
-	}
-	if _, ok := t.data[blk]; ok {
-		delete(t.data, blk)
-		t.dataOrder = journal.RemoveBlock(t.dataOrder, blk)
-	}
-}
-
-// maxTxnMeta bounds a transaction before auto-commit.
+// maxTxnMeta bounds a transaction's journaled metadata before auto-commit;
+// unformatted data is not capped.
 const maxTxnMeta = 48
-
-// maxDescTags is the hard capacity of one descriptor block: more tags
-// would scribble past the block. MaybeCommitLocked keeps the running
-// transaction far below this even while a commit is in flight.
-const maxDescTags = (BlockSize - 16) / 8
-
-// stageMeta records a metadata image in the transaction and the cache, so
-// subsequent reads observe it.
-func (fs *FS) stageMeta(blk int64, data []byte, bt iron.BlockType) {
-	fs.cache.Put(blk, data, true)
-	fs.tx.putMeta(blk, data, bt)
-}
-
-// stageData records an ordered-data image.
-func (fs *FS) stageData(blk int64, data []byte) {
-	fs.cache.Put(blk, data, true)
-	fs.tx.putData(blk, data)
-}
 
 // MaybeCommitLocked commits when the running transaction grows large.
 //
 //iron:commitpoint the operation-facing commit funnel; its error means the transaction did not reach disk
 func (fs *FS) MaybeCommitLocked() error {
-	if len(fs.tx.metaOrder) >= maxTxnMeta {
+	if fs.tx.Full(maxTxnMeta, journal.NoCap) {
 		return fs.commitLocked()
 	}
 	return nil
@@ -140,22 +40,19 @@ func (fs *FS) MaybeCommitLocked() error {
 // immediate checkpoint. Writing it with the lock released is what keeps
 // clients from stalling behind ReiserFS's commit-under-the-big-lock shape.
 type commitPlan struct {
-	headEnd int64
+	// fz is the frozen transaction. Its metadata payloads go out twice:
+	// into the log, and — the immediate checkpoint — to their home
+	// locations, never from the live cache buffers, which the running
+	// transaction may be mutating.
+	fz journal.Frozen
 	// wrapHdr, when non-nil, is the journal header pointing at the ring's
 	// new start; it must reach disk (with a barrier) before the
 	// transaction is written, or a crash after the commit would leave
 	// replay scanning the stale tail.
-	wrapHdr  []byte
-	dataReqs []disk.Request
-	jReqs    []disk.Request // descriptor + journaled copies
-	commit   []byte
-	// homeReqs is the immediate checkpoint: the same frozen payloads the
-	// journal carries, aimed at their home locations — never the live
-	// cache buffers, which the running transaction may be mutating.
-	homeReqs  []disk.Request
-	advHdr    []byte // header advance after the checkpoint completes
-	metaOrder []int64
-	dataOrder []int64
+	wrapHdr []byte
+	jReqs   []disk.Request // descriptor + journaled copies
+	commit  disk.Request
+	advHdr  []byte // header advance after the checkpoint completes
 }
 
 // commitLocked commits and immediately checkpoints the running
@@ -173,31 +70,28 @@ func (fs *FS) commitLocked() error { return fs.jn.Commit(fs) }
 func (fs *FS) SyncLocked() error { return fs.commitLocked() }
 
 // DirtyLocked implements journal.Committer.
-func (fs *FS) DirtyLocked() bool { return !fs.tx.empty() || fs.sbDirty }
+func (fs *FS) DirtyLocked() bool { return !fs.tx.Empty() || fs.sbDirty }
 
 // TouchedLocked implements journal.Committer; key packs an objRef.
 func (fs *FS) TouchedLocked(key uint64) bool {
-	return fs.tx.touched(objRef{DirID: uint32(key >> 32), ObjID: uint32(key)})
+	return fs.tx.Touched(refOf(key))
 }
 
 // FreezeLocked implements journal.Committer: it encodes the running
 // transaction at the ring head, which advances here.
 func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	t := fs.tx
+	n := t.Meta.Len()
 	if fs.sbDirty {
-		sbuf := make([]byte, BlockSize)
-		fs.sb.marshal(sbuf)
-		t.putMeta(0, sbuf, BTSuper)
-		fs.sbDirty = false
+		n++ // the superblock image joins below
 	}
-	if t.empty() {
+	if n == 0 && t.Data.Len() == 0 {
 		return nil, nil
 	}
-	fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d", seq, len(t.metaOrder)))
+	fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d", seq, n))
 	fs.st.Commits.Inc()
-	fs.st.TxnBlocks.Observe(int64(len(t.metaOrder)))
-	base := int64(fs.sb.JournalStart)
-	if len(t.metaOrder) > maxDescTags {
+	fs.st.TxnBlocks.Observe(int64(n))
+	if n > journal.MaxTags {
 		// Unreachable by construction — MaybeCommitLocked flushes the running
 		// transaction far below one descriptor block's tag capacity, even
 		// while a commit is in flight — but an overflow would scribble
@@ -206,63 +100,25 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 		fs.panicFS(BTJDesc, "transaction overflows descriptor block")
 		return nil, vfs.ErrPanicked
 	}
-	need := int64(len(t.metaOrder) + 2)
-	if fs.jhead == 0 {
-		fs.jhead = 1
+	plan := &commitPlan{fz: t.Freeze()}
+	if fs.sbDirty {
+		// The superblock lives in fs.sb, not in the cache: its image is
+		// marshalled here, private already, and journaled last.
+		sbuf := make([]byte, BlockSize)
+		fs.sb.marshal(sbuf)
+		plan.fz.Meta = append(plan.fz.Meta, disk.Request{Block: 0, Data: sbuf})
+		fs.sbDirty = false
 	}
-	plan := &commitPlan{metaOrder: t.metaOrder, dataOrder: t.dataOrder}
-	if fs.jhead+need > int64(fs.sb.JournalLen) {
+	rel, wrapped := fs.ring.Reserve(int64(n) + 2)
+	if wrapped {
 		// The ring wraps; prior transactions are checkpointed already.
-		fs.jhead = 1
-		jh := jheader{Magic: jMagicHeader, StartRel: 1, StartSeq: seq}
-		plan.wrapHdr = make([]byte, BlockSize)
-		jh.marshal(plan.wrapHdr)
+		plan.wrapHdr = journal.Header{Magic: jMagicHeader, StartRel: 1, StartSeq: seq}.Block()
 	}
-	rel := fs.jhead
-	le := binary.LittleEndian
-
-	// Ordered data (frozen copies).
-	for _, blk := range t.dataOrder {
-		cp := make([]byte, BlockSize)
-		copy(cp, t.data[blk])
-		plan.dataReqs = append(plan.dataReqs, disk.Request{Block: blk, Data: cp})
-	}
-
-	// Descriptor + journaled copies.
-	desc := make([]byte, BlockSize)
-	le.PutUint32(desc[0:], jMagicDesc)
-	le.PutUint32(desc[4:], uint32(len(t.metaOrder)))
-	le.PutUint64(desc[8:], seq)
-	for i, blk := range t.metaOrder {
-		le.PutUint64(desc[16+8*i:], uint64(blk))
-	}
-	plan.jReqs = append(plan.jReqs, disk.Request{Block: base + rel, Data: desc})
-	rel++
-	plan.homeReqs = make([]disk.Request, 0, len(t.metaOrder))
-	for _, blk := range t.metaOrder {
-		cp := make([]byte, BlockSize)
-		copy(cp, t.meta[blk])
-		plan.jReqs = append(plan.jReqs, disk.Request{Block: base + rel, Data: cp})
-		plan.homeReqs = append(plan.homeReqs, disk.Request{Block: blk, Data: cp})
-		rel++
-	}
-
-	// Commit block.
-	plan.commit = make([]byte, BlockSize)
-	le.PutUint32(plan.commit[0:], jMagicCommit)
-	le.PutUint32(plan.commit[4:], uint32(len(t.metaOrder)))
-	le.PutUint64(plan.commit[8:], seq)
-	rel++
+	plan.jReqs, plan.commit = fs.ring.Log(rel, seq, plan.fz.Meta, n)
 
 	// Header advance for after the checkpoint: the transaction is then
 	// fully checkpointed and the ring logically empty again.
-	jh := jheader{Magic: jMagicHeader, StartRel: uint64(rel), StartSeq: seq + 1}
-	plan.advHdr = make([]byte, BlockSize)
-	jh.marshal(plan.advHdr)
-
-	plan.headEnd = rel
-	fs.jhead = rel
-	fs.tx = newTxn()
+	plan.advHdr = journal.Header{Magic: jMagicHeader, StartRel: uint64(fs.ring.Head()), StartSeq: seq + 1}.Block()
 	return plan, nil
 }
 
@@ -286,11 +142,9 @@ func (fs *FS) commitBarrier(bt iron.BlockType) error {
 //iron:txentry commit machinery: writes the frozen commit plan (journal descriptor/data/commit blocks) and its immediate checkpoint to disk
 func (fs *FS) WritePlan(p journal.Plan) error {
 	plan := p.(*commitPlan)
-	base := int64(fs.sb.JournalStart)
-	hdrEnd := plan.headEnd - 1 // commit block sits just before headEnd
 
 	if plan.wrapHdr != nil {
-		if err := fs.devWriteMeta(base, plan.wrapHdr, BTJHeader); err != nil {
+		if err := fs.devWriteMeta(fs.ring.Base, plan.wrapHdr, BTJHeader); err != nil {
 			return err
 		}
 		if err := fs.commitBarrier(BTJHeader); err != nil {
@@ -299,8 +153,8 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 	}
 
 	// Ordered data first (write errors ignored — reproduced bug).
-	if len(plan.dataReqs) > 0 {
-		fs.devWriteDataBatch(plan.dataReqs)
+	if len(plan.fz.Data) > 0 {
+		fs.devWriteDataBatch(plan.fz.Data)
 		if err := fs.commitBarrier(BTData); err != nil {
 			return err
 		}
@@ -315,7 +169,7 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 	}
 
 	// Commit block.
-	if err := fs.devWriteMeta(base+hdrEnd, plan.commit, BTJCommit); err != nil {
+	if err := fs.devWriteMeta(plan.commit.Block, plan.commit.Data, BTJCommit); err != nil {
 		return err
 	}
 	if err := fs.commitBarrier(BTJCommit); err != nil {
@@ -323,7 +177,7 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 	}
 
 	// Immediate checkpoint: home locations, from the frozen payloads.
-	if err := fs.devWriteMetaBatch(plan.homeReqs, BTInternal); err != nil {
+	if err := fs.devWriteMetaBatch(plan.fz.Meta, BTInternal); err != nil {
 		return err
 	}
 	if err := fs.commitBarrier(BTInternal); err != nil {
@@ -331,29 +185,30 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 	}
 
 	// Advance the header: the transaction is fully checkpointed.
-	return fs.devWriteMeta(base, plan.advHdr, BTJHeader)
+	return fs.devWriteMeta(fs.ring.Base, plan.advHdr, BTJHeader)
 }
 
 // FinishLocked implements journal.Committer: the plan's blocks are
 // checkpointed, so their dirty pins come off.
 func (fs *FS) FinishLocked(p journal.Plan) error {
 	plan := p.(*commitPlan)
-	journal.Unpin(fs.cache, plan.metaOrder, fs.tx.meta, fs.tx.data)
-	journal.Unpin(fs.cache, plan.dataOrder, fs.tx.meta, fs.tx.data)
+	fs.tx.Unpin(plan.fz.Meta, plan.fz.Data)
 	return nil
 }
 
-// loadJournalHeader initializes the sequence space on a clean mount.
+// loadJournalHeader initializes the ring and the sequence space from the
+// journal header.
 func (fs *FS) loadJournalHeader() error {
+	fs.ring = &journal.Ring{Base: int64(fs.sb.JournalStart), Len: int64(fs.sb.JournalLen),
+		Desc: jMagicDesc, Commit: jMagicCommit}
 	buf := make([]byte, BlockSize)
-	if err := fs.dev.ReadBlock(int64(fs.sb.JournalStart), buf); err != nil {
+	if err := fs.dev.ReadBlock(fs.ring.Base, buf); err != nil {
 		fs.rec.Detect(iron.DErrorCode, BTJHeader, "journal header read failed")
 		fs.rec.Recover(iron.RPropagate, BTJHeader, "mount fails")
 		fs.rec.Recover(iron.RStop, BTJHeader, "mount aborted")
 		return vfs.ErrIO
 	}
-	var jh jheader
-	jh.unmarshal(buf)
+	jh := journal.ParseHeader(buf)
 	if jh.Magic != jMagicHeader {
 		fs.rec.Detect(iron.DSanity, BTJHeader, "journal header bad magic")
 		fs.rec.Recover(iron.RPropagate, BTJHeader, "mount fails")
@@ -363,11 +218,32 @@ func (fs *FS) loadJournalHeader() error {
 	if jh.StartSeq > 0 {
 		fs.jn.Recovered(jh.StartSeq - 1)
 	}
-	fs.jhead = int64(jh.StartRel)
-	if fs.jhead == 0 {
-		fs.jhead = 1
-	}
+	fs.ring.Resume(jh)
 	return nil
+}
+
+// readLog is replay's reader: a failed read of any log block fails the
+// mount.
+func (fs *FS) readLog(blk int64, part journal.Part) ([]byte, error) {
+	buf := make([]byte, BlockSize)
+	if err := fs.dev.ReadBlock(blk, buf); err == nil {
+		return buf, nil
+	}
+	switch part {
+	case journal.PartDesc:
+		fs.rec.Detect(iron.DErrorCode, BTJDesc, "journal read failed during recovery")
+		fs.rec.Recover(iron.RPropagate, BTJDesc, "mount fails")
+		fs.rec.Recover(iron.RStop, BTJDesc, "recovery aborted")
+	case journal.PartCopy:
+		fs.rec.Detect(iron.DErrorCode, BTJData, "journal data read failed during recovery")
+		fs.rec.Recover(iron.RPropagate, BTJData, "mount fails")
+		fs.rec.Recover(iron.RStop, BTJData, "recovery aborted")
+	case journal.PartCommit:
+		fs.rec.Detect(iron.DErrorCode, BTJCommit, "commit read failed during recovery")
+		fs.rec.Recover(iron.RPropagate, BTJCommit, "mount fails")
+		fs.rec.Recover(iron.RStop, BTJCommit, "recovery aborted")
+	}
+	return nil, vfs.ErrIO
 }
 
 // replayJournal applies any committed-but-uncheckpointed transaction. The
@@ -377,79 +253,43 @@ func (fs *FS) loadJournalHeader() error {
 func (fs *FS) replayJournal() error {
 	fs.tr.Phase("replay", "reiser")
 	fs.st.Replays.Inc()
-	base := int64(fs.sb.JournalStart)
 	if err := fs.loadJournalHeader(); err != nil {
 		return err
 	}
-	le := binary.LittleEndian
-	rel := fs.jhead
-	seq := fs.jn.Seq() + 1
-
-	for rel < int64(fs.sb.JournalLen) {
-		hdr := make([]byte, BlockSize)
-		if err := fs.dev.ReadBlock(base+rel, hdr); err != nil {
-			fs.rec.Detect(iron.DErrorCode, BTJDesc, "journal read failed during recovery")
-			fs.rec.Recover(iron.RPropagate, BTJDesc, "mount fails")
-			fs.rec.Recover(iron.RStop, BTJDesc, "recovery aborted")
-			return vfs.ErrIO
-		}
-		if le.Uint32(hdr[0:]) != jMagicDesc || le.Uint64(hdr[8:]) != seq {
-			break // end of log (or a crash tore the descriptor)
-		}
-		n := int(le.Uint32(hdr[4:]))
-		if n < 0 || 16+8*n > BlockSize || rel+int64(n)+1 >= int64(fs.sb.JournalLen) {
-			fs.rec.Detect(iron.DSanity, BTJDesc, "descriptor count out of range")
-			break
-		}
-		payload := make([][]byte, n)
-		homes := make([]int64, n)
-		for i := 0; i < n; i++ {
-			homes[i] = int64(le.Uint64(hdr[16+8*i:]))
-			pb := make([]byte, BlockSize)
-			if err := fs.dev.ReadBlock(base+rel+1+int64(i), pb); err != nil {
-				fs.rec.Detect(iron.DErrorCode, BTJData, "journal data read failed during recovery")
-				fs.rec.Recover(iron.RPropagate, BTJData, "mount fails")
-				fs.rec.Recover(iron.RStop, BTJData, "recovery aborted")
-				return vfs.ErrIO
-			}
-			payload[i] = pb
-		}
-		cb := make([]byte, BlockSize)
-		if err := fs.dev.ReadBlock(base+rel+1+int64(n), cb); err != nil {
-			fs.rec.Detect(iron.DErrorCode, BTJCommit, "commit read failed during recovery")
-			fs.rec.Recover(iron.RPropagate, BTJCommit, "mount fails")
-			fs.rec.Recover(iron.RStop, BTJCommit, "recovery aborted")
-			return vfs.ErrIO
-		}
-		if le.Uint32(cb[0:]) != jMagicCommit || le.Uint64(cb[8:]) != seq {
-			break // uncommitted tail: correctly discarded
-		}
+	at := journal.Cursor{Rel: fs.ring.Head(), Seq: fs.jn.Seq() + 1}
+	// A descriptor or commit block that is not the expected one ends the
+	// log quietly: the end of the log, or a tail the crash tore, correctly
+	// discarded. Only the descriptor's count is sanity-checked.
+	why, _, err := fs.ring.Scan(&at, fs.readLog, func(txn journal.Replayed) (bool, error) {
 		// Replay verbatim: no sanity or type check on the payload (§5.2).
 		// A corrupt journal data block lands on its home location as-is —
 		// including home 0, the superblock.
-		for i := 0; i < n; i++ {
-			if homes[i] < 0 || homes[i] >= fs.dev.NumBlocks() {
+		for _, c := range txn.Copies {
+			if c.Block < 0 || c.Block >= fs.dev.NumBlocks() {
 				continue // bound only to keep the simulator in its arena
 			}
-			if err := fs.devWriteMeta(homes[i], payload[i], BTJData); err != nil {
-				return err
+			if err := fs.devWriteMeta(c.Block, c.Data, BTJData); err != nil {
+				return false, err
 			}
 		}
-		rel += int64(n) + 2
-		seq++
+		return true, nil
+	})
+	if err != nil {
+		return err
+	}
+	if why == journal.StopBadCount {
+		fs.rec.Detect(iron.DSanity, BTJDesc, "descriptor count out of range")
 	}
 	if err := fs.dev.Barrier(); err != nil {
 		return vfs.ErrIO
 	}
 
-	jh := jheader{Magic: jMagicHeader, StartRel: 1, StartSeq: seq}
-	hbuf := make([]byte, BlockSize)
-	jh.marshal(hbuf)
-	if err := fs.devWriteMeta(base, hbuf, BTJHeader); err != nil {
+	hbuf := journal.Header{Magic: jMagicHeader, StartRel: 1, StartSeq: at.Seq}.Block()
+	if err := fs.devWriteMeta(fs.ring.Base, hbuf, BTJHeader); err != nil {
 		return err
 	}
-	fs.jn.Recovered(seq - 1)
-	fs.jhead = 1
+	fs.jn.Recovered(at.Seq - 1)
+	fs.ring.Reset()
 
 	// The replayed superblock may have changed under us; reload it. If the
 	// journal replayed garbage over it, the next sanity check will see it.

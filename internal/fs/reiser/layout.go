@@ -98,6 +98,9 @@ type key struct {
 	Type   uint8
 }
 
+// obj returns the object the key belongs to.
+func (k key) obj() objRef { return objRef{DirID: k.DirID, ObjID: k.ObjID} }
+
 // cmp returns -1/0/+1 ordering two keys.
 func (k key) cmp(o key) int {
 	switch {
@@ -327,7 +330,7 @@ func marshalNode(n *node) []byte {
 // nodeView is a tree block that passed checkNode, read in place: lookups
 // compare keys and hand out bodies straight from the block instead of
 // decoding it. A view aliases the live cache buffer, so it is never held
-// across stageMeta/stageData and the bodies it hands out are cap-limited.
+// across StageMeta/StageData and the bodies it hands out are cap-limited.
 type nodeView []byte
 
 // checkNode applies the block-header sanity checks ReiserFS performs

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ironfs/internal/disk"
+	"ironfs/internal/journal"
 	"ironfs/internal/namei"
 	"ironfs/internal/vfs"
 )
@@ -63,9 +64,7 @@ func Mkfs(dev disk.Device) error {
 	}
 
 	// Journal header.
-	jh := jheader{Magic: jMagicHeader, StartRel: 1, StartSeq: 1}
-	jhBuf := make([]byte, BlockSize)
-	jh.marshal(jhBuf)
+	jhBuf := journal.Header{Magic: jMagicHeader, StartRel: 1, StartSeq: 1}.Block()
 	reqs = append(reqs, disk.Request{Block: jStart, Data: jhBuf})
 
 	// Root leaf with the root directory's stat item.

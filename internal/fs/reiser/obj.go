@@ -329,7 +329,7 @@ func (fs *FS) convertTail(r objRef) error {
 	if err != nil {
 		return err
 	}
-	fs.stageData(blk, buf)
+	fs.tx.StageData(blk, buf, BTData)
 	return fs.deleteItem(r.directKey())
 }
 

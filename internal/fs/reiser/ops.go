@@ -247,7 +247,7 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 				}
 			}
 			copy(buf[bo:bo+chunk], data[written:written+chunk])
-			fs.stageData(ptr, buf)
+			fs.tx.StageData(ptr, buf, BTData)
 			written += chunk
 		}
 	}
@@ -298,7 +298,7 @@ func (fs *FS) Truncate(path string, size int64) error {
 					if old, rerr := fs.readDataBlock(ptr); rerr == nil {
 						nb := make([]byte, BlockSize)
 						copy(nb, old[:size%BlockSize])
-						fs.stageData(ptr, nb)
+						fs.tx.StageData(ptr, nb, BTData)
 					}
 				}
 			}

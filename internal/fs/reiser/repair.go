@@ -3,6 +3,7 @@ package reiser
 import (
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
+	"ironfs/internal/journal"
 )
 
 // The repair primitives (fsck.Fixer): dangling directory entries are
@@ -51,7 +52,7 @@ func (fs *FS) SetLinksLocked(o fsck.Object[statData], links int) error {
 // superblock's free counter commit as one transaction.
 func (fs *FS) RebuildMapsLocked(c *fsck.Refs[statData]) error {
 	free, err := fs.bitmap(c.Scan).Rebuild(func(i int64, _, want []byte) error {
-		fs.stageMeta(int64(fs.sb.BitmapStart)+i, want, BTBitmap)
+		fs.tx.StageMeta(int64(fs.sb.BitmapStart)+i, want, BTBitmap)
 		fs.rec.Recover(iron.RRepair, BTBitmap, "fsck rebuilt allocation bitmap")
 		return nil
 	})
@@ -70,7 +71,7 @@ func (fs *FS) RebuildMapsLocked(c *fsck.Refs[statData]) error {
 // the volume panics. Transactions the pass already committed were each
 // consistent, so the image on disk is a valid (if still damaged) tree.
 func (fs *FS) AbortLocked() {
-	fs.tx = newTxn()
+	fs.tx = journal.NewTxn[objRef](fs.cache)
 	fs.sbDirty = false
 	fs.panicFS(BTBitmap, "consistency repair failed mid-pass")
 }

@@ -110,7 +110,7 @@ func leafType(n *node) iron.BlockType {
 
 // writeNode serializes a node into the running transaction and the cache.
 func (fs *FS) writeNode(blk int64, n *node) {
-	fs.stageMeta(blk, marshalNode(n), fs.nodeType(blk, n))
+	fs.tx.StageMeta(blk, marshalNode(n), fs.nodeType(blk, n))
 }
 
 // search descends from the root to the leaf that would contain k,
@@ -187,7 +187,7 @@ func (fs *FS) insertItem(it item) error {
 	if itemHdrLen+len(it.Body) > BlockSize-nodeHdrLen {
 		return fmt.Errorf("reiser: item too large (%d bytes)", len(it.Body))
 	}
-	fs.tx.touch(it.K)
+	fs.tx.Touch(it.K.obj())
 	if fs.sb.Root == 0 {
 		blk, err := fs.allocBlock(BTRoot)
 		if err != nil {
@@ -287,7 +287,7 @@ func (fs *FS) insertSeparator(path []pathElem, sep key, rightChild int64) error 
 // replaceItem updates the body of an existing item in place when it fits,
 // falling back to delete+insert when the leaf would overflow.
 func (fs *FS) replaceItem(k key, body []byte) error {
-	fs.tx.touch(k)
+	fs.tx.Touch(k.obj())
 	path, found, err := fs.search(k, nil)
 	if err != nil {
 		return err
@@ -311,7 +311,7 @@ func (fs *FS) replaceItem(k key, body []byte) error {
 // deleteItem removes the item with key k; empty nodes are unlinked from
 // their parents and freed, and a single-child root collapses.
 func (fs *FS) deleteItem(k key) error {
-	fs.tx.touch(k)
+	fs.tx.Touch(k.obj())
 	path, found, err := fs.search(k, nil)
 	if err != nil {
 		return err

@@ -11,8 +11,55 @@
 # the outputs compared: a nondeterministic analyzer would make the
 # self-check gate flaky, so determinism is itself a gate. Run from
 # anywhere inside the repository.
+#
+# `check.sh lock <rev>` is a different job, for a refactor that must not
+# move behaviour: it builds the commands at <rev> and in the working tree
+# and requires every artefact below, and each command's exit code, to be
+# byte-identical between the two. The default run does not include it.
 set -eu
 cd "$(dirname "$0")/.."
+
+if [ "${1:-}" = lock ]; then
+	rev=${2:?usage: check.sh lock <rev>}
+	lock=$(mktemp -d)
+	trap 'rm -rf "$lock"' EXIT
+	mkdir "$lock/src" "$lock/rev" "$lock/tree"
+	# The tree at <rev>, without registering a worktree in .git.
+	git archive "$rev" | tar -x -C "$lock/src"
+	for side in rev tree; do
+		src=.
+		[ "$side" = rev ] && src="$lock/src"
+		for c in ironhunt ironstat ironload ironfsck ironbench; do
+			(cd "$src" && go build -o "$lock/$side/$c" "./cmd/$c")
+		done
+		# The artefacts: every seeded harness whose whole output is a
+		# function of what the file systems do to the disk. Exit codes are
+		# part of the verdict (the hunts and the check exit 1 on findings).
+		(
+			cd "$lock/$side"
+			run() { out=$1; shift; code=0; "$@" > "$out" || code=$?; echo "$code" > "$out.exit"; }
+			run hunt-quick-all.json ./ironhunt -quick -fs all -json
+			run hunt-jfs.json ./ironhunt -fs jfs -json
+			run hunt-fsck.json ./ironhunt -fsck -json
+			run stat-fp-ext3-read.json ./ironstat -mode fp -fs ext3 -fault read -json
+			run load.json ./ironload -json
+			run fsck-repair.txt ./ironfsck -parallel 1 -trace fsck-repair.ndjson repair
+			run fsck-check.json ./ironfsck -parallel 7 -json check
+			run sweep.json ./ironbench -sweep -quick -sweepclients 64 -json
+			rm ironhunt ironstat ironload ironfsck ironbench
+		)
+	done
+	moved=0
+	for f in "$lock"/rev/*; do
+		cmp "$f" "$lock/tree/$(basename "$f")" || moved=1
+	done
+	if [ "$moved" -ne 0 ]; then
+		echo "check: behaviour moved against $rev" >&2
+		exit 1
+	fi
+	echo "check: every lock artefact identical to $rev"
+	exit 0
+fi
 
 fmt=$(gofmt -l .)
 if [ -n "$fmt" ]; then
