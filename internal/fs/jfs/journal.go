@@ -1,8 +1,10 @@
 package jfs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
@@ -246,9 +248,28 @@ func (fs *FS) loadLogSuper() error {
 	return nil
 }
 
-// replayLog applies committed record sets after an unclean shutdown. A
-// sanity-check failure during replay aborts the replay (§5.3: "during
-// journal replay, a sanity-check failure causes the replay to abort").
+// replayLog brings committed record sets home after an unclean shutdown, in
+// two passes. A sanity-check failure during replay aborts the replay (§5.3:
+// "during journal replay, a sanity-check failure causes the replay to
+// abort").
+//
+// Pass 1 scans the log and only collects: a transaction's redo records move
+// onto the committed list when its commit record checks out, and nothing is
+// written while the scan runs. A log read that fails therefore leaves the
+// volume as the crash left it — no transaction applied, the log intact — and
+// fails the mount.
+//
+// Pass 2 walks the committed records in log order, reads each home block
+// once, at its first touch, patches every record into that image in memory,
+// and then writes each image once, in ascending block order; its reads all
+// come before its writes, so a home read that fails leaves the volume
+// untouched too. Patching record by record through the device instead costs
+// a read and a write per record, and under a write-behind queue every one
+// of those reads names a block whose write is still queued, so each record
+// drains the queue as a one-block batch (docs/PERF.md, "Recovery cost").
+// The writes stay one devWrite per block rather than one batch: devWrite is
+// where §5.3's ignore-the-write-error policy lives, and a batch would let
+// one failed block decide what happens to its neighbours.
 //
 //iron:txentry recovery machinery: mount-time log replay writes committed transactions home
 func (fs *FS) replayLog() error {
@@ -262,16 +283,19 @@ func (fs *FS) replayLog() error {
 	rel := fs.ring.Head()
 	seq := fs.jn.Seq() + 1
 
-	var pending []redoRec
+	var pending, committed []redoRec
+	buf := make([]byte, BlockSize)
 scan:
 	for rel < fs.ring.Len {
-		buf := make([]byte, BlockSize)
 		if err := fs.dev.ReadBlock(base+rel, buf); err != nil {
 			fs.rec.Detect(iron.DErrorCode, BTJData, "log read failed during recovery")
 			fs.rec.Recover(iron.RPropagate, BTJData, "mount fails")
 			fs.rec.Recover(iron.RStop, BTJData, "recovery aborted")
 			return vfs.ErrIO
 		}
+		// The scan reads every log block into buf; a block that carries
+		// redo records is copied once, and its records alias the copy.
+		var kept []byte
 		off := 0
 		for off+recHdrLen <= BlockSize {
 			typ := buf[off]
@@ -296,29 +320,18 @@ scan:
 					fs.rec.Recover(iron.RStop, BTJData, "replay aborted")
 					break scan
 				}
-				data := make([]byte, plen)
-				copy(data, buf[off+recHdrLen:])
-				pending = append(pending, redoRec{Blk: blk, Off: boff, Data: data})
+				if kept == nil {
+					kept = bytes.Clone(buf)
+				}
+				pending = append(pending, redoRec{Blk: blk, Off: boff, Data: kept[off+recHdrLen:][:plen]})
 			case recCommit:
 				if plen != 8 || le.Uint64(buf[off+recHdrLen:]) != seq {
 					fs.rec.Detect(iron.DSanity, BTJData, "commit record sequence mismatch")
 					fs.rec.Recover(iron.RStop, BTJData, "replay aborted")
 					break scan
 				}
-				// Apply the committed record set.
-				for _, r := range pending {
-					img := make([]byte, BlockSize)
-					if err := fs.dev.ReadBlock(r.Blk, img); err != nil {
-						fs.rec.Detect(iron.DErrorCode, BTJData, "home read failed during replay")
-						fs.rec.Recover(iron.RStop, BTJData, "replay aborted")
-						return vfs.ErrIO
-					}
-					copy(img[r.Off:], r.Data)
-					if err := fs.devWrite(r.Blk, img, BTData); err != nil {
-						return err
-					}
-				}
-				pending = nil
+				committed = append(committed, pending...)
+				pending = pending[:0]
 				seq++
 			default:
 				fs.rec.Detect(iron.DSanity, BTJData, "unknown log record type")
@@ -328,6 +341,29 @@ scan:
 			off += recHdrLen + plen
 		}
 		rel++
+	}
+
+	images := map[int64][]byte{}
+	var homes []int64
+	for _, r := range committed {
+		img := images[r.Blk]
+		if img == nil {
+			img = make([]byte, BlockSize)
+			if err := fs.dev.ReadBlock(r.Blk, img); err != nil {
+				fs.rec.Detect(iron.DErrorCode, BTJData, "home read failed during replay")
+				fs.rec.Recover(iron.RStop, BTJData, "replay aborted")
+				return vfs.ErrIO
+			}
+			images[r.Blk] = img
+			homes = append(homes, r.Blk)
+		}
+		copy(img[r.Off:], r.Data)
+	}
+	slices.Sort(homes)
+	for _, blk := range homes {
+		if err := fs.devWrite(blk, images[blk], BTData); err != nil {
+			return err
+		}
 	}
 	if err := fs.dev.Barrier(); err != nil {
 		return vfs.ErrIO

@@ -203,6 +203,13 @@ func TestJournalConformance(t *testing.T) {
 					t.Fatalf("write after the stop = %v, want %v", err, want.next)
 				}
 			})
+
+			// Recovery is where a second crash lands: cut at any of its
+			// device writes and recovered again, the volume ends where an
+			// uninterrupted recovery leaves it.
+			t.Run("crash_during_replay_converges", func(t *testing.T) {
+				crashDuringReplayConverges(t, name)
+			})
 		})
 	}
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"slices"
 	"testing"
 
 	"ironfs/internal/faultinject"
@@ -90,5 +92,54 @@ func TestLoadDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("scale scenario not deterministic:\nrun1: %.200s\nrun2: %.200s", a, b)
+	}
+}
+
+// TestLoadPinHolds reads the committed BENCH_4.json — the full-size ironload
+// run that check.sh and CI regenerate and cmp against it — and holds what it
+// records to the margins the scenarios are graded on: the four scenarios,
+// no violation in any, a flood that gets the bulk of the throughput without
+// degrading the light tenant eightfold, typed refusals only on a read-only
+// volume, a repair that finishes inside its I/O share, and a scale sweep of
+// at least 1024 tenants on 16 volumes with ordered quantiles.
+func TestLoadPinHolds(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_4.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pin struct {
+		Ironload []*LoadReport `json:"ironload"`
+	}
+	if err := json.Unmarshal(raw, &pin); err != nil {
+		t.Fatal(err)
+	}
+	by := map[string]*LoadReport{}
+	var names []string
+	for _, r := range pin.Ironload {
+		by[r.Scenario] = r
+		names = append(names, r.Scenario)
+		if len(r.Violations) > 0 {
+			t.Errorf("%s: pinned with violations %v", r.Scenario, r.Violations)
+		}
+	}
+	if want := Scenarios(); !slices.Equal(names, want) {
+		t.Fatalf("BENCH_4.json holds scenarios %v, want %v", names, want)
+	}
+	if by["fairness"].Fairness == nil || by["readonly"].ReadOnly == nil || by["repair"].Repair == nil || by["scale"].Scale == nil {
+		t.Fatal("a scenario is pinned without its report")
+	}
+	if f := by["fairness"].Fairness; !(f.HeavyOps > f.LightOps && f.LightOps > 0) || f.DegradeRatio < 1 || f.DegradeRatio >= 8 {
+		t.Errorf("fairness: %+v", *f)
+	}
+	if ro := by["readonly"].ReadOnly; ro.Health != "read-only" || ro.ReadsOK <= 0 || ro.WritesTyped <= 0 || ro.WritesOther != 0 {
+		t.Errorf("readonly: %+v", *ro)
+	}
+	if rp := by["repair"].Repair; rp.Phase != "done" || rp.Problems <= 0 || rp.Repaired != rp.Problems ||
+		rp.UsedFrac > rp.Share*1.5 || rp.ThroughputRatio < 1-rp.Share-0.10 {
+		t.Errorf("repair: %+v", *rp)
+	}
+	if sc := by["scale"].Scale; sc.Tenants < 1024 || sc.Volumes < 16 ||
+		!(0 < sc.AggP50Ns && sc.AggP50Ns <= sc.AggP99Ns && sc.AggP99Ns <= sc.AggP999Ns) {
+		t.Errorf("scale: %+v", *sc)
 	}
 }

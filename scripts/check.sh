@@ -42,6 +42,9 @@ if [ "${1:-}" = lock ]; then
 			run hunt-jfs.json ./ironhunt -fs jfs -json
 			run hunt-fsck.json ./ironhunt -fsck -json
 			run stat-fp-ext3-read.json ./ironstat -mode fp -fs ext3 -fault read -json
+			# The one artefact that sees jfs's recovery I/O: a sticky write
+			# fault meets every home block the replay brings home.
+			run stat-fp-jfs-write.json ./ironstat -mode fp -fs jfs -fault write -json
 			run load.json ./ironload -json
 			run fsck-repair.txt ./ironfsck -parallel 1 -trace fsck-repair.ndjson repair
 			run fsck-check.json ./ironfsck -parallel 7 -json check
