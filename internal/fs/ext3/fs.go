@@ -43,7 +43,6 @@ type FS struct {
 	ring        *journal.Ring
 	pending     pendingState
 	rmapScanned bool
-	parityskip  bool // whole-file truncate: parity reset, not folded
 
 	// jn owns the commit sequence space and coordinates the committer
 	// with its fsync waiters; FS implements its journal.Committer.

@@ -11,11 +11,16 @@ import (
 type inode struct {
 	namei.TypedAttr
 	Flags  uint32
-	Parity uint64 // parity block for this file's data (ixt3 Dp); 0 = none
+	Parity uint64 // XOR of the file's data (ixt3 Dp), born with its first block, freed by truncate to 0; 0 = none
 	Direct [DirectBlocks]uint64
 	Ind    uint64
 	DInd   uint64
 	TInd   uint64
+}
+
+// unmapped reports whether the inode has no block pointers at all.
+func (in *inode) unmapped() bool {
+	return in.Direct == [DirectBlocks]uint64{} && in.Ind == 0 && in.DInd == 0 && in.TInd == 0
 }
 
 func (in *inode) marshal(b []byte) {

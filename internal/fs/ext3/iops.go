@@ -207,23 +207,21 @@ func (fs *FS) forEachBlock(in *inode, fn func(l, phys int64) error) error {
 // at or beyond newSize. It returns the first error but attempts to free as
 // much as possible. Freed indirect blocks are revoked.
 func (fs *FS) truncateBlocks(in *inode, newSize int64) error {
+	// A file cut to nothing frees its parity block first (ixt3 Dp), so the
+	// blocks below are not folded out of it one read at a time; the next
+	// write allocates a fresh one.
+	var firstErr error
+	if newSize == 0 && in.Parity != 0 {
+		firstErr = fs.freeBlock(int64(in.Parity))
+		in.Parity = 0
+	}
 	keep := (newSize + BlockSize - 1) / BlockSize
 	oldBlocks := (int64(in.Size) + BlockSize - 1) / BlockSize
 	if oldBlocks <= keep {
-		return nil
-	}
-
-	// Whole-file truncation resets the parity directly instead of folding
-	// every block out one read at a time — an empty file's parity is all
-	// zeros (and on unlink the parity block is freed right after anyway).
-	if newSize == 0 && fs.opts.DataParity && in.Parity != 0 {
-		fs.txDataNew(int64(in.Parity), BTParity)
-		fs.parityskip = true
-		defer func() { fs.parityskip = false }()
+		return firstErr
 	}
 
 	// Direct pointers.
-	var firstErr error
 	for l := keep; l < indStart && l < oldBlocks; l++ {
 		if in.Direct[l] != 0 {
 			if err := fs.freeDataBlock(in, int64(in.Direct[l])); err != nil && firstErr == nil {
@@ -251,7 +249,7 @@ func (fs *FS) truncateBlocks(in *inode, newSize int64) error {
 // cannot be read, its contents are reconstructed from the parity group
 // itself (parity ⊕ siblings) before being folded out.
 func (fs *FS) freeDataBlock(in *inode, blk int64) error {
-	if fs.opts.DataParity && in.Parity != 0 && !fs.parityskip {
+	if fs.opts.DataParity && in.Parity != 0 {
 		old, err := fs.readFileBlockRaw(blk)
 		if err != nil {
 			fs.rec.Detect(iron.DErrorCode, BTData, "data read failed while freeing")

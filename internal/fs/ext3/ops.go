@@ -73,16 +73,6 @@ func (fs *FS) CreateLocked(pIno uint32, pIn *inode, name string, kind vfs.FileTy
 		return 0, nil, err
 	}
 	in := &inode{TypedAttr: namei.Typed(kind, a)}
-
-	// ixt3 Dp: preallocate the file's parity block at create (§6.1).
-	if fs.opts.DataParity && kind == vfs.TypeRegular {
-		pblk, err := fs.allocBlock(fs.groupOfInode(ino), BTParity)
-		if err == nil {
-			in.Parity = uint64(pblk)
-			fs.txDataNew(pblk, BTParity)
-		}
-	}
-
 	if err := fs.dirAdd(pIno, pIn, name, ino, byte(kind)); err != nil {
 		if ferr := fs.freeInode(ino); ferr != nil {
 			// The create already failed and that error propagates; a
@@ -257,6 +247,17 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 		return 0, vfs.ErrInval
 	}
 
+	// ixt3 Dp (§6.1): a file's parity block is born with its first data,
+	// just ahead of the blocks this write allocates, as ordered data in the
+	// transaction that stores the inode naming it.
+	born := int64(0)
+	if fs.opts.DataParity && in.Parity == 0 && len(data) > 0 && in.unmapped() {
+		if pblk, err := fs.allocBlock(fs.groupOfInode(ino), BTParity); err == nil {
+			born, in.Parity = pblk, uint64(pblk)
+			fs.txDataNew(pblk, BTParity)
+		}
+	}
+
 	written := int64(0)
 	n := int64(len(data))
 	for written < n {
@@ -269,6 +270,12 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 		pre := fs.bmapHas(in, l)
 		phys, err := fs.bmap(in, l, true)
 		if err != nil {
+			if born != 0 {
+				// The inode is not stored, so nothing would name the parity.
+				if ferr := fs.freeBlock(born); ferr != nil {
+					return int(written), ferr
+				}
+			}
 			return int(written), err
 		}
 		var buf []byte
@@ -421,11 +428,6 @@ func (fs *FS) Unlink(path string) error {
 		if err := fs.truncateBlocks(cIn, 0); err != nil {
 			if serr := fs.swallowIO(err); serr != nil {
 				return serr
-			}
-		}
-		if cIn.Parity != 0 {
-			if err := fs.freeBlock(int64(cIn.Parity)); err != nil {
-				return fs.swallowIO(err)
 			}
 		}
 		if err := fs.freeInode(cIno); err != nil {
@@ -588,11 +590,6 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 			if tIn.Links == 0 {
 				if err := fs.truncateBlocks(tIn, 0); err != nil {
 					return fs.swallowIO(err)
-				}
-				if tIn.Parity != 0 {
-					if err := fs.freeBlock(int64(tIn.Parity)); err != nil {
-						return fs.swallowIO(err)
-					}
 				}
 				if err := fs.freeInode(tIno); err != nil {
 					return err

@@ -359,6 +359,14 @@ scan:
 		}
 		copy(img[r.Off:], r.Data)
 	}
+	// Mount loaded the allocation counts before this replay; where the log
+	// names their blocks, the images above are the counts to mount with.
+	if img := images[bmapDescBlk]; img != nil {
+		fs.bmd.unmarshal(img)
+	}
+	if img := images[int64(fs.sb.IMapCtl)]; img != nil {
+		fs.imc.unmarshal(img)
+	}
 	slices.Sort(homes)
 	for _, blk := range homes {
 		if err := fs.devWrite(blk, images[blk], BTData); err != nil {

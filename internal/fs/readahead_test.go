@@ -460,7 +460,10 @@ func TestReadAheadIOBudget(t *testing.T) {
 		"reiserfs": {misses: 169, reads: 1035, busy: 832595262},
 		"jfs":      {misses: 163, reads: 1043, busy: 677469236},
 		"ntfs":     {misses: 166, reads: 1046, busy: 726693714},
-		"ixt3":     {misses: 169, reads: 1057, busy: 730141618},
+		// ixt3's parity blocks are born with their file's data, so the first
+		// one follows the root directory block instead of preceding it, and
+		// the scan makes one device read fewer.
+		"ixt3": {misses: 169, reads: 1056, busy: 729974434},
 	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {

@@ -416,7 +416,9 @@ func TestReplayIOBudget(t *testing.T) {
 		"reiserfs": {618, cost{reads: 16, writes: 12, barriers: 2, batches: 12}},
 		"jfs":      {618, cost{reads: 46, writes: 35, barriers: 2, batches: 6}},
 		"ntfs":     {1170, cost{reads: 53, writes: 50, barriers: 2, batches: 19}},
-		"ixt3":     {1367, cost{reads: 121, writes: 112, barriers: 2, batches: 97}},
+		// ixt3 writes each parity block once, so its churn makes fewer
+		// writes and the cut moved to stay where the log holds the most.
+		"ixt3": {1329, cost{reads: 121, writes: 112, barriers: 2, batches: 35}},
 	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {

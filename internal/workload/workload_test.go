@@ -55,8 +55,8 @@ func TestVariantEnumeration(t *testing.T) {
 	}
 }
 
-// table6Shape runs the single-mechanism rows plus the full combination and
-// asserts the paper's headline shapes (§6.2's three conclusions).
+// TestTable6Shape runs the single-mechanism rows plus the full combination
+// and asserts the paper's headline shapes.
 func TestTable6Shape(t *testing.T) {
 	vs := Variants()
 	subset := []Variant{vs[0], vs[1], vs[2], vs[3], vs[4], vs[5], vs[len(vs)-1]}
@@ -64,11 +64,23 @@ func TestTable6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := func(row int, bench string) float64 { return tb.Rows[row].Cells[bench].Relative }
+	table6Conclusions(t, tb)
+}
+
+// table6Conclusions asserts §6.2's three conclusions on a sweep that holds
+// at least the baseline, the five single-mechanism rows and the full
+// combination.
+func table6Conclusions(t *testing.T, tb *Table6) {
+	t.Helper()
+	rows := map[string]Row{}
+	for _, r := range tb.Rows {
+		rows[r.Variant.Label()] = r
+	}
+	rel := func(label, bench string) float64 { return rows[label].Cells[bench].Relative }
+	const all = "Mc Mr Dc Dp Tc"
 
 	// Conclusion 1: SSH-Build and the web server barely notice, even with
 	// everything on.
-	all := len(subset) - 1
 	if rel(all, "SSH") > 1.10 {
 		t.Errorf("SSH with all mechanisms = %.2f; the paper sees <= 1.06", rel(all, "SSH"))
 	}
@@ -84,22 +96,22 @@ func TestTable6Shape(t *testing.T) {
 
 	// Conclusion 3: transactional checksums alone *speed up* the
 	// synchronous workload (the paper: 0.80).
-	if tc := rel(5, "TPCB"); tc >= 1.0 {
+	if tc := rel("Tc", "TPCB"); tc >= 1.0 {
 		t.Errorf("Tc on TPC-B = %.2f; the paper measures a speedup", tc)
 	}
 	// Baseline row is exactly 1.00 everywhere.
 	for _, name := range tb.Benchmarks {
-		if rel(0, name) != 1.0 {
-			t.Errorf("baseline %s = %.2f", name, rel(0, name))
+		if r := rel("(Baseline: ext3)", name); r != 1.0 {
+			t.Errorf("baseline %s = %.2f", name, r)
 		}
 	}
 	// No mechanism is free on TPC-B except (possibly) checksums; Mr is
 	// the most expensive single mechanism there (the replica log doubles
 	// commit traffic).
-	mrTPCB := rel(2, "TPCB")
-	for row := 1; row <= 4; row++ {
-		if r := rel(row, "TPCB"); r > mrTPCB+0.01 {
-			t.Errorf("row %d TPCB=%.2f exceeds Mr=%.2f; Mr should dominate", row, r, mrTPCB)
+	mrTPCB := rel("Mr", "TPCB")
+	for _, label := range []string{"Mc", "Dc", "Dp"} {
+		if r := rel(label, "TPCB"); r > mrTPCB+0.01 {
+			t.Errorf("%s TPCB=%.2f exceeds Mr=%.2f; Mr should dominate", label, r, mrTPCB)
 		}
 	}
 }

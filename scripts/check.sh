@@ -45,6 +45,9 @@ if [ "${1:-}" = lock ]; then
 			# The one artefact that sees jfs's recovery I/O: a sticky write
 			# fault meets every home block the replay brings home.
 			run stat-fp-jfs-write.json ./ironstat -mode fp -fs jfs -fault write -json
+			# The one artefact that sees ixt3's write path: where parity,
+			# checksum and replica blocks are allocated and what that reads.
+			run stat-fp-ixt3-read.json ./ironstat -mode fp -fs ixt3 -fault read -json
 			run load.json ./ironload -json
 			run fsck-repair.txt ./ironfsck -parallel 1 -trace fsck-repair.ndjson repair
 			run fsck-check.json ./ironfsck -parallel 7 -json check
