@@ -102,6 +102,9 @@ func printReport(w interface{ Write([]byte) (int, error) }, rep *serve.LoadRepor
 		r := rep.ReadOnly
 		fmt.Fprintf(w, "health=%s  reads-ok=%d  writes-typed=%d  writes-other=%d\n",
 			r.Health, r.ReadsOK, r.WritesTyped, r.WritesOther)
+		if r.Trip != "" {
+			fmt.Fprintf(w, "tripped by %s\n", r.Trip)
+		}
 	case rep.Repair != nil:
 		r := rep.Repair
 		fmt.Fprintf(w, "scrub phase=%s problems=%d repaired=%d used=%.3f (cap %.2f)\n",

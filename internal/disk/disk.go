@@ -294,18 +294,15 @@ func (d *Disk) WriteBlock(n int64, buf []byte) error {
 }
 
 // WriteBatch implements Device. The batch is serviced in elevator (sorted)
-// order, which lets contiguous runs stream at media rate.
+// order, which lets contiguous runs stream at media rate. A batch already
+// in strictly ascending order (every scheduler run is) is serviced as
+// given, without allocating.
 func (d *Disk) WriteBatch(reqs []Request) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return reqs[order[a]].Block < reqs[order[b]].Block })
 	if len(reqs) > 0 {
 		// One command overhead covers the whole queued batch.
 		if d.tr.Enabled() {
@@ -314,8 +311,7 @@ func (d *Disk) WriteBatch(reqs []Request) error {
 		d.st.batches.Inc()
 		d.clock.Advance(d.geom.CmdOverhead)
 	}
-	for _, i := range order {
-		r := reqs[i]
+	for _, r := range ElevatorOrder(reqs) {
 		if err := d.check(r.Block, r.Data); err != nil {
 			return err
 		}
@@ -332,6 +328,36 @@ func (d *Disk) WriteBatch(reqs []Request) error {
 		}
 	}
 	return nil
+}
+
+// ElevatorOrder returns reqs in the order a batch is serviced: ascending by
+// block. A batch already strictly ascending is returned as is; any other
+// is copied and sorted by sort.Slice over indices, so blocks named twice
+// keep the order they have always been serviced in.
+func ElevatorOrder(reqs []Request) []Request {
+	if ascending(reqs) {
+		return reqs
+	}
+	order := make([]int, len(reqs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return reqs[order[a]].Block < reqs[order[b]].Block })
+	out := make([]Request, len(reqs))
+	for k, i := range order {
+		out[k] = reqs[i]
+	}
+	return out
+}
+
+// ascending reports whether reqs is in strictly ascending block order.
+func ascending(reqs []Request) bool {
+	for i := 1; i < len(reqs); i++ {
+		if reqs[i].Block <= reqs[i-1].Block {
+			return false
+		}
+	}
+	return true
 }
 
 // ReadRaw copies block n into buf without advancing the clock or touching

@@ -3,6 +3,8 @@ package disk
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -249,6 +251,73 @@ func TestWriteBatchIsSorted(t *testing.T) {
 	}
 	if s1, s2 := scrambled.Stats().BusyTime, sorted.Stats().BusyTime; s1 != s2 {
 		t.Fatalf("elevator order not applied: scrambled=%v sorted=%v", s1, s2)
+	}
+}
+
+// TestWriteBatchAscendingAllocs: a batch already in elevator order is
+// serviced as given, with no allocation; a batch with a block out of order
+// or named twice is still sorted by sort.Slice and lands exactly as before,
+// duplicates included.
+func TestWriteBatchAscendingAllocs(t *testing.T) {
+	d := newDisk(t, 1024)
+	reqs := make([]Request, 32)
+	for i := range reqs {
+		reqs[i] = Request{Block: int64(100 + i), Data: make([]byte, 4096)}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := d.WriteBatch(reqs); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("an ascending 32-block batch allocates %v times", n)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		blocks []int64
+		asc    bool
+	}{
+		{"ascending", []int64{3, 4, 9, 200}, true},
+		{"empty", nil, true},
+		{"unsorted", []int64{9, 3, 200, 4}, false},
+		{"duplicate", []int64{3, 4, 4, 9}, false},
+	} {
+		var reqs []Request
+		for i, b := range tc.blocks {
+			data := make([]byte, 4096)
+			data[0] = byte(i + 1)
+			reqs = append(reqs, Request{Block: b, Data: data})
+		}
+		if got := ascending(reqs); got != tc.asc {
+			t.Errorf("%s: ascending = %v", tc.name, got)
+		}
+		if sorted := ElevatorOrder(reqs); tc.asc != (len(reqs) == 0 || &sorted[0] == &reqs[0]) {
+			t.Errorf("%s: ElevatorOrder copied an ascending batch, or handed back an unsorted one", tc.name)
+		}
+		// The reference is today's service order: sort.Slice over indices.
+		want := newDisk(t, 1024)
+		order := make([]int, len(reqs))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool { return reqs[order[a]].Block < reqs[order[b]].Block })
+		for _, i := range order {
+			if err := want.WriteBlock(reqs[i].Block, reqs[i].Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := newDisk(t, 1024)
+		if err := got.WriteBatch(reqs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Snapshot(), want.Snapshot()) {
+			t.Errorf("%s: batch landed differently from the sorted per-block order", tc.name)
+		}
+		wl, _, _ := want.WritesSince(0, nil)
+		gl, _, _ := got.WritesSince(0, nil)
+		if !slices.Equal(gl, wl) {
+			t.Errorf("%s: service order %v, want %v", tc.name, gl, wl)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ package faultinject
 import (
 	"maps"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"ironfs/internal/disk"
@@ -212,52 +211,76 @@ func (d *Device) classify(block int64) iron.BlockType {
 	d.mu.Lock()
 	r := d.resolver
 	d.mu.Unlock()
+	return classifyWith(r, block)
+}
+
+// classifyWith classifies block with r; a nil resolver classifies nothing.
+func classifyWith(r TypeResolver, block int64) iron.BlockType {
 	if r == nil {
 		return iron.Unclassified
 	}
 	return r.Classify(block)
 }
 
+// limit is how many times a transient fault fires.
+func (f *Fault) limit() int {
+	if f.Count <= 0 {
+		return 1
+	}
+	return f.Count
+}
+
+// fires reports whether the fault would fire on an I/O of its class to
+// block, of type bt, without consuming a firing.
+func (f *Fault) fires(bt iron.BlockType, block int64) bool {
+	if f.Target != "" && f.Target != bt {
+		return false
+	}
+	if !f.Range.contains(block) {
+		return false
+	}
+	if f.Sticky {
+		return f.Target == "" || !f.latched || f.latchedAt == block
+	}
+	return f.fired < f.limit()
+}
+
 // match finds the first armed fault matching (class, type, block) and
 // consumes one firing. Caller holds d.mu.
 func (d *Device) matchLocked(class iron.FaultClass, bt iron.BlockType, block int64) *Fault {
 	for i, f := range d.faults {
-		if f.Class != class {
-			continue
-		}
-		if f.Target != "" && f.Target != bt {
-			continue
-		}
-		if !f.Range.contains(block) {
+		if f.Class != class || !f.fires(bt, block) {
 			continue
 		}
 		if f.Sticky && f.Target != "" {
-			if f.latched && f.latchedAt != block {
-				continue
-			}
 			f.latched = true
 			f.latchedAt = block
 		}
-		if !f.Sticky {
-			limit := f.Count
-			if limit <= 0 {
-				limit = 1
-			}
-			if f.fired >= limit {
-				continue
-			}
-			f.fired++
-			if f.fired >= limit {
-				// Retire the exhausted transient fault.
-				d.faults = append(d.faults[:i:i], d.faults[i+1:]...)
-			}
-		} else {
-			f.fired++
+		f.fired++
+		if !f.Sticky && f.fired >= f.limit() {
+			// Retire the exhausted transient fault.
+			d.faults = append(d.faults[:i:i], d.faults[i+1:]...)
 		}
 		d.fires++
 		return f
 	}
 	return nil
+}
+
+// writeArmed reports whether any armed write fault — failure, phantom or
+// misdirected — would fire on a write to block, of type bt.
+func (d *Device) writeArmed(bt iron.BlockType, block int64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, f := range d.faults {
+		switch f.Class {
+		case iron.WriteFailure, iron.PhantomWrite, iron.MisdirectedWrite:
+			if f.fires(bt, block) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // record logs one I/O into the applicability trace and, when a tracer is
@@ -347,13 +370,12 @@ func (d *Device) ReadBlock(n int64, buf []byte) error {
 // following block — both exactly the firmware bugs of §2.2, and both
 // invisible to any detection short of end-to-end checksums.
 func (d *Device) WriteBlock(n int64, buf []byte) error {
-	return d.writeOne(n, buf)
+	return d.writeOne(n, d.classify(n), buf)
 }
 
 // writeOne applies the full write-fault pipeline (failure, phantom,
-// misdirected) to a single block write.
-func (d *Device) writeOne(n int64, buf []byte) error {
-	bt := d.classify(n)
+// misdirected) to a single block write of type bt.
+func (d *Device) writeOne(n int64, bt iron.BlockType, buf []byte) error {
 	at := d.tr.Now()
 
 	d.mu.Lock()
@@ -396,28 +418,111 @@ func (d *Device) writeOne(n int64, buf []byte) error {
 	return err
 }
 
-// WriteBatch implements disk.Device. The batch is issued in elevator
-// (sorted) order like the underlying disk would, but one request at a time
-// so that the gray-box type resolver observes each write as soon as it
-// lands (a new inode committed early in the batch lets the resolver
-// classify the directory block that follows it). Each write is checked
-// against the armed faults; a failed write is dropped while the rest of
-// the batch still completes — as a queued drive would — and the first
-// error is reported.
+// WriteBatch implements disk.Device. The batch is written in elevator
+// (sorted) order like the underlying disk would, and every block meets the
+// resolver and the armed faults exactly as a write of its own would: the
+// gray-box resolver classifies it with every earlier block of the batch on
+// the media (a new inode committed early in the batch lets the resolver
+// classify the directory block that follows it), and a failed write is
+// dropped while the rest of the batch still completes — as a queued drive
+// would — with the first error reported.
+//
+// What reaches the inner device is one command per run, not per block: a
+// maximal run of consecutive blocks that no armed write fault can match
+// goes down as one WriteBatch, so the layer above keeps the coalescing it
+// did. A run ends early wherever holding a block back could change the
+// next block's class: after a block the resolver's last walk read, and
+// after every block when the resolver is not a TypeMap, whose read set is
+// unknown. A block an armed write fault could match flushes the run and
+// takes writeOne on its own.
 func (d *Device) WriteBatch(reqs []disk.Request) error {
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
+	reqs = disk.ElevatorOrder(reqs)
+	d.mu.Lock()
+	r := d.resolver
+	d.mu.Unlock()
+	tm, _ := r.(*TypeMap)
+	var walks int64
+	if tm != nil {
+		walks = tm.Rebuilds()
 	}
-	sort.Slice(order, func(a, b int) bool { return reqs[order[a]].Block < reqs[order[b]].Block })
+	nblocks, bs := d.inner.NumBlocks(), d.inner.BlockSize()
+
+	// The pending run is reqs[start:start+len(types)], not yet written;
+	// types[k] is the class of its k-th block. dep marks a run whose last
+	// block the next block's class may depend on.
 	var firstErr error
-	for _, i := range order {
-		r := reqs[i]
-		if err := d.writeOne(r.Block, r.Data); err != nil && firstErr == nil {
-			firstErr = err
+	var typeBuf [64]iron.BlockType
+	types := typeBuf[:0]
+	start, dep := 0, false
+	flush := func() {
+		if len(types) > 0 {
+			firstErr = first(firstErr, d.writeRun(reqs[start:start+len(types)], types))
+			types = types[:0]
 		}
 	}
+	for i := range reqs {
+		req := &reqs[i]
+		if len(types) > 0 && (dep || req.Block != reqs[i-1].Block+1) {
+			flush()
+		}
+		bt := classifyWith(r, req.Block)
+		if tm != nil {
+			// A write landing from outside the batch can make this
+			// Classify walk again, and the walk may have read a block
+			// still pending: it classified from stale contents.
+			if w := tm.Rebuilds(); w != walks {
+				if tm.readsAny(reqs[start : start+len(types)]) {
+					flush()
+					bt = classifyWith(r, req.Block)
+					w = tm.Rebuilds()
+				}
+				walks = w
+			}
+		}
+		if req.Block < 0 || req.Block >= nblocks || len(req.Data) != bs || d.writeArmed(bt, req.Block) {
+			flush()
+			firstErr = first(firstErr, d.writeOne(req.Block, bt, req.Data))
+			continue
+		}
+		if len(types) == 0 {
+			start = i
+		}
+		types = append(types, bt)
+		dep = r != nil && (tm == nil || tm.Reads(req.Block))
+	}
+	flush()
 	return firstErr
+}
+
+// writeRun hands a run of consecutive blocks, already classified as types,
+// to the inner device as one command, and records each block. The
+// command's service time goes to the run's first block and 0 to the rest,
+// so the fault layer's Svc still sums to the disk's busy time. A lone
+// block goes down as the plain write it is. Blocks join a run only in
+// range and whole, so the disk fails a run only as a whole (closed), and
+// its error is every block's.
+func (d *Device) writeRun(run []disk.Request, types []iron.BlockType) error {
+	at := d.tr.Now()
+	var err error
+	if len(run) == 1 {
+		err = d.inner.WriteBlock(run[0].Block, run[0].Data)
+	} else {
+		err = d.inner.WriteBatch(run)
+	}
+	svc := d.tr.Now() - at
+	for i := range run {
+		d.record(disk.OpWrite, run[i].Block, types[i], false, err, at, svc)
+		svc = 0
+	}
+	return err
+}
+
+// first returns err unless an earlier error is already held.
+func first(held, err error) error {
+	if held != nil {
+		return held
+	}
+	return err
 }
 
 // Barrier implements disk.Device.

@@ -288,6 +288,127 @@ func TestBatchPartialFailure(t *testing.T) {
 	}
 }
 
+// pointerImage is a toy gray-box format: block 0 lists pointer blocks (one
+// per byte, 0 ends the list), and a pointer block p whose first byte is k
+// names block p+k a directory. When block trigger is first classified, a
+// write from outside the batch lands the table in rewrite on block 0.
+type pointerImage struct {
+	raw       *disk.Disk
+	trigger   int64
+	rewrite   []byte
+	rewritten bool
+}
+
+func (p *pointerImage) Walk(m *TypeMap) bool {
+	table, ok := m.Read(0, 0)
+	if !ok {
+		return false
+	}
+	for _, ptr := range table {
+		if ptr == 0 {
+			break
+		}
+		if b, ok := m.Read(1, int64(ptr)); ok && b[0] != 0 {
+			m.Set(int64(ptr)+int64(b[0]), "dir")
+		}
+	}
+	return true
+}
+
+func (p *pointerImage) Static(m *TypeMap, blk int64) iron.BlockType {
+	if blk == p.trigger && !p.rewritten {
+		p.rewritten = true
+		if err := p.raw.WriteBlock(0, p.rewrite); err != nil {
+			panic(err)
+		}
+	}
+	return ""
+}
+
+// TestWriteBatchRewalkSeesPendingBlock: a write from outside the batch
+// rebuilds the map while a run is pending, and the new walk reads a block
+// of that run. The block being classified depends on it, so the run must
+// reach the media and the block be classified again — as the per-block
+// loop, which wrote the block before classifying the next, would.
+func TestWriteBatchRewalkSeesPendingBlock(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		d, _ := disk.New(64, disk.DefaultGeometry(), nil)
+		table := make([]byte, 4096)
+		table[0] = 10 // after the outside write: block 10 is a pointer block
+		tm := NewTypeMap(d, &pointerImage{raw: d, trigger: 11, rewrite: table}, "super", 0)
+		fd := New(d, tm)
+		fd.Arm(&Fault{Class: iron.WriteFailure, Target: "dir", Sticky: true})
+		ptr := make([]byte, 4096)
+		ptr[0] = 2 // block 10 names block 12
+		reqs := []disk.Request{{Block: 10, Data: ptr}, {Block: 11, Data: make([]byte, 4096)}, {Block: 12, Data: make([]byte, 4096)}}
+		var err error
+		if batched {
+			err = fd.WriteBatch(reqs)
+		} else {
+			for _, r := range reqs {
+				if e := fd.WriteBlock(r.Block, r.Data); e != nil && err == nil {
+					err = e
+				}
+			}
+		}
+		if !errors.Is(err, disk.ErrIO) || fd.Fired() != 1 || fd.AccessCounts()["dir"][disk.OpWrite] != 1 {
+			t.Errorf("batched=%v: err %v, fired %d, counts %v: the dir write failure missed block 12",
+				batched, err, fd.Fired(), fd.AccessCounts())
+		}
+	}
+}
+
+// TestWriteBatchResolverFuncSeesEachWrite: a resolver that is not a
+// TypeMap may read anything, so every block is classified with the one
+// before it on the media — today's per-block behaviour.
+func TestWriteBatchResolverFuncSeesEachWrite(t *testing.T) {
+	d, fd := newStack(t)
+	// Block n is a directory when block n-1 starts with 'D'.
+	fd.SetResolver(ResolverFunc(func(n int64) iron.BlockType {
+		buf := make([]byte, 4096)
+		if n > 0 && d.ReadRaw(n-1, buf) == nil && buf[0] == 'D' {
+			return "dir"
+		}
+		return iron.Unclassified
+	}))
+	fd.Arm(&Fault{Class: iron.WriteFailure, Target: "dir", Sticky: true})
+	named := make([]byte, 4096)
+	named[0] = 'D'
+	err := fd.WriteBatch([]disk.Request{{Block: 30, Data: named}, {Block: 31, Data: make([]byte, 4096)}})
+	if !errors.Is(err, disk.ErrIO) || fd.Fired() != 1 {
+		t.Fatalf("err %v, fired %d: block 31 was classified before block 30 landed", err, fd.Fired())
+	}
+}
+
+// TestWriteBatchRunIsOneCommand: with nothing armed, a contiguous batch
+// leaves the fault layer as one disk command, each block still counted
+// and traced in order.
+func TestWriteBatchRunIsOneCommand(t *testing.T) {
+	d, fd := newStack(t)
+	fd.SetTracing(true)
+	var reqs []disk.Request
+	for b := int64(40); b < 48; b++ {
+		reqs = append(reqs, disk.Request{Block: b, Data: make([]byte, 4096)})
+	}
+	before := d.Clock().Now()
+	if err := fd.WriteBatch(reqs); err != nil {
+		t.Fatal(err)
+	}
+	// One command: one overhead, then eight back-to-back transfers.
+	if took, want := d.Clock().Now()-before, disk.DefaultGeometry().CmdOverhead+d.Stats().BusyTime; took != want {
+		t.Fatalf("batch took %v, one command would take %v", took, want)
+	}
+	tr := fd.Trace()
+	if len(tr) != len(reqs) || fd.AccessCounts()[iron.Unclassified][disk.OpWrite] != len(reqs) {
+		t.Fatalf("trace %d entries, counts %v", len(tr), fd.AccessCounts())
+	}
+	for i, e := range tr {
+		if e.Block != reqs[i].Block || e.Op != disk.OpWrite || e.Faulted || e.Err != nil {
+			t.Fatalf("entry %d: %+v", i, e)
+		}
+	}
+}
+
 func TestDisarm(t *testing.T) {
 	_, fd := newStack(t)
 	fd.Arm(&Fault{Class: iron.ReadFailure, Sticky: true})

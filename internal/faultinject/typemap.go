@@ -67,7 +67,7 @@ func (m *TypeMap) Classify(block int64) iron.BlockType {
 	m.written = written
 	stale := !ok
 	for _, w := range written {
-		if m.readSet[w/64]&(1<<(w%64)) != 0 {
+		if m.readsLocked(w) {
 			stale = true
 			break
 		}
@@ -99,6 +99,31 @@ func (m *TypeMap) Rebuilds() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.rebuilds
+}
+
+// Reads reports whether the last walk read block blk: the map depends on
+// that block's contents, so a write to it rebuilds the map at the next
+// Classify.
+func (m *TypeMap) Reads(blk int64) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.readsLocked(blk)
+}
+
+// readsAny reports whether the last walk read any block of reqs.
+func (m *TypeMap) readsAny(reqs []disk.Request) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range reqs {
+		if m.readsLocked(reqs[i].Block) {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *TypeMap) readsLocked(blk int64) bool {
+	return blk >= 0 && blk/64 < int64(len(m.readSet)) && m.readSet[blk/64]&(1<<(blk%64)) != 0
 }
 
 // NumBlocks is the size of the disk being classified.

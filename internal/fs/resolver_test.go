@@ -125,7 +125,7 @@ func churn(fsys vfs.FileSystem, seed int64, ops int) {
 
 // churnedImage returns the snapshot of a volume after churn(seed): an
 // image whose file tree differs from any other seed's.
-func churnedImage(t *testing.T, name string, seed int64) []byte {
+func churnedImage(t testing.TB, name string, seed int64) []byte {
 	t.Helper()
 	v, err := MountVolume(MountOpts{FS: name, Opts: resolverOpts(name)})
 	if err != nil {

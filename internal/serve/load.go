@@ -72,9 +72,13 @@ type FairnessReport struct {
 type ReadOnlyReport struct {
 	// Health is the volume's final health state string.
 	Health string `json:"health"`
+	// Trip names the request whose own execution drove the volume
+	// read-only, and the error it returned.
+	Trip string `json:"trip,omitempty"`
 	// ReadsOK counts successful reads after the transition; WritesTyped
 	// counts writes refused with ErrVolumeReadOnly; WritesOther counts
-	// any write failure of the wrong shape (must be 0).
+	// any write failure of the wrong shape (must be 0). The tripping
+	// request is in none of them.
 	ReadsOK     int64 `json:"reads_ok"`
 	WritesTyped int64 `json:"writes_typed"`
 	WritesOther int64 `json:"writes_other"`
@@ -494,10 +498,19 @@ func runReadOnly(cfg LoadConfig) (*LoadReport, error) {
 		h, _ := s.VolumeHealth("vol-a")
 		return h == vfs.ReadOnly
 	}
+	// Only a dispatch changes the volume's health, so the first response
+	// to find it read-only is the request that tripped it. That request
+	// started on a healthy volume and fails with the fault itself (§5.1:
+	// propagate, then stop), not with a refusal: it is named, not graded.
+	tripped := false
 	runLoop(s, []*loadTenant{t}, clk.Now()+horizon, false,
 		func(resp *Response) {
-			if afterTransition() {
+			switch {
+			case tripped:
 				classifyReadOnly(resp, ro)
+			case afterTransition():
+				tripped = true
+				ro.Trip = fmt.Sprintf("%v: %v", resp.Op, resp.Err)
 			}
 		},
 		func(req *Request, err error) {

@@ -73,6 +73,25 @@ func TestReadOnlyRouting(t *testing.T) {
 	}
 }
 
+// TestReadOnlyGradesOnlyAfterTrip: the request whose own failed inode
+// read aborts the journal answers after the volume is read-only, with the
+// fault's error, not a refusal. Across seeds and both sizes it must be
+// named in the report and never graded as an untyped write refusal —
+// a quarter of these runs once reported exactly that false violation.
+func TestReadOnlyGradesOnlyAfterTrip(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		for _, quick := range []bool{true, false} {
+			rep, err := RunLoad(LoadConfig{Scenario: "readonly", FS: "ext3", Seed: seed, Quick: quick})
+			if err != nil {
+				t.Fatalf("seed %d quick %v: %v", seed, quick, err)
+			}
+			if len(rep.Violations) > 0 || rep.ReadOnly.Trip == "" {
+				t.Errorf("seed %d quick %v: trip %q, violations %v", seed, quick, rep.ReadOnly.Trip, rep.Violations)
+			}
+		}
+	}
+}
+
 // TestLoadDeterminism re-runs the scale scenario and requires the two
 // reports to be byte-identical once serialized — the property CI also
 // enforces on the ironload binary.

@@ -86,9 +86,10 @@ go build ./...
 [ ! -e "$vetdir/test.failed" ]
 awk '$2=="ironfs/internal/fingerprint" { print "check: internal/fingerprint test wall time " $3 }' "$vetdir/test.log"
 
-# The gray-box resolver's cost benchmarks (docs/PERF.md, "Fault layer
-# cost"), one iteration each so they cannot rot.
-go test -run '^$' -bench 'Classify' -benchtime 1x ./internal/fs/...
+# The gray-box resolver's cost benchmarks and a fault-free 32-block run
+# through the fault layer (docs/PERF.md, "Fault layer cost"), one
+# iteration each so they cannot rot.
+go test -run '^$' -bench 'Classify|FaultWriteBatch' -benchtime 1x ./internal/fs/...
 # Likewise the serving tier's dispatch cost at 64, 1024 and 16384
 # backlogged tenants (docs/PERF.md, "Serve layer cost").
 go test -run '^$' -bench Dispatch -benchtime 1x ./internal/serve
