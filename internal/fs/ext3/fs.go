@@ -31,18 +31,20 @@ type FS struct {
 	tr   *trace.Tracer
 
 	//iron:lockorder 10 the per-FS big lock is always outermost
-	mu          sync.RWMutex
-	health      vfs.Health
-	lay         layout
-	gds         []groupDesc
-	cache       *bcache.Cache
-	tx          *journal.Txn[uint32]
-	mounted     bool
-	sbDirty     bool
-	gdDirty     bool
-	ring        *journal.Ring
-	pending     pendingState
-	rmapScanned bool
+	mu      sync.RWMutex
+	health  vfs.Health
+	lay     layout
+	gds     []groupDesc
+	cache   *bcache.Cache
+	tx      *journal.Txn[uint32]
+	mounted bool
+	sbDirty bool
+	gdDirty bool
+	ring    *journal.Ring
+	pending pendingState
+	// rlog is Mr's replica log, built by a mount's first commit (nil
+	// before).
+	rlog *replicaLog
 
 	// jn owns the commit sequence space and coordinates the committer
 	// with its fsync waiters; FS implements its journal.Committer.
@@ -389,7 +391,7 @@ func (fs *FS) Mount() error {
 	fs.tx = journal.NewTxn[uint32](fs.cache)
 	fs.revokes = nil
 	fs.pending = pendingState{}
-	fs.rmapScanned = false
+	fs.rlog = nil
 	fs.lay.sb.Clean = 0
 	fs.lay.sb.Mounts++
 	sb := make([]byte, BlockSize)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 
 	"ironfs/internal/iron"
 	"ironfs/internal/vfs"
@@ -171,55 +172,176 @@ func (fs *FS) rmapGet(blk int64) (int64, error) {
 	return int64(binary.LittleEndian.Uint64(m[off:])), nil
 }
 
-// ensureReplica returns blk's replica location, allocating one from the
-// replica area on first use. The map update is journaled.
-func (fs *FS) ensureReplica(blk int64) (int64, error) {
-	rep, err := fs.rmapGet(blk)
-	if err != nil {
-		return 0, err
+// replicaLog is the replica area as the log §6.1 describes: every commit
+// writes each replicated block it carries to a fresh slot at the log head
+// (sb.ReplicaNext), so a commit's replicas leave as one contiguous run. The
+// slot a block had before dies only once no map on the media names it:
+// after the commit that repoints the entry, the map at home still does
+// until the next checkpoint writes that entry home, and Mount reads the
+// group descriptors' replica through the home map before replay. So no
+// slot the committed map or the checkpointed map names is ever written.
+type replicaLog struct {
+	// live marks the slots some map names — the running transaction's,
+	// the committed one or the one at home; nLive counts them.
+	live  []bool
+	nLive int64
+	// dying are the slots frozen transactions' entries left, freed by the
+	// next checkpoint.
+	dying []uint64
+	// moves, dead and maps are the freeze's scratch, reused by every
+	// commit: the freezing transaction's replicas in transaction order, the
+	// slots their map entries named before, and the map blocks naming them.
+	moves []replicaMove
+	dead  []uint64
+	maps  []int64
+}
+
+// replicaMove is one replica a commit writes: home block home's payload
+// goes to replica block slot.
+type replicaMove struct{ home, slot int64 }
+
+// slotOf returns the replica-area index of replica block v, or false when v
+// is not in the area (0 is "no replica").
+func (fs *FS) slotOf(v uint64) (uint64, bool) {
+	s := v - fs.lay.sb.ReplicaStart
+	return s, v >= fs.lay.sb.ReplicaStart && s < fs.lay.sb.ReplicaLen
+}
+
+// replicaLogLocked returns the replica log, building its live set on first
+// use after mount from one pass over the replica map — the superblock is
+// written lazily, so after a crash only the map says which slots are live.
+// A mount that never commits never pays for the pass.
+func (fs *FS) replicaLogLocked() (*replicaLog, error) {
+	if fs.rlog != nil {
+		return fs.rlog, nil
 	}
-	if rep != 0 {
-		return rep, nil
+	sb := &fs.lay.sb
+	if sb.ReplicaLen > sb.BlockCount || sb.ReplicaStart > sb.BlockCount-sb.ReplicaLen {
+		return nil, errNoRedundancy // a superblock no mkfs wrote
 	}
-	// The allocator head persists in the superblock, which is written
-	// lazily; after a crash it may be stale. Recover it once per mount by
-	// scanning the map for the highest slot in use.
-	if !fs.rmapScanned {
-		fs.rmapScanned = true
-		var maxSlot uint64
-		for i := int64(0); i < int64(fs.lay.sb.RMapLen); i++ {
-			m, err := fs.readTailMeta(int64(fs.lay.sb.RMapStart)+i, BTRMap)
-			if err != nil {
-				return 0, err
-			}
-			for off := 0; off+8 <= BlockSize; off += 8 {
-				v := binary.LittleEndian.Uint64(m[off:])
-				if v >= fs.lay.sb.ReplicaStart {
-					slot := v - fs.lay.sb.ReplicaStart + 1
-					if slot > maxSlot {
-						maxSlot = slot
-					}
-				}
+	rl := &replicaLog{live: make([]bool, sb.ReplicaLen)}
+	for i := int64(0); i < int64(sb.RMapLen); i++ {
+		m, err := fs.readTailMeta(int64(sb.RMapStart)+i, BTRMap)
+		if err != nil {
+			return nil, err
+		}
+		for off := 0; off+8 <= BlockSize; off += 8 {
+			if s, ok := fs.slotOf(binary.LittleEndian.Uint64(m[off:])); ok && !rl.live[s] {
+				rl.live[s] = true
+				rl.nLive++
 			}
 		}
-		if maxSlot > fs.lay.sb.ReplicaNext {
-			fs.lay.sb.ReplicaNext = maxSlot
+	}
+	fs.rlog = rl
+	return rl, nil
+}
+
+// takeSlot claims the first slot at or after the log head that no map
+// entry names and moves the head past it; ok is false when every slot is
+// live.
+func (fs *FS) takeSlot(rl *replicaLog) (rep int64, ok bool) {
+	sb := &fs.lay.sb
+	if rl.nLive >= int64(sb.ReplicaLen) {
+		return 0, false
+	}
+	for s := sb.ReplicaNext % sb.ReplicaLen; ; s = (s + 1) % sb.ReplicaLen {
+		if !rl.live[s] {
+			rl.live[s] = true
+			rl.nLive++
+			sb.ReplicaNext = (s + 1) % sb.ReplicaLen
 			fs.sbDirty = true
+			return int64(sb.ReplicaStart + s), true
 		}
 	}
-	if fs.lay.sb.ReplicaNext >= fs.lay.sb.ReplicaLen {
-		return 0, vfs.ErrNoSpace
-	}
-	rep = int64(fs.lay.sb.ReplicaStart + fs.lay.sb.ReplicaNext)
-	fs.lay.sb.ReplicaNext++
-	fs.sbDirty = true
-	rblk, off := fs.rmapLoc(blk)
-	m, err := fs.txMeta(rblk, BTRMap)
+}
+
+// logReplicasLocked gives every replicated block of the running transaction
+// a fresh slot at the log head, in transaction order, and repoints its map
+// entry through the transaction, so the entry commits with the replica it
+// names. When the free slots are too few and some only wait on a
+// checkpoint, it checkpoints first. A block still left without a slot has
+// its entry cleared: no reader may take the superseded copy for current.
+// It returns the replicas to write with the commit. The slots the entries
+// named before stay live: retireReplicasLocked hands them to the next
+// checkpoint once the transaction is frozen, and a freeze that fails
+// before then leaks them until the next mount, never reuses them. A map
+// that cannot be read leaves a block's entry as it was, as any failed
+// redundancy update does.
+func (fs *FS) logReplicasLocked() ([]replicaMove, error) {
+	rl, err := fs.replicaLogLocked()
 	if err != nil {
-		return 0, err
+		return nil, nil // the failed map read is recorded; entries stay as they were
 	}
-	binary.LittleEndian.PutUint64(m[off:], uint64(rep))
-	return rep, nil
+	rl.moves, rl.dead, rl.maps = rl.moves[:0], rl.dead[:0], rl.maps[:0]
+	t := fs.tx
+	n := t.Meta.Len() // the map blocks staged below join t.Meta after n
+	for i := 0; i < n; i++ {
+		if blk := t.Meta.Block(i); fs.replicaCovers(blk) {
+			rblk, _ := fs.rmapLoc(blk)
+			rl.maps = append(rl.maps, rblk)
+		}
+	}
+	// One map block per replicated block so far: the slots this freeze needs.
+	if free := int64(fs.lay.sb.ReplicaLen) - rl.nLive; free < int64(len(rl.maps)) && len(rl.dying) > 0 {
+		if err := fs.checkpointLocked(); err != nil {
+			return nil, err
+		}
+	}
+	// Stage the map blocks first, in ascending block order: replay writes a
+	// transaction's blocks home one at a time in log order, and only
+	// ascending neighbours leave as one command.
+	slices.Sort(rl.maps)
+	for _, rblk := range slices.Compact(rl.maps) {
+		if _, err := fs.txMeta(rblk, BTRMap); err != nil {
+			continue // unstaged: the blocks it maps keep their entries
+		}
+	}
+	for i := 0; i < n; i++ {
+		blk := t.Meta.Block(i)
+		if !fs.replicaCovers(blk) {
+			continue
+		}
+		rblk, off := fs.rmapLoc(blk)
+		m := t.Meta.Payload(rblk)
+		if m == nil {
+			continue
+		}
+		if old, ok := fs.slotOf(binary.LittleEndian.Uint64(m[off:])); ok {
+			rl.dead = append(rl.dead, old)
+		}
+		rep, ok := fs.takeSlot(rl)
+		binary.LittleEndian.PutUint64(m[off:], uint64(rep))
+		if ok {
+			rl.moves = append(rl.moves, replicaMove{blk, rep})
+		}
+	}
+	return rl.moves, nil
+}
+
+// retireReplicasLocked hands the slots the frozen transaction's entries no
+// longer name to the next checkpoint: by then this commit has put the new
+// entries in the journal, and the checkpoint puts them home.
+func (fs *FS) retireReplicasLocked() {
+	if rl := fs.rlog; rl != nil {
+		rl.dying = append(rl.dying, rl.dead...)
+		rl.dead = rl.dead[:0]
+	}
+}
+
+// freeReplicasLocked frees the retired slots once a checkpoint has put
+// every committed map block home.
+func (fs *FS) freeReplicasLocked() {
+	rl := fs.rlog
+	if rl == nil {
+		return
+	}
+	for _, s := range rl.dying {
+		if rl.live[s] {
+			rl.live[s] = false
+			rl.nLive--
+		}
+	}
+	rl.dying = rl.dying[:0]
 }
 
 // readReplica fetches the replica copy of home block blk, verifying its

@@ -201,18 +201,13 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 		}
 	}
 
-	// Assign replica locations for replicated metadata; the map updates
+	// Move replicated metadata to fresh replica-log slots; the map updates
 	// journal with this same transaction.
-	replicaOf := map[int64]int64{}
+	var reps []replicaMove
 	if fs.opts.MetaReplica {
-		for i := 0; i < t.Meta.Len(); i++ {
-			blk := t.Meta.Block(i)
-			if fs.replicaCovers(blk) {
-				rep, err := fs.ensureReplica(blk)
-				if err == nil && rep != 0 {
-					replicaOf[blk] = rep
-				}
-			}
+		var err error
+		if reps, err = fs.logReplicasLocked(); err != nil {
+			return nil, err
 		}
 	}
 
@@ -259,8 +254,9 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	}
 	plan := &commitPlan{fz: t.Freeze(), revokes: fs.revokes}
 	fs.revokes = nil
+	fs.retireReplicasLocked()
 	rel, _ := fs.ring.Reserve(txnLen)
-	plan.jReqs = make([]disk.Request, 0, int(txnLen)+len(replicaOf))
+	plan.jReqs = make([]disk.Request, 0, int(txnLen)+len(reps))
 	plan.jTypes = make([]iron.BlockType, 0, cap(plan.jReqs))
 
 	// Revoke blocks: record blocks whose tags are the freed blocks.
@@ -289,15 +285,19 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 		tc = fs.tcFold(tc, r.Data)
 	}
 
-	// Replica log (Mr): the journaled metadata is also written to its
-	// replica location in the distant replica area as part of the commit
-	// (§6.1: "all metadata blocks are written to a separate replica log"),
-	// so every commit pays the extra seek and writes — the cost Table 6
-	// charges to Mr.
+	// Replica log (Mr): the journaled metadata is also written to the
+	// fresh slots logReplicasLocked gave it in the distant replica area,
+	// as part of the commit (§6.1: "all metadata blocks are written to a
+	// separate replica log"). The slots were taken in transaction order
+	// from the log head, so the replicas are one contiguous run unless the
+	// head wrapped or stepped over a live slot: every commit pays one
+	// extra seek — the cost Table 6 charges to Mr. reps is a subsequence
+	// of the frozen metadata, in the same order.
 	for _, m := range plan.fz.Meta {
-		if rep := replicaOf[m.Block]; rep != 0 {
-			plan.jReqs = append(plan.jReqs, disk.Request{Block: rep, Data: m.Data})
+		if len(reps) > 0 && reps[0].home == m.Block {
+			plan.jReqs = append(plan.jReqs, disk.Request{Block: reps[0].slot, Data: m.Data})
 			plan.jTypes = append(plan.jTypes, BTReplica)
+			reps = reps[1:]
 		}
 	}
 
@@ -403,9 +403,8 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 	return nil
 }
 
-// checkpointLocked writes every committed home block (and its replica) to
-// its final location, then advances the journal tail, logically emptying
-// the journal.
+// checkpointLocked writes every committed home block to its final
+// location, then advances the journal tail, logically emptying the journal.
 //
 //iron:txentry commit machinery: checkpoints committed journal payloads to their home locations
 func (fs *FS) checkpointLocked() error {
@@ -437,6 +436,7 @@ func (fs *FS) checkpointLocked() error {
 		fs.tx.Unpin(reqs)
 	}
 	fs.pending = pendingState{}
+	fs.freeReplicasLocked()
 
 	// Advance the tail: everything up to the head is dead.
 	buf := journal.Header{Magic: jMagicSuper, StartRel: 1, StartSeq: fs.jn.Seq() + 1}.Block()

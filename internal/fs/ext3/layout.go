@@ -197,7 +197,9 @@ type superblock struct {
 	ReplicaLen     uint64
 	Features       uint32
 	Mounts         uint32
-	// ReplicaNext is the bump allocator for the replica area (ixt3 Mr).
+	// ReplicaNext is the head of the replica log (ixt3 Mr): the slot the
+	// next commit's replicas start at, stepping over slots the replica map
+	// names. It is written lazily; only the map says which slots are live.
 	ReplicaNext uint64
 }
 

@@ -267,7 +267,7 @@ type SpaceUsage struct {
 	// CksumRegion and RMapRegion are the static region sizes (Mc/Dc and
 	// part of the Mr cost).
 	CksumRegion, RMapRegion int64
-	// Replicas counts replica-area blocks in use (the rest of Mr).
+	// Replicas counts the replica-log slots in use (the rest of Mr).
 	Replicas int64
 }
 
@@ -282,7 +282,12 @@ func (fs *FS) SpaceUsage() SpaceUsage {
 		Used:        staticMeta + dataInUse,
 		CksumRegion: int64(sb.CksumLen),
 		RMapRegion:  int64(sb.RMapLen),
-		Replicas:    int64(sb.ReplicaNext),
+	}
+	if sb.RMapLen != 0 {
+		// Best effort, like the parity count: an unreadable map counts none.
+		if rl, err := fs.replicaLogLocked(); err == nil {
+			u.Replicas = rl.nLive
+		}
 	}
 	//iron:policy harness §6.2 the space census is best-effort instrumentation; unreadable itable blocks merely undercount parity
 	_ = fs.forEachInode(func(_ uint32, in *inode) error {

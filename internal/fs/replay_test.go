@@ -418,7 +418,11 @@ func TestReplayIOBudget(t *testing.T) {
 		"ntfs":     {1170, cost{reads: 53, writes: 50, barriers: 2, batches: 19}},
 		// ixt3 writes each parity block once, so its churn makes fewer
 		// writes and the cut moved to stay where the log holds the most.
-		"ixt3": {1329, cost{reads: 121, writes: 112, barriers: 2, batches: 35}},
+		// Every commit repoints its replicas' map entries to fresh
+		// replica-log slots, so the replayed transactions carry map blocks
+		// too: 121 reads, 112 writes and 35 batches when replicas were
+		// overwritten in place.
+		"ixt3": {1329, cost{reads: 123, writes: 114, barriers: 2, batches: 39}},
 	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
