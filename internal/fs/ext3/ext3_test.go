@@ -266,3 +266,65 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 		t.Fatalf("after replay: %q, %v", buf, err)
 	}
 }
+
+// TestReplayRefreshesGroupDescriptors: Mount decodes the group descriptors
+// before it replays the journal. When the replay brings their block home,
+// the mounted volume must allocate from the replayed free counts, not the
+// stale ones read first: the next descriptor write would put those on disk
+// under bitmaps that disagree with them.
+func TestReplayRefreshesGroupDescriptors(t *testing.T) {
+	for _, v := range []struct {
+		name string
+		opts Options
+	}{{"ext3", Options{}}, {"ixt3", AllIron()}} {
+		opts := v.opts
+		fs, d := newTestFS(t, opts)
+		stale := rawBlock(t, d, gdtBlock)
+		if err := fs.Create("/a", 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Write("/a", 0, bytes.Repeat([]byte("a"), 3*BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Fsync("/a"); err != nil { // commits; the checkpoint is lazy
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rawBlock(t, d, gdtBlock), stale) {
+			t.Fatal("the commit checkpointed the descriptors: nothing left to replay")
+		}
+
+		crashed := New(d, opts, nil)
+		if err := crashed.Mount(); err != nil {
+			t.Fatalf("recovery mount: %v", err)
+		}
+		home := rawBlock(t, d, gdtBlock)
+		if bytes.Equal(home, stale) {
+			t.Fatal("replay did not bring the descriptors home")
+		}
+		freeInodes := func(img []byte) (n uint32) {
+			for g := range crashed.gds {
+				var gd groupDesc
+				gd.unmarshal(img[g*gdEncodedLen:])
+				n += gd.FreeInodes
+			}
+			return n
+		}
+		for g := range crashed.gds {
+			var want groupDesc
+			want.unmarshal(home[g*gdEncodedLen:])
+			if crashed.gds[g] != want {
+				t.Fatalf("%s: group %d mounted as %+v, replayed %+v", v.name, g, crashed.gds[g], want)
+			}
+		}
+		// The next descriptor write counts down from the replayed image.
+		if err := crashed.Create("/b", 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := crashed.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := freeInodes(rawBlock(t, d, gdtBlock)), freeInodes(home)-1; got != want {
+			t.Fatalf("%s: one create after replay left %d inodes free, want %d", v.name, got, want)
+		}
+	}
+}

@@ -356,10 +356,7 @@ func (fs *FS) Mount() error {
 			}
 		}
 	}
-	fs.gds = make([]groupDesc, fs.lay.sb.GroupCount)
-	for i := range fs.gds {
-		fs.gds[i].unmarshal(gbuf[i*gdEncodedLen:])
-	}
+	fs.setGroupDescs(gbuf)
 
 	if fs.lay.sb.Clean == 0 {
 		if err := fs.replayJournal(); err != nil {
@@ -406,6 +403,15 @@ func (fs *FS) Mount() error {
 	}
 	fs.mounted = true
 	return nil
+}
+
+// setGroupDescs decodes the in-memory group descriptors from an image of
+// their block.
+func (fs *FS) setGroupDescs(buf []byte) {
+	fs.gds = make([]groupDesc, fs.lay.sb.GroupCount)
+	for i := range fs.gds {
+		fs.gds[i].unmarshal(buf[i*gdEncodedLen:])
+	}
 }
 
 // Unmount commits outstanding state and writes a clean superblock.

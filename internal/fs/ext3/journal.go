@@ -596,6 +596,11 @@ func (fs *FS) replayJournal() error {
 			if err := fs.devWrite(c.Block, c.Data, BTData); err != nil {
 				return err
 			}
+			if c.Block == gdtBlock {
+				// Mount decoded the descriptors from the pre-replay image;
+				// allocation must start from the counts replay brought home.
+				fs.setGroupDescs(c.Data)
+			}
 		}
 		applySeq++
 	}

@@ -397,8 +397,10 @@ func TestReplicaLog(t *testing.T) {
 	// last checkpoint left at home, which can be older than the committed
 	// map in the journal. After every commit of two laps around the log, a
 	// crash image mounted with its descriptors unreadable must recover them
-	// from that replica as they stand at home, with or without Mc. A slot
-	// reused as soon as the committed map stopped naming it fails here.
+	// from that replica, with or without Mc, and end the mount holding the
+	// descriptors replay left at home. A slot reused as soon as the
+	// committed map stopped naming it fails here: with Mc the mount is
+	// refused.
 	for _, mc := range []bool{true, false} {
 		t.Run(fmt.Sprintf("pre_replay_replica_Mc=%t", mc), func(t *testing.T) {
 			opts := smallOpts(2, 256)
@@ -425,12 +427,12 @@ func TestReplicaLog(t *testing.T) {
 					t.Fatal(err)
 				}
 				taken += len(fs.rlog.moves)
-				home := rawBlock(t, d, gdtBlock)
 				unreadable := &faultinject.Fault{Class: iron.ReadFailure, Sticky: true, Range: faultinject.BlockRange{Start: gdtBlock, End: gdtBlock + 1}}
-				_, _, _, rec, crashed := smallIron(t, opts, d.Snapshot(), unreadable)
+				cd, _, _, rec, crashed := smallIron(t, opts, d.Snapshot(), unreadable)
 				if !rec.Recoveries().Has(iron.RRedundancy) {
 					t.Fatalf("commit %d: descriptors not recovered from their replica:\n%s", i, rec.Summary())
 				}
+				home := rawBlock(t, cd, gdtBlock)
 				for g := range crashed.gds {
 					var want groupDesc
 					want.unmarshal(home[g*gdEncodedLen:])

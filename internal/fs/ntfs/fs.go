@@ -1,8 +1,11 @@
 package ntfs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 
 	"ironfs/internal/bcache"
@@ -32,7 +35,10 @@ type FS struct {
 	tx      *journal.Txn[uint32]
 	mounted bool
 	noatime bool
-	ring    *journal.Ring
+	// logged is set by the first commit since mount: the restart area on
+	// disk then lags the log, and Unmount must bring it up to date.
+	logged bool
+	ring   *journal.Ring
 	// jn owns the commit sequence space and coordinates the committer
 	// with its fsync waiters; FS implements its journal.Committer.
 	jn *journal.Engine
@@ -159,8 +165,8 @@ func (fs *FS) MaybeCommitLocked() error {
 }
 
 // commitPlan is NTFS's journal.Plan: the frozen transaction as a logfile
-// descriptor + journaled copies + commit block, with the restart-area
-// updates that bracket it, and its immediate checkpoint.
+// descriptor + journaled copies + commit block, the restart-area update
+// that names it, and its immediate checkpoint.
 type commitPlan struct {
 	seq uint64
 	// fz is the frozen transaction. Its metadata payloads go out twice:
@@ -168,15 +174,34 @@ type commitPlan struct {
 	// locations, never from the live cache buffers, which the running
 	// transaction may be mutating. fz.MetaType keeps each home block's
 	// type for writeRetry's per-type retry budget and degrade attribution.
+	// WritePlan sorts fz into home-block order once the log is laid out.
 	fz journal.Frozen
+	// rel is where the transaction starts in the logfile, and what the
+	// restart area names while it is the newest transaction.
+	rel int64
 	// wrap is set when the logfile ring wrapped: the restart area must
 	// point at the new start (with a barrier) before the transaction is
 	// written.
-	wrap    bool
-	jReqs   []disk.Request // descriptor + journaled copies, all BTLogfile
-	commit  disk.Request
-	headEnd int64 // where the restart area points once the checkpoint is done
+	wrap   bool
+	jReqs  []disk.Request // descriptor + journaled copies, all BTLogfile
+	commit disk.Request
 }
+
+// metaByHome sorts a frozen transaction's metadata into ascending block
+// order, each block's type kept beside it. It converts the plan's own
+// Frozen, so sort.Sort is handed a pointer the plan already owns and the
+// sort allocates nothing.
+type metaByHome journal.Frozen
+
+func (f *metaByHome) Len() int           { return len(f.Meta) }
+func (f *metaByHome) Less(i, j int) bool { return f.Meta[i].Block < f.Meta[j].Block }
+func (f *metaByHome) Swap(i, j int) {
+	f.Meta[i], f.Meta[j] = f.Meta[j], f.Meta[i]
+	f.MetaType[i], f.MetaType[j] = f.MetaType[j], f.MetaType[i]
+}
+
+// byBlock orders device writes by block number.
+func byBlock(a, b disk.Request) int { return cmp.Compare(a.Block, b.Block) }
 
 // commitLocked writes ordered data, the logfile transaction, then
 // checkpoints home locations; the engine runs the freeze/write/finish
@@ -219,11 +244,10 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	}
 
 	plan := &commitPlan{seq: seq, fz: t.Freeze()}
-	var rel int64
-	rel, plan.wrap = fs.ring.Reserve(int64(len(plan.fz.Meta)) + 2)
+	plan.rel, plan.wrap = fs.ring.Reserve(int64(len(plan.fz.Meta)) + 2)
 	// The logfile's commit record stores no count.
-	plan.jReqs, plan.commit = fs.ring.Log(rel, seq, plan.fz.Meta, 0)
-	plan.headEnd = fs.ring.Head()
+	plan.jReqs, plan.commit = fs.ring.Log(plan.rel, seq, plan.fz.Meta, 0)
+	fs.logged = true
 	return plan, nil
 }
 
@@ -247,6 +271,12 @@ func (fs *FS) commitBarrier(bt iron.BlockType) error {
 // per-type writeRetry persistence.
 func (fs *FS) WritePlan(p journal.Plan) error {
 	plan := p.(*commitPlan)
+	// The in-place writes leave in ascending block order, so the scheduler
+	// finds each contiguous run whole. The log keeps first-touch order:
+	// FreezeLocked laid it out before this sort. ntfs stages all ordered
+	// data as BTData, so fz.DataType has nothing to keep paired.
+	slices.SortFunc(plan.fz.Data, byBlock)
+	sort.Sort((*metaByHome)(&plan.fz))
 
 	if len(plan.fz.Data) > 0 {
 		for _, r := range plan.fz.Data {
@@ -259,10 +289,16 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 		}
 	}
 
+	// The restart area names this transaction, the oldest one replay may
+	// need: its predecessor's checkpoint is behind the home barrier that
+	// ended the last plan. The write rides the drain of the log blocks it
+	// sits in front of. When the ring wrapped, the log is about to
+	// overwrite what the restart area named, so it gets a barrier of its
+	// own first.
+	if err := fs.writeRestart(plan.seq, plan.rel); err != nil {
+		return err
+	}
 	if plan.wrap {
-		if err := fs.writeRestart(plan.seq, 1); err != nil {
-			return err
-		}
 		if err := fs.commitBarrier(BTLogfile); err != nil {
 			return err
 		}
@@ -288,10 +324,7 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 			return err
 		}
 	}
-	if err := fs.commitBarrier(BTMFT); err != nil {
-		return err
-	}
-	return fs.writeRestart(plan.seq+1, plan.headEnd)
+	return fs.commitBarrier(BTMFT)
 }
 
 // FinishLocked implements journal.Committer: the plan's blocks are
@@ -302,7 +335,11 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 	return nil
 }
 
-// writeRestart updates the logfile restart area.
+// writeRestart updates the logfile restart area: replay starts at startRel,
+// expecting sequence nextSeq there. A commit writes it with its own log
+// blocks, naming itself, so on disk it lags the checkpoints by one
+// transaction and replay may redo the newest checkpointed one, which
+// whole-block redo makes harmless. Unmount brings it level with the log.
 func (fs *FS) writeRestart(nextSeq uint64, startRel int64) error {
 	buf := journal.Header{Magic: logMagic, StartRel: uint64(startRel), StartSeq: nextSeq}.Block()
 	return fs.writeRetry(fs.ring.Base, buf, BTLogfile)
@@ -350,6 +387,9 @@ func (fs *FS) replayLog() error {
 		}
 		return buf, err
 	}, func(txn journal.Replayed) (bool, error) {
+		// Home in ascending block order; stable, so a block a damaged
+		// descriptor names twice still ends as its later copy.
+		slices.SortStableFunc(txn.Copies, byBlock)
 		for _, c := range txn.Copies {
 			if c.Block < 0 || c.Block >= fs.dev.NumBlocks() {
 				continue
@@ -427,6 +467,7 @@ func (fs *FS) Mount() error {
 	}
 
 	fs.tx = journal.NewTxn[uint32](fs.cache)
+	fs.logged = false
 	fs.boot.Clean = 0
 	bbuf := make([]byte, BlockSize)
 	fs.boot.marshal(bbuf)
@@ -447,6 +488,18 @@ func (fs *FS) Unmount() error {
 	if fs.health.State() == vfs.Healthy {
 		if err := fs.commitLocked(); err != nil {
 			return err
+		}
+		// A clean mount resumes the log where the restart area points,
+		// which lags the last commit: bring it level first, or the next
+		// session would reuse a sequence number, and a torn transaction of
+		// its could pair with a stale commit record.
+		if fs.logged {
+			if err := fs.writeRestart(fs.jn.Seq()+1, fs.ring.Head()); err != nil {
+				return err
+			}
+			if err := fs.commitBarrier(BTLogfile); err != nil {
+				return err
+			}
 		}
 		fs.boot.Clean = 1
 		bbuf := make([]byte, BlockSize)

@@ -48,6 +48,10 @@ if [ "${1:-}" = lock ]; then
 			# The one artefact that sees ixt3's write path: where parity,
 			# checksum and replica blocks are allocated and what that reads.
 			run stat-fp-ixt3-read.json ./ironstat -mode fp -fs ixt3 -fault read -json
+			# The one artefact that sees ntfs's commit and checkpoint path:
+			# when its restart area, log and home blocks are written, and in
+			# which drains.
+			run stat-fp-ntfs-write.json ./ironstat -mode fp -fs ntfs -fault write -json
 			run load.json ./ironload -json
 			run fsck-repair.txt ./ironfsck -parallel 1 -trace fsck-repair.ndjson repair
 			run fsck-check.json ./ironfsck -parallel 7 -json check
