@@ -596,6 +596,10 @@ func (fs *FS) replayJournal() error {
 			if err := fs.devWrite(c.Block, c.Data, BTData); err != nil {
 				return err
 			}
+			// Mount's checksum checks ran before replay and cached the table
+			// blocks they read; a copy of one is now stale, and patching it
+			// would write the pre-replay entries back over replay's.
+			fs.cache.Drop(c.Block)
 			if c.Block == gdtBlock {
 				// Mount decoded the descriptors from the pre-replay image;
 				// allocation must start from the counts replay brought home.

@@ -57,22 +57,29 @@ func (d *faildev) counts() map[int64]int {
 }
 
 // TestFailedDrainAccounting: a drain that errors mid-dispatch has already
-// moved earlier runs out of the queue, so it must still count as a drain
+// moved earlier sweeps out of the queue, so it must still count as a drain
 // and the depth gauge must track what actually remains. Pre-fix, the
 // error return skipped stats.Drains and the gauge update, leaving
 // sched_queue_depth at the stale pre-drain value until the next enqueue.
+// A drain of two commands needs a C-LOOK wrap now that one ascending
+// sweep is one command, so the first drain parks the head past block 20.
 func TestFailedDrainAccounting(t *testing.T) {
-	dev := newFaildev(30, 1)
+	dev := newFaildev(10, 1)
 	s := New(dev, Config{QueueDepth: 8})
-	s.WriteBlock(10, block(1))
+	s.WriteBlock(20, block(1))
+	if err := s.Barrier(); err != nil {
+		t.Fatal(err)
+	}
 	s.WriteBlock(30, block(2))
+	s.WriteBlock(10, block(3))
 	if err := s.Barrier(); !errors.Is(err, errInjected) {
 		t.Fatalf("Barrier over failing device = %v, want injected failure", err)
 	}
-	// Block 10's run dispatched and left the queue before block 30's run
-	// errored: one (partial) drain happened.
-	if st := s.Stats(); st.Drains != 1 {
-		t.Fatalf("Drains = %d after failed drain, want 1", st.Drains)
+	// From head 21 the drain is 30, then the wrap to 10: block 30's
+	// command dispatched and left the queue before block 10's errored.
+	// Two drains in all, the second partial.
+	if st := s.Stats(); st.Drains != 2 {
+		t.Fatalf("Drains = %d after failed drain, want 2", st.Drains)
 	}
 	if got := stat.G("sched_queue_depth").Value(); got != 1 {
 		t.Fatalf("sched_queue_depth = %d after failed drain, want 1 (gauge went stale)", got)
@@ -116,7 +123,9 @@ func TestPartialDispatchRetry(t *testing.T) {
 // TestAdaptiveDeadlineOrder: under PolicyAdaptive a shallow drain
 // dispatches lanes in arrival order (fair dispatch — the oldest client's
 // batch lands first), not elevator order, with blocks ascending within a
-// lane so intra-lane runs still coalesce.
+// lane so intra-lane runs still coalesce. Lanes whose blocks keep
+// ascending share one command; a new command starts where lane order
+// descends.
 func TestAdaptiveDeadlineOrder(t *testing.T) {
 	dev := newMemdev()
 	s := New(dev, Config{QueueDepth: 32, Policy: PolicyAdaptive})
@@ -129,7 +138,7 @@ func TestAdaptiveDeadlineOrder(t *testing.T) {
 	if err := s.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"b/90", "b/10/11", "b/50", "B"}
+	want := []string{"b/90", "b/10/11/50", "B"}
 	got := dev.snapshot()
 	if len(got) != len(want) {
 		t.Fatalf("log = %v, want %v", got, want)
@@ -146,7 +155,8 @@ func TestAdaptiveDeadlineOrder(t *testing.T) {
 
 // TestAdaptivePressureSwitchesToCLOOK: once the queue reaches the
 // pressure threshold (3/4 of depth), the adaptive policy drains in
-// elevator order even though lanes arrived in the opposite order.
+// elevator order even though lanes arrived in the opposite order: the
+// whole drain is one ascending sweep, so it leaves as one command.
 func TestAdaptivePressureSwitchesToCLOOK(t *testing.T) {
 	dev := newMemdev()
 	s := New(dev, Config{QueueDepth: 64, Policy: PolicyAdaptive})
@@ -160,12 +170,12 @@ func TestAdaptivePressureSwitchesToCLOOK(t *testing.T) {
 	if err := s.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	got := dev.snapshot()
+	want := "b"
 	for i := 0; i < 48; i++ {
-		want := fmt.Sprintf("b/%d", i*10)
-		if got[i] != want {
-			t.Fatalf("log[%d] = %q, want %q (elevator order)", i, got[i], want)
-		}
+		want += fmt.Sprintf("/%d", i*10)
+	}
+	if got := dev.snapshot(); got[0] != want {
+		t.Fatalf("log[0] = %q, want %q (elevator order)", got[0], want)
 	}
 	if st := s.Stats(); st.CLOOKDrains != 1 || st.DeadlineDrains != 0 {
 		t.Fatalf("drain split = %d deadline / %d clook, want 0/1", st.DeadlineDrains, st.CLOOKDrains)

@@ -11,8 +11,13 @@
 // acknowledged immediately (write-behind), the queue absorbs rewrites of
 // the same block (last-wins), and when the queue fills — or a barrier,
 // close, or conflicting read forces the issue — the queue is drained in
-// C-LOOK elevator order from the current head position, with runs of
-// adjacent blocks coalesced into single WriteBatch commands.
+// C-LOOK elevator order from the current head position. Each sweep of the
+// drain (a maximal strictly ascending stretch of its dispatch order) goes
+// to the device as one WriteBatch command, so the disk pays one command
+// overhead per sweep and catches the next queued block on the same
+// revolution instead of missing its slot behind a new command. A C-LOOK
+// drain is at most two commands, one each side of its wrap; the order
+// within and across commands is the policy's, never the disk's.
 //
 // Ordering semantics are preserved where they matter: a Barrier drains the
 // queue before it reaches the device, so everything written before the
@@ -30,7 +35,11 @@
 // write-behind consequence is error timing — a queued write's fault
 // surfaces at the flush that dispatches it (the triggering write, barrier,
 // read, or close reports it), mirroring how real write-back caches defer
-// errors to fsync.
+// errors to fsync. The unit of failure is the command: a sweep whose
+// WriteBatch errors keeps every one of its blocks queued and ends the
+// drain. Under the fault layer, which writes a sweep's fault-free runs
+// before reporting the faulted block, the blocks that did land are written
+// again by the next drain.
 package sched
 
 import (
@@ -47,7 +56,7 @@ type Policy int
 
 const (
 	// PolicyCLOOK always drains in C-LOOK elevator order — the default,
-	// byte-identical to the scheduler's historical behavior.
+	// the scheduler's historical dispatch order.
 	PolicyCLOOK Policy = iota
 	// PolicyAdaptive switches by queue pressure: a shallow queue drains
 	// in deadline order (lanes in arrival order, so the oldest client's
@@ -65,7 +74,7 @@ type Config struct {
 	// passthrough (no queueing, no reordering, no trace events).
 	QueueDepth int
 	// Policy selects the drain dispatch order. The zero value is
-	// PolicyCLOOK, preserving historical dispatch byte-for-byte.
+	// PolicyCLOOK, preserving the historical dispatch order.
 	Policy Policy
 }
 
@@ -77,8 +86,8 @@ type Stats struct {
 	// version never reached the disk).
 	Enqueued, Absorbed int64
 	// Dispatched counts writes handed to the device; Batches the WriteBatch
-	// commands they left in; Coalesced the writes that shared a batch with
-	// at least one adjacent neighbor.
+	// commands they left in (one per sweep); Coalesced the writes that
+	// shared a command with at least one adjacent neighbor.
 	Dispatched, Batches, Coalesced int64
 	// Drains counts queue flushes; ReadFlushes the subset forced by a read
 	// of a queued block (read-your-writes through the device, so fault
@@ -93,7 +102,7 @@ type Stats struct {
 }
 
 // Scheduler implements disk.Device over an inner device, adding a
-// write-behind queue with C-LOOK dispatch and adjacent-block coalescing.
+// write-behind queue with C-LOOK dispatch, one command per ascending sweep.
 // It is safe for concurrent use; concurrent clients' requests interleave
 // in the queue and drain together.
 type Scheduler struct {
@@ -334,12 +343,16 @@ func (s *Scheduler) enqueueLocked(n int64, buf []byte) {
 	s.tr.Sched(trace.KindEnqueue, n, len(s.queue), "")
 }
 
-// flushLocked drains the queue in C-LOOK order: ascending from the head
-// position to the end, then wrapping to the lowest queued block. Runs of
-// adjacent blocks are coalesced into single WriteBatch commands. On a
-// dispatch error the remaining (undispatched) writes stay queued and the
-// error is returned to the operation that forced the drain. Caller holds
-// s.mu.
+// flushLocked drains the queue in C-LOOK order (ascending from the head
+// position to the end, then wrapping to the lowest queued block) or, under
+// PolicyAdaptive below pressure, in deadline order. Each maximal strictly
+// ascending stretch of that order — a sweep — is one WriteBatch command;
+// a new command starts exactly where the order descends, so the disk,
+// which services a batch in ascending order, never reorders one. Runs of
+// adjacent blocks inside a sweep are what Coalesced counts. On a dispatch
+// error the failed sweep's writes and every later one stay queued, and
+// the error is returned to the operation that forced the drain. Caller
+// holds s.mu.
 //
 // The inner device calls below run with s.mu held on purpose: the drain
 // must be atomic with respect to concurrent enqueues and barriers — a
@@ -393,21 +406,28 @@ func (s *Scheduler) flushLocked(reason string) error {
 	dispatched := 0
 	for i := 0; i < len(order); {
 		j := i + 1
-		for j < len(order) && order[j] == order[j-1]+1 {
+		for j < len(order) && order[j] > order[j-1] {
 			j++
 		}
-		run := order[i:j]
-		reqs := make([]disk.Request, len(run))
-		for k, b := range run {
+		sweep := order[i:j]
+		reqs := make([]disk.Request, len(sweep))
+		for k, b := range sweep {
 			reqs[k] = disk.Request{Block: b, Data: s.queue[b].data}
 		}
-		if len(run) > 1 {
-			s.stats.Coalesced += int64(len(run))
-			s.st.coalesced.Add(int64(len(run)))
-			s.tr.Sched(trace.KindCoalesce, run[0], len(run), "")
+		for r := 0; r < len(sweep); {
+			e := r + 1
+			for e < len(sweep) && sweep[e] == sweep[e-1]+1 {
+				e++
+			}
+			if e-r > 1 {
+				s.stats.Coalesced += int64(e - r)
+				s.st.coalesced.Add(int64(e - r))
+				s.tr.Sched(trace.KindCoalesce, sweep[r], e-r, "")
+			}
+			r = e
 		}
 		if err := s.inner.WriteBatch(reqs); err != nil {
-			// The drain still happened — earlier runs already left the
+			// The drain still happened — earlier sweeps already left the
 			// queue — so count it and re-point the depth gauge at what
 			// actually remains. Skipping these (the historical bug) left
 			// sched_queue_depth at the stale pre-drain value until the
@@ -422,20 +442,20 @@ func (s *Scheduler) flushLocked(reason string) error {
 			// Queue wait is enqueue → dispatch completion in virtual
 			// time: what write-behind actually deferred.
 			now := int64(s.clk.Now())
-			for _, b := range run {
+			for _, b := range sweep {
 				s.st.queueWait.Observe(now - s.queue[b].at)
 			}
 		}
-		for _, b := range run {
+		for _, b := range sweep {
 			delete(s.queue, b)
 		}
-		s.stats.Dispatched += int64(len(run))
+		s.stats.Dispatched += int64(len(sweep))
 		s.stats.Batches++
-		s.st.dispatched.Add(int64(len(run)))
+		s.st.dispatched.Add(int64(len(sweep)))
 		s.st.batches.Inc()
-		s.tr.Sched(trace.KindDispatch, run[0], len(run), "")
-		dispatched += len(run)
-		s.head = run[len(run)-1] + 1
+		s.tr.Sched(trace.KindDispatch, sweep[0], len(sweep), "")
+		dispatched += len(sweep)
+		s.head = sweep[len(sweep)-1] + 1
 		i = j
 	}
 	s.stats.Drains++

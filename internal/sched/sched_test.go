@@ -193,7 +193,10 @@ func TestBarrierNeverReorderedAcross(t *testing.T) {
 
 // TestCoalescedBatchEqualsSum: the writes leaving in batches account
 // exactly for the writes enqueued, minus absorption, minus what is still
-// queued — and each device batch is a run of strictly adjacent blocks.
+// queued — each device batch is strictly ascending, and Coalesced counts
+// exactly the writes that share a batch with an adjacent neighbour. (A
+// batch is a sweep now, not an adjacent run, so adjacency is counted
+// inside each batch.)
 func TestCoalescedBatchEqualsSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dev := newMemdev()
@@ -223,25 +226,23 @@ func TestCoalescedBatchEqualsSum(t *testing.T) {
 	if int64(len(dev.batch)) != st.Batches {
 		t.Fatalf("device saw %d batches, stats say %d", len(dev.batch), st.Batches)
 	}
-	// Each batch must be a strictly adjacent ascending run.
+	var adjacent int64
 	for _, op := range dev.snapshot() {
 		if op[0] != 'b' {
 			continue
 		}
-		var prev int64 = -2
-		rest := op[1:]
-		for len(rest) > 0 {
-			var n int64
-			fmt.Sscanf(rest, "/%d", &n)
-			if prev >= 0 && n != prev+1 {
-				t.Fatalf("batch %q not an adjacent run", op)
+		cmd := commandBlocks(op)
+		for i, b := range cmd {
+			if i > 0 && b <= cmd[i-1] {
+				t.Fatalf("batch %q not strictly ascending", op)
 			}
-			prev = n
-			rest = rest[1:]
-			for len(rest) > 0 && rest[0] != '/' {
-				rest = rest[1:]
+			if (i > 0 && b == cmd[i-1]+1) || (i+1 < len(cmd) && cmd[i+1] == b+1) {
+				adjacent++
 			}
 		}
+	}
+	if adjacent != st.Coalesced {
+		t.Fatalf("Coalesced = %d, batches hold %d writes with an adjacent neighbour", st.Coalesced, adjacent)
 	}
 }
 
@@ -325,7 +326,8 @@ func TestWriteAbsorption(t *testing.T) {
 }
 
 // TestCLOOKOrder: a drain dispatches ascending from the head position,
-// wrapping at most once.
+// wrapping at most once — one command each side of the wrap, since a
+// command now spans a whole ascending sweep rather than one adjacent run.
 func TestCLOOKOrder(t *testing.T) {
 	dev := newMemdev()
 	s := New(dev, Config{QueueDepth: 64})
@@ -343,7 +345,7 @@ func TestCLOOKOrder(t *testing.T) {
 			got = append(got, op)
 		}
 	}
-	want := []string{"b/50", "b/70", "b/90", "b/10", "b/30"}
+	want := []string{"b/50", "b/70/90", "b/10/30"}
 	if len(got) != len(want) {
 		t.Fatalf("batches = %v, want %v", got, want)
 	}
