@@ -3,6 +3,11 @@ package analysis
 import (
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	iofs "io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -239,4 +244,58 @@ func TestModuleClean(t *testing.T) {
 	if len(res.Policies) == 0 {
 		t.Error("no //iron:policy directives found; the deliberate-drop whitelist should not be empty")
 	}
+	// The //iron:txentry roots are every way a device write may bypass the
+	// running transaction, so a new one shows up here as a golden diff.
+	golden(t, "txentry", txentryRoots(t, filepath.Join("..", "..")))
+}
+
+// txentryRoots lists the functions the live module annotates
+// //iron:txentry, one "package function" line each, in source order. Test
+// files, the testdata corpus and nested modules are skipped, as ironvet
+// skips them.
+func txentryRoots(t *testing.T, root string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.WalkDir(root, func(path string, d iofs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		pkg, _ := filepath.Rel(root, filepath.Dir(path))
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Doc == nil {
+				continue
+			}
+			for _, c := range fd.Doc.List {
+				if strings.HasPrefix(c.Text, "//iron:txentry ") {
+					name := fd.Name.Name
+					if fd.Recv != nil {
+						name = "(" + types.ExprString(fd.Recv.List[0].Type) + ")." + name
+					}
+					fmt.Fprintf(&b, "%s %s\n", filepath.ToSlash(pkg), name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }

@@ -58,10 +58,6 @@ func (fs *FS) allocBlock(pref uint32, bt iron.BlockType) (int64, error) {
 			if !testBit(bm, b) {
 				setBit(bm, b)
 				fs.gds[g].FreeBlocks--
-				if fs.lay.sb.FreeBlocks > 0 {
-					fs.lay.sb.FreeBlocks--
-				}
-				fs.sbDirty = true
 				if err := fs.writeGroupDesc(g); err != nil {
 					return 0, err
 				}
@@ -94,8 +90,6 @@ func (fs *FS) freeBlock(blk int64) error {
 	if testBit(bm, within) {
 		clearBit(bm, within)
 		fs.gds[g].FreeBlocks++
-		fs.lay.sb.FreeBlocks++
-		fs.sbDirty = true
 		if err := fs.writeGroupDesc(uint32(g)); err != nil {
 			return err
 		}
@@ -121,10 +115,6 @@ func (fs *FS) allocInode(pref uint32) (uint32, error) {
 			if !testBit(bm, b) {
 				setBit(bm, b)
 				fs.gds[g].FreeInodes--
-				if fs.lay.sb.FreeInodes > 0 {
-					fs.lay.sb.FreeInodes--
-				}
-				fs.sbDirty = true
 				if err := fs.writeGroupDesc(g); err != nil {
 					return 0, err
 				}
@@ -153,8 +143,6 @@ func (fs *FS) freeInode(ino uint32) error {
 	if testBit(bm, within) {
 		clearBit(bm, within)
 		fs.gds[g].FreeInodes++
-		fs.lay.sb.FreeInodes++
-		fs.sbDirty = true
 		if err := fs.writeGroupDesc(g); err != nil {
 			return err
 		}

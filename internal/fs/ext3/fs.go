@@ -38,8 +38,6 @@ type FS struct {
 	cache   *bcache.Cache
 	tx      *journal.Txn[uint32]
 	mounted bool
-	sbDirty bool
-	gdDirty bool
 	ring    *journal.Ring
 	pending pendingState
 	// rlog is Mr's replica log, built by a mount's first commit (nil
@@ -389,17 +387,9 @@ func (fs *FS) Mount() error {
 	fs.revokes = nil
 	fs.pending = pendingState{}
 	fs.rlog = nil
-	fs.lay.sb.Clean = 0
 	fs.lay.sb.Mounts++
-	sb := make([]byte, BlockSize)
-	fs.lay.sb.marshal(sb)
-	if err := fs.devWrite(sbBlock, sb, BTSuper); err != nil {
+	if err := fs.writeSuperLocked(0); err != nil {
 		return err
-	}
-	if fs.opts.MetaChecksum {
-		if err := fs.updateCksumDirect(sbBlock, sb); err != nil {
-			return err
-		}
 	}
 	fs.mounted = true
 	return nil
@@ -437,27 +427,29 @@ func (fs *FS) Unmount() error {
 	return fs.dev.Barrier()
 }
 
-// writeSuperLocked persists the superblock (and group descriptors when
-// dirty) outside the journal, as ext3 does for its lazily-updated counters.
-//
-//iron:txentry superblock machinery: ext3 maintains sb/group-descriptor counters outside the journal by design
+// writeSuperLocked writes the superblock home in place, marked clean or
+// not: one block write that carries its own checksum, so no crash can
+// leave the superblock and its checksum disagreeing. The superblock holds
+// no counters; what it records besides the clean flag (the mount count,
+// the replica-log head) is a hint that nothing needs after a crash.
 func (fs *FS) writeSuperLocked(clean uint32) error {
 	fs.lay.sb.Clean = clean
 	sb := make([]byte, BlockSize)
 	fs.lay.sb.marshal(sb)
-	if err := fs.devWrite(sbBlock, sb, BTSuper); err != nil {
-		return err
-	}
-	if fs.opts.MetaChecksum {
-		if err := fs.updateCksumDirect(sbBlock, sb); err != nil {
-			return err
-		}
-	}
 	// Note: the per-group superblock replicas are deliberately NOT
-	// rewritten — reproducing the staleness bug of §5.1. The ixt3 replica
-	// mechanism (Mr) maintains its own, correct copy instead.
-	fs.sbDirty = false
-	return nil
+	// rewritten — reproducing the staleness bug of §5.1.
+	return fs.devWrite(sbBlock, sb, BTSuper)
+}
+
+// freeCounts sums the group descriptors' free-block and free-inode counts.
+// The descriptors are journaled, and replay refreshes them, so the sum is
+// what the last durable commit left; it is the volume's only free count.
+func (fs *FS) freeCounts() (blocks, inodes uint64) {
+	for i := range fs.gds {
+		blocks += uint64(fs.gds[i].FreeBlocks)
+		inodes += uint64(fs.gds[i].FreeInodes)
+	}
+	return blocks, inodes
 }
 
 // SyncLocked implements namei.Store. sync(2) semantics: everything reaches
@@ -484,12 +476,13 @@ func (fs *FS) Statfs() (vfs.StatFS, error) {
 		return vfs.StatFS{}, err
 	}
 	sb := &fs.lay.sb
+	freeBlocks, freeInodes := fs.freeCounts()
 	return vfs.StatFS{
 		BlockSize:   BlockSize,
 		TotalBlocks: int64(sb.BlockCount),
-		FreeBlocks:  int64(sb.FreeBlocks),
+		FreeBlocks:  int64(freeBlocks),
 		TotalInodes: int64(sb.InodesPerGroup) * int64(sb.GroupCount),
-		FreeInodes:  int64(sb.FreeInodes),
+		FreeInodes:  int64(freeInodes),
 	}, nil
 }
 

@@ -28,9 +28,12 @@ import (
 
 // The problem kinds used here: "block-bitmap", "inode-bitmap", "link-count",
 // "free-blocks", "free-inodes", "orphan-inode", "double-ref", "bad-pointer",
-// "bad-size". The two free counters are written outside the journal on
-// unmount, so after any crash they are legitimately stale: the oracle
-// ignores them.
+// "bad-size". The free counts are the group descriptors' sums, journaled
+// with the bitmaps they count, so a crash on a drive that honours barriers
+// leaves them agreeing. The oracle still leaves the two kinds out: on a
+// drive that reorders around a missing barrier, dropping the exemption
+// regrades crash states that the file system already detects (ROADMAP
+// item 2(c)).
 var lazyKinds = []string{"free-blocks", "free-inodes"}
 
 // MountedLocked implements fsck.Target.
@@ -273,6 +276,7 @@ func (fs *FS) ScanLocked(s *fsck.Scan) error {
 	}
 
 	groups := int(fs.lay.sb.GroupCount)
+	freeBlocks, freeInodes := fs.freeCounts()
 	var free uint64
 	merge := func(r groupCheck) {
 		s.Problems = append(s.Problems, r.probs...)
@@ -285,8 +289,8 @@ func (fs *FS) ScanLocked(s *fsck.Scan) error {
 	if err != nil {
 		return err
 	}
-	if free != fs.lay.sb.FreeBlocks {
-		s.Problemf("free-blocks", "superblock says %d free, bitmaps say %d", fs.lay.sb.FreeBlocks, free)
+	if free != freeBlocks {
+		s.Problemf("free-blocks", "group descriptors say %d free, bitmaps say %d", freeBlocks, free)
 	}
 	// Inode bitmaps, link counts, orphans, one task per group.
 	free = 0
@@ -296,18 +300,18 @@ func (fs *FS) ScanLocked(s *fsck.Scan) error {
 	if err != nil {
 		return err
 	}
-	if free != fs.lay.sb.FreeInodes {
-		s.Problemf("free-inodes", "superblock says %d free, bitmaps say %d", fs.lay.sb.FreeInodes, free)
+	if free != freeInodes {
+		s.Problemf("free-inodes", "group descriptors say %d free, bitmaps say %d", freeInodes, free)
 	}
 	return nil
 }
 
 // ReconcileLocked implements fsck.Target: bitmap bits are reconciled with
-// reachability, link counts corrected, free counters recomputed, and
-// orphan inodes freed, all staged in the running transaction — one journal
-// transaction, so the image on disk goes from what the scan found to
-// fully reconciled or stays put — then committed and checkpointed. Every
-// fix is recorded as RRepair.
+// reachability, link counts corrected, the group descriptors' free counts
+// recomputed, and orphan inodes freed, all staged in the running
+// transaction — one journal transaction, so the image on disk goes from
+// what the scan found to fully reconciled or stays put — then committed
+// and checkpointed. Every fix is recorded as RRepair.
 //
 //iron:commitpoint the repair transaction; its error means the reconciliation did not reach disk
 func (fs *FS) ReconcileLocked() error {
@@ -318,7 +322,6 @@ func (fs *FS) ReconcileLocked() error {
 
 	// Reconcile block bitmaps and recompute free-block counts.
 	fs.rec.Detect(iron.DSanity, BTBitmap, "full-scan integrity check found inconsistencies")
-	var freeBlocks uint64
 	for g := uint32(0); g < fs.lay.sb.GroupCount; g++ {
 		bm, err := fs.txMeta(int64(fs.gds[g].DataBitmap), BTBitmap)
 		if err != nil {
@@ -337,7 +340,6 @@ func (fs *FS) ReconcileLocked() error {
 			} else {
 				clearBit(bm, b)
 				groupFree++
-				freeBlocks++
 			}
 		}
 		fs.gds[g].FreeBlocks = groupFree
@@ -348,7 +350,6 @@ func (fs *FS) ReconcileLocked() error {
 	fs.rec.Recover(iron.RRepair, BTBitmap, "block bitmaps rebuilt from reachability")
 
 	// Inodes: orphans freed, link counts corrected, inode bitmaps rebuilt.
-	var freeInodes uint64
 	total := fs.lay.sb.InodesPerGroup * fs.lay.sb.GroupCount
 	perGroupFree := make([]uint32, fs.lay.sb.GroupCount)
 	for ino := uint32(1); ino <= total; ino++ {
@@ -368,7 +369,6 @@ func (fs *FS) ReconcileLocked() error {
 				return err
 			}
 			clearBit(bm, within)
-			freeInodes++
 			perGroupFree[g]++
 			fs.rec.Recover(iron.RRepair, BTInode, fmt.Sprintf("orphan inode %d freed", ino))
 		case in.Allocated():
@@ -382,7 +382,6 @@ func (fs *FS) ReconcileLocked() error {
 			}
 		default:
 			clearBit(bm, within)
-			freeInodes++
 			perGroupFree[g]++
 		}
 	}
@@ -394,9 +393,6 @@ func (fs *FS) ReconcileLocked() error {
 	}
 	fs.rec.Recover(iron.RRepair, BTIBitmap, "inode bitmaps rebuilt")
 
-	fs.lay.sb.FreeBlocks = freeBlocks
-	fs.lay.sb.FreeInodes = freeInodes
-	fs.sbDirty = true
 	if err := fs.commitLocked(); err != nil {
 		return err
 	}

@@ -38,6 +38,13 @@ func cksumBlock(data []byte) uint64 {
 // cksumStored is the on-disk form of a finished CRC32C.
 func cksumStored(crc uint32) uint64 { return cksumTag | uint64(crc) }
 
+// sbCksum computes the checksum a superblock image carries at sbCksumOff:
+// cksumBlock's digest over the whole block except that field.
+func sbCksum(b []byte) uint64 {
+	crc := crc32.Update(0, castagnoli, b[:sbCksumOff])
+	return cksumStored(crc32.Update(crc, castagnoli, b[sbCksumOff+8:]))
+}
+
 // cksumCovers reports whether block blk has an entry in the checksum table.
 // Only the group area plus the superblock and descriptor table are covered;
 // the tail regions (checksum table, replica map, replica area, journal)
@@ -90,7 +97,13 @@ func cksumMatches(tbl []byte, off int, data []byte) bool {
 
 // verifyCksum checks data against the stored checksum for blk. A checksum
 // table read failure is reported and verification is skipped (ok=true).
+// The superblock carries its own checksum and never consults the table.
+// (prefetchOK needs no such case: read-ahead only reaches blocks past a
+// demand read, never block 0.)
 func (fs *FS) verifyCksum(blk int64, data []byte) (ok bool, err error) {
+	if blk == sbBlock {
+		return binary.LittleEndian.Uint64(data[sbCksumOff:]) == sbCksum(data), nil
+	}
 	cblk, off := fs.cksumLoc(blk)
 	tbl, err := fs.readTailMeta(cblk, BTCksum)
 	if err != nil {
@@ -125,21 +138,6 @@ func (fs *FS) updateCksumTxn(blk int64, data []byte) error {
 	}
 	binary.LittleEndian.PutUint64(buf[off:], cksumBlock(data))
 	return nil
-}
-
-// updateCksumDirect updates blk's checksum entry with a direct device
-// write, used for the out-of-journal superblock writes.
-//
-//iron:txentry redundancy machinery: in-place checksum block update is its own write path
-func (fs *FS) updateCksumDirect(blk int64, data []byte) error {
-	cblk, off := fs.cksumLoc(blk)
-	tbl, err := fs.readTailMeta(cblk, BTCksum)
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(tbl[off:], cksumBlock(data))
-	fs.cache.Put(cblk, tbl, false)
-	return fs.devWrite(cblk, tbl, BTCksum)
 }
 
 // ---------------------------------------------------------------------------
@@ -249,7 +247,6 @@ func (fs *FS) takeSlot(rl *replicaLog) (rep int64, ok bool) {
 			rl.live[s] = true
 			rl.nLive++
 			sb.ReplicaNext = (s + 1) % sb.ReplicaLen
-			fs.sbDirty = true
 			return int64(sb.ReplicaStart + s), true
 		}
 	}

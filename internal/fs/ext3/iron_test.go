@@ -593,11 +593,11 @@ func TestInodeMarshalRoundTrip(t *testing.T) {
 }
 
 func TestSuperblockMarshalRoundTrip(t *testing.T) {
-	f := func(bc, fb, fi, js, jl, rn uint64, gc, bpg, itb, ipg, feat, mounts uint32) bool {
+	f := func(bc, js, jl, rn uint64, gc, bpg, itb, ipg, feat, mounts uint32) bool {
 		sb := superblock{
 			Magic: sbMagic, Version: 1, BlockCount: bc, GroupCount: gc,
 			BlocksPerGroup: bpg, ITableBlocks: itb, InodesPerGroup: ipg,
-			FreeBlocks: fb, FreeInodes: fi, RootIno: RootIno, Clean: 1,
+			RootIno: RootIno, Clean: 1,
 			JournalStart: js, JournalLen: jl, CksumStart: bc / 2, CksumLen: 8,
 			RMapStart: bc / 3, RMapLen: 8, ReplicaStart: bc / 4, ReplicaLen: 64,
 			Features: feat, Mounts: mounts, ReplicaNext: rn,
@@ -704,22 +704,26 @@ func firstBlockOfType(t *testing.T, res faultinject.TypeResolver, fs *FS, bt iro
 	return 0
 }
 
+// TestCksumDetectsEverySingleBitFlip: every single-bit flip of a data block
+// fails verification, and so does every flip of the superblock, which
+// carries its own checksum — a flip inside that field included.
 func TestCksumDetectsEverySingleBitFlip(t *testing.T) {
 	res, fdev, fs := cksumFixture(t)
-	blk := firstBlockOfType(t, res, fs, BTData)
-	data := make([]byte, BlockSize)
-	if err := fdev.ReadBlock(blk, data); err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := fs.verifyCksum(blk, data); err != nil || !ok {
-		t.Fatalf("intact block fails verification: ok=%v err=%v", ok, err)
-	}
-	for bit := 0; bit < 8*BlockSize; bit++ {
-		data[bit/8] ^= 1 << (bit % 8)
-		if ok, err := fs.verifyCksum(blk, data); err != nil || ok {
-			t.Fatalf("flip of bit %d undetected: ok=%v err=%v", bit, ok, err)
+	for _, blk := range []int64{firstBlockOfType(t, res, fs, BTData), sbBlock} {
+		data := make([]byte, BlockSize)
+		if err := fdev.ReadBlock(blk, data); err != nil {
+			t.Fatal(err)
 		}
-		data[bit/8] ^= 1 << (bit % 8)
+		if ok, err := fs.verifyCksum(blk, data); err != nil || !ok {
+			t.Fatalf("intact block %d fails verification: ok=%v err=%v", blk, ok, err)
+		}
+		for bit := 0; bit < 8*BlockSize; bit++ {
+			data[bit/8] ^= 1 << (bit % 8)
+			if ok, err := fs.verifyCksum(blk, data); err != nil || ok {
+				t.Fatalf("block %d: flip of bit %d undetected: ok=%v err=%v", blk, bit, ok, err)
+			}
+			data[bit/8] ^= 1 << (bit % 8)
+		}
 	}
 }
 

@@ -183,8 +183,6 @@ type superblock struct {
 	BlocksPerGroup uint32
 	ITableBlocks   uint32
 	InodesPerGroup uint32
-	FreeBlocks     uint64
-	FreeInodes     uint64
 	RootIno        uint32
 	Clean          uint32 // 1 when cleanly unmounted
 	JournalStart   uint64
@@ -203,7 +201,12 @@ type superblock struct {
 	ReplicaNext uint64
 }
 
-const sbEncodedLen = 136
+// sbCksumOff is where the superblock keeps its own checksum, last in its
+// encoding as ext4 keeps s_checksum, so the superblock and its checksum
+// reach the media in one write. The free counts are not stored at all: the
+// group descriptors' sum is the count (FS.freeCounts), and bytes 32–47 are
+// unused.
+const sbCksumOff = 136
 
 func (s *superblock) marshal(b []byte) {
 	le := binary.LittleEndian
@@ -214,8 +217,6 @@ func (s *superblock) marshal(b []byte) {
 	le.PutUint32(b[20:], s.BlocksPerGroup)
 	le.PutUint32(b[24:], s.ITableBlocks)
 	le.PutUint32(b[28:], s.InodesPerGroup)
-	le.PutUint64(b[32:], s.FreeBlocks)
-	le.PutUint64(b[40:], s.FreeInodes)
 	le.PutUint32(b[48:], s.RootIno)
 	le.PutUint32(b[52:], s.Clean)
 	le.PutUint64(b[56:], s.JournalStart)
@@ -229,6 +230,7 @@ func (s *superblock) marshal(b []byte) {
 	le.PutUint32(b[120:], s.Features)
 	le.PutUint32(b[124:], s.Mounts)
 	le.PutUint64(b[128:], s.ReplicaNext)
+	le.PutUint64(b[sbCksumOff:], sbCksum(b))
 }
 
 func (s *superblock) unmarshal(b []byte) {
@@ -240,8 +242,6 @@ func (s *superblock) unmarshal(b []byte) {
 	s.BlocksPerGroup = le.Uint32(b[20:])
 	s.ITableBlocks = le.Uint32(b[24:])
 	s.InodesPerGroup = le.Uint32(b[28:])
-	s.FreeBlocks = le.Uint64(b[32:])
-	s.FreeInodes = le.Uint64(b[40:])
 	s.RootIno = le.Uint32(b[48:])
 	s.Clean = le.Uint32(b[52:])
 	s.JournalStart = le.Uint64(b[56:])

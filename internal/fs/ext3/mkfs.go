@@ -92,8 +92,6 @@ func Mkfs(dev disk.Device, opts Options) error {
 		sb.CksumStart = uint64(tail) // cksumCovers bound even without the table
 	}
 	dataPerGroup := bpg - groupMetaBlks - itb
-	sb.FreeBlocks = uint64(groups * dataPerGroup)
-	sb.FreeInodes = uint64(groups*inodesPerGroup - 1) // minus root
 
 	var reqs []disk.Request
 	blockOf := func() []byte { return make([]byte, BlockSize) }

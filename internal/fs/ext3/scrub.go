@@ -277,7 +277,8 @@ func (fs *FS) SpaceUsage() SpaceUsage {
 	defer fs.mu.Unlock()
 	sb := &fs.lay.sb
 	staticMeta := int64(2) + int64(sb.GroupCount)*(groupMetaBlks+int64(sb.ITableBlocks))
-	dataInUse := int64(sb.GroupCount)*fs.lay.dataBlocksPerGroup() - int64(sb.FreeBlocks)
+	free, _ := fs.freeCounts()
+	dataInUse := int64(sb.GroupCount)*fs.lay.dataBlocksPerGroup() - int64(free)
 	u := SpaceUsage{
 		Used:        staticMeta + dataInUse,
 		CksumRegion: int64(sb.CksumLen),

@@ -27,7 +27,6 @@ type FS struct {
 	mu      sync.Mutex
 	health  vfs.Health
 	sb      superblock
-	sbDirty bool
 	bmd     bmapDesc
 	imc     imapCtl
 	cache   *bcache.Cache
@@ -338,7 +337,7 @@ func (fs *FS) Statfs() (vfs.StatFS, error) {
 	return vfs.StatFS{
 		BlockSize:   BlockSize,
 		TotalBlocks: int64(fs.sb.BlockCount),
-		FreeBlocks:  int64(fs.sb.FreeBlocks),
+		FreeBlocks:  int64(fs.bmd.Free),
 		TotalInodes: int64(fs.imc.TotInodes),
 		FreeInodes:  int64(fs.imc.FreeInodes),
 	}, nil

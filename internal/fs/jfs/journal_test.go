@@ -143,10 +143,10 @@ func TestOtherWriteFailuresIgnored(t *testing.T) {
 }
 
 func TestMarshalRoundTrips(t *testing.T) {
-	f := func(bc, fb, ls, ll uint64) bool {
-		sb := superblock{Magic: sbMagic, Version: 1, BlockCount: bc, FreeBlocks: fb,
+	f := func(bc, ls, ll uint64) bool {
+		sb := superblock{Magic: sbMagic, Version: 1, BlockCount: bc,
 			BMapStart: 5, BMapLen: 2, IMapCtl: 7, IMapStart: 8, IMapLen: 1,
-			ITabStart: 9, ITabLen: 64, LogStart: ls, LogLen: ll, FreeInodes: 100, Clean: 1}
+			ITabStart: 9, ITabLen: 64, LogStart: ls, LogLen: ll, Clean: 1}
 		buf := make([]byte, BlockSize)
 		sb.marshal(buf)
 		var out superblock

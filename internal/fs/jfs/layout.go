@@ -85,7 +85,6 @@ type superblock struct {
 	Magic      uint32
 	Version    uint32
 	BlockCount uint64
-	FreeBlocks uint64
 	BMapStart  uint64
 	BMapLen    uint64
 	IMapCtl    uint64
@@ -95,7 +94,6 @@ type superblock struct {
 	ITabLen    uint64
 	LogStart   uint64
 	LogLen     uint64
-	FreeInodes uint64
 	Clean      uint32
 }
 
@@ -104,7 +102,6 @@ func (s *superblock) marshal(b []byte) {
 	le.PutUint32(b[0:], s.Magic)
 	le.PutUint32(b[4:], s.Version)
 	le.PutUint64(b[8:], s.BlockCount)
-	le.PutUint64(b[16:], s.FreeBlocks)
 	le.PutUint64(b[24:], s.BMapStart)
 	le.PutUint64(b[32:], s.BMapLen)
 	le.PutUint64(b[40:], s.IMapCtl)
@@ -114,7 +111,6 @@ func (s *superblock) marshal(b []byte) {
 	le.PutUint64(b[72:], s.ITabLen)
 	le.PutUint64(b[80:], s.LogStart)
 	le.PutUint64(b[88:], s.LogLen)
-	le.PutUint64(b[96:], s.FreeInodes)
 	le.PutUint32(b[104:], s.Clean)
 }
 
@@ -123,7 +119,6 @@ func (s *superblock) unmarshal(b []byte) {
 	s.Magic = le.Uint32(b[0:])
 	s.Version = le.Uint32(b[4:])
 	s.BlockCount = le.Uint64(b[8:])
-	s.FreeBlocks = le.Uint64(b[16:])
 	s.BMapStart = le.Uint64(b[24:])
 	s.BMapLen = le.Uint64(b[32:])
 	s.IMapCtl = le.Uint64(b[40:])
@@ -133,7 +128,6 @@ func (s *superblock) unmarshal(b []byte) {
 	s.ITabLen = le.Uint64(b[72:])
 	s.LogStart = le.Uint64(b[80:])
 	s.LogLen = le.Uint64(b[88:])
-	s.FreeInodes = le.Uint64(b[96:])
 	s.Clean = le.Uint32(b[104:])
 }
 

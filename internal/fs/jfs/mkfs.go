@@ -38,13 +38,11 @@ func Mkfs(dev disk.Device) error {
 	sb := superblock{
 		Magic: sbMagic, Version: 1,
 		BlockCount: uint64(n),
-		FreeBlocks: uint64(logStart - dataStart),
 		BMapStart:  uint64(bmStart), BMapLen: uint64(bmLen),
 		IMapCtl: uint64(imCtl), IMapStart: uint64(imStart), IMapLen: uint64(imLen),
 		ITabStart: uint64(itStart), ITabLen: uint64(defaultITabBlocks),
 		LogStart: uint64(logStart), LogLen: uint64(defaultLogLen),
-		FreeInodes: uint64(defaultITabBlocks*InodesPB - 1),
-		Clean:      1,
+		Clean: 1,
 	}
 
 	var reqs []disk.Request
@@ -65,7 +63,8 @@ func Mkfs(dev disk.Device) error {
 	at.marshal(a2)
 	reqs = append(reqs, disk.Request{Block: aggrSecondary, Data: a2})
 
-	bd := bmapDesc{Start: uint64(bmStart), Len: uint64(bmLen), Free: sb.FreeBlocks, FreeCheck: sb.FreeBlocks}
+	free := uint64(logStart - dataStart)
+	bd := bmapDesc{Start: uint64(bmStart), Len: uint64(bmLen), Free: free, FreeCheck: free}
 	dBuf := blockOf()
 	bd.marshal(dBuf)
 	reqs = append(reqs, disk.Request{Block: bmapDescBlk, Data: dBuf})
@@ -86,7 +85,7 @@ func Mkfs(dev disk.Device) error {
 	}
 
 	ic := imapCtl{Start: uint64(imStart), Len: uint64(imLen),
-		FreeInodes: sb.FreeInodes, TotInodes: uint64(defaultITabBlocks * InodesPB)}
+		FreeInodes: uint64(defaultITabBlocks*InodesPB - 1), TotInodes: uint64(defaultITabBlocks * InodesPB)}
 	cBuf := blockOf()
 	ic.marshal(cBuf)
 	reqs = append(reqs, disk.Request{Block: imCtl, Data: cBuf})

@@ -60,9 +60,6 @@ func (fs *FS) allocBlock() (int64, error) {
 				if fs.bmd.Free > 0 {
 					fs.bmd.Free--
 				}
-				if fs.sb.FreeBlocks > 0 {
-					fs.sb.FreeBlocks--
-				}
 				if err := fs.writeBMapDesc(); err != nil {
 					return 0, err
 				}
@@ -91,7 +88,6 @@ func (fs *FS) freeBlock(blk int64) error {
 			return err
 		}
 		fs.bmd.Free++
-		fs.sb.FreeBlocks++
 		if err := fs.writeBMapDesc(); err != nil {
 			return err
 		}

@@ -145,6 +145,7 @@ func mountRecordAtATime(t *testing.T, fs *FS) {
 		t.Fatalf("reference replay: %v", err)
 	}
 	fs.tx = journal.NewTxn[uint32](fs.cache)
+	clear(buf)
 	fs.sb.marshal(buf)
 	if err := fs.devWrite(sbPrimary, buf, BTSuper); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package reiser
 
 import (
 	"fmt"
+	"slices"
 
 	"ironfs/internal/iron"
 	"ironfs/internal/vfs"
@@ -218,9 +219,16 @@ func (fs *FS) insertItem(it item) error {
 		return nil
 	}
 	// Split the leaf: right half moves to a new block; the separator (the
-	// right node's first key) climbs into the parent.
+	// right node's first key) climbs into the parent. When no two halves
+	// fit (two large tails with a third between them), the old leaf splits
+	// where the item goes instead, and the item is inserted again: it then
+	// lands at the end of a leaf, where a split always fits.
 	materialise(path[:len(path)-1])
-	mid := len(n.Items) / 2
+	mid, fits := leafSplit(n.Items)
+	if !fits {
+		n.Items = slices.Delete(n.Items, leaf.idx, leaf.idx+1)
+		mid = leaf.idx
+	}
 	right := &node{Level: 1, Items: append([]item{}, n.Items[mid:]...)}
 	n.Items = n.Items[:mid]
 	rblk, err := fs.allocBlock(BTInternal)
@@ -229,7 +237,24 @@ func (fs *FS) insertItem(it item) error {
 	}
 	fs.writeNode(leaf.blk, n)
 	fs.writeNode(rblk, right)
-	return fs.insertSeparator(path[:len(path)-1], right.Items[0].K, rblk)
+	if err := fs.insertSeparator(path[:len(path)-1], right.Items[0].K, rblk); err != nil || fits {
+		return err
+	}
+	return fs.insertItem(it)
+}
+
+// leafSplit returns the split index nearest len(items)/2 at which both
+// halves fit in a leaf, or false when there is none.
+func leafSplit(items []item) (int, bool) {
+	mid := len(items) / 2
+	for d := 0; d < len(items); d++ {
+		for _, i := range [2]int{mid - d, mid + d} {
+			if i > 0 && i < len(items) && leafSpace(items[:i]) <= BlockSize && leafSpace(items[i:]) <= BlockSize {
+				return i, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // insertSeparator inserts (sep, rightChild) into the parent at the end of

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ironfs/internal/iron"
 	"ironfs/internal/namei"
 )
 
@@ -285,5 +286,72 @@ func TestDirEntCodec(t *testing.T) {
 	// A truncated body is a format violation.
 	if _, ok := parseEnts(body[:len(body)-3]); ok {
 		t.Fatal("truncated entry body accepted")
+	}
+}
+
+// TestLeafSplitByBytes: a leaf splits where both halves fit, not at half
+// its item count. Ninety directories, each holding one 2 000-byte tail,
+// once split a leaf into a half holding two tails and more, and the
+// serializer failed on a negative slice bound.
+func TestLeafSplitByBytes(t *testing.T) {
+	fs, d := newTestFS(t)
+	body := bytes.Repeat([]byte("t"), 2000)
+	for i := 0; i < 90; i++ {
+		dir := fmt.Sprintf("/d%d", i)
+		if err := fs.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Create(dir+"/f", 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Write(dir+"/f", 0, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	fs = New(d, iron.NewRecorder())
+	if err := fs.Oracle(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Mount(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4096)
+	for i := 0; i < 90; i++ {
+		if n, err := fs.Read(fmt.Sprintf("/d%d/f", i), 0, buf); err != nil || !bytes.Equal(buf[:n], body) {
+			t.Fatalf("/d%d/f reads back %d bytes, %v", i, n, err)
+		}
+	}
+}
+
+// TestLeafSplitWithNoFittingHalves: a full-size tail inserted between two
+// 2 000-byte tails that share a leaf leaves no split point at which both
+// halves fit. The old leaf splits where the tail goes, and the tail is
+// inserted again.
+func TestLeafSplitWithNoFittingHalves(t *testing.T) {
+	fs, d := newTestFS(t)
+	k := func(dir uint32) key { return key{DirID: dir, ObjID: 9, Type: itemDirect} }
+	bodies := map[uint32][]byte{
+		50: bytes.Repeat([]byte("a"), 2000),
+		70: bytes.Repeat([]byte("b"), 2000),
+		60: bytes.Repeat([]byte("x"), tailMax),
+	}
+	for _, dir := range []uint32{50, 70, 60} {
+		if err := fs.insertItem(item{K: k(dir), Body: bodies[dir]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for dir, body := range bodies {
+		if it, err := fs.findItem(k(dir)); err != nil || !bytes.Equal(it.Body, body) {
+			t.Fatalf("item %d: %d bytes, %v", dir, len(it.Body), err)
+		}
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := New(d, iron.NewRecorder()).Oracle(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -346,7 +346,7 @@ func TestTxnConformance(t *testing.T) {
 				// than one transaction's worth on every file system —
 				// without outgrowing the smallest inode table.
 				const dirs = 110
-				body := txnPayload(9, 1)[:1900]
+				body := txnPayload(9, 1)[:2000]
 				for i := 0; i < dirs; i++ {
 					if err := fsys.Mkdir(fmt.Sprintf("/d%03d", i), 0o755); err != nil {
 						t.Fatal(err)
