@@ -6,8 +6,7 @@
 // Usage:
 //
 //	ironbench [-table6] [-space] [-single] [-bench SSH|Web|Post|TPCB] [-json]
-//	ironbench -multiclient [-clients N] [-depth D] [-fs name] [-json]
-//	ironbench -sweep [-sweepclients 64,128,256] [-depth D] [-quick] [-fs name] [-json]
+//	ironbench -sweep [-sweepclients 4,64,128,256] [-depth D] [-quick] [-fs name] [-json]
 //	ironbench -fsck [-fsck-workers N] [-fs name] [-json]
 //
 // With -json the selected studies are emitted as one machine-readable JSON
@@ -16,18 +15,14 @@
 // simulator is deterministic, so committed snapshots (BENCH_N.json) pin
 // the performance profile across PRs.
 //
-// -multiclient runs N concurrent client goroutines against every
-// registered file system over the queued I/O scheduler, on a sequential
-// read workload and a create-heavy churn workload, and compares each
-// against the serial baseline (one client, queue depth 1). Goroutine
-// interleaving makes these numbers wobble slightly run to run, so the
-// committed snapshot records wide-margin speedups, not exact times.
-//
-// -sweep runs the deterministic high-client ladder (64/128/256 modeled
-// clients by default) under the adaptive scheduler with read-ahead on. A
-// single-threaded virtual-time dispatcher replaces goroutines, so the
-// results — exact p50/p99/p999 latencies included — are bit-deterministic
-// and pinned by BENCH_5.json.
+// -sweep runs the multi-client study: every registered file system, on a
+// sequential read workload and a create-heavy churn workload, at each rung
+// of a client ladder (4/64/128/256 modeled clients by default) over the
+// adaptive queued scheduler with read-ahead on, each compared against the
+// serial baseline (one client, queue depth 1). A single-threaded
+// virtual-time dispatcher drives the clients, so the results — exact
+// p50/p99/p999 latencies included — are bit-deterministic and pinned by
+// BENCH_5.json.
 //
 // -fsck times a full consistency check of a bitmap-damaged image of every
 // registered file system, serially and with the pFSCK-style parallel
@@ -55,17 +50,15 @@ func main() {
 	space := flag.Bool("space", false, "run the space-overhead study")
 	benchName := flag.String("bench", "", "restrict to one workload (SSH, Web, Post, TPCB)")
 	asJSON := cli.JSONFlag("emit results as a JSON document instead of rendered tables")
-	multi := flag.Bool("multiclient", false, "run the multi-client scheduler study instead of Table 6")
-	clients := flag.Int("clients", 4, "multiclient: concurrent client goroutines")
-	depth := flag.Int("depth", 32, "multiclient/sweep: scheduler queue depth")
-	sweep := flag.Bool("sweep", false, "run the deterministic high-client sweep instead of Table 6")
-	sweepClients := flag.String("sweepclients", "", "sweep: comma-separated client counts (default 64,128,256)")
+	depth := flag.Int("depth", 32, "sweep: scheduler queue depth")
+	sweep := flag.Bool("sweep", false, "run the deterministic multi-client sweep instead of Table 6")
+	sweepClients := flag.String("sweepclients", "", "sweep: comma-separated client counts (default 4,64,128,256)")
 	quick := flag.Bool("quick", false, "sweep: shrink per-client work for smoke runs")
 	fsName := cli.FSFlag("", fs.Names())
 	fsckBench := flag.Bool("fsck", false, "run the fsck serial-vs-parallel study instead of Table 6")
 	fsckWorkers := flag.Int("fsck-workers", 4, "fsck: parallel worker count")
 	flag.Parse()
-	if *multi || *fsckBench || *sweep {
+	if *fsckBench || *sweep {
 		table6Set := false
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "table6" {
@@ -133,34 +126,6 @@ func main() {
 		cli.Usagef("ironbench", "%v", err)
 	}
 
-	if *multi {
-		var rows []workload.MultiClientRow
-		for _, name := range names {
-			for _, wl := range workload.MultiClientWorkloads() {
-				row, err := workload.RunMultiClientComparison(name, wl, *clients, *depth)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ironbench: multiclient: %v\n", err)
-					os.Exit(1)
-				}
-				rows = append(rows, row)
-			}
-		}
-		if *asJSON {
-			for _, row := range rows {
-				doc.MultiClient = append(doc.MultiClient, row.JSON())
-			}
-		} else {
-			fmt.Printf("Multi-client: %d clients over the queued scheduler (depth %d)\n", *clients, *depth)
-			fmt.Printf("vs the serial baseline (1 client, depth 1); ops/simulated second\n\n")
-			fmt.Printf("%-9s %-12s %10s %10s %8s\n", "fs", "workload", "base", "conc", "speedup")
-			for _, row := range rows {
-				fmt.Printf("%-9s %-12s %10.0f %10.0f %7.2fx\n",
-					row.Concurrent.FS, row.Concurrent.Workload,
-					row.Baseline.OpsPerSec, row.Concurrent.OpsPerSec, row.Speedup())
-			}
-		}
-	}
-
 	if *sweep {
 		counts := workload.SweepClients()
 		if *sweepClients != "" {
@@ -183,7 +148,7 @@ func main() {
 				doc.Sweep = append(doc.Sweep, row.JSON())
 			}
 		} else {
-			fmt.Printf("High-client sweep: deterministic virtual-time clients over the\n")
+			fmt.Printf("Multi-client sweep: deterministic virtual-time clients over the\n")
 			fmt.Printf("adaptive scheduler (depth %d) vs the serial baseline; exact latencies\n\n", *depth)
 			fmt.Printf("%-9s %-12s %8s %10s %8s %12s %12s %12s\n",
 				"fs", "workload", "clients", "ops/s", "speedup", "p50", "p99", "p999")

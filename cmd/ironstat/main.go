@@ -18,7 +18,8 @@
 //	       reconcile exactly with the campaign's per-scenario taxonomy
 //	       counts, and the reconciliation is checked before exit.
 //	bench  run one Table 6 benchmark on the baseline variant.
-//	multi  run the multi-client scheduler comparison.
+//	multi  run the deterministic multi-client sweep at -clients modeled
+//	       clients (queue depth -depth) against its serial baseline.
 //
 // -diff loads two JSON snapshots and prints every metric on which they
 // disagree, exiting 1 on any divergence (the CI gate for drift).
@@ -49,12 +50,12 @@ type Doc struct {
 }
 
 func main() {
-	mode := flag.String("mode", "fp", "workload to drive: fp (fingerprint campaign), bench (Table 6 benchmark), multi (multi-client study)")
+	mode := flag.String("mode", "fp", "workload to drive: fp (fingerprint campaign), bench (Table 6 benchmark), multi (multi-client sweep)")
 	fsName := cli.FSFlag("all", fs.Names())
 	faultName := flag.String("fault", "all", "fp: fault class (read, write, corrupt, all)")
 	seed := cli.SeedFlag("fp: corruption-noise RNG seed")
 	benchName := flag.String("bench", "SSH", "bench: workload (SSH, Web, Post, TPCB)")
-	clients := flag.Int("clients", 4, "multi: concurrent client goroutines")
+	clients := flag.Int("clients", 4, "multi: modeled clients")
 	depth := flag.Int("depth", 32, "multi: scheduler queue depth")
 	asJSON := cli.JSONFlag("emit the snapshot as JSON instead of a table")
 	outFile := cli.OutFlag("write output to FILE instead of stdout")
@@ -187,21 +188,15 @@ func runBench(name string) error {
 	return err
 }
 
-// runMulti drives the multi-client comparison for the selected file
-// systems at the given concurrency.
+// runMulti drives the multi-client sweep for the selected file systems at
+// one client count, serial baselines included.
 func runMulti(fsName string, clients, depth int) error {
 	names, err := cli.ResolveFS(fsName, fs.Names())
 	if err != nil {
 		return err
 	}
-	for _, name := range names {
-		for _, wl := range workload.MultiClientWorkloads() {
-			if _, err := workload.RunMultiClientComparison(name, wl, clients, depth); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	_, err = workload.RunSweep(names, []int{clients}, depth, false)
+	return err
 }
 
 // runDiff compares two JSON snapshot documents; any divergence is listed

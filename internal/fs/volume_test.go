@@ -1,12 +1,17 @@
 package fs
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"ironfs/internal/disk"
 	"ironfs/internal/faultinject"
 	"ironfs/internal/iron"
+	"ironfs/internal/sched"
 	"ironfs/internal/vfs"
 )
 
@@ -210,5 +215,151 @@ func TestMountVolumeHealthCause(t *testing.T) {
 	}
 	if _, err := v.Checker(); err != nil {
 		t.Fatalf("checker: %v", err)
+	}
+}
+
+// TestMountVolumeConcurrentClients is the -race soak of every file
+// system's locking under concurrent clients on the tower the sweep mounts
+// (depth-32 adaptive scheduler, read-ahead 8, noatime where the registry
+// accepts it, Tc on ixt3): four goroutines read a shared document set under the
+// shared lock while each churns create/write/fsync/unlink in its own
+// directory. Every call must succeed, every read must return the bytes
+// written, and every file left in a client's window must read back
+// exactly.
+func TestMountVolumeConcurrentClients(t *testing.T) {
+	const (
+		clients = 4
+		docs    = 8
+		docSize = 16 << 10
+		chunk   = 4 << 10
+		files   = 32
+		window  = 4
+	)
+	// fill gives every (file, offset) its own bytes, so a read that
+	// returns another file's block, or a stale one, cannot pass.
+	fill := func(buf []byte, tag string, off int) {
+		for i := range buf {
+			buf[i] = byte(int(tag[len(tag)-1]) + len(tag) + (off+i)*7)
+		}
+	}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			opts := Options{NoAtime: true, Tc: name == "ixt3"}
+			if Validate(name, opts) != nil {
+				opts = Options{}
+			}
+			v, err := MountVolume(MountOpts{
+				FS: name, Opts: opts, QueueDepth: 32,
+				SchedPolicy: sched.PolicyAdaptive, ReadAhead: 8,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fsys := v.FS
+			doc := func(i int) string { return fmt.Sprintf("/docs/d%d", i) }
+			if err := fsys.Mkdir("/docs", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, docSize)
+			for i := 0; i < docs; i++ {
+				fill(buf, doc(i), 0)
+				if err := fsys.Create(doc(i), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := fsys.Write(doc(i), 0, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fsys.Sync(); err != nil {
+				t.Fatal(err)
+			}
+
+			ops := make([]int, clients)
+			errs := make([]error, clients)
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					errs[c] = func() error {
+						got, want := make([]byte, chunk), make([]byte, chunk)
+						dir := fmt.Sprintf("/c%d", c)
+						if err := fsys.Mkdir(dir, 0o755); err != nil {
+							return err
+						}
+						ops[c]++
+						for i := 0; i < files; i++ {
+							// One shared document, chunk by chunk, staggered
+							// so the clients start on different files.
+							d := doc((i + c) % docs)
+							for off := 0; off < docSize; off += chunk {
+								if n, err := fsys.Read(d, int64(off), got); err != nil || n != chunk {
+									return fmt.Errorf("read %s@%d = %d, %v", d, off, n, err)
+								}
+								fill(want, d, off)
+								if !bytes.Equal(got, want) {
+									return fmt.Errorf("read %s@%d returned the wrong bytes", d, off)
+								}
+								ops[c]++
+							}
+							if i >= window {
+								old := fmt.Sprintf("%s/f%d", dir, i-window)
+								if err := fsys.Unlink(old); err != nil {
+									return fmt.Errorf("unlink %s: %w", old, err)
+								}
+								ops[c]++
+							}
+							p := fmt.Sprintf("%s/f%d", dir, i)
+							fill(want, p, 0)
+							if err := fsys.Create(p, 0o644); err != nil {
+								return fmt.Errorf("create %s: %w", p, err)
+							}
+							if _, err := fsys.Write(p, 0, want); err != nil {
+								return fmt.Errorf("write %s: %w", p, err)
+							}
+							if err := fsys.Fsync(p); err != nil {
+								return fmt.Errorf("fsync %s: %w", p, err)
+							}
+							ops[c] += 3
+						}
+						return nil
+					}()
+				}(c)
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+			want := 1 + files*(docSize/chunk) + (files - window) + files*3
+			for c, n := range ops {
+				if n != want {
+					t.Errorf("client %d completed %d ops, want %d", c, n, want)
+				}
+			}
+
+			got, exp := make([]byte, chunk), make([]byte, chunk)
+			for c := 0; c < clients; c++ {
+				for i := 0; i < files; i++ {
+					p := fmt.Sprintf("/c%d/f%d", c, i)
+					n, err := fsys.Read(p, 0, got)
+					if i < files-window {
+						if err == nil {
+							t.Errorf("%s survived its unlink", p)
+						}
+						continue
+					}
+					fill(exp, p, 0)
+					if err != nil || n != chunk || !bytes.Equal(got, exp) {
+						t.Errorf("readback %s = %d bytes, %v; want its %d written bytes", p, n, err, chunk)
+					}
+				}
+			}
+			if st := v.Sched.Stats(); st.Enqueued == 0 {
+				t.Errorf("scheduler enqueued nothing at depth 32")
+			}
+			if err := v.Unmount(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -94,22 +94,6 @@ type MultiClientRunJSON struct {
 	Latency string `json:"latency"`
 }
 
-// MultiClientRowJSON is one (fs, workload) comparison: serial baseline
-// against the concurrent configuration.
-type MultiClientRowJSON struct {
-	FS       string `json:"fs"`
-	Workload string `json:"workload"`
-	// Baseline is one client at queue depth 1 — the serial stack.
-	Baseline MultiClientRunJSON `json:"baseline"`
-	// Concurrent is N clients over the queued scheduler.
-	Concurrent MultiClientRunJSON `json:"concurrent"`
-	// Speedup is concurrent over baseline throughput. Unlike the Table 6
-	// numbers this is not bit-deterministic (goroutine interleaving moves
-	// it a little run to run), so snapshots pin a wide margin, not an
-	// exact value.
-	Speedup float64 `json:"speedup"`
-}
-
 func runJSON(r MultiClientReport) MultiClientRunJSON {
 	out := MultiClientRunJSON{
 		Clients: r.Clients, QueueDepth: r.QueueDepth,
@@ -124,25 +108,15 @@ func runJSON(r MultiClientReport) MultiClientRunJSON {
 	return out
 }
 
-// JSON converts one comparison row for serialization.
-func (r MultiClientRow) JSON() MultiClientRowJSON {
-	return MultiClientRowJSON{
-		FS: r.Concurrent.FS, Workload: r.Concurrent.Workload,
-		Baseline:   runJSON(r.Baseline),
-		Concurrent: runJSON(r.Concurrent),
-		Speedup:    r.Speedup(),
-	}
-}
-
-// SweepRowJSON is one deterministic high-client measurement: N modeled
+// SweepRowJSON is one deterministic multi-client measurement: N modeled
 // clients under the adaptive scheduler against the shared serial baseline.
-// Unlike the goroutine multi-client rows, these runs are driven by the
-// single-threaded virtual-time dispatcher, so every field — the exact
-// p50/p99/p999 included — is bit-deterministic and snapshot-pinnable.
+// The runs are driven by the single-threaded virtual-time dispatcher, so
+// every field — the exact p50/p99/p999 included — is bit-deterministic
+// and snapshot-pinnable.
 type SweepRowJSON struct {
 	FS       string `json:"fs"`
 	Workload string `json:"workload"`
-	// Clients is the modeled client count (the ladder is 64/128/256).
+	// Clients is the modeled client count (the ladder is 4/64/128/256).
 	Clients int `json:"clients"`
 	// Baseline is one client at queue depth 1 — the serial stack.
 	Baseline MultiClientRunJSON `json:"baseline"`
@@ -213,9 +187,8 @@ func (r FsckRow) JSON() FsckRowJSON {
 
 // BenchJSON is ironbench -json's top-level document.
 type BenchJSON struct {
-	Table6      *Table6JSON          `json:"table6,omitempty"`
-	Space       []SpaceJSON          `json:"space,omitempty"`
-	MultiClient []MultiClientRowJSON `json:"multi_client,omitempty"`
-	Sweep       []SweepRowJSON       `json:"sweep,omitempty"`
-	Fsck        []FsckRowJSON        `json:"fsck,omitempty"`
+	Table6 *Table6JSON    `json:"table6,omitempty"`
+	Space  []SpaceJSON    `json:"space,omitempty"`
+	Sweep  []SweepRowJSON `json:"sweep,omitempty"`
+	Fsck   []FsckRowJSON  `json:"fsck,omitempty"`
 }

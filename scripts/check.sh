@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Pre-merge gate: formatting, vet, build, race-enabled tests, the resolver,
 # dispatch, lookup and checksum cost benchmarks, the bench/ module's own vet
-# and tests, the fsck lock, the committed ironload pin, and ironvet (the
-# multi-pass crash-consistency analyzer suite; see docs/ANALYSIS.md).
+# and tests, the fsck lock, the committed sweep and ironload pins, and
+# ironvet (the multi-pass crash-consistency analyzer suite; see
+# docs/ANALYSIS.md).
 # ironvet analyzes the whole module: errprop and lockcheck guard error
 # propagation and lock/I-O discipline, txcheck pins metadata writes to the
 # journal machinery, degradecheck forbids success-before-commit-check
@@ -184,16 +185,16 @@ go build -o "$vetdir/ironstat" ./cmd/ironstat
 	exit 1
 }
 
-# High-client sweep gate (docs/PERF.md): the deterministic virtual-time
-# sweep at 64 clients (quick mode) must serialize byte-identically across
-# two runs — the property that lets BENCH_5.json pin exact p50/p99/p999.
-# The reiserfs createheavy >= 2.5x floor and the quantile-order check are
-# TestSweepSpeedupGate's, in the race run above.
+# Multi-client sweep gate (docs/PERF.md): the committed full ladder is
+# BENCH_5.json, and a fresh full sweep (about 13 s) must reproduce it byte
+# for byte — the virtual-time dispatcher is deterministic, so any drift is
+# a behavioural change. The floors and the quantile-order check are
+# TestSweepSpeedupGate's, and the in-process double run is
+# TestSweepDeterministic's, both in the race run above.
 go build -o "$vetdir/ironbench" ./cmd/ironbench
-"$vetdir/ironbench" -sweep -quick -sweepclients 64 -json > "$vetdir/sweep1.json"
-"$vetdir/ironbench" -sweep -quick -sweepclients 64 -json > "$vetdir/sweep2.json"
-cmp "$vetdir/sweep1.json" "$vetdir/sweep2.json" || {
-	echo "check: sweep output is nondeterministic between identical runs" >&2
+"$vetdir/ironbench" -sweep -json > "$vetdir/sweep-full.json"
+cmp "$vetdir/sweep-full.json" BENCH_5.json || {
+	echo "check: BENCH_5.json is stale; regenerate it with: go run ./cmd/ironbench -sweep -json > BENCH_5.json" >&2
 	exit 1
 }
 
