@@ -10,7 +10,7 @@ import (
 // inode table against the allocation maps and the directory tree. It
 // reports map bits that disagree with the table and with block
 // reachability, wild or doubly referenced pointers, dangling directory
-// entries, orphan inodes, and wrong file link counts. The lazily kept
+// entries, orphan inodes, and wrong link counts. The lazily kept
 // counters (superblock, bmap descriptor, imap control) are not checked.
 
 // MountedLocked implements fsck.Target.
@@ -27,7 +27,8 @@ type tabCensus struct {
 }
 
 // censusTableBlock scans the InodesPB slots of one inode-table block.
-// Read-only, so table blocks scan concurrently.
+// Read-only, and CensusLocked's load brought the table block in, so table
+// blocks scan concurrently.
 func (fs *FS) censusTableBlock(t int64, total uint32) (r tabCensus, units int64, err error) {
 	for s := int64(0); s < InodesPB; s++ {
 		ino := uint32(t*InodesPB + s + 1)
@@ -69,7 +70,10 @@ func (fs *FS) CensusLocked(s *fsck.Scan) (*fsck.Refs[*inode], error) {
 	c := fsck.NewRefs[*inode](s)
 	s.Blocks = int64(fs.sb.BlockCount)
 	total := fs.inodeCount()
-	err := fsck.Stage(s, "census", "itable", int(fs.sb.ITabLen), func(i int) (tabCensus, int64, error) {
+	err := fsck.Stage(s, "census", "itable", int(fs.sb.ITabLen), func(i int) error {
+		_, err := fs.readMeta(int64(fs.sb.ITabStart)+int64(i), BTInode)
+		return err
+	}, func(i int) (tabCensus, int64, error) {
 		return fs.censusTableBlock(int64(i), total)
 	}, func(r tabCensus) {
 		for _, o := range r.objs {
@@ -143,8 +147,9 @@ func (fs *FS) ScanLocked(s *fsck.Scan) error {
 		return err
 	}
 	c.CrossCheck(nouns)
-	if err := fs.inodeMap(c).Verify(s); err != nil {
+	if _, err := fs.inodeMap(c).Verify(s); err != nil {
 		return err
 	}
-	return fs.blockMap(s).Verify(s)
+	_, err = fs.blockMap(s).Verify(s)
+	return err
 }

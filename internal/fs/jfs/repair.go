@@ -7,7 +7,7 @@ import (
 )
 
 // The repair primitives (fsck.Fixer): dangling directory entries are
-// removed, orphan inodes reclaimed, file link counts corrected, and both
+// removed, orphan inodes reclaimed, link counts corrected, and both
 // allocation maps — plus the lazily kept bmap-descriptor and imap-control
 // counters — rebuilt from the inode table and block reachability. Fixes
 // stage as record-level redo spans through the log in bounded

@@ -10,7 +10,7 @@ import (
 // MFT against both bitmaps and the directory tree. It reports bitmap bits
 // that disagree with MFT record flags and block reachability, wild or
 // doubly referenced pointers, dangling directory entries, orphan records,
-// and wrong file link counts.
+// and wrong link counts.
 
 // MountedLocked implements fsck.Target.
 func (fs *FS) MountedLocked() bool { return fs.mounted }
@@ -25,8 +25,9 @@ type mftCensus struct {
 	events []fsck.Event
 }
 
-// censusMFTBlock scans the RecsPB slots of one MFT block. Read-only, so
-// MFT blocks scan concurrently.
+// censusMFTBlock scans the RecsPB slots of one MFT block. Read-only, and
+// CensusLocked's load brought the MFT block in, so MFT blocks scan
+// concurrently.
 func (fs *FS) censusMFTBlock(t int64, total uint32) (out mftCensus, units int64, err error) {
 	for s := int64(0); s < RecsPB; s++ {
 		rec := uint32(t*RecsPB + s)
@@ -74,7 +75,10 @@ func (fs *FS) CensusLocked(s *fsck.Scan) (*fsck.Refs[*mftRecord], error) {
 	c := fsck.NewRefs[*mftRecord](s)
 	s.Blocks = int64(fs.boot.BlockCount)
 	total := fs.recordCount()
-	err := fsck.Stage(s, "census", "mft", int(fs.boot.MFTLen), func(i int) (mftCensus, int64, error) {
+	err := fsck.Stage(s, "census", "mft", int(fs.boot.MFTLen), func(i int) error {
+		_, err := fs.readBlockRetry(int64(fs.boot.MFTStart)+int64(i), BTMFT)
+		return err
+	}, func(i int) (mftCensus, int64, error) {
 		return fs.censusMFTBlock(int64(i), total)
 	}, func(r mftCensus) {
 		for _, o := range r.objs {
@@ -156,8 +160,10 @@ func (fs *FS) ScanLocked(s *fsck.Scan) error {
 	if err != nil {
 		return err
 	}
-	s.Problems = append(s.Problems, mb.Check(buf, 0, mb.Bits)...)
+	probs, _ := mb.Check(buf, 0, mb.Bits)
+	s.Problems = append(s.Problems, probs...)
 	s.Stats.Add("verify:mftbmp", 1, []int64{mb.Bits})
 
-	return fs.volBitmap(s).Verify(s)
+	_, err = fs.volBitmap(s).Verify(s)
+	return err
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // The repair primitives (fsck.Fixer): dangling directory entries are
-// removed, orphan MFT records reclaimed, file link counts corrected, and
+// removed, orphan MFT records reclaimed, link counts corrected, and
 // both bitmaps rebuilt from the record flags and block reachability.
 // Fixes stage through the logfile in bounded transactions, so every
 // intermediate commit is itself a consistent volume; the bitmap

@@ -10,7 +10,7 @@ import (
 // balanced tree against the allocation bitmaps, and the directory entries
 // against the stat items. It reports bitmap bits that disagree with tree
 // reachability, wild or doubly referenced block pointers, malformed items,
-// dangling directory entries, orphan objects, and wrong file link counts.
+// dangling directory entries, orphan objects, and wrong link counts.
 // The superblock free counter is journaled with the tree, so the scan
 // flags structural damage only.
 
@@ -150,5 +150,6 @@ func (fs *FS) ScanLocked(s *fsck.Scan) error {
 		c.Problemf("dangling-entry", "%s referenced %d time(s) but has no stat item", nouns.Object(id), c.Count(id))
 	}
 	c.CrossCheck(nouns)
-	return fs.bitmap(s).Verify(s)
+	_, err = fs.bitmap(s).Verify(s)
+	return err
 }

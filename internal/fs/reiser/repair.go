@@ -7,7 +7,7 @@ import (
 )
 
 // The repair primitives (fsck.Fixer): dangling directory entries are
-// removed, orphan objects reclaimed, file link counts corrected, and the
+// removed, orphan objects reclaimed, link counts corrected, and the
 // allocation bitmaps and free counter rebuilt from tree reachability.
 // Tree fixes reuse the ordinary object operations, so they stage through
 // the journal in bounded transactions — every intermediate commit is

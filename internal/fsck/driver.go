@@ -2,7 +2,6 @@ package fsck
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"ironfs/internal/bcache"
@@ -50,9 +49,6 @@ type Volume struct {
 	// froze must not be readable afterwards, and what was committed
 	// before it is on disk.
 	Cache *bcache.Cache
-	// Lazy lists problem kinds the oracle ignores: counters the file
-	// system writes outside the journal, legitimately stale after a crash.
-	Lazy []string
 }
 
 // Driver is the one check-and-repair sequence. A file system embeds it —
@@ -105,7 +101,6 @@ func (d *Driver) Oracle() error {
 	if err != nil {
 		return fmt.Errorf("%s oracle scan: %w", d.v.Label, err)
 	}
-	probs = slices.DeleteFunc(probs, func(p Problem) bool { return slices.Contains(d.v.Lazy, p.Kind) })
 	if len(probs) > 0 {
 		return fmt.Errorf("%w: %s: %d problems, first: %s", vfs.ErrInconsistent, d.v.Label, len(probs), probs[0])
 	}

@@ -49,7 +49,7 @@ func harness(f *fakeTarget) (*Driver, *bcache.Cache) {
 	cache := bcache.New(8)
 	cache.Put(7, make([]byte, 4), true)
 	var mu sync.Mutex
-	d := New(f, Volume{Label: "fake", Mu: &mu, Health: new(vfs.Health), Cache: cache, Lazy: []string{"lazy"}})
+	d := New(f, Volume{Label: "fake", Mu: &mu, Health: new(vfs.Health), Cache: cache})
 	d.SetRepairHooks(&RepairHooks{
 		Begin: func() { f.log = append(f.log, "begin") },
 		End:   func() { f.log = append(f.log, "end") },
@@ -166,7 +166,7 @@ func TestRepairGates(t *testing.T) {
 }
 
 func TestOracle(t *testing.T) {
-	f := &fakeTarget{scans: [][]Problem{probs("lazy", "real", "lazy", "other")}}
+	f := &fakeTarget{scans: [][]Problem{probs("real", "other")}}
 	d, _ := harness(f)
 	err := d.Oracle()
 	if !errors.Is(err, vfs.ErrInconsistent) || !strings.HasSuffix(err.Error(), ": fake: 2 problems, first: real: d") {
@@ -176,10 +176,10 @@ func TestOracle(t *testing.T) {
 		t.Fatalf("sequence = %v, want %s", f.log, want)
 	}
 
-	f = &fakeTarget{scans: [][]Problem{probs("lazy")}}
+	f = &fakeTarget{}
 	d, _ = harness(f)
 	if err := d.Oracle(); err != nil {
-		t.Fatalf("only lazily kept counters are stale: %v", err)
+		t.Fatalf("a clean scan: %v", err)
 	}
 
 	boom := errors.New("boom")

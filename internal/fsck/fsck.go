@@ -23,7 +23,7 @@ import "sync"
 // Problem is one cross-block inconsistency found by a consistency check.
 type Problem struct {
 	// Kind is a stable identifier such as "block-bitmap", "orphan-inode",
-	// "link-count", "double-ref", "bad-pointer".
+	// "link-count", "double-ref", "wild-pointer".
 	Kind string
 	// Detail locates the problem.
 	Detail string
@@ -124,28 +124,13 @@ func (s *Stats) Add(name string, workers int, taskUnits []int64) {
 	s.Phases = append(s.Phases, Phase{Name: name, Workers: workers, Units: per})
 }
 
-// ChunkBits is the bit-span granularity of bitmap verify tasks. One
-// on-disk bitmap block covers 8×BlockSize bits — far too coarse a task
-// for volumes whose whole allocation map fits in a block or two — so
-// checkers shard each block's bit range into ChunkBits-sized tasks
-// (intra-block sharding). ChunkBits divides every power-of-two
-// bits-per-block, so a chunk never straddles two bitmap blocks.
+// ChunkBits is the widest bitmap verify task. One on-disk bitmap block
+// covers 8×BlockSize bits — far too coarse a task for volumes whose whole
+// allocation map fits in a block or two — so Bitmap.Verify shards each
+// map block into tasks of min(ChunkBits, BlockBits) bits (intra-block
+// sharding). That width divides BlockBits when BlockBits is a power of two
+// or no wider than ChunkBits, so a chunk never straddles two map blocks.
 const ChunkBits = 4096
-
-// NumChunks returns the task count for n bits at ChunkBits granularity.
-func NumChunks(n int64) int {
-	return int((n + ChunkBits - 1) / ChunkBits)
-}
-
-// ChunkRange returns chunk i's half-open bit range over n bits.
-func ChunkRange(i int, n int64) (lo, hi int64) {
-	lo = int64(i) * ChunkBits
-	hi = lo + ChunkBits
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
 
 // Map runs n tasks over at most `workers` goroutines and returns the
 // results indexed by task. Assignment is static round-robin: worker w runs

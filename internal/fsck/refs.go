@@ -99,15 +99,16 @@ type Nouns struct {
 }
 
 // CrossCheck reports, in ID order, objects no directory entry names and
-// files whose stored link count disagrees with the entries naming them.
-// Directory link conventions vary, so equality is enforced for files only.
+// objects whose stored link count disagrees with the entries naming them.
+// None of the file systems counts a directory's ".." or "." as a link, so
+// directories are held to the same equality as files.
 func (c *Refs[O]) CrossCheck(n Nouns) {
 	for _, o := range c.Objects() {
 		switch named := c.named[o.ID]; {
 		case o.Root:
 		case named == 0:
 			c.Problemf(n.OrphanKind, "%s%s", n.Object(o.ID), n.Orphan)
-		case !o.Dir && o.Links != named:
+		case o.Links != named:
 			c.Problemf("link-count", "%s says %d, directory tree says %d", n.Object(o.ID), o.Links, named)
 		}
 	}
@@ -126,7 +127,7 @@ type Fixer[O any] interface {
 	// ReclaimLocked frees an object no entry names; the map rebuild
 	// reclaims whatever it held.
 	ReclaimLocked(o Object[O]) error
-	// SetLinksLocked stores a file's corrected link count.
+	// SetLinksLocked stores an object's corrected link count.
 	SetLinksLocked(o Object[O], links int) error
 	// RebuildMapsLocked rewrites the allocation maps, and whatever
 	// counters summarise them, from c, then commits.
@@ -135,13 +136,15 @@ type Fixer[O any] interface {
 
 // Reconcile is the repair order the reference-checked file systems share:
 // dangling entries out, orphans reclaimed, then — against a fresh census of
-// the tree those fixes left — file link counts, then — against the final
-// census — the allocation maps, whose commit is the pass's last.
+// the tree those fixes left — link counts, then — against the final census
+// — the allocation maps, whose commit is the pass's last. The census is
+// retaken only after a phase that fixed something.
 func Reconcile[O any](tr *trace.Tracer, f Fixer[O]) error {
 	c, err := f.CensusLocked(newScan(1, tr))
 	if err != nil {
 		return err
 	}
+	fixed := false
 	for _, e := range c.Entries {
 		if c.Has(e.Child) {
 			continue
@@ -149,6 +152,7 @@ func Reconcile[O any](tr *trace.Tracer, f Fixer[O]) error {
 		if err := f.RemoveEntryLocked(c, e); err != nil {
 			return err
 		}
+		fixed = true
 	}
 	for _, o := range c.Objects() {
 		if o.Root || c.named[o.ID] != 0 {
@@ -157,19 +161,26 @@ func Reconcile[O any](tr *trace.Tracer, f Fixer[O]) error {
 		if err := f.ReclaimLocked(o); err != nil {
 			return err
 		}
+		fixed = true
 	}
-	if c, err = f.CensusLocked(newScan(1, tr)); err != nil {
-		return err
+	if fixed {
+		if c, err = f.CensusLocked(newScan(1, tr)); err != nil {
+			return err
+		}
 	}
+	fixed = false
 	for _, o := range c.Objects() {
-		if named := c.named[o.ID]; !o.Root && named != 0 && !o.Dir && o.Links != named {
+		if named := c.named[o.ID]; !o.Root && named != 0 && o.Links != named {
 			if err := f.SetLinksLocked(o, named); err != nil {
 				return err
 			}
+			fixed = true
 		}
 	}
-	if c, err = f.CensusLocked(newScan(1, tr)); err != nil {
-		return err
+	if fixed {
+		if c, err = f.CensusLocked(newScan(1, tr)); err != nil {
+			return err
+		}
 	}
 	return f.RebuildMapsLocked(c)
 }

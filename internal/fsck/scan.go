@@ -84,13 +84,24 @@ func (s *Scan) Enter(events []Event) {
 
 // Stage runs one parallel stage of a scan: n tasks over the scan's workers
 // (Map's static assignment), merged on the calling goroutine in task
-// order. A task returns its result, the units of work it did, and the
-// error that stopped it; the merge stops after the first failed task, so
-// the verdict holds what every task before it found. The stage is
-// recorded in s.Stats — noun names what the n tasks are — whether or not
-// it failed, under `name`, and traced as "fsck:" + name.
-func Stage[T any](s *Scan, name, noun string, n int, task func(i int) (T, int64, error), merge func(T)) error {
+// order. A parallel stage never issues a cold read: load runs first for
+// every task, serially and in task order, and brings in whatever its task
+// will read, so the disk sees the serial scan's reads for any worker
+// count. A task returns its result, the units of work it
+// did, and the error that stopped it; the merge stops after the first
+// failed task — a failed load counts as its task failing — so the verdict
+// holds what every task before it found. The stage is recorded in s.Stats
+// — noun names what the n tasks are — whether or not it failed, under
+// `name`, and traced as "fsck:" + name.
+func Stage[T any](s *Scan, name, noun string, n int, load func(i int) error, task func(i int) (T, int64, error), merge func(T)) error {
 	s.tr.Phase("fsck:"+strings.ReplaceAll(name, ":", "-"), fmt.Sprintf("%s=%d workers=%d", noun, n, s.Workers))
+	var loadErr error
+	for i := 0; i < n; i++ {
+		if loadErr = load(i); loadErr != nil {
+			n = i
+			break
+		}
+	}
 	type result struct {
 		v     T
 		units int64
@@ -101,11 +112,12 @@ func Stage[T any](s *Scan, name, noun string, n int, task func(i int) (T, int64,
 		return r
 	})
 	units := make([]int64, n)
-	var err error
+	err := loadErr
 	for i, r := range res {
 		units[i] = r.units
 		merge(r.v)
-		if err = r.err; err != nil {
+		if r.err != nil {
+			err = r.err
 			break
 		}
 	}
@@ -133,28 +145,49 @@ type Bitmap struct {
 	InUse func(n int64) bool
 }
 
-// Verify checks the map against InUse, one task per ChunkBits-wide span:
-// finer than map blocks, so the verify parallelizes even when the whole
-// map is one block.
-func (b *Bitmap) Verify(s *Scan) error {
-	return Stage(s, "verify:"+b.Name, "chunks", NumChunks(b.Bits), func(c int) ([]Problem, int64, error) {
-		lo, hi := ChunkRange(c, b.Bits)
-		buf, err := b.Read(lo / b.BlockBits)
-		if err != nil {
-			return nil, 0, err
+// Verify checks the map against InUse and returns how many of its bits
+// are clear. The tasks are chunks of at most ChunkBits inside one map
+// block: finer than map blocks, so the verify parallelizes even when the
+// whole map is one block. Each map block is read once, by the load of its
+// first chunk.
+func (b *Bitmap) Verify(s *Scan) (free uint64, err error) {
+	width := min(ChunkBits, b.BlockBits)
+	perBlock := b.BlockBits / width
+	bufs := make([][]byte, (b.Bits+b.BlockBits-1)/b.BlockBits)
+	type chunk struct {
+		probs []Problem
+		free  uint64
+	}
+	err = Stage(s, "verify:"+b.Name, "chunks", int((b.Bits+width-1)/width), func(c int) error {
+		i := int64(c) / perBlock
+		if bufs[i] != nil {
+			return nil
 		}
-		return b.Check(buf, lo, hi), hi - lo, nil
-	}, func(probs []Problem) { s.Problems = append(s.Problems, probs...) })
+		var err error
+		bufs[i], err = b.Read(i)
+		return err
+	}, func(c int) (r chunk, units int64, _ error) {
+		lo := int64(c) * width
+		hi := min(lo+width, b.Bits)
+		r.probs, r.free = b.Check(bufs[lo/b.BlockBits], lo, hi)
+		return r, hi - lo, nil
+	}, func(r chunk) {
+		s.Problems = append(s.Problems, r.probs...)
+		free += r.free
+	})
+	return free, err
 }
 
-// Check compares bits [lo, hi) against InUse; buf is the map block that
-// holds them.
-func (b *Bitmap) Check(buf []byte, lo, hi int64) []Problem {
-	var probs []Problem
+// Check compares bits [lo, hi) against InUse, and counts the clear ones;
+// buf is the map block that holds them.
+func (b *Bitmap) Check(buf []byte, lo, hi int64) (probs []Problem, free uint64) {
 	start := lo - lo%b.BlockBits // the first bit buf holds
 	for i := lo; i < hi; i++ {
 		bit := i - start
 		marked := buf[bit/8]&(1<<uint(bit%8)) != 0
+		if !marked {
+			free++
+		}
 		switch inUse := b.InUse(b.First + i); {
 		case marked && !inUse:
 			probs = append(probs, Problem{Kind: b.Kind, Detail: fmt.Sprintf(b.Stale, b.First+i)})
@@ -162,12 +195,14 @@ func (b *Bitmap) Check(buf []byte, lo, hi int64) []Problem {
 			probs = append(probs, Problem{Kind: b.Kind, Detail: fmt.Sprintf(b.Lost, b.First+i)})
 		}
 	}
-	return probs
+	return probs, free
 }
 
 // Rebuild computes the correct image of each map block in turn — bits past
 // Bits stay zero, matching mkfs — and hands store the blocks whose current
-// image differs. It returns how many of the meaningful bits are clear.
+// image differs. The image is BlockBits/8 bytes, and only that prefix of
+// the current block is compared: a map may fill just the start of its
+// block. It returns how many of the meaningful bits are clear.
 func (b *Bitmap) Rebuild(store func(i int64, cur, want []byte) error) (free uint64, err error) {
 	for i := int64(0); i*b.BlockBits < b.Bits; i++ {
 		cur, err := b.Read(i)
@@ -182,7 +217,7 @@ func (b *Bitmap) Rebuild(store func(i int64, cur, want []byte) error) (free uint
 				free++
 			}
 		}
-		if !bytes.Equal(cur, want) {
+		if !bytes.Equal(cur[:len(want)], want) {
 			if err := store(i, cur, want); err != nil {
 				return free, err
 			}

@@ -160,10 +160,8 @@ type FsckRowJSON struct {
 	// Parallel is the same check with the verify stages fanned out. Its
 	// problem list is identical to Serial's (the runner verifies this).
 	Parallel FsckRunJSON `json:"parallel"`
-	// Speedup is serial over parallel elapsed time. The CPU term is
-	// deterministic; the parallel disk term wobbles a little with
-	// goroutine interleaving, so snapshots pin a wide margin, not an
-	// exact value.
+	// Speedup is serial over parallel elapsed time. Both terms are
+	// deterministic, so snapshots pin the exact value.
 	Speedup float64 `json:"speedup"`
 }
 

@@ -12,9 +12,11 @@ import (
 // volume take, serially versus with the pFSCK-style parallel pipeline?
 //
 // Timing uses the same virtual-machine model as the other studies. Disk
-// time is the simulated clock delta around the check — the single arm is
-// the serialized resource, so it accrues identically however many workers
-// run. CPU time comes from the check's own per-phase work accounting: each
+// time is the simulated clock delta around the check. Every parallel
+// stage reads its blocks in serially, in task order, before it fans out
+// (fsck.Stage's load), so the disk sees the serial check's reads in the
+// serial order and the delta is the same for any worker count. CPU time
+// comes from the check's own per-phase work accounting: each
 // examined unit (a table slot, a bitmap block's worth of bits) charges
 // fsckCPUPerUnit to its worker's core, and a phase's wall cost is its
 // slowest worker (fsck.Phase.Max). With one worker that degenerates to the

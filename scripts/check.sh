@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Pre-merge gate: formatting, vet, build, race-enabled tests, the resolver,
 # dispatch, lookup and checksum cost benchmarks, the bench/ module's own vet
-# and tests, the fsck lock, the committed sweep and ironload pins, and
+# and tests, the fsck lock, the committed fsck, sweep and ironload pins, and
 # ironvet (the multi-pass crash-consistency analyzer suite; see
 # docs/ANALYSIS.md).
 # ironvet analyzes the whole module: errprop and lockcheck guard error
@@ -150,7 +150,10 @@ cmp "$vetdir/hunt1.json" "$vetdir/hunt2.json" || {
 # the 7-worker check of the damaged images must find the damage (exit 1)
 # with each of the five problem lists identical to its serial scan's; and
 # the repair must bring all five volumes back to clean (exit 0). The
-# BENCH_2.json pin is held by TestFsckBenchMatchesPin in the race run
+# committed serial-versus-parallel check timings are BENCH_2.json, and a
+# fresh run must reproduce them byte for byte: every parallel stage reads
+# its blocks in serially first, so the parallel disk time is the serial
+# one. The 2x speedup floor is TestFsckBenchMatchesPin's, in the race run
 # above.
 "$vetdir/ironhunt" -fsck -json > "$vetdir/fsckhunt1.json"
 "$vetdir/ironhunt" -fsck -json > "$vetdir/fsckhunt2.json"
@@ -168,6 +171,12 @@ if [ "$code" -ne 1 ] || [ "$(grep -c 'identical to serial' "$vetdir/fsck-check.t
 fi
 "$vetdir/ironfsck" -parallel 4 repair > /dev/null || {
 	echo "check: ironfsck repair left a volume damaged" >&2
+	exit 1
+}
+go build -o "$vetdir/ironbench" ./cmd/ironbench
+"$vetdir/ironbench" -fsck -json > "$vetdir/fsck-bench.json"
+cmp "$vetdir/fsck-bench.json" BENCH_2.json || {
+	echo "check: BENCH_2.json is stale; regenerate it with: go run ./cmd/ironbench -fsck -json > BENCH_2.json" >&2
 	exit 1
 }
 
@@ -191,7 +200,6 @@ go build -o "$vetdir/ironstat" ./cmd/ironstat
 # a behavioural change. The floors and the quantile-order check are
 # TestSweepSpeedupGate's, and the in-process double run is
 # TestSweepDeterministic's, both in the race run above.
-go build -o "$vetdir/ironbench" ./cmd/ironbench
 "$vetdir/ironbench" -sweep -json > "$vetdir/sweep-full.json"
 cmp "$vetdir/sweep-full.json" BENCH_5.json || {
 	echo "check: BENCH_5.json is stale; regenerate it with: go run ./cmd/ironbench -sweep -json > BENCH_5.json" >&2
