@@ -12,7 +12,8 @@
 // Usage:
 //
 //	ironcrash [-fs ext3|ext3-nobarrier|ixt3|reiserfs|jfs|ntfs|all]
-//	          [-workload mkfiles|churn|all] [-points N] [-window N]
+//	          [-workload mkfiles|churn|renameover|linkchurn|appendsync|all]
+//	          [-points N] [-window N]
 //	          [-samples N] [-seed N] [-depth N] [-short] [-v] [-trace FILE]
 //	          [-hunt-seed N] [-ops N]
 //
@@ -22,7 +23,7 @@
 // corpus.
 //
 // -depth inserts the queued I/O scheduler between the file system and the
-// reordering write cache. At the default depth 1 the scheduler is a strict
+// recording crash device. At the default depth 1 the scheduler is a strict
 // passthrough and the matrix is byte-identical to the pre-scheduler stack;
 // deeper queues add the scheduler's own buffering to the crash surface.
 //
@@ -39,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"ironfs/internal/cli"
 	"ironfs/internal/faultinject"
@@ -50,13 +52,17 @@ import (
 
 func main() {
 	fsName := flag.String("fs", "all", "crash target (ext3, ext3-nobarrier, ixt3, reiserfs, jfs, ntfs, all)")
-	wlName := flag.String("workload", "all", "workload (mkfiles, churn, all)")
+	var wlNames []string
+	for _, w := range fstest.Workloads() {
+		wlNames = append(wlNames, w.Name)
+	}
+	wlName := flag.String("workload", "all", "workload ("+strings.Join(wlNames, ", ")+", all)")
 	points := flag.Int("points", 0, "max crash points per cell (0 = every write)")
 	window := flag.Int("window", 0, "write-cache reordering window in blocks (default 16)")
 	samples := flag.Int("samples", 0, "sampled subsets per large window (default 8)")
 	seed := cli.SeedFlag("enumeration seed (exploration is deterministic per seed)")
-	depth := flag.Int("depth", 1, "scheduler queue depth between FS and write cache (1 = passthrough)")
-	short := flag.Bool("short", false, "smoke mode: few crash points, small windows")
+	depth := flag.Int("depth", 1, "scheduler queue depth between FS and crash device (1 = passthrough)")
+	short := flag.Bool("short", false, "smoke mode: at most 12 crash points per cell, 4 sampled subsets per window")
 	verbose := flag.Bool("v", false, "print the first silently corrupt state per cell")
 	traceFile := cli.TraceFlag("dump workload and per-state evidence traces as NDJSON to FILE (- for stdout)")
 	huntSeed := flag.Int64("hunt-seed", 0, "replace named workloads with sequences from the ironhunt generator at this seed")

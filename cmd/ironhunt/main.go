@@ -1,7 +1,7 @@
 // Command ironhunt hunts crash-consistency bugs black-box: a seeded
 // generator enumerates every syscall sequence up to a small length bound
-// over a tiny name/data domain, replays each on a volatile write cache,
-// crashes at every persistence point the cache model admits — epoch
+// over a tiny name/data domain, records each once on a crash device,
+// crashes at every persistence point its write-cache model admits — epoch
 // seals with torn/reordered subsets, persistence-op returns, and the
 // full-image tail — remounts, and grades the recovered tree against an
 // expected-state oracle that knows exactly what a correct file system

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -32,19 +33,44 @@ func (e *CrashError) Error() string {
 // Is makes errors.Is(err, ErrCrashed) match any CrashError.
 func (e *CrashError) Is(target error) bool { return target == ErrCrashed }
 
-// CrashDevice wraps a device and simulates a whole-system crash after a
-// given number of block writes have reached the media: the Nth and all
-// later writes are dropped and every subsequent operation fails with
-// ErrCrashed. Crash-consistency tests run a workload against a CrashDevice,
-// then remount the underlying image and verify that journal recovery
-// restores consistency.
+// CrashDevice wraps a device, records every block write the device below
+// accepts, and can simulate a whole-system crash after a given number of
+// them: the Nth and all later writes are dropped and every subsequent
+// operation fails with ErrCrashed.
+//
+// Every write is written through, so a file system mounted on a
+// CrashDevice behaves exactly as on the device below, and is appended to a
+// log of WriteRecords stamped with its barrier epoch; Barrier seals the
+// open epoch. The log is the §6.2 write-cache model: writes in sealed
+// epochs are durable at a crash, while any subset of the open epoch may or
+// may not have reached the media, in any order, possibly torn.
+// EnumerateCrashStates and ApplyCrashState build crash images from the log
+// and the image the device below held before the workload, so one
+// recorded run yields every crash state; a prefix cut at k (PrefixCut) is
+// the image a CrashDevice with limit k leaves. Each logged write and each
+// sealing barrier is traced as a cache-layer event, 1:1 with the log.
 type CrashDevice struct {
 	inner disk.Device
 
 	mu      sync.Mutex
 	limit   int64 // writes allowed before the crash; <0 = never crash
-	written int64
 	crashed bool
+	// inflight counts admitted writes the device below has not yet
+	// answered: they count toward the limit until they land or fail.
+	inflight int64
+	log      []WriteRecord
+	epoch    int
+	// open counts the logged writes of the open epoch (trace depth).
+	open int
+}
+
+// WriteRecord is one logged write: the Seq-th write overall, targeting
+// Block, issued during Epoch. Data is a private copy.
+type WriteRecord struct {
+	Seq   int
+	Block int64
+	Epoch int
+	Data  []byte
 }
 
 // NewCrashDevice wraps dev with a crash after limit successful block
@@ -72,7 +98,7 @@ func (c *CrashDevice) SetLimit(n int64) {
 		c.limit = -1
 		return
 	}
-	c.limit = c.written + n
+	c.limit = int64(len(c.log)) + n
 }
 
 // Crashed reports whether the crash point has been reached.
@@ -82,70 +108,113 @@ func (c *CrashDevice) Crashed() bool {
 	return c.crashed
 }
 
-// Written returns the number of block writes that reached the media.
+// Written returns the number of block writes that reached the media: the
+// length of the log.
 func (c *CrashDevice) Written() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.written
+	return int64(len(c.log))
 }
 
-func (c *CrashDevice) admitWrite() error {
+// Log returns a copy of the write log (records share data slices; callers
+// must not mutate them).
+func (c *CrashDevice) Log() []WriteRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.crashed {
-		return &CrashError{Write: c.written}
-	}
-	if c.limit >= 0 && c.written >= c.limit {
-		c.crashed = true
-		return &CrashError{Write: c.written}
-	}
-	c.written++
-	return nil
+	return append([]WriteRecord(nil), c.log...)
 }
 
-// crashErr returns the post-crash error with the recorded write index.
+// Epochs returns the number of sealed epochs (barriers that reached the
+// device below).
+func (c *CrashDevice) Epochs() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.epoch
+}
+
+// crashErr returns the post-crash error with the recorded write index, or
+// nil while the device is whole.
 func (c *CrashDevice) crashErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return &CrashError{Write: c.written}
+	if !c.crashed {
+		return nil
+	}
+	return &CrashError{Write: int64(len(c.log))}
+}
+
+// admit decides the crash before a write goes to the device below.
+func (c *CrashDevice) admit() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.crashed || c.limit >= 0 && int64(len(c.log))+c.inflight >= c.limit {
+		c.crashed = true
+		return &CrashError{Write: int64(len(c.log))}
+	}
+	c.inflight++
+	return nil
+}
+
+// land counts and logs an admitted write once the device below has
+// answered it, and only if it accepted it: a refused write never reached
+// the media.
+func (c *CrashDevice) land(n int64, buf []byte, err error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.inflight--
+	if err == nil {
+		c.log = append(c.log, WriteRecord{Seq: len(c.log), Block: n, Epoch: c.epoch, Data: bytes.Clone(buf)})
+		c.open++
+		c.Tracer().CacheWrite(n, c.epoch, c.open)
+	}
+	return err
 }
 
 // ReadBlock implements disk.Device.
 func (c *CrashDevice) ReadBlock(n int64, buf []byte) error {
-	if c.Crashed() {
-		return c.crashErr()
+	if err := c.crashErr(); err != nil {
+		return err
 	}
 	return c.inner.ReadBlock(n, buf)
 }
 
 // WriteBlock implements disk.Device.
 func (c *CrashDevice) WriteBlock(n int64, buf []byte) error {
-	if err := c.admitWrite(); err != nil {
+	if err := c.admit(); err != nil {
 		return err
 	}
-	return c.inner.WriteBlock(n, buf)
+	return c.land(n, buf, c.inner.WriteBlock(n, buf))
 }
 
 // WriteBatch implements disk.Device. The crash can land mid-batch: writes
 // admitted before the crash point reach the media, the rest do not.
+// Batched writes stay in issue order in the log; the crash-state
+// enumeration supplies the reordering.
 func (c *CrashDevice) WriteBatch(reqs []disk.Request) error {
 	for _, r := range reqs {
-		if err := c.admitWrite(); err != nil {
-			return err
-		}
-		if err := c.inner.WriteBlock(r.Block, r.Data); err != nil {
+		if err := c.WriteBlock(r.Block, r.Data); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Barrier implements disk.Device.
+// Barrier implements disk.Device. A barrier the device below accepts seals
+// the open epoch: everything written before it is durable with respect to
+// any crash that happens after it.
 func (c *CrashDevice) Barrier() error {
-	if c.Crashed() {
-		return c.crashErr()
+	if err := c.crashErr(); err != nil {
+		return err
 	}
-	return c.inner.Barrier()
+	if err := c.inner.Barrier(); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.Tracer().Barrier(trace.LayerCache, -1, c.epoch, c.open)
+	c.epoch++
+	c.open = 0
+	return nil
 }
 
 // BlockSize implements disk.Device.

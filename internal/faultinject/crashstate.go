@@ -4,144 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
-
-	"ironfs/internal/disk"
-	"ironfs/internal/trace"
 )
 
-// CacheDevice models a disk with a volatile write cache and no forced
-// flushes: every write is absorbed into an in-memory epoch buffer and
-// acknowledged immediately; nothing reaches the wrapped device. Barrier()
-// seals the current epoch — writes in sealed epochs are considered durable
-// at a crash, while any subset of the open epoch (bounded by a cache-size
-// window) may or may not have reached the media, in any order, possibly
-// torn. This is the §6.2 failure model that motivates ixt3's transactional
-// checksums: the drive may commit a journal's commit block before the
-// descriptor and data blocks it covers.
-//
-// Reads see the cache contents (overlay first, inner device second), so a
-// file system mounted on a CacheDevice behaves exactly as if its writes
-// were durable. Crash states are materialized separately from the write
-// log via EnumerateCrashStates and ApplyCrashState.
-type CacheDevice struct {
-	inner disk.Device
-	// tr is the run's tracer, inherited from the wrapped device: every
-	// absorbed write is traced with its epoch and the open-epoch queue
-	// depth, every barrier with the epoch it sealed — the observed
-	// ordering evidence crash verdicts are asserted against.
-	tr *trace.Tracer
-
-	mu      sync.Mutex
-	log     []WriteRecord
-	overlay map[int64][]byte
-	epoch   int
-	// open counts writes absorbed into the open epoch (trace depth).
-	open int
-}
-
-// WriteRecord is one logged write: the Seq-th write overall, targeting
-// Block, issued during Epoch. Data is a private copy.
-type WriteRecord struct {
-	Seq   int
-	Block int64
-	Epoch int
-	Data  []byte
-}
-
-// NewCacheDevice wraps dev with a volatile write cache. The wrapped
-// device is never written; it supplies the pre-workload image for reads.
-func NewCacheDevice(dev disk.Device) *CacheDevice {
-	return &CacheDevice{inner: dev, tr: trace.Of(dev), overlay: make(map[int64][]byte)}
-}
-
-// Tracer implements trace.Provider.
-func (c *CacheDevice) Tracer() *trace.Tracer { return c.tr }
-
-// ReadBlock implements disk.Device: cached data wins over the media.
-func (c *CacheDevice) ReadBlock(n int64, buf []byte) error {
-	c.mu.Lock()
-	if data, ok := c.overlay[n]; ok {
-		copy(buf, data)
-		c.mu.Unlock()
-		return nil
-	}
-	c.mu.Unlock()
-	return c.inner.ReadBlock(n, buf)
-}
-
-// WriteBlock implements disk.Device: the write is absorbed into the cache.
-func (c *CacheDevice) WriteBlock(n int64, buf []byte) error {
-	if n < 0 || n >= c.inner.NumBlocks() {
-		return disk.ErrOutOfRange
-	}
-	if len(buf) != c.inner.BlockSize() {
-		return disk.ErrBadSize
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	data := make([]byte, len(buf))
-	copy(data, buf)
-	c.log = append(c.log, WriteRecord{Seq: len(c.log), Block: n, Epoch: c.epoch, Data: data})
-	c.overlay[n] = data
-	c.open++
-	c.tr.CacheWrite(n, c.epoch, c.open)
-	return nil
-}
-
-// WriteBatch implements disk.Device. Batched writes stay in issue order in
-// the log; the crash-state enumeration supplies the reordering.
-func (c *CacheDevice) WriteBatch(reqs []disk.Request) error {
-	for _, r := range reqs {
-		if err := c.WriteBlock(r.Block, r.Data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Barrier implements disk.Device: it seals the current epoch. Everything
-// written before the barrier is durable with respect to any crash that
-// happens after it.
-func (c *CacheDevice) Barrier() error {
-	c.mu.Lock()
-	sealed, depth := c.epoch, c.open
-	c.epoch++
-	c.open = 0
-	c.mu.Unlock()
-	c.tr.Barrier(trace.LayerCache, -1, sealed, depth)
-	return c.inner.Barrier()
-}
-
-// BlockSize implements disk.Device.
-func (c *CacheDevice) BlockSize() int { return c.inner.BlockSize() }
-
-// NumBlocks implements disk.Device.
-func (c *CacheDevice) NumBlocks() int64 { return c.inner.NumBlocks() }
-
-// Close implements disk.Device.
-func (c *CacheDevice) Close() error { return c.inner.Close() }
-
-// Log returns a copy of the write log (records share data slices; callers
-// must not mutate them).
-func (c *CacheDevice) Log() []WriteRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]WriteRecord, len(c.log))
-	copy(out, c.log)
-	return out
-}
-
-// Epochs returns the number of sealed epochs (barriers issued).
-func (c *CacheDevice) Epochs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
-
-// ---------------------------------------------------------------------------
-// Crash-state enumeration.
-// ---------------------------------------------------------------------------
+// Crash-state enumeration over a CrashDevice's write log.
 
 // EnumPolicy bounds and seeds the crash-state enumeration, following the
 // bounded black-box approach of B3 (Mohan et al., OSDI '18): exhaust all
@@ -228,18 +93,11 @@ func (s CrashState) String() string {
 	return fmt.Sprintf("p%d m=%b%s%s", s.Point, s.Mask, seal, t)
 }
 
-// pendingStart returns the log index of the first volatile write for a
-// crash at point: the open epoch is log[point]'s epoch, and at most window
-// of its trailing writes are still in cache (earlier ones were evicted to
-// media as the cache filled).
-func pendingStart(log []WriteRecord, point, window int) int {
-	return pendingStartSealed(log, point, window, log[point].Epoch)
-}
-
-// pendingStartSealed is pendingStart with the sealed-epoch count made
-// explicit: writes with Epoch < sealed are durable, so the pending window
-// is the trailing run of writes at or after epoch `sealed`, capped at
-// `window`. It may return point+1 (empty window) when log[point] itself is
+// pendingStartSealed returns the log index of the first volatile write
+// for a crash at point: writes with Epoch < sealed are durable, so the
+// pending window is the trailing run of writes at or after epoch `sealed`,
+// capped at `window` (earlier ones were evicted to media as the cache
+// filled). It may return point+1 (empty window) when log[point] itself is
 // already sealed — the post-fsync-return crash where nothing is volatile.
 func pendingStartSealed(log []WriteRecord, point, window, sealed int) int {
 	first := point + 1
@@ -291,6 +149,17 @@ func EnumerateCrashStatesSealed(log []WriteRecord, point, sealed int, p EnumPoli
 		return nil
 	}
 	return enumerateStates(log, point, sealed, true, p)
+}
+
+// PrefixCut is the crash state in which exactly the first k logged writes
+// reached the media, in issue order and none torn: the image a CrashDevice
+// with limit k leaves on a rerun of the same workload. PrefixCut(log, 0) is
+// the base image itself.
+func PrefixCut(log []WriteRecord, k int) CrashState {
+	if k <= 0 {
+		return CrashState{Point: -1}
+	}
+	return CrashState{Point: k - 1, Sealed: log[k-1].Epoch + 1, SealedKnown: true}
 }
 
 func enumerateStates(log []WriteRecord, point, sealed int, stamp bool, p EnumPolicy) []CrashState {
@@ -392,7 +261,3 @@ func ApplyCrashStateTo(img []byte, blockSize int, log []WriteRecord, s CrashStat
 		copy(img[r.Block*int64(blockSize):], data)
 	}
 }
-
-// Clock forwards the simulated clock of the wrapped device, keeping
-// disk.ClockOf discovery working through the write cache.
-func (d *CacheDevice) Clock() *disk.Clock { return disk.ClockOf(d.inner) }

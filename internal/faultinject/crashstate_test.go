@@ -2,19 +2,23 @@ package faultinject
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"ironfs/internal/disk"
+	"ironfs/internal/trace"
 )
 
-func newCacheUnderTest(t *testing.T, blocks int64) (*disk.Disk, *CacheDevice) {
+// newRecorderUnderTest returns a disk and a CrashDevice over it that never
+// crashes: a pure write recorder.
+func newRecorderUnderTest(t *testing.T, blocks int64) (*disk.Disk, *CrashDevice) {
 	t.Helper()
 	d, err := disk.New(blocks, disk.DefaultGeometry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, NewCacheDevice(d)
+	return d, NewCrashDevice(d, -1)
 }
 
 func fillBlock(d *disk.Disk, b byte) []byte {
@@ -25,30 +29,32 @@ func fillBlock(d *disk.Disk, b byte) []byte {
 	return buf
 }
 
-func TestCacheDeviceReadBack(t *testing.T) {
-	d, c := newCacheUnderTest(t, 16)
-	want := fillBlock(d, 0xAB)
-	if err := c.WriteBlock(3, want); err != nil {
+// TestCrashDeviceWritesThrough: a logged write has reached the device
+// below, and the log holds a private copy of it.
+func TestCrashDeviceWritesThrough(t *testing.T) {
+	d, c := newRecorderUnderTest(t, 16)
+	buf := fillBlock(d, 0xAB)
+	if err := c.WriteBlock(3, buf); err != nil {
 		t.Fatal(err)
 	}
+	want := bytes.Clone(buf)
+	buf[0] = 0
 	got := make([]byte, d.BlockSize())
-	if err := c.ReadBlock(3, got); err != nil {
+	if err := d.ReadRaw(3, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("cached write not visible through ReadBlock")
+		t.Fatal("logged write did not reach the wrapped device")
 	}
-	// The inner device must be untouched: the cache is volatile.
-	if err := d.ReadBlock(3, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, make([]byte, d.BlockSize())) {
-		t.Fatal("write leaked through to the wrapped device")
+	if log := c.Log(); len(log) != 1 || log[0].Block != 3 || !bytes.Equal(log[0].Data, want) {
+		t.Fatalf("log = %+v, want one private copy of the write to block 3", log)
 	}
 }
 
-func TestCacheDeviceEpochs(t *testing.T) {
-	d, c := newCacheUnderTest(t, 16)
+func TestCrashDeviceEpochs(t *testing.T) {
+	d, c := newRecorderUnderTest(t, 16)
+	tr := trace.New(nil)
+	d.SetTracer(tr)
 	if err := c.WriteBlock(0, fillBlock(d, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +71,21 @@ func TestCacheDeviceEpochs(t *testing.T) {
 	if len(log) != 2 || log[0].Epoch != 0 || log[1].Epoch != 1 {
 		t.Fatalf("unexpected log epochs: %+v", log)
 	}
+	// The cache-layer events are 1:1 with the log and its seals.
+	var got []string
+	for _, e := range tr.Events() {
+		if e.Layer == trace.LayerCache {
+			got = append(got, fmt.Sprintf("%s %d e%d", e.Kind, e.Block, e.Epoch))
+		}
+	}
+	if want := []string{"write 0 e0", "barrier -1 e0", "write 1 e1"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("cache events = %q, want %q", got, want)
+	}
 }
 
 // writeSeq issues writes to blocks[i] with fill byte i+1, with a barrier
 // after each index listed in barriers.
-func writeSeq(t *testing.T, d *disk.Disk, c *CacheDevice, blocks []int64, barriers map[int]bool) {
+func writeSeq(t *testing.T, d *disk.Disk, c *CrashDevice, blocks []int64, barriers map[int]bool) {
 	t.Helper()
 	for i, b := range blocks {
 		if err := c.WriteBlock(b, fillBlock(d, byte(i+1))); err != nil {
@@ -84,7 +100,7 @@ func writeSeq(t *testing.T, d *disk.Disk, c *CacheDevice, blocks []int64, barrie
 }
 
 func TestEnumerateExhaustiveSmallWindow(t *testing.T) {
-	d, c := newCacheUnderTest(t, 16)
+	d, c := newRecorderUnderTest(t, 16)
 	// Barrier after write 0; crash at write 2 → pending set {1, 2}, n=2.
 	writeSeq(t, d, c, []int64{0, 1, 2}, map[int]bool{0: true})
 	states := EnumerateCrashStates(c.Log(), 2, EnumPolicy{})
@@ -107,7 +123,7 @@ func TestEnumerateExhaustiveSmallWindow(t *testing.T) {
 }
 
 func TestEnumerateSampledLargeWindow(t *testing.T) {
-	d, c := newCacheUnderTest(t, 64)
+	d, c := newRecorderUnderTest(t, 64)
 	blocks := make([]int64, 10)
 	for i := range blocks {
 		blocks[i] = int64(i)
@@ -141,7 +157,7 @@ func TestEnumerateSampledLargeWindow(t *testing.T) {
 }
 
 func TestEnumerateDeterministic(t *testing.T) {
-	d, c := newCacheUnderTest(t, 64)
+	d, c := newRecorderUnderTest(t, 64)
 	blocks := make([]int64, 12)
 	for i := range blocks {
 		blocks[i] = int64(i)
@@ -160,7 +176,7 @@ func TestEnumerateDeterministic(t *testing.T) {
 }
 
 func TestWindowEvictionDurable(t *testing.T) {
-	d, c := newCacheUnderTest(t, 64)
+	d, c := newRecorderUnderTest(t, 64)
 	blocks := make([]int64, 6)
 	for i := range blocks {
 		blocks[i] = int64(i)
@@ -185,7 +201,7 @@ func TestWindowEvictionDurable(t *testing.T) {
 }
 
 func TestApplyCrashStateOrderAndTear(t *testing.T) {
-	d, c := newCacheUnderTest(t, 16)
+	d, c := newRecorderUnderTest(t, 16)
 	// Two writes to the same block in one epoch: later must win when both
 	// survive.
 	if err := c.WriteBlock(5, fillBlock(d, 0x11)); err != nil {
@@ -221,7 +237,7 @@ func TestApplyCrashStateOrderAndTear(t *testing.T) {
 }
 
 func TestApplyCrashStateRespectsBarriers(t *testing.T) {
-	d, c := newCacheUnderTest(t, 16)
+	d, c := newRecorderUnderTest(t, 16)
 	writeSeq(t, d, c, []int64{1, 2, 3}, map[int]bool{1: true})
 	log := c.Log()
 	base := make([]byte, 16*d.BlockSize())

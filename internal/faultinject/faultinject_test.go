@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -470,6 +471,56 @@ func TestCrashDeviceMidBatch(t *testing.T) {
 	third := raw[0]
 	if first != 1 || third != 0 {
 		t.Fatalf("crash point not mid-batch: first=%d third=%d", first, third)
+	}
+}
+
+// TestCrashDeviceCountsOnlyLandedWrites: a write the device below refuses
+// never reached the media, so it must not count toward Written, the crash
+// limit or the log — whether it is a bad block number or a write fault in
+// a fault layer underneath, alone or inside a batch.
+func TestCrashDeviceCountsOnlyLandedWrites(t *testing.T) {
+	d, fd := newStack(t)
+	c := NewCrashDevice(fd, 1)
+	buf := make([]byte, 4096)
+	if err := c.WriteBlock(d.NumBlocks(), buf); !errors.Is(err, disk.ErrOutOfRange) {
+		t.Fatalf("out-of-range write = %v, want disk.ErrOutOfRange", err)
+	}
+	fd.Arm(&Fault{Class: iron.WriteFailure})
+	if err := c.WriteBatch([]disk.Request{{Block: 5, Data: buf}}); err == nil || errors.Is(err, ErrCrashed) {
+		t.Fatalf("faulted write = %v, want the fault layer's error", err)
+	}
+	if n := c.Written(); n != 0 || len(c.Log()) != 0 || c.Crashed() {
+		t.Fatalf("after two refused writes: written=%d log=%d crashed=%v, want 0, 0, false", n, len(c.Log()), c.Crashed())
+	}
+	// The one write the limit allows is still available.
+	if err := c.WriteBlock(6, buf); err != nil {
+		t.Fatalf("first landed write: %v", err)
+	}
+	var ce *CrashError
+	if err := c.WriteBlock(7, buf); !errors.As(err, &ce) || ce.Write != 1 {
+		t.Fatalf("write past the limit = %v, want *CrashError{Write: 1}", err)
+	}
+}
+
+// TestCrashDeviceConcurrentLimit: writers racing past the limit land
+// exactly limit writes between them, every one logged.
+func TestCrashDeviceConcurrentLimit(t *testing.T) {
+	d, _ := disk.New(64, disk.DefaultGeometry(), nil)
+	c := NewCrashDevice(d, 20)
+	var wg sync.WaitGroup
+	for w := int64(0); w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 4096)
+			for i := int64(0); i < 10; i++ {
+				_ = c.WriteBlock(w*10+i, buf) // the writes past the limit fail by design
+			}
+		}()
+	}
+	wg.Wait()
+	if !c.Crashed() || c.Written() != 20 || len(c.Log()) != 20 {
+		t.Fatalf("crashed=%v written=%d log=%d, want true, 20, 20", c.Crashed(), c.Written(), len(c.Log()))
 	}
 }
 

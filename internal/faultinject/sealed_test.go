@@ -11,7 +11,7 @@ import (
 // fsync returned").
 
 func TestEpochSeals(t *testing.T) {
-	d, c := newCacheUnderTest(t, 16)
+	d, c := newRecorderUnderTest(t, 16)
 	// Epoch 0: writes 0,1. Epoch 1: write 2. Epoch 2: writes 3,4 (open).
 	writeSeq(t, d, c, []int64{0, 1, 2, 3, 4}, map[int]bool{1: true, 2: true})
 	got := EpochSeals(c.Log())
@@ -22,7 +22,7 @@ func TestEpochSeals(t *testing.T) {
 }
 
 func TestSealedEnumerationEmptyPending(t *testing.T) {
-	d, c := newCacheUnderTest(t, 16)
+	d, c := newRecorderUnderTest(t, 16)
 	writeSeq(t, d, c, []int64{0, 1, 2}, map[int]bool{2: true})
 	log := c.Log()
 	// Everything at or before the point is sealed: the post-return crash
@@ -38,7 +38,7 @@ func TestSealedEnumerationEmptyPending(t *testing.T) {
 }
 
 func TestSealedEnumerationPendingSubsets(t *testing.T) {
-	d, c := newCacheUnderTest(t, 16)
+	d, c := newRecorderUnderTest(t, 16)
 	// Barrier after write 0; writes 1 and 2 are epoch 1, unsealed.
 	writeSeq(t, d, c, []int64{0, 1, 2}, map[int]bool{0: true})
 	log := c.Log()
@@ -58,7 +58,7 @@ func TestSealedEnumerationPendingSubsets(t *testing.T) {
 }
 
 func TestSealedApplyKeepsSealedWritesDespiteMask(t *testing.T) {
-	d, c := newCacheUnderTest(t, 16)
+	d, c := newRecorderUnderTest(t, 16)
 	writeSeq(t, d, c, []int64{0, 1}, map[int]bool{0: true})
 	log := c.Log()
 	base := make([]byte, 16*d.BlockSize())

@@ -24,7 +24,7 @@ func crashTestOpts() Options {
 
 // cacheBarriersBetween counts observed cache-layer barrier events issued
 // between the a-th and b-th cache-layer writes (exclusive). Cache write
-// events are emitted 1:1 and in order with the CacheDevice write log, so
+// events are emitted 1:1 and in order with the CrashDevice write log, so
 // log indices address trace events directly.
 func cacheBarriersBetween(events []trace.Event, a, b int) int {
 	writes, barriers := 0, 0
@@ -44,7 +44,7 @@ func cacheBarriersBetween(events []trace.Event, a, b int) int {
 	return barriers
 }
 
-// buildCommitCrash runs create+write+sync on a cached device and returns
+// buildCommitCrash runs create+write+sync on a recording device and returns
 // the post-crash image in which the last transaction's commit block
 // landed but its first journal payload block did not.
 func buildCommitCrash(t *testing.T, opts Options) []byte {
@@ -59,8 +59,8 @@ func buildCommitCrash(t *testing.T, opts Options) []byte {
 	baseImg := d.Snapshot()
 	tr := trace.New(nil)
 	d.SetTracer(tr)
-	cache := faultinject.NewCacheDevice(d)
-	fs := New(cache, opts, iron.NewRecorder())
+	rec := faultinject.NewCrashDevice(d, -1)
+	fs := New(rec, opts, iron.NewRecorder())
 	if err := fs.Mount(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func buildCommitCrash(t *testing.T, opts Options) []byte {
 		t.Fatal(err)
 	}
 
-	log := cache.Log()
+	log := rec.Log()
 	le := binary.LittleEndian
 	commitIdx, descIdx := -1, -1
 	for i := len(log) - 1; i >= 0; i-- {
@@ -207,8 +207,8 @@ func TestBarrierMakesReorderInexpressible(t *testing.T) {
 	}
 	tr := trace.New(nil)
 	d.SetTracer(tr)
-	cache := faultinject.NewCacheDevice(d)
-	fs := New(cache, opts, iron.NewRecorder())
+	rec := faultinject.NewCrashDevice(d, -1)
+	fs := New(rec, opts, iron.NewRecorder())
 	if err := fs.Mount(); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestBarrierMakesReorderInexpressible(t *testing.T) {
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	log := cache.Log()
+	log := rec.Log()
 	le := binary.LittleEndian
 	commitIdx, descIdx := -1, -1
 	for i := len(log) - 1; i >= 0; i-- {

@@ -131,8 +131,8 @@ func replicaMismatch(t *testing.T, d *disk.Disk, fs *FS) string {
 //
 // The churn is deterministic, so a run cut after n writes has put exactly
 // the uncut run's first n writes on the media: each cut's image is built
-// from the uncut run's write log rather than by rerunning the churn, and
-// every 64th is checked against a real cut. Each recovery's own writes
+// from the uncut run's CrashDevice log rather than by rerunning the churn,
+// and every 64th is checked against a real cut. Each recovery's own writes
 // are undone from that image before the next cut.
 func TestReplicaNeverAheadOfCommit(t *testing.T) {
 	const seed = 0x1207
@@ -153,15 +153,15 @@ func TestReplicaNeverAheadOfCommit(t *testing.T) {
 				t.Fatal(err)
 			}
 			base := d.Snapshot()
-			media := &ioLog{Device: d}
-			fs := New(faultinject.NewCrashDevice(media, -1), opts, nil)
+			uncut := faultinject.NewCrashDevice(d, -1)
+			fs := New(uncut, opts, nil)
 			if err := fs.Mount(); err != nil {
 				t.Fatal(err)
 			}
 			if err := replicaChurn(fs, seed); err != nil {
 				t.Fatalf("uncut churn: %v", err)
 			}
-			writes := media.writes()
+			writes := uncut.Log()
 
 			img := bytes.Clone(base)
 			if err := d.Restore(img); err != nil {

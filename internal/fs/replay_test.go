@@ -347,12 +347,12 @@ func crashDuringReplayConverges(t *testing.T, name string) {
 			continue
 		}
 
-		// The write cache holds what the recovery writes, with the barrier
-		// epoch of each write, and lets none of it through to d.
+		// A recording crash device logs what the recovery writes, with the
+		// barrier epoch of each write.
 		d.rewind(t)
-		cache := faultinject.NewCacheDevice(d)
-		recoverDisk(t, name, cache, -1)
-		log := cache.Log()
+		rec := faultinject.NewCrashDevice(d, -1)
+		recoverDisk(t, name, rec, -1)
+		log := rec.Log()
 		for i, lost := range log {
 			d.rewind(t)
 			for j, w := range log {

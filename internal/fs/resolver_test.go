@@ -249,8 +249,8 @@ func TestResolverConformance(t *testing.T) {
 			})
 
 			t.Run("cache-flush", func(t *testing.T) {
-				// A volatile write cache absorbs a workload; the disk sees none
-				// of it until the cache's log is flushed in one batch.
+				// A workload runs on a copy of the volume; the disk sees none
+				// of it until the copy's write log is flushed in one batch.
 				d, err := disk.New(4096, disk.DefaultGeometry(), nil)
 				if err != nil {
 					t.Fatal(err)
@@ -264,21 +264,28 @@ func TestResolverConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertFresh(t, name, d, r, "formatted")
-				cache := faultinject.NewCacheDevice(d)
-				fsys, err := Mount(name, cache, opts)
+				copyDisk, err := disk.New(4096, disk.DefaultGeometry(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := copyDisk.Restore(d.Snapshot()); err != nil {
+					t.Fatal(err)
+				}
+				rec := faultinject.NewCrashDevice(copyDisk, -1)
+				fsys, err := Mount(name, rec, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				churn(fsys, 3, 12)
-				assertFresh(t, name, d, r, "workload absorbed by the cache")
+				assertFresh(t, name, d, r, "workload run on a copy")
 				var reqs []disk.Request
-				for _, w := range cache.Log() {
+				for _, w := range rec.Log() {
 					reqs = append(reqs, disk.Request{Block: w.Block, Data: w.Data})
 				}
 				if err := d.WriteBatch(reqs); err != nil {
 					t.Fatal(err)
 				}
-				assertFresh(t, name, d, r, "after the cache flush")
+				assertFresh(t, name, d, r, "after the log flush")
 			})
 		})
 	}

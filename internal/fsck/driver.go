@@ -165,3 +165,7 @@ func (d *Driver) SetRepairHooks(h *RepairHooks) {
 	defer d.v.Mu.Unlock()
 	d.hooks = h
 }
+
+// BlockCache returns the volume's buffer cache, so a harness can compare
+// what it holds with the media.
+func (d *Driver) BlockCache() *bcache.Cache { return d.v.Cache }

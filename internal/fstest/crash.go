@@ -6,14 +6,15 @@ import (
 
 	"ironfs/internal/disk"
 	"ironfs/internal/faultinject"
+	"ironfs/internal/iron"
 	"ironfs/internal/vfs"
 )
 
-// Crash-consistency sweep: run a fixed workload against a CrashDevice that
-// cuts the write stream at every possible point, remount (triggering
-// journal recovery), and verify the journaling invariant — every file
-// fsync'd before the crash point is intact afterwards, and the file system
-// itself is usable.
+// Crash-consistency sweep: record a fixed workload once on a CrashDevice,
+// then for every prefix cut of its write log — the image a crash after k
+// writes leaves — remount (triggering journal recovery) and verify the
+// journaling invariant: every file fsync'd before the cut is intact
+// afterwards, and the file system itself is usable.
 
 // CrashConfig parameterizes a sweep.
 type CrashConfig struct {
@@ -26,9 +27,10 @@ type CrashConfig struct {
 }
 
 // CrashWorkload is the deterministic workload used by the sweep: three
-// files created, written, and individually fsync'd. After recovery, every
-// file whose fsync completed before the crash must read back exactly.
-func CrashWorkload(fs vfs.FileSystem, synced *[]string) error {
+// files created, written, and individually fsync'd, with fsynced called
+// on each path once its Fsync has returned. After recovery, every file
+// whose fsync completed before the crash must read back exactly.
+func CrashWorkload(fs vfs.FileSystem, fsynced func(path string)) error {
 	for i := 0; i < 3; i++ {
 		p := fmt.Sprintf("/durable%d", i)
 		if err := fs.Create(p, 0o644); err != nil {
@@ -40,7 +42,7 @@ func CrashWorkload(fs vfs.FileSystem, synced *[]string) error {
 		if err := fs.Fsync(p); err != nil {
 			return err
 		}
-		*synced = append(*synced, p)
+		fsynced(p)
 	}
 	return nil
 }
@@ -49,9 +51,54 @@ func crashPayload(i int) []byte {
 	return bytes.Repeat([]byte{byte('A' + i)}, 3000+i*1000)
 }
 
-// SweepCrashes exercises the workload with a crash after every `stride`-th
-// write, remounting with newFS each time. mkfs formats a fresh device;
-// newFS binds an instance. It returns the number of crash points tested.
+// CrashRecording is CrashWorkload recorded once, mount included, on a
+// CrashDevice, with the log length at which each Fsync returned.
+type CrashRecording struct {
+	*Recording
+	fsynced []fsyncMark
+}
+
+// fsyncMark is one acknowledged Fsync: path was durable once the first
+// writes logged writes had landed.
+type fsyncMark struct {
+	path   string
+	writes int
+}
+
+// RecordCrashWorkload formats a volume of the given size with mkfs, then
+// mounts newFS on a recording CrashDevice over it and runs CrashWorkload.
+func RecordCrashWorkload(blocks int64, mkfs func(dev disk.Device) error, newFS func(dev disk.Device) vfs.FileSystem) (*CrashRecording, error) {
+	t := ExploreTarget{Name: "sweep", Mkfs: mkfs, New: func(d disk.Device, _ *iron.Recorder) vfs.FileSystem { return newFS(d) }}
+	r := &CrashRecording{}
+	var err error
+	r.Recording, err = Record(t, blocks, nil, func(cd *faultinject.CrashDevice) error {
+		fs := newFS(cd)
+		if err := fs.Mount(); err != nil {
+			return err
+		}
+		return CrashWorkload(fs, func(p string) {
+			r.fsynced = append(r.fsynced, fsyncMark{path: p, writes: int(cd.Written())})
+		})
+	})
+	return r, err
+}
+
+// SyncedAt returns the paths whose Fsync had returned by the cut at k: the
+// set a rerun crashed after k writes acknowledges.
+func (r *CrashRecording) SyncedAt(k int) []string {
+	var out []string
+	for _, m := range r.fsynced {
+		if m.writes <= k {
+			out = append(out, m.path)
+		}
+	}
+	return out
+}
+
+// SweepCrashes records the workload once and checks every stride-th prefix
+// cut of its log, from nothing landed to every write landed, remounting
+// with newFS each time. mkfs formats a fresh device; newFS binds an
+// instance. It returns the number of crash points tested.
 func SweepCrashes(
 	cfg CrashConfig,
 	mkfs func(dev disk.Device) error,
@@ -63,69 +110,50 @@ func SweepCrashes(
 	if cfg.Stride == 0 {
 		cfg.Stride = 1
 	}
-
-	// Dry run to count total writes.
-	base, err := disk.New(cfg.DiskBlocks, disk.DefaultGeometry(), nil)
+	r, err := RecordCrashWorkload(cfg.DiskBlocks, mkfs, newFS)
 	if err != nil {
 		return 0, err
 	}
-	if err := mkfs(base); err != nil {
-		return 0, err
-	}
-	img := base.Snapshot()
-	before := base.Stats()
-	fs := newFS(base)
-	if err := fs.Mount(); err != nil {
-		return 0, err
-	}
-	var all []string
-	if err := CrashWorkload(fs, &all); err != nil {
-		return 0, err
-	}
-	total := base.Stats().Sub(before).Writes
-
+	img := make([]byte, len(r.Base))
 	points := 0
-	for limit := int64(1); limit < total; limit += cfg.Stride {
+	for k := 0; k <= len(r.Log); k += int(cfg.Stride) {
 		if cfg.MaxPoints > 0 && points >= cfg.MaxPoints {
 			break
 		}
 		points++
-		d, err := disk.New(cfg.DiskBlocks, disk.DefaultGeometry(), nil)
+		var lost error
+		g, err := r.Grade(faultinject.PrefixCut(r.Log, k), faultinject.EnumPolicy{}, img, "", func(rfs vfs.FileSystem) {
+			lost = checkRecovered(rfs, r.SyncedAt(k))
+		})
 		if err != nil {
 			return points, err
 		}
-		if err := d.Restore(img); err != nil {
-			return points, err
+		if g.MountErr != nil {
+			return points, fmt.Errorf("crash at write %d: recovery mount failed: %v", k, g.MountErr)
 		}
-		crash := faultinject.NewCrashDevice(d, limit)
-		cfs := newFS(crash)
-		var synced []string
-		if err := cfs.Mount(); err == nil {
-			//iron:policy harness §4 the crash device kills the workload mid-write by design; recovery of the image is what gets checked
-			_ = CrashWorkload(cfs, &synced)
-		}
-
-		// Recovery: mount the underlying image.
-		rfs := newFS(d)
-		if err := rfs.Mount(); err != nil {
-			return points, fmt.Errorf("crash at write %d: recovery mount failed: %v", limit, err)
-		}
-		for i, p := range synced {
-			want := crashPayload(i)
-			buf := make([]byte, len(want))
-			n, err := rfs.Read(p, 0, buf)
-			if err != nil || n != len(want) || !bytes.Equal(buf[:n], want) {
-				return points, fmt.Errorf("crash at write %d: fsync'd file %s lost or corrupt (n=%d err=%v)",
-					limit, p, n, err)
-			}
-		}
-		// The recovered file system must still be usable.
-		if err := rfs.Create("/after-recovery", 0o644); err != nil {
-			return points, fmt.Errorf("crash at write %d: post-recovery create: %v", limit, err)
-		}
-		if err := rfs.Unmount(); err != nil {
-			return points, fmt.Errorf("crash at write %d: post-recovery unmount: %v", limit, err)
+		if lost != nil {
+			return points, fmt.Errorf("crash at write %d: %v", k, lost)
 		}
 	}
 	return points, nil
+}
+
+// checkRecovered verifies a recovered CrashWorkload volume: every synced
+// file reads back exactly, and the file system is still usable.
+func checkRecovered(fs vfs.FileSystem, synced []string) error {
+	for i, p := range synced {
+		want := crashPayload(i)
+		buf := make([]byte, len(want))
+		n, err := fs.Read(p, 0, buf)
+		if err != nil || n != len(want) || !bytes.Equal(buf[:n], want) {
+			return fmt.Errorf("fsync'd file %s lost or corrupt (n=%d err=%v)", p, n, err)
+		}
+	}
+	if err := fs.Create("/after-recovery", 0o644); err != nil {
+		return fmt.Errorf("post-recovery create: %v", err)
+	}
+	if err := fs.Unmount(); err != nil {
+		return fmt.Errorf("post-recovery unmount: %v", err)
+	}
+	return nil
 }

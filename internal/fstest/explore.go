@@ -3,8 +3,6 @@ package fstest
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"ironfs/internal/disk"
 	"ironfs/internal/faultinject"
@@ -14,14 +12,14 @@ import (
 	"ironfs/internal/vfs"
 )
 
-// Crash-state exploration: run a workload over a volatile write cache
-// (faultinject.CacheDevice), then for every write in the logged stream
-// enumerate the crash states the cache model admits — reordered and torn
-// subsets of the unsealed epoch — materialize each state on a clone of the
-// image, remount (running journal recovery), and grade the result with a
-// per-FS consistency oracle. The grading separates the paper's §6.2
-// headline cleanly: a file system that trusts write ordering replays
-// garbage silently; one with transactional checksums detects it.
+// Crash-state exploration: record a workload once on a CrashDevice, then
+// for every write in its log enumerate the crash states the write-cache
+// model admits — reordered and torn subsets of the unsealed epoch —
+// materialize each state on a scratch image, remount (running journal
+// recovery), and grade the result with a per-FS consistency oracle. The
+// grading separates the paper's §6.2 headline cleanly: a file system that
+// trusts write ordering replays garbage silently; one with transactional
+// checksums detects it.
 
 // ExploreTarget binds one file system into the harness. The concrete
 // targets live in internal/fingerprint (fstest cannot import the fs
@@ -41,7 +39,7 @@ type ExploreTarget struct {
 	Check func(dev disk.Device) error
 }
 
-// ExploreWorkload is a deterministic mutation sequence run on the cached
+// ExploreWorkload is a deterministic mutation sequence run on the recording
 // device to generate the write stream under exploration.
 type ExploreWorkload struct {
 	Name string
@@ -57,8 +55,7 @@ type ExploreWorkload struct {
 func Workloads() []ExploreWorkload {
 	return []ExploreWorkload{
 		{Name: "mkfiles", Run: func(fs vfs.FileSystem) error {
-			var synced []string
-			return CrashWorkload(fs, &synced)
+			return CrashWorkload(fs, func(string) {})
 		}},
 		{Name: "churn", Run: func(fs vfs.FileSystem) error {
 			if err := fs.Mkdir("/d", 0o755); err != nil {
@@ -155,10 +152,11 @@ type ExploreConfig struct {
 	MaxPoints int
 	// Policy is the crash-state enumeration policy (zero = defaults).
 	Policy faultinject.EnumPolicy
-	// Workers sets the worker-goroutine count (default GOMAXPROCS, max 8).
+	// Workers sets the worker-goroutine count (default GOMAXPROCS, max 8;
+	// see Spread).
 	Workers int
 	// QueueDepth inserts the I/O scheduler between the file system and
-	// the write cache during the workload phase, with the given queue
+	// the crash device during the workload phase, with the given queue
 	// depth. Depth ≤ 1 (the default) is a strict passthrough — the logged
 	// write stream, and therefore the whole crash matrix, is byte-for-byte
 	// what it was before the scheduler existed. Depths > 1 let the
@@ -177,12 +175,6 @@ func (c ExploreConfig) withDefaults() ExploreConfig {
 	}
 	if c.Stride <= 0 {
 		c.Stride = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-		if c.Workers > 8 {
-			c.Workers = 8
-		}
 	}
 	return c
 }
@@ -211,8 +203,8 @@ type ExploreResult struct {
 	// claims (ext3-nobarrier must show 0 here, stock ext3 several).
 	Barriers int
 	// Epochs is the number of sealed write-cache epochs (== Barriers; kept
-	// separately because it comes from the cache's own counter, so a
-	// mismatch means the trace itself is wrong).
+	// separately because it comes from the crash device's own counter, so
+	// a mismatch means the trace itself is wrong).
 	Epochs int
 	// WorkloadTrace is the workload phase's evidence trace (nil unless
 	// ExploreConfig.Trace).
@@ -244,10 +236,11 @@ func (r *ExploreResult) String() string {
 		r.Consistent, r.Detected, r.Refused, r.Inconsistent, r.Silent)
 }
 
-// Explore runs the workload on the target over a volatile write cache and
-// grades every enumerated crash state. The run is deterministic for a
-// fixed config and race-free: states are partitioned over workers, each
-// with a private image clone, and results land in indexed slots.
+// Explore records the workload on the target once, on a CrashDevice, and
+// grades every enumerated crash state of its write log. The run is
+// deterministic for a fixed config and race-free: states are striped over
+// workers, each with a private scratch image, and results land in indexed
+// slots.
 func Explore(t ExploreTarget, w ExploreWorkload, cfg ExploreConfig) (*ExploreResult, error) {
 	cfg = cfg.withDefaults()
 	blocks := cfg.DiskBlocks
@@ -255,36 +248,35 @@ func Explore(t ExploreTarget, w ExploreWorkload, cfg ExploreConfig) (*ExploreRes
 		blocks = t.DiskBlocks
 	}
 
-	// Format, snapshot the pre-workload image, then run the workload
-	// entirely inside the write cache.
-	base, err := disk.New(blocks, disk.DefaultGeometry(), nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Mkfs(base); err != nil {
-		return nil, fmt.Errorf("%s mkfs: %w", t.Name, err)
-	}
-	baseImg := base.Snapshot()
 	// The workload phase is always traced: the cache-layer barrier events
 	// are the observed evidence for epoch/ordering claims, and the phase
 	// is single-run (cheap) unlike the per-state grading below.
-	wtr := trace.New(func() int64 { return int64(base.Clock().Now()) })
-	base.SetTracer(wtr)
-	cache := faultinject.NewCacheDevice(base)
-	rec := iron.NewRecorder()
-	wtr.BridgeRecorder(rec)
-	// The scheduler sits above the write cache so a drain delivers its
-	// batch into the open epoch exactly as direct writes would; at the
-	// default depth 1 it is a strict passthrough.
-	fs := t.New(sched.New(cache, sched.Config{QueueDepth: cfg.QueueDepth}), rec)
-	wtr.Mark(fmt.Sprintf("explore fs=%s workload=%s", t.Name, w.Name))
-	if err := fs.Mount(); err != nil {
-		return nil, fmt.Errorf("%s mount: %w", t.Name, err)
+	var wtr *trace.Tracer
+	traceDisk := func(d *disk.Disk) error {
+		wtr = trace.New(func() int64 { return int64(d.Clock().Now()) })
+		d.SetTracer(wtr)
+		return nil
 	}
-	if err := w.Run(fs); err != nil {
-		return nil, fmt.Errorf("%s workload %s: %w", t.Name, w.Name, err)
+	r, err := Record(t, blocks, traceDisk, func(cd *faultinject.CrashDevice) error {
+		rec := iron.NewRecorder()
+		wtr.BridgeRecorder(rec)
+		// The scheduler sits above the crash device so a drain delivers
+		// its batch into the open epoch exactly as direct writes would; at
+		// the default depth 1 it is a strict passthrough.
+		fs := t.New(sched.New(cd, sched.Config{QueueDepth: cfg.QueueDepth}), rec)
+		wtr.Mark(fmt.Sprintf("explore fs=%s workload=%s", t.Name, w.Name))
+		if err := fs.Mount(); err != nil {
+			return fmt.Errorf("%s mount: %w", t.Name, err)
+		}
+		if err := w.Run(fs); err != nil {
+			return fmt.Errorf("%s workload %s: %w", t.Name, w.Name, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	log := cache.Log()
+	log := r.Log
 	if len(log) == 0 {
 		return nil, fmt.Errorf("%s workload %s: no writes logged", t.Name, w.Name)
 	}
@@ -297,8 +289,18 @@ func Explore(t ExploreTarget, w ExploreWorkload, cfg ExploreConfig) (*ExploreRes
 	}
 
 	// Pick crash points: every Stride-th write, evenly thinned to
-	// MaxPoints if capped (shared with the hunt harness).
-	points := SelectPoints(log, PointPolicy{Stride: cfg.Stride, MaxPoints: cfg.MaxPoints})
+	// MaxPoints if capped.
+	var points []int
+	for i := 0; i < len(log); i += cfg.Stride {
+		points = append(points, i)
+	}
+	if cfg.MaxPoints > 0 && len(points) > cfg.MaxPoints {
+		thinned := make([]int, cfg.MaxPoints)
+		for i := range thinned {
+			thinned[i] = points[i*len(points)/cfg.MaxPoints]
+		}
+		points = thinned
+	}
 
 	// Enumerate up front so states can be partitioned over workers.
 	var states []faultinject.CrashState
@@ -307,105 +309,48 @@ func Explore(t ExploreTarget, w ExploreWorkload, cfg ExploreConfig) (*ExploreRes
 	}
 
 	type verdict struct {
-		outcome int // 0 consistent, 1 detected, 2 refused, 3 inconsistent-detected, 4 silent
-		detail  string
-		events  []trace.Event // evidence, only under cfg.Trace
+		outcome, detail string
+		events          []trace.Event // evidence, only under cfg.Trace
 	}
-	const (
-		vConsistent = iota
-		vDetected
-		vRefused
-		vInconsistent
-		vSilent
-	)
-	outcomeNames := [...]string{"consistent", "detected", "refused", "inconsistent", "silent"}
 	verdicts := make([]verdict, len(states))
-
-	grade := func(img []byte, st faultinject.CrashState) (verdict, error) {
-		d, err := disk.New(blocks, disk.DefaultGeometry(), nil)
-		if err != nil {
-			return verdict{}, err
-		}
-		if err := d.Restore(img); err != nil {
-			return verdict{}, err
-		}
-		// Recovery mount with a fresh recorder: any Detect event here or
-		// during the oracle scan means the file system saw the damage.
-		mrec := iron.NewRecorder()
-		var str *trace.Tracer
+	err = Spread(len(states), cfg.Workers, len(r.Base), func(i int, img []byte) error {
+		st := states[i]
+		mark := ""
 		if cfg.Trace {
-			str = trace.New(func() int64 { return int64(d.Clock().Now()) })
-			d.SetTracer(str)
-			str.BridgeRecorder(mrec)
-			str.Mark(fmt.Sprintf("crash-state fs=%s workload=%s state=%s epoch=%d",
-				t.Name, w.Name, st, log[st.Point].Epoch))
+			mark = fmt.Sprintf("crash-state fs=%s workload=%s state=%s epoch=%d",
+				t.Name, w.Name, st, log[st.Point].Epoch)
 		}
-		mfs := t.New(d, mrec)
-		detected := func() bool {
-			for _, e := range mrec.Events() {
-				if e.Detection != iron.DZero {
-					return true
-				}
-			}
-			return false
+		g, err := r.Grade(st, cfg.Policy, img, mark, nil)
+		if err != nil {
+			return err
 		}
-		done := func(v verdict) verdict {
-			if str.Enabled() {
-				v.events = str.Events()
-			}
-			return v
-		}
-		if err := mfs.Mount(); err != nil {
-			return done(verdict{outcome: vRefused, detail: err.Error()}), nil
-		}
-		err = t.Check(d)
+		v := verdict{events: g.Trace}
 		switch {
-		case err == nil:
-			if detected() {
-				return done(verdict{outcome: vDetected}), nil
-			}
-			return done(verdict{outcome: vConsistent}), nil
-		case errors.Is(err, vfs.ErrInconsistent):
-			if detected() {
-				return done(verdict{outcome: vInconsistent, detail: err.Error()}), nil
-			}
-			return done(verdict{outcome: vSilent, detail: fmt.Sprintf("%s: %v", st, err)}), nil
+		case g.MountErr != nil:
+			v.outcome, v.detail = "refused", g.MountErr.Error()
+		case g.CheckErr == nil && g.Detected:
+			v.outcome = "detected"
+		case g.CheckErr == nil:
+			v.outcome = "consistent"
+		case errors.Is(g.CheckErr, vfs.ErrInconsistent) && g.Detected:
+			v.outcome, v.detail = "inconsistent", g.CheckErr.Error()
+		case errors.Is(g.CheckErr, vfs.ErrInconsistent):
+			v.outcome, v.detail = "silent", fmt.Sprintf("%s: %v", st, g.CheckErr)
 		default:
 			// The oracle's own mount/scan hit a detected failure.
-			return done(verdict{outcome: vRefused, detail: err.Error()}), nil
+			v.outcome, v.detail = "refused", g.CheckErr.Error()
 		}
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Workers)
-	for wk := 0; wk < cfg.Workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			img := make([]byte, len(baseImg))
-			for i := wk; i < len(states); i += cfg.Workers {
-				copy(img, baseImg)
-				faultinject.ApplyCrashStateTo(img, int(disk.DefaultGeometry().BlockSize), log, states[i], cfg.Policy)
-				v, err := grade(img, states[i])
-				if err != nil {
-					errs[wk] = err
-					return
-				}
-				verdicts[i] = v
-			}
-		}(wk)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		verdicts[i] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &ExploreResult{
 		Target: t.Name, Workload: w.Name,
 		Writes: len(log), Points: len(points), States: len(states),
-		Barriers: barriers, Epochs: cache.Epochs(),
+		Barriers: barriers, Epochs: r.Epochs,
 	}
 	if cfg.Trace {
 		res.WorkloadTrace = workloadEvents
@@ -414,7 +359,7 @@ func Explore(t ExploreTarget, w ExploreWorkload, cfg ExploreConfig) (*ExploreRes
 			res.StateResults[i] = StateResult{
 				State:   states[i].String(),
 				Epoch:   log[states[i].Point].Epoch,
-				Outcome: outcomeNames[v.outcome],
+				Outcome: v.outcome,
 				Detail:  v.detail,
 				Trace:   v.events,
 			}
@@ -422,15 +367,15 @@ func Explore(t ExploreTarget, w ExploreWorkload, cfg ExploreConfig) (*ExploreRes
 	}
 	for _, v := range verdicts {
 		switch v.outcome {
-		case vConsistent:
+		case "consistent":
 			res.Consistent++
-		case vDetected:
+		case "detected":
 			res.Detected++
-		case vRefused:
+		case "refused":
 			res.Refused++
-		case vInconsistent:
+		case "inconsistent":
 			res.Inconsistent++
-		case vSilent:
+		case "silent":
 			res.Inconsistent++
 			res.Silent++
 			if res.FirstSilent == "" {

@@ -101,8 +101,8 @@ func ReplayRepro(t fstest.ExploreTarget, r Repro, blocks int64) (ReplayResult, e
 	if run == nil {
 		return out, fmt.Errorf("hunt: artifact sequence produced no writes")
 	}
-	if r.Point < 0 || r.Point >= len(run.log) {
-		return out, fmt.Errorf("hunt: artifact point %d outside log of %d writes", r.Point, len(run.log))
+	if r.Point < 0 || r.Point >= len(run.rec.Log) {
+		return out, fmt.Errorf("hunt: artifact point %d outside log of %d writes", r.Point, len(run.rec.Log))
 	}
 	mask, err := strconv.ParseUint(r.Mask, 10, 64)
 	if err != nil {
@@ -120,8 +120,7 @@ func ReplayRepro(t fstest.ExploreTarget, r Repro, blocks int64) (ReplayResult, e
 		snap:   r.Snap,
 		lastOp: r.LastOp,
 	}
-	img := make([]byte, len(run.baseImg))
-	g, err := gradeState(t, blocks, run, ps, r.Policy, img)
+	g, err := gradeState(run, ps, r.Policy, make([]byte, len(run.rec.Base)))
 	if err != nil {
 		return out, err
 	}

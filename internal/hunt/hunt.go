@@ -3,9 +3,7 @@ package hunt
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"ironfs/internal/disk"
 	"ironfs/internal/faultinject"
@@ -49,7 +47,7 @@ type Config struct {
 	// across hundreds of sequences).
 	Policy faultinject.EnumPolicy
 	// Workers partitions sequences over goroutines (default GOMAXPROCS,
-	// max 8).
+	// max 8; see fstest.Spread).
 	Workers int
 	// DiskBlocks sizes the device (default: target override or 1024).
 	DiskBlocks int64
@@ -71,12 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if !c.Policy.Torn {
 		c.Policy.Torn = true
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-		if c.Workers > 8 {
-			c.Workers = 8
-		}
 	}
 	if c.DiskBlocks == 0 {
 		c.DiskBlocks = 1024
@@ -127,59 +119,53 @@ func (r *TargetResult) String() string {
 		r.StructDetected, r.StructSilent, r.LossDetected, r.LossSilent, len(r.Bugs))
 }
 
-// seqRun is one sequence's replay: the oracle with log spans filled, the
-// logged write stream, and the pre-workload image.
+// seqRun is one sequence's replay: the oracle with log spans filled and
+// the recorded write stream.
 type seqRun struct {
-	seq     Sequence
-	oracle  *Oracle
-	log     []faultinject.WriteRecord
-	baseImg []byte
+	seq    Sequence
+	oracle *Oracle
+	rec    *fstest.Recording
 }
 
-// replaySeq formats a fresh volume, replays seq inside the write cache,
-// and fills the oracle's log spans. Returns nil (no error) for sequences
-// that produce no writes at all.
+// replaySeq formats a fresh volume, replays seq on a recording crash
+// device, and fills the oracle's log spans. Returns nil (no error) for
+// sequences that produce no writes at all.
 func replaySeq(t fstest.ExploreTarget, blocks int64, seq Sequence) (*seqRun, error) {
-	base, err := disk.New(blocks, disk.DefaultGeometry(), nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Mkfs(base); err != nil {
-		return nil, fmt.Errorf("%s mkfs: %w", t.Name, err)
-	}
 	// Baseline: populate basePath on the raw device and unmount cleanly,
 	// so the image every crash state is rebuilt from already owes the
 	// oracle one durable file.
-	pfs := t.New(base, iron.NewRecorder())
-	if err := pfs.Mount(); err != nil {
-		return nil, fmt.Errorf("%s baseline mount: %w", t.Name, err)
-	}
-	if err := preamble(pfs); err != nil {
-		return nil, fmt.Errorf("%s baseline populate: %w", t.Name, err)
-	}
-	if err := pfs.Unmount(); err != nil {
-		return nil, fmt.Errorf("%s baseline unmount: %w", t.Name, err)
-	}
-	baseImg := base.Snapshot()
-	cache := faultinject.NewCacheDevice(base)
-	rec := iron.NewRecorder()
-	fsys := t.New(cache, rec)
-	if err := fsys.Mount(); err != nil {
-		return nil, fmt.Errorf("%s mount: %w", t.Name, err)
+	baseline := func(d *disk.Disk) error {
+		pfs := t.New(d, iron.NewRecorder())
+		if err := pfs.Mount(); err != nil {
+			return fmt.Errorf("%s baseline mount: %w", t.Name, err)
+		}
+		if err := preamble(pfs); err != nil {
+			return fmt.Errorf("%s baseline populate: %w", t.Name, err)
+		}
+		if err := pfs.Unmount(); err != nil {
+			return fmt.Errorf("%s baseline unmount: %w", t.Name, err)
+		}
+		return nil
 	}
 	o := NewOracle(seq)
-	for i, op := range seq {
-		start := len(cache.Log())
-		if err := issue(fsys, op, i); err != nil {
-			return nil, fmt.Errorf("%s replay op %d %s: %w", t.Name, i, op, err)
+	rec, err := fstest.Record(t, blocks, baseline, func(cd *faultinject.CrashDevice) error {
+		fsys := t.New(cd, iron.NewRecorder())
+		if err := fsys.Mount(); err != nil {
+			return fmt.Errorf("%s mount: %w", t.Name, err)
 		}
-		o.setLogSpan(i, start, len(cache.Log()), cache.Epochs())
+		for i, op := range seq {
+			start := int(cd.Written())
+			if err := issue(fsys, op, i); err != nil {
+				return fmt.Errorf("%s replay op %d %s: %w", t.Name, i, op, err)
+			}
+			o.setLogSpan(i, start, int(cd.Written()), cd.Epochs())
+		}
+		return nil
+	})
+	if err != nil || len(rec.Log) == 0 {
+		return nil, err
 	}
-	log := cache.Log()
-	if len(log) == 0 {
-		return nil, nil
-	}
-	return &seqRun{seq: seq, oracle: o, log: log, baseImg: baseImg}, nil
+	return &seqRun{seq: seq, oracle: o, rec: rec}, nil
 }
 
 // plannedState is one crash state with its oracle coordinates.
@@ -193,7 +179,7 @@ type plannedState struct {
 // planStates enumerates the crash plan for one replayed sequence: every
 // epoch seal, every persistence-op return, and the full-image tail.
 func planStates(run *seqRun, policy faultinject.EnumPolicy) (states []plannedState, points int) {
-	log, o := run.log, run.oracle
+	log, o := run.rec.Log, run.oracle
 	for _, pt := range faultinject.EpochSeals(log) {
 		snap, lastOp := o.RequiredSnap(pt), o.LastStarted(pt)
 		for _, st := range faultinject.EnumerateCrashStates(log, pt, policy) {
@@ -233,54 +219,34 @@ type gradedState struct {
 	viol    *Violation // first oracle violation, if any
 }
 
-// gradeState materializes one crash state, remounts, and grades it with
-// the expected-state oracle first and the structural oracle second.
-func gradeState(t fstest.ExploreTarget, blocks int64, run *seqRun, ps plannedState, policy faultinject.EnumPolicy, img []byte) (gradedState, error) {
+// gradeState materializes one crash state on img, remounts, and grades it
+// with the expected-state oracle first and the structural oracle second.
+func gradeState(run *seqRun, ps plannedState, policy faultinject.EnumPolicy, img []byte) (gradedState, error) {
 	g := gradedState{ps: ps}
-	copy(img, run.baseImg)
-	faultinject.ApplyCrashStateTo(img, int(disk.DefaultGeometry().BlockSize), run.log, ps.st, policy)
-	d, err := disk.New(blocks, disk.DefaultGeometry(), nil)
+	var viols []Violation
+	out, err := run.rec.Grade(ps.st, policy, img, "", func(fsys vfs.FileSystem) {
+		viols = run.oracle.GradeAt(fsys, ps.snap, ps.lastOp)
+	})
 	if err != nil {
 		return g, err
 	}
-	if err := d.Restore(img); err != nil {
-		return g, err
-	}
-	mrec := iron.NewRecorder()
-	mfs := t.New(d, mrec)
-	if err := mfs.Mount(); err != nil {
-		g.verdict = VerdictRefused
-		return g, nil
-	}
-	viols := run.oracle.GradeAt(mfs, ps.snap, ps.lastOp)
-	structErr := t.Check(d)
-	detected := false
-	for _, e := range mrec.Events() {
-		if e.Detection != iron.DZero {
-			detected = true
-			break
+	// pick names the verdict by whether the file system flagged anything.
+	pick := func(detected, silent string) string {
+		if out.Detected {
+			return detected
 		}
+		return silent
 	}
 	switch {
+	case out.MountErr != nil:
+		g.verdict = VerdictRefused
 	case len(viols) > 0:
 		g.viol = &viols[0]
-		if detected {
-			g.verdict = VerdictLossDetected
-		} else {
-			g.verdict = VerdictLossSilent
-		}
-	case structErr == nil:
-		if detected {
-			g.verdict = VerdictDetected
-		} else {
-			g.verdict = VerdictOK
-		}
-	case errors.Is(structErr, vfs.ErrInconsistent):
-		if detected {
-			g.verdict = VerdictStructDetected
-		} else {
-			g.verdict = VerdictStructSilent
-		}
+		g.verdict = pick(VerdictLossDetected, VerdictLossSilent)
+	case out.CheckErr == nil:
+		g.verdict = pick(VerdictDetected, VerdictOK)
+	case errors.Is(out.CheckErr, vfs.ErrInconsistent):
+		g.verdict = pick(VerdictStructDetected, VerdictStructSilent)
 	default:
 		// The structural oracle's own scan hit a detected failure.
 		g.verdict = VerdictRefused
@@ -288,23 +254,28 @@ func gradeState(t fstest.ExploreTarget, blocks int64, run *seqRun, ps plannedSta
 	return g, nil
 }
 
-// huntSequence replays one sequence and grades its whole crash plan.
-func huntSequence(t fstest.ExploreTarget, blocks int64, seq Sequence, policy faultinject.EnumPolicy) ([]gradedState, int, error) {
+// huntSequence replays one sequence and grades its whole crash plan on
+// img, a scratch image of the volume's size.
+func huntSequence(t fstest.ExploreTarget, blocks int64, seq Sequence, policy faultinject.EnumPolicy, img []byte) ([]gradedState, int, error) {
 	run, err := replaySeq(t, blocks, seq)
 	if err != nil || run == nil {
 		return nil, 0, err
 	}
 	states, points := planStates(run, policy)
-	img := make([]byte, len(run.baseImg))
 	out := make([]gradedState, 0, len(states))
 	for _, ps := range states {
-		g, err := gradeState(t, blocks, run, ps, policy, img)
+		g, err := gradeState(run, ps, policy, img)
 		if err != nil {
 			return nil, 0, err
 		}
 		out = append(out, g)
 	}
 	return out, points, nil
+}
+
+// volumeBytes is the image size of a volume of the given block count.
+func volumeBytes(blocks int64) int {
+	return int(blocks) * int(disk.DefaultGeometry().BlockSize)
 }
 
 // lossVerdict reports whether v is an oracle-violation verdict.
@@ -327,21 +298,16 @@ func Run(t fstest.ExploreTarget, cfg Config) (*TargetResult, error) {
 	type seqResult struct {
 		graded []gradedState
 		points int
-		err    error
 	}
 	results := make([]seqResult, len(seqs))
-	var wg sync.WaitGroup
-	for wk := 0; wk < cfg.Workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			for i := wk; i < len(seqs); i += cfg.Workers {
-				g, pts, err := huntSequence(t, blocks, seqs[i], cfg.Policy)
-				results[i] = seqResult{graded: g, points: pts, err: err}
-			}
-		}(wk)
+	err := fstest.Spread(len(seqs), cfg.Workers, volumeBytes(blocks), func(i int, img []byte) error {
+		g, pts, err := huntSequence(t, blocks, seqs[i], cfg.Policy, img)
+		results[i] = seqResult{graded: g, points: pts}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 
 	res := &TargetResult{Target: t.Name, Seqs: len(seqs), Bugs: []Bug{}}
 	type protoBug struct {
@@ -351,9 +317,6 @@ func Run(t fstest.ExploreTarget, cfg Config) (*TargetResult, error) {
 	}
 	protos := map[string]*protoBug{}
 	for i, sr := range results {
-		if sr.err != nil {
-			return nil, sr.err
-		}
 		res.Points += sr.points
 		res.States += len(sr.graded)
 		for _, g := range sr.graded {
@@ -478,8 +441,9 @@ func minimize(t fstest.ExploreTarget, blocks int64, seq Sequence, bug Bug, polic
 			g.viol.Kind == bug.Symptom &&
 			(g.verdict == VerdictLossDetected) == bug.Detected
 	}
+	img := make([]byte, volumeBytes(blocks))
 	for _, sub := range subsequences(seq) {
-		graded, _, err := huntSequence(t, blocks, sub, policy)
+		graded, _, err := huntSequence(t, blocks, sub, policy, img)
 		if err != nil {
 			return nil, plannedState{}, err
 		}
@@ -490,7 +454,7 @@ func minimize(t fstest.ExploreTarget, blocks int64, seq Sequence, bug Bug, polic
 		}
 	}
 	// The original always reproduces: re-grade to recover its state.
-	graded, _, err := huntSequence(t, blocks, seq, policy)
+	graded, _, err := huntSequence(t, blocks, seq, policy, img)
 	if err != nil {
 		return nil, plannedState{}, err
 	}

@@ -1,8 +1,8 @@
 // Package hunt implements bounded black-box crash-consistency hunting in
 // the style of B3 (Mohan et al., OSDI '18): a seeded generator enumerates
 // every valid syscall sequence up to a small length bound over a tiny
-// name/data domain, each sequence is replayed on a volatile write cache,
-// the harness crashes at every persistence point the cache model admits,
+// name/data domain, each sequence is recorded once on a crash device, the
+// harness crashes at every persistence point its write-cache model admits,
 // remounts, and checks the recovered tree against an expected-state
 // oracle that knows exactly what a correct file system must have
 // persisted — so it catches files a structurally consistent image

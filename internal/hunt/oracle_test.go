@@ -40,15 +40,14 @@ func TestNoFaultAgreement(t *testing.T) {
 				if run == nil {
 					continue
 				}
-				pt := len(run.log) - 1
-				sts := faultinject.EnumerateCrashStatesSealed(run.log, pt, run.log[pt].Epoch+1, policy)
+				pt := len(run.rec.Log) - 1
+				sts := faultinject.EnumerateCrashStatesSealed(run.rec.Log, pt, run.rec.Log[pt].Epoch+1, policy)
 				if len(sts) != 1 {
 					t.Fatalf("[%s]: fully-sealed tail produced %d states, want 1", s2, len(sts))
 				}
 
 				ps := plannedState{st: sts[0], class: ClassTail, snap: len(run.oracle.snaps) - 1, lastOp: len(s2) - 1}
-				img := make([]byte, len(run.baseImg))
-				g, err := gradeState(ht.Target, blocks, run, ps, policy, img)
+				g, err := gradeState(run, ps, policy, make([]byte, len(run.rec.Base)))
 				if err != nil {
 					t.Fatalf("[%s]: %v", s2, err)
 				}
@@ -58,7 +57,7 @@ func TestNoFaultAgreement(t *testing.T) {
 				}
 
 				// Cross-check FinalTree against an independent remount.
-				full := faultinject.ApplyCrashState(run.baseImg, int(disk.DefaultGeometry().BlockSize), run.log, sts[0], policy)
+				full := faultinject.ApplyCrashState(run.rec.Base, int(disk.DefaultGeometry().BlockSize), run.rec.Log, sts[0], policy)
 				d, err := disk.New(blocks, disk.DefaultGeometry(), nil)
 				if err != nil {
 					t.Fatal(err)

@@ -30,8 +30,9 @@ const (
 	// LayerFault is the fault-injection layer: type-classified I/O and
 	// fault firings.
 	LayerFault = "fault"
-	// LayerCache is the volatile write cache (faultinject.CacheDevice):
-	// epoch-stamped absorbed writes and barrier seals.
+	// LayerCache is the modelled volatile write cache
+	// (faultinject.CrashDevice): epoch-stamped logged writes and barrier
+	// seals, 1:1 with the device's write log.
 	LayerCache = "cache"
 	// LayerSched is the I/O scheduler (sched.Scheduler): enqueued writes,
 	// coalesced runs, elevator dispatches, and queue drains.
@@ -234,8 +235,8 @@ func (t *Tracer) FaultFired(class iron.FaultClass, block int64, typ iron.BlockTy
 		Fault: class.String(), Sticky: sticky})
 }
 
-// CacheWrite records a write absorbed by the volatile write cache into the
-// open epoch, with depth writes now pending in it.
+// CacheWrite records a write logged into the open epoch of the modelled
+// volatile write cache, with depth writes now pending in it.
 func (t *Tracer) CacheWrite(block int64, epoch, depth int) {
 	if t == nil {
 		return

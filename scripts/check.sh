@@ -30,7 +30,7 @@ if [ "${1:-}" = lock ]; then
 	for side in rev tree; do
 		src=.
 		[ "$side" = rev ] && src="$lock/src"
-		for c in ironhunt ironstat ironload ironfsck ironbench; do
+		for c in ironhunt ironcrash ironstat ironload ironfsck ironbench; do
 			(cd "$src" && go build -o "$lock/$side/$c" "./cmd/$c")
 		done
 		# The artefacts: every seeded harness whose whole output is a
@@ -42,6 +42,10 @@ if [ "${1:-}" = lock ]; then
 			run hunt-quick-all.json ./ironhunt -quick -fs all -json
 			run hunt-jfs.json ./ironhunt -fs jfs -json
 			run hunt-fsck.json ./ironhunt -fsck -json
+			# The structural crash matrix, cut and graded from the crash
+			# device's write log, bare and under a depth-32 scheduler.
+			run crash-all.txt ./ironcrash -fs all
+			run crash-d32.txt ./ironcrash -fs all -depth 32
 			run stat-fp-ext3-read.json ./ironstat -mode fp -fs ext3 -fault read -json
 			# The one artefact that sees jfs's recovery I/O: a sticky write
 			# fault meets every home block the replay brings home.
@@ -57,7 +61,7 @@ if [ "${1:-}" = lock ]; then
 			run fsck-repair.txt ./ironfsck -parallel 1 -trace fsck-repair.ndjson repair
 			run fsck-check.json ./ironfsck -parallel 7 -json check
 			run sweep.json ./ironbench -sweep -quick -sweepclients 64 -json
-			rm ironhunt ironstat ironload ironfsck ironbench
+			rm ironhunt ironcrash ironstat ironload ironfsck ironbench
 		)
 	done
 	moved=0
