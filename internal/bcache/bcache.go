@@ -211,7 +211,8 @@ func (c *Cache) Put(n int64, data []byte, dirty bool) {
 		s.mu.Unlock()
 		return
 	}
-	evicted := s.insertLocked(n, data, dirty)
+	var buf [victimBuf]int64
+	evicted := s.insertLocked(n, data, dirty, buf[:0])
 	s.mu.Unlock()
 	c.noteEvicts(s, evicted)
 }
@@ -227,7 +228,8 @@ func (c *Cache) Fill(n int64, data []byte) bool {
 		s.mu.Unlock()
 		return false
 	}
-	evicted := s.insertLocked(n, data, false)
+	var buf [victimBuf]int64
+	evicted := s.insertLocked(n, data, false, buf[:0])
 	s.mu.Unlock()
 	c.noteEvicts(s, evicted)
 	return true
@@ -336,38 +338,63 @@ func (c *Cache) Stats() Stats {
 	return out
 }
 
+// victimBuf sizes the stack array Put and Fill collect evicted block
+// numbers in. An insert into a shard at capacity evicts one block; only a
+// shard that dirty pins pushed over capacity evicts more, and then the
+// slice grows.
+const victimBuf = 4
+
 // insertLocked adds block n, which is absent, at the front of the LRU and
-// brings the shard back under capacity, returning the evicted block
-// numbers. Caller holds s.mu.
-func (s *shard) insertLocked(n int64, data []byte, dirty bool) []int64 {
+// brings the shard back within capacity, appending the evicted block
+// numbers to victims. In a shard exactly at capacity the newcomer takes
+// over the least-recently-used clean block's entry and list element, so
+// the steady-state insert allocates nothing. A shard over capacity, or one
+// with no clean block, inserts and then evicts, which may evict the
+// newcomer itself. Either way the victims, their order and the counters
+// are those of inserting first and evicting after. The data buffers are
+// never reused: a slice Get handed out keeps its bytes. Caller holds s.mu.
+func (s *shard) insertLocked(n int64, data []byte, dirty bool, victims []int64) []int64 {
+	s.stats.Inserts++
+	if len(s.entries) == s.cap {
+		if v := s.victimLocked(); v != nil {
+			delete(s.entries, v.block)
+			s.stats.Evicts++
+			victims = append(victims, v.block)
+			v.block, v.data, v.dirty = n, data, dirty
+			s.lru.MoveToFront(v.elem)
+			s.entries[n] = v
+			return victims
+		}
+	}
 	e := &entry{block: n, data: data, dirty: dirty}
 	e.elem = s.lru.PushFront(e)
 	s.entries[n] = e
-	s.stats.Inserts++
-	return s.evictLocked()
+	return s.evictLocked(victims)
 }
 
-// evictLocked brings the shard back under capacity, returning the evicted
-// block numbers. Caller holds s.mu.
-func (s *shard) evictLocked() []int64 {
-	var out []int64
+// evictLocked brings the shard back under capacity, appending the evicted
+// block numbers to victims. Caller holds s.mu.
+func (s *shard) evictLocked(victims []int64) []int64 {
 	for len(s.entries) > s.cap {
-		// Scan from the back for a clean victim.
-		var victim *entry
-		for el := s.lru.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*entry)
-			if !e.dirty {
-				victim = e
-				break
-			}
+		v := s.victimLocked()
+		if v == nil {
+			return victims // everything dirty; let the shard grow until commit
 		}
-		if victim == nil {
-			return out // everything dirty; let the shard grow until commit
-		}
-		s.lru.Remove(victim.elem)
-		delete(s.entries, victim.block)
+		s.lru.Remove(v.elem)
+		delete(s.entries, v.block)
 		s.stats.Evicts++
-		out = append(out, victim.block)
+		victims = append(victims, v.block)
 	}
-	return out
+	return victims
+}
+
+// victimLocked returns the least-recently-used clean entry, or nil when
+// every resident block is dirty. Caller holds s.mu.
+func (s *shard) victimLocked() *entry {
+	for el := s.lru.Back(); el != nil; el = el.Prev() {
+		if e := el.Value.(*entry); !e.dirty {
+			return e
+		}
+	}
+	return nil
 }

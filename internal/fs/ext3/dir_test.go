@@ -239,5 +239,5 @@ func mustInode(t *testing.T, fs *FS, ino uint32) *inode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return in
+	return &in
 }

@@ -63,7 +63,7 @@ type FS struct {
 
 	// Namespace is the path walk and the lookup and attribute operations
 	// of vfs.FileSystem; FS implements its namei.Store. Last, like Driver.
-	namei.Namespace[uint32, *inode]
+	namei.Namespace[uint32, inode]
 
 	// revokes are the blocks the running transaction has freed, in order:
 	// the commit logs them as revoke records, and once it is durable they
@@ -93,7 +93,7 @@ func New(dev disk.Device, opts Options, rec *iron.Recorder) *FS {
 	fs.cache.SetTracer(fs.tr)
 	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
 	fs.Driver = fsck.New(fs, fsck.Volume{Label: "ext3", Mu: &fs.mu, Health: &fs.health, Tracer: fs.tr, Cache: fs.cache})
-	fs.Namespace = namei.New[uint32, *inode](fs, namei.Volume{Mu: &fs.mu, RMu: fs.mu.RLocker(), Health: &fs.health, Journal: fs.jn})
+	fs.Namespace = namei.New[uint32, inode](fs, namei.Volume{Mu: &fs.mu, RMu: fs.mu.RLocker(), Health: &fs.health, Journal: fs.jn})
 	return fs
 }
 

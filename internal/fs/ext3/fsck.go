@@ -107,7 +107,7 @@ func (fs *FS) censusGroup(g uint32) (r groupCensus, units int64, err error) {
 			continue
 		}
 		r.objs = append(r.objs, fsck.Object[*inode]{ID: uint64(ino), Links: int(in.Links),
-			Dir: in.IsDir(), Root: ino == RootIno, Node: in})
+			Dir: in.IsDir(), Root: ino == RootIno, Node: &in})
 		what := fmt.Sprintf("inode %d", ino)
 		if in.Parity != 0 {
 			r.claims = append(r.claims, fs.pointer(int64(in.Parity), what+" parity"))
@@ -122,7 +122,7 @@ func (fs *FS) censusGroup(g uint32) (r groupCensus, units int64, err error) {
 			nblocks = max
 		}
 		for l := int64(0); l < nblocks; l++ {
-			phys, err := fs.bmap(in, l, false)
+			phys, err := fs.bmap(&in, l, false)
 			if err != nil {
 				return r, units, err
 			}
@@ -130,7 +130,7 @@ func (fs *FS) censusGroup(g uint32) (r groupCensus, units int64, err error) {
 				r.claims = append(r.claims, fs.pointer(phys, fmt.Sprintf("%s block %d", what, l)))
 			}
 		}
-		fs.walkTrees(in, func(blk int64) { r.claims = append(r.claims, fs.pointer(blk, what+" indirect")) })
+		fs.walkTrees(&in, func(blk int64) { r.claims = append(r.claims, fs.pointer(blk, what+" indirect")) })
 	}
 	return r, units, nil
 }
@@ -259,7 +259,7 @@ func (fs *FS) ReclaimLocked(o fsck.Object[*inode]) error {
 // SetLinksLocked implements fsck.Fixer.
 func (fs *FS) SetLinksLocked(o fsck.Object[*inode], links int) error {
 	o.Node.Links = uint16(links)
-	if err := fs.StoreLocked(uint32(o.ID), o.Node); err != nil {
+	if err := fs.StoreLocked(uint32(o.ID), *o.Node); err != nil {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTInode, fmt.Sprintf("inode %d link count corrected", o.ID))

@@ -62,7 +62,7 @@ func TestFsckDetectsAndRepairsBitmapDamage(t *testing.T) {
 	_ = in
 	// Find any used data block: the root directory's first block.
 	rootIn, _ := fs.LoadLocked(RootIno)
-	blk, err := fs.bmap(rootIn, 0, false)
+	blk, err := fs.bmap(&rootIn, 0, false)
 	if err != nil || blk == 0 {
 		t.Fatalf("no root dir block: %d %v", blk, err)
 	}
@@ -152,7 +152,7 @@ func TestFsckDetectsOrphanInode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orphan := &inode{TypedAttr: namei.Typed(vfs.TypeRegular, namei.Attr{Mode: 0o644, Links: 1})}
+	orphan := inode{TypedAttr: namei.Typed(vfs.TypeRegular, namei.Attr{Mode: 0o644, Links: 1})}
 	if err := fs.StoreLocked(ino, orphan); err != nil {
 		t.Fatal(err)
 	}

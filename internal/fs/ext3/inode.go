@@ -18,6 +18,9 @@ type inode struct {
 	TInd   uint64
 }
 
+// WithAttrs implements namei.Node.
+func (in inode) WithAttrs(a namei.Attr) inode { in.Attr = a; return in }
+
 // unmapped reports whether the inode has no block pointers at all.
 func (in *inode) unmapped() bool {
 	return in.Direct == [DirectBlocks]uint64{} && in.Ind == 0 && in.DInd == 0 && in.TInd == 0

@@ -14,27 +14,27 @@ import (
 // block. Per §5.1, stock ext3 applies a few field sanity checks when an
 // inode is brought in (an overly-large size field is caught and reported)
 // but does not validate pointers.
-func (fs *FS) LoadLocked(ino uint32) (*inode, error) {
+func (fs *FS) LoadLocked(ino uint32) (inode, error) {
+	var in inode
 	blk, off, err := fs.lay.inodeLoc(ino)
 	if err != nil {
-		return nil, vfs.ErrInval
+		return in, vfs.ErrInval
 	}
 	buf, err := fs.readMeta(blk, BTInode)
 	if err != nil {
-		return nil, err
+		return in, err
 	}
-	in := &inode{}
 	in.unmarshal(buf[off : off+InodeSize])
 	if in.Allocated() && int64(in.Size) > MaxFileSize {
 		fs.rec.Detect(iron.DSanity, BTInode, "inode size field overly large")
 		fs.rec.Recover(iron.RPropagate, BTInode, "open reports error")
-		return nil, vfs.ErrCorrupt
+		return inode{}, vfs.ErrCorrupt
 	}
 	return in, nil
 }
 
 // StoreLocked implements namei.Store: it journals inode ino's new contents.
-func (fs *FS) StoreLocked(ino uint32, in *inode) error {
+func (fs *FS) StoreLocked(ino uint32, in inode) error {
 	blk, off, err := fs.lay.inodeLoc(ino)
 	if err != nil {
 		return vfs.ErrInval

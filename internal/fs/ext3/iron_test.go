@@ -137,7 +137,7 @@ func TestParityRecoversEachBlockOfFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l := int64(0); l < nb; l++ {
-		phys, err := fs.bmap(in, l, false)
+		phys, err := fs.bmap(&in, l, false)
 		if err != nil || phys == 0 {
 			t.Fatalf("bmap %d: %d %v", l, phys, err)
 		}
@@ -194,7 +194,7 @@ func TestParityMaintainedAcrossOverwriteAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l := int64(0); l < 5; l++ {
-		phys, err := fs.bmap(in, l, false)
+		phys, err := fs.bmap(&in, l, false)
 		if err != nil || phys == 0 {
 			t.Fatalf("bmap %d: %v", l, err)
 		}

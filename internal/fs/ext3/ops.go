@@ -26,20 +26,20 @@ func (fs *FS) swallowIO(err error) error {
 }
 
 // RootLocked implements namei.Store.
-func (fs *FS) RootLocked() (uint32, *inode, error) {
+func (fs *FS) RootLocked() (uint32, inode, error) {
 	in, err := fs.LoadLocked(RootIno)
 	if err != nil {
-		return 0, nil, err
+		return 0, inode{}, err
 	}
 	if !in.Allocated() {
-		return 0, nil, vfs.ErrCorrupt
+		return 0, inode{}, vfs.ErrCorrupt
 	}
 	return RootIno, in, nil
 }
 
 // LookupLocked implements namei.Store.
-func (fs *FS) LookupLocked(_ uint32, dn *inode, name string) (uint32, error) {
-	ino, _, err := fs.dirLookup(dn, name)
+func (fs *FS) LookupLocked(_ uint32, dn inode, name string) (uint32, error) {
+	ino, _, err := fs.dirLookup(&dn, name)
 	return ino, err
 }
 
@@ -48,11 +48,11 @@ func (fs *FS) KeyOf(ino uint32) uint64 { return uint64(ino) }
 
 // ReadLinkLocked implements namei.Store: the target is the link's single
 // data block.
-func (fs *FS) ReadLinkLocked(_ uint32, in *inode) (string, error) {
+func (fs *FS) ReadLinkLocked(_ uint32, in inode) (string, error) {
 	if in.Size == 0 || in.Size > BlockSize {
 		return "", vfs.ErrCorrupt
 	}
-	phys, err := fs.bmap(in, 0, false)
+	phys, err := fs.bmap(&in, 0, false)
 	if err != nil {
 		return "", err
 	}
@@ -67,13 +67,13 @@ func (fs *FS) ReadLinkLocked(_ uint32, in *inode) (string, error) {
 }
 
 // CreateLocked implements namei.Store.
-func (fs *FS) CreateLocked(pIno uint32, pIn *inode, name string, kind vfs.FileType, a namei.Attr) (uint32, *inode, error) {
+func (fs *FS) CreateLocked(pIno uint32, pIn inode, name string, kind vfs.FileType, a namei.Attr) (uint32, inode, error) {
 	ino, err := fs.allocInode(fs.groupOfInode(pIno))
 	if err != nil {
-		return 0, nil, err
+		return 0, inode{}, err
 	}
-	in := &inode{TypedAttr: namei.Typed(kind, a)}
-	if err := fs.dirAdd(pIno, pIn, name, ino, byte(kind)); err != nil {
+	in := inode{TypedAttr: namei.Typed(kind, a)}
+	if err := fs.dirAdd(pIno, &pIn, name, ino, byte(kind)); err != nil {
 		if ferr := fs.freeInode(ino); ferr != nil {
 			// The create already failed and that error propagates; a
 			// cleanup failure on top additionally leaks the inode until
@@ -81,14 +81,14 @@ func (fs *FS) CreateLocked(pIno uint32, pIn *inode, name string, kind vfs.FileTy
 			fs.rec.Detect(iron.DErrorCode, BTIBitmap, "inode free failed during create cleanup")
 			fs.rec.Recover(iron.RPropagate, BTIBitmap, "create error propagated; inode leaked until fsck")
 		}
-		return 0, nil, err
+		return 0, inode{}, err
 	}
 	pIn.Mtime = a.Mtime
 	if err := fs.StoreLocked(pIno, pIn); err != nil {
-		return 0, nil, err
+		return 0, inode{}, err
 	}
 	if err := fs.StoreLocked(ino, in); err != nil {
-		return 0, nil, err
+		return 0, inode{}, err
 	}
 	return ino, in, nil
 }
@@ -107,7 +107,7 @@ func (fs *FS) Symlink(target, linkpath string) error {
 	if err != nil {
 		return err
 	}
-	phys, err := fs.bmap(in, 0, true)
+	phys, err := fs.bmap(&in, 0, true)
 	if err != nil {
 		return err
 	}
@@ -134,7 +134,7 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 	if !in.IsDir() {
 		return nil, vfs.ErrNotDir
 	}
-	return fs.dirList(in)
+	return fs.dirList(&in)
 }
 
 // Read implements vfs.FileSystem. With Options.NoAtime the read runs under
@@ -171,19 +171,19 @@ func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 
 // readLocked is the body of Read minus the atime update; the caller holds
 // fs.mu (shared or exclusive).
-func (fs *FS) readLocked(path string, off int64, buf []byte) (int, uint32, *inode, error) {
+func (fs *FS) readLocked(path string, off int64, buf []byte) (int, uint32, inode, error) {
 	if err := fs.GuardReadLocked(); err != nil {
-		return 0, 0, nil, err
+		return 0, 0, inode{}, err
 	}
 	ino, in, err := fs.ResolveLocked(path, true)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, inode{}, err
 	}
 	if in.IsDir() {
-		return 0, 0, nil, vfs.ErrIsDir
+		return 0, 0, inode{}, vfs.ErrIsDir
 	}
 	if off < 0 {
-		return 0, 0, nil, vfs.ErrInval
+		return 0, 0, inode{}, vfs.ErrInval
 	}
 	size := int64(in.Size)
 	if off >= size {
@@ -205,7 +205,7 @@ func (fs *FS) readLocked(path string, off int64, buf []byte) (int, uint32, *inod
 		if chunk > n-read {
 			chunk = n - read
 		}
-		phys, err := fs.bmap(in, l, false)
+		phys, err := fs.bmap(&in, l, false)
 		if err != nil {
 			return int(read), ino, in, err
 		}
@@ -217,7 +217,7 @@ func (fs *FS) readLocked(path string, off int64, buf []byte) (int, uint32, *inod
 			data := fs.cache.Get(phys)
 			if data == nil {
 				// Miss: fill from the device, then read ahead of it.
-				if data, err = fs.fillData(phys, BTData, in, l, prefetch); err != nil {
+				if data, err = fs.fillData(phys, BTData, &in, l, prefetch); err != nil {
 					return int(read), ino, in, err
 				}
 				fs.ra.ReadAhead(fs.dev, phys, fs.prefetchOK)
@@ -267,8 +267,8 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 		if chunk > n-written {
 			chunk = n - written
 		}
-		pre := fs.bmapHas(in, l)
-		phys, err := fs.bmap(in, l, true)
+		pre := fs.bmapHas(&in, l)
+		phys, err := fs.bmap(&in, l, true)
 		if err != nil {
 			if born != 0 {
 				// The inode is not stored, so nothing would name the parity.
@@ -286,7 +286,7 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 			// contents before the read-modify-write, so a latent error or
 			// silent corruption in the old block cannot leak into the
 			// parity group or the new contents.
-			if _, rerr := fs.readData(phys, BTData, in, l, false); rerr != nil && (bo != 0 || chunk != BlockSize) {
+			if _, rerr := fs.readData(phys, BTData, &in, l, false); rerr != nil && (bo != 0 || chunk != BlockSize) {
 				return int(written), rerr
 			}
 			buf, err = fs.txData(phys, BTData)
@@ -301,7 +301,7 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 		}
 		copy(buf[bo:bo+chunk], data[written:written+chunk])
 		if fs.opts.DataParity && in.Parity != 0 {
-			if err := fs.updateParityDelta(in, old, buf); err != nil {
+			if err := fs.updateParityDelta(&in, old, buf); err != nil {
 				return int(written), err
 			}
 		}
@@ -349,16 +349,16 @@ func (fs *FS) Truncate(path string, size int64) error {
 		return vfs.ErrInval
 	}
 	if size < int64(in.Size) {
-		if err := fs.truncateBlocks(in, size); err != nil {
+		if err := fs.truncateBlocks(&in, size); err != nil {
 			if serr := fs.swallowIO(err); serr != nil {
 				return serr
 			}
 		}
 		// Zero the tail of the new last block so growth re-exposes zeros.
 		if size%BlockSize != 0 {
-			if phys, err := fs.bmap(in, size/BlockSize, false); err == nil && phys != 0 {
+			if phys, err := fs.bmap(&in, size/BlockSize, false); err == nil && phys != 0 {
 				//iron:policy ext3 §5.1:RZero truncate fails silently: the tail-zero priming read's error vanishes with the rest of the truncate path
-				_, _ = fs.readData(phys, BTData, in, size/BlockSize, false)
+				_, _ = fs.readData(phys, BTData, &in, size/BlockSize, false)
 				if buf, err := fs.txData(phys, BTData); err == nil {
 					var old []byte
 					if fs.opts.DataParity && in.Parity != 0 {
@@ -370,7 +370,7 @@ func (fs *FS) Truncate(path string, size int64) error {
 					}
 					if fs.opts.DataParity && in.Parity != 0 {
 						//iron:policy ext3 §5.1:RZero parity refresh during truncate is swallowed like every other truncate failure
-						_ = fs.updateParityDelta(in, old, buf)
+						_ = fs.updateParityDelta(&in, old, buf)
 					}
 				}
 			}
@@ -400,7 +400,7 @@ func (fs *FS) Unlink(path string) error {
 	if err != nil {
 		return err
 	}
-	cIno, _, err := fs.dirLookup(pIn, name)
+	cIno, _, err := fs.dirLookup(&pIn, name)
 	if err != nil {
 		return err
 	}
@@ -416,7 +416,7 @@ func (fs *FS) Unlink(path string) error {
 		fs.rec.Recover(iron.RPropagate, BTInode, "unlink refused")
 		return vfs.ErrCorrupt
 	}
-	if _, err := fs.dirRemove(pIn, name); err != nil {
+	if _, err := fs.dirRemove(&pIn, name); err != nil {
 		return err
 	}
 	pIn.Mtime = fs.Now()
@@ -425,7 +425,7 @@ func (fs *FS) Unlink(path string) error {
 	}
 	cIn.Links-- // underflows on corruption without FixBugs — reproduced bug
 	if cIn.Links == 0 {
-		if err := fs.truncateBlocks(cIn, 0); err != nil {
+		if err := fs.truncateBlocks(&cIn, 0); err != nil {
 			if serr := fs.swallowIO(err); serr != nil {
 				return serr
 			}
@@ -457,7 +457,7 @@ func (fs *FS) Rmdir(path string) error {
 	if err != nil {
 		return err
 	}
-	cIno, _, err := fs.dirLookup(pIn, name)
+	cIno, _, err := fs.dirLookup(&pIn, name)
 	if err != nil {
 		return err
 	}
@@ -468,21 +468,21 @@ func (fs *FS) Rmdir(path string) error {
 	if !cIn.IsDir() {
 		return vfs.ErrNotDir
 	}
-	empty, err := fs.dirIsEmpty(cIn)
+	empty, err := fs.dirIsEmpty(&cIn)
 	if err != nil {
 		return fs.swallowIO(err)
 	}
 	if !empty {
 		return vfs.ErrNotEmpty
 	}
-	if _, err := fs.dirRemove(pIn, name); err != nil {
+	if _, err := fs.dirRemove(&pIn, name); err != nil {
 		return fs.swallowIO(err)
 	}
 	pIn.Mtime = fs.Now()
 	if err := fs.StoreLocked(pIno, pIn); err != nil {
 		return err
 	}
-	if err := fs.truncateBlocks(cIn, 0); err != nil {
+	if err := fs.truncateBlocks(&cIn, 0); err != nil {
 		if serr := fs.swallowIO(err); serr != nil {
 			return serr
 		}
@@ -517,12 +517,12 @@ func (fs *FS) Link(oldpath, newpath string) error {
 	if err != nil {
 		return err
 	}
-	if _, _, err := fs.dirLookup(pIn, name); err == nil {
+	if _, _, err := fs.dirLookup(&pIn, name); err == nil {
 		return vfs.ErrExist
 	} else if !errors.Is(err, vfs.ErrNotExist) {
 		return err
 	}
-	if err := fs.dirAdd(pIno, pIn, name, oIno, byte(oIn.FileType())); err != nil {
+	if err := fs.dirAdd(pIno, &pIn, name, oIno, byte(oIn.FileType())); err != nil {
 		return err
 	}
 	pIn.Mtime = fs.Now()
@@ -549,7 +549,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if err != nil {
 		return err
 	}
-	cIno, cType, err := fs.dirLookup(oPIn, oName)
+	cIno, cType, err := fs.dirLookup(&oPIn, oName)
 	if err != nil {
 		return err
 	}
@@ -557,23 +557,23 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if err != nil {
 		return err
 	}
-	if tIno, _, err := fs.dirLookup(nPIn, nName); err == nil {
+	if tIno, _, err := fs.dirLookup(&nPIn, nName); err == nil {
 		tIn, err := fs.LoadLocked(tIno)
 		if err != nil {
 			return err
 		}
 		if tIn.IsDir() {
-			empty, err := fs.dirIsEmpty(tIn)
+			empty, err := fs.dirIsEmpty(&tIn)
 			if err != nil {
 				return err
 			}
 			if !empty {
 				return vfs.ErrNotEmpty
 			}
-			if _, err := fs.dirRemove(nPIn, nName); err != nil {
+			if _, err := fs.dirRemove(&nPIn, nName); err != nil {
 				return err
 			}
-			if err := fs.truncateBlocks(tIn, 0); err != nil {
+			if err := fs.truncateBlocks(&tIn, 0); err != nil {
 				return fs.swallowIO(err)
 			}
 			if err := fs.freeInode(tIno); err != nil {
@@ -583,12 +583,12 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 				return err
 			}
 		} else {
-			if _, err := fs.dirRemove(nPIn, nName); err != nil {
+			if _, err := fs.dirRemove(&nPIn, nName); err != nil {
 				return err
 			}
 			tIn.Links--
 			if tIn.Links == 0 {
-				if err := fs.truncateBlocks(tIn, 0); err != nil {
+				if err := fs.truncateBlocks(&tIn, 0); err != nil {
 					return fs.swallowIO(err)
 				}
 				if err := fs.freeInode(tIno); err != nil {
@@ -605,7 +605,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 		return err
 	}
 
-	if _, err := fs.dirRemove(oPIn, oName); err != nil {
+	if _, err := fs.dirRemove(&oPIn, oName); err != nil {
 		return err
 	}
 	now := fs.Now()
@@ -613,12 +613,12 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if err := fs.StoreLocked(oPIno, oPIn); err != nil {
 		return err
 	}
-	// Re-load the destination parent if it is the same directory: the
-	// removal above may have changed it via the oPIn alias.
+	// The same directory continues from oPIn, which carries the removal
+	// above.
 	if nPIno == oPIno {
 		nPIn = oPIn
 	}
-	if err := fs.dirAdd(nPIno, nPIn, nName, cIno, cType); err != nil {
+	if err := fs.dirAdd(nPIno, &nPIn, nName, cIno, cType); err != nil {
 		return err
 	}
 	nPIn.Mtime = now

@@ -41,7 +41,7 @@ func inodeOf(t *testing.T, fs *FS, path string) *inode {
 	if err != nil {
 		t.Fatalf("resolve %s: %v", path, err)
 	}
-	return in
+	return &in
 }
 
 func freeBlocks(t *testing.T, fs *FS) int64 {

@@ -104,7 +104,7 @@ func TestRepairCommitFailureLeavesHonestState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk, err := fs.bmap(rootIn, 0, false)
+	blk, err := fs.bmap(&rootIn, 0, false)
 	if err != nil || blk == 0 {
 		t.Fatalf("no root dir block: %d %v", blk, err)
 	}

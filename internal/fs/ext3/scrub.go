@@ -138,7 +138,7 @@ func (fs *FS) Scrub() (ScrubReport, error) {
 				if in.Parity != 0 {
 					targets = append(targets, scrubTarget{int64(in.Parity), BTParity})
 				}
-				err = fs.forEachBlock(in, func(_, phys int64) error {
+				err = fs.forEachBlock(&in, func(_, phys int64) error {
 					targets = append(targets, scrubTarget{phys, leaf})
 					return nil
 				})
@@ -250,7 +250,7 @@ func (fs *FS) forEachInode(fn func(ino uint32, in *inode) error) error {
 		if !in.Allocated() {
 			continue
 		}
-		if err := fn(ino, in); err != nil {
+		if err := fn(ino, &in); err != nil {
 			return err
 		}
 	}

@@ -44,10 +44,10 @@ func (fs *FS) censusTableBlock(t int64, total uint32) (r tabCensus, units int64,
 			continue
 		}
 		r.objs = append(r.objs, fsck.Object[*inode]{ID: uint64(ino), Links: int(in.Links),
-			Dir: in.IsDir(), Root: ino == RootIno, Node: in})
+			Dir: in.IsDir(), Root: ino == RootIno, Node: &in})
 		nblocks := (int64(in.Size) + BlockSize - 1) / BlockSize
 		for l := int64(0); l < nblocks; l++ {
-			blk, err := fs.blockPtr(in, l, false, false)
+			blk, err := fs.blockPtr(&in, l, false, false)
 			if err != nil {
 				return r, units, err
 			}

@@ -230,7 +230,7 @@ func TestDirLookupMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, _, err := fs.dirLookup(root, "dir")
+		id, _, err := fs.dirLookup(&root, "dir")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestDirLookupMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blk, err := fs.blockPtr(dir, 1, false, true)
+		blk, err := fs.blockPtr(&dir, 1, false, true)
 		if err != nil || blk == 0 {
 			t.Fatalf("blockPtr: %d, %v", blk, err)
 		}
@@ -255,7 +255,7 @@ func TestDirLookupMatchesReference(t *testing.T) {
 
 		var o outcome
 		for _, name := range probe {
-			id, ft, err := lookup(fs, dir, name)
+			id, ft, err := lookup(fs, &dir, name)
 			o.results = append(o.results, result{id, ft, err})
 		}
 		o.effects = effectsOf(fs)

@@ -48,7 +48,7 @@ type FS struct {
 
 	// Namespace is the path walk and the lookup and attribute operations
 	// of vfs.FileSystem; FS implements its namei.Store. Last, like Driver.
-	namei.Namespace[uint32, *inode]
+	namei.Namespace[uint32, inode]
 
 	// records are the running transaction's redo records, in the order
 	// logMeta appended them: JFS logs these, not block images, and
@@ -66,7 +66,7 @@ func New(dev disk.Device, rec *iron.Recorder) *FS {
 	fs.cache.SetTracer(fs.tr)
 	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
 	fs.Driver = fsck.New(fs, fsck.Volume{Label: "jfs", Mu: &fs.mu, Health: &fs.health, Tracer: fs.tr, Cache: fs.cache})
-	fs.Namespace = namei.New[uint32, *inode](fs, namei.Volume{Mu: &fs.mu, RMu: &fs.mu, Health: &fs.health, Journal: fs.jn})
+	fs.Namespace = namei.New[uint32, inode](fs, namei.Volume{Mu: &fs.mu, RMu: &fs.mu, Health: &fs.health, Journal: fs.jn})
 	return fs
 }
 

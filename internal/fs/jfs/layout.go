@@ -233,6 +233,9 @@ type inode struct {
 	Intern [internPtrs]uint64
 }
 
+// WithAttrs implements namei.Node.
+func (in inode) WithAttrs(a namei.Attr) inode { in.Attr = a; return in }
+
 func (in *inode) marshal(b []byte) {
 	le := binary.LittleEndian
 	le.PutUint16(b[0:], in.Mode)

@@ -179,23 +179,23 @@ func (fs *FS) inodeLoc(ino uint32) (int64, int, error) {
 // LoadLocked implements namei.Store: it reads an inode, applying JFS's
 // entry-count-style sanity checks (size bound, valid type bits). A
 // violation propagates and remounts read-only (§5.3).
-func (fs *FS) LoadLocked(ino uint32) (*inode, error) {
+func (fs *FS) LoadLocked(ino uint32) (inode, error) {
+	var in inode
 	blk, off, err := fs.inodeLoc(ino)
 	if err != nil {
-		return nil, err
+		return in, err
 	}
 	buf, err := fs.readMeta(blk, BTInode)
 	if err != nil {
-		return nil, err
+		return in, err
 	}
-	in := &inode{}
 	in.unmarshal(buf[off : off+InodeSize])
 	if in.Allocated() {
 		if int64(in.Size) > maxFileBlocks*BlockSize {
 			fs.rec.Detect(iron.DSanity, BTInode, "inode size exceeds maximum")
 			fs.rec.Recover(iron.RPropagate, BTInode, "error propagated")
 			fs.remountRO(BTInode, "inode sanity failure")
-			return nil, vfs.ErrCorrupt
+			return inode{}, vfs.ErrCorrupt
 		}
 		switch in.Mode & namei.ModeTypeMsk {
 		case namei.ModeRegular, namei.ModeDir, namei.ModeSymlink:
@@ -203,7 +203,7 @@ func (fs *FS) LoadLocked(ino uint32) (*inode, error) {
 			fs.rec.Detect(iron.DSanity, BTInode, "inode type bits invalid")
 			fs.rec.Recover(iron.RPropagate, BTInode, "error propagated")
 			fs.remountRO(BTInode, "inode sanity failure")
-			return nil, vfs.ErrCorrupt
+			return inode{}, vfs.ErrCorrupt
 		}
 	}
 	return in, nil
@@ -211,7 +211,7 @@ func (fs *FS) LoadLocked(ino uint32) (*inode, error) {
 
 // StoreLocked implements namei.Store: it logs the inode's new image (a
 // 256-byte redo record — the record-level journaling JFS is known for).
-func (fs *FS) StoreLocked(ino uint32, in *inode) error {
+func (fs *FS) StoreLocked(ino uint32, in inode) error {
 	blk, off, err := fs.inodeLoc(ino)
 	if err != nil {
 		return err
@@ -539,7 +539,7 @@ func (fs *FS) dirAdd(dirIno uint32, in *inode, name string, ino uint32, ftype by
 		return err
 	}
 	in.Size = uint64((l + 1) * BlockSize)
-	return fs.StoreLocked(dirIno, in)
+	return fs.StoreLocked(dirIno, *in)
 }
 
 // dirRemove deletes an entry, compacting the block.
@@ -598,14 +598,14 @@ func (fs *FS) dirEmpty(in *inode) (bool, error) {
 // ---------------------------------------------------------------------------
 
 // RootLocked implements namei.Store.
-func (fs *FS) RootLocked() (uint32, *inode, error) {
+func (fs *FS) RootLocked() (uint32, inode, error) {
 	in, err := fs.LoadLocked(RootIno)
 	return RootIno, in, err
 }
 
 // LookupLocked implements namei.Store.
-func (fs *FS) LookupLocked(_ uint32, dn *inode, name string) (uint32, error) {
-	ino, _, err := fs.dirLookup(dn, name)
+func (fs *FS) LookupLocked(_ uint32, dn inode, name string) (uint32, error) {
+	ino, _, err := fs.dirLookup(&dn, name)
 	return ino, err
 }
 
@@ -614,11 +614,11 @@ func (fs *FS) KeyOf(ino uint32) uint64 { return uint64(ino) }
 
 // ReadLinkLocked implements namei.Store: the target is the link's single
 // data block.
-func (fs *FS) ReadLinkLocked(_ uint32, in *inode) (string, error) {
+func (fs *FS) ReadLinkLocked(_ uint32, in inode) (string, error) {
 	if in.Size == 0 || in.Size > BlockSize {
 		return "", vfs.ErrCorrupt
 	}
-	blk, err := fs.blockPtr(in, 0, false, true)
+	blk, err := fs.blockPtr(&in, 0, false, true)
 	if err != nil {
 		return "", err
 	}
@@ -633,21 +633,21 @@ func (fs *FS) ReadLinkLocked(_ uint32, in *inode) (string, error) {
 }
 
 // CreateLocked implements namei.Store.
-func (fs *FS) CreateLocked(pIno uint32, pIn *inode, name string, kind vfs.FileType, a namei.Attr) (uint32, *inode, error) {
+func (fs *FS) CreateLocked(pIno uint32, pIn inode, name string, kind vfs.FileType, a namei.Attr) (uint32, inode, error) {
 	ino, err := fs.allocInode()
 	if err != nil {
-		return 0, nil, err
+		return 0, inode{}, err
 	}
-	in := &inode{TypedAttr: namei.Typed(kind, a)}
-	if err := fs.dirAdd(pIno, pIn, name, ino, byte(kind)); err != nil {
-		return 0, nil, err
+	in := inode{TypedAttr: namei.Typed(kind, a)}
+	if err := fs.dirAdd(pIno, &pIn, name, ino, byte(kind)); err != nil {
+		return 0, inode{}, err
 	}
 	pIn.Mtime = a.Mtime
 	if err := fs.StoreLocked(pIno, pIn); err != nil {
-		return 0, nil, err
+		return 0, inode{}, err
 	}
 	if err := fs.StoreLocked(ino, in); err != nil {
-		return 0, nil, err
+		return 0, inode{}, err
 	}
 	return ino, in, nil
 }

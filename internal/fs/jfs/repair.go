@@ -41,7 +41,7 @@ func (fs *FS) ReclaimLocked(o fsck.Object[*inode]) error {
 // SetLinksLocked implements fsck.Fixer.
 func (fs *FS) SetLinksLocked(o fsck.Object[*inode], links int) error {
 	o.Node.Links = uint16(links)
-	if err := fs.StoreLocked(uint32(o.ID), o.Node); err != nil {
+	if err := fs.StoreLocked(uint32(o.ID), *o.Node); err != nil {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTInode, "fsck corrected link count")

@@ -23,7 +23,7 @@ func (fs *FS) Symlink(target, linkpath string) error {
 	if err != nil {
 		return err
 	}
-	blk, err := fs.blockPtr(in, 0, true, false)
+	blk, err := fs.blockPtr(&in, 0, true, false)
 	if err != nil {
 		return err
 	}
@@ -52,7 +52,7 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 		return nil, vfs.ErrNotDir
 	}
 	var out []vfs.DirEntry
-	err = fs.dirBlocks(in, func(_ int64, _ []byte, it dirIter) (bool, error) {
+	err = fs.dirBlocks(&in, func(_ int64, _ []byte, it dirIter) (bool, error) {
 		for e, ok := it.next(); ok; e, ok = it.next() {
 			out = append(out, vfs.DirEntry{Name: string(e.Name), Ino: e.Ino, Type: vfs.FileType(e.FType)})
 		}
@@ -94,7 +94,7 @@ func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 		if chunk > n-read {
 			chunk = n - read
 		}
-		blk, err := fs.blockPtr(in, l, false, true)
+		blk, err := fs.blockPtr(&in, l, false, true)
 		if err != nil {
 			return int(read), err
 		}
@@ -151,11 +151,11 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 		if chunk > n-written {
 			chunk = n - written
 		}
-		pre, err := fs.blockPtr(in, l, false, false)
+		pre, err := fs.blockPtr(&in, l, false, false)
 		if err != nil {
 			return int(written), err
 		}
-		blk, err := fs.blockPtr(in, l, true, false)
+		blk, err := fs.blockPtr(&in, l, true, false)
 		if err != nil {
 			return int(written), err
 		}
@@ -200,11 +200,11 @@ func (fs *FS) Truncate(path string, size int64) error {
 		return vfs.ErrInval
 	}
 	if size < int64(in.Size) {
-		if err := fs.freeFileBlocks(in, size); err != nil {
+		if err := fs.freeFileBlocks(&in, size); err != nil {
 			return err
 		}
 		if size%BlockSize != 0 {
-			if blk, perr := fs.blockPtr(in, size/BlockSize, false, false); perr == nil && blk != 0 {
+			if blk, perr := fs.blockPtr(&in, size/BlockSize, false, false); perr == nil && blk != 0 {
 				if old, rerr := fs.readData(blk); rerr == nil {
 					nb := make([]byte, BlockSize)
 					copy(nb, old[:size%BlockSize])
@@ -232,7 +232,7 @@ func (fs *FS) Unlink(path string) error {
 	if err != nil {
 		return err
 	}
-	cIno, _, err := fs.dirLookup(pIn, name)
+	cIno, _, err := fs.dirLookup(&pIn, name)
 	if err != nil {
 		return err
 	}
@@ -243,7 +243,7 @@ func (fs *FS) Unlink(path string) error {
 	if cIn.IsDir() {
 		return vfs.ErrIsDir
 	}
-	if _, err := fs.dirRemove(pIn, name); err != nil {
+	if _, err := fs.dirRemove(&pIn, name); err != nil {
 		return err
 	}
 	pIn.Mtime = fs.Now()
@@ -252,7 +252,7 @@ func (fs *FS) Unlink(path string) error {
 	}
 	cIn.Links--
 	if cIn.Links == 0 {
-		if err := fs.freeFileBlocks(cIn, 0); err != nil {
+		if err := fs.freeFileBlocks(&cIn, 0); err != nil {
 			return err
 		}
 		if err := fs.freeInode(cIno); err != nil {
@@ -281,7 +281,7 @@ func (fs *FS) Rmdir(path string) error {
 	if err != nil {
 		return err
 	}
-	cIno, _, err := fs.dirLookup(pIn, name)
+	cIno, _, err := fs.dirLookup(&pIn, name)
 	if err != nil {
 		return err
 	}
@@ -292,21 +292,21 @@ func (fs *FS) Rmdir(path string) error {
 	if !cIn.IsDir() {
 		return vfs.ErrNotDir
 	}
-	empty, err := fs.dirEmpty(cIn)
+	empty, err := fs.dirEmpty(&cIn)
 	if err != nil {
 		return err
 	}
 	if !empty {
 		return vfs.ErrNotEmpty
 	}
-	if _, err := fs.dirRemove(pIn, name); err != nil {
+	if _, err := fs.dirRemove(&pIn, name); err != nil {
 		return err
 	}
 	pIn.Mtime = fs.Now()
 	if err := fs.StoreLocked(pIno, pIn); err != nil {
 		return err
 	}
-	if err := fs.freeFileBlocks(cIn, 0); err != nil {
+	if err := fs.freeFileBlocks(&cIn, 0); err != nil {
 		return err
 	}
 	if err := fs.freeInode(cIno); err != nil {
@@ -336,12 +336,12 @@ func (fs *FS) Link(oldpath, newpath string) error {
 	if err != nil {
 		return err
 	}
-	if _, _, err := fs.dirLookup(pIn, name); err == nil {
+	if _, _, err := fs.dirLookup(&pIn, name); err == nil {
 		return vfs.ErrExist
 	} else if !errors.Is(err, vfs.ErrNotExist) {
 		return err
 	}
-	if err := fs.dirAdd(pIno, pIn, name, oIno, byte(oIn.FileType())); err != nil {
+	if err := fs.dirAdd(pIno, &pIn, name, oIno, byte(oIn.FileType())); err != nil {
 		return err
 	}
 	pIn.Mtime = fs.Now()
@@ -367,16 +367,18 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if err != nil {
 		return err
 	}
-	cIno, cType, err := fs.dirLookup(oPIn, oName)
+	cIno, cType, err := fs.dirLookup(&oPIn, oName)
 	if err != nil {
 		return err
 	}
-	nPIno, nPIn, nName, err := fs.ParentLocked(newpath)
+	nPIno, nPInode, nName, err := fs.ParentLocked(newpath)
 	if err != nil {
 		return err
 	}
+	// One directory is one inode: every change below lands on oPIn.
+	nPIn := &nPInode
 	if nPIno == oPIno {
-		nPIn = oPIn
+		nPIn = &oPIn
 	}
 	if tIno, _, err := fs.dirLookup(nPIn, nName); err == nil {
 		tIn, lerr := fs.LoadLocked(tIno)
@@ -384,7 +386,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 			return lerr
 		}
 		if tIn.IsDir() {
-			empty, derr := fs.dirEmpty(tIn)
+			empty, derr := fs.dirEmpty(&tIn)
 			if derr != nil {
 				return derr
 			}
@@ -397,7 +399,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 		}
 		tIn.Links--
 		if tIn.Links == 0 || tIn.IsDir() {
-			if derr := fs.freeFileBlocks(tIn, 0); derr != nil {
+			if derr := fs.freeFileBlocks(&tIn, 0); derr != nil {
 				return derr
 			}
 			if derr := fs.freeInode(tIno); derr != nil {
@@ -412,7 +414,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	} else if !errors.Is(err, vfs.ErrNotExist) {
 		return err
 	}
-	if _, err := fs.dirRemove(oPIn, oName); err != nil {
+	if _, err := fs.dirRemove(&oPIn, oName); err != nil {
 		return err
 	}
 	now := fs.Now()
@@ -424,7 +426,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 		return err
 	}
 	nPIn.Mtime = now
-	if err := fs.StoreLocked(nPIno, nPIn); err != nil {
+	if err := fs.StoreLocked(nPIno, *nPIn); err != nil {
 		return err
 	}
 	return fs.MaybeCommitLocked()

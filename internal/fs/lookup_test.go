@@ -39,36 +39,56 @@ func lookupFixture(tb testing.TB, name string, entries int) (vfs.FileSystem, str
 	return v.FS, path
 }
 
-// lookupAllocs pins what a cache-resident 4 KiB read of /a/b/fileNNNN
-// allocates, on every file system alike: vfs.SplitPath's four (the
-// strings.Split result, then the parts slice growing to 1, 2 and 4) and one
-// inode/stat struct per object on the path, the root included. Nothing per
-// tree node, per directory block or per directory entry on the way.
-const lookupAllocs = 4 + 4
-
 // TestLookupAllocs gates the file-system layer's share of the host cost of
-// a cached read (ROADMAP item 1b): the count is exact per file system and
-// does not depend on how many entries the directory holds.
+// a cached read: on every file system alike, a cache-resident 4 KiB read
+// of /a/b/fileNNNN — and a Stat, Lstat or Open of it — allocates nothing.
+// The path splits into a stack array and every object on the path is a
+// node passed by value, so nothing is allocated per component, per tree
+// node, per directory block or per directory entry, and the count does not
+// depend on how many entries the directory holds.
 func TestLookupAllocs(t *testing.T) {
+	buf := make([]byte, 4096)
+	ops := []struct {
+		name string
+		run  func(vfs.FileSystem, string) error
+	}{
+		{"Read", func(fsys vfs.FileSystem, path string) error {
+			n, err := fsys.Read(path, 0, buf)
+			if err == nil && n != len(buf) {
+				return fmt.Errorf("short read %d", n)
+			}
+			return err
+		}},
+		{"Stat", func(fsys vfs.FileSystem, path string) error { _, err := fsys.Stat(path); return err }},
+		{"Lstat", func(fsys vfs.FileSystem, path string) error { _, err := fsys.Lstat(path); return err }},
+		{"Open", func(fsys vfs.FileSystem, path string) error { return fsys.Open(path) }},
+	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			buf := make([]byte, 4096)
-			measure := func(entries int) float64 {
-				fsys, path := lookupFixture(t, name, entries)
-				read := func() {
-					if n, err := fsys.Read(path, 0, buf); err != nil || n != len(buf) {
-						t.Fatalf("Read(%s) = %d, %v", path, n, err)
+			small, smallPath := lookupFixture(t, name, 8)
+			large, largePath := lookupFixture(t, name, 64)
+			measure := func(run func(vfs.FileSystem, string) error, fsys vfs.FileSystem, path string) float64 {
+				var err error
+				call := func() {
+					if e := run(fsys, path); e != nil {
+						err = e
 					}
 				}
-				read() // warm the cache
-				return testing.AllocsPerRun(100, read)
+				call() // warm the cache
+				n := testing.AllocsPerRun(100, call)
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				return n
 			}
-			small, large := measure(8), measure(64)
-			if large != lookupAllocs {
-				t.Errorf("cached 4 KiB read in a 64-entry directory: %v allocs, pinned at %v", large, lookupAllocs)
-			}
-			if small != large {
-				t.Errorf("allocs depend on directory size: %v with 8 entries, %v with 64", small, large)
+			for _, op := range ops {
+				s, l := measure(op.run, small, smallPath), measure(op.run, large, largePath)
+				if l != 0 {
+					t.Errorf("cached %s in a 64-entry directory: %v allocs, want 0", op.name, l)
+				}
+				if s != l {
+					t.Errorf("%s allocs depend on directory size: %v with 8 entries, %v with 64", op.name, s, l)
+				}
 			}
 		})
 	}

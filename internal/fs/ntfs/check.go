@@ -44,7 +44,7 @@ func (fs *FS) censusMFTBlock(t int64, total uint32) (out mftCensus, units int64,
 		}
 		// $MFT and the root have no parent entry.
 		out.objs = append(out.objs, fsck.Object[*mftRecord]{ID: uint64(rec), Links: int(r.Links),
-			Dir: r.isDir(), Root: rec == 0 || rec == RootRec, Node: r})
+			Dir: r.isDir(), Root: rec == 0 || rec == RootRec, Node: &r})
 		nblocks := (int64(r.Size) + BlockSize - 1) / BlockSize
 		if nblocks > maxFileBlocks {
 			out.events = append(out.events, fsck.Event{Kind: "record-size",
@@ -52,7 +52,7 @@ func (fs *FS) censusMFTBlock(t int64, total uint32) (out mftCensus, units int64,
 			nblocks = maxFileBlocks
 		}
 		for l := int64(0); l < nblocks; l++ {
-			blk, err := fs.blockPtr(r, l, false)
+			blk, err := fs.blockPtr(&r, l, false)
 			if err != nil {
 				return out, units, err
 			}

@@ -141,12 +141,15 @@ type mftRecord struct {
 }
 
 // Allocated implements namei.Node.
-func (r *mftRecord) Allocated() bool { return r.Flags&flagInUse != 0 }
-func (r *mftRecord) isDir() bool     { return r.Flags&flagDir != 0 }
-func (r *mftRecord) isSymlink() bool { return r.Flags&flagSymlink != 0 }
+func (r mftRecord) Allocated() bool { return r.Flags&flagInUse != 0 }
+func (r mftRecord) isDir() bool     { return r.Flags&flagDir != 0 }
+func (r mftRecord) isSymlink() bool { return r.Flags&flagSymlink != 0 }
+
+// WithAttrs implements namei.Node.
+func (r mftRecord) WithAttrs(a namei.Attr) mftRecord { r.Attr = a; return r }
 
 // FileType implements namei.Node.
-func (r *mftRecord) FileType() vfs.FileType {
+func (r mftRecord) FileType() vfs.FileType {
 	switch {
 	case r.isDir():
 		return vfs.TypeDirectory

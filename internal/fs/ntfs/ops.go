@@ -167,28 +167,28 @@ func (fs *FS) recordLoc(rec uint32) (int64, int, error) {
 // LoadLocked implements namei.Store: it reads an MFT record, verifying its
 // "FILE" magic — NTFS's strong metadata sanity check (§5.4). A corrupt
 // record renders the volume unusable.
-func (fs *FS) LoadLocked(rec uint32) (*mftRecord, error) {
+func (fs *FS) LoadLocked(rec uint32) (mftRecord, error) {
+	var r mftRecord
 	blk, off, err := fs.recordLoc(rec)
 	if err != nil {
-		return nil, err
+		return r, err
 	}
 	buf, err := fs.readBlockRetry(blk, BTMFT)
 	if err != nil {
-		return nil, err
+		return r, err
 	}
-	r := &mftRecord{}
 	r.unmarshal(buf[off : off+RecordSize])
 	if r.Flags != 0 && r.Magic != recMagic {
 		fs.rec.Detect(iron.DSanity, BTMFT, "MFT record bad magic")
 		fs.rec.Recover(iron.RPropagate, BTMFT, "error propagated")
 		fs.unmountable(BTMFT, "corrupt MFT record")
-		return nil, vfs.ErrCorrupt
+		return mftRecord{}, vfs.ErrCorrupt
 	}
 	return r, nil
 }
 
 // StoreLocked implements namei.Store: it stages an MFT record update.
-func (fs *FS) StoreLocked(rec uint32, r *mftRecord) error {
+func (fs *FS) StoreLocked(rec uint32, r mftRecord) error {
 	blk, off, err := fs.recordLoc(rec)
 	if err != nil {
 		return err
@@ -490,7 +490,7 @@ func (fs *FS) dirAdd(dirRec uint32, r *mftRecord, name string, child uint32, fty
 	copy(nb[4+dirEntHdr:], name)
 	fs.tx.StageMeta(blk, nb, BTDir)
 	r.Size = uint64((l + 1) * BlockSize)
-	return fs.StoreLocked(dirRec, r)
+	return fs.StoreLocked(dirRec, *r)
 }
 
 func (fs *FS) dirRemove(r *mftRecord, name string) (uint32, error) {

@@ -12,14 +12,14 @@ import (
 // operations are namei.Namespace's.
 
 // RootLocked implements namei.Store.
-func (fs *FS) RootLocked() (uint32, *mftRecord, error) {
+func (fs *FS) RootLocked() (uint32, mftRecord, error) {
 	r, err := fs.LoadLocked(RootRec)
 	return RootRec, r, err
 }
 
 // LookupLocked implements namei.Store.
-func (fs *FS) LookupLocked(_ uint32, dr *mftRecord, name string) (uint32, error) {
-	rec, _, err := fs.dirLookup(dr, name)
+func (fs *FS) LookupLocked(_ uint32, dr mftRecord, name string) (uint32, error) {
+	rec, _, err := fs.dirLookup(&dr, name)
 	return rec, err
 }
 
@@ -28,11 +28,11 @@ func (fs *FS) KeyOf(rec uint32) uint64 { return uint64(rec) }
 
 // ReadLinkLocked implements namei.Store: the target is the link's single
 // data block.
-func (fs *FS) ReadLinkLocked(_ uint32, r *mftRecord) (string, error) {
+func (fs *FS) ReadLinkLocked(_ uint32, r mftRecord) (string, error) {
 	if r.Size == 0 || r.Size > BlockSize {
 		return "", vfs.ErrCorrupt
 	}
-	blk, err := fs.blockPtr(r, 0, false)
+	blk, err := fs.blockPtr(&r, 0, false)
 	if err != nil {
 		return "", err
 	}
@@ -47,21 +47,21 @@ func (fs *FS) ReadLinkLocked(_ uint32, r *mftRecord) (string, error) {
 }
 
 // CreateLocked implements namei.Store.
-func (fs *FS) CreateLocked(pRec uint32, pR *mftRecord, name string, kind vfs.FileType, a namei.Attr) (uint32, *mftRecord, error) {
+func (fs *FS) CreateLocked(pRec uint32, pR mftRecord, name string, kind vfs.FileType, a namei.Attr) (uint32, mftRecord, error) {
 	rec, err := fs.allocRecord()
 	if err != nil {
-		return 0, nil, err
+		return 0, mftRecord{}, err
 	}
-	r := &mftRecord{Magic: recMagic, Flags: kindFlags(kind), Attr: a}
-	if err := fs.dirAdd(pRec, pR, name, rec, byte(kind)); err != nil {
-		return 0, nil, err
+	r := mftRecord{Magic: recMagic, Flags: kindFlags(kind), Attr: a}
+	if err := fs.dirAdd(pRec, &pR, name, rec, byte(kind)); err != nil {
+		return 0, mftRecord{}, err
 	}
 	pR.Mtime = a.Mtime
 	if err := fs.StoreLocked(pRec, pR); err != nil {
-		return 0, nil, err
+		return 0, mftRecord{}, err
 	}
 	if err := fs.StoreLocked(rec, r); err != nil {
-		return 0, nil, err
+		return 0, mftRecord{}, err
 	}
 	return rec, r, nil
 }
@@ -80,7 +80,7 @@ func (fs *FS) Symlink(target, linkpath string) error {
 	if err != nil {
 		return err
 	}
-	blk, err := fs.blockPtr(r, 0, true)
+	blk, err := fs.blockPtr(&r, 0, true)
 	if err != nil {
 		return err
 	}
@@ -109,7 +109,7 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 		return nil, vfs.ErrNotDir
 	}
 	var out []vfs.DirEntry
-	err = fs.dirBlocks(r, func(_ int64, _ []byte, it dirIter) (bool, error) {
+	err = fs.dirBlocks(&r, func(_ int64, _ []byte, it dirIter) (bool, error) {
 		for e, ok := it.next(); ok; e, ok = it.next() {
 			out = append(out, vfs.DirEntry{Name: string(e.Name), Ino: e.Rec, Type: vfs.FileType(e.FType)})
 		}
@@ -151,7 +151,7 @@ func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 		if chunk > n-read {
 			chunk = n - read
 		}
-		blk, err := fs.blockPtr(r, l, false)
+		blk, err := fs.blockPtr(&r, l, false)
 		if err != nil {
 			return int(read), err
 		}
@@ -208,11 +208,11 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 		if chunk > n-written {
 			chunk = n - written
 		}
-		pre, err := fs.blockPtr(r, l, false)
+		pre, err := fs.blockPtr(&r, l, false)
 		if err != nil {
 			return int(written), err
 		}
-		blk, err := fs.blockPtr(r, l, true)
+		blk, err := fs.blockPtr(&r, l, true)
 		if err != nil {
 			return int(written), err
 		}
@@ -257,11 +257,11 @@ func (fs *FS) Truncate(path string, size int64) error {
 		return vfs.ErrInval
 	}
 	if size < int64(r.Size) {
-		if err := fs.freeFileBlocks(r, size); err != nil {
+		if err := fs.freeFileBlocks(&r, size); err != nil {
 			return err
 		}
 		if size%BlockSize != 0 {
-			if blk, perr := fs.blockPtr(r, size/BlockSize, false); perr == nil && blk != 0 {
+			if blk, perr := fs.blockPtr(&r, size/BlockSize, false); perr == nil && blk != 0 {
 				if old, rerr := fs.readBlockRetry(blk, BTData); rerr == nil {
 					nb := make([]byte, BlockSize)
 					copy(nb, old[:size%BlockSize])
@@ -289,7 +289,7 @@ func (fs *FS) Unlink(path string) error {
 	if err != nil {
 		return err
 	}
-	cRec, _, err := fs.dirLookup(pR, name)
+	cRec, _, err := fs.dirLookup(&pR, name)
 	if err != nil {
 		return err
 	}
@@ -300,7 +300,7 @@ func (fs *FS) Unlink(path string) error {
 	if cR.isDir() {
 		return vfs.ErrIsDir
 	}
-	if _, err := fs.dirRemove(pR, name); err != nil {
+	if _, err := fs.dirRemove(&pR, name); err != nil {
 		return err
 	}
 	pR.Mtime = fs.Now()
@@ -309,7 +309,7 @@ func (fs *FS) Unlink(path string) error {
 	}
 	cR.Links--
 	if cR.Links == 0 {
-		if err := fs.freeFileBlocks(cR, 0); err != nil {
+		if err := fs.freeFileBlocks(&cR, 0); err != nil {
 			return err
 		}
 		if err := fs.freeRecord(cRec); err != nil {
@@ -338,7 +338,7 @@ func (fs *FS) Rmdir(path string) error {
 	if err != nil {
 		return err
 	}
-	cRec, _, err := fs.dirLookup(pR, name)
+	cRec, _, err := fs.dirLookup(&pR, name)
 	if err != nil {
 		return err
 	}
@@ -349,21 +349,21 @@ func (fs *FS) Rmdir(path string) error {
 	if !cR.isDir() {
 		return vfs.ErrNotDir
 	}
-	empty, err := fs.dirEmpty(cR)
+	empty, err := fs.dirEmpty(&cR)
 	if err != nil {
 		return err
 	}
 	if !empty {
 		return vfs.ErrNotEmpty
 	}
-	if _, err := fs.dirRemove(pR, name); err != nil {
+	if _, err := fs.dirRemove(&pR, name); err != nil {
 		return err
 	}
 	pR.Mtime = fs.Now()
 	if err := fs.StoreLocked(pRec, pR); err != nil {
 		return err
 	}
-	if err := fs.freeFileBlocks(cR, 0); err != nil {
+	if err := fs.freeFileBlocks(&cR, 0); err != nil {
 		return err
 	}
 	if err := fs.freeRecord(cRec); err != nil {
@@ -393,12 +393,12 @@ func (fs *FS) Link(oldpath, newpath string) error {
 	if err != nil {
 		return err
 	}
-	if _, _, err := fs.dirLookup(pR, name); err == nil {
+	if _, _, err := fs.dirLookup(&pR, name); err == nil {
 		return vfs.ErrExist
 	} else if !errors.Is(err, vfs.ErrNotExist) {
 		return err
 	}
-	if err := fs.dirAdd(pRec, pR, name, oRec, byte(oR.FileType())); err != nil {
+	if err := fs.dirAdd(pRec, &pR, name, oRec, byte(oR.FileType())); err != nil {
 		return err
 	}
 	pR.Mtime = fs.Now()
@@ -424,16 +424,18 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if err != nil {
 		return err
 	}
-	cRec, cType, err := fs.dirLookup(oPR, oName)
+	cRec, cType, err := fs.dirLookup(&oPR, oName)
 	if err != nil {
 		return err
 	}
-	nPRec, nPR, nName, err := fs.ParentLocked(newpath)
+	nPRec, nPRecord, nName, err := fs.ParentLocked(newpath)
 	if err != nil {
 		return err
 	}
+	// One directory is one record: every change below lands on oPR.
+	nPR := &nPRecord
 	if nPRec == oPRec {
-		nPR = oPR
+		nPR = &oPR
 	}
 	if tRec, _, err := fs.dirLookup(nPR, nName); err == nil {
 		tR, lerr := fs.LoadLocked(tRec)
@@ -441,7 +443,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 			return lerr
 		}
 		if tR.isDir() {
-			empty, derr := fs.dirEmpty(tR)
+			empty, derr := fs.dirEmpty(&tR)
 			if derr != nil {
 				return derr
 			}
@@ -454,7 +456,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 		}
 		tR.Links--
 		if tR.Links == 0 || tR.isDir() {
-			if derr := fs.freeFileBlocks(tR, 0); derr != nil {
+			if derr := fs.freeFileBlocks(&tR, 0); derr != nil {
 				return derr
 			}
 			if derr := fs.freeRecord(tRec); derr != nil {
@@ -469,7 +471,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	} else if !errors.Is(err, vfs.ErrNotExist) {
 		return err
 	}
-	if _, err := fs.dirRemove(oPR, oName); err != nil {
+	if _, err := fs.dirRemove(&oPR, oName); err != nil {
 		return err
 	}
 	now := fs.Now()
@@ -481,7 +483,7 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 		return err
 	}
 	nPR.Mtime = now
-	if err := fs.StoreLocked(nPRec, nPR); err != nil {
+	if err := fs.StoreLocked(nPRec, *nPR); err != nil {
 		return err
 	}
 	return fs.MaybeCommitLocked()

@@ -169,7 +169,10 @@ type statData struct{ namei.TypedAttr }
 
 // Allocated implements namei.Node. An object exists exactly when its stat
 // item is in the tree: there is no inode table to leave a stale slot in.
-func (s *statData) Allocated() bool { return true }
+func (s statData) Allocated() bool { return true }
+
+// WithAttrs implements namei.Node.
+func (s statData) WithAttrs(a namei.Attr) statData { s.Attr = a; return s }
 
 const statLen = 2 + 2 + 4 + 4 + 8 + 8 + 8 + 8
 

@@ -35,22 +35,22 @@ func (r objRef) indirectKey(itemIdx int64) key {
 // LoadLocked implements namei.Store: it loads an object's stat item,
 // sanity-checking its format (§5.2: "inodes and directory blocks have known
 // formats" that ReiserFS verifies).
-func (fs *FS) LoadLocked(r objRef) (*statData, error) {
+func (fs *FS) LoadLocked(r objRef) (statData, error) {
+	var sd statData
 	it, err := fs.findItem(r.statKey())
 	if err != nil {
-		return nil, err
+		return sd, err
 	}
-	sd := &statData{}
 	if err := sd.unmarshal(it.Body); err != nil {
 		fs.rec.Detect(iron.DSanity, BTStat, err.Error())
 		fs.panicFS(BTStat, "stat item format check failed")
-		return nil, vfs.ErrPanicked
+		return statData{}, vfs.ErrPanicked
 	}
 	return sd, nil
 }
 
 // StoreLocked implements namei.Store: it stores an object's stat item.
-func (fs *FS) StoreLocked(r objRef, sd *statData) error {
+func (fs *FS) StoreLocked(r objRef, sd statData) error {
 	return fs.replaceItem(r.statKey(), sd.marshal())
 }
 

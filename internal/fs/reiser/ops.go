@@ -12,13 +12,13 @@ import (
 // the lookup and attribute operations are namei.Namespace's.
 
 // RootLocked implements namei.Store.
-func (fs *FS) RootLocked() (objRef, *statData, error) {
+func (fs *FS) RootLocked() (objRef, statData, error) {
 	sd, err := fs.LoadLocked(rootRef())
 	return rootRef(), sd, err
 }
 
 // LookupLocked implements namei.Store.
-func (fs *FS) LookupLocked(dir objRef, _ *statData, name string) (objRef, error) {
+func (fs *FS) LookupLocked(dir objRef, _ statData, name string) (objRef, error) {
 	ent, err := fs.dirLookup(dir, name)
 	return ent.Child, err
 }
@@ -27,7 +27,7 @@ func (fs *FS) LookupLocked(dir objRef, _ *statData, name string) (objRef, error)
 func (fs *FS) KeyOf(r objRef) uint64 { return uint64(r.DirID)<<32 | uint64(r.ObjID) }
 
 // ReadLinkLocked implements namei.Store: the target is the link's tail.
-func (fs *FS) ReadLinkLocked(r objRef, sd *statData) (string, error) {
+func (fs *FS) ReadLinkLocked(r objRef, sd statData) (string, error) {
 	has, tail, err := fs.hasTail(r)
 	if err != nil {
 		return "", err
@@ -40,14 +40,14 @@ func (fs *FS) ReadLinkLocked(r objRef, sd *statData) (string, error) {
 
 // CreateLocked implements namei.Store: the stat item goes in first, then
 // the directory entry.
-func (fs *FS) CreateLocked(pRef objRef, _ *statData, name string, kind vfs.FileType, a namei.Attr) (objRef, *statData, error) {
+func (fs *FS) CreateLocked(pRef objRef, _ statData, name string, kind vfs.FileType, a namei.Attr) (objRef, statData, error) {
 	ref := objRef{DirID: pRef.ObjID, ObjID: fs.allocOID()}
-	sd := &statData{namei.Typed(kind, a)}
+	sd := statData{namei.Typed(kind, a)}
 	if err := fs.insertItem(item{K: ref.statKey(), Body: sd.marshal()}); err != nil {
-		return objRef{}, nil, err
+		return objRef{}, statData{}, err
 	}
 	if err := fs.dirAddEntry(pRef, dirEnt{Child: ref, FType: byte(kind), Name: name}); err != nil {
-		return objRef{}, nil, err
+		return objRef{}, statData{}, err
 	}
 	return ref, sd, nil
 }

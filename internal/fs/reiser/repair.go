@@ -41,7 +41,7 @@ func (fs *FS) ReclaimLocked(o fsck.Object[statData]) error {
 // SetLinksLocked implements fsck.Fixer.
 func (fs *FS) SetLinksLocked(o fsck.Object[statData], links int) error {
 	o.Node.Links = uint16(links)
-	if err := fs.StoreLocked(refOf(o.ID), &o.Node); err != nil {
+	if err := fs.StoreLocked(refOf(o.ID), o.Node); err != nil {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTStat, "fsck corrected link count")

@@ -21,12 +21,13 @@ type Attr struct {
 	Ctime int64
 }
 
-// Attrs returns the node's attributes; embedding promotes it onto the file
-// system's node type, which is what makes that type a Node.
-func (a *Attr) Attrs() *Attr { return a }
+// Attrs returns a copy of the node's attributes; embedding promotes it
+// onto the file system's node type, which with WithAttrs makes that type a
+// Node.
+func (a Attr) Attrs() Attr { return a }
 
 // info is the VFS stat form of the attributes.
-func (a *Attr) info(ino uint32, t vfs.FileType) vfs.FileInfo {
+func (a Attr) info(ino uint32, t vfs.FileType) vfs.FileInfo {
 	return vfs.FileInfo{
 		Ino:   ino,
 		Type:  t,
@@ -70,7 +71,7 @@ func Typed(kind vfs.FileType, a Attr) TypedAttr {
 
 // FileType decodes the mode's type nibble; anything unknown reads as a
 // regular file.
-func (t *TypedAttr) FileType() vfs.FileType {
+func (t TypedAttr) FileType() vfs.FileType {
 	switch t.Mode & ModeTypeMsk {
 	case ModeDir:
 		return vfs.TypeDirectory
@@ -81,5 +82,5 @@ func (t *TypedAttr) FileType() vfs.FileType {
 	}
 }
 
-func (t *TypedAttr) IsDir() bool     { return t.Mode&ModeTypeMsk == ModeDir }
-func (t *TypedAttr) Allocated() bool { return t.Mode != 0 }
+func (t TypedAttr) IsDir() bool     { return t.Mode&ModeTypeMsk == ModeDir }
+func (t TypedAttr) Allocated() bool { return t.Mode != 0 }

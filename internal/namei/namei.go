@@ -26,9 +26,14 @@ const maxSymlinkDepth = 8
 
 // Node is a file system's in-memory inode as the namespace layer sees it:
 // the shared attributes plus the two facts about it that each on-disk
-// format encodes its own way.
-type Node interface {
-	Attrs() *Attr
+// format encodes its own way. N is the node type itself, a struct passed
+// by value: a pointer handed through Store or through a method of a type
+// parameter escapes, and would cost every object a walk visits one heap
+// allocation.
+type Node[N any] interface {
+	Attrs() Attr
+	// WithAttrs returns the node with its attributes replaced by a.
+	WithAttrs(a Attr) N
 	FileType() vfs.FileType
 	// Allocated reports whether the slot the node was loaded from holds a
 	// live object.
@@ -39,8 +44,9 @@ type Node interface {
 // journal.Committer and fsck.Target cut: the layer owns the walk and the
 // sequencing, the file system keeps its layout and its §5 reactions. R
 // names an object (an inode or MFT record number, a ReiserFS key prefix), N
-// is its loaded node. Every Locked method runs with the volume lock held.
-type Store[R any, N Node] interface {
+// is its loaded node, by value. Every Locked method runs with the volume
+// lock held.
+type Store[R any, N Node[N]] interface {
 	journal.Committer
 	// MountedLocked reports whether the volume is mounted.
 	MountedLocked() bool
@@ -91,7 +97,7 @@ type Volume struct {
 
 // Namespace is the one path walk and the lookup and attribute operations
 // built on it.
-type Namespace[R any, N Node] struct {
+type Namespace[R any, N Node[N]] struct {
 	v Volume
 	s Store[R, N]
 	// clock is the logical timestamp counter.
@@ -99,7 +105,7 @@ type Namespace[R any, N Node] struct {
 }
 
 // New returns the namespace of store s on volume v.
-func New[R any, N Node](s Store[R, N], v Volume) Namespace[R, N] {
+func New[R any, N Node[N]](s Store[R, N], v Volume) Namespace[R, N] {
 	return Namespace[R, N]{v: v, s: s}
 }
 
@@ -142,7 +148,8 @@ func (ns *Namespace[R, N]) fail(err error) (R, N, error) {
 // ResolveLocked walks an absolute path to an object. follow controls
 // whether a symlink in the final component is chased.
 func (ns *Namespace[R, N]) ResolveLocked(path string, follow bool) (R, N, error) {
-	parts, err := vfs.SplitPath(path)
+	var buf [vfs.SplitDepth]string
+	parts, err := vfs.SplitPath(buf[:0], path)
 	if err != nil {
 		return ns.fail(err)
 	}
@@ -178,12 +185,12 @@ func (ns *Namespace[R, N]) walk(parts []string, follow bool, depth int) (R, N, e
 			if err != nil {
 				return ns.fail(err)
 			}
-			tparts, err := vfs.SplitPath(target)
+			var buf [vfs.SplitDepth]string
+			rest, err := vfs.SplitPath(buf[:0], target)
 			if err != nil {
 				return ns.fail(err)
 			}
-			rest := append(append([]string{}, tparts...), parts[i+1:]...)
-			return ns.walk(rest, follow, depth+1)
+			return ns.walk(append(rest, parts[i+1:]...), follow, depth+1)
 		}
 		ref, n = child, cn
 	}
@@ -197,7 +204,8 @@ func (ns *Namespace[R, N]) ParentLocked(path string) (R, N, string, error) {
 		ref, n, err := ns.fail(err)
 		return ref, n, "", err
 	}
-	dirParts, name, err := vfs.SplitDir(path)
+	var buf [vfs.SplitDepth]string
+	dirParts, name, err := vfs.SplitDir(buf[:0], path)
 	if err != nil {
 		return fail(err)
 	}
@@ -353,9 +361,9 @@ func (ns *Namespace[R, N]) setattr(path string, mutate func(*Attr)) error {
 		return err
 	}
 	a := n.Attrs()
-	mutate(a)
+	mutate(&a)
 	a.Ctime = ns.Now()
-	if err := ns.s.StoreLocked(ref, n); err != nil {
+	if err := ns.s.StoreLocked(ref, n.WithAttrs(a)); err != nil {
 		return err
 	}
 	return ns.s.MaybeCommitLocked()

@@ -26,6 +26,8 @@ type fakeNode struct {
 	target string
 }
 
+func (n fakeNode) WithAttrs(a Attr) fakeNode { n.Attr = a; return n }
+
 // fakeStore is an in-memory tree. Every store call is logged, and a call
 // made with no lock held fails the test.
 type fakeStore struct {
@@ -49,39 +51,40 @@ func (f *fakeStore) call(name string) {
 }
 
 func (f *fakeStore) MountedLocked() bool { f.call("mounted"); return !f.unmounted }
-func (f *fakeStore) RootLocked() (int, *fakeNode, error) {
+func (f *fakeStore) RootLocked() (int, fakeNode, error) {
 	f.call("root")
 	f.clk.Advance(5)
-	return 1, f.nodes[1], nil
+	return 1, *f.nodes[1], nil
 }
-func (f *fakeStore) LoadLocked(ref int) (*fakeNode, error) {
+func (f *fakeStore) LoadLocked(ref int) (fakeNode, error) {
 	f.call("load")
-	return f.nodes[ref], nil
+	return *f.nodes[ref], nil
 }
-func (f *fakeStore) LookupLocked(_ int, dn *fakeNode, name string) (int, error) {
+func (f *fakeStore) LookupLocked(_ int, dn fakeNode, name string) (int, error) {
 	f.call("lookup")
 	if ref, ok := dn.ents[name]; ok {
 		return ref, nil
 	}
 	return 0, vfs.ErrNotExist
 }
-func (f *fakeStore) ReadLinkLocked(_ int, n *fakeNode) (string, error) {
+func (f *fakeStore) ReadLinkLocked(_ int, n fakeNode) (string, error) {
 	f.call("readlink")
 	return n.target, nil
 }
-func (f *fakeStore) StoreLocked(ref int, n *fakeNode) error {
+func (f *fakeStore) StoreLocked(ref int, n fakeNode) error {
 	f.call("store")
 	if f.storeErr == nil {
 		f.touched[uint64(ref)] = true
+		*f.nodes[ref] = n
 	}
 	return f.storeErr
 }
-func (f *fakeStore) CreateLocked(_ int, dn *fakeNode, name string, kind vfs.FileType, a Attr) (int, *fakeNode, error) {
+func (f *fakeStore) CreateLocked(_ int, dn fakeNode, name string, kind vfs.FileType, a Attr) (int, fakeNode, error) {
 	f.call("create")
 	ref := len(f.nodes) + 1
 	f.nodes[ref] = &fakeNode{TypedAttr: Typed(kind, a), ents: map[string]int{}}
 	dn.ents[name] = ref
-	return ref, f.nodes[ref], nil
+	return ref, *f.nodes[ref], nil
 }
 func (f *fakeStore) KeyOf(ref int) uint64     { return uint64(ref) }
 func (f *fakeStore) MaybeCommitLocked() error { f.call("maybecommit"); return f.commitErr }
@@ -111,12 +114,12 @@ func harness(t *testing.T) (*ns, *fakeStore, *vfs.Health, *stat.Histogram) {
 	health := new(vfs.Health)
 	wait := stat.NewHistogram()
 	w := &spyLock{"w", f}
-	n := New[int, *fakeNode](f, Volume{Mu: w, RMu: &spyLock{"r", f}, Health: health,
+	n := New[int, fakeNode](f, Volume{Mu: w, RMu: &spyLock{"r", f}, Health: health,
 		Journal: journal.New(w, health, f.clk, wait)})
 	return &n, f, health, wait
 }
 
-type ns = Namespace[int, *fakeNode]
+type ns = Namespace[int, fakeNode]
 
 func second(_ any, err error) error { return err }
 
@@ -222,5 +225,33 @@ func TestSetattrStampsAndCommitsOnlyAfterStore(t *testing.T) {
 	f.commitErr = boom
 	if err := n.Utimes("/file", 9, 10); !errors.Is(err, boom) {
 		t.Errorf("the commit funnel's error did not reach the caller: %v", err)
+	}
+}
+
+// TestWalkDeeperThanStackArray: a path with more components than the
+// split's stack array holds resolves, and so does a symlink whose target
+// plus the rest of the path outgrows it.
+func TestWalkDeeperThanStackArray(t *testing.T) {
+	n, f, _, _ := harness(t)
+	path := ""
+	for i := 0; i < vfs.SplitDepth+2; i++ {
+		path += "/d"
+		if err := n.Mkdir(path, 0o755); err != nil {
+			t.Fatalf("Mkdir at depth %d: %v", i+1, err)
+		}
+	}
+	if err := n.Create(path+"/leaf", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := n.Stat(path + "/leaf")
+	if err != nil || leaf.Type != vfs.TypeRegular {
+		t.Fatalf("Stat of a %d-component path = %+v, %v", vfs.SplitDepth+3, leaf, err)
+	}
+	// /deep names the next-to-deepest directory; the walk goes on with d/leaf.
+	ref := len(f.nodes) + 1
+	f.nodes[ref] = &fakeNode{TypedAttr: Typed(vfs.TypeSymlink, Attr{Mode: 0o777, Links: 1}), target: path[:len(path)-2]}
+	f.nodes[1].ents["deep"] = ref
+	if got, err := n.Stat("/deep/d/leaf"); err != nil || got.Ino != leaf.Ino {
+		t.Errorf("Stat through a deep symlink = ino %d, %v; want ino %d", got.Ino, err, leaf.Ino)
 	}
 }

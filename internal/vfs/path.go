@@ -6,41 +6,53 @@ import "strings"
 // all file systems in this repository.
 const MaxNameLen = 255
 
-// SplitPath normalizes an absolute slash-separated path into its
-// components. It rejects relative paths, empty components, and over-long
-// names; "." components are dropped and ".." is resolved lexically.
-// The root path "/" yields an empty component list.
-func SplitPath(path string) ([]string, error) {
+// SplitDepth is the component count a caller's stack array for SplitPath
+// is sized to: a path with more components grows the slice onto the heap.
+const SplitDepth = 16
+
+// SplitPath normalizes an absolute slash-separated path and appends its
+// components to dst, returning the extended slice. It rejects relative
+// paths, empty components, and over-long names; "." components are dropped
+// and ".." is resolved lexically within path, never into what dst already
+// held. The root path "/" appends nothing. The components are substrings
+// of path, so a caller that passes a stack array's slice splits without
+// allocating.
+func SplitPath(dst []string, path string) ([]string, error) {
 	if path == "" || path[0] != '/' {
 		return nil, ErrInval
 	}
-	var parts []string
-	for _, c := range strings.Split(path, "/") {
+	base := len(dst)
+	for rest := path[1:]; ; {
+		c, tail, more := strings.Cut(rest, "/")
 		switch c {
 		case "", ".":
-			continue
 		case "..":
-			if len(parts) > 0 {
-				parts = parts[:len(parts)-1]
+			if len(dst) > base {
+				dst = dst[:len(dst)-1]
 			}
 		default:
 			if len(c) > MaxNameLen {
 				return nil, ErrNameTooLong
 			}
-			parts = append(parts, c)
+			dst = append(dst, c)
 		}
+		if !more {
+			return dst, nil
+		}
+		rest = tail
 	}
-	return parts, nil
 }
 
-// SplitDir splits a path into its parent's components and the final name.
-// The root itself has no final name and returns ErrInval.
-func SplitDir(path string) (dir []string, name string, err error) {
-	parts, err := SplitPath(path)
+// SplitDir splits a path into its parent's components, appended to dst as
+// by SplitPath, and the final name. The root itself has no final name and
+// returns ErrInval.
+func SplitDir(dst []string, path string) (dir []string, name string, err error) {
+	base := len(dst)
+	parts, err := SplitPath(dst, path)
 	if err != nil {
 		return nil, "", err
 	}
-	if len(parts) == 0 {
+	if len(parts) == base {
 		return nil, "", ErrInval
 	}
 	return parts[:len(parts)-1], parts[len(parts)-1], nil
@@ -48,7 +60,8 @@ func SplitDir(path string) (dir []string, name string, err error) {
 
 // Base returns the final component of a path, or "/" for the root.
 func Base(path string) string {
-	parts, err := SplitPath(path)
+	var buf [SplitDepth]string
+	parts, err := SplitPath(buf[:0], path)
 	if err != nil || len(parts) == 0 {
 		return "/"
 	}

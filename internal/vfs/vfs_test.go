@@ -23,7 +23,7 @@ func TestSplitPath(t *testing.T) {
 		{"relative/path", nil, true},
 	}
 	for _, c := range cases {
-		got, err := SplitPath(c.in)
+		got, err := SplitPath(nil, c.in)
 		if (err != nil) != c.err {
 			t.Errorf("SplitPath(%q) err = %v", c.in, err)
 			continue
@@ -33,17 +33,17 @@ func TestSplitPath(t *testing.T) {
 		}
 	}
 	long := "/" + strings.Repeat("x", MaxNameLen+1)
-	if _, err := SplitPath(long); err != ErrNameTooLong {
+	if _, err := SplitPath(nil, long); err != ErrNameTooLong {
 		t.Errorf("overlong name = %v", err)
 	}
 }
 
 func TestSplitDir(t *testing.T) {
-	dir, name, err := SplitDir("/a/b/c")
+	dir, name, err := SplitDir(nil, "/a/b/c")
 	if err != nil || name != "c" || strings.Join(dir, "/") != "a/b" {
 		t.Fatalf("SplitDir = %v %q %v", dir, name, err)
 	}
-	if _, _, err := SplitDir("/"); err == nil {
+	if _, _, err := SplitDir(nil, "/"); err == nil {
 		t.Error("SplitDir(/) did not fail")
 	}
 }
@@ -61,7 +61,7 @@ func TestBaseAndJoin(t *testing.T) {
 // ".", or empty components.
 func TestQuickSplitInvariants(t *testing.T) {
 	f := func(raw string) bool {
-		parts, err := SplitPath("/" + raw)
+		parts, err := SplitPath(nil, "/"+raw)
 		if err != nil {
 			return true // rejecting is fine
 		}
