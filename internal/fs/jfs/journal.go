@@ -51,6 +51,22 @@ func (fs *FS) logMeta(blk int64, off int, data []byte, bt iron.BlockType) error 
 	return nil
 }
 
+// maxRedoLen is the largest redo payload one log block carries.
+const maxRedoLen = BlockSize - recHdrLen
+
+// logNewMeta stages a zeroed image for blk, a block just allocated for
+// metadata, and logs the whole of it, so that neither the checkpoint nor a
+// replay leaves the bytes of the block's previous life under the new
+// structure: a freed file's data would read as pointers. Nothing is read
+// from the block.
+func (fs *FS) logNewMeta(blk int64, bt iron.BlockType) {
+	fs.tx.StageMeta(blk, make([]byte, BlockSize), bt)
+	for off := 0; off < BlockSize; off += maxRedoLen {
+		n := min(maxRedoLen, BlockSize-off)
+		fs.records = append(fs.records, redoRec{Blk: blk, Off: off, Data: make([]byte, n)})
+	}
+}
+
 // maxTxnRecords bounds a transaction's redo records before auto-commit.
 const maxTxnRecords = 256
 

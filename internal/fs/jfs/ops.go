@@ -285,10 +285,7 @@ func (fs *FS) blockPtr(in *inode, l int64, alloc, readPath bool) (int64, error) 
 		if err != nil {
 			return 0, err
 		}
-		hdr := make([]byte, 8)
-		if err := fs.logMeta(blk, 0, hdr, BTInternal); err != nil {
-			return 0, err
-		}
+		fs.logNewMeta(blk, BTInternal)
 		in.Intern[g] = uint64(blk)
 	}
 	ib := int64(in.Intern[g])

@@ -173,9 +173,8 @@ type replayOp struct {
 // most transactions run to the maxTxnRecords cap. Every client's first file
 // is past the inode's direct extents and keeps growing through the run, so
 // its pointer block — and the bitmap words under it — are patched many
-// times in one transaction. Those files come before the first unlink:
-// their pointer blocks land on blocks nothing has used, which keeps the
-// stale-pointer-block defect (ROADMAP item 5(f)) out of this test.
+// times in one transaction. Those files come before the first unlink, so
+// their pointer blocks land on blocks nothing has used.
 func replayChurn(seed int64) [][]replayOp {
 	rng := rand.New(rand.NewSource(seed))
 	payload := func(blocks int) []byte {

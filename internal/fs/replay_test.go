@@ -41,8 +41,9 @@ type churnOp struct {
 // directory of its own: create a file, write one to three blocks, fsync one
 // in ten, unlink the oldest once four are live. Each client's first file is
 // past every file system's direct pointers and comes before the first
-// unlink, so its pointer block lands on a block nothing has used (jfs's
-// stale-pointer-block defect, ROADMAP item 5(f), stays out of these tests).
+// unlink, so its pointer block lands on a block nothing has used
+// (TestTxnConformance's new_pointer_block_starts_zeroed covers one that
+// lands on a freed file's data).
 func churnStreams(seed int64) [][]churnOp {
 	rng := rand.New(rand.NewSource(seed))
 	payload := func(blocks int) []byte {
@@ -418,7 +419,10 @@ func TestReplayIOBudget(t *testing.T) {
 		// the reads, writes, barriers and read flushes did not move.
 		"ext3":     {613, cost{reads: 111, writes: 93, barriers: 2, batches: 7}},
 		"reiserfs": {618, cost{reads: 16, writes: 12, barriers: 2, batches: 8}},
-		"jfs":      {618, cost{reads: 46, writes: 35, barriers: 2, batches: 4}},
+		// jfs logs every new pointer block whole, so its churn writes
+		// more log and the cut moved from 618 to stay where the log
+		// holds the most.
+		"jfs": {635, cost{reads: 46, writes: 35, barriers: 2, batches: 4}},
 		// ntfs replays each transaction's copies in ascending block order:
 		// 19 batches when it wrote them in the log's first-touch order.
 		"ntfs": {1170, cost{reads: 53, writes: 50, barriers: 2, batches: 4}},

@@ -292,6 +292,89 @@ func TestTxnConformance(t *testing.T) {
 				}
 			})
 
+			// A pointer block allocated for a growing file starts zeroed,
+			// whatever the block held before: the bytes of a freed file
+			// under it would read as pointers for the file's holes. The
+			// hole must read zero live, after a crash at each barrier of
+			// the Sync that commits it (where recovery replays the log),
+			// and after a clean remount, and every image must check clean.
+			t.Run("new_pointer_block_starts_zeroed", func(t *testing.T) {
+				fsys, dev := mountTxn(t, name)
+				writeFile(t, fsys, "/junk", txnPayload(0xEE, 16))
+				if err := fsys.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if err := fsys.Unlink("/junk"); err != nil {
+					t.Fatal(err)
+				}
+				if err := fsys.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				// One block far past every file system's direct pointers:
+				// the file needs a pointer block, and the first free
+				// blocks are the junk's.
+				const last = 40
+				tail := txnPayload(0x7A, 1)
+				if err := fsys.Create("/sparse", 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if n, err := fsys.Write("/sparse", last*txnBlock, tail); err != nil || n != len(tail) {
+					t.Fatalf("write past the direct pointers: %d, %v", n, err)
+				}
+				dev.startRecording()
+				if err := fsys.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				dev.recording = false
+				checkHole := func(when string, fsys vfs.FileSystem) {
+					t.Helper()
+					buf, zero := make([]byte, txnBlock), make([]byte, txnBlock)
+					for _, l := range []int64{0, last / 2, last - 1} {
+						if n, err := fsys.Read("/sparse", l*txnBlock, buf); err != nil || n != len(buf) {
+							t.Fatalf("%s: hole block %d reads %d bytes, %v", when, l, n, err)
+						}
+						if !bytes.Equal(buf, zero) {
+							t.Fatalf("%s: hole block %d is not zero", when, l)
+						}
+					}
+					if n, err := fsys.Read("/sparse", last*txnBlock, buf); err != nil || n != len(buf) || !bytes.Equal(buf, tail) {
+						t.Fatalf("%s: block %d reads %d bytes, %v", when, last, n, err)
+					}
+				}
+				checkHole("live", fsys)
+				for i, cut := range dev.cuts {
+					when := fmt.Sprintf("crash at barrier %d of %d (write %d)", i+1, len(dev.cuts), cut)
+					img := dev.imageAt(t, cut)
+					crashed, err := Mount(name, img, txnOptions(name))
+					if err != nil {
+						t.Fatalf("%s: recovery mount: %v", when, err)
+					}
+					if fi, err := crashed.Stat("/sparse"); err == nil && fi.Size == (last+1)*txnBlock {
+						checkHole(when, crashed)
+					}
+					if err := crashed.Unmount(); err != nil {
+						t.Fatal(err)
+					}
+					if err := Check(name, img, txnOptions(name)); err != nil {
+						t.Fatalf("%s: check: %v", when, err)
+					}
+				}
+				if err := fsys.Unmount(); err != nil {
+					t.Fatal(err)
+				}
+				again, err := Mount(name, dev.raw, txnOptions(name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkHole("after clean remount", again)
+				if err := again.Unmount(); err != nil {
+					t.Fatal(err)
+				}
+				if err := Check(name, dev.raw, txnOptions(name)); err != nil {
+					t.Fatalf("check: %v", err)
+				}
+			})
+
 			// A commit carries the image frozen when it began. The device
 			// runs a second Chmod of the same file from inside the
 			// commit's first write — the lock is released, the inode's
