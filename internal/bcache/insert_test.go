@@ -210,7 +210,11 @@ func runInsertMix(t *testing.T, capBlocks, shards int, seed int64) {
 		inserted := false
 		switch r := rng.Intn(100); {
 		case r < 30:
-			dirty := rng.Intn(10) < 1+7*btoi(pinning)
+			odds := 1 // in ten
+			if pinning {
+				odds = 8
+			}
+			dirty := rng.Intn(10) < odds
 			op = fmt.Sprintf("Put(%d, dirty=%v)", n, dirty)
 			inserted = classify(n)
 			c.Put(n, data, dirty)
@@ -292,13 +296,6 @@ func runInsertMix(t *testing.T, capBlocks, shards int, seed int64) {
 		t.Errorf("seed %d: inserts at capacity %d, over capacity %d, newcomer evicted at once %d; want all three reached",
 			seed, atCap, overCap, selfEvicted)
 	}
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // fullCache returns a cache whose every shard is at capacity with clean

@@ -22,8 +22,9 @@ func SplitPath(dst []string, path string) ([]string, error) {
 		return nil, ErrInval
 	}
 	base := len(dst)
-	for rest := path[1:]; ; {
-		c, tail, more := strings.Cut(rest, "/")
+	for rest, more := path[1:], true; more; {
+		var c string
+		c, rest, more = strings.Cut(rest, "/")
 		switch c {
 		case "", ".":
 		case "..":
@@ -36,11 +37,8 @@ func SplitPath(dst []string, path string) ([]string, error) {
 			}
 			dst = append(dst, c)
 		}
-		if !more {
-			return dst, nil
-		}
-		rest = tail
 	}
+	return dst, nil
 }
 
 // SplitDir splits a path into its parent's components, appended to dst as
