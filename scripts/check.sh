@@ -30,7 +30,7 @@ if [ "${1:-}" = lock ]; then
 	for side in rev tree; do
 		src=.
 		[ "$side" = rev ] && src="$lock/src"
-		for c in ironhunt ironcrash ironstat ironload ironfsck ironbench; do
+		for c in ironhunt ironcrash ironstat ironload ironfsck ironbench ironfp; do
 			(cd "$src" && go build -o "$lock/$side/$c" "./cmd/$c")
 		done
 		# The artefacts: every seeded harness whose whole output is a
@@ -61,7 +61,10 @@ if [ "${1:-}" = lock ]; then
 			run fsck-repair.txt ./ironfsck -parallel 1 -trace fsck-repair.ndjson repair
 			run fsck-check.json ./ironfsck -parallel 7 -json check
 			run sweep.json ./ironbench -sweep -quick -sweepclients 64 -json
-			rm ironhunt ironcrash ironstat ironload ironfsck ironbench
+			# Figure 2/3 byte for byte: every file system's detection and
+			# recovery matrices, Table 5 and the robustness count.
+			run fp-all.txt ./ironfp -fs all -fault all -summary -robust
+			rm ironhunt ironcrash ironstat ironload ironfsck ironbench ironfp
 		)
 	done
 	moved=0
