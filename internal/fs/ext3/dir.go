@@ -75,11 +75,11 @@ func writeEntry(buf []byte, off int, ino uint32, recLen int, name string, ftype 
 	copy(buf[off+dirHdrLen:], name)
 }
 
-// dirLookup finds name in the directory, returning its inode number.
-func (fs *FS) dirLookup(in *inode, name string) (uint32, byte, error) {
+// LookupLocked implements namei.Store.
+func (fs *FS) LookupLocked(_ uint32, in inode, name string) (uint32, byte, error) {
 	nblocks := int64(in.Size) / BlockSize
 	for l := int64(0); l < nblocks; l++ {
-		phys, err := fs.bmap(in, l, false)
+		phys, err := fs.bmap(&in, l, false)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -100,12 +100,12 @@ func (fs *FS) dirLookup(in *inode, name string) (uint32, byte, error) {
 	return 0, 0, vfs.ErrNotExist
 }
 
-// dirList returns all live entries of the directory.
-func (fs *FS) dirList(in *inode) ([]vfs.DirEntry, error) {
+// DirListLocked implements namei.Store: every live entry.
+func (fs *FS) DirListLocked(_ uint32, in inode) ([]vfs.DirEntry, error) {
 	var out []vfs.DirEntry
 	nblocks := int64(in.Size) / BlockSize
 	for l := int64(0); l < nblocks; l++ {
-		phys, err := fs.bmap(in, l, false)
+		phys, err := fs.bmap(&in, l, false)
 		if err != nil {
 			return nil, err
 		}
@@ -126,35 +126,35 @@ func (fs *FS) dirList(in *inode) ([]vfs.DirEntry, error) {
 	return out, nil
 }
 
-// dirIsEmpty reports whether the directory holds no live entries.
-func (fs *FS) dirIsEmpty(in *inode) (bool, error) {
-	entries, err := fs.dirList(in)
+// DirEmptyLocked implements namei.Store: no live entries.
+func (fs *FS) DirEmptyLocked(ino uint32, in inode) (bool, error) {
+	entries, err := fs.DirListLocked(ino, in)
 	if err != nil {
 		return false, err
 	}
 	return len(entries) == 0, nil
 }
 
-// dirAdd inserts (name → ino). dirIno is the directory's inode number and
-// in its in-memory inode, which may gain a block (caller must StoreLocked).
-func (fs *FS) dirAdd(dirIno uint32, in *inode, name string, ino uint32, ftype byte) error {
+// DirAddLocked implements namei.Store: it inserts (name → ino) and returns
+// the directory's inode, which may have gained a block and is not stored.
+func (fs *FS) DirAddLocked(_ uint32, in inode, name string, ino uint32, ftype byte) (inode, error) {
 	if len(name) > vfs.MaxNameLen {
-		return vfs.ErrNameTooLong
+		return in, vfs.ErrNameTooLong
 	}
 	need := entryLen(len(name))
 	nblocks := int64(in.Size) / BlockSize
 
 	for l := int64(0); l < nblocks; l++ {
-		phys, err := fs.bmap(in, l, false)
+		phys, err := fs.bmap(&in, l, false)
 		if err != nil {
-			return err
+			return in, err
 		}
 		if phys == 0 {
 			continue
 		}
 		buf, err := fs.readMeta(phys, BTDir)
 		if err != nil {
-			return err
+			return in, err
 		}
 		it := dirBlockIter(buf)
 		for e, ok := it.next(); ok; e, ok = it.next() {
@@ -170,43 +170,43 @@ func (fs *FS) dirAdd(dirIno uint32, in *inode, name string, ino uint32, ftype by
 			}
 			mbuf, err := fs.txMeta(phys, BTDir)
 			if err != nil {
-				return err
+				return in, err
 			}
 			if e.Ino != 0 {
 				// Shrink the existing record to its used size.
 				binary.LittleEndian.PutUint16(mbuf[e.blkOff+4:], uint16(entryLen(len(e.Name))))
 			}
 			writeEntry(mbuf, newOff, ino, avail, name, ftype)
-			return nil
+			return in, nil
 		}
 	}
 
 	// No room: append a fresh directory block.
-	phys, err := fs.bmap(in, nblocks, true)
+	phys, err := fs.bmap(&in, nblocks, true)
 	if err != nil {
-		return err
+		return in, err
 	}
 	buf := fs.txMetaNew(phys, BTDir)
 	writeEntry(buf, 0, ino, BlockSize, name, ftype)
 	in.Size += BlockSize
-	return nil
+	return in, nil
 }
 
-// dirRemove deletes name's entry, coalescing its space into the previous
-// record. It returns the removed entry's inode number.
-func (fs *FS) dirRemove(in *inode, name string) (uint32, error) {
+// DirRemoveLocked implements namei.Store: it deletes name's entry,
+// coalescing its space into the previous record.
+func (fs *FS) DirRemoveLocked(_ uint32, in inode, name string) error {
 	nblocks := int64(in.Size) / BlockSize
 	for l := int64(0); l < nblocks; l++ {
-		phys, err := fs.bmap(in, l, false)
+		phys, err := fs.bmap(&in, l, false)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if phys == 0 {
 			continue
 		}
 		buf, err := fs.readMeta(phys, BTDir)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		it := dirBlockIter(buf)
 		for e, ok := it.next(); ok; e, ok = it.next() {
@@ -215,7 +215,7 @@ func (fs *FS) dirRemove(in *inode, name string) (uint32, error) {
 			}
 			mbuf, err := fs.txMeta(phys, BTDir)
 			if err != nil {
-				return 0, err
+				return err
 			}
 			if e.prevOff >= 0 {
 				prevRec := int(binary.LittleEndian.Uint16(mbuf[e.prevOff+4:]))
@@ -224,8 +224,8 @@ func (fs *FS) dirRemove(in *inode, name string) (uint32, error) {
 				binary.LittleEndian.PutUint32(mbuf[e.blkOff:], 0)
 				mbuf[e.blkOff+6] = 0
 			}
-			return e.Ino, nil
+			return nil
 		}
 	}
-	return 0, vfs.ErrNotExist
+	return vfs.ErrNotExist
 }

@@ -155,7 +155,7 @@ func TestDirIterMatchesReference(t *testing.T) {
 }
 
 // TestDirLookupStopsQuietlyLikeReference: with a directory block's chain
-// broken mid-block on disk, dirLookup finds what the reference finds (the
+// broken mid-block on disk, LookupLocked finds what the reference finds (the
 // entries before the break), misses what it misses, and — stock ext3's
 // DZero policy for directory contents — records no event and stays
 // healthy, exactly as the reference does.
@@ -187,7 +187,7 @@ func TestDirLookupStopsQuietlyLikeReference(t *testing.T) {
 		if err := fs.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		ino, _, err := fs.dirLookup(mustInode(t, fs, RootIno), "dir")
+		ino, _, err := fs.LookupLocked(RootIno, *mustInode(t, fs, RootIno), "dir")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,9 @@ func TestDirLookupStopsQuietlyLikeReference(t *testing.T) {
 		o.events, o.health = fs.rec.Events(), fs.Health()
 		return o
 	}
-	got := run((*FS).dirLookup)
+	got := run(func(fs *FS, n *inode, name string) (uint32, byte, error) {
+		return fs.LookupLocked(0, *n, name)
+	})
 	want := run(refDirLookup)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("production and reference disagree:\nproduction %+v\nreference  %+v", got, want)

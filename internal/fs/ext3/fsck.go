@@ -162,7 +162,7 @@ func (fs *FS) CensusLocked(s *fsck.Scan) (*fsck.Refs[*inode], error) {
 		if !o.Dir {
 			continue
 		}
-		ents, err := fs.dirList(o.Node)
+		ents, err := fs.DirListLocked(uint32(o.ID), *o.Node)
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +239,7 @@ func (fs *FS) ReconcileLocked() error { return fsck.Reconcile[*inode](fs.tr, fs)
 
 // RemoveEntryLocked implements fsck.Fixer.
 func (fs *FS) RemoveEntryLocked(c *fsck.Refs[*inode], e fsck.Entry) error {
-	if _, err := fs.dirRemove(c.Node(e.Dir), e.Name); err != nil {
+	if err := fs.DirRemoveLocked(uint32(e.Dir), *c.Node(e.Dir), e.Name); err != nil {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTDir, fmt.Sprintf("dangling entry %q removed", e.Name))

@@ -8,9 +8,10 @@ import (
 	"ironfs/internal/vfs"
 )
 
-// This file implements ext3's namei.Store and the vfs.FileSystem operations
-// that carry its data layout and §5.1 reactions; the path walk and the
-// lookup and attribute operations are namei.Namespace's.
+// This file implements ext3's namei.Store, the vfs.FileSystem operations
+// that move file data, and the three namespace operations whose §5.1
+// reactions fire between their steps; the path walk and the other namespace
+// operations are namei.Namespace's.
 
 // swallowIO reproduces the §5.1 bug in which some ext3 operations
 // (truncate, rmdir) detect an I/O problem but fail *silently*: the error is
@@ -35,12 +36,6 @@ func (fs *FS) RootLocked() (uint32, inode, error) {
 		return 0, inode{}, vfs.ErrCorrupt
 	}
 	return RootIno, in, nil
-}
-
-// LookupLocked implements namei.Store.
-func (fs *FS) LookupLocked(_ uint32, dn inode, name string) (uint32, error) {
-	ino, _, err := fs.dirLookup(&dn, name)
-	return ino, err
 }
 
 // KeyOf implements namei.Store: the inode number.
@@ -73,7 +68,7 @@ func (fs *FS) CreateLocked(pIno uint32, pIn inode, name string, kind vfs.FileTyp
 		return 0, inode{}, err
 	}
 	in := inode{TypedAttr: namei.Typed(kind, a)}
-	if err := fs.dirAdd(pIno, &pIn, name, ino, byte(kind)); err != nil {
+	if pIn, err = fs.DirAddLocked(pIno, pIn, name, ino, byte(kind)); err != nil {
 		if ferr := fs.freeInode(ino); ferr != nil {
 			// The create already failed and that error propagates; a
 			// cleanup failure on top additionally leaks the inode until
@@ -93,48 +88,36 @@ func (fs *FS) CreateLocked(pIno uint32, pIn inode, name string, kind vfs.FileTyp
 	return ino, in, nil
 }
 
-// Symlink implements vfs.FileSystem.
-func (fs *FS) Symlink(target, linkpath string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	if target == "" || len(target) > BlockSize {
-		return vfs.ErrInval
-	}
-	ino, in, err := fs.MknodLocked(linkpath, 0o777, vfs.TypeSymlink)
-	if err != nil {
-		return err
-	}
-	phys, err := fs.bmap(&in, 0, true)
-	if err != nil {
-		return err
-	}
-	buf := fs.txDataNew(phys, BTData)
-	copy(buf, target)
-	in.Size = uint64(len(target))
-	if err := fs.StoreLocked(ino, in); err != nil {
-		return err
-	}
-	return fs.MaybeCommitLocked()
+// DirChangedLocked implements namei.Store: the directory's mtime.
+func (fs *FS) DirChangedLocked(ino uint32, in inode) (inode, error) {
+	in.Mtime = fs.Now()
+	return in, fs.StoreLocked(ino, in)
 }
 
-// ReadDir implements vfs.FileSystem.
-func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	if err := fs.GuardReadLocked(); err != nil {
-		return nil, err
+// FreeLocked implements namei.Store: the blocks, the bitmap bit, then the
+// table slot. Stock ext3 goes on past a failure to free the blocks as if
+// it had not happened (§5.1); FixBugs stops there.
+func (fs *FS) FreeLocked(ino uint32, in inode) error {
+	if err := fs.truncateBlocks(&in, 0); err != nil {
+		if serr := fs.swallowIO(err); serr != nil {
+			return serr
+		}
 	}
-	_, in, err := fs.ResolveLocked(path, true)
+	if err := fs.freeInode(ino); err != nil {
+		return err
+	}
+	return fs.clearInode(ino)
+}
+
+// WriteLinkLocked implements namei.Store: the target is the link's single
+// data block.
+func (fs *FS) WriteLinkLocked(_ uint32, in inode, target string) (inode, error) {
+	phys, err := fs.bmap(&in, 0, true)
 	if err != nil {
-		return nil, err
+		return in, err
 	}
-	if !in.IsDir() {
-		return nil, vfs.ErrNotDir
-	}
-	return fs.dirList(&in)
+	copy(fs.txDataNew(phys, BTData), target)
+	return in, nil
 }
 
 // Read implements vfs.FileSystem. With Options.NoAtime the read runs under
@@ -387,9 +370,9 @@ func (fs *FS) Truncate(path string, size int64) error {
 	return nil
 }
 
-// Unlink implements vfs.FileSystem. Policy fidelity notes: stock ext3 does
-// not sanity-check the link count before decrementing (§5.1), so a
-// corrupted count underflows silently; FixBugs adds the check.
+// Unlink shadows namei's for stock ext3's missing sanity check: the link
+// count is decremented unchecked (§5.1), so a corrupted count underflows
+// silently. FixBugs adds the check, between the load and the removal.
 func (fs *FS) Unlink(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -400,7 +383,7 @@ func (fs *FS) Unlink(path string) error {
 	if err != nil {
 		return err
 	}
-	cIno, _, err := fs.dirLookup(&pIn, name)
+	cIno, _, err := fs.LookupLocked(pIno, pIn, name)
 	if err != nil {
 		return err
 	}
@@ -416,24 +399,15 @@ func (fs *FS) Unlink(path string) error {
 		fs.rec.Recover(iron.RPropagate, BTInode, "unlink refused")
 		return vfs.ErrCorrupt
 	}
-	if _, err := fs.dirRemove(&pIn, name); err != nil {
+	if err := fs.DirRemoveLocked(pIno, pIn, name); err != nil {
 		return err
 	}
-	pIn.Mtime = fs.Now()
-	if err := fs.StoreLocked(pIno, pIn); err != nil {
+	if _, err := fs.DirChangedLocked(pIno, pIn); err != nil {
 		return err
 	}
 	cIn.Links-- // underflows on corruption without FixBugs — reproduced bug
 	if cIn.Links == 0 {
-		if err := fs.truncateBlocks(&cIn, 0); err != nil {
-			if serr := fs.swallowIO(err); serr != nil {
-				return serr
-			}
-		}
-		if err := fs.freeInode(cIno); err != nil {
-			return err
-		}
-		if err := fs.clearInode(cIno); err != nil {
+		if err := fs.FreeLocked(cIno, cIn); err != nil {
 			return err
 		}
 	} else {
@@ -445,8 +419,9 @@ func (fs *FS) Unlink(path string) error {
 	return fs.MaybeCommitLocked()
 }
 
-// Rmdir implements vfs.FileSystem; its silent-failure bug mirrors
-// Truncate's.
+// Rmdir shadows namei's for stock ext3's silent failure (§5.1), which
+// mirrors Truncate's: an I/O error loading the directory, reading its
+// entries or removing its name from the parent ends the call with success.
 func (fs *FS) Rmdir(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -457,7 +432,7 @@ func (fs *FS) Rmdir(path string) error {
 	if err != nil {
 		return err
 	}
-	cIno, _, err := fs.dirLookup(&pIn, name)
+	cIno, _, err := fs.LookupLocked(pIno, pIn, name)
 	if err != nil {
 		return err
 	}
@@ -468,111 +443,59 @@ func (fs *FS) Rmdir(path string) error {
 	if !cIn.IsDir() {
 		return vfs.ErrNotDir
 	}
-	empty, err := fs.dirIsEmpty(&cIn)
+	empty, err := fs.DirEmptyLocked(cIno, cIn)
 	if err != nil {
 		return fs.swallowIO(err)
 	}
 	if !empty {
 		return vfs.ErrNotEmpty
 	}
-	if _, err := fs.dirRemove(&pIn, name); err != nil {
+	if err := fs.DirRemoveLocked(pIno, pIn, name); err != nil {
 		return fs.swallowIO(err)
 	}
-	pIn.Mtime = fs.Now()
-	if err := fs.StoreLocked(pIno, pIn); err != nil {
+	if _, err := fs.DirChangedLocked(pIno, pIn); err != nil {
 		return err
 	}
-	if err := fs.truncateBlocks(&cIn, 0); err != nil {
-		if serr := fs.swallowIO(err); serr != nil {
-			return serr
-		}
-	}
-	if err := fs.freeInode(cIno); err != nil {
-		return err
-	}
-	if err := fs.clearInode(cIno); err != nil {
+	if err := fs.FreeLocked(cIno, cIn); err != nil {
 		return err
 	}
 	return fs.MaybeCommitLocked()
 }
 
-// Link implements vfs.FileSystem.
-func (fs *FS) Link(oldpath, newpath string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	oIno, oIn, err := fs.ResolveLocked(oldpath, false)
-	if err != nil {
-		return err
-	}
-	if oIn.IsDir() {
-		return vfs.ErrIsDir
-	}
-	if oIn.Links == 0xFFFF {
-		return vfs.ErrTooManyLink
-	}
-	pIno, pIn, name, err := fs.ParentLocked(newpath)
-	if err != nil {
-		return err
-	}
-	if _, _, err := fs.dirLookup(&pIn, name); err == nil {
-		return vfs.ErrExist
-	} else if !errors.Is(err, vfs.ErrNotExist) {
-		return err
-	}
-	if err := fs.dirAdd(pIno, &pIn, name, oIno, byte(oIn.FileType())); err != nil {
-		return err
-	}
-	pIn.Mtime = fs.Now()
-	if err := fs.StoreLocked(pIno, pIn); err != nil {
-		return err
-	}
-	oIn.Links++
-	oIn.Ctime = fs.Now()
-	if err := fs.StoreLocked(oIno, oIn); err != nil {
-		return err
-	}
-	return fs.MaybeCommitLocked()
-}
-
-// Rename implements vfs.FileSystem. An existing target file is replaced;
-// an existing target directory must be empty.
+// Rename shadows namei's for stock ext3's silent failure (§5.1): an I/O
+// error freeing the replaced target's blocks ends the call, with success,
+// before the entry moves. Both parents take one mtime.
 func (fs *FS) Rename(oldpath, newpath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	oPIno, oPIn, oName, err := fs.ParentLocked(oldpath)
+	m, err := fs.MoveLocked(oldpath, newpath)
 	if err != nil {
 		return err
 	}
-	cIno, cType, err := fs.dirLookup(&oPIn, oName)
-	if err != nil {
-		return err
-	}
-	nPIno, nPIn, nName, err := fs.ParentLocked(newpath)
-	if err != nil {
-		return err
-	}
-	if tIno, _, err := fs.dirLookup(&nPIn, nName); err == nil {
+	if tIno, _, err := fs.LookupLocked(m.NewDir, m.NewNode, m.NewName); err == nil {
 		tIn, err := fs.LoadLocked(tIno)
 		if err != nil {
 			return err
 		}
 		if tIn.IsDir() {
-			empty, err := fs.dirIsEmpty(&tIn)
+			empty, err := fs.DirEmptyLocked(tIno, tIn)
 			if err != nil {
 				return err
 			}
 			if !empty {
 				return vfs.ErrNotEmpty
 			}
-			if _, err := fs.dirRemove(&nPIn, nName); err != nil {
-				return err
-			}
+		}
+		if err := fs.DirRemoveLocked(m.NewDir, m.NewNode, m.NewName); err != nil {
+			return err
+		}
+		if !tIn.IsDir() {
+			tIn.Links--
+		}
+		if tIn.IsDir() || tIn.Links == 0 {
 			if err := fs.truncateBlocks(&tIn, 0); err != nil {
 				return fs.swallowIO(err)
 			}
@@ -582,47 +505,32 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 			if err := fs.clearInode(tIno); err != nil {
 				return err
 			}
-		} else {
-			if _, err := fs.dirRemove(&nPIn, nName); err != nil {
-				return err
-			}
-			tIn.Links--
-			if tIn.Links == 0 {
-				if err := fs.truncateBlocks(&tIn, 0); err != nil {
-					return fs.swallowIO(err)
-				}
-				if err := fs.freeInode(tIno); err != nil {
-					return err
-				}
-				if err := fs.clearInode(tIno); err != nil {
-					return err
-				}
-			} else if err := fs.StoreLocked(tIno, tIn); err != nil {
-				return err
-			}
+		} else if err := fs.StoreLocked(tIno, tIn); err != nil {
+			return err
 		}
 	} else if !errors.Is(err, vfs.ErrNotExist) {
 		return err
 	}
 
-	if _, err := fs.dirRemove(&oPIn, oName); err != nil {
+	if err := fs.DirRemoveLocked(m.OldDir, m.OldNode, m.OldName); err != nil {
 		return err
 	}
 	now := fs.Now()
+	oPIn := m.OldNode
 	oPIn.Mtime = now
-	if err := fs.StoreLocked(oPIno, oPIn); err != nil {
+	if err := fs.StoreLocked(m.OldDir, oPIn); err != nil {
 		return err
 	}
-	// The same directory continues from oPIn, which carries the removal
-	// above.
-	if nPIno == oPIno {
+	// The same directory continues from oPIn.
+	nPIn := m.NewNode
+	if m.SameDir {
 		nPIn = oPIn
 	}
-	if err := fs.dirAdd(nPIno, &nPIn, nName, cIno, cType); err != nil {
+	if nPIn, err = fs.DirAddLocked(m.NewDir, nPIn, m.NewName, m.Child, m.Type); err != nil {
 		return err
 	}
 	nPIn.Mtime = now
-	if err := fs.StoreLocked(nPIno, nPIn); err != nil {
+	if err := fs.StoreLocked(m.NewDir, nPIn); err != nil {
 		return err
 	}
 	return fs.MaybeCommitLocked()

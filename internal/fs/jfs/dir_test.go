@@ -195,7 +195,7 @@ func TestDirIterMatchesReference(t *testing.T) {
 }
 
 // TestDirLookupMatchesReference: with the second block of a directory
-// carrying an out-of-range entry count on disk, dirLookup answers from the
+// carrying an out-of-range entry count on disk, LookupLocked answers from the
 // first block, and past it fails, records and degrades exactly as the
 // reference does.
 func TestDirLookupMatchesReference(t *testing.T) {
@@ -230,7 +230,7 @@ func TestDirLookupMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, _, err := fs.dirLookup(&root, "dir")
+		id, _, err := fs.LookupLocked(0, root, "dir")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +261,9 @@ func TestDirLookupMatchesReference(t *testing.T) {
 		o.effects = effectsOf(fs)
 		return o
 	}
-	got := run((*FS).dirLookup)
+	got := run(func(fs *FS, n *inode, name string) (uint32, byte, error) {
+		return fs.LookupLocked(0, *n, name)
+	})
 	want := run(refDirLookup)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("production and reference disagree:\nproduction %+v\nreference  %+v", got, want)

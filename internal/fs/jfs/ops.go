@@ -463,11 +463,11 @@ func (fs *FS) dirBlocks(in *inode, fn func(blk int64, buf []byte, it dirIter) (b
 	return nil
 }
 
-// dirLookup finds name in the directory.
-func (fs *FS) dirLookup(in *inode, name string) (uint32, byte, error) {
+// LookupLocked implements namei.Store.
+func (fs *FS) LookupLocked(_ uint32, in inode, name string) (uint32, byte, error) {
 	var ino uint32
 	var ftype byte
-	err := fs.dirBlocks(in, func(_ int64, _ []byte, it dirIter) (bool, error) {
+	err := fs.dirBlocks(&in, func(_ int64, _ []byte, it dirIter) (bool, error) {
 		for e, ok := it.next(); ok; e, ok = it.next() {
 			if string(e.Name) == name {
 				ino, ftype = e.Ino, e.FType
@@ -485,10 +485,11 @@ func (fs *FS) dirLookup(in *inode, name string) (uint32, byte, error) {
 	return ino, ftype, nil
 }
 
-// dirAdd appends an entry, extending the directory by a block when full.
-func (fs *FS) dirAdd(dirIno uint32, in *inode, name string, ino uint32, ftype byte) error {
+// DirAddLocked implements namei.Store: it appends an entry, extending the
+// directory by a block when full.
+func (fs *FS) DirAddLocked(dirIno uint32, in inode, name string, ino uint32, ftype byte) (inode, error) {
 	if len(name) > vfs.MaxNameLen {
-		return vfs.ErrNameTooLong
+		return in, vfs.ErrNameTooLong
 	}
 	need := dirEntHdr + len(name)
 	ent := make([]byte, need)
@@ -498,7 +499,7 @@ func (fs *FS) dirAdd(dirIno uint32, in *inode, name string, ino uint32, ftype by
 	copy(ent[dirEntHdr:], name)
 
 	done := false
-	err := fs.dirBlocks(in, func(blk int64, buf []byte, it dirIter) (bool, error) {
+	err := fs.dirBlocks(&in, func(blk int64, buf []byte, it dirIter) (bool, error) {
 		ents := it.all()
 		end := 4
 		if n := len(ents); n > 0 {
@@ -519,30 +520,31 @@ func (fs *FS) dirAdd(dirIno uint32, in *inode, name string, ino uint32, ftype by
 		return true, nil
 	})
 	if err != nil || done {
-		return err
+		return in, err
 	}
 	// Append a fresh directory block.
 	l := (int64(in.Size) + BlockSize - 1) / BlockSize
-	blk, err := fs.blockPtr(in, l, true, false)
+	blk, err := fs.blockPtr(&in, l, true, false)
 	if err != nil {
-		return err
+		return in, err
 	}
 	var cb [4]byte
 	binary.LittleEndian.PutUint32(cb[:], 1)
 	if err := fs.logMeta(blk, 0, cb[:], BTDir); err != nil {
-		return err
+		return in, err
 	}
 	if err := fs.logMeta(blk, 4, ent, BTDir); err != nil {
-		return err
+		return in, err
 	}
 	in.Size = uint64((l + 1) * BlockSize)
-	return fs.StoreLocked(dirIno, *in)
+	return in, fs.StoreLocked(dirIno, in)
 }
 
-// dirRemove deletes an entry, compacting the block.
-func (fs *FS) dirRemove(in *inode, name string) (uint32, error) {
+// DirRemoveLocked implements namei.Store: it deletes an entry, compacting
+// the block.
+func (fs *FS) DirRemoveLocked(_ uint32, in inode, name string) error {
 	var removed uint32
-	err := fs.dirBlocks(in, func(blk int64, buf []byte, it dirIter) (bool, error) {
+	err := fs.dirBlocks(&in, func(blk int64, buf []byte, it dirIter) (bool, error) {
 		ents := it.all()
 		for i, e := range ents {
 			if string(e.Name) != name {
@@ -571,18 +573,18 @@ func (fs *FS) dirRemove(in *inode, name string) (uint32, error) {
 		return false, nil
 	})
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if removed == 0 {
-		return 0, vfs.ErrNotExist
+		return vfs.ErrNotExist
 	}
-	return removed, nil
+	return nil
 }
 
-// dirEmpty reports whether the directory has no entries.
-func (fs *FS) dirEmpty(in *inode) (bool, error) {
+// DirEmptyLocked implements namei.Store.
+func (fs *FS) DirEmptyLocked(_ uint32, in inode) (bool, error) {
 	empty := true
-	err := fs.dirBlocks(in, func(_ int64, _ []byte, it dirIter) (bool, error) {
+	err := fs.dirBlocks(&in, func(_ int64, _ []byte, it dirIter) (bool, error) {
 		_, has := it.next()
 		empty = !has
 		return has, nil
@@ -598,12 +600,6 @@ func (fs *FS) dirEmpty(in *inode) (bool, error) {
 func (fs *FS) RootLocked() (uint32, inode, error) {
 	in, err := fs.LoadLocked(RootIno)
 	return RootIno, in, err
-}
-
-// LookupLocked implements namei.Store.
-func (fs *FS) LookupLocked(_ uint32, dn inode, name string) (uint32, error) {
-	ino, _, err := fs.dirLookup(&dn, name)
-	return ino, err
 }
 
 // KeyOf implements namei.Store: the inode number.
@@ -636,7 +632,7 @@ func (fs *FS) CreateLocked(pIno uint32, pIn inode, name string, kind vfs.FileTyp
 		return 0, inode{}, err
 	}
 	in := inode{TypedAttr: namei.Typed(kind, a)}
-	if err := fs.dirAdd(pIno, &pIn, name, ino, byte(kind)); err != nil {
+	if pIn, err = fs.DirAddLocked(pIno, pIn, name, ino, byte(kind)); err != nil {
 		return 0, inode{}, err
 	}
 	pIn.Mtime = a.Mtime
@@ -647,4 +643,47 @@ func (fs *FS) CreateLocked(pIno uint32, pIn inode, name string, kind vfs.FileTyp
 		return 0, inode{}, err
 	}
 	return ino, in, nil
+}
+
+// DirListLocked implements namei.Store.
+func (fs *FS) DirListLocked(_ uint32, in inode) ([]vfs.DirEntry, error) {
+	var out []vfs.DirEntry
+	err := fs.dirBlocks(&in, func(_ int64, _ []byte, it dirIter) (bool, error) {
+		for e, ok := it.next(); ok; e, ok = it.next() {
+			out = append(out, vfs.DirEntry{Name: string(e.Name), Ino: e.Ino, Type: vfs.FileType(e.FType)})
+		}
+		return false, nil
+	})
+	return out, err
+}
+
+// DirChangedLocked implements namei.Store: the directory's mtime.
+func (fs *FS) DirChangedLocked(ino uint32, in inode) (inode, error) {
+	in.Mtime = fs.Now()
+	return in, fs.StoreLocked(ino, in)
+}
+
+// FreeLocked implements namei.Store: the blocks, the map bit, then the
+// table slot.
+func (fs *FS) FreeLocked(ino uint32, in inode) error {
+	if err := fs.freeFileBlocks(&in, 0); err != nil {
+		return err
+	}
+	if err := fs.freeInode(ino); err != nil {
+		return err
+	}
+	return fs.clearInode(ino)
+}
+
+// WriteLinkLocked implements namei.Store: the target is the link's single
+// data block.
+func (fs *FS) WriteLinkLocked(_ uint32, in inode, target string) (inode, error) {
+	blk, err := fs.blockPtr(&in, 0, true, false)
+	if err != nil {
+		return in, err
+	}
+	buf := make([]byte, BlockSize)
+	copy(buf, target)
+	fs.tx.StageData(blk, buf, BTData)
+	return in, nil
 }

@@ -21,7 +21,7 @@ func (fs *FS) ReconcileLocked() error { return fsck.Reconcile[*inode](fs.tr, fs)
 
 // RemoveEntryLocked implements fsck.Fixer.
 func (fs *FS) RemoveEntryLocked(c *fsck.Refs[*inode], e fsck.Entry) error {
-	if _, err := fs.dirRemove(c.Node(e.Dir), e.Name); err != nil {
+	if err := fs.DirRemoveLocked(uint32(e.Dir), *c.Node(e.Dir), e.Name); err != nil {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTDir, "fsck removed dangling entry")

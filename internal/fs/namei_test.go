@@ -3,6 +3,8 @@ package fs
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"ironfs/internal/vfs"
@@ -12,7 +14,8 @@ import (
 func errName(err error) string {
 	for name, sentinel := range map[string]error{
 		"ErrInval": vfs.ErrInval, "ErrNotExist": vfs.ErrNotExist, "ErrExist": vfs.ErrExist,
-		"ErrNotDir": vfs.ErrNotDir, "ErrNotMounted": vfs.ErrNotMounted,
+		"ErrNotDir": vfs.ErrNotDir, "ErrNotMounted": vfs.ErrNotMounted, "ErrIsDir": vfs.ErrIsDir,
+		"ErrNotEmpty": vfs.ErrNotEmpty,
 	} {
 		if errors.Is(err, sentinel) {
 			return name
@@ -37,9 +40,9 @@ func statLine(fi vfs.FileInfo, err error, same vfs.FileInfo) string {
 
 // TestNamespaceConformance is the black-box contract of the shared
 // namespace layer (internal/namei), run over every registered file system:
-// the path walk and the lookup and attribute operations are one piece of
-// code, so what they promise is stated once and required of all five
-// alike. The ntfs half of the "type bits" rows failed before the layer
+// the path walk and the namespace operations are one piece of code (ext3
+// keeps its own Unlink, Rmdir and Rename), so what they promise is stated
+// once and required of all five alike. The ntfs half of the "type bits" rows failed before the layer
 // existed: ntfs stored and returned whatever mode bits the caller passed.
 func TestNamespaceConformance(t *testing.T) {
 	// The fixture every probe runs against, in order:
@@ -144,6 +147,63 @@ func TestNamespaceConformance(t *testing.T) {
 			return stat(f, "/dir/../file", "/file")[len("file mode=600 uid=7 gid=8 atime=11 mtime=22 "):] + " " +
 				stat(f, "/../..", "/")[:len("dir")] + " " + stat(f, "/dlink/../file", "/file")[len("file mode=600 uid=7 gid=8 atime=11 mtime=22 "):]
 		}, "same=true dir same=true"},
+		{"Unlink of a directory", func(f vfs.FileSystem) string { return errName(f.Unlink("/dir")) }, "ErrIsDir"},
+		{"Rmdir of a file", func(f vfs.FileSystem) string { return errName(f.Rmdir("/file")) }, "ErrNotDir"},
+		{"Rmdir of a non-empty directory", func(f vfs.FileSystem) string { return errName(f.Rmdir("/dir")) }, "ErrNotEmpty"},
+		{"Link of a directory", func(f vfs.FileSystem) string { return errName(f.Link("/dir", "/dirlink")) }, "ErrIsDir"},
+		{"Link over an existing name", func(f vfs.FileSystem) string { return errName(f.Link("/file", "/dir/file")) }, "ErrExist"},
+		{"Link adds a name", func(f vfs.FileSystem) string {
+			err := f.Link("/l1", "/l1b")
+			fi, _ := f.Lstat("/l1b")
+			return errName(err) + " " + lstat(f, "/l1b", "/l1")[:len("symlink")] + fmt.Sprintf(" links=%d", fi.Links)
+		}, "ok symlink links=2"},
+		{"Unlink drops one name", func(f vfs.FileSystem) string {
+			err := f.Unlink("/l1b")
+			fi, _ := f.Lstat("/l1")
+			return errName(err) + " " + lstat(f, "/l1b", "/l1") + fmt.Sprintf(" links=%d", fi.Links)
+		}, "ok ErrNotExist links=1"},
+		{"Rename over a non-empty directory", func(f vfs.FileSystem) string {
+			return errName(f.Rename("/typeddir", "/dir")) + " " + errName(f.Open("/typeddir")) + " " + errName(f.Open("/dir/file"))
+		}, "ErrNotEmpty ok ok"},
+		{"Rename over a file replaces it", func(f vfs.FileSystem) string {
+			if err := f.Create("/ra", 0o600); err != nil {
+				return errName(err)
+			}
+			if err := f.Create("/rb", 0o644); err != nil {
+				return errName(err)
+			}
+			ra, _ := f.Stat("/ra")
+			err := f.Rename("/ra", "/rb")
+			fi, serr := f.Stat("/rb")
+			return errName(err) + " " + errName(f.Access("/ra")) + " " + errName(serr) + fmt.Sprintf(" mode=%o same=%v", fi.Mode, fi.Ino == ra.Ino)
+		}, "ok ErrNotExist ok mode=600 same=true"},
+		{"Rename within a directory", func(f vfs.FileSystem) string {
+			if err := f.Create("/dir/s1", 0o600); err != nil {
+				return errName(err)
+			}
+			err := f.Rename("/dir/s1", "/dir/s2")
+			ents, _ := f.ReadDir("/dir")
+			var names []string
+			for _, e := range ents {
+				names = append(names, e.Name)
+			}
+			sort.Strings(names)
+			return errName(err) + " " + errName(f.Open("/dir/s1")) + " " + strings.Join(names, " ")
+		}, "ok ErrNotExist file new s2 sub"},
+		{"Rmdir of an empty directory", func(f vfs.FileSystem) string {
+			return errName(f.Rmdir("/typeddir")) + " " + errName(f.Open("/typeddir"))
+		}, "ok ErrNotExist"},
+		{"Symlink with an empty target", func(f vfs.FileSystem) string {
+			return errName(f.Symlink("", "/empty")) + " " + errName(f.Access("/empty"))
+		}, "ErrInval ErrNotExist"},
+		{"Symlink with an over-long target", func(f vfs.FileSystem) string {
+			return errName(f.Symlink("/"+strings.Repeat("a", 4096), "/long")) + " " + errName(f.Access("/long"))
+		}, "ErrInval ErrNotExist"},
+		{"ReadDir of a file", func(f vfs.FileSystem) string { _, err := f.ReadDir("/file"); return errName(err) }, "ErrNotDir"},
+		{"ReadDir through a link", func(f vfs.FileSystem) string {
+			ents, err := f.ReadDir("/dlink")
+			return fmt.Sprintf("%s %d", errName(err), len(ents))
+		}, ""},
 	}
 
 	transcripts := map[string][]string{}
@@ -166,11 +226,14 @@ func TestNamespaceConformance(t *testing.T) {
 			_, serr := fsys.Stat("/file")
 			_, lerr := fsys.Lstat("/file")
 			_, rerr := fsys.Readlink("/l1")
+			_, derr := fsys.ReadDir("/dir")
 			for op, err := range map[string]error{
 				"Open": fsys.Open("/file"), "Access": fsys.Access("/file"), "Stat": serr, "Lstat": lerr,
 				"Readlink": rerr, "Fsync": fsys.Fsync("/file"), "Sync": fsys.Sync(),
 				"Chmod": fsys.Chmod("/file", 0o600), "Chown": fsys.Chown("/file", 1, 1),
 				"Utimes": fsys.Utimes("/file", 1, 1), "Create": fsys.Create("/x", 0o600), "Mkdir": fsys.Mkdir("/y", 0o700),
+				"Symlink": fsys.Symlink("/file", "/z"), "ReadDir": derr, "Unlink": fsys.Unlink("/file"),
+				"Rmdir": fsys.Rmdir("/dir"), "Link": fsys.Link("/file", "/w"), "Rename": fsys.Rename("/file", "/v"),
 			} {
 				if !errors.Is(err, vfs.ErrNotMounted) {
 					t.Errorf("%s after Unmount: %v, want ErrNotMounted", op, err)

@@ -426,11 +426,12 @@ func (fs *FS) dirBlocks(r *mftRecord, fn func(blk int64, buf []byte, it dirIter)
 	return nil
 }
 
-func (fs *FS) dirLookup(r *mftRecord, name string) (uint32, byte, error) {
+// LookupLocked implements namei.Store.
+func (fs *FS) LookupLocked(_ uint32, r mftRecord, name string) (uint32, byte, error) {
 	var rec uint32
 	var ftype byte
 	found := false
-	err := fs.dirBlocks(r, func(_ int64, _ []byte, it dirIter) (bool, error) {
+	err := fs.dirBlocks(&r, func(_ int64, _ []byte, it dirIter) (bool, error) {
 		for e, ok := it.next(); ok; e, ok = it.next() {
 			if string(e.Name) == name {
 				rec, ftype, found = e.Rec, e.FType, true
@@ -448,13 +449,15 @@ func (fs *FS) dirLookup(r *mftRecord, name string) (uint32, byte, error) {
 	return rec, ftype, nil
 }
 
-func (fs *FS) dirAdd(dirRec uint32, r *mftRecord, name string, child uint32, ftype byte) error {
+// DirAddLocked implements namei.Store: it appends an entry, extending the
+// directory by a block when full.
+func (fs *FS) DirAddLocked(dirRec uint32, r mftRecord, name string, child uint32, ftype byte) (mftRecord, error) {
 	if len(name) > vfs.MaxNameLen {
-		return vfs.ErrNameTooLong
+		return r, vfs.ErrNameTooLong
 	}
 	need := dirEntHdr + len(name)
 	done := false
-	err := fs.dirBlocks(r, func(blk int64, buf []byte, it dirIter) (bool, error) {
+	err := fs.dirBlocks(&r, func(blk int64, buf []byte, it dirIter) (bool, error) {
 		ents := it.all()
 		end := 4
 		if n := len(ents); n > 0 {
@@ -475,12 +478,12 @@ func (fs *FS) dirAdd(dirRec uint32, r *mftRecord, name string, child uint32, fty
 		return true, nil
 	})
 	if err != nil || done {
-		return err
+		return r, err
 	}
 	l := (int64(r.Size) + BlockSize - 1) / BlockSize
-	blk, err := fs.blockPtr(r, l, true)
+	blk, err := fs.blockPtr(&r, l, true)
 	if err != nil {
-		return err
+		return r, err
 	}
 	nb := make([]byte, BlockSize)
 	binary.LittleEndian.PutUint32(nb[0:], 1)
@@ -490,19 +493,20 @@ func (fs *FS) dirAdd(dirRec uint32, r *mftRecord, name string, child uint32, fty
 	copy(nb[4+dirEntHdr:], name)
 	fs.tx.StageMeta(blk, nb, BTDir)
 	r.Size = uint64((l + 1) * BlockSize)
-	return fs.StoreLocked(dirRec, *r)
+	return r, fs.StoreLocked(dirRec, r)
 }
 
-func (fs *FS) dirRemove(r *mftRecord, name string) (uint32, error) {
-	var removed uint32
+// DirRemoveLocked implements namei.Store: it deletes an entry, compacting
+// the block.
+func (fs *FS) DirRemoveLocked(_ uint32, r mftRecord, name string) error {
 	found := false
-	err := fs.dirBlocks(r, func(blk int64, buf []byte, it dirIter) (bool, error) {
+	err := fs.dirBlocks(&r, func(blk int64, buf []byte, it dirIter) (bool, error) {
 		ents := it.all()
 		for i, e := range ents {
 			if string(e.Name) != name {
 				continue
 			}
-			removed, found = e.Rec, true
+			found = true
 			nb := make([]byte, BlockSize)
 			copy(nb, buf[:e.off])
 			binary.LittleEndian.PutUint32(nb[0:], uint32(len(ents)-1))
@@ -517,20 +521,51 @@ func (fs *FS) dirRemove(r *mftRecord, name string) (uint32, error) {
 		return false, nil
 	})
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if !found {
-		return 0, vfs.ErrNotExist
+		return vfs.ErrNotExist
 	}
-	return removed, nil
+	return nil
 }
 
-func (fs *FS) dirEmpty(r *mftRecord) (bool, error) {
+// DirEmptyLocked implements namei.Store.
+func (fs *FS) DirEmptyLocked(_ uint32, r mftRecord) (bool, error) {
 	empty := true
-	err := fs.dirBlocks(r, func(_ int64, _ []byte, it dirIter) (bool, error) {
+	err := fs.dirBlocks(&r, func(_ int64, _ []byte, it dirIter) (bool, error) {
 		_, has := it.next()
 		empty = !has
 		return has, nil
 	})
 	return empty, err
+}
+
+// DirListLocked implements namei.Store.
+func (fs *FS) DirListLocked(_ uint32, r mftRecord) ([]vfs.DirEntry, error) {
+	var out []vfs.DirEntry
+	err := fs.dirBlocks(&r, func(_ int64, _ []byte, it dirIter) (bool, error) {
+		for e, ok := it.next(); ok; e, ok = it.next() {
+			out = append(out, vfs.DirEntry{Name: string(e.Name), Ino: e.Rec, Type: vfs.FileType(e.FType)})
+		}
+		return false, nil
+	})
+	return out, err
+}
+
+// DirChangedLocked implements namei.Store: the directory's mtime.
+func (fs *FS) DirChangedLocked(rec uint32, r mftRecord) (mftRecord, error) {
+	r.Mtime = fs.Now()
+	return r, fs.StoreLocked(rec, r)
+}
+
+// FreeLocked implements namei.Store: the runs, the MFT bitmap bit, then
+// the record slot.
+func (fs *FS) FreeLocked(rec uint32, r mftRecord) error {
+	if err := fs.freeFileBlocks(&r, 0); err != nil {
+		return err
+	}
+	if err := fs.freeRecord(rec); err != nil {
+		return err
+	}
+	return fs.clearRecord(rec)
 }

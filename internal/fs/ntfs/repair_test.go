@@ -54,7 +54,7 @@ func TestRepairReclaimsOrphanRecord(t *testing.T) {
 	fs.mu.Lock()
 	root, err := fs.LoadLocked(RootRec)
 	if err == nil {
-		_, err = fs.dirRemove(&root, "f")
+		err = fs.DirRemoveLocked(0, root, "f")
 	}
 	if err == nil {
 		err = fs.commitLocked()

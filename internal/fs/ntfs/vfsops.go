@@ -1,26 +1,17 @@
 package ntfs
 
 import (
-	"errors"
-
 	"ironfs/internal/namei"
 	"ironfs/internal/vfs"
 )
 
-// NTFS's namei.Store and the vfs.FileSystem operations that carry its data
-// layout and §5.4 reactions; the path walk and the lookup and attribute
-// operations are namei.Namespace's.
+// NTFS's namei.Store and the vfs.FileSystem operations that move file data;
+// the path walk and the namespace operations are namei.Namespace's.
 
 // RootLocked implements namei.Store.
 func (fs *FS) RootLocked() (uint32, mftRecord, error) {
 	r, err := fs.LoadLocked(RootRec)
 	return RootRec, r, err
-}
-
-// LookupLocked implements namei.Store.
-func (fs *FS) LookupLocked(_ uint32, dr mftRecord, name string) (uint32, error) {
-	rec, _, err := fs.dirLookup(&dr, name)
-	return rec, err
 }
 
 // KeyOf implements namei.Store: the MFT record number.
@@ -46,6 +37,19 @@ func (fs *FS) ReadLinkLocked(_ uint32, r mftRecord) (string, error) {
 	return string(buf[:r.Size]), nil
 }
 
+// WriteLinkLocked implements namei.Store: the target is the link's single
+// data block.
+func (fs *FS) WriteLinkLocked(_ uint32, r mftRecord, target string) (mftRecord, error) {
+	blk, err := fs.blockPtr(&r, 0, true)
+	if err != nil {
+		return r, err
+	}
+	buf := make([]byte, BlockSize)
+	copy(buf, target)
+	fs.tx.StageData(blk, buf, BTData)
+	return r, nil
+}
+
 // CreateLocked implements namei.Store.
 func (fs *FS) CreateLocked(pRec uint32, pR mftRecord, name string, kind vfs.FileType, a namei.Attr) (uint32, mftRecord, error) {
 	rec, err := fs.allocRecord()
@@ -53,7 +57,7 @@ func (fs *FS) CreateLocked(pRec uint32, pR mftRecord, name string, kind vfs.File
 		return 0, mftRecord{}, err
 	}
 	r := mftRecord{Magic: recMagic, Flags: kindFlags(kind), Attr: a}
-	if err := fs.dirAdd(pRec, &pR, name, rec, byte(kind)); err != nil {
+	if pR, err = fs.DirAddLocked(pRec, pR, name, rec, byte(kind)); err != nil {
 		return 0, mftRecord{}, err
 	}
 	pR.Mtime = a.Mtime
@@ -64,58 +68,6 @@ func (fs *FS) CreateLocked(pRec uint32, pR mftRecord, name string, kind vfs.File
 		return 0, mftRecord{}, err
 	}
 	return rec, r, nil
-}
-
-// Symlink implements vfs.FileSystem.
-func (fs *FS) Symlink(target, linkpath string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	if target == "" || len(target) > BlockSize {
-		return vfs.ErrInval
-	}
-	rec, r, err := fs.MknodLocked(linkpath, 0o777, vfs.TypeSymlink)
-	if err != nil {
-		return err
-	}
-	blk, err := fs.blockPtr(&r, 0, true)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, BlockSize)
-	copy(buf, target)
-	fs.tx.StageData(blk, buf, BTData)
-	r.Size = uint64(len(target))
-	if err := fs.StoreLocked(rec, r); err != nil {
-		return err
-	}
-	return fs.MaybeCommitLocked()
-}
-
-// ReadDir implements vfs.FileSystem.
-func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardReadLocked(); err != nil {
-		return nil, err
-	}
-	_, r, err := fs.ResolveLocked(path, true)
-	if err != nil {
-		return nil, err
-	}
-	if !r.isDir() {
-		return nil, vfs.ErrNotDir
-	}
-	var out []vfs.DirEntry
-	err = fs.dirBlocks(&r, func(_ int64, _ []byte, it dirIter) (bool, error) {
-		for e, ok := it.next(); ok; e, ok = it.next() {
-			out = append(out, vfs.DirEntry{Name: string(e.Name), Ino: e.Rec, Type: vfs.FileType(e.FType)})
-		}
-		return false, nil
-	})
-	return out, err
 }
 
 // Read implements vfs.FileSystem.
@@ -273,217 +225,6 @@ func (fs *FS) Truncate(path string, size int64) error {
 	r.Size = uint64(size)
 	r.Mtime = fs.Now()
 	if err := fs.StoreLocked(rec, r); err != nil {
-		return err
-	}
-	return fs.MaybeCommitLocked()
-}
-
-// Unlink implements vfs.FileSystem.
-func (fs *FS) Unlink(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	pRec, pR, name, err := fs.ParentLocked(path)
-	if err != nil {
-		return err
-	}
-	cRec, _, err := fs.dirLookup(&pR, name)
-	if err != nil {
-		return err
-	}
-	cR, err := fs.LoadLocked(cRec)
-	if err != nil {
-		return err
-	}
-	if cR.isDir() {
-		return vfs.ErrIsDir
-	}
-	if _, err := fs.dirRemove(&pR, name); err != nil {
-		return err
-	}
-	pR.Mtime = fs.Now()
-	if err := fs.StoreLocked(pRec, pR); err != nil {
-		return err
-	}
-	cR.Links--
-	if cR.Links == 0 {
-		if err := fs.freeFileBlocks(&cR, 0); err != nil {
-			return err
-		}
-		if err := fs.freeRecord(cRec); err != nil {
-			return err
-		}
-		if err := fs.clearRecord(cRec); err != nil {
-			return err
-		}
-	} else {
-		cR.Ctime = fs.Now()
-		if err := fs.StoreLocked(cRec, cR); err != nil {
-			return err
-		}
-	}
-	return fs.MaybeCommitLocked()
-}
-
-// Rmdir implements vfs.FileSystem.
-func (fs *FS) Rmdir(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	pRec, pR, name, err := fs.ParentLocked(path)
-	if err != nil {
-		return err
-	}
-	cRec, _, err := fs.dirLookup(&pR, name)
-	if err != nil {
-		return err
-	}
-	cR, err := fs.LoadLocked(cRec)
-	if err != nil {
-		return err
-	}
-	if !cR.isDir() {
-		return vfs.ErrNotDir
-	}
-	empty, err := fs.dirEmpty(&cR)
-	if err != nil {
-		return err
-	}
-	if !empty {
-		return vfs.ErrNotEmpty
-	}
-	if _, err := fs.dirRemove(&pR, name); err != nil {
-		return err
-	}
-	pR.Mtime = fs.Now()
-	if err := fs.StoreLocked(pRec, pR); err != nil {
-		return err
-	}
-	if err := fs.freeFileBlocks(&cR, 0); err != nil {
-		return err
-	}
-	if err := fs.freeRecord(cRec); err != nil {
-		return err
-	}
-	if err := fs.clearRecord(cRec); err != nil {
-		return err
-	}
-	return fs.MaybeCommitLocked()
-}
-
-// Link implements vfs.FileSystem.
-func (fs *FS) Link(oldpath, newpath string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	oRec, oR, err := fs.ResolveLocked(oldpath, false)
-	if err != nil {
-		return err
-	}
-	if oR.isDir() {
-		return vfs.ErrIsDir
-	}
-	pRec, pR, name, err := fs.ParentLocked(newpath)
-	if err != nil {
-		return err
-	}
-	if _, _, err := fs.dirLookup(&pR, name); err == nil {
-		return vfs.ErrExist
-	} else if !errors.Is(err, vfs.ErrNotExist) {
-		return err
-	}
-	if err := fs.dirAdd(pRec, &pR, name, oRec, byte(oR.FileType())); err != nil {
-		return err
-	}
-	pR.Mtime = fs.Now()
-	if err := fs.StoreLocked(pRec, pR); err != nil {
-		return err
-	}
-	oR.Links++
-	oR.Ctime = fs.Now()
-	if err := fs.StoreLocked(oRec, oR); err != nil {
-		return err
-	}
-	return fs.MaybeCommitLocked()
-}
-
-// Rename implements vfs.FileSystem.
-func (fs *FS) Rename(oldpath, newpath string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	oPRec, oPR, oName, err := fs.ParentLocked(oldpath)
-	if err != nil {
-		return err
-	}
-	cRec, cType, err := fs.dirLookup(&oPR, oName)
-	if err != nil {
-		return err
-	}
-	nPRec, nPRecord, nName, err := fs.ParentLocked(newpath)
-	if err != nil {
-		return err
-	}
-	// One directory is one record: every change below lands on oPR.
-	nPR := &nPRecord
-	if nPRec == oPRec {
-		nPR = &oPR
-	}
-	if tRec, _, err := fs.dirLookup(nPR, nName); err == nil {
-		tR, lerr := fs.LoadLocked(tRec)
-		if lerr != nil {
-			return lerr
-		}
-		if tR.isDir() {
-			empty, derr := fs.dirEmpty(&tR)
-			if derr != nil {
-				return derr
-			}
-			if !empty {
-				return vfs.ErrNotEmpty
-			}
-		}
-		if _, derr := fs.dirRemove(nPR, nName); derr != nil {
-			return derr
-		}
-		tR.Links--
-		if tR.Links == 0 || tR.isDir() {
-			if derr := fs.freeFileBlocks(&tR, 0); derr != nil {
-				return derr
-			}
-			if derr := fs.freeRecord(tRec); derr != nil {
-				return derr
-			}
-			if derr := fs.clearRecord(tRec); derr != nil {
-				return derr
-			}
-		} else if serr := fs.StoreLocked(tRec, tR); serr != nil {
-			return serr
-		}
-	} else if !errors.Is(err, vfs.ErrNotExist) {
-		return err
-	}
-	if _, err := fs.dirRemove(&oPR, oName); err != nil {
-		return err
-	}
-	now := fs.Now()
-	oPR.Mtime = now
-	if err := fs.StoreLocked(oPRec, oPR); err != nil {
-		return err
-	}
-	if err := fs.dirAdd(nPRec, nPR, nName, cRec, cType); err != nil {
-		return err
-	}
-	nPR.Mtime = now
-	if err := fs.StoreLocked(nPRec, *nPR); err != nil {
 		return err
 	}
 	return fs.MaybeCommitLocked()

@@ -189,37 +189,39 @@ func (fs *FS) dirLookup(r objRef, name string) (dirEnt, error) {
 	return hit, nil
 }
 
-// dirAddEntry appends an entry, extending the last directory item or
-// opening a new one when it is full.
-func (fs *FS) dirAddEntry(r objRef, e dirEnt) error {
-	if len(e.Name) > vfs.MaxNameLen {
-		return vfs.ErrNameTooLong
+// DirAddLocked implements namei.Store: it appends an entry, extending the
+// last directory item or opening a new one when it is full.
+func (fs *FS) DirAddLocked(r objRef, sd statData, name string, child objRef, ftype byte) (statData, error) {
+	if len(name) > vfs.MaxNameLen {
+		return sd, vfs.ErrNameTooLong
 	}
 	items, err := fs.dirItems(r)
 	if err != nil {
-		return err
+		return sd, err
 	}
+	e := dirEnt{Child: child, FType: ftype, Name: name}
 	if n := len(items); n > 0 && len(items[n-1].Body) < dirItemMax {
 		last := items[n-1]
-		return fs.replaceItem(last.K, appendEnt(last.Body, e))
+		return sd, fs.replaceItem(last.K, appendEnt(last.Body, e))
 	}
 	off := uint64(1)
 	if n := len(items); n > 0 {
 		off = items[n-1].K.Offset + 1
 	}
-	return fs.insertItem(item{K: r.dirKey(off), Body: appendEnt(nil, e)})
+	return sd, fs.insertItem(item{K: r.dirKey(off), Body: appendEnt(nil, e)})
 }
 
-// dirRemoveEntry deletes a name; an emptied directory item leaves the tree.
-func (fs *FS) dirRemoveEntry(r objRef, name string) (dirEnt, error) {
+// DirRemoveLocked implements namei.Store: an emptied directory item leaves
+// the tree.
+func (fs *FS) DirRemoveLocked(r objRef, _ statData, name string) error {
 	items, err := fs.dirItems(r)
 	if err != nil {
-		return dirEnt{}, err
+		return err
 	}
 	for _, it := range items {
 		ents, ok := parseEnts(it.Body)
 		if !ok {
-			return dirEnt{}, fs.dirItemCorrupt()
+			return fs.dirItemCorrupt()
 		}
 		for i, e := range ents {
 			if e.Name != name {
@@ -232,13 +234,36 @@ func (fs *FS) dirRemoveEntry(r objRef, name string) (dirEnt, error) {
 				}
 			}
 			if len(body) == 0 {
-				return e, fs.deleteItem(it.K)
+				return fs.deleteItem(it.K)
 			}
-			return e, fs.replaceItem(it.K, body)
+			return fs.replaceItem(it.K, body)
 		}
 	}
-	return dirEnt{}, vfs.ErrNotExist
+	return vfs.ErrNotExist
 }
+
+// DirEmptyLocked implements namei.Store.
+func (fs *FS) DirEmptyLocked(r objRef, _ statData) (bool, error) {
+	ents, err := fs.dirEntries(r)
+	return len(ents) == 0, err
+}
+
+// DirListLocked implements namei.Store.
+func (fs *FS) DirListLocked(r objRef, _ statData) ([]vfs.DirEntry, error) {
+	ents, err := fs.dirEntries(r)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]vfs.DirEntry, 0, len(ents))
+	for _, e := range ents {
+		out = append(out, vfs.DirEntry{Name: e.Name, Ino: e.Child.ObjID, Type: vfs.FileType(e.FType)})
+	}
+	return out, nil
+}
+
+// DirChangedLocked implements namei.Store: ReiserFS records nothing on the
+// parent of a changed entry.
+func (fs *FS) DirChangedLocked(_ objRef, sd statData) (statData, error) { return sd, nil }
 
 // ---------------------------------------------------------------------------
 // File bodies: direct items (tails) and indirect items.
@@ -397,9 +422,9 @@ func (fs *FS) freeFileBlocks(r objRef, newSize int64) error {
 	return nil
 }
 
-// removeObject deletes an object outright: body blocks, then every item
-// under its key prefix.
-func (fs *FS) removeObject(r objRef) error {
+// FreeLocked implements namei.Store: it deletes an object outright, body
+// blocks, then every item under its key prefix.
+func (fs *FS) FreeLocked(r objRef, _ statData) error {
 	if err := fs.freeFileBlocks(r, 0); err != nil {
 		return err
 	}

@@ -1,15 +1,13 @@
 package reiser
 
 import (
-	"errors"
-
 	"ironfs/internal/namei"
 	"ironfs/internal/vfs"
 )
 
-// ReiserFS's namei.Store and the vfs.FileSystem operations that carry its
-// data layout and §5.2 reactions, over the tree engine; the path walk and
-// the lookup and attribute operations are namei.Namespace's.
+// ReiserFS's namei.Store and the vfs.FileSystem operations that move file
+// data, over the tree engine; the path walk and the namespace operations
+// are namei.Namespace's.
 
 // RootLocked implements namei.Store.
 func (fs *FS) RootLocked() (objRef, statData, error) {
@@ -18,9 +16,9 @@ func (fs *FS) RootLocked() (objRef, statData, error) {
 }
 
 // LookupLocked implements namei.Store.
-func (fs *FS) LookupLocked(dir objRef, _ statData, name string) (objRef, error) {
+func (fs *FS) LookupLocked(dir objRef, _ statData, name string) (objRef, byte, error) {
 	ent, err := fs.dirLookup(dir, name)
-	return ent.Child, err
+	return ent.Child, ent.FType, err
 }
 
 // KeyOf implements namei.Store: the key prefix, object id low.
@@ -46,63 +44,18 @@ func (fs *FS) CreateLocked(pRef objRef, _ statData, name string, kind vfs.FileTy
 	if err := fs.insertItem(item{K: ref.statKey(), Body: sd.marshal()}); err != nil {
 		return objRef{}, statData{}, err
 	}
-	if err := fs.dirAddEntry(pRef, dirEnt{Child: ref, FType: byte(kind), Name: name}); err != nil {
+	if _, err := fs.DirAddLocked(pRef, statData{}, name, ref, byte(kind)); err != nil {
 		return objRef{}, statData{}, err
 	}
 	return ref, sd, nil
 }
 
-// Symlink implements vfs.FileSystem; the target is stored as a tail.
-func (fs *FS) Symlink(target, linkpath string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	if target == "" || len(target) > tailMax {
-		return vfs.ErrInval
-	}
-	ref, _, err := fs.MknodLocked(linkpath, 0o777, vfs.TypeSymlink)
-	if err != nil {
-		return err
-	}
+// WriteLinkLocked implements namei.Store: the target is stored as a tail.
+func (fs *FS) WriteLinkLocked(ref objRef, _ statData, target string) (statData, error) {
 	if err := fs.insertItem(item{K: ref.directKey(), Body: []byte(target)}); err != nil {
-		return err
+		return statData{}, err
 	}
-	sd, err := fs.LoadLocked(ref)
-	if err != nil {
-		return err
-	}
-	sd.Size = uint64(len(target))
-	if err := fs.StoreLocked(ref, sd); err != nil {
-		return err
-	}
-	return fs.MaybeCommitLocked()
-}
-
-// ReadDir implements vfs.FileSystem.
-func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardReadLocked(); err != nil {
-		return nil, err
-	}
-	ref, sd, err := fs.ResolveLocked(path, true)
-	if err != nil {
-		return nil, err
-	}
-	if !sd.IsDir() {
-		return nil, vfs.ErrNotDir
-	}
-	ents, err := fs.dirEntries(ref)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]vfs.DirEntry, 0, len(ents))
-	for _, e := range ents {
-		out = append(out, vfs.DirEntry{Name: e.Name, Ino: e.Child.ObjID, Type: vfs.FileType(e.FType)})
-	}
-	return out, nil
+	return fs.LoadLocked(ref)
 }
 
 // Read implements vfs.FileSystem.
@@ -307,180 +260,6 @@ func (fs *FS) Truncate(path string, size int64) error {
 	sd.Size = uint64(size)
 	sd.Mtime = fs.Now()
 	if err := fs.StoreLocked(ref, sd); err != nil {
-		return err
-	}
-	return fs.MaybeCommitLocked()
-}
-
-// Unlink implements vfs.FileSystem.
-func (fs *FS) Unlink(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	pRef, _, name, err := fs.ParentLocked(path)
-	if err != nil {
-		return err
-	}
-	ent, err := fs.dirLookup(pRef, name)
-	if err != nil {
-		return err
-	}
-	sd, err := fs.LoadLocked(ent.Child)
-	if err != nil {
-		return err
-	}
-	if sd.IsDir() {
-		return vfs.ErrIsDir
-	}
-	if _, err := fs.dirRemoveEntry(pRef, name); err != nil {
-		return err
-	}
-	sd.Links--
-	if sd.Links == 0 {
-		if err := fs.removeObject(ent.Child); err != nil {
-			return err
-		}
-	} else {
-		sd.Ctime = fs.Now()
-		if err := fs.StoreLocked(ent.Child, sd); err != nil {
-			return err
-		}
-	}
-	return fs.MaybeCommitLocked()
-}
-
-// Rmdir implements vfs.FileSystem.
-func (fs *FS) Rmdir(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	pRef, _, name, err := fs.ParentLocked(path)
-	if err != nil {
-		return err
-	}
-	ent, err := fs.dirLookup(pRef, name)
-	if err != nil {
-		return err
-	}
-	sd, err := fs.LoadLocked(ent.Child)
-	if err != nil {
-		return err
-	}
-	if !sd.IsDir() {
-		return vfs.ErrNotDir
-	}
-	ents, err := fs.dirEntries(ent.Child)
-	if err != nil {
-		return err
-	}
-	if len(ents) > 0 {
-		return vfs.ErrNotEmpty
-	}
-	if _, err := fs.dirRemoveEntry(pRef, name); err != nil {
-		return err
-	}
-	if err := fs.removeObject(ent.Child); err != nil {
-		return err
-	}
-	return fs.MaybeCommitLocked()
-}
-
-// Link implements vfs.FileSystem.
-func (fs *FS) Link(oldpath, newpath string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	oRef, oSd, err := fs.ResolveLocked(oldpath, false)
-	if err != nil {
-		return err
-	}
-	if oSd.IsDir() {
-		return vfs.ErrIsDir
-	}
-	pRef, _, name, err := fs.ParentLocked(newpath)
-	if err != nil {
-		return err
-	}
-	if _, err := fs.dirLookup(pRef, name); err == nil {
-		return vfs.ErrExist
-	} else if !errors.Is(err, vfs.ErrNotExist) {
-		return err
-	}
-	if err := fs.dirAddEntry(pRef, dirEnt{Child: oRef, FType: byte(oSd.FileType()), Name: name}); err != nil {
-		return err
-	}
-	oSd.Links++
-	oSd.Ctime = fs.Now()
-	if err := fs.StoreLocked(oRef, oSd); err != nil {
-		return err
-	}
-	return fs.MaybeCommitLocked()
-}
-
-// Rename implements vfs.FileSystem.
-func (fs *FS) Rename(oldpath, newpath string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	oPRef, _, oName, err := fs.ParentLocked(oldpath)
-	if err != nil {
-		return err
-	}
-	ent, err := fs.dirLookup(oPRef, oName)
-	if err != nil {
-		return err
-	}
-	nPRef, _, nName, err := fs.ParentLocked(newpath)
-	if err != nil {
-		return err
-	}
-	if tEnt, err := fs.dirLookup(nPRef, nName); err == nil {
-		tSd, serr := fs.LoadLocked(tEnt.Child)
-		if serr != nil {
-			return serr
-		}
-		if tSd.IsDir() {
-			tents, derr := fs.dirEntries(tEnt.Child)
-			if derr != nil {
-				return derr
-			}
-			if len(tents) > 0 {
-				return vfs.ErrNotEmpty
-			}
-			if _, derr := fs.dirRemoveEntry(nPRef, nName); derr != nil {
-				return derr
-			}
-			if derr := fs.removeObject(tEnt.Child); derr != nil {
-				return derr
-			}
-		} else {
-			if _, derr := fs.dirRemoveEntry(nPRef, nName); derr != nil {
-				return derr
-			}
-			tSd.Links--
-			if tSd.Links == 0 {
-				if derr := fs.removeObject(tEnt.Child); derr != nil {
-					return derr
-				}
-			} else if perr := fs.StoreLocked(tEnt.Child, tSd); perr != nil {
-				return perr
-			}
-		}
-	} else if !errors.Is(err, vfs.ErrNotExist) {
-		return err
-	}
-	if _, err := fs.dirRemoveEntry(oPRef, oName); err != nil {
-		return err
-	}
-	if err := fs.dirAddEntry(nPRef, dirEnt{Child: ent.Child, FType: ent.FType, Name: nName}); err != nil {
 		return err
 	}
 	return fs.MaybeCommitLocked()

@@ -22,7 +22,7 @@ func (fs *FS) ReconcileLocked() error { return fsck.Reconcile[statData](fs.tr, f
 
 // RemoveEntryLocked implements fsck.Fixer.
 func (fs *FS) RemoveEntryLocked(_ *fsck.Refs[statData], e fsck.Entry) error {
-	if _, err := fs.dirRemoveEntry(refOf(e.Dir), e.Name); err != nil {
+	if err := fs.DirRemoveLocked(refOf(e.Dir), statData{}, e.Name); err != nil {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTDirItem, "fsck removed dangling entry")
@@ -31,7 +31,7 @@ func (fs *FS) RemoveEntryLocked(_ *fsck.Refs[statData], e fsck.Entry) error {
 
 // ReclaimLocked implements fsck.Fixer.
 func (fs *FS) ReclaimLocked(o fsck.Object[statData]) error {
-	if err := fs.removeObject(refOf(o.ID)); err != nil {
+	if err := fs.FreeLocked(refOf(o.ID), statData{}); err != nil {
 		return err
 	}
 	fs.rec.Recover(iron.RRepair, BTStat, "fsck reclaimed orphan object")

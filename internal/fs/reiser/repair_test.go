@@ -53,7 +53,7 @@ func TestRepairReclaimsOrphanObject(t *testing.T) {
 	// Drop the directory entry but keep the object: an orphan whose items
 	// still occupy the tree.
 	fs.mu.Lock()
-	if _, err := fs.dirRemoveEntry(rootRef(), "f"); err != nil {
+	if err := fs.DirRemoveLocked(rootRef(), statData{}, "f"); err != nil {
 		fs.mu.Unlock()
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRepairRemovesDanglingEntry(t *testing.T) {
 	fs.mu.Lock()
 	r, _, err := fs.ResolveLocked("/f", true)
 	if err == nil {
-		err = fs.removeObject(r)
+		err = fs.FreeLocked(r, statData{})
 	}
 	if err == nil {
 		err = fs.commitLocked()

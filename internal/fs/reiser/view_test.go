@@ -678,7 +678,7 @@ func cachedTree(fs *FS) map[int64]cachedBlock {
 	return out
 }
 
-// TestViewsSurviveMutators: after lookups have handed out views, dirAddEntry
+// TestViewsSurviveMutators: after lookups have handed out views, DirAddLocked
 // (which appends to a looked-up body), replaceItem and blockPtr(alloc) stage
 // fresh blocks and never write through a view — every buffer the cache held
 // before the mutation still holds the bytes it held then.
@@ -709,7 +709,8 @@ func TestViewsSurviveMutators(t *testing.T) {
 		do   func() error
 	}{
 		{"dirAddEntry", func() error {
-			return fs.dirAddEntry(dir.Child, dirEnt{Child: objRef{DirID: dir.Child.ObjID, ObjID: 9999}, FType: 1, Name: "added"})
+			_, err := fs.DirAddLocked(dir.Child, statData{}, "added", objRef{DirID: dir.Child.ObjID, ObjID: 9999}, 1)
+			return err
 		}},
 		{"replaceItem", func() error {
 			it, err := fs.findItem(file.Child.statKey())

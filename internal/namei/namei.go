@@ -1,16 +1,17 @@
 // Package namei is the generic half of a file system: the paper's Figure 1
-// puts path traversal and the attribute calls in a layer above the specific
+// puts path traversal and the namespace calls in a layer above the specific
 // file systems, and the failure policy (§5) below it. ext3/ixt3, ReiserFS,
 // JFS and NTFS differ in how a directory block is searched, how an inode is
 // stored and what happens when either read fails; they do not differ in how
-// a path is walked, when a symbolic link is followed, what stat returns or
-// how chmod is sequenced. That is stated once, here.
+// a path is walked, when a symbolic link is followed, what stat returns, how
+// chmod is sequenced or in which order unlink, link and rename visit the
+// parent, the entry and the object. That is stated once, here.
 //
 // A file system embeds a Namespace — which makes it most of a
-// vfs.FileSystem — and implements Store. The operations that carry data
-// layout and measured policy (Symlink, ReadDir, Read, Write, Truncate,
-// Unlink, Rmdir, Link, Rename) stay with the file system and call
-// ResolveLocked, ParentLocked and MknodLocked for the walk.
+// vfs.FileSystem — and implements Store. The operations that move file data
+// (Read, Write, Truncate) stay with the file system and call ResolveLocked
+// for the walk; ext3 also keeps Unlink, Rmdir and Rename, whose §5.1
+// reactions fire between their steps.
 package namei
 
 import (
@@ -54,9 +55,10 @@ type Store[R any, N Node[N]] interface {
 	RootLocked() (R, N, error)
 	// LoadLocked loads the node ref names.
 	LoadLocked(ref R) (N, error)
-	// LookupLocked searches directory dir for name; vfs.ErrNotExist
-	// means the directory was read and does not hold it.
-	LookupLocked(dir R, dn N, name string) (R, error)
+	// LookupLocked searches directory dir for name and returns the object
+	// and the type byte its entry holds; vfs.ErrNotExist means the
+	// directory was read and does not hold it.
+	LookupLocked(dir R, dn N, name string) (R, byte, error)
 	// ReadLinkLocked reads the target of symbolic link ref.
 	ReadLinkLocked(ref R, n N) (string, error)
 	// StoreLocked stages n as the new image of ref in the running
@@ -66,6 +68,27 @@ type Store[R any, N Node[N]] interface {
 	// a and enters it in directory dir under name, which the caller has
 	// checked is free.
 	CreateLocked(dir R, dn N, name string, kind vfs.FileType, a Attr) (R, N, error)
+	// DirListLocked lists the entries of directory ref.
+	DirListLocked(ref R, n N) ([]vfs.DirEntry, error)
+	// DirAddLocked enters child, whose entry type byte is ftype, in
+	// directory dir under name, which the caller has checked is free. It
+	// returns the directory's node as the entry left it: a format may grow
+	// the directory and store it.
+	DirAddLocked(dir R, dn N, name string, child R, ftype byte) (N, error)
+	// DirRemoveLocked deletes name's entry from directory dir.
+	DirRemoveLocked(dir R, dn N, name string) error
+	// DirEmptyLocked reports whether directory ref holds no entries.
+	DirEmptyLocked(ref R, n N) (bool, error)
+	// DirChangedLocked records a change to directory dir's entries (its
+	// mtime, where the format keeps one) and returns the node as recorded.
+	DirChangedLocked(dir R, dn N) (N, error)
+	// FreeLocked releases object ref, whose last name is gone: its blocks,
+	// its slot and its number.
+	FreeLocked(ref R, n N) error
+	// WriteLinkLocked stores target, which fits Volume.SymlinkMax, as the
+	// body of the new symbolic link ref and returns its node as that left
+	// it; the caller sets the size.
+	WriteLinkLocked(ref R, n N, target string) (N, error)
 	// KeyOf widens ref to the key journal.Committer.TouchedLocked takes.
 	// Its low 32 bits are the object number stat reports as Ino.
 	KeyOf(ref R) uint64
@@ -93,10 +116,11 @@ type Volume struct {
 	Health *vfs.Health
 	// Journal is the volume's commit engine, for Fsync.
 	Journal *journal.Engine
+	// SymlinkMax is the longest symlink target the format stores.
+	SymlinkMax int
 }
 
-// Namespace is the one path walk and the lookup and attribute operations
-// built on it.
+// Namespace is the one path walk and the namespace operations built on it.
 type Namespace[R any, N Node[N]] struct {
 	v Volume
 	s Store[R, N]
@@ -168,7 +192,7 @@ func (ns *Namespace[R, N]) walk(parts []string, follow bool, depth int) (R, N, e
 		if n.FileType() != vfs.TypeDirectory {
 			return ns.fail(vfs.ErrNotDir)
 		}
-		child, err := ns.s.LookupLocked(ref, n, name)
+		child, _, err := ns.s.LookupLocked(ref, n, name)
 		if err != nil {
 			return ns.fail(err)
 		}
@@ -226,7 +250,7 @@ func (ns *Namespace[R, N]) MknodLocked(path string, mode uint16, kind vfs.FileTy
 	if err != nil {
 		return ns.fail(err)
 	}
-	if _, err := ns.s.LookupLocked(dir, dn, name); err == nil {
+	if _, _, err := ns.s.LookupLocked(dir, dn, name); err == nil {
 		return ns.fail(vfs.ErrExist)
 	} else if !errors.Is(err, vfs.ErrNotExist) {
 		return ns.fail(err)

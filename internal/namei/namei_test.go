@@ -2,6 +2,7 @@ package namei
 
 import (
 	"errors"
+	"sort"
 	"strings"
 	"testing"
 
@@ -60,12 +61,12 @@ func (f *fakeStore) LoadLocked(ref int) (fakeNode, error) {
 	f.call("load")
 	return *f.nodes[ref], nil
 }
-func (f *fakeStore) LookupLocked(_ int, dn fakeNode, name string) (int, error) {
+func (f *fakeStore) LookupLocked(_ int, dn fakeNode, name string) (int, byte, error) {
 	f.call("lookup")
 	if ref, ok := dn.ents[name]; ok {
-		return ref, nil
+		return ref, byte(f.nodes[ref].FileType()), nil
 	}
-	return 0, vfs.ErrNotExist
+	return 0, 0, vfs.ErrNotExist
 }
 func (f *fakeStore) ReadLinkLocked(_ int, n fakeNode) (string, error) {
 	f.call("readlink")
@@ -85,6 +86,43 @@ func (f *fakeStore) CreateLocked(_ int, dn fakeNode, name string, kind vfs.FileT
 	f.nodes[ref] = &fakeNode{TypedAttr: Typed(kind, a), ents: map[string]int{}}
 	dn.ents[name] = ref
 	return ref, *f.nodes[ref], nil
+}
+func (f *fakeStore) DirListLocked(_ int, n fakeNode) ([]vfs.DirEntry, error) {
+	f.call("list")
+	var out []vfs.DirEntry
+	for name, ref := range n.ents {
+		out = append(out, vfs.DirEntry{Name: name, Ino: uint32(ref), Type: f.nodes[ref].FileType()})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out, nil
+}
+func (f *fakeStore) DirAddLocked(_ int, dn fakeNode, name string, child int, _ byte) (fakeNode, error) {
+	f.call("add")
+	dn.ents[name] = child
+	return dn, nil
+}
+func (f *fakeStore) DirRemoveLocked(_ int, dn fakeNode, name string) error {
+	f.call("remove")
+	delete(dn.ents, name)
+	return nil
+}
+func (f *fakeStore) DirEmptyLocked(_ int, n fakeNode) (bool, error) {
+	f.call("empty")
+	return len(n.ents) == 0, nil
+}
+func (f *fakeStore) DirChangedLocked(ref int, dn fakeNode) (fakeNode, error) {
+	f.call("changed")
+	return dn, f.StoreLocked(ref, dn)
+}
+func (f *fakeStore) FreeLocked(ref int, _ fakeNode) error {
+	f.call("free")
+	*f.nodes[ref] = fakeNode{}
+	return nil
+}
+func (f *fakeStore) WriteLinkLocked(_ int, n fakeNode, target string) (fakeNode, error) {
+	f.call("writelink")
+	n.target = target
+	return n, nil
 }
 func (f *fakeStore) KeyOf(ref int) uint64     { return uint64(ref) }
 func (f *fakeStore) MaybeCommitLocked() error { f.call("maybecommit"); return f.commitErr }
@@ -115,7 +153,7 @@ func harness(t *testing.T) (*ns, *fakeStore, *vfs.Health, *stat.Histogram) {
 	wait := stat.NewHistogram()
 	w := &spyLock{"w", f}
 	n := New[int, fakeNode](f, Volume{Mu: w, RMu: &spyLock{"r", f}, Health: health,
-		Journal: journal.New(w, health, f.clk, wait)})
+		Journal: journal.New(w, health, f.clk, wait), SymlinkMax: 64})
 	return &n, f, health, wait
 }
 
@@ -124,7 +162,8 @@ type ns = Namespace[int, fakeNode]
 func second(_ any, err error) error { return err }
 
 // entryPoints is every operation of the layer with the lock it must take:
-// the read side for the five lookups, the volume lock for the rest.
+// the read side for the five lookups and ReadDir, the volume lock for the
+// rest.
 var entryPoints = []struct {
 	name, side string
 	run        func(*ns) error
@@ -141,6 +180,12 @@ var entryPoints = []struct {
 	{"Utimes", "w", func(n *ns) error { return n.Utimes("/file", 3, 4) }},
 	{"Fsync", "w", func(n *ns) error { return n.Fsync("/file") }},
 	{"Sync", "w", func(n *ns) error { return n.Sync() }},
+	{"Symlink", "w", func(n *ns) error { return n.Symlink("/file", "/newlink") }},
+	{"ReadDir", "r", func(n *ns) error { return second(n.ReadDir("/")) }},
+	{"Unlink", "w", func(n *ns) error { return n.Unlink("/file") }},
+	{"Rmdir", "w", func(n *ns) error { return n.Rmdir("/dir") }},
+	{"Link", "w", func(n *ns) error { return n.Link("/file", "/hard") }},
+	{"Rename", "w", func(n *ns) error { return n.Rename("/file", "/dir/moved") }},
 }
 
 func TestLockThenGuardThenStore(t *testing.T) {
@@ -253,5 +298,99 @@ func TestWalkDeeperThanStackArray(t *testing.T) {
 	f.nodes[1].ents["deep"] = ref
 	if got, err := n.Stat("/deep/d/leaf"); err != nil || got.Ino != leaf.Ino {
 		t.Errorf("Stat through a deep symlink = ino %d, %v; want ino %d", got.Ino, err, leaf.Ino)
+	}
+}
+
+// TestEntryOpsVisitInOrder pins the order in which the entry operations
+// call the store after the walk: the entry, then the parent's record of the
+// change, then the object, then the commit funnel.
+func TestEntryOpsVisitInOrder(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(*ns, *fakeStore) error
+		tail string // the log after the last walk step
+	}{
+		{"Symlink", func(n *ns, _ *fakeStore) error { return n.Symlink("/file", "/s") },
+			"create writelink store maybecommit unlock:w"},
+		{"ReadDir", func(n *ns, _ *fakeStore) error { return second(n.ReadDir("/dir")) }, "list unlock:r"},
+		{"Unlink, last link", func(n *ns, _ *fakeStore) error { return n.Unlink("/file") },
+			"remove changed store free maybecommit unlock:w"},
+		{"Unlink, one of two", func(n *ns, f *fakeStore) error { f.nodes[2].Links = 2; return n.Unlink("/file") },
+			"remove changed store store maybecommit unlock:w"},
+		{"Rmdir", func(n *ns, _ *fakeStore) error { return n.Rmdir("/dir") },
+			"empty remove changed store free maybecommit unlock:w"},
+		{"Link", func(n *ns, _ *fakeStore) error { return n.Link("/file", "/dir/hard") },
+			"add changed store store maybecommit unlock:w"},
+		{"Rename", func(n *ns, _ *fakeStore) error { return n.Rename("/file", "/dir/moved") },
+			"remove changed store add changed store maybecommit unlock:w"},
+		{"Rename over a file", func(n *ns, _ *fakeStore) error { return n.Rename("/link", "/file") },
+			"load remove free remove changed store add changed store maybecommit unlock:w"},
+		{"Rename over an empty directory", func(n *ns, f *fakeStore) error {
+			f.nodes[1].ents["dir2"] = 5
+			f.nodes[5] = &fakeNode{TypedAttr: Typed(vfs.TypeDirectory, Attr{Mode: 0o755, Links: 1}), ents: map[string]int{}}
+			return n.Rename("/dir2", "/dir")
+		}, "load empty remove free remove changed store add changed store maybecommit unlock:w"},
+	}
+	for _, c := range cases {
+		n, f, _, _ := harness(t)
+		if err := c.run(n, f); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		log := strings.Join(f.log, " ")
+		if !strings.HasSuffix(log, " "+c.tail) {
+			t.Errorf("%s: sequence %s, want it to end %s", c.name, log, c.tail)
+		}
+	}
+}
+
+// TestEntryOpsRefuseBeforeChanging: every refusal of the entry operations
+// comes before their first mutating store call.
+func TestEntryOpsRefuseBeforeChanging(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(*ns, *fakeStore) error
+		want error
+	}{
+		{"Symlink, empty target", func(n *ns, _ *fakeStore) error { return n.Symlink("", "/s") }, vfs.ErrInval},
+		{"Symlink, over-long target", func(n *ns, _ *fakeStore) error { return n.Symlink(strings.Repeat("x", 65), "/s") }, vfs.ErrInval},
+		{"Symlink over a name", func(n *ns, _ *fakeStore) error { return n.Symlink("/file", "/dir") }, vfs.ErrExist},
+		{"ReadDir of a file", func(n *ns, _ *fakeStore) error { return second(n.ReadDir("/file")) }, vfs.ErrNotDir},
+		{"Unlink of a directory", func(n *ns, _ *fakeStore) error { return n.Unlink("/dir") }, vfs.ErrIsDir},
+		{"Unlink of a missing name", func(n *ns, _ *fakeStore) error { return n.Unlink("/nope") }, vfs.ErrNotExist},
+		{"Rmdir of a file", func(n *ns, _ *fakeStore) error { return n.Rmdir("/file") }, vfs.ErrNotDir},
+		{"Rmdir of the root", func(n *ns, _ *fakeStore) error { return n.Rmdir("/") }, vfs.ErrInval},
+		{"Rmdir of a non-empty directory", func(n *ns, f *fakeStore) error { f.nodes[3].ents["x"] = 2; return n.Rmdir("/dir") }, vfs.ErrNotEmpty},
+		{"Link of a directory", func(n *ns, _ *fakeStore) error { return n.Link("/dir", "/d2") }, vfs.ErrIsDir},
+		{"Link over a name", func(n *ns, _ *fakeStore) error { return n.Link("/file", "/dir") }, vfs.ErrExist},
+		{"Link at the ceiling", func(n *ns, f *fakeStore) error { f.nodes[2].Links = 0xFFFF; return n.Link("/file", "/hard") }, vfs.ErrTooManyLink},
+		{"Rename of a missing name", func(n *ns, _ *fakeStore) error { return n.Rename("/nope", "/x") }, vfs.ErrNotExist},
+		{"Rename over a non-empty directory", func(n *ns, f *fakeStore) error { f.nodes[3].ents["x"] = 2; return n.Rename("/file", "/dir") }, vfs.ErrNotEmpty},
+	}
+	mutators := []string{"create", "writelink", "add", "remove", "changed", "store", "free", "maybecommit"}
+	for _, c := range cases {
+		n, f, _, _ := harness(t)
+		if err := c.run(n, f); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		for _, entry := range f.log {
+			for _, m := range mutators {
+				if entry == m {
+					t.Errorf("%s: refused after a %s call: %v", c.name, m, f.log)
+				}
+			}
+		}
+	}
+}
+
+// TestLinkAtTheCeilingWalksOnlyTheSource: a file at the link-count ceiling
+// is refused before the new name's directory is even walked.
+func TestLinkAtTheCeilingWalksOnlyTheSource(t *testing.T) {
+	n, f, _, _ := harness(t)
+	f.nodes[2].Links = 0xFFFF
+	if err := n.Link("/file", "/dir/hard"); !errors.Is(err, vfs.ErrTooManyLink) {
+		t.Fatalf("err = %v", err)
+	}
+	if got := strings.Join(f.log, " "); got != "lock:w mounted root lookup load unlock:w" {
+		t.Errorf("sequence %s", got)
 	}
 }
