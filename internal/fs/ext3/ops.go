@@ -471,8 +471,8 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if err := fs.GuardWriteLocked(); err != nil {
 		return err
 	}
-	m, err := fs.MoveLocked(oldpath, newpath)
-	if err != nil {
+	m, noop, err := fs.MoveLocked(oldpath, newpath)
+	if err != nil || noop {
 		return err
 	}
 	if tIno, _, err := fs.LookupLocked(m.NewDir, m.NewNode, m.NewName); err == nil {

@@ -199,6 +199,33 @@ func TestNamespaceConformance(t *testing.T) {
 		{"Symlink with an over-long target", func(f vfs.FileSystem) string {
 			return errName(f.Symlink("/"+strings.Repeat("a", 4096), "/long")) + " " + errName(f.Access("/long"))
 		}, "ErrInval ErrNotExist"},
+		{"Rename of a file to itself", func(f vfs.FileSystem) string {
+			before, _ := f.Stat("/file")
+			err := f.Rename("/file", "/file")
+			after, serr := f.Stat("/file")
+			return fmt.Sprintf("%s %s same=%v", errName(err), errName(serr), after.Ino == before.Ino)
+		}, "ok ok same=true"},
+		{"Rename of an empty directory to itself", func(f vfs.FileSystem) string {
+			if err := f.Mkdir("/self", 0o700); err != nil {
+				return errName(err)
+			}
+			err := f.Rename("/self", "/self")
+			fi, serr := f.Stat("/self")
+			return fmt.Sprintf("%s %s %v", errName(err), errName(serr), fi.Type)
+		}, "ok ok dir"},
+		{"Rename of a directory beneath itself", func(f vfs.FileSystem) string {
+			if err := f.Mkdir("/a", 0o755); err != nil {
+				return errName(err)
+			}
+			if err := f.Mkdir("/a/b", 0o755); err != nil {
+				return errName(err)
+			}
+			if err := f.Symlink("/a/b", "/ab"); err != nil {
+				return errName(err)
+			}
+			return errName(f.Rename("/a", "/a/b/x")) + " " + errName(f.Rename("/a", "/a/x")) + " " +
+				errName(f.Rename("/a", "/ab/x")) + " " + errName(f.Open("/a/b")) + " " + errName(f.Open("/ab"))
+		}, "ErrInval ErrInval ErrInval ok ok"},
 		{"ReadDir of a file", func(f vfs.FileSystem) string { _, err := f.ReadDir("/file"); return errName(err) }, "ErrNotDir"},
 		{"ReadDir through a link", func(f vfs.FileSystem) string {
 			ents, err := f.ReadDir("/dlink")

@@ -215,16 +215,13 @@ func Run(fs vfs.FileSystem, cfg Config) error {
 			}
 		case 7: // rename (files only, to keep the model simple)
 			src, dst := anyFile(), anyFile()
-			if src == dst {
-				continue // self-rename semantics differ per FS; skip
-			}
 			sf := m.files[src]
 			ok := sf != nil
 			err := fs.Rename(src, dst)
 			if e := bothErr(fmt.Sprintf("rename %s %s", src, dst), err, ok); e != nil {
 				return e
 			}
-			if ok {
+			if ok && src != dst { // a self-rename changes nothing
 				m.files[dst] = sf
 				delete(m.files, src)
 			}

@@ -199,21 +199,30 @@ type Move[R any, N any] struct {
 }
 
 // MoveLocked resolves a rename's two paths: the old entry, which must
-// exist, and the new name's directory.
-func (ns *Namespace[R, N]) MoveLocked(oldpath, newpath string) (Move[R, N], error) {
-	var m Move[R, N]
-	var err error
+// exist, and the new name's directory. noop reports that both paths name
+// the same entry, which POSIX makes a successful rename that changes
+// nothing. An object moved to a name beneath itself — the new directory is
+// the object or lies under it, also through a symbolic link — is
+// vfs.ErrInval: the move would cut its subtree off the root.
+func (ns *Namespace[R, N]) MoveLocked(oldpath, newpath string) (m Move[R, N], noop bool, err error) {
 	if m.OldDir, m.OldNode, m.OldName, err = ns.ParentLocked(oldpath); err != nil {
-		return m, err
+		return m, false, err
 	}
 	if m.Child, m.Type, err = ns.s.LookupLocked(m.OldDir, m.OldNode, m.OldName); err != nil {
-		return m, err
+		return m, false, err
 	}
-	if m.NewDir, m.NewNode, m.NewName, err = ns.ParentLocked(newpath); err != nil {
-		return m, err
+	under := ancestor{key: ns.s.KeyOf(m.Child)}
+	if m.NewDir, m.NewNode, m.NewName, err = ns.parentLocked(newpath, &under); err != nil {
+		return m, false, err
 	}
 	m.SameDir = ns.s.KeyOf(m.NewDir) == ns.s.KeyOf(m.OldDir)
-	return m, nil
+	if m.SameDir && m.NewName == m.OldName {
+		return m, true, nil
+	}
+	if under.found {
+		return m, false, vfs.ErrInval
+	}
+	return m, false, nil
 }
 
 // Rename implements vfs.FileSystem. An existing target file loses the
@@ -224,8 +233,8 @@ func (ns *Namespace[R, N]) Rename(oldpath, newpath string) error {
 	if err := ns.GuardWriteLocked(); err != nil {
 		return err
 	}
-	m, err := ns.MoveLocked(oldpath, newpath)
-	if err != nil {
+	m, noop, err := ns.MoveLocked(oldpath, newpath)
+	if err != nil || noop {
 		return err
 	}
 	if t, _, err := ns.s.LookupLocked(m.NewDir, m.NewNode, m.NewName); err == nil {

@@ -177,16 +177,28 @@ func (ns *Namespace[R, N]) ResolveLocked(path string, follow bool) (R, N, error)
 	if err != nil {
 		return ns.fail(err)
 	}
-	return ns.walk(parts, follow, 0)
+	return ns.walk(parts, follow, 0, nil)
 }
 
-func (ns *Namespace[R, N]) walk(parts []string, follow bool, depth int) (R, N, error) {
+// ancestor asks a walk whether the object keyed key is on the path it
+// resolves: the root, each directory below it, or the object it ends at. A
+// symbolic link restarts the question at the root, where its target
+// starts.
+type ancestor struct {
+	key   uint64
+	found bool
+}
+
+func (ns *Namespace[R, N]) walk(parts []string, follow bool, depth int, on *ancestor) (R, N, error) {
 	if depth > maxSymlinkDepth {
 		return ns.fail(vfs.ErrInval)
 	}
 	ref, n, err := ns.s.RootLocked()
 	if err != nil {
 		return ns.fail(err)
+	}
+	if on != nil {
+		on.found = ns.s.KeyOf(ref) == on.key
 	}
 	for i, name := range parts {
 		if n.FileType() != vfs.TypeDirectory {
@@ -214,9 +226,12 @@ func (ns *Namespace[R, N]) walk(parts []string, follow bool, depth int) (R, N, e
 			if err != nil {
 				return ns.fail(err)
 			}
-			return ns.walk(append(rest, parts[i+1:]...), follow, depth+1)
+			return ns.walk(append(rest, parts[i+1:]...), follow, depth+1, on)
 		}
 		ref, n = child, cn
+		if on != nil && ns.s.KeyOf(ref) == on.key {
+			on.found = true
+		}
 	}
 	return ref, n, nil
 }
@@ -224,6 +239,10 @@ func (ns *Namespace[R, N]) walk(parts []string, follow bool, depth int) (R, N, e
 // ParentLocked resolves the directory containing path's final component,
 // which it also returns.
 func (ns *Namespace[R, N]) ParentLocked(path string) (R, N, string, error) {
+	return ns.parentLocked(path, nil)
+}
+
+func (ns *Namespace[R, N]) parentLocked(path string, on *ancestor) (R, N, string, error) {
 	fail := func(err error) (R, N, string, error) {
 		ref, n, err := ns.fail(err)
 		return ref, n, "", err
@@ -233,7 +252,7 @@ func (ns *Namespace[R, N]) ParentLocked(path string) (R, N, string, error) {
 	if err != nil {
 		return fail(err)
 	}
-	ref, n, err := ns.walk(dirParts, true, 0)
+	ref, n, err := ns.walk(dirParts, true, 0, on)
 	if err != nil {
 		return fail(err)
 	}

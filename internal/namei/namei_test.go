@@ -343,8 +343,9 @@ func TestEntryOpsVisitInOrder(t *testing.T) {
 	}
 }
 
-// TestEntryOpsRefuseBeforeChanging: every refusal of the entry operations
-// comes before their first mutating store call.
+// TestEntryOpsRefuseBeforeChanging: every refusal of the entry operations,
+// and a rename to the name it already has, comes before their first
+// mutating store call.
 func TestEntryOpsRefuseBeforeChanging(t *testing.T) {
 	cases := []struct {
 		name string
@@ -365,6 +366,14 @@ func TestEntryOpsRefuseBeforeChanging(t *testing.T) {
 		{"Link at the ceiling", func(n *ns, f *fakeStore) error { f.nodes[2].Links = 0xFFFF; return n.Link("/file", "/hard") }, vfs.ErrTooManyLink},
 		{"Rename of a missing name", func(n *ns, _ *fakeStore) error { return n.Rename("/nope", "/x") }, vfs.ErrNotExist},
 		{"Rename over a non-empty directory", func(n *ns, f *fakeStore) error { f.nodes[3].ents["x"] = 2; return n.Rename("/file", "/dir") }, vfs.ErrNotEmpty},
+		{"Rename to its own name", func(n *ns, _ *fakeStore) error { return n.Rename("/file", "/file") }, nil},
+		{"Rename beneath itself", func(n *ns, _ *fakeStore) error { return n.Rename("/dir", "/dir/x") }, vfs.ErrInval},
+		{"Rename beneath itself through a link", func(n *ns, f *fakeStore) error {
+			f.nodes[5] = &fakeNode{TypedAttr: Typed(vfs.TypeDirectory, Attr{Mode: 0o755, Links: 1}), ents: map[string]int{}}
+			f.nodes[6] = &fakeNode{TypedAttr: Typed(vfs.TypeSymlink, Attr{Mode: 0o777, Links: 1}), target: "/dir/sub"}
+			f.nodes[3].ents["sub"], f.nodes[1].ents["sub"] = 5, 6
+			return n.Rename("/dir", "/sub/x")
+		}, vfs.ErrInval},
 	}
 	mutators := []string{"create", "writelink", "add", "remove", "changed", "store", "free", "maybecommit"}
 	for _, c := range cases {
