@@ -83,16 +83,6 @@ type Fault struct {
 	latchedAt int64
 }
 
-// TraceEntry records one I/O seen by the injection layer, for failure-policy
-// inference and applicability (gray-cell) computation.
-type TraceEntry struct {
-	Op      disk.Op
-	Block   int64
-	Type    iron.BlockType
-	Faulted bool
-	Err     error
-}
-
 // Device wraps an underlying block device, classifying and tracing every
 // I/O and applying armed faults. It implements disk.Device.
 type Device struct {
@@ -105,14 +95,12 @@ type Device struct {
 
 	mu     sync.Mutex
 	faults []*Fault
-	// counts is the per-(type, op) tally of every I/O seen; trace keeps
-	// the raw entries too, but only while tracing is on.
-	counts  map[iron.BlockType][2]int
-	trace   []TraceEntry
-	tracing bool
-	seed    int64
-	rng     *rand.Rand
-	fires   int
+	// counts is the per-(type, op) tally of every I/O seen; the I/O
+	// itself is in the tracer's fault-layer events.
+	counts map[iron.BlockType][2]int
+	seed   int64
+	rng    *rand.Rand
+	fires  int
 }
 
 // DefaultSeed seeds the corruption-noise RNG when the caller does not
@@ -170,34 +158,15 @@ func (d *Device) Fired() int {
 	return d.fires
 }
 
-// SetTracing turns retention of raw per-I/O trace entries on or off. It is
-// off by default — a long-lived device would grow without bound — and does
-// not affect AccessCounts, which are always kept.
-func (d *Device) SetTracing(on bool) {
+// ResetCounts zeroes the access counts.
+func (d *Device) ResetCounts() {
 	d.mu.Lock()
-	d.tracing = on
-	d.mu.Unlock()
-}
-
-// Trace returns a copy of the I/O trace retained while tracing was on.
-func (d *Device) Trace() []TraceEntry {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]TraceEntry, len(d.trace))
-	copy(out, d.trace)
-	return out
-}
-
-// ResetTrace discards the I/O trace and zeroes the access counts.
-func (d *Device) ResetTrace() {
-	d.mu.Lock()
-	d.trace = d.trace[:0]
 	clear(d.counts)
 	d.mu.Unlock()
 }
 
 // AccessCounts returns the per-(type, op) access counts since the last
-// ResetTrace, which the fingerprinter uses to decide which scenarios are
+// ResetCounts, which the fingerprinter uses to decide which scenarios are
 // applicable.
 func (d *Device) AccessCounts() map[iron.BlockType][2]int {
 	d.mu.Lock()
@@ -283,18 +252,15 @@ func (d *Device) writeArmed(bt iron.BlockType, block int64) bool {
 	return false
 }
 
-// record logs one I/O into the applicability trace and, when a tracer is
-// attached, emits the type-classified event: at is the simulated start
-// time, svc the service duration (both 0 when the I/O never reached the
-// media).
-func (d *Device) record(op disk.Op, block int64, bt iron.BlockType, faulted bool, err error, at, svc int64) {
+// record counts one I/O for the applicability (gray-cell) computation and,
+// when a tracer is attached, emits the type-classified event: at is the
+// simulated start time, svc the service duration (both 0 when the I/O
+// never reached the media).
+func (d *Device) record(op disk.Op, block int64, bt iron.BlockType, err error, at, svc int64) {
 	d.mu.Lock()
 	c := d.counts[bt]
 	c[op]++
 	d.counts[bt] = c
-	if d.tracing {
-		d.trace = append(d.trace, TraceEntry{Op: op, Block: block, Type: bt, Faulted: faulted, Err: err})
-	}
 	d.mu.Unlock()
 	if d.tr.Enabled() {
 		kind := trace.KindRead
@@ -336,12 +302,12 @@ func (d *Device) ReadBlock(n int64, buf []byte) error {
 	if fail != nil {
 		noteFired(iron.ReadFailure, bt)
 		d.tr.FaultFired(iron.ReadFailure, n, bt, fail.Sticky)
-		d.record(disk.OpRead, n, bt, true, disk.ErrIO, at, 0)
+		d.record(disk.OpRead, n, bt, disk.ErrIO, at, 0)
 		return disk.ErrIO
 	}
 
 	if err := d.inner.ReadBlock(n, buf); err != nil {
-		d.record(disk.OpRead, n, bt, false, err, at, d.tr.Now()-at)
+		d.record(disk.OpRead, n, bt, err, at, d.tr.Now()-at)
 		return err
 	}
 
@@ -356,10 +322,10 @@ func (d *Device) ReadBlock(n int64, buf []byte) error {
 		}
 		noteFired(iron.Corruption, bt)
 		d.tr.FaultFired(iron.Corruption, n, bt, corrupt.Sticky)
-		d.record(disk.OpRead, n, bt, true, nil, at, d.tr.Now()-at)
+		d.record(disk.OpRead, n, bt, nil, at, d.tr.Now()-at)
 		return nil
 	}
-	d.record(disk.OpRead, n, bt, false, nil, at, d.tr.Now()-at)
+	d.record(disk.OpRead, n, bt, nil, at, d.tr.Now()-at)
 	return nil
 }
 
@@ -384,7 +350,7 @@ func (d *Device) writeOne(n int64, bt iron.BlockType, buf []byte) error {
 	if fail != nil {
 		noteFired(iron.WriteFailure, bt)
 		d.tr.FaultFired(iron.WriteFailure, n, bt, fail.Sticky)
-		d.record(disk.OpWrite, n, bt, true, disk.ErrIO, at, 0)
+		d.record(disk.OpWrite, n, bt, disk.ErrIO, at, 0)
 		return disk.ErrIO
 	}
 
@@ -394,7 +360,7 @@ func (d *Device) writeOne(n int64, bt iron.BlockType, buf []byte) error {
 	if phantom != nil {
 		noteFired(iron.PhantomWrite, bt)
 		d.tr.FaultFired(iron.PhantomWrite, n, bt, phantom.Sticky)
-		d.record(disk.OpWrite, n, bt, true, nil, at, 0)
+		d.record(disk.OpWrite, n, bt, nil, at, 0)
 		return nil // "completed" — the media never sees it
 	}
 
@@ -409,12 +375,12 @@ func (d *Device) writeOne(n int64, bt iron.BlockType, buf []byte) error {
 		noteFired(iron.MisdirectedWrite, bt)
 		d.tr.FaultFired(iron.MisdirectedWrite, n, bt, misdir.Sticky)
 		err := d.inner.WriteBlock(target, buf)
-		d.record(disk.OpWrite, n, bt, true, err, at, d.tr.Now()-at)
+		d.record(disk.OpWrite, n, bt, err, at, d.tr.Now()-at)
 		return err // correct data, wrong location, success reported
 	}
 
 	err := d.inner.WriteBlock(n, buf)
-	d.record(disk.OpWrite, n, bt, false, err, at, d.tr.Now()-at)
+	d.record(disk.OpWrite, n, bt, err, at, d.tr.Now()-at)
 	return err
 }
 
@@ -511,7 +477,7 @@ func (d *Device) writeRun(run []disk.Request, types []iron.BlockType) error {
 	}
 	svc := d.tr.Now() - at
 	for i := range run {
-		d.record(disk.OpWrite, run[i].Block, types[i], false, err, at, svc)
+		d.record(disk.OpWrite, run[i].Block, types[i], err, at, svc)
 		svc = 0
 	}
 	return err

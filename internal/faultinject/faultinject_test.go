@@ -10,6 +10,7 @@ import (
 
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
+	"ironfs/internal/trace"
 )
 
 func newStack(t *testing.T) (*disk.Disk, *Device) {
@@ -19,6 +20,31 @@ func newStack(t *testing.T) (*disk.Disk, *Device) {
 		t.Fatal(err)
 	}
 	return d, New(d, nil)
+}
+
+// newTracedStack is newStack with a tracer on the disk, which the fault
+// layer discovers at construction.
+func newTracedStack(t *testing.T) (*disk.Disk, *Device, *trace.Tracer) {
+	t.Helper()
+	d, err := disk.New(256, disk.DefaultGeometry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(func() int64 { return int64(d.Clock().Now()) })
+	d.SetTracer(tr)
+	return d, New(d, nil), tr
+}
+
+// faultIO is the fault layer's view of the I/O in tr: its read and write
+// events, in order, without the fault firings between them.
+func faultIO(tr *trace.Tracer) []trace.Event {
+	var out []trace.Event
+	for _, e := range tr.Events() {
+		if e.Layer == trace.LayerFault && e.Kind != trace.KindFault {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // typeMap resolves a few blocks to fixed types for targeting tests.
@@ -190,16 +216,25 @@ func TestRangeTargeting(t *testing.T) {
 }
 
 func TestTraceAndAccessCounts(t *testing.T) {
-	_, fd := newStack(t)
+	_, fd, tr := newTracedStack(t)
 	fd.SetResolver(typeMap(map[int64]iron.BlockType{5: "super"}))
-	fd.SetTracing(true)
 	buf := make([]byte, 4096)
 	_ = fd.WriteBlock(5, buf)
 	_ = fd.ReadBlock(5, buf)
 	_ = fd.ReadBlock(6, buf)
-	tr := fd.Trace()
-	if len(tr) != 3 {
-		t.Fatalf("trace = %d entries", len(tr))
+	io := faultIO(tr)
+	want := []trace.Event{
+		{Kind: trace.KindWrite, Block: 5, Type: "super"},
+		{Kind: trace.KindRead, Block: 5, Type: "super"},
+		{Kind: trace.KindRead, Block: 6, Type: string(iron.Unclassified)},
+	}
+	if len(io) != len(want) {
+		t.Fatalf("trace = %d I/O events", len(io))
+	}
+	for i, e := range io {
+		if e.Kind != want[i].Kind || e.Block != want[i].Block || e.Type != want[i].Type || e.Err != "" {
+			t.Errorf("event %d = %+v, want %s of block %d as %q", i, e, want[i].Kind, want[i].Block, want[i].Type)
+		}
 	}
 	counts := fd.AccessCounts()
 	if c := counts["super"]; c[disk.OpRead] != 1 || c[disk.OpWrite] != 1 {
@@ -208,52 +243,52 @@ func TestTraceAndAccessCounts(t *testing.T) {
 	if c := counts[iron.Unclassified]; c[disk.OpRead] != 1 {
 		t.Fatalf("unclassified counts = %v", c)
 	}
-	fd.ResetTrace()
-	if len(fd.Trace()) != 0 || len(fd.AccessCounts()) != 0 {
-		t.Fatal("trace not reset")
+	fd.ResetCounts()
+	if len(fd.AccessCounts()) != 0 {
+		t.Fatal("counts not reset")
 	}
 }
 
-// TestDefaultDeviceRetainsNoTrace pins the fault layer's memory bound: a
-// default device keeps only the running per-(type, op) counts, however
-// many I/Os pass, and those counts are what aggregating a retained trace
-// gives.
-func TestDefaultDeviceRetainsNoTrace(t *testing.T) {
-	types := typeMap(map[int64]iron.BlockType{1: "inode", 2: "dir", 3: "inode"})
-	_, fd := newStack(t)
-	fd.SetResolver(types)
-	_, traced := newStack(t)
-	traced.SetResolver(types)
-	traced.SetTracing(true)
+// TestAccessCountsAggregateTheTrace: the per-(type, op) counts a device
+// keeps are what aggregating its fault-layer I/O events gives, and each
+// faulted read is announced by a fault event just before it.
+func TestAccessCountsAggregateTheTrace(t *testing.T) {
+	_, fd, tr := newTracedStack(t)
+	fd.SetResolver(typeMap(map[int64]iron.BlockType{1: "inode", 2: "dir", 3: "inode"}))
 	fd.Arm(&Fault{Class: iron.ReadFailure, Target: "dir", Sticky: true})
-	traced.Arm(&Fault{Class: iron.ReadFailure, Target: "dir", Sticky: true})
-
 	buf := make([]byte, 4096)
-	for i := 0; i < 100000; i++ {
-		for _, dev := range []*Device{fd, traced} {
-			if i%3 == 0 {
-				_ = dev.WriteBlock(int64(i%5), buf)
-			} else {
-				_ = dev.ReadBlock(int64(i%5), buf)
-			}
+	for i := 0; i < 3000; i++ {
+		if i%3 == 0 {
+			_ = fd.WriteBlock(int64(i%5), buf)
+		} else {
+			_ = fd.ReadBlock(int64(i%5), buf)
 		}
 	}
-	if n := len(fd.Trace()); n != 0 {
-		t.Fatalf("default device retained %d trace entries", n)
-	}
 	want := map[iron.BlockType][2]int{}
-	for _, e := range traced.Trace() {
-		c := want[e.Type]
-		c[e.Op]++
-		want[e.Type] = c
+	for _, e := range faultIO(tr) {
+		op := disk.OpRead
+		if e.Kind == trace.KindWrite {
+			op = disk.OpWrite
+		}
+		c := want[iron.BlockType(e.Type)]
+		c[op]++
+		want[iron.BlockType(e.Type)] = c
 	}
-	if len(traced.Trace()) != 100000 || !reflect.DeepEqual(fd.AccessCounts(), want) ||
-		!reflect.DeepEqual(traced.AccessCounts(), want) {
-		t.Fatalf("AccessCounts = %v / %v, trace aggregates to %v", fd.AccessCounts(), traced.AccessCounts(), want)
+	if !reflect.DeepEqual(fd.AccessCounts(), want) {
+		t.Fatalf("AccessCounts = %v, trace aggregates to %v", fd.AccessCounts(), want)
 	}
-	traced.ResetTrace()
-	if len(traced.Trace()) != 0 || len(traced.AccessCounts()) != 0 {
-		t.Fatal("ResetTrace left entries or counts behind")
+	evs, failed := tr.Events(), 0
+	for i, e := range evs {
+		if e.Layer != trace.LayerFault || e.Err == "" {
+			continue
+		}
+		failed++
+		if i == 0 || evs[i-1].Kind != trace.KindFault || evs[i-1].Block != e.Block {
+			t.Fatalf("failed %s of block %d not announced by a fault event", e.Kind, e.Block)
+		}
+	}
+	if failed != want["dir"][disk.OpRead] || failed != fd.Fired() {
+		t.Fatalf("%d failed I/O events, %d dir reads, %d firings", failed, want["dir"][disk.OpRead], fd.Fired())
 	}
 }
 
@@ -385,8 +420,7 @@ func TestWriteBatchResolverFuncSeesEachWrite(t *testing.T) {
 // leaves the fault layer as one disk command, each block still counted
 // and traced in order.
 func TestWriteBatchRunIsOneCommand(t *testing.T) {
-	d, fd := newStack(t)
-	fd.SetTracing(true)
+	d, fd, tr := newTracedStack(t)
 	var reqs []disk.Request
 	for b := int64(40); b < 48; b++ {
 		reqs = append(reqs, disk.Request{Block: b, Data: make([]byte, 4096)})
@@ -399,13 +433,13 @@ func TestWriteBatchRunIsOneCommand(t *testing.T) {
 	if took, want := d.Clock().Now()-before, disk.DefaultGeometry().CmdOverhead+d.Stats().BusyTime; took != want {
 		t.Fatalf("batch took %v, one command would take %v", took, want)
 	}
-	tr := fd.Trace()
-	if len(tr) != len(reqs) || fd.AccessCounts()[iron.Unclassified][disk.OpWrite] != len(reqs) {
-		t.Fatalf("trace %d entries, counts %v", len(tr), fd.AccessCounts())
+	io := faultIO(tr)
+	if len(io) != len(reqs) || fd.AccessCounts()[iron.Unclassified][disk.OpWrite] != len(reqs) || fd.Fired() != 0 {
+		t.Fatalf("trace %d I/O events, counts %v, %d firings", len(io), fd.AccessCounts(), fd.Fired())
 	}
-	for i, e := range tr {
-		if e.Block != reqs[i].Block || e.Op != disk.OpWrite || e.Faulted || e.Err != nil {
-			t.Fatalf("entry %d: %+v", i, e)
+	for i, e := range io {
+		if e.Block != reqs[i].Block || e.Kind != trace.KindWrite || e.Err != "" {
+			t.Fatalf("event %d: %+v", i, e)
 		}
 	}
 }

@@ -289,7 +289,7 @@ func goldenTrace(t Target, cfg Config, w Workload, img []byte) (map[iron.BlockTy
 		if err := vol.FS.Mount(); err != nil {
 			return nil, fmt.Errorf("golden mount: %w", err)
 		}
-		vol.Faults.ResetTrace() // the mount column measures mount traffic alone
+		vol.Faults.ResetCounts() // the mount column measures mount traffic alone
 	}
 	if err := w.Run(vol.FS); err != nil {
 		return nil, fmt.Errorf("golden run: %w", err)

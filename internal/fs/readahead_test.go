@@ -13,6 +13,7 @@ import (
 	"ironfs/internal/iron"
 	"ironfs/internal/sched"
 	"ironfs/internal/stat"
+	"ironfs/internal/trace"
 	"ironfs/internal/vfs"
 )
 
@@ -280,19 +281,19 @@ type policyRun struct {
 func runPolicy(t *testing.T, name string, opts Options, image []byte, window int, fault *faultinject.Fault) policyRun {
 	t.Helper()
 	rec := iron.NewRecorder()
-	v, err := MountVolume(MountOpts{FS: name, Opts: opts, Image: image, Faults: true, Recorder: rec, ReadAhead: window})
+	v, err := MountVolume(MountOpts{FS: name, Opts: opts, Image: image, Faults: true, Trace: true, Recorder: rec, ReadAhead: window})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fault != nil {
 		v.Faults.Arm(fault)
 	}
-	v.Faults.SetTracing(true)
+	v.Tracer.Reset() // the script's I/O only
 	r := policyRun{firstRead: map[int64]int{}}
 	step, seen := 0, 0
 	mark := func() {
-		for _, e := range v.Faults.Trace()[seen:] {
-			if _, ok := r.firstRead[e.Block]; !ok && e.Op == disk.OpRead {
+		for _, e := range v.Tracer.Events()[seen:] {
+			if _, ok := r.firstRead[e.Block]; !ok && e.Layer == trace.LayerFault && e.Kind == trace.KindRead {
 				r.firstRead[e.Block] = step
 			}
 			seen++

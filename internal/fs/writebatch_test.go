@@ -59,20 +59,17 @@ func newWBStack(t *testing.T, name string, img []byte) *wbStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := faultinject.New(d, r)
-	dev.SetTracing(true)
-	return &wbStack{d: d, tr: tr, tm: r.(*faultinject.TypeMap), dev: dev}
+	return &wbStack{d: d, tr: tr, tm: r.(*faultinject.TypeMap), dev: faultinject.New(d, r)}
 }
 
 // wbOutcome is everything a batch leaves behind that the per-block loop
 // pins: the blocks written in landing order and their bytes, the fault
-// layer's counts and trace, its events with the timing taken out, the
-// firings and the returned error.
+// layer's counts, its events (every I/O and firing) with the timing taken
+// out, the firings and the returned error.
 type wbOutcome struct {
 	landed []int64
 	media  [][]byte
 	counts map[iron.BlockType][2]int
-	trace  []faultinject.TraceEntry
 	events []trace.Event
 	fired  int
 	err    string
@@ -89,7 +86,7 @@ func (s *wbStack) run(t *testing.T, write func([]disk.Request) error, reqs []dis
 	t0 := s.d.Clock().Now()
 	err := write(reqs)
 	elapsed := s.d.Clock().Now() - t0
-	o := wbOutcome{counts: s.dev.AccessCounts(), trace: s.dev.Trace(), fired: s.dev.Fired(), err: fmt.Sprint(err)}
+	o := wbOutcome{counts: s.dev.AccessCounts(), fired: s.dev.Fired(), err: fmt.Sprint(err)}
 	landed, _, ok := s.d.WritesSince(gen, nil)
 	if !ok {
 		t.Fatal("the disk's write log cannot name what the batch wrote")
@@ -232,7 +229,6 @@ func testWriteBatchDifferential(t *testing.T) {
 							t.Fatal(err)
 						}
 						s.dev = faultinject.New(s.d, s.tm)
-						s.dev.SetTracing(true)
 						if fc.f != nil {
 							s.dev.Arm(fc.f())
 						}
@@ -264,8 +260,6 @@ func diffOutcome(a, b wbOutcome) string {
 		return fmt.Sprintf("fired %d, per-block %d", b.fired, a.fired)
 	case !reflect.DeepEqual(a.counts, b.counts):
 		return fmt.Sprintf("access counts %v, per-block %v", b.counts, a.counts)
-	case !reflect.DeepEqual(a.trace, b.trace):
-		return fmt.Sprintf("trace %v, per-block %v", b.trace, a.trace)
 	case !reflect.DeepEqual(a.events, b.events):
 		return fmt.Sprintf("events %v, per-block %v", b.events, a.events)
 	}
@@ -322,10 +316,17 @@ func testWriteBatchDependency(t *testing.T) {
 				}
 				s.dev.Arm(&faultinject.Fault{Class: iron.WriteFailure, Target: "dir", Sticky: true})
 				err := write.fn(s.dev, reqs)
-				tr := s.dev.Trace()
-				if last := tr[len(tr)-1]; err == nil || s.dev.Fired() != 1 || !last.Faulted || last.Block != dir || last.Type != "dir" {
-					t.Fatalf("%s: table %d..%d then dir %d: err %v, fired %d, last entry %+v",
-						write.name, table, dir-1, dir, err, s.dev.Fired(), last)
+				var fired, last trace.Event
+				for _, e := range s.tr.Events() {
+					if e.Layer == trace.LayerFault && e.Kind == trace.KindFault {
+						fired = e
+					} else if e.Layer == trace.LayerFault {
+						last = e
+					}
+				}
+				if err == nil || s.dev.Fired() != 1 || fired.Block != dir || last.Block != dir || last.Type != "dir" || last.Err == "" {
+					t.Fatalf("%s: table %d..%d then dir %d: err %v, fired %d at %d, last I/O %+v",
+						write.name, table, dir-1, dir, err, s.dev.Fired(), fired.Block, last)
 				}
 			}
 		})
