@@ -55,47 +55,47 @@ func (fs *FS) census(s *fsck.Scan) (*fsck.Refs[statData], int64, error) {
 		if err != nil {
 			return err // sanity check fired: detected, not silent
 		}
-		n := v.decode()
-		if n.Level != level {
-			c.Problemf("tree-level", "block %d has level %d, expected %d", blk, n.Level, level)
+		if v.level() != level {
+			c.Problemf("tree-level", "block %d has level %d, expected %d", blk, v.level(), level)
 		}
-		if n.isLeaf() {
-			for _, it := range n.Items {
-				r := it.K.obj()
-				switch it.K.Type {
-				case itemStat:
-					var sd statData
-					if err := sd.unmarshal(it.Body); err != nil {
-						c.Problemf("stat-item", "stat item for (%d,%d): %v", r.DirID, r.ObjID, err)
-						continue
-					}
-					c.Add(fsck.Object[statData]{ID: r.id(), Links: int(sd.Links), Dir: sd.IsDir(),
-						Root: r == rootRef(), Node: sd})
-				case itemDir:
-					ents, ok := parseEnts(it.Body)
-					if !ok {
-						c.Problemf("dir-item", "malformed dir item for (%d,%d)", r.DirID, r.ObjID)
-					}
-					for _, e := range ents {
-						c.Entry(r.id(), e.Name, e.Child.id())
-					}
-				case itemIndirect:
-					for i, p := range ptrsOf(it.Body) {
-						if p != 0 {
-							c.Claim(p, fmt.Sprintf("(%d,%d) indirect[%d]", r.DirID, r.ObjID, i))
-						}
-					}
-				case itemDirect:
-					// tail: inline, no blocks
-				default:
-					c.Problemf("item-type", "unknown item type %d in block %d", it.K.Type, blk)
+		if !v.isLeaf() {
+			for i := 0; i <= v.count(); i++ {
+				if err := walk(v.child(i), level-1); err != nil {
+					return err
 				}
 			}
 			return nil
 		}
-		for _, child := range n.Children {
-			if err := walk(child, level-1); err != nil {
-				return err
+		for i := 0; i < v.count(); i++ {
+			k, body := v.key(i), v.body(i)
+			r := k.obj()
+			switch k.Type {
+			case itemStat:
+				var sd statData
+				if err := sd.unmarshal(body); err != nil {
+					c.Problemf("stat-item", "stat item for (%d,%d): %v", r.DirID, r.ObjID, err)
+					continue
+				}
+				c.Add(fsck.Object[statData]{ID: r.id(), Links: int(sd.Links), Dir: sd.IsDir(),
+					Root: r == rootRef(), Node: sd})
+			case itemDir:
+				ents, ok := parseEnts(body)
+				if !ok {
+					c.Problemf("dir-item", "malformed dir item for (%d,%d)", r.DirID, r.ObjID)
+				}
+				for _, e := range ents {
+					c.Entry(r.id(), e.Name, e.Child.id())
+				}
+			case itemIndirect:
+				for j, p := range ptrsOf(body) {
+					if p != 0 {
+						c.Claim(p, fmt.Sprintf("(%d,%d) indirect[%d]", r.DirID, r.ObjID, j))
+					}
+				}
+			case itemDirect:
+				// tail: inline, no blocks
+			default:
+				c.Problemf("item-type", "unknown item type %d in block %d", k.Type, blk)
 			}
 		}
 		return nil

@@ -273,49 +273,21 @@ func (s *superblock) sane(numBlocks int64) error {
 	return nil
 }
 
-// node is an in-memory tree node. Leaves (level 1) carry items with bodies;
-// internal nodes carry separator keys and child pointers
-// (len(Children) == len(Keys)+1).
+// node is a decoded internal node: separator keys and child pointers
+// (len(Children) == len(Keys)+1). Leaves are never decoded: a leaf edit
+// writes its new image straight from the view (leafEdit).
 type node struct {
 	Level    int
-	Items    []item  // leaf only
-	Keys     []key   // internal only
-	Children []int64 // internal only
+	Keys     []key
+	Children []int64
 }
 
-func (n *node) isLeaf() bool { return n.Level == 1 }
-
-// leafSpace returns the bytes an item list occupies in a leaf.
-func leafSpace(items []item) int {
-	s := nodeHdrLen
-	for _, it := range items {
-		s += itemHdrLen + len(it.Body)
-	}
-	return s
-}
-
-// marshalNode serializes a node into a block. Leaves place item headers
-// after the node header and bodies packed downward from the block end,
-// as real ReiserFS formats its leaves.
+// marshalNode serializes an internal node into a block: the separator
+// keys in item-header slots after the node header, then the children.
 func marshalNode(n *node) []byte {
 	b := make([]byte, BlockSize)
 	le := binary.LittleEndian
 	le.PutUint16(b[0:], uint16(n.Level))
-	if n.isLeaf() {
-		le.PutUint16(b[2:], uint16(len(n.Items)))
-		end := BlockSize
-		off := nodeHdrLen
-		for _, it := range n.Items {
-			end -= len(it.Body)
-			marshalKey(b[off:], it.K)
-			le.PutUint16(b[off+20:], uint16(len(it.Body)))
-			le.PutUint16(b[off+22:], uint16(end))
-			copy(b[end:], it.Body)
-			off += itemHdrLen
-		}
-		le.PutUint16(b[4:], uint16(end-off)) // free space
-		return b
-	}
 	le.PutUint16(b[2:], uint16(len(n.Keys)))
 	off := nodeHdrLen
 	for _, k := range n.Keys {
@@ -399,34 +371,134 @@ func (v nodeView) child(i int) int64 {
 	return int64(binary.LittleEndian.Uint64(v[nodeHdrLen+v.count()*itemHdrLen+i*8:]))
 }
 
-// decode materialises the node for the code that rewrites or walks all of
-// it; everything it returns is a copy.
+// decode materialises an internal node for the split or removal that
+// rewrites it; everything it returns is a copy.
 func (v nodeView) decode() *node {
-	n := &node{Level: v.level()}
 	count := v.count()
-	if v.isLeaf() {
-		n.Items = make([]item, count)
-		for i := range n.Items {
-			n.Items[i] = item{K: v.key(i), Body: append([]byte{}, v.body(i)...)}
-		}
-		return n
-	}
-	n.Keys = make([]key, count)
+	n := &node{Level: v.level(), Keys: make([]key, count), Children: make([]int64, count+1)}
 	for i := range n.Keys {
 		n.Keys[i] = v.key(i)
 	}
-	n.Children = make([]int64, count+1)
 	for i := range n.Children {
 		n.Children[i] = v.child(i)
 	}
 	return n
 }
 
-// unmarshalNode parses a block into a node: checkNode, then a full copy.
-func unmarshalNode(b []byte) (*node, error) {
-	v, err := checkNode(b)
-	if err != nil {
-		return nil, err
+// emptyLeaf is a leaf block holding no items: what a new leaf is edited
+// from. Nothing writes it.
+var emptyLeaf = func() nodeView {
+	b := make(nodeView, BlockSize)
+	binary.LittleEndian.PutUint16(b[0:], 1)
+	binary.LittleEndian.PutUint16(b[4:], BlockSize-nodeHdrLen)
+	return b
+}()
+
+// leafEdit is a leaf as one edit leaves it: the items of v with items
+// [at, at+drop) replaced by ins when put is set, or dropped. Nothing is
+// copied until image writes the result.
+type leafEdit struct {
+	v        nodeView
+	at, drop int
+	put      bool
+	ins      item
+}
+
+// leafOf returns a new leaf image holding it alone.
+func leafOf(it item) nodeView {
+	e := leafEdit{v: emptyLeaf, put: true, ins: it}
+	return e.image(0, 1)
+}
+
+// count returns the number of items after the edit.
+func (e *leafEdit) count() int {
+	if e.put {
+		return e.v.count() - e.drop + 1
 	}
-	return v.decode(), nil
+	return e.v.count() - e.drop
+}
+
+// src returns the view's index of edited item i, or -1 for ins.
+func (e *leafEdit) src(i int) int {
+	switch {
+	case i < e.at:
+		return i
+	case !e.put:
+		return i + e.drop
+	case i == e.at:
+		return -1
+	}
+	return i - 1 + e.drop
+}
+
+func (e *leafEdit) body(i int) []byte {
+	if j := e.src(i); j >= 0 {
+		return e.v.body(j)
+	}
+	return e.ins.Body
+}
+
+// space returns the bytes edited items [lo, hi) occupy in a leaf, node
+// header included, from the item headers' lengths: the stored free-space
+// field is never believed.
+func (e *leafEdit) space(lo, hi int) int {
+	s := nodeHdrLen
+	for i := lo; i < hi; i++ {
+		s += itemHdrLen + len(e.body(i))
+	}
+	return s
+}
+
+// image writes edited items [lo, hi) into a fresh leaf block, headers
+// after the node header and bodies packed downward from the block end, as
+// real ReiserFS formats its leaves. It returns nil when they do not fit
+// one block.
+func (e *leafEdit) image(lo, hi int) nodeView {
+	if e.space(lo, hi) > BlockSize {
+		return nil
+	}
+	b := make(nodeView, BlockSize)
+	le := binary.LittleEndian
+	le.PutUint16(b[0:], 1)
+	le.PutUint16(b[2:], uint16(hi-lo))
+	end, off := BlockSize, nodeHdrLen
+	for i := lo; i < hi; i++ {
+		body := e.body(i)
+		end -= len(body)
+		if j := e.src(i); j >= 0 {
+			copy(b[off:off+keyLen], e.v[nodeHdrLen+j*itemHdrLen:])
+		} else {
+			marshalKey(b[off:], e.ins.K)
+		}
+		le.PutUint16(b[off+20:], uint16(len(body)))
+		le.PutUint16(b[off+22:], uint16(end))
+		copy(b[end:], body)
+		off += itemHdrLen
+	}
+	le.PutUint16(b[4:], uint16(end-off)) // free space
+	return b
+}
+
+// split returns the two halves of an insert that overflows its leaf: split
+// at the index nearest the middle where both fit. When there is none (two
+// large tails with the new item between them), the halves are the leaf
+// without the edit, split where the item goes, and placed is false: the
+// item is to be inserted again, at the end of a leaf, where a split always
+// fits. Both halves are nil when even those do not fit (a sane but corrupt
+// leaf whose bodies overlap).
+func (e *leafEdit) split() (left, right nodeView, placed bool) {
+	n := e.count()
+	mid := n / 2
+	for d := 0; d < n; d++ {
+		for _, i := range [2]int{mid - d, mid + d} {
+			if i > 0 && i < n && e.space(0, i) <= BlockSize && e.space(i, n) <= BlockSize {
+				return e.image(0, i), e.image(i, n), true
+			}
+		}
+	}
+	whole := leafEdit{v: e.v}
+	if left, right = whole.image(0, e.at), whole.image(e.at, whole.count()); left == nil || right == nil {
+		return nil, nil, false
+	}
+	return left, right, false
 }

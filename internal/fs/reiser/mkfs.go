@@ -69,8 +69,8 @@ func Mkfs(dev disk.Device) error {
 
 	// Root leaf with the root directory's stat item.
 	rootStat := statData{namei.Typed(vfs.TypeDirectory, namei.Attr{Mode: 0o755, Links: 1})}
-	root := &node{Level: 1, Items: []item{{K: rootRef().statKey(), Body: rootStat.marshal()}}}
-	reqs = append(reqs, disk.Request{Block: rootBlk, Data: marshalNode(root)})
+	root := leafOf(item{K: rootRef().statKey(), Body: rootStat.marshal()})
+	reqs = append(reqs, disk.Request{Block: rootBlk, Data: root})
 
 	if err := dev.WriteBatch(reqs); err != nil {
 		return fmt.Errorf("reiser: mkfs write: %w", err)

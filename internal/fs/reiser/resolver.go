@@ -38,28 +38,29 @@ func (r *image) Walk(m *faultinject.TypeMap) bool {
 	return true
 }
 
-// walk classifies the subtree rooted at blk. unmarshalNode copies what it
-// keeps, so every depth reads through the same scratch block.
+// walk classifies the subtree rooted at blk, reading each depth through
+// its own scratch block so a node's view outlives its children's walks.
 func (r *image) walk(m *faultinject.TypeMap, blk int64, depth int) {
 	if depth > MaxLevel || blk <= 0 || blk >= int64(r.sb.BlockCount) {
 		return
 	}
-	buf, ok := m.Read(0, blk)
+	buf, ok := m.Read(depth, blk)
 	if !ok {
 		return
 	}
-	n, err := unmarshalNode(buf)
+	v, err := checkNode(buf)
 	if err != nil {
 		return
 	}
-	if n.isLeaf() {
-		m.Set(blk, leafType(n))
-		for _, it := range n.Items {
-			if it.K.Type != itemIndirect {
+	if v.isLeaf() {
+		m.Set(blk, leafType(v))
+		for i := 0; i < v.count(); i++ {
+			if v.key(i).Type != itemIndirect {
 				continue
 			}
-			for i := 0; i+8 <= len(it.Body); i += 8 {
-				p := int64(binary.LittleEndian.Uint64(it.Body[i:]))
+			body := v.body(i)
+			for j := 0; j+8 <= len(body); j += 8 {
+				p := int64(binary.LittleEndian.Uint64(body[j:]))
 				if p > 0 && p < int64(r.sb.BlockCount) {
 					m.Set(p, BTData)
 				}
@@ -72,8 +73,8 @@ func (r *image) walk(m *faultinject.TypeMap, blk int64, depth int) {
 	} else {
 		m.Set(blk, BTInternal)
 	}
-	for _, c := range n.Children {
-		r.walk(m, c, depth+1)
+	for i := 0; i <= v.count(); i++ {
+		r.walk(m, v.child(i), depth+1)
 	}
 }
 

@@ -2,7 +2,6 @@ package reiser
 
 import (
 	"fmt"
-	"slices"
 
 	"ironfs/internal/iron"
 	"ironfs/internal/vfs"
@@ -13,10 +12,14 @@ import (
 // splits full nodes and grows the tree upward; deletion removes empty
 // nodes and collapses a single-child root, but does not rebalance
 // under-full siblings (a documented simplification — correctness is
-// unaffected, occupancy can be lower than real ReiserFS).
+// unaffected, occupancy can be lower than real ReiserFS). Every leaf edit
+// writes one new image straight from the view search returned (leafEdit);
+// only the internal nodes a split or an emptied leaf rewrites are decoded.
 
-// pathElem is one step of a root-to-leaf descent. search fills in v; a
-// mutator materialises n before its first staging call kills the views.
+// pathElem is one step of a root-to-leaf descent; the mutators descend on
+// a [MaxLevel+1]pathElem stack array. search fills in v; a split or an
+// emptied leaf materialises the internal nodes' n before its first
+// staging call kills the views.
 type pathElem struct {
 	blk int64
 	v   nodeView
@@ -24,7 +27,7 @@ type pathElem struct {
 	idx int // child index taken (internal) or item position (leaf)
 }
 
-// materialise decodes every node of path.
+// materialise decodes every (internal) node of path.
 func materialise(path []pathElem) {
 	for i := range path {
 		path[i].n = path[i].v.decode()
@@ -74,24 +77,12 @@ func (fs *FS) childOf(v nodeView, i int, bt iron.BlockType) (int64, error) {
 	return c, nil
 }
 
-// nodeType classifies a tree block for event attribution: the root, an
-// internal node, or a leaf classified by its most prominent item type.
-func (fs *FS) nodeType(blk int64, n *node) iron.BlockType {
-	if blk == int64(fs.sb.Root) {
-		return BTRoot
-	}
-	if n == nil || !n.isLeaf() {
-		return BTInternal
-	}
-	return leafType(n)
-}
-
 // leafType classifies a leaf by priority: directory items, then indirect,
 // then stat (matching how the fingerprinting rows are populated).
-func leafType(n *node) iron.BlockType {
+func leafType(v nodeView) iron.BlockType {
 	hasStat, hasInd := false, false
-	for _, it := range n.Items {
-		switch it.K.Type {
+	for i := 0; i < v.count(); i++ {
+		switch v.key(i).Type {
 		case itemDir:
 			return BTDirItem
 		case itemIndirect:
@@ -109,9 +100,30 @@ func leafType(n *node) iron.BlockType {
 	return BTData
 }
 
-// writeNode serializes a node into the running transaction and the cache.
+// writeNode serializes an internal node into the running transaction and
+// the cache.
 func (fs *FS) writeNode(blk int64, n *node) {
-	fs.tx.StageMeta(blk, marshalNode(n), fs.nodeType(blk, n))
+	fs.tx.StageMeta(blk, marshalNode(n), fs.rootOrInternal(blk))
+}
+
+// writeLeaf stages a leaf image, attributed as the root or by its items.
+func (fs *FS) writeLeaf(blk int64, img nodeView) {
+	bt := BTRoot
+	if blk != int64(fs.sb.Root) {
+		bt = leafType(img)
+	}
+	fs.tx.StageMeta(blk, img, bt)
+}
+
+// leafOverfull is the reaction to a leaf whose items, by their header
+// lengths, cannot be rewritten into one block: checkNode accepts bodies
+// that overlap, so only an edit finds out. ReiserFS panics on a failed
+// sanity check (§5.2).
+func (fs *FS) leafOverfull(blk int64) error {
+	bt := fs.rootOrInternal(blk)
+	fs.rec.Detect(iron.DSanity, bt, "leaf items overflow the block")
+	fs.panicFS(bt, "sanity check failed: leaf overfull")
+	return vfs.ErrPanicked
 }
 
 // search descends from the root to the leaf that would contain k,
@@ -194,14 +206,14 @@ func (fs *FS) insertItem(it item) error {
 		if err != nil {
 			return err
 		}
-		root := &node{Level: 1, Items: []item{it}}
-		fs.writeNode(blk, root)
+		fs.writeLeaf(blk, leafOf(it))
 		fs.sb.Root = uint64(blk)
 		fs.sb.Height = 1
 		fs.sbDirty = true
 		return nil
 	}
-	path, found, err := fs.search(it.K, nil)
+	var buf [MaxLevel + 1]pathElem
+	path, found, err := fs.search(it.K, buf[:0])
 	if err != nil {
 		return err
 	}
@@ -209,52 +221,29 @@ func (fs *FS) insertItem(it item) error {
 		return vfs.ErrExist
 	}
 	leaf := path[len(path)-1]
-	n := leaf.v.decode()
-	n.Items = append(n.Items, item{})
-	copy(n.Items[leaf.idx+1:], n.Items[leaf.idx:])
-	n.Items[leaf.idx] = it
-
-	if leafSpace(n.Items) <= BlockSize {
-		fs.writeNode(leaf.blk, n)
+	e := leafEdit{v: leaf.v, at: leaf.idx, put: true, ins: it}
+	if img := e.image(0, e.count()); img != nil {
+		fs.writeLeaf(leaf.blk, img)
 		return nil
 	}
-	// Split the leaf: right half moves to a new block; the separator (the
-	// right node's first key) climbs into the parent. When no two halves
-	// fit (two large tails with a third between them), the old leaf splits
-	// where the item goes instead, and the item is inserted again: it then
-	// lands at the end of a leaf, where a split always fits.
-	materialise(path[:len(path)-1])
-	mid, fits := leafSplit(n.Items)
-	if !fits {
-		n.Items = slices.Delete(n.Items, leaf.idx, leaf.idx+1)
-		mid = leaf.idx
+	// Split the leaf: the right half moves to a new block; the separator
+	// (the right half's first key) climbs into the parent.
+	left, right, placed := e.split()
+	if left == nil {
+		return fs.leafOverfull(leaf.blk)
 	}
-	right := &node{Level: 1, Items: append([]item{}, n.Items[mid:]...)}
-	n.Items = n.Items[:mid]
+	sep := right.key(0)
+	materialise(path[:len(path)-1])
 	rblk, err := fs.allocBlock(BTInternal)
 	if err != nil {
 		return err
 	}
-	fs.writeNode(leaf.blk, n)
-	fs.writeNode(rblk, right)
-	if err := fs.insertSeparator(path[:len(path)-1], right.Items[0].K, rblk); err != nil || fits {
+	fs.writeLeaf(leaf.blk, left)
+	fs.writeLeaf(rblk, right)
+	if err := fs.insertSeparator(path[:len(path)-1], sep, rblk); err != nil || placed {
 		return err
 	}
 	return fs.insertItem(it)
-}
-
-// leafSplit returns the split index nearest len(items)/2 at which both
-// halves fit in a leaf, or false when there is none.
-func leafSplit(items []item) (int, bool) {
-	mid := len(items) / 2
-	for d := 0; d < len(items); d++ {
-		for _, i := range [2]int{mid - d, mid + d} {
-			if i > 0 && i < len(items) && leafSpace(items[:i]) <= BlockSize && leafSpace(items[i:]) <= BlockSize {
-				return i, true
-			}
-		}
-	}
-	return 0, false
 }
 
 // insertSeparator inserts (sep, rightChild) into the parent at the end of
@@ -313,7 +302,8 @@ func (fs *FS) insertSeparator(path []pathElem, sep key, rightChild int64) error 
 // falling back to delete+insert when the leaf would overflow.
 func (fs *FS) replaceItem(k key, body []byte) error {
 	fs.tx.Touch(k.obj())
-	path, found, err := fs.search(k, nil)
+	var buf [MaxLevel + 1]pathElem
+	path, found, err := fs.search(k, buf[:0])
 	if err != nil {
 		return err
 	}
@@ -321,10 +311,9 @@ func (fs *FS) replaceItem(k key, body []byte) error {
 		return vfs.ErrNotExist
 	}
 	leaf := path[len(path)-1]
-	n := leaf.v.decode()
-	n.Items[leaf.idx].Body = body
-	if leafSpace(n.Items) <= BlockSize {
-		fs.writeNode(leaf.blk, n)
+	e := leafEdit{v: leaf.v, at: leaf.idx, drop: 1, put: true, ins: item{K: k, Body: body}}
+	if img := e.image(0, e.count()); img != nil {
+		fs.writeLeaf(leaf.blk, img)
 		return nil
 	}
 	if err := fs.deleteItem(k); err != nil {
@@ -337,7 +326,8 @@ func (fs *FS) replaceItem(k key, body []byte) error {
 // their parents and freed, and a single-child root collapses.
 func (fs *FS) deleteItem(k key) error {
 	fs.tx.Touch(k.obj())
-	path, found, err := fs.search(k, nil)
+	var buf [MaxLevel + 1]pathElem
+	path, found, err := fs.search(k, buf[:0])
 	if err != nil {
 		return err
 	}
@@ -345,14 +335,17 @@ func (fs *FS) deleteItem(k key) error {
 		return vfs.ErrNotExist
 	}
 	leaf := path[len(path)-1]
-	n := leaf.v.decode()
-	n.Items = append(n.Items[:leaf.idx], n.Items[leaf.idx+1:]...)
-	if len(n.Items) > 0 {
-		fs.writeNode(leaf.blk, n)
+	e := leafEdit{v: leaf.v, at: leaf.idx, drop: 1}
+	img := e.image(0, e.count())
+	if img == nil {
+		return fs.leafOverfull(leaf.blk)
+	}
+	if e.count() > 0 {
+		fs.writeLeaf(leaf.blk, img)
 		return nil
 	}
 	materialise(path[:len(path)-1])
-	fs.writeNode(leaf.blk, n)
+	fs.writeLeaf(leaf.blk, img)
 	return fs.removeChild(path[:len(path)-1], leaf.blk)
 }
 

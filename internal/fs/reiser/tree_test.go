@@ -187,12 +187,13 @@ func TestKeyCmpProperties(t *testing.T) {
 	}
 }
 
-// TestNodeMarshalRoundTrip: leaves and internal nodes survive the on-disk
-// format, and the sanity checks accept what marshal produces.
+// TestNodeMarshalRoundTrip: leaves written item by item through the leaf
+// writer and internal nodes through marshalNode survive the on-disk
+// format, and the sanity checks accept what they produce.
 func TestNodeMarshalRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := &node{Level: 1}
+		var items []item
 		used := map[key]bool{}
 		for i := 0; i < rng.Intn(20); i++ {
 			k := randomKey(rng)
@@ -202,22 +203,27 @@ func TestNodeMarshalRoundTrip(t *testing.T) {
 			used[k] = true
 			body := make([]byte, rng.Intn(120))
 			rng.Read(body)
-			n.Items = append(n.Items, item{K: k, Body: body})
+			items = append(items, item{K: k, Body: body})
 		}
-		sort.Slice(n.Items, func(i, j int) bool { return n.Items[i].K.cmp(n.Items[j].K) < 0 })
-		if leafSpace(n.Items) > BlockSize {
+		sort.Slice(items, func(i, j int) bool { return items[i].K.cmp(items[j].K) < 0 })
+		if refLeafSpace(items) > BlockSize {
 			return true // overfull by construction; not a valid node
 		}
-		out, err := unmarshalNode(marshalNode(n))
-		if err != nil || out.Level != 1 || len(out.Items) != len(n.Items) {
+		img := emptyLeaf
+		for i, it := range items {
+			e := leafEdit{v: img, at: i, put: true, ins: it}
+			img = e.image(0, e.count())
+		}
+		v, err := checkNode(img)
+		if err != nil || !v.isLeaf() || v.count() != len(items) {
 			return false
 		}
-		for i := range n.Items {
-			if out.Items[i].K != n.Items[i].K || !bytes.Equal(out.Items[i].Body, n.Items[i].Body) {
+		for i, it := range items {
+			if v.key(i) != it.K || !bytes.Equal(v.body(i), it.Body) {
 				return false
 			}
 		}
-		return true
+		return bytes.Equal(img, refMarshalNode(&refNode{Level: 1, Items: items}))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -225,9 +231,13 @@ func TestNodeMarshalRoundTrip(t *testing.T) {
 
 	// Internal node round trip.
 	in := &node{Level: 3, Keys: []key{{1, 2, 3, 4}, {5, 6, 7, 8}}, Children: []int64{10, 20, 30}}
-	out, err := unmarshalNode(marshalNode(in))
-	if err != nil || out.Level != 3 || len(out.Keys) != 2 || len(out.Children) != 3 {
-		t.Fatalf("internal round trip: %+v %v", out, err)
+	v, err := checkNode(marshalNode(in))
+	if err != nil {
+		t.Fatalf("internal round trip: %v", err)
+	}
+	out := v.decode()
+	if out.Level != 3 || len(out.Keys) != 2 || len(out.Children) != 3 {
+		t.Fatalf("internal round trip: %+v", out)
 	}
 	if out.Children[1] != 20 {
 		t.Fatal("children mangled")
@@ -243,7 +253,7 @@ func TestNodeSanityRejectsGarbage(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		buf := make([]byte, BlockSize)
 		rng.Read(buf)
-		if _, err := unmarshalNode(buf); err != nil {
+		if _, err := checkNode(buf); err != nil {
 			rejected++
 		}
 	}
