@@ -7,6 +7,9 @@ import (
 
 	"ironfs/internal/disk"
 	"ironfs/internal/faultinject"
+	"ironfs/internal/fs/ext3"
+	"ironfs/internal/fs/jfs"
+	"ironfs/internal/fs/reiser"
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
 	"ironfs/internal/vfs"
@@ -74,6 +77,87 @@ func TestFsckConverges(t *testing.T) {
 			}
 		})
 	}
+}
+
+// freeCounters locates each file system's free counters on the raw image:
+// the block type the resolver gives the block holding one, the byte
+// offsets of its copies there (jfs's bmap descriptor stores Free twice,
+// and mount checks that they agree), its width, and the problem a skew
+// must raise. ntfs keeps no free counter.
+var freeCounters = map[string][]struct {
+	bt    iron.BlockType
+	offs  []int
+	width int
+	kind  string
+}{
+	"ext3":     {{ext3.BTGDesc, []int{24}, 4, "free-blocks"}, {ext3.BTGDesc, []int{28}, 4, "free-inodes"}},
+	"ixt3":     {{ext3.BTGDesc, []int{24}, 4, "free-blocks"}, {ext3.BTGDesc, []int{28}, 4, "free-inodes"}},
+	"reiserfs": {{reiser.BTSuper, []int{16}, 8, "free-blocks"}},
+	"jfs":      {{jfs.BTBMapDesc, []int{16, 24}, 8, "free-blocks"}, {jfs.BTIMapCtl, []int{16}, 8, "free-inodes"}},
+}
+
+// TestFsckFreeCounts: on a clean image with one free counter skewed, the
+// check reports the counter against the bitmap as a typed problem, and
+// Check → Repair → Check converges to an image the oracle accepts.
+func TestFsckFreeCounts(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			counters, ok := freeCounters[name]
+			if !ok {
+				t.Skipf("%s keeps no free counter", name)
+			}
+			for _, ctr := range counters {
+				d := newDisk(t)
+				buildVolume(t, name, d)
+				skewCounter(t, name, d, ctr.bt, ctr.offs, ctr.width)
+				res, err := Fsck(name, d, Options{}, FsckConfig{Parallel: 1, Repair: true})
+				if err != nil {
+					t.Fatalf("%s: Fsck: %v (result %+v)", ctr.kind, err, res)
+				}
+				if len(res.Problems) != 1 || res.Problems[0].Kind != ctr.kind {
+					t.Fatalf("skewed %s counter: problems %v, want one %q", ctr.bt, res.Problems, ctr.kind)
+				}
+				if res.Repair == nil || !res.Repair.AllFixed() || !res.CleanAfter {
+					t.Fatalf("%s: repair %+v, clean after %v", ctr.kind, res.Repair, res.CleanAfter)
+				}
+				if err := Check(name, d, Options{}); err != nil {
+					t.Fatalf("%s: oracle rejects repaired image: %v", ctr.kind, err)
+				}
+			}
+		})
+	}
+}
+
+// skewCounter adds one to the little-endian counter of the given width at
+// each of offs in the first block the resolver classifies as bt.
+func skewCounter(t *testing.T, name string, raw *disk.Disk, bt iron.BlockType, offs []int, width int) {
+	t.Helper()
+	e, err := lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := e.resolver(raw)
+	for blk := int64(0); blk < raw.NumBlocks(); blk++ {
+		if res.Classify(blk) != bt {
+			continue
+		}
+		buf := make([]byte, raw.BlockSize())
+		if err := raw.ReadRaw(blk, buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, off := range offs {
+			for i := off; i < off+width; i++ {
+				if buf[i]++; buf[i] != 0 {
+					break
+				}
+			}
+		}
+		if err := raw.WriteBlock(blk, buf); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatalf("no %s block on the %s image", bt, name)
 }
 
 // TestFsckSerialParallelIdentical pins the pFSCK determinism contract:

@@ -10,8 +10,8 @@ import (
 // inode table against the allocation maps and the directory tree. It
 // reports map bits that disagree with the table and with block
 // reachability, wild or doubly referenced pointers, dangling directory
-// entries, orphan inodes, and wrong link counts. The lazily kept
-// counters (superblock, bmap descriptor, imap control) are not checked.
+// entries, orphan inodes, wrong link counts, and bmap-descriptor and
+// imap-control free counts that disagree with the maps.
 
 // MountedLocked implements fsck.Target.
 func (fs *FS) MountedLocked() bool { return fs.mounted }
@@ -140,16 +140,27 @@ func (fs *FS) blockMap(s *fsck.Scan) *fsck.Bitmap {
 }
 
 // ScanLocked implements fsck.Target: table census and directory scan, the
-// table-order cross-check, then both allocation maps.
+// table-order cross-check, then the inode map against the imap control
+// page's free-inode count and the block map against the bmap
+// descriptor's free-block count.
 func (fs *FS) ScanLocked(s *fsck.Scan) error {
 	c, err := fs.CensusLocked(s)
 	if err != nil {
 		return err
 	}
 	c.CrossCheck(nouns)
-	if _, err := fs.inodeMap(c).Verify(s); err != nil {
+	free, err := fs.inodeMap(c).Verify(s)
+	if err != nil {
 		return err
 	}
-	_, err = fs.blockMap(s).Verify(s)
-	return err
+	if free != fs.imc.FreeInodes {
+		s.Problemf("free-inodes", "imap control says %d free, inode map says %d", fs.imc.FreeInodes, free)
+	}
+	if free, err = fs.blockMap(s).Verify(s); err != nil {
+		return err
+	}
+	if free != fs.bmd.Free {
+		s.Problemf("free-blocks", "bmap descriptor says %d free, block map says %d", fs.bmd.Free, free)
+	}
+	return nil
 }

@@ -10,9 +10,8 @@ import (
 // balanced tree against the allocation bitmaps, and the directory entries
 // against the stat items. It reports bitmap bits that disagree with tree
 // reachability, wild or doubly referenced block pointers, malformed items,
-// dangling directory entries, orphan objects, and wrong link counts.
-// The superblock free counter is journaled with the tree, so the scan
-// flags structural damage only.
+// dangling directory entries, orphan objects, wrong link counts, and a
+// superblock free counter that disagrees with the bitmap.
 
 // MountedLocked implements fsck.Target.
 func (fs *FS) MountedLocked() bool { return fs.mounted }
@@ -138,7 +137,8 @@ func (fs *FS) bitmap(s *fsck.Scan) *fsck.Bitmap {
 
 // ScanLocked implements fsck.Target: the serial census walk, the
 // key-ordered cross-check of directory entries against stat items in both
-// directions, then the allocation bitmap.
+// directions, then the allocation bitmap against the superblock's
+// free-block count.
 func (fs *FS) ScanLocked(s *fsck.Scan) error {
 	fs.tr.Phase("fsck:census", fmt.Sprintf("workers=%d", s.Workers))
 	c, nodes, err := fs.census(s)
@@ -150,6 +150,12 @@ func (fs *FS) ScanLocked(s *fsck.Scan) error {
 		c.Problemf("dangling-entry", "%s referenced %d time(s) but has no stat item", nouns.Object(id), c.Count(id))
 	}
 	c.CrossCheck(nouns)
-	_, err = fs.bitmap(s).Verify(s)
-	return err
+	free, err := fs.bitmap(s).Verify(s)
+	if err != nil {
+		return err
+	}
+	if free != fs.sb.FreeBlocks {
+		s.Problemf("free-blocks", "superblock says %d free, bitmap says %d", fs.sb.FreeBlocks, free)
+	}
+	return nil
 }
