@@ -27,7 +27,7 @@ type pathElem struct {
 	idx int // child index taken (internal) or item position (leaf)
 }
 
-// materialise decodes every (internal) node of path.
+// materialise decodes the internal nodes of path.
 func materialise(path []pathElem) {
 	for i := range path {
 		path[i].n = path[i].v.decode()
