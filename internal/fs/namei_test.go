@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ironfs/internal/fs/ext3"
 	"ironfs/internal/vfs"
 )
 
@@ -36,6 +37,45 @@ func statLine(fi vfs.FileInfo, err error, same vfs.FileInfo) string {
 	}
 	return fmt.Sprintf("%v mode=%o uid=%d gid=%d atime=%d mtime=%d same=%v",
 		fi.Type, fi.Mode, fi.UID, fi.GID, fi.Atime, fi.Mtime, fi.Ino == same.Ino)
+}
+
+// readLine renders what reading n bytes of path at off returned: the
+// count, the error and the bytes, each run of zeros folded to <0*k>.
+func readLine(fsys vfs.FileSystem, path string, off int64, n int) string {
+	buf := make([]byte, n)
+	got, err := fsys.Read(path, off, buf)
+	var b strings.Builder
+	for i := 0; i < got; {
+		if buf[i] != 0 {
+			b.WriteByte(buf[i])
+			i++
+			continue
+		}
+		j := i
+		for j < got && buf[j] == 0 {
+			j++
+		}
+		fmt.Fprintf(&b, "<0*%d>", j-i)
+		i = j
+	}
+	return fmt.Sprintf("%d %s %s", got, errName(err), b.String())
+}
+
+// sizeLine renders the size stat reports for path.
+func sizeLine(fsys vfs.FileSystem, path string) string {
+	fi, err := fsys.Stat(path)
+	if err != nil {
+		return errName(err)
+	}
+	return fmt.Sprintf("size=%d", fi.Size)
+}
+
+// fileLimits is each capped format's largest file in bytes: its block map's
+// reach. ReiserFS's items map any offset.
+var fileLimits = map[string]int64{
+	"ext3": ext3.MaxFileSize, "ixt3": ext3.MaxFileSize,
+	"jfs":  (8 + 4*500) * 4096,  // direct extents + internal blocks × pointers
+	"ntfs": (12 + 2*500) * 4096, // direct runs + extension records × pointers
 }
 
 // TestNamespaceConformance is the black-box contract of the shared
@@ -231,6 +271,47 @@ func TestNamespaceConformance(t *testing.T) {
 			ents, err := f.ReadDir("/dlink")
 			return fmt.Sprintf("%s %d", errName(err), len(ents))
 		}, ""},
+		{"Read, Write and Truncate of a directory", func(f vfs.FileSystem) string {
+			_, rerr := f.Read("/dir", 0, make([]byte, 1))
+			_, werr := f.Write("/dir", 0, []byte("x"))
+			return errName(rerr) + " " + errName(werr) + " " + errName(f.Truncate("/dlink", 0))
+		}, "ErrIsDir ErrIsDir ErrIsDir"},
+		{"negative offset or size", func(f vfs.FileSystem) string {
+			_, rerr := f.Read("/file", -1, make([]byte, 1))
+			_, werr := f.Write("/file", -1, []byte("x"))
+			return errName(rerr) + " " + errName(werr) + " " + errName(f.Truncate("/file", -1))
+		}, "ErrInval ErrInval ErrInval"},
+		{"a hole reads as zeros", func(f vfs.FileSystem) string {
+			// A small file (a ReiserFS tail) and one past a block.
+			out := ""
+			for _, c := range []struct {
+				path string
+				off  int64
+			}{{"/small", 100}, {"/sparse", 10000}} {
+				if err := f.Create(c.path, 0o644); err != nil {
+					return errName(err)
+				}
+				if _, err := f.Write(c.path, c.off, []byte("x")); err != nil {
+					return errName(err)
+				}
+				out += readLine(f, c.path, 0, int(c.off)+100) + " "
+			}
+			return out
+		}, "101 ok <0*100>x 10001 ok <0*10000>x "},
+		{"a read past EOF returns 0", func(f vfs.FileSystem) string {
+			return readLine(f, "/sparse", 10001, 10) + " " + readLine(f, "/sparse", 20000, 10) + " " + readLine(f, "/small", 101, 10)
+		}, "0 ok  0 ok  0 ok "},
+		{"Write past EOF sets the size", func(f vfs.FileSystem) string {
+			_, err := f.Write("/sparse", 12000, []byte("y"))
+			return errName(err) + " " + sizeLine(f, "/sparse") + " " + readLine(f, "/sparse", 9999, 3) + " " + readLine(f, "/sparse", 11999, 3)
+		}, "ok size=12001 3 ok <0*1>x<0*1> 2 ok <0*1>y"},
+		{"Truncate sets the size", func(f vfs.FileSystem) string {
+			// The cut bytes of the new last block read as zeros when the
+			// file grows again.
+			return errName(f.Truncate("/sparse", 10000)) + " " + sizeLine(f, "/sparse") + " " +
+				errName(f.Truncate("/sparse", 10001)) + " " + sizeLine(f, "/sparse") + " " + readLine(f, "/sparse", 9999, 3) + " " +
+				errName(f.Truncate("/small", 50)) + " " + sizeLine(f, "/small") + " " + readLine(f, "/small", 0, 100)
+		}, "ok size=10000 ok size=10001 2 ok <0*2> ok size=50 50 ok <0*50>"},
 	}
 
 	transcripts := map[string][]string{}
@@ -246,6 +327,25 @@ func TestNamespaceConformance(t *testing.T) {
 				transcripts[name] = append(transcripts[name], got)
 			}
 
+			// The format's size limit: a write or truncate up to it
+			// succeeds, one byte past it is refused. ReiserFS has none,
+			// and is probed past the largest of the others.
+			limit, capped := fileLimits[name]
+			want := "ok size=%d ErrInval ErrInval ok"
+			if !capped {
+				limit, want = ext3.MaxFileSize, "ok size=%d ok ok ok"
+			}
+			if err := fsys.Create("/big", 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, werr := fsys.Write("/big", limit-1, []byte("x"))
+			size := sizeLine(fsys, "/big")
+			_, perr := fsys.Write("/big", limit, []byte("x"))
+			got := fmt.Sprintf("%s %s %s %s %s", errName(werr), size, errName(perr), errName(fsys.Truncate("/big", limit+1)), errName(fsys.Truncate("/big", 0)))
+			if want = fmt.Sprintf(want, limit); got != want {
+				t.Errorf("size limit: got %q, want %q", got, want)
+			}
+
 			// Every shared operation refuses an unmounted volume.
 			if err := fsys.Unmount(); err != nil {
 				t.Fatal(err)
@@ -254,7 +354,10 @@ func TestNamespaceConformance(t *testing.T) {
 			_, lerr := fsys.Lstat("/file")
 			_, rerr := fsys.Readlink("/l1")
 			_, derr := fsys.ReadDir("/dir")
+			_, rderr := fsys.Read("/file", 0, make([]byte, 1))
+			_, wrerr := fsys.Write("/file", 0, []byte("x"))
 			for op, err := range map[string]error{
+				"Read": rderr, "Write": wrerr, "Truncate": fsys.Truncate("/file", 0),
 				"Open": fsys.Open("/file"), "Access": fsys.Access("/file"), "Stat": serr, "Lstat": lerr,
 				"Readlink": rerr, "Fsync": fsys.Fsync("/file"), "Sync": fsys.Sync(),
 				"Chmod": fsys.Chmod("/file", 0o600), "Chown": fsys.Chown("/file", 1, 1),
