@@ -70,6 +70,14 @@ func sizeLine(fsys vfs.FileSystem, path string) string {
 	return fmt.Sprintf("size=%d", fi.Size)
 }
 
+// stampLine renders whether reading path at off moved its atime.
+func stampLine(fsys vfs.FileSystem, path string, off int64) string {
+	before, _ := fsys.Stat(path)
+	_, err := fsys.Read(path, off, make([]byte, 10))
+	after, _ := fsys.Stat(path)
+	return fmt.Sprintf("%s stamped=%v", errName(err), after.Atime > before.Atime)
+}
+
 // fileLimits is each capped format's largest file in bytes: its block map's
 // reach. ReiserFS's items map any offset.
 var fileLimits = map[string]int64{
@@ -312,6 +320,17 @@ func TestNamespaceConformance(t *testing.T) {
 				errName(f.Truncate("/sparse", 10001)) + " " + sizeLine(f, "/sparse") + " " + readLine(f, "/sparse", 9999, 3) + " " +
 				errName(f.Truncate("/small", 50)) + " " + sizeLine(f, "/small") + " " + readLine(f, "/small", 0, 100)
 		}, "ok size=10000 ok size=10001 2 ok <0*2> ok size=50 50 ok <0*50>"},
+		{"a truncate-grown small file reads as zeros past its data", func(f vfs.FileSystem) string {
+			_, err := f.Write("/small", 0, []byte("ab"))
+			return errName(err) + " " + errName(f.Truncate("/small", 2)) + " " + errName(f.Truncate("/small", 101)) + " " +
+				readLine(f, "/small", 0, 200) + " " + readLine(f, "/small", 100, 10)
+		}, "ok ok ok 101 ok ab<0*99> 1 ok <0*1>"},
+		{"a read stamps atime, from a small file too", func(f vfs.FileSystem) string {
+			return stampLine(f, "/small", 0) + " " + stampLine(f, "/sparse", 0)
+		}, "ok stamped=true ok stamped=true"},
+		{"a read at or past EOF stamps atime", func(f vfs.FileSystem) string {
+			return stampLine(f, "/small", 101) + " " + stampLine(f, "/sparse", 10001) + " " + stampLine(f, "/sparse", 20000)
+		}, "ok stamped=true ok stamped=true ok stamped=true"},
 	}
 
 	transcripts := map[string][]string{}

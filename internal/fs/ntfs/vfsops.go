@@ -88,12 +88,12 @@ func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 		return 0, vfs.ErrInval
 	}
 	size := int64(r.Size)
-	if off >= size {
-		return 0, nil
-	}
-	n := int64(len(buf))
-	if off+n > size {
-		n = size - off
+	n := int64(0)
+	if off < size {
+		n = int64(len(buf))
+		if off+n > size {
+			n = size - off
+		}
 	}
 	read := int64(0)
 	for read < n {

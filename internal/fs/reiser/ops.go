@@ -76,20 +76,27 @@ func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
 		return 0, vfs.ErrInval
 	}
 	size := int64(sd.Size)
-	if off >= size {
-		return 0, nil
-	}
-	n := int64(len(buf))
-	if off+n > size {
-		n = size - off
-	}
-	if has, tail, herr := fs.hasTail(ref); herr != nil {
-		return 0, herr
-	} else if has {
-		copied := copy(buf[:n], tail[off:])
-		return copied, nil
+	n := int64(0)
+	if off < size {
+		n = int64(len(buf))
+		if off+n > size {
+			n = size - off
+		}
 	}
 	read := int64(0)
+	if n > 0 {
+		if has, tail, herr := fs.hasTail(ref); herr != nil {
+			return 0, herr
+		} else if has {
+			// Past the tail's end (a truncate grew the file) is a hole.
+			got := 0
+			if off < int64(len(tail)) {
+				got = copy(buf[:n], tail[off:])
+			}
+			clear(buf[got:n])
+			read = n
+		}
+	}
 	for read < n {
 		idx := (off + read) / BlockSize
 		bo := (off + read) % BlockSize
