@@ -370,19 +370,21 @@ func (fs *FS) pruneNode(in *inode, blk int64, depth int, base, childSpan, keep, 
 		if err != nil {
 			return false, err
 		}
-		if childEmpty && lo >= keep {
-			if err := fs.freeBlock(ptr); err != nil {
+		if !childEmpty {
+			empty = false
+			continue
+		}
+		// Emptied, even where its range starts below keep: left
+		// allocated, it would leak once this node is freed over it.
+		if err := fs.freeBlock(ptr); err != nil {
+			return false, err
+		}
+		if mbuf == nil {
+			if mbuf, err = fs.txMeta(blk, BTIndirect); err != nil {
 				return false, err
 			}
-			if mbuf == nil {
-				if mbuf, err = fs.txMeta(blk, BTIndirect); err != nil {
-					return false, err
-				}
-			}
-			binary.LittleEndian.PutUint64(mbuf[slot*8:], 0)
-		} else if !childEmpty {
-			empty = false
 		}
+		binary.LittleEndian.PutUint64(mbuf[slot*8:], 0)
 	}
 	return empty, nil
 }
