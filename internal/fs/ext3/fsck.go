@@ -20,7 +20,7 @@ import (
 //
 // The problem kinds used here: "block-bitmap", "inode-bitmap",
 // "free-blocks", "free-inodes", "orphan-inode", "link-count",
-// "dangling-entry", "double-ref", "wild-pointer", "bad-size". The free
+// "dangling-entry", "double-ref", "wild-pointer". The free
 // counts are the group descriptors' sums, journaled with the bitmaps they
 // count.
 
@@ -112,23 +112,19 @@ func (fs *FS) censusGroup(g uint32) (r groupCensus, units int64, err error) {
 		if in.Parity != 0 {
 			r.claims = append(r.claims, fs.pointer(int64(in.Parity), what+" parity"))
 		}
-		// A post-crash inode may carry a garbage Size; clamp the walk to
-		// the volume capacity (no file can hold more blocks than the
-		// device) so the census terminates, and report the insane size.
+		// The data blocks below the size, in logical order, holes skipped
+		// a subtree at a time: a sparse file may be larger than the
+		// volume. LoadLocked refused any size past MaxFileSize.
 		nblocks := (int64(in.Size) + BlockSize - 1) / BlockSize
-		if max := fs.dev.NumBlocks(); nblocks > max {
-			r.claims = append(r.claims, fsck.Event{Kind: "bad-size",
-				What: fmt.Sprintf("%s size %d exceeds volume (%d blocks)", what, in.Size, max)})
-			nblocks = max
-		}
-		for l := int64(0); l < nblocks; l++ {
-			phys, err := fs.bmap(&in, l, false)
+		for l := int64(0); l < nblocks; {
+			phys, next, err := fs.bmapNext(&in, l)
 			if err != nil {
 				return r, units, err
 			}
 			if phys != 0 {
 				r.claims = append(r.claims, fs.pointer(phys, fmt.Sprintf("%s block %d", what, l)))
 			}
+			l = next
 		}
 		fs.walkTrees(&in, func(blk int64) { r.claims = append(r.claims, fs.pointer(blk, what+" indirect")) })
 	}

@@ -406,3 +406,50 @@ func freshImage(t *testing.T) []byte {
 	_, d := newTestFS(t, Options{})
 	return d.Snapshot()
 }
+
+// TestBmapNextLikeBmap: the census's walk maps, in order, exactly the
+// blocks bmap maps at every logical index, on a file with holes at every
+// level of every tree.
+func TestBmapNextLikeBmap(t *testing.T) {
+	fs, _ := newTestFS(t, Options{})
+	if err := fs.Create("/f", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []int64{0, 5, indStart + 3, dindStart + 1, dindStart + 2*PtrsPerBlock + 7, tindStart + PtrsPerBlock*PtrsPerBlock + 1} {
+		if _, err := fs.Write("/f", l*BlockSize, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, in, err := fs.ResolveLocked("/f", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nblocks := (int64(in.Size) + BlockSize - 1) / BlockSize
+	type hit struct{ l, phys int64 }
+	var want, got []hit
+	for l := int64(0); l < nblocks; l++ {
+		phys, err := fs.bmap(&in, l, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if phys != 0 {
+			want = append(want, hit{l, phys})
+		}
+	}
+	for l := int64(0); l < nblocks; {
+		phys, next, err := fs.bmapNext(&in, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next <= l {
+			t.Fatalf("bmapNext(%d) goes back to %d", l, next)
+		}
+		if phys != 0 {
+			got = append(got, hit{l, phys})
+		}
+		l = next
+	}
+	if len(want) != 6 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("bmapNext maps %v, bmap %v", got, want)
+	}
+}

@@ -183,6 +183,53 @@ func (fs *FS) mapVia(root *uint64, idx int64, depth int, alloc bool, pref uint32
 
 func nil2(err error) (int64, error) { return 0, err }
 
+// bmapNext is bmap without alloc for a walk in logical order: it also
+// returns the next logical block the walk need map, past the whole
+// subtree when l falls in one that is not allocated. It reads exactly the
+// indirect blocks bmap reads.
+func (fs *FS) bmapNext(in *inode, l int64) (phys, next int64, err error) {
+	var root uint64
+	var idx int64
+	depth := 1
+	switch {
+	case l < indStart:
+		return int64(in.Direct[l]), l + 1, nil
+	case l < dindStart:
+		root, idx = in.Ind, l-indStart
+	case l < tindStart:
+		root, idx, depth = in.DInd, l-dindStart, 2
+	default:
+		root, idx, depth = in.TInd, l-tindStart, 3
+	}
+	// span is what one slot of the current level maps, in leaf pointers.
+	span := int64(1)
+	for i := 1; i < depth; i++ {
+		span *= PtrsPerBlock
+	}
+	if root == 0 {
+		return 0, l - idx + span*PtrsPerBlock, nil
+	}
+	cur := int64(root)
+	for ; ; span /= PtrsPerBlock {
+		slot := idx / span
+		if slot >= PtrsPerBlock {
+			return 0, 0, vfs.ErrInval
+		}
+		buf, err := fs.readMeta(cur, BTIndirect)
+		if err != nil {
+			return 0, 0, err
+		}
+		idx %= span
+		cur = getPtr(buf, slot)
+		if cur == 0 {
+			return 0, l - idx + span, nil
+		}
+		if span == 1 {
+			return cur, l + 1, nil
+		}
+	}
+}
+
 // forEachBlock walks every allocated data block of the file in logical
 // order, invoking fn(logical, physical). Holes are skipped. The walk stops
 // on the first error from fn.
