@@ -323,8 +323,9 @@ func TestNamespaceConformance(t *testing.T) {
 		{"a truncate-grown small file reads as zeros past its data", func(f vfs.FileSystem) string {
 			_, err := f.Write("/small", 0, []byte("ab"))
 			return errName(err) + " " + errName(f.Truncate("/small", 2)) + " " + errName(f.Truncate("/small", 101)) + " " +
-				readLine(f, "/small", 0, 200) + " " + readLine(f, "/small", 100, 10)
-		}, "ok ok ok 101 ok ab<0*99> 1 ok <0*1>"},
+				readLine(f, "/small", 0, 200) + " " + readLine(f, "/small", 100, 10) + " " +
+				errName(f.Truncate("/small", 50)) + " " + readLine(f, "/small", 0, 200)
+		}, "ok ok ok 101 ok ab<0*99> 1 ok <0*1> ok 50 ok ab<0*48>"},
 		{"a read stamps atime, from a small file too", func(f vfs.FileSystem) string {
 			return stampLine(f, "/small", 0) + " " + stampLine(f, "/sparse", 0)
 		}, "ok stamped=true ok stamped=true"},

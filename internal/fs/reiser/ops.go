@@ -245,7 +245,7 @@ func (fs *FS) Truncate(path string, size int64) error {
 	}
 	if size < int64(sd.Size) {
 		if has, tail, herr := fs.hasTail(ref); herr == nil && has {
-			if err := fs.replaceItem(ref.directKey(), append([]byte{}, tail[:size]...)); err != nil {
+			if err := fs.replaceItem(ref.directKey(), append([]byte{}, tail[:min(size, int64(len(tail)))]...)); err != nil {
 				return err
 			}
 		} else {
