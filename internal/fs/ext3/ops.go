@@ -8,10 +8,10 @@ import (
 	"ironfs/internal/vfs"
 )
 
-// This file implements ext3's namei.Store, the vfs.FileSystem operations
-// that move file data, and the three namespace operations whose §5.1
-// reactions fire between their steps; the path walk and the other namespace
-// operations are namei.Namespace's.
+// This file implements ext3's namei.Store and the four operations whose
+// §5.1 reactions fire between their steps: Truncate, Unlink, Rmdir and
+// Rename. The path walk, the other namespace operations and the sequencing
+// of Read and Write are namei.Namespace's.
 
 // swallowIO reproduces the §5.1 bug in which some ext3 operations
 // (truncate, rmdir) detect an I/O problem but fail *silently*: the error is
@@ -120,116 +120,40 @@ func (fs *FS) WriteLinkLocked(_ uint32, in inode, target string) (inode, error) 
 	return in, nil
 }
 
-// Read implements vfs.FileSystem. With Options.NoAtime the read runs under
-// the shared lock — it mutates nothing but the (internally synchronized)
-// buffer cache, so concurrent readers proceed in parallel. Otherwise the
-// POSIX atime update makes Read a mutating, journaled operation and it
-// takes the write lock like any other.
-func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
-	if fs.opts.NoAtime {
-		fs.mu.RLock()
-		defer fs.mu.RUnlock()
-		n, _, _, err := fs.readLocked(path, off, buf)
-		return n, err
-	}
-	//iron:lockorderok the NoAtime branch above returns under RLock; the write-path Lock below is a disjoint path the linear scan misreads as nesting
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	n, ino, in, err := fs.readLocked(path, off, buf)
-	if err != nil {
-		return n, err
-	}
-	// atime update, journaled like any metadata change (only when the
-	// file system is still writable).
-	if fs.health.State() == vfs.Healthy {
-		in.Atime = fs.Now()
-		if serr := fs.StoreLocked(ino, in); serr == nil {
-			if cerr := fs.MaybeCommitLocked(); cerr != nil {
-				return n, cerr
-			}
-		}
-	}
-	return n, nil
-}
-
-// readLocked is the body of Read minus the atime update; the caller holds
-// fs.mu (shared or exclusive).
-func (fs *FS) readLocked(path string, off int64, buf []byte) (int, uint32, inode, error) {
-	if err := fs.GuardReadLocked(); err != nil {
-		return 0, 0, inode{}, err
-	}
-	ino, in, err := fs.ResolveLocked(path, true)
-	if err != nil {
-		return 0, 0, inode{}, err
-	}
-	if in.IsDir() {
-		return 0, 0, inode{}, vfs.ErrIsDir
-	}
-	if off < 0 {
-		return 0, 0, inode{}, vfs.ErrInval
-	}
-	size := int64(in.Size)
-	if off >= size {
-		return 0, ino, in, nil
-	}
-	n := int64(len(buf))
-	if off+n > size {
-		n = size - off
-	}
-	// A read spanning several blocks goes down ext3's readahead path,
-	// which is where its narrow retry lives (§5.1).
+// ReadAtLocked implements namei.Store. A read spanning several blocks goes
+// down ext3's readahead path, which is where its narrow retry lives (§5.1).
+func (fs *FS) ReadAtLocked(_ uint32, in inode, off int64, p []byte) (int, error) {
+	n := int64(len(p))
 	prefetch := (off+n-1)/BlockSize > off/BlockSize
-
 	read := int64(0)
 	for read < n {
 		l := (off + read) / BlockSize
 		bo := (off + read) % BlockSize
-		chunk := BlockSize - bo
-		if chunk > n-read {
-			chunk = n - read
-		}
+		chunk := min(BlockSize-bo, n-read)
 		phys, err := fs.bmap(&in, l, false)
 		if err != nil {
-			return int(read), ino, in, err
+			return int(read), err
 		}
 		if phys == 0 {
-			for i := int64(0); i < chunk; i++ {
-				buf[read+i] = 0
-			}
+			clear(p[read : read+chunk])
 		} else {
 			data := fs.cache.Get(phys)
 			if data == nil {
 				// Miss: fill from the device, then read ahead of it.
 				if data, err = fs.fillData(phys, BTData, &in, l, prefetch); err != nil {
-					return int(read), ino, in, err
+					return int(read), err
 				}
 				fs.ra.ReadAhead(fs.dev, phys, fs.prefetchOK)
 			}
-			copy(buf[read:read+chunk], data[bo:bo+chunk])
+			copy(p[read:read+chunk], data[bo:])
 		}
 		read += chunk
 	}
-	return int(read), ino, in, nil
+	return int(read), nil
 }
 
-// Write implements vfs.FileSystem.
-func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return 0, err
-	}
-	ino, in, err := fs.ResolveLocked(path, true)
-	if err != nil {
-		return 0, err
-	}
-	if in.IsDir() {
-		return 0, vfs.ErrIsDir
-	}
-	if off < 0 || off+int64(len(data)) > MaxFileSize {
-		return 0, vfs.ErrInval
-	}
-
+// WriteAtLocked implements namei.Store.
+func (fs *FS) WriteAtLocked(ino uint32, in inode, off int64, data []byte) (inode, int, error) {
 	// ixt3 Dp (§6.1): a file's parity block is born with its first data,
 	// just ahead of the blocks this write allocates, as ordered data in the
 	// transaction that stores the inode naming it.
@@ -246,20 +170,17 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 	for written < n {
 		l := (off + written) / BlockSize
 		bo := (off + written) % BlockSize
-		chunk := BlockSize - bo
-		if chunk > n-written {
-			chunk = n - written
-		}
+		chunk := min(BlockSize-bo, n-written)
 		pre := fs.bmapHas(&in, l)
 		phys, err := fs.bmap(&in, l, true)
 		if err != nil {
 			if born != 0 {
 				// The inode is not stored, so nothing would name the parity.
 				if ferr := fs.freeBlock(born); ferr != nil {
-					return int(written), ferr
+					return in, int(written), ferr
 				}
 			}
-			return int(written), err
+			return in, int(written), err
 		}
 		var buf []byte
 		if !pre {
@@ -269,12 +190,12 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 			// contents before the read-modify-write, so a latent error or
 			// silent corruption in the old block cannot leak into the
 			// parity group or the new contents.
-			if _, rerr := fs.readData(phys, BTData, &in, l, false); rerr != nil && (bo != 0 || chunk != BlockSize) {
-				return int(written), rerr
+			if _, rerr := fs.readData(phys, BTData, &in, l, false); rerr != nil && chunk != BlockSize {
+				return in, int(written), rerr
 			}
 			buf, err = fs.txData(phys, BTData)
 			if err != nil {
-				return int(written), err
+				return in, int(written), err
 			}
 		}
 		var old []byte
@@ -285,23 +206,12 @@ func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
 		copy(buf[bo:bo+chunk], data[written:written+chunk])
 		if fs.opts.DataParity && in.Parity != 0 {
 			if err := fs.updateParityDelta(&in, old, buf); err != nil {
-				return int(written), err
+				return in, int(written), err
 			}
 		}
 		written += chunk
 	}
-
-	if off+n > int64(in.Size) {
-		in.Size = uint64(off + n)
-	}
-	in.Mtime = fs.Now()
-	if err := fs.StoreLocked(ino, in); err != nil {
-		return int(written), err
-	}
-	if err := fs.MaybeCommitLocked(); err != nil {
-		return int(written), err
-	}
-	return int(written), nil
+	return in, int(written), nil
 }
 
 // bmapHas reports whether logical block l is currently mapped, without
@@ -312,9 +222,40 @@ func (fs *FS) bmapHas(in *inode, l int64) bool {
 	return err != nil || phys != 0
 }
 
-// Truncate implements vfs.FileSystem. Stock ext3's silent-failure bug
-// applies here: I/O errors encountered while freeing blocks do not reach
-// the caller (§5.1).
+// CutLocked implements namei.Store. Stock ext3 carries on past an I/O
+// error freeing the blocks as if it had not happened (§5.1); FixBugs
+// stops there.
+func (fs *FS) CutLocked(_ uint32, in inode, size int64) (inode, error) {
+	if err := fs.truncateBlocks(&in, size); err != nil {
+		if serr := fs.swallowIO(err); serr != nil {
+			return in, serr
+		}
+	}
+	// Zero the tail of the new last block so growth re-exposes zeros.
+	if size%BlockSize != 0 {
+		if phys, err := fs.bmap(&in, size/BlockSize, false); err == nil && phys != 0 {
+			//iron:policy ext3 §5.1:RZero truncate fails silently: the tail-zero priming read's error vanishes with the rest of the truncate path
+			_, _ = fs.readData(phys, BTData, &in, size/BlockSize, false)
+			if buf, err := fs.txData(phys, BTData); err == nil {
+				var old []byte
+				if fs.opts.DataParity && in.Parity != 0 {
+					old = make([]byte, BlockSize)
+					copy(old, buf)
+				}
+				clear(buf[size%BlockSize : BlockSize])
+				if fs.opts.DataParity && in.Parity != 0 {
+					//iron:policy ext3 §5.1:RZero parity refresh during truncate is swallowed like every other truncate failure
+					_ = fs.updateParityDelta(&in, old, buf)
+				}
+			}
+		}
+	}
+	return in, nil
+}
+
+// Truncate shadows namei's for stock ext3's silent failure (§5.1): an I/O
+// error freeing the blocks (CutLocked), storing the inode or committing
+// ends the call with success. FixBugs restores propagation.
 func (fs *FS) Truncate(path string, size int64) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -332,31 +273,8 @@ func (fs *FS) Truncate(path string, size int64) error {
 		return vfs.ErrInval
 	}
 	if size < int64(in.Size) {
-		if err := fs.truncateBlocks(&in, size); err != nil {
-			if serr := fs.swallowIO(err); serr != nil {
-				return serr
-			}
-		}
-		// Zero the tail of the new last block so growth re-exposes zeros.
-		if size%BlockSize != 0 {
-			if phys, err := fs.bmap(&in, size/BlockSize, false); err == nil && phys != 0 {
-				//iron:policy ext3 §5.1:RZero truncate fails silently: the tail-zero priming read's error vanishes with the rest of the truncate path
-				_, _ = fs.readData(phys, BTData, &in, size/BlockSize, false)
-				if buf, err := fs.txData(phys, BTData); err == nil {
-					var old []byte
-					if fs.opts.DataParity && in.Parity != 0 {
-						old = make([]byte, BlockSize)
-						copy(old, buf)
-					}
-					for i := size % BlockSize; i < BlockSize; i++ {
-						buf[i] = 0
-					}
-					if fs.opts.DataParity && in.Parity != 0 {
-						//iron:policy ext3 §5.1:RZero parity refresh during truncate is swallowed like every other truncate failure
-						_ = fs.updateParityDelta(&in, old, buf)
-					}
-				}
-			}
+		if in, err = fs.CutLocked(ino, in, size); err != nil {
+			return err
 		}
 	}
 	in.Size = uint64(size)

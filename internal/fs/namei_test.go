@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"ironfs/internal/fs/ext3"
+	"ironfs/internal/fs/jfs"
+	"ironfs/internal/fs/ntfs"
 	"ironfs/internal/vfs"
 )
 
@@ -81,9 +83,7 @@ func stampLine(fsys vfs.FileSystem, path string, off int64) string {
 // fileLimits is each capped format's largest file in bytes: its block map's
 // reach. ReiserFS's items map any offset.
 var fileLimits = map[string]int64{
-	"ext3": ext3.MaxFileSize, "ixt3": ext3.MaxFileSize,
-	"jfs":  (8 + 4*500) * 4096,  // direct extents + internal blocks × pointers
-	"ntfs": (12 + 2*500) * 4096, // direct runs + extension records × pointers
+	"ext3": ext3.MaxFileSize, "ixt3": ext3.MaxFileSize, "jfs": jfs.MaxFileSize, "ntfs": ntfs.MaxFileSize,
 }
 
 // TestNamespaceConformance is the black-box contract of the shared

@@ -34,7 +34,6 @@ type FS struct {
 	cache   *bcache.Cache
 	tx      *journal.Txn[uint32]
 	mounted bool
-	noatime bool
 	// logged is set by the first commit since mount: the restart area on
 	// disk then lags the log, and Unmount must bring it up to date.
 	logged bool
@@ -65,13 +64,9 @@ func New(dev disk.Device, rec *iron.Recorder) *FS {
 	fs.cache.SetTracer(fs.tr)
 	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
 	fs.Driver = fsck.New(fs, fsck.Volume{Label: "ntfs", Mu: &fs.mu, Health: &fs.health, Tracer: fs.tr, Cache: fs.cache})
-	fs.Namespace = namei.New[uint32, mftRecord](fs, namei.Volume{Mu: &fs.mu, RMu: &fs.mu, Health: &fs.health, Journal: fs.jn, SymlinkMax: BlockSize})
+	fs.Namespace = namei.New[uint32, mftRecord](fs, namei.Volume{Mu: &fs.mu, RMu: &fs.mu, Health: &fs.health, Journal: fs.jn, SymlinkMax: BlockSize, MaxFileSize: MaxFileSize})
 	return fs
 }
-
-// SetNoAtime suppresses the atime journal update on Read (the noatime
-// mount option). Set before Mount.
-func (fs *FS) SetNoAtime(on bool) { fs.noatime = on }
 
 // SetReadAhead enables sequential read-ahead on Read, prefetching up to
 // window blocks past a miss that continues a stream (0 disables). Set

@@ -2,6 +2,7 @@ package reiser
 
 import (
 	"errors"
+	"math"
 	"sync"
 
 	"ironfs/internal/bcache"
@@ -31,7 +32,6 @@ type FS struct {
 	cache   *bcache.Cache
 	tx      *journal.Txn[objRef]
 	mounted bool
-	noatime bool
 	ring    *journal.Ring
 	// jn owns the commit sequence space and coordinates the committer
 	// with its fsync waiters; FS implements its journal.Committer.
@@ -59,13 +59,9 @@ func New(dev disk.Device, rec *iron.Recorder) *FS {
 	fs.cache.SetTracer(fs.tr)
 	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
 	fs.Driver = fsck.New(fs, fsck.Volume{Label: "reiser", Mu: &fs.mu, Health: &fs.health, Tracer: fs.tr, Cache: fs.cache})
-	fs.Namespace = namei.New[objRef, statData](fs, namei.Volume{Mu: &fs.mu, RMu: &fs.mu, Health: &fs.health, Journal: fs.jn, SymlinkMax: tailMax})
+	fs.Namespace = namei.New[objRef, statData](fs, namei.Volume{Mu: &fs.mu, RMu: &fs.mu, Health: &fs.health, Journal: fs.jn, SymlinkMax: tailMax, MaxFileSize: math.MaxInt64})
 	return fs
 }
-
-// SetNoAtime suppresses the atime journal update on Read (the noatime
-// mount option). Set before Mount.
-func (fs *FS) SetNoAtime(on bool) { fs.noatime = on }
 
 // SetReadAhead enables sequential read-ahead on Read, prefetching up to
 // window blocks past a miss that continues a stream (0 disables). Set

@@ -5,9 +5,9 @@ import (
 	"ironfs/internal/vfs"
 )
 
-// ReiserFS's namei.Store and the vfs.FileSystem operations that move file
-// data, over the tree engine; the path walk and the namespace operations
-// are namei.Namespace's.
+// ReiserFS's namei.Store, over the tree engine: the path walk, the
+// namespace operations and the sequencing of Read, Write and Truncate are
+// namei.Namespace's.
 
 // RootLocked implements namei.Store.
 func (fs *FS) RootLocked() (objRef, statData, error) {
@@ -58,216 +58,117 @@ func (fs *FS) WriteLinkLocked(ref objRef, _ statData, target string) (statData, 
 	return fs.LoadLocked(ref)
 }
 
-// Read implements vfs.FileSystem.
-func (fs *FS) Read(path string, off int64, buf []byte) (int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardReadLocked(); err != nil {
+// ReadAtLocked implements namei.Store: a small file is its tail item,
+// past whose end (a truncate grew the file) is a hole.
+func (fs *FS) ReadAtLocked(ref objRef, _ statData, off int64, p []byte) (int, error) {
+	if has, tail, err := fs.hasTail(ref); err != nil {
 		return 0, err
-	}
-	ref, sd, err := fs.ResolveLocked(path, true)
-	if err != nil {
-		return 0, err
-	}
-	if sd.IsDir() {
-		return 0, vfs.ErrIsDir
-	}
-	if off < 0 {
-		return 0, vfs.ErrInval
-	}
-	size := int64(sd.Size)
-	n := int64(0)
-	if off < size {
-		n = int64(len(buf))
-		if off+n > size {
-			n = size - off
+	} else if has {
+		got := 0
+		if off < int64(len(tail)) {
+			got = copy(p, tail[off:])
 		}
+		clear(p[got:])
+		return len(p), nil
 	}
+	n := int64(len(p))
 	read := int64(0)
-	if n > 0 {
-		if has, tail, herr := fs.hasTail(ref); herr != nil {
-			return 0, herr
-		} else if has {
-			// Past the tail's end (a truncate grew the file) is a hole.
-			got := 0
-			if off < int64(len(tail)) {
-				got = copy(buf[:n], tail[off:])
-			}
-			clear(buf[got:n])
-			read = n
-		}
-	}
 	for read < n {
 		idx := (off + read) / BlockSize
 		bo := (off + read) % BlockSize
-		chunk := BlockSize - bo
-		if chunk > n-read {
-			chunk = n - read
-		}
+		chunk := min(BlockSize-bo, n-read)
+		dst := p[read : read+chunk]
 		ptr, err := fs.blockPtr(ref, idx, false)
 		if err != nil {
 			return int(read), err
 		}
 		if ptr == 0 {
-			for i := int64(0); i < chunk; i++ {
-				buf[read+i] = 0
-			}
-		} else if !fs.cache.GetInto(ptr, int(bo), buf[read:read+chunk]) {
+			clear(dst)
+		} else if !fs.cache.GetInto(ptr, int(bo), dst) {
 			// Miss: fill from the device, copy, and read ahead. The hit
 			// path above copied under the shard lock without allocating.
 			data, err := fs.fillDataBlock(ptr)
 			if err != nil {
 				return int(read), err
 			}
-			copy(buf[read:read+chunk], data[bo:bo+chunk])
+			copy(dst, data[bo:])
 			fs.ra.ReadAhead(fs.dev, ptr, nil)
 		}
 		read += chunk
 	}
-	if !fs.noatime && fs.health.State() == vfs.Healthy {
-		sd.Atime = fs.Now()
-		if err := fs.StoreLocked(ref, sd); err == nil {
-			if cerr := fs.MaybeCommitLocked(); cerr != nil {
-				return int(read), cerr
-			}
-		}
-	}
 	return int(read), nil
 }
 
-// Write implements vfs.FileSystem.
-func (fs *FS) Write(path string, off int64, data []byte) (int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return 0, err
-	}
-	ref, sd, err := fs.ResolveLocked(path, true)
-	if err != nil {
-		return 0, err
-	}
-	if sd.IsDir() {
-		return 0, vfs.ErrIsDir
-	}
-	if off < 0 {
-		return 0, vfs.ErrInval
-	}
-	newSize := off + int64(len(data))
-	if int64(sd.Size) > newSize {
-		newSize = int64(sd.Size)
-	}
-
-	if newSize <= tailMax {
-		// Small file: keep (or grow) the tail in a direct item.
-		has, tail, herr := fs.hasTail(ref)
-		if herr != nil {
-			return 0, herr
+// WriteAtLocked implements namei.Store: a file that stays within tailMax
+// keeps (or grows) its tail in a direct item; a larger one converts the
+// tail to block 0 and is written block by block.
+func (fs *FS) WriteAtLocked(ref objRef, sd statData, off int64, data []byte) (statData, int, error) {
+	n := int64(len(data))
+	if newSize := max(off+n, int64(sd.Size)); newSize <= tailMax {
+		has, tail, err := fs.hasTail(ref)
+		if err != nil {
+			return sd, 0, err
 		}
 		body := make([]byte, newSize)
 		copy(body, tail)
 		copy(body[off:], data)
-		var werr error
 		if has {
-			werr = fs.replaceItem(ref.directKey(), body)
+			err = fs.replaceItem(ref.directKey(), body)
 		} else {
-			werr = fs.insertItem(item{K: ref.directKey(), Body: body})
+			err = fs.insertItem(item{K: ref.directKey(), Body: body})
 		}
-		if werr != nil {
-			return 0, werr
+		if err != nil {
+			return sd, 0, err
 		}
-	} else {
-		if err := fs.convertTail(ref); err != nil {
-			return 0, err
+		return sd, len(data), nil
+	}
+	if err := fs.convertTail(ref); err != nil {
+		return sd, 0, err
+	}
+	written := int64(0)
+	for written < n {
+		idx := (off + written) / BlockSize
+		bo := (off + written) % BlockSize
+		chunk := min(BlockSize-bo, n-written)
+		ptr, err := fs.blockPtr(ref, idx, true)
+		if err != nil {
+			return sd, int(written), err
 		}
-		written := int64(0)
-		n := int64(len(data))
-		for written < n {
-			idx := (off + written) / BlockSize
-			bo := (off + written) % BlockSize
-			chunk := BlockSize - bo
-			if chunk > n-written {
-				chunk = n - written
-			}
-			ptr, err := fs.blockPtr(ref, idx, true)
-			if err != nil {
-				return int(written), err
-			}
-			var buf []byte
-			if bo == 0 && chunk == BlockSize {
-				buf = make([]byte, BlockSize)
-			} else if cur := fs.cache.Get(ptr); cur != nil {
-				buf = make([]byte, BlockSize)
+		buf := make([]byte, BlockSize)
+		if chunk != BlockSize {
+			if cur := fs.cache.Get(ptr); cur != nil {
 				copy(buf, cur)
-			} else {
-				buf = make([]byte, BlockSize)
-				if int64(sd.Size) > idx*BlockSize {
-					if old, rerr := fs.readDataBlock(ptr); rerr == nil {
-						copy(buf, old)
-					}
+			} else if int64(sd.Size) > idx*BlockSize {
+				if old, rerr := fs.readDataBlock(ptr); rerr == nil {
+					copy(buf, old)
 				}
 			}
-			copy(buf[bo:bo+chunk], data[written:written+chunk])
-			fs.tx.StageData(ptr, buf, BTData)
-			written += chunk
 		}
+		copy(buf[bo:], data[written:written+chunk])
+		fs.tx.StageData(ptr, buf, BTData)
+		written += chunk
 	}
-
-	sd.Size = uint64(newSize)
-	if off+int64(len(data)) > int64(sd.Size) {
-		sd.Size = uint64(off + int64(len(data)))
-	}
-	sd.Mtime = fs.Now()
-	if err := fs.StoreLocked(ref, sd); err != nil {
-		return 0, err
-	}
-	if err := fs.MaybeCommitLocked(); err != nil {
-		return 0, err
-	}
-	return len(data), nil
+	return sd, int(written), nil
 }
 
-// Truncate implements vfs.FileSystem.
-func (fs *FS) Truncate(path string, size int64) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
+// CutLocked implements namei.Store: a tail is shortened in place, a block
+// file loses its blocks and indirect items past size.
+func (fs *FS) CutLocked(ref objRef, sd statData, size int64) (statData, error) {
+	if has, tail, herr := fs.hasTail(ref); herr == nil && has {
+		return sd, fs.replaceItem(ref.directKey(), append([]byte{}, tail[:min(size, int64(len(tail)))]...))
 	}
-	ref, sd, err := fs.ResolveLocked(path, true)
-	if err != nil {
-		return err
+	if err := fs.freeFileBlocks(ref, size); err != nil {
+		return sd, err
 	}
-	if sd.IsDir() {
-		return vfs.ErrIsDir
-	}
-	if size < 0 {
-		return vfs.ErrInval
-	}
-	if size < int64(sd.Size) {
-		if has, tail, herr := fs.hasTail(ref); herr == nil && has {
-			if err := fs.replaceItem(ref.directKey(), append([]byte{}, tail[:min(size, int64(len(tail)))]...)); err != nil {
-				return err
-			}
-		} else {
-			if err := fs.freeFileBlocks(ref, size); err != nil {
-				return err
-			}
-			// Zero the cut of the boundary block.
-			if size%BlockSize != 0 {
-				if ptr, perr := fs.blockPtr(ref, size/BlockSize, false); perr == nil && ptr != 0 {
-					if old, rerr := fs.readDataBlock(ptr); rerr == nil {
-						nb := make([]byte, BlockSize)
-						copy(nb, old[:size%BlockSize])
-						fs.tx.StageData(ptr, nb, BTData)
-					}
-				}
+	// Zero the cut of the boundary block.
+	if size%BlockSize != 0 {
+		if ptr, perr := fs.blockPtr(ref, size/BlockSize, false); perr == nil && ptr != 0 {
+			if old, rerr := fs.readDataBlock(ptr); rerr == nil {
+				nb := make([]byte, BlockSize)
+				copy(nb, old[:size%BlockSize])
+				fs.tx.StageData(ptr, nb, BTData)
 			}
 		}
 	}
-	sd.Size = uint64(size)
-	sd.Mtime = fs.Now()
-	if err := fs.StoreLocked(ref, sd); err != nil {
-		return err
-	}
-	return fs.MaybeCommitLocked()
+	return sd, nil
 }

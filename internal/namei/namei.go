@@ -7,11 +7,14 @@
 // chmod is sequenced or in which order unlink, link and rename visit the
 // parent, the entry and the object. That is stated once, here.
 //
-// A file system embeds a Namespace — which makes it most of a
-// vfs.FileSystem — and implements Store. The operations that move file data
-// (Read, Write, Truncate) stay with the file system and call ResolveLocked
-// for the walk; ext3 also keeps Unlink, Rmdir and Rename, whose §5.1
-// reactions fire between their steps.
+// The same holds for file data: when a read is clamped to the size, when
+// it stamps atime, and how a write or truncate records size and mtime are
+// stated here too; how the bytes move is the file system's.
+//
+// A file system embeds a Namespace — which makes it a vfs.FileSystem apart
+// from mount, unmount and statfs — and implements Store. ext3 keeps
+// Truncate, Unlink, Rmdir and Rename, whose §5.1 reactions fire between
+// their steps.
 package namei
 
 import (
@@ -85,6 +88,17 @@ type Store[R any, N Node[N]] interface {
 	// FreeLocked releases object ref, whose last name is gone: its blocks,
 	// its slot and its number.
 	FreeLocked(ref R, n N) error
+	// ReadAtLocked fills p, which lies inside the file, with the bytes of
+	// file ref at off: holes read as zeros.
+	ReadAtLocked(ref R, n N, off int64, p []byte) (int, error)
+	// WriteAtLocked stores p at off in file ref, allocating what it
+	// maps, and returns the node as that left it and the bytes moved; the
+	// caller sets size and mtime.
+	WriteAtLocked(ref R, n N, off int64, p []byte) (N, int, error)
+	// CutLocked frees what file ref holds past size, which is below its
+	// size, and zeroes the rest of the new last block; the caller sets
+	// size and mtime.
+	CutLocked(ref R, n N, size int64) (N, error)
 	// WriteLinkLocked stores target, which fits Volume.SymlinkMax, as the
 	// body of the new symbolic link ref and returns its node as that left
 	// it; the caller sets the size.
@@ -118,6 +132,9 @@ type Volume struct {
 	Journal *journal.Engine
 	// SymlinkMax is the longest symlink target the format stores.
 	SymlinkMax int
+	// MaxFileSize is the largest file the format's block map reaches, in
+	// bytes; math.MaxInt64 where it has no limit.
+	MaxFileSize int64
 }
 
 // Namespace is the one path walk and the namespace operations built on it.
@@ -126,6 +143,8 @@ type Namespace[R any, N Node[N]] struct {
 	s Store[R, N]
 	// clock is the logical timestamp counter.
 	clock int64
+	// noatime suppresses Read's atime update.
+	noatime bool
 }
 
 // New returns the namespace of store s on volume v.

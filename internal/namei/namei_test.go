@@ -2,6 +2,7 @@ package namei
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -25,6 +26,7 @@ type fakeNode struct {
 	TypedAttr
 	ents   map[string]int
 	target string
+	data   []byte
 }
 
 func (n fakeNode) WithAttrs(a Attr) fakeNode { n.Attr = a; return n }
@@ -124,6 +126,22 @@ func (f *fakeStore) WriteLinkLocked(_ int, n fakeNode, target string) (fakeNode,
 	n.target = target
 	return n, nil
 }
+func (f *fakeStore) ReadAtLocked(_ int, n fakeNode, off int64, p []byte) (int, error) {
+	f.call(fmt.Sprintf("readat:%d+%d", off, len(p)))
+	return copy(p, n.data[min(off, int64(len(n.data))):]), nil
+}
+func (f *fakeStore) WriteAtLocked(_ int, n fakeNode, off int64, p []byte) (fakeNode, int, error) {
+	f.call(fmt.Sprintf("writeat:%d+%d", off, len(p)))
+	if end := off + int64(len(p)); end > int64(len(n.data)) {
+		n.data = append(n.data, make([]byte, end-int64(len(n.data)))...)
+	}
+	return n, copy(n.data[off:], p), nil
+}
+func (f *fakeStore) CutLocked(_ int, n fakeNode, size int64) (fakeNode, error) {
+	f.call(fmt.Sprintf("cut:%d", size))
+	n.data = n.data[:min(size, int64(len(n.data)))]
+	return n, nil
+}
 func (f *fakeStore) KeyOf(ref int) uint64     { return uint64(ref) }
 func (f *fakeStore) MaybeCommitLocked() error { f.call("maybecommit"); return f.commitErr }
 func (f *fakeStore) SyncLocked() error        { f.call("sync"); return f.commitErr }
@@ -145,7 +163,7 @@ func harness(t *testing.T) (*ns, *fakeStore, *vfs.Health, *stat.Histogram) {
 	}
 	f.nodes = map[int]*fakeNode{
 		1: dir(map[string]int{"file": 2, "dir": 3, "link": 4}),
-		2: {TypedAttr: Typed(vfs.TypeRegular, Attr{Mode: 0o644, Links: 1})},
+		2: {TypedAttr: Typed(vfs.TypeRegular, Attr{Mode: 0o644, Links: 1, Size: 10}), data: []byte("0123456789")},
 		3: dir(map[string]int{}),
 		4: {TypedAttr: Typed(vfs.TypeSymlink, Attr{Mode: 0o777, Links: 1}), target: "/file"},
 	}
@@ -153,7 +171,7 @@ func harness(t *testing.T) (*ns, *fakeStore, *vfs.Health, *stat.Histogram) {
 	wait := stat.NewHistogram()
 	w := &spyLock{"w", f}
 	n := New[int, fakeNode](f, Volume{Mu: w, RMu: &spyLock{"r", f}, Health: health,
-		Journal: journal.New(w, health, f.clk, wait), SymlinkMax: 64})
+		Journal: journal.New(w, health, f.clk, wait), SymlinkMax: 64, MaxFileSize: 100})
 	return &n, f, health, wait
 }
 
@@ -186,6 +204,8 @@ var entryPoints = []struct {
 	{"Rmdir", "w", func(n *ns) error { return n.Rmdir("/dir") }},
 	{"Link", "w", func(n *ns) error { return n.Link("/file", "/hard") }},
 	{"Rename", "w", func(n *ns) error { return n.Rename("/file", "/dir/moved") }},
+	{"Write", "w", func(n *ns) error { return second(n.Write("/file", 0, []byte("x"))) }},
+	{"Truncate", "w", func(n *ns) error { return n.Truncate("/file", 4) }},
 }
 
 func TestLockThenGuardThenStore(t *testing.T) {
@@ -401,5 +421,128 @@ func TestLinkAtTheCeilingWalksOnlyTheSource(t *testing.T) {
 	}
 	if got := strings.Join(f.log, " "); got != "lock:w mounted root lookup load unlock:w" {
 		t.Errorf("sequence %s", got)
+	}
+}
+
+// TestReadLockFollowsNoAtime: Read takes the volume lock and stamps atime,
+// or under noatime takes the read side and stores nothing. Either way it
+// runs the read guard: a read-only volume still reads, without a stamp.
+func TestReadLockFollowsNoAtime(t *testing.T) {
+	cases := []struct {
+		name              string
+		noatime, readOnly bool
+		want              string
+		stamped           bool
+	}{
+		{"atime", false, false, "readat:2+3 store maybecommit unlock:w", true},
+		{"noatime", true, false, "readat:2+3 unlock:r", false},
+		{"read-only", false, true, "readat:2+3 unlock:w", false},
+	}
+	for _, c := range cases {
+		n, f, health, _ := harness(t)
+		n.SetNoAtime(c.noatime)
+		if c.readOnly {
+			health.Degrade(vfs.ReadOnly, "test", nil)
+		}
+		buf := make([]byte, 3)
+		got, err := n.Read("/file", 2, buf)
+		if err != nil || string(buf[:got]) != "234" {
+			t.Errorf("%s: read %q, %v", c.name, buf[:got], err)
+		}
+		log := strings.Join(f.log, " ")
+		if side := c.want[len(c.want)-1:]; !strings.HasPrefix(log, "lock:"+side+" mounted ") || !strings.HasSuffix(log, " "+c.want) {
+			t.Errorf("%s: sequence %s, want lock:%s mounted … %s", c.name, log, side, c.want)
+		}
+		if stamped := f.nodes[2].Atime != 0; stamped != c.stamped {
+			t.Errorf("%s: atime %d", c.name, f.nodes[2].Atime)
+		}
+	}
+}
+
+// TestReadClampsToTheSize: the store is handed only the bytes inside the
+// file, and nothing at or past EOF, where Read still stamps atime.
+// Refusals come before the store is asked for any byte.
+func TestReadClampsToTheSize(t *testing.T) {
+	cases := []struct {
+		path string
+		off  int64
+		want string // the log after the walk
+		err  error
+	}{
+		{"/file", 4, "readat:4+6 store maybecommit unlock:w", nil},
+		{"/link", 9, "readat:9+1 store maybecommit unlock:w", nil},
+		{"/file", 10, "store maybecommit unlock:w", nil},
+		{"/file", 50, "store maybecommit unlock:w", nil},
+		{"/dir", 0, "load unlock:w", vfs.ErrIsDir},
+		{"/file", -1, "load unlock:w", vfs.ErrInval},
+	}
+	for _, c := range cases {
+		n, f, _, _ := harness(t)
+		_, err := n.Read(c.path, c.off, make([]byte, 20))
+		if !errors.Is(err, c.err) {
+			t.Errorf("Read(%s, %d): err = %v, want %v", c.path, c.off, err, c.err)
+		}
+		if log := strings.Join(f.log, " "); !strings.HasSuffix(log, " "+c.want) {
+			t.Errorf("Read(%s, %d): sequence %s, want it to end %s", c.path, c.off, log, c.want)
+		}
+	}
+}
+
+// TestWriteAndTruncateRecordTheSize: Write grows the size to what it wrote
+// and never shrinks it, Truncate sets it and asks the store to cut only
+// when it shrinks; both stamp mtime and commit after the store. The
+// limits refuse before any byte moves, and a failed store still reports
+// the bytes the Write moved.
+func TestWriteAndTruncateRecordTheSize(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(*ns) error
+		want string // the log after the walk
+		size uint64
+		err  error
+	}{
+		{"Write past EOF", func(n *ns) error { return second(n.Write("/file", 12, []byte("ab"))) },
+			"writeat:12+2 store maybecommit unlock:w", 14, nil},
+		{"Write inside", func(n *ns) error { return second(n.Write("/file", 2, []byte("ab"))) },
+			"writeat:2+2 store maybecommit unlock:w", 10, nil},
+		{"Write to the limit", func(n *ns) error { return second(n.Write("/file", 99, []byte("a"))) },
+			"writeat:99+1 store maybecommit unlock:w", 100, nil},
+		{"Write past the limit", func(n *ns) error { return second(n.Write("/file", 99, []byte("ab"))) }, "load unlock:w", 10, vfs.ErrInval},
+		{"Write at a negative offset", func(n *ns) error { return second(n.Write("/file", -1, []byte("a"))) }, "load unlock:w", 10, vfs.ErrInval},
+		{"Write of a directory", func(n *ns) error { return second(n.Write("/dir", 0, []byte("a"))) }, "load unlock:w", 0, vfs.ErrIsDir},
+		{"Truncate down", func(n *ns) error { return n.Truncate("/file", 4) }, "cut:4 store maybecommit unlock:w", 4, nil},
+		{"Truncate up", func(n *ns) error { return n.Truncate("/file", 40) }, "load store maybecommit unlock:w", 40, nil},
+		{"Truncate to the size", func(n *ns) error { return n.Truncate("/file", 10) }, "load store maybecommit unlock:w", 10, nil},
+		{"Truncate past the limit", func(n *ns) error { return n.Truncate("/file", 101) }, "load unlock:w", 10, vfs.ErrInval},
+		{"Truncate to a negative size", func(n *ns) error { return n.Truncate("/file", -1) }, "load unlock:w", 10, vfs.ErrInval},
+		{"Truncate of a directory", func(n *ns) error { return n.Truncate("/dir", 0) }, "load unlock:w", 0, vfs.ErrIsDir},
+	}
+	for _, c := range cases {
+		n, f, _, _ := harness(t)
+		if err := c.run(n); !errors.Is(err, c.err) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.err)
+		}
+		if log := strings.Join(f.log, " "); !strings.HasSuffix(log, " "+c.want) {
+			t.Errorf("%s: sequence %s, want it to end %s", c.name, log, c.want)
+		}
+		node := f.nodes[2]
+		if strings.HasSuffix(c.name, "directory") {
+			node = f.nodes[3]
+		}
+		if node.Size != c.size || (c.err == nil) != (node.Mtime != 0) {
+			t.Errorf("%s: size %d mtime %d, want size %d", c.name, node.Size, node.Mtime, c.size)
+		}
+	}
+
+	boom := errors.New("boom")
+	for _, spoil := range []func(*fakeStore){
+		func(f *fakeStore) { f.storeErr = boom },
+		func(f *fakeStore) { f.commitErr = boom },
+	} {
+		n, f, _, _ := harness(t)
+		spoil(f)
+		if got, err := n.Write("/file", 0, []byte("abc")); got != 3 || !errors.Is(err, boom) {
+			t.Errorf("Write with a failing store or commit = %d, %v; want 3, boom", got, err)
+		}
 	}
 }
