@@ -112,19 +112,14 @@ func (fs *FS) censusGroup(g uint32) (r groupCensus, units int64, err error) {
 		if in.Parity != 0 {
 			r.claims = append(r.claims, fs.pointer(int64(in.Parity), what+" parity"))
 		}
-		// The data blocks below the size, in logical order, holes skipped
-		// a subtree at a time: a sparse file may be larger than the
-		// volume. LoadLocked refused any size past MaxFileSize.
-		nblocks := (int64(in.Size) + BlockSize - 1) / BlockSize
-		for l := int64(0); l < nblocks; {
-			phys, next, err := fs.bmapNext(&in, l)
-			if err != nil {
-				return r, units, err
-			}
-			if phys != 0 {
-				r.claims = append(r.claims, fs.pointer(phys, fmt.Sprintf("%s block %d", what, l)))
-			}
-			l = next
+		// A sparse file may be larger than the volume; LoadLocked refused
+		// any size past MaxFileSize.
+		err = fs.forEachBlock(&in, func(l, phys int64) error {
+			r.claims = append(r.claims, fs.pointer(phys, fmt.Sprintf("%s block %d", what, l)))
+			return nil
+		})
+		if err != nil {
+			return r, units, err
 		}
 		fs.walkTrees(&in, func(blk int64) { r.claims = append(r.claims, fs.pointer(blk, what+" indirect")) })
 	}

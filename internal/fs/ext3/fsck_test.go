@@ -407,10 +407,10 @@ func freshImage(t *testing.T) []byte {
 	return d.Snapshot()
 }
 
-// TestBmapNextLikeBmap: the census's walk maps, in order, exactly the
-// blocks bmap maps at every logical index, on a file with holes at every
-// level of every tree.
-func TestBmapNextLikeBmap(t *testing.T) {
+// TestForEachBlockLikeBmap: the census's and the scrub's walk maps, in
+// order, exactly the blocks bmap maps at every logical index, on a file
+// with holes at every level of every tree.
+func TestForEachBlockLikeBmap(t *testing.T) {
 	fs, _ := newTestFS(t, Options{})
 	if err := fs.Create("/f", 0o644); err != nil {
 		t.Fatal(err)
@@ -436,20 +436,14 @@ func TestBmapNextLikeBmap(t *testing.T) {
 			want = append(want, hit{l, phys})
 		}
 	}
-	for l := int64(0); l < nblocks; {
-		phys, next, err := fs.bmapNext(&in, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if next <= l {
-			t.Fatalf("bmapNext(%d) goes back to %d", l, next)
-		}
-		if phys != 0 {
-			got = append(got, hit{l, phys})
-		}
-		l = next
+	err = fs.forEachBlock(&in, func(l, phys int64) error {
+		got = append(got, hit{l, phys})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(want) != 6 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("bmapNext maps %v, bmap %v", got, want)
+		t.Fatalf("forEachBlock maps %v, bmap %v", got, want)
 	}
 }

@@ -183,10 +183,10 @@ func (fs *FS) mapVia(root *uint64, idx int64, depth int, alloc bool, pref uint32
 
 func nil2(err error) (int64, error) { return 0, err }
 
-// bmapNext is bmap without alloc for a walk in logical order: it also
-// returns the next logical block the walk need map, past the whole
-// subtree when l falls in one that is not allocated. It reads exactly the
-// indirect blocks bmap reads.
+// bmapNext is bmap without alloc for forEachBlock's walk: it also returns
+// the next logical block the walk need map, past the whole subtree when l
+// falls in one that is not allocated. It reads exactly the indirect
+// blocks bmap reads.
 func (fs *FS) bmapNext(in *inode, l int64) (phys, next int64, err error) {
 	var root uint64
 	var idx int64
@@ -230,22 +230,23 @@ func (fs *FS) bmapNext(in *inode, l int64) (phys, next int64, err error) {
 	}
 }
 
-// forEachBlock walks every allocated data block of the file in logical
-// order, invoking fn(logical, physical). Holes are skipped. The walk stops
-// on the first error from fn.
+// forEachBlock walks every allocated data block below the file's size in
+// logical order, invoking fn(logical, physical). Holes are skipped a
+// subtree at a time, so a sparse file costs what it maps, not its size.
+// The walk stops on the first error from fn.
 func (fs *FS) forEachBlock(in *inode, fn func(l, phys int64) error) error {
 	nblocks := (int64(in.Size) + BlockSize - 1) / BlockSize
-	for l := int64(0); l < nblocks; l++ {
-		phys, err := fs.bmap(in, l, false)
+	for l := int64(0); l < nblocks; {
+		phys, next, err := fs.bmapNext(in, l)
 		if err != nil {
 			return err
 		}
-		if phys == 0 {
-			continue
+		if phys != 0 {
+			if err := fn(l, phys); err != nil {
+				return err
+			}
 		}
-		if err := fn(l, phys); err != nil {
-			return err
-		}
+		l = next
 	}
 	return nil
 }
