@@ -40,8 +40,9 @@ type Options struct {
 	// NoBarrier drops ext3's payload/commit ordering barrier, modeling a
 	// drive whose cache ignores flushes (§6.2). Valid for ext3.
 	NoBarrier bool
-	// NoAtime suppresses the atime update on Read so reads run under the
-	// shared lock. Valid for ext3 and ixt3.
+	// NoAtime suppresses the atime update on Read, which then takes the
+	// read-side lock (shared on ext3 and ixt3). Valid for every file
+	// system.
 	NoAtime bool
 	// JournalBlocks/BlocksPerGroup/ITableBlocks override the ext3-family
 	// mkfs geometry (0 = default). Valid for ext3 and ixt3.
