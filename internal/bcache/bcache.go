@@ -14,7 +14,6 @@
 package bcache
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -69,8 +68,14 @@ type shard struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[int64]*entry
-	lru     *list.List // front = most recent; values are *entry
-	stats   Stats
+	// lru is the sentinel of the recency ring: lru.next is the most
+	// recently used entry, lru.prev the least.
+	lru entry
+	// free holds entries no block uses, linked through next; frames holds
+	// cache-owned buffers no entry uses, at most cap of them, for Fill.
+	free   *entry
+	frames [][]byte
+	stats  Stats
 	// Live-metrics handles, per shard so the snapshot shows skew across
 	// shards, resolved once at construction.
 	mHit, mMiss, mEvict *stat.Counter
@@ -80,7 +85,12 @@ type entry struct {
 	block int64
 	data  []byte
 	dirty bool
-	elem  *list.Element
+	// own is set while data is a frame the cache owns and never handed
+	// out: only Fill sets it, and Get clears it for good. The frame of an
+	// own entry goes back to the shard's frame list when the entry lets
+	// go of it; any other buffer is left to the garbage collector.
+	own        bool
+	prev, next *entry
 }
 
 // New returns a cache bounded to capBlocks resident blocks (minimum 16),
@@ -105,12 +115,14 @@ func NewSharded(capBlocks, shards int) *Cache {
 	for i := range c.shards {
 		// Zero-padded shard labels keep snapshot keys sorted numerically.
 		lbl := fmt.Sprintf("%02d", i)
-		c.shards[i] = shard{
-			cap: perShard, entries: make(map[int64]*entry), lru: list.New(),
+		s := &c.shards[i]
+		*s = shard{
+			cap: perShard, entries: make(map[int64]*entry),
 			mHit:   stat.C("bcache_ops_total", "op", "hit", "shard", lbl),
 			mMiss:  stat.C("bcache_ops_total", "op", "miss", "shard", lbl),
 			mEvict: stat.C("bcache_ops_total", "op", "evict", "shard", lbl),
 		}
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
 	}
 	return c
 }
@@ -130,6 +142,8 @@ func (c *Cache) shardOf(n int64) *shard {
 
 // Get returns the cached data for block n, or nil on a miss. The returned
 // slice aliases the cache; callers mutating it must also call MarkDirty.
+// The caller may hold it across later calls: a buffer Get handed out is
+// never recycled.
 func (c *Cache) Get(n int64) []byte {
 	s := c.shardOf(n)
 	s.mu.Lock()
@@ -142,7 +156,8 @@ func (c *Cache) Get(n int64) []byte {
 		c.tr.Load().Buffer(trace.KindMiss, n)
 		return nil
 	}
-	s.lru.MoveToFront(e.elem)
+	s.moveToFront(e)
+	e.own = false
 	s.stats.Hits++
 	s.mHit.Inc()
 	data := e.data
@@ -171,7 +186,7 @@ func (c *Cache) GetInto(n int64, off int, dst []byte) bool {
 		return false
 	}
 	copy(dst, e.data[off:off+len(dst)])
-	s.lru.MoveToFront(e.elem)
+	s.moveToFront(e)
 	s.stats.Hits++
 	s.mu.Unlock()
 	s.mHit.Inc()
@@ -197,22 +212,23 @@ func (c *Cache) DirtyLen() int {
 	return n
 }
 
-// Put inserts (or replaces) block n with data, which the cache takes
-// ownership of. Eviction of the least-recently-used clean block keeps the
-// shard within capacity.
+// Put inserts (or replaces) block n with data. The cache keeps data but
+// never recycles it: the caller may go on holding it. Eviction of the
+// least-recently-used clean block keeps the shard within capacity.
 func (c *Cache) Put(n int64, data []byte, dirty bool) {
 	s := c.shardOf(n)
 	s.mu.Lock()
 	if e, ok := s.entries[n]; ok {
-		e.data = data
+		s.recycleLocked(e)
+		e.data, e.own = data, false
 		e.dirty = e.dirty || dirty
-		s.lru.MoveToFront(e.elem)
+		s.moveToFront(e)
 		s.stats.Replacements++
 		s.mu.Unlock()
 		return
 	}
 	var buf [victimBuf]int64
-	evicted := s.insertLocked(n, data, dirty, buf[:0])
+	evicted := s.insertLocked(n, data, dirty, false, buf[:0])
 	s.mu.Unlock()
 	c.noteEvicts(s, evicted)
 }
@@ -220,19 +236,39 @@ func (c *Cache) Put(n int64, data []byte, dirty bool) {
 // Fill inserts block n clean with data unless n is already resident,
 // reporting whether it did. It is Put for a copy read from the media on
 // speculation: a resident buffer — dirty with an update the media has not
-// seen, or clean and as new as the media — always wins over it.
+// seen, or clean and as new as the media — always wins over it. Fill is
+// the one insert whose data becomes the cache's own (ReadAhead takes it
+// from frame): the caller keeps no reference to it, and once no entry
+// uses it and Get never handed it out, a later fill reads into it.
 func (c *Cache) Fill(n int64, data []byte) bool {
 	s := c.shardOf(n)
 	s.mu.Lock()
 	if _, ok := s.entries[n]; ok {
+		s.pushFrameLocked(data)
 		s.mu.Unlock()
 		return false
 	}
 	var buf [victimBuf]int64
-	evicted := s.insertLocked(n, data, false, buf[:0])
+	evicted := s.insertLocked(n, data, false, true, buf[:0])
 	s.mu.Unlock()
 	c.noteEvicts(s, evicted)
 	return true
+}
+
+// frame returns a buffer of size bytes for a Fill of block n: a frame from
+// n's shard's list when one of that size is there, else a new one.
+func (c *Cache) frame(n int64, size int) []byte {
+	s := c.shardOf(n)
+	s.mu.Lock()
+	if k := len(s.frames) - 1; k >= 0 && len(s.frames[k]) == size {
+		f := s.frames[k]
+		s.frames[k] = nil
+		s.frames = s.frames[:k]
+		s.mu.Unlock()
+		return f
+	}
+	s.mu.Unlock()
+	return make([]byte, size)
 }
 
 // Resident reports whether block n is in the cache. It is a peek, not a
@@ -292,8 +328,8 @@ func (c *Cache) Drop(n int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[n]; ok {
-		s.lru.Remove(e.elem)
 		delete(s.entries, n)
+		s.releaseLocked(e)
 		s.stats.Drops++
 	}
 }
@@ -304,8 +340,10 @@ func (c *Cache) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.entries = make(map[int64]*entry)
-		s.lru.Init()
+		for s.lru.next != &s.lru {
+			s.releaseLocked(s.lru.next)
+		}
+		clear(s.entries)
 		s.mu.Unlock()
 	}
 }
@@ -346,28 +384,37 @@ const victimBuf = 4
 
 // insertLocked adds block n, which is absent, at the front of the LRU and
 // brings the shard back within capacity, appending the evicted block
-// numbers to victims. In a shard exactly at capacity the newcomer takes
-// over the least-recently-used clean block's entry and list element, so
-// the steady-state insert allocates nothing. A shard over capacity, or one
-// with no clean block, inserts and then evicts, which may evict the
-// newcomer itself. Either way the victims, their order and the counters
-// are those of inserting first and evicting after. The data buffers are
-// never reused: a slice Get handed out keeps its bytes. Caller holds s.mu.
-func (s *shard) insertLocked(n int64, data []byte, dirty bool, victims []int64) []int64 {
+// numbers to victims; own says whether data is a cache-owned frame (Fill).
+// In a shard exactly at capacity the newcomer takes over the
+// least-recently-used clean block's entry, so the steady-state insert
+// allocates nothing. A shard over capacity, or one with no clean block,
+// inserts and then evicts, which may evict the newcomer itself. Either
+// way the victims, their order and the counters are those of inserting
+// first and evicting after. A victim's buffer goes back to the frame list
+// only while its own bit is set: a slice Get handed out, or a buffer a
+// caller gave to Put, keeps its bytes. Caller holds s.mu.
+func (s *shard) insertLocked(n int64, data []byte, dirty, own bool, victims []int64) []int64 {
 	s.stats.Inserts++
 	if len(s.entries) == s.cap {
 		if v := s.victimLocked(); v != nil {
 			delete(s.entries, v.block)
 			s.stats.Evicts++
 			victims = append(victims, v.block)
-			v.block, v.data, v.dirty = n, data, dirty
-			s.lru.MoveToFront(v.elem)
+			s.recycleLocked(v)
+			v.block, v.data, v.dirty, v.own = n, data, dirty, own
+			s.moveToFront(v)
 			s.entries[n] = v
 			return victims
 		}
 	}
-	e := &entry{block: n, data: data, dirty: dirty}
-	e.elem = s.lru.PushFront(e)
+	e := s.free
+	if e != nil {
+		s.free = e.next
+	} else {
+		e = new(entry)
+	}
+	e.block, e.data, e.dirty, e.own = n, data, dirty, own
+	s.pushFront(e)
 	s.entries[n] = e
 	return s.evictLocked(victims)
 }
@@ -380,10 +427,10 @@ func (s *shard) evictLocked(victims []int64) []int64 {
 		if v == nil {
 			return victims // everything dirty; let the shard grow until commit
 		}
-		s.lru.Remove(v.elem)
 		delete(s.entries, v.block)
 		s.stats.Evicts++
 		victims = append(victims, v.block)
+		s.releaseLocked(v)
 	}
 	return victims
 }
@@ -391,10 +438,52 @@ func (s *shard) evictLocked(victims []int64) []int64 {
 // victimLocked returns the least-recently-used clean entry, or nil when
 // every resident block is dirty. Caller holds s.mu.
 func (s *shard) victimLocked() *entry {
-	for el := s.lru.Back(); el != nil; el = el.Prev() {
-		if e := el.Value.(*entry); !e.dirty {
+	for e := s.lru.prev; e != &s.lru; e = e.prev {
+		if !e.dirty {
 			return e
 		}
 	}
 	return nil
+}
+
+// pushFront links e in as the most recently used entry. Caller holds s.mu.
+func (s *shard) pushFront(e *entry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.next.prev = e
+	s.lru.next = e
+}
+
+// moveToFront makes the resident e the most recently used entry. Caller
+// holds s.mu.
+func (s *shard) moveToFront(e *entry) {
+	if s.lru.next == e {
+		return
+	}
+	e.prev.next, e.next.prev = e.next, e.prev
+	s.pushFront(e)
+}
+
+// releaseLocked unlinks e, which has left the map, from the LRU ring,
+// recycles its buffer and puts it on the free list. Caller holds s.mu.
+func (s *shard) releaseLocked(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	s.recycleLocked(e)
+	*e = entry{next: s.free}
+	s.free = e
+}
+
+// recycleLocked moves e's buffer to the frame list if the cache owns it.
+// Caller holds s.mu.
+func (s *shard) recycleLocked(e *entry) {
+	if e.own {
+		s.pushFrameLocked(e.data)
+	}
+}
+
+// pushFrameLocked keeps the cache-owned frame f for a later Fill while the
+// list holds fewer frames than the shard holds blocks. Caller holds s.mu.
+func (s *shard) pushFrameLocked(f []byte) {
+	if len(s.frames) < s.cap {
+		s.frames = append(s.frames, f)
+	}
 }

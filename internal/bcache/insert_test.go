@@ -1,7 +1,6 @@
 package bcache
 
 import (
-	"container/list"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -11,14 +10,20 @@ import (
 )
 
 // refShard is one shard of the reference cache: the insert path as it was
-// before inserts recycled a victim's entry. Every insert allocates an entry
-// and a list element, pushes it to the front, then evicts clean blocks from
-// the back until the shard is within capacity.
+// before inserts recycled a victim's entry. Every insert allocates an
+// entry, pushes it to the front, then evicts clean blocks from the back
+// until the shard is within capacity. Its LRU is a plain slice.
 type refShard struct {
 	cap     int
-	entries map[int64]*entry
-	lru     *list.List
+	entries map[int64]*refEntry
+	lru     []*refEntry // front = most recent
 	stats   Stats
+}
+
+type refEntry struct {
+	block int64
+	data  []byte
+	dirty bool
 }
 
 // refCache drives refShards with the Cache's shard map and capacities.
@@ -27,7 +32,7 @@ type refCache struct{ shards []refShard }
 func newRefCache(c *Cache) *refCache {
 	r := &refCache{shards: make([]refShard, len(c.shards))}
 	for i := range r.shards {
-		r.shards[i] = refShard{cap: c.shards[i].cap, entries: map[int64]*entry{}, lru: list.New()}
+		r.shards[i] = refShard{cap: c.shards[i].cap, entries: map[int64]*refEntry{}}
 	}
 	return r
 }
@@ -39,24 +44,34 @@ func (r *refCache) shardOf(n int64) *refShard {
 	return &r.shards[int(n)%len(r.shards)]
 }
 
+func (s *refShard) remove(e *refEntry) {
+	i := slices.Index(s.lru, e)
+	s.lru = slices.Delete(s.lru, i, i+1)
+}
+
+func (s *refShard) moveToFront(e *refEntry) {
+	s.remove(e)
+	s.lru = slices.Insert(s.lru, 0, e)
+}
+
 func (s *refShard) insert(n int64, data []byte, dirty bool) []int64 {
-	e := &entry{block: n, data: data, dirty: dirty}
-	e.elem = s.lru.PushFront(e)
+	e := &refEntry{block: n, data: data, dirty: dirty}
+	s.lru = slices.Insert(s.lru, 0, e)
 	s.entries[n] = e
 	s.stats.Inserts++
 	var out []int64
 	for len(s.entries) > s.cap {
-		var victim *entry
-		for el := s.lru.Back(); el != nil; el = el.Prev() {
-			if e := el.Value.(*entry); !e.dirty {
-				victim = e
+		var victim *refEntry
+		for k := len(s.lru) - 1; k >= 0; k-- {
+			if !s.lru[k].dirty {
+				victim = s.lru[k]
 				break
 			}
 		}
 		if victim == nil {
 			return out
 		}
-		s.lru.Remove(victim.elem)
+		s.remove(victim)
 		delete(s.entries, victim.block)
 		s.stats.Evicts++
 		out = append(out, victim.block)
@@ -72,7 +87,7 @@ func (r *refCache) get(n int64) []byte {
 		s.stats.Misses++
 		return nil
 	}
-	s.lru.MoveToFront(e.elem)
+	s.moveToFront(e)
 	s.stats.Hits++
 	return e.data
 }
@@ -82,7 +97,7 @@ func (r *refCache) put(n int64, data []byte, dirty bool) []int64 {
 	if e, ok := s.entries[n]; ok {
 		e.data = data
 		e.dirty = e.dirty || dirty
-		s.lru.MoveToFront(e.elem)
+		s.moveToFront(e)
 		s.stats.Replacements++
 		return nil
 	}
@@ -108,7 +123,7 @@ func (r *refCache) setDirty(n int64, dirty bool) bool {
 func (r *refCache) drop(n int64) {
 	s := r.shardOf(n)
 	if e, ok := s.entries[n]; ok {
-		s.lru.Remove(e.elem)
+		s.remove(e)
 		delete(s.entries, n)
 		s.stats.Drops++
 	}
@@ -116,8 +131,8 @@ func (r *refCache) drop(n int64) {
 
 func (r *refCache) reset() {
 	for i := range r.shards {
-		r.shards[i].entries = map[int64]*entry{}
-		r.shards[i].lru.Init()
+		r.shards[i].entries = map[int64]*refEntry{}
+		r.shards[i].lru = nil
 	}
 }
 
@@ -131,17 +146,30 @@ func (r *refCache) statsAndLen() (Stats, int) {
 	return out, n
 }
 
-// lruOrder renders a shard's LRU list front to back, with dirty blocks
-// starred, so two caches' recency orders compare as strings.
-func lruOrder(l *list.List) string {
+// appendLRU renders one block of a recency order, starred when dirty, so
+// two caches' orders compare as strings.
+func appendLRU(out []byte, block int64, dirty bool) []byte {
+	out = fmt.Appendf(out, "%d", block)
+	if dirty {
+		out = append(out, '*')
+	}
+	return append(out, ' ')
+}
+
+// lruOrder renders the shard's LRU ring front to back.
+func (s *shard) lruOrder() string {
 	var out []byte
-	for el := l.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		out = fmt.Appendf(out, "%d", e.block)
-		if e.dirty {
-			out = append(out, '*')
-		}
-		out = append(out, ' ')
+	for e := s.lru.next; e != &s.lru; e = e.next {
+		out = appendLRU(out, e.block, e.dirty)
+	}
+	return string(out)
+}
+
+// lruOrder renders the reference shard's LRU front to back.
+func (s *refShard) lruOrder() string {
+	var out []byte
+	for _, e := range s.lru {
+		out = appendLRU(out, e.block, e.dirty)
 	}
 	return string(out)
 }
@@ -287,7 +315,7 @@ func runInsertMix(t *testing.T, capBlocks, shards int, seed int64) {
 			t.Fatalf("seed %d step %d %s: Len %d, reference %d", seed, step, op, got, wantLen)
 		}
 		for i := range c.shards {
-			if got, exp := lruOrder(c.shards[i].lru), lruOrder(ref.shards[i].lru); got != exp {
+			if got, exp := c.shards[i].lruOrder(), ref.shards[i].lruOrder(); got != exp {
 				t.Fatalf("seed %d step %d %s: shard %d LRU %s, reference %s", seed, step, op, i, got, exp)
 			}
 		}
@@ -299,42 +327,72 @@ func runInsertMix(t *testing.T, capBlocks, shards int, seed int64) {
 }
 
 // fullCache returns a cache whose every shard is at capacity with clean
-// blocks, and the next block number no shard holds.
-func fullCache(data []byte) (*Cache, int64) {
+// blocks filled into cache-owned frames, one of them evicted, so a frame
+// circulates, and fill, which fills the next block no shard holds the way
+// ReadAhead does and returns its number.
+func fullCache() (*Cache, func() int64) {
 	c := NewSharded(64, 4)
 	n := int64(0)
-	for ; n < 64; n++ {
-		c.Fill(n, data)
+	fill := func() int64 {
+		c.Fill(n, c.frame(n, 4096))
+		n++
+		return n - 1
 	}
-	return c, n
+	for n < 64+4 {
+		fill()
+	}
+	return c, fill
 }
 
 // TestFullShardInsertAllocs: an insert into a shard at capacity recycles
-// its clean victim's entry and list element, so neither Fill nor Put
-// allocates.
+// its clean victim's entry, and the victim's frame when the cache owns
+// it, so neither Fill nor Put allocates. Refilling a shard that Reset
+// emptied or Drop thinned takes entries and frames from its free lists
+// and allocates nothing either.
 func TestFullShardInsertAllocs(t *testing.T) {
-	data := make([]byte, 4096)
-	c, n := fullCache(data)
-	if got := testing.AllocsPerRun(1000, func() { c.Fill(n, data); n++ }); got != 0 {
+	c, fill := fullCache()
+	if got := testing.AllocsPerRun(1000, func() { fill() }); got != 0 {
 		t.Errorf("Fill into a full shard: %v allocs, want 0", got)
 	}
-	if got := testing.AllocsPerRun(1000, func() { c.Put(n, data, false); n++ }); got != 0 {
+	refill := testing.AllocsPerRun(10, func() {
+		c.Reset()
+		for i := 0; i < 64; i++ {
+			fill()
+		}
+	})
+	if refill != 0 {
+		t.Errorf("refilling 64 blocks after Reset: %v allocs, want 0", refill)
+	}
+	// fill numbers blocks in sequence, so the last 16 filled are resident.
+	last := fill()
+	refill = testing.AllocsPerRun(100, func() {
+		for b := last - 15; b <= last; b++ {
+			c.Drop(b)
+		}
+		for i := 0; i < 16; i++ {
+			last = fill()
+		}
+	})
+	if refill != 0 || c.Stats().Drops == 0 {
+		t.Errorf("refilling 16 blocks after Drop: %v allocs (%+v), want 0", refill, c.Stats())
+	}
+	data := make([]byte, 4096)
+	n := int64(-1)
+	if got := testing.AllocsPerRun(1000, func() { c.Put(n, data, false); n-- }); got != 0 {
 		t.Errorf("Put into a full shard: %v allocs, want 0", got)
 	}
-	if s := c.Stats(); s.Inserts-s.Evicts != int64(c.Len()) || c.Len() != 64 {
-		t.Errorf("after recycling inserts: Len %d, %+v", c.Len(), s)
+	if c.Len() != 64 {
+		t.Errorf("after recycling inserts: Len %d, want 64", c.Len())
 	}
 }
 
 // BenchmarkFullShardInsert prices one Fill into a shard at capacity: the
 // cold-read miss path's cache cost, victim eviction included.
 func BenchmarkFullShardInsert(b *testing.B) {
-	data := make([]byte, 4096)
-	c, n := fullCache(data)
+	_, fill := fullCache()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Fill(n, data)
-		n++
+		fill()
 	}
 }

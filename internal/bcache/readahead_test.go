@@ -418,45 +418,58 @@ func TestResidentIsAPeek(t *testing.T) {
 }
 
 // TestPrefetcherAllocs gates the cost: detecting a stream allocates
-// nothing, and a firing allocates exactly one buffer per block it caches
-// on top of what inserting those blocks through Put costs.
+// nothing, and once the frames of evicted read-ahead blocks circulate, a
+// firing reads into them and allocates nothing either.
 func TestPrefetcherAllocs(t *testing.T) {
 	const window = 8
 	dev := newRADev(1 << 20)
+	c, next, fire := steadyStream(dev, window)
+	p := NewPrefetcher(c, window)
+	if a := testing.AllocsPerRun(100, func() { _ = p.ahead(next) }); a != 0 {
+		t.Fatalf("detection allocated %.1f times per miss, want 0", a)
+	}
+	fired := 0
+	firing := testing.AllocsPerRun(100, func() { fired = fire() })
+	if fired != window || firing != 0 {
+		t.Fatalf("a firing of %d blocks allocated %.1f times; want %d blocks and 0 allocations", fired, firing, window)
+	}
+}
+
+// steadyStream returns a one-shard cache of 64 blocks whose every block
+// came in through read-ahead, the next demand miss of the stream that
+// filled it, and fire, which takes that miss — a Put of a buffer allocated
+// up front — and the window after it, returning how many blocks the window
+// cached.
+func steadyStream(dev disk.Device, window int) (*Cache, int64, func() int) {
+	c := NewSharded(64, 1)
+	p := NewPrefetcher(c, window)
 	bufs := make([][]byte, 64)
 	for i := range bufs {
 		bufs[i] = make([]byte, dev.BlockSize())
 	}
-	// A stream already at its full window, in a cache that is full.
-	full := func() *Cache {
-		c := NewSharded(64, 1)
-		for b := int64(0); b < 64; b++ {
-			c.Put(b, bufs[b], false)
-		}
-		return c
-	}
-	c := full()
-	p := NewPrefetcher(c, window)
-	if a := testing.AllocsPerRun(100, func() { _ = p.ahead(64) }); a != 0 {
-		t.Fatalf("detection allocated %.1f times per miss, want 0", a)
-	}
-	// Each run is a demand fill and the window after it: through ReadAhead,
-	// and the same inserts through Put with buffers allocated up front.
-	next, fired := int64(64), 0
-	firing := testing.AllocsPerRun(100, func() {
+	c.Put(0, bufs[0], false)
+	next := int64(1)
+	fire := func() int {
 		c.Put(next, bufs[next%64], false)
-		fired = p.ReadAhead(dev, next, nil)
-		next += window + 1
-	})
-	c, next = full(), 64
-	puts := testing.AllocsPerRun(100, func() {
-		for b := next; b <= next+window; b++ {
-			c.Put(b, bufs[b%64], false)
-		}
-		next += window + 1
-	})
-	if fired != window || firing-puts != window {
-		t.Fatalf("a firing of %d blocks allocated %.1f times against %.1f for the same inserts through Put; want %d blocks and %d more allocations",
-			fired, firing, puts, window, window)
+		got := p.ReadAhead(dev, next, nil)
+		next += int64(got) + 1
+		return got
+	}
+	// Round the cache until the frames the laps evict keep up with the
+	// ones the next firing takes.
+	for next < 8*64 {
+		fire()
+	}
+	return c, next, fire
+}
+
+// BenchmarkReadAheadSteady prices one read-ahead firing of 8 blocks into a
+// full cache whose evicted frames circulate.
+func BenchmarkReadAheadSteady(b *testing.B) {
+	_, _, fire := steadyStream(newRADev(1<<40), 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fire()
 	}
 }

@@ -57,7 +57,10 @@ type Request struct {
 // Device is the block-device interface all file systems in this repository
 // are written against. Block numbers are zero-based. All operations are
 // synchronous: when they return, the simulated I/O has completed (and the
-// simulated clock has advanced).
+// simulated clock has advanced). A device must not keep buf, a batch's
+// reqs or any Request.Data after the call returns, because the caller may
+// reuse them at once (the scheduler recycles its queued buffers): Disk
+// copies into its media and CrashDevice clones what it logs.
 type Device interface {
 	// ReadBlock reads block n into buf (len(buf) must equal BlockSize).
 	ReadBlock(n int64, buf []byte) error

@@ -130,22 +130,23 @@ func (fs *FS) ReadAtLocked(_ uint32, in inode, off int64, p []byte) (int, error)
 		l := (off + read) / BlockSize
 		bo := (off + read) % BlockSize
 		chunk := min(BlockSize-bo, n-read)
+		dst := p[read : read+chunk]
 		phys, err := fs.bmap(&in, l, false)
 		if err != nil {
 			return int(read), err
 		}
 		if phys == 0 {
-			clear(p[read : read+chunk])
-		} else {
-			data := fs.cache.Get(phys)
-			if data == nil {
-				// Miss: fill from the device, then read ahead of it.
-				if data, err = fs.fillData(phys, BTData, &in, l, prefetch); err != nil {
-					return int(read), err
-				}
-				fs.ra.ReadAhead(fs.dev, phys, fs.prefetchOK)
+			clear(dst)
+		} else if !fs.cache.GetInto(phys, int(bo), dst) {
+			// Miss: fill from the device, copy, and read ahead of it. The
+			// hit path above copied under the shard lock, so it holds no
+			// cache buffer.
+			data, err := fs.fillData(phys, BTData, &in, l, prefetch)
+			if err != nil {
+				return int(read), err
 			}
-			copy(p[read:read+chunk], data[bo:])
+			copy(dst, data[bo:])
+			fs.ra.ReadAhead(fs.dev, phys, fs.prefetchOK)
 		}
 		read += chunk
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -520,6 +521,64 @@ func TestReadAheadIOBudget(t *testing.T) {
 			}
 			if got != budget[name] {
 				t.Errorf("a cold scan of %d interleaved %d-block streams cost %+v, budget %+v", clients, blocks, got, budget[name])
+			}
+		})
+	}
+}
+
+// TestReadAheadAllocs pins what streaming allocates once the cache is
+// full: read-ahead reads into the frames of the blocks it evicts, so a
+// block costs only its share of the demand misses' buffers. On all five
+// file systems a cold stream four times the cache's 2 048 blocks reads
+// nine files of 1 000 blocks back to back (jfs and ntfs map at most 2 008
+// and 1 012 blocks a file) in 4 KiB pieces with read-ahead 8, and the
+// last six files allocate at most raAllocsPerBlock per block. A read-ahead
+// block that allocates its buffer costs at least one.
+func TestReadAheadAllocs(t *testing.T) {
+	const files, blocks, warm = 9, 1000, 3
+	const raAllocsPerBlock = 0.2
+	body := raFile("stream", blocks)
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			v, err := MountVolume(MountOpts{FS: name, Opts: raOptions(name), Blocks: 16384, ReadAhead: raWindow})
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths := make([]string, files)
+			for i := range paths {
+				paths[i] = fmt.Sprintf("/f%d", i)
+				if err := v.FS.Create(paths[i], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := v.FS.Write(paths[i], 0, body); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dropCaches(t, v.FS)
+			buf := make([]byte, txnBlock)
+			read := func(path string) {
+				for i := 0; i < blocks; i++ {
+					if n, err := v.FS.Read(path, int64(i*txnBlock), buf); err != nil || n != txnBlock {
+						t.Fatalf("read %s block %d: %d, %v", path, i, n, err)
+					}
+				}
+			}
+			for _, p := range paths[:warm] {
+				read(p)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, p := range paths[warm:] {
+				read(p)
+			}
+			runtime.ReadMemStats(&after)
+			if !bytes.Equal(buf, raBlock("stream", blocks-1)) {
+				t.Fatal("the last block read back wrong")
+			}
+			per := float64(after.Mallocs-before.Mallocs) / float64((files-warm)*blocks)
+			t.Logf("%.3f allocations per block", per)
+			if per > raAllocsPerBlock {
+				t.Errorf("streaming a full cache allocated %.3f times per block, want at most %.2f", per, raAllocsPerBlock)
 			}
 		})
 	}

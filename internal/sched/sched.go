@@ -120,7 +120,15 @@ type Scheduler struct {
 	//iron:lockorder 20 scheduler queue lock nests under any FS lock via device calls
 	mu    sync.Mutex
 	queue map[int64]queued
-	head  int64
+	// spare holds the block buffers of writes whose sweep the device
+	// accepted, at most depth of them, for enqueueLocked to copy new
+	// writes into.
+	spare [][]byte
+	// blocks, order and reqs are flushLocked's scratch, reused by every
+	// drain.
+	blocks, order []int64
+	reqs          []disk.Request
+	head          int64
 	// laneSeq numbers arrival lanes: every WriteBlock call and every
 	// WriteBatch call is one lane, so a client's batch stays contiguous
 	// under deadline dispatch and lanes drain in arrival order (fair —
@@ -196,6 +204,7 @@ func New(inner disk.Device, cfg Config) *Scheduler {
 		clk:      disk.ClockOf(inner),
 		st:       newSchedMetrics(),
 		queue:    make(map[int64]queued),
+		spare:    make([][]byte, 0, depth),
 	}
 }
 
@@ -323,17 +332,27 @@ func (s *Scheduler) Close() error {
 }
 
 // enqueueLocked inserts one write, copying the data (callers reuse their
-// buffers after WriteBlock returns). Caller holds s.mu.
+// buffers after WriteBlock returns): an absorbed rewrite into the buffer
+// of the write it replaces, a new block into a spare buffer. Caller holds
+// s.mu.
 func (s *Scheduler) enqueueLocked(n int64, buf []byte) {
-	if _, ok := s.queue[n]; ok {
+	q, ok := s.queue[n]
+	if ok {
 		s.stats.Absorbed++
 		s.st.absorbed.Inc()
+	} else if k := len(s.spare) - 1; k >= 0 {
+		q.data = s.spare[k]
+		s.spare[k] = nil
+		s.spare = s.spare[:k]
+	} else {
+		q.data = make([]byte, len(buf))
 	}
-	var at int64
+	copy(q.data, buf)
+	q.at, q.lane = 0, s.laneSeq
 	if s.clk != nil {
-		at = int64(s.clk.Now())
+		q.at = int64(s.clk.Now())
 	}
-	s.queue[n] = queued{data: append([]byte(nil), buf...), at: at, lane: s.laneSeq}
+	s.queue[n] = q
 	s.stats.Enqueued++
 	s.st.enqueued.Inc()
 	if len(s.queue) > s.stats.MaxQueue {
@@ -364,11 +383,12 @@ func (s *Scheduler) flushLocked(reason string) error {
 	if n == 0 {
 		return nil
 	}
-	blocks := make([]int64, 0, n)
+	blocks := slices.Grow(s.blocks[:0], n)
 	for b := range s.queue {
 		blocks = append(blocks, b)
 	}
 	sortBlocks(blocks)
+	s.blocks = blocks
 	var order []int64
 	if s.policy == PolicyAdaptive && n < s.pressure {
 		// Deadline dispatch: lanes drain in arrival order — the oldest
@@ -397,9 +417,9 @@ func (s *Scheduler) flushLocked(reason string) error {
 		for start < len(blocks) && blocks[start] < s.head {
 			start++
 		}
-		order = make([]int64, 0, n)
-		order = append(order, blocks[start:]...)
+		order = append(slices.Grow(s.order[:0], n), blocks[start:]...)
 		order = append(order, blocks[:start]...)
+		s.order = order
 		s.stats.CLOOKDrains++
 	}
 
@@ -410,10 +430,11 @@ func (s *Scheduler) flushLocked(reason string) error {
 			j++
 		}
 		sweep := order[i:j]
-		reqs := make([]disk.Request, len(sweep))
-		for k, b := range sweep {
-			reqs[k] = disk.Request{Block: b, Data: s.queue[b].data}
+		reqs := slices.Grow(s.reqs[:0], len(sweep))
+		for _, b := range sweep {
+			reqs = append(reqs, disk.Request{Block: b, Data: s.queue[b].data})
 		}
+		s.reqs = reqs
 		for r := 0; r < len(sweep); {
 			e := r + 1
 			for e < len(sweep) && sweep[e] == sweep[e-1]+1 {
@@ -446,8 +467,13 @@ func (s *Scheduler) flushLocked(reason string) error {
 				s.st.queueWait.Observe(now - s.queue[b].at)
 			}
 		}
-		for _, b := range sweep {
-			delete(s.queue, b)
+		// The device kept no buffer of the sweep (disk.Device), so each
+		// one is spare now.
+		for _, r := range reqs {
+			if len(s.spare) < s.depth {
+				s.spare = append(s.spare, r.Data)
+			}
+			delete(s.queue, r.Block)
 		}
 		s.stats.Dispatched += int64(len(sweep))
 		s.stats.Batches++

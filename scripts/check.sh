@@ -107,12 +107,13 @@ go test -run '^$' -bench 'Classify|FaultWriteBatch' -benchtime 1x ./internal/fs/
 go test -run '^$' -bench Dispatch -benchtime 1x ./internal/serve
 # And a path lookup on each file system plus reiser's tree descent
 # (docs/PERF.md, "File-system lookup cost"), reiser's tree edits
-# (docs/PERF.md, "ReiserFS tree edits"), and an insert into a full cache
-# shard (docs/PERF.md, "Read path allocations"), with their allocation
-# counts: 100 iterations, so a first call's warm-up does not stand in for
-# the steady state.
+# (docs/PERF.md, "ReiserFS tree edits"), an insert into a full cache
+# shard and a read-ahead firing into one (docs/PERF.md, "Read path
+# allocations"), and a queued write with its share of the drains, with
+# their allocation counts (0 for the last three): 100 iterations, so a
+# first call's warm-up does not stand in for the steady state.
 go test -run '^$' -bench 'PathLookup|TreeLookup|TreeInsert|CreateTailFile' -benchmem -benchtime 100x ./internal/fs/...
-go test -run '^$' -bench FullShardInsert -benchmem -benchtime 100x ./internal/bcache
+go test -run '^$' -bench 'FullShardInsert|ReadAheadSteady|EnqueueDrain' -benchmem -benchtime 100x ./internal/bcache ./internal/sched
 # And ixt3's block checksum over one 4 KiB block (docs/PERF.md,
 # "Redundancy path cost").
 go test -run '^$' -bench CksumBlock -benchtime 1x ./internal/fs/ext3
