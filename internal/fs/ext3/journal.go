@@ -88,7 +88,10 @@ func (fs *FS) revoke(blk int64) {
 // data is the payload frozen at commit time: the checkpoint must write the
 // *committed* image, never the live cache buffer, which the running
 // transaction may since have re-dirtied with uncommitted state. A nil data
-// marks an entry killed by a later committed revoke.
+// marks an entry killed by a later committed revoke. data is a frame of
+// the running transaction's; it goes back to it when a newer image
+// supersedes the entry, when a revoke kills it, or once the checkpoint has
+// written it home — never while the entry can still be written.
 // (Replica copies are written at commit time, not at checkpoint.)
 type checkpointEntry struct {
 	home int64
@@ -132,8 +135,10 @@ func (fs *FS) MaybeCommitLocked() error {
 // ordered data that must reach home first.
 type commitPlan struct {
 	// fz is the frozen transaction: fz.Data goes home before the journal
-	// is written; fz.Meta holds the payloads the journal carries and the
-	// checkpoint later writes home — never the live cache buffers.
+	// is written, and its frames are recycled at finish; fz.Meta holds the
+	// payloads the journal carries and the checkpoint later writes home —
+	// never the live cache buffers — so its frames pass to the pending
+	// checkpoint entries.
 	fz      journal.Frozen
 	jReqs   []disk.Request
 	jTypes  []iron.BlockType
@@ -367,7 +372,8 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 }
 
 // FinishLocked implements journal.Committer: it queues the durable
-// transaction's home writes for checkpoint and unpins its ordered data.
+// transaction's home writes for checkpoint, and unpins its ordered data and
+// recycles the data's frames.
 func (fs *FS) FinishLocked(p journal.Plan) error {
 	plan := p.(*commitPlan)
 	if fs.pending.seen == nil {
@@ -380,6 +386,7 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 	// transaction keeps its fresh entry.
 	for _, blk := range plan.revokes {
 		if j, ok := fs.pending.seen[blk]; ok {
+			fs.tx.RecycleFrame(fs.pending.entries[j].data)
 			fs.pending.entries[j].data = nil
 			delete(fs.pending.seen, blk)
 		}
@@ -388,6 +395,7 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 		e := checkpointEntry{home: m.Block, bt: plan.fz.MetaType[i], data: m.Data}
 		if j, ok := fs.pending.seen[m.Block]; ok {
 			// A newer committed image supersedes the queued one.
+			fs.tx.RecycleFrame(fs.pending.entries[j].data)
 			fs.pending.entries[j] = e
 			continue
 		}
@@ -396,6 +404,7 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 	}
 	// Ordered data is already home.
 	fs.tx.Unpin(plan.fz.Data)
+	fs.tx.Recycle(plan.fz.Data)
 
 	if len(fs.pending.entries) >= checkpointHighWater {
 		return fs.checkpointLocked()
@@ -434,6 +443,7 @@ func (fs *FS) checkpointLocked() error {
 		// top of its, in which case the dirty pin now belongs to that
 		// transaction and survives the checkpoint.
 		fs.tx.Unpin(reqs)
+		fs.tx.Recycle(reqs)
 	}
 	fs.pending = pendingState{}
 	fs.freeReplicasLocked()

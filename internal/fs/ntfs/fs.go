@@ -323,10 +323,12 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 }
 
 // FinishLocked implements journal.Committer: the plan's blocks are
-// checkpointed, so their dirty pins come off.
+// checkpointed, so their dirty pins come off and their frames go back to
+// the transaction.
 func (fs *FS) FinishLocked(p journal.Plan) error {
 	plan := p.(*commitPlan)
 	fs.tx.Unpin(plan.fz.Meta, plan.fz.Data)
+	fs.tx.Recycle(plan.fz.Meta, plan.fz.Data)
 	return nil
 }
 

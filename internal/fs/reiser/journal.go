@@ -103,8 +103,9 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	plan := &commitPlan{fz: t.Freeze()}
 	if fs.sbDirty {
 		// The superblock lives in fs.sb, not in the cache: its image is
-		// marshalled here, private already, and journaled last.
-		sbuf := make([]byte, BlockSize)
+		// marshalled here, into a frame of the transaction's like every
+		// frozen payload, and journaled last.
+		sbuf := t.Frame()
 		fs.sb.marshal(sbuf)
 		plan.fz.Meta = append(plan.fz.Meta, disk.Request{Block: 0, Data: sbuf})
 		fs.sbDirty = false
@@ -189,10 +190,12 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 }
 
 // FinishLocked implements journal.Committer: the plan's blocks are
-// checkpointed, so their dirty pins come off.
+// checkpointed, so their dirty pins come off and their frames go back to
+// the transaction.
 func (fs *FS) FinishLocked(p journal.Plan) error {
 	plan := p.(*commitPlan)
 	fs.tx.Unpin(plan.fz.Meta, plan.fz.Data)
+	fs.tx.Recycle(plan.fz.Meta, plan.fz.Data)
 	return nil
 }
 

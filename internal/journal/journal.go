@@ -27,8 +27,8 @@ import (
 const yields = 8
 
 // Plan is a frozen transaction: every device request materialized
-// (payloads copied) so the writes can proceed without the file-system
-// lock. While a plan's I/O is in flight the running transaction keeps
+// (payloads copied into frames the transaction owns and the plan borrows;
+// see Frozen) so the writes can proceed without the file-system lock. While a plan's I/O is in flight the running transaction keeps
 // accepting operations — the JBD running/committing split — which is what
 // lets concurrent clients pile into the next commit instead of stalling.
 // Its contents are the file system's own; the engine only carries it from
@@ -47,8 +47,10 @@ type Committer interface {
 	TouchedLocked(key uint64) bool
 	// FreezeLocked materializes the running transaction into a Plan
 	// numbered seq and installs a fresh running transaction. Every
-	// payload is copied under the lock, so later mutations of the cached
-	// buffers cannot tear the frozen image. Journal-space reservations
+	// payload is copied under the lock into a frame of the transaction's,
+	// so later mutations of the cached buffers cannot tear the frozen
+	// image; the file system recycles each frame after its last device
+	// write. Journal-space reservations
 	// made here are serialized, because freezes only run with no commit
 	// in flight. An error comes with a nil plan; a nil plan with a nil
 	// error means there was nothing to freeze.
@@ -61,7 +63,9 @@ type Committer interface {
 	// released regardless and learn of it only through the health gate.
 	WritePlan(Plan) error
 	// FinishLocked runs under the lock again once the plan is on disk:
-	// unpin or queue for checkpoint what the plan carried.
+	// unpin or queue for checkpoint what the plan carried, and recycle the
+	// frames whose home writes are done. A failed WritePlan never gets
+	// here, so its frames are dropped, not recycled.
 	FinishLocked(Plan) error
 }
 

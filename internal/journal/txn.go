@@ -30,6 +30,11 @@ type Txn[K comparable] struct {
 	// brought them home.
 	cache   *bcache.Cache
 	touched map[K]struct{}
+	// frames holds the block frames frozen payloads were copied into and
+	// Recycle gave back, for the next freeze to copy into. It never holds
+	// more frames than the transaction has made, and that is at most the
+	// peak number of frozen blocks outstanding, so it needs no cap.
+	frames [][]byte
 }
 
 // Set is one class of staged blocks: each block once, in first-touch order,
@@ -93,9 +98,9 @@ func (s *Set) drop(blk int64) {
 	s.order = slices.Delete(s.order, i, i+1)
 }
 
-// freeze returns a private copy of every staged payload, addressed at its
-// home block, and empties the set.
-func (s *Set) freeze() ([]disk.Request, []iron.BlockType) {
+// freeze copies every staged payload of s into a frame of t's, addressed
+// at its home block, and empties the set.
+func (t *Txn[K]) freeze(s *Set) ([]disk.Request, []iron.BlockType) {
 	if len(s.order) == 0 {
 		return nil, nil
 	}
@@ -103,14 +108,27 @@ func (s *Set) freeze() ([]disk.Request, []iron.BlockType) {
 	types := make([]iron.BlockType, len(s.order))
 	for i, blk := range s.order {
 		b := s.at[blk]
-		cp := make([]byte, BlockSize)
-		copy(cp, b.buf)
-		reqs[i] = disk.Request{Block: blk, Data: cp}
+		f := t.frame()
+		clear(f[copy(f, b.buf):])
+		reqs[i] = disk.Request{Block: blk, Data: f}
 		types[i] = b.bt
 	}
 	s.order = s.order[:0]
 	clear(s.at)
 	return reqs, types
+}
+
+// frame takes a frame from the free list, or makes one when it is empty.
+// Its bytes are whatever its last use left.
+func (t *Txn[K]) frame() []byte {
+	k := len(t.frames) - 1
+	if k < 0 {
+		return make([]byte, BlockSize)
+	}
+	f := t.frames[k]
+	t.frames[k] = nil
+	t.frames = t.frames[:k]
+	return f
 }
 
 // StageMeta stages buf as the image of metadata block blk and pins it in
@@ -165,23 +183,50 @@ func (t *Txn[K]) Full(metaCap, dataCap int) bool {
 }
 
 // Frozen is a transaction as of its freeze: every staged block as a device
-// write aimed at its home, in first-touch order, carrying a private copy of
-// the payload — the cache and the running transaction keep the live
-// buffers, which operations go on mutating while the commit is in flight.
+// write aimed at its home, in first-touch order, carrying a copy of the
+// payload in a frame — the cache and the running transaction keep the
+// live buffers, which operations go on mutating while the commit is in
+// flight. The transaction owns each frame and the plan borrows it; the
+// file system hands it back with Recycle once the frame's last device
+// write has returned (a device keeps no buffer past the call), and never
+// after a failed commit, whose frames are simply dropped.
 type Frozen struct {
 	Meta, Data         []disk.Request
 	MetaType, DataType []iron.BlockType
 }
 
-// Freeze copies every staged payload and leaves the transaction empty, to
-// run on as the next one.
+// Freeze copies every staged payload into a frame and leaves the
+// transaction empty, to run on as the next one.
 func (t *Txn[K]) Freeze() Frozen {
 	var fz Frozen
-	fz.Meta, fz.MetaType = t.Meta.freeze()
-	fz.Data, fz.DataType = t.Data.freeze()
+	fz.Meta, fz.MetaType = t.freeze(&t.Meta)
+	fz.Data, fz.DataType = t.freeze(&t.Data)
 	clear(t.touched)
 	return fz
 }
+
+// Frame returns a zeroed frame for a private block image a file system
+// adds to a frozen transaction (ReiserFS's superblock). It is the
+// transaction's like any frozen payload and goes back with Recycle.
+func (t *Txn[K]) Frame() []byte {
+	f := t.frame()
+	clear(f)
+	return f
+}
+
+// Recycle takes back the frames of frozen requests whose last device write
+// has returned: no plan and no device call holds them any more. The next
+// freeze copies into them.
+func (t *Txn[K]) Recycle(reqs ...[]disk.Request) {
+	for _, rs := range reqs {
+		for _, r := range rs {
+			t.RecycleFrame(r.Data)
+		}
+	}
+}
+
+// RecycleFrame takes back one frame; see Recycle.
+func (t *Txn[K]) RecycleFrame(f []byte) { t.frames = append(t.frames, f) }
 
 // Unpin marks blocks a commit has brought home clean in the cache, making
 // them evictable again — unless this, the running transaction, re-dirtied

@@ -121,8 +121,9 @@ type Scheduler struct {
 	mu    sync.Mutex
 	queue map[int64]queued
 	// spare holds the block buffers of writes whose sweep the device
-	// accepted, at most depth of them, for enqueueLocked to copy new
-	// writes into.
+	// accepted, for enqueueLocked to copy new writes into. It never holds
+	// more buffers than the scheduler has made, and that is at most the
+	// deepest queue it has held, so it needs no cap.
 	spare [][]byte
 	// blocks, order and reqs are flushLocked's scratch, reused by every
 	// drain.
@@ -470,9 +471,7 @@ func (s *Scheduler) flushLocked(reason string) error {
 		// The device kept no buffer of the sweep (disk.Device), so each
 		// one is spare now.
 		for _, r := range reqs {
-			if len(s.spare) < s.depth {
-				s.spare = append(s.spare, r.Data)
-			}
+			s.spare = append(s.spare, r.Data)
 			delete(s.queue, r.Block)
 		}
 		s.stats.Dispatched += int64(len(sweep))
