@@ -1,0 +1,177 @@
+package journal
+
+import (
+	"bytes"
+	"errors"
+	"sync"
+	"testing"
+
+	"ironfs/internal/bcache"
+	"ironfs/internal/disk"
+	"ironfs/internal/vfs"
+)
+
+// frames returns the first byte's address of every frozen payload, the
+// frame's identity.
+func frames(fz Frozen) map[*byte]bool {
+	out := map[*byte]bool{}
+	for _, reqs := range [][]disk.Request{fz.Meta, fz.Data} {
+		for _, r := range reqs {
+			out[&r.Data[0]] = true
+		}
+	}
+	return out
+}
+
+func shared(a, b map[*byte]bool) bool {
+	for f := range a {
+		if b[f] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFrozenFramesRecycle: a frame goes to at most one outstanding freeze.
+// Two freezes the caller still holds never share one, and a frame comes
+// back into use only after Recycle, carrying exactly the new payload.
+func TestFrozenFramesRecycle(t *testing.T) {
+	tx := NewTxn[uint32](bcache.New(64))
+	stage := func(base int64, fill byte) {
+		for i := int64(0); i < 3; i++ {
+			tx.StageMeta(base+i, block(fill), "inode")
+		}
+		tx.StageData(base+10, block(fill+1), "data")
+	}
+	stage(0, 0xA0)
+	a := tx.Freeze()
+	stage(20, 0xB0)
+	b := tx.Freeze()
+	fa, fb := frames(a), frames(b)
+	if len(fa) != 4 || len(fb) != 4 || shared(fa, fb) {
+		t.Fatalf("two held freezes: %d and %d frames, shared %v; want 4 and 4, none shared", len(fa), len(fb), shared(fa, fb))
+	}
+
+	tx.Recycle(a.Meta, a.Data)
+	stage(40, 0xC0)
+	c := tx.Freeze()
+	fc := frames(c)
+	if shared(fc, fb) {
+		t.Fatal("a freeze reused a frame the caller still holds")
+	}
+	for f := range fc {
+		if !fa[f] {
+			t.Fatal("a freeze made a frame while recycled ones were free")
+		}
+	}
+	for i, r := range c.Meta {
+		if !bytes.Equal(r.Data, block(0xC0)) {
+			t.Fatalf("recycled frame %d holds stale bytes", i)
+		}
+	}
+	for _, r := range b.Meta {
+		if !bytes.Equal(r.Data, block(0xB0)) {
+			t.Fatal("a held freeze's payload changed under a later freeze")
+		}
+	}
+
+	// A short payload pads with zeros in a recycled frame too, and Frame
+	// hands out a zeroed one.
+	tx.Recycle(b.Meta, c.Meta)
+	tx.StageData(3, []byte{1, 2, 3}, "data")
+	if got := tx.Freeze().Data[0].Data; len(got) != BlockSize || got[2] != 3 || got[3] != 0 || got[BlockSize-1] != 0 {
+		t.Fatal("short payload not zero-padded in a recycled frame")
+	}
+	if f := tx.Frame(); len(f) != BlockSize || !bytes.Equal(f, make([]byte, BlockSize)) {
+		t.Fatal("Frame returned a frame that is not zeroed")
+	}
+}
+
+// frameFS is a Committer over a real running transaction that recycles its
+// plan's frames at finish, as jfs, ReiserFS and NTFS do.
+type frameFS struct {
+	mu       sync.Mutex
+	health   vfs.Health
+	jn       *Engine
+	tx       *Txn[uint32]
+	writeErr error
+}
+
+func (f *frameFS) DirtyLocked() bool             { return !f.tx.Empty() }
+func (f *frameFS) TouchedLocked(key uint64) bool { return f.tx.Touched(uint32(key)) }
+func (f *frameFS) FreezeLocked(uint64) (Plan, error) {
+	fz := f.tx.Freeze()
+	return &fz, nil
+}
+func (f *frameFS) WritePlan(Plan) error {
+	if f.writeErr != nil {
+		f.health.Degrade(vfs.ReadOnly, "journal", f.writeErr)
+	}
+	return f.writeErr
+}
+func (f *frameFS) FinishLocked(p Plan) error {
+	fz := p.(*Frozen)
+	f.tx.Recycle(fz.Meta, fz.Data)
+	return nil
+}
+
+// TestFailedCommitDropsItsFrames: a commit whose writes failed never
+// reaches FinishLocked, so its frames stay out of the free list; a
+// successful one puts every frame back.
+func TestFailedCommitDropsItsFrames(t *testing.T) {
+	f := &frameFS{tx: NewTxn[uint32](bcache.New(64))}
+	f.jn = New(&f.mu, &f.health, nil, nil)
+	commit := func() error {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.tx.StageMeta(1, block(1), "inode")
+		f.tx.StageData(2, block(2), "data")
+		return f.jn.Commit(f)
+	}
+	if err := commit(); err != nil || len(f.tx.frames) != 2 {
+		t.Fatalf("commit: %v, %d frames free after it; want 2", err, len(f.tx.frames))
+	}
+	f.tx.frames = nil
+	f.writeErr = errors.New("barrier failed")
+	if err := commit(); err == nil || len(f.tx.frames) != 0 {
+		t.Fatalf("failed commit: %v, %d frames free after it; want an error and 0", err, len(f.tx.frames))
+	}
+}
+
+// stageFreeze stages 64 metadata and 8 data blocks, freezes them and
+// recycles the frozen frames: one commit's worth of the running
+// transaction's work, less the device writes.
+func stageFreeze(tx *Txn[uint32], meta, data []byte) {
+	for i := int64(0); i < 64; i++ {
+		tx.StageMeta(i, meta, "inode")
+	}
+	for i := int64(64); i < 72; i++ {
+		tx.StageData(i, data, "data")
+	}
+	fz := tx.Freeze()
+	tx.Unpin(fz.Meta, fz.Data)
+	tx.Recycle(fz.Meta, fz.Data)
+}
+
+// TestFreezeAllocs: once frames circulate, a freeze allocates only its two
+// request and two type slices, never a payload frame.
+func TestFreezeAllocs(t *testing.T) {
+	tx := NewTxn[uint32](bcache.New(256))
+	meta, data := block(1), block(2)
+	stageFreeze(tx, meta, data)
+	if got := testing.AllocsPerRun(20, func() { stageFreeze(tx, meta, data) }); got > 4 {
+		t.Fatalf("%v allocations per 72-block freeze, want at most 4", got)
+	}
+}
+
+// BenchmarkFreeze prices one 72-block freeze with its staging and recycle.
+func BenchmarkFreeze(b *testing.B) {
+	tx := NewTxn[uint32](bcache.New(256))
+	meta, data := block(1), block(2)
+	stageFreeze(tx, meta, data)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stageFreeze(tx, meta, data)
+	}
+}

@@ -126,8 +126,9 @@ func enqueueDrain(policy Policy) (*Scheduler, func()) {
 }
 
 // TestEnqueueDrainAllocs: once its spare buffers and scratch slices are
-// warm, the scheduler allocates nothing per write, drains included. A run
-// is 100 writes, so even one allocation in a cycle of drains shows.
+// warm, the scheduler allocates nothing per write, drains included, and a
+// drain deeper than the queue depth keeps every buffer it made. A run is
+// 100 writes, so even one allocation in a cycle of drains shows.
 func TestEnqueueDrainAllocs(t *testing.T) {
 	for _, policy := range []Policy{PolicyCLOOK, PolicyAdaptive} {
 		s, write := enqueueDrain(policy)
@@ -144,6 +145,26 @@ func TestEnqueueDrainAllocs(t *testing.T) {
 		}
 		if st := s.Stats(); st.Absorbed == 0 || st.CLOOKDrains == 0 || policy == PolicyAdaptive && st.DeadlineDrains == 0 {
 			t.Errorf("policy %d: stats %+v, want absorbed rewrites and every kind of drain the policy has", policy, st)
+		}
+
+		// A batch queues past the depth before it drains, as a group
+		// commit or a checkpoint does: a drain of 100 blocks keeps all
+		// 100 buffers for the next one.
+		batch := make([]disk.Request, 100)
+		for i := range batch {
+			batch[i] = disk.Request{Block: int64(i * 3), Data: make([]byte, 4096)}
+		}
+		deep := func() {
+			if err := s.WriteBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deep()
+		if got := testing.AllocsPerRun(20, deep); got != 0 {
+			t.Errorf("policy %d: %v allocs per 100-block drain at depth 32, want 0", policy, got)
+		}
+		if st := s.Stats(); st.MaxQueue < len(batch) {
+			t.Errorf("policy %d: deepest queue %d, want at least %d", policy, st.MaxQueue, len(batch))
 		}
 	}
 }
