@@ -587,11 +587,14 @@ func (fs *FS) replayJournal() error {
 		break
 	}
 
-	// Apply in commit order, honoring revokes from later transactions.
+	// Apply in commit order, honoring revokes from later transactions. A
+	// revoke in a copy's own transaction predates the copy: revoke drops
+	// the block from the running transaction, so a copy there was staged
+	// after it (the block was freed and reused as metadata) and replays.
 	applySeq := js.StartSeq
 	for _, txn := range txns {
 		for _, c := range txn.Copies {
-			if rv, ok := revoked[c.Block]; ok && rv >= applySeq {
+			if rv, ok := revoked[c.Block]; ok && rv > applySeq {
 				continue
 			}
 			if c.Block < 0 || c.Block >= fs.dev.NumBlocks() {

@@ -375,6 +375,45 @@ func TestTxnConformance(t *testing.T) {
 				}
 			})
 
+			// A block freed and handed out again as a pointer block in the
+			// same transaction is journaled there after its revoke:
+			// recovery must replay that copy. A one-block file taken first
+			// shifts the new file by a block, so its pointer block lands
+			// on one the old file freed and points elsewhere than the old
+			// one did. A crash at each barrier of the Fsync that commits
+			// it all, and after it, shows the files whole once the Fsync
+			// has returned.
+			t.Run("freed_block_reused_as_pointer_block_in_one_transaction", func(t *testing.T) {
+				fsys, dev := mountTxn(t, name)
+				writeFile(t, fsys, "/old", txnPayload(0x0D, 14))
+				if err := fsys.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if err := fsys.Unlink("/old"); err != nil {
+					t.Fatal(err)
+				}
+				files := map[string][]byte{"/pad": txnPayload(0x9A, 1), "/new": txnPayload(0x4E, 14)}
+				writeFile(t, fsys, "/pad", files["/pad"])
+				writeFile(t, fsys, "/new", files["/new"])
+				dev.startRecording()
+				if err := fsys.Fsync("/new"); err != nil {
+					t.Fatal(err)
+				}
+				dev.recording = false
+				for i, cut := range append(dev.cuts, len(dev.writes)) {
+					when := fmt.Sprintf("crash at barrier %d of %d (write %d)", i+1, len(dev.cuts), cut)
+					whole := cut == len(dev.writes)
+					if whole {
+						when = "crash after the fsync"
+					}
+					crashed, err := Mount(name, dev.imageAt(t, cut), txnOptions(name))
+					if err != nil {
+						t.Fatalf("%s: recovery mount: %v", when, err)
+					}
+					checkFiles(t, when, crashed, files, whole)
+				}
+			})
+
 			// A commit carries the image frozen when it began. The device
 			// runs a second Chmod of the same file from inside the
 			// commit's first write — the lock is released, the inode's
