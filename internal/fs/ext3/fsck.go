@@ -20,7 +20,7 @@ import (
 //
 // The problem kinds used here: "block-bitmap", "inode-bitmap",
 // "free-blocks", "free-inodes", "orphan-inode", "link-count",
-// "dangling-entry", "double-ref", "wild-pointer". The free
+// "dangling-entry", "double-ref", "wild-pointer", "bad-size". The free
 // counts are the group descriptors' sums, journaled with the bitmaps they
 // count.
 
@@ -99,7 +99,7 @@ func (fs *FS) censusGroup(g uint32) (r groupCensus, units int64, err error) {
 	per := fs.lay.sb.InodesPerGroup
 	for ino := g*per + 1; ino <= (g+1)*per; ino++ {
 		units++
-		in, err := fs.LoadLocked(ino)
+		in, err := fs.readInode(ino)
 		if err != nil {
 			return r, units, err
 		}
@@ -109,11 +109,15 @@ func (fs *FS) censusGroup(g uint32) (r groupCensus, units int64, err error) {
 		r.objs = append(r.objs, fsck.Object[*inode]{ID: uint64(ino), Links: int(in.Links),
 			Dir: in.IsDir(), Root: ino == RootIno, Node: &in})
 		what := fmt.Sprintf("inode %d", ino)
+		if int64(in.Size) > MaxFileSize {
+			// LoadLocked refuses this inode; the census reports it, and
+			// its blocks below MaxFileSize are still claimed.
+			r.claims = append(r.claims, fsck.Event{Kind: "bad-size", What: fmt.Sprintf("%s size %d past the %d-byte limit", what, in.Size, MaxFileSize)})
+		}
 		if in.Parity != 0 {
 			r.claims = append(r.claims, fs.pointer(int64(in.Parity), what+" parity"))
 		}
-		// A sparse file may be larger than the volume; LoadLocked refused
-		// any size past MaxFileSize.
+		// A sparse file may be larger than the volume.
 		err = fs.forEachBlock(&in, func(l, phys int64) error {
 			r.claims = append(r.claims, fs.pointer(phys, fmt.Sprintf("%s block %d", what, l)))
 			return nil
@@ -153,7 +157,14 @@ func (fs *FS) CensusLocked(s *fsck.Scan) (*fsck.Refs[*inode], error) {
 		if !o.Dir {
 			continue
 		}
-		ents, err := fs.DirListLocked(uint32(o.ID), *o.Node)
+		dir := *o.Node
+		if int64(dir.Size) > MaxFileSize {
+			// A bad-size directory lists the blocks it maps.
+			if dir.Size, err = fs.mappedEnd(&dir); err != nil {
+				return nil, err
+			}
+		}
+		ents, err := fs.DirListLocked(uint32(o.ID), dir)
 		if err != nil {
 			return nil, err
 		}
@@ -285,11 +296,45 @@ func freeBits(bm []byte, n uint32) (free uint32) {
 	return free
 }
 
-// RebuildMapsLocked implements fsck.Fixer: both kinds of group bitmap and
-// every descriptor's free counts, recounted from the rebuilt bitmaps, in
-// the commit that ends the pass; then the checkpoint and the superblock,
-// so the repaired volume is home.
+// mappedEnd returns the end of in's last mapped block: the size e2fsck
+// gives an inode whose size field is past MaxFileSize.
+func (fs *FS) mappedEnd(in *inode) (uint64, error) {
+	var end int64
+	err := fs.forEachBlock(in, func(l, _ int64) error {
+		end = (l + 1) * BlockSize
+		return nil
+	})
+	return uint64(end), err
+}
+
+// fixSizeLocked cuts the size of an inode whose size field is past
+// MaxFileSize back to the end of its last mapped block.
+func (fs *FS) fixSizeLocked(o fsck.Object[*inode]) error {
+	end, err := fs.mappedEnd(o.Node)
+	if err != nil {
+		return err
+	}
+	o.Node.Size = end
+	if err := fs.StoreLocked(uint32(o.ID), *o.Node); err != nil {
+		return err
+	}
+	fs.rec.Recover(iron.RRepair, BTInode, fmt.Sprintf("inode %d size set to its last mapped block", o.ID))
+	return fs.MaybeCommitLocked()
+}
+
+// RebuildMapsLocked implements fsck.Fixer: every size past MaxFileSize
+// cut back, then both kinds of group bitmap and every descriptor's free
+// counts, recounted from the rebuilt bitmaps, in the commit that ends the
+// pass; then the checkpoint and the superblock, so the repaired volume is
+// home.
 func (fs *FS) RebuildMapsLocked(c *fsck.Refs[*inode]) error {
+	for _, o := range c.Objects() {
+		if int64(o.Node.Size) > MaxFileSize {
+			if err := fs.fixSizeLocked(o); err != nil {
+				return err
+			}
+		}
+	}
 	fs.rec.Detect(iron.DSanity, BTBitmap, "full-scan integrity check found inconsistencies")
 	err := fs.restage(fs.blockMap(c.Scan), func(g int) int64 { return int64(fs.gds[g].DataBitmap) },
 		BTBitmap, "block bitmaps rebuilt from reachability")

@@ -15,6 +15,18 @@ import (
 // inode is brought in (an overly-large size field is caught and reported)
 // but does not validate pointers.
 func (fs *FS) LoadLocked(ino uint32) (inode, error) {
+	in, err := fs.readInode(ino)
+	if err == nil && in.Allocated() && int64(in.Size) > MaxFileSize {
+		fs.rec.Detect(iron.DSanity, BTInode, "inode size field overly large")
+		fs.rec.Recover(iron.RPropagate, BTInode, "open reports error")
+		return inode{}, vfs.ErrCorrupt
+	}
+	return in, err
+}
+
+// readInode reads and decodes inode ino with no field check: the fsck
+// census reports what LoadLocked would refuse.
+func (fs *FS) readInode(ino uint32) (inode, error) {
 	var in inode
 	blk, off, err := fs.lay.inodeLoc(ino)
 	if err != nil {
@@ -25,11 +37,6 @@ func (fs *FS) LoadLocked(ino uint32) (inode, error) {
 		return in, err
 	}
 	in.unmarshal(buf[off : off+InodeSize])
-	if in.Allocated() && int64(in.Size) > MaxFileSize {
-		fs.rec.Detect(iron.DSanity, BTInode, "inode size field overly large")
-		fs.rec.Recover(iron.RPropagate, BTInode, "open reports error")
-		return inode{}, vfs.ErrCorrupt
-	}
 	return in, nil
 }
 
@@ -230,12 +237,13 @@ func (fs *FS) bmapNext(in *inode, l int64) (phys, next int64, err error) {
 	}
 }
 
-// forEachBlock walks every allocated data block below the file's size in
-// logical order, invoking fn(logical, physical). Holes are skipped a
-// subtree at a time, so a sparse file costs what it maps, not its size.
-// The walk stops on the first error from fn.
+// forEachBlock walks every allocated data block below the file's size (or
+// MaxFileSize, when a corrupt size field is past it) in logical order,
+// invoking fn(logical, physical). Holes are skipped a subtree at a time,
+// so a sparse file costs what it maps, not its size. The walk stops on
+// the first error from fn.
 func (fs *FS) forEachBlock(in *inode, fn func(l, phys int64) error) error {
-	nblocks := (int64(in.Size) + BlockSize - 1) / BlockSize
+	nblocks := (min(int64(in.Size), MaxFileSize) + BlockSize - 1) / BlockSize
 	for l := int64(0); l < nblocks; {
 		phys, next, err := fs.bmapNext(in, l)
 		if err != nil {

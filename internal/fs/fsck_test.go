@@ -1,6 +1,8 @@
 package fs
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"ironfs/internal/fs/reiser"
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
+	"ironfs/internal/namei"
 	"ironfs/internal/vfs"
 )
 
@@ -374,5 +377,112 @@ func TestSparseFileChecksClean(t *testing.T) {
 				t.Fatalf("Fsck: %v, problems %v, clean after %v", err, res.Problems, res.CleanAfter)
 			}
 		})
+	}
+}
+
+// TestFsckBadSize: an ext3 inode whose size field is past MaxFileSize is
+// one typed bad-size problem, not a check that stops on it, and repair
+// cuts the size back to the end of the inode's last mapped block, as
+// e2fsck does: a file keeps its bytes, a directory its entries.
+func TestFsckBadSize(t *testing.T) {
+	const oddSize = 3*4096 + 17
+	le := binary.LittleEndian
+	for _, name := range []string{"ext3", "ixt3"} {
+		for _, c := range []struct {
+			what  string
+			match func(slot []byte) bool // picks the inode to corrupt
+			size  int64                  // its size after repair
+		}{
+			{"file", func(s []byte) bool { return le.Uint64(s[12:]) == oddSize }, 4 * 4096},
+			{"directory", func() func([]byte) bool {
+				dirs := 0 // the root comes first in the table, /dir second
+				return func(s []byte) bool {
+					if le.Uint16(s[0:])&namei.ModeTypeMsk == namei.ModeDir {
+						dirs++
+						return dirs == 2
+					}
+					return false
+				}
+			}(), 4096},
+		} {
+			t.Run(name+"/"+c.what, func(t *testing.T) {
+				d := newDisk(t)
+				buildVolume(t, name, d)
+				fsys, err := Mount(name, d, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				payload := txnPayload(0x5A, 4)[:oddSize]
+				writeFile(t, fsys, "/odd", payload)
+				if err := fsys.Unmount(); err != nil {
+					t.Fatal(err)
+				}
+				setInodeSize(t, name, d, c.match, 1<<62)
+
+				res, err := Fsck(name, d, Options{}, FsckConfig{Parallel: 1, Repair: true})
+				if err != nil {
+					t.Fatalf("Fsck: %v (result %+v)", err, res)
+				}
+				if len(res.Problems) != 1 || res.Problems[0].Kind != "bad-size" {
+					t.Fatalf("problems %v, want one bad-size", res.Problems)
+				}
+				if res.Repair == nil || !res.Repair.AllFixed() || !res.CleanAfter {
+					t.Fatalf("repair %+v, clean after %v", res.Repair, res.CleanAfter)
+				}
+				if err := Check(name, d, Options{}); err != nil {
+					t.Fatalf("oracle rejects the repaired image: %v", err)
+				}
+				again, err := Mount(name, d, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				path := map[string]string{"file": "/odd", "directory": "/dir"}[c.what]
+				if fi, err := again.Stat(path); err != nil || fi.Size != c.size {
+					t.Fatalf("%s after repair: size %d, %v; want %d", path, fi.Size, err, c.size)
+				}
+				got := make([]byte, oddSize)
+				if n, err := again.Read("/odd", 0, got); err != nil || n != oddSize || !bytes.Equal(got, payload) {
+					t.Fatalf("/odd after repair reads %d bytes, %v, equal %v", n, err, bytes.Equal(got, payload))
+				}
+				if ents, err := again.ReadDir("/dir"); err != nil || len(ents) != 2 {
+					t.Fatalf("/dir after repair lists %v, %v; want b and c", ents, err)
+				}
+			})
+		}
+	}
+}
+
+// setInodeSize writes size into the size field of the one inode slot on
+// the image that match picks.
+func setInodeSize(t *testing.T, name string, raw *disk.Disk, match func(slot []byte) bool, size uint64) {
+	t.Helper()
+	res, err := NewResolver(name, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	buf := make([]byte, raw.BlockSize())
+	for blk := int64(0); blk < raw.NumBlocks(); blk++ {
+		if res.Classify(blk) != ext3.BTInode {
+			continue
+		}
+		if err := raw.ReadRaw(blk, buf); err != nil {
+			t.Fatal(err)
+		}
+		hit := false
+		for off := 0; off < len(buf); off += ext3.InodeSize {
+			if slot := buf[off : off+ext3.InodeSize]; match(slot) {
+				binary.LittleEndian.PutUint64(slot[12:], size)
+				found, hit = found+1, true
+			}
+		}
+		if hit {
+			if err := raw.WriteBlock(blk, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if found != 1 {
+		t.Fatalf("%d inodes match, want 1", found)
 	}
 }
