@@ -85,9 +85,7 @@ func TestConcurrentCommitsKeepAcknowledgedBytes(t *testing.T) {
 						mine = append(mine, a)
 						if r >= 2 {
 							old := mine[r-2]
-							mu.Lock()
 							old.gone = int(cd.Written())
-							mu.Unlock()
 							if err := fsys.Unlink(old.path); err != nil {
 								t.Errorf("unlink %s: %v", old.path, err)
 								return
