@@ -93,7 +93,11 @@ func New(dev disk.Device, opts Options, rec *iron.Recorder) *FS {
 	fs.cache.SetTracer(fs.tr)
 	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
 	fs.Driver = fsck.New(fs, fsck.Volume{Label: "ext3", Mu: &fs.mu, Health: &fs.health, Tracer: fs.tr, Cache: fs.cache})
-	fs.Namespace = namei.New[uint32, inode](fs, namei.Volume{Mu: &fs.mu, RMu: fs.mu.RLocker(), Health: &fs.health, Journal: fs.jn, SymlinkMax: BlockSize, MaxFileSize: MaxFileSize})
+	v := namei.Volume{Mu: &fs.mu, RMu: fs.mu.RLocker(), Health: &fs.health, Journal: fs.jn, SymlinkMax: BlockSize, MaxFileSize: MaxFileSize, Swallow: fs.swallowIO}
+	if opts.FixBugs {
+		v.ZeroLinks = fs.zeroLinks
+	}
+	fs.Namespace = namei.New[uint32, inode](fs, v)
 	fs.SetNoAtime(opts.NoAtime)
 	return fs
 }

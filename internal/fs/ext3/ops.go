@@ -8,14 +8,16 @@ import (
 	"ironfs/internal/vfs"
 )
 
-// This file implements ext3's namei.Store and the four operations whose
-// §5.1 reactions fire between their steps: Truncate, Unlink, Rmdir and
-// Rename. The path walk, the other namespace operations and the sequencing
-// of Read and Write are namei.Namespace's.
+// This file implements ext3's namei.Store and the two namei.Volume hooks
+// that carry its §5.1 reactions between an operation's steps: swallowIO
+// and zeroLinks. The path walk, the namespace operations and the
+// sequencing of Read, Write and Truncate are namei.Namespace's.
 
 // swallowIO reproduces the §5.1 bug in which some ext3 operations
 // (truncate, rmdir) detect an I/O problem but fail *silently*: the error is
-// replaced by success. FixBugs restores propagation.
+// replaced by success. FixBugs restores propagation. It is the volume's
+// namei.Volume.Swallow, and CutLocked and FreeLocked carry on past what it
+// swallows.
 func (fs *FS) swallowIO(err error) error {
 	if err == nil || fs.opts.FixBugs {
 		return err
@@ -24,6 +26,15 @@ func (fs *FS) swallowIO(err error) error {
 		return nil
 	}
 	return err
+}
+
+// zeroLinks is the sanity check stock ext3 lacks (§5.1), the volume's
+// namei.Volume.ZeroLinks under FixBugs: an unlink of an object whose link
+// count is already zero is refused. Stock ext3 lets the count underflow.
+func (fs *FS) zeroLinks() error {
+	fs.rec.Detect(iron.DSanity, BTInode, "link count already zero")
+	fs.rec.Recover(iron.RPropagate, BTInode, "unlink refused")
+	return vfs.ErrCorrupt
 }
 
 // RootLocked implements namei.Store.
@@ -252,205 +263,4 @@ func (fs *FS) CutLocked(_ uint32, in inode, size int64) (inode, error) {
 		}
 	}
 	return in, nil
-}
-
-// Truncate shadows namei's for stock ext3's silent failure (§5.1): an I/O
-// error freeing the blocks (CutLocked), storing the inode or committing
-// ends the call with success. FixBugs restores propagation.
-func (fs *FS) Truncate(path string, size int64) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	ino, in, err := fs.ResolveLocked(path, true)
-	if err != nil {
-		return err
-	}
-	if in.IsDir() {
-		return vfs.ErrIsDir
-	}
-	if size < 0 || size > MaxFileSize {
-		return vfs.ErrInval
-	}
-	if size < int64(in.Size) {
-		if in, err = fs.CutLocked(ino, in, size); err != nil {
-			return err
-		}
-	}
-	in.Size = uint64(size)
-	in.Mtime = fs.Now()
-	if err := fs.StoreLocked(ino, in); err != nil {
-		return fs.swallowIO(err)
-	}
-	if err := fs.MaybeCommitLocked(); err != nil {
-		return fs.swallowIO(err)
-	}
-	return nil
-}
-
-// Unlink shadows namei's for stock ext3's missing sanity check: the link
-// count is decremented unchecked (§5.1), so a corrupted count underflows
-// silently. FixBugs adds the check, between the load and the removal.
-func (fs *FS) Unlink(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	pIno, pIn, name, err := fs.ParentLocked(path)
-	if err != nil {
-		return err
-	}
-	cIno, _, err := fs.LookupLocked(pIno, pIn, name)
-	if err != nil {
-		return err
-	}
-	cIn, err := fs.LoadLocked(cIno)
-	if err != nil {
-		return err
-	}
-	if cIn.IsDir() {
-		return vfs.ErrIsDir
-	}
-	if fs.opts.FixBugs && cIn.Links == 0 {
-		fs.rec.Detect(iron.DSanity, BTInode, "link count already zero")
-		fs.rec.Recover(iron.RPropagate, BTInode, "unlink refused")
-		return vfs.ErrCorrupt
-	}
-	if err := fs.DirRemoveLocked(pIno, pIn, name); err != nil {
-		return err
-	}
-	if _, err := fs.DirChangedLocked(pIno, pIn); err != nil {
-		return err
-	}
-	cIn.Links-- // underflows on corruption without FixBugs — reproduced bug
-	if cIn.Links == 0 {
-		if err := fs.FreeLocked(cIno, cIn); err != nil {
-			return err
-		}
-	} else {
-		cIn.Ctime = fs.Now()
-		if err := fs.StoreLocked(cIno, cIn); err != nil {
-			return err
-		}
-	}
-	return fs.MaybeCommitLocked()
-}
-
-// Rmdir shadows namei's for stock ext3's silent failure (§5.1), which
-// mirrors Truncate's: an I/O error loading the directory, reading its
-// entries or removing its name from the parent ends the call with success.
-func (fs *FS) Rmdir(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	pIno, pIn, name, err := fs.ParentLocked(path)
-	if err != nil {
-		return err
-	}
-	cIno, _, err := fs.LookupLocked(pIno, pIn, name)
-	if err != nil {
-		return err
-	}
-	cIn, err := fs.LoadLocked(cIno)
-	if err != nil {
-		return fs.swallowIO(err)
-	}
-	if !cIn.IsDir() {
-		return vfs.ErrNotDir
-	}
-	empty, err := fs.DirEmptyLocked(cIno, cIn)
-	if err != nil {
-		return fs.swallowIO(err)
-	}
-	if !empty {
-		return vfs.ErrNotEmpty
-	}
-	if err := fs.DirRemoveLocked(pIno, pIn, name); err != nil {
-		return fs.swallowIO(err)
-	}
-	if _, err := fs.DirChangedLocked(pIno, pIn); err != nil {
-		return err
-	}
-	if err := fs.FreeLocked(cIno, cIn); err != nil {
-		return err
-	}
-	return fs.MaybeCommitLocked()
-}
-
-// Rename shadows namei's for stock ext3's silent failure (§5.1): an I/O
-// error freeing the replaced target's blocks ends the call, with success,
-// before the entry moves. Both parents take one mtime.
-func (fs *FS) Rename(oldpath, newpath string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.GuardWriteLocked(); err != nil {
-		return err
-	}
-	m, noop, err := fs.MoveLocked(oldpath, newpath)
-	if err != nil || noop {
-		return err
-	}
-	if tIno, _, err := fs.LookupLocked(m.NewDir, m.NewNode, m.NewName); err == nil {
-		tIn, err := fs.LoadLocked(tIno)
-		if err != nil {
-			return err
-		}
-		if tIn.IsDir() {
-			empty, err := fs.DirEmptyLocked(tIno, tIn)
-			if err != nil {
-				return err
-			}
-			if !empty {
-				return vfs.ErrNotEmpty
-			}
-		}
-		if err := fs.DirRemoveLocked(m.NewDir, m.NewNode, m.NewName); err != nil {
-			return err
-		}
-		if !tIn.IsDir() {
-			tIn.Links--
-		}
-		if tIn.IsDir() || tIn.Links == 0 {
-			if err := fs.truncateBlocks(&tIn, 0); err != nil {
-				return fs.swallowIO(err)
-			}
-			if err := fs.freeInode(tIno); err != nil {
-				return err
-			}
-			if err := fs.clearInode(tIno); err != nil {
-				return err
-			}
-		} else if err := fs.StoreLocked(tIno, tIn); err != nil {
-			return err
-		}
-	} else if !errors.Is(err, vfs.ErrNotExist) {
-		return err
-	}
-
-	if err := fs.DirRemoveLocked(m.OldDir, m.OldNode, m.OldName); err != nil {
-		return err
-	}
-	now := fs.Now()
-	oPIn := m.OldNode
-	oPIn.Mtime = now
-	if err := fs.StoreLocked(m.OldDir, oPIn); err != nil {
-		return err
-	}
-	// The same directory continues from oPIn.
-	nPIn := m.NewNode
-	if m.SameDir {
-		nPIn = oPIn
-	}
-	if nPIn, err = fs.DirAddLocked(m.NewDir, nPIn, m.NewName, m.Child, m.Type); err != nil {
-		return err
-	}
-	nPIn.Mtime = now
-	if err := fs.StoreLocked(m.NewDir, nPIn); err != nil {
-		return err
-	}
-	return fs.MaybeCommitLocked()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"ironfs/internal/faultinject"
 	"ironfs/internal/iron"
 	"ironfs/internal/vfs"
 )
@@ -65,5 +66,48 @@ func TestUnlinkOfZeroLinkCount(t *testing.T) {
 		if !rec.Detections().Has(iron.DSanity) || !rec.Recoveries().Has(iron.RPropagate) {
 			t.Errorf("%s: refusal not recorded as DSanity/RPropagate:\n%s", c.name, rec.Summary())
 		}
+	}
+}
+
+// TestRenameOverFileWhoseFreeFails: stock ext3 frees a replaced file after
+// both entries have moved, and swallows an I/O error freeing its blocks
+// (§5.1). The rename itself happens: the old name is gone and the new name
+// reaches the source's inode. The fault is on the block bitmap: an
+// unreadable indirect block is absorbed by the prune itself and never
+// reaches the rename.
+func TestRenameOverFileWhoseFreeFails(t *testing.T) {
+	_, fdev, _, fs := ironStack(t, Options{})
+	for _, p := range []string{"/src", "/target"} {
+		if err := fs.Create(p, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fs.Write("/target", 0, make([]byte, 2*BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	src, err := fs.Stat("/src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tIn, err := fs.ResolveLocked("/target", true)
+	if err != nil || tIn.Direct[0] == 0 {
+		t.Fatalf("target maps no block: %+v, %v", tIn, err)
+	}
+	bm := int64(fs.gds[fs.lay.groupOf(int64(tIn.Direct[0]))].DataBitmap)
+	fs = remountCold(t, fs)
+	fdev.Arm(&faultinject.Fault{Class: iron.ReadFailure, Range: faultinject.BlockRange{Start: bm, End: bm + 1}, Sticky: true})
+
+	if err := fs.Rename("/src", "/target"); err != nil {
+		t.Fatalf("Rename = %v, want stock ext3's swallowed success", err)
+	}
+	if _, err := fs.Lstat("/src"); !errors.Is(err, vfs.ErrNotExist) {
+		t.Errorf("/src after the rename: %v, want ErrNotExist", err)
+	}
+	got, err := fs.Lstat("/target")
+	if err != nil || got.Ino != src.Ino {
+		t.Errorf("/target after the rename = ino %d, %v; want ino %d", got.Ino, err, src.Ino)
 	}
 }

@@ -96,7 +96,8 @@ func (ns *Namespace[R, N]) Write(path string, off int64, p []byte) (int, error) 
 	return written, nil
 }
 
-// Truncate implements vfs.FileSystem.
+// Truncate implements vfs.FileSystem. Volume.Swallow sees a failed store
+// or commit.
 func (ns *Namespace[R, N]) Truncate(path string, size int64) error {
 	ns.v.Mu.Lock()
 	defer ns.v.Mu.Unlock()
@@ -122,7 +123,10 @@ func (ns *Namespace[R, N]) Truncate(path string, size int64) error {
 	a.Size = uint64(size)
 	a.Mtime = ns.Now()
 	if err := ns.s.StoreLocked(ref, n.WithAttrs(a)); err != nil {
-		return err
+		return ns.swallow(err)
 	}
-	return ns.s.MaybeCommitLocked()
+	if err := ns.s.MaybeCommitLocked(); err != nil {
+		return ns.swallow(err)
+	}
+	return nil
 }

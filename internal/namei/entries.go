@@ -56,6 +56,7 @@ func (ns *Namespace[R, N]) ReadDir(path string) ([]vfs.DirEntry, error) {
 
 // Unlink implements vfs.FileSystem: the entry goes, then the parent records
 // the change, then the object loses a link and, with its last, is freed.
+// Volume.ZeroLinks sees a count that is already zero first.
 func (ns *Namespace[R, N]) Unlink(path string) error {
 	ns.v.Mu.Lock()
 	defer ns.v.Mu.Unlock()
@@ -77,13 +78,18 @@ func (ns *Namespace[R, N]) Unlink(path string) error {
 	if n.FileType() == vfs.TypeDirectory {
 		return vfs.ErrIsDir
 	}
+	a := n.Attrs()
+	if a.Links == 0 && ns.v.ZeroLinks != nil {
+		if err := ns.v.ZeroLinks(); err != nil {
+			return err
+		}
+	}
 	if err := ns.s.DirRemoveLocked(dir, dn, name); err != nil {
 		return err
 	}
 	if _, err := ns.s.DirChangedLocked(dir, dn); err != nil {
 		return err
 	}
-	a := n.Attrs()
 	a.Links--
 	if a.Links == 0 {
 		if err := ns.s.FreeLocked(ref, n.WithAttrs(a)); err != nil {
@@ -98,7 +104,8 @@ func (ns *Namespace[R, N]) Unlink(path string) error {
 	return ns.s.MaybeCommitLocked()
 }
 
-// Rmdir implements vfs.FileSystem.
+// Rmdir implements vfs.FileSystem. Volume.Swallow sees a failed load,
+// emptiness check or entry removal.
 func (ns *Namespace[R, N]) Rmdir(path string) error {
 	ns.v.Mu.Lock()
 	defer ns.v.Mu.Unlock()
@@ -115,20 +122,20 @@ func (ns *Namespace[R, N]) Rmdir(path string) error {
 	}
 	n, err := ns.s.LoadLocked(ref)
 	if err != nil {
-		return err
+		return ns.swallow(err)
 	}
 	if n.FileType() != vfs.TypeDirectory {
 		return vfs.ErrNotDir
 	}
 	empty, err := ns.s.DirEmptyLocked(ref, n)
 	if err != nil {
-		return err
+		return ns.swallow(err)
 	}
 	if !empty {
 		return vfs.ErrNotEmpty
 	}
 	if err := ns.s.DirRemoveLocked(dir, dn, name); err != nil {
-		return err
+		return ns.swallow(err)
 	}
 	if _, err := ns.s.DirChangedLocked(dir, dn); err != nil {
 		return err

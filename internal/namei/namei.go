@@ -12,9 +12,10 @@
 // stated here too; how the bytes move is the file system's.
 //
 // A file system embeds a Namespace — which makes it a vfs.FileSystem apart
-// from mount, unmount and statfs — and implements Store. ext3 keeps
-// Truncate, Unlink, Rmdir and Rename, whose §5.1 reactions fire between
-// their steps.
+// from mount, unmount and statfs — and implements Store. The few reactions
+// that fire between an operation's steps rather than inside one Store call
+// (stock ext3's silent truncate and rmdir failures and its link-count
+// check, §5.1) are two Volume hooks, Swallow and ZeroLinks.
 package namei
 
 import (
@@ -135,6 +136,15 @@ type Volume struct {
 	// MaxFileSize is the largest file the format's block map reaches, in
 	// bytes; math.MaxInt64 where it has no limit.
 	MaxFileSize int64
+	// Swallow, where set, is the reaction to an error at the steps a file
+	// system may fail silently at: Truncate's store and commit, and Rmdir's
+	// load, emptiness check and entry removal. What it returns ends the
+	// call, nil as a success. Unset, every error propagates.
+	Swallow func(error) error
+	// ZeroLinks, where set, is called by Unlink for an object whose link
+	// count is already zero, before the entry goes; an error it returns
+	// ends the call. Unset, or on a nil return, the count underflows.
+	ZeroLinks func() error
 }
 
 // Namespace is the one path walk and the namespace operations built on it.
@@ -158,6 +168,14 @@ func (ns *Namespace[R, N]) Health() vfs.HealthState { return ns.v.Health.State()
 // HealthTransitions returns the degrade transition log: every downward
 // health move with the subsystem and cause that forced it.
 func (ns *Namespace[R, N]) HealthTransitions() []vfs.Transition { return ns.v.Health.Transitions() }
+
+// swallow is Volume.Swallow's reaction to err, or err where it is unset.
+func (ns *Namespace[R, N]) swallow(err error) error {
+	if ns.v.Swallow == nil {
+		return err
+	}
+	return ns.v.Swallow(err)
+}
 
 // Now advances and returns the logical timestamp counter.
 func (ns *Namespace[R, N]) Now() int64 {

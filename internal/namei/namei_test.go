@@ -40,17 +40,18 @@ type fakeStore struct {
 	unmounted bool
 	nodes     map[int]*fakeNode
 	touched   map[uint64]bool
-	storeErr  error
-	commitErr error
-	clk       *disk.Clock
+	// errs fails the store calls it names, each with its error.
+	errs map[string]error
+	clk  *disk.Clock
 }
 
-func (f *fakeStore) call(name string) {
+func (f *fakeStore) call(name string) error {
 	f.t.Helper()
 	if f.held == "" {
 		f.t.Errorf("%s called with no lock held (log %v)", name, f.log)
 	}
 	f.log = append(f.log, name)
+	return f.errs[name]
 }
 
 func (f *fakeStore) MountedLocked() bool { f.call("mounted"); return !f.unmounted }
@@ -60,8 +61,7 @@ func (f *fakeStore) RootLocked() (int, fakeNode, error) {
 	return 1, *f.nodes[1], nil
 }
 func (f *fakeStore) LoadLocked(ref int) (fakeNode, error) {
-	f.call("load")
-	return *f.nodes[ref], nil
+	return *f.nodes[ref], f.call("load")
 }
 func (f *fakeStore) LookupLocked(_ int, dn fakeNode, name string) (int, byte, error) {
 	f.call("lookup")
@@ -75,12 +75,12 @@ func (f *fakeStore) ReadLinkLocked(_ int, n fakeNode) (string, error) {
 	return n.target, nil
 }
 func (f *fakeStore) StoreLocked(ref int, n fakeNode) error {
-	f.call("store")
-	if f.storeErr == nil {
+	err := f.call("store")
+	if err == nil {
 		f.touched[uint64(ref)] = true
 		*f.nodes[ref] = n
 	}
-	return f.storeErr
+	return err
 }
 func (f *fakeStore) CreateLocked(_ int, dn fakeNode, name string, kind vfs.FileType, a Attr) (int, fakeNode, error) {
 	f.call("create")
@@ -104,13 +104,14 @@ func (f *fakeStore) DirAddLocked(_ int, dn fakeNode, name string, child int, _ b
 	return dn, nil
 }
 func (f *fakeStore) DirRemoveLocked(_ int, dn fakeNode, name string) error {
-	f.call("remove")
+	if err := f.call("remove"); err != nil {
+		return err
+	}
 	delete(dn.ents, name)
 	return nil
 }
 func (f *fakeStore) DirEmptyLocked(_ int, n fakeNode) (bool, error) {
-	f.call("empty")
-	return len(n.ents) == 0, nil
+	return len(n.ents) == 0, f.call("empty")
 }
 func (f *fakeStore) DirChangedLocked(ref int, dn fakeNode) (fakeNode, error) {
 	f.call("changed")
@@ -143,8 +144,8 @@ func (f *fakeStore) CutLocked(_ int, n fakeNode, size int64) (fakeNode, error) {
 	return n, nil
 }
 func (f *fakeStore) KeyOf(ref int) uint64     { return uint64(ref) }
-func (f *fakeStore) MaybeCommitLocked() error { f.call("maybecommit"); return f.commitErr }
-func (f *fakeStore) SyncLocked() error        { f.call("sync"); return f.commitErr }
+func (f *fakeStore) MaybeCommitLocked() error { return f.call("maybecommit") }
+func (f *fakeStore) SyncLocked() error        { return f.call("sync") }
 
 // journal.Committer: nothing is ever dirty, so an Fsync of a touched object
 // ends at Commit's DirtyLocked.
@@ -278,7 +279,7 @@ func TestSetattrStampsAndCommitsOnlyAfterStore(t *testing.T) {
 
 	boom := errors.New("boom")
 	n, f, _, _ = harness(t)
-	f.storeErr = boom
+	f.errs = map[string]error{"store": boom}
 	if err := n.Chown("/file", 7, 8); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -287,7 +288,7 @@ func TestSetattrStampsAndCommitsOnlyAfterStore(t *testing.T) {
 	}
 
 	n, f, _, _ = harness(t)
-	f.commitErr = boom
+	f.errs = map[string]error{"maybecommit": boom}
 	if err := n.Utimes("/file", 9, 10); !errors.Is(err, boom) {
 		t.Errorf("the commit funnel's error did not reach the caller: %v", err)
 	}
@@ -536,13 +537,77 @@ func TestWriteAndTruncateRecordTheSize(t *testing.T) {
 
 	boom := errors.New("boom")
 	for _, spoil := range []func(*fakeStore){
-		func(f *fakeStore) { f.storeErr = boom },
-		func(f *fakeStore) { f.commitErr = boom },
+		func(f *fakeStore) { f.errs = map[string]error{"store": boom} },
+		func(f *fakeStore) { f.errs = map[string]error{"maybecommit": boom} },
 	} {
 		n, f, _, _ := harness(t)
 		spoil(f)
 		if got, err := n.Write("/file", 0, []byte("abc")); got != 3 || !errors.Is(err, boom) {
 			t.Errorf("Write with a failing store or commit = %d, %v; want 3, boom", got, err)
 		}
+	}
+}
+
+// TestSwallowEndsTheCallAtEachStep: at each step Volume.Swallow covers, a
+// failure goes through it and what it returns ends the call, with no later
+// store call; unset, the failure propagates as it is.
+func TestSwallowEndsTheCallAtEachStep(t *testing.T) {
+	steps := []struct {
+		op, step string
+		run      func(*ns) error
+	}{
+		{"Truncate", "store", func(n *ns) error { return n.Truncate("/file", 4) }},
+		{"Truncate", "maybecommit", func(n *ns) error { return n.Truncate("/file", 4) }},
+		{"Rmdir", "load", func(n *ns) error { return n.Rmdir("/dir") }},
+		{"Rmdir", "empty", func(n *ns) error { return n.Rmdir("/dir") }},
+		{"Rmdir", "remove", func(n *ns) error { return n.Rmdir("/dir") }},
+	}
+	boom := errors.New("boom")
+	for _, c := range steps {
+		for _, set := range []bool{false, true} {
+			n, f, _, _ := harness(t)
+			f.errs = map[string]error{c.step: boom}
+			var saw error
+			want := boom
+			if set {
+				n.v.Swallow = func(err error) error { saw = err; return nil }
+				want = nil
+			}
+			if err := c.run(n); !errors.Is(err, want) {
+				t.Errorf("%s, %s fails, hook set %v: err = %v, want %v", c.op, c.step, set, err, want)
+			}
+			if set && saw != boom {
+				t.Errorf("%s, %s fails: Swallow saw %v", c.op, c.step, saw)
+			}
+			if log := strings.Join(f.log, " "); !strings.HasSuffix(log, " "+c.step+" unlock:w") {
+				t.Errorf("%s, %s fails, hook set %v: sequence %s goes on past the step", c.op, c.step, set, log)
+			}
+		}
+	}
+}
+
+// TestZeroLinksRefusesBeforeTheEntryGoes: Unlink of an object whose link
+// count is already zero asks Volume.ZeroLinks first, and its error ends
+// the call before any store call changes anything. Unset, the count
+// underflows and the object keeps its node.
+func TestZeroLinksRefusesBeforeTheEntryGoes(t *testing.T) {
+	n, f, _, _ := harness(t)
+	f.nodes[2].Links = 0
+	if err := n.Unlink("/file"); err != nil {
+		t.Fatalf("Unlink with no hook: %v", err)
+	}
+	if f.nodes[2].Links != 0xFFFF {
+		t.Errorf("link count %d, want the underflow to 0xFFFF", f.nodes[2].Links)
+	}
+
+	boom := errors.New("boom")
+	n, f, _, _ = harness(t)
+	f.nodes[2].Links = 0
+	n.v.ZeroLinks = func() error { return boom }
+	if err := n.Unlink("/file"); !errors.Is(err, boom) {
+		t.Fatalf("Unlink = %v, want the hook's error", err)
+	}
+	if got := strings.Join(f.log, " "); got != "lock:w mounted root lookup load unlock:w" {
+		t.Errorf("sequence %s", got)
 	}
 }
