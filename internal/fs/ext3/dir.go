@@ -75,27 +75,67 @@ func writeEntry(buf []byte, off int, ino uint32, recLen int, name string, ftype 
 	copy(buf[off+dirHdrLen:], name)
 }
 
-// LookupLocked implements namei.Store.
-func (fs *FS) LookupLocked(_ uint32, in inode, name string) (uint32, byte, error) {
-	nblocks := int64(in.Size) / BlockSize
-	for l := int64(0); l < nblocks; l++ {
-		phys, err := fs.bmap(&in, l, false)
-		if err != nil {
-			return 0, 0, err
+// dirWalk yields the entries of a directory's blocks in order: every
+// mapped block below the floor of its size, read as BTDir. Holes are
+// skipped an unallocated subtree at a time (bmapNext), and a mapped block
+// costs the indirect reads bmap makes for it.
+type dirWalk struct {
+	fs *FS
+	// in is the directory's inode, a copy: a pointer would share fs's
+	// escape, and move every lookup's inode to the heap.
+	in     inode
+	l, end int64
+	// phys is the block holding the entry next returned last.
+	phys int64
+	it   dirIter
+	// err is what ended the walk early.
+	err error
+}
+
+func (fs *FS) walkDir(in inode) dirWalk {
+	return dirWalk{fs: fs, in: in, end: int64(in.Size) / BlockSize}
+}
+
+// next returns the next entry, live or free; false at the end or on an
+// error, which err then holds.
+func (w *dirWalk) next() (dirEntry, bool) {
+	for {
+		if w.phys != 0 {
+			if e, ok := w.it.next(); ok {
+				return e, true
+			}
 		}
+		if w.l >= w.end {
+			return dirEntry{}, false
+		}
+		phys, next, err := w.fs.bmapNext(&w.in, w.l)
+		if err != nil {
+			w.err = err
+			return dirEntry{}, false
+		}
+		w.l = next
 		if phys == 0 {
 			continue
 		}
-		buf, err := fs.readMeta(phys, BTDir)
+		buf, err := w.fs.readMeta(phys, BTDir)
 		if err != nil {
-			return 0, 0, err
+			w.err = err
+			return dirEntry{}, false
 		}
-		it := dirBlockIter(buf)
-		for e, ok := it.next(); ok; e, ok = it.next() {
-			if e.Ino != 0 && string(e.Name) == name {
-				return e.Ino, e.FType, nil
-			}
+		w.phys, w.it = phys, dirBlockIter(buf)
+	}
+}
+
+// LookupLocked implements namei.Store.
+func (fs *FS) LookupLocked(_ uint32, in inode, name string) (uint32, byte, error) {
+	w := fs.walkDir(in)
+	for e, ok := w.next(); ok; e, ok = w.next() {
+		if e.Ino != 0 && string(e.Name) == name {
+			return e.Ino, e.FType, nil
 		}
+	}
+	if w.err != nil {
+		return 0, 0, w.err
 	}
 	return 0, 0, vfs.ErrNotExist
 }
@@ -103,25 +143,14 @@ func (fs *FS) LookupLocked(_ uint32, in inode, name string) (uint32, byte, error
 // DirListLocked implements namei.Store: every live entry.
 func (fs *FS) DirListLocked(_ uint32, in inode) ([]vfs.DirEntry, error) {
 	var out []vfs.DirEntry
-	nblocks := int64(in.Size) / BlockSize
-	for l := int64(0); l < nblocks; l++ {
-		phys, err := fs.bmap(&in, l, false)
-		if err != nil {
-			return nil, err
+	w := fs.walkDir(in)
+	for e, ok := w.next(); ok; e, ok = w.next() {
+		if e.Ino != 0 {
+			out = append(out, vfs.DirEntry{Name: string(e.Name), Ino: e.Ino, Type: vfs.FileType(e.FType)})
 		}
-		if phys == 0 {
-			continue
-		}
-		buf, err := fs.readMeta(phys, BTDir)
-		if err != nil {
-			return nil, err
-		}
-		it := dirBlockIter(buf)
-		for e, ok := it.next(); ok; e, ok = it.next() {
-			if e.Ino != 0 {
-				out = append(out, vfs.DirEntry{Name: string(e.Name), Ino: e.Ino, Type: vfs.FileType(e.FType)})
-			}
-		}
+	}
+	if w.err != nil {
+		return nil, w.err
 	}
 	return out, nil
 }
@@ -142,47 +171,35 @@ func (fs *FS) DirAddLocked(_ uint32, in inode, name string, ino uint32, ftype by
 		return in, vfs.ErrNameTooLong
 	}
 	need := entryLen(len(name))
-	nblocks := int64(in.Size) / BlockSize
-
-	for l := int64(0); l < nblocks; l++ {
-		phys, err := fs.bmap(&in, l, false)
-		if err != nil {
-			return in, err
+	w := fs.walkDir(in)
+	for e, ok := w.next(); ok; e, ok = w.next() {
+		var avail, newOff int
+		if e.Ino == 0 {
+			avail, newOff = e.RecLen, e.blkOff
+		} else {
+			used := entryLen(len(e.Name))
+			avail, newOff = e.RecLen-used, e.blkOff+used
 		}
-		if phys == 0 {
+		if avail < need {
 			continue
 		}
-		buf, err := fs.readMeta(phys, BTDir)
+		mbuf, err := fs.txMeta(w.phys, BTDir)
 		if err != nil {
 			return in, err
 		}
-		it := dirBlockIter(buf)
-		for e, ok := it.next(); ok; e, ok = it.next() {
-			var avail, newOff int
-			if e.Ino == 0 {
-				avail, newOff = e.RecLen, e.blkOff
-			} else {
-				used := entryLen(len(e.Name))
-				avail, newOff = e.RecLen-used, e.blkOff+used
-			}
-			if avail < need {
-				continue
-			}
-			mbuf, err := fs.txMeta(phys, BTDir)
-			if err != nil {
-				return in, err
-			}
-			if e.Ino != 0 {
-				// Shrink the existing record to its used size.
-				binary.LittleEndian.PutUint16(mbuf[e.blkOff+4:], uint16(entryLen(len(e.Name))))
-			}
-			writeEntry(mbuf, newOff, ino, avail, name, ftype)
-			return in, nil
+		if e.Ino != 0 {
+			// Shrink the existing record to its used size.
+			binary.LittleEndian.PutUint16(mbuf[e.blkOff+4:], uint16(entryLen(len(e.Name))))
 		}
+		writeEntry(mbuf, newOff, ino, avail, name, ftype)
+		return in, nil
+	}
+	if w.err != nil {
+		return in, w.err
 	}
 
 	// No room: append a fresh directory block.
-	phys, err := fs.bmap(&in, nblocks, true)
+	phys, err := fs.bmap(&in, w.end, true)
 	if err != nil {
 		return in, err
 	}
@@ -195,37 +212,26 @@ func (fs *FS) DirAddLocked(_ uint32, in inode, name string, ino uint32, ftype by
 // DirRemoveLocked implements namei.Store: it deletes name's entry,
 // coalescing its space into the previous record.
 func (fs *FS) DirRemoveLocked(_ uint32, in inode, name string) error {
-	nblocks := int64(in.Size) / BlockSize
-	for l := int64(0); l < nblocks; l++ {
-		phys, err := fs.bmap(&in, l, false)
-		if err != nil {
-			return err
-		}
-		if phys == 0 {
+	w := fs.walkDir(in)
+	for e, ok := w.next(); ok; e, ok = w.next() {
+		if e.Ino == 0 || string(e.Name) != name {
 			continue
 		}
-		buf, err := fs.readMeta(phys, BTDir)
+		mbuf, err := fs.txMeta(w.phys, BTDir)
 		if err != nil {
 			return err
 		}
-		it := dirBlockIter(buf)
-		for e, ok := it.next(); ok; e, ok = it.next() {
-			if e.Ino == 0 || string(e.Name) != name {
-				continue
-			}
-			mbuf, err := fs.txMeta(phys, BTDir)
-			if err != nil {
-				return err
-			}
-			if e.prevOff >= 0 {
-				prevRec := int(binary.LittleEndian.Uint16(mbuf[e.prevOff+4:]))
-				binary.LittleEndian.PutUint16(mbuf[e.prevOff+4:], uint16(prevRec+e.RecLen))
-			} else {
-				binary.LittleEndian.PutUint32(mbuf[e.blkOff:], 0)
-				mbuf[e.blkOff+6] = 0
-			}
-			return nil
+		if e.prevOff >= 0 {
+			prevRec := int(binary.LittleEndian.Uint16(mbuf[e.prevOff+4:]))
+			binary.LittleEndian.PutUint16(mbuf[e.prevOff+4:], uint16(prevRec+e.RecLen))
+		} else {
+			binary.LittleEndian.PutUint32(mbuf[e.blkOff:], 0)
+			mbuf[e.blkOff+6] = 0
 		}
+		return nil
+	}
+	if w.err != nil {
+		return w.err
 	}
 	return vfs.ErrNotExist
 }
