@@ -56,7 +56,7 @@ func (ns *Namespace[R, N]) ReadDir(path string) ([]vfs.DirEntry, error) {
 
 // Unlink implements vfs.FileSystem: the entry goes, then the parent records
 // the change, then the object loses a link and, with its last, is freed.
-// Volume.ZeroLinks sees a count that is already zero first.
+// Volume.ZeroLinks answers for a count that is already zero.
 func (ns *Namespace[R, N]) Unlink(path string) error {
 	ns.v.Mu.Lock()
 	defer ns.v.Mu.Unlock()
@@ -80,9 +80,7 @@ func (ns *Namespace[R, N]) Unlink(path string) error {
 	}
 	a := n.Attrs()
 	if a.Links == 0 && ns.v.ZeroLinks != nil {
-		if err := ns.v.ZeroLinks(); err != nil {
-			return err
-		}
+		return ns.v.ZeroLinks()
 	}
 	if err := ns.s.DirRemoveLocked(dir, dn, name); err != nil {
 		return err
@@ -188,8 +186,8 @@ func (ns *Namespace[R, N]) Link(oldpath, newpath string) error {
 	return ns.s.MaybeCommitLocked()
 }
 
-// Move is a rename resolved: the entry to move and the name it moves to.
-type Move[R any, N any] struct {
+// move is a rename resolved: the entry to move and the name it moves to.
+type move[R any, N any] struct {
 	OldDir  R
 	OldNode N
 	OldName string
@@ -205,13 +203,13 @@ type Move[R any, N any] struct {
 	SameDir bool
 }
 
-// MoveLocked resolves a rename's two paths: the old entry, which must
+// moveLocked resolves a rename's two paths: the old entry, which must
 // exist, and the new name's directory. noop reports that both paths name
 // the same entry, which POSIX makes a successful rename that changes
 // nothing. An object moved to a name beneath itself — the new directory is
 // the object or lies under it, also through a symbolic link — is
 // vfs.ErrInval: the move would cut its subtree off the root.
-func (ns *Namespace[R, N]) MoveLocked(oldpath, newpath string) (m Move[R, N], noop bool, err error) {
+func (ns *Namespace[R, N]) moveLocked(oldpath, newpath string) (m move[R, N], noop bool, err error) {
 	if m.OldDir, m.OldNode, m.OldName, err = ns.ParentLocked(oldpath); err != nil {
 		return m, false, err
 	}
@@ -240,7 +238,7 @@ func (ns *Namespace[R, N]) Rename(oldpath, newpath string) error {
 	if err := ns.GuardWriteLocked(); err != nil {
 		return err
 	}
-	m, noop, err := ns.MoveLocked(oldpath, newpath)
+	m, noop, err := ns.moveLocked(oldpath, newpath)
 	if err != nil || noop {
 		return err
 	}

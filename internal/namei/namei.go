@@ -141,9 +141,9 @@ type Volume struct {
 	// load, emptiness check and entry removal. What it returns ends the
 	// call, nil as a success. Unset, every error propagates.
 	Swallow func(error) error
-	// ZeroLinks, where set, is called by Unlink for an object whose link
-	// count is already zero, before the entry goes; an error it returns
-	// ends the call. Unset, or on a nil return, the count underflows.
+	// ZeroLinks, where set, is what Unlink returns for an object whose
+	// link count is already zero, before the entry goes. Unset, the count
+	// underflows.
 	ZeroLinks func() error
 }
 

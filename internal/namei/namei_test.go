@@ -587,9 +587,9 @@ func TestSwallowEndsTheCallAtEachStep(t *testing.T) {
 }
 
 // TestZeroLinksRefusesBeforeTheEntryGoes: Unlink of an object whose link
-// count is already zero asks Volume.ZeroLinks first, and its error ends
-// the call before any store call changes anything. Unset, the count
-// underflows and the object keeps its node.
+// count is already zero returns what Volume.ZeroLinks returns, before any
+// store call changes anything. Unset, the count underflows and the object
+// keeps its node.
 func TestZeroLinksRefusesBeforeTheEntryGoes(t *testing.T) {
 	n, f, _, _ := harness(t)
 	f.nodes[2].Links = 0

@@ -136,6 +136,15 @@ cmp "$vetdir/vet1.json" "$vetdir/vet2.json" || {
 	echo "check: ironvet output is nondeterministic between identical runs" >&2
 	exit 1
 }
+# docs/ANALYSIS.md's "Current deliberate drops" block is ironvet -policies
+# output: the fenced block under that heading must match a fresh run.
+"$vetdir/ironvet" -policies > "$vetdir/policies.txt"
+awk '/^## Current deliberate drops/ { s = 1 } s && /^```/ { if (f) exit; f = 1; next } f' \
+	docs/ANALYSIS.md > "$vetdir/policies.doc"
+cmp "$vetdir/policies.doc" "$vetdir/policies.txt" || {
+	echo "check: docs/ANALYSIS.md's deliberate-drop table is not ironvet -policies output; regenerate it" >&2
+	exit 1
+}
 
 # ironhunt quick gate (docs/HUNT.md): at the fixed default seed the
 # bounded corpus must hunt ixt3 clean, flag ext3-nobarrier through the
