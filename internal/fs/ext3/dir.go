@@ -155,13 +155,20 @@ func (fs *FS) DirListLocked(_ uint32, in inode) ([]vfs.DirEntry, error) {
 	return out, nil
 }
 
-// DirEmptyLocked implements namei.Store: no live entries.
-func (fs *FS) DirEmptyLocked(ino uint32, in inode) (bool, error) {
-	entries, err := fs.DirListLocked(ino, in)
-	if err != nil {
-		return false, err
+// DirEmptyLocked implements namei.Store: no live entries. It walks every
+// block, as a listing does, so its reads are a listing's.
+func (fs *FS) DirEmptyLocked(_ uint32, in inode) (bool, error) {
+	live := 0
+	w := fs.walkDir(in)
+	for e, ok := w.next(); ok; e, ok = w.next() {
+		if e.Ino != 0 {
+			live++
+		}
 	}
-	return len(entries) == 0, nil
+	if w.err != nil {
+		return false, w.err
+	}
+	return live == 0, nil
 }
 
 // DirAddLocked implements namei.Store: it inserts (name → ino) and returns

@@ -353,7 +353,8 @@ func (fs *FS) updateParityDeltaRaw(in *inode, oldData, newData []byte) error {
 //
 // Policy fidelity (§5.2 finding applies to ext3 as well): a read failure on
 // an indirect block during truncate is detected (error code) but the
-// operation continues, leaking the blocks beneath it.
+// operation continues, leaking the blocks beneath it. FixBugs propagates
+// the error instead.
 func (fs *FS) pruneTree(in *inode, root *uint64, depth int, base, keep, oldBlocks int64) error {
 	if *root == 0 {
 		return nil
@@ -384,6 +385,9 @@ func (fs *FS) pruneTree(in *inode, root *uint64, depth int, base, keep, oldBlock
 func (fs *FS) pruneNode(in *inode, blk int64, depth int, base, childSpan, keep, oldBlocks int64) (bool, error) {
 	buf, err := fs.readMeta(blk, BTIndirect)
 	if err != nil {
+		if fs.opts.FixBugs {
+			return false, err
+		}
 		// Reproduced ext3/ReiserFS bug: the failure is noticed but the
 		// truncate carries on, leaking everything beneath this node.
 		return false, nil

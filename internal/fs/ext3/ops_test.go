@@ -2,6 +2,7 @@ package ext3
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,5 +146,55 @@ func TestHugeDirectorySizeWalksOnlyWhatItMaps(t *testing.T) {
 	_, err = fs.Stat("/d/missing")
 	if took := time.Since(start); !errors.Is(err, vfs.ErrNotExist) || took > bound {
 		t.Errorf("lookup of a missing name = %v in %v; want ErrNotExist within %v", err, took, bound)
+	}
+}
+
+// TestTruncateOverUnreadableIndirect: a cold truncate of a 13-block file
+// whose indirect block cannot be read. The read failure aborts the journal
+// either way, so nothing of the truncate reaches the media. Stock ext3
+// notices the failure and carries on (§5.1): the truncate succeeds, and
+// the volume it goes on serving has leaked the indirect block. FixBugs
+// returns the error instead.
+func TestTruncateOverUnreadableIndirect(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts Options
+		fail bool
+	}{
+		{"stock", Options{}, false},
+		{"FixBugs", Options{FixBugs: true}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, fdev, _, fs := ironStack(t, c.opts)
+			if err := fs.Create("/f", 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.Write("/f", 0, make([]byte, 13*BlockSize)); err != nil {
+				t.Fatal(err)
+			}
+			_, in, err := fs.ResolveLocked("/f", true)
+			if err != nil || in.Ind == 0 {
+				t.Fatalf("/f maps no indirect block: %+v, %v", in, err)
+			}
+			fs = remountCold(t, fs)
+			fdev.Arm(&faultinject.Fault{Class: iron.ReadFailure, Range: faultinject.BlockRange{Start: int64(in.Ind), End: int64(in.Ind) + 1}, Sticky: true})
+			err = fs.Truncate("/f", 0)
+			fdev.Disarm()
+			if (err != nil) != c.fail {
+				t.Fatalf("Truncate = %v, want an error: %v", err, c.fail)
+			}
+			if got := fs.Health(); got != vfs.ReadOnly {
+				t.Errorf("health = %v, want ReadOnly", got)
+			}
+			if !c.fail {
+				probs, err := fs.CheckConsistency()
+				if err != nil || len(probs) != 1 || !strings.Contains(probs[0].String(), "unreachable") {
+					t.Errorf("stock truncate's leak: %v, %v; want the indirect block unreachable", probs, err)
+				}
+			}
+			if err := New(fdev, c.opts, iron.NewRecorder()).Oracle(); err != nil {
+				t.Errorf("the media after the truncate: %v", err)
+			}
+		})
 	}
 }
