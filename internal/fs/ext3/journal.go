@@ -28,9 +28,8 @@ const maxTxnMeta = 64
 // are awaiting checkpoint, bounding pinned cache.
 const checkpointHighWater = 256
 
-// The running transaction (fs.tx) stages blocks through these four. ext3
-// hands its callers the pinned cache buffer itself, to mutate in place; the
-// transaction registers that same buffer.
+// The running transaction (fs.tx) stages blocks through these four, under
+// the rule journal.Txn.StageMeta states.
 
 // txMeta returns a mutable buffer for metadata block blk, reading it with
 // full policy on first touch and staging it for journaling.

@@ -52,6 +52,15 @@ func refParseDir(fs *FS, buf []byte) ([]refDirEnt, error) {
 	return out, nil
 }
 
+// all collects the entries the walk has not yet returned.
+func (it dirIter) all() []dirEnt {
+	var out []dirEnt
+	for e, ok := it.next(); ok; e, ok = it.next() {
+		out = append(out, e)
+	}
+	return out
+}
+
 // iterParseDir collects what iterDir yields, in the reference's shape.
 func iterParseDir(fs *FS, buf []byte) ([]refDirEnt, error) {
 	it, err := fs.iterDir(buf)

@@ -51,9 +51,11 @@ type FS struct {
 
 	// records are the running transaction's redo records, in the order
 	// logMeta appended them: JFS logs these, not block images, and
-	// checkpoints the full images fs.tx stages alongside. After the embeds,
-	// so the fields before them keep their offsets.
+	// checkpoints the full images fs.tx stages alongside. redo holds their
+	// payloads back to back. After the embeds, so the fields before them
+	// keep their offsets.
 	records []redoRec
+	redo    []byte
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -282,7 +284,7 @@ func (fs *FS) Mount() error {
 	}
 
 	fs.tx = journal.NewTxn[uint32](fs.cache)
-	fs.records = nil
+	fs.records, fs.redo = nil, nil
 	fs.sb.Clean = 0
 	sbuf := make([]byte, BlockSize)
 	fs.sb.marshal(sbuf)

@@ -32,23 +32,38 @@ type redoRec struct {
 	Data []byte
 }
 
-// logMeta applies a sub-block mutation: the block's full image is staged in
-// the running transaction (and so in the cache) for the checkpoint, and a
-// redo record for just the mutated bytes is appended for the log.
+// txMeta reads metadata block blk with readMeta's policy and stages the
+// buffer it returns (or the image already staged) to edit in place.
+func (fs *FS) txMeta(blk int64, bt iron.BlockType) ([]byte, error) {
+	buf, err := fs.readMeta(blk, bt)
+	if err != nil {
+		return nil, err
+	}
+	if img := fs.tx.Meta.Payload(blk); img != nil {
+		buf = img
+	}
+	fs.tx.StageMeta(blk, buf, bt)
+	return buf, nil
+}
+
+// logMeta applies a sub-block mutation to the block's staged full image,
+// the checkpoint's, and logs a redo record of just the mutated bytes.
 func (fs *FS) logMeta(blk int64, off int, data []byte, bt iron.BlockType) error {
-	cur, err := fs.readMeta(blk, bt)
+	img, err := fs.txMeta(blk, bt)
 	if err != nil {
 		return err
 	}
-	img := fs.tx.Meta.Payload(blk)
-	if img == nil {
-		img = make([]byte, BlockSize)
-		copy(img, cur)
-	}
 	copy(img[off:], data)
-	fs.tx.StageMeta(blk, img, bt)
-	fs.records = append(fs.records, redoRec{Blk: blk, Off: off, Data: append([]byte{}, data...)})
+	copy(fs.logRedo(blk, off, len(data)), data)
 	return nil
+}
+
+// logRedo appends an n-byte redo record at blk+off; it returns the payload.
+func (fs *FS) logRedo(blk int64, off, n int) []byte {
+	at := len(fs.redo)
+	fs.redo = append(fs.redo, make([]byte, n)...)
+	fs.records = append(fs.records, redoRec{Blk: blk, Off: off, Data: fs.redo[at:]})
+	return fs.redo[at:]
 }
 
 // maxRedoLen is the largest redo payload one log block carries.
@@ -62,8 +77,7 @@ const maxRedoLen = BlockSize - recHdrLen
 func (fs *FS) logNewMeta(blk int64, bt iron.BlockType) {
 	fs.tx.StageMeta(blk, make([]byte, BlockSize), bt)
 	for off := 0; off < BlockSize; off += maxRedoLen {
-		n := min(maxRedoLen, BlockSize-off)
-		fs.records = append(fs.records, redoRec{Blk: blk, Off: off, Data: make([]byte, n)})
+		fs.logRedo(blk, off, min(maxRedoLen, BlockSize-off))
 	}
 }
 
@@ -165,7 +179,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 		return nil, vfs.ErrPanicked
 	}
 	plan := &commitPlan{fz: t.Freeze()}
-	fs.records = nil
+	fs.records, fs.redo = fs.records[:0], fs.redo[:0] // packed: both start over
 	rel, wrapped := fs.ring.Reserve(int64(len(logBlocks)))
 	if wrapped {
 		// Wrap: point the log superblock at the new start first.

@@ -53,8 +53,7 @@ func (fs *FS) allocBlock() (int64, error) {
 				if blk >= int64(fs.sb.BlockCount) {
 					return 0, vfs.ErrNoSpace
 				}
-				nb := []byte{buf[i] | 1<<bit}
-				if err := fs.logMeta(bmBlk, i, nb, BTBMap); err != nil {
+				if err := fs.logMeta(bmBlk, i, []byte{buf[i] | 1<<bit}, BTBMap); err != nil {
 					return 0, err
 				}
 				if fs.bmd.Free > 0 {
@@ -83,8 +82,7 @@ func (fs *FS) freeBlock(blk int64) error {
 	i := int((blk % bitsPerBlock) / 8)
 	bit := uint(blk % 8)
 	if buf[i]&(1<<bit) != 0 {
-		nb := []byte{buf[i] &^ (1 << bit)}
-		if err := fs.logMeta(bmBlk, i, nb, BTBMap); err != nil {
+		if err := fs.logMeta(bmBlk, i, []byte{buf[i] &^ (1 << bit)}, BTBMap); err != nil {
 			return err
 		}
 		fs.bmd.Free++
@@ -121,8 +119,7 @@ func (fs *FS) allocInode() (uint32, error) {
 				if uint64(ino) > fs.imc.TotInodes {
 					return 0, vfs.ErrNoInodes
 				}
-				nb := []byte{buf[i] | 1<<bit}
-				if err := fs.logMeta(imBlk, i, nb, BTIMap); err != nil {
+				if err := fs.logMeta(imBlk, i, []byte{buf[i] | 1<<bit}, BTIMap); err != nil {
 					return 0, err
 				}
 				if fs.imc.FreeInodes > 0 {
@@ -152,8 +149,7 @@ func (fs *FS) freeInode(ino uint32) error {
 	i := int((idx % bitsPerBlock) / 8)
 	bit := uint(idx % 8)
 	if buf[i]&(1<<bit) != 0 {
-		nb := []byte{buf[i] &^ (1 << bit)}
-		if err := fs.logMeta(imBlk, i, nb, BTIMap); err != nil {
+		if err := fs.logMeta(imBlk, i, []byte{buf[i] &^ (1 << bit)}, BTIMap); err != nil {
 			return err
 		}
 		fs.imc.FreeInodes++
@@ -427,15 +423,6 @@ func (it *dirIter) next() (dirEnt, bool) {
 	}, true
 }
 
-// all collects the entries the walk has not yet returned.
-func (it dirIter) all() []dirEnt {
-	var out []dirEnt
-	for e, ok := it.next(); ok; e, ok = it.next() {
-		out = append(out, e)
-	}
-	return out
-}
-
 // dirBlocks iterates a directory's data blocks.
 func (fs *FS) dirBlocks(in *inode, fn func(blk int64, buf []byte, it dirIter) (bool, error)) error {
 	nblocks := (int64(in.Size) + BlockSize - 1) / BlockSize
@@ -500,16 +487,15 @@ func (fs *FS) DirAddLocked(dirIno uint32, in inode, name string, ino uint32, fty
 
 	done := false
 	err := fs.dirBlocks(&in, func(blk int64, buf []byte, it dirIter) (bool, error) {
-		ents := it.all()
-		end := 4
-		if n := len(ents); n > 0 {
-			end = ents[n-1].end
+		n, end := 0, 4
+		for e, ok := it.next(); ok; e, ok = it.next() {
+			n, end = n+1, e.end
 		}
-		if end+need > BlockSize || len(ents) >= maxEntsDir {
+		if end+need > BlockSize || n >= maxEntsDir {
 			return false, nil
 		}
 		var cb [4]byte
-		binary.LittleEndian.PutUint32(cb[:], uint32(len(ents)+1))
+		binary.LittleEndian.PutUint32(cb[:], uint32(n+1))
 		if err := fs.logMeta(blk, 0, cb[:], BTDir); err != nil {
 			return false, err
 		}
@@ -545,32 +531,31 @@ func (fs *FS) DirAddLocked(dirIno uint32, in inode, name string, ino uint32, fty
 func (fs *FS) DirRemoveLocked(_ uint32, in inode, name string) error {
 	var removed uint32
 	err := fs.dirBlocks(&in, func(blk int64, buf []byte, it dirIter) (bool, error) {
-		ents := it.all()
-		for i, e := range ents {
-			if string(e.Name) != name {
-				continue
+		var gone dirEnt
+		found := false
+		n, end := 0, 4
+		for e, ok := it.next(); ok; e, ok = it.next() {
+			if !found && string(e.Name) == name {
+				gone, found = e, true
 			}
-			removed = e.Ino
-			// Rebuild the packed region after the removed entry and log
-			// the changed span.
-			var tail []byte
-			for _, o := range ents[i+1:] {
-				tail = append(tail, buf[o.off:o.end]...)
-			}
-			end := ents[len(ents)-1].end
-			span := make([]byte, end-e.off)
-			copy(span, tail)
-			var cb [4]byte
-			binary.LittleEndian.PutUint32(cb[:], uint32(len(ents)-1))
-			if err := fs.logMeta(blk, 0, cb[:], BTDir); err != nil {
-				return false, err
-			}
-			if err := fs.logMeta(blk, e.off, span, BTDir); err != nil {
-				return false, err
-			}
-			return true, nil
+			n, end = n+1, e.end
 		}
-		return false, nil
+		if !found {
+			return false, nil
+		}
+		removed = gone.Ino
+		// The later entries move down whole, zeros behind them.
+		span := make([]byte, end-gone.off)
+		copy(span, buf[gone.end:end])
+		var cb [4]byte
+		binary.LittleEndian.PutUint32(cb[:], uint32(n-1))
+		if err := fs.logMeta(blk, 0, cb[:], BTDir); err != nil {
+			return false, err
+		}
+		if err := fs.logMeta(blk, gone.off, span, BTDir); err != nil {
+			return false, err
+		}
+		return true, nil
 	})
 	if err != nil {
 		return err

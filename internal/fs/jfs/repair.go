@@ -117,6 +117,6 @@ func (fs *FS) RebuildMapsLocked(c *fsck.Refs[*inode]) error {
 // volume.
 func (fs *FS) AbortLocked() {
 	fs.tx = journal.NewTxn[uint32](fs.cache)
-	fs.records = nil
+	fs.records, fs.redo = nil, nil
 	fs.remountRO(BTBMap, "consistency repair failed mid-pass")
 }

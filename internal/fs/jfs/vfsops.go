@@ -36,8 +36,8 @@ func (fs *FS) ReadAtLocked(_ uint32, in inode, off int64, p []byte) (int, error)
 	return int(read), nil
 }
 
-// WriteAtLocked implements namei.Store: a partial block is read, patched
-// and staged whole.
+// WriteAtLocked implements namei.Store: a partial block is read and patched
+// in place, a whole one overwrites its staged buffer or a fresh one.
 func (fs *FS) WriteAtLocked(_ uint32, in inode, off int64, data []byte) (inode, int, error) {
 	n := int64(len(data))
 	written := int64(0)
@@ -53,14 +53,13 @@ func (fs *FS) WriteAtLocked(_ uint32, in inode, off int64, data []byte) (inode, 
 		if err != nil {
 			return in, int(written), err
 		}
-		buf := make([]byte, BlockSize)
+		var old []byte
 		if pre != 0 && chunk != BlockSize {
-			if old, rerr := fs.readData(blk); rerr == nil {
-				copy(buf, old)
+			if b, rerr := fs.readData(blk); rerr == nil {
+				old = b
 			}
 		}
-		copy(buf[bo:], data[written:written+chunk])
-		fs.tx.StageData(blk, buf, BTData)
+		fs.tx.StageWrite(blk, old, bo, data[written:written+chunk], BTData)
 		written += chunk
 	}
 	return in, int(written), nil
@@ -74,9 +73,8 @@ func (fs *FS) CutLocked(_ uint32, in inode, size int64) (inode, error) {
 	if size%BlockSize != 0 {
 		if blk, perr := fs.blockPtr(&in, size/BlockSize, false, false); perr == nil && blk != 0 {
 			if old, rerr := fs.readData(blk); rerr == nil {
-				nb := make([]byte, BlockSize)
-				copy(nb, old[:size%BlockSize])
-				fs.tx.StageData(blk, nb, BTData)
+				clear(old[size%BlockSize:])
+				fs.tx.StageData(blk, old, BTData)
 			}
 		}
 	}

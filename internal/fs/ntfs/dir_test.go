@@ -1,6 +1,7 @@
 package ntfs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -50,6 +51,15 @@ func refParseDir(fs *FS, buf []byte) ([]refDirEnt, error) {
 		off += dirEntHdr + nameLen
 	}
 	return out, nil
+}
+
+// all collects the entries the walk has not yet returned.
+func (it dirIter) all() []dirEnt {
+	var out []dirEnt
+	for e, ok := it.next(); ok; e, ok = it.next() {
+		out = append(out, e)
+	}
+	return out
 }
 
 // iterParseDir collects what iterDir yields, in the reference's shape.
@@ -270,5 +280,89 @@ func TestDirLookupMatchesReference(t *testing.T) {
 	}
 	if want.results[0].Err != nil || want.results[2].Err != vfs.ErrCorrupt || want.effects.health != vfs.ReadOnly {
 		t.Fatalf("reference outcome %+v: want a hit in the first block, then ErrCorrupt and %v", want, vfs.ReadOnly)
+	}
+}
+
+// refDirRemove is the compaction DirRemoveLocked once built in a fresh
+// block: the bytes in front of the removed entry, the count, then the
+// entries after it packed down; everything past them zero.
+func refDirRemove(fs *FS, buf []byte, name string) ([]byte, error) {
+	ents, err := refParseDir(fs, buf)
+	if err != nil {
+		return nil, err
+	}
+	for i, e := range ents {
+		if e.Name != name {
+			continue
+		}
+		nb := make([]byte, BlockSize)
+		copy(nb, buf[:e.off])
+		binary.LittleEndian.PutUint32(nb[0:], uint32(len(ents)-1))
+		off := e.off
+		for _, o := range ents[i+1:] {
+			off += copy(nb[off:], buf[o.off:o.end])
+		}
+		return nb, nil
+	}
+	return nil, vfs.ErrNotExist
+}
+
+// TestDirRemoveMatchesReference: removing the first, a middle and the last
+// entry of a directory block leaves on disk exactly the block the
+// reference compaction builds, zeros past the last entry included.
+func TestDirRemoveMatchesReference(t *testing.T) {
+	for _, victim := range []string{"a", "a-longer-name-03", "z-last"} {
+		t.Run(victim, func(t *testing.T) {
+			fs, d := newTestFS(t)
+			if err := fs.Mkdir("/dir", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			names := []string{"a", "bb", "a-longer-name-03", "ccc", "z-last"}
+			for _, name := range names {
+				if err := fs.Create("/dir/"+name, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			root, err := fs.LoadLocked(RootRec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, _, err := fs.LookupLocked(0, root, "dir")
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir, err := fs.LoadLocked(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blk, err := fs.blockPtr(&dir, 0, false)
+			if err != nil || blk == 0 {
+				t.Fatalf("blockPtr: %d, %v", blk, err)
+			}
+			before := make([]byte, BlockSize)
+			if err := d.ReadBlock(blk, before); err != nil {
+				t.Fatal(err)
+			}
+			want, err := refDirRemove(fs, before, victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Unlink("/dir/" + victim); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, BlockSize)
+			if err := d.ReadBlock(blk, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("directory block after removing %q:\n got %x\nwant %x", victim, got[:96], want[:96])
+			}
+		})
 	}
 }

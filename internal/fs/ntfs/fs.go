@@ -113,6 +113,17 @@ func (fs *FS) fillBlockRetry(blk int64, bt iron.BlockType) ([]byte, error) {
 	return buf, nil
 }
 
+// txMeta reads metadata block blk with readBlockRetry's persistence and
+// stages the buffer it returns, for the caller to edit in place.
+func (fs *FS) txMeta(blk int64, bt iron.BlockType) ([]byte, error) {
+	buf, err := fs.readBlockRetry(blk, bt)
+	if err != nil {
+		return nil, err
+	}
+	fs.tx.StageMeta(blk, buf, bt)
+	return buf, nil
+}
+
 // writeRetry writes a block, retrying per NTFS's per-type budgets. For
 // data blocks the exhausted error is recorded but not used — the §5.4
 // DZero finding; for metadata it propagates and the volume degrades.

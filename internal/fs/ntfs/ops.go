@@ -35,10 +35,8 @@ func (fs *FS) allocBlock() (int64, error) {
 				if blk >= int64(fs.boot.BlockCount) {
 					return 0, vfs.ErrNoSpace
 				}
-				nb := make([]byte, BlockSize)
-				copy(nb, buf)
-				nb[i] |= 1 << bit
-				fs.tx.StageMeta(bmBlk, nb, BTVolBmp)
+				buf[i] |= 1 << bit
+				fs.tx.StageMeta(bmBlk, buf, BTVolBmp)
 				return blk, nil
 			}
 		}
@@ -58,10 +56,8 @@ func (fs *FS) freeBlock(blk int64) error {
 	}
 	i, bit := int((blk%bitsPerBlock)/8), uint(blk%8)
 	if buf[i]&(1<<bit) != 0 {
-		nb := make([]byte, BlockSize)
-		copy(nb, buf)
-		nb[i] &^= 1 << bit
-		fs.tx.StageMeta(bmBlk, nb, BTVolBmp)
+		buf[i] &^= 1 << bit
+		fs.tx.StageMeta(bmBlk, buf, BTVolBmp)
 	}
 	fs.tx.Drop(blk)
 	return nil
@@ -87,10 +83,8 @@ func (fs *FS) allocRecord() (uint32, error) {
 			if uint64(rec) >= total {
 				return 0, vfs.ErrNoInodes
 			}
-			nb := make([]byte, BlockSize)
-			copy(nb, buf)
-			nb[i] |= 1 << bit
-			fs.tx.StageMeta(bmBlk, nb, BTMFTBmp)
+			buf[i] |= 1 << bit
+			fs.tx.StageMeta(bmBlk, buf, BTMFTBmp)
 			return rec, nil
 		}
 	}
@@ -106,10 +100,8 @@ func (fs *FS) freeRecord(rec uint32) error {
 	}
 	i, bit := int(rec/8), uint(rec%8)
 	if i < BlockSize && buf[i]&(1<<bit) != 0 {
-		nb := make([]byte, BlockSize)
-		copy(nb, buf)
-		nb[i] &^= 1 << bit
-		fs.tx.StageMeta(bmBlk, nb, BTMFTBmp)
+		buf[i] &^= 1 << bit
+		fs.tx.StageMeta(bmBlk, buf, BTMFTBmp)
 	}
 	return nil
 }
@@ -193,16 +185,13 @@ func (fs *FS) StoreLocked(rec uint32, r mftRecord) error {
 	if err != nil {
 		return err
 	}
-	buf, err := fs.readBlockRetry(blk, BTMFT)
+	buf, err := fs.txMeta(blk, BTMFT)
 	if err != nil {
 		return err
 	}
-	nb := make([]byte, BlockSize)
-	copy(nb, buf)
 	r.Magic = recMagic
-	r.marshal(nb[off : off+RecordSize])
+	r.marshal(buf[off : off+RecordSize])
 	fs.tx.Touch(rec)
-	fs.tx.StageMeta(blk, nb, BTMFT)
 	return nil
 }
 
@@ -212,17 +201,12 @@ func (fs *FS) clearRecord(rec uint32) error {
 	if err != nil {
 		return err
 	}
-	buf, err := fs.readBlockRetry(blk, BTMFT)
+	buf, err := fs.txMeta(blk, BTMFT)
 	if err != nil {
 		return err
 	}
-	nb := make([]byte, BlockSize)
-	copy(nb, buf)
-	for i := 0; i < RecordSize; i++ {
-		nb[off+i] = 0
-	}
+	clear(buf[off : off+RecordSize])
 	fs.tx.Touch(rec)
-	fs.tx.StageMeta(blk, nb, BTMFT)
 	return nil
 }
 
@@ -269,10 +253,8 @@ func (fs *FS) blockPtr(r *mftRecord, l int64, alloc bool) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		nb := make([]byte, BlockSize)
-		copy(nb, buf)
-		binary.LittleEndian.PutUint64(nb[idx*8:], uint64(blk))
-		fs.tx.StageMeta(eb, nb, BTMFT)
+		binary.LittleEndian.PutUint64(buf[idx*8:], uint64(blk))
+		fs.tx.StageMeta(eb, buf, BTMFT)
 		ptr = blk
 	}
 	return ptr, nil
@@ -300,19 +282,19 @@ func (fs *FS) freeFileBlocks(r *mftRecord, newSize int64) error {
 		if err != nil {
 			return err
 		}
-		nb := make([]byte, BlockSize)
-		copy(nb, buf)
+		// Free first, edit after: a free that fails leaves the cached
+		// block as the media and the transaction have it.
+		cut := max(keep-base, 0)
 		live, changed := 0, false
 		for idx := int64(0); idx < ptrsPerExt; idx++ {
-			ptr := int64(binary.LittleEndian.Uint64(nb[idx*8:]))
+			ptr := int64(binary.LittleEndian.Uint64(buf[idx*8:]))
 			if ptr == 0 {
 				continue
 			}
-			if base+idx >= keep {
+			if idx >= cut {
 				if err := fs.freeBlock(ptr); err != nil {
 					return err
 				}
-				binary.LittleEndian.PutUint64(nb[idx*8:], 0)
 				changed = true
 			} else {
 				live++
@@ -324,7 +306,8 @@ func (fs *FS) freeFileBlocks(r *mftRecord, newSize int64) error {
 			}
 			r.Ext[g] = 0
 		} else if changed {
-			fs.tx.StageMeta(eb, nb, BTMFT)
+			clear(buf[cut*8 : ptrsPerExt*8])
+			fs.tx.StageMeta(eb, buf, BTMFT)
 		}
 	}
 	return nil
@@ -391,15 +374,6 @@ func (it *dirIter) next() (dirEnt, bool) {
 	}, true
 }
 
-// all collects the entries the walk has not yet returned.
-func (it dirIter) all() []dirEnt {
-	var out []dirEnt
-	for e, ok := it.next(); ok; e, ok = it.next() {
-		out = append(out, e)
-	}
-	return out
-}
-
 func (fs *FS) dirBlocks(r *mftRecord, fn func(blk int64, buf []byte, it dirIter) (bool, error)) error {
 	nblocks := (int64(r.Size) + BlockSize - 1) / BlockSize
 	for l := int64(0); l < nblocks; l++ {
@@ -458,22 +432,19 @@ func (fs *FS) DirAddLocked(dirRec uint32, r mftRecord, name string, child uint32
 	need := dirEntHdr + len(name)
 	done := false
 	err := fs.dirBlocks(&r, func(blk int64, buf []byte, it dirIter) (bool, error) {
-		ents := it.all()
-		end := 4
-		if n := len(ents); n > 0 {
-			end = ents[n-1].end
+		n, end := 0, 4
+		for e, ok := it.next(); ok; e, ok = it.next() {
+			n, end = n+1, e.end
 		}
 		if end+need > BlockSize {
 			return false, nil
 		}
-		nb := make([]byte, BlockSize)
-		copy(nb, buf)
-		binary.LittleEndian.PutUint32(nb[0:], uint32(len(ents)+1))
-		binary.LittleEndian.PutUint32(nb[end:], child)
-		nb[end+4] = ftype
-		nb[end+5] = byte(len(name))
-		copy(nb[end+dirEntHdr:], name)
-		fs.tx.StageMeta(blk, nb, BTDir)
+		binary.LittleEndian.PutUint32(buf[0:], uint32(n+1))
+		binary.LittleEndian.PutUint32(buf[end:], child)
+		buf[end+4] = ftype
+		buf[end+5] = byte(len(name))
+		copy(buf[end+dirEntHdr:], name)
+		fs.tx.StageMeta(blk, buf, BTDir)
 		done = true
 		return true, nil
 	})
@@ -501,24 +472,23 @@ func (fs *FS) DirAddLocked(dirRec uint32, r mftRecord, name string, child uint32
 func (fs *FS) DirRemoveLocked(_ uint32, r mftRecord, name string) error {
 	found := false
 	err := fs.dirBlocks(&r, func(blk int64, buf []byte, it dirIter) (bool, error) {
-		ents := it.all()
-		for i, e := range ents {
-			if string(e.Name) != name {
-				continue
+		var gone dirEnt
+		n, end := 0, 4
+		for e, ok := it.next(); ok; e, ok = it.next() {
+			if !found && string(e.Name) == name {
+				gone, found = e, true
 			}
-			found = true
-			nb := make([]byte, BlockSize)
-			copy(nb, buf[:e.off])
-			binary.LittleEndian.PutUint32(nb[0:], uint32(len(ents)-1))
-			off := e.off
-			for _, o := range ents[i+1:] {
-				copy(nb[off:], buf[o.off:o.end])
-				off += o.end - o.off
-			}
-			fs.tx.StageMeta(blk, nb, BTDir)
-			return true, nil
+			n, end = n+1, e.end
 		}
-		return false, nil
+		if !found {
+			return false, nil
+		}
+		// The entries chain without gaps: the ones after gone move down
+		// whole, and the bytes they leave behind are zeroed.
+		binary.LittleEndian.PutUint32(buf[0:], uint32(n-1))
+		clear(buf[gone.off+copy(buf[gone.off:], buf[gone.end:end]):])
+		fs.tx.StageMeta(blk, buf, BTDir)
+		return true, nil
 	})
 	if err != nil {
 		return err

@@ -104,8 +104,8 @@ func (fs *FS) ReadAtLocked(_ uint32, r mftRecord, off int64, p []byte) (int, err
 	return int(read), nil
 }
 
-// WriteAtLocked implements namei.Store: a partial block is read, patched
-// and staged whole.
+// WriteAtLocked implements namei.Store: a partial block is read and patched
+// in place, a whole one overwrites its staged buffer or a fresh one.
 func (fs *FS) WriteAtLocked(_ uint32, r mftRecord, off int64, data []byte) (mftRecord, int, error) {
 	n := int64(len(data))
 	written := int64(0)
@@ -121,14 +121,13 @@ func (fs *FS) WriteAtLocked(_ uint32, r mftRecord, off int64, data []byte) (mftR
 		if err != nil {
 			return r, int(written), err
 		}
-		buf := make([]byte, BlockSize)
+		var old []byte
 		if pre != 0 && chunk != BlockSize {
-			if old, rerr := fs.readBlockRetry(blk, BTData); rerr == nil {
-				copy(buf, old)
+			if b, rerr := fs.readBlockRetry(blk, BTData); rerr == nil {
+				old = b
 			}
 		}
-		copy(buf[bo:], data[written:written+chunk])
-		fs.tx.StageData(blk, buf, BTData)
+		fs.tx.StageWrite(blk, old, bo, data[written:written+chunk], BTData)
 		written += chunk
 	}
 	return r, int(written), nil
@@ -142,9 +141,8 @@ func (fs *FS) CutLocked(_ uint32, r mftRecord, size int64) (mftRecord, error) {
 	if size%BlockSize != 0 {
 		if blk, perr := fs.blockPtr(&r, size/BlockSize, false); perr == nil && blk != 0 {
 			if old, rerr := fs.readBlockRetry(blk, BTData); rerr == nil {
-				nb := make([]byte, BlockSize)
-				copy(nb, old[:size%BlockSize])
-				fs.tx.StageData(blk, nb, BTData)
+				clear(old[size%BlockSize:])
+				fs.tx.StageData(blk, old, BTData)
 			}
 		}
 	}

@@ -34,10 +34,8 @@ func (fs *FS) allocBlock(bt iron.BlockType) (int64, error) {
 				if blk >= int64(fs.sb.BlockCount) {
 					return 0, vfs.ErrNoSpace
 				}
-				nb := make([]byte, BlockSize)
-				copy(nb, buf)
-				nb[i] |= 1 << bit
-				fs.tx.StageMeta(bmBlk, nb, BTBitmap)
+				buf[i] |= 1 << bit
+				fs.tx.StageMeta(bmBlk, buf, BTBitmap)
 				if fs.sb.FreeBlocks > 0 {
 					fs.sb.FreeBlocks--
 				}
@@ -67,10 +65,8 @@ func (fs *FS) freeBlock(blk int64) error {
 	}
 	i, bit := (blk%bitsPerBlock)/8, uint(blk%8)
 	if buf[i]&(1<<bit) != 0 {
-		nb := make([]byte, BlockSize)
-		copy(nb, buf)
-		nb[i] &^= 1 << bit
-		fs.tx.StageMeta(bmBlk, nb, BTBitmap)
+		buf[i] &^= 1 << bit
+		fs.tx.StageMeta(bmBlk, buf, BTBitmap)
 		fs.sb.FreeBlocks++
 		fs.sbDirty = true
 	}

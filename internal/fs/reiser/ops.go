@@ -134,18 +134,15 @@ func (fs *FS) WriteAtLocked(ref objRef, sd statData, off int64, data []byte) (st
 		if err != nil {
 			return sd, int(written), err
 		}
-		buf := make([]byte, BlockSize)
+		var old []byte
 		if chunk != BlockSize {
-			if cur := fs.cache.Get(ptr); cur != nil {
-				copy(buf, cur)
-			} else if int64(sd.Size) > idx*BlockSize {
-				if old, rerr := fs.readDataBlock(ptr); rerr == nil {
-					copy(buf, old)
+			if old = fs.cache.Get(ptr); old == nil && int64(sd.Size) > idx*BlockSize {
+				if b, rerr := fs.readDataBlock(ptr); rerr == nil {
+					old = b
 				}
 			}
 		}
-		copy(buf[bo:], data[written:written+chunk])
-		fs.tx.StageData(ptr, buf, BTData)
+		fs.tx.StageWrite(ptr, old, bo, data[written:written+chunk], BTData)
 		written += chunk
 	}
 	return sd, int(written), nil
@@ -164,9 +161,8 @@ func (fs *FS) CutLocked(ref objRef, sd statData, size int64) (statData, error) {
 	if size%BlockSize != 0 {
 		if ptr, perr := fs.blockPtr(ref, size/BlockSize, false); perr == nil && ptr != 0 {
 			if old, rerr := fs.readDataBlock(ptr); rerr == nil {
-				nb := make([]byte, BlockSize)
-				copy(nb, old[:size%BlockSize])
-				fs.tx.StageData(ptr, nb, BTData)
+				clear(old[size%BlockSize:])
+				fs.tx.StageData(ptr, old, BTData)
 			}
 		}
 	}

@@ -73,9 +73,8 @@ func (s *Set) Payload(blk int64) []byte { return s.at[blk].buf }
 func (s *Set) Type(blk int64) iron.BlockType { return s.at[blk].bt }
 
 // Bind replaces the payload registered for the staged block blk, keeping
-// its slot and type. ext3 hands operations the pinned cache buffer itself
-// and reads it back from the cache as it freezes; this is how it registers
-// the buffer it finds there.
+// its slot and type. ext3 reads each staged block back from the cache as
+// it freezes; this is how it registers the buffer it finds there.
 func (s *Set) Bind(blk int64, buf []byte) {
 	b := s.at[blk]
 	b.buf = buf
@@ -135,16 +134,41 @@ func (t *Txn[K]) frame() []byte {
 // the cache, so later reads observe it. The first staging fixes the block's
 // place in the transaction; a later one keeps the slot and replaces the
 // payload and type.
+//
+// buf is the cache's own buffer wherever the block is resident: all four
+// file systems edit the buffer their read returned and stage that same
+// buffer, so an edit copies nothing. An edit therefore comes after the
+// operation's last step that can fail and is staged at once; otherwise a
+// failed operation would leave a clean cached block that neither the media
+// nor any transaction holds. A freshly allocated block gets a fresh zeroed
+// buffer. ReiserFS's tree nodes are the exception: a view may alias the
+// cached node, so a node edit stages a fresh image.
 func (t *Txn[K]) StageMeta(blk int64, buf []byte, bt iron.BlockType) {
 	t.cache.Put(blk, buf, true)
 	t.Meta.stage(blk, buf, bt)
 }
 
 // StageData stages buf as the image of ordered-data block blk; see
-// StageMeta.
+// StageMeta, whose rule holds here too: a write edits a resident block's
+// cache buffer in place.
 func (t *Txn[K]) StageData(blk int64, buf []byte, bt iron.BlockType) {
 	t.cache.Put(blk, buf, true)
 	t.Data.stage(blk, buf, bt)
+}
+
+// StageWrite patches p into data block blk at off and stages the block:
+// old, the cache's buffer a partial write read first, when there is one;
+// for a whole-block write, the buffer already staged for blk; else a
+// fresh zeroed block. See StageMeta.
+func (t *Txn[K]) StageWrite(blk int64, old []byte, off int64, p []byte, bt iron.BlockType) {
+	if old == nil && len(p) == BlockSize {
+		old = t.Data.at[blk].buf
+	}
+	if old == nil {
+		old = make([]byte, BlockSize)
+	}
+	copy(old[off:], p)
+	t.StageData(blk, old, bt)
 }
 
 // Drop forgets blk, which the transaction has freed: whatever was staged

@@ -250,3 +250,33 @@ func TestUnpin(t *testing.T) {
 		}
 	}
 }
+
+// TestStageWriteBuffer: a write patches the buffer it was handed (a
+// partial write's resident block), else a whole-block write overwrites the
+// buffer already staged for the block, else a fresh zeroed block; the
+// buffer patched is the one staged and cached.
+func TestStageWriteBuffer(t *testing.T) {
+	cache := bcache.New(64)
+	tx := NewTxn[uint32](cache)
+	same := func(a, b []byte) bool { return len(a) > 0 && &a[0] == &b[0] }
+
+	old := block(1)
+	tx.StageWrite(3, old, 10, []byte{9, 9}, "data")
+	if !same(tx.Data.Payload(3), old) || !same(cache.Get(3), old) || old[10] != 9 || old[12] != 1 {
+		t.Fatal("a partial write did not patch and stage the buffer it was handed")
+	}
+	tx.StageWrite(3, nil, 0, block(5), "data")
+	if !same(tx.Data.Payload(3), old) || !bytes.Equal(old, block(5)) {
+		t.Fatal("a whole-block write did not overwrite the staged buffer")
+	}
+	tx.StageWrite(4, nil, 100, []byte{7}, "data")
+	fresh, want := tx.Data.Payload(4), block(0)
+	want[100] = 7
+	if !bytes.Equal(fresh, want) {
+		t.Fatal("a write with no buffer to patch did not start from zeros")
+	}
+	tx.StageWrite(4, nil, 0, block(6), "data")
+	if !same(tx.Data.Payload(4), fresh) {
+		t.Fatal("a whole-block write over a staged block took a new buffer")
+	}
+}
