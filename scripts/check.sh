@@ -109,12 +109,13 @@ go test -run '^$' -bench Dispatch -benchtime 1x ./internal/serve
 # (docs/PERF.md, "File-system lookup cost"), reiser's tree edits
 # (docs/PERF.md, "ReiserFS tree edits"), an insert into a full cache
 # shard and a read-ahead firing into one (docs/PERF.md, "Read path
-# allocations"), a queued write with its share of the drains, and a
-# 72-block journal freeze that copies into recycled frames, with their
-# allocation counts (0 for the insert, the firing and the write; 4 small
-# slices for the freeze): 100 iterations, so a first call's warm-up does
-# not stand in for the steady state.
-go test -run '^$' -bench 'PathLookup|TreeLookup|TreeInsert|CreateTailFile' -benchmem -benchtime 100x ./internal/fs/...
+# allocations"), a queued write with its share of the drains, a 72-block
+# journal freeze that copies into recycled frames, and one committed
+# create / write / fsync / unlink on each file system (bytes per committed
+# operation), with their allocation counts (0 for the insert, the firing
+# and the write; 4 small slices for the freeze): 100 iterations, so a
+# first call's warm-up does not stand in for the steady state.
+go test -run '^$' -bench 'PathLookup|TreeLookup|TreeInsert|CreateTailFile|CommitLoop' -benchmem -benchtime 100x ./internal/fs/...
 go test -run '^$' -bench 'FullShardInsert|ReadAheadSteady|EnqueueDrain|Freeze' -benchmem -benchtime 100x ./internal/bcache ./internal/sched ./internal/journal
 # And ixt3's block checksum over one 4 KiB block (docs/PERF.md,
 # "Redundancy path cost").
