@@ -49,11 +49,9 @@ type FS struct {
 	// of vfs.FileSystem; FS implements its namei.Store. Last, like Driver.
 	namei.Namespace[uint32, inode]
 
-	// records are the running transaction's redo records, in the order
-	// logMeta appended them: JFS logs these, not block images, and
-	// checkpoints the full images fs.tx stages alongside. redo holds their
-	// payloads back to back. After the embeds, so the fields before them
-	// keep their offsets.
+	// records are the running transaction's redo records in logMeta's
+	// order, redo their payloads: JFS logs these, not the block images
+	// fs.tx stages. After the embeds, so earlier fields keep their offsets.
 	records []redoRec
 	redo    []byte
 }
