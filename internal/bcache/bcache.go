@@ -215,22 +215,36 @@ func (c *Cache) DirtyLen() int {
 // Put inserts (or replaces) block n with data. The cache keeps data but
 // never recycles it: the caller may go on holding it. Eviction of the
 // least-recently-used clean block keeps the shard within capacity.
-func (c *Cache) Put(n int64, data []byte, dirty bool) {
+//
+// When data replaces another buffer the cache does not own, that buffer is
+// returned: the cache has let go of it, though a caller Get handed it to
+// may still hold it. A cache-owned frame goes back to the frame list
+// instead, and re-putting the resident buffer returns nil.
+func (c *Cache) Put(n int64, data []byte, dirty bool) (replaced []byte) {
 	s := c.shardOf(n)
 	s.mu.Lock()
 	if e, ok := s.entries[n]; ok {
+		if !e.own && !sameBuf(e.data, data) {
+			replaced = e.data
+		}
 		s.recycleLocked(e)
 		e.data, e.own = data, false
 		e.dirty = e.dirty || dirty
 		s.moveToFront(e)
 		s.stats.Replacements++
 		s.mu.Unlock()
-		return
+		return replaced
 	}
 	var buf [victimBuf]int64
 	evicted := s.insertLocked(n, data, dirty, false, buf[:0])
 	s.mu.Unlock()
 	c.noteEvicts(s, evicted)
+	return nil
+}
+
+// sameBuf reports whether a and b start at the same byte.
+func sameBuf(a, b []byte) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
 // Fill inserts block n clean with data unless n is already resident,

@@ -138,10 +138,13 @@ type commitPlan struct {
 	// payloads the journal carries and the checkpoint later writes home —
 	// never the live cache buffers — so its frames pass to the pending
 	// checkpoint entries.
-	fz      journal.Frozen
-	jReqs   []disk.Request
-	jTypes  []iron.BlockType
-	commit  disk.Request // written apart, after a barrier — unless Tc put it in jReqs
+	fz     journal.Frozen
+	jReqs  []disk.Request
+	jTypes []iron.BlockType
+	// records is how many revoke and descriptor blocks lead jReqs. They and
+	// the commit block are frames of the transaction's, returned at finish.
+	records int
+	commit  disk.Request // written apart, after a barrier — unless Tc put it in jReqs too
 	revokes []int64
 }
 
@@ -178,7 +181,9 @@ func (fs *FS) tcFold(tc uint32, blk []byte) uint32 {
 // transaction as JBD records at the journal head, which advances here.
 func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	t := fs.tx
-	fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d data=%d", seq, t.Meta.Len(), t.Data.Len()))
+	if fs.tr.Enabled() {
+		fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d data=%d", seq, t.Meta.Len(), t.Data.Len()))
+	}
 	fs.st.Commits.Inc()
 	fs.st.TxnBlocks.Observe(int64(t.Meta.Len() + t.Data.Len()))
 
@@ -266,7 +271,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	// Revoke blocks: record blocks whose tags are the freed blocks.
 	for lo := 0; lo < len(plan.revokes); lo += journal.MaxTags {
 		chunk := plan.revokes[lo:min(lo+journal.MaxTags, len(plan.revokes))]
-		b := journal.NewRecord(jMagicRevoke, len(chunk), seq)
+		b := journal.Record(t.Frame(), jMagicRevoke, len(chunk), seq)
 		for j, blk := range chunk {
 			journal.PutTag(b, j, blk)
 		}
@@ -278,7 +283,8 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	// Descriptor block and the journaled copies of the metadata; Tc runs
 	// over them in log order.
 	var tc uint32
-	log, commit := fs.ring.Log(rel, seq, plan.fz.Meta, nJData)
+	log, commit := fs.ring.Log(rel, seq, plan.fz.Meta, nJData, t.Frame(), t.Frame())
+	plan.records = len(plan.jReqs) + 1
 	for i, r := range log {
 		bt := BTJData
 		if i == 0 {
@@ -312,9 +318,8 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 		binary.LittleEndian.PutUint64(commit.Data[16:], cksumStored(tc))
 		plan.jReqs = append(plan.jReqs, commit)
 		plan.jTypes = append(plan.jTypes, BTJCommit)
-	} else {
-		plan.commit = commit
 	}
+	plan.commit = commit
 	return plan, nil
 }
 
@@ -401,9 +406,10 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 		fs.pending.seen[m.Block] = len(fs.pending.entries)
 		fs.pending.entries = append(fs.pending.entries, e)
 	}
-	// Ordered data is already home.
+	// Ordered data is already home, and the log records are written.
 	fs.tx.Unpin(plan.fz.Data)
-	fs.tx.Recycle(plan.fz.Data)
+	fs.tx.Recycle(plan.fz.Data, plan.jReqs[:plan.records])
+	fs.tx.RecycleFrame(plan.commit.Data)
 
 	if len(fs.pending.entries) >= checkpointHighWater {
 		return fs.checkpointLocked()
@@ -416,7 +422,9 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 //
 //iron:txentry commit machinery: checkpoints committed journal payloads to their home locations
 func (fs *FS) checkpointLocked() error {
-	fs.tr.Phase("checkpoint", fmt.Sprintf("pending=%d", len(fs.pending.entries)))
+	if fs.tr.Enabled() {
+		fs.tr.Phase("checkpoint", fmt.Sprintf("pending=%d", len(fs.pending.entries)))
+	}
 	fs.st.Checkpoints.Inc()
 	if len(fs.pending.entries) > 0 {
 		reqs := make([]disk.Request, 0, len(fs.pending.entries))
@@ -448,8 +456,10 @@ func (fs *FS) checkpointLocked() error {
 	fs.freeReplicasLocked()
 
 	// Advance the tail: everything up to the head is dead.
-	buf := journal.Header{Magic: jMagicSuper, StartRel: 1, StartSeq: fs.jn.Seq() + 1}.Block()
-	if err := fs.devWrite(fs.ring.Base, buf, BTJSuper); err != nil {
+	buf := journal.Header{Magic: jMagicSuper, StartRel: 1, StartSeq: fs.jn.Seq() + 1}.Encode(fs.tx.Frame())
+	err := fs.devWrite(fs.ring.Base, buf, BTJSuper)
+	fs.tx.RecycleFrame(buf)
+	if err != nil {
 		return err
 	}
 	fs.ring.Reset()

@@ -101,6 +101,8 @@ type commitPlan struct {
 	fz journal.Frozen
 	// wrapSuper, when non-nil, points the log superblock at the ring's new
 	// start; it must reach disk (with a barrier) before the log blocks.
+	// It, the log blocks and advSuper are frames of the transaction's,
+	// like fz's payloads, and go back with them.
 	wrapSuper []byte
 	logReqs   []disk.Request
 	advSuper  []byte // log-superblock advance after the checkpoint
@@ -137,21 +139,25 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	if t.Empty() {
 		return nil, nil
 	}
-	fs.tr.Phase("commit", fmt.Sprintf("seq=%d records=%d data=%d", seq, len(fs.records), t.Data.Len()))
+	if fs.tr.Enabled() {
+		fs.tr.Phase("commit", fmt.Sprintf("seq=%d records=%d data=%d", seq, len(fs.records), t.Data.Len()))
+	}
 	fs.st.Commits.Inc()
 	fs.st.TxnBlocks.Observe(int64(len(fs.records) + t.Data.Len()))
 
-	// Pack records into log blocks. The redo payloads were copied when
-	// the records were logged, so the packed blocks are already frozen.
-	var logBlocks [][]byte
-	cur := make([]byte, BlockSize)
+	// Pack records into log blocks, frames of the transaction's. The redo
+	// payloads were copied when the records were logged, so the packed
+	// blocks are already frozen. Their log addresses are set once the
+	// ring has reserved room for them.
+	var logReqs []disk.Request
+	cur := t.Frame()
 	off := 0
 	le := binary.LittleEndian
 	emit := func(typ uint8, blk int64, boff int, payload []byte) {
 		need := recHdrLen + len(payload)
 		if off+need > BlockSize {
-			logBlocks = append(logBlocks, cur)
-			cur = make([]byte, BlockSize)
+			logReqs = append(logReqs, disk.Request{Data: cur})
+			cur = t.Frame()
 			off = 0
 		}
 		cur[off] = typ
@@ -167,9 +173,9 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	var seqb [8]byte
 	le.PutUint64(seqb[:], seq)
 	emit(recCommit, 0, 0, seqb[:])
-	logBlocks = append(logBlocks, cur)
+	logReqs = append(logReqs, disk.Request{Data: cur})
 
-	if int64(len(logBlocks))+1 > fs.ring.Len {
+	if int64(len(logReqs))+1 > fs.ring.Len {
 		// Unreachable by construction — maxTxnRecords keeps a transaction
 		// far below the ring's capacity even while a commit is in flight
 		// — but a transaction larger than the whole ring would scribble
@@ -180,16 +186,16 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	}
 	plan := &commitPlan{fz: t.Freeze()}
 	fs.records, fs.redo = fs.records[:0], fs.redo[:0] // packed: both start over
-	rel, wrapped := fs.ring.Reserve(int64(len(logBlocks)))
+	rel, wrapped := fs.ring.Reserve(int64(len(logReqs)))
 	if wrapped {
 		// Wrap: point the log superblock at the new start first.
-		plan.wrapSuper = journal.Header{Magic: jMagic, Version: 1, StartRel: 1, StartSeq: seq}.Block()
+		plan.wrapSuper = journal.Header{Magic: jMagic, Version: 1, StartRel: 1, StartSeq: seq}.Encode(t.Frame())
 	}
-	plan.logReqs = make([]disk.Request, len(logBlocks))
-	for i, lb := range logBlocks {
-		plan.logReqs[i] = disk.Request{Block: fs.ring.Base + rel + int64(i), Data: lb}
+	for i := range logReqs {
+		logReqs[i].Block = fs.ring.Base + rel + int64(i)
 	}
-	plan.advSuper = journal.Header{Magic: jMagic, Version: 1, StartRel: uint64(fs.ring.Head()), StartSeq: seq + 1}.Block()
+	plan.logReqs = logReqs
+	plan.advSuper = journal.Header{Magic: jMagic, Version: 1, StartRel: uint64(fs.ring.Head()), StartSeq: seq + 1}.Encode(t.Frame())
 	return plan, nil
 }
 
@@ -246,12 +252,16 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 }
 
 // FinishLocked implements journal.Committer: the plan's blocks are
-// checkpointed, so their dirty pins come off and their frames go back to
-// the transaction.
+// checkpointed, so their dirty pins come off and their frames, with the
+// log's, go back to the transaction.
 func (fs *FS) FinishLocked(p journal.Plan) error {
 	plan := p.(*commitPlan)
 	fs.tx.Unpin(plan.fz.Meta, plan.fz.Data)
-	fs.tx.Recycle(plan.fz.Meta, plan.fz.Data)
+	fs.tx.Recycle(plan.fz.Meta, plan.fz.Data, plan.logReqs)
+	fs.tx.RecycleFrame(plan.advSuper)
+	if plan.wrapSuper != nil {
+		fs.tx.RecycleFrame(plan.wrapSuper)
+	}
 	return nil
 }
 

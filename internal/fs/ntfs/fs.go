@@ -174,7 +174,6 @@ func (fs *FS) MaybeCommitLocked() error {
 // descriptor + journaled copies + commit block, the restart-area update
 // that names it, and its immediate checkpoint.
 type commitPlan struct {
-	seq uint64
 	// fz is the frozen transaction. Its metadata payloads go out twice:
 	// into the logfile, and — the immediate checkpoint — to their home
 	// locations, never from the live cache buffers, which the running
@@ -182,9 +181,12 @@ type commitPlan struct {
 	// type for writeRetry's per-type retry budget and degrade attribution.
 	// WritePlan sorts fz into home-block order once the log is laid out.
 	fz journal.Frozen
-	// rel is where the transaction starts in the logfile, and what the
-	// restart area names while it is the newest transaction.
-	rel int64
+	// restart is the restart-area image naming this transaction — where it
+	// starts in the logfile and its sequence — which replay starts from
+	// while it is the newest one. It and the descriptor and commit blocks
+	// are frames of the transaction's, like fz's payloads, and go back
+	// with them.
+	restart []byte
 	// wrap is set when the logfile ring wrapped: the restart area must
 	// point at the new start (with a barrier) before the transaction is
 	// written.
@@ -235,7 +237,9 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	if t.Empty() {
 		return nil, nil
 	}
-	fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d data=%d", seq, t.Meta.Len(), t.Data.Len()))
+	if fs.tr.Enabled() {
+		fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d data=%d", seq, t.Meta.Len(), t.Data.Len()))
+	}
 	fs.st.Commits.Inc()
 	fs.st.TxnBlocks.Observe(int64(t.Meta.Len() + t.Data.Len()))
 
@@ -249,10 +253,11 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 		return nil, vfs.ErrIO
 	}
 
-	plan := &commitPlan{seq: seq, fz: t.Freeze()}
-	plan.rel, plan.wrap = fs.ring.Reserve(int64(len(plan.fz.Meta)) + 2)
+	plan := &commitPlan{fz: t.Freeze()}
+	rel, wrap := fs.ring.Reserve(int64(len(plan.fz.Meta)) + 2)
+	plan.restart, plan.wrap = restartHeader(seq, rel).Encode(t.Frame()), wrap
 	// The logfile's commit record stores no count.
-	plan.jReqs, plan.commit = fs.ring.Log(plan.rel, seq, plan.fz.Meta, 0)
+	plan.jReqs, plan.commit = fs.ring.Log(rel, seq, plan.fz.Meta, 0, t.Frame(), t.Frame())
 	fs.logged = true
 	return plan, nil
 }
@@ -301,7 +306,7 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 	// sits in front of. When the ring wrapped, the log is about to
 	// overwrite what the restart area named, so it gets a barrier of its
 	// own first.
-	if err := fs.writeRestart(plan.seq, plan.rel); err != nil {
+	if err := fs.writeRetry(fs.ring.Base, plan.restart, BTLogfile); err != nil {
 		return err
 	}
 	if plan.wrap {
@@ -334,23 +339,31 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 }
 
 // FinishLocked implements journal.Committer: the plan's blocks are
-// checkpointed, so their dirty pins come off and their frames go back to
-// the transaction.
+// checkpointed, so their dirty pins come off and their frames, with the
+// log's, go back to the transaction.
 func (fs *FS) FinishLocked(p journal.Plan) error {
 	plan := p.(*commitPlan)
 	fs.tx.Unpin(plan.fz.Meta, plan.fz.Data)
 	fs.tx.Recycle(plan.fz.Meta, plan.fz.Data)
+	fs.tx.RecycleFrame(plan.restart)
+	fs.tx.RecycleFrame(plan.jReqs[0].Data)
+	fs.tx.RecycleFrame(plan.commit.Data)
 	return nil
 }
 
-// writeRestart updates the logfile restart area: replay starts at startRel,
-// expecting sequence nextSeq there. A commit writes it with its own log
-// blocks, naming itself, so on disk it lags the checkpoints by one
+// restartHeader is the logfile restart area that has replay start at
+// startRel, expecting sequence nextSeq there. A commit writes it with its
+// own log blocks, naming itself, so on disk it lags the checkpoints by one
 // transaction and replay may redo the newest checkpointed one, which
 // whole-block redo makes harmless. Unmount brings it level with the log.
+func restartHeader(nextSeq uint64, startRel int64) journal.Header {
+	return journal.Header{Magic: logMagic, StartRel: uint64(startRel), StartSeq: nextSeq}
+}
+
+// writeRestart writes the restart area outside a commit: replay starts at
+// startRel, expecting sequence nextSeq there.
 func (fs *FS) writeRestart(nextSeq uint64, startRel int64) error {
-	buf := journal.Header{Magic: logMagic, StartRel: uint64(startRel), StartSeq: nextSeq}.Block()
-	return fs.writeRetry(fs.ring.Base, buf, BTLogfile)
+	return fs.writeRetry(fs.ring.Base, restartHeader(nextSeq, startRel).Block(), BTLogfile)
 }
 
 // loadRestart initializes the ring and the sequence space from the restart

@@ -100,13 +100,13 @@ func leafEditImages(v nodeView, op leafOp) (imgs [][]byte, placed bool) {
 	case opDelete:
 		e = leafEdit{v: v, at: op.at, drop: 1}
 	}
-	if img := e.image(0, e.count()); img != nil {
+	if img := e.image(0, e.count(), fresh{}); img != nil {
 		return [][]byte{img}, true
 	}
 	if op.kind != opInsert {
 		return nil, false
 	}
-	left, right, placed := e.split()
+	left, right, placed := e.split(fresh{})
 	if left == nil {
 		return nil, false
 	}

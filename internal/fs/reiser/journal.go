@@ -48,7 +48,9 @@ type commitPlan struct {
 	// wrapHdr, when non-nil, is the journal header pointing at the ring's
 	// new start; it must reach disk (with a barrier) before the
 	// transaction is written, or a crash after the commit would leave
-	// replay scanning the stale tail.
+	// replay scanning the stale tail. It, advHdr and the descriptor and
+	// commit blocks are frames of the transaction's, like fz's payloads,
+	// and go back with them.
 	wrapHdr []byte
 	jReqs   []disk.Request // descriptor + journaled copies
 	commit  disk.Request
@@ -88,7 +90,9 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	if n == 0 && t.Data.Len() == 0 {
 		return nil, nil
 	}
-	fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d", seq, n))
+	if fs.tr.Enabled() {
+		fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d", seq, n))
+	}
 	fs.st.Commits.Inc()
 	fs.st.TxnBlocks.Observe(int64(n))
 	if n > journal.MaxTags {
@@ -113,13 +117,13 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	rel, wrapped := fs.ring.Reserve(int64(n) + 2)
 	if wrapped {
 		// The ring wraps; prior transactions are checkpointed already.
-		plan.wrapHdr = journal.Header{Magic: jMagicHeader, StartRel: 1, StartSeq: seq}.Block()
+		plan.wrapHdr = journal.Header{Magic: jMagicHeader, StartRel: 1, StartSeq: seq}.Encode(t.Frame())
 	}
-	plan.jReqs, plan.commit = fs.ring.Log(rel, seq, plan.fz.Meta, n)
+	plan.jReqs, plan.commit = fs.ring.Log(rel, seq, plan.fz.Meta, n, t.Frame(), t.Frame())
 
 	// Header advance for after the checkpoint: the transaction is then
 	// fully checkpointed and the ring logically empty again.
-	plan.advHdr = journal.Header{Magic: jMagicHeader, StartRel: uint64(fs.ring.Head()), StartSeq: seq + 1}.Block()
+	plan.advHdr = journal.Header{Magic: jMagicHeader, StartRel: uint64(fs.ring.Head()), StartSeq: seq + 1}.Encode(t.Frame())
 	return plan, nil
 }
 
@@ -190,12 +194,18 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 }
 
 // FinishLocked implements journal.Committer: the plan's blocks are
-// checkpointed, so their dirty pins come off and their frames go back to
-// the transaction.
+// checkpointed, so their dirty pins come off and their frames, with the
+// log's, go back to the transaction.
 func (fs *FS) FinishLocked(p journal.Plan) error {
 	plan := p.(*commitPlan)
 	fs.tx.Unpin(plan.fz.Meta, plan.fz.Data)
 	fs.tx.Recycle(plan.fz.Meta, plan.fz.Data)
+	fs.tx.RecycleFrame(plan.jReqs[0].Data)
+	fs.tx.RecycleFrame(plan.commit.Data)
+	fs.tx.RecycleFrame(plan.advHdr)
+	if plan.wrapHdr != nil {
+		fs.tx.RecycleFrame(plan.wrapHdr)
+	}
 	return nil
 }
 

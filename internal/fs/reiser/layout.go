@@ -282,10 +282,20 @@ type node struct {
 	Children []int64
 }
 
-// marshalNode serializes an internal node into a block: the separator
-// keys in item-header slots after the node header, then the children.
-func marshalNode(n *node) []byte {
-	b := make([]byte, BlockSize)
+// framer hands out the zeroed blocks node images are written into: the
+// running transaction's frames (journal.Txn.Frame), or fresh blocks.
+type framer interface{ Frame() []byte }
+
+// fresh is the framer of mkfs and of tests: every block is a new one.
+type fresh struct{}
+
+func (fresh) Frame() []byte { return make([]byte, BlockSize) }
+
+// marshalNode serializes an internal node into a block from f: the
+// separator keys in item-header slots after the node header, then the
+// children.
+func marshalNode(n *node, f framer) []byte {
+	b := f.Frame()
 	le := binary.LittleEndian
 	le.PutUint16(b[0:], uint16(n.Level))
 	le.PutUint16(b[2:], uint16(len(n.Keys)))
@@ -404,10 +414,10 @@ type leafEdit struct {
 	ins      item
 }
 
-// leafOf returns a new leaf image holding it alone.
-func leafOf(it item) nodeView {
+// leafOf returns a new leaf image, in a block from f, holding it alone.
+func leafOf(it item, f framer) nodeView {
 	e := leafEdit{v: emptyLeaf, put: true, ins: it}
-	return e.image(0, 1)
+	return e.image(0, 1, f)
 }
 
 // count returns the number of items after the edit.
@@ -449,15 +459,15 @@ func (e *leafEdit) space(lo, hi int) int {
 	return s
 }
 
-// image writes edited items [lo, hi) into a fresh leaf block, headers
+// image writes edited items [lo, hi) into a zeroed block from f, headers
 // after the node header and bodies packed downward from the block end, as
-// real ReiserFS formats its leaves. It returns nil when they do not fit
-// one block.
-func (e *leafEdit) image(lo, hi int) nodeView {
+// real ReiserFS formats its leaves. It returns nil, and takes no block,
+// when they do not fit one.
+func (e *leafEdit) image(lo, hi int, f framer) nodeView {
 	if e.space(lo, hi) > BlockSize {
 		return nil
 	}
-	b := make(nodeView, BlockSize)
+	b := nodeView(f.Frame())
 	le := binary.LittleEndian
 	le.PutUint16(b[0:], 1)
 	le.PutUint16(b[2:], uint16(hi-lo))
@@ -485,20 +495,20 @@ func (e *leafEdit) image(lo, hi int) nodeView {
 // without the edit, split where the item goes, and placed is false: the
 // item is to be inserted again, at the end of a leaf, where a split always
 // fits. Both halves are nil when even those do not fit (a sane but corrupt
-// leaf whose bodies overlap).
-func (e *leafEdit) split() (left, right nodeView, placed bool) {
+// leaf whose bodies overlap). Both halves are written into blocks from f.
+func (e *leafEdit) split(f framer) (left, right nodeView, placed bool) {
 	n := e.count()
 	mid := n / 2
 	for d := 0; d < n; d++ {
 		for _, i := range [2]int{mid - d, mid + d} {
 			if i > 0 && i < n && e.space(0, i) <= BlockSize && e.space(i, n) <= BlockSize {
-				return e.image(0, i), e.image(i, n), true
+				return e.image(0, i, f), e.image(i, n, f), true
 			}
 		}
 	}
 	whole := leafEdit{v: e.v}
-	if left, right = whole.image(0, e.at), whole.image(e.at, whole.count()); left == nil || right == nil {
+	if n = whole.count(); whole.space(0, e.at) > BlockSize || whole.space(e.at, n) > BlockSize {
 		return nil, nil, false
 	}
-	return left, right, false
+	return whole.image(0, e.at, f), whole.image(e.at, n, f), false
 }

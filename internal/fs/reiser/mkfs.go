@@ -69,7 +69,7 @@ func Mkfs(dev disk.Device) error {
 
 	// Root leaf with the root directory's stat item.
 	rootStat := statData{namei.Typed(vfs.TypeDirectory, namei.Attr{Mode: 0o755, Links: 1})}
-	root := leafOf(item{K: rootRef().statKey(), Body: rootStat.marshal()})
+	root := leafOf(item{K: rootRef().statKey(), Body: rootStat.marshal()}, fresh{})
 	reqs = append(reqs, disk.Request{Block: rootBlk, Data: root})
 
 	if err := dev.WriteBatch(reqs); err != nil {

@@ -100,19 +100,20 @@ func leafType(v nodeView) iron.BlockType {
 	return BTData
 }
 
-// writeNode serializes an internal node into the running transaction and
-// the cache.
+// writeNode serializes an internal node into a frame of the running
+// transaction and stages it there and in the cache.
 func (fs *FS) writeNode(blk int64, n *node) {
-	fs.tx.StageMeta(blk, marshalNode(n), fs.rootOrInternal(blk))
+	fs.tx.StageImage(blk, marshalNode(n, fs.tx), fs.rootOrInternal(blk))
 }
 
-// writeLeaf stages a leaf image, attributed as the root or by its items.
+// writeLeaf stages a leaf image, written into a frame of the running
+// transaction, attributed as the root or by its items.
 func (fs *FS) writeLeaf(blk int64, img nodeView) {
 	bt := BTRoot
 	if blk != int64(fs.sb.Root) {
 		bt = leafType(img)
 	}
-	fs.tx.StageMeta(blk, img, bt)
+	fs.tx.StageImage(blk, img, bt)
 }
 
 // leafOverfull is the reaction to a leaf whose items, by their header
@@ -206,7 +207,7 @@ func (fs *FS) insertItem(it item) error {
 		if err != nil {
 			return err
 		}
-		fs.writeLeaf(blk, leafOf(it))
+		fs.writeLeaf(blk, leafOf(it, fs.tx))
 		fs.sb.Root = uint64(blk)
 		fs.sb.Height = 1
 		fs.sbDirty = true
@@ -222,13 +223,13 @@ func (fs *FS) insertItem(it item) error {
 	}
 	leaf := path[len(path)-1]
 	e := leafEdit{v: leaf.v, at: leaf.idx, put: true, ins: it}
-	if img := e.image(0, e.count()); img != nil {
+	if img := e.image(0, e.count(), fs.tx); img != nil {
 		fs.writeLeaf(leaf.blk, img)
 		return nil
 	}
 	// Split the leaf: the right half moves to a new block; the separator
 	// (the right half's first key) climbs into the parent.
-	left, right, placed := e.split()
+	left, right, placed := e.split(fs.tx)
 	if left == nil {
 		return fs.leafOverfull(leaf.blk)
 	}
@@ -312,7 +313,7 @@ func (fs *FS) replaceItem(k key, body []byte) error {
 	}
 	leaf := path[len(path)-1]
 	e := leafEdit{v: leaf.v, at: leaf.idx, drop: 1, put: true, ins: item{K: k, Body: body}}
-	if img := e.image(0, e.count()); img != nil {
+	if img := e.image(0, e.count(), fs.tx); img != nil {
 		fs.writeLeaf(leaf.blk, img)
 		return nil
 	}
@@ -336,7 +337,7 @@ func (fs *FS) deleteItem(k key) error {
 	}
 	leaf := path[len(path)-1]
 	e := leafEdit{v: leaf.v, at: leaf.idx, drop: 1}
-	img := e.image(0, e.count())
+	img := e.image(0, e.count(), fs.tx)
 	if img == nil {
 		return fs.leafOverfull(leaf.blk)
 	}

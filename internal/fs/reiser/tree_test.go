@@ -212,7 +212,7 @@ func TestNodeMarshalRoundTrip(t *testing.T) {
 		img := emptyLeaf
 		for i, it := range items {
 			e := leafEdit{v: img, at: i, put: true, ins: it}
-			img = e.image(0, e.count())
+			img = e.image(0, e.count(), fresh{})
 		}
 		v, err := checkNode(img)
 		if err != nil || !v.isLeaf() || v.count() != len(items) {
@@ -231,7 +231,7 @@ func TestNodeMarshalRoundTrip(t *testing.T) {
 
 	// Internal node round trip.
 	in := &node{Level: 3, Keys: []key{{1, 2, 3, 4}, {5, 6, 7, 8}}, Children: []int64{10, 20, 30}}
-	v, err := checkNode(marshalNode(in))
+	v, err := checkNode(marshalNode(in, fresh{}))
 	if err != nil {
 		t.Fatalf("internal round trip: %v", err)
 	}

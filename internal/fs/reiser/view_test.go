@@ -48,7 +48,7 @@ func refLeafSpace(items []item) int {
 // block end.
 func refMarshalNode(n *refNode) []byte {
 	if !n.isLeaf() {
-		return marshalNode(&node{Level: n.Level, Keys: n.Keys, Children: n.Children})
+		return marshalNode(&node{Level: n.Level, Keys: n.Keys, Children: n.Children}, fresh{})
 	}
 	b := make([]byte, BlockSize)
 	le := binary.LittleEndian
@@ -819,5 +819,46 @@ func TestViewsSurviveMutators(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplacedImagesOutliveTheOperation: a leaf edit retires the buffer its
+// new image replaces, and the retired buffer becomes a frame only at the
+// next freeze. So one operation that edits the same leaf twice — a
+// replaceItem that no longer fits and falls back to delete plus an insert
+// that splits — writes its later images into other blocks, and every
+// buffer cached before it holds the bytes it held then.
+func TestReplacedImagesOutliveTheOperation(t *testing.T) {
+	fs := treeFS(t)
+	k := func(i int) key { return key{DirID: 2, ObjID: 100, Offset: uint64(i), Type: itemDirect} }
+	for i := 0; i < 200; i++ {
+		if err := fs.insertItem(item{K: k(i), Body: fill(64, 'b')}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Sync(); err != nil { // frames circulate from here on
+		t.Fatal(err)
+	}
+	var buf [MaxLevel + 1]pathElem
+	path, found, err := fs.search(k(100), buf[:0])
+	if err != nil || !found {
+		t.Fatalf("search: found %v, %v", found, err)
+	}
+	leaf := path[len(path)-1].v
+	big := fill(BlockSize/2+256, 'r')
+	if e := (leafEdit{v: leaf, at: path[len(path)-1].idx, drop: 1, put: true, ins: item{K: k(100), Body: big}}); e.space(0, e.count()) <= BlockSize {
+		t.Fatal("the replacement fits its leaf: no fallback to delete and insert")
+	}
+	before := cachedTree(fs)
+	if err := fs.replaceItem(k(100), big); err != nil {
+		t.Fatal(err)
+	}
+	for blk, b := range before {
+		if !bytes.Equal(b.live, b.snap) {
+			t.Errorf("block %d: the buffer cached before the edit changed within it", blk)
+		}
+	}
+	if it, err := fs.findItem(k(100)); err != nil || !bytes.Equal(it.Body, big) {
+		t.Fatalf("after the edit: %v, body %d bytes", err, len(it.Body))
 	}
 }

@@ -175,3 +175,51 @@ func BenchmarkFreeze(b *testing.B) {
 		stageFreeze(tx, meta, data)
 	}
 }
+
+// TestReplacedImagesRetireAtFreeze: the buffer a node image replaces in the
+// cache — the one the edit's view read — is not handed out by Frame before
+// the next Freeze, keeps its bytes until then, and is a frame after it,
+// behind the freeze's copies. A cache-owned (Fill) buffer is never retired,
+// and neither is a buffer StageMeta or StageImage re-stages in place.
+func TestReplacedImagesRetireAtFreeze(t *testing.T) {
+	cache := bcache.New(64)
+	tx := NewTxn[uint32](cache)
+	old := block(0xAA)
+	cache.Put(5, old, false)
+	view := cache.Get(5) // a lookup's view of the node
+	img := tx.Frame()
+	copy(img, block(0xBB))
+	tx.StageImage(5, img, "leaf")
+	tx.StageImage(5, img, "leaf") // the same image re-staged
+	for i := 0; i < 4; i++ {
+		if f := tx.Frame(); &f[0] == &view[0] {
+			t.Fatal("Frame handed out a replaced buffer before the freeze")
+		}
+	}
+	if !bytes.Equal(view, block(0xAA)) {
+		t.Fatal("a replaced buffer changed before the freeze")
+	}
+
+	// Neither an in-place edit nor a cache-owned buffer is retired.
+	inPlace := block(0xCC)
+	cache.Put(6, inPlace, false)
+	buf := cache.Get(6)
+	buf[0] = 1
+	tx.StageMeta(6, buf, "bitmap")
+	owned := block(0xDD)
+	cache.Fill(7, owned)
+	tx.StageImage(7, tx.Frame(), "leaf")
+
+	fz := tx.Freeze()
+	if len(tx.frames) != 1 || &tx.frames[0][0] != &view[0] {
+		t.Fatalf("after the freeze the frame list holds %d frames, want the one replaced buffer", len(tx.frames))
+	}
+	for _, r := range fz.Meta {
+		if &r.Data[0] == &view[0] {
+			t.Fatal("the freeze copied into a replaced buffer")
+		}
+	}
+	if f := tx.Frame(); &f[0] != &view[0] || !bytes.Equal(f, make([]byte, BlockSize)) {
+		t.Fatal("Frame after the freeze did not hand out the replaced buffer, zeroed")
+	}
+}

@@ -19,8 +19,10 @@ type Header struct {
 }
 
 // Block returns h encoded in a fresh log block.
-func (h Header) Block() []byte {
-	b := make([]byte, BlockSize)
+func (h Header) Block() []byte { return h.Encode(make([]byte, BlockSize)) }
+
+// Encode writes h into b, a zeroed log block, and returns it.
+func (h Header) Encode(b []byte) []byte {
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], h.Magic)
 	le.PutUint32(b[4:], h.Version)
@@ -53,9 +55,9 @@ const recHead = 16
 // this also bounds its journaled metadata (see Txn.Full).
 const MaxTags = (BlockSize - recHead) / 8
 
-// NewRecord returns a fresh record block with its head filled in.
-func NewRecord(magic uint32, count int, seq uint64) []byte {
-	b := make([]byte, BlockSize)
+// Record writes a record block's head into b, a zeroed block, and returns
+// it.
+func Record(b []byte, magic uint32, count int, seq uint64) []byte {
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], magic)
 	le.PutUint32(b[4:], uint32(count))
@@ -129,16 +131,17 @@ func (r *Ring) Reserve(n int64) (rel int64, wrapped bool) {
 // journaled copies — the same frozen payloads, aimed at the log — and,
 // apart, because it is written only once those are durable, the commit
 // block that follows them. commitCount is what the format stores in the
-// commit block's count field.
-func (r *Ring) Log(rel int64, seq uint64, meta []disk.Request, commitCount int) (log []disk.Request, commit disk.Request) {
-	desc := NewRecord(r.Desc, len(meta), seq)
-	log = make([]disk.Request, 0, 1+len(meta))
+// commit block's count field. desc and commit are zeroed blocks the two
+// records are written into.
+func (r *Ring) Log(rel int64, seq uint64, meta []disk.Request, commitCount int, desc, commit []byte) ([]disk.Request, disk.Request) {
+	Record(desc, r.Desc, len(meta), seq)
+	log := make([]disk.Request, 0, 1+len(meta))
 	log = append(log, disk.Request{Block: r.Base + rel, Data: desc})
 	for i, m := range meta {
 		PutTag(desc, i, m.Block)
 		log = append(log, disk.Request{Block: r.Base + rel + 1 + int64(i), Data: m.Data})
 	}
-	return log, disk.Request{Block: r.Base + rel + 1 + int64(len(meta)), Data: NewRecord(r.Commit, commitCount, seq)}
+	return log, disk.Request{Block: r.Base + rel + 1 + int64(len(meta)), Data: Record(commit, r.Commit, commitCount, seq)}
 }
 
 // Part names the block of a transaction a replay read is for, so the

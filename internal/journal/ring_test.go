@@ -66,7 +66,7 @@ func TestOnDiskFormatPinned(t *testing.T) {
 			continue // jfs logs records, not block images
 		}
 		r := &Ring{Base: 1000, Len: 64, Desc: f.desc, Commit: f.commit}
-		log, commit := r.Log(5, seq, meta, f.commitCount)
+		log, commit := r.Log(5, seq, meta, f.commitCount, make([]byte, BlockSize), make([]byte, BlockSize))
 		if got := hexOf(t, log[0].Data); got != f.wantDesc {
 			t.Errorf("%s descriptor = %s, want %s", f.name, got, f.wantDesc)
 		}
@@ -89,7 +89,7 @@ func TestOnDiskFormatPinned(t *testing.T) {
 	}
 
 	// ext3's revoke block is the same record shape under its own magic.
-	rv := NewRecord(0xC03B3903, 2, seq)
+	rv := Record(make([]byte, BlockSize), 0xC03B3903, 2, seq)
 	PutTag(rv, 0, 77)
 	PutTag(rv, 1, 0x0102030405)
 	if got, want := hexOf(t, rv), "03393bc00200000088776655443322114d000000000000000504030201"; got != want {
@@ -99,7 +99,7 @@ func TestOnDiskFormatPinned(t *testing.T) {
 		t.Errorf("record round trip = %#x %d %#x tag %#x", m, n, s, Tag(rv, 1))
 	}
 	// The last tag ends exactly at the block's end.
-	full := NewRecord(1, MaxTags, 1)
+	full := Record(make([]byte, BlockSize), 1, MaxTags, 1)
 	PutTag(full, MaxTags-1, -1)
 	if full[BlockSize-1] != 0xFF {
 		t.Error("tag MaxTags-1 does not end at the block's end")
@@ -166,7 +166,7 @@ func (l *logImage) put(rel int64, seq uint64, n int) int64 {
 	for i := 0; i < n; i++ {
 		meta = append(meta, disk.Request{Block: 500 + 10*int64(seq) + int64(i), Data: block(byte(seq))})
 	}
-	log, commit := l.ring.Log(rel, seq, meta, n)
+	log, commit := l.ring.Log(rel, seq, meta, n, make([]byte, BlockSize), make([]byte, BlockSize))
 	for _, q := range append(log, commit) {
 		l.blocks[q.Block] = q.Data
 	}
@@ -240,19 +240,19 @@ func TestScanStopsWithoutApplying(t *testing.T) {
 			l.put(second, 9, 1) // where 8 was expected
 		}, StopNotDesc, false},
 		{"foreign magic", func(l *logImage, second int64) {
-			l.blocks[l.ring.Base+second] = NewRecord(0xBAD, 1, 8)
+			l.blocks[l.ring.Base+second] = Record(make([]byte, BlockSize), 0xBAD, 1, 8)
 		}, StopNotDesc, false},
 		{"torn commit", func(l *logImage, second int64) {
 			delete(l.blocks, l.ring.Base+second+2)
 		}, StopNoCommit, false},
 		{"commit of another sequence", func(l *logImage, second int64) {
-			l.blocks[l.ring.Base+second+2] = NewRecord(0xC0, 1, 7)
+			l.blocks[l.ring.Base+second+2] = Record(make([]byte, BlockSize), 0xC0, 1, 7)
 		}, StopNoCommit, false},
 		{"count past a block's tags", func(l *logImage, second int64) {
-			l.blocks[l.ring.Base+second] = NewRecord(0xD0, MaxTags+1, 8)
+			l.blocks[l.ring.Base+second] = Record(make([]byte, BlockSize), 0xD0, MaxTags+1, 8)
 		}, StopBadCount, false},
 		{"count past the region's end", func(l *logImage, second int64) {
-			l.blocks[l.ring.Base+second] = NewRecord(0xD0, int(l.ring.Len-second)-1, 8)
+			l.blocks[l.ring.Base+second] = Record(make([]byte, BlockSize), 0xD0, int(l.ring.Len-second)-1, 8)
 		}, StopBadCount, false},
 		{"descriptor read error", func(l *logImage, second int64) {
 			l.failAt = l.ring.Base + second

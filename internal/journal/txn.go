@@ -30,11 +30,18 @@ type Txn[K comparable] struct {
 	// brought them home.
 	cache   *bcache.Cache
 	touched map[K]struct{}
-	// frames holds the block frames frozen payloads were copied into and
-	// Recycle gave back, for the next freeze to copy into. It never holds
-	// more frames than the transaction has made, and that is at most the
-	// peak number of frozen blocks outstanding, so it needs no cap.
+	// frames holds the frames Recycle gave back and the buffers node images
+	// replaced in the cache, for the next freeze to copy into and Frame to
+	// hand out. A replaced buffer stands in for the frame its image was
+	// written into, which stays in the cache, so the list never holds more
+	// than the most frames the transaction has had out at once: frozen
+	// copies and log blocks not yet returned, plus one transaction's node
+	// images. It needs no cap.
 	frames [][]byte
+	// retired holds the buffers StageImage took out of the cache since the
+	// last freeze. The operation that replaced one may still hold views of
+	// it, so it joins frames only at the next Freeze, after its copies.
+	retired [][]byte
 }
 
 // Set is one class of staged blocks: each block once, in first-touch order,
@@ -142,10 +149,23 @@ func (t *Txn[K]) frame() []byte {
 // failed operation would leave a clean cached block that neither the media
 // nor any transaction holds. A freshly allocated block gets a fresh zeroed
 // buffer. ReiserFS's tree nodes are the exception: a view may alias the
-// cached node, so a node edit stages a fresh image.
+// cached node, so a node edit writes a new image into a Frame and stages
+// it with StageImage.
 func (t *Txn[K]) StageMeta(blk int64, buf []byte, bt iron.BlockType) {
 	t.cache.Put(blk, buf, true)
 	t.Meta.stage(blk, buf, bt)
+}
+
+// StageImage stages img, a new image of metadata block blk written into a
+// Frame, as StageMeta does. The buffer img replaces in the cache is the one
+// the edit read, so it is retired: it becomes a frame at the next Freeze,
+// once no operation can hold a view of it. A cache-owned buffer, or img
+// itself re-staged, is not retired.
+func (t *Txn[K]) StageImage(blk int64, img []byte, bt iron.BlockType) {
+	if old := t.cache.Put(blk, img, true); len(old) == BlockSize {
+		t.retired = append(t.retired, old)
+	}
+	t.Meta.stage(blk, img, bt)
 }
 
 // StageData stages buf as the image of ordered-data block blk; see
@@ -220,18 +240,25 @@ type Frozen struct {
 }
 
 // Freeze copies every staged payload into a frame and leaves the
-// transaction empty, to run on as the next one.
+// transaction empty, to run on as the next one. The buffers StageImage
+// retired become frames after the copies: every operation that could view
+// them has ended.
 func (t *Txn[K]) Freeze() Frozen {
 	var fz Frozen
 	fz.Meta, fz.MetaType = t.freeze(&t.Meta)
 	fz.Data, fz.DataType = t.freeze(&t.Data)
 	clear(t.touched)
+	t.frames = append(t.frames, t.retired...)
+	clear(t.retired)
+	t.retired = t.retired[:0]
 	return fz
 }
 
-// Frame returns a zeroed frame for a private block image a file system
-// adds to a frozen transaction (ReiserFS's superblock). It is the
-// transaction's like any frozen payload and goes back with Recycle.
+// Frame returns a zeroed frame for a block image the file system writes
+// itself: a tree-node image it stages with StageImage, or a block it adds
+// to a frozen transaction — a log record or header, ReiserFS's superblock.
+// An image staged is the cache's until StageImage retires it; any other
+// frame goes back with Recycle once its device write has returned.
 func (t *Txn[K]) Frame() []byte {
 	f := t.frame()
 	clear(f)
