@@ -120,7 +120,7 @@ func main() {
 		fmt.Println(res)
 		for _, b := range res.Bugs {
 			fmt.Printf("    bug %s (%d states)\n        min repro: %s\n        %s\n",
-				b.Fingerprint, b.States, hunt.Sequence(b.Repro.Seq), b.Detail)
+				b.Fingerprint, b.States, b.Repro.Seq, b.Detail)
 		}
 	}
 	fmt.Println()
@@ -188,7 +188,7 @@ func replay(path string, jsonOut bool) int {
 	if jsonOut {
 		emitJSON(res)
 	} else {
-		fmt.Printf("ironhunt: %s: seq [%s] point %d mask %s -> %s", r.Target, hunt.Sequence(r.Seq), r.Point, r.Mask, res.Verdict)
+		fmt.Printf("ironhunt: %s: seq [%s] point %d mask %s -> %s", r.Target, r.Seq, r.Point, r.Mask, res.Verdict)
 		if res.Symptom != "" {
 			fmt.Printf(" (%s)", res.Symptom)
 		}

@@ -149,14 +149,23 @@ func moduleRoot() (string, error) {
 
 // printPolicies renders the machine-readable annotation table: every
 // deliberate error drop, which file system and paper section it
-// reproduces, and where it lives.
+// reproduces, and where it lives — its file and enclosing function, so
+// the table moves only when a drop does, not when lines above it do.
 func printPolicies(res *analysis.Result, root string) {
-	fmt.Printf("%-8s %-14s %-34s %s\n", "FS", "PAPER-REF", "LOCATION", "NOTE")
-	for _, p := range res.Policies {
+	locs := make([]string, len(res.Policies))
+	width := len("LOCATION")
+	for i, p := range res.Policies {
 		loc := p.Pos.Filename
 		if r, err := filepath.Rel(root, loc); err == nil {
 			loc = r
 		}
-		fmt.Printf("%-8s %-14s %-34s %s\n", p.FS, p.Ref, fmt.Sprintf("%s:%d", loc, p.Pos.Line), p.Note)
+		if p.Func != "" {
+			loc += ":" + p.Func
+		}
+		locs[i], width = loc, max(width, len(loc))
+	}
+	fmt.Printf("%-8s %-14s %-*s %s\n", "FS", "PAPER-REF", width, "LOCATION", "NOTE")
+	for i, p := range res.Policies {
+		fmt.Printf("%-8s %-14s %-*s %s\n", p.FS, p.Ref, width, locs[i], p.Note)
 	}
 }

@@ -219,11 +219,12 @@ func TestPassSelection(t *testing.T) {
 }
 
 // TestPoliciesTable pins the -policies documentation table for the corpus:
-// only well-formed, non-stale directives appear.
+// only well-formed, non-stale directives appear, each named by the
+// function it sits in.
 func TestPoliciesTable(t *testing.T) {
 	var b strings.Builder
 	for _, p := range corpusResult(t).Policies {
-		fmt.Fprintf(&b, "%s %s %s\n", p.FS, p.Ref, p.Note)
+		fmt.Fprintf(&b, "%s %s %s %s\n", p.FS, p.Ref, p.Func, p.Note)
 	}
 	golden(t, "policies", b.String())
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 	"strconv"
 	"strings"
@@ -76,6 +77,9 @@ type Directive struct {
 	Rank int    // lockorder only
 	Note string
 	Pos  token.Position
+	// Func names the function the directive sits in ("FS.Truncate" for
+	// a method), empty outside any function.
+	Func string
 	// Used is set when the directive suppressed at least one finding or
 	// annotated a live program element.
 	Used bool
@@ -121,12 +125,30 @@ func collectDirectives(mod *module, cfg Config) *directiveSet {
 						d.Err = fmt.Sprintf("unknown file system %q, want one of %s", d.FS, strings.Join(cfg.PolicyFS, ", "))
 					}
 					d.Pos = mod.fset.Position(c.Pos())
+					d.Func = enclosingFunc(f, c.Pos())
 					ds.add(d)
 				}
 			}
 		}
 	}
 	return ds
+}
+
+// enclosingFunc names the top-level function of f that spans pos: the
+// receiver's type name and the method's, or the function's alone.
+func enclosingFunc(f *ast.File, pos token.Pos) string {
+	for _, decl := range f.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || pos < fd.Pos() || pos > fd.End() {
+			continue
+		}
+		if fd.Recv == nil || len(fd.Recv.List) == 0 {
+			return fd.Name.Name
+		}
+		recv, _, _ := strings.Cut(strings.TrimPrefix(types.ExprString(fd.Recv.List[0].Type), "*"), "[")
+		return recv + "." + fd.Name.Name
+	}
+	return ""
 }
 
 func (ds *directiveSet) add(d *Directive) {

@@ -5,56 +5,19 @@ import (
 
 	"ironfs/internal/disk"
 	"ironfs/internal/fstest"
+	"ironfs/internal/iron"
 	"ironfs/internal/vfs"
 )
 
-// TestModelRandomOps drives the file system and an in-memory oracle
-// through randomized operation sequences and fails on any divergence in
-// contents, sizes, listings, or success/failure disposition.
-func TestModelRandomOps(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		seed := seed
-		t.Run(string(rune('A'+seed)), func(t *testing.T) {
-			d, err := disk.New(8192, disk.DefaultGeometry(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mk := func(dev disk.Device) error { return Mkfs(dev, Options{}) }
-			if err := mk(d); err != nil {
-				t.Fatal(err)
-			}
-			mkfs := func(dev disk.Device) vfs.FileSystem { return New(dev, Options{}, nil) }
-			fs := mkfs(d)
-			if err := fs.Mount(); err != nil {
-				t.Fatal(err)
-			}
-			if err := fstest.Run(fs, fstest.Config{Seed: seed, Ops: 250, MaxFileKB: 48}); err != nil {
-				t.Fatal(err)
-			}
-			if err := fs.Unmount(); err != nil {
-				t.Fatal(err)
-			}
-			// Model state must also survive a remount.
-			fs2 := mkfs(d)
-			if err := fs2.Mount(); err != nil {
-				t.Fatalf("remount after model run: %v", err)
-			}
-		})
-	}
-}
+// modelTarget binds ext3 into the shared fstest tables.
+var modelTarget = fstest.ExploreTarget{Name: "ext3",
+	Mkfs: func(dev disk.Device) error { return Mkfs(dev, Options{}) },
+	New:  func(dev disk.Device, rec *iron.Recorder) vfs.FileSystem { return New(dev, Options{}, rec) }}
 
-// TestCrashConsistencySweep crashes the write stream at every point of a
-// sync-heavy workload and verifies that journal recovery preserves every
-// fsync'd file and leaves a usable file system.
-func TestCrashConsistencySweep(t *testing.T) {
-	mk := func(dev disk.Device) error { return Mkfs(dev, Options{}) }
-	mkfs := func(dev disk.Device) vfs.FileSystem { return New(dev, Options{}, nil) }
-	points, err := fstest.SweepCrashes(fstest.CrashConfig{Stride: 1}, mk, mkfs)
-	if err != nil {
-		t.Fatalf("after %d crash points: %v", points, err)
-	}
-	if points < 10 {
-		t.Fatalf("sweep covered only %d crash points", points)
-	}
-	t.Logf("verified %d crash points", points)
-}
+// TestModelRandomOps is the live-model table: seeded random operations
+// checked against the reference model after every op (fstest.CheckModel).
+func TestModelRandomOps(t *testing.T) { fstest.CheckModel(t, modelTarget) }
+
+// TestCrashConsistencySweep grades every prefix cut of the fsync workload
+// with the expected-state oracle (fstest.CheckCrashSweep).
+func TestCrashConsistencySweep(t *testing.T) { fstest.CheckCrashSweep(t, modelTarget) }

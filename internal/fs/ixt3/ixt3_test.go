@@ -5,46 +5,24 @@ import (
 
 	"ironfs/internal/disk"
 	"ironfs/internal/fstest"
+	"ironfs/internal/iron"
 	"ironfs/internal/vfs"
 )
 
-func TestModelRandomOps(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		seed := seed
-		t.Run(string(rune('A'+seed)), func(t *testing.T) {
-			d, err := disk.New(8192, disk.DefaultGeometry(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := Mkfs(d, All()); err != nil {
-				t.Fatal(err)
-			}
-			fs := New(d, All(), nil)
-			if err := fs.Mount(); err != nil {
-				t.Fatal(err)
-			}
-			if err := fstest.Run(fs, fstest.Config{Seed: seed, Ops: 250, MaxFileKB: 48}); err != nil {
-				t.Fatal(err)
-			}
-			if err := fs.Unmount(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
+// modelTarget binds ixt3, with every IRON mechanism on, into the shared
+// fstest tables.
+var modelTarget = fstest.ExploreTarget{Name: "ixt3",
+	Mkfs: func(dev disk.Device) error { return Mkfs(dev, All()) },
+	New:  func(dev disk.Device, rec *iron.Recorder) vfs.FileSystem { return New(dev, All(), rec) }}
+
+// TestModelRandomOps is the live-model table: seeded random operations
+// checked against the reference model after every op (fstest.CheckModel).
+func TestModelRandomOps(t *testing.T) { fstest.CheckModel(t, modelTarget) }
 
 // TestCrashConsistencySweep verifies that the IRON machinery (checksums,
 // replica log, parity, transactional checksums) does not weaken ext3's
-// crash guarantees.
-func TestCrashConsistencySweep(t *testing.T) {
-	points, err := fstest.SweepCrashes(fstest.CrashConfig{Stride: 1},
-		func(dev disk.Device) error { return Mkfs(dev, All()) },
-		func(dev disk.Device) vfs.FileSystem { return New(dev, All(), nil) })
-	if err != nil {
-		t.Fatalf("after %d crash points: %v", points, err)
-	}
-	t.Logf("verified %d crash points", points)
-}
+// crash guarantees (fstest.CheckCrashSweep).
+func TestCrashConsistencySweep(t *testing.T) { fstest.CheckCrashSweep(t, modelTarget) }
 
 func TestFeatureLabels(t *testing.T) {
 	if got := (Features{}).Label(); got != "(ext3)" {

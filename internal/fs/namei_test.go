@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -88,9 +89,8 @@ var fileLimits = map[string]int64{
 
 // TestNamespaceConformance is the black-box contract of the shared
 // namespace layer (internal/namei), run over every registered file system:
-// the path walk and the namespace operations are one piece of code (ext3
-// keeps its own Unlink, Rmdir and Rename), so what they promise is stated
-// once and required of all five alike. The ntfs half of the "type bits" rows failed before the layer
+// the path walk and the namespace operations are one piece of code, so
+// what they promise is stated once and required of all five alike. The ntfs half of the "type bits" rows failed before the layer
 // existed: ntfs stored and returned whatever mode bits the caller passed.
 func TestNamespaceConformance(t *testing.T) {
 	// The fixture every probe runs against, in order:
@@ -332,6 +332,58 @@ func TestNamespaceConformance(t *testing.T) {
 		{"a read at or past EOF stamps atime", func(f vfs.FileSystem) string {
 			return stampLine(f, "/small", 101) + " " + stampLine(f, "/sparse", 10001) + " " + stampLine(f, "/sparse", 20000)
 		}, "ok stamped=true ok stamped=true ok stamped=true"},
+		{"Rename of a file over an empty directory", func(f vfs.FileSystem) string {
+			if err := f.Mkdir("/rd", 0o755); err != nil {
+				return errName(err)
+			}
+			if err := f.Create("/rf", 0o644); err != nil {
+				return errName(err)
+			}
+			return errName(f.Rename("/rf", "/rd")) + " " + stat(f, "/rf", "/rf")[:len("file")] + " " + stat(f, "/rd", "/rd")[:len("dir")]
+		}, "ErrIsDir file dir"},
+		{"Rename of a directory over a file", func(f vfs.FileSystem) string {
+			return errName(f.Rename("/rd", "/rf")) + " " + stat(f, "/rf", "/rf")[:len("file")] + " " + stat(f, "/rd", "/rd")[:len("dir")]
+		}, "ErrNotDir file dir"},
+		{"a write into a hole reads zeros around it, also in a reused block", func(f vfs.FileSystem) string {
+			// The freed block comes back for the hole below EOF; what it
+			// held must not show through.
+			if err := f.Create("/used", 0o644); err != nil {
+				return errName(err)
+			}
+			if _, err := f.Write("/used", 0, bytes.Repeat([]byte{'u'}, 4096)); err != nil {
+				return errName(err)
+			}
+			if err := f.Sync(); err != nil {
+				return errName(err)
+			}
+			if err := f.Unlink("/used"); err != nil {
+				return errName(err)
+			}
+			if err := f.Sync(); err != nil {
+				return errName(err)
+			}
+			if err := f.Create("/holey", 0o644); err != nil {
+				return errName(err)
+			}
+			if err := f.Truncate("/holey", 3000); err != nil {
+				return errName(err)
+			}
+			_, err := f.Write("/holey", 0, []byte("x"))
+			return errName(err) + " " + readLine(f, "/holey", 0, 3000)
+		}, "ok 3000 ok x<0*2999>"},
+		{"a file cut back to tail size keeps its data when it grows", func(f vfs.FileSystem) string {
+			if err := f.Create("/cut", 0o644); err != nil {
+				return errName(err)
+			}
+			if _, err := f.Write("/cut", 0, bytes.Repeat([]byte{'c'}, 5000)); err != nil {
+				return errName(err)
+			}
+			if err := f.Truncate("/cut", 700); err != nil {
+				return errName(err)
+			}
+			_, err := f.Write("/cut", 700, []byte("x"))
+			return errName(err) + " " + readLine(f, "/cut", 0, 800)
+		}, "ok 701 ok " + strings.Repeat("c", 700) + "x"},
 	}
 
 	transcripts := map[string][]string{}

@@ -299,8 +299,9 @@ func (fs *FS) hasTail(r objRef) (bool, []byte, error) {
 }
 
 // blockPtr resolves file block idx; with alloc, the pointer (and item) is
-// created. Returns 0 for holes when alloc is false.
-func (fs *FS) blockPtr(r objRef, idx int64, alloc bool) (int64, error) {
+// created, and fresh reports that the block was allocated here. Returns 0
+// for holes when alloc is false.
+func (fs *FS) blockPtr(r objRef, idx int64, alloc bool) (ptr int64, fresh bool, err error) {
 	itemIdx := idx / maxIndirectPtrs
 	within := int(idx % maxIndirectPtrs)
 	k := r.indirectKey(itemIdx)
@@ -309,11 +310,11 @@ func (fs *FS) blockPtr(r objRef, idx int64, alloc bool) (int64, error) {
 	case err == nil:
 		if within < len(it.Body)/8 {
 			if p := int64(binary.LittleEndian.Uint64(it.Body[within*8:])); p != 0 {
-				return p, nil
+				return p, false, nil
 			}
 		}
 		if !alloc {
-			return 0, nil
+			return 0, false, nil
 		}
 		ptrs := ptrsOf(it.Body)
 		for len(ptrs) <= within {
@@ -321,23 +322,23 @@ func (fs *FS) blockPtr(r objRef, idx int64, alloc bool) (int64, error) {
 		}
 		blk, aerr := fs.allocBlock(BTData)
 		if aerr != nil {
-			return 0, aerr
+			return 0, false, aerr
 		}
 		ptrs[within] = blk
-		return blk, fs.replaceItem(k, ptrsBody(ptrs))
+		return blk, true, fs.replaceItem(k, ptrsBody(ptrs))
 	case err == vfs.ErrNotExist:
 		if !alloc {
-			return 0, nil
+			return 0, false, nil
 		}
 		ptrs := make([]int64, within+1)
 		blk, aerr := fs.allocBlock(BTData)
 		if aerr != nil {
-			return 0, aerr
+			return 0, false, aerr
 		}
 		ptrs[within] = blk
-		return blk, fs.insertItem(item{K: k, Body: ptrsBody(ptrs)})
+		return blk, true, fs.insertItem(item{K: k, Body: ptrsBody(ptrs)})
 	default:
-		return 0, err
+		return 0, false, err
 	}
 }
 
@@ -350,7 +351,7 @@ func (fs *FS) convertTail(r objRef) error {
 	}
 	buf := make([]byte, BlockSize)
 	copy(buf, tail)
-	blk, err := fs.blockPtr(r, 0, true)
+	blk, _, err := fs.blockPtr(r, 0, true)
 	if err != nil {
 		return err
 	}

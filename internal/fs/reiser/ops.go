@@ -78,7 +78,7 @@ func (fs *FS) ReadAtLocked(ref objRef, _ statData, off int64, p []byte) (int, er
 		bo := (off + read) % BlockSize
 		chunk := min(BlockSize-bo, n-read)
 		dst := p[read : read+chunk]
-		ptr, err := fs.blockPtr(ref, idx, false)
+		ptr, _, err := fs.blockPtr(ref, idx, false)
 		if err != nil {
 			return int(read), err
 		}
@@ -101,7 +101,8 @@ func (fs *FS) ReadAtLocked(ref objRef, _ statData, off int64, p []byte) (int, er
 
 // WriteAtLocked implements namei.Store: a file that stays within tailMax
 // keeps (or grows) its tail in a direct item; a larger one converts the
-// tail to block 0 and is written block by block.
+// tail to block 0 and is written block by block, as is one that already
+// has blocks.
 func (fs *FS) WriteAtLocked(ref objRef, sd statData, off int64, data []byte) (statData, int, error) {
 	n := int64(len(data))
 	if newSize := max(off+n, int64(sd.Size)); newSize <= tailMax {
@@ -109,18 +110,28 @@ func (fs *FS) WriteAtLocked(ref objRef, sd statData, off int64, data []byte) (st
 		if err != nil {
 			return sd, 0, err
 		}
-		body := make([]byte, newSize)
-		copy(body, tail)
-		copy(body[off:], data)
-		if has {
-			err = fs.replaceItem(ref.directKey(), body)
-		} else {
-			err = fs.insertItem(item{K: ref.directKey(), Body: body})
+		// A block file cut back to tail size keeps its blocks, and is
+		// written block by block like any other.
+		var blk int64
+		if !has && sd.Size > 0 {
+			if blk, _, err = fs.blockPtr(ref, 0, false); err != nil {
+				return sd, 0, err
+			}
 		}
-		if err != nil {
-			return sd, 0, err
+		if blk == 0 {
+			body := make([]byte, newSize)
+			copy(body, tail)
+			copy(body[off:], data)
+			if has {
+				err = fs.replaceItem(ref.directKey(), body)
+			} else {
+				err = fs.insertItem(item{K: ref.directKey(), Body: body})
+			}
+			if err != nil {
+				return sd, 0, err
+			}
+			return sd, len(data), nil
 		}
-		return sd, len(data), nil
 	}
 	if err := fs.convertTail(ref); err != nil {
 		return sd, 0, err
@@ -130,12 +141,14 @@ func (fs *FS) WriteAtLocked(ref objRef, sd statData, off int64, data []byte) (st
 		idx := (off + written) / BlockSize
 		bo := (off + written) % BlockSize
 		chunk := min(BlockSize-bo, n-written)
-		ptr, err := fs.blockPtr(ref, idx, true)
+		ptr, fresh, err := fs.blockPtr(ref, idx, true)
 		if err != nil {
 			return sd, int(written), err
 		}
+		// A block allocated here, for a hole, starts zeroed: what the device
+		// holds there is a freed block's old contents.
 		var old []byte
-		if chunk != BlockSize {
+		if chunk != BlockSize && !fresh {
 			if old = fs.cache.Get(ptr); old == nil && int64(sd.Size) > idx*BlockSize {
 				if b, rerr := fs.readDataBlock(ptr); rerr == nil {
 					old = b
@@ -159,7 +172,7 @@ func (fs *FS) CutLocked(ref objRef, sd statData, size int64) (statData, error) {
 	}
 	// Zero the cut of the boundary block.
 	if size%BlockSize != 0 {
-		if ptr, perr := fs.blockPtr(ref, size/BlockSize, false); perr == nil && ptr != 0 {
+		if ptr, _, perr := fs.blockPtr(ref, size/BlockSize, false); perr == nil && ptr != 0 {
 			if old, rerr := fs.readDataBlock(ptr); rerr == nil {
 				clear(old[size%BlockSize:])
 				fs.tx.StageData(ptr, old, BTData)

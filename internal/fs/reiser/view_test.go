@@ -789,7 +789,7 @@ func TestViewsSurviveMutators(t *testing.T) {
 			return fs.replaceItem(it.K, body)
 		}},
 		{"blockPtr alloc", func() error {
-			_, err := fs.blockPtr(file.Child, 7, true)
+			_, _, err := fs.blockPtr(file.Child, 7, true)
 			return err
 		}},
 	}

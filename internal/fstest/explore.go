@@ -1,6 +1,7 @@
 package fstest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -55,7 +56,19 @@ type ExploreWorkload struct {
 func Workloads() []ExploreWorkload {
 	return []ExploreWorkload{
 		{Name: "mkfiles", Run: func(fs vfs.FileSystem) error {
-			return CrashWorkload(fs, func(string) {})
+			for i := 0; i < 3; i++ {
+				p := fmt.Sprintf("/durable%d", i)
+				if err := fs.Create(p, 0o644); err != nil {
+					return err
+				}
+				if _, err := fs.Write(p, 0, crashPayload(i)); err != nil {
+					return err
+				}
+				if err := fs.Fsync(p); err != nil {
+					return err
+				}
+			}
+			return nil
 		}},
 		{Name: "churn", Run: func(fs vfs.FileSystem) error {
 			if err := fs.Mkdir("/d", 0o755); err != nil {
@@ -139,6 +152,12 @@ func Workloads() []ExploreWorkload {
 			return fs.Fsync("/log")
 		}},
 	}
+}
+
+// crashPayload is the content the workloads above write: i picks the byte
+// and the length.
+func crashPayload(i int) []byte {
+	return bytes.Repeat([]byte{byte('A' + i)}, 3000+i*1000)
 }
 
 // ExploreConfig bounds a run.

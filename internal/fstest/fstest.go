@@ -1,346 +1,242 @@
-// Package fstest provides a model-based testing harness shared by every
-// file system in this repository: it drives a file system under test and a
-// trivially-correct in-memory model through the same randomized operation
-// sequence and fails on any observable divergence (contents, sizes,
-// directory listings, error/success disposition). It also provides the
-// crash-consistency sweep used by the journaling tests.
+// Package fstest is the model-based harness every file system in this
+// repository is tested with. One reference model (model.go) grades both
+// halves of it: the live random tester (Run) drives a file system and the
+// model through the same seeded operations and fails on the first
+// observable divergence — an error class, a Stat, a listing or a file's
+// content — and the expected-state oracle (oracle.go), built on the same
+// model, grades what a crash leaves, in the fsync sweep (crash.go) and in
+// internal/hunt. Explore (explore.go) grades crash states structurally.
 package fstest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
+	"slices"
+	"testing"
 
+	"ironfs/internal/disk"
 	"ironfs/internal/vfs"
 )
 
-// model is the in-memory oracle: a map from path to node.
-type model struct {
-	files map[string]*mfile
-	dirs  map[string]bool
+const (
+	// liveOps is the length of one live run.
+	liveOps = 250
+	// invalidShare: one op in invalidShare is drawn from the ops the
+	// model predicts must fail, the rest from those it predicts succeed.
+	invalidShare = 8
+	// modelBlocks sizes CheckModel's volumes.
+	modelBlocks = 8192
+)
+
+// liveNames is the live tester's name pool. Any name may come to hold a
+// file or a directory, so type clashes, moves of whole subtrees, moves
+// beneath the moved directory and non-empty directories all arise; the
+// baseline file /p is in it too.
+var liveNames = []string{"/p", "/a", "/b", "/c", "/d", "/a/x", "/a/y", "/b/x", "/b/y", "/a/x/z"}
+
+// liveKinds are the kinds the tester draws from, repeated by weight.
+var liveKinds = []OpKind{
+	OpCreate, OpCreate, OpCreate, OpMkdir, OpMkdir,
+	OpWrite, OpWrite, OpWrite, OpWrite, OpAppend, OpTruncate, OpTruncate,
+	OpRename, OpRename, OpRename, OpLink, OpUnlink, OpUnlink, OpRmdir,
+	OpFsync, OpSync,
 }
 
-type mfile struct {
-	data    []byte
-	symlink string
-	links   int
-}
-
-func newModel() *model {
-	return &model{files: map[string]*mfile{}, dirs: map[string]bool{"/": true}}
-}
-
-func parent(path string) string {
-	i := strings.LastIndex(path, "/")
-	if i <= 0 {
-		return "/"
+// draw generates one op of the given kind over the live domain. Sizes and offsets follow
+// the model's current file sizes: writes land at 0, inside the file or
+// past EOF (leaving a hole), truncates cut or grow, one time in two each,
+// and two payloads in three are the small one, so files often stay small
+// enough to be stored inline (a ReiserFS tail).
+func draw(rng *rand.Rand, m *Model, kind OpKind) Op {
+	op := Op{Kind: kind}
+	name := func() string { return liveNames[rng.Intn(len(liveNames))] }
+	if op.Kind != OpSync {
+		op.Path = name()
 	}
-	return path[:i]
-}
-
-// Op is one step of a generated workload.
-type Op struct {
-	// Kind is the operation name, for failure messages.
-	Kind string
-	// Apply runs the operation against both systems and returns a
-	// description of any divergence.
-	Apply func(fs vfs.FileSystem, m *model) error
-}
-
-// Config bounds the generated workload.
-type Config struct {
-	// Seed makes runs reproducible.
-	Seed int64
-	// Ops is the number of operations to generate.
-	Ops int
-	// MaxFileKB bounds write sizes.
-	MaxFileKB int
-}
-
-// errDiverged wraps a model/fs divergence.
-func diverge(format string, args ...interface{}) error {
-	return fmt.Errorf("model divergence: "+format, args...)
-}
-
-// bothErr checks that fs and model agree on success/failure. The model is
-// authoritative about *whether* the op should succeed; exact error codes
-// are not compared (policies legitimately differ).
-func bothErr(kind string, fsErr error, modelOK bool) error {
-	if (fsErr == nil) != modelOK {
-		return diverge("%s: fs err=%v, model ok=%v", kind, fsErr, modelOK)
+	if op.Kind == OpRename || op.Kind == OpLink {
+		op.Path2 = name()
+		if rng.Intn(4) == 0 {
+			op.Path2 = op.Path
+		}
 	}
-	return nil
-}
-
-// Run drives the file system and the model through cfg.Ops random
-// operations, verifying contents along the way. The file system must be
-// mounted. It returns the first divergence.
-func Run(fs vfs.FileSystem, cfg Config) error {
-	if cfg.Ops == 0 {
-		cfg.Ops = 300
+	var size int64
+	if id, ok := m.paths[op.Path]; ok {
+		size = int64(len(m.inodes[id].data))
 	}
-	if cfg.MaxFileKB == 0 {
-		cfg.MaxFileKB = 64
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := newModel()
-
-	// Path pool: a mix of existing and fresh names keeps both hit and
-	// miss paths exercised.
-	pathOf := func(i int) string { return fmt.Sprintf("/f%02d", i) }
-	dirOf := func(i int) string { return fmt.Sprintf("/dir%02d", i) }
-	anyFile := func() string { return pathOf(rng.Intn(24)) }
-	anyDir := func() string { return dirOf(rng.Intn(6)) }
-	inDir := func() string { return anyDir() + fmt.Sprintf("/g%02d", rng.Intn(8)) }
-	pick := func() string {
+	switch op.Kind {
+	case OpWrite, OpAppend:
+		op.Data = rng.Intn(3) / 2
+		if op.Kind == OpAppend {
+			break
+		}
 		switch rng.Intn(3) {
 		case 0:
-			return anyFile()
+			op.Off = rng.Int63n(size + 1)
 		case 1:
-			return anyDir()
-		default:
-			return inDir()
+			op.Off = size + rng.Int63n(8<<10)
+		}
+	case OpTruncate:
+		op.Off = rng.Int63n(size + 1)
+		if rng.Intn(2) == 0 {
+			op.Off = size + rng.Int63n(4<<10)
 		}
 	}
-
-	payload := make([]byte, cfg.MaxFileKB<<10)
-	rng.Read(payload)
-
-	for i := 0; i < cfg.Ops; i++ {
-		switch rng.Intn(12) {
-		case 0: // create
-			p := pick()
-			ok := !m.exists(p) && m.dirs[parent(p)]
-			err := fs.Create(p, 0o644)
-			if e := bothErr("create "+p, err, ok); e != nil {
-				return e
-			}
-			if ok {
-				m.files[p] = &mfile{links: 1}
-			}
-		case 1: // mkdir
-			p := anyDir()
-			ok := !m.exists(p) && m.dirs[parent(p)]
-			err := fs.Mkdir(p, 0o755)
-			if e := bothErr("mkdir "+p, err, ok); e != nil {
-				return e
-			}
-			if ok {
-				m.dirs[p] = true
-			}
-		case 2: // write
-			p := pick()
-			f := m.files[p]
-			ok := f != nil && f.symlink == ""
-			off := 0
-			if f != nil && len(f.data) > 0 {
-				off = rng.Intn(len(f.data) + 1)
-			}
-			n := 1 + rng.Intn(cfg.MaxFileKB<<10/4)
-			chunk := payload[rng.Intn(len(payload)-n+1):][:n]
-			_, err := fs.Write(p, int64(off), chunk)
-			if e := bothErr(fmt.Sprintf("write %s off=%d n=%d", p, off, n), err, ok); e != nil {
-				return e
-			}
-			if ok {
-				if off+n > len(f.data) {
-					nd := make([]byte, off+n)
-					copy(nd, f.data)
-					f.data = nd
-				}
-				copy(f.data[off:], chunk)
-			}
-		case 3: // read + verify
-			p := pick()
-			f := m.files[p]
-			ok := f != nil && f.symlink == ""
-			buf := make([]byte, cfg.MaxFileKB<<10)
-			n, err := fs.Read(p, 0, buf)
-			if e := bothErr("read "+p, err, ok); e != nil {
-				return e
-			}
-			if ok {
-				want := f.data
-				if len(want) > len(buf) {
-					want = want[:len(buf)]
-				}
-				if n != len(want) || !bytes.Equal(buf[:n], want) {
-					return diverge("read %s: got %d bytes, want %d (content mismatch=%v)",
-						p, n, len(want), !bytes.Equal(buf[:n], want))
-				}
-			}
-		case 4: // truncate
-			p := pick()
-			f := m.files[p]
-			ok := f != nil && f.symlink == ""
-			var size int
-			if f != nil {
-				size = rng.Intn(len(f.data) + 2048)
-			}
-			err := fs.Truncate(p, int64(size))
-			if e := bothErr(fmt.Sprintf("truncate %s to %d", p, size), err, ok); e != nil {
-				return e
-			}
-			if ok {
-				if size <= len(f.data) {
-					f.data = f.data[:size]
-				} else {
-					nd := make([]byte, size)
-					copy(nd, f.data)
-					f.data = nd
-				}
-			}
-		case 5: // unlink
-			p := pick()
-			f := m.files[p]
-			ok := f != nil
-			err := fs.Unlink(p)
-			if e := bothErr("unlink "+p, err, ok); e != nil {
-				return e
-			}
-			if ok {
-				delete(m.files, p)
-			}
-		case 6: // rmdir
-			p := anyDir()
-			ok := m.dirs[p] && m.emptyDir(p)
-			err := fs.Rmdir(p)
-			if e := bothErr("rmdir "+p, err, ok); e != nil {
-				return e
-			}
-			if ok {
-				delete(m.dirs, p)
-			}
-		case 7: // rename (files only, to keep the model simple)
-			src, dst := anyFile(), anyFile()
-			sf := m.files[src]
-			ok := sf != nil
-			err := fs.Rename(src, dst)
-			if e := bothErr(fmt.Sprintf("rename %s %s", src, dst), err, ok); e != nil {
-				return e
-			}
-			if ok && src != dst { // a self-rename changes nothing
-				m.files[dst] = sf
-				delete(m.files, src)
-			}
-		case 8: // stat + verify size
-			p := pick()
-			f := m.files[p]
-			isDir := m.dirs[p]
-			fi, err := fs.Stat(p)
-			ok := f != nil || isDir
-			if e := bothErr("stat "+p, err, ok); e != nil {
-				return e
-			}
-			if f != nil && f.symlink == "" && fi.Size != int64(len(f.data)) {
-				return diverge("stat %s: size %d, want %d", p, fi.Size, len(f.data))
-			}
-		case 9: // readdir + verify names
-			p := "/"
-			if rng.Intn(2) == 0 {
-				p = anyDir()
-			}
-			ents, err := fs.ReadDir(p)
-			ok := m.dirs[p]
-			if e := bothErr("readdir "+p, err, ok); e != nil {
-				return e
-			}
-			if ok {
-				got := make([]string, 0, len(ents))
-				for _, e := range ents {
-					got = append(got, e.Name)
-				}
-				want := m.list(p)
-				sort.Strings(got)
-				sort.Strings(want)
-				if strings.Join(got, ",") != strings.Join(want, ",") {
-					return diverge("readdir %s: got %v, want %v", p, got, want)
-				}
-			}
-		case 10: // sync or fsync
-			if rng.Intn(2) == 0 {
-				if err := fs.Sync(); err != nil {
-					return fmt.Errorf("sync: %w", err)
-				}
-			} else {
-				p := pick()
-				err := fs.Fsync(p)
-				if e := bothErr("fsync "+p, err, m.exists(p)); e != nil {
-					return e
-				}
-			}
-		case 11: // chmod/utimes on an existing file
-			p := pick()
-			ok := m.exists(p)
-			err := fs.Chmod(p, uint16(rng.Intn(0o777)))
-			if e := bothErr("chmod "+p, err, ok); e != nil {
-				return e
-			}
-		}
-	}
-	return Verify(fs, m)
+	return op
 }
 
-func (m *model) exists(p string) bool { return m.files[p] != nil || m.dirs[p] }
-
-func (m *model) emptyDir(p string) bool {
-	prefix := p + "/"
-	for f := range m.files {
-		if strings.HasPrefix(f, prefix) {
-			return false
+// pick draws a kind, then its operands until the model predicts the op
+// succeeds (valid) or fails (!valid), and gives up after 64 draws with the
+// last one. Drawing the kind once keeps each kind's share of the valid ops
+// its weight, however rarely its random operands fit.
+func pick(rng *rand.Rand, m *Model, valid bool) Op {
+	kind := liveKinds[rng.Intn(len(liveKinds))]
+	for try := 0; ; try++ {
+		op := draw(rng, m, kind)
+		if (m.Predict(op) == nil) == valid || try == 63 {
+			return op
 		}
 	}
-	for d := range m.dirs {
-		if d != p && strings.HasPrefix(d, prefix) {
-			return false
-		}
-	}
-	return true
 }
 
-// list returns the model's direct children of dir.
-func (m *model) list(dir string) []string {
-	prefix := dir + "/"
-	if dir == "/" {
-		prefix = "/"
+// Run drives fsys, a freshly formatted and mounted file system, and the
+// model through liveOps seeded operations, after populating the baseline
+// file. After every op it compares the error class with the model's
+// prediction, and Stat, the parents' listings and the content of each
+// path the op named; at the end it walks the whole tree. It returns the
+// model, so a caller can walk the tree again after a remount, and the
+// first divergence.
+func Run(fsys vfs.FileSystem, seed int64) (*Model, error) {
+	if err := Preamble(fsys); err != nil {
+		return nil, fmt.Errorf("preamble: %w", err)
 	}
-	var out []string
-	add := func(p string) {
-		if !strings.HasPrefix(p, prefix) {
-			return
+	rng := rand.New(rand.NewSource(seed))
+	m := NewModel()
+	for i := 0; i < liveOps; i++ {
+		op := pick(rng, m, rng.Intn(invalidShare) != 0)
+		want := m.Predict(op)
+		got := op.Issue(fsys, i)
+		if !errors.Is(got, want) {
+			return m, fmt.Errorf("model divergence at op %d %s: returned %v, the model %v", i, op, got, want)
 		}
-		rest := p[len(prefix):]
-		if rest != "" && !strings.Contains(rest, "/") {
-			out = append(out, rest)
+		if want == nil {
+			m.Apply(op, i)
+		}
+		for _, p := range []string{op.Path, op.Path2} {
+			if p == "" {
+				continue
+			}
+			err := checkPath(fsys, m, p)
+			if err == nil {
+				err = checkList(fsys, m, parentOf(p))
+			}
+			if err != nil {
+				return m, fmt.Errorf("model divergence at op %d %s: %v", i, op, err)
+			}
 		}
 	}
-	for f := range m.files {
-		add(f)
+	if err := Walk(fsys, m); err != nil {
+		return m, fmt.Errorf("model divergence after %d ops: %v", liveOps, err)
 	}
-	for d := range m.dirs {
-		if d != "/" {
-			add(d)
-		}
-	}
-	return out
+	return m, nil
 }
 
-// Verify checks every model file's contents against the file system.
-func Verify(fs vfs.FileSystem, m *model) error {
-	for p, f := range m.files {
-		if f.symlink != "" {
-			continue
+// checkPath compares Stat of p — error class, type, and for a file its
+// size, link count and content — with the model.
+func checkPath(fsys vfs.FileSystem, m *Model, p string) error {
+	isDir, want := m.resolve(p)
+	st, err := fsys.Stat(p)
+	if !errors.Is(err, want) {
+		return fmt.Errorf("stat %s: %v, the model %v", p, err, want)
+	}
+	switch {
+	case err != nil:
+		return nil
+	case isDir != (st.Type == vfs.TypeDirectory):
+		return fmt.Errorf("stat %s: type %v, the model dir=%v", p, st.Type, isDir)
+	case isDir:
+		return nil
+	}
+	in := m.inodes[m.paths[p]]
+	if st.Size != int64(len(in.data)) || int(st.Links) != in.links {
+		return fmt.Errorf("stat %s: size %d links %d, the model %d and %d", p, st.Size, st.Links, len(in.data), in.links)
+	}
+	if got, err := ReadAll(fsys, p, st.Size); err != nil || !bytes.Equal(got, in.data) {
+		return fmt.Errorf("read %s: %d bytes (err %v) differ from the model's %d", p, len(got), err, len(in.data))
+	}
+	return nil
+}
+
+// checkList compares ReadDir of d — error class and entry names — with
+// the model.
+func checkList(fsys vfs.FileSystem, m *Model, d string) error {
+	want := m.dirErr(d)
+	ents, err := fsys.ReadDir(d)
+	if !errors.Is(err, want) {
+		return fmt.Errorf("readdir %s: %v, the model %v", d, err, want)
+	}
+	got := make([]string, 0, len(ents))
+	for _, e := range ents {
+		got = append(got, e.Name)
+	}
+	slices.Sort(got)
+	if wantNames := m.list(d); want == nil && !slices.Equal(got, wantNames) {
+		return fmt.Errorf("readdir %s: %q, the model %q", d, got, wantNames)
+	}
+	return nil
+}
+
+// Walk compares the whole tree with the model: every directory's listing
+// and every entry's Stat and content.
+func Walk(fsys vfs.FileSystem, m *Model) error {
+	for _, d := range append([]string{"/"}, m.dirPaths()...) {
+		if err := checkList(fsys, m, d); err != nil {
+			return err
 		}
-		buf := make([]byte, len(f.data))
-		n, err := fs.Read(p, 0, buf)
-		if err != nil {
-			return diverge("final read %s: %v", p, err)
-		}
-		if n != len(f.data) || !bytes.Equal(buf[:n], f.data) {
-			return diverge("final content of %s differs (%d vs %d bytes)", p, n, len(f.data))
+	}
+	for _, p := range append(m.dirPaths(), m.filePaths()...) {
+		if err := checkPath(fsys, m, p); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// CheckModel is the live-model test every file system package runs on its
+// target: eight seeds, each on a fresh volume, with the tree walked again
+// after a clean remount.
+func CheckModel(t *testing.T, target ExploreTarget) {
+	for seed := int64(0); seed < 8; seed++ {
+		t.Run(string(rune('A'+seed)), func(t *testing.T) {
+			d, err := disk.New(modelBlocks, disk.DefaultGeometry(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := target.Mkfs(d); err != nil {
+				t.Fatal(err)
+			}
+			fsys := target.New(d, nil)
+			if err := fsys.Mount(); err != nil {
+				t.Fatal(err)
+			}
+			m, err := Run(fsys, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fsys.Unmount(); err != nil {
+				t.Fatal(err)
+			}
+			again := target.New(d, nil)
+			if err := again.Mount(); err != nil {
+				t.Fatalf("remount after the live run: %v", err)
+			}
+			if err := Walk(again, m); err != nil {
+				t.Fatalf("after a remount: %v", err)
+			}
+			if err := again.Unmount(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

@@ -1,4 +1,4 @@
-package hunt
+package fstest
 
 import (
 	"bytes"
@@ -34,14 +34,13 @@ import (
 //     gone, a rewritten file's content is unconstrained) but never
 //     strengthen it.
 //
-// The baseline image (see op.go) seeds the durable state: basePath with
+// The baseline image (see model.go) seeds the durable state: BasePath with
 // its content is owed at every crash point of every sequence.
 type Oracle struct {
-	seq   Sequence
 	ops   []opMeta
 	snaps []snapshot
 	// final is the volatile tree after the whole sequence.
-	final *tree
+	final *Model
 }
 
 // opMeta is the oracle's per-op bookkeeping. Log positions are filled in
@@ -122,20 +121,18 @@ type coverRec struct {
 // Log positions (startLen/endLen/sealed) are zero until an instrumented
 // replay fills them via setLogSpan.
 func NewOracle(seq Sequence) *Oracle {
-	o := &Oracle{seq: seq}
-	t := newTree()
+	o := &Oracle{}
+	t := NewModel()
 	durDirs := map[string]int{} // durable dirs (sans "/") -> asOf
 	durEnts := map[string]entRec{}
 	covered := map[int]coverRec{}
-	// The baseline: basePath durable with its content, nothing else.
-	durEnts[basePath] = entRec{ino: t.paths[basePath], asOf: -1}
-	covered[t.paths[basePath]] = coverRec{data: basePayload(), op: -1, homes: []string{basePath}}
+	// The baseline: BasePath durable with its content, nothing else.
+	durEnts[BasePath] = entRec{ino: t.paths[BasePath], asOf: -1}
+	covered[t.paths[BasePath]] = coverRec{data: basePayload(), op: -1, homes: []string{BasePath}}
 	o.snaps = append(o.snaps, materialize(-1, durDirs, durEnts, covered))
 
 	coverFile := func(ino, j int) {
-		in := t.inodes[ino]
-		data := make([]byte, len(in.data))
-		copy(data, in.data)
+		data := append([]byte(nil), t.inodes[ino].data...)
 		var homes []string
 		for _, p := range t.filePaths() {
 			if t.paths[p] == ino {
@@ -197,7 +194,7 @@ func NewOracle(seq Sequence) *Oracle {
 				coverFile(id, i)
 			}
 		}
-		t.apply(op, i)
+		t.Apply(op, i)
 		if op.Kind == OpFsync || op.Kind == OpSync {
 			m.snap = len(o.snaps)
 			o.snaps = append(o.snaps, materialize(i, durDirs, durEnts, covered))
@@ -208,7 +205,9 @@ func NewOracle(seq Sequence) *Oracle {
 	return o
 }
 
-// materialize freezes the durable replay state into a snapshot.
+// materialize freezes the durable replay state into a snapshot. Covered
+// bytes and homes are shared, not copied: nothing writes them after
+// coverFile builds them.
 func materialize(i int, durDirs map[string]int, durEnts map[string]entRec, covered map[int]coverRec) snapshot {
 	s := snapshot{opIndex: i, links: map[int]int{}}
 	dirs := make([]string, 0, len(durDirs))
@@ -228,9 +227,7 @@ func materialize(i int, durDirs map[string]int, durEnts map[string]entRec, cover
 		e := durEnts[p]
 		req := fileReq{path: p, ino: e.ino, asOf: e.asOf, covOp: -1}
 		if c, ok := covered[e.ino]; ok {
-			req.data = make([]byte, len(c.data))
-			copy(req.data, c.data)
-			req.covOp = c.op
+			req.data, req.covOp = c.data, c.op
 		}
 		s.files = append(s.files, req)
 		s.links[e.ino]++
@@ -248,10 +245,7 @@ func materialize(i int, durDirs map[string]int, durEnts map[string]entRec, cover
 		if len(c.homes) == 0 {
 			continue
 		}
-		data := make([]byte, len(c.data))
-		copy(data, c.data)
-		s.orphans = append(s.orphans, orphanReq{ino: ino, data: data,
-			homes: append([]string(nil), c.homes...), covOp: c.op})
+		s.orphans = append(s.orphans, orphanReq{ino: ino, data: c.data, homes: c.homes, covOp: c.op})
 	}
 	return s
 }
@@ -262,6 +256,13 @@ func (o *Oracle) setLogSpan(i, startLen, endLen, sealed int) {
 	o.ops[i].startLen = startLen
 	o.ops[i].endLen = endLen
 	o.ops[i].sealed = sealed
+}
+
+// Span returns op i's write span: the log length just before it issued
+// and just after it returned, and the sealed-epoch count at its return.
+func (o *Oracle) Span(i int) (start, end, sealed int) {
+	m := o.ops[i]
+	return m.startLen, m.endLen, m.sealed
 }
 
 // Snapshots returns the persistence ops' sequence indices, in order
@@ -389,8 +390,8 @@ func (o *Oracle) relaxFor(asOf, covOp int, path string, ino, lastOp int) relax {
 	return r
 }
 
-// readAll reads path's full content through the mounted FS.
-func readAll(fsys vfs.FileSystem, path string, size int64) ([]byte, error) {
+// ReadAll reads path's full content through the mounted FS.
+func ReadAll(fsys vfs.FileSystem, path string, size int64) ([]byte, error) {
 	buf := make([]byte, size)
 	n, err := fsys.Read(path, 0, buf)
 	if err != nil {
@@ -414,8 +415,8 @@ func (o *Oracle) GradeAt(fsys vfs.FileSystem, si, lastOp int) []Violation {
 	}
 	var out []Violation
 
-	// Directories: the vocabulary has no rmdir, so required directories
-	// are permanent.
+	// Directories: the crash generator issues no rmdir, so required
+	// directories are permanent.
 	for _, d := range snap.dirs {
 		st, err := fsys.Lstat(d.path)
 		if err != nil {
@@ -448,7 +449,7 @@ func (o *Oracle) GradeAt(fsys vfs.FileSystem, si, lastOp int) []Violation {
 		if data == nil || r.anyContent {
 			return true, nil
 		}
-		got, err := readAll(fsys, p, st.Size)
+		got, err := ReadAll(fsys, p, st.Size)
 		if err != nil {
 			return false, &Violation{Kind: "corrupt-file", Path: p, Guar: guar,
 				Detail: fmt.Sprintf("read: %v", err)}
@@ -471,7 +472,7 @@ func (o *Oracle) GradeAt(fsys vfs.FileSystem, si, lastOp int) []Violation {
 			if data == nil || r.anyContent {
 				return true
 			}
-			got, rerr := readAll(fsys, h, st.Size)
+			got, rerr := ReadAll(fsys, h, st.Size)
 			if rerr == nil && bytes.Equal(got, data) {
 				return true
 			}
@@ -519,16 +520,6 @@ func (o *Oracle) GradeAt(fsys vfs.FileSystem, si, lastOp int) []Violation {
 	return out
 }
 
-// FinalTree exposes the volatile end-state for the no-fault agreement
-// check: walking the real FS after a full-image "crash" must match it
-// exactly.
-func (o *Oracle) FinalTree() (dirs []string, files map[string][]byte) {
-	files = map[string][]byte{}
-	for _, p := range o.final.filePaths() {
-		in := o.final.inodes[o.final.paths[p]]
-		data := make([]byte, len(in.data))
-		copy(data, in.data)
-		files[p] = data
-	}
-	return o.final.dirPaths(), files
-}
+// Final is the volatile end-state: walking the real FS after a
+// full-image "crash" must match it exactly.
+func (o *Oracle) Final() *Model { return o.final }

@@ -13,7 +13,7 @@ import (
 )
 
 // The record and grade steps every crash harness shares: Explore's
-// structural matrix and internal/hunt's expected-state oracle both record a
+// structural matrix, the fsync sweep and internal/hunt all record a
 // workload once on a CrashDevice, then write crash states built from its
 // log onto scratch images, remount each (running recovery) and grade it.
 
@@ -53,6 +53,54 @@ func Record(t ExploreTarget, blocks int64, prep func(*disk.Disk) error, workload
 	}
 	r.Log, r.Epochs = cd.Log(), cd.Epochs()
 	return r, nil
+}
+
+// SeqRun is one Sequence recorded over the baseline image, with the
+// oracle's log spans filled in.
+type SeqRun struct {
+	*Recording
+	Seq    Sequence
+	Oracle *Oracle
+}
+
+// RecordSeq formats a fresh volume of the given size for t, populates the
+// baseline on it and unmounts cleanly — so the image every crash state is
+// rebuilt from already owes the oracle one durable file — then replays seq
+// on a recording CrashDevice and fills the oracle's log spans. It returns
+// nil (no error) for a sequence that produces no writes at all.
+func RecordSeq(t ExploreTarget, blocks int64, seq Sequence) (*SeqRun, error) {
+	baseline := func(d *disk.Disk) error {
+		pfs := t.New(d, iron.NewRecorder())
+		if err := pfs.Mount(); err != nil {
+			return fmt.Errorf("%s baseline mount: %w", t.Name, err)
+		}
+		if err := Preamble(pfs); err != nil {
+			return fmt.Errorf("%s baseline populate: %w", t.Name, err)
+		}
+		if err := pfs.Unmount(); err != nil {
+			return fmt.Errorf("%s baseline unmount: %w", t.Name, err)
+		}
+		return nil
+	}
+	o := NewOracle(seq)
+	rec, err := Record(t, blocks, baseline, func(cd *faultinject.CrashDevice) error {
+		fsys := t.New(cd, iron.NewRecorder())
+		if err := fsys.Mount(); err != nil {
+			return fmt.Errorf("%s mount: %w", t.Name, err)
+		}
+		for i, op := range seq {
+			start := int(cd.Written())
+			if err := op.Issue(fsys, i); err != nil {
+				return fmt.Errorf("%s replay op %d %s: %w", t.Name, i, op, err)
+			}
+			o.setLogSpan(i, start, int(cd.Written()), cd.Epochs())
+		}
+		return nil
+	})
+	if err != nil || len(rec.Log) == 0 {
+		return nil, err
+	}
+	return &SeqRun{Recording: rec, Seq: seq, Oracle: o}, nil
 }
 
 // Graded is what the grade step saw of one crash state.

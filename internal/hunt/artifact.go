@@ -15,8 +15,8 @@ import (
 // policy the mask was drawn under. `ironhunt -repro FILE` replays it and
 // must land on the same verdict.
 type Repro struct {
-	Target string   `json:"target"`
-	Seq    Sequence `json:"seq"`
+	Target string          `json:"target"`
+	Seq    fstest.Sequence `json:"seq"`
 	// Point indexes the write log; Mask is the survivor subset, encoded
 	// as a decimal string (uint64 does not survive a float64 round-trip
 	// above 2^53).
@@ -37,7 +37,7 @@ type Repro struct {
 	Symptom string `json:"symptom,omitempty"`
 }
 
-func makeRepro(target string, seq Sequence, ps plannedState, policy faultinject.EnumPolicy, verdict, symptom string) Repro {
+func makeRepro(target string, seq fstest.Sequence, ps plannedState, policy faultinject.EnumPolicy, verdict, symptom string) Repro {
 	return Repro{
 		Target:      target,
 		Seq:         seq,
@@ -94,15 +94,15 @@ func ReplayRepro(t fstest.ExploreTarget, r Repro, blocks int64) (ReplayResult, e
 			blocks = t.DiskBlocks
 		}
 	}
-	run, err := replaySeq(t, blocks, r.Seq)
+	run, err := fstest.RecordSeq(t, blocks, r.Seq)
 	if err != nil {
 		return out, err
 	}
 	if run == nil {
 		return out, fmt.Errorf("hunt: artifact sequence produced no writes")
 	}
-	if r.Point < 0 || r.Point >= len(run.rec.Log) {
-		return out, fmt.Errorf("hunt: artifact point %d outside log of %d writes", r.Point, len(run.rec.Log))
+	if r.Point < 0 || r.Point >= len(run.Log) {
+		return out, fmt.Errorf("hunt: artifact point %d outside log of %d writes", r.Point, len(run.Log))
 	}
 	mask, err := strconv.ParseUint(r.Mask, 10, 64)
 	if err != nil {
@@ -120,7 +120,7 @@ func ReplayRepro(t fstest.ExploreTarget, r Repro, blocks int64) (ReplayResult, e
 		snap:   r.Snap,
 		lastOp: r.LastOp,
 	}
-	g, err := gradeState(run, ps, r.Policy, make([]byte, len(run.rec.Base)))
+	g, err := gradeState(run, ps, r.Policy, make([]byte, len(run.Base)))
 	if err != nil {
 		return out, err
 	}

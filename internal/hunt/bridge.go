@@ -17,7 +17,7 @@ import (
 func ExploreWorkloads(b Bounds, n int) []fstest.ExploreWorkload {
 	seqs := Sequences(b)
 	if n > 0 && len(seqs) > n {
-		thinned := make([]Sequence, 0, n)
+		thinned := make([]fstest.Sequence, 0, n)
 		for i := 0; i < n; i++ {
 			thinned = append(thinned, seqs[i*len(seqs)/n])
 		}
@@ -29,11 +29,11 @@ func ExploreWorkloads(b Bounds, n int) []fstest.ExploreWorkload {
 		out = append(out, fstest.ExploreWorkload{
 			Name: fmt.Sprintf("hunt%03d", idx),
 			Run: func(fsys vfs.FileSystem) error {
-				if err := preamble(fsys); err != nil {
+				if err := fstest.Preamble(fsys); err != nil {
 					return err
 				}
 				for i, op := range seq {
-					if err := issue(fsys, op, i); err != nil {
+					if err := op.Issue(fsys, i); err != nil {
 						return fmt.Errorf("op %d %s: %w", i, op, err)
 					}
 				}

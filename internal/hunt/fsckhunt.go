@@ -8,6 +8,7 @@ import (
 	"ironfs/internal/faultinject"
 	"ironfs/internal/fs"
 	"ironfs/internal/fsck"
+	"ironfs/internal/fstest"
 	"ironfs/internal/iron"
 )
 
@@ -113,7 +114,7 @@ func RunFsck(name string, opts fs.Options, b FsckBounds) (*FsckTargetResult, err
 		if err := fsys.Create(f.path, 0o644); err != nil {
 			return nil, err
 		}
-		data := payloadFor(i, f.sel)
+		data := fstest.Payload(i, f.sel)
 		if _, err := fsys.Write(f.path, 0, data); err != nil {
 			return nil, err
 		}
@@ -149,7 +150,7 @@ func RunFsck(name string, opts fs.Options, b FsckBounds) (*FsckTargetResult, err
 					Detail: fmt.Sprintf("%s: stat: %v", f.path, err)})
 				continue
 			}
-			got, err := readAll(vfsys, f.path, st.Size)
+			got, err := fstest.ReadAll(vfsys, f.path, st.Size)
 			if err != nil || !bytes.Equal(got, want[f.path]) {
 				res.Violations = append(res.Violations, FsckViolation{
 					Kind: "fsck-data-loss", Crash: k,

@@ -3,6 +3,8 @@ package hunt
 import (
 	"reflect"
 	"testing"
+
+	"ironfs/internal/fstest"
 )
 
 // The generator's enumeration is the hunt's coverage claim: it must be
@@ -54,12 +56,12 @@ func TestSequencesDeterministic(t *testing.T) {
 
 func TestSequencesValidAndInteresting(t *testing.T) {
 	for _, seq := range Sequences(Bounds{MaxOps: 2, MaxSeqs: -1}) {
-		tr := newTree()
+		tr := fstest.NewModel()
 		for i, op := range seq {
-			if !tr.valid(op) {
+			if !valid(tr, op) {
 				t.Fatalf("sequence [%s]: op %d %s invalid on model", seq, i, op)
 			}
-			tr.apply(op, i)
+			tr.Apply(op, i)
 		}
 		if !interesting(seq) {
 			t.Errorf("sequence [%s] lacks a mutation or a persist", seq)

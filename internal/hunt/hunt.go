@@ -8,7 +8,6 @@ import (
 	"ironfs/internal/disk"
 	"ironfs/internal/faultinject"
 	"ironfs/internal/fstest"
-	"ironfs/internal/iron"
 	"ironfs/internal/vfs"
 )
 
@@ -119,55 +118,6 @@ func (r *TargetResult) String() string {
 		r.StructDetected, r.StructSilent, r.LossDetected, r.LossSilent, len(r.Bugs))
 }
 
-// seqRun is one sequence's replay: the oracle with log spans filled and
-// the recorded write stream.
-type seqRun struct {
-	seq    Sequence
-	oracle *Oracle
-	rec    *fstest.Recording
-}
-
-// replaySeq formats a fresh volume, replays seq on a recording crash
-// device, and fills the oracle's log spans. Returns nil (no error) for
-// sequences that produce no writes at all.
-func replaySeq(t fstest.ExploreTarget, blocks int64, seq Sequence) (*seqRun, error) {
-	// Baseline: populate basePath on the raw device and unmount cleanly,
-	// so the image every crash state is rebuilt from already owes the
-	// oracle one durable file.
-	baseline := func(d *disk.Disk) error {
-		pfs := t.New(d, iron.NewRecorder())
-		if err := pfs.Mount(); err != nil {
-			return fmt.Errorf("%s baseline mount: %w", t.Name, err)
-		}
-		if err := preamble(pfs); err != nil {
-			return fmt.Errorf("%s baseline populate: %w", t.Name, err)
-		}
-		if err := pfs.Unmount(); err != nil {
-			return fmt.Errorf("%s baseline unmount: %w", t.Name, err)
-		}
-		return nil
-	}
-	o := NewOracle(seq)
-	rec, err := fstest.Record(t, blocks, baseline, func(cd *faultinject.CrashDevice) error {
-		fsys := t.New(cd, iron.NewRecorder())
-		if err := fsys.Mount(); err != nil {
-			return fmt.Errorf("%s mount: %w", t.Name, err)
-		}
-		for i, op := range seq {
-			start := int(cd.Written())
-			if err := issue(fsys, op, i); err != nil {
-				return fmt.Errorf("%s replay op %d %s: %w", t.Name, i, op, err)
-			}
-			o.setLogSpan(i, start, int(cd.Written()), cd.Epochs())
-		}
-		return nil
-	})
-	if err != nil || len(rec.Log) == 0 {
-		return nil, err
-	}
-	return &seqRun{seq: seq, oracle: o, rec: rec}, nil
-}
-
 // plannedState is one crash state with its oracle coordinates.
 type plannedState struct {
 	st     faultinject.CrashState
@@ -178,8 +128,8 @@ type plannedState struct {
 
 // planStates enumerates the crash plan for one replayed sequence: every
 // epoch seal, every persistence-op return, and the full-image tail.
-func planStates(run *seqRun, policy faultinject.EnumPolicy) (states []plannedState, points int) {
-	log, o := run.rec.Log, run.oracle
+func planStates(run *fstest.SeqRun, policy faultinject.EnumPolicy) (states []plannedState, points int) {
+	log, o := run.Log, run.Oracle
 	for _, pt := range faultinject.EpochSeals(log) {
 		snap, lastOp := o.RequiredSnap(pt), o.LastStarted(pt)
 		for _, st := range faultinject.EnumerateCrashStates(log, pt, policy) {
@@ -191,13 +141,13 @@ func planStates(run *seqRun, policy faultinject.EnumPolicy) (states []plannedSta
 		if opIdx < 0 {
 			continue // baseline snapshot: no return point of its own
 		}
-		m := o.ops[opIdx]
-		if m.endLen == 0 {
+		_, end, sealed := o.Span(opIdx)
+		if end == 0 {
 			continue // persistence op before any write: nothing to check
 		}
-		pt := m.endLen - 1
+		pt := end - 1
 		lastOp := o.LastStarted(pt)
-		for _, st := range faultinject.EnumerateCrashStatesSealed(log, pt, m.sealed, policy) {
+		for _, st := range faultinject.EnumerateCrashStatesSealed(log, pt, sealed, policy) {
 			states = append(states, plannedState{st: st, class: ClassReturn, snap: si, lastOp: lastOp})
 		}
 		points++
@@ -206,7 +156,7 @@ func planStates(run *seqRun, policy faultinject.EnumPolicy) (states []plannedSta
 	// guarantee is checked against a full image.
 	pt := len(log) - 1
 	for _, st := range faultinject.EnumerateCrashStatesSealed(log, pt, log[pt].Epoch+1, policy) {
-		states = append(states, plannedState{st: st, class: ClassTail, snap: len(o.snaps) - 1, lastOp: len(run.seq) - 1})
+		states = append(states, plannedState{st: st, class: ClassTail, snap: len(o.Snapshots()) - 1, lastOp: len(run.Seq) - 1})
 	}
 	points++
 	return states, points
@@ -216,16 +166,16 @@ func planStates(run *seqRun, policy faultinject.EnumPolicy) (states []plannedSta
 type gradedState struct {
 	ps      plannedState
 	verdict string
-	viol    *Violation // first oracle violation, if any
+	viol    *fstest.Violation // first oracle violation, if any
 }
 
 // gradeState materializes one crash state on img, remounts, and grades it
 // with the expected-state oracle first and the structural oracle second.
-func gradeState(run *seqRun, ps plannedState, policy faultinject.EnumPolicy, img []byte) (gradedState, error) {
+func gradeState(run *fstest.SeqRun, ps plannedState, policy faultinject.EnumPolicy, img []byte) (gradedState, error) {
 	g := gradedState{ps: ps}
-	var viols []Violation
-	out, err := run.rec.Grade(ps.st, policy, img, "", func(fsys vfs.FileSystem) {
-		viols = run.oracle.GradeAt(fsys, ps.snap, ps.lastOp)
+	var viols []fstest.Violation
+	out, err := run.Grade(ps.st, policy, img, "", func(fsys vfs.FileSystem) {
+		viols = run.Oracle.GradeAt(fsys, ps.snap, ps.lastOp)
 	})
 	if err != nil {
 		return g, err
@@ -256,8 +206,8 @@ func gradeState(run *seqRun, ps plannedState, policy faultinject.EnumPolicy, img
 
 // huntSequence replays one sequence and grades its whole crash plan on
 // img, a scratch image of the volume's size.
-func huntSequence(t fstest.ExploreTarget, blocks int64, seq Sequence, policy faultinject.EnumPolicy, img []byte) ([]gradedState, int, error) {
-	run, err := replaySeq(t, blocks, seq)
+func huntSequence(t fstest.ExploreTarget, blocks int64, seq fstest.Sequence, policy faultinject.EnumPolicy, img []byte) ([]gradedState, int, error) {
+	run, err := fstest.RecordSeq(t, blocks, seq)
 	if err != nil || run == nil {
 		return nil, 0, err
 	}
@@ -312,7 +262,7 @@ func Run(t fstest.ExploreTarget, cfg Config) (*TargetResult, error) {
 	res := &TargetResult{Target: t.Name, Seqs: len(seqs), Bugs: []Bug{}}
 	type protoBug struct {
 		bug   Bug
-		seq   Sequence
+		seq   fstest.Sequence
 		state plannedState
 	}
 	protos := map[string]*protoBug{}
@@ -393,26 +343,26 @@ func verdictOf(b Bug) string {
 
 // subsequences yields the valid, interesting subsequences of seq in
 // ascending size then ascending mask order (the full sequence excluded).
-func subsequences(seq Sequence) []Sequence {
+func subsequences(seq fstest.Sequence) []fstest.Sequence {
 	n := len(seq)
-	var out []Sequence
+	var out []fstest.Sequence
 	for size := 1; size < n; size++ {
 		for mask := uint(1); mask < 1<<n; mask++ {
 			if popcount(mask) != size {
 				continue
 			}
-			var sub Sequence
-			t := newTree()
+			var sub fstest.Sequence
+			t := fstest.NewModel()
 			ok := true
 			for j := 0; j < n; j++ {
 				if mask&(1<<j) == 0 {
 					continue
 				}
-				if !t.valid(seq[j]) {
+				if !valid(t, seq[j]) {
 					ok = false
 					break
 				}
-				t.apply(seq[j], len(sub))
+				t.Apply(seq[j], len(sub))
 				sub = append(sub, seq[j])
 			}
 			if ok && interesting(sub) {
@@ -434,7 +384,7 @@ func popcount(m uint) int {
 // minimize finds the shortest subsequence of seq reproducing the bug's
 // (class, symptom, silence) on some crash state; falls back to the
 // original sequence and its recorded state.
-func minimize(t fstest.ExploreTarget, blocks int64, seq Sequence, bug Bug, policy faultinject.EnumPolicy) (Sequence, plannedState, error) {
+func minimize(t fstest.ExploreTarget, blocks int64, seq fstest.Sequence, bug Bug, policy faultinject.EnumPolicy) (fstest.Sequence, plannedState, error) {
 	want := func(g gradedState) bool {
 		return lossVerdict(g.verdict) &&
 			g.ps.class == bug.Class &&

@@ -231,7 +231,10 @@ func (ns *Namespace[R, N]) moveLocked(oldpath, newpath string) (m move[R, N], no
 }
 
 // Rename implements vfs.FileSystem. An existing target file loses the
-// name; an existing target directory must be empty and is freed.
+// name; an existing target directory must be empty and is freed. The
+// target must be of the moved object's kind, as rename(2) requires: a
+// file onto a directory is vfs.ErrIsDir, a directory onto a file
+// vfs.ErrNotDir.
 func (ns *Namespace[R, N]) Rename(oldpath, newpath string) error {
 	ns.v.Mu.Lock()
 	defer ns.v.Mu.Unlock()
@@ -248,6 +251,12 @@ func (ns *Namespace[R, N]) Rename(oldpath, newpath string) error {
 			return err
 		}
 		isDir := tn.FileType() == vfs.TypeDirectory
+		if srcDir := vfs.FileType(m.Type) == vfs.TypeDirectory; isDir != srcDir {
+			if isDir {
+				return vfs.ErrIsDir
+			}
+			return vfs.ErrNotDir
+		}
 		if isDir {
 			empty, err := ns.s.DirEmptyLocked(t, tn)
 			if err != nil {

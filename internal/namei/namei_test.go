@@ -386,7 +386,13 @@ func TestEntryOpsRefuseBeforeChanging(t *testing.T) {
 		{"Link over a name", func(n *ns, _ *fakeStore) error { return n.Link("/file", "/dir") }, vfs.ErrExist},
 		{"Link at the ceiling", func(n *ns, f *fakeStore) error { f.nodes[2].Links = 0xFFFF; return n.Link("/file", "/hard") }, vfs.ErrTooManyLink},
 		{"Rename of a missing name", func(n *ns, _ *fakeStore) error { return n.Rename("/nope", "/x") }, vfs.ErrNotExist},
-		{"Rename over a non-empty directory", func(n *ns, f *fakeStore) error { f.nodes[3].ents["x"] = 2; return n.Rename("/file", "/dir") }, vfs.ErrNotEmpty},
+		{"Rename over a non-empty directory", func(n *ns, f *fakeStore) error {
+			f.nodes[5] = &fakeNode{TypedAttr: Typed(vfs.TypeDirectory, Attr{Mode: 0o755, Links: 1}), ents: map[string]int{}}
+			f.nodes[3].ents["x"], f.nodes[1].ents["dir2"] = 2, 5
+			return n.Rename("/dir2", "/dir")
+		}, vfs.ErrNotEmpty},
+		{"Rename of a file over a directory", func(n *ns, _ *fakeStore) error { return n.Rename("/file", "/dir") }, vfs.ErrIsDir},
+		{"Rename of a directory over a file", func(n *ns, _ *fakeStore) error { return n.Rename("/dir", "/file") }, vfs.ErrNotDir},
 		{"Rename to its own name", func(n *ns, _ *fakeStore) error { return n.Rename("/file", "/file") }, nil},
 		{"Rename beneath itself", func(n *ns, _ *fakeStore) error { return n.Rename("/dir", "/dir/x") }, vfs.ErrInval},
 		{"Rename beneath itself through a link", func(n *ns, f *fakeStore) error {

@@ -1,9 +1,14 @@
 #!/usr/bin/env sh
-# Pre-merge gate: formatting, vet, build, race-enabled tests, the resolver,
-# dispatch, lookup and checksum cost benchmarks, the bench/ module's own vet
-# and tests, the fsck lock, the committed fsck, sweep and ironload pins, and
-# ironvet (the multi-pass crash-consistency analyzer suite; see
-# docs/ANALYSIS.md).
+# Pre-merge gate, in order: formatting, vet, build, race-enabled tests
+# (with internal/fingerprint's wall time); the cost benchmarks — resolver,
+# fault layer, dispatch, lookups, tree edits, cache and scheduler, journal
+# freeze, CommitLoop, checksum — with their allocation counts; the bench/
+# module's own vet and tests; ironvet (the multi-pass crash-consistency
+# analyzer suite; see docs/ANALYSIS.md) twice, compared, and its drop
+# table against docs/ANALYSIS.md; the ironhunt quick gate; the fsck lock
+# (mid-repair crash hunt, parallel check and repair) and the BENCH_2.json
+# pin; the ironstat double runs; and the BENCH_5.json sweep and
+# BENCH_4.json ironload pins.
 # ironvet analyzes the whole module: errprop and lockcheck guard error
 # propagation and lock/I-O discipline, txcheck pins metadata writes to the
 # journal machinery, degradecheck forbids success-before-commit-check
