@@ -51,6 +51,13 @@ if [ "${1:-}" = lock ]; then
 			# device's write log, bare and under a depth-32 scheduler.
 			run crash-all.txt ./ironcrash -fs all
 			run crash-d32.txt ./ironcrash -fs all -depth 32
+			# The scheduler's trace events (enqueue, coalesce, dispatch,
+			# drain), every file system's commit detail and the replay
+			# and mount phases, byte for byte.
+			run crash-d32-mkfiles.txt ./ironcrash -fs all -workload mkfiles -depth 32 -short -trace crash-d32-mkfiles.ndjson
+			# The sched_* metrics and all five file systems' fs_* at
+			# queue depth 32.
+			run stat-multi-all.json ./ironstat -mode multi -fs all -json
 			run stat-fp-ext3-read.json ./ironstat -mode fp -fs ext3 -fault read -json
 			# The one artefact that sees jfs's recovery I/O: a sticky write
 			# fault meets every home block the replay brings home.
