@@ -161,26 +161,20 @@ type Config struct {
 	// TracePkg is the import path of the tracing package; a package that
 	// imports it is a traced subsystem.
 	TracePkg string
-	// TracerType is the tracer's type name inside TracePkg.
-	TracerType string
-	// TraceEmitMethods are the TracerType methods that record an event.
-	TraceEmitMethods []string
-	// RecorderPkg/RecorderType/RecorderMethods identify the iron.Recorder
-	// detect/recover bridge, whose calls also count as trace emission
-	// (the tracer mirrors the recorder via BridgeRecorder).
-	RecorderPkg     string
-	RecorderType    string
-	RecorderMethods []string
-	// StatPkg/StatTypes/StatEmitMethods identify the live-metrics layer:
-	// recording into a metric handle (counter increment, histogram
-	// observation) counts as observable emission for tracecheck, so a
-	// phase that shows up in metrics is not flagged as silent.
-	StatPkg         string
-	StatTypes       []string
-	StatEmitMethods []string
+	// EmitCalls are the calls that emit an event to the trace: the
+	// tracer's own, the iron.Recorder detect/recover bridge (the tracer
+	// mirrors the recorder via BridgeRecorder) and the journal engine's
+	// reports, each of which is one trace event and its metrics.
+	EmitCalls []EmitCall
 	// PhaseHints are lowercase substrings of function names that mark a
 	// function as a journal/dispatch/repair phase tracecheck audits.
 	PhaseHints []string
+}
+
+// EmitCall names a receiver type and the methods of it that emit.
+type EmitCall struct {
+	Pkg, Type string
+	Methods   []string
 }
 
 // DefaultConfig returns the configuration for this module.
@@ -203,15 +197,12 @@ func DefaultConfig() Config {
 
 		LockPkgs: []string{"ironfs/internal/fs", "ironfs/internal/faultinject", "ironfs/internal/journal", "ironfs/internal/sched", "ironfs/internal/bcache", "ironfs/internal/fsck", "ironfs/internal/namei", "ironfs/internal/serve"},
 
-		TracePkg:         "ironfs/internal/trace",
-		TracerType:       "Tracer",
-		TraceEmitMethods: []string{"IO", "Batch", "Barrier", "FaultFired", "CacheWrite", "Sched", "Buffer", "Phase", "Mark"},
-		RecorderPkg:      "ironfs/internal/iron",
-		RecorderType:     "Recorder",
-		RecorderMethods:  []string{"Detect", "Recover"},
-		StatPkg:          "ironfs/internal/stat",
-		StatTypes:        []string{"Counter", "Gauge", "Histogram"},
-		StatEmitMethods:  []string{"Inc", "Add", "Set", "Observe"},
+		TracePkg: "ironfs/internal/trace",
+		EmitCalls: []EmitCall{
+			{"ironfs/internal/trace", "Tracer", []string{"IO", "Batch", "Barrier", "FaultFired", "CacheWrite", "Sched", "Buffer", "Phase", "PhaseN", "Mark"}},
+			{"ironfs/internal/iron", "Recorder", []string{"Detect", "Recover"}},
+			{"ironfs/internal/journal", "Engine", []string{"Committed", "Checkpointed", "Replayed"}},
+		},
 		PhaseHints: []string{
 			"commit", "checkpoint", "replay", "scrub", "repair",
 			"dispatch", "drain", "coalesce",

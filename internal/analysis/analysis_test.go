@@ -38,12 +38,12 @@ func corpusConfig() Config {
 
 		LockPkgs: []string{"lockordercases"},
 
-		TracePkg:         "tracekit",
-		TracerType:       "Tracer",
-		TraceEmitMethods: []string{"Phase", "IO"},
-		RecorderPkg:      "tracekit",
-		RecorderType:     "Recorder",
-		RecorderMethods:  []string{"Detect", "Recover"},
+		TracePkg: "tracekit",
+		EmitCalls: []EmitCall{
+			{"tracekit", "Tracer", []string{"Phase", "IO"}},
+			{"tracekit", "Recorder", []string{"Detect", "Recover"}},
+			{"enginekit", "Engine", []string{"Replayed"}},
+		},
 		PhaseHints: []string{
 			"commit", "checkpoint", "replay", "scrub", "repair",
 			"dispatch", "drain", "coalesce",

@@ -1,7 +1,8 @@
 // Package tracecases is the tracecheck analyzer corpus: phase-named
 // functions in a traced package that emit directly, through a
 // same-package helper, through the recorder bridge, through a shared
-// engine's callback interface, not at all, or not at all with a waiver.
+// engine's callback interface or its emission call, not at all, or not at
+// all with a waiver.
 package tracecases
 
 import (
@@ -72,6 +73,16 @@ func (fs *FS) Freeze() error {
 type mute struct{}
 
 func (mute) Freeze() error { return nil }
+
+// replayViaReport emits only through the engine's emission call.
+func (fs *FS) replayViaReport(eng *enginekit.Engine) {
+	eng.Replayed()
+}
+
+// badReplayViaEngine calls the engine, but not an emission call.
+func (fs *FS) badReplayViaEngine(eng *enginekit.Engine) int { // want tracecheck: an engine call that is not an emission call
+	return eng.Seq()
+}
 
 // badCommitViaEngine hands the engine a callback that emits nothing.
 func (fs *FS) badCommitViaEngine(eng *enginekit.Engine) error { // want tracecheck: silent phase behind a callback

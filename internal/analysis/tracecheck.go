@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -16,28 +17,23 @@ import (
 // "Emit" is transitive but deliberately restricted to same-package calls:
 // every function in the module eventually reaches the disk layer, whose
 // tracer hooks would make a module-wide closure vacuously satisfy the
-// rule. A phase either calls a Tracer emit method / an iron.Recorder
-// Detect/Recover (mirrored into the trace by the recorder bridge) / a
-// stat metric-recording method (Config.StatEmitMethods on a
-// Config.StatTypes handle — the live-metrics pillar counts as
-// observability too) itself, or delegates to a sibling that does.
-// Intentionally silent phases carry //iron:traceok with a justification.
+// rule. A phase either makes one of Config.EmitCalls itself — a Tracer
+// emit method, an iron.Recorder Detect/Recover (mirrored into the trace by
+// the recorder bridge), a journal.Engine report — or delegates to a
+// sibling that does. Intentionally silent phases carry //iron:traceok
+// with a justification.
 func runTracecheck(ctx *passContext) []Finding {
 	cfg := ctx.cfg
 	if cfg.TracePkg == "" {
 		return nil
 	}
-	emitMethods := map[string]bool{}
-	for _, m := range cfg.TraceEmitMethods {
-		emitMethods[m] = true
-	}
-	recorderMethods := map[string]bool{}
-	for _, m := range cfg.RecorderMethods {
-		recorderMethods[m] = true
-	}
-	statMethods := map[string]bool{}
-	for _, m := range cfg.StatEmitMethods {
-		statMethods[m] = true
+	emitCall := func(callee *types.Func, recv types.Type) bool {
+		for _, ec := range cfg.EmitCalls {
+			if slices.Contains(ec.Methods, callee.Name()) && recvNamed(recv, ec.Pkg, ec.Type) {
+				return true
+			}
+		}
+		return false
 	}
 
 	// Traced subsystems: packages importing the trace package (the trace
@@ -84,20 +80,7 @@ func runTracecheck(ctx *passContext) []Finding {
 			if !ok {
 				return true
 			}
-			if emitMethods[callee.Name()] && recvNamed(selection.Recv(), cfg.TracePkg, cfg.TracerType) {
-				found = true
-			}
-			if recorderMethods[callee.Name()] && recvNamed(selection.Recv(), cfg.RecorderPkg, cfg.RecorderType) {
-				found = true
-			}
-			if statMethods[callee.Name()] {
-				for _, st := range cfg.StatTypes {
-					if recvNamed(selection.Recv(), cfg.StatPkg, st) {
-						found = true
-						break
-					}
-				}
-			}
+			found = emitCall(callee, selection.Recv())
 			return true
 		})
 		if found {

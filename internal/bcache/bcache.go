@@ -76,9 +76,11 @@ type shard struct {
 	free   *entry
 	frames [][]byte
 	stats  Stats
-	// Live-metrics handles, per shard so the snapshot shows skew across
-	// shards, resolved once at construction.
-	mHit, mMiss, mEvict *stat.Counter
+	// hits, misses and evicts are the registry's handles, per shard so the
+	// snapshot shows skew across shards, resolved at construction and
+	// labelled by the trace kind of the event each counts:
+	// bcache_ops_total{op=hit|miss|evict,shard}.
+	hits, misses, evicts *stat.Counter
 }
 
 type entry struct {
@@ -118,9 +120,9 @@ func NewSharded(capBlocks, shards int) *Cache {
 		s := &c.shards[i]
 		*s = shard{
 			cap: perShard, entries: make(map[int64]*entry),
-			mHit:   stat.C("bcache_ops_total", "op", "hit", "shard", lbl),
-			mMiss:  stat.C("bcache_ops_total", "op", "miss", "shard", lbl),
-			mEvict: stat.C("bcache_ops_total", "op", "evict", "shard", lbl),
+			hits:   stat.C("bcache_ops_total", "op", trace.KindHit, "shard", lbl),
+			misses: stat.C("bcache_ops_total", "op", trace.KindMiss, "shard", lbl),
+			evicts: stat.C("bcache_ops_total", "op", trace.KindEvict, "shard", lbl),
 		}
 		s.lru.prev, s.lru.next = &s.lru, &s.lru
 	}
@@ -147,22 +149,15 @@ func (c *Cache) shardOf(n int64) *shard {
 func (c *Cache) Get(n int64) []byte {
 	s := c.shardOf(n)
 	s.mu.Lock()
-	s.stats.Lookups++
 	e, ok := s.entries[n]
 	if !ok {
-		s.stats.Misses++
-		s.mu.Unlock()
-		s.mMiss.Inc()
-		c.tr.Load().Buffer(trace.KindMiss, n)
+		c.lookedUp(s, n, false)
 		return nil
 	}
 	s.moveToFront(e)
 	e.own = false
-	s.stats.Hits++
-	s.mHit.Inc()
 	data := e.data
-	s.mu.Unlock()
-	c.tr.Load().Buffer(trace.KindHit, n)
+	c.lookedUp(s, n, true)
 	return data
 }
 
@@ -176,22 +171,32 @@ func (c *Cache) Get(n int64) []byte {
 func (c *Cache) GetInto(n int64, off int, dst []byte) bool {
 	s := c.shardOf(n)
 	s.mu.Lock()
-	s.stats.Lookups++
 	e, ok := s.entries[n]
 	if !ok || off < 0 || off+len(dst) > len(e.data) {
-		s.stats.Misses++
-		s.mu.Unlock()
-		s.mMiss.Inc()
-		c.tr.Load().Buffer(trace.KindMiss, n)
+		c.lookedUp(s, n, false)
 		return false
 	}
 	copy(dst, e.data[off:off+len(dst)])
 	s.moveToFront(e)
-	s.stats.Hits++
-	s.mu.Unlock()
-	s.mHit.Inc()
-	c.tr.Load().Buffer(trace.KindHit, n)
+	c.lookedUp(s, n, true)
 	return true
+}
+
+// lookedUp records a lookup of block n in s, a hit or a miss, in each of
+// its sinks: the shard's Stats, the registry and the trace. The caller
+// holds s.mu, which lookedUp releases before the trace event.
+func (c *Cache) lookedUp(s *shard, n int64, hit bool) {
+	s.stats.Lookups++
+	kind, h := trace.KindMiss, s.misses
+	if hit {
+		s.stats.Hits++
+		kind, h = trace.KindHit, s.hits
+	} else {
+		s.stats.Misses++
+	}
+	s.mu.Unlock()
+	h.Inc()
+	c.tr.Load().Buffer(kind, n)
 }
 
 // DirtyLen returns the number of dirty (write-behind) blocks resident
@@ -302,11 +307,10 @@ func (c *Cache) noteEvicts(s *shard, evicted []int64) {
 	if len(evicted) == 0 {
 		return
 	}
-	s.mEvict.Add(int64(len(evicted)))
-	if tr := c.tr.Load(); tr.Enabled() {
-		for _, blk := range evicted {
-			tr.Buffer(trace.KindEvict, blk)
-		}
+	s.evicts.Add(int64(len(evicted)))
+	tr := c.tr.Load()
+	for _, blk := range evicted {
+		tr.Buffer(trace.KindEvict, blk)
 	}
 }
 

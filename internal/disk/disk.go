@@ -72,35 +72,19 @@ type Disk struct {
 	// tr, when set, receives a mechanical-layer event per serviced I/O.
 	// A nil tracer costs nothing on the hot path (the Table 6 bar).
 	tr *trace.Tracer
-	// st holds the live-metrics handles, resolved once at construction
-	// from the process-wide registry (see internal/stat).
-	st diskMetrics
+	// readSvc, writeSvc, barriers and batches are the registry's handles,
+	// resolved at construction and labelled by the trace kind of the
+	// event each counts (note): disk_svc_ns{op=read|write}, the full
+	// mechanical cost charged to the clock, and
+	// disk_ops_total{op=barrier|batch}.
+	readSvc, writeSvc *stat.Histogram
+	barriers, batches *stat.Counter
 	// gen counts media modifications (one per block written, one per
 	// Restore); wlog[g%writeLogLen] is the block that write g landed on
 	// and logFloor the oldest generation the ring can still answer for.
 	gen      int64
 	logFloor int64
 	wlog     [writeLogLen]int64
-}
-
-// diskMetrics are the disk's live-metrics handles: exact service-time
-// distributions per op type plus barrier/batch counts. Service time here
-// includes command overhead, seek, rotation, and transfer — the full
-// mechanical cost charged to the virtual clock.
-type diskMetrics struct {
-	readSvc  *stat.Histogram
-	writeSvc *stat.Histogram
-	barriers *stat.Counter
-	batches  *stat.Counter
-}
-
-func newDiskMetrics() diskMetrics {
-	return diskMetrics{
-		readSvc:  stat.H("disk_svc_ns", "op", "read"),
-		writeSvc: stat.H("disk_svc_ns", "op", "write"),
-		barriers: stat.C("disk_ops_total", "op", "barrier"),
-		batches:  stat.C("disk_ops_total", "op", "batch"),
-	}
 }
 
 // New returns a simulated disk of the given number of blocks using the
@@ -122,7 +106,10 @@ func New(numBlocks int64, geom Geometry, clock *Clock) (*Disk, error) {
 		tracks:   tracks,
 		bufTrack: -1,
 		data:     make([]byte, numBlocks*int64(geom.BlockSize)),
-		st:       newDiskMetrics(),
+		readSvc:  stat.H("disk_svc_ns", "op", trace.KindRead),
+		writeSvc: stat.H("disk_svc_ns", "op", trace.KindWrite),
+		barriers: stat.C("disk_ops_total", "op", trace.KindBarrier),
+		batches:  stat.C("disk_ops_total", "op", trace.KindBatch),
 	}, nil
 }
 
@@ -177,11 +164,7 @@ func (d *Disk) Barrier() error {
 	if d.closed {
 		return ErrClosed
 	}
-	d.stats.Barriers++
-	d.st.barriers.Inc()
-	if d.tr.Enabled() {
-		d.tr.Barrier(trace.LayerDisk, int64(d.clock.Now()), 0, 0)
-	}
+	d.note(trace.KindBarrier, trace.NoBlock, d.clock.Now())
 	return nil
 }
 
@@ -262,12 +245,7 @@ func (d *Disk) ReadBlock(n int64, buf []byte) error {
 	d.serviceReadLocked(n)
 	off := n * int64(d.geom.BlockSize)
 	copy(buf, d.data[off:off+int64(d.geom.BlockSize)])
-	d.stats.Reads++
-	d.stats.BytesRead += int64(d.geom.BlockSize)
-	d.st.readSvc.Observe(int64(d.clock.Now() - start))
-	if d.tr.Enabled() {
-		d.tr.IO(trace.LayerDisk, trace.KindRead, n, "", int64(start), int64(d.clock.Now()-start), nil)
-	}
+	d.note(trace.KindRead, n, start)
 	return nil
 }
 
@@ -283,13 +261,7 @@ func (d *Disk) WriteBlock(n int64, buf []byte) error {
 	d.serviceLocked(n)
 	off := n * int64(d.geom.BlockSize)
 	copy(d.data[off:off+int64(d.geom.BlockSize)], buf)
-	d.noteWriteLocked(n)
-	d.stats.Writes++
-	d.stats.BytesWritten += int64(d.geom.BlockSize)
-	d.st.writeSvc.Observe(int64(d.clock.Now() - start))
-	if d.tr.Enabled() {
-		d.tr.IO(trace.LayerDisk, trace.KindWrite, n, "", int64(start), int64(d.clock.Now()-start), nil)
-	}
+	d.note(trace.KindWrite, n, start)
 	return nil
 }
 
@@ -305,10 +277,7 @@ func (d *Disk) WriteBatch(reqs []Request) error {
 	}
 	if len(reqs) > 0 {
 		// One command overhead covers the whole queued batch.
-		if d.tr.Enabled() {
-			d.tr.Batch(int64(d.clock.Now()), len(reqs))
-		}
-		d.st.batches.Inc()
+		d.note(trace.KindBatch, int64(len(reqs)), d.clock.Now())
 		d.clock.Advance(d.geom.CmdOverhead)
 	}
 	for _, r := range ElevatorOrder(reqs) {
@@ -319,15 +288,38 @@ func (d *Disk) WriteBatch(reqs []Request) error {
 		d.serviceLocked(r.Block)
 		off := r.Block * int64(d.geom.BlockSize)
 		copy(d.data[off:off+int64(d.geom.BlockSize)], r.Data)
-		d.noteWriteLocked(r.Block)
-		d.stats.Writes++
-		d.stats.BytesWritten += int64(d.geom.BlockSize)
-		d.st.writeSvc.Observe(int64(d.clock.Now() - start))
-		if d.tr.Enabled() {
-			d.tr.IO(trace.LayerDisk, trace.KindWrite, r.Block, "", int64(start), int64(d.clock.Now()-start), nil)
-		}
+		d.note(trace.KindWrite, r.Block, start)
 	}
 	return nil
+}
+
+// note records one serviced command in each of its sinks: the exact
+// Stats, the registry and the trace. kind is the command's trace kind, n
+// the block read or written (a batch's request count), start the time the
+// command began; a barrier or a batch is stamped at start. A write is also
+// logged where it landed (WritesSince). Caller holds d.mu.
+func (d *Disk) note(kind string, n int64, start Duration) {
+	svc := d.clock.Now() - start
+	switch kind {
+	case trace.KindRead:
+		d.stats.Reads++
+		d.stats.BytesRead += int64(d.geom.BlockSize)
+		d.readSvc.Observe(int64(svc))
+		d.tr.IO(trace.LayerDisk, kind, n, "", int64(start), int64(svc), nil)
+	case trace.KindWrite:
+		d.noteWriteLocked(n)
+		d.stats.Writes++
+		d.stats.BytesWritten += int64(d.geom.BlockSize)
+		d.writeSvc.Observe(int64(svc))
+		d.tr.IO(trace.LayerDisk, kind, n, "", int64(start), int64(svc), nil)
+	case trace.KindBarrier:
+		d.stats.Barriers++
+		d.barriers.Inc()
+		d.tr.Barrier(trace.LayerDisk, int64(start), 0, 0)
+	case trace.KindBatch:
+		d.batches.Inc()
+		d.tr.Batch(int64(start), int(n))
+	}
 }
 
 // ElevatorOrder returns reqs in the order a batch is serviced: ascending by

@@ -101,6 +101,15 @@ type Device struct {
 	seed   int64
 	rng    *rand.Rand
 	fires  int
+	// fired holds the fault_fired_total{class,type} handles, each resolved
+	// at the first firing of its class on its block type.
+	fired stat.Counters[firing]
+}
+
+// firing is the label pair of a fault_fired_total counter.
+type firing struct {
+	class iron.FaultClass
+	bt    iron.BlockType
 }
 
 // DefaultSeed seeds the corruption-noise RNG when the caller does not
@@ -214,9 +223,12 @@ func (f *Fault) fires(bt iron.BlockType, block int64) bool {
 	return f.fired < f.limit()
 }
 
-// match finds the first armed fault matching (class, type, block) and
-// consumes one firing. Caller holds d.mu.
-func (d *Device) matchLocked(class iron.FaultClass, bt iron.BlockType, block int64) *Fault {
+// fire finds the first armed fault matching (class, type, block), consumes
+// one firing and records it in each of its sinks: the device's firing
+// count, fault_fired_total{class,type} in the registry and the trace. It
+// returns nil when no fault fires.
+func (d *Device) fire(class iron.FaultClass, bt iron.BlockType, block int64) *Fault {
+	d.mu.Lock()
 	for i, f := range d.faults {
 		if f.Class != class || !f.fires(bt, block) {
 			continue
@@ -231,8 +243,13 @@ func (d *Device) matchLocked(class iron.FaultClass, bt iron.BlockType, block int
 			d.faults = append(d.faults[:i:i], d.faults[i+1:]...)
 		}
 		d.fires++
+		c := d.fired.Get(firing{class, bt}, stat.Default(), "fault_fired_total", "class", class.String(), "type", string(bt))
+		d.mu.Unlock()
+		c.Inc()
+		d.tr.FaultFired(class, block, bt, f.Sticky)
 		return f
 	}
+	d.mu.Unlock()
 	return nil
 }
 
@@ -252,8 +269,8 @@ func (d *Device) writeArmed(bt iron.BlockType, block int64) bool {
 	return false
 }
 
-// record counts one I/O for the applicability (gray-cell) computation and,
-// when a tracer is attached, emits the type-classified event: at is the
+// record counts one I/O for the applicability (gray-cell) computation and
+// traces the type-classified event, of kind op.String(): at is the
 // simulated start time, svc the service duration (both 0 when the I/O
 // never reached the media).
 func (d *Device) record(op disk.Op, block int64, bt iron.BlockType, err error, at, svc int64) {
@@ -262,13 +279,7 @@ func (d *Device) record(op disk.Op, block int64, bt iron.BlockType, err error, a
 	c[op]++
 	d.counts[bt] = c
 	d.mu.Unlock()
-	if d.tr.Enabled() {
-		kind := trace.KindRead
-		if op == disk.OpWrite {
-			kind = trace.KindWrite
-		}
-		d.tr.IO(trace.LayerFault, kind, block, bt, at, svc, err)
-	}
+	d.tr.IO(trace.LayerFault, op.String(), block, bt, at, svc, err)
 }
 
 // defaultCorrupt overwrites the block with deterministic pseudo-random
@@ -282,13 +293,6 @@ func (d *Device) defaultCorrupt(data []byte) {
 	d.mu.Unlock()
 }
 
-// noteFired counts a fault firing in the live-metrics registry, keyed
-// by fault class and the block type it hit. Firings are rare, so the
-// handle is resolved per event rather than cached.
-func noteFired(class iron.FaultClass, bt iron.BlockType) {
-	stat.C("fault_fired_total", "class", class.String(), "type", string(bt)).Inc()
-}
-
 // ReadBlock implements disk.Device: applies read-failure and corruption
 // faults. A read failure returns disk.ErrIO without touching the media; a
 // corruption reads the real data and then mutates the returned buffer.
@@ -296,12 +300,7 @@ func (d *Device) ReadBlock(n int64, buf []byte) error {
 	bt := d.classify(n)
 	at := d.tr.Now()
 
-	d.mu.Lock()
-	fail := d.matchLocked(iron.ReadFailure, bt, n)
-	d.mu.Unlock()
-	if fail != nil {
-		noteFired(iron.ReadFailure, bt)
-		d.tr.FaultFired(iron.ReadFailure, n, bt, fail.Sticky)
+	if d.fire(iron.ReadFailure, bt, n) != nil {
 		d.record(disk.OpRead, n, bt, disk.ErrIO, at, 0)
 		return disk.ErrIO
 	}
@@ -311,17 +310,12 @@ func (d *Device) ReadBlock(n int64, buf []byte) error {
 		return err
 	}
 
-	d.mu.Lock()
-	corrupt := d.matchLocked(iron.Corruption, bt, n)
-	d.mu.Unlock()
-	if corrupt != nil {
+	if corrupt := d.fire(iron.Corruption, bt, n); corrupt != nil {
 		if corrupt.Corrupt != nil {
 			corrupt.Corrupt(n, buf)
 		} else {
 			d.defaultCorrupt(buf)
 		}
-		noteFired(iron.Corruption, bt)
-		d.tr.FaultFired(iron.Corruption, n, bt, corrupt.Sticky)
 		d.record(disk.OpRead, n, bt, nil, at, d.tr.Now()-at)
 		return nil
 	}
@@ -344,36 +338,21 @@ func (d *Device) WriteBlock(n int64, buf []byte) error {
 func (d *Device) writeOne(n int64, bt iron.BlockType, buf []byte) error {
 	at := d.tr.Now()
 
-	d.mu.Lock()
-	fail := d.matchLocked(iron.WriteFailure, bt, n)
-	d.mu.Unlock()
-	if fail != nil {
-		noteFired(iron.WriteFailure, bt)
-		d.tr.FaultFired(iron.WriteFailure, n, bt, fail.Sticky)
+	if d.fire(iron.WriteFailure, bt, n) != nil {
 		d.record(disk.OpWrite, n, bt, disk.ErrIO, at, 0)
 		return disk.ErrIO
 	}
 
-	d.mu.Lock()
-	phantom := d.matchLocked(iron.PhantomWrite, bt, n)
-	d.mu.Unlock()
-	if phantom != nil {
-		noteFired(iron.PhantomWrite, bt)
-		d.tr.FaultFired(iron.PhantomWrite, n, bt, phantom.Sticky)
+	if d.fire(iron.PhantomWrite, bt, n) != nil {
 		d.record(disk.OpWrite, n, bt, nil, at, 0)
 		return nil // "completed" — the media never sees it
 	}
 
-	d.mu.Lock()
-	misdir := d.matchLocked(iron.MisdirectedWrite, bt, n)
-	d.mu.Unlock()
-	if misdir != nil {
+	if d.fire(iron.MisdirectedWrite, bt, n) != nil {
 		target := n + 1
 		if target >= d.inner.NumBlocks() {
 			target = n - 1
 		}
-		noteFired(iron.MisdirectedWrite, bt)
-		d.tr.FaultFired(iron.MisdirectedWrite, n, bt, misdir.Sticky)
 		err := d.inner.WriteBlock(target, buf)
 		d.record(disk.OpWrite, n, bt, err, at, d.tr.Now()-at)
 		return err // correct data, wrong location, success reported

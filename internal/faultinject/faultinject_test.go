@@ -10,6 +10,7 @@ import (
 
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
+	"ironfs/internal/stat"
 	"ironfs/internal/trace"
 )
 
@@ -569,5 +570,35 @@ func TestCrashDeviceNeverCrashes(t *testing.T) {
 	}
 	if c.Crashed() {
 		t.Fatal("negative limit crashed")
+	}
+}
+
+// TestFiringAllocs: with tracing off, a fault that keeps firing allocates
+// nothing after its first firing. The fault_fired_total handle of each
+// (class, block type) is resolved once per device, not rendered per event.
+func TestFiringAllocs(t *testing.T) {
+	reg := stat.NewRegistry()
+	defer stat.SetDefault(stat.SetDefault(reg))
+	_, fd := newStack(t)
+	fd.Arm(&Fault{Class: iron.ReadFailure, Sticky: true, Range: BlockRange{Start: 3, End: 4}})
+	fd.Arm(&Fault{Class: iron.Corruption, Sticky: true, Range: BlockRange{Start: 5, End: 6}})
+	buf := make([]byte, 4096)
+	read := func() {
+		if err := fd.ReadBlock(3, buf); !errors.Is(err, disk.ErrIO) {
+			t.Fatalf("read of block 3: err = %v, want the read failure", err)
+		}
+		if err := fd.ReadBlock(5, buf); err != nil {
+			t.Fatalf("read of block 5: %v", err)
+		}
+	}
+	read()
+	if n := testing.AllocsPerRun(100, read); n != 0 {
+		t.Errorf("a read failure and a corruption firing allocated %v times per pair, want 0", n)
+	}
+	for _, class := range []iron.FaultClass{iron.ReadFailure, iron.Corruption} {
+		c := reg.Counter("fault_fired_total", "class", class.String(), "type", string(iron.Unclassified))
+		if got := c.Value(); got != 102 {
+			t.Errorf("fault_fired_total{class=%s} = %d, want 102", class, got)
+		}
 	}
 }

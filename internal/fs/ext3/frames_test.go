@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"ironfs/internal/stat"
 )
 
 // TestPendingFramesStayTheirs: a committed block waiting for the
@@ -22,6 +24,8 @@ func TestPendingFramesStayTheirs(t *testing.T) {
 		"ixt3": {MetaChecksum: true, DataChecksum: true, MetaReplica: true, DataParity: true, TxnChecksum: true, FixBugs: true},
 	} {
 		t.Run(name, func(t *testing.T) {
+			reg := stat.NewRegistry()
+			defer stat.SetDefault(stat.SetDefault(reg))
 			fs, _ := newTestFS(t, opts)
 			type key struct {
 				home  int64
@@ -34,7 +38,7 @@ func TestPendingFramesStayTheirs(t *testing.T) {
 				t.Helper()
 				fs.mu.Lock()
 				defer fs.mu.Unlock()
-				if n := fs.st.Checkpoints.Value(); n != checkpoints {
+				if n := reg.Counter("fs_checkpoints_total", "fs", fs.variantName()).Value(); n != checkpoints {
 					// A checkpoint wrote every entry home and freed its
 					// frame; what is pending now was all frozen since.
 					checkpoints = n

@@ -52,10 +52,6 @@ type FS struct {
 	// the data read path increments it under a shared (read) lock.
 	retries atomic.Int64
 
-	// st holds the journal path's live-metrics handles, resolved at
-	// construction.
-	st vfs.FSMetrics
-
 	// Driver is the check-and-repair sequence (fs.Repairer); FS implements
 	// its fsck.Target. It sits last so the fields the read path touches
 	// keep the cache lines they had.
@@ -89,9 +85,8 @@ func New(dev disk.Device, opts Options, rec *iron.Recorder) *FS {
 		tr:    trace.Of(dev),
 		cache: bcache.New(2048),
 	}
-	fs.st = vfs.NewFSMetrics(fs.variantName())
 	fs.cache.SetTracer(fs.tr)
-	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
+	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.tr, fs.variantName())
 	fs.Driver = fsck.New(fs, fsck.Volume{Label: "ext3", Mu: &fs.mu, Health: &fs.health, Tracer: fs.tr, Cache: fs.cache})
 	v := namei.Volume{Mu: &fs.mu, RMu: fs.mu.RLocker(), Health: &fs.health, Journal: fs.jn, SymlinkMax: BlockSize, MaxFileSize: MaxFileSize, Swallow: fs.swallowIO}
 	if opts.FixBugs {

@@ -7,6 +7,7 @@ import (
 	"ironfs/internal/fsck"
 	"ironfs/internal/iron"
 	"ironfs/internal/journal"
+	"ironfs/internal/trace"
 )
 
 // This file implements the taxonomy's cross-block sanity checking and
@@ -151,7 +152,7 @@ func (fs *FS) CensusLocked(s *fsck.Scan) (*fsck.Refs[*inode], error) {
 	}
 
 	objs := c.Objects()
-	fs.tr.Phase("fsck:verify-dirs", fmt.Sprintf("inodes=%d", len(objs)))
+	fs.tr.PhaseN("fsck:verify-dirs", trace.F("inodes", len(objs)))
 	var units int64
 	for _, o := range objs {
 		if !o.Dir {

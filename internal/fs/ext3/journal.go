@@ -2,12 +2,12 @@ package ext3
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
 	"ironfs/internal/journal"
+	"ironfs/internal/trace"
 	"ironfs/internal/vfs"
 )
 
@@ -181,11 +181,7 @@ func (fs *FS) tcFold(tc uint32, blk []byte) uint32 {
 // transaction as JBD records at the journal head, which advances here.
 func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	t := fs.tx
-	if fs.tr.Enabled() {
-		fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d data=%d", seq, t.Meta.Len(), t.Data.Len()))
-	}
-	fs.st.Commits.Inc()
-	fs.st.TxnBlocks.Observe(int64(t.Meta.Len() + t.Data.Len()))
+	fs.jn.Committed(seq, trace.F("meta", t.Meta.Len()), trace.F("data", t.Data.Len()))
 
 	// Fold checksum-table updates into the transaction so the entries
 	// commit atomically with the blocks they cover. New checksum blocks
@@ -422,10 +418,7 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 //
 //iron:txentry commit machinery: checkpoints committed journal payloads to their home locations
 func (fs *FS) checkpointLocked() error {
-	if fs.tr.Enabled() {
-		fs.tr.Phase("checkpoint", fmt.Sprintf("pending=%d", len(fs.pending.entries)))
-	}
-	fs.st.Checkpoints.Inc()
+	fs.jn.Checkpointed(len(fs.pending.entries))
 	if len(fs.pending.entries) > 0 {
 		reqs := make([]disk.Request, 0, len(fs.pending.entries))
 		types := make([]iron.BlockType, 0, cap(reqs))
@@ -511,8 +504,7 @@ func (fs *FS) readLog(blk int64, part journal.Part) ([]byte, error) {
 //
 //iron:txentry recovery machinery: mount-time journal replay writes committed transactions home
 func (fs *FS) replayJournal() error {
-	fs.tr.Phase("replay", fs.variantName())
-	fs.st.Replays.Inc()
+	fs.jn.Replayed(fs.variantName())
 	buf, err := fs.openJournal()
 	if err != nil {
 		fs.rec.Detect(iron.DErrorCode, BTJSuper, "journal superblock read failed")

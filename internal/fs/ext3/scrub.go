@@ -1,10 +1,9 @@
 package ext3
 
 import (
-	"fmt"
-
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
+	"ironfs/internal/trace"
 	"ironfs/internal/vfs"
 )
 
@@ -83,7 +82,7 @@ func (fs *FS) Scrub() (ScrubReport, error) {
 		fs.mu.Unlock()
 		return rep, err
 	}
-	fs.tr.Phase("fsck:scrub", fmt.Sprintf("batch=%d", scrubBatchBlocks))
+	fs.tr.PhaseN("fsck:scrub", trace.F("batch", scrubBatchBlocks))
 	// The static scan plan follows from the immutable mkfs geometry.
 	groups := fs.lay.sb.GroupCount
 	itable := int64(fs.lay.sb.ITableBlocks)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ironfs/internal/fsck"
+	"ironfs/internal/trace"
 )
 
 // The consistency scan (the fsck.Target and fsck.Fixer enumerators): the
@@ -86,7 +87,7 @@ func (fs *FS) CensusLocked(s *fsck.Scan) (*fsck.Refs[*inode], error) {
 	}
 
 	objs := c.Objects()
-	fs.tr.Phase("fsck:verify-dirs", fmt.Sprintf("inodes=%d", len(objs)))
+	fs.tr.PhaseN("fsck:verify-dirs", trace.F("inodes", len(objs)))
 	var units int64
 	for _, o := range objs {
 		if !o.Dir {

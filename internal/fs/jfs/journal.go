@@ -3,12 +3,12 @@ package jfs
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
 	"ironfs/internal/journal"
+	"ironfs/internal/trace"
 	"ironfs/internal/vfs"
 )
 
@@ -139,11 +139,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	if t.Empty() {
 		return nil, nil
 	}
-	if fs.tr.Enabled() {
-		fs.tr.Phase("commit", fmt.Sprintf("seq=%d records=%d data=%d", seq, len(fs.records), t.Data.Len()))
-	}
-	fs.st.Commits.Inc()
-	fs.st.TxnBlocks.Observe(int64(len(fs.records) + t.Data.Len()))
+	fs.jn.Committed(seq, trace.F("records", len(fs.records)), trace.F("data", t.Data.Len()))
 
 	// Pack records into log blocks, frames of the transaction's. The redo
 	// payloads were copied when the records were logged, so the packed
@@ -315,8 +311,7 @@ func (fs *FS) loadLogSuper() error {
 //
 //iron:txentry recovery machinery: mount-time log replay writes committed transactions home
 func (fs *FS) replayLog() error {
-	fs.tr.Phase("replay", "jfs")
-	fs.st.Replays.Inc()
+	fs.jn.Replayed("jfs")
 	if err := fs.loadLogSuper(); err != nil {
 		return err
 	}

@@ -27,8 +27,7 @@ var refTxnRecords []int
 // the one line added): at each commit record it brings the transaction home
 // one redo record at a time — read the home block, patch, write.
 func (fs *FS) replayLogRecordAtATime() error {
-	fs.tr.Phase("replay", "jfs")
-	fs.st.Replays.Inc()
+	fs.jn.Replayed("jfs")
 	if err := fs.loadLogSuper(); err != nil {
 		return err
 	}

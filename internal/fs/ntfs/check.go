@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ironfs/internal/fsck"
+	"ironfs/internal/trace"
 )
 
 // The consistency scan (the fsck.Target and fsck.Fixer enumerators): the
@@ -91,7 +92,7 @@ func (fs *FS) CensusLocked(s *fsck.Scan) (*fsck.Refs[*mftRecord], error) {
 	}
 
 	objs := c.Objects()
-	fs.tr.Phase("fsck:verify-dirs", fmt.Sprintf("records=%d", len(objs)))
+	fs.tr.PhaseN("fsck:verify-dirs", trace.F("records", len(objs)))
 	var units int64
 	for _, o := range objs {
 		if !o.Dir {
@@ -155,7 +156,7 @@ func (fs *FS) ScanLocked(s *fsck.Scan) error {
 	c.CrossCheck(nouns)
 
 	mb := fs.mftBitmap(c)
-	fs.tr.Phase("fsck:verify-mftbmp", fmt.Sprintf("records=%d", mb.Bits))
+	fs.tr.PhaseN("fsck:verify-mftbmp", trace.F("records", int(mb.Bits)))
 	buf, err := mb.Read(0)
 	if err != nil {
 		return err

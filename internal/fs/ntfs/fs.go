@@ -3,7 +3,6 @@ package ntfs
 import (
 	"cmp"
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -23,9 +22,6 @@ type FS struct {
 	dev disk.Device
 	rec *iron.Recorder
 	tr  *trace.Tracer
-	// st holds the journal path's live-metrics handles, resolved at
-	// construction.
-	st vfs.FSMetrics
 
 	//iron:lockorder 10 the per-FS big lock is always outermost
 	mu      sync.Mutex
@@ -59,10 +55,9 @@ var _ vfs.FileSystem = (*FS)(nil)
 
 // New binds an NTFS instance to a formatted device. Mount before use.
 func New(dev disk.Device, rec *iron.Recorder) *FS {
-	fs := &FS{dev: dev, rec: rec, tr: trace.Of(dev), cache: bcache.New(2048),
-		st: vfs.NewFSMetrics("ntfs")}
+	fs := &FS{dev: dev, rec: rec, tr: trace.Of(dev), cache: bcache.New(2048)}
 	fs.cache.SetTracer(fs.tr)
-	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
+	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.tr, "ntfs")
 	fs.Driver = fsck.New(fs, fsck.Volume{Label: "ntfs", Mu: &fs.mu, Health: &fs.health, Tracer: fs.tr, Cache: fs.cache})
 	fs.Namespace = namei.New[uint32, mftRecord](fs, namei.Volume{Mu: &fs.mu, RMu: &fs.mu, Health: &fs.health, Journal: fs.jn, SymlinkMax: BlockSize, MaxFileSize: MaxFileSize})
 	return fs
@@ -237,11 +232,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	if t.Empty() {
 		return nil, nil
 	}
-	if fs.tr.Enabled() {
-		fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d data=%d", seq, t.Meta.Len(), t.Data.Len()))
-	}
-	fs.st.Commits.Inc()
-	fs.st.TxnBlocks.Observe(int64(t.Meta.Len() + t.Data.Len()))
+	fs.jn.Committed(seq, trace.F("meta", t.Meta.Len()), trace.F("data", t.Data.Len()))
 
 	if t.Meta.Len() > journal.MaxTags {
 		// Unreachable by construction — MaybeCommitLocked flushes the running
@@ -391,8 +382,7 @@ func (fs *FS) loadRestart() error {
 
 // replayLog applies committed logfile transactions after a crash.
 func (fs *FS) replayLog() error {
-	fs.tr.Phase("replay", "ntfs")
-	fs.st.Replays.Inc()
+	fs.jn.Replayed("ntfs")
 	if err := fs.loadRestart(); err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ironfs/internal/fsck"
+	"ironfs/internal/trace"
 )
 
 // The consistency scan (the fsck.Target and fsck.Fixer enumerators): the
@@ -140,7 +141,7 @@ func (fs *FS) bitmap(s *fsck.Scan) *fsck.Bitmap {
 // directions, then the allocation bitmap against the superblock's
 // free-block count.
 func (fs *FS) ScanLocked(s *fsck.Scan) error {
-	fs.tr.Phase("fsck:census", fmt.Sprintf("workers=%d", s.Workers))
+	fs.tr.PhaseN("fsck:census", trace.F("workers", s.Workers))
 	c, nodes, err := fs.census(s)
 	if err != nil {
 		return err

@@ -20,9 +20,6 @@ type FS struct {
 	dev disk.Device
 	rec *iron.Recorder
 	tr  *trace.Tracer
-	// st holds the journal path's live-metrics handles, resolved at
-	// construction.
-	st vfs.FSMetrics
 
 	//iron:lockorder 10 the per-FS big lock is always outermost
 	mu      sync.Mutex
@@ -54,10 +51,9 @@ var _ vfs.FileSystem = (*FS)(nil)
 
 // New binds a ReiserFS instance to a formatted device. Mount before use.
 func New(dev disk.Device, rec *iron.Recorder) *FS {
-	fs := &FS{dev: dev, rec: rec, tr: trace.Of(dev), cache: bcache.New(2048),
-		st: vfs.NewFSMetrics("reiserfs")}
+	fs := &FS{dev: dev, rec: rec, tr: trace.Of(dev), cache: bcache.New(2048)}
 	fs.cache.SetTracer(fs.tr)
-	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.st.FsyncWait)
+	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.tr, "reiserfs")
 	fs.Driver = fsck.New(fs, fsck.Volume{Label: "reiser", Mu: &fs.mu, Health: &fs.health, Tracer: fs.tr, Cache: fs.cache})
 	fs.Namespace = namei.New[objRef, statData](fs, namei.Volume{Mu: &fs.mu, RMu: &fs.mu, Health: &fs.health, Journal: fs.jn, SymlinkMax: tailMax, MaxFileSize: math.MaxInt64})
 	return fs

@@ -1,11 +1,10 @@
 package reiser
 
 import (
-	"fmt"
-
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
 	"ironfs/internal/journal"
+	"ironfs/internal/trace"
 	"ironfs/internal/vfs"
 )
 
@@ -90,11 +89,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	if n == 0 && t.Data.Len() == 0 {
 		return nil, nil
 	}
-	if fs.tr.Enabled() {
-		fs.tr.Phase("commit", fmt.Sprintf("seq=%d meta=%d", seq, n))
-	}
-	fs.st.Commits.Inc()
-	fs.st.TxnBlocks.Observe(int64(n))
+	fs.jn.Committed(seq, trace.F("meta", n))
 	if n > journal.MaxTags {
 		// Unreachable by construction — MaybeCommitLocked flushes the running
 		// transaction far below one descriptor block's tag capacity, even
@@ -264,8 +259,7 @@ func (fs *FS) readLog(blk int64, part journal.Part) ([]byte, error) {
 //
 //iron:txentry recovery machinery: mount-time journal replay writes committed transactions home
 func (fs *FS) replayJournal() error {
-	fs.tr.Phase("replay", "reiser")
-	fs.st.Replays.Inc()
+	fs.jn.Replayed("reiser")
 	if err := fs.loadJournalHeader(); err != nil {
 		return err
 	}

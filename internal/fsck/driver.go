@@ -135,7 +135,7 @@ func (d *Driver) Repair() (Report, error) {
 	if len(probs) == 0 {
 		return rep, nil
 	}
-	d.v.Tracer.Phase("fsck:reconcile", fmt.Sprintf("problems=%d", len(probs)))
+	d.v.Tracer.PhaseN("fsck:reconcile", trace.F("problems", len(probs)))
 	d.hooks.enter()
 	err = d.t.ReconcileLocked()
 	d.hooks.exit()

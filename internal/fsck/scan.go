@@ -94,7 +94,9 @@ func (s *Scan) Enter(events []Event) {
 // — noun names what the n tasks are — whether or not it failed, under
 // `name`, and traced as "fsck:" + name.
 func Stage[T any](s *Scan, name, noun string, n int, load func(i int) error, task func(i int) (T, int64, error), merge func(T)) error {
-	s.tr.Phase("fsck:"+strings.ReplaceAll(name, ":", "-"), fmt.Sprintf("%s=%d workers=%d", noun, n, s.Workers))
+	if s.tr.Enabled() {
+		s.tr.PhaseN("fsck:"+strings.ReplaceAll(name, ":", "-"), trace.F(noun, n), trace.F("workers", s.Workers))
+	}
 	var loadErr error
 	for i := 0; i < n; i++ {
 		if loadErr = load(i); loadErr != nil {

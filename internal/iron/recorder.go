@@ -33,6 +33,11 @@ type Recorder struct {
 	mu     sync.Mutex
 	events []Event
 	obs    func(Event)
+	// detects and recovers hold the iron_detect_total{level} and
+	// iron_recover_total{level} handles, each resolved at the first event
+	// of its level.
+	detects  stat.Counters[DetectionLevel]
+	recovers stat.Counters[RecoveryLevel]
 }
 
 // NewRecorder returns an empty recorder.
@@ -52,19 +57,20 @@ func (r *Recorder) SetObserver(fn func(Event)) {
 }
 
 // record appends e, counts it in the live-metrics registry keyed by the
-// paper's taxonomy level, and notifies the observer. Detection and
-// recovery events are rare (they mark fault handling, not normal I/O),
-// so the metric handle is resolved per event.
+// paper's taxonomy level, and notifies the observer (the trace bridge).
 func (r *Recorder) record(e Event) {
 	r.mu.Lock()
 	r.events = append(r.events, e)
+	var c *stat.Counter
+	if e.Detection != DZero {
+		c = r.detects.Get(e.Detection, stat.Default(), "iron_detect_total", "level", e.Detection.String())
+	} else if e.Recovery != RZero {
+		c = r.recovers.Get(e.Recovery, stat.Default(), "iron_recover_total", "level", e.Recovery.String())
+	}
 	obs := r.obs
 	r.mu.Unlock()
-	if e.Detection != DZero {
-		stat.C("iron_detect_total", "level", e.Detection.String()).Inc()
-	}
-	if e.Recovery != RZero {
-		stat.C("iron_recover_total", "level", e.Recovery.String()).Inc()
+	if c != nil {
+		c.Inc()
 	}
 	if obs != nil {
 		obs(e)

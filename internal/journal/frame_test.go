@@ -120,7 +120,7 @@ func (f *frameFS) FinishLocked(p Plan) error {
 // successful one puts every frame back.
 func TestFailedCommitDropsItsFrames(t *testing.T) {
 	f := &frameFS{tx: NewTxn[uint32](bcache.New(64))}
-	f.jn = New(&f.mu, &f.health, nil, nil)
+	f.jn = New(&f.mu, &f.health, nil, nil, "")
 	commit := func() error {
 		f.mu.Lock()
 		defer f.mu.Unlock()

@@ -18,6 +18,7 @@ import (
 
 	"ironfs/internal/disk"
 	"ironfs/internal/stat"
+	"ironfs/internal/trace"
 	"ironfs/internal/vfs"
 )
 
@@ -69,7 +70,8 @@ type Committer interface {
 	FinishLocked(Plan) error
 }
 
-// Engine coordinates one file system's committer and its fsync waiters.
+// Engine coordinates one file system's committer and its fsync waiters,
+// and reports its journal's commits, checkpoints, replays and fsync waits.
 // All methods other than New are called with the file-system lock held.
 type Engine struct {
 	//iron:lockorder 10 the owning file system's big lock under its engine-side name; callers hold it on entry
@@ -77,8 +79,11 @@ type Engine struct {
 	health *vfs.Health
 	// clk is the stack's simulated clock (nil over clockless devices);
 	// fsyncWait records on it how long Fsync callers waited.
-	clk       *disk.Clock
-	fsyncWait *stat.Histogram
+	clk *disk.Clock
+	tr  *trace.Tracer
+	// The registry's fs_*{fs=name} handles, resolved by New.
+	commits, checkpoints, replays *stat.Counter
+	txnBlocks, fsyncWait          *stat.Histogram
 
 	// committing is true while a frozen transaction's device writes are in
 	// flight with the lock released. It serializes commits (and the
@@ -95,9 +100,45 @@ type Engine struct {
 	seq, durable uint64
 }
 
-// New returns the engine for the file system guarded by mu.
-func New(mu sync.Locker, health *vfs.Health, clk *disk.Clock, fsyncWait *stat.Histogram) *Engine {
-	return &Engine{mu: mu, health: health, clk: clk, fsyncWait: fsyncWait, done: sync.NewCond(mu)}
+// New returns the engine for the file system guarded by mu, which reports
+// on clk and tr and is named name in its metrics.
+func New(mu sync.Locker, health *vfs.Health, clk *disk.Clock, tr *trace.Tracer, name string) *Engine {
+	return &Engine{mu: mu, health: health, clk: clk, tr: tr, done: sync.NewCond(mu),
+		commits:     stat.C("fs_commits_total", "fs", name),
+		checkpoints: stat.C("fs_checkpoints_total", "fs", name),
+		replays:     stat.C("fs_replays_total", "fs", name),
+		txnBlocks:   stat.H("fs_txn_blocks", "fs", name),
+		fsyncWait:   stat.H("fs_fsync_wait_ns", "fs", name),
+	}
+}
+
+// Committed reports the transaction FreezeLocked is freezing as seq: a
+// "commit" phase in the trace, detail seq=N and then each of blocks as
+// name=count, and one fs_commits_total and one fs_txn_blocks observation
+// of the blocks' sum.
+func (e *Engine) Committed(seq uint64, blocks ...trace.Field) {
+	f := [3]trace.Field{trace.F("seq", int(seq))}
+	var n int64
+	for _, b := range blocks {
+		n += b.Value
+	}
+	e.commits.Inc()
+	e.txnBlocks.Observe(n)
+	e.tr.PhaseN("commit", append(f[:1], blocks...)...)
+}
+
+// Checkpointed reports a checkpoint pass over pending committed
+// transactions: a "checkpoint" phase and one fs_checkpoints_total.
+func (e *Engine) Checkpointed(pending int) {
+	e.checkpoints.Inc()
+	e.tr.PhaseN("checkpoint", trace.F("pending", pending))
+}
+
+// Replayed reports a journal replay at mount: a "replay" phase with the
+// given detail and one fs_replays_total.
+func (e *Engine) Replayed(detail string) {
+	e.replays.Inc()
+	e.tr.Phase("replay", detail)
 }
 
 // Seq returns the sequence number of the last frozen transaction.
@@ -116,6 +157,8 @@ func (e *Engine) Recovered(seq uint64) { e.seq, e.durable = seq, seq }
 // file system's post-commit bookkeeping. Callers hold the lock and get it
 // back on return, but must tolerate the window — every caller commits at
 // the end of its operation, with no state carried across the call.
+//
+//iron:traceok the committer's FreezeLocked reports the commit through Committed, in the file system's package
 func (e *Engine) Commit(c Committer) error {
 	for e.committing {
 		e.done.Wait()

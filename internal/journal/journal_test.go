@@ -37,7 +37,7 @@ var errNothing = errors.New("nothing to freeze")
 func newFake() *fakeFS {
 	f := &fakeFS{touched: map[uint64]bool{}, gates: map[uint64]chan struct{}{},
 		writeErr: map[uint64]error{}, writing: make(chan uint64, 16)}
-	f.jn = New(&f.mu, &f.health, nil, nil)
+	f.jn = New(&f.mu, &f.health, nil, nil, "")
 	return f
 }
 

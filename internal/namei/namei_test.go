@@ -169,11 +169,13 @@ func harness(t *testing.T) (*ns, *fakeStore, *vfs.Health, *stat.Histogram) {
 		4: {TypedAttr: Typed(vfs.TypeSymlink, Attr{Mode: 0o777, Links: 1}), target: "/file"},
 	}
 	health := new(vfs.Health)
-	wait := stat.NewHistogram()
+	reg := stat.NewRegistry()
+	prev := stat.SetDefault(reg)
+	t.Cleanup(func() { stat.SetDefault(prev) })
 	w := &spyLock{"w", f}
 	n := New[int, fakeNode](f, Volume{Mu: w, RMu: &spyLock{"r", f}, Health: health,
-		Journal: journal.New(w, health, f.clk, wait), SymlinkMax: 64, MaxFileSize: 100})
-	return &n, f, health, wait
+		Journal: journal.New(w, health, f.clk, nil, "fake"), SymlinkMax: 64, MaxFileSize: 100})
+	return &n, f, health, reg.Histogram("fs_fsync_wait_ns", "fs", "fake")
 }
 
 type ns = Namespace[int, fakeNode]

@@ -115,7 +115,14 @@ type Scheduler struct {
 	// doubles); it timestamps enqueues so queue wait is measured in
 	// exact virtual time.
 	clk *disk.Clock
-	st  schedMetrics
+	// ops, queueLen and queueWait are the registry's handles, resolved at
+	// construction: sched_ops_total{kind} per event kind (note),
+	// sched_queue_depth and sched_queue_wait_ns. The passthrough
+	// configuration (depth ≤ 1) records nothing, matching its
+	// no-trace-events contract.
+	ops       [numEvents]*stat.Counter
+	queueLen  *stat.Gauge
+	queueWait *stat.Histogram
 
 	//iron:lockorder 20 scheduler queue lock nests under any FS lock via device calls
 	mu    sync.Mutex
@@ -148,34 +155,23 @@ type queued struct {
 	lane int64
 }
 
-// schedMetrics are the scheduler's live-metrics handles. The passthrough
-// configuration (depth ≤ 1) records nothing, matching its no-trace-events
-// contract.
-type schedMetrics struct {
-	enqueued   *stat.Counter
-	absorbed   *stat.Counter
-	dispatched *stat.Counter
-	batches    *stat.Counter
-	coalesced  *stat.Counter
-	drains     *stat.Counter
-	readFlush  *stat.Counter
-	depth      *stat.Gauge
-	queueWait  *stat.Histogram
-}
+// event is a kind of scheduler event. The first four have a trace event
+// of the kind eventKinds names; every kind is one sched_ops_total counter
+// labelled by that name, and one Stats field.
+type event int
 
-func newSchedMetrics() schedMetrics {
-	return schedMetrics{
-		enqueued:   stat.C("sched_ops_total", "kind", "enqueue"),
-		absorbed:   stat.C("sched_ops_total", "kind", "absorb"),
-		dispatched: stat.C("sched_ops_total", "kind", "dispatch"),
-		batches:    stat.C("sched_ops_total", "kind", "batch"),
-		coalesced:  stat.C("sched_ops_total", "kind", "coalesce"),
-		drains:     stat.C("sched_ops_total", "kind", "drain"),
-		readFlush:  stat.C("sched_ops_total", "kind", "read-flush"),
-		depth:      stat.G("sched_queue_depth"),
-		queueWait:  stat.H("sched_queue_wait_ns"),
-	}
-}
+const (
+	evEnqueue event = iota
+	evCoalesce
+	evDispatch
+	evDrain
+	evAbsorb
+	evBatch
+	evReadFlush
+	numEvents
+)
+
+var eventKinds = [numEvents]string{trace.KindEnqueue, trace.KindCoalesce, trace.KindDispatch, trace.KindDrain, "absorb", "batch", "read-flush"}
 
 var _ disk.Device = (*Scheduler)(nil)
 
@@ -196,17 +192,22 @@ func New(inner disk.Device, cfg Config) *Scheduler {
 	if pressure < 2 {
 		pressure = 2
 	}
-	return &Scheduler{
-		inner:    inner,
-		depth:    depth,
-		policy:   cfg.Policy,
-		pressure: pressure,
-		tr:       trace.Of(inner),
-		clk:      disk.ClockOf(inner),
-		st:       newSchedMetrics(),
-		queue:    make(map[int64]queued),
-		spare:    make([][]byte, 0, depth),
+	s := &Scheduler{
+		inner:     inner,
+		depth:     depth,
+		policy:    cfg.Policy,
+		pressure:  pressure,
+		tr:        trace.Of(inner),
+		clk:       disk.ClockOf(inner),
+		queueLen:  stat.G("sched_queue_depth"),
+		queueWait: stat.H("sched_queue_wait_ns"),
+		queue:     make(map[int64]queued),
+		spare:     make([][]byte, 0, depth),
 	}
+	for ev, kind := range eventKinds {
+		s.ops[ev] = stat.C("sched_ops_total", "kind", kind)
+	}
+	return s
 }
 
 // Tracer implements trace.Provider so layers mounted on the scheduler
@@ -237,8 +238,7 @@ func (s *Scheduler) ReadBlock(n int64, buf []byte) error {
 	if s.depth > 1 {
 		s.mu.Lock()
 		if _, queued := s.queue[n]; queued {
-			s.stats.ReadFlushes++
-			s.st.readFlush.Inc()
+			s.note(evReadFlush, n, 0, "")
 			err := s.flushLocked("read")
 			s.mu.Unlock()
 			if err != nil {
@@ -339,8 +339,7 @@ func (s *Scheduler) Close() error {
 func (s *Scheduler) enqueueLocked(n int64, buf []byte) {
 	q, ok := s.queue[n]
 	if ok {
-		s.stats.Absorbed++
-		s.st.absorbed.Inc()
+		s.note(evAbsorb, n, 0, "")
 	} else if k := len(s.spare) - 1; k >= 0 {
 		q.data = s.spare[k]
 		s.spare[k] = nil
@@ -354,13 +353,7 @@ func (s *Scheduler) enqueueLocked(n int64, buf []byte) {
 		q.at = int64(s.clk.Now())
 	}
 	s.queue[n] = q
-	s.stats.Enqueued++
-	s.st.enqueued.Inc()
-	if len(s.queue) > s.stats.MaxQueue {
-		s.stats.MaxQueue = len(s.queue)
-	}
-	s.st.depth.Set(int64(len(s.queue)))
-	s.tr.Sched(trace.KindEnqueue, n, len(s.queue), "")
+	s.note(evEnqueue, n, len(s.queue), "")
 }
 
 // flushLocked drains the queue in C-LOOK order (ascending from the head
@@ -442,22 +435,17 @@ func (s *Scheduler) flushLocked(reason string) error {
 				e++
 			}
 			if e-r > 1 {
-				s.stats.Coalesced += int64(e - r)
-				s.st.coalesced.Add(int64(e - r))
-				s.tr.Sched(trace.KindCoalesce, sweep[r], e-r, "")
+				s.note(evCoalesce, sweep[r], e-r, "")
 			}
 			r = e
 		}
 		if err := s.inner.WriteBatch(reqs); err != nil {
 			// The drain still happened — earlier sweeps already left the
-			// queue — so count it and re-point the depth gauge at what
-			// actually remains. Skipping these (the historical bug) left
+			// queue — so count it, which re-points the depth gauge at what
+			// actually remains. Skipping it (the historical bug) left
 			// sched_queue_depth at the stale pre-drain value until the
 			// next enqueue.
-			s.stats.Drains++
-			s.st.drains.Inc()
-			s.st.depth.Set(int64(len(s.queue)))
-			s.tr.Sched(trace.KindDrain, trace.NoBlock, dispatched, reason+"-error")
+			s.note(evDrain, trace.NoBlock, dispatched, reason+"-error")
 			return err
 		}
 		if s.clk != nil {
@@ -465,7 +453,7 @@ func (s *Scheduler) flushLocked(reason string) error {
 			// time: what write-behind actually deferred.
 			now := int64(s.clk.Now())
 			for _, b := range sweep {
-				s.st.queueWait.Observe(now - s.queue[b].at)
+				s.queueWait.Observe(now - s.queue[b].at)
 			}
 		}
 		// The device kept no buffer of the sweep (disk.Device), so each
@@ -474,20 +462,48 @@ func (s *Scheduler) flushLocked(reason string) error {
 			s.spare = append(s.spare, r.Data)
 			delete(s.queue, r.Block)
 		}
-		s.stats.Dispatched += int64(len(sweep))
-		s.stats.Batches++
-		s.st.dispatched.Add(int64(len(sweep)))
-		s.st.batches.Inc()
-		s.tr.Sched(trace.KindDispatch, sweep[0], len(sweep), "")
+		s.note(evDispatch, sweep[0], len(sweep), "")
 		dispatched += len(sweep)
 		s.head = sweep[len(sweep)-1] + 1
 		i = j
 	}
-	s.stats.Drains++
-	s.st.drains.Inc()
-	s.st.depth.Set(int64(len(s.queue)))
-	s.tr.Sched(trace.KindDrain, trace.NoBlock, dispatched, reason)
+	s.note(evDrain, trace.NoBlock, dispatched, reason)
 	return nil
+}
+
+// note records one scheduler event in each of its sinks: the exact
+// Stats, the registry (sched_ops_total{kind}, and the depth gauge after an
+// enqueue or a drain) and, for the first four kinds, the trace
+// (Tracer.Sched). n is the queue depth after an enqueue, the length of a
+// coalesced run or a dispatched batch, and the writes a drain dispatched;
+// a dispatch is one batch too. Caller holds s.mu.
+func (s *Scheduler) note(ev event, block int64, n int, detail string) {
+	count := int64(1)
+	switch ev {
+	case evEnqueue:
+		s.stats.Enqueued++
+		s.stats.MaxQueue = max(s.stats.MaxQueue, n)
+		s.queueLen.Set(int64(n))
+	case evCoalesce:
+		count = int64(n)
+		s.stats.Coalesced += count
+	case evDispatch:
+		count = int64(n)
+		s.stats.Dispatched += count
+		s.stats.Batches++
+		s.ops[evBatch].Inc()
+	case evDrain:
+		s.stats.Drains++
+		s.queueLen.Set(int64(len(s.queue)))
+	case evAbsorb:
+		s.stats.Absorbed++
+	case evReadFlush:
+		s.stats.ReadFlushes++
+	}
+	s.ops[ev].Add(count)
+	if ev <= evDrain {
+		s.tr.Sched(eventKinds[ev], block, n, detail)
+	}
 }
 
 // sortBlocks sorts ascending. slices.Sort (pattern-defeating quicksort)

@@ -148,7 +148,7 @@ func (s *Server) ScrubStep() bool {
 		t0 := s.clk.Now()
 		s.scrubAdvance(v, sc)
 		sc.used += s.clk.Now() - t0
-		s.reg.Counter("serve_scrub_steps", "volume", v.id).Inc()
+		s.count("serve_scrub_steps", "volume", v.id, 1)
 		worked = true
 	}
 	return worked
@@ -185,7 +185,7 @@ func (s *Server) scrubAdvance(v *volume, sc *scrubState) {
 			return
 		}
 		sc.status.Problems = len(probs)
-		s.reg.Counter("serve_scrub_problems", "volume", v.id).Add(int64(len(probs)))
+		s.count("serve_scrub_problems", "volume", v.id, int64(len(probs)))
 		if !sc.cfg.Repair || len(probs) == 0 {
 			sc.phase = ScrubDone
 			return
@@ -201,7 +201,7 @@ func (s *Server) scrubAdvance(v *volume, sc *scrubState) {
 		}
 		sc.status.Repaired = len(report.Fixed)
 		sc.status.Unfixed = len(report.Unrecovered)
-		s.reg.Counter("serve_scrub_repaired", "volume", v.id).Add(int64(len(report.Fixed)))
+		s.count("serve_scrub_repaired", "volume", v.id, int64(len(report.Fixed)))
 		sc.phase = ScrubDone
 	}
 }

@@ -252,6 +252,9 @@ type Server struct {
 	vtime  int64 // SFQ virtual time: start tag of the last dispatch
 	seq    uint64
 	reg    *stat.Registry
+	// counts holds the serve_rejects{reason} and serve_scrub_*{volume}
+	// handles, each resolved at its first event.
+	counts stat.Counters[[2]string]
 	// readBuf receives OpRead's bytes: a Response carries only the
 	// count, and requests execute one at a time under mu.
 	readBuf []byte
@@ -364,7 +367,7 @@ func (s *Server) Submit(req *Request) (*Response, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownVolume, req.Volume)
 	}
 	if err := s.route(v, req.Op); err != nil {
-		s.reg.Counter("serve_rejects", "reason", "health").Inc()
+		s.count("serve_rejects", "reason", "health", 1)
 		return nil, err
 	}
 	// Token bucket on virtual time: lazily refill, then spend.
@@ -376,13 +379,13 @@ func (s *Server) Submit(req *Request) (*Response, error) {
 		}
 		t.lastFill = now
 		if t.tokens < 1 {
-			s.reg.Counter("serve_rejects", "reason", "throttled").Inc()
+			s.count("serve_rejects", "reason", "throttled", 1)
 			return nil, fmt.Errorf("%w: %s", ErrThrottled, t.name)
 		}
 		t.tokens--
 	}
 	if t.queue.n >= t.cfg.QueueCap {
-		s.reg.Counter("serve_rejects", "reason", "queue-full").Inc()
+		s.count("serve_rejects", "reason", "queue-full", 1)
 		return nil, fmt.Errorf("%w: %s", ErrQueueFull, t.name)
 	}
 	// SFQ tags: start at the later of server virtual time and the
@@ -411,6 +414,11 @@ func (s *Server) Submit(req *Request) (*Response, error) {
 	}
 	t.admitted.Inc()
 	return &p.resp, nil
+}
+
+// count adds n to the counter name{label=value}. Caller holds s.mu.
+func (s *Server) count(name, label, value string, n int64) {
+	s.counts.Get([2]string{name, value}, s.reg, name, label, value).Add(n)
 }
 
 // route is the health check shared by admission and dispatch. Caller

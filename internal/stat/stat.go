@@ -6,12 +6,13 @@
 // and two identical runs snapshot byte-identically — the same
 // determinism discipline irontrace and ironvet already enforce.
 //
-// Layers resolve their handles once, at construction time, from the
-// process-wide Default registry (swappable for tests), then record
-// through the handle on the hot path: a counter increment is one atomic
-// add, a histogram observation is one sharded map update. The registry
-// itself is only locked when a new handle is interned or a snapshot is
-// taken.
+// Each layer instance resolves its handles once from the process-wide
+// Default registry (swappable for tests): at construction for a fixed key
+// set, at a key's first event (Counters) for open-ended labels. It then
+// records through the handle from the one call that emits the event to
+// every sink: a counter increment is one atomic add, a histogram
+// observation is one sharded map update. The registry itself is only
+// locked when a new handle is interned or a snapshot is taken.
 package stat
 
 import (
@@ -136,6 +137,28 @@ func C(name string, labels ...string) *Counter   { return Default().Counter(name
 func G(name string, labels ...string) *Gauge     { return Default().Gauge(name, labels...) }
 func H(name string, labels ...string) *Histogram { return Default().Histogram(name, labels...) }
 
+// Counters keeps one owner's handles of a counter family, each resolved
+// from a registry the first time its key is counted: an owner whose events
+// carry open-ended labels (a block type, a subsystem, a volume) renders a
+// key and takes the registry lock once per key rather than once per event,
+// and the registry still lists only what was counted. The zero value is
+// ready; the owner serializes its calls.
+type Counters[K comparable] struct{ m map[K]*Counter }
+
+// Get returns k's counter, resolving r.Counter(name, labels...) at k's
+// first use.
+func (cs *Counters[K]) Get(k K, r *Registry, name string, labels ...string) *Counter {
+	c := cs.m[k]
+	if c == nil {
+		if cs.m == nil {
+			cs.m = make(map[K]*Counter)
+		}
+		c = r.Counter(name, labels...)
+		cs.m[k] = c
+	}
+	return c
+}
+
 // Reset zeroes every registered metric in place, through the live
 // handles, so a second identical run over the same stack starts from
 // the same state (the double-run byte-identity gates depend on this).
@@ -253,10 +276,6 @@ func (h *Histogram) Observe(v int64) {
 	s.sum += v
 	s.mu.Unlock()
 }
-
-// Add is Observe under the name the old power-of-two trace histogram
-// used, kept so recording sites read the same.
-func (h *Histogram) Add(v int64) { h.Observe(v) }
 
 // Merge folds every observation of o into h.
 func (h *Histogram) Merge(o *Histogram) {

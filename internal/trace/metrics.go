@@ -109,7 +109,7 @@ func Summarize(events []Event) *Summary {
 				st.Errs++
 			}
 			if e.Svc > 0 {
-				st.Lat.Add(e.Svc)
+				st.Lat.Observe(e.Svc)
 			}
 		case LayerCache:
 			switch e.Kind {

@@ -18,6 +18,7 @@
 package trace
 
 import (
+	"strconv"
 	"sync"
 
 	"ironfs/internal/iron"
@@ -155,6 +156,16 @@ func (t *Tracer) emitNow(e Event) {
 	t.emit(e)
 }
 
+// emitAt appends e at its own timestamp, or stamps it with the tracer
+// clock when that is negative.
+func (t *Tracer) emitAt(e Event) {
+	if e.T < 0 {
+		t.emitNow(e)
+		return
+	}
+	t.emit(e)
+}
+
 // Events returns a copy of the collected events in emission order.
 func (t *Tracer) Events() []Event {
 	if t == nil {
@@ -194,12 +205,7 @@ func (t *Tracer) IO(layer, kind string, block int64, typ iron.BlockType, at, svc
 	if t == nil {
 		return
 	}
-	e := Event{T: at, Layer: layer, Kind: kind, Block: block, Type: string(typ), Svc: svc, Err: errString(err)}
-	if at < 0 {
-		t.emitNow(e)
-		return
-	}
-	t.emit(e)
+	t.emitAt(Event{T: at, Layer: layer, Kind: kind, Block: block, Type: string(typ), Svc: svc, Err: errString(err)})
 }
 
 // Batch records a disk write batch of depth requests beginning at time at.
@@ -218,12 +224,7 @@ func (t *Tracer) Barrier(layer string, at int64, epoch, depth int) {
 	if t == nil {
 		return
 	}
-	e := Event{T: at, Layer: layer, Kind: KindBarrier, Block: NoBlock, Epoch: epoch, Depth: depth}
-	if at < 0 {
-		t.emitNow(e)
-		return
-	}
-	t.emit(e)
+	t.emitAt(Event{T: at, Layer: layer, Kind: KindBarrier, Block: NoBlock, Epoch: epoch, Depth: depth})
 }
 
 // FaultFired records that an armed fault fired on block.
@@ -272,6 +273,35 @@ func (t *Tracer) Phase(phase, detail string) {
 		return
 	}
 	t.emitNow(Event{Layer: LayerFS, Kind: KindPhase, Block: NoBlock, Level: phase, Detail: detail})
+}
+
+// Field is one name=value pair of an integer phase detail (PhaseN).
+type Field struct {
+	Name  string
+	Value int64
+}
+
+// F returns the field name=v.
+func F(name string, v int) Field { return Field{Name: name, Value: int64(v)} }
+
+// PhaseN is Phase with an integer detail: the fields render as
+// space-separated name=value pairs, and only when t collects events, so a
+// disabled tracer costs the caller no formatting.
+func (t *Tracer) PhaseN(phase string, fields ...Field) {
+	if t == nil {
+		return
+	}
+	var buf [64]byte
+	b := buf[:0]
+	for i, f := range fields {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, f.Name...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, f.Value, 10)
+	}
+	t.Phase(phase, string(b))
 }
 
 // Mark records a harness boundary: scenario or crash-state context in a

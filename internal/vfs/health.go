@@ -58,6 +58,9 @@ type Health struct {
 	mu    sync.Mutex
 	state HealthState
 	log   []Transition
+	// degrades holds the health_degrade_total{subsystem,to} handles, each
+	// resolved at the first transition it counts.
+	degrades stat.Counters[Transition]
 }
 
 // State returns the current state.
@@ -88,8 +91,9 @@ func (h *Health) Degrade(to HealthState, subsystem string, cause error) {
 			})
 		}
 		h.state = to
+		c := h.degrades.Get(Transition{To: to, Subsystem: subsystem}, stat.Default(), "health_degrade_total", "subsystem", subsystem, "to", to.String())
 		h.mu.Unlock()
-		stat.C("health_degrade_total", "subsystem", subsystem, "to", to.String()).Inc()
+		c.Inc()
 		return
 	}
 	h.mu.Unlock()

@@ -211,7 +211,7 @@ func (c *swClient) step(clk *disk.Clock) error {
 		end = issue
 	}
 	c.vt = end + st.cpu
-	c.lat.Add(int64(c.vt - issue))
+	c.lat.Observe(int64(c.vt - issue))
 	c.ops++
 	return nil
 }
