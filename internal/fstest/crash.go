@@ -25,13 +25,16 @@ var SweepSeq = Sequence{
 // SweepBlocks sizes the sweep's volume.
 const SweepBlocks = 4096
 
-// SweepCrashes records SweepSeq on t and grades every prefix cut of its
+// SweepCrashes sweeps SweepSeq on t (SweepSeqCrashes).
+func SweepCrashes(t ExploreTarget) (int, error) { return SweepSeqCrashes(t, SweepSeq) }
+
+// SweepSeqCrashes records seq on t and grades every prefix cut of its
 // log, from nothing landed to every write landed. A cut owes what the
 // oracle claims for a crash just after its last landed write; the cut
 // after the last write is the finished workload, where every op has
 // returned. It returns the number of crash points tested.
-func SweepCrashes(t ExploreTarget) (int, error) {
-	r, err := RecordSeq(t, SweepBlocks, SweepSeq)
+func SweepSeqCrashes(t ExploreTarget, seq Sequence) (int, error) {
+	r, err := RecordSeq(t, SweepBlocks, seq)
 	if err != nil {
 		return 0, err
 	}

@@ -30,9 +30,10 @@ import (
 //     content.
 //   - operations not (yet) covered by a claimable guarantee are
 //     "possibly applied": they relax the requirement (a renamed file may
-//     be at the old or the new name, an unlinked file may legally be
-//     gone, a rewritten file's content is unconstrained) but never
-//     strengthen it.
+//     be at the old or the new name, an unlinked file or a removed
+//     directory may legally be gone, a rewritten or truncated file's
+//     content is unconstrained) but never strengthen it. Directory
+//     renames relax nothing yet.
 //
 // The baseline image (see model.go) seeds the durable state: BasePath with
 // its content is owed at every crash point of every sequence.
@@ -162,7 +163,7 @@ func NewOracle(seq Sequence) *Oracle {
 	for i, op := range seq {
 		m := opMeta{op: op, snap: -1, ino: -1, oldIno: -1}
 		switch op.Kind {
-		case OpWrite, OpAppend, OpUnlink:
+		case OpWrite, OpAppend, OpTruncate, OpUnlink:
 			m.ino = t.paths[op.Path]
 		case OpRename, OpLink:
 			m.ino = t.paths[op.Path]
@@ -171,7 +172,7 @@ func NewOracle(seq Sequence) *Oracle {
 			}
 		}
 		switch op.Kind {
-		case OpWrite, OpAppend:
+		case OpWrite, OpAppend, OpTruncate:
 			delete(covered, m.ino)
 		case OpFsync:
 			if t.dirs[op.Path] {
@@ -377,7 +378,7 @@ func (o *Oracle) relaxFor(asOf, covOp int, path string, ino, lastOp int) relax {
 				// unconstrained occupant.
 				r.anyContent = true
 			}
-		case OpWrite, OpAppend:
+		case OpWrite, OpAppend, OpTruncate:
 			if m.ino == ino {
 				if j > covOp {
 					r.anyContent = true
@@ -388,6 +389,17 @@ func (o *Oracle) relaxFor(asOf, covOp int, path string, ino, lastOp int) relax {
 		}
 	}
 	return r
+}
+
+// removed reports whether an rmdir of d's path is among the ops in
+// (d.asOf, lastOp], which may or may not have applied.
+func (o *Oracle) removed(d dirReq, lastOp int) bool {
+	for j := d.asOf + 1; j <= lastOp && j < len(o.ops); j++ {
+		if op := o.ops[j].op; op.Kind == OpRmdir && op.Path == d.path {
+			return true
+		}
+	}
+	return false
 }
 
 // ReadAll reads path's full content through the mounted FS.
@@ -415,9 +427,12 @@ func (o *Oracle) GradeAt(fsys vfs.FileSystem, si, lastOp int) []Violation {
 	}
 	var out []Violation
 
-	// Directories: the crash generator issues no rmdir, so required
-	// directories are permanent.
+	// Directories: a required directory may be gone only if an rmdir of
+	// it possibly applied, as an unlink vacates a file's entry.
 	for _, d := range snap.dirs {
+		if o.removed(d, lastOp) {
+			continue
+		}
 		st, err := fsys.Lstat(d.path)
 		if err != nil {
 			out = append(out, Violation{Kind: "lost-dir", Path: d.path, Guar: guar,

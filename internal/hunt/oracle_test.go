@@ -77,3 +77,43 @@ func TestNoFaultAgreement(t *testing.T) {
 		})
 	}
 }
+
+// TestOracleTruncateAndRmdir grades every prefix cut of sequences that
+// truncate or remove a directory after an earlier guarantee covered it,
+// on ext3, as the fsync sweep does: a correct file system must pass. A
+// truncate after the covering fsync frees the content, like a write; an
+// rmdir after a sync may legally have removed the durable directory.
+func TestOracleTruncateAndRmdir(t *testing.T) {
+	ht, err := fingerprint.HuntTargetByName("ext3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name string
+		seq  fstest.Sequence
+	}{
+		{"truncate after fsync", fstest.Sequence{
+			{Kind: fstest.OpCreate, Path: "/a"},
+			{Kind: fstest.OpWrite, Path: "/a", Data: 1},
+			{Kind: fstest.OpFsync, Path: "/a"},
+			{Kind: fstest.OpTruncate, Path: "/a", Off: 10},
+			{Kind: fstest.OpSync},
+		}},
+		{"rmdir after sync", fstest.Sequence{
+			{Kind: fstest.OpMkdir, Path: "/d"},
+			{Kind: fstest.OpCreate, Path: "/d/f"},
+			{Kind: fstest.OpSync},
+			{Kind: fstest.OpUnlink, Path: "/d/f"},
+			{Kind: fstest.OpRmdir, Path: "/d"},
+			{Kind: fstest.OpSync},
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			points, err := fstest.SweepSeqCrashes(ht.Target, row.seq)
+			if err != nil {
+				t.Fatalf("after %d crash points: %v", points, err)
+			}
+			t.Logf("graded %d crash points", points)
+		})
+	}
+}
