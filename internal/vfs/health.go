@@ -58,8 +58,9 @@ type Health struct {
 	mu    sync.Mutex
 	state HealthState
 	log   []Transition
-	// degrades holds the health_degrade_total{subsystem,to} handles, each
-	// resolved at the first transition it counts.
+	// degrades holds the health_degrade_total{subsystem,to} handles,
+	// keyed by a Transition with only those two fields set, each resolved
+	// at the first transition it counts.
 	degrades stat.Counters[Transition]
 }
 
