@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -57,10 +58,17 @@ func (g Geometry) rotation() Duration {
 type Disk struct {
 	geom   Geometry
 	clock  *Clock
+	blocks int64
 	tracks int64
 
-	mu     sync.Mutex
-	data   []byte
+	mu sync.Mutex
+	// media holds the image one track at a time (BlocksPerTrack blocks;
+	// the last track may be short). A nil track has never been written:
+	// it reads as zeros, and its first write allocates it. arena, once a
+	// Restore has set it, is the whole image in one slice, and every
+	// track aliases it, so a restored disk allocates nothing on a write.
+	media  [][]byte
+	arena  []byte
 	closed bool
 	// head position: current track, known from the last access.
 	track int64
@@ -103,9 +111,10 @@ func New(numBlocks int64, geom Geometry, clock *Clock) (*Disk, error) {
 	return &Disk{
 		geom:     geom,
 		clock:    clock,
+		blocks:   numBlocks,
 		tracks:   tracks,
 		bufTrack: -1,
-		data:     make([]byte, numBlocks*int64(geom.BlockSize)),
+		media:    make([][]byte, tracks),
 		readSvc:  stat.H("disk_svc_ns", "op", trace.KindRead),
 		writeSvc: stat.H("disk_svc_ns", "op", trace.KindWrite),
 		barriers: stat.C("disk_ops_total", "op", trace.KindBarrier),
@@ -146,7 +155,7 @@ func (d *Disk) Stats() Stats {
 func (d *Disk) BlockSize() int { return d.geom.BlockSize }
 
 // NumBlocks implements Device.
-func (d *Disk) NumBlocks() int64 { return int64(len(d.data)) / int64(d.geom.BlockSize) }
+func (d *Disk) NumBlocks() int64 { return d.blocks }
 
 // Close implements Device.
 func (d *Disk) Close() error {
@@ -243,8 +252,7 @@ func (d *Disk) ReadBlock(n int64, buf []byte) error {
 	start := d.clock.Now()
 	d.clock.Advance(d.geom.CmdOverhead)
 	d.serviceReadLocked(n)
-	off := n * int64(d.geom.BlockSize)
-	copy(buf, d.data[off:off+int64(d.geom.BlockSize)])
+	d.readLocked(n, buf)
 	d.note(trace.KindRead, n, start)
 	return nil
 }
@@ -259,8 +267,7 @@ func (d *Disk) WriteBlock(n int64, buf []byte) error {
 	start := d.clock.Now()
 	d.clock.Advance(d.geom.CmdOverhead)
 	d.serviceLocked(n)
-	off := n * int64(d.geom.BlockSize)
-	copy(d.data[off:off+int64(d.geom.BlockSize)], buf)
+	d.writeLocked(n, buf)
 	d.note(trace.KindWrite, n, start)
 	return nil
 }
@@ -286,8 +293,7 @@ func (d *Disk) WriteBatch(reqs []Request) error {
 		}
 		start := d.clock.Now()
 		d.serviceLocked(r.Block)
-		off := r.Block * int64(d.geom.BlockSize)
-		copy(d.data[off:off+int64(d.geom.BlockSize)], r.Data)
+		d.writeLocked(r.Block, r.Data)
 		d.note(trace.KindWrite, r.Block, start)
 	}
 	return nil
@@ -359,15 +365,41 @@ func ascending(reqs []Request) bool {
 func (d *Disk) ReadRaw(n int64, buf []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if n < 0 || n >= int64(len(d.data))/int64(d.geom.BlockSize) {
+	if n < 0 || n >= d.blocks {
 		return ErrOutOfRange
 	}
 	if len(buf) != d.geom.BlockSize {
 		return ErrBadSize
 	}
-	off := n * int64(d.geom.BlockSize)
-	copy(buf, d.data[off:off+int64(d.geom.BlockSize)])
+	d.readLocked(n, buf)
 	return nil
+}
+
+// readLocked copies block n from the media into buf; a block on a track
+// never written reads as zeros. Caller holds d.mu and has checked n.
+func (d *Disk) readLocked(n int64, buf []byte) {
+	t := d.media[n/d.geom.BlocksPerTrack]
+	if t == nil {
+		clear(buf)
+		return
+	}
+	copy(buf, t[(n%d.geom.BlocksPerTrack)*int64(d.geom.BlockSize):])
+}
+
+// writeLocked copies data onto block n, allocating its track on the
+// track's first write. Caller holds d.mu and has checked n.
+func (d *Disk) writeLocked(n int64, data []byte) {
+	i := n / d.geom.BlocksPerTrack
+	if d.media[i] == nil {
+		d.media[i] = make([]byte, d.trackBytes(i))
+	}
+	copy(d.media[i][(n%d.geom.BlocksPerTrack)*int64(d.geom.BlockSize):], data)
+}
+
+// trackBytes returns the size of track i: BlocksPerTrack blocks, fewer on
+// a short last track.
+func (d *Disk) trackBytes(i int64) int64 {
+	return min(d.geom.BlocksPerTrack, d.blocks-i*d.geom.BlocksPerTrack) * int64(d.geom.BlockSize)
 }
 
 // writeLogLen is how many of the most recent writes the disk remembers by
@@ -402,24 +434,38 @@ func (d *Disk) WritesSince(since int64, dst []int64) (blocks []int64, gen int64,
 }
 
 // Snapshot returns a copy of the raw disk contents, for crash-consistency
-// testing and image inspection.
+// testing and image inspection. A restored disk is cloned in one pass;
+// otherwise only the tracks ever written are copied over zeros.
 func (d *Disk) Snapshot() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]byte, len(d.data))
-	copy(out, d.data)
+	if d.arena != nil {
+		return bytes.Clone(d.arena)
+	}
+	out := make([]byte, d.blocks*int64(d.geom.BlockSize))
+	stride := d.geom.BlocksPerTrack * int64(d.geom.BlockSize)
+	for i, t := range d.media {
+		copy(out[int64(i)*stride:], t)
+	}
 	return out
 }
 
 // Restore overwrites the raw disk contents from a snapshot taken earlier.
-// Every block may have changed, so the write log starts over.
+// The image, cloned in one pass, becomes the arena and every track
+// aliases it: a restored disk is fully resident. Every block may have
+// changed, so the write log starts over.
 func (d *Disk) Restore(img []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(img) != len(d.data) {
-		return fmt.Errorf("disk: snapshot size %d != disk size %d", len(img), len(d.data))
+	if size := d.blocks * int64(d.geom.BlockSize); int64(len(img)) != size {
+		return fmt.Errorf("disk: snapshot size %d != disk size %d", len(img), size)
 	}
-	copy(d.data, img)
+	d.arena = bytes.Clone(img)
+	stride := d.geom.BlocksPerTrack * int64(d.geom.BlockSize)
+	for i := range d.media {
+		lo := int64(i) * stride
+		d.media[i] = d.arena[lo : lo+d.trackBytes(int64(i))]
+	}
 	d.gen++
 	d.logFloor = d.gen
 	return nil

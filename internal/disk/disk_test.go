@@ -408,3 +408,183 @@ func TestWritesSince(t *testing.T) {
 		t.Fatalf("a reader current as of the Restore: gen %d ok %v", g4, ok)
 	}
 }
+
+// TestNewAllocatesOnlyTheTrackTable: a fresh disk holds no media. A
+// 16 384-block (64 MiB) disk costs its track table, 128 slice headers,
+// not its capacity.
+func TestNewAllocatesOnlyTheTrackTable(t *testing.T) {
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := New(16384, DefaultGeometry(), nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := r.AllocedBytesPerOp(); got >= 64<<10 {
+		t.Fatalf("New(16384) allocates %d bytes", got)
+	}
+}
+
+// TestMediaSemantics runs the media's contract over a fresh disk, whose
+// tracks are allocated by their first write, and a restored one, whose
+// tracks alias one arena. 200 blocks at 128 per track end in a short
+// track of 72.
+func TestMediaSemantics(t *testing.T) {
+	const blocks, bs = 200, 4096
+	pattern := func(n int64) []byte { return bytes.Repeat([]byte{byte(n + 1)}, bs) }
+	for _, tc := range []struct {
+		name  string
+		setup func(d *Disk)
+	}{
+		{"fresh", func(*Disk) {}},
+		{"restored", func(d *Disk) {
+			if err := d.Restore(make([]byte, blocks*bs)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newDisk(t, blocks)
+			tc.setup(d)
+			zero, buf := make([]byte, bs), make([]byte, bs)
+
+			// A block never written reads as zeros on both ports, also
+			// into a buffer that held something else.
+			for _, n := range []int64{0, 127, 128, blocks - 1} {
+				copy(buf, pattern(n))
+				if err := d.ReadBlock(n, buf); err != nil || !bytes.Equal(buf, zero) {
+					t.Fatalf("ReadBlock(%d) of a never-written block: %v, zero=%v", n, err, bytes.Equal(buf, zero))
+				}
+				copy(buf, pattern(n))
+				if err := d.ReadRaw(n, buf); err != nil || !bytes.Equal(buf, zero) {
+					t.Fatalf("ReadRaw(%d) of a never-written block: %v, zero=%v", n, err, bytes.Equal(buf, zero))
+				}
+			}
+
+			// Write the first and last block of the first track and the
+			// last block of the short one; the snapshot places each.
+			written := []int64{0, 127, blocks - 1}
+			for _, n := range written {
+				if err := d.WriteBlock(n, pattern(n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			img := d.Snapshot()
+			if len(img) != blocks*bs {
+				t.Fatalf("snapshot is %d bytes, want %d", len(img), blocks*bs)
+			}
+			want := make([]byte, blocks*bs)
+			for _, n := range written {
+				copy(want[n*bs:], pattern(n))
+			}
+			if !bytes.Equal(img, want) {
+				t.Fatal("snapshot does not place the written blocks")
+			}
+
+			// A snapshot and the media are independent both ways.
+			if err := d.WriteBlock(0, pattern(9)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(img, want) {
+				t.Fatal("a write after Snapshot changed the snapshot")
+			}
+			img[(blocks-1)*bs] ^= 0xFF
+			if err := d.ReadRaw(blocks-1, buf); err != nil || !bytes.Equal(buf, pattern(blocks-1)) {
+				t.Fatal("changing a snapshot changed the media")
+			}
+			img[(blocks-1)*bs] ^= 0xFF
+
+			// Restore then Snapshot round-trips, and the restored image is
+			// independent of the slice it came from.
+			if err := d.Restore(img); err != nil {
+				t.Fatal(err)
+			}
+			img[0] ^= 0xFF
+			if got := d.Snapshot(); !bytes.Equal(got, want) {
+				t.Fatal("Restore -> Snapshot does not round-trip")
+			}
+			img[0] ^= 0xFF
+
+			// A wrong-sized Restore errors and leaves the media as it was.
+			before := d.Snapshot()
+			for _, size := range []int{0, blocks*bs - 1, (blocks + 1) * bs} {
+				if err := d.Restore(bytes.Repeat([]byte{0xEE}, size)); err == nil {
+					t.Fatalf("Restore of %d bytes accepted", size)
+				}
+			}
+			if !bytes.Equal(d.Snapshot(), before) {
+				t.Fatal("a refused Restore changed the media")
+			}
+		})
+	}
+}
+
+// TestRestoreDropsLazyTracks: a Restore into a disk whose tracks were
+// allocated by writes replaces them all with the arena: a block written
+// before the Restore reads the image's bytes, never-written blocks read
+// the image too, and writes after it land in the arena.
+func TestRestoreDropsLazyTracks(t *testing.T) {
+	const blocks, bs = 200, 4096
+	d := newDisk(t, blocks)
+	if err := d.WriteBlock(5, bytes.Repeat([]byte{0xAA}, bs)); err != nil {
+		t.Fatal(err)
+	}
+	img := bytes.Repeat([]byte{0x5C}, blocks*bs)
+	if err := d.Restore(img); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, bs)
+	for _, n := range []int64{5, 6, 130, blocks - 1} {
+		if err := d.ReadRaw(n, buf); err != nil || !bytes.Equal(buf, img[:bs]) {
+			t.Fatalf("block %d after Restore: %v, %#x", n, err, buf[0])
+		}
+	}
+	if err := d.WriteBlock(150, bytes.Repeat([]byte{0x01}, bs)); err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range d.media {
+		if lo := int64(i) * d.geom.BlocksPerTrack * bs; &tr[0] != &d.arena[lo] {
+			t.Fatalf("track %d does not alias the arena", i)
+		}
+	}
+	if got := d.Snapshot(); got[150*bs] != 0x01 || got[149*bs] != 0x5C {
+		t.Fatal("a write after Restore did not land in the arena")
+	}
+}
+
+// TestRestoredWritesDoNotAllocate: a restored disk is fully resident, so
+// no write allocates, on any track, including the short last one. Every
+// measured phase of the benchmark starts from a Restore.
+func TestRestoredWritesDoNotAllocate(t *testing.T) {
+	const blocks = 200
+	d := newDisk(t, blocks)
+	if err := d.Restore(make([]byte, blocks*4096)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4096)
+	n := int64(0)
+	if a := testing.AllocsPerRun(blocks, func() {
+		if err := d.WriteBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+		n = (n + 1) % blocks
+	}); a != 0 {
+		t.Fatalf("WriteBlock on a restored disk allocates %v times", a)
+	}
+	// Ascending batches of 100 blocks, over both tracks, the short one too.
+	var reqs []Request
+	start := int64(0)
+	if a := testing.AllocsPerRun(2, func() {
+		reqs = reqs[:0]
+		for b := start; b < min(start+100, blocks); b++ {
+			reqs = append(reqs, Request{Block: b, Data: buf})
+		}
+		if err := d.WriteBatch(reqs); err != nil {
+			t.Fatal(err)
+		}
+		start = (start + 100) % blocks
+	}); a != 0 {
+		t.Fatalf("an ascending WriteBatch on a restored disk allocates %v times", a)
+	}
+}

@@ -125,10 +125,15 @@ go test -run '^$' -bench Dispatch -benchtime 1x ./internal/serve
 # journal freeze that copies into recycled frames, and one committed
 # create / write / fsync / unlink on each file system (bytes per committed
 # operation), with their allocation counts (0 for the insert, the firing
-# and the write; 4 small slices for the freeze): 100 iterations, so a
-# first call's warm-up does not stand in for the steady state.
+# and the write; 4 small slices for the freeze), and the disk's media cost
+# (docs/PERF.md, "Disk media cost"): reads and a 64-block batch on a
+# restored 64 MiB disk (0 allocs), a fresh volume (its track table, a few
+# KiB, not 64 MiB) and a snapshot of a fresh and a restored one (one
+# 64 MiB image each): 100 iterations, so a first call's warm-up does not
+# stand in for the steady state.
 go test -run '^$' -bench 'PathLookup|TreeLookup|TreeInsert|CreateTailFile|CommitLoop' -benchmem -benchtime 100x ./internal/fs/...
 go test -run '^$' -bench 'FullShardInsert|ReadAheadSteady|EnqueueDrain|Freeze' -benchmem -benchtime 100x ./internal/bcache ./internal/sched ./internal/journal
+go test -run '^$' -bench 'ReadBlock|WriteBatch|New|Snapshot' -benchmem -benchtime 100x ./internal/disk
 # And ixt3's block checksum over one 4 KiB block (docs/PERF.md,
 # "Redundancy path cost").
 go test -run '^$' -bench CksumBlock -benchtime 1x ./internal/fs/ext3
