@@ -241,9 +241,7 @@ func (c *Cache) Put(n int64, data []byte, dirty bool) (replaced []byte) {
 		return replaced
 	}
 	var buf [victimBuf]int64
-	evicted := s.insertLocked(n, data, dirty, false, buf[:0])
-	s.mu.Unlock()
-	c.noteEvicts(s, evicted)
+	c.evicted(s, s.insertLocked(n, data, dirty, false, buf[:0]))
 	return nil
 }
 
@@ -268,9 +266,7 @@ func (c *Cache) Fill(n int64, data []byte) bool {
 		return false
 	}
 	var buf [victimBuf]int64
-	evicted := s.insertLocked(n, data, false, true, buf[:0])
-	s.mu.Unlock()
-	c.noteEvicts(s, evicted)
+	c.evicted(s, s.insertLocked(n, data, false, true, buf[:0]))
 	return true
 }
 
@@ -301,15 +297,19 @@ func (c *Cache) Resident(n int64) bool {
 	return ok
 }
 
-// noteEvicts reports a shard's capacity evictions to the live metrics and
-// the tracer, outside the shard lock.
-func (c *Cache) noteEvicts(s *shard, evicted []int64) {
-	if len(evicted) == 0 {
+// evicted records an insert's capacity evictions from s, the blocks in
+// victims, in each of their sinks: the shard's Stats, the registry and the
+// trace. The caller holds s.mu, which evicted releases before the registry
+// and the trace, as lookedUp does.
+func (c *Cache) evicted(s *shard, victims []int64) {
+	s.stats.Evicts += int64(len(victims))
+	s.mu.Unlock()
+	if len(victims) == 0 {
 		return
 	}
-	s.evicts.Add(int64(len(evicted)))
+	s.evicts.Add(int64(len(victims)))
 	tr := c.tr.Load()
-	for _, blk := range evicted {
+	for _, blk := range victims {
 		tr.Buffer(trace.KindEvict, blk)
 	}
 }
@@ -402,7 +402,8 @@ const victimBuf = 4
 
 // insertLocked adds block n, which is absent, at the front of the LRU and
 // brings the shard back within capacity, appending the evicted block
-// numbers to victims; own says whether data is a cache-owned frame (Fill).
+// numbers to victims, which the caller hands to Cache.evicted; own says
+// whether data is a cache-owned frame (Fill).
 // In a shard exactly at capacity the newcomer takes over the
 // least-recently-used clean block's entry, so the steady-state insert
 // allocates nothing. A shard over capacity, or one with no clean block,
@@ -416,7 +417,6 @@ func (s *shard) insertLocked(n int64, data []byte, dirty, own bool, victims []in
 	if len(s.entries) == s.cap {
 		if v := s.victimLocked(); v != nil {
 			delete(s.entries, v.block)
-			s.stats.Evicts++
 			victims = append(victims, v.block)
 			s.recycleLocked(v)
 			v.block, v.data, v.dirty, v.own = n, data, dirty, own
@@ -446,7 +446,6 @@ func (s *shard) evictLocked(victims []int64) []int64 {
 			return victims // everything dirty; let the shard grow until commit
 		}
 		delete(s.entries, v.block)
-		s.stats.Evicts++
 		victims = append(victims, v.block)
 		s.releaseLocked(v)
 	}
