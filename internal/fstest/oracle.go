@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"ironfs/internal/vfs"
 )
@@ -32,8 +33,11 @@ import (
 //     "possibly applied": they relax the requirement (a renamed file may
 //     be at the old or the new name, an unlinked file or a removed
 //     directory may legally be gone, a rewritten or truncated file's
-//     content is unconstrained) but never strengthen it. Directory
-//     renames relax nothing yet.
+//     content is unconstrained) but never strengthen it. A renamed
+//     directory carries everything beneath it: its old path, and the
+//     paths under it, may legally be gone, what lived there may be at the
+//     new path instead, and the new paths are owed only once a sync or an
+//     fsync of their parent makes them durable.
 //
 // The baseline image (see model.go) seeds the durable state: BasePath with
 // its content is owed at every crash point of every sequence.
@@ -166,7 +170,9 @@ func NewOracle(seq Sequence) *Oracle {
 		case OpWrite, OpAppend, OpTruncate, OpUnlink:
 			m.ino = t.paths[op.Path]
 		case OpRename, OpLink:
-			m.ino = t.paths[op.Path]
+			if id, ok := t.paths[op.Path]; ok { // a directory has no inode here
+				m.ino = id
+			}
 			if old, ok := t.paths[op.Path2]; ok && op.Kind == OpRename {
 				m.oldIno = old
 			}
@@ -339,9 +345,10 @@ type relax struct {
 // (possibly "" for orphans) holding inode ino: ops in (asOf, lastOp] are
 // not part of the requirement's durable basis and may or may not have
 // applied. covOp guards the content requirement — writes before it are
-// baked into the covered bytes, writes after it free the content.
-func (o *Oracle) relaxFor(asOf, covOp int, path string, ino, lastOp int) relax {
-	var r relax
+// baked into the covered bytes, writes after it free the content. homes
+// seeds the legal homes (an orphan's paths at cover time).
+func (o *Oracle) relaxFor(asOf, covOp int, path string, homes []string, ino, lastOp int) relax {
+	r := relax{homes: append([]string(nil), homes...)}
 	for j := asOf + 1; j <= lastOp && j < len(o.ops); j++ {
 		m := o.ops[j]
 		switch m.op.Kind {
@@ -353,7 +360,7 @@ func (o *Oracle) relaxFor(asOf, covOp int, path string, ino, lastOp int) relax {
 				r.kills++
 			}
 		case OpRename:
-			if m.op.Path == path {
+			if m.op.Path == path || under(path, m.op.Path) {
 				r.vacated = true
 			}
 			if m.op.Path2 == path {
@@ -367,6 +374,12 @@ func (o *Oracle) relaxFor(asOf, covOp int, path string, ino, lastOp int) relax {
 			}
 			if m.oldIno == ino {
 				r.kills++
+			}
+			// A directory renamed above path or a home carries it along.
+			for _, h := range append([]string{path}, r.homes...) {
+				if rest, ok := strings.CutPrefix(h, m.op.Path+"/"); ok {
+					r.homes = append(r.homes, m.op.Path2+"/"+rest)
+				}
 			}
 		case OpLink:
 			if m.ino == ino {
@@ -391,16 +404,21 @@ func (o *Oracle) relaxFor(asOf, covOp int, path string, ino, lastOp int) relax {
 	return r
 }
 
-// removed reports whether an rmdir of d's path is among the ops in
-// (d.asOf, lastOp], which may or may not have applied.
+// removed reports whether an rmdir or a rename of d's path, or of a
+// directory above it, is among the ops in (d.asOf, lastOp], which may or
+// may not have applied.
 func (o *Oracle) removed(d dirReq, lastOp int) bool {
 	for j := d.asOf + 1; j <= lastOp && j < len(o.ops); j++ {
-		if op := o.ops[j].op; op.Kind == OpRmdir && op.Path == d.path {
+		op := o.ops[j].op
+		if (op.Kind == OpRmdir || op.Kind == OpRename) && (op.Path == d.path || under(d.path, op.Path)) {
 			return true
 		}
 	}
 	return false
 }
+
+// under reports whether path p lies strictly beneath directory d.
+func under(p, d string) bool { return strings.HasPrefix(p, d+"/") }
 
 // ReadAll reads path's full content through the mounted FS.
 func ReadAll(fsys vfs.FileSystem, path string, size int64) ([]byte, error) {
@@ -496,7 +514,7 @@ func (o *Oracle) GradeAt(fsys vfs.FileSystem, si, lastOp int) []Violation {
 	}
 
 	for _, f := range snap.files {
-		r := o.relaxFor(f.asOf, f.covOp, f.path, f.ino, lastOp)
+		r := o.relaxFor(f.asOf, f.covOp, f.path, nil, f.ino, lastOp)
 		ok, v := checkAt(f.path, f.data, r)
 		if ok {
 			continue
@@ -522,14 +540,13 @@ func (o *Oracle) GradeAt(fsys vfs.FileSystem, si, lastOp int) []Violation {
 	}
 
 	for _, orp := range snap.orphans {
-		r := o.relaxFor(orp.covOp, orp.covOp, "", orp.ino, lastOp)
+		r := o.relaxFor(orp.covOp, orp.covOp, "", orp.homes, orp.ino, lastOp)
 		if r.kills >= len(orp.homes) {
 			continue // every path to it was possibly destroyed
 		}
-		homes := append(append([]string(nil), orp.homes...), r.homes...)
-		if !survives(homes, orp.data, r) {
+		if !survives(r.homes, orp.data, r) {
 			out = append(out, Violation{Kind: "lost-inode", Path: orp.homes[0], Guar: guar,
-				Detail: fmt.Sprintf("fsync'd content unreachable at any of its homes %v", homes)})
+				Detail: fmt.Sprintf("fsync'd content unreachable at any of its homes %v", r.homes)})
 		}
 	}
 	return out

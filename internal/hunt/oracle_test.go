@@ -79,10 +79,12 @@ func TestNoFaultAgreement(t *testing.T) {
 }
 
 // TestOracleTruncateAndRmdir grades every prefix cut of sequences that
-// truncate or remove a directory after an earlier guarantee covered it,
-// on ext3, as the fsync sweep does: a correct file system must pass. A
-// truncate after the covering fsync frees the content, like a write; an
-// rmdir after a sync may legally have removed the durable directory.
+// truncate, remove or rename a directory after an earlier guarantee
+// covered it, on ext3, as the fsync sweep does: a correct file system
+// must pass. A truncate after the covering fsync frees the content, like
+// a write; an rmdir after a sync may legally have removed the durable
+// directory; a renamed directory's old path stops being owed, and what
+// lived beneath it may be found under the new name.
 func TestOracleTruncateAndRmdir(t *testing.T) {
 	ht, err := fingerprint.HuntTargetByName("ext3")
 	if err != nil {
@@ -105,6 +107,29 @@ func TestOracleTruncateAndRmdir(t *testing.T) {
 			{Kind: fstest.OpSync},
 			{Kind: fstest.OpUnlink, Path: "/d/f"},
 			{Kind: fstest.OpRmdir, Path: "/d"},
+			{Kind: fstest.OpSync},
+		}},
+		{"rename dir after sync", fstest.Sequence{
+			{Kind: fstest.OpMkdir, Path: "/d"},
+			{Kind: fstest.OpMkdir, Path: "/d/s"},
+			{Kind: fstest.OpSync},
+			{Kind: fstest.OpRename, Path: "/d", Path2: "/e"},
+			{Kind: fstest.OpSync},
+		}},
+		{"rename dir holding a synced file", fstest.Sequence{
+			{Kind: fstest.OpMkdir, Path: "/d"},
+			{Kind: fstest.OpCreate, Path: "/d/f"},
+			{Kind: fstest.OpWrite, Path: "/d/f", Data: 1},
+			{Kind: fstest.OpSync},
+			{Kind: fstest.OpRename, Path: "/d", Path2: "/e"},
+			{Kind: fstest.OpSync},
+		}},
+		{"rename dir holding an fsync'd file", fstest.Sequence{
+			{Kind: fstest.OpMkdir, Path: "/d"},
+			{Kind: fstest.OpCreate, Path: "/d/f"},
+			{Kind: fstest.OpWrite, Path: "/d/f", Data: 1},
+			{Kind: fstest.OpFsync, Path: "/d/f"},
+			{Kind: fstest.OpRename, Path: "/d", Path2: "/e"},
 			{Kind: fstest.OpSync},
 		}},
 	} {
