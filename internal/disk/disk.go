@@ -403,10 +403,12 @@ func (d *Disk) trackBytes(i int64) int64 {
 }
 
 // writeLogLen is how many of the most recent writes the disk remembers by
-// block number (WritesSince). Above the fault layer one or two writes land
-// between consecutive classifications; a reader further behind than this
-// (raw mkfs traffic, a replayed cache log) is told to start over.
-const writeLogLen = 64
+// block number (WritesSince). Above the fault layer a whole run of a batch
+// is classified before it lands, so up to a run's length of writes land
+// between consecutive classifications (at most 111 in the fault_degraded
+// benchmark); a reader further behind than this (raw mkfs traffic, a
+// replayed cache log) is told to start over.
+const writeLogLen = 1024
 
 // noteWriteLocked logs a write to block n where it landed — below every
 // wrapper, so misdirected writes and raw mkfs traffic are seen too.

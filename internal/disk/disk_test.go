@@ -350,7 +350,7 @@ func TestGeometryValidation(t *testing.T) {
 // block written is reported where it landed, in order, until the reader
 // falls further behind than the ring reaches or the image is restored.
 func TestWritesSince(t *testing.T) {
-	d := newDisk(t, 256)
+	d := newDisk(t, 100+writeLogLen) // room for a ring's worth of distinct blocks from 100 up
 	buf := make([]byte, 4096)
 	_, g0, ok := d.WritesSince(0, nil)
 	if !ok || g0 != 0 {

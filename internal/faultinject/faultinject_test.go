@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -334,22 +335,29 @@ type pointerImage struct {
 	trigger   int64
 	rewrite   []byte
 	rewritten bool
+	roots     []int64 // the last Layout's
 }
 
-func (p *pointerImage) Walk(m *TypeMap) bool {
+func (p *pointerImage) Layout(m *TypeMap, roots []int64) ([]int64, bool, bool) {
 	table, ok := m.Read(0, 0)
 	if !ok {
-		return false
+		return roots, false, false
 	}
 	for _, ptr := range table {
 		if ptr == 0 {
 			break
 		}
-		if b, ok := m.Read(1, int64(ptr)); ok && b[0] != 0 {
-			m.Set(int64(ptr)+int64(b[0]), "dir")
-		}
+		roots = append(roots, int64(ptr))
 	}
-	return true
+	changed := !slices.Equal(roots, p.roots)
+	p.roots = slices.Clone(roots)
+	return roots, changed, true
+}
+
+func (p *pointerImage) WalkRoot(m *TypeMap, root int64) {
+	if b, ok := m.Read(1, root); ok && b[0] != 0 {
+		m.Set(root+int64(b[0]), "dir")
+	}
 }
 
 func (p *pointerImage) Static(m *TypeMap, blk int64) iron.BlockType {

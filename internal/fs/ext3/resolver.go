@@ -22,39 +22,53 @@ func NewResolver(raw *disk.Disk) *faultinject.TypeMap {
 	return faultinject.NewTypeMap(raw, &image{}, BTSuper, sbBlock)
 }
 
-// Walk implements faultinject.Image: it re-derives the static layout and
-// walks every allocated inode to classify dynamically allocated blocks
-// (directory, indirect, data, parity).
-func (r *image) Walk(m *faultinject.TypeMap) bool {
+// Layout implements faultinject.Image: the roots are the inode-table
+// blocks, group by group. Only the clean flag, the mount count and the
+// replica log's head change under a mounted volume; none of them moves a
+// region.
+func (r *image) Layout(m *faultinject.TypeMap, roots []int64) ([]int64, bool, bool) {
 	buf, ok := m.Read(0, sbBlock)
 	if !ok {
-		return false
+		return roots, false, false
 	}
 	var sb superblock
 	sb.unmarshal(buf)
 	if sb.sane(m.NumBlocks()) != nil {
-		return false
+		return roots, false, false
 	}
+	changed := sb.geometry() != r.lay.sb.geometry()
 	r.lay = layout{sb: sb}
-
 	for g := uint32(0); g < sb.GroupCount; g++ {
 		itStart := r.lay.groupStart(g) + groupMetaBlks
 		for t := int64(0); t < int64(sb.ITableBlocks); t++ {
-			it, ok := m.Read(0, itStart+t)
-			if !ok {
-				continue
-			}
-			for s := 0; s < InodesPerBlock; s++ {
-				var in inode
-				in.unmarshal(it[s*InodeSize : (s+1)*InodeSize])
-				if !in.Allocated() {
-					continue
-				}
-				r.walkInode(m, &in)
-			}
+			roots = append(roots, itStart+t)
 		}
 	}
-	return true
+	return roots, changed, true
+}
+
+// geometry is the superblock less the fields a mounted volume rewrites.
+func (s superblock) geometry() superblock {
+	s.Clean, s.Mounts, s.ReplicaNext = 0, 0, 0
+	return s
+}
+
+// WalkRoot implements faultinject.Image: it walks every allocated inode of
+// one inode-table block to classify dynamically allocated blocks
+// (directory, indirect, data, parity).
+func (r *image) WalkRoot(m *faultinject.TypeMap, root int64) {
+	it, ok := m.Read(0, root)
+	if !ok {
+		return
+	}
+	for s := 0; s < InodesPerBlock; s++ {
+		var in inode
+		in.unmarshal(it[s*InodeSize : (s+1)*InodeSize])
+		if !in.Allocated() {
+			continue
+		}
+		r.walkInode(m, &in)
+	}
 }
 
 // walkInode classifies the blocks reachable from one inode.

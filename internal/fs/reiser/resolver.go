@@ -22,21 +22,35 @@ func NewResolver(raw *disk.Disk) *faultinject.TypeMap {
 	return faultinject.NewTypeMap(raw, &image{}, BTSuper, 0)
 }
 
-// Walk implements faultinject.Image.
-func (r *image) Walk(m *faultinject.TypeMap) bool {
+// Layout implements faultinject.Image: the one root is the tree root.
+// The free count, the next object id, the tree height and the clean flag
+// change under a mounted volume; the walk and Static use none of them.
+func (r *image) Layout(m *faultinject.TypeMap, roots []int64) ([]int64, bool, bool) {
 	buf, ok := m.Read(0, 0)
 	if !ok {
-		return false
+		return roots, false, false
 	}
-	r.sb.unmarshal(buf)
-	if r.sb.sane(m.NumBlocks()) != nil {
-		return false
+	var sb superblock
+	sb.unmarshal(buf)
+	if sb.sane(m.NumBlocks()) != nil {
+		return roots, false, false
 	}
-	if r.sb.Root != 0 {
-		r.walk(m, int64(r.sb.Root), 0)
+	changed := sb.geometry() != r.sb.geometry()
+	r.sb = sb
+	if sb.Root != 0 {
+		roots = append(roots, int64(sb.Root))
 	}
-	return true
+	return roots, changed, true
 }
+
+// geometry is the superblock less the fields the walk and Static ignore.
+func (s superblock) geometry() superblock {
+	s.FreeBlocks, s.NextOID, s.Height, s.Clean = 0, 0, 0, 0
+	return s
+}
+
+// WalkRoot implements faultinject.Image.
+func (r *image) WalkRoot(m *faultinject.TypeMap, root int64) { r.walk(m, root, 0) }
 
 // walk classifies the subtree rooted at blk, reading each depth through
 // its own scratch block so a node's view outlives its children's walks.

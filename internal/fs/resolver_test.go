@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -31,16 +32,30 @@ var tableType = map[string]iron.BlockType{
 	"ext3": "inode", "ixt3": "inode", "jfs": "inode", "ntfs": "MFT record", "reiserfs": "root",
 }
 
+// superField is where each format keeps two fields of its superblock,
+// block 0: the clean flag, which a mounted volume rewrites and which moves
+// no region, and the journal's length (a little-endian uint64), which
+// places the journal's last block.
+var superField = map[string]struct{ clean, journalLen int }{
+	"ext3": {52, 64}, "ixt3": {52, 64}, "jfs": {104, 88}, "ntfs": {72, 64}, "reiserfs": {76, 64},
+}
+
 // diffFresh describes the first block of d that r classifies differently
-// from a resolver with no history, or returns "".
+// from a resolver with no history, or whose membership in the read set
+// differs (the fault layer splits write runs on it), or returns "".
 func diffFresh(name string, d *disk.Disk, r faultinject.TypeResolver) string {
 	fresh, err := NewResolver(name, d)
 	if err != nil {
 		return err.Error()
 	}
+	tm, _ := r.(*faultinject.TypeMap)
+	ftm := fresh.(*faultinject.TypeMap)
 	for b := int64(0); b < d.NumBlocks(); b++ {
 		if got, want := r.Classify(b), fresh.Classify(b); got != want {
 			return fmt.Sprintf("block %d classifies %q, a fresh resolver says %q", b, got, want)
+		}
+		if tm != nil && tm.Reads(b) != ftm.Reads(b) {
+			return fmt.Sprintf("block %d read by the walk: %v, by a fresh walk: %v", b, tm.Reads(b), ftm.Reads(b))
 		}
 	}
 	return ""
@@ -184,7 +199,7 @@ func TestResolverConformance(t *testing.T) {
 
 				// Ring overflow: another tree's metadata lands through the raw
 				// disk, followed by more rewrites of one block than the disk's
-				// write log holds, all between two Classify calls.
+				// write log holds (1 024), all between two Classify calls.
 				other := churnedImage(t, name, 0x5eed)
 				bs := int64(v.Disk.BlockSize())
 				for b := int64(0); b < v.Disk.NumBlocks(); b++ {
@@ -193,7 +208,7 @@ func TestResolverConformance(t *testing.T) {
 					}
 				}
 				last := v.Disk.NumBlocks() - 1
-				for i := 0; i < 1000; i++ {
+				for i := 0; i < 2000; i++ {
 					if err := v.Disk.WriteBlock(last, other[last*bs:]); err != nil {
 						t.Fatal(err)
 					}
@@ -218,6 +233,46 @@ func TestResolverConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertFresh(t, name, v.Disk, v.Resolver, "after Restore")
+			})
+
+			t.Run("cross-link", func(t *testing.T) {
+				// A table block forged through the raw disk as a copy of
+				// another: every block the copied inodes name is Set by two
+				// roots, and a full walk's later root wins.
+				if name == "reiserfs" {
+					t.Skip("reiserfs walks one root, the tree: no two roots to cross-link")
+				}
+				v, err := MountVolume(MountOpts{FS: name, Opts: resolverOpts(name)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				churn(v.FS, 0x1207, 30)
+				tm := v.Resolver.(*faultinject.TypeMap)
+				src := firstOfType(t, tm, v.Disk, tableType[name])
+				dst := src + 1 // table blocks are consecutive
+				if tm.Classify(dst) != tableType[name] {
+					t.Fatalf("block %d after table block %d is a %q", dst, src, tm.Classify(dst))
+				}
+				bs := v.Disk.BlockSize()
+				orig, copied := make([]byte, bs), make([]byte, bs)
+				if v.Disk.ReadRaw(dst, orig) != nil || v.Disk.ReadRaw(src, copied) != nil {
+					t.Fatal("reading the pair")
+				}
+				step := func(when string, blk int64, data []byte, fullWalks int64) {
+					t.Helper()
+					full, _ := tm.Walks()
+					if err := v.Disk.WriteBlock(blk, data); err != nil {
+						t.Fatal(err)
+					}
+					assertFresh(t, name, v.Disk, tm, when)
+					if got, _ := tm.Walks(); got-full != fullWalks {
+						t.Errorf("%s, %s: %d full walks, want %d", name, when, got-full, fullWalks)
+					}
+				}
+				step("block "+fmt.Sprint(dst)+" forged as a copy of "+fmt.Sprint(src), dst, copied, 1)
+				step("the copied block rewritten", src, copied, 1)
+				step("the forged block restored", dst, orig, 1)
+				step("the copied block rewritten once more", src, copied, 0)
 			})
 
 			t.Run("mkfs", func(t *testing.T) {
@@ -362,34 +417,86 @@ func (f *classifyFixture) rewrite(t testing.TB, b int64) {
 }
 
 // TestClassifyAllocs gates the fault layer's steady-state cost: after a
-// write to a data block the map is adopted, not rebuilt, and neither that
-// nor the live peek at a journal block allocates.
+// write to a data block the map is adopted, not rebuilt; a table-block write
+// re-walks the one root that block is; a superblock write that moves no
+// region re-derives the layout and walks nothing; one that does walks the
+// whole image. None of them, nor the live peek at a journal block,
+// allocates.
 func TestClassifyAllocs(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			f := newClassifyFixture(t, name)
 			tm := f.v.Resolver.(*faultinject.TypeMap)
-			writeOnly := testing.AllocsPerRun(200, func() { f.rewrite(t, f.data) })
-			tm.Classify(f.data) // catch up: 200 unobserved writes overflow the disk's log
-			walks := tm.Rebuilds()
-			got := testing.AllocsPerRun(200, func() {
-				f.rewrite(t, f.data)
-				tm.Classify(f.data)
-			})
-			if got != writeOnly {
-				t.Errorf("Classify after a data-block write: %v allocs (the write alone: %v)", got, writeOnly)
-			}
-			if tm.Rebuilds() != walks {
-				t.Errorf("data-block writes walked the image %d times", tm.Rebuilds()-walks)
+			// More unobserved writes than the disk's write log holds (1 024):
+			// the catch-up Classify cannot tell what changed.
+			writeOnly := testing.AllocsPerRun(1100, func() { f.rewrite(t, f.data) })
+			full, _ := tm.Walks()
+			tm.Classify(f.data)
+			if got, _ := tm.Walks(); got != full+1 {
+				t.Errorf("catching up past the disk's write log: %d full walks, want 1", got-full)
 			}
 			if n := testing.AllocsPerRun(200, func() { tm.Classify(f.journal) }); n != 0 {
 				t.Errorf("Classify of journal block %d: %v allocs", f.journal, n)
 			}
-			f.rewrite(t, f.table)
-			tm.Classify(f.data)
-			if tm.Rebuilds() != walks+1 {
-				t.Errorf("a write to table block %d walked the image %d times, want 1", f.table, tm.Rebuilds()-walks)
+
+			super, shorter := make([]byte, len(f.buf)), make([]byte, len(f.buf))
+			if err := f.v.Disk.ReadRaw(0, super); err != nil {
+				t.Fatal(err)
 			}
+			copy(shorter, super)
+			jl := shorter[superField[name].journalLen:]
+			binary.LittleEndian.PutUint64(jl, binary.LittleEndian.Uint64(jl)-1)
+			calls := 0
+			for _, row := range []struct {
+				what string
+				// write lands one device write; the calls alternate, an even
+				// number of them leaves the image as it was.
+				write                 func()
+				rebuilds, full, roots int64 // per write; roots -1: any
+			}{
+				{"a data-block write", func() { f.rewrite(t, f.data) }, 0, 0, 0},
+				{"a table-block write", func() { f.rewrite(t, f.table) }, 1, 0, 1},
+				{"a clean-flag superblock write", func() {
+					if err := f.v.Disk.ReadRaw(0, f.buf); err != nil {
+						t.Fatal(err)
+					}
+					f.buf[superField[name].clean] ^= 1
+					if err := f.v.Disk.WriteBlock(0, f.buf); err != nil {
+						t.Fatal(err)
+					}
+				}, 1, 0, 0},
+				{"a layout-changing superblock write", func() {
+					img := super
+					if calls++; calls%2 == 1 {
+						img = shorter
+					}
+					if err := f.v.Disk.WriteBlock(0, img); err != nil {
+						t.Fatal(err)
+					}
+				}, 1, 1, -1},
+			} {
+				rebuilds := tm.Rebuilds()
+				full, roots := tm.Walks()
+				const runs = 9 // AllocsPerRun calls once more: 10 writes
+				got := testing.AllocsPerRun(runs, func() {
+					row.write()
+					tm.Classify(f.data)
+				})
+				if got != writeOnly {
+					t.Errorf("Classify after %s: %v allocs (the write alone: %v)", row.what, got, writeOnly)
+				}
+				gotFull, gotRoots := tm.Walks()
+				if d := tm.Rebuilds() - rebuilds; d != (runs+1)*row.rebuilds {
+					t.Errorf("%d of %s: %d refreshes, want %d", runs+1, row.what, d, (runs+1)*row.rebuilds)
+				}
+				if d := gotFull - full; d != (runs+1)*row.full {
+					t.Errorf("%d of %s: %d full walks, want %d", runs+1, row.what, d, (runs+1)*row.full)
+				}
+				if d := gotRoots - roots; row.roots >= 0 && d != (runs+1)*row.roots {
+					t.Errorf("%d of %s: %d roots walked, want %d", runs+1, row.what, d, (runs+1)*row.roots)
+				}
+			}
+			assertFresh(t, name, f.v.Disk, tm, "after the rows")
 		})
 	}
 }

@@ -111,9 +111,11 @@ go build ./...
 awk '$2=="ironfs/internal/fingerprint" { print "check: internal/fingerprint test wall time " $3 }' "$vetdir/test.log"
 
 # The gray-box resolver's cost benchmarks and a fault-free 32-block run
-# through the fault layer (docs/PERF.md, "Fault layer cost"), one
-# iteration each so they cannot rot.
-go test -run '^$' -bench 'Classify|FaultWriteBatch' -benchtime 1x ./internal/fs/...
+# through the fault layer (docs/PERF.md, "Fault layer cost"), 100
+# iterations each with -benchmem, so the refresh path's 0 allocs/op and
+# the cost of the one-root re-walk after an inode-table write show in
+# every run.
+go test -run '^$' -bench 'Classify|FaultWriteBatch' -benchtime 100x -benchmem ./internal/fs/...
 # Likewise the serving tier's dispatch cost at 64, 1024 and 16384
 # backlogged tenants (docs/PERF.md, "Serve layer cost").
 go test -run '^$' -bench Dispatch -benchtime 1x ./internal/serve
