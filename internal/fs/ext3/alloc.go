@@ -98,6 +98,21 @@ func (fs *FS) freeBlock(blk int64) error {
 	return nil
 }
 
+// reclaimBlock marks blk, which freeBlock freed, in use again.
+func (fs *FS) reclaimBlock(blk int64) error {
+	g := uint32(fs.lay.groupOf(blk))
+	bm, err := fs.txMeta(int64(fs.gds[g].DataBitmap), BTBitmap)
+	if err != nil {
+		return err
+	}
+	if within := blk - fs.lay.groupStart(g); !testBit(bm, within) {
+		setBit(bm, within)
+		fs.gds[g].FreeBlocks--
+		return fs.writeGroupDesc(g)
+	}
+	return nil
+}
+
 // allocInode allocates an inode number, preferring group pref.
 func (fs *FS) allocInode(pref uint32) (uint32, error) {
 	n := fs.lay.sb.GroupCount

@@ -261,8 +261,26 @@ func (fs *FS) forEachBlock(in *inode, fn func(l, phys int64) error) error {
 
 // truncateBlocks frees every data and indirect block backing file offsets
 // at or beyond newSize. It returns the first error but attempts to free as
-// much as possible. Freed indirect blocks are revoked.
+// much as possible. Freed indirect blocks are revoked. Under FixBugs a
+// failure fails the operation, whose inode stays as it was and still maps
+// every block: the blocks the cut freed are marked in use again and their
+// revokes taken back, so the live volume stays consistent.
 func (fs *FS) truncateBlocks(in *inode, newSize int64) error {
+	freed := len(fs.revokes)
+	err := fs.cutBlocks(in, newSize)
+	if err != nil && fs.opts.FixBugs {
+		for _, blk := range fs.revokes[freed:] {
+			if rerr := fs.reclaimBlock(blk); rerr != nil {
+				break
+			}
+		}
+		fs.revokes = fs.revokes[:freed]
+	}
+	return err
+}
+
+// cutBlocks is truncateBlocks less the FixBugs rollback.
+func (fs *FS) cutBlocks(in *inode, newSize int64) error {
 	// A file cut to nothing frees its parity block first (ixt3 Dp), so the
 	// blocks below are not folded out of it one read at a time; the next
 	// write allocates a fresh one.

@@ -154,7 +154,8 @@ func TestHugeDirectorySizeWalksOnlyWhatItMaps(t *testing.T) {
 // either way, so nothing of the truncate reaches the media. Stock ext3
 // notices the failure and carries on (§5.1): the truncate succeeds, and
 // the volume it goes on serving has leaked the indirect block. FixBugs
-// returns the error instead.
+// returns the error instead, and the volume it goes on serving still
+// holds every block the unchanged inode maps.
 func TestTruncateOverUnreadableIndirect(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -186,11 +187,13 @@ func TestTruncateOverUnreadableIndirect(t *testing.T) {
 			if got := fs.Health(); got != vfs.ReadOnly {
 				t.Errorf("health = %v, want ReadOnly", got)
 			}
+			probs, err := fs.CheckConsistency()
 			if !c.fail {
-				probs, err := fs.CheckConsistency()
 				if err != nil || len(probs) != 1 || !strings.Contains(probs[0].String(), "unreachable") {
 					t.Errorf("stock truncate's leak: %v, %v; want the indirect block unreachable", probs, err)
 				}
+			} else if err != nil || len(probs) != 0 {
+				t.Errorf("the volume after the failed truncate: %v, %v; want it consistent", probs, err)
 			}
 			if err := New(fdev, c.opts, iron.NewRecorder()).Oracle(); err != nil {
 				t.Errorf("the media after the truncate: %v", err)
