@@ -397,13 +397,18 @@ func TestErrorCodesAreTheDominantDetection(t *testing.T) {
 // --- ixt3 (§6.2, Figure 3) ------------------------------------------------------
 
 // Finding: "ixt3 detects and recovers from over 200 possible different
-// partial-error scenarios."
+// partial-error scenarios." The exact counts are also pinned: they are the
+// robustness line of `ironfp -summary -robust`, and they move only when a
+// scenario's outcome or the fault injector's classification moves.
 func TestIxt3RobustnessCount(t *testing.T) {
 	r := resultFor(t, "ixt3")
 	detected, recovered, fired := r.DetectedAndRecovered()
 	t.Logf("ixt3: fired=%d detected=%d recovered=%d", fired, detected, recovered)
 	if detected <= 200 || recovered <= 200 {
 		t.Errorf("ixt3 detected=%d recovered=%d; the paper reports over 200", detected, recovered)
+	}
+	if fired != 244 || detected != 244 || recovered != 243 {
+		t.Errorf("ixt3 fired=%d detected=%d recovered=%d; pinned 244/244/243", fired, detected, recovered)
 	}
 }
 
