@@ -72,7 +72,8 @@ type shard struct {
 	// recently used entry, lru.prev the least.
 	lru entry
 	// free holds entries no block uses, linked through next; frames holds
-	// cache-owned buffers no entry uses, at most cap of them, for Fill.
+	// cache-owned buffers no entry uses, at most cap of them, for Frame and
+	// PutFresh.
 	free   *entry
 	frames [][]byte
 	stats  Stats
@@ -88,9 +89,9 @@ type entry struct {
 	data  []byte
 	dirty bool
 	// own is set while data is a frame the cache owns and never handed
-	// out: only Fill sets it, and Get clears it for good. The frame of an
-	// own entry goes back to the shard's frame list when the entry lets
-	// go of it; any other buffer is left to the garbage collector.
+	// out: Fill and PutFresh set it, and Get clears it for good. The frame
+	// of an own entry goes back to the shard's frame list when the entry
+	// lets go of it; any other buffer is left to the garbage collector.
 	own        bool
 	prev, next *entry
 }
@@ -145,8 +146,21 @@ func (c *Cache) shardOf(n int64) *shard {
 // Get returns the cached data for block n, or nil on a miss. The returned
 // slice aliases the cache; callers mutating it must also call MarkDirty.
 // The caller may hold it across later calls: a buffer Get handed out is
-// never recycled.
-func (c *Cache) Get(n int64) []byte {
+// never recycled. Get is the one lookup that disowns a frame for good,
+// because a reader under a file system's shared lock may hold what it
+// returns while other readers fill and evict.
+func (c *Cache) Get(n int64) []byte { return c.get(n, true) }
+
+// Borrow is Get that leaves a cache-owned frame owned: counted, traced and
+// moved to the front of the LRU exactly as Get is. The caller must hold
+// its volume's lock exclusively — no reader can fill or evict meanwhile —
+// and let go of the buffer before it unlocks; a frame it stages dirty
+// stays pinned, and so in place, until its commit unpins it.
+func (c *Cache) Borrow(n int64) []byte { return c.get(n, false) }
+
+// get is Get and Borrow: disown says whether a hit gives up the cache's
+// ownership of the buffer.
+func (c *Cache) get(n int64, disown bool) []byte {
 	s := c.shardOf(n)
 	s.mu.Lock()
 	e, ok := s.entries[n]
@@ -155,7 +169,9 @@ func (c *Cache) Get(n int64) []byte {
 		return nil
 	}
 	s.moveToFront(e)
-	e.own = false
+	if disown {
+		e.own = false
+	}
 	data := e.data
 	c.lookedUp(s, n, true)
 	return data
@@ -224,16 +240,19 @@ func (c *Cache) DirtyLen() int {
 // When data replaces another buffer the cache does not own, that buffer is
 // returned: the cache has let go of it, though a caller Get handed it to
 // may still hold it. A cache-owned frame goes back to the frame list
-// instead, and re-putting the resident buffer returns nil.
+// instead. Re-putting the resident buffer returns nil and leaves it as
+// owned as it was: a borrowed frame staged dirty stays the cache's.
 func (c *Cache) Put(n int64, data []byte, dirty bool) (replaced []byte) {
 	s := c.shardOf(n)
 	s.mu.Lock()
 	if e, ok := s.entries[n]; ok {
-		if !e.own && !sameBuf(e.data, data) {
-			replaced = e.data
+		if !sameBuf(e.data, data) {
+			if !e.own {
+				replaced = e.data
+			}
+			s.recycleLocked(e)
+			e.data, e.own = data, false
 		}
-		s.recycleLocked(e)
-		e.data, e.own = data, false
 		e.dirty = e.dirty || dirty
 		s.moveToFront(e)
 		s.stats.Replacements++
@@ -251,12 +270,13 @@ func sameBuf(a, b []byte) bool {
 }
 
 // Fill inserts block n clean with data unless n is already resident,
-// reporting whether it did. It is Put for a copy read from the media on
-// speculation: a resident buffer — dirty with an update the media has not
-// seen, or clean and as new as the media — always wins over it. Fill is
-// the one insert whose data becomes the cache's own (ReadAhead takes it
-// from frame): the caller keeps no reference to it, and once no entry
-// uses it and Get never handed it out, a later fill reads into it.
+// reporting whether it did. It is Put for a copy read from the media: a
+// resident buffer — dirty with an update the media has not seen, or clean
+// and as new as the media — always wins over it. data becomes the cache's
+// own: it is a Frame the caller read into, and the caller has copied out
+// whatever it needed before the call and keeps no reference to it, since
+// once no entry uses it and Get never handed it out, a later fill reads
+// into it. ReadAhead and the file systems' demand misses insert this way.
 func (c *Cache) Fill(n int64, data []byte) bool {
 	s := c.shardOf(n)
 	s.mu.Lock()
@@ -270,20 +290,52 @@ func (c *Cache) Fill(n int64, data []byte) bool {
 	return true
 }
 
-// frame returns a buffer of size bytes for a Fill of block n: a frame from
-// n's shard's list when one of that size is there, else a new one.
-func (c *Cache) frame(n int64, size int) []byte {
+// Frame returns a buffer of size bytes to read block n into for a Fill: a
+// frame from n's shard's list when one of that size is there, else a new
+// one. Its bytes are whatever its last use left. Until the Fill it is the
+// caller's alone; a caller that does not fill it leaves it to the garbage
+// collector.
+func (c *Cache) Frame(n int64, size int) []byte {
 	s := c.shardOf(n)
 	s.mu.Lock()
-	if k := len(s.frames) - 1; k >= 0 && len(s.frames[k]) == size {
-		f := s.frames[k]
-		s.frames[k] = nil
-		s.frames = s.frames[:k]
-		s.mu.Unlock()
+	f := s.popFrameLocked(size)
+	s.mu.Unlock()
+	if f == nil {
+		f = make([]byte, size)
+	}
+	return f
+}
+
+// PutFresh inserts a zeroed frame of size bytes as block n's dirty buffer
+// and returns it: Put(n, make([]byte, size), true) — the same counters,
+// victims and LRU order — except that the buffer is a frame the cache owns
+// and recycles once the block is clean again and leaves. It is for a block
+// written fresh, whose old contents nobody reads. The caller holds its
+// volume's lock exclusively and stages the frame before it unlocks, as
+// for Borrow; a later Get disowns it as it does any frame.
+func (c *Cache) PutFresh(n int64, size int) []byte {
+	s := c.shardOf(n)
+	s.mu.Lock()
+	e, ok := s.entries[n]
+	if ok {
+		s.recycleLocked(e)
+	}
+	f := s.popFrameLocked(size)
+	if f == nil {
+		f = make([]byte, size)
+	} else {
+		clear(f)
+	}
+	if !ok {
+		var buf [victimBuf]int64
+		c.evicted(s, s.insertLocked(n, f, true, true, buf[:0]))
 		return f
 	}
+	e.data, e.own, e.dirty = f, true, true
+	s.moveToFront(e)
+	s.stats.Replacements++
 	s.mu.Unlock()
-	return make([]byte, size)
+	return f
 }
 
 // Resident reports whether block n is in the cache. It is a peek, not a
@@ -403,7 +455,7 @@ const victimBuf = 4
 // insertLocked adds block n, which is absent, at the front of the LRU and
 // brings the shard back within capacity, appending the evicted block
 // numbers to victims, which the caller hands to Cache.evicted; own says
-// whether data is a cache-owned frame (Fill).
+// whether data is a cache-owned frame (Fill, PutFresh).
 // In a shard exactly at capacity the newcomer takes over the
 // least-recently-used clean block's entry, so the steady-state insert
 // allocates nothing. A shard over capacity, or one with no clean block,
@@ -489,10 +541,13 @@ func (s *shard) releaseLocked(e *entry) {
 	s.free = e
 }
 
-// recycleLocked moves e's buffer to the frame list if the cache owns it.
-// Caller holds s.mu.
+// recycleLocked moves e's buffer to the frame list if the cache owns it
+// and it is clean. A dirty frame is an image a running transaction staged
+// (PutFresh, or Borrow and a dirty Put) and may still hold — Reset, or a
+// Drop that does not come through the transaction, does not unstage it —
+// so it is left to the garbage collector. Caller holds s.mu.
 func (s *shard) recycleLocked(e *entry) {
-	if e.own {
+	if e.own && !e.dirty {
 		s.pushFrameLocked(e.data)
 	}
 }
@@ -503,4 +558,17 @@ func (s *shard) pushFrameLocked(f []byte) {
 	if len(s.frames) < s.cap {
 		s.frames = append(s.frames, f)
 	}
+}
+
+// popFrameLocked takes the frame on top of the list when it is size bytes
+// long, or returns nil. Caller holds s.mu.
+func (s *shard) popFrameLocked(size int) []byte {
+	k := len(s.frames) - 1
+	if k < 0 || len(s.frames[k]) != size {
+		return nil
+	}
+	f := s.frames[k]
+	s.frames[k] = nil
+	s.frames = s.frames[:k]
+	return f
 }

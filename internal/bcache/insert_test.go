@@ -175,8 +175,9 @@ func (s *refShard) lruOrder() string {
 }
 
 // TestInsertMatchesReference drives the Cache and the reference with the
-// same seeded mix of Put, Fill, Get, MarkDirty, MarkClean, Drop, Reset and
-// commit-like bulk cleans over several shard counts. After every step both
+// same seeded mix of Put, PutFresh (a dirty Put for the reference), Fill,
+// Get, MarkDirty, MarkClean, Drop, Reset and commit-like bulk cleans over
+// several shard counts. After every step both
 // must agree on the victims (the Cache's come from its evict trace events,
 // in order), on what Get returns, on Stats, on Len and on every shard's
 // recency order. The run must also reach the three insert cases: a shard
@@ -245,7 +246,13 @@ func runInsertMix(t *testing.T, capBlocks, shards int, seed int64) {
 			dirty := rng.Intn(10) < odds
 			op = fmt.Sprintf("Put(%d, dirty=%v)", n, dirty)
 			inserted = classify(n)
-			c.Put(n, data, dirty)
+			if dirty && rng.Intn(2) == 0 {
+				// A fresh frame is a dirty Put of a zeroed block.
+				op = fmt.Sprintf("PutFresh(%d)", n)
+				data = c.PutFresh(n, len(data))
+			} else {
+				c.Put(n, data, dirty)
+			}
 			want = ref.put(n, data, dirty)
 			if dirty {
 				pinned[n] = true
@@ -334,7 +341,7 @@ func fullCache() (*Cache, func() int64) {
 	c := NewSharded(64, 4)
 	n := int64(0)
 	fill := func() int64 {
-		c.Fill(n, c.frame(n, 4096))
+		c.Fill(n, c.Frame(n, 4096))
 		n++
 		return n - 1
 	}

@@ -3,11 +3,15 @@ package bcache
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"ironfs/internal/disk"
+	"ironfs/internal/stat"
+	"ironfs/internal/trace"
 )
 
 // seqDev stamps every block it reads with the block number and a read
@@ -156,5 +160,230 @@ func TestHeldBuffersRace(t *testing.T) {
 	streamed.Wait()
 	if checked.Load() < readers*want {
 		t.Fatalf("holders checked %d held buffers, want %d", checked.Load(), readers*want)
+	}
+}
+
+// lookupRun is one cache with its own registry and tracer, for comparing
+// what two ways of driving the same operations leave behind.
+type lookupRun struct {
+	c   *Cache
+	reg *stat.Registry
+	tr  *trace.Tracer
+}
+
+func newLookupRun(capBlocks, shards int) lookupRun {
+	reg := stat.NewRegistry()
+	prev := stat.SetDefault(reg)
+	defer stat.SetDefault(prev)
+	r := lookupRun{c: NewSharded(capBlocks, shards), reg: reg, tr: trace.New(func() int64 { return 0 })}
+	r.c.SetTracer(r.tr)
+	return r
+}
+
+// state renders everything a lookup may move: the Stats, the registry's
+// series, the trace events in order and every shard's LRU.
+func (r lookupRun) state() string {
+	out := fmt.Sprintf("%+v\n%s", r.c.Stats(), r.reg.Snapshot().Render())
+	for _, e := range r.tr.Events() {
+		out += fmt.Sprintf("%s %d\n", e.Kind, e.Block)
+	}
+	for i := range r.c.shards {
+		out += r.c.shards[i].lruOrder() + "\n"
+	}
+	return out
+}
+
+// onList reports whether f is on its shard's frame list.
+func onList(c *Cache, n int64, f []byte) bool {
+	for _, g := range c.shardOf(n).frames {
+		if sameBuf(f, g) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestBorrowCountsAsGet: Borrow is Get for every sink — Stats, the
+// registry's series, the trace events, the LRU order and so the victims
+// of later inserts — on a seeded mix of fills, puts, fresh inserts,
+// lookups and drops. Only ownership differs: a borrowed frame returns to
+// the frame list when its block leaves the cache, and a frame Get handed
+// out never does.
+func TestBorrowCountsAsGet(t *testing.T) {
+	got, bor := newLookupRun(24, 2), newLookupRun(24, 2)
+	rng := rand.New(rand.NewSource(7))
+	for step := 0; step < 3000; step++ {
+		n := rng.Int63n(72)
+		switch r := rng.Intn(10); {
+		case r < 3:
+			got.c.Fill(n, got.c.Frame(n, 8))
+			bor.c.Fill(n, bor.c.Frame(n, 8))
+		case r < 4:
+			got.c.PutFresh(n, 8)
+			bor.c.PutFresh(n, 8)
+		case r < 5:
+			dirty := rng.Intn(4) == 0
+			got.c.Put(n, make([]byte, 8), dirty)
+			bor.c.Put(n, make([]byte, 8), dirty)
+		case r < 6:
+			got.c.MarkClean(n)
+			bor.c.MarkClean(n)
+		case r < 7:
+			got.c.Drop(n)
+			bor.c.Drop(n)
+		default:
+			a, b := got.c.Get(n), bor.c.Borrow(n)
+			if (a == nil) != (b == nil) {
+				t.Fatalf("step %d: Get(%d) hit %v, Borrow hit %v", step, n, a != nil, b != nil)
+			}
+		}
+		if step%100 == 0 {
+			if a, b := got.state(), bor.state(); a != b {
+				t.Fatalf("step %d: after Get\n%s\nafter Borrow\n%s", step, a, b)
+			}
+		}
+	}
+	if a, b := got.state(), bor.state(); a != b {
+		t.Fatalf("after Get\n%s\nafter Borrow\n%s", a, b)
+	}
+
+	for _, r := range []lookupRun{got, bor} {
+		r.c.Reset()
+		f := r.c.Frame(5, 8)
+		r.c.Fill(5, f)
+		borrowed := r.c == bor.c
+		if borrowed {
+			r.c.Borrow(5)
+		} else {
+			r.c.Get(5)
+		}
+		r.c.Drop(5)
+		if onList(r.c, 5, f) != borrowed {
+			t.Errorf("borrowed %v: the dropped frame is on the list %v, want %v", borrowed, !borrowed, borrowed)
+		}
+	}
+}
+
+// TestRePutKeepsOwnership: a borrowed frame staged dirty — Put of the
+// buffer the entry already holds — stays the cache's, and stays off the
+// frame list while the entry uses it; once the block is clean and leaves,
+// the frame is recycled.
+func TestRePutKeepsOwnership(t *testing.T) {
+	c := NewSharded(16, 1)
+	f := c.Frame(3, 8)
+	c.Fill(3, f)
+	b := c.Borrow(3)
+	if replaced := c.Put(3, b, true); replaced != nil {
+		t.Fatal("re-putting the resident buffer returned it as replaced")
+	}
+	if onList(c, 3, f) {
+		t.Fatal("the resident frame went onto the frame list while its entry uses it")
+	}
+	if g := c.Frame(3, 8); sameBuf(g, f) {
+		t.Fatal("Frame handed out the resident frame")
+	}
+	c.MarkClean(3)
+	c.Drop(3)
+	if !onList(c, 3, f) {
+		t.Fatal("the re-put frame was not recycled when its block left: it lost its ownership")
+	}
+}
+
+// TestPutFreshCountsAsPut: PutFresh(n) is Put(n, zeroed block, true) for
+// the counters, the trace, the LRU and the victims — over an absent block
+// in a full shard, a resident clean frame the cache owns, a buffer Get
+// disowned and a dirty entry — and hands back a zeroed frame off the
+// list. An owned frame it replaces is recycled; a disowned one keeps its
+// bytes.
+func TestPutFreshCountsAsPut(t *testing.T) {
+	setups := []struct {
+		name  string
+		setup func(c *Cache) []byte // returns the buffer the entry held
+	}{
+		{"absent, full shard", func(c *Cache) []byte { return nil }},
+		{"clean owned frame", func(c *Cache) []byte {
+			f := c.Frame(9, 8)
+			copy(f, "ownframe")
+			c.Fill(9, f)
+			return f
+		}},
+		{"disowned buffer", func(c *Cache) []byte {
+			f := c.Frame(9, 8)
+			copy(f, "disowned")
+			c.Fill(9, f)
+			return c.Get(9)
+		}},
+		{"dirty entry", func(c *Cache) []byte {
+			d := []byte("dirtyblk")
+			c.Put(9, d, true)
+			return d
+		}},
+	}
+	for _, s := range setups {
+		t.Run(s.name, func(t *testing.T) {
+			put, fresh := newLookupRun(16, 1), newLookupRun(16, 1)
+			var held []byte
+			for _, r := range []lookupRun{put, fresh} {
+				for b := int64(100); b < 116; b++ {
+					r.c.Fill(b, r.c.Frame(b, 8))
+				}
+				r.c.MarkDirty(100) // the LRU victim is pinned: the next clean one goes
+				held = s.setup(r.c)
+			}
+			want := bytes.Clone(held)
+			put.c.Put(9, make([]byte, 8), true)
+			f := fresh.c.PutFresh(9, 8)
+			if a, b := put.state(), fresh.state(); a != b {
+				t.Fatalf("after Put\n%s\nafter PutFresh\n%s", a, b)
+			}
+			if !bytes.Equal(f, make([]byte, 8)) || onList(fresh.c, 9, f) || !sameBuf(fresh.c.Borrow(9), f) {
+				t.Fatal("PutFresh did not hand back a zeroed frame it keeps as block 9's")
+			}
+			switch s.name {
+			case "clean owned frame":
+				if !sameBuf(f, held) && !onList(fresh.c, 9, held) {
+					t.Error("the replaced owned frame was neither reused nor recycled")
+				}
+			case "disowned buffer", "dirty entry":
+				if onList(fresh.c, 9, held) || !bytes.Equal(held, want) {
+					t.Error("a buffer the cache does not own was recycled")
+				}
+			}
+			fresh.c.MarkClean(9)
+			fresh.c.Drop(9)
+			if !onList(fresh.c, 9, f) {
+				t.Error("the fresh frame was not recycled when its block left")
+			}
+		})
+	}
+}
+
+// TestStagedFramesOutliveReset: a dirty frame is an image a transaction
+// staged and still holds, so neither Reset nor a Drop of the dirty block
+// hands it to a later fill; once its block is clean, leaving the cache
+// recycles it.
+func TestStagedFramesOutliveReset(t *testing.T) {
+	c := NewSharded(16, 1)
+	staged := c.PutFresh(1, 8)
+	copy(staged, "staged!!")
+	dropped := c.PutFresh(2, 8)
+	c.Reset()
+	c.Drop(2)
+	for b := int64(10); b < 40; b++ {
+		f := c.Frame(b, 8)
+		if sameBuf(f, staged) || sameBuf(f, dropped) {
+			t.Fatal("a fill was handed a frame a transaction still holds")
+		}
+		copy(f, "filled!!")
+		c.Fill(b, f)
+	}
+	if string(staged) != "staged!!" {
+		t.Fatalf("the staged frame reads %q after the reset", staged)
+	}
+	clean := c.PutFresh(3, 8)
+	c.MarkClean(3)
+	c.Drop(3)
+	if !onList(c, 3, clean) {
+		t.Fatal("a clean frame was not recycled when its block left")
 	}
 }

@@ -75,7 +75,7 @@ func (p *Prefetcher) ReadAhead(dev disk.Device, blk int64, accept func(blk int64
 		if p.cache.Resident(pb) {
 			break
 		}
-		buf := p.cache.frame(pb, dev.BlockSize())
+		buf := p.cache.Frame(pb, dev.BlockSize())
 		if dev.ReadBlock(pb, buf) != nil || accept != nil && !accept(pb, buf) {
 			break
 		}

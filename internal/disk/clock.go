@@ -2,7 +2,7 @@ package disk
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 )
 
 // Duration is a span of simulated time in nanoseconds. A dedicated type
@@ -38,26 +38,19 @@ func (d Duration) String() string {
 // I/O it services; workloads advance it to model CPU time. Benchmarks read
 // elapsed simulated time from it, so results are exactly reproducible.
 type Clock struct {
-	mu  sync.Mutex
-	now Duration
+	now atomic.Int64
 }
 
 // NewClock returns a clock at time zero.
 func NewClock() *Clock { return &Clock{} }
 
 // Now returns the current simulated time.
-func (c *Clock) Now() Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() Duration { return Duration(c.now.Load()) }
 
 // Advance moves simulated time forward by d (negative d is ignored).
 func (c *Clock) Advance(d Duration) {
 	if d <= 0 {
 		return
 	}
-	c.mu.Lock()
-	c.now += d
-	c.mu.Unlock()
+	c.now.Add(int64(d))
 }

@@ -184,14 +184,46 @@ func (fs *FS) readData(blk int64, bt iron.BlockType, in *inode, logical int64, p
 	if data := fs.cache.Get(blk); data != nil {
 		return data, nil
 	}
-	return fs.fillData(blk, bt, in, logical, prefetch)
+	buf := make([]byte, BlockSize)
+	rec, err := fs.loadData(blk, buf, bt, in, logical, prefetch)
+	switch {
+	case err != nil:
+		return nil, err
+	case rec != nil:
+		return rec, nil
+	}
+	fs.cache.Put(blk, buf, false)
+	return buf, nil
 }
 
-// fillData is readData's miss path: the device read with its retry,
-// checksum verification and parity recovery, and the cache insert.
-func (fs *FS) fillData(blk int64, bt iron.BlockType, in *inode, logical int64, prefetch bool) ([]byte, error) {
-	buf := make([]byte, BlockSize)
-	err := fs.dev.ReadBlock(blk, buf)
+// fillData is Read's miss path: the block is read into a frame of the
+// cache's with readData's policy, the caller's bytes from off are copied
+// into dst, and only then is the frame filled into the cache — a reader
+// under the shared lock must be done with a frame before another reader
+// can evict and reuse it.
+func (fs *FS) fillData(blk int64, bt iron.BlockType, in *inode, logical int64, prefetch bool, off int64, dst []byte) error {
+	buf := fs.cache.Frame(blk, BlockSize)
+	rec, err := fs.loadData(blk, buf, bt, in, logical, prefetch)
+	switch {
+	case err != nil:
+		return err
+	case rec != nil:
+		copy(dst, rec[off:])
+		return nil
+	}
+	copy(dst, buf[off:])
+	fs.cache.Fill(blk, buf)
+	return nil
+}
+
+// loadData is readData's device half: the read into buf with its retry,
+// then checksum verification. When the read fails or buf fails its
+// checksum, the block is reconstructed from parity where Dp allows; the
+// reconstruction, a buffer of its own, is put in the cache and returned as
+// rec. A nil rec and error mean buf holds the verified block, for the
+// caller to insert.
+func (fs *FS) loadData(blk int64, buf []byte, bt iron.BlockType, in *inode, logical int64, prefetch bool) (rec []byte, err error) {
+	err = fs.dev.ReadBlock(blk, buf)
 	if err != nil && prefetch {
 		// Stock ext3 retries only the originally requested block when a
 		// prefetch read fails (§5.1).
@@ -228,8 +260,7 @@ func (fs *FS) fillData(blk int64, bt iron.BlockType, in *inode, logical int64, p
 			return nil, vfs.ErrIO
 		}
 	}
-	fs.cache.Put(blk, buf, false)
-	return buf, nil
+	return nil, nil
 }
 
 // devWrite writes one block with the write-error policy. Stock ext3's

@@ -1,6 +1,7 @@
 package ext3
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -374,11 +375,7 @@ func (fs *FS) readReplica(blk int64, bt iron.BlockType) ([]byte, error) {
 // ---------------------------------------------------------------------------
 
 // xorInto xors src into dst in place.
-func xorInto(dst, src []byte) {
-	for i := range dst {
-		dst[i] ^= src[i]
-	}
-}
+func xorInto(dst, src []byte) { subtle.XORBytes(dst, dst, src) }
 
 // readFileBlockRaw reads a file block for parity maintenance: cache first,
 // then the device, verifying the data checksum (Dc) but performing no
@@ -412,13 +409,10 @@ func (fs *FS) updateParityDelta(in *inode, oldData, newData []byte) error {
 	if err != nil {
 		return err
 	}
-	for i := range pbuf {
-		var o byte
-		if oldData != nil {
-			o = oldData[i]
-		}
-		pbuf[i] ^= o ^ newData[i]
+	if oldData != nil {
+		xorInto(pbuf, oldData)
 	}
+	xorInto(pbuf, newData)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package ext3
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
@@ -55,8 +56,10 @@ func (fs *FS) txMetaNew(blk int64, bt iron.BlockType) []byte {
 
 // txData returns a mutable buffer for an ordered-data block, reading the
 // old contents on first touch (needed for partial overwrites and parity).
+// A resident block is borrowed, not disowned: its writer holds the lock
+// exclusively and stages it at once.
 func (fs *FS) txData(blk int64, bt iron.BlockType) ([]byte, error) {
-	buf := fs.cache.Get(blk)
+	buf := fs.cache.Borrow(blk)
 	if buf == nil {
 		buf = make([]byte, BlockSize)
 		if err := fs.dev.ReadBlock(blk, buf); err != nil {
@@ -69,11 +72,9 @@ func (fs *FS) txData(blk int64, bt iron.BlockType) ([]byte, error) {
 	return buf, nil
 }
 
-// txDataNew installs a zeroed buffer for a freshly allocated data block.
+// txDataNew installs a zeroed frame for a freshly allocated data block.
 func (fs *FS) txDataNew(blk int64, bt iron.BlockType) []byte {
-	buf := make([]byte, BlockSize)
-	fs.tx.StageData(blk, buf, bt)
-	return buf
+	return fs.tx.StageFresh(blk, bt)
 }
 
 // revoke records that blk was freed: replay must not resurrect it from any
@@ -191,7 +192,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 		for i := 0; i < t.Data.Len(); i++ {
 			blk := t.Data.Block(i)
 			if fs.opts.DataChecksum && fs.cksumCovers(blk) {
-				if err := fs.updateCksumTxn(blk, fs.cache.Get(blk)); err != nil {
+				if err := fs.updateCksumTxn(blk, fs.cache.Borrow(blk)); err != nil {
 					return nil, err
 				}
 			}
@@ -220,10 +221,12 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	// so the image to freeze is the one the cache holds now: each block is
 	// looked up there and that buffer registered for the freeze to copy.
 	// (The lookups are traced and touch the LRU: data here, metadata after
-	// the space check below, is an order the goldens hold.)
+	// the space check below, is an order the goldens hold.) Data is
+	// borrowed, so its frames stay the cache's: the freeze below copies
+	// them before the lock is let go.
 	for i := 0; i < t.Data.Len(); i++ {
 		blk := t.Data.Block(i)
-		t.Data.Bind(blk, fs.cache.Get(blk))
+		t.Data.Bind(blk, fs.cache.Borrow(blk))
 	}
 
 	// The journal records. Layout: revoke blocks, descriptor, journaled
@@ -261,8 +264,8 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	fs.revokes = nil
 	fs.retireReplicasLocked()
 	rel, _ := fs.ring.Reserve(txnLen)
-	plan.jReqs = make([]disk.Request, 0, int(txnLen)+len(reps))
-	plan.jTypes = make([]iron.BlockType, 0, cap(plan.jReqs))
+	plan.jReqs = slices.Grow(t.Reqs(), int(txnLen)+len(reps))
+	plan.jTypes = slices.Grow(t.Types(), int(txnLen)+len(reps))
 
 	// Revoke blocks: record blocks whose tags are the freed blocks.
 	for lo := 0; lo < len(plan.revokes); lo += journal.MaxTags {
@@ -279,14 +282,15 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	// Descriptor block and the journaled copies of the metadata; Tc runs
 	// over them in log order.
 	var tc uint32
-	log, commit := fs.ring.Log(rel, seq, plan.fz.Meta, nJData, t.Frame(), t.Frame())
-	plan.records = len(plan.jReqs) + 1
-	for i, r := range log {
+	var commit disk.Request
+	desc := len(plan.jReqs)
+	plan.jReqs, commit = fs.ring.Log(plan.jReqs, rel, seq, plan.fz.Meta, nJData, t.Frame(), t.Frame())
+	plan.records = desc + 1
+	for i, r := range plan.jReqs[desc:] {
 		bt := BTJData
 		if i == 0 {
 			bt = BTJDesc
 		}
-		plan.jReqs = append(plan.jReqs, r)
 		plan.jTypes = append(plan.jTypes, bt)
 		tc = fs.tcFold(tc, r.Data)
 	}
@@ -406,6 +410,7 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 	fs.tx.Unpin(plan.fz.Data)
 	fs.tx.Recycle(plan.fz.Data, plan.jReqs[:plan.records])
 	fs.tx.RecycleFrame(plan.commit.Data)
+	fs.tx.Reuse(plan.fz, plan.jReqs, plan.jTypes)
 
 	if len(fs.pending.entries) >= checkpointHighWater {
 		return fs.checkpointLocked()

@@ -149,14 +149,11 @@ func (fs *FS) ReadAtLocked(_ uint32, in inode, off int64, p []byte) (int, error)
 		if phys == 0 {
 			clear(dst)
 		} else if !fs.cache.GetInto(phys, int(bo), dst) {
-			// Miss: fill from the device, copy, and read ahead of it. The
-			// hit path above copied under the shard lock, so it holds no
-			// cache buffer.
-			data, err := fs.fillData(phys, BTData, &in, l, prefetch)
-			if err != nil {
+			// Miss: fill from the device, copying out before the insert,
+			// and read ahead of it. Neither path holds a cache buffer.
+			if err := fs.fillData(phys, BTData, &in, l, prefetch, bo, dst); err != nil {
 				return int(read), err
 			}
-			copy(dst, data[bo:])
 			fs.ra.ReadAhead(fs.dev, phys, fs.prefetchOK)
 		}
 		read += chunk

@@ -128,13 +128,30 @@ func (fs *FS) readData(blk int64) ([]byte, error) {
 	if data := fs.cache.Get(blk); data != nil {
 		return data, nil
 	}
-	return fs.fillData(blk)
+	buf := make([]byte, BlockSize)
+	if err := fs.loadData(blk, buf); err != nil {
+		return nil, err
+	}
+	fs.cache.Put(blk, buf, false)
+	return buf, nil
 }
 
-// fillData is readData's miss path: device read (single retry, then
-// propagate) and cache insert.
-func (fs *FS) fillData(blk int64) ([]byte, error) {
-	buf := make([]byte, BlockSize)
+// fillData is Read's miss path: the block is read into a frame of the
+// cache's with readData's policy, the caller's bytes from off are copied
+// into dst, and only then is the frame filled into the cache.
+func (fs *FS) fillData(blk, off int64, dst []byte) error {
+	buf := fs.cache.Frame(blk, BlockSize)
+	if err := fs.loadData(blk, buf); err != nil {
+		return err
+	}
+	copy(dst, buf[off:])
+	fs.cache.Fill(blk, buf)
+	return nil
+}
+
+// loadData is readData's device half: the read into buf, one generic
+// retry, then propagate.
+func (fs *FS) loadData(blk int64, buf []byte) error {
 	err := fs.dev.ReadBlock(blk, buf)
 	if err != nil {
 		fs.rec.Detect(iron.DErrorCode, BTData, "data read failed")
@@ -143,10 +160,9 @@ func (fs *FS) fillData(blk int64) ([]byte, error) {
 	}
 	if err != nil {
 		fs.rec.Recover(iron.RPropagate, BTData, "read error propagated")
-		return nil, vfs.ErrIO
+		return vfs.ErrIO
 	}
-	fs.cache.Put(blk, buf, false)
-	return buf, nil
+	return nil
 }
 
 // devWrite performs a block write with JFS's write policy: most write

@@ -61,7 +61,8 @@ func (fs *FS) logMeta(blk int64, off int, data []byte, bt iron.BlockType) error 
 // logRedo appends an n-byte redo record at blk+off; it returns the payload.
 func (fs *FS) logRedo(blk int64, off, n int) []byte {
 	at := len(fs.redo)
-	fs.redo = append(fs.redo, make([]byte, n)...)
+	fs.redo = slices.Grow(fs.redo, n)[:at+n]
+	clear(fs.redo[at:])
 	fs.records = append(fs.records, redoRec{Blk: blk, Off: off, Data: fs.redo[at:]})
 	return fs.redo[at:]
 }
@@ -145,7 +146,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	// payloads were copied when the records were logged, so the packed
 	// blocks are already frozen. Their log addresses are set once the
 	// ring has reserved room for them.
-	var logReqs []disk.Request
+	logReqs := t.Reqs()
 	cur := t.Frame()
 	off := 0
 	le := binary.LittleEndian
@@ -258,6 +259,7 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 	if plan.wrapSuper != nil {
 		fs.tx.RecycleFrame(plan.wrapSuper)
 	}
+	fs.tx.Reuse(plan.fz, plan.logReqs, nil)
 	return nil
 }
 

@@ -667,8 +667,6 @@ func (fs *FS) WriteLinkLocked(_ uint32, in inode, target string) (inode, error) 
 	if err != nil {
 		return in, err
 	}
-	buf := make([]byte, BlockSize)
-	copy(buf, target)
-	fs.tx.StageData(blk, buf, BTData)
+	copy(fs.tx.StageFresh(blk, BTData), target)
 	return in, nil
 }

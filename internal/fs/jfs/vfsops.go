@@ -22,13 +22,12 @@ func (fs *FS) ReadAtLocked(_ uint32, in inode, off int64, p []byte) (int, error)
 		if blk == 0 {
 			clear(dst)
 		} else if !fs.cache.GetInto(blk, int(bo), dst) {
-			// Miss: fill from the device, copy, and read ahead. The hit
-			// path above copied under the shard lock without allocating.
-			data, err := fs.fillData(blk)
-			if err != nil {
+			// Miss: fill from the device, copying out before the insert,
+			// and read ahead. The hit path above copied under the shard
+			// lock without allocating.
+			if err := fs.fillData(blk, bo, dst); err != nil {
 				return int(read), err
 			}
-			copy(dst, data[bo:])
 			fs.ra.ReadAhead(fs.dev, blk, nil)
 		}
 		read += chunk

@@ -85,13 +85,31 @@ func (fs *FS) readBlockRetry(blk int64, bt iron.BlockType) ([]byte, error) {
 	if data := fs.cache.Get(blk); data != nil {
 		return data, nil
 	}
-	return fs.fillBlockRetry(blk, bt)
+	buf := make([]byte, BlockSize)
+	if err := fs.loadBlockRetry(blk, bt, buf); err != nil {
+		return nil, err
+	}
+	fs.cache.Put(blk, buf, false)
+	return buf, nil
 }
 
-// fillBlockRetry is readBlockRetry's miss path: device read under the
-// retry budget and cache insert.
-func (fs *FS) fillBlockRetry(blk int64, bt iron.BlockType) ([]byte, error) {
-	buf := make([]byte, BlockSize)
+// fillBlockRetry is Read's miss path: the data block is read into a frame
+// of the cache's with readBlockRetry's persistence, the caller's bytes
+// from off are copied into dst, and only then is the frame filled into
+// the cache.
+func (fs *FS) fillBlockRetry(blk, off int64, dst []byte) error {
+	buf := fs.cache.Frame(blk, BlockSize)
+	if err := fs.loadBlockRetry(blk, BTData, buf); err != nil {
+		return err
+	}
+	copy(dst, buf[off:])
+	fs.cache.Fill(blk, buf)
+	return nil
+}
+
+// loadBlockRetry is readBlockRetry's device half: the read into buf under
+// the retry budget.
+func (fs *FS) loadBlockRetry(blk int64, bt iron.BlockType, buf []byte) error {
 	err := fs.dev.ReadBlock(blk, buf)
 	if err != nil {
 		fs.rec.Detect(iron.DErrorCode, bt, "read failed")
@@ -102,10 +120,9 @@ func (fs *FS) fillBlockRetry(blk int64, bt iron.BlockType) ([]byte, error) {
 	}
 	if err != nil {
 		fs.rec.Recover(iron.RPropagate, bt, "read error propagated")
-		return nil, vfs.ErrIO
+		return vfs.ErrIO
 	}
-	fs.cache.Put(blk, buf, false)
-	return buf, nil
+	return nil
 }
 
 // txMeta reads metadata block blk with readBlockRetry's persistence and
@@ -248,7 +265,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 	rel, wrap := fs.ring.Reserve(int64(len(plan.fz.Meta)) + 2)
 	plan.restart, plan.wrap = restartHeader(seq, rel).Encode(t.Frame()), wrap
 	// The logfile's commit record stores no count.
-	plan.jReqs, plan.commit = fs.ring.Log(rel, seq, plan.fz.Meta, 0, t.Frame(), t.Frame())
+	plan.jReqs, plan.commit = fs.ring.Log(t.Reqs(), rel, seq, plan.fz.Meta, 0, t.Frame(), t.Frame())
 	fs.logged = true
 	return plan, nil
 }
@@ -339,6 +356,7 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 	fs.tx.RecycleFrame(plan.restart)
 	fs.tx.RecycleFrame(plan.jReqs[0].Data)
 	fs.tx.RecycleFrame(plan.commit.Data)
+	fs.tx.Reuse(plan.fz, plan.jReqs, nil)
 	return nil
 }
 

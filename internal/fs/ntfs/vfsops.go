@@ -48,9 +48,7 @@ func (fs *FS) WriteLinkLocked(_ uint32, r mftRecord, target string) (mftRecord, 
 	if err != nil {
 		return r, err
 	}
-	buf := make([]byte, BlockSize)
-	copy(buf, target)
-	fs.tx.StageData(blk, buf, BTData)
+	copy(fs.tx.StageFresh(blk, BTData), target)
 	return r, nil
 }
 
@@ -90,13 +88,12 @@ func (fs *FS) ReadAtLocked(_ uint32, r mftRecord, off int64, p []byte) (int, err
 		if blk == 0 {
 			clear(dst)
 		} else if !fs.cache.GetInto(blk, int(bo), dst) {
-			// Miss: fill from the device, copy, and read ahead. The hit
-			// path above copied under the shard lock without allocating.
-			data, err := fs.fillBlockRetry(blk, BTData)
-			if err != nil {
+			// Miss: fill from the device, copying out before the insert,
+			// and read ahead. The hit path above copied under the shard
+			// lock without allocating.
+			if err := fs.fillBlockRetry(blk, bo, dst); err != nil {
 				return int(read), err
 			}
-			copy(dst, data[bo:])
 			fs.ra.ReadAhead(fs.dev, blk, nil)
 		}
 		read += chunk

@@ -97,13 +97,30 @@ func (fs *FS) readDataBlock(blk int64) ([]byte, error) {
 	if data := fs.cache.Get(blk); data != nil {
 		return data, nil
 	}
-	return fs.fillDataBlock(blk)
+	buf := make([]byte, BlockSize)
+	if err := fs.loadDataBlock(blk, buf); err != nil {
+		return nil, err
+	}
+	fs.cache.Put(blk, buf, false)
+	return buf, nil
 }
 
-// fillDataBlock is readDataBlock's miss path: device read (single retry,
-// then propagate) and cache insert.
-func (fs *FS) fillDataBlock(blk int64) ([]byte, error) {
-	buf := make([]byte, BlockSize)
+// fillDataBlock is Read's miss path: the block is read into a frame of the
+// cache's with readDataBlock's policy, the caller's bytes from off are
+// copied into dst, and only then is the frame filled into the cache.
+func (fs *FS) fillDataBlock(blk, off int64, dst []byte) error {
+	buf := fs.cache.Frame(blk, BlockSize)
+	if err := fs.loadDataBlock(blk, buf); err != nil {
+		return err
+	}
+	copy(dst, buf[off:])
+	fs.cache.Fill(blk, buf)
+	return nil
+}
+
+// loadDataBlock is readDataBlock's device half: the read into buf, a
+// single retry, then propagate.
+func (fs *FS) loadDataBlock(blk int64, buf []byte) error {
 	err := fs.dev.ReadBlock(blk, buf)
 	if err != nil {
 		fs.rec.Detect(iron.DErrorCode, BTData, "data read failed")
@@ -112,10 +129,9 @@ func (fs *FS) fillDataBlock(blk int64) ([]byte, error) {
 	}
 	if err != nil {
 		fs.rec.Recover(iron.RPropagate, BTData, "read error propagated")
-		return nil, vfs.ErrIO
+		return vfs.ErrIO
 	}
-	fs.cache.Put(blk, buf, false)
-	return buf, nil
+	return nil
 }
 
 // readIndirectLeafForFree is the failure path used while freeing file

@@ -114,7 +114,7 @@ func (fs *FS) FreezeLocked(seq uint64) (journal.Plan, error) {
 		// The ring wraps; prior transactions are checkpointed already.
 		plan.wrapHdr = journal.Header{Magic: jMagicHeader, StartRel: 1, StartSeq: seq}.Encode(t.Frame())
 	}
-	plan.jReqs, plan.commit = fs.ring.Log(rel, seq, plan.fz.Meta, n, t.Frame(), t.Frame())
+	plan.jReqs, plan.commit = fs.ring.Log(t.Reqs(), rel, seq, plan.fz.Meta, n, t.Frame(), t.Frame())
 
 	// Header advance for after the checkpoint: the transaction is then
 	// fully checkpointed and the ring logically empty again.
@@ -201,6 +201,7 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 	if plan.wrapHdr != nil {
 		fs.tx.RecycleFrame(plan.wrapHdr)
 	}
+	fs.tx.Reuse(plan.fz, plan.jReqs, nil)
 	return nil
 }
 

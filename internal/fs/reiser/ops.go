@@ -85,13 +85,12 @@ func (fs *FS) ReadAtLocked(ref objRef, _ statData, off int64, p []byte) (int, er
 		if ptr == 0 {
 			clear(dst)
 		} else if !fs.cache.GetInto(ptr, int(bo), dst) {
-			// Miss: fill from the device, copy, and read ahead. The hit
-			// path above copied under the shard lock without allocating.
-			data, err := fs.fillDataBlock(ptr)
-			if err != nil {
+			// Miss: fill from the device, copying out before the insert,
+			// and read ahead. The hit path above copied under the shard
+			// lock without allocating.
+			if err := fs.fillDataBlock(ptr, bo, dst); err != nil {
 				return int(read), err
 			}
-			copy(dst, data[bo:])
 			fs.ra.ReadAhead(fs.dev, ptr, nil)
 		}
 		read += chunk

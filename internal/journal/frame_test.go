@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -139,7 +140,7 @@ func TestFailedCommitDropsItsFrames(t *testing.T) {
 }
 
 // stageFreeze stages 64 metadata and 8 data blocks, freezes them and
-// recycles the frozen frames: one commit's worth of the running
+// recycles the frozen frames and slices: one commit's worth of the running
 // transaction's work, less the device writes.
 func stageFreeze(tx *Txn[uint32], meta, data []byte) {
 	for i := int64(0); i < 64; i++ {
@@ -151,16 +152,17 @@ func stageFreeze(tx *Txn[uint32], meta, data []byte) {
 	fz := tx.Freeze()
 	tx.Unpin(fz.Meta, fz.Data)
 	tx.Recycle(fz.Meta, fz.Data)
+	tx.Reuse(fz, nil, nil)
 }
 
-// TestFreezeAllocs: once frames circulate, a freeze allocates only its two
-// request and two type slices, never a payload frame.
+// TestFreezeAllocs: once frames and the plan's slices circulate, a freeze
+// allocates nothing: no payload frame, and no request or type slice.
 func TestFreezeAllocs(t *testing.T) {
 	tx := NewTxn[uint32](bcache.New(256))
 	meta, data := block(1), block(2)
 	stageFreeze(tx, meta, data)
-	if got := testing.AllocsPerRun(20, func() { stageFreeze(tx, meta, data) }); got > 4 {
-		t.Fatalf("%v allocations per 72-block freeze, want at most 4", got)
+	if got := testing.AllocsPerRun(20, func() { stageFreeze(tx, meta, data) }); got != 0 {
+		t.Fatalf("%v allocations per 72-block freeze, want 0", got)
 	}
 }
 
@@ -221,5 +223,52 @@ func TestReplacedImagesRetireAtFreeze(t *testing.T) {
 	}
 	if f := tx.Frame(); &f[0] != &view[0] || !bytes.Equal(f, make([]byte, BlockSize)) {
 		t.Fatal("Frame after the freeze did not hand out the replaced buffer, zeroed")
+	}
+}
+
+// TestPlanSlicesReuse: a freeze's request and type slices, like its
+// frames, go to at most one outstanding plan. Two freezes the caller still
+// holds never share an array; once one plan's commit is done and Reuse
+// gives its slices back, the next freeze and Reqs/Types fill them from
+// the start, and the plan still held keeps its contents.
+func TestPlanSlicesReuse(t *testing.T) {
+	tx := NewTxn[uint32](bcache.New(64))
+	stage := func(base int64) {
+		for i := int64(0); i < 3; i++ {
+			tx.StageMeta(base+i, block(byte(base)), "inode")
+			tx.StageData(base+10+i, block(byte(base)+1), "data")
+		}
+	}
+	arrays := func(fz Frozen) []*disk.Request {
+		return []*disk.Request{&fz.Meta[:1][0], &fz.Data[:1][0]}
+	}
+	stage(0)
+	a := tx.Freeze()
+	log := append(tx.Reqs(), make([]disk.Request, 3)...)
+	stage(20)
+	b := tx.Freeze()
+	bMeta := slices.Clone(b.Meta)
+	for _, p := range arrays(a) {
+		if slices.Contains(arrays(b), p) {
+			t.Fatal("two held freezes share a request slice")
+		}
+	}
+	tx.Reuse(a, log, nil)
+	stage(40)
+	c := tx.Freeze()
+	reused := append(arrays(a), &log[:1][0])
+	for _, p := range arrays(c) {
+		if !slices.Contains(reused, p) {
+			t.Fatal("a freeze made a request slice while given-back ones were free")
+		}
+	}
+	if len(c.Meta) != 3 || c.Meta[0].Block != 40 || c.DataType[0] != "data" {
+		t.Fatalf("the freeze into reused slices holds %+v", c)
+	}
+	if r := tx.Reqs(); len(r) != 0 || cap(r) == 0 {
+		t.Fatalf("Reqs handed out %d requests of %d, want the last given-back slice emptied", len(r), cap(r))
+	}
+	if !slices.EqualFunc(b.Meta, bMeta, func(x, y disk.Request) bool { return x.Block == y.Block && &x.Data[0] == &y.Data[0] }) {
+		t.Fatal("reusing one plan's slices changed a plan still held")
 	}
 }

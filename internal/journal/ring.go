@@ -130,12 +130,12 @@ func (r *Ring) Reserve(n int64) (rel int64, wrapped bool) {
 // descriptor, tagged with the home of each frozen metadata block, then the
 // journaled copies — the same frozen payloads, aimed at the log — and,
 // apart, because it is written only once those are durable, the commit
-// block that follows them. commitCount is what the format stores in the
-// commit block's count field. desc and commit are zeroed blocks the two
-// records are written into.
-func (r *Ring) Log(rel int64, seq uint64, meta []disk.Request, commitCount int, desc, commit []byte) ([]disk.Request, disk.Request) {
+// block that follows them. The writes are appended to log, which a plan
+// keeps across commits (Txn.Reqs). commitCount is what the format stores
+// in the commit block's count field. desc and commit are zeroed blocks the
+// two records are written into.
+func (r *Ring) Log(log []disk.Request, rel int64, seq uint64, meta []disk.Request, commitCount int, desc, commit []byte) ([]disk.Request, disk.Request) {
 	Record(desc, r.Desc, len(meta), seq)
-	log := make([]disk.Request, 0, 1+len(meta))
 	log = append(log, disk.Request{Block: r.Base + rel, Data: desc})
 	for i, m := range meta {
 		PutTag(desc, i, m.Block)

@@ -66,7 +66,7 @@ func TestOnDiskFormatPinned(t *testing.T) {
 			continue // jfs logs records, not block images
 		}
 		r := &Ring{Base: 1000, Len: 64, Desc: f.desc, Commit: f.commit}
-		log, commit := r.Log(5, seq, meta, f.commitCount, make([]byte, BlockSize), make([]byte, BlockSize))
+		log, commit := r.Log(nil, 5, seq, meta, f.commitCount, make([]byte, BlockSize), make([]byte, BlockSize))
 		if got := hexOf(t, log[0].Data); got != f.wantDesc {
 			t.Errorf("%s descriptor = %s, want %s", f.name, got, f.wantDesc)
 		}
@@ -166,7 +166,7 @@ func (l *logImage) put(rel int64, seq uint64, n int) int64 {
 	for i := 0; i < n; i++ {
 		meta = append(meta, disk.Request{Block: 500 + 10*int64(seq) + int64(i), Data: block(byte(seq))})
 	}
-	log, commit := l.ring.Log(rel, seq, meta, n, make([]byte, BlockSize), make([]byte, BlockSize))
+	log, commit := l.ring.Log(nil, rel, seq, meta, n, make([]byte, BlockSize), make([]byte, BlockSize))
 	for _, q := range append(log, commit) {
 		l.blocks[q.Block] = q.Data
 	}

@@ -42,6 +42,10 @@ type Txn[K comparable] struct {
 	// last freeze. The operation that replaced one may still hold views of
 	// it, so it joins frames only at the next Freeze, after its copies.
 	retired [][]byte
+	// reqs and types hold the request and type slices of plans whose
+	// commit has finished (Reuse), for freezes and plans to fill again.
+	reqs  [][]disk.Request
+	types [][]iron.BlockType
 }
 
 // Set is one class of staged blocks: each block once, in first-touch order,
@@ -110,14 +114,13 @@ func (t *Txn[K]) freeze(s *Set) ([]disk.Request, []iron.BlockType) {
 	if len(s.order) == 0 {
 		return nil, nil
 	}
-	reqs := make([]disk.Request, len(s.order))
-	types := make([]iron.BlockType, len(s.order))
-	for i, blk := range s.order {
+	reqs, types := t.Reqs(), t.Types()
+	for _, blk := range s.order {
 		b := s.at[blk]
 		f := t.frame()
 		clear(f[copy(f, b.buf):])
-		reqs[i] = disk.Request{Block: blk, Data: f}
-		types[i] = b.bt
+		reqs = append(reqs, disk.Request{Block: blk, Data: f})
+		types = append(types, b.bt)
 	}
 	s.order = s.order[:0]
 	clear(s.at)
@@ -176,16 +179,28 @@ func (t *Txn[K]) StageData(blk int64, buf []byte, bt iron.BlockType) {
 	t.Data.stage(blk, buf, bt)
 }
 
+// StageFresh stages a zeroed frame as the image of data block blk, which
+// is freshly allocated or about to be written whole, and returns it for
+// the caller to fill before it unlocks. The frame is the cache's own
+// (bcache.PutFresh): a freeze copies it, and once its commit has unpinned
+// it and it leaves the cache, a later fresh block or miss reuses it.
+func (t *Txn[K]) StageFresh(blk int64, bt iron.BlockType) []byte {
+	f := t.cache.PutFresh(blk, BlockSize)
+	t.Data.stage(blk, f, bt)
+	return f
+}
+
 // StageWrite patches p into data block blk at off and stages the block:
 // old, the cache's buffer a partial write read first, when there is one;
 // for a whole-block write, the buffer already staged for blk; else a
-// fresh zeroed block. See StageMeta.
+// fresh frame (StageFresh). See StageMeta.
 func (t *Txn[K]) StageWrite(blk int64, old []byte, off int64, p []byte, bt iron.BlockType) {
 	if old == nil && len(p) == BlockSize {
 		old = t.Data.at[blk].buf
 	}
 	if old == nil {
-		old = make([]byte, BlockSize)
+		copy(t.StageFresh(blk, bt)[off:], p)
+		return
 	}
 	copy(old[off:], p)
 	t.StageData(blk, old, bt)
@@ -278,6 +293,47 @@ func (t *Txn[K]) Recycle(reqs ...[]disk.Request) {
 
 // RecycleFrame takes back one frame; see Recycle.
 func (t *Txn[K]) RecycleFrame(f []byte) { t.frames = append(t.frames, f) }
+
+// Reqs returns an empty request slice for a freeze or a plan to append to:
+// one a finished commit gave back with Reuse, or nil.
+func (t *Txn[K]) Reqs() []disk.Request { return take(&t.reqs) }
+
+// Types is Reqs for a plan's block types.
+func (t *Txn[K]) Types() []iron.BlockType { return take(&t.types) }
+
+// Reuse takes back the request and type slices of a plan whose commit
+// has finished — fz's, and the log and its types the file system laid out
+// beside them (either may be nil) — as Recycle takes back its frames:
+// nothing reads them again, so later freezes and plans fill them in place.
+// Each slice must come from Freeze, Reqs or Types and be given back once;
+// a failed commit's are dropped.
+func (t *Txn[K]) Reuse(fz Frozen, log []disk.Request, logTypes []iron.BlockType) {
+	give(&t.reqs, fz.Meta)
+	give(&t.reqs, fz.Data)
+	give(&t.reqs, log)
+	give(&t.types, fz.MetaType)
+	give(&t.types, fz.DataType)
+	give(&t.types, logTypes)
+}
+
+// take pops an emptied slice off pool, or returns nil.
+func take[T any](pool *[][]T) []T {
+	k := len(*pool) - 1
+	if k < 0 {
+		return nil
+	}
+	s := (*pool)[k]
+	(*pool)[k] = nil
+	*pool = (*pool)[:k]
+	return s[:0]
+}
+
+// give pushes s onto pool unless it has no room to offer.
+func give[T any](pool *[][]T, s []T) {
+	if cap(s) > 0 {
+		*pool = append(*pool, s[:0])
+	}
+}
 
 // Unpin marks blocks a commit has brought home clean in the cache, making
 // them evictable again — unless this, the running transaction, re-dirtied

@@ -124,16 +124,18 @@ go test -run '^$' -bench Dispatch -benchtime 1x ./internal/serve
 # (docs/PERF.md, "ReiserFS tree edits"), an insert into a full cache
 # shard and a read-ahead firing into one (docs/PERF.md, "Read path
 # allocations"), a queued write with its share of the drains, a 72-block
-# journal freeze that copies into recycled frames, and one committed
-# create / write / fsync / unlink on each file system (bytes per committed
-# operation), with their allocation counts (0 for the insert, the firing
-# and the write; 4 small slices for the freeze), and the disk's media cost
+# journal freeze that copies into recycled frames and slices, one
+# committed create / write / fsync / unlink on each file system (bytes per
+# committed operation) and one demand miss without read-ahead on each
+# (bytes per miss: well under one 4 KiB buffer), with their allocation counts
+# (0 for the insert, the firing, the write, the freeze and the miss), and
+# the disk's media cost
 # (docs/PERF.md, "Disk media cost"): reads and a 64-block batch on a
 # restored 64 MiB disk (0 allocs), a fresh volume (its track table, a few
 # KiB, not 64 MiB) and a snapshot of a fresh and a restored one (one
 # 64 MiB image each): 100 iterations, so a first call's warm-up does not
 # stand in for the steady state.
-go test -run '^$' -bench 'PathLookup|TreeLookup|TreeInsert|CreateTailFile|CommitLoop' -benchmem -benchtime 100x ./internal/fs/...
+go test -run '^$' -bench 'PathLookup|TreeLookup|TreeInsert|CreateTailFile|CommitLoop|DemandMiss' -benchmem -benchtime 100x ./internal/fs/...
 go test -run '^$' -bench 'FullShardInsert|ReadAheadSteady|EnqueueDrain|Freeze' -benchmem -benchtime 100x ./internal/bcache ./internal/sched ./internal/journal
 go test -run '^$' -bench 'ReadBlock|WriteBatch|New|Snapshot' -benchmem -benchtime 100x ./internal/disk
 # And ixt3's block checksum over one 4 KiB block (docs/PERF.md,
