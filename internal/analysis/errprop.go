@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // runErrprop flags discarded device-originated errors. A discard is one
@@ -21,7 +22,7 @@ import (
 // Each finding may be whitelisted by a //iron:policy directive on the
 // same line or the line above; everything else is a diagnostic.
 func runErrprop(ctx *passContext) []Finding {
-	e := &errprop{mod: ctx.mod, taint: ctx.taint, dirs: ctx.dirs}
+	e := &errprop{mod: ctx.mod, taint: ctx.taint, dirs: ctx.dirs, taintedLits: map[*types.Var]bool{}}
 	for _, pi := range ctx.mod.pkgs {
 		for _, f := range pi.files {
 			e.info = pi.info
@@ -50,6 +51,9 @@ type errprop struct {
 	taint    *taintSet
 	dirs     *directiveSet
 	findings []Finding
+	// taintedLits are the local variables walkBody saw bound to a tainted
+	// function literal.
+	taintedLits map[*types.Var]bool
 }
 
 // report files a finding unless a policy directive covers it.
@@ -61,24 +65,52 @@ func (e *errprop) report(pos token.Pos, format string, args ...any) {
 	e.findings = append(e.findings, Finding{Pos: p, Analyzer: "errprop", Severity: SevError, Message: fmt.Sprintf(format, args...)})
 }
 
-// taintedCall returns the callee when call is a static call to a tainted
-// function that has an error result.
+// taintedCall returns the callee when call is a static call to a function
+// that has an error result and is tainted or is handed a function literal
+// (in place or bound to a local variable) whose body calls a tainted
+// function: a callee that runs a callback, as bcache's miss paths run a
+// file system's device read policy, returns its error.
 func (e *errprop) taintedCall(expr ast.Expr) *types.Func {
 	call, ok := ast.Unparen(expr).(*ast.CallExpr)
 	if !ok {
 		return nil
 	}
 	f := calleeOf(e.info, call)
-	if f == nil || !e.taint.tainted(f) || !returnsError(f) {
+	if f == nil || !returnsError(f) || !e.taint.tainted(f) && !slices.ContainsFunc(call.Args, e.taintedCallback) {
 		return nil
 	}
 	return f
 }
 
+// taintedCallback reports whether arg, a call's argument, is a tainted
+// function literal.
+func (e *errprop) taintedCallback(arg ast.Expr) bool {
+	switch a := ast.Unparen(arg).(type) {
+	case *ast.FuncLit:
+		return e.taint.calledIn(e.info, a.Body)
+	case *ast.Ident:
+		v, _ := e.info.Uses[a].(*types.Var)
+		return e.taintedLits[v]
+	}
+	return false
+}
+
 // walkBody applies the statement-shaped checks everywhere in a body
 // (including nested function literals) and the overwrite scan to every
-// statement list.
+// statement list. It first notes the local variables the body binds to a
+// tainted function literal, for taintedCallback.
 func (e *errprop) walkBody(body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		for i := 0; ok && len(as.Lhs) == len(as.Rhs) && i < len(as.Rhs); i++ {
+			lit, isLit := as.Rhs[i].(*ast.FuncLit)
+			if id, isID := as.Lhs[i].(*ast.Ident); isLit && isID && e.taint.calledIn(e.info, lit.Body) {
+				v, _ := e.info.ObjectOf(id).(*types.Var)
+				e.taintedLits[v] = true
+			}
+		}
+		return true
+	})
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.ExprStmt:

@@ -28,6 +28,19 @@ type taintSet struct {
 
 func (t *taintSet) tainted(f *types.Func) bool { return f != nil && t.funcs[f] }
 
+// calledIn reports whether body, function literals included, calls a
+// tainted function.
+func (t *taintSet) calledIn(info *types.Info, body ast.Node) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && t.tainted(calleeOf(info, call)) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
 // computeTaint builds the taint set for the loaded module.
 func computeTaint(mod *module, cfg Config) (*taintSet, error) {
 	t := &taintSet{funcs: map[*types.Func]bool{}}
@@ -116,21 +129,7 @@ func computeTaint(mod *module, cfg Config) (*taintSet, error) {
 			if t.funcs[fn.obj] || !returnsError(fn.obj) {
 				continue
 			}
-			found := false
-			ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
-				if found {
-					return false
-				}
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if t.tainted(calleeOf(fn.info, call)) {
-					found = true
-				}
-				return true
-			})
-			if found {
+			if t.calledIn(fn.info, fn.decl.Body) {
 				t.funcs[fn.obj] = true
 				changed = true
 			}

@@ -276,18 +276,63 @@ func sameBuf(a, b []byte) bool {
 // own: it is a Frame the caller read into, and the caller has copied out
 // whatever it needed before the call and keeps no reference to it, since
 // once no entry uses it and Get never handed it out, a later fill reads
-// into it. ReadAhead and the file systems' demand misses insert this way.
-func (c *Cache) Fill(n int64, data []byte) bool {
+// into it. ReadAhead and the miss paths insert this way.
+func (c *Cache) Fill(n int64, data []byte) bool { return sameBuf(c.fill(n, data, false), data) }
+
+// fill is Fill, returning the buffer block n holds after it: f, or the
+// resident buffer that won. keep says the caller goes on using that buffer
+// under its volume's exclusive lock, so an f the insert evicts at once (no
+// other block of its shard is clean) is left to it, off the frame list.
+func (c *Cache) fill(n int64, f []byte, keep bool) []byte {
 	s := c.shardOf(n)
 	s.mu.Lock()
-	if _, ok := s.entries[n]; ok {
-		s.pushFrameLocked(data)
+	if e, ok := s.entries[n]; ok {
+		s.pushFrameLocked(f)
+		data := e.data
 		s.mu.Unlock()
-		return false
+		return data
 	}
 	var buf [victimBuf]int64
-	c.evicted(s, s.insertLocked(n, data, false, true, buf[:0]))
-	return true
+	victims := s.insertLocked(n, f, false, !keep, buf[:0])
+	if keep {
+		if e := s.entries[n]; e != nil {
+			e.own = true
+		}
+	}
+	c.evicted(s, victims)
+	return f
+}
+
+// MissInto is GetInto's miss path, for a reader that may share its
+// volume's lock: load, the file system's device read policy, reads block n
+// into a Frame of size bytes, whose bytes from off are copied into dst
+// before the frame goes in, where another reader could evict and reuse it.
+func (c *Cache) MissInto(n int64, size, off int, dst []byte, load func(buf []byte) error) error {
+	_, err := c.miss(n, size, load, off, dst, false)
+	return err
+}
+
+// Modify returns block n's buffer for a writer to patch and stage, or let
+// go of, before it unlocks; the writer holds its volume's lock exclusively,
+// as for Borrow. A hit returns Borrow's buffer; a miss, the Frame load read
+// the block into, filled in and still the cache's (or a buffer load itself
+// made resident, which wins).
+func (c *Cache) Modify(n int64, size int, load func(buf []byte) error) ([]byte, error) {
+	if b := c.Borrow(n); b != nil {
+		return b, nil
+	}
+	return c.miss(n, size, load, 0, nil, true)
+}
+
+// miss is the one data-block miss protocol behind MissInto and Modify:
+// Frame, load (a frame it fails is left to the collector), copy out, fill.
+func (c *Cache) miss(n int64, size int, load func(buf []byte) error, off int, dst []byte, keep bool) ([]byte, error) {
+	f := c.Frame(n, size)
+	if err := load(f); err != nil {
+		return nil, err
+	}
+	copy(dst, f[off:])
+	return c.fill(n, f, keep), nil
 }
 
 // Frame returns a buffer of size bytes to read block n into for a Fill: a

@@ -70,6 +70,11 @@ type FS struct {
 	// ra is Read's sequential read-ahead (nil = off, the default). Set
 	// before Mount via SetReadAhead. Last, for the same reason as revokes.
 	ra *bcache.Prefetcher
+
+	// scratch holds a parity delta's old contents (Dp only), which
+	// updateParityDelta does not keep: writers hold the lock exclusively,
+	// so one block serves them all. Last, for the same reason as revokes.
+	scratch []byte
 }
 
 // assert the interface is satisfied.
@@ -84,6 +89,9 @@ func New(dev disk.Device, opts Options, rec *iron.Recorder) *FS {
 		rec:   rec,
 		tr:    trace.Of(dev),
 		cache: bcache.New(2048),
+	}
+	if opts.DataParity {
+		fs.scratch = make([]byte, BlockSize)
 	}
 	fs.cache.SetTracer(fs.tr)
 	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.tr, fs.variantName())
@@ -174,56 +182,17 @@ func (fs *FS) readMeta(blk int64, bt iron.BlockType) ([]byte, error) {
 	return buf, nil
 }
 
-// readData reads a user-data (or parity or symlink-target) block with data
-// policy: error codes, optional single retry on prefetch-style reads (the
-// narrow retry stock ext3 performs), data checksums (Dc), and parity
-// reconstruction (Dp). in/logical give the file context for parity; in may
-// be nil when no reconstruction is possible (e.g., the parity block
-// itself).
-func (fs *FS) readData(blk int64, bt iron.BlockType, in *inode, logical int64, prefetch bool) ([]byte, error) {
-	if data := fs.cache.Get(blk); data != nil {
-		return data, nil
-	}
-	buf := make([]byte, BlockSize)
-	rec, err := fs.loadData(blk, buf, bt, in, logical, prefetch)
-	switch {
-	case err != nil:
-		return nil, err
-	case rec != nil:
-		return rec, nil
-	}
-	fs.cache.Put(blk, buf, false)
-	return buf, nil
-}
-
-// fillData is Read's miss path: the block is read into a frame of the
-// cache's with readData's policy, the caller's bytes from off are copied
-// into dst, and only then is the frame filled into the cache — a reader
-// under the shared lock must be done with a frame before another reader
-// can evict and reuse it.
-func (fs *FS) fillData(blk int64, bt iron.BlockType, in *inode, logical int64, prefetch bool, off int64, dst []byte) error {
-	buf := fs.cache.Frame(blk, BlockSize)
-	rec, err := fs.loadData(blk, buf, bt, in, logical, prefetch)
-	switch {
-	case err != nil:
-		return err
-	case rec != nil:
-		copy(dst, rec[off:])
-		return nil
-	}
-	copy(dst, buf[off:])
-	fs.cache.Fill(blk, buf)
-	return nil
-}
-
-// loadData is readData's device half: the read into buf with its retry,
-// then checksum verification. When the read fails or buf fails its
-// checksum, the block is reconstructed from parity where Dp allows; the
-// reconstruction, a buffer of its own, is put in the cache and returned as
-// rec. A nil rec and error mean buf holds the verified block, for the
-// caller to insert.
-func (fs *FS) loadData(blk int64, buf []byte, bt iron.BlockType, in *inode, logical int64, prefetch bool) (rec []byte, err error) {
-	err = fs.dev.ReadBlock(blk, buf)
+// loadData is ext3's data read policy, the device half of every data-block
+// miss (bcache.Cache.MissInto and Modify): error codes, optional single
+// retry on prefetch-style reads (the narrow retry stock ext3 performs),
+// data checksums (Dc), and parity reconstruction (Dp). in/logical give the
+// file context for parity; in may be nil when no reconstruction is
+// possible (e.g., a symlink target). When the read fails or buf fails its
+// checksum, the block is reconstructed from parity where Dp allows: the
+// reconstruction, a buffer of its own, is put in the cache — where it wins
+// over buf — and copied into buf.
+func (fs *FS) loadData(blk int64, buf []byte, bt iron.BlockType, in *inode, logical int64, prefetch bool) error {
+	err := fs.dev.ReadBlock(blk, buf)
 	if err != nil && prefetch {
 		// Stock ext3 retries only the originally requested block when a
 		// prefetch read fails (§5.1).
@@ -236,31 +205,29 @@ func (fs *FS) loadData(blk int64, buf []byte, bt iron.BlockType, in *inode, logi
 	}
 	if err != nil {
 		fs.rec.Detect(iron.DErrorCode, bt, "data read failed")
-		if fs.opts.DataParity && in != nil {
-			if rec, rerr := fs.reconstructData(in, logical, blk); rerr == nil {
-				fs.rec.Recover(iron.RRedundancy, bt, "reconstructed from parity")
-				fs.cache.Put(blk, rec, false)
-				return rec, nil
-			}
+		if rec, rerr := fs.reconstructData(in, logical, blk); rerr == nil {
+			fs.rec.Recover(iron.RRedundancy, bt, "reconstructed from parity")
+			fs.cache.Put(blk, rec, false)
+			copy(buf, rec)
+			return nil
 		}
 		fs.rec.Recover(iron.RPropagate, bt, "data read error propagated")
-		return nil, vfs.ErrIO
+		return vfs.ErrIO
 	}
 	if fs.opts.DataChecksum && fs.cksumCovers(blk) {
 		if ok, verr := fs.verifyCksum(blk, buf); verr == nil && !ok {
 			fs.rec.Detect(iron.DRedundancy, bt, "data checksum mismatch")
-			if fs.opts.DataParity && in != nil {
-				if rec, rerr := fs.reconstructData(in, logical, blk); rerr == nil {
-					fs.rec.Recover(iron.RRedundancy, bt, "corruption; reconstructed from parity")
-					fs.cache.Put(blk, rec, false)
-					return rec, nil
-				}
+			if rec, rerr := fs.reconstructData(in, logical, blk); rerr == nil {
+				fs.rec.Recover(iron.RRedundancy, bt, "corruption; reconstructed from parity")
+				fs.cache.Put(blk, rec, false)
+				copy(buf, rec)
+				return nil
 			}
 			fs.rec.Recover(iron.RPropagate, bt, "data corruption propagated")
-			return nil, vfs.ErrIO
+			return vfs.ErrIO
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // devWrite writes one block with the write-error policy. Stock ext3's

@@ -324,7 +324,8 @@ func (fs *FS) cutBlocks(in *inode, newSize int64) error {
 // itself (parity ⊕ siblings) before being folded out.
 func (fs *FS) freeDataBlock(in *inode, blk int64) error {
 	if fs.opts.DataParity && in.Parity != 0 {
-		old, err := fs.readFileBlockRaw(blk)
+		old := fs.scratch
+		err := fs.readFileBlockRaw(blk, old)
 		if err != nil {
 			fs.rec.Detect(iron.DErrorCode, BTData, "data read failed while freeing")
 			if old, err = fs.reconstructFreed(in, blk); err == nil {
@@ -332,8 +333,7 @@ func (fs *FS) freeDataBlock(in *inode, blk int64) error {
 			}
 		}
 		if err == nil {
-			zero := make([]byte, BlockSize)
-			if err := fs.updateParityDeltaRaw(in, old, zero); err != nil {
+			if err := fs.updateParityDelta(in, old, nil); err != nil {
 				return err
 			}
 		}
@@ -357,12 +357,6 @@ func (fs *FS) reconstructFreed(in *inode, blk int64) ([]byte, error) {
 		}
 	}
 	return nil, errNoRedundancy
-}
-
-// updateParityDeltaRaw is updateParityDelta for callers that already hold
-// old and new contents.
-func (fs *FS) updateParityDeltaRaw(in *inode, oldData, newData []byte) error {
-	return fs.updateParityDelta(in, oldData, newData)
 }
 
 // pruneTree frees blocks under the indirect tree rooted at *root (depth

@@ -377,29 +377,35 @@ func (fs *FS) readReplica(blk int64, bt iron.BlockType) ([]byte, error) {
 // xorInto xors src into dst in place.
 func xorInto(dst, src []byte) { subtle.XORBytes(dst, dst, src) }
 
-// readFileBlockRaw reads a file block for parity maintenance: cache first,
-// then the device, verifying the data checksum (Dc) but performing no
-// recursive recovery — callers fall back to parity reconstruction.
-func (fs *FS) readFileBlockRaw(blk int64) ([]byte, error) {
-	if data := fs.cache.Get(blk); data != nil {
-		return data, nil
+// readFileBlockRaw copies file block blk into dst for parity maintenance:
+// cache first, then the device with loadRaw's policy.
+func (fs *FS) readFileBlockRaw(blk int64, dst []byte) error {
+	if fs.cache.GetInto(blk, 0, dst) {
+		return nil
 	}
-	buf := make([]byte, BlockSize)
+	load := func(buf []byte) error { return fs.loadRaw(blk, buf) }
+	return fs.cache.MissInto(blk, BlockSize, 0, dst, load)
+}
+
+// loadRaw is ixt3's read policy for parity maintenance: the read into buf
+// and the data checksum (Dc) check, but no recursive recovery — callers
+// fall back to parity reconstruction.
+func (fs *FS) loadRaw(blk int64, buf []byte) error {
 	if err := fs.dev.ReadBlock(blk, buf); err != nil {
-		return nil, vfs.ErrIO
+		return vfs.ErrIO
 	}
 	if fs.opts.DataChecksum && fs.cksumCovers(blk) {
 		if ok, verr := fs.verifyCksum(blk, buf); verr == nil && !ok {
 			fs.rec.Detect(iron.DRedundancy, BTData, "data checksum mismatch")
-			return nil, vfs.ErrCorrupt
+			return vfs.ErrCorrupt
 		}
 	}
-	fs.cache.Put(blk, buf, false)
-	return buf, nil
+	return nil
 }
 
 // updateParityDelta folds (old ⊕ new) of one data block into the file's
-// parity block through the transaction's ordered-data path.
+// parity block through the transaction's ordered-data path; a nil side
+// stands for zeros, as a freed block's new contents do.
 func (fs *FS) updateParityDelta(in *inode, oldData, newData []byte) error {
 	if !fs.opts.DataParity || in.Parity == 0 {
 		return nil
@@ -409,11 +415,20 @@ func (fs *FS) updateParityDelta(in *inode, oldData, newData []byte) error {
 	if err != nil {
 		return err
 	}
-	if oldData != nil {
-		xorInto(pbuf, oldData)
-	}
+	xorInto(pbuf, oldData)
 	xorInto(pbuf, newData)
 	return nil
+}
+
+// parityOld copies buf, a data block of in about to be patched, into the
+// scratch block and returns it as updateParityDelta's oldData; nil when in
+// has no parity to update.
+func (fs *FS) parityOld(in *inode, buf []byte) []byte {
+	if !fs.opts.DataParity || in.Parity == 0 {
+		return nil
+	}
+	copy(fs.scratch, buf)
+	return fs.scratch
 }
 
 // reconstructData rebuilds the file block at logical index lost (physical
@@ -425,12 +440,10 @@ func (fs *FS) reconstructData(in *inode, lost int64, lostPhys int64) ([]byte, er
 	if !fs.opts.DataParity || in == nil || in.Parity == 0 {
 		return nil, errNoRedundancy
 	}
-	out, err := fs.readFileBlockRaw(int64(in.Parity))
-	if err != nil {
+	acc, sib := make([]byte, BlockSize), make([]byte, BlockSize)
+	if err := fs.readFileBlockRaw(int64(in.Parity), acc); err != nil {
 		return nil, err
 	}
-	acc := make([]byte, BlockSize)
-	copy(acc, out)
 	nblocks := (int64(in.Size) + BlockSize - 1) / BlockSize
 	for l := int64(0); l < nblocks; l++ {
 		if l == lost {
@@ -443,8 +456,7 @@ func (fs *FS) reconstructData(in *inode, lost int64, lostPhys int64) ([]byte, er
 		if phys == 0 || phys == lostPhys {
 			continue // hole contributes zeros
 		}
-		sib, err := fs.readFileBlockRaw(phys)
-		if err != nil {
+		if err := fs.readFileBlockRaw(phys, sib); err != nil {
 			return nil, err
 		}
 		xorInto(acc, sib)

@@ -55,18 +55,21 @@ func (fs *FS) txMetaNew(blk int64, bt iron.BlockType) []byte {
 }
 
 // txData returns a mutable buffer for an ordered-data block, reading the
-// old contents on first touch (needed for partial overwrites and parity).
-// A resident block is borrowed, not disowned: its writer holds the lock
-// exclusively and stages it at once.
+// old contents on first touch (needed for partial overwrites and parity)
+// into a frame of the cache's, and stages it. A resident block is
+// borrowed, not disowned: its writer holds the lock exclusively and stages
+// it at once.
 func (fs *FS) txData(blk int64, bt iron.BlockType) ([]byte, error) {
-	buf := fs.cache.Borrow(blk)
-	if buf == nil {
-		buf = make([]byte, BlockSize)
+	buf, err := fs.cache.Modify(blk, BlockSize, func(buf []byte) error {
 		if err := fs.dev.ReadBlock(blk, buf); err != nil {
 			fs.rec.Detect(iron.DErrorCode, bt, "data read for modify failed")
 			fs.rec.Recover(iron.RPropagate, bt, "write aborted")
-			return nil, vfs.ErrIO
+			return vfs.ErrIO
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	fs.tx.StageData(blk, buf, bt)
 	return buf, nil

@@ -65,11 +65,14 @@ func (fs *FS) ReadLinkLocked(_ uint32, in inode) (string, error) {
 	if phys == 0 {
 		return "", vfs.ErrCorrupt
 	}
-	buf, err := fs.readData(phys, BTData, nil, 0, false)
-	if err != nil {
-		return "", err
+	buf := make([]byte, in.Size)
+	if !fs.cache.GetInto(phys, 0, buf) {
+		load := func(f []byte) error { return fs.loadData(phys, f, BTData, nil, 0, false) }
+		if err := fs.cache.MissInto(phys, BlockSize, 0, buf, load); err != nil {
+			return "", err
+		}
 	}
-	return string(buf[:in.Size]), nil
+	return string(buf), nil
 }
 
 // CreateLocked implements namei.Store.
@@ -151,7 +154,8 @@ func (fs *FS) ReadAtLocked(_ uint32, in inode, off int64, p []byte) (int, error)
 		} else if !fs.cache.GetInto(phys, int(bo), dst) {
 			// Miss: fill from the device, copying out before the insert,
 			// and read ahead of it. Neither path holds a cache buffer.
-			if err := fs.fillData(phys, BTData, &in, l, prefetch, bo, dst); err != nil {
+			load := func(buf []byte) error { return fs.loadData(phys, buf, BTData, &in, l, prefetch) }
+			if err := fs.cache.MissInto(phys, BlockSize, int(bo), dst, load); err != nil {
 				return int(read), err
 			}
 			fs.ra.ReadAhead(fs.dev, phys, fs.prefetchOK)
@@ -199,7 +203,8 @@ func (fs *FS) WriteAtLocked(ino uint32, in inode, off int64, data []byte) (inode
 			// contents before the read-modify-write, so a latent error or
 			// silent corruption in the old block cannot leak into the
 			// parity group or the new contents.
-			if _, rerr := fs.readData(phys, BTData, &in, l, false); rerr != nil && chunk != BlockSize {
+			load := func(buf []byte) error { return fs.loadData(phys, buf, BTData, &in, l, false) }
+			if _, rerr := fs.cache.Modify(phys, BlockSize, load); rerr != nil && chunk != BlockSize {
 				return in, int(written), rerr
 			}
 			buf, err = fs.txData(phys, BTData)
@@ -207,16 +212,10 @@ func (fs *FS) WriteAtLocked(ino uint32, in inode, off int64, data []byte) (inode
 				return in, int(written), err
 			}
 		}
-		var old []byte
-		if fs.opts.DataParity && in.Parity != 0 {
-			old = make([]byte, BlockSize)
-			copy(old, buf)
-		}
+		old := fs.parityOld(&in, buf)
 		copy(buf[bo:bo+chunk], data[written:written+chunk])
-		if fs.opts.DataParity && in.Parity != 0 {
-			if err := fs.updateParityDelta(&in, old, buf); err != nil {
-				return in, int(written), err
-			}
+		if err := fs.updateParityDelta(&in, old, buf); err != nil {
+			return in, int(written), err
 		}
 		written += chunk
 	}
@@ -243,19 +242,14 @@ func (fs *FS) CutLocked(_ uint32, in inode, size int64) (inode, error) {
 	// Zero the tail of the new last block so growth re-exposes zeros.
 	if size%BlockSize != 0 {
 		if phys, err := fs.bmap(&in, size/BlockSize, false); err == nil && phys != 0 {
+			load := func(buf []byte) error { return fs.loadData(phys, buf, BTData, &in, size/BlockSize, false) }
 			//iron:policy ext3 §5.1:RZero truncate fails silently: the tail-zero priming read's error vanishes with the rest of the truncate path
-			_, _ = fs.readData(phys, BTData, &in, size/BlockSize, false)
+			_, _ = fs.cache.Modify(phys, BlockSize, load)
 			if buf, err := fs.txData(phys, BTData); err == nil {
-				var old []byte
-				if fs.opts.DataParity && in.Parity != 0 {
-					old = make([]byte, BlockSize)
-					copy(old, buf)
-				}
+				old := fs.parityOld(&in, buf)
 				clear(buf[size%BlockSize : BlockSize])
-				if fs.opts.DataParity && in.Parity != 0 {
-					//iron:policy ext3 §5.1:RZero parity refresh during truncate is swallowed like every other truncate failure
-					_ = fs.updateParityDelta(&in, old, buf)
-				}
+				//iron:policy ext3 §5.1:RZero parity refresh during truncate is swallowed like every other truncate failure
+				_ = fs.updateParityDelta(&in, old, buf)
 			}
 		}
 	}

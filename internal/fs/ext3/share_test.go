@@ -26,16 +26,20 @@ func shareBlock(f, i int) []byte {
 // they read. Run under -race. Each reader streams a set of files twice the
 // cache's size with Read: demand misses and read-ahead fill frames the
 // cache owns. Every eighth block it also holds the eight blocks just read
-// ahead, looked up with readData (the lookup ReadLinkLocked makes), while
-// it reads the rest of the set with ReadAtLocked under the same shared
-// lock, evicting them, and checks them after. The writer meanwhile
-// creates a file of 48 fresh blocks, fsyncs it and unlinks it: its dirty
-// blocks push the shard over capacity, so an insert evicts the newest
-// clean block, often one a reader just filled, and its frame goes
-// straight to the next fill. Two shortcuts fail here: a miss that inserts
-// its frame before it copies out races with another reader's fill into
-// it, and a Get that leaves the frame the cache's hands a holder a buffer
-// the holder's own reads then refill.
+// ahead, looked up with readMeta (the Get every metadata read makes under
+// the shared lock), while it reads the rest of the set with ReadAtLocked
+// under the same shared lock, evicting them, and checks them after. The writer meanwhile creates a file of 48 fresh blocks, fsyncs it
+// and unlinks it: its dirty blocks push the shard over capacity, so an
+// insert evicts the newest clean block, often one a reader just filled,
+// and its frame goes straight to the next fill. Between rounds it
+// overwrites five bytes of each of eight blocks the readers stream with
+// the bytes already there: read-for-modify, in the frame Modify reads a
+// miss into, staged dirty and committed by the next fsync. Three
+// shortcuts fail here: a miss that inserts its frame before it copies out
+// races with another reader's fill into it, a Get that leaves the frame
+// the cache's hands a holder a buffer the holder's own reads then refill,
+// and a read-for-modify frame that goes back to the frame list while its
+// writer still patches and stages it.
 func TestSharedReadersKeepFrames(t *testing.T) {
 	const readers, files, blocks, passes, held = 3, 2, 32, 12, 8
 	d, err := disk.New(8192, disk.DefaultGeometry(), nil)
@@ -98,14 +102,21 @@ func TestSharedReadersKeepFrames(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			for j := 0; j < 8; j++ {
+				f, i, off := k%files, (k*7+j*5)%blocks, (k*131+j*517)%(BlockSize-5)
+				if _, err := fs.Write(paths[f], int64(i*BlockSize+off), shareBlock(f, i)[off:off+5]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
 			commits.Add(1)
 		}
 	}()
-	// hold looks blocks [lo, lo+held) of file f up with readData under the
+	// hold looks blocks [lo, lo+held) of file f up with readMeta under the
 	// shared lock and, still holding them, reads every other block of the
-	// set with ReadAtLocked, as the readers around a holder do: more
-	// blocks than the cache holds, so the held ones are evicted. Then it
-	// checks what it holds.
+	// set with ReadAtLocked, as the readers around a holder do: more blocks
+	// than the cache holds, so the held ones are evicted. Then it checks
+	// what it holds.
 	hold := func(f, lo int, buf []byte) error {
 		fs.mu.RLock()
 		defer fs.mu.RUnlock()
@@ -119,7 +130,7 @@ func TestSharedReadersKeepFrames(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if bufs[i], err = fs.readData(phys, BTData, &in, int64(lo+i), false); err != nil {
+			if bufs[i], err = fs.readMeta(phys, BTData); err != nil {
 				return err
 			}
 		}

@@ -122,34 +122,8 @@ func (fs *FS) readMeta(blk int64, bt iron.BlockType) ([]byte, error) {
 	return buf, nil
 }
 
-// readData reads a user-data block: error code checked, one generic retry,
-// then propagate.
-func (fs *FS) readData(blk int64) ([]byte, error) {
-	if data := fs.cache.Get(blk); data != nil {
-		return data, nil
-	}
-	buf := make([]byte, BlockSize)
-	if err := fs.loadData(blk, buf); err != nil {
-		return nil, err
-	}
-	fs.cache.Put(blk, buf, false)
-	return buf, nil
-}
-
-// fillData is Read's miss path: the block is read into a frame of the
-// cache's with readData's policy, the caller's bytes from off are copied
-// into dst, and only then is the frame filled into the cache.
-func (fs *FS) fillData(blk, off int64, dst []byte) error {
-	buf := fs.cache.Frame(blk, BlockSize)
-	if err := fs.loadData(blk, buf); err != nil {
-		return err
-	}
-	copy(dst, buf[off:])
-	fs.cache.Fill(blk, buf)
-	return nil
-}
-
-// loadData is readData's device half: the read into buf, one generic
+// loadData is JFS's data read policy, the device half of every data-block
+// miss (bcache.Cache.MissInto and Modify): the read into buf, one generic
 // retry, then propagate.
 func (fs *FS) loadData(blk int64, buf []byte) error {
 	err := fs.dev.ReadBlock(blk, buf)

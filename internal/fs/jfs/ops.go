@@ -603,11 +603,14 @@ func (fs *FS) ReadLinkLocked(_ uint32, in inode) (string, error) {
 	if blk == 0 {
 		return "", vfs.ErrCorrupt
 	}
-	buf, err := fs.readData(blk)
-	if err != nil {
-		return "", err
+	buf := make([]byte, in.Size)
+	if !fs.cache.GetInto(blk, 0, buf) {
+		load := func(f []byte) error { return fs.loadData(blk, f) }
+		if err := fs.cache.MissInto(blk, BlockSize, 0, buf, load); err != nil {
+			return "", err
+		}
 	}
-	return string(buf[:in.Size]), nil
+	return string(buf), nil
 }
 
 // CreateLocked implements namei.Store.

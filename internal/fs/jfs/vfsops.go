@@ -25,7 +25,8 @@ func (fs *FS) ReadAtLocked(_ uint32, in inode, off int64, p []byte) (int, error)
 			// Miss: fill from the device, copying out before the insert,
 			// and read ahead. The hit path above copied under the shard
 			// lock without allocating.
-			if err := fs.fillData(blk, bo, dst); err != nil {
+			load := func(buf []byte) error { return fs.loadData(blk, buf) }
+			if err := fs.cache.MissInto(blk, BlockSize, int(bo), dst, load); err != nil {
 				return int(read), err
 			}
 			fs.ra.ReadAhead(fs.dev, blk, nil)
@@ -36,7 +37,8 @@ func (fs *FS) ReadAtLocked(_ uint32, in inode, off int64, p []byte) (int, error)
 }
 
 // WriteAtLocked implements namei.Store: a partial block is read and patched
-// in place, a whole one overwrites its staged buffer or a fresh one.
+// in place, a whole one overwrites its staged buffer or a fresh one. A
+// partial block that cannot be read is staged as zeros around the patch.
 func (fs *FS) WriteAtLocked(_ uint32, in inode, off int64, data []byte) (inode, int, error) {
 	n := int64(len(data))
 	written := int64(0)
@@ -54,7 +56,8 @@ func (fs *FS) WriteAtLocked(_ uint32, in inode, off int64, data []byte) (inode, 
 		}
 		var old []byte
 		if pre != 0 && chunk != BlockSize {
-			if b, rerr := fs.readData(blk); rerr == nil {
+			load := func(buf []byte) error { return fs.loadData(blk, buf) }
+			if b, rerr := fs.cache.Modify(blk, BlockSize, load); rerr == nil {
 				old = b
 			}
 		}
@@ -71,7 +74,8 @@ func (fs *FS) CutLocked(_ uint32, in inode, size int64) (inode, error) {
 	}
 	if size%BlockSize != 0 {
 		if blk, perr := fs.blockPtr(&in, size/BlockSize, false, false); perr == nil && blk != 0 {
-			if old, rerr := fs.readData(blk); rerr == nil {
+			load := func(buf []byte) error { return fs.loadData(blk, buf) }
+			if old, rerr := fs.cache.Modify(blk, BlockSize, load); rerr == nil {
 				clear(old[size%BlockSize:])
 				fs.tx.StageData(blk, old, BTData)
 			}

@@ -93,22 +93,9 @@ func (fs *FS) readBlockRetry(blk int64, bt iron.BlockType) ([]byte, error) {
 	return buf, nil
 }
 
-// fillBlockRetry is Read's miss path: the data block is read into a frame
-// of the cache's with readBlockRetry's persistence, the caller's bytes
-// from off are copied into dst, and only then is the frame filled into
-// the cache.
-func (fs *FS) fillBlockRetry(blk, off int64, dst []byte) error {
-	buf := fs.cache.Frame(blk, BlockSize)
-	if err := fs.loadBlockRetry(blk, BTData, buf); err != nil {
-		return err
-	}
-	copy(dst, buf[off:])
-	fs.cache.Fill(blk, buf)
-	return nil
-}
-
-// loadBlockRetry is readBlockRetry's device half: the read into buf under
-// the retry budget.
+// loadBlockRetry is readBlockRetry's device half, and NTFS's data read
+// policy behind every data-block miss (bcache.Cache.MissInto and Modify):
+// the read into buf under the retry budget.
 func (fs *FS) loadBlockRetry(blk int64, bt iron.BlockType, buf []byte) error {
 	err := fs.dev.ReadBlock(blk, buf)
 	if err != nil {

@@ -91,7 +91,8 @@ func (fs *FS) ReadAtLocked(_ uint32, r mftRecord, off int64, p []byte) (int, err
 			// Miss: fill from the device, copying out before the insert,
 			// and read ahead. The hit path above copied under the shard
 			// lock without allocating.
-			if err := fs.fillBlockRetry(blk, bo, dst); err != nil {
+			load := func(buf []byte) error { return fs.loadBlockRetry(blk, BTData, buf) }
+			if err := fs.cache.MissInto(blk, BlockSize, int(bo), dst, load); err != nil {
 				return int(read), err
 			}
 			fs.ra.ReadAhead(fs.dev, blk, nil)
@@ -102,7 +103,8 @@ func (fs *FS) ReadAtLocked(_ uint32, r mftRecord, off int64, p []byte) (int, err
 }
 
 // WriteAtLocked implements namei.Store: a partial block is read and patched
-// in place, a whole one overwrites its staged buffer or a fresh one.
+// in place, a whole one overwrites its staged buffer or a fresh one. A
+// partial block that cannot be read is staged as zeros around the patch.
 func (fs *FS) WriteAtLocked(_ uint32, r mftRecord, off int64, data []byte) (mftRecord, int, error) {
 	n := int64(len(data))
 	written := int64(0)
@@ -120,7 +122,8 @@ func (fs *FS) WriteAtLocked(_ uint32, r mftRecord, off int64, data []byte) (mftR
 		}
 		var old []byte
 		if pre != 0 && chunk != BlockSize {
-			if b, rerr := fs.readBlockRetry(blk, BTData); rerr == nil {
+			load := func(buf []byte) error { return fs.loadBlockRetry(blk, BTData, buf) }
+			if b, rerr := fs.cache.Modify(blk, BlockSize, load); rerr == nil {
 				old = b
 			}
 		}
@@ -137,7 +140,8 @@ func (fs *FS) CutLocked(_ uint32, r mftRecord, size int64) (mftRecord, error) {
 	}
 	if size%BlockSize != 0 {
 		if blk, perr := fs.blockPtr(&r, size/BlockSize, false); perr == nil && blk != 0 {
-			if old, rerr := fs.readBlockRetry(blk, BTData); rerr == nil {
+			load := func(buf []byte) error { return fs.loadBlockRetry(blk, BTData, buf) }
+			if old, rerr := fs.cache.Modify(blk, BlockSize, load); rerr == nil {
 				clear(old[size%BlockSize:])
 				fs.tx.StageData(blk, old, BTData)
 			}

@@ -326,6 +326,7 @@ func raTargets(t *testing.T, name string, opts Options) ([]byte, []raTarget) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	withResolver(t, v)
 	raFixture(t, v.FS)
 	if err := v.FS.Unmount(); err != nil {
 		t.Fatal(err)

@@ -91,35 +91,9 @@ func (fs *FS) readMetaBlock(blk int64, bt iron.BlockType) ([]byte, error) {
 	return buf, nil
 }
 
-// readDataBlock reads an unformatted data block: on failure ReiserFS
-// performs a single retry, then propagates (§5.2).
-func (fs *FS) readDataBlock(blk int64) ([]byte, error) {
-	if data := fs.cache.Get(blk); data != nil {
-		return data, nil
-	}
-	buf := make([]byte, BlockSize)
-	if err := fs.loadDataBlock(blk, buf); err != nil {
-		return nil, err
-	}
-	fs.cache.Put(blk, buf, false)
-	return buf, nil
-}
-
-// fillDataBlock is Read's miss path: the block is read into a frame of the
-// cache's with readDataBlock's policy, the caller's bytes from off are
-// copied into dst, and only then is the frame filled into the cache.
-func (fs *FS) fillDataBlock(blk, off int64, dst []byte) error {
-	buf := fs.cache.Frame(blk, BlockSize)
-	if err := fs.loadDataBlock(blk, buf); err != nil {
-		return err
-	}
-	copy(dst, buf[off:])
-	fs.cache.Fill(blk, buf)
-	return nil
-}
-
-// loadDataBlock is readDataBlock's device half: the read into buf, a
-// single retry, then propagate.
+// loadDataBlock is ReiserFS's read policy for an unformatted data block,
+// the device half of every data-block miss (bcache.Cache.MissInto and
+// Modify): the read into buf, a single retry, then propagate (§5.2).
 func (fs *FS) loadDataBlock(blk int64, buf []byte) error {
 	err := fs.dev.ReadBlock(blk, buf)
 	if err != nil {

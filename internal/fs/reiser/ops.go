@@ -88,7 +88,8 @@ func (fs *FS) ReadAtLocked(ref objRef, _ statData, off int64, p []byte) (int, er
 			// Miss: fill from the device, copying out before the insert,
 			// and read ahead. The hit path above copied under the shard
 			// lock without allocating.
-			if err := fs.fillDataBlock(ptr, bo, dst); err != nil {
+			load := func(buf []byte) error { return fs.loadDataBlock(ptr, buf) }
+			if err := fs.cache.MissInto(ptr, BlockSize, int(bo), dst, load); err != nil {
 				return int(read), err
 			}
 			fs.ra.ReadAhead(fs.dev, ptr, nil)
@@ -145,11 +146,13 @@ func (fs *FS) WriteAtLocked(ref objRef, sd statData, off int64, data []byte) (st
 			return sd, int(written), err
 		}
 		// A block allocated here, for a hole, starts zeroed: what the device
-		// holds there is a freed block's old contents.
+		// holds there is a freed block's old contents. So does a partial
+		// block past the end of the file, or one that cannot be read.
 		var old []byte
 		if chunk != BlockSize && !fresh {
-			if old = fs.cache.Get(ptr); old == nil && int64(sd.Size) > idx*BlockSize {
-				if b, rerr := fs.readDataBlock(ptr); rerr == nil {
+			if old = fs.cache.Borrow(ptr); old == nil && int64(sd.Size) > idx*BlockSize {
+				load := func(buf []byte) error { return fs.loadDataBlock(ptr, buf) }
+				if b, rerr := fs.cache.Modify(ptr, BlockSize, load); rerr == nil {
 					old = b
 				}
 			}
@@ -172,7 +175,8 @@ func (fs *FS) CutLocked(ref objRef, sd statData, size int64) (statData, error) {
 	// Zero the cut of the boundary block.
 	if size%BlockSize != 0 {
 		if ptr, _, perr := fs.blockPtr(ref, size/BlockSize, false); perr == nil && ptr != 0 {
-			if old, rerr := fs.readDataBlock(ptr); rerr == nil {
+			load := func(buf []byte) error { return fs.loadDataBlock(ptr, buf) }
+			if old, rerr := fs.cache.Modify(ptr, BlockSize, load); rerr == nil {
 				clear(old[size%BlockSize:])
 				fs.tx.StageData(ptr, old, BTData)
 			}

@@ -153,6 +153,19 @@ func churnedImage(t testing.TB, name string, seed int64) []byte {
 	return v.Disk.Snapshot()
 }
 
+// withResolver gives v, mounted without a fault layer, the gray-box
+// resolver MountVolume builds only for one. A resolver walks nothing
+// before its first Classify, so it is the one MountVolume would have
+// built.
+func withResolver(t testing.TB, v *Volume) {
+	t.Helper()
+	r, err := NewResolver(v.Name, v.Disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Resolver = r
+}
+
 // firstOfType finds a block r classifies as bt.
 func firstOfType(t *testing.T, r faultinject.TypeResolver, d *disk.Disk, bt iron.BlockType) int64 {
 	t.Helper()
@@ -246,6 +259,7 @@ func TestResolverConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				withResolver(t, v)
 				churn(v.FS, 0x1207, 30)
 				tm := v.Resolver.(*faultinject.TypeMap)
 				src := firstOfType(t, tm, v.Disk, tableType[name])
@@ -386,6 +400,7 @@ func newClassifyFixture(t testing.TB, name string) *classifyFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	withResolver(t, v)
 	churn(v.FS, 11, 20)
 	f := &classifyFixture{v: v, buf: make([]byte, v.Disk.BlockSize())}
 	journal := map[iron.BlockType]bool{"j-data": true, "j-desc": true, "j-commit": true, "logfile": true}

@@ -32,8 +32,8 @@ type MountOpts struct {
 	// Image restores an existing disk snapshot instead of formatting.
 	Image []byte
 	// Faults inserts a fault-injection layer (armed later via
-	// Volume.Faults). The layer needs the FS's gray-box resolver, which
-	// is built either way.
+	// Volume.Faults) over the FS's gray-box resolver, which is built only
+	// for it (NewResolver builds one for a volume without the layer).
 	Faults bool
 	// Seed seeds the fault layer's corruption-noise RNG (0 = default).
 	Seed int64
@@ -79,7 +79,7 @@ type Volume struct {
 	Sched    *sched.Scheduler
 	Dev      disk.Device
 	FS       vfs.FileSystem
-	Resolver faultinject.TypeResolver
+	Resolver faultinject.TypeResolver // the fault layer's; nil without one
 	Recorder *iron.Recorder
 }
 
@@ -131,10 +131,9 @@ func MountVolume(o MountOpts) (*Volume, error) {
 		d.SetTracer(v.Tracer)
 		v.Tracer.BridgeRecorder(o.Recorder)
 	}
-	v.Resolver = e.resolver(d)
-
 	var dev disk.Device = d
 	if o.Faults {
+		v.Resolver = e.resolver(d)
 		seed := o.Seed
 		if seed == 0 {
 			seed = faultinject.DefaultSeed

@@ -27,10 +27,10 @@ func TestMountVolumeEveryFS(t *testing.T) {
 		if v.Name != name || v.Label != name {
 			t.Fatalf("%s: name/label = %q/%q", name, v.Name, v.Label)
 		}
-		if v.Disk == nil || v.Clock == nil || v.Resolver == nil || v.FS == nil {
+		if v.Disk == nil || v.Clock == nil || v.FS == nil {
 			t.Fatalf("%s: incomplete tower: %+v", name, v)
 		}
-		if v.Faults != nil || v.Sched != nil || v.Tracer != nil {
+		if v.Faults != nil || v.Resolver != nil || v.Sched != nil || v.Tracer != nil {
 			t.Fatalf("%s: unrequested layers present", name)
 		}
 		if st := v.Health(); st != vfs.Healthy {

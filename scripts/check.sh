@@ -76,6 +76,9 @@ if [ "${1:-}" = lock ]; then
 			# Figure 2/3 byte for byte: every file system's detection and
 			# recovery matrices, Table 5 and the robustness count.
 			run fp-all.txt ./ironfp -fs all -fault all -summary -robust
+			# The transient study: one-shot read faults that a retry
+			# policy absorbs, counted per file system (about 5 s).
+			run fp-transient.txt ./ironfp -fs all -transient
 			rm ironhunt ironcrash ironstat ironload ironfsck ironbench ironfp
 		)
 	done
@@ -126,8 +129,10 @@ go test -run '^$' -bench Dispatch -benchtime 1x ./internal/serve
 # allocations"), a queued write with its share of the drains, a 72-block
 # journal freeze that copies into recycled frames and slices, one
 # committed create / write / fsync / unlink on each file system (bytes per
-# committed operation) and one demand miss without read-ahead on each
-# (bytes per miss: well under one 4 KiB buffer), with their allocation counts
+# committed operation), one demand miss without read-ahead on each
+# (bytes per miss: well under one 4 KiB buffer) and one 5-byte overwrite of
+# a block cycled out of the cache on each (bytes per read-for-modify: well
+# under one 4 KiB buffer), with their allocation counts
 # (0 for the insert, the firing, the write, the freeze and the miss), and
 # the disk's media cost
 # (docs/PERF.md, "Disk media cost"): reads and a 64-block batch on a
@@ -135,7 +140,7 @@ go test -run '^$' -bench Dispatch -benchtime 1x ./internal/serve
 # KiB, not 64 MiB) and a snapshot of a fresh and a restored one (one
 # 64 MiB image each): 100 iterations, so a first call's warm-up does not
 # stand in for the steady state.
-go test -run '^$' -bench 'PathLookup|TreeLookup|TreeInsert|CreateTailFile|CommitLoop|DemandMiss' -benchmem -benchtime 100x ./internal/fs/...
+go test -run '^$' -bench 'PathLookup|TreeLookup|TreeInsert|CreateTailFile|CommitLoop|DemandMiss|PartialOverwrite' -benchmem -benchtime 100x ./internal/fs/...
 go test -run '^$' -bench 'FullShardInsert|ReadAheadSteady|EnqueueDrain|Freeze' -benchmem -benchtime 100x ./internal/bcache ./internal/sched ./internal/journal
 go test -run '^$' -bench 'ReadBlock|WriteBatch|New|Snapshot' -benchmem -benchtime 100x ./internal/disk
 # And ixt3's block checksum over one 4 KiB block (docs/PERF.md,
