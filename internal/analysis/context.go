@@ -46,6 +46,9 @@ type passContext struct {
 	// journal engine.
 	calleesOf map[*types.Func][]callEdge
 	callersOf map[*types.Func][]callEdge
+	// handed maps a callee to the implementations its callers hand it
+	// through a callback interface: the methods the callee calls back.
+	handed map[*types.Func][]*types.Func
 }
 
 // newPassContext builds the substrate.
@@ -58,6 +61,7 @@ func newPassContext(mod *module, cfg Config, dirs *directiveSet, taint *taintSet
 		byObj:     map[*types.Func]*funcInfo{},
 		calleesOf: map[*types.Func][]callEdge{},
 		callersOf: map[*types.Func][]callEdge{},
+		handed:    map[*types.Func][]*types.Func{},
 	}
 	for _, pi := range mod.pkgs {
 		for _, f := range pi.files {
@@ -97,6 +101,9 @@ func newPassContext(mod *module, cfg Config, dirs *directiveSet, taint *taintSet
 				e := callEdge{caller: fi.obj, callee: target, pos: call.Pos()}
 				ctx.calleesOf[fi.obj] = append(ctx.calleesOf[fi.obj], e)
 				ctx.callersOf[target] = append(ctx.callersOf[target], e)
+				if target != callee {
+					ctx.handed[callee] = append(ctx.handed[callee], target)
+				}
 			}
 			return true
 		})

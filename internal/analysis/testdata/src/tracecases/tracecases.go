@@ -63,16 +63,32 @@ func (fs *FS) commitViaEngine(eng *enginekit.Engine) error {
 	return eng.Run(fs)
 }
 
+// syncViaEngine hands fs to the engine's Commit, which reaches Freeze's
+// emit only through the callback.
+func (fs *FS) syncViaEngine(eng *enginekit.Engine) error {
+	return eng.Commit(fs)
+}
+
+// flushViaEngine hands the engine's Checkpoint a Flusher that emits
+// nothing.
+func (fs *FS) flushViaEngine(eng *enginekit.Engine) error {
+	return eng.Checkpoint(mute{})
+}
+
 // Freeze implements enginekit.Committer and emits.
 func (fs *FS) Freeze() error {
 	fs.tr.Phase("commit", "frozen")
 	return nil
 }
 
-// mute implements enginekit.Committer without emitting.
+// mute implements enginekit.Committer and enginekit.Flusher without
+// emitting.
 type mute struct{}
 
 func (mute) Freeze() error { return nil }
+
+// Flush implements enginekit.Flusher without emitting.
+func (mute) Flush() error { return nil }
 
 // replayViaReport emits only through the engine's emission call.
 func (fs *FS) replayViaReport(eng *enginekit.Engine) {

@@ -20,8 +20,12 @@ import (
 // rule. A phase either makes one of Config.EmitCalls itself — a Tracer
 // emit method, an iron.Recorder Detect/Recover (mirrored into the trace by
 // the recorder bridge), a journal.Engine report — or delegates to a
-// sibling that does. Intentionally silent phases carry //iron:traceok
-// with a justification.
+// sibling that does. The one cross-package step is the callback
+// interface: an engine's method that its callers hand an implementation
+// of its own package's interface (journal.Engine.Commit, handed each file
+// system's Committer) emits when one of the implementations handed to it
+// does, wherever that lives. Intentionally silent phases carry
+// //iron:traceok with a justification.
 func runTracecheck(ctx *passContext) []Finding {
 	cfg := ctx.cfg
 	if cfg.TracePkg == "" {
@@ -99,6 +103,10 @@ func runTracecheck(ctx *passContext) []Finding {
 					changed = true
 					break
 				}
+			}
+			if !emits[fi.obj] && slices.ContainsFunc(ctx.handed[fi.obj], func(f *types.Func) bool { return emits[f] }) {
+				emits[fi.obj] = true
+				changed = true
 			}
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ironfs/internal/disk"
 	"ironfs/internal/stat"
 	"ironfs/internal/trace"
 )
@@ -26,6 +27,132 @@ import (
 // in different shards, so the sequential scans file systems love spread
 // naturally instead of convoying on one lock.
 const DefaultShards = 8
+
+// DefaultBlocks is the capacity every file system makes its volume's cache
+// with: New(DefaultBlocks).
+const DefaultBlocks = 2048
+
+// FrameSize is the size of the frames the process-wide pool keeps: the
+// 4 KiB block every file system here, and every log, is written in.
+const FrameSize = 4096
+
+// framePool is the process's one free list of FrameSize frames. Every Cache
+// and every journal transaction takes frames from it and gives them back:
+// a shard's own list spills into it when full and refills from it when
+// empty, Reset hands back every clean owned frame, and a commit's frames
+// come back once their last device write has returned. So a volume
+// mounted after another reads into the frames the first let go of. A
+// frame is made only when the pool is empty, so the pool never holds more
+// frames than the process's caches and transactions once held at the same
+// time; it needs no cap. It is not a sync.Pool, which every garbage
+// collection empties: a volume mounted after a collection would make its
+// frames afresh.
+type framePool struct {
+	//iron:lockorder 35 the frame pool nests under a cache shard lock and takes no lock of its own
+	mu     sync.Mutex
+	frames [][]byte
+	// made counts the FrameSize frames made because the pool was empty.
+	made atomic.Int64
+}
+
+var pool framePool
+
+// take pops a frame, or returns nil when the pool is empty.
+func (p *framePool) take() []byte {
+	p.mu.Lock()
+	f := p.takeLocked()
+	p.mu.Unlock()
+	return f
+}
+
+// give pushes the frames of fs that are FrameSize long; any other buffer
+// is left to the garbage collector.
+func (p *framePool) give(fs ...[]byte) {
+	p.mu.Lock()
+	for _, f := range fs {
+		p.pushLocked(f)
+	}
+	p.mu.Unlock()
+}
+
+// takeLocked is take under p.mu.
+func (p *framePool) takeLocked() []byte {
+	k := len(p.frames) - 1
+	if k < 0 {
+		return nil
+	}
+	f := p.frames[k]
+	p.frames[k] = nil
+	p.frames = p.frames[:k]
+	return f
+}
+
+// pushLocked is give of one frame under p.mu.
+func (p *framePool) pushLocked(f []byte) {
+	if len(f) == FrameSize {
+		p.frames = append(p.frames, f)
+	}
+}
+
+// newFrame makes a frame of size bytes, counting it when it is one the
+// pool could have served.
+func newFrame(size int) []byte {
+	if size == FrameSize {
+		pool.made.Add(1)
+	}
+	return make([]byte, size)
+}
+
+// TakeFrame returns a FrameSize frame from the pool, or a new one when the
+// pool is empty. Its bytes are whatever its last use left. The caller owns
+// it until GiveFrame, or leaves it to the garbage collector.
+func TakeFrame() []byte {
+	if f := pool.take(); f != nil {
+		return f
+	}
+	return newFrame(FrameSize)
+}
+
+// GiveFrame hands f back to the pool: neither the caller nor anyone it lent
+// f to — a plan, a device call — reads or writes it again, for the next
+// TakeFrame anywhere in the process may hand it out. A buffer that is not
+// FrameSize bytes long is left to the garbage collector.
+func GiveFrame(f []byte) { pool.give(f) }
+
+// TakeFrames sets the Data of every request in reqs to a frame, as
+// TakeFrame would one at a time, taking the pool's lock once: a commit's
+// frozen copies.
+func TakeFrames(reqs []disk.Request) {
+	pool.mu.Lock()
+	for i := range reqs {
+		reqs[i].Data = pool.takeLocked()
+	}
+	pool.mu.Unlock()
+	for i := range reqs {
+		if reqs[i].Data == nil {
+			reqs[i].Data = newFrame(FrameSize)
+		}
+	}
+}
+
+// GiveFrames hands back the Data frame of every request in reqs, as
+// GiveFrame would one at a time, taking the pool's lock once.
+func GiveFrames(reqs []disk.Request) {
+	pool.mu.Lock()
+	for _, r := range reqs {
+		pool.pushLocked(r.Data)
+	}
+	pool.mu.Unlock()
+}
+
+// PoolStats reports the process-wide frame pool: the frames the process
+// has made so far, and the frames the pool holds now.
+func PoolStats() (made int64, pooled int) {
+	pool.mu.Lock()
+	pooled = len(pool.frames)
+	pool.mu.Unlock()
+	return pool.made.Load(), pooled
+}
 
 // Stats are the cache's exact access counters. All fields are monotonic.
 type Stats struct {
@@ -64,7 +191,7 @@ type Cache struct {
 }
 
 type shard struct {
-	//iron:lockorder 30 cache shard lock is innermost; shards never nest on each other
+	//iron:lockorder 30 cache shard lock nests only the frame pool's; shards never nest on each other
 	mu      sync.Mutex
 	cap     int
 	entries map[int64]*entry
@@ -73,7 +200,8 @@ type shard struct {
 	lru entry
 	// free holds entries no block uses, linked through next; frames holds
 	// cache-owned buffers no entry uses, at most cap of them, for Frame and
-	// PutFresh.
+	// PutFresh; past cap a frame spills into the process's pool, and an
+	// empty list refills from it.
 	free   *entry
 	frames [][]byte
 	stats  Stats
@@ -90,8 +218,9 @@ type entry struct {
 	dirty bool
 	// own is set while data is a frame the cache owns and never handed
 	// out: Fill and PutFresh set it, and Get clears it for good. The frame
-	// of an own entry goes back to the shard's frame list when the entry
-	// lets go of it; any other buffer is left to the garbage collector.
+	// of an own entry goes back to the shard's frame list (or the pool)
+	// when the entry lets go of it; any other buffer is left to the garbage
+	// collector.
 	own        bool
 	prev, next *entry
 }
@@ -103,6 +232,10 @@ func New(capBlocks int) *Cache { return NewSharded(capBlocks, DefaultShards) }
 // NewSharded returns a cache of capBlocks total capacity over the given
 // shard count (minimum 1). Capacity is divided evenly; each shard keeps at
 // least two resident blocks so pathological shard counts stay functional.
+// Everything a shard needs up to its capacity is made here — its entries,
+// carved from one slab, its map and its frame list's array — so a cache
+// allocates nothing after New but the frames the pool cannot serve and
+// what a shard pinned over capacity grows.
 func NewSharded(capBlocks, shards int) *Cache {
 	if capBlocks < 16 {
 		capBlocks = 16
@@ -115,17 +248,23 @@ func NewSharded(capBlocks, shards int) *Cache {
 		perShard = 2
 	}
 	c := &Cache{shards: make([]shard, shards)}
+	slab := make([]entry, shards*perShard)
+	frames := make([][]byte, shards*perShard)
 	for i := range c.shards {
 		// Zero-padded shard labels keep snapshot keys sorted numerically.
 		lbl := fmt.Sprintf("%02d", i)
 		s := &c.shards[i]
 		*s = shard{
-			cap: perShard, entries: make(map[int64]*entry),
+			cap: perShard, entries: make(map[int64]*entry, perShard),
+			frames: frames[i*perShard : i*perShard : (i+1)*perShard],
 			hits:   stat.C("bcache_ops_total", "op", trace.KindHit, "shard", lbl),
 			misses: stat.C("bcache_ops_total", "op", trace.KindMiss, "shard", lbl),
 			evicts: stat.C("bcache_ops_total", "op", trace.KindEvict, "shard", lbl),
 		}
 		s.lru.prev, s.lru.next = &s.lru, &s.lru
+		for j := i * perShard; j < (i+1)*perShard; j++ {
+			slab[j].next, s.free = s.free, &slab[j]
+		}
 	}
 	return c
 }
@@ -336,17 +475,17 @@ func (c *Cache) miss(n int64, size int, load func(buf []byte) error, off int, ds
 }
 
 // Frame returns a buffer of size bytes to read block n into for a Fill: a
-// frame from n's shard's list when one of that size is there, else a new
-// one. Its bytes are whatever its last use left. Until the Fill it is the
-// caller's alone; a caller that does not fill it leaves it to the garbage
-// collector.
+// frame from n's shard's list or, for a FrameSize frame, the pool, when one
+// of that size is there, else a new one. Its bytes are whatever its last
+// use left. Until the Fill it is the caller's alone; a caller that does not
+// fill it leaves it to the garbage collector.
 func (c *Cache) Frame(n int64, size int) []byte {
 	s := c.shardOf(n)
 	s.mu.Lock()
 	f := s.popFrameLocked(size)
 	s.mu.Unlock()
 	if f == nil {
-		f = make([]byte, size)
+		f = newFrame(size)
 	}
 	return f
 }
@@ -367,7 +506,7 @@ func (c *Cache) PutFresh(n int64, size int) []byte {
 	}
 	f := s.popFrameLocked(size)
 	if f == nil {
-		f = make([]byte, size)
+		f = newFrame(size)
 	} else {
 		clear(f)
 	}
@@ -449,8 +588,10 @@ func (c *Cache) Drop(n int64) {
 	}
 }
 
-// Reset empties the cache. Counters are preserved: they are lifetime
-// totals, and Reset (unmount, crash simulation) is not an access.
+// Reset empties the cache and hands every clean frame it owns back to the
+// process's pool, for whichever volume fills next; a dirty frame is left
+// to the collector, as Drop leaves it. Counters are preserved: they are
+// lifetime totals, and Reset (unmount, crash simulation) is not an access.
 func (c *Cache) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -459,6 +600,9 @@ func (c *Cache) Reset() {
 			s.releaseLocked(s.lru.next)
 		}
 		clear(s.entries)
+		pool.give(s.frames...)
+		clear(s.frames)
+		s.frames = s.frames[:0]
 		s.mu.Unlock()
 	}
 }
@@ -598,17 +742,24 @@ func (s *shard) recycleLocked(e *entry) {
 }
 
 // pushFrameLocked keeps the cache-owned frame f for a later Fill while the
-// list holds fewer frames than the shard holds blocks. Caller holds s.mu.
+// list holds fewer frames than the shard holds blocks, and past that hands
+// it to the pool. Caller holds s.mu.
 func (s *shard) pushFrameLocked(f []byte) {
 	if len(s.frames) < s.cap {
 		s.frames = append(s.frames, f)
+		return
 	}
+	pool.give(f)
 }
 
 // popFrameLocked takes the frame on top of the list when it is size bytes
-// long, or returns nil. Caller holds s.mu.
+// long, or returns nil; an empty list refills a FrameSize frame from the
+// pool. Caller holds s.mu.
 func (s *shard) popFrameLocked(size int) []byte {
 	k := len(s.frames) - 1
+	if k < 0 && size == FrameSize {
+		return pool.take()
+	}
 	if k < 0 || len(s.frames[k]) != size {
 		return nil
 	}

@@ -387,3 +387,63 @@ func TestStagedFramesOutliveReset(t *testing.T) {
 		t.Fatal("a clean frame was not recycled when its block left")
 	}
 }
+
+// TestFramesSpillRefillAndReset: a shard's frame list holds at most as
+// many frames as the shard holds blocks and spills the rest into the
+// process's pool; an empty list refills from the pool before a frame is
+// made; Reset hands every clean owned frame back, resident or listed, and
+// leaves a dirty one to the collector. Counts are deltas: the pool is the
+// process's and never starts empty.
+func TestFramesSpillRefillAndReset(t *testing.T) {
+	c := NewSharded(16, 1)
+	for b := int64(0); b < 16; b++ {
+		c.Fill(b, c.Frame(b, FrameSize))
+	}
+	for b := int64(0); b < 16; b++ {
+		c.Drop(b)
+	}
+	c.Fill(100, TakeFrame())
+	extra := TakeFrame()
+	_, before := PoolStats()
+	if c.Fill(100, extra) {
+		t.Fatal("Fill over a resident block inserted")
+	}
+	if _, after := PoolStats(); after != before+1 {
+		t.Fatalf("the pool went %d → %d frames; want the frame a full list could not keep", before, after)
+	}
+	if f := TakeFrame(); !sameBuf(f, extra) {
+		t.Fatal("the spilled frame is not the pool's next")
+	} else {
+		GiveFrame(f)
+	}
+
+	fresh := NewSharded(16, 1)
+	made, _ := PoolStats()
+	f := fresh.Frame(7, FrameSize)
+	if again, _ := PoolStats(); again != made {
+		t.Fatalf("an empty list made %d frames while the pool held some", again-made)
+	}
+	fresh.Fill(7, f)
+
+	staged := c.PutFresh(200, FrameSize)
+	_, before = PoolStats()
+	c.Reset()
+	// The list's 15 frames (PutFresh took one of the 16 dropped) and block
+	// 100's clean one; not the dirty staged one.
+	if _, after := PoolStats(); after != before+16 {
+		t.Fatalf("Reset gave the pool %d frames, want 16", after-before)
+	}
+	in := map[*byte]bool{}
+	_, n := PoolStats()
+	held := make([][]byte, n)
+	for i := range held {
+		held[i] = TakeFrame()
+		in[&held[i][0]] = true
+	}
+	for i := len(held) - 1; i >= 0; i-- {
+		GiveFrame(held[i])
+	}
+	if in[&staged[0]] {
+		t.Fatal("Reset handed back a dirty frame a transaction still holds")
+	}
+}

@@ -88,7 +88,7 @@ func New(dev disk.Device, opts Options, rec *iron.Recorder) *FS {
 		opts:  opts,
 		rec:   rec,
 		tr:    trace.Of(dev),
-		cache: bcache.New(2048),
+		cache: bcache.New(bcache.DefaultBlocks),
 	}
 	if opts.DataParity {
 		fs.scratch = make([]byte, BlockSize)

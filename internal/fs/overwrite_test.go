@@ -1,9 +1,13 @@
 package fs
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
+
+	"ironfs/internal/stat"
 )
 
 // partialOverwrite mounts name with four files of 512 blocks — 2 048 in
@@ -95,4 +99,59 @@ func BenchmarkPartialOverwrite(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestPartialOverwriteLooksUpOnce: a 5-byte overwrite of a block the cache
+// does not hold reads it from the device once and counts one miss — the
+// read-for-modify's one lookup — on every file system; ixt3 also reads its
+// parity block, two of each. The file's metadata is brought back by a read
+// of its first block, so the overwrite of its second misses on data alone.
+func TestPartialOverwriteLooksUpOnce(t *testing.T) {
+	want := map[string][2]int64{"ext3": {1, 1}, "reiserfs": {1, 1}, "jfs": {1, 1}, "ntfs": {1, 1}, "ixt3": {2, 2}}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			reg := stat.NewRegistry()
+			defer stat.SetDefault(stat.SetDefault(reg))
+			v, err := MountVolume(MountOpts{FS: name, Opts: raOptions(name)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := v.FS.Create("/f", 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := v.FS.Write("/f", 0, raFile("/f", 2)); err != nil {
+				t.Fatal(err)
+			}
+			dropCaches(t, v.FS)
+			if n, err := v.FS.Read("/f", 0, make([]byte, txnBlock)); err != nil || n != txnBlock {
+				t.Fatalf("read block 0: %d, %v", n, err)
+			}
+			reads, misses := v.Disk.Stats().Reads, countMisses(reg)
+			if n, err := v.FS.Write("/f", txnBlock+100, []byte("patch")); err != nil || n != 5 {
+				t.Fatalf("overwrite: %d, %v", n, err)
+			}
+			got := [2]int64{v.Disk.Stats().Reads - reads, countMisses(reg) - misses}
+			if got != want[name] {
+				t.Errorf("a 5-byte overwrite of an uncached block cost %d device reads and %d misses, want %d and %d",
+					got[0], got[1], want[name][0], want[name][1])
+			}
+			patched := raBlock("/f", 1)
+			copy(patched[100:], "patch")
+			buf := make([]byte, txnBlock)
+			if n, err := v.FS.Read("/f", txnBlock, buf); err != nil || n != txnBlock || !bytes.Equal(buf, patched) {
+				t.Fatalf("the overwritten block reads back wrong: %d, %v", n, err)
+			}
+		})
+	}
+}
+
+// countMisses sums reg's bcache miss counters over every shard.
+func countMisses(reg *stat.Registry) int64 {
+	var n int64
+	for _, c := range reg.Snapshot().Counters {
+		if strings.HasPrefix(c.Key, "bcache_ops_total{op=miss,") {
+			n += c.Value
+		}
+	}
+	return n
 }

@@ -51,7 +51,7 @@ var _ vfs.FileSystem = (*FS)(nil)
 
 // New binds a ReiserFS instance to a formatted device. Mount before use.
 func New(dev disk.Device, rec *iron.Recorder) *FS {
-	fs := &FS{dev: dev, rec: rec, tr: trace.Of(dev), cache: bcache.New(2048)}
+	fs := &FS{dev: dev, rec: rec, tr: trace.Of(dev), cache: bcache.New(bcache.DefaultBlocks)}
 	fs.cache.SetTracer(fs.tr)
 	fs.jn = journal.New(&fs.mu, &fs.health, disk.ClockOf(dev), fs.tr, "reiserfs")
 	fs.Driver = fsck.New(fs, fsck.Volume{Label: "reiser", Mu: &fs.mu, Health: &fs.health, Tracer: fs.tr, Cache: fs.cache})

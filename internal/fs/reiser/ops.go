@@ -147,15 +147,19 @@ func (fs *FS) WriteAtLocked(ref objRef, sd statData, off int64, data []byte) (st
 		}
 		// A block allocated here, for a hole, starts zeroed: what the device
 		// holds there is a freed block's old contents. So does a partial
-		// block past the end of the file, or one that cannot be read.
+		// block past the end of the file unless it is resident, or one that
+		// cannot be read. Each looks the block up once.
 		var old []byte
-		if chunk != BlockSize && !fresh {
-			if old = fs.cache.Borrow(ptr); old == nil && int64(sd.Size) > idx*BlockSize {
-				load := func(buf []byte) error { return fs.loadDataBlock(ptr, buf) }
-				if b, rerr := fs.cache.Modify(ptr, BlockSize, load); rerr == nil {
-					old = b
-				}
+		switch {
+		case chunk == BlockSize || fresh:
+			// Nothing of the old block survives the write.
+		case int64(sd.Size) > idx*BlockSize:
+			load := func(buf []byte) error { return fs.loadDataBlock(ptr, buf) }
+			if b, rerr := fs.cache.Modify(ptr, BlockSize, load); rerr == nil {
+				old = b
 			}
+		default:
+			old = fs.cache.Borrow(ptr)
 		}
 		fs.tx.StageWrite(ptr, old, bo, data[written:written+chunk], BTData)
 		written += chunk

@@ -24,6 +24,22 @@ func frames(fz Frozen) map[*byte]bool {
 	return out
 }
 
+// pooled returns the first byte's address of every frame the process's
+// pool holds, draining it and giving every frame back in its order.
+func pooled() map[*byte]bool {
+	_, n := bcache.PoolStats()
+	fs := make([][]byte, n)
+	for i := range fs {
+		fs[n-1-i] = bcache.TakeFrame()
+	}
+	out := map[*byte]bool{}
+	for _, f := range fs {
+		bcache.GiveFrame(f)
+		out[&f[0]] = true
+	}
+	return out
+}
+
 func shared(a, b map[*byte]bool) bool {
 	for f := range a {
 		if b[f] {
@@ -96,12 +112,15 @@ type frameFS struct {
 	jn       *Engine
 	tx       *Txn[uint32]
 	writeErr error
+	// frozen holds the frames of the last freeze.
+	frozen map[*byte]bool
 }
 
 func (f *frameFS) DirtyLocked() bool             { return !f.tx.Empty() }
 func (f *frameFS) TouchedLocked(key uint64) bool { return f.tx.Touched(uint32(key)) }
 func (f *frameFS) FreezeLocked(uint64) (Plan, error) {
 	fz := f.tx.Freeze()
+	f.frozen = frames(fz)
 	return &fz, nil
 }
 func (f *frameFS) WritePlan(Plan) error {
@@ -117,25 +136,40 @@ func (f *frameFS) FinishLocked(p Plan) error {
 }
 
 // TestFailedCommitDropsItsFrames: a commit whose writes failed never
-// reaches FinishLocked, so its frames stay out of the free list; a
-// successful one puts every frame back.
+// reaches FinishLocked, so its frames stay out of the pool; a successful
+// one puts every frame back. Whatever the pool held before, it holds after
+// a commit less the frames the freeze took, plus the frames the commit
+// gave back.
 func TestFailedCommitDropsItsFrames(t *testing.T) {
 	f := &frameFS{tx: NewTxn[uint32](bcache.New(64))}
 	f.jn = New(&f.mu, &f.health, nil, nil, "")
-	commit := func() error {
+	commit := func() (before, after int, err error) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		f.tx.StageMeta(1, block(1), "inode")
 		f.tx.StageData(2, block(2), "data")
-		return f.jn.Commit(f)
+		_, before = bcache.PoolStats()
+		err = f.jn.Commit(f)
+		_, after = bcache.PoolStats()
+		return before, after, err
 	}
-	if err := commit(); err != nil || len(f.tx.frames) != 2 {
-		t.Fatalf("commit: %v, %d frames free after it; want 2", err, len(f.tx.frames))
+	before, after, err := commit()
+	if err != nil || after != before-min(2, before)+2 {
+		t.Fatalf("commit: %v, the pool holds %d frames after it, %d before; want both frames back", err, after, before)
 	}
-	f.tx.frames = nil
+	in := pooled()
+	for fr := range f.frozen {
+		if len(f.frozen) != 2 || !in[fr] {
+			t.Fatal("a finished commit's frame is not in the pool")
+		}
+	}
 	f.writeErr = errors.New("barrier failed")
-	if err := commit(); err == nil || len(f.tx.frames) != 0 {
-		t.Fatalf("failed commit: %v, %d frames free after it; want an error and 0", err, len(f.tx.frames))
+	before, after, err = commit()
+	if err == nil || after != before-min(2, before) {
+		t.Fatalf("failed commit: %v, the pool holds %d frames after it, %d before; want an error and neither frame back", err, after, before)
+	}
+	if shared(pooled(), f.frozen) {
+		t.Fatal("a failed commit's frame came back to the pool")
 	}
 }
 
@@ -180,8 +214,8 @@ func BenchmarkFreeze(b *testing.B) {
 
 // TestReplacedImagesRetireAtFreeze: the buffer a node image replaces in the
 // cache — the one the edit's view read — is not handed out by Frame before
-// the next Freeze, keeps its bytes until then, and is a frame after it,
-// behind the freeze's copies. A cache-owned (Fill) buffer is never retired,
+// the next Freeze, keeps its bytes until then, and is in the frame pool
+// after it, behind the freeze's copies. A cache-owned (Fill) buffer is never retired,
 // and neither is a buffer StageMeta or StageImage re-stages in place.
 func TestReplacedImagesRetireAtFreeze(t *testing.T) {
 	cache := bcache.New(64)
@@ -212,9 +246,10 @@ func TestReplacedImagesRetireAtFreeze(t *testing.T) {
 	cache.Fill(7, owned)
 	tx.StageImage(7, tx.Frame(), "leaf")
 
+	_, before := bcache.PoolStats()
 	fz := tx.Freeze()
-	if len(tx.frames) != 1 || &tx.frames[0][0] != &view[0] {
-		t.Fatalf("after the freeze the frame list holds %d frames, want the one replaced buffer", len(tx.frames))
+	if _, after := bcache.PoolStats(); after != max(before-len(fz.Meta), 0)+1 || !pooled()[&view[0]] {
+		t.Fatalf("the freeze took %d frames from a pool of %d and left %d; want the one replaced buffer given back", len(fz.Meta), before, after)
 	}
 	for _, r := range fz.Meta {
 		if &r.Data[0] == &view[0] {

@@ -28,8 +28,8 @@ import (
 const yields = 8
 
 // Plan is a frozen transaction: every device request materialized
-// (payloads copied into frames the transaction owns and the plan borrows;
-// see Frozen) so the writes can proceed without the file-system lock. While a plan's I/O is in flight the running transaction keeps
+// (payloads copied into frames from the process's pool, which the plan
+// borrows; see Frozen) so the writes can proceed without the file-system lock. While a plan's I/O is in flight the running transaction keeps
 // accepting operations — the JBD running/committing split — which is what
 // lets concurrent clients pile into the next commit instead of stalling.
 // Its contents are the file system's own; the engine only carries it from
@@ -48,8 +48,8 @@ type Committer interface {
 	TouchedLocked(key uint64) bool
 	// FreezeLocked materializes the running transaction into a Plan
 	// numbered seq and installs a fresh running transaction. Every
-	// payload is copied under the lock into a frame of the transaction's,
-	// so later mutations of the cached buffers cannot tear the frozen
+	// payload is copied under the lock into a frame from the pool, so
+	// later mutations of the cached buffers cannot tear the frozen
 	// image; the file system recycles each frame after its last device
 	// write. Journal-space reservations
 	// made here are serialized, because freezes only run with no commit
@@ -157,8 +157,6 @@ func (e *Engine) Recovered(seq uint64) { e.seq, e.durable = seq, seq }
 // file system's post-commit bookkeeping. Callers hold the lock and get it
 // back on return, but must tolerate the window — every caller commits at
 // the end of its operation, with no state carried across the call.
-//
-//iron:traceok the committer's FreezeLocked reports the commit through Committed, in the file system's package
 func (e *Engine) Commit(c Committer) error {
 	for e.committing {
 		e.done.Wait()

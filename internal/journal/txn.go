@@ -30,17 +30,10 @@ type Txn[K comparable] struct {
 	// brought them home.
 	cache   *bcache.Cache
 	touched map[K]struct{}
-	// frames holds the frames Recycle gave back and the buffers node images
-	// replaced in the cache, for the next freeze to copy into and Frame to
-	// hand out. A replaced buffer stands in for the frame its image was
-	// written into, which stays in the cache, so the list never holds more
-	// than the most frames the transaction has had out at once: frozen
-	// copies and log blocks not yet returned, plus one transaction's node
-	// images. It needs no cap.
-	frames [][]byte
 	// retired holds the buffers StageImage took out of the cache since the
 	// last freeze. The operation that replaced one may still hold views of
-	// it, so it joins frames only at the next Freeze, after its copies.
+	// it, so it goes to the frame pool only at the next Freeze, after its
+	// copies.
 	retired [][]byte
 	// reqs and types hold the request and type slices of plans whose
 	// commit has finished (Reuse), for freezes and plans to fill again.
@@ -108,36 +101,25 @@ func (s *Set) drop(blk int64) {
 	s.order = slices.Delete(s.order, i, i+1)
 }
 
-// freeze copies every staged payload of s into a frame of t's, addressed
-// at its home block, and empties the set.
+// freeze copies every staged payload of s into a frame from the pool,
+// addressed at its home block, and empties the set.
 func (t *Txn[K]) freeze(s *Set) ([]disk.Request, []iron.BlockType) {
 	if len(s.order) == 0 {
 		return nil, nil
 	}
 	reqs, types := t.Reqs(), t.Types()
 	for _, blk := range s.order {
+		reqs = append(reqs, disk.Request{Block: blk})
+	}
+	bcache.TakeFrames(reqs)
+	for i, blk := range s.order {
 		b := s.at[blk]
-		f := t.frame()
-		clear(f[copy(f, b.buf):])
-		reqs = append(reqs, disk.Request{Block: blk, Data: f})
+		clear(reqs[i].Data[copy(reqs[i].Data, b.buf):])
 		types = append(types, b.bt)
 	}
 	s.order = s.order[:0]
 	clear(s.at)
 	return reqs, types
-}
-
-// frame takes a frame from the free list, or makes one when it is empty.
-// Its bytes are whatever its last use left.
-func (t *Txn[K]) frame() []byte {
-	k := len(t.frames) - 1
-	if k < 0 {
-		return make([]byte, BlockSize)
-	}
-	f := t.frames[k]
-	t.frames[k] = nil
-	t.frames = t.frames[:k]
-	return f
 }
 
 // StageMeta stages buf as the image of metadata block blk and pins it in
@@ -161,9 +143,9 @@ func (t *Txn[K]) StageMeta(blk int64, buf []byte, bt iron.BlockType) {
 
 // StageImage stages img, a new image of metadata block blk written into a
 // Frame, as StageMeta does. The buffer img replaces in the cache is the one
-// the edit read, so it is retired: it becomes a frame at the next Freeze,
-// once no operation can hold a view of it. A cache-owned buffer, or img
-// itself re-staged, is not retired.
+// the edit read, so it is retired: it goes to the frame pool at the next
+// Freeze, once no operation can hold a view of it. A cache-owned buffer,
+// or img itself re-staged, is not retired.
 func (t *Txn[K]) StageImage(blk int64, img []byte, bt iron.BlockType) {
 	if old := t.cache.Put(blk, img, true); len(old) == BlockSize {
 		t.retired = append(t.retired, old)
@@ -243,12 +225,13 @@ func (t *Txn[K]) Full(metaCap, dataCap int) bool {
 
 // Frozen is a transaction as of its freeze: every staged block as a device
 // write aimed at its home, in first-touch order, carrying a copy of the
-// payload in a frame — the cache and the running transaction keep the
-// live buffers, which operations go on mutating while the commit is in
-// flight. The transaction owns each frame and the plan borrows it; the
-// file system hands it back with Recycle once the frame's last device
-// write has returned (a device keeps no buffer past the call), and never
-// after a failed commit, whose frames are simply dropped.
+// payload in a frame from the process's pool (bcache.TakeFrames) — the
+// cache and the running transaction keep the live buffers, which
+// operations go on mutating while the commit is in flight. The plan
+// borrows each frame; the file system hands it back to the pool with
+// Recycle once the frame's last device write has returned (a device keeps
+// no buffer past the call), and never after a failed commit, whose frames
+// are simply dropped.
 type Frozen struct {
 	Meta, Data         []disk.Request
 	MetaType, DataType []iron.BlockType
@@ -256,43 +239,44 @@ type Frozen struct {
 
 // Freeze copies every staged payload into a frame and leaves the
 // transaction empty, to run on as the next one. The buffers StageImage
-// retired become frames after the copies: every operation that could view
-// them has ended.
+// retired go to the frame pool after the copies: every operation that
+// could view them has ended.
 func (t *Txn[K]) Freeze() Frozen {
 	var fz Frozen
 	fz.Meta, fz.MetaType = t.freeze(&t.Meta)
 	fz.Data, fz.DataType = t.freeze(&t.Data)
 	clear(t.touched)
-	t.frames = append(t.frames, t.retired...)
+	for _, f := range t.retired {
+		bcache.GiveFrame(f)
+	}
 	clear(t.retired)
 	t.retired = t.retired[:0]
 	return fz
 }
 
-// Frame returns a zeroed frame for a block image the file system writes
-// itself: a tree-node image it stages with StageImage, or a block it adds
-// to a frozen transaction — a log record or header, ReiserFS's superblock.
-// An image staged is the cache's until StageImage retires it; any other
-// frame goes back with Recycle once its device write has returned.
+// Frame returns a zeroed frame from the pool for a block image the file
+// system writes itself: a tree-node image it stages with StageImage, or a
+// block it adds to a frozen transaction — a log record or header,
+// ReiserFS's superblock. An image staged is the cache's until StageImage
+// retires it; any other frame goes back with Recycle once its device
+// write has returned.
 func (t *Txn[K]) Frame() []byte {
-	f := t.frame()
+	f := bcache.TakeFrame()
 	clear(f)
 	return f
 }
 
-// Recycle takes back the frames of frozen requests whose last device write
-// has returned: no plan and no device call holds them any more. The next
-// freeze copies into them.
+// Recycle hands the frames of frozen requests whose last device write has
+// returned back to the pool: no plan and no device call holds them any
+// more. The next freeze, or any volume's next cache fill, may take them.
 func (t *Txn[K]) Recycle(reqs ...[]disk.Request) {
 	for _, rs := range reqs {
-		for _, r := range rs {
-			t.RecycleFrame(r.Data)
-		}
+		bcache.GiveFrames(rs)
 	}
 }
 
-// RecycleFrame takes back one frame; see Recycle.
-func (t *Txn[K]) RecycleFrame(f []byte) { t.frames = append(t.frames, f) }
+// RecycleFrame hands back one frame; see Recycle.
+func (t *Txn[K]) RecycleFrame(f []byte) { bcache.GiveFrame(f) }
 
 // Reqs returns an empty request slice for a freeze or a plan to append to:
 // one a finished commit gave back with Reuse, or nil.

@@ -132,7 +132,9 @@ go test -run '^$' -bench Dispatch -benchtime 1x ./internal/serve
 # committed operation), one demand miss without read-ahead on each
 # (bytes per miss: well under one 4 KiB buffer) and one 5-byte overwrite of
 # a block cycled out of the cache on each (bytes per read-for-modify: well
-# under one 4 KiB buffer), with their allocation counts
+# under one 4 KiB buffer), one mount, cold read of 256 blocks and unmount
+# on each (frames/op 0: a remount reads into the frames the process's pool
+# got back at the last unmount), with their allocation counts
 # (0 for the insert, the firing, the write, the freeze and the miss), and
 # the disk's media cost
 # (docs/PERF.md, "Disk media cost"): reads and a 64-block batch on a
@@ -140,7 +142,7 @@ go test -run '^$' -bench Dispatch -benchtime 1x ./internal/serve
 # KiB, not 64 MiB) and a snapshot of a fresh and a restored one (one
 # 64 MiB image each): 100 iterations, so a first call's warm-up does not
 # stand in for the steady state.
-go test -run '^$' -bench 'PathLookup|TreeLookup|TreeInsert|CreateTailFile|CommitLoop|DemandMiss|PartialOverwrite' -benchmem -benchtime 100x ./internal/fs/...
+go test -run '^$' -bench 'PathLookup|TreeLookup|TreeInsert|CreateTailFile|CommitLoop|DemandMiss|PartialOverwrite|RemountColdRead' -benchmem -benchtime 100x ./internal/fs/...
 go test -run '^$' -bench 'FullShardInsert|ReadAheadSteady|EnqueueDrain|Freeze' -benchmem -benchtime 100x ./internal/bcache ./internal/sched ./internal/journal
 go test -run '^$' -bench 'ReadBlock|WriteBatch|New|Snapshot' -benchmem -benchtime 100x ./internal/disk
 # And ixt3's block checksum over one 4 KiB block (docs/PERF.md,
