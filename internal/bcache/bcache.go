@@ -36,19 +36,19 @@ const DefaultBlocks = 2048
 // 4 KiB block every file system here, and every log, is written in.
 const FrameSize = 4096
 
-// framePool is the process's one free list of FrameSize frames. Every Cache
-// and every journal transaction takes frames from it and gives them back:
-// a shard's own list spills into it when full and refills from it when
-// empty, Reset hands back every clean owned frame, and a commit's frames
-// come back once their last device write has returned. So a volume
-// mounted after another reads into the frames the first let go of. A
-// frame is made only when the pool is empty, so the pool never holds more
-// frames than the process's caches and transactions once held at the same
+// framePool is the process's one free list of FrameSize buffers. Every
+// Cache, every journal transaction and every scheduler takes its 4 KiB
+// buffers from it and gives them back: a cache frame when its entry lets go
+// of it clean, a commit's frames once their last device write has returned,
+// a queued write's copy once the device has taken its sweep. So a volume
+// mounted after another reads into the frames the first let go of. A frame
+// is made only when the pool is empty, so the pool never holds more frames
+// than the process's caches, transactions and queues once held at the same
 // time; it needs no cap. It is not a sync.Pool, which every garbage
 // collection empties: a volume mounted after a collection would make its
 // frames afresh.
 type framePool struct {
-	//iron:lockorder 35 the frame pool nests under a cache shard lock and takes no lock of its own
+	//iron:lockorder 35 the frame pool nests under the scheduler's queue lock and a cache shard lock and takes no lock of its own
 	mu     sync.Mutex
 	frames [][]byte
 	// made counts the FrameSize frames made because the pool was empty.
@@ -57,25 +57,8 @@ type framePool struct {
 
 var pool framePool
 
-// take pops a frame, or returns nil when the pool is empty.
-func (p *framePool) take() []byte {
-	p.mu.Lock()
-	f := p.takeLocked()
-	p.mu.Unlock()
-	return f
-}
-
-// give pushes the frames of fs that are FrameSize long; any other buffer
-// is left to the garbage collector.
-func (p *framePool) give(fs ...[]byte) {
-	p.mu.Lock()
-	for _, f := range fs {
-		p.pushLocked(f)
-	}
-	p.mu.Unlock()
-}
-
-// takeLocked is take under p.mu.
+// takeLocked pops a frame, or returns nil when the pool is empty. Caller
+// holds p.mu.
 func (p *framePool) takeLocked() []byte {
 	k := len(p.frames) - 1
 	if k < 0 {
@@ -87,37 +70,48 @@ func (p *framePool) takeLocked() []byte {
 	return f
 }
 
-// pushLocked is give of one frame under p.mu.
+// pushLocked pushes f if it is FrameSize long; any other buffer is left
+// to the garbage collector. Caller holds p.mu.
 func (p *framePool) pushLocked(f []byte) {
 	if len(f) == FrameSize {
 		p.frames = append(p.frames, f)
 	}
 }
 
-// newFrame makes a frame of size bytes, counting it when it is one the
-// pool could have served.
-func newFrame(size int) []byte {
-	if size == FrameSize {
-		pool.made.Add(1)
-	}
-	return make([]byte, size)
+// newFrame makes a frame and counts it.
+func newFrame() []byte {
+	pool.made.Add(1)
+	return make([]byte, FrameSize)
 }
 
 // TakeFrame returns a FrameSize frame from the pool, or a new one when the
 // pool is empty. Its bytes are whatever its last use left. The caller owns
 // it until GiveFrame, or leaves it to the garbage collector.
 func TakeFrame() []byte {
-	if f := pool.take(); f != nil {
-		return f
+	pool.mu.Lock()
+	f := pool.takeLocked()
+	pool.mu.Unlock()
+	if f == nil {
+		f = newFrame()
 	}
-	return newFrame(FrameSize)
+	return f
 }
 
-// GiveFrame hands f back to the pool: neither the caller nor anyone it lent
-// f to — a plan, a device call — reads or writes it again, for the next
-// TakeFrame anywhere in the process may hand it out. A buffer that is not
-// FrameSize bytes long is left to the garbage collector.
-func GiveFrame(f []byte) { pool.give(f) }
+// GiveFrame hands each of fs back to the pool, taking its lock once:
+// neither the caller nor anyone it lent a frame to — a plan, a device call
+// — reads or writes it again, for the next TakeFrame anywhere in the
+// process may hand it out. A frame a device write was given goes back only
+// after the frame's last device write has returned (a disk.Device keeps no
+// buffer past the call), and never while a failed commit's plan may still
+// hold it. A buffer that is not FrameSize bytes long, nil included, is left
+// to the garbage collector.
+func GiveFrame(fs ...[]byte) {
+	pool.mu.Lock()
+	for _, f := range fs {
+		pool.pushLocked(f)
+	}
+	pool.mu.Unlock()
+}
 
 // TakeFrames sets the Data of every request in reqs to a frame, as
 // TakeFrame would one at a time, taking the pool's lock once: a commit's
@@ -130,17 +124,20 @@ func TakeFrames(reqs []disk.Request) {
 	pool.mu.Unlock()
 	for i := range reqs {
 		if reqs[i].Data == nil {
-			reqs[i].Data = newFrame(FrameSize)
+			reqs[i].Data = newFrame()
 		}
 	}
 }
 
-// GiveFrames hands back the Data frame of every request in reqs, as
-// GiveFrame would one at a time, taking the pool's lock once.
-func GiveFrames(reqs []disk.Request) {
+// GiveFrames hands back the Data frame of every request in each of sets,
+// as GiveFrame would one at a time and under its rule, taking the pool's
+// lock once: a commit's frozen copies and log records, a scheduler's sweep.
+func GiveFrames(sets ...[]disk.Request) {
 	pool.mu.Lock()
-	for _, r := range reqs {
-		pool.pushLocked(r.Data)
+	for _, reqs := range sets {
+		for _, r := range reqs {
+			pool.pushLocked(r.Data)
+		}
 	}
 	pool.mu.Unlock()
 }
@@ -198,13 +195,9 @@ type shard struct {
 	// lru is the sentinel of the recency ring: lru.next is the most
 	// recently used entry, lru.prev the least.
 	lru entry
-	// free holds entries no block uses, linked through next; frames holds
-	// cache-owned buffers no entry uses, at most cap of them, for Frame and
-	// PutFresh; past cap a frame spills into the process's pool, and an
-	// empty list refills from it.
-	free   *entry
-	frames [][]byte
-	stats  Stats
+	// free holds entries no block uses, linked through next.
+	free  *entry
+	stats Stats
 	// hits, misses and evicts are the registry's handles, per shard so the
 	// snapshot shows skew across shards, resolved at construction and
 	// labelled by the trace kind of the event each counts:
@@ -218,9 +211,8 @@ type entry struct {
 	dirty bool
 	// own is set while data is a frame the cache owns and never handed
 	// out: Fill and PutFresh set it, and Get clears it for good. The frame
-	// of an own entry goes back to the shard's frame list (or the pool)
-	// when the entry lets go of it; any other buffer is left to the garbage
-	// collector.
+	// of an own entry goes back to the pool when the entry lets go of it
+	// clean; any other buffer is left to the garbage collector.
 	own        bool
 	prev, next *entry
 }
@@ -233,9 +225,9 @@ func New(capBlocks int) *Cache { return NewSharded(capBlocks, DefaultShards) }
 // shard count (minimum 1). Capacity is divided evenly; each shard keeps at
 // least two resident blocks so pathological shard counts stay functional.
 // Everything a shard needs up to its capacity is made here — its entries,
-// carved from one slab, its map and its frame list's array — so a cache
-// allocates nothing after New but the frames the pool cannot serve and
-// what a shard pinned over capacity grows.
+// carved from one slab, and its map — so a cache allocates nothing after
+// New but the frames the pool cannot serve and what a shard pinned over
+// capacity grows.
 func NewSharded(capBlocks, shards int) *Cache {
 	if capBlocks < 16 {
 		capBlocks = 16
@@ -249,14 +241,12 @@ func NewSharded(capBlocks, shards int) *Cache {
 	}
 	c := &Cache{shards: make([]shard, shards)}
 	slab := make([]entry, shards*perShard)
-	frames := make([][]byte, shards*perShard)
 	for i := range c.shards {
 		// Zero-padded shard labels keep snapshot keys sorted numerically.
 		lbl := fmt.Sprintf("%02d", i)
 		s := &c.shards[i]
 		*s = shard{
 			cap: perShard, entries: make(map[int64]*entry, perShard),
-			frames: frames[i*perShard : i*perShard : (i+1)*perShard],
 			hits:   stat.C("bcache_ops_total", "op", trace.KindHit, "shard", lbl),
 			misses: stat.C("bcache_ops_total", "op", trace.KindMiss, "shard", lbl),
 			evicts: stat.C("bcache_ops_total", "op", trace.KindEvict, "shard", lbl),
@@ -378,7 +368,7 @@ func (c *Cache) DirtyLen() int {
 //
 // When data replaces another buffer the cache does not own, that buffer is
 // returned: the cache has let go of it, though a caller Get handed it to
-// may still hold it. A cache-owned frame goes back to the frame list
+// may still hold it. A clean cache-owned frame goes back to the pool
 // instead. Re-putting the resident buffer returns nil and leaves it as
 // owned as it was: a borrowed frame staged dirty stays the cache's.
 func (c *Cache) Put(n int64, data []byte, dirty bool) (replaced []byte) {
@@ -412,21 +402,22 @@ func sameBuf(a, b []byte) bool {
 // reporting whether it did. It is Put for a copy read from the media: a
 // resident buffer — dirty with an update the media has not seen, or clean
 // and as new as the media — always wins over it. data becomes the cache's
-// own: it is a Frame the caller read into, and the caller has copied out
+// own: it is a frame the caller read into, and the caller has copied out
 // whatever it needed before the call and keeps no reference to it, since
 // once no entry uses it and Get never handed it out, a later fill reads
-// into it. ReadAhead and the miss paths insert this way.
+// into it; data that loses to a resident buffer goes to the pool at once.
+// ReadAhead and the miss paths insert this way.
 func (c *Cache) Fill(n int64, data []byte) bool { return sameBuf(c.fill(n, data, false), data) }
 
 // fill is Fill, returning the buffer block n holds after it: f, or the
 // resident buffer that won. keep says the caller goes on using that buffer
 // under its volume's exclusive lock, so an f the insert evicts at once (no
-// other block of its shard is clean) is left to it, off the frame list.
+// other block of its shard is clean) is left to it, out of the pool.
 func (c *Cache) fill(n int64, f []byte, keep bool) []byte {
 	s := c.shardOf(n)
 	s.mu.Lock()
 	if e, ok := s.entries[n]; ok {
-		s.pushFrameLocked(f)
+		GiveFrame(f)
 		data := e.data
 		s.mu.Unlock()
 		return data
@@ -444,29 +435,30 @@ func (c *Cache) fill(n int64, f []byte, keep bool) []byte {
 
 // MissInto is GetInto's miss path, for a reader that may share its
 // volume's lock: load, the file system's device read policy, reads block n
-// into a Frame of size bytes, whose bytes from off are copied into dst
-// before the frame goes in, where another reader could evict and reuse it.
-func (c *Cache) MissInto(n int64, size, off int, dst []byte, load func(buf []byte) error) error {
-	_, err := c.miss(n, size, load, off, dst, false)
+// into a frame, whose bytes from off are copied into dst before the frame
+// goes in, where another reader could evict and reuse it.
+func (c *Cache) MissInto(n int64, off int, dst []byte, load func(buf []byte) error) error {
+	_, err := c.miss(n, load, off, dst, false)
 	return err
 }
 
 // Modify returns block n's buffer for a writer to patch and stage, or let
 // go of, before it unlocks; the writer holds its volume's lock exclusively,
-// as for Borrow. A hit returns Borrow's buffer; a miss, the Frame load read
+// as for Borrow. A hit returns Borrow's buffer; a miss, the frame load read
 // the block into, filled in and still the cache's (or a buffer load itself
 // made resident, which wins).
-func (c *Cache) Modify(n int64, size int, load func(buf []byte) error) ([]byte, error) {
+func (c *Cache) Modify(n int64, load func(buf []byte) error) ([]byte, error) {
 	if b := c.Borrow(n); b != nil {
 		return b, nil
 	}
-	return c.miss(n, size, load, 0, nil, true)
+	return c.miss(n, load, 0, nil, true)
 }
 
 // miss is the one data-block miss protocol behind MissInto and Modify:
-// Frame, load (a frame it fails is left to the collector), copy out, fill.
-func (c *Cache) miss(n int64, size int, load func(buf []byte) error, off int, dst []byte, keep bool) ([]byte, error) {
-	f := c.Frame(n, size)
+// TakeFrame, load (a frame it fails is left to the collector), copy out,
+// fill.
+func (c *Cache) miss(n int64, load func(buf []byte) error, off int, dst []byte, keep bool) ([]byte, error) {
+	f := TakeFrame()
 	if err := load(f); err != nil {
 		return nil, err
 	}
@@ -474,42 +466,22 @@ func (c *Cache) miss(n int64, size int, load func(buf []byte) error, off int, ds
 	return c.fill(n, f, keep), nil
 }
 
-// Frame returns a buffer of size bytes to read block n into for a Fill: a
-// frame from n's shard's list or, for a FrameSize frame, the pool, when one
-// of that size is there, else a new one. Its bytes are whatever its last
-// use left. Until the Fill it is the caller's alone; a caller that does not
-// fill it leaves it to the garbage collector.
-func (c *Cache) Frame(n int64, size int) []byte {
-	s := c.shardOf(n)
-	s.mu.Lock()
-	f := s.popFrameLocked(size)
-	s.mu.Unlock()
-	if f == nil {
-		f = newFrame(size)
-	}
-	return f
-}
-
-// PutFresh inserts a zeroed frame of size bytes as block n's dirty buffer
-// and returns it: Put(n, make([]byte, size), true) — the same counters,
+// PutFresh inserts a zeroed frame as block n's dirty buffer and returns
+// it: Put(n, make([]byte, FrameSize), true) — the same counters,
 // victims and LRU order — except that the buffer is a frame the cache owns
 // and recycles once the block is clean again and leaves. It is for a block
 // written fresh, whose old contents nobody reads. The caller holds its
 // volume's lock exclusively and stages the frame before it unlocks, as
 // for Borrow; a later Get disowns it as it does any frame.
-func (c *Cache) PutFresh(n int64, size int) []byte {
+func (c *Cache) PutFresh(n int64) []byte {
 	s := c.shardOf(n)
 	s.mu.Lock()
 	e, ok := s.entries[n]
 	if ok {
 		s.recycleLocked(e)
 	}
-	f := s.popFrameLocked(size)
-	if f == nil {
-		f = newFrame(size)
-	} else {
-		clear(f)
-	}
+	f := TakeFrame()
+	clear(f)
 	if !ok {
 		var buf [victimBuf]int64
 		c.evicted(s, s.insertLocked(n, f, true, true, buf[:0]))
@@ -600,9 +572,6 @@ func (c *Cache) Reset() {
 			s.releaseLocked(s.lru.next)
 		}
 		clear(s.entries)
-		pool.give(s.frames...)
-		clear(s.frames)
-		s.frames = s.frames[:0]
 		s.mu.Unlock()
 	}
 }
@@ -650,7 +619,7 @@ const victimBuf = 4
 // allocates nothing. A shard over capacity, or one with no clean block,
 // inserts and then evicts, which may evict the newcomer itself. Either
 // way the victims, their order and the counters are those of inserting
-// first and evicting after. A victim's buffer goes back to the frame list
+// first and evicting after. A victim's buffer goes back to the pool
 // only while its own bit is set: a slice Get handed out, or a buffer a
 // caller gave to Put, keeps its bytes. Caller holds s.mu.
 func (s *shard) insertLocked(n int64, data []byte, dirty, own bool, victims []int64) []int64 {
@@ -730,41 +699,13 @@ func (s *shard) releaseLocked(e *entry) {
 	s.free = e
 }
 
-// recycleLocked moves e's buffer to the frame list if the cache owns it
-// and it is clean. A dirty frame is an image a running transaction staged
+// recycleLocked hands e's buffer to the pool if the cache owns it and it
+// is clean. A dirty frame is an image a running transaction staged
 // (PutFresh, or Borrow and a dirty Put) and may still hold — Reset, or a
 // Drop that does not come through the transaction, does not unstage it —
 // so it is left to the garbage collector. Caller holds s.mu.
 func (s *shard) recycleLocked(e *entry) {
 	if e.own && !e.dirty {
-		s.pushFrameLocked(e.data)
+		GiveFrame(e.data)
 	}
-}
-
-// pushFrameLocked keeps the cache-owned frame f for a later Fill while the
-// list holds fewer frames than the shard holds blocks, and past that hands
-// it to the pool. Caller holds s.mu.
-func (s *shard) pushFrameLocked(f []byte) {
-	if len(s.frames) < s.cap {
-		s.frames = append(s.frames, f)
-		return
-	}
-	pool.give(f)
-}
-
-// popFrameLocked takes the frame on top of the list when it is size bytes
-// long, or returns nil; an empty list refills a FrameSize frame from the
-// pool. Caller holds s.mu.
-func (s *shard) popFrameLocked(size int) []byte {
-	k := len(s.frames) - 1
-	if k < 0 && size == FrameSize {
-		return pool.take()
-	}
-	if k < 0 || len(s.frames[k]) != size {
-		return nil
-	}
-	f := s.frames[k]
-	s.frames[k] = nil
-	s.frames = s.frames[:k]
-	return f
 }

@@ -249,7 +249,7 @@ func runInsertMix(t *testing.T, capBlocks, shards int, seed int64) {
 			if dirty && rng.Intn(2) == 0 {
 				// A fresh frame is a dirty Put of a zeroed block.
 				op = fmt.Sprintf("PutFresh(%d)", n)
-				data = c.PutFresh(n, len(data))
+				data = c.PutFresh(n)
 			} else {
 				c.Put(n, data, dirty)
 			}
@@ -341,7 +341,7 @@ func fullCache() (*Cache, func() int64) {
 	c := NewSharded(64, 4)
 	n := int64(0)
 	fill := func() int64 {
-		c.Fill(n, c.Frame(n, 4096))
+		c.Fill(n, TakeFrame())
 		n++
 		return n - 1
 	}
@@ -354,8 +354,8 @@ func fullCache() (*Cache, func() int64) {
 // TestFullShardInsertAllocs: an insert into a shard at capacity recycles
 // its clean victim's entry, and the victim's frame when the cache owns
 // it, so neither Fill nor Put allocates. Refilling a shard that Reset
-// emptied or Drop thinned takes entries and frames from its free lists
-// and allocates nothing either.
+// emptied or Drop thinned takes entries from its free list and frames
+// from the pool and allocates nothing either.
 func TestFullShardInsertAllocs(t *testing.T) {
 	c, fill := fullCache()
 	if got := testing.AllocsPerRun(1000, func() { fill() }); got != 0 {

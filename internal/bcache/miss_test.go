@@ -12,13 +12,13 @@ var errLoad = errors.New("load failed")
 // refModify and refMissInto are the miss protocols the file systems wrote
 // out by hand before Modify and MissInto, the references for what the
 // cache's sinks see: a read-for-modify looked the block up with Get and
-// put a buffer of its own clean on a miss; Read's miss read into a Frame,
+// put a buffer of its own clean on a miss; Read's miss read into a frame,
 // copied out, then filled it.
-func refModify(c *Cache, n int64, size int, load func([]byte) error) ([]byte, error) {
+func refModify(c *Cache, n int64, load func([]byte) error) ([]byte, error) {
 	if b := c.Get(n); b != nil {
 		return b, nil
 	}
-	buf := make([]byte, size)
+	buf := make([]byte, FrameSize)
 	if err := load(buf); err != nil {
 		return nil, err
 	}
@@ -26,8 +26,8 @@ func refModify(c *Cache, n int64, size int, load func([]byte) error) ([]byte, er
 	return buf, nil
 }
 
-func refMissInto(c *Cache, n int64, size, off int, dst []byte, load func([]byte) error) error {
-	f := c.Frame(n, size)
+func refMissInto(c *Cache, n int64, off int, dst []byte, load func([]byte) error) error {
+	f := TakeFrame()
 	if err := load(f); err != nil {
 		return err
 	}
@@ -54,7 +54,7 @@ func stamp(n int64, seq int, fail bool) func([]byte) error {
 // misses (some failing), hits, writers staging what Modify returned or
 // letting it go, dirty puts that leave shards with no clean block, commits
 // and drops. Only ownership differs, and what Modify hands out never sits
-// on a frame list while its caller may still patch it.
+// in the pool while its caller may still patch it.
 func TestMissPathsCountAsReference(t *testing.T) {
 	ref, got := newLookupRun(24, 2), newLookupRun(24, 2)
 	rng := rand.New(rand.NewSource(53))
@@ -64,13 +64,13 @@ func TestMissPathsCountAsReference(t *testing.T) {
 		fail := rng.Intn(8) == 0
 		switch r := rng.Intn(12); {
 		case r < 4:
-			a, aerr := refModify(ref.c, n, 8, stamp(n, step, fail))
-			b, berr := got.c.Modify(n, 8, stamp(n, step, fail))
+			a, aerr := refModify(ref.c, n, stamp(n, step, fail))
+			b, berr := got.c.Modify(n, stamp(n, step, fail))
 			if (aerr == nil) != (berr == nil) || (a == nil) != (b == nil) || !bytes.Equal(a, b) {
 				t.Fatalf("step %d: Modify(%d) = %x, %v; the reference %x, %v", step, n, b, berr, a, aerr)
 			}
-			if b != nil && onList(got.c, n, b) {
-				t.Fatalf("step %d: Modify(%d) handed out a frame on the frame list", step, n)
+			if b != nil && inPool(b) {
+				t.Fatalf("step %d: Modify(%d) handed out a frame in the pool", step, n)
 			}
 			if b != nil && rng.Intn(3) > 0 {
 				// The writer patches and stages it.
@@ -80,15 +80,15 @@ func TestMissPathsCountAsReference(t *testing.T) {
 			}
 		case r < 7:
 			off := rng.Intn(4)
-			aerr := refMissInto(ref.c, n, 8, off, want, stamp(n, step, fail))
-			berr := got.c.MissInto(n, 8, off, dst, stamp(n, step, fail))
+			aerr := refMissInto(ref.c, n, off, want, stamp(n, step, fail))
+			berr := got.c.MissInto(n, off, dst, stamp(n, step, fail))
 			if (aerr == nil) != (berr == nil) || aerr == nil && !bytes.Equal(dst, want) {
 				t.Fatalf("step %d: MissInto(%d) = %x, %v; the reference %x, %v", step, n, dst, berr, want, aerr)
 			}
 		case r < 9:
 			dirty := rng.Intn(3) > 0
-			ref.c.Put(n, make([]byte, 8), dirty)
-			got.c.Put(n, make([]byte, 8), dirty)
+			ref.c.Put(n, make([]byte, FrameSize), dirty)
+			got.c.Put(n, make([]byte, FrameSize), dirty)
 		case r < 10:
 			// A commit unpins a run of blocks.
 			for b := n; b < n+12; b++ {
@@ -121,39 +121,34 @@ func TestMissPathsCountAsReference(t *testing.T) {
 // TestModifyFrames: the frame a miss reads into stays the cache's once
 // Modify returns it: staged and committed, it is recycled when its block
 // leaves. A fill that evicts it at once — every other block of its shard
-// is dirty — leaves it to the caller, off the frame list, for the staging
+// is dirty — leaves it to the caller, out of the pool, for the staging
 // Put to insert again. A block load itself made resident wins over the
-// frame, which goes back to the list. A failed load inserts nothing.
+// frame, which goes back to the pool. A failed load inserts nothing.
 func TestModifyFrames(t *testing.T) {
 	c := NewSharded(16, 1)
-	f, err := c.Modify(3, 8, stamp(3, 1, false))
-	if err != nil || f[0] != 3 || onList(c, 3, f) || !sameBuf(c.Borrow(3), f) {
-		t.Fatalf("Modify(3) = %x, %v: want the loaded frame, resident and off the list", f, err)
+	f, err := c.Modify(3, stamp(3, 1, false))
+	if err != nil || f[0] != 3 || inPool(f) || !sameBuf(c.Borrow(3), f) {
+		t.Fatalf("Modify(3) = %x, %v: want the loaded frame, resident and out of the pool", f, err)
 	}
 	c.Put(3, f, true)
 	c.MarkClean(3)
 	c.Drop(3)
-	if !onList(c, 3, f) {
+	if !inPool(f) {
 		t.Fatal("the staged frame was not recycled when its block left: it lost its ownership")
 	}
 
 	c = NewSharded(16, 1)
 	for b := int64(100); b < 116; b++ {
-		c.Put(b, make([]byte, 8), true)
+		c.Put(b, make([]byte, FrameSize), true)
 	}
 	before := c.Stats()
-	f, err = c.Modify(4, 8, stamp(4, 2, false))
+	f, err = c.Modify(4, stamp(4, 2, false))
 	if err != nil || c.Resident(4) || c.Stats().Evicts != before.Evicts+1 {
 		t.Fatalf("Modify(4) in a dirty shard: %v, resident %v, %d evicts: want the fill to evict it at once",
 			err, c.Resident(4), c.Stats().Evicts-before.Evicts)
 	}
-	if onList(c, 4, f) {
-		t.Fatal("the frame the fill evicted went onto the frame list while its caller holds it")
-	}
-	for b := int64(200); b < 220; b++ {
-		if g := c.Frame(b, 8); sameBuf(g, f) {
-			t.Fatal("Frame handed out the frame Modify returned")
-		}
+	if inPool(f) {
+		t.Fatal("the frame the fill evicted went to the pool while its caller holds it")
 	}
 	c.Put(4, f, true)
 	if !sameBuf(c.Borrow(4), f) || f[0] != 4 {
@@ -163,17 +158,17 @@ func TestModifyFrames(t *testing.T) {
 	c = NewSharded(16, 1)
 	other := []byte("resident")
 	var frame []byte
-	b, err := c.Modify(5, 8, func(buf []byte) error {
+	b, err := c.Modify(5, func(buf []byte) error {
 		frame = buf
 		c.Put(5, other, false)
 		return nil
 	})
-	if err != nil || !sameBuf(b, other) || !onList(c, 5, frame) {
-		t.Fatalf("Modify(5) = %q, %v: want the buffer load made resident, and the frame back on the list", b, err)
+	if err != nil || !sameBuf(b, other) || !inPool(frame) {
+		t.Fatalf("Modify(5) = %q, %v: want the buffer load made resident, and the frame back in the pool", b, err)
 	}
 
 	before = c.Stats()
-	if b, err := c.Modify(6, 8, stamp(6, 3, true)); b != nil || !errors.Is(err, errLoad) || c.Resident(6) {
+	if b, err := c.Modify(6, stamp(6, 3, true)); b != nil || !errors.Is(err, errLoad) || c.Resident(6) {
 		t.Fatalf("Modify(6) with a failing load = %x, %v, resident %v", b, err, c.Resident(6))
 	}
 	if s := c.Stats(); s.Misses != before.Misses+1 || s.Inserts != before.Inserts {

@@ -193,9 +193,11 @@ func (r lookupRun) state() string {
 	return out
 }
 
-// onList reports whether f is on its shard's frame list.
-func onList(c *Cache, n int64, f []byte) bool {
-	for _, g := range c.shardOf(n).frames {
+// inPool reports whether the process's frame pool holds f.
+func inPool(f []byte) bool {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	for _, g := range pool.frames {
 		if sameBuf(f, g) {
 			return true
 		}
@@ -207,8 +209,8 @@ func onList(c *Cache, n int64, f []byte) bool {
 // registry's series, the trace events, the LRU order and so the victims
 // of later inserts — on a seeded mix of fills, puts, fresh inserts,
 // lookups and drops. Only ownership differs: a borrowed frame returns to
-// the frame list when its block leaves the cache, and a frame Get handed
-// out never does.
+// the pool when its block leaves the cache, and a frame Get handed out
+// never does.
 func TestBorrowCountsAsGet(t *testing.T) {
 	got, bor := newLookupRun(24, 2), newLookupRun(24, 2)
 	rng := rand.New(rand.NewSource(7))
@@ -216,15 +218,15 @@ func TestBorrowCountsAsGet(t *testing.T) {
 		n := rng.Int63n(72)
 		switch r := rng.Intn(10); {
 		case r < 3:
-			got.c.Fill(n, got.c.Frame(n, 8))
-			bor.c.Fill(n, bor.c.Frame(n, 8))
+			got.c.Fill(n, TakeFrame())
+			bor.c.Fill(n, TakeFrame())
 		case r < 4:
-			got.c.PutFresh(n, 8)
-			bor.c.PutFresh(n, 8)
+			got.c.PutFresh(n)
+			bor.c.PutFresh(n)
 		case r < 5:
 			dirty := rng.Intn(4) == 0
-			got.c.Put(n, make([]byte, 8), dirty)
-			bor.c.Put(n, make([]byte, 8), dirty)
+			got.c.Put(n, make([]byte, FrameSize), dirty)
+			bor.c.Put(n, make([]byte, FrameSize), dirty)
 		case r < 6:
 			got.c.MarkClean(n)
 			bor.c.MarkClean(n)
@@ -249,7 +251,7 @@ func TestBorrowCountsAsGet(t *testing.T) {
 
 	for _, r := range []lookupRun{got, bor} {
 		r.c.Reset()
-		f := r.c.Frame(5, 8)
+		f := TakeFrame()
 		r.c.Fill(5, f)
 		borrowed := r.c == bor.c
 		if borrowed {
@@ -258,33 +260,30 @@ func TestBorrowCountsAsGet(t *testing.T) {
 			r.c.Get(5)
 		}
 		r.c.Drop(5)
-		if onList(r.c, 5, f) != borrowed {
-			t.Errorf("borrowed %v: the dropped frame is on the list %v, want %v", borrowed, !borrowed, borrowed)
+		if inPool(f) != borrowed {
+			t.Errorf("borrowed %v: the dropped frame is in the pool %v, want %v", borrowed, !borrowed, borrowed)
 		}
 	}
 }
 
 // TestRePutKeepsOwnership: a borrowed frame staged dirty — Put of the
-// buffer the entry already holds — stays the cache's, and stays off the
-// frame list while the entry uses it; once the block is clean and leaves,
+// buffer the entry already holds — stays the cache's, and stays out of
+// the pool while the entry uses it; once the block is clean and leaves,
 // the frame is recycled.
 func TestRePutKeepsOwnership(t *testing.T) {
 	c := NewSharded(16, 1)
-	f := c.Frame(3, 8)
+	f := TakeFrame()
 	c.Fill(3, f)
 	b := c.Borrow(3)
 	if replaced := c.Put(3, b, true); replaced != nil {
 		t.Fatal("re-putting the resident buffer returned it as replaced")
 	}
-	if onList(c, 3, f) {
-		t.Fatal("the resident frame went onto the frame list while its entry uses it")
-	}
-	if g := c.Frame(3, 8); sameBuf(g, f) {
-		t.Fatal("Frame handed out the resident frame")
+	if inPool(f) {
+		t.Fatal("the resident frame went to the pool while its entry uses it")
 	}
 	c.MarkClean(3)
 	c.Drop(3)
-	if !onList(c, 3, f) {
+	if !inPool(f) {
 		t.Fatal("the re-put frame was not recycled when its block left: it lost its ownership")
 	}
 }
@@ -292,8 +291,8 @@ func TestRePutKeepsOwnership(t *testing.T) {
 // TestPutFreshCountsAsPut: PutFresh(n) is Put(n, zeroed block, true) for
 // the counters, the trace, the LRU and the victims — over an absent block
 // in a full shard, a resident clean frame the cache owns, a buffer Get
-// disowned and a dirty entry — and hands back a zeroed frame off the
-// list. An owned frame it replaces is recycled; a disowned one keeps its
+// disowned and a dirty entry — and hands back a zeroed frame out of the
+// pool. An owned frame it replaces is recycled; a disowned one keeps its
 // bytes.
 func TestPutFreshCountsAsPut(t *testing.T) {
 	setups := []struct {
@@ -302,19 +301,19 @@ func TestPutFreshCountsAsPut(t *testing.T) {
 	}{
 		{"absent, full shard", func(c *Cache) []byte { return nil }},
 		{"clean owned frame", func(c *Cache) []byte {
-			f := c.Frame(9, 8)
+			f := TakeFrame()
 			copy(f, "ownframe")
 			c.Fill(9, f)
 			return f
 		}},
 		{"disowned buffer", func(c *Cache) []byte {
-			f := c.Frame(9, 8)
+			f := TakeFrame()
 			copy(f, "disowned")
 			c.Fill(9, f)
 			return c.Get(9)
 		}},
 		{"dirty entry", func(c *Cache) []byte {
-			d := []byte("dirtyblk")
+			d := bytes.Repeat([]byte("dirtyblk"), FrameSize/8)
 			c.Put(9, d, true)
 			return d
 		}},
@@ -325,33 +324,33 @@ func TestPutFreshCountsAsPut(t *testing.T) {
 			var held []byte
 			for _, r := range []lookupRun{put, fresh} {
 				for b := int64(100); b < 116; b++ {
-					r.c.Fill(b, r.c.Frame(b, 8))
+					r.c.Fill(b, TakeFrame())
 				}
 				r.c.MarkDirty(100) // the LRU victim is pinned: the next clean one goes
 				held = s.setup(r.c)
 			}
 			want := bytes.Clone(held)
-			put.c.Put(9, make([]byte, 8), true)
-			f := fresh.c.PutFresh(9, 8)
+			put.c.Put(9, make([]byte, FrameSize), true)
+			f := fresh.c.PutFresh(9)
 			if a, b := put.state(), fresh.state(); a != b {
 				t.Fatalf("after Put\n%s\nafter PutFresh\n%s", a, b)
 			}
-			if !bytes.Equal(f, make([]byte, 8)) || onList(fresh.c, 9, f) || !sameBuf(fresh.c.Borrow(9), f) {
+			if !bytes.Equal(f, make([]byte, FrameSize)) || inPool(f) || !sameBuf(fresh.c.Borrow(9), f) {
 				t.Fatal("PutFresh did not hand back a zeroed frame it keeps as block 9's")
 			}
 			switch s.name {
 			case "clean owned frame":
-				if !sameBuf(f, held) && !onList(fresh.c, 9, held) {
+				if !sameBuf(f, held) && !inPool(held) {
 					t.Error("the replaced owned frame was neither reused nor recycled")
 				}
 			case "disowned buffer", "dirty entry":
-				if onList(fresh.c, 9, held) || !bytes.Equal(held, want) {
+				if inPool(held) || !bytes.Equal(held, want) {
 					t.Error("a buffer the cache does not own was recycled")
 				}
 			}
 			fresh.c.MarkClean(9)
 			fresh.c.Drop(9)
-			if !onList(fresh.c, 9, f) {
+			if !inPool(f) {
 				t.Error("the fresh frame was not recycled when its block left")
 			}
 		})
@@ -364,86 +363,77 @@ func TestPutFreshCountsAsPut(t *testing.T) {
 // recycles it.
 func TestStagedFramesOutliveReset(t *testing.T) {
 	c := NewSharded(16, 1)
-	staged := c.PutFresh(1, 8)
+	staged := c.PutFresh(1)
 	copy(staged, "staged!!")
-	dropped := c.PutFresh(2, 8)
+	dropped := c.PutFresh(2)
 	c.Reset()
 	c.Drop(2)
 	for b := int64(10); b < 40; b++ {
-		f := c.Frame(b, 8)
+		f := TakeFrame()
 		if sameBuf(f, staged) || sameBuf(f, dropped) {
 			t.Fatal("a fill was handed a frame a transaction still holds")
 		}
 		copy(f, "filled!!")
 		c.Fill(b, f)
 	}
-	if string(staged) != "staged!!" {
-		t.Fatalf("the staged frame reads %q after the reset", staged)
+	if string(staged[:8]) != "staged!!" {
+		t.Fatalf("the staged frame reads %q after the reset", staged[:8])
 	}
-	clean := c.PutFresh(3, 8)
+	clean := c.PutFresh(3)
 	c.MarkClean(3)
 	c.Drop(3)
-	if !onList(c, 3, clean) {
+	if !inPool(clean) {
 		t.Fatal("a clean frame was not recycled when its block left")
 	}
 }
 
-// TestFramesSpillRefillAndReset: a shard's frame list holds at most as
-// many frames as the shard holds blocks and spills the rest into the
-// process's pool; an empty list refills from the pool before a frame is
-// made; Reset hands every clean owned frame back, resident or listed, and
-// leaves a dirty one to the collector. Counts are deltas: the pool is the
-// process's and never starts empty.
-func TestFramesSpillRefillAndReset(t *testing.T) {
+// TestCleanFramesGoStraightToThePool: the process's pool is the cache's
+// one free list. A clean frame the cache owns goes to it the moment its
+// entry lets go of it — by eviction, Drop, replacement, Reset, or a Fill
+// that loses to a resident buffer — and is the pool's next TakeFrame. A
+// dirty one never goes: it is an image a transaction staged and may still
+// hold.
+func TestCleanFramesGoStraightToThePool(t *testing.T) {
+	routes := []struct {
+		name  string
+		leave func(c *Cache)
+	}{
+		{"eviction", func(c *Cache) {
+			for b := int64(100); b < 116; b++ {
+				c.Put(b, make([]byte, FrameSize), false)
+			}
+		}},
+		{"Drop", func(c *Cache) { c.Drop(7) }},
+		{"replacement", func(c *Cache) { c.Put(7, make([]byte, FrameSize), false) }},
+		{"Reset", func(c *Cache) { c.Reset() }},
+	}
+	for _, r := range routes {
+		for _, dirty := range []bool{false, true} {
+			c := NewSharded(16, 1)
+			f := TakeFrame()
+			c.Fill(7, f)
+			if dirty {
+				c.MarkDirty(7)
+			}
+			r.leave(c)
+			next := TakeFrame()
+			switch {
+			case !dirty && !sameBuf(next, f):
+				t.Errorf("%s of a clean block: its frame is not the pool's next", r.name)
+			case dirty && (sameBuf(next, f) || inPool(f)):
+				t.Errorf("%s of a dirty block: its frame went to the pool", r.name)
+			}
+			GiveFrame(next)
+		}
+	}
+
 	c := NewSharded(16, 1)
-	for b := int64(0); b < 16; b++ {
-		c.Fill(b, c.Frame(b, FrameSize))
-	}
-	for b := int64(0); b < 16; b++ {
-		c.Drop(b)
-	}
-	c.Fill(100, TakeFrame())
-	extra := TakeFrame()
-	_, before := PoolStats()
-	if c.Fill(100, extra) {
+	c.Put(7, make([]byte, FrameSize), false)
+	f := TakeFrame()
+	if c.Fill(7, f) {
 		t.Fatal("Fill over a resident block inserted")
 	}
-	if _, after := PoolStats(); after != before+1 {
-		t.Fatalf("the pool went %d → %d frames; want the frame a full list could not keep", before, after)
-	}
-	if f := TakeFrame(); !sameBuf(f, extra) {
-		t.Fatal("the spilled frame is not the pool's next")
-	} else {
-		GiveFrame(f)
-	}
-
-	fresh := NewSharded(16, 1)
-	made, _ := PoolStats()
-	f := fresh.Frame(7, FrameSize)
-	if again, _ := PoolStats(); again != made {
-		t.Fatalf("an empty list made %d frames while the pool held some", again-made)
-	}
-	fresh.Fill(7, f)
-
-	staged := c.PutFresh(200, FrameSize)
-	_, before = PoolStats()
-	c.Reset()
-	// The list's 15 frames (PutFresh took one of the 16 dropped) and block
-	// 100's clean one; not the dirty staged one.
-	if _, after := PoolStats(); after != before+16 {
-		t.Fatalf("Reset gave the pool %d frames, want 16", after-before)
-	}
-	in := map[*byte]bool{}
-	_, n := PoolStats()
-	held := make([][]byte, n)
-	for i := range held {
-		held[i] = TakeFrame()
-		in[&held[i][0]] = true
-	}
-	for i := len(held) - 1; i >= 0; i-- {
-		GiveFrame(held[i])
-	}
-	if in[&staged[0]] {
-		t.Fatal("Reset handed back a dirty frame a transaction still holds")
+	if next := TakeFrame(); !sameBuf(next, f) {
+		t.Error("the frame of a lost Fill is not the pool's next")
 	}
 }

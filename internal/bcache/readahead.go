@@ -57,8 +57,10 @@ func (p *Prefetcher) ahead(blk int64) int {
 // after a miss at blk has been filled — never from a write's
 // read-modify-write or a truncate. It reads the blocks ahead predicts, one
 // device read each, into the cache and returns how many it cached. Each
-// block is read into a frame of the cache's own, so once evicted frames
-// circulate a firing allocates nothing; accept must not keep buf.
+// block is read into a frame from the pool (TakeFrame), so once evicted
+// frames circulate a firing allocates nothing; accept must not keep buf.
+// A frame the device fails to read or accept refuses is left to the
+// collector.
 //
 // The window stops short of the first block that is already resident (its
 // buffer may be dirty, and a buffer the cache holds is never older than the
@@ -75,7 +77,7 @@ func (p *Prefetcher) ReadAhead(dev disk.Device, blk int64, accept func(blk int64
 		if p.cache.Resident(pb) {
 			break
 		}
-		buf := p.cache.Frame(pb, dev.BlockSize())
+		buf := TakeFrame()
 		if dev.ReadBlock(pb, buf) != nil || accept != nil && !accept(pb, buf) {
 			break
 		}

@@ -73,15 +73,16 @@ func (d *raDev) ReadBlock(n int64, buf []byte) error {
 	if d.fail[n] {
 		return disk.ErrIO
 	}
-	for i := range buf {
-		buf[i] = byte(n)
+	buf[0] = byte(n)
+	for i := 1; i < len(buf); i *= 2 {
+		copy(buf[i:], buf[:i])
 	}
 	return nil
 }
 func (d *raDev) WriteBlock(int64, []byte) error   { return nil }
 func (d *raDev) WriteBatch([]disk.Request) error  { return nil }
 func (d *raDev) Barrier() error                   { return nil }
-func (d *raDev) BlockSize() int                   { return 64 }
+func (d *raDev) BlockSize() int                   { return FrameSize }
 func (d *raDev) NumBlocks() int64                 { return d.blocks }
 func (d *raDev) Close() error                     { return nil }
 func newRADev(blocks int64, fail ...int64) *raDev { return &raDev{blocks: blocks, fail: set(fail)} }

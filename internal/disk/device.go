@@ -59,8 +59,9 @@ type Request struct {
 // synchronous: when they return, the simulated I/O has completed (and the
 // simulated clock has advanced). A device must not keep buf, a batch's
 // reqs or any Request.Data after the call returns, because the caller may
-// reuse them at once (the scheduler recycles its queued buffers): Disk
-// copies into its media and CrashDevice clones what it logs.
+// reuse them at once (the scheduler and the journals hand their buffers to
+// bcache's frame pool): Disk copies into its media and CrashDevice clones
+// what it logs.
 type Device interface {
 	// ReadBlock reads block n into buf (len(buf) must equal BlockSize).
 	ReadBlock(n int64, buf []byte) error

@@ -39,12 +39,11 @@ func commitLoop(tb testing.TB, name string) func() {
 }
 
 // TestCommitAllocs: once the journal's frames circulate, every 4 KiB block
-// the commit path writes comes from a frame list, not from a fresh
+// the commit path writes comes from the frame pool, not from a fresh
 // allocation: the frozen copies, the log's records and header blocks,
-// jfs's packed log blocks and ReiserFS's node images from the running
-// transaction's, and the written data block (and ixt3's parity block)
-// from the cache's; the plans' request and type slices are kept across
-// commits too. commitLoop is priced in bytes per iteration: 195–520
+// jfs's packed log blocks, ReiserFS's node images, the written data block
+// (and ixt3's parity block) and the scheduler's queued copies; the plans'
+// request and type slices are kept across commits too. commitLoop is priced in bytes per iteration: 195–520
 // bytes, 257–627 under -race. The bound sits 1.4 KiB above the most,
 // so one fresh 4 KiB block per commit fails it on every file system;
 // copying every frozen block into a new one, as a freeze once did, costs

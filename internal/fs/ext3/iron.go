@@ -384,7 +384,7 @@ func (fs *FS) readFileBlockRaw(blk int64, dst []byte) error {
 		return nil
 	}
 	load := func(buf []byte) error { return fs.loadRaw(blk, buf) }
-	return fs.cache.MissInto(blk, BlockSize, 0, dst, load)
+	return fs.cache.MissInto(blk, 0, dst, load)
 }
 
 // loadRaw is ixt3's read policy for parity maintenance: the read into buf

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"slices"
 
+	"ironfs/internal/bcache"
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
 	"ironfs/internal/journal"
@@ -60,7 +61,7 @@ func (fs *FS) txMetaNew(blk int64, bt iron.BlockType) []byte {
 // borrowed, not disowned: its writer holds the lock exclusively and stages
 // it at once.
 func (fs *FS) txData(blk int64, bt iron.BlockType) ([]byte, error) {
-	buf, err := fs.cache.Modify(blk, BlockSize, func(buf []byte) error {
+	buf, err := fs.cache.Modify(blk, func(buf []byte) error {
 		if err := fs.dev.ReadBlock(blk, buf); err != nil {
 			fs.rec.Detect(iron.DErrorCode, bt, "data read for modify failed")
 			fs.rec.Recover(iron.RPropagate, bt, "write aborted")
@@ -393,7 +394,7 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 	// transaction keeps its fresh entry.
 	for _, blk := range plan.revokes {
 		if j, ok := fs.pending.seen[blk]; ok {
-			fs.tx.RecycleFrame(fs.pending.entries[j].data)
+			bcache.GiveFrame(fs.pending.entries[j].data)
 			fs.pending.entries[j].data = nil
 			delete(fs.pending.seen, blk)
 		}
@@ -402,7 +403,7 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 		e := checkpointEntry{home: m.Block, bt: plan.fz.MetaType[i], data: m.Data}
 		if j, ok := fs.pending.seen[m.Block]; ok {
 			// A newer committed image supersedes the queued one.
-			fs.tx.RecycleFrame(fs.pending.entries[j].data)
+			bcache.GiveFrame(fs.pending.entries[j].data)
 			fs.pending.entries[j] = e
 			continue
 		}
@@ -411,8 +412,8 @@ func (fs *FS) FinishLocked(p journal.Plan) error {
 	}
 	// Ordered data is already home, and the log records are written.
 	fs.tx.Unpin(plan.fz.Data)
-	fs.tx.Recycle(plan.fz.Data, plan.jReqs[:plan.records])
-	fs.tx.RecycleFrame(plan.commit.Data)
+	bcache.GiveFrames(plan.fz.Data, plan.jReqs[:plan.records])
+	bcache.GiveFrame(plan.commit.Data)
 	fs.tx.Reuse(plan.fz, plan.jReqs, plan.jTypes)
 
 	if len(fs.pending.entries) >= checkpointHighWater {
@@ -451,7 +452,7 @@ func (fs *FS) checkpointLocked() error {
 		// top of its, in which case the dirty pin now belongs to that
 		// transaction and survives the checkpoint.
 		fs.tx.Unpin(reqs)
-		fs.tx.Recycle(reqs)
+		bcache.GiveFrames(reqs)
 	}
 	fs.pending = pendingState{}
 	fs.freeReplicasLocked()
@@ -459,7 +460,7 @@ func (fs *FS) checkpointLocked() error {
 	// Advance the tail: everything up to the head is dead.
 	buf := journal.Header{Magic: jMagicSuper, StartRel: 1, StartSeq: fs.jn.Seq() + 1}.Encode(fs.tx.Frame())
 	err := fs.devWrite(fs.ring.Base, buf, BTJSuper)
-	fs.tx.RecycleFrame(buf)
+	bcache.GiveFrame(buf)
 	if err != nil {
 		return err
 	}
@@ -478,30 +479,6 @@ func (fs *FS) openJournal() ([]byte, error) {
 		Desc: jMagicDesc, Commit: jMagicCommit}
 	buf := make([]byte, BlockSize)
 	return buf, fs.dev.ReadBlock(fs.ring.Base, buf)
-}
-
-// readLog is replay's reader: a failed read of any journal block fails the
-// mount.
-func (fs *FS) readLog(blk int64, part journal.Part) ([]byte, error) {
-	buf := make([]byte, BlockSize)
-	if err := fs.dev.ReadBlock(blk, buf); err == nil {
-		return buf, nil
-	}
-	switch part {
-	case journal.PartDesc:
-		fs.rec.Detect(iron.DErrorCode, BTJDesc, "journal read failed during recovery")
-		fs.rec.Recover(iron.RPropagate, BTJDesc, "mount fails")
-		fs.rec.Recover(iron.RStop, BTJDesc, "recovery aborted")
-	case journal.PartCopy:
-		fs.rec.Detect(iron.DErrorCode, BTJData, "journal data read failed during recovery")
-		fs.rec.Recover(iron.RPropagate, BTJData, "mount fails")
-		fs.rec.Recover(iron.RStop, BTJData, "recovery aborted")
-	case journal.PartCommit:
-		fs.rec.Detect(iron.DErrorCode, BTJCommit, "commit block read failed during recovery")
-		fs.rec.Recover(iron.RPropagate, BTJCommit, "mount fails")
-		fs.rec.Recover(iron.RStop, BTJCommit, "recovery aborted")
-	}
-	return nil, vfs.ErrIO
 }
 
 // replayJournal recovers committed transactions after an unclean shutdown.
@@ -547,14 +524,16 @@ func (fs *FS) replayJournal() error {
 				// payload; the transaction is reliably discarded.
 				fs.rec.Detect(iron.DRedundancy, BTJData, "transactional checksum mismatch")
 				fs.rec.Recover(iron.RStop, BTJData, "transaction not replayed")
+				txn.GiveBack()
 				return false, nil
 			}
 		}
 		txns = append(txns, txn)
 		return true, nil
 	}
+	readLog := journal.LogReader(fs.dev, fs.rec, [3]iron.BlockType{BTJDesc, BTJData, BTJCommit})
 	for {
-		why, blk, err := fs.ring.Scan(&at, fs.readLog, collect)
+		why, blk, err := fs.ring.Scan(&at, readLog, collect)
 		if err != nil {
 			return err
 		}
@@ -578,6 +557,7 @@ func (fs *FS) replayJournal() error {
 						revoked[h] = seq
 					}
 				}
+				bcache.GiveFrame(blk)
 				at.Rel++
 				continue
 			}
@@ -593,6 +573,7 @@ func (fs *FS) replayJournal() error {
 				fs.rec.Detect(iron.DSanity, BTJCommit, "commit block fails type check")
 			}
 		}
+		bcache.GiveFrame(blk)
 		break
 	}
 
@@ -628,6 +609,7 @@ func (fs *FS) replayJournal() error {
 				fs.setGroupDescs(c.Data)
 			}
 		}
+		txn.GiveBack()
 		applySeq++
 	}
 	if err := fs.dev.Barrier(); err != nil {

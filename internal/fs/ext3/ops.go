@@ -68,7 +68,7 @@ func (fs *FS) ReadLinkLocked(_ uint32, in inode) (string, error) {
 	buf := make([]byte, in.Size)
 	if !fs.cache.GetInto(phys, 0, buf) {
 		load := func(f []byte) error { return fs.loadData(phys, f, BTData, nil, 0, false) }
-		if err := fs.cache.MissInto(phys, BlockSize, 0, buf, load); err != nil {
+		if err := fs.cache.MissInto(phys, 0, buf, load); err != nil {
 			return "", err
 		}
 	}
@@ -155,7 +155,7 @@ func (fs *FS) ReadAtLocked(_ uint32, in inode, off int64, p []byte) (int, error)
 			// Miss: fill from the device, copying out before the insert,
 			// and read ahead of it. Neither path holds a cache buffer.
 			load := func(buf []byte) error { return fs.loadData(phys, buf, BTData, &in, l, prefetch) }
-			if err := fs.cache.MissInto(phys, BlockSize, int(bo), dst, load); err != nil {
+			if err := fs.cache.MissInto(phys, int(bo), dst, load); err != nil {
 				return int(read), err
 			}
 			fs.ra.ReadAhead(fs.dev, phys, fs.prefetchOK)
@@ -204,7 +204,7 @@ func (fs *FS) WriteAtLocked(ino uint32, in inode, off int64, data []byte) (inode
 			// silent corruption in the old block cannot leak into the
 			// parity group or the new contents.
 			load := func(buf []byte) error { return fs.loadData(phys, buf, BTData, &in, l, false) }
-			if _, rerr := fs.cache.Modify(phys, BlockSize, load); rerr != nil && chunk != BlockSize {
+			if _, rerr := fs.cache.Modify(phys, load); rerr != nil && chunk != BlockSize {
 				return in, int(written), rerr
 			}
 			buf, err = fs.txData(phys, BTData)
@@ -244,7 +244,7 @@ func (fs *FS) CutLocked(_ uint32, in inode, size int64) (inode, error) {
 		if phys, err := fs.bmap(&in, size/BlockSize, false); err == nil && phys != 0 {
 			load := func(buf []byte) error { return fs.loadData(phys, buf, BTData, &in, size/BlockSize, false) }
 			//iron:policy ext3 §5.1:RZero truncate fails silently: the tail-zero priming read's error vanishes with the rest of the truncate path
-			_, _ = fs.cache.Modify(phys, BlockSize, load)
+			_, _ = fs.cache.Modify(phys, load)
 			if buf, err := fs.txData(phys, BTData); err == nil {
 				old := fs.parityOld(&in, buf)
 				clear(buf[size%BlockSize : BlockSize])

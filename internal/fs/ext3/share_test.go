@@ -38,8 +38,8 @@ func shareBlock(f, i int) []byte {
 // shortcuts fail here: a miss that inserts its frame before it copies out
 // races with another reader's fill into it, a Get that leaves the frame
 // the cache's hands a holder a buffer the holder's own reads then refill,
-// and a read-for-modify frame that goes back to the frame list while its
-// writer still patches and stages it.
+// and a read-for-modify frame that goes back to the pool while its writer
+// still patches and stages it.
 func TestSharedReadersKeepFrames(t *testing.T) {
 	const readers, files, blocks, passes, held = 3, 2, 32, 12, 8
 	d, err := disk.New(8192, disk.DefaultGeometry(), nil)

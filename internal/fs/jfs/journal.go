@@ -1,10 +1,10 @@
 package jfs
 
 import (
-	"bytes"
 	"encoding/binary"
 	"slices"
 
+	"ironfs/internal/bcache"
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
 	"ironfs/internal/journal"
@@ -254,11 +254,8 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 func (fs *FS) FinishLocked(p journal.Plan) error {
 	plan := p.(*commitPlan)
 	fs.tx.Unpin(plan.fz.Meta, plan.fz.Data)
-	fs.tx.Recycle(plan.fz.Meta, plan.fz.Data, plan.logReqs)
-	fs.tx.RecycleFrame(plan.advSuper)
-	if plan.wrapSuper != nil {
-		fs.tx.RecycleFrame(plan.wrapSuper)
-	}
+	bcache.GiveFrames(plan.fz.Meta, plan.fz.Data, plan.logReqs)
+	bcache.GiveFrame(plan.advSuper, plan.wrapSuper)
 	fs.tx.Reuse(plan.fz, plan.logReqs, nil)
 	return nil
 }
@@ -293,8 +290,8 @@ func (fs *FS) loadLogSuper() error {
 // "during journal replay, a sanity-check failure causes the replay to
 // abort").
 //
-// Pass 1 scans the log and only collects: a transaction's redo records move
-// onto the committed list when its commit record checks out, and nothing is
+// Pass 1 scans the log and only collects: a transaction's redo records
+// count as committed once its commit record checks out, and nothing is
 // written while the scan runs. A log read that fails therefore leaves the
 // volume as the crash left it — no transaction applied, the log intact — and
 // fails the mount.
@@ -311,6 +308,10 @@ func (fs *FS) loadLogSuper() error {
 // where §5.3's ignore-the-write-error policy lives, and a batch would let
 // one failed block decide what happens to its neighbours.
 //
+// Every 4 KiB buffer replay uses — the scan's, each kept log block's and
+// each home image — is a frame from the process's pool, given back once
+// the home writes have returned.
+//
 //iron:txentry recovery machinery: mount-time log replay writes committed transactions home
 func (fs *FS) replayLog() error {
 	fs.jn.Replayed("jfs")
@@ -322,8 +323,13 @@ func (fs *FS) replayLog() error {
 	rel := fs.ring.Head()
 	seq := fs.jn.Seq() + 1
 
-	var pending, committed []redoRec
-	buf := make([]byte, BlockSize)
+	// recs holds every redo record the scan found, in log order; the
+	// first committed of them belong to transactions whose commit record
+	// checked out.
+	var recs []redoRec
+	committed := 0
+	buf := bcache.TakeFrame()
+	frames := [][]byte{buf}
 scan:
 	for rel < fs.ring.Len {
 		if err := fs.dev.ReadBlock(base+rel, buf); err != nil {
@@ -333,7 +339,8 @@ scan:
 			return vfs.ErrIO
 		}
 		// The scan reads every log block into buf; a block that carries
-		// redo records is copied once, and its records alias the copy.
+		// redo records is copied once into a frame, and its records alias
+		// the copy.
 		var kept []byte
 		off := 0
 		for off+recHdrLen <= BlockSize {
@@ -360,17 +367,18 @@ scan:
 					break scan
 				}
 				if kept == nil {
-					kept = bytes.Clone(buf)
+					kept = bcache.TakeFrame()
+					copy(kept, buf)
+					frames = append(frames, kept)
 				}
-				pending = append(pending, redoRec{Blk: blk, Off: boff, Data: kept[off+recHdrLen:][:plen]})
+				recs = append(recs, redoRec{Blk: blk, Off: boff, Data: kept[off+recHdrLen:][:plen]})
 			case recCommit:
 				if plen != 8 || le.Uint64(buf[off+recHdrLen:]) != seq {
 					fs.rec.Detect(iron.DSanity, BTJData, "commit record sequence mismatch")
 					fs.rec.Recover(iron.RStop, BTJData, "replay aborted")
 					break scan
 				}
-				committed = append(committed, pending...)
-				pending = pending[:0]
+				committed = len(recs)
 				seq++
 			default:
 				fs.rec.Detect(iron.DSanity, BTJData, "unknown log record type")
@@ -384,10 +392,11 @@ scan:
 
 	images := map[int64][]byte{}
 	var homes []int64
-	for _, r := range committed {
+	for _, r := range recs[:committed] {
 		img := images[r.Blk]
 		if img == nil {
-			img = make([]byte, BlockSize)
+			img = bcache.TakeFrame()
+			frames = append(frames, img)
 			if err := fs.dev.ReadBlock(r.Blk, img); err != nil {
 				fs.rec.Detect(iron.DErrorCode, BTJData, "home read failed during replay")
 				fs.rec.Recover(iron.RStop, BTJData, "replay aborted")
@@ -412,6 +421,7 @@ scan:
 			return err
 		}
 	}
+	bcache.GiveFrame(frames...)
 	if err := fs.dev.Barrier(); err != nil {
 		return vfs.ErrIO
 	}

@@ -606,7 +606,7 @@ func (fs *FS) ReadLinkLocked(_ uint32, in inode) (string, error) {
 	buf := make([]byte, in.Size)
 	if !fs.cache.GetInto(blk, 0, buf) {
 		load := func(f []byte) error { return fs.loadData(blk, f) }
-		if err := fs.cache.MissInto(blk, BlockSize, 0, buf, load); err != nil {
+		if err := fs.cache.MissInto(blk, 0, buf, load); err != nil {
 			return "", err
 		}
 	}

@@ -26,7 +26,7 @@ func (fs *FS) ReadAtLocked(_ uint32, in inode, off int64, p []byte) (int, error)
 			// and read ahead. The hit path above copied under the shard
 			// lock without allocating.
 			load := func(buf []byte) error { return fs.loadData(blk, buf) }
-			if err := fs.cache.MissInto(blk, BlockSize, int(bo), dst, load); err != nil {
+			if err := fs.cache.MissInto(blk, int(bo), dst, load); err != nil {
 				return int(read), err
 			}
 			fs.ra.ReadAhead(fs.dev, blk, nil)
@@ -57,7 +57,7 @@ func (fs *FS) WriteAtLocked(_ uint32, in inode, off int64, data []byte) (inode, 
 		var old []byte
 		if pre != 0 && chunk != BlockSize {
 			load := func(buf []byte) error { return fs.loadData(blk, buf) }
-			if b, rerr := fs.cache.Modify(blk, BlockSize, load); rerr == nil {
+			if b, rerr := fs.cache.Modify(blk, load); rerr == nil {
 				old = b
 			}
 		}
@@ -75,7 +75,7 @@ func (fs *FS) CutLocked(_ uint32, in inode, size int64) (inode, error) {
 	if size%BlockSize != 0 {
 		if blk, perr := fs.blockPtr(&in, size/BlockSize, false, false); perr == nil && blk != 0 {
 			load := func(buf []byte) error { return fs.loadData(blk, buf) }
-			if old, rerr := fs.cache.Modify(blk, BlockSize, load); rerr == nil {
+			if old, rerr := fs.cache.Modify(blk, load); rerr == nil {
 				clear(old[size%BlockSize:])
 				fs.tx.StageData(blk, old, BTData)
 			}

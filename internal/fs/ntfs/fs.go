@@ -339,10 +339,8 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 func (fs *FS) FinishLocked(p journal.Plan) error {
 	plan := p.(*commitPlan)
 	fs.tx.Unpin(plan.fz.Meta, plan.fz.Data)
-	fs.tx.Recycle(plan.fz.Meta, plan.fz.Data)
-	fs.tx.RecycleFrame(plan.restart)
-	fs.tx.RecycleFrame(plan.jReqs[0].Data)
-	fs.tx.RecycleFrame(plan.commit.Data)
+	bcache.GiveFrames(plan.fz.Meta, plan.fz.Data)
+	bcache.GiveFrame(plan.restart, plan.jReqs[0].Data, plan.commit.Data)
 	fs.tx.Reuse(plan.fz, plan.jReqs, nil)
 	return nil
 }

@@ -92,7 +92,7 @@ func (fs *FS) ReadAtLocked(_ uint32, r mftRecord, off int64, p []byte) (int, err
 			// and read ahead. The hit path above copied under the shard
 			// lock without allocating.
 			load := func(buf []byte) error { return fs.loadBlockRetry(blk, BTData, buf) }
-			if err := fs.cache.MissInto(blk, BlockSize, int(bo), dst, load); err != nil {
+			if err := fs.cache.MissInto(blk, int(bo), dst, load); err != nil {
 				return int(read), err
 			}
 			fs.ra.ReadAhead(fs.dev, blk, nil)
@@ -123,7 +123,7 @@ func (fs *FS) WriteAtLocked(_ uint32, r mftRecord, off int64, data []byte) (mftR
 		var old []byte
 		if pre != 0 && chunk != BlockSize {
 			load := func(buf []byte) error { return fs.loadBlockRetry(blk, BTData, buf) }
-			if b, rerr := fs.cache.Modify(blk, BlockSize, load); rerr == nil {
+			if b, rerr := fs.cache.Modify(blk, load); rerr == nil {
 				old = b
 			}
 		}
@@ -141,7 +141,7 @@ func (fs *FS) CutLocked(_ uint32, r mftRecord, size int64) (mftRecord, error) {
 	if size%BlockSize != 0 {
 		if blk, perr := fs.blockPtr(&r, size/BlockSize, false); perr == nil && blk != 0 {
 			load := func(buf []byte) error { return fs.loadBlockRetry(blk, BTData, buf) }
-			if old, rerr := fs.cache.Modify(blk, BlockSize, load); rerr == nil {
+			if old, rerr := fs.cache.Modify(blk, load); rerr == nil {
 				clear(old[size%BlockSize:])
 				fs.tx.StageData(blk, old, BTData)
 			}

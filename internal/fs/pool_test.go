@@ -130,10 +130,10 @@ func TestRemountAllocatesNoFrames(t *testing.T) {
 // TestVolumesShareThePool runs two goroutines, each cycling its own
 // volumes through mount, a cold read with read-ahead, a partial overwrite
 // and an fsync, a read back and an unmount, over the one pool: every frame
-// one volume's cache or commit lets go of may be the next the other
-// takes. Every read is checked. Run under -race: a frame handed back while
-// its volume still used it is written by the other volume's fill or
-// freeze while it is read.
+// one volume's cache, commit or depth-32 scheduler lets go of may be the
+// next the other takes. Every read is checked. Run under -race: a frame
+// handed back while its volume still used it is written by the other
+// volume's fill, freeze or queued write while it is read.
 func TestVolumesShareThePool(t *testing.T) {
 	const blocks, cycles = 64, 6
 	names := Names()
@@ -163,10 +163,10 @@ func TestVolumesShareThePool(t *testing.T) {
 	}
 }
 
-// cycleVolume mounts image, checks /f, patches one of its blocks, fsyncs,
-// checks it again and unmounts.
+// cycleVolume mounts image over a depth-32 scheduler, checks /f, patches
+// one of its blocks, fsyncs, checks it again and unmounts.
 func cycleVolume(name string, image []byte, blocks, g, c int) error {
-	v, err := MountVolume(MountOpts{FS: name, Opts: raOptions(name), Image: image, ReadAhead: raWindow})
+	v, err := MountVolume(MountOpts{FS: name, Opts: raOptions(name), Image: image, ReadAhead: raWindow, QueueDepth: 32})
 	if err != nil {
 		return err
 	}

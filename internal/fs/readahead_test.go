@@ -619,7 +619,7 @@ func BenchmarkDemandMiss(b *testing.B) {
 					b.Fatalf("read %s block %d: %d, %v", p, blk, n, err)
 				}
 			}
-			// One pass to fill the frame lists, as the cache's first
+			// One pass to fill the frame pool, as the cache's first
 			// eviction would.
 			dropCaches(b, v.FS)
 			for i := range files * blocks {

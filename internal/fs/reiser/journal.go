@@ -1,6 +1,7 @@
 package reiser
 
 import (
+	"ironfs/internal/bcache"
 	"ironfs/internal/disk"
 	"ironfs/internal/iron"
 	"ironfs/internal/journal"
@@ -194,13 +195,8 @@ func (fs *FS) WritePlan(p journal.Plan) error {
 func (fs *FS) FinishLocked(p journal.Plan) error {
 	plan := p.(*commitPlan)
 	fs.tx.Unpin(plan.fz.Meta, plan.fz.Data)
-	fs.tx.Recycle(plan.fz.Meta, plan.fz.Data)
-	fs.tx.RecycleFrame(plan.jReqs[0].Data)
-	fs.tx.RecycleFrame(plan.commit.Data)
-	fs.tx.RecycleFrame(plan.advHdr)
-	if plan.wrapHdr != nil {
-		fs.tx.RecycleFrame(plan.wrapHdr)
-	}
+	bcache.GiveFrames(plan.fz.Meta, plan.fz.Data)
+	bcache.GiveFrame(plan.jReqs[0].Data, plan.commit.Data, plan.advHdr, plan.wrapHdr)
 	fs.tx.Reuse(plan.fz, plan.jReqs, nil)
 	return nil
 }
@@ -231,30 +227,6 @@ func (fs *FS) loadJournalHeader() error {
 	return nil
 }
 
-// readLog is replay's reader: a failed read of any log block fails the
-// mount.
-func (fs *FS) readLog(blk int64, part journal.Part) ([]byte, error) {
-	buf := make([]byte, BlockSize)
-	if err := fs.dev.ReadBlock(blk, buf); err == nil {
-		return buf, nil
-	}
-	switch part {
-	case journal.PartDesc:
-		fs.rec.Detect(iron.DErrorCode, BTJDesc, "journal read failed during recovery")
-		fs.rec.Recover(iron.RPropagate, BTJDesc, "mount fails")
-		fs.rec.Recover(iron.RStop, BTJDesc, "recovery aborted")
-	case journal.PartCopy:
-		fs.rec.Detect(iron.DErrorCode, BTJData, "journal data read failed during recovery")
-		fs.rec.Recover(iron.RPropagate, BTJData, "mount fails")
-		fs.rec.Recover(iron.RStop, BTJData, "recovery aborted")
-	case journal.PartCommit:
-		fs.rec.Detect(iron.DErrorCode, BTJCommit, "commit read failed during recovery")
-		fs.rec.Recover(iron.RPropagate, BTJCommit, "mount fails")
-		fs.rec.Recover(iron.RStop, BTJCommit, "recovery aborted")
-	}
-	return nil, vfs.ErrIO
-}
-
 // replayJournal applies any committed-but-uncheckpointed transaction. The
 // payload is replayed with no integrity check — the reproduced §5.2 flaw.
 //
@@ -268,7 +240,8 @@ func (fs *FS) replayJournal() error {
 	// A descriptor or commit block that is not the expected one ends the
 	// log quietly: the end of the log, or a tail the crash tore, correctly
 	// discarded. Only the descriptor's count is sanity-checked.
-	why, _, err := fs.ring.Scan(&at, fs.readLog, func(txn journal.Replayed) (bool, error) {
+	readLog := journal.LogReader(fs.dev, fs.rec, [3]iron.BlockType{BTJDesc, BTJData, BTJCommit})
+	why, _, err := fs.ring.Scan(&at, readLog, func(txn journal.Replayed) (bool, error) {
 		// Replay verbatim: no sanity or type check on the payload (§5.2).
 		// A corrupt journal data block lands on its home location as-is —
 		// including home 0, the superblock.
@@ -280,6 +253,7 @@ func (fs *FS) replayJournal() error {
 				return false, err
 			}
 		}
+		txn.GiveBack()
 		return true, nil
 	})
 	if err != nil {

@@ -89,7 +89,7 @@ func (fs *FS) ReadAtLocked(ref objRef, _ statData, off int64, p []byte) (int, er
 			// and read ahead. The hit path above copied under the shard
 			// lock without allocating.
 			load := func(buf []byte) error { return fs.loadDataBlock(ptr, buf) }
-			if err := fs.cache.MissInto(ptr, BlockSize, int(bo), dst, load); err != nil {
+			if err := fs.cache.MissInto(ptr, int(bo), dst, load); err != nil {
 				return int(read), err
 			}
 			fs.ra.ReadAhead(fs.dev, ptr, nil)
@@ -155,7 +155,7 @@ func (fs *FS) WriteAtLocked(ref objRef, sd statData, off int64, data []byte) (st
 			// Nothing of the old block survives the write.
 		case int64(sd.Size) > idx*BlockSize:
 			load := func(buf []byte) error { return fs.loadDataBlock(ptr, buf) }
-			if b, rerr := fs.cache.Modify(ptr, BlockSize, load); rerr == nil {
+			if b, rerr := fs.cache.Modify(ptr, load); rerr == nil {
 				old = b
 			}
 		default:
@@ -180,7 +180,7 @@ func (fs *FS) CutLocked(ref objRef, sd statData, size int64) (statData, error) {
 	if size%BlockSize != 0 {
 		if ptr, _, perr := fs.blockPtr(ref, size/BlockSize, false); perr == nil && ptr != 0 {
 			load := func(buf []byte) error { return fs.loadDataBlock(ptr, buf) }
-			if old, rerr := fs.cache.Modify(ptr, BlockSize, load); rerr == nil {
+			if old, rerr := fs.cache.Modify(ptr, load); rerr == nil {
 				clear(old[size%BlockSize:])
 				fs.tx.StageData(ptr, old, BTData)
 			}

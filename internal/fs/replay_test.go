@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"ironfs/internal/disk"
@@ -497,6 +499,63 @@ func TestReplayIOBudget(t *testing.T) {
 			}
 			if ss.ReadFlushes != 0 {
 				t.Errorf("replay forced %d read flushes: it read a block whose write was still queued", ss.ReadFlushes)
+			}
+		})
+	}
+}
+
+// TestReplayReusesFrames: replay reads the log into frames from the
+// process's pool and gives them back once it has applied them, and the
+// scheduler queues its writes in pool frames too, so replaying a crashed
+// image a second time allocates less than one 4 KiB buffer per log block
+// it reads. A replay's bytes are what a mount of the crashed image
+// allocates beyond a mount of the image its recovery left, whose log holds
+// nothing to replay. Each crash is TestReplayIOBudget's, where the log
+// holds the most.
+func TestReplayReusesFrames(t *testing.T) {
+	cuts := map[string]int64{"ext3": 613, "ixt3": 1329, "reiserfs": 618, "jfs": 635}
+	for _, name := range []string{"ext3", "ixt3", "reiserfs", "jfs"} {
+		t.Run(name, func(t *testing.T) {
+			work := formattedDisk(t, name)
+			crashChurn(t, name, work, churnStreams(0x1207), cuts[name])
+			d := newUndoDisk(t, work.Snapshot())
+			resolver, err := NewResolver(name, d.Disk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// mount mounts what d holds on disk → scheduler and returns the
+			// bytes the mount allocated and the log blocks it read.
+			mount := func() (uint64, int) {
+				tally := &ioTally{Device: replaySched(d), ios: make([]tallied, 0, 1<<12)}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, err := Mount(name, tally, txnOptions(name))
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				logReads := 0
+				for _, io := range tally.ios {
+					if !io.write && strings.HasPrefix(string(resolver.Classify(io.block)), "j-") {
+						logReads++
+					}
+				}
+				return after.TotalAlloc - before.TotalAlloc, logReads
+			}
+			mount()
+			d.rewind(t)
+			replayed, logReads := mount()
+			d.rewind(t)
+			recoverDisk(t, name, d, -1)
+			idle, _ := mount()
+			if logReads < 8 {
+				t.Fatalf("the replay read %d log blocks; want a log of at least 8", logReads)
+			}
+			if extra := int64(replayed) - int64(idle); extra >= int64(logReads)*txnBlock {
+				t.Errorf("a second replay of %d log blocks allocated %d bytes beyond a mount with nothing to replay (%d per log block); want under %d per log block",
+					logReads, extra, extra/int64(logReads), txnBlock)
+			} else {
+				t.Logf("a replay of %d log blocks: %d bytes beyond a mount with nothing to replay", logReads, extra)
 			}
 		})
 	}

@@ -51,7 +51,7 @@ func shared(a, b map[*byte]bool) bool {
 
 // TestFrozenFramesRecycle: a frame goes to at most one outstanding freeze.
 // Two freezes the caller still holds never share one, and a frame comes
-// back into use only after Recycle, carrying exactly the new payload.
+// back into use only after bcache.GiveFrames, carrying exactly the new payload.
 func TestFrozenFramesRecycle(t *testing.T) {
 	tx := NewTxn[uint32](bcache.New(64))
 	stage := func(base int64, fill byte) {
@@ -69,7 +69,7 @@ func TestFrozenFramesRecycle(t *testing.T) {
 		t.Fatalf("two held freezes: %d and %d frames, shared %v; want 4 and 4, none shared", len(fa), len(fb), shared(fa, fb))
 	}
 
-	tx.Recycle(a.Meta, a.Data)
+	bcache.GiveFrames(a.Meta, a.Data)
 	stage(40, 0xC0)
 	c := tx.Freeze()
 	fc := frames(c)
@@ -94,7 +94,7 @@ func TestFrozenFramesRecycle(t *testing.T) {
 
 	// A short payload pads with zeros in a recycled frame too, and Frame
 	// hands out a zeroed one.
-	tx.Recycle(b.Meta, c.Meta)
+	bcache.GiveFrames(b.Meta, c.Meta)
 	tx.StageData(3, []byte{1, 2, 3}, "data")
 	if got := tx.Freeze().Data[0].Data; len(got) != BlockSize || got[2] != 3 || got[3] != 0 || got[BlockSize-1] != 0 {
 		t.Fatal("short payload not zero-padded in a recycled frame")
@@ -104,8 +104,8 @@ func TestFrozenFramesRecycle(t *testing.T) {
 	}
 }
 
-// frameFS is a Committer over a real running transaction that recycles its
-// plan's frames at finish, as jfs, ReiserFS and NTFS do.
+// frameFS is a Committer over a real running transaction that gives its
+// plan's frames back at finish, as jfs, ReiserFS and NTFS do.
 type frameFS struct {
 	mu       sync.Mutex
 	health   vfs.Health
@@ -131,7 +131,7 @@ func (f *frameFS) WritePlan(Plan) error {
 }
 func (f *frameFS) FinishLocked(p Plan) error {
 	fz := p.(*Frozen)
-	f.tx.Recycle(fz.Meta, fz.Data)
+	bcache.GiveFrames(fz.Meta, fz.Data)
 	return nil
 }
 
@@ -174,7 +174,7 @@ func TestFailedCommitDropsItsFrames(t *testing.T) {
 }
 
 // stageFreeze stages 64 metadata and 8 data blocks, freezes them and
-// recycles the frozen frames and slices: one commit's worth of the running
+// gives back the frozen frames and slices: one commit's worth of the running
 // transaction's work, less the device writes.
 func stageFreeze(tx *Txn[uint32], meta, data []byte) {
 	for i := int64(0); i < 64; i++ {
@@ -185,7 +185,7 @@ func stageFreeze(tx *Txn[uint32], meta, data []byte) {
 	}
 	fz := tx.Freeze()
 	tx.Unpin(fz.Meta, fz.Data)
-	tx.Recycle(fz.Meta, fz.Data)
+	bcache.GiveFrames(fz.Meta, fz.Data)
 	tx.Reuse(fz, nil, nil)
 }
 

@@ -3,7 +3,10 @@ package journal
 import (
 	"encoding/binary"
 
+	"ironfs/internal/bcache"
 	"ironfs/internal/disk"
+	"ironfs/internal/iron"
+	"ironfs/internal/vfs"
 )
 
 // Header is the block that fronts a log region — ext3's journal
@@ -233,4 +236,32 @@ func (r *Ring) Scan(at *Cursor, read func(blk int64, part Part) ([]byte, error),
 		at.Seq++
 	}
 	return StopEnd, nil, nil
+}
+
+// LogReader returns Scan's reader for a block-image log on dev (ext3,
+// ReiserFS). It reads each log block into a frame from the process's pool
+// (bcache.TakeFrame), which the file system gives back with bcache.GiveFrame
+// once it has applied what the block carries. A failed read of any log block
+// fails the mount: rec records it against types[part] — the descriptor's, a
+// copy's and the commit block's types, in Part order.
+func LogReader(dev disk.Device, rec *iron.Recorder, types [3]iron.BlockType) func(blk int64, part Part) ([]byte, error) {
+	details := [3]string{"journal read failed during recovery", "journal data read failed during recovery", "commit block read failed during recovery"}
+	return func(blk int64, part Part) ([]byte, error) {
+		buf := bcache.TakeFrame()
+		if err := dev.ReadBlock(blk, buf); err == nil {
+			return buf, nil
+		}
+		bcache.GiveFrame(buf)
+		rec.Detect(iron.DErrorCode, types[part], details[part])
+		rec.Recover(iron.RPropagate, types[part], "mount fails")
+		rec.Recover(iron.RStop, types[part], "recovery aborted")
+		return nil, vfs.ErrIO
+	}
+}
+
+// GiveBack hands every block of txn back to the process's pool, once its
+// copies are home: frames a LogReader read them into.
+func (txn Replayed) GiveBack() {
+	bcache.GiveFrame(txn.Desc, txn.Commit)
+	bcache.GiveFrames(txn.Copies)
 }

@@ -167,7 +167,7 @@ func (t *Txn[K]) StageData(blk int64, buf []byte, bt iron.BlockType) {
 // (bcache.PutFresh): a freeze copies it, and once its commit has unpinned
 // it and it leaves the cache, a later fresh block or miss reuses it.
 func (t *Txn[K]) StageFresh(blk int64, bt iron.BlockType) []byte {
-	f := t.cache.PutFresh(blk, BlockSize)
+	f := t.cache.PutFresh(blk)
 	t.Data.stage(blk, f, bt)
 	return f
 }
@@ -229,9 +229,8 @@ func (t *Txn[K]) Full(metaCap, dataCap int) bool {
 // cache and the running transaction keep the live buffers, which
 // operations go on mutating while the commit is in flight. The plan
 // borrows each frame; the file system hands it back to the pool with
-// Recycle once the frame's last device write has returned (a device keeps
-// no buffer past the call), and never after a failed commit, whose frames
-// are simply dropped.
+// bcache.GiveFrames under that function's rule, and never after a failed
+// commit, whose frames are simply dropped.
 type Frozen struct {
 	Meta, Data         []disk.Request
 	MetaType, DataType []iron.BlockType
@@ -246,9 +245,7 @@ func (t *Txn[K]) Freeze() Frozen {
 	fz.Meta, fz.MetaType = t.freeze(&t.Meta)
 	fz.Data, fz.DataType = t.freeze(&t.Data)
 	clear(t.touched)
-	for _, f := range t.retired {
-		bcache.GiveFrame(f)
-	}
+	bcache.GiveFrame(t.retired...)
 	clear(t.retired)
 	t.retired = t.retired[:0]
 	return fz
@@ -258,25 +255,13 @@ func (t *Txn[K]) Freeze() Frozen {
 // system writes itself: a tree-node image it stages with StageImage, or a
 // block it adds to a frozen transaction — a log record or header,
 // ReiserFS's superblock. An image staged is the cache's until StageImage
-// retires it; any other frame goes back with Recycle once its device
-// write has returned.
+// retires it; any other frame goes back with bcache.GiveFrame once its
+// device write has returned.
 func (t *Txn[K]) Frame() []byte {
 	f := bcache.TakeFrame()
 	clear(f)
 	return f
 }
-
-// Recycle hands the frames of frozen requests whose last device write has
-// returned back to the pool: no plan and no device call holds them any
-// more. The next freeze, or any volume's next cache fill, may take them.
-func (t *Txn[K]) Recycle(reqs ...[]disk.Request) {
-	for _, rs := range reqs {
-		bcache.GiveFrames(rs)
-	}
-}
-
-// RecycleFrame hands back one frame; see Recycle.
-func (t *Txn[K]) RecycleFrame(f []byte) { bcache.GiveFrame(f) }
 
 // Reqs returns an empty request slice for a freeze or a plan to append to:
 // one a finished commit gave back with Reuse, or nil.
@@ -287,7 +272,7 @@ func (t *Txn[K]) Types() []iron.BlockType { return take(&t.types) }
 
 // Reuse takes back the request and type slices of a plan whose commit
 // has finished — fz's, and the log and its types the file system laid out
-// beside them (either may be nil) — as Recycle takes back its frames:
+// beside them (either may be nil) — as the pool takes back its frames:
 // nothing reads them again, so later freezes and plans fill them in place.
 // Each slice must come from Freeze, Reqs or Types and be given back once;
 // a failed commit's are dropped.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"ironfs/internal/bcache"
 	"ironfs/internal/disk"
 )
 
@@ -24,12 +25,10 @@ func holds(t *testing.T, d *memdev, want map[int64]byte) {
 }
 
 // TestQueuedBytesSurviveRecycling: the scheduler copies each write into a
-// buffer of its own and recycles that buffer once the device has taken
-// the sweep it went in, so the bytes that land are the ones written,
-// whatever happens to buffers around them: the caller overwriting its
-// buffer after WriteBlock, a rewrite absorbed into a queued block, and a
-// sweep the device refused staying queued while later writes take spare
-// buffers.
+// buffer of its own, so the bytes that land are the ones written, whatever
+// happens to buffers around them: the caller overwriting its buffer after
+// WriteBlock, a rewrite absorbed into a queued block, and a sweep the
+// device refused staying queued while later writes take new buffers.
 func TestQueuedBytesSurviveRecycling(t *testing.T) {
 	t.Run("caller_reuses_buffer", func(t *testing.T) {
 		dev := newMemdev()
@@ -75,8 +74,8 @@ func TestQueuedBytesSurviveRecycling(t *testing.T) {
 	t.Run("failed_sweep_stays_queued", func(t *testing.T) {
 		// Block 5 fails the first two commands that carry it: the drain
 		// that the fourth write forces and the one after it keep all
-		// four blocks queued, while the writes behind them take spare
-		// buffers and later drains land and recycle theirs.
+		// four blocks queued, while the writes behind them take new
+		// buffers and later drains land theirs.
 		dev := newFaildev(5, 2)
 		s := New(dev, Config{QueueDepth: 4})
 		want := map[int64]byte{}
@@ -94,17 +93,87 @@ func TestQueuedBytesSurviveRecycling(t *testing.T) {
 	})
 }
 
-// nulldev accepts every write and keeps nothing: a device that allocates
-// nothing, so what an allocation test counts is the scheduler's.
+// nulldev accepts every write and keeps nothing: a device of 4 KiB blocks
+// that allocates nothing, so what an allocation test counts is the
+// scheduler's.
 type nulldev struct{}
 
 func (nulldev) ReadBlock(int64, []byte) error   { return nil }
 func (nulldev) WriteBlock(int64, []byte) error  { return nil }
 func (nulldev) WriteBatch([]disk.Request) error { return nil }
 func (nulldev) Barrier() error                  { return nil }
-func (nulldev) BlockSize() int                  { return 4096 }
+func (nulldev) BlockSize() int                  { return bcache.FrameSize }
 func (nulldev) NumBlocks() int64                { return 1 << 20 }
 func (nulldev) Close() error                    { return nil }
+
+// refusedev is nulldev refusing the next refuse commands.
+type refusedev struct {
+	nulldev
+	refuse int
+}
+
+func (d *refusedev) WriteBatch([]disk.Request) error {
+	if d.refuse > 0 {
+		d.refuse--
+		return disk.ErrIO
+	}
+	return nil
+}
+
+// pooled returns the first byte's address of every frame the process's
+// pool holds, taking each and giving them all back in their order.
+func pooled() map[*byte]bool {
+	_, n := bcache.PoolStats()
+	fs := make([]disk.Request, n)
+	for i := range fs {
+		fs[n-1-i].Data = bcache.TakeFrame()
+	}
+	out := map[*byte]bool{}
+	for _, f := range fs {
+		out[&f.Data[0]] = true
+	}
+	bcache.GiveFrames(fs)
+	return out
+}
+
+// TestDrainGivesFramesToThePool: over a device of 4 KiB blocks, a queued
+// write's copy is a frame from the process's pool, and a sweep the device
+// accepted hands its frames back: after a drain the pool holds every
+// buffer it drained. A sweep the device refused keeps its buffers queued
+// and out of the pool.
+func TestDrainGivesFramesToThePool(t *testing.T) {
+	dev := &refusedev{refuse: 1}
+	s := New(dev, Config{QueueDepth: 32})
+	buf := make([]byte, bcache.FrameSize)
+	for b := int64(0); b < 8; b++ {
+		if err := s.WriteBlock(b*3, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queued := map[*byte]bool{}
+	s.mu.Lock()
+	for _, q := range s.queue {
+		queued[&q.data[0]] = true
+	}
+	s.mu.Unlock()
+	if err := s.Barrier(); err == nil {
+		t.Fatal("the refused sweep's Barrier returned no error")
+	}
+	for f := range pooled() {
+		if queued[f] {
+			t.Fatal("a refused sweep's buffer went to the pool while still queued")
+		}
+	}
+	if err := s.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	in := pooled()
+	for f := range queued {
+		if !in[f] {
+			t.Fatal("a drained buffer is not in the pool")
+		}
+	}
+}
 
 // enqueueDrain returns a scheduler at depth 32 under policy and a
 // function that writes one block of a scattered stream to it, each block
@@ -125,9 +194,10 @@ func enqueueDrain(policy Policy) (*Scheduler, func()) {
 	}
 }
 
-// TestEnqueueDrainAllocs: once its spare buffers and scratch slices are
-// warm, the scheduler allocates nothing per write, drains included, and a
-// drain deeper than the queue depth keeps every buffer it made. A run is
+// TestEnqueueDrainAllocs: once the pool's frames and the scheduler's
+// scratch slices are warm, the scheduler allocates nothing per write,
+// drains included, and a drain deeper than the queue depth hands every
+// frame it took back to the pool for the next one. A run is
 // 100 writes, so even one allocation in a cycle of drains shows.
 func TestEnqueueDrainAllocs(t *testing.T) {
 	for _, policy := range []Policy{PolicyCLOOK, PolicyAdaptive} {
@@ -148,8 +218,8 @@ func TestEnqueueDrainAllocs(t *testing.T) {
 		}
 
 		// A batch queues past the depth before it drains, as a group
-		// commit or a checkpoint does: a drain of 100 blocks keeps all
-		// 100 buffers for the next one.
+		// commit or a checkpoint does: a drain of 100 blocks gives all
+		// 100 frames back for the next one.
 		batch := make([]disk.Request, 100)
 		for i := range batch {
 			batch[i] = disk.Request{Block: int64(i * 3), Data: make([]byte, 4096)}

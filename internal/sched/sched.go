@@ -46,6 +46,7 @@ import (
 	"slices"
 	"sync"
 
+	"ironfs/internal/bcache"
 	"ironfs/internal/disk"
 	"ironfs/internal/stat"
 	"ironfs/internal/trace"
@@ -127,11 +128,6 @@ type Scheduler struct {
 	//iron:lockorder 20 scheduler queue lock nests under any FS lock via device calls
 	mu    sync.Mutex
 	queue map[int64]queued
-	// spare holds the block buffers of writes whose sweep the device
-	// accepted, for enqueueLocked to copy new writes into. It never holds
-	// more buffers than the scheduler has made, and that is at most the
-	// deepest queue it has held, so it needs no cap.
-	spare [][]byte
 	// blocks, order and reqs are flushLocked's scratch, reused by every
 	// drain.
 	blocks, order []int64
@@ -202,7 +198,6 @@ func New(inner disk.Device, cfg Config) *Scheduler {
 		queueLen:  stat.G("sched_queue_depth"),
 		queueWait: stat.H("sched_queue_wait_ns"),
 		queue:     make(map[int64]queued),
-		spare:     make([][]byte, 0, depth),
 	}
 	for ev, kind := range eventKinds {
 		s.ops[ev] = stat.C("sched_ops_total", "kind", kind)
@@ -334,16 +329,15 @@ func (s *Scheduler) Close() error {
 
 // enqueueLocked inserts one write, copying the data (callers reuse their
 // buffers after WriteBlock returns): an absorbed rewrite into the buffer
-// of the write it replaces, a new block into a spare buffer. Caller holds
-// s.mu.
+// of the write it replaces, a new block into a frame from the pool — or,
+// over a device whose blocks are not frames, a new buffer, so no copy is
+// padded with a stale frame's bytes. Caller holds s.mu.
 func (s *Scheduler) enqueueLocked(n int64, buf []byte) {
 	q, ok := s.queue[n]
 	if ok {
 		s.note(evAbsorb, n, 0, "")
-	} else if k := len(s.spare) - 1; k >= 0 {
-		q.data = s.spare[k]
-		s.spare[k] = nil
-		s.spare = s.spare[:k]
+	} else if len(buf) == bcache.FrameSize {
+		q.data = bcache.TakeFrame()
 	} else {
 		q.data = make([]byte, len(buf))
 	}
@@ -456,12 +450,12 @@ func (s *Scheduler) flushLocked(reason string) error {
 				s.queueWait.Observe(now - s.queue[b].at)
 			}
 		}
-		// The device kept no buffer of the sweep (disk.Device), so each
-		// one is spare now.
+		// The device kept no buffer of the sweep (disk.Device), so the
+		// pool may have them back.
 		for _, r := range reqs {
-			s.spare = append(s.spare, r.Data)
 			delete(s.queue, r.Block)
 		}
+		bcache.GiveFrames(reqs)
 		s.note(evDispatch, sweep[0], len(sweep), "")
 		dispatched += len(sweep)
 		s.head = sweep[len(sweep)-1] + 1
