@@ -274,14 +274,14 @@ func runOne(verb, name string, parallel, damage int, traceOut io.Writer) (fsRepo
 
 	switch verb {
 	case "check":
-		img := d.Snapshot()
+		img := d.Image()
 		res, err := fs.Fsck(name, d, opts, fs.FsckConfig{Parallel: parallel})
 		if err != nil {
 			return r, err
 		}
 		c := &checkJSON{Workers: parallel, Problems: problemsJSON(res.Problems)}
 		if parallel > 1 {
-			if err := d.Restore(img); err != nil {
+			if err := d.RestoreImage(img); err != nil {
 				return r, err
 			}
 			serial, err := fs.Fsck(name, d, opts, fs.FsckConfig{Parallel: 1})

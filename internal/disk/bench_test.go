@@ -90,3 +90,31 @@ func BenchmarkSnapshot(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkImage photographs a restored disk as an Image: its track
+// table, no media.
+func BenchmarkImage(b *testing.B) {
+	d := restoredDisk(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Image()
+	}
+}
+
+// BenchmarkRestoreImage restores a disk from an Image of a restored one:
+// the tracks are shared, so nothing is copied or allocated.
+func BenchmarkRestoreImage(b *testing.B) {
+	img := restoredDisk(b).Image()
+	d, err := New(benchBlocks, DefaultGeometry(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.RestoreImage(img); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

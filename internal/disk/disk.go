@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -64,10 +65,13 @@ type Disk struct {
 	mu sync.Mutex
 	// media holds the image one track at a time (BlocksPerTrack blocks;
 	// the last track may be short). A nil track has never been written:
-	// it reads as zeros, and its first write allocates it. arena, once a
-	// Restore has set it, is the whole image in one slice, and every
-	// track aliases it, so a restored disk allocates nothing on a write.
+	// it reads as zeros, and its first write allocates it. A written
+	// track marked shared also belongs to an Image, so the disk's first
+	// write to it clones it. arena, once a Restore has set it, is the
+	// whole image in one slice, and every track aliases it, so a restored
+	// disk allocates nothing on a write.
 	media  [][]byte
+	shared []bool
 	arena  []byte
 	closed bool
 	// head position: current track, known from the last access.
@@ -115,6 +119,7 @@ func New(numBlocks int64, geom Geometry, clock *Clock) (*Disk, error) {
 		tracks:   tracks,
 		bufTrack: -1,
 		media:    make([][]byte, tracks),
+		shared:   make([]bool, tracks),
 		readSvc:  stat.H("disk_svc_ns", "op", trace.KindRead),
 		writeSvc: stat.H("disk_svc_ns", "op", trace.KindWrite),
 		barriers: stat.C("disk_ops_total", "op", trace.KindBarrier),
@@ -375,6 +380,24 @@ func (d *Disk) ReadRaw(n int64, buf []byte) error {
 	return nil
 }
 
+// WriteRaw is ReadRaw's counterpart: it copies buf onto block n without
+// advancing the clock or touching statistics, and it trips no armed
+// fault. The write is still logged for WritesSince. Crash harnesses use it
+// to lay a crash state's writes onto a restored disk.
+func (d *Disk) WriteRaw(n int64, buf []byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if n < 0 || n >= d.blocks {
+		return ErrOutOfRange
+	}
+	if len(buf) != d.geom.BlockSize {
+		return ErrBadSize
+	}
+	d.writeLocked(n, buf)
+	d.noteWriteLocked(n)
+	return nil
+}
+
 // readLocked copies block n from the media into buf; a block on a track
 // never written reads as zeros. Caller holds d.mu and has checked n.
 func (d *Disk) readLocked(n int64, buf []byte) {
@@ -387,11 +410,16 @@ func (d *Disk) readLocked(n int64, buf []byte) {
 }
 
 // writeLocked copies data onto block n, allocating its track on the
-// track's first write. Caller holds d.mu and has checked n.
+// track's first write and cloning a shared track. Caller holds d.mu and
+// has checked n.
 func (d *Disk) writeLocked(n int64, data []byte) {
 	i := n / d.geom.BlocksPerTrack
-	if d.media[i] == nil {
+	switch {
+	case d.media[i] == nil:
 		d.media[i] = make([]byte, d.trackBytes(i))
+	case d.shared[i]:
+		d.media[i] = bytes.Clone(d.media[i])
+		d.shared[i] = false
 	}
 	copy(d.media[i][(n%d.geom.BlocksPerTrack)*int64(d.geom.BlockSize):], data)
 }
@@ -419,7 +447,7 @@ func (d *Disk) noteWriteLocked(n int64) {
 
 // WritesSince appends to dst the block numbers written after generation
 // since and returns them with the current generation. ok is false when
-// the log cannot answer — since predates a Restore or lies more than the
+// the log cannot answer — since predates a restore or lies more than the
 // ring's length back — and the caller must assume any block changed.
 // Gray-box resolvers use it to keep a classification map across writes
 // that touched nothing the map was derived from.
@@ -435,9 +463,49 @@ func (d *Disk) WritesSince(since int64, dst []int64) (blocks []int64, gen int64,
 	return dst, d.gen, true
 }
 
-// Snapshot returns a copy of the raw disk contents, for crash-consistency
-// testing and image inspection. A restored disk is cloned in one pass;
-// otherwise only the tracks ever written are copied over zeros.
+// Image is an immutable photograph of a disk's media: one slice per
+// track, nil for a track that reads as zeros. Disks share its tracks
+// instead of copying them, and a disk clones a shared track at its first
+// write to it, so nothing changes an Image once it is taken.
+type Image struct {
+	tracks [][]byte
+	size   int64
+}
+
+// Image returns the disk's current media and marks its tracks shared, so
+// the disk's own next write to each clones it. Nothing is zeroed or
+// copied but the track table.
+func (d *Disk) Image() *Image {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, t := range d.media {
+		d.shared[i] = t != nil
+	}
+	d.arena = nil // a write may now clone a track away from it
+	return &Image{tracks: slices.Clone(d.media), size: d.blocks * int64(d.geom.BlockSize)}
+}
+
+// RestoreImage replaces the media with img's tracks, shared: the disk
+// clones a track at its first write to it. Every block may have changed,
+// so the write log starts over, as after Restore.
+func (d *Disk) RestoreImage(img *Image) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if size := d.blocks * int64(d.geom.BlockSize); img.size != size || len(img.tracks) != len(d.media) {
+		return fmt.Errorf("disk: image size %d != disk size %d", img.size, size)
+	}
+	for i, t := range img.tracks {
+		d.media[i], d.shared[i] = t, t != nil
+	}
+	d.arena = nil
+	d.gen++
+	d.logFloor = d.gen
+	return nil
+}
+
+// Snapshot returns a copy of the raw disk contents: one clone of a disk
+// restored by Restore, else the written tracks copied over zeros. Outside
+// tests only bench/ uses Snapshot and Restore; the rest take an Image.
 func (d *Disk) Snapshot() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -463,6 +531,7 @@ func (d *Disk) Restore(img []byte) error {
 		return fmt.Errorf("disk: snapshot size %d != disk size %d", len(img), size)
 	}
 	d.arena = bytes.Clone(img)
+	clear(d.shared)
 	stride := d.geom.BlocksPerTrack * int64(d.geom.BlockSize)
 	for i := range d.media {
 		lo := int64(i) * stride

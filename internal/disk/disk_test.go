@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -427,9 +428,10 @@ func TestNewAllocatesOnlyTheTrackTable(t *testing.T) {
 }
 
 // TestMediaSemantics runs the media's contract over a fresh disk, whose
-// tracks are allocated by their first write, and a restored one, whose
-// tracks alias one arena. 200 blocks at 128 per track end in a short
-// track of 72.
+// tracks are allocated by their first write, a restored one, whose tracks
+// alias one arena, and one restored from an Image of such a disk, whose
+// tracks are shared until written. 200 blocks at 128 per track end in a
+// short track of 72.
 func TestMediaSemantics(t *testing.T) {
 	const blocks, bs = 200, 4096
 	pattern := func(n int64) []byte { return bytes.Repeat([]byte{byte(n + 1)}, bs) }
@@ -440,6 +442,15 @@ func TestMediaSemantics(t *testing.T) {
 		{"fresh", func(*Disk) {}},
 		{"restored", func(d *Disk) {
 			if err := d.Restore(make([]byte, blocks*bs)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"image", func(d *Disk) {
+			src := newDisk(t, blocks)
+			if err := src.Restore(make([]byte, blocks*bs)); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.RestoreImage(src.Image()); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -505,6 +516,57 @@ func TestMediaSemantics(t *testing.T) {
 				t.Fatal("Restore -> Snapshot does not round-trip")
 			}
 			img[0] ^= 0xFF
+
+			// A write after Image leaves the image as it was, whether it
+			// lands on this disk or on one restored from the image, and
+			// each disk reads its own writes, on the short track too.
+			im := d.Image()
+			other := newDisk(t, blocks)
+			if err := other.RestoreImage(im); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(other.Snapshot(), want) {
+				t.Fatal("RestoreImage does not place the image's blocks")
+			}
+			mine := func(i int, n int64) []byte { return pattern(n + int64(20*(i+1))) }
+			for i, w := range []*Disk{d, other} {
+				for _, n := range []int64{0, 130, blocks - 1} {
+					if err := w.WriteBlock(n, mine(i, n)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			check := newDisk(t, blocks)
+			if err := check.RestoreImage(im); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(check.Snapshot(), want) {
+				t.Fatal("a write after Image changed the image")
+			}
+			for i, w := range []*Disk{d, other} {
+				for _, n := range []int64{0, 130, blocks - 1} {
+					if err := w.ReadRaw(n, buf); err != nil || !bytes.Equal(buf, mine(i, n)) {
+						t.Fatalf("disk %d block %d does not read its own write", i, n)
+					}
+				}
+				if err := w.ReadRaw(127, buf); err != nil || !bytes.Equal(buf, pattern(127)) {
+					t.Fatalf("disk %d lost the image's block 127", i)
+				}
+			}
+			if err := d.Restore(want); err != nil {
+				t.Fatal(err)
+			}
+
+			// A wrong-sized RestoreImage errors and leaves the media as it
+			// was.
+			for _, size := range []int64{1, blocks - 1, blocks + 1, blocks + 128} {
+				if err := d.RestoreImage(newDisk(t, size).Image()); err == nil {
+					t.Fatalf("RestoreImage of a %d-block image accepted", size)
+				}
+			}
+			if !bytes.Equal(d.Snapshot(), want) {
+				t.Fatal("a refused RestoreImage changed the media")
+			}
 
 			// A wrong-sized Restore errors and leaves the media as it was.
 			before := d.Snapshot()
@@ -586,5 +648,92 @@ func TestRestoredWritesDoNotAllocate(t *testing.T) {
 		start = (start + 100) % blocks
 	}); a != 0 {
 		t.Fatalf("an ascending WriteBatch on a restored disk allocates %v times", a)
+	}
+}
+
+// TestImageSharedByConcurrentDisks: disks restored from one Image, and the
+// disk it was taken from, write concurrently; each reads back only its own
+// bytes, and the image stays as it was. Run under -race, a track written
+// in place instead of cloned is a data race.
+func TestImageSharedByConcurrentDisks(t *testing.T) {
+	const blocks, bs, disks = 300, 4096, 4
+	src := newDisk(t, blocks)
+	for n := int64(0); n < blocks; n += 50 {
+		if err := src.WriteBlock(n, bytes.Repeat([]byte{0xAA}, bs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := src.Snapshot()
+	img := src.Image()
+	ds := []*Disk{src}
+	for i := 1; i < disks; i++ {
+		d := newDisk(t, blocks)
+		if err := d.RestoreImage(img); err != nil {
+			t.Fatal(err)
+		}
+		ds = append(ds, d)
+	}
+	var wg sync.WaitGroup
+	for i, d := range ds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mine := bytes.Repeat([]byte{byte(i + 1)}, bs)
+			buf := make([]byte, bs)
+			// Every block congruent to i mod disks: every track, shared or
+			// never written.
+			for n := int64(i); n < blocks; n += disks {
+				if err := d.WriteBlock(n, mine); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			for n := int64(0); n < blocks; n++ {
+				if err := d.ReadRaw(n, buf); err != nil {
+					t.Error(err)
+					return
+				}
+				exp := want[n*bs : (n+1)*bs]
+				if n%disks == int64(i) {
+					exp = mine
+				}
+				if !bytes.Equal(buf, exp) {
+					t.Errorf("disk %d block %d reads another disk's bytes", i, n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	check := newDisk(t, blocks)
+	if err := check.RestoreImage(img); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(check.Snapshot(), want) {
+		t.Fatal("concurrent writes changed the shared image")
+	}
+}
+
+// TestRestoreImageAllocs: RestoreImage shares tracks, so what it allocates
+// does not grow with the disk: a 16 384-block disk costs what a 200-block
+// one does. Every track of the image is written, so a restore that copied
+// tracks would cost 128 copies against 2.
+func TestRestoreImageAllocs(t *testing.T) {
+	allocs := func(blocks int64) float64 {
+		src := newDisk(t, blocks)
+		for n := int64(0); n < blocks; n += src.Geometry().BlocksPerTrack {
+			if err := src.WriteBlock(n, make([]byte, 4096)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		img, d := src.Image(), newDisk(t, blocks)
+		return testing.AllocsPerRun(100, func() {
+			if err := d.RestoreImage(img); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(200), allocs(16384); large > small {
+		t.Fatalf("RestoreImage allocates %v times at 16 384 blocks, %v at 200", large, small)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"ironfs/internal/disk"
 )
 
 // Crash-state enumeration over a CrashDevice's write log.
@@ -212,36 +214,23 @@ func enumerateStates(log []WriteRecord, point, sealed int, stamp bool, p EnumPol
 	return out
 }
 
-// ApplyCrashState materializes the post-crash image for state s: base (the
-// media image from before the workload) plus all durable writes, plus the
-// surviving subset of the pending window, applied in issue order so that
-// later writes to the same block win. base is not modified; blockSize is
-// the device block size. The returned image is freshly allocated.
-func ApplyCrashState(base []byte, blockSize int, log []WriteRecord, s CrashState, p EnumPolicy) []byte {
-	img := make([]byte, len(base))
-	copy(img, base)
-	ApplyCrashStateTo(img, blockSize, log, s, p)
-	return img
-}
-
-// ApplyCrashStateTo is ApplyCrashState writing into a caller-owned image
-// buffer already holding the base contents (for reuse across states).
-func ApplyCrashStateTo(img []byte, blockSize int, log []WriteRecord, s CrashState, p EnumPolicy) {
+// ApplyCrashState writes crash state s onto d, a disk restored to the
+// media image from before the workload: all durable writes, plus the
+// surviving subset of the pending window, in issue order so that later
+// writes to the same block win. A torn write overlays its first TornBytes
+// on the block's old contents. The writes go through d's raw port, so
+// they cost no simulated time. A write the disk refuses (a log from a
+// larger volume) is returned, wrapping the disk's error.
+func ApplyCrashState(d *disk.Disk, log []WriteRecord, s CrashState, p EnumPolicy) error {
 	p = p.withDefaults()
 	if s.Point < 0 || s.Point >= len(log) {
-		return
+		return nil
 	}
 	sealed := log[s.Point].Epoch
 	if s.SealedKnown {
 		sealed = s.Sealed
 	}
 	first := pendingStartSealed(log, s.Point, p.Window, sealed)
-
-	// Durable prefix: sealed epochs plus the evicted head of the open one.
-	for i := 0; i < first; i++ {
-		r := log[i]
-		copy(img[r.Block*int64(blockSize):], r.Data)
-	}
 	// Newest surviving pending write, for tearing.
 	newest := -1
 	for i := first; i <= s.Point; i++ {
@@ -249,15 +238,25 @@ func ApplyCrashStateTo(img []byte, blockSize int, log []WriteRecord, s CrashStat
 			newest = i
 		}
 	}
-	for i := first; i <= s.Point; i++ {
-		if s.Mask&(uint64(1)<<(i-first)) == 0 {
+	// The durable prefix (sealed epochs plus the evicted head of the open
+	// one), then the surviving pending writes.
+	for i := 0; i <= s.Point; i++ {
+		if i >= first && s.Mask&(uint64(1)<<(i-first)) == 0 {
 			continue
 		}
 		r := log[i]
-		data := r.Data
+		data, err := r.Data, error(nil)
 		if s.Torn && i == newest && p.TornBytes < len(data) {
-			data = data[:p.TornBytes]
+			data = make([]byte, len(r.Data))
+			err = d.ReadRaw(r.Block, data)
+			copy(data, r.Data[:p.TornBytes])
 		}
-		copy(img[r.Block*int64(blockSize):], data)
+		if err == nil {
+			err = d.WriteRaw(r.Block, data)
+		}
+		if err != nil {
+			return fmt.Errorf("faultinject: crash state %s: write %d to block %d: %w", s, r.Seq, r.Block, err)
+		}
 	}
+	return nil
 }

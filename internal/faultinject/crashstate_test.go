@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -19,6 +20,20 @@ func newRecorderUnderTest(t *testing.T, blocks int64) (*disk.Disk, *CrashDevice)
 		t.Fatal(err)
 	}
 	return d, NewCrashDevice(d, -1)
+}
+
+// crashImage writes crash state st onto a zeroed disk of d's size and
+// returns the media it leaves.
+func crashImage(t *testing.T, d *disk.Disk, log []WriteRecord, st CrashState, p EnumPolicy) []byte {
+	t.Helper()
+	img, err := disk.New(d.NumBlocks(), d.Geometry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ApplyCrashState(img, log, st, p); err != nil {
+		t.Fatal(err)
+	}
+	return img.Snapshot()
 }
 
 func fillBlock(d *disk.Disk, b byte) []byte {
@@ -186,8 +201,7 @@ func TestWindowEvictionDurable(t *testing.T) {
 	// Window 3, crash at point 5: writes 0..2 were evicted (durable),
 	// 3..5 pending. Mask 0 must still contain writes 0..2.
 	p := EnumPolicy{Window: 3}
-	base := make([]byte, 64*d.BlockSize())
-	img := ApplyCrashState(base, d.BlockSize(), log, CrashState{Point: 5, Mask: 0}, p)
+	img := crashImage(t, d, log, CrashState{Point: 5, Mask: 0}, p)
 	for i := 0; i < 3; i++ {
 		if img[i*d.BlockSize()] != byte(i+1) {
 			t.Fatalf("evicted write %d not durable under empty mask", i)
@@ -211,23 +225,22 @@ func TestApplyCrashStateOrderAndTear(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := c.Log()
-	base := make([]byte, 16*d.BlockSize())
 	p := EnumPolicy{}
 
-	img := ApplyCrashState(base, d.BlockSize(), log, CrashState{Point: 1, Mask: 0b11}, p)
+	img := crashImage(t, d, log, CrashState{Point: 1, Mask: 0b11}, p)
 	off := 5 * d.BlockSize()
 	if img[off] != 0x22 || img[off+d.BlockSize()-1] != 0x22 {
 		t.Fatal("later same-block write did not win")
 	}
 
 	// Only the first write survives.
-	img = ApplyCrashState(base, d.BlockSize(), log, CrashState{Point: 1, Mask: 0b01}, p)
+	img = crashImage(t, d, log, CrashState{Point: 1, Mask: 0b01}, p)
 	if img[off] != 0x11 {
 		t.Fatal("masked-out overwrite clobbered the surviving write")
 	}
 
 	// Torn newest write: first TornBytes land, the rest stays old.
-	img = ApplyCrashState(base, d.BlockSize(), log, CrashState{Point: 1, Mask: 0b11, Torn: true}, p)
+	img = crashImage(t, d, log, CrashState{Point: 1, Mask: 0b11, Torn: true}, p)
 	if img[off] != 0x22 {
 		t.Fatal("torn write did not land its head")
 	}
@@ -240,14 +253,30 @@ func TestApplyCrashStateRespectsBarriers(t *testing.T) {
 	d, c := newRecorderUnderTest(t, 16)
 	writeSeq(t, d, c, []int64{1, 2, 3}, map[int]bool{1: true})
 	log := c.Log()
-	base := make([]byte, 16*d.BlockSize())
 	// Crash at write 2 (epoch 1) with empty mask: writes 0 and 1 are in a
 	// sealed epoch, so they are durable regardless of the mask.
-	img := ApplyCrashState(base, d.BlockSize(), log, CrashState{Point: 2, Mask: 0}, EnumPolicy{})
+	img := crashImage(t, d, log, CrashState{Point: 2, Mask: 0}, EnumPolicy{})
 	if img[1*d.BlockSize()] != 1 || img[2*d.BlockSize()] != 2 {
 		t.Fatal("sealed-epoch writes must survive every crash state")
 	}
 	if img[3*d.BlockSize()] != 0 {
 		t.Fatal("open-epoch write survived an empty mask")
+	}
+}
+
+// TestApplyCrashStateOutOfRange: a log from a larger volume is refused
+// with the disk's typed error, whole or torn, instead of a panic.
+func TestApplyCrashStateOutOfRange(t *testing.T) {
+	d, c := newRecorderUnderTest(t, 64)
+	writeSeq(t, d, c, []int64{3, 40}, nil)
+	log := c.Log()
+	small, err := disk.New(16, disk.DefaultGeometry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []CrashState{{Point: 1, Mask: 0b11}, {Point: 1, Mask: 0b11, Torn: true}} {
+		if err := ApplyCrashState(small, log, st, EnumPolicy{}); !errors.Is(err, disk.ErrOutOfRange) {
+			t.Errorf("state %s on a 16-block disk: %v, want disk.ErrOutOfRange", st, err)
+		}
 	}
 }

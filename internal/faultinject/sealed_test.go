@@ -61,10 +61,9 @@ func TestSealedApplyKeepsSealedWritesDespiteMask(t *testing.T) {
 	d, c := newRecorderUnderTest(t, 16)
 	writeSeq(t, d, c, []int64{0, 1}, map[int]bool{0: true})
 	log := c.Log()
-	base := make([]byte, 16*d.BlockSize())
 	// Mask 0 drops every pending write — but write 0 is sealed, so it must
 	// land regardless.
-	img := ApplyCrashState(base, int(d.BlockSize()), log,
+	img := crashImage(t, d, log,
 		CrashState{Point: 1, Mask: 0, Sealed: 1, SealedKnown: true}, EnumPolicy{})
 	if img[0*int(d.BlockSize())] != 1 {
 		t.Fatal("sealed write 0 dropped by mask")

@@ -98,7 +98,7 @@ func TestExt3AbortsJournalOnMetadataReadFailure(t *testing.T) {
 func TestExt3TruncateFailsSilently(t *testing.T) {
 	target, _ := ByName("ext3")
 	cfg := Config{}.withDefaults()
-	img, err := buildImage(target, cfg, false)
+	img, err := buildImage(target, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

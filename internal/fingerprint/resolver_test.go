@@ -16,7 +16,7 @@ import (
 func census(t *testing.T, tgt Target) map[iron.BlockType]int64 {
 	t.Helper()
 	cfg := Config{}.withDefaults()
-	img, err := buildImage(tgt, cfg, false)
+	img, err := buildImage(tgt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func census(t *testing.T, tgt Target) map[iron.BlockType]int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Restore(img); err != nil {
+	if err := d.RestoreImage(img); err != nil {
 		t.Fatal(err)
 	}
 	r := tgt.NewResolver(d)
@@ -65,12 +65,12 @@ func TestResolverCoversAllTypes(t *testing.T) {
 func TestResolverDisjointAndStable(t *testing.T) {
 	tgt := Ext3()
 	cfg := Config{}.withDefaults()
-	img, err := buildImage(tgt, cfg, false)
+	img, err := buildImage(tgt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d, _ := disk.New(cfg.DiskBlocks, disk.DefaultGeometry(), nil)
-	if err := d.Restore(img); err != nil {
+	if err := d.RestoreImage(img); err != nil {
 		t.Fatal(err)
 	}
 	r := tgt.NewResolver(d)
@@ -83,11 +83,11 @@ func TestResolverDisjointAndStable(t *testing.T) {
 	// Block 0 is the superblock/boot block on every target.
 	for _, tgt := range Targets() {
 		d2, _ := disk.New(cfg.DiskBlocks, disk.DefaultGeometry(), nil)
-		img2, err := buildImage(tgt, cfg, false)
+		img2, err := buildImage(tgt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d2.Restore(img2); err != nil {
+		if err := d2.RestoreImage(img2); err != nil {
 			t.Fatal(err)
 		}
 		bt := tgt.NewResolver(d2).Classify(0)
@@ -102,12 +102,12 @@ func TestResolverDisjointAndStable(t *testing.T) {
 func TestResolverTracksChanges(t *testing.T) {
 	tgt := Ext3()
 	cfg := Config{}.withDefaults()
-	img, err := buildImage(tgt, cfg, false)
+	img, err := buildImage(tgt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d, _ := disk.New(cfg.DiskBlocks, disk.DefaultGeometry(), nil)
-	if err := d.Restore(img); err != nil {
+	if err := d.RestoreImage(img); err != nil {
 		t.Fatal(err)
 	}
 	r := tgt.NewResolver(d)
@@ -150,11 +150,11 @@ func TestGoldenTraceApplicability(t *testing.T) {
 		tgt := tgt
 		t.Run(tgt.Name, func(t *testing.T) {
 			cfg := Config{}.withDefaults()
-			clean, err := buildImage(tgt, cfg, false)
+			clean, err := buildImage(tgt, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dirty, err := buildImage(tgt, cfg, true)
+			dirty, err := crashImage(tgt, cfg, clean)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -132,15 +132,15 @@ func Run(t Target, cfg Config) (*Result, error) {
 	ws := Workloads()
 	labels := WorkloadLabels()
 
-	cleanImg, err := buildImage(t, cfg, false)
+	cleanImg, err := buildImage(t, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("fingerprint %s: clean image: %w", t.Name, err)
 	}
-	dirtyImg, err := buildImage(t, cfg, true)
+	dirtyImg, err := crashImage(t, cfg, cleanImg)
 	if err != nil {
 		return nil, fmt.Errorf("fingerprint %s: dirty image: %w", t.Name, err)
 	}
-	pick := func(w Workload) []byte {
+	pick := func(w Workload) *disk.Image {
 		if w.Dirty {
 			return dirtyImg
 		}
@@ -191,12 +191,8 @@ func Run(t Target, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// buildImage formats and populates a disk image. With dirty set, the image
-// additionally captures a simulated crash that cuts the tail of the last
-// journal commit, so the recovery workload has a live transaction to
-// examine: the dirty workload is first dry-run to count its writes, then
-// re-run against a CrashDevice whose budget stops one write short.
-func buildImage(t Target, cfg Config, dirty bool) ([]byte, error) {
+// buildImage formats and populates the clean disk image.
+func buildImage(t Target, cfg Config) (*disk.Image, error) {
 	mo := t.MountOpts()
 	mo.Blocks = cfg.DiskBlocks
 	mo.NoMount = true // prepareImage runs the mount itself
@@ -220,56 +216,49 @@ func buildImage(t Target, cfg Config, dirty bool) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if !dirty {
-		return d.Snapshot(), nil
-	}
-	clean := d.Snapshot()
+	return d.Image(), nil
+}
 
-	// Dry run: count the writes the dirty workload issues.
-	scratch, err := disk.New(cfg.DiskBlocks, disk.DefaultGeometry(), nil)
+// crashImage builds the dirty image from the clean one: a simulated crash
+// that cuts the tail of the dirty workload's last journal commit, so the
+// recovery workload has a live transaction to examine. The workload is
+// recorded once on a CrashDevice, and the image is the clean one plus
+// every write of its log but the last.
+func crashImage(t Target, cfg Config, clean *disk.Image) (*disk.Image, error) {
+	d, err := disk.New(cfg.DiskBlocks, disk.DefaultGeometry(), nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := scratch.Restore(clean); err != nil {
+	if err := d.RestoreImage(clean); err != nil {
 		return nil, err
 	}
-	before := scratch.Stats()
-	if err := dirtyImage(t.New(scratch, nil)); err != nil {
+	cd := faultinject.NewCrashDevice(d, -1)
+	if err := dirtyImage(t.New(cd, nil)); err != nil {
 		return nil, err
 	}
-	writes := scratch.Stats().Sub(before).Writes
-
-	// Real run: crash one write before the end. Errors are the crash
-	// itself surfacing through the file system and are expected.
-	target, err := disk.New(cfg.DiskBlocks, disk.DefaultGeometry(), nil)
-	if err != nil {
+	log := cd.Log()
+	if err := d.RestoreImage(clean); err != nil {
 		return nil, err
 	}
-	if err := target.Restore(clean); err != nil {
+	cut := faultinject.PrefixCut(log, min(max(len(log)-1, 1), len(log)))
+	if err := faultinject.ApplyCrashState(d, log, cut, faultinject.EnumPolicy{}); err != nil {
 		return nil, err
 	}
-	limit := writes - 1
-	if limit < 1 {
-		limit = 1
-	}
-	crash := faultinject.NewCrashDevice(target, limit)
-	//iron:policy harness §4 the injected crash surfaces as an error from the dying workload; the dirty snapshot is the experiment's result
-	_ = dirtyImage(t.New(crash, nil))
-	return target.Snapshot(), nil
+	return d.Image(), nil
 }
 
 // instance builds a fresh volume — disk, fault layer, file system — over
-// an image snapshot via fs.MountVolume, reporting into the given recorder
+// an image via fs.MountVolume, reporting into the given recorder
 // (nil for fault-free golden runs, so they record nothing — the taxonomy
 // reconciliation depends on faulted scenarios being the only source of
 // iron_* counters). With cfg.Trace, the volume carries an evidence tracer
 // attached beneath every upper layer, with recorder events bridged in.
 // The file system is returned unmounted: each workload declares whether
 // it measures the mount itself.
-func instance(t Target, cfg Config, img []byte, rec *iron.Recorder) (*fs.Volume, error) {
+func instance(t Target, cfg Config, img *disk.Image, rec *iron.Recorder) (*fs.Volume, error) {
 	mo := t.MountOpts()
 	mo.Blocks = cfg.DiskBlocks
-	mo.Image = img
+	mo.Base = img
 	mo.Faults = true
 	mo.Seed = cfg.Seed
 	mo.Recorder = rec
@@ -280,7 +269,7 @@ func instance(t Target, cfg Config, img []byte, rec *iron.Recorder) (*fs.Volume,
 
 // goldenTrace runs a workload fault-free and returns its per-type access
 // counts (the applicability mask).
-func goldenTrace(t Target, cfg Config, w Workload, img []byte) (map[iron.BlockType][2]int, error) {
+func goldenTrace(t Target, cfg Config, w Workload, img *disk.Image) (map[iron.BlockType][2]int, error) {
 	vol, err := instance(t, cfg, img, nil)
 	if err != nil {
 		return nil, err
@@ -298,7 +287,7 @@ func goldenTrace(t Target, cfg Config, w Workload, img []byte) (map[iron.BlockTy
 }
 
 // runScenario executes one faulted experiment.
-func runScenario(t Target, cfg Config, w Workload, img []byte, bt iron.BlockType, fc iron.FaultClass) (Scenario, error) {
+func runScenario(t Target, cfg Config, w Workload, img *disk.Image, bt iron.BlockType, fc iron.FaultClass) (Scenario, error) {
 	rec := iron.NewRecorder()
 	vol, err := instance(t, cfg, img, rec)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ironfs/internal/disk"
 	"ironfs/internal/iron"
 	"ironfs/internal/trace"
 )
@@ -15,7 +16,7 @@ var updateTraceGolden = flag.Bool("update-trace", false, "rewrite testdata/trace
 
 // traceScenario runs one fixed, fast scenario with tracing: ext3, the
 // "read" workload, a sticky read failure on a data block.
-func traceScenario(t *testing.T, img []byte, cfg Config) Scenario {
+func traceScenario(t *testing.T, img *disk.Image, cfg Config) Scenario {
 	t.Helper()
 	target, ok := ByName("ext3")
 	if !ok {
@@ -43,10 +44,10 @@ func traceScenario(t *testing.T, img []byte, cfg Config) Scenario {
 	return s
 }
 
-func traceImage(t *testing.T, cfg Config) []byte {
+func traceImage(t *testing.T, cfg Config) *disk.Image {
 	t.Helper()
 	target, _ := ByName("ext3")
-	img, err := buildImage(target, cfg, false)
+	img, err := buildImage(target, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

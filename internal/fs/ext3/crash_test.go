@@ -47,7 +47,7 @@ func cacheBarriersBetween(events []trace.Event, a, b int) int {
 // buildCommitCrash runs create+write+sync on a recording device and returns
 // the post-crash image in which the last transaction's commit block
 // landed but its first journal payload block did not.
-func buildCommitCrash(t *testing.T, opts Options) []byte {
+func buildCommitCrash(t *testing.T, opts Options) *disk.Image {
 	t.Helper()
 	d, err := disk.New(1024, disk.DefaultGeometry(), nil)
 	if err != nil {
@@ -56,7 +56,7 @@ func buildCommitCrash(t *testing.T, opts Options) []byte {
 	if err := Mkfs(d, opts); err != nil {
 		t.Fatal(err)
 	}
-	baseImg := d.Snapshot()
+	baseImg := d.Image()
 	tr := trace.New(nil)
 	d.SetTracer(tr)
 	rec := faultinject.NewCrashDevice(d, -1)
@@ -119,16 +119,22 @@ func buildCommitCrash(t *testing.T, opts Options) []byte {
 		Point: commitIdx,
 		Mask:  full &^ (uint64(1) << (payloadIdx - first)),
 	}
-	return faultinject.ApplyCrashState(baseImg, BlockSize, log, st, p)
+	if err := d.RestoreImage(baseImg); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.ApplyCrashState(d, log, st, p); err != nil {
+		t.Fatal(err)
+	}
+	return d.Image()
 }
 
-func remount(t *testing.T, img []byte, opts Options) (*disk.Disk, *iron.Recorder, error) {
+func remount(t *testing.T, img *disk.Image, opts Options) (*disk.Disk, *iron.Recorder, error) {
 	t.Helper()
 	d, err := disk.New(1024, disk.DefaultGeometry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Restore(img); err != nil {
+	if err := d.RestoreImage(img); err != nil {
 		t.Fatal(err)
 	}
 	rec := iron.NewRecorder()

@@ -26,7 +26,6 @@ import (
 // clean.
 func TestConcurrentCommitsKeepAcknowledgedBytes(t *testing.T) {
 	const blocks, clients, rounds = 4096, 4, 9
-	bs := int(disk.DefaultGeometry().BlockSize)
 	type ack struct {
 		path string
 		data []byte
@@ -44,7 +43,7 @@ func TestConcurrentCommitsKeepAcknowledgedBytes(t *testing.T) {
 			if err := Mkfs(name, raw, opts); err != nil {
 				t.Fatal(err)
 			}
-			base := raw.Snapshot()
+			base := raw.Image()
 			cd := faultinject.NewCrashDevice(raw, -1)
 			fsys, err := Mount(name, cd, opts)
 			if err != nil {
@@ -130,7 +129,10 @@ func TestConcurrentCommitsKeepAcknowledgedBytes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := d.Restore(faultinject.ApplyCrashState(base, bs, log, faultinject.PrefixCut(log, k), faultinject.EnumPolicy{})); err != nil {
+				if err := d.RestoreImage(base); err != nil {
+					t.Fatal(err)
+				}
+				if err := faultinject.ApplyCrashState(d, log, faultinject.PrefixCut(log, k), faultinject.EnumPolicy{}); err != nil {
 					t.Fatal(err)
 				}
 				when := fmt.Sprintf("cut at write %d of %d", k, len(log))

@@ -21,7 +21,6 @@ import (
 // returned — on every file system, from the cut before the first write to
 // the one after the last.
 func TestPrefixCutMatchesCrashDevice(t *testing.T) {
-	bs := int(disk.DefaultGeometry().BlockSize)
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			opts := txnOptions(name)
@@ -45,7 +44,7 @@ func TestPrefixCutMatchesCrashDevice(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := d.Restore(rec.Base); err != nil {
+				if err := d.RestoreImage(rec.Base); err != nil {
 					t.Fatal(err)
 				}
 				cd := faultinject.NewCrashDevice(d, int64(k))
@@ -67,8 +66,17 @@ func TestPrefixCutMatchesCrashDevice(t *testing.T) {
 						want = append(want, i)
 					}
 				}
-				cut := faultinject.ApplyCrashState(rec.Base, bs, rec.Log, faultinject.PrefixCut(rec.Log, k), faultinject.EnumPolicy{})
-				if !bytes.Equal(d.Snapshot(), cut) {
+				cut, err := disk.New(fstest.SweepBlocks, disk.DefaultGeometry(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cut.RestoreImage(rec.Base); err != nil {
+					t.Fatal(err)
+				}
+				if err := faultinject.ApplyCrashState(cut, rec.Log, faultinject.PrefixCut(rec.Log, k), faultinject.EnumPolicy{}); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(d.Snapshot(), cut.Snapshot()) {
 					t.Errorf("cut %d of %d: the media a limit-%d rerun leaves differ from the prefix cut", k, n, k)
 				}
 				if !slices.Equal(acked, want) {

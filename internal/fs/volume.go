@@ -29,8 +29,12 @@ type MountOpts struct {
 	// clock; a server hosting many volumes passes one shared clock so
 	// cross-volume latencies are comparable.
 	Clock *disk.Clock
-	// Image restores an existing disk snapshot instead of formatting.
+	// Image restores a flat disk snapshot instead of formatting. Outside
+	// tests only bench/ sets it; every other caller sets Base.
 	Image []byte
+	// Base restores a disk Image instead of formatting: the volume shares
+	// its tracks and copies one only at its first write to it.
+	Base *disk.Image
 	// Faults inserts a fault-injection layer (armed later via
 	// Volume.Faults) over the FS's gray-box resolver, which is built only
 	// for it (NewResolver builds one for a volume without the layer).
@@ -116,10 +120,14 @@ func MountVolume(o MountOpts) (*Volume, error) {
 	if err != nil {
 		return fail(err)
 	}
-	if o.Image != nil {
-		if err := d.Restore(o.Image); err != nil {
-			return fail(err)
-		}
+	switch {
+	case o.Base != nil:
+		err = d.RestoreImage(o.Base)
+	case o.Image != nil:
+		err = d.Restore(o.Image)
+	}
+	if err != nil {
+		return fail(err)
 	}
 
 	v := &Volume{
@@ -147,7 +155,7 @@ func MountVolume(o MountOpts) (*Volume, error) {
 	}
 	v.Dev = dev
 
-	if o.Image == nil {
+	if o.Base == nil && o.Image == nil {
 		// Format through the raw disk: mkfs traffic is setup, not
 		// workload, so it bypasses fault injection and queueing.
 		if err := e.mkfs(d, o.Opts); err != nil {

@@ -41,7 +41,6 @@ func SweepSeqCrashes(t ExploreTarget, seq Sequence) (int, error) {
 	if r == nil {
 		return 0, fmt.Errorf("%s: the sweep workload wrote nothing", t.Name)
 	}
-	img := make([]byte, len(r.Base))
 	n := len(r.Log)
 	for k := 0; k <= n; k++ {
 		snap, last := r.Oracle.RequiredSnap(k-1), r.Oracle.LastStarted(k-1)
@@ -50,7 +49,7 @@ func SweepSeqCrashes(t ExploreTarget, seq Sequence) (int, error) {
 		}
 		var viols []Violation
 		var unusable error
-		g, err := r.Grade(faultinject.PrefixCut(r.Log, k), faultinject.EnumPolicy{}, img, "", func(fsys vfs.FileSystem) {
+		g, err := r.Grade(faultinject.PrefixCut(r.Log, k), faultinject.EnumPolicy{}, "", func(fsys vfs.FileSystem) {
 			viols = r.Oracle.GradeAt(fsys, snap, last)
 			unusable = usable(fsys)
 		})

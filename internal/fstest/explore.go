@@ -16,11 +16,11 @@ import (
 // Crash-state exploration: record a workload once on a CrashDevice, then
 // for every write in its log enumerate the crash states the write-cache
 // model admits — reordered and torn subsets of the unsealed epoch —
-// materialize each state on a scratch image, remount (running journal
-// recovery), and grade the result with a per-FS consistency oracle. The
-// grading separates the paper's §6.2 headline cleanly: a file system that
-// trusts write ordering replays garbage silently; one with transactional
-// checksums detects it.
+// write each state onto a disk restored copy-on-write from the base
+// image, remount (running journal recovery), and grade the result with a
+// per-FS consistency oracle. The grading separates the paper's §6.2
+// headline cleanly: a file system that trusts write ordering replays
+// garbage silently; one with transactional checksums detects it.
 
 // ExploreTarget binds one file system into the harness. The concrete
 // targets live in internal/fingerprint (fstest cannot import the fs
@@ -258,8 +258,8 @@ func (r *ExploreResult) String() string {
 // Explore records the workload on the target once, on a CrashDevice, and
 // grades every enumerated crash state of its write log. The run is
 // deterministic for a fixed config and race-free: states are striped over
-// workers, each with a private scratch image, and results land in indexed
-// slots.
+// workers, each state gets a disk of its own restored from the shared
+// base image, and results land in indexed slots.
 func Explore(t ExploreTarget, w ExploreWorkload, cfg ExploreConfig) (*ExploreResult, error) {
 	cfg = cfg.withDefaults()
 	blocks := cfg.DiskBlocks
@@ -332,14 +332,14 @@ func Explore(t ExploreTarget, w ExploreWorkload, cfg ExploreConfig) (*ExploreRes
 		events          []trace.Event // evidence, only under cfg.Trace
 	}
 	verdicts := make([]verdict, len(states))
-	err = Spread(len(states), cfg.Workers, len(r.Base), func(i int, img []byte) error {
+	err = Spread(len(states), cfg.Workers, func(i int) error {
 		st := states[i]
 		mark := ""
 		if cfg.Trace {
 			mark = fmt.Sprintf("crash-state fs=%s workload=%s state=%s epoch=%d",
 				t.Name, w.Name, st, log[st.Point].Epoch)
 		}
-		g, err := r.Grade(st, cfg.Policy, img, mark, nil)
+		g, err := r.Grade(st, cfg.Policy, mark, nil)
 		if err != nil {
 			return err
 		}

@@ -14,8 +14,9 @@ import (
 
 // The record and grade steps every crash harness shares: Explore's
 // structural matrix, the fsync sweep and internal/hunt all record a
-// workload once on a CrashDevice, then write crash states built from its
-// log onto scratch images, remount each (running recovery) and grade it.
+// workload once on a CrashDevice, then restore each crash state's disk
+// from the base image, write the state's share of the log onto it, remount
+// (running recovery) and grade it.
 
 // Recording is one workload recorded on a CrashDevice.
 type Recording struct {
@@ -23,7 +24,7 @@ type Recording struct {
 	// Blocks is the volume size.
 	Blocks int64
 	// Base is the media image before the workload.
-	Base []byte
+	Base *disk.Image
 	// Log is every write that landed during the workload, and Epochs the
 	// number of barrier epochs it sealed.
 	Log    []faultinject.WriteRecord
@@ -46,7 +47,7 @@ func Record(t ExploreTarget, blocks int64, prep func(*disk.Disk) error, workload
 			return nil, err
 		}
 	}
-	r := &Recording{Target: t, Blocks: blocks, Base: d.Snapshot()}
+	r := &Recording{Target: t, Blocks: blocks, Base: d.Image()}
 	cd := faultinject.NewCrashDevice(d, -1)
 	if err := workload(cd); err != nil {
 		return nil, err
@@ -119,20 +120,20 @@ type Graded struct {
 	Trace []trace.Event
 }
 
-// Grade writes crash state st onto img, a scratch image the size of
-// r.Base, mounts it with a fresh recorder (running recovery), runs probe on
-// the mounted file system (nil = none), and then the structural check (if
-// the target has one). A non-empty mark traces the grading, under that
-// mark.
-func (r *Recording) Grade(st faultinject.CrashState, p faultinject.EnumPolicy, img []byte, mark string, probe func(vfs.FileSystem)) (Graded, error) {
+// Grade restores a disk from r.Base, writes crash state st onto it,
+// mounts it with a fresh recorder (running recovery), runs probe on the
+// mounted file system (nil = none), and then the structural check (if the
+// target has one). A non-empty mark traces the grading, under that mark.
+func (r *Recording) Grade(st faultinject.CrashState, p faultinject.EnumPolicy, mark string, probe func(vfs.FileSystem)) (Graded, error) {
 	var g Graded
-	copy(img, r.Base)
-	faultinject.ApplyCrashStateTo(img, int(disk.DefaultGeometry().BlockSize), r.Log, st, p)
 	d, err := disk.New(r.Blocks, disk.DefaultGeometry(), nil)
 	if err != nil {
 		return g, err
 	}
-	if err := d.Restore(img); err != nil {
+	if err := d.RestoreImage(r.Base); err != nil {
+		return g, err
+	}
+	if err := faultinject.ApplyCrashState(d, r.Log, st, p); err != nil {
 		return g, err
 	}
 	// A fresh recorder: any detection here means the file system saw the
@@ -166,12 +167,12 @@ func (r *Recording) Grade(st faultinject.CrashState, p faultinject.EnumPolicy, i
 	return g, nil
 }
 
-// Spread runs job(i, img) for every i in [0, n) over at most 8 workers
-// (workers <= 0 means GOMAXPROCS), each with a private scratch image of
-// the given size. Items are striped over workers, so a job writing only
-// its own result slot is race-free and the results are deterministic. A
-// worker stops at its first error; Spread returns the first worker's.
-func Spread(n, workers, size int, job func(i int, img []byte) error) error {
+// Spread runs job(i) for every i in [0, n) over at most 8 workers
+// (workers <= 0 means GOMAXPROCS). Items are striped over workers, so a
+// job writing only its own result slot is race-free and the results are
+// deterministic. A worker stops at its first error; Spread returns the
+// first worker's.
+func Spread(n, workers int, job func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -182,9 +183,8 @@ func Spread(n, workers, size int, job func(i int, img []byte) error) error {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			img := make([]byte, size)
 			for i := wk; i < n; i += workers {
-				if errs[wk] = job(i, img); errs[wk] != nil {
+				if errs[wk] = job(i); errs[wk] != nil {
 					return
 				}
 			}

@@ -120,7 +120,7 @@ func ReplayRepro(t fstest.ExploreTarget, r Repro, blocks int64) (ReplayResult, e
 		snap:   r.Snap,
 		lastOp: r.LastOp,
 	}
-	g, err := gradeState(run, ps, r.Policy, make([]byte, len(run.Base)))
+	g, err := gradeState(run, ps, r.Policy)
 	if err != nil {
 		return out, err
 	}

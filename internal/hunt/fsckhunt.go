@@ -128,7 +128,7 @@ func RunFsck(name string, opts fs.Options, b FsckBounds) (*FsckTargetResult, err
 		return nil, err
 	}
 	res.Flips = flips
-	img := base.Snapshot()
+	img := base.Image()
 
 	// verify remounts the (post-crash, post-re-repair) image and checks
 	// the seed files survived byte-exact.
@@ -170,7 +170,7 @@ func RunFsck(name string, opts fs.Options, b FsckBounds) (*FsckTargetResult, err
 		if err != nil {
 			return nil, err
 		}
-		if err := d.Restore(img); err != nil {
+		if err := d.RestoreImage(img); err != nil {
 			return nil, err
 		}
 		cd := faultinject.NewCrashDevice(d, -1)

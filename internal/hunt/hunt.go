@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ironfs/internal/disk"
 	"ironfs/internal/faultinject"
 	"ironfs/internal/fstest"
 	"ironfs/internal/vfs"
@@ -169,12 +168,12 @@ type gradedState struct {
 	viol    *fstest.Violation // first oracle violation, if any
 }
 
-// gradeState materializes one crash state on img, remounts, and grades it
-// with the expected-state oracle first and the structural oracle second.
-func gradeState(run *fstest.SeqRun, ps plannedState, policy faultinject.EnumPolicy, img []byte) (gradedState, error) {
+// gradeState materializes one crash state, remounts, and grades it with
+// the expected-state oracle first and the structural oracle second.
+func gradeState(run *fstest.SeqRun, ps plannedState, policy faultinject.EnumPolicy) (gradedState, error) {
 	g := gradedState{ps: ps}
 	var viols []fstest.Violation
-	out, err := run.Grade(ps.st, policy, img, "", func(fsys vfs.FileSystem) {
+	out, err := run.Grade(ps.st, policy, "", func(fsys vfs.FileSystem) {
 		viols = run.Oracle.GradeAt(fsys, ps.snap, ps.lastOp)
 	})
 	if err != nil {
@@ -204,9 +203,8 @@ func gradeState(run *fstest.SeqRun, ps plannedState, policy faultinject.EnumPoli
 	return g, nil
 }
 
-// huntSequence replays one sequence and grades its whole crash plan on
-// img, a scratch image of the volume's size.
-func huntSequence(t fstest.ExploreTarget, blocks int64, seq fstest.Sequence, policy faultinject.EnumPolicy, img []byte) ([]gradedState, int, error) {
+// huntSequence replays one sequence and grades its whole crash plan.
+func huntSequence(t fstest.ExploreTarget, blocks int64, seq fstest.Sequence, policy faultinject.EnumPolicy) ([]gradedState, int, error) {
 	run, err := fstest.RecordSeq(t, blocks, seq)
 	if err != nil || run == nil {
 		return nil, 0, err
@@ -214,18 +212,13 @@ func huntSequence(t fstest.ExploreTarget, blocks int64, seq fstest.Sequence, pol
 	states, points := planStates(run, policy)
 	out := make([]gradedState, 0, len(states))
 	for _, ps := range states {
-		g, err := gradeState(run, ps, policy, img)
+		g, err := gradeState(run, ps, policy)
 		if err != nil {
 			return nil, 0, err
 		}
 		out = append(out, g)
 	}
 	return out, points, nil
-}
-
-// volumeBytes is the image size of a volume of the given block count.
-func volumeBytes(blocks int64) int {
-	return int(blocks) * int(disk.DefaultGeometry().BlockSize)
 }
 
 // lossVerdict reports whether v is an oracle-violation verdict.
@@ -250,8 +243,8 @@ func Run(t fstest.ExploreTarget, cfg Config) (*TargetResult, error) {
 		points int
 	}
 	results := make([]seqResult, len(seqs))
-	err := fstest.Spread(len(seqs), cfg.Workers, volumeBytes(blocks), func(i int, img []byte) error {
-		g, pts, err := huntSequence(t, blocks, seqs[i], cfg.Policy, img)
+	err := fstest.Spread(len(seqs), cfg.Workers, func(i int) error {
+		g, pts, err := huntSequence(t, blocks, seqs[i], cfg.Policy)
 		results[i] = seqResult{graded: g, points: pts}
 		return err
 	})
@@ -391,9 +384,8 @@ func minimize(t fstest.ExploreTarget, blocks int64, seq fstest.Sequence, bug Bug
 			g.viol.Kind == bug.Symptom &&
 			(g.verdict == VerdictLossDetected) == bug.Detected
 	}
-	img := make([]byte, volumeBytes(blocks))
 	for _, sub := range subsequences(seq) {
-		graded, _, err := huntSequence(t, blocks, sub, policy, img)
+		graded, _, err := huntSequence(t, blocks, sub, policy)
 		if err != nil {
 			return nil, plannedState{}, err
 		}
@@ -404,7 +396,7 @@ func minimize(t fstest.ExploreTarget, blocks int64, seq fstest.Sequence, bug Bug
 		}
 	}
 	// The original always reproduces: re-grade to recover its state.
-	graded, _, err := huntSequence(t, blocks, seq, policy, img)
+	graded, _, err := huntSequence(t, blocks, seq, policy)
 	if err != nil {
 		return nil, plannedState{}, err
 	}

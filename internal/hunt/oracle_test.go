@@ -46,7 +46,7 @@ func TestNoFaultAgreement(t *testing.T) {
 				}
 
 				ps := plannedState{st: sts[0], class: ClassTail, snap: len(run.Oracle.Snapshots()) - 1, lastOp: len(s2) - 1}
-				g, err := gradeState(run, ps, policy, make([]byte, len(run.Base)))
+				g, err := gradeState(run, ps, policy)
 				if err != nil {
 					t.Fatalf("[%s]: %v", s2, err)
 				}
@@ -56,12 +56,14 @@ func TestNoFaultAgreement(t *testing.T) {
 				}
 
 				// Cross-check the model's end-state against an independent remount.
-				full := faultinject.ApplyCrashState(run.Base, int(disk.DefaultGeometry().BlockSize), run.Log, sts[0], policy)
 				d, err := disk.New(blocks, disk.DefaultGeometry(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := d.Restore(full); err != nil {
+				if err := d.RestoreImage(run.Base); err != nil {
+					t.Fatal(err)
+				}
+				if err := faultinject.ApplyCrashState(d, run.Log, sts[0], policy); err != nil {
 					t.Fatal(err)
 				}
 				mfs := ht.Target.New(d, iron.NewRecorder())

@@ -568,7 +568,7 @@ func runRepair(cfg LoadConfig) (*LoadReport, error) {
 	run := func(scrub bool) (*Server, *loadTenant, *RepairReport, error) {
 		clk := disk.NewClock()
 		s := New(clk)
-		if _, err := s.AddVolume("vol-a", fs.MountOpts{FS: cfg.FS, Blocks: damagedBlocks, Image: damaged}); err != nil {
+		if _, err := s.AddVolume("vol-a", fs.MountOpts{FS: cfg.FS, Blocks: damagedBlocks, Base: damaged}); err != nil {
 			return nil, nil, nil, err
 		}
 		if _, err := s.AddVolume("vol-b", fs.MountOpts{FS: cfg.FS}); err != nil {
@@ -748,7 +748,7 @@ func classifyReadOnly(resp *Response, ro *ReadOnlyReport) {
 
 // damagedImage builds a populated, cleanly unmounted image of the named
 // FS with deterministic bitmap damage — scrub fodder.
-func damagedImage(name string, blocks int64) ([]byte, error) {
+func damagedImage(name string, blocks int64) (*disk.Image, error) {
 	vol, err := fs.MountVolume(fs.MountOpts{FS: name, Blocks: blocks, Label: "repair-image"})
 	if err != nil {
 		return nil, err
@@ -772,7 +772,7 @@ func damagedImage(name string, blocks int64) ([]byte, error) {
 	if n, err := fs.DamageBitmaps(name, vol.Disk, 16); err != nil || n == 0 {
 		return nil, fmt.Errorf("ironload: damage image: %d flips, %v", n, err)
 	}
-	return vol.Disk.Snapshot(), nil
+	return vol.Disk.Image(), nil
 }
 
 // mustVol fetches a hosted volume handle; AddVolume just created it.

@@ -70,9 +70,9 @@ func (r FsckRow) Speedup() float64 {
 }
 
 // fsckImage builds a populated volume, unmounts it cleanly, and injects
-// deterministic bitmap damage. The snapshot lets both runs start from the
-// identical image.
-func fsckImage(name string) ([]byte, error) {
+// deterministic bitmap damage. The image lets both runs start from the
+// identical media.
+func fsckImage(name string) (*disk.Image, error) {
 	vol, err := fs.MountVolume(fs.MountOpts{FS: name, Blocks: benchDiskBlocks, Label: "fsck-bench"})
 	if err != nil {
 		return nil, fmt.Errorf("fsck bench: %w", err)
@@ -102,14 +102,14 @@ func fsckImage(name string) ([]byte, error) {
 	if n, err := fs.DamageBitmaps(name, d, fsckFlips); err != nil || n == 0 {
 		return nil, fmt.Errorf("fsck bench %s: damage: %d flips, %v", name, n, err)
 	}
-	return d.Snapshot(), nil
+	return d.Image(), nil
 }
 
 // fsckTimedCheck cold-mounts the image and times one check.
-func fsckTimedCheck(name string, img []byte, workers int) (FsckRun, []fsck.Problem, error) {
+func fsckTimedCheck(name string, img *disk.Image, workers int) (FsckRun, []fsck.Problem, error) {
 	run := FsckRun{Workers: workers}
 	vol, err := fs.MountVolume(fs.MountOpts{
-		FS: name, Blocks: benchDiskBlocks, Image: img, Label: "fsck-bench",
+		FS: name, Blocks: benchDiskBlocks, Base: img, Label: "fsck-bench",
 	})
 	if err != nil {
 		return run, nil, fmt.Errorf("fsck bench: %w", err)

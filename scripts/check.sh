@@ -106,9 +106,12 @@ trap 'rm -rf "$vetdir"' EXIT
 
 go vet ./...
 go build ./...
-# internal/fingerprint is most of this run and every I/O it issues goes
-# through the fault layer: print its wall time so a change to that layer's
-# cost shows in the log.
+# On two cores the whole gate takes ~8 min, most of it this run:
+# internal/fs is its longest package under -race (~4 min), and
+# internal/fingerprint takes ~1 min (~4.5 min while every fingerprint
+# cell restored a flat copy of the whole volume). Every I/O fingerprint
+# issues goes through the fault layer: print its wall time so a change to
+# that layer's cost shows in the log.
 { go test -race ./... || touch "$vetdir/test.failed"; } | tee "$vetdir/test.log"
 [ ! -e "$vetdir/test.failed" ]
 awk '$2=="ironfs/internal/fingerprint" { print "check: internal/fingerprint test wall time " $3 }' "$vetdir/test.log"
@@ -139,12 +142,14 @@ go test -run '^$' -bench Dispatch -benchtime 1x ./internal/serve
 # the disk's media cost
 # (docs/PERF.md, "Disk media cost"): reads and a 64-block batch on a
 # restored 64 MiB disk (0 allocs), a fresh volume (its track table, a few
-# KiB, not 64 MiB) and a snapshot of a fresh and a restored one (one
-# 64 MiB image each): 100 iterations, so a first call's warm-up does not
-# stand in for the steady state.
+# KiB, not 64 MiB), a flat snapshot of a fresh and a restored one (one
+# 64 MiB image each), an Image of a restored one (its track table) and a
+# restore from an Image (0 allocs: the tracks are shared): 100
+# iterations, so a first call's warm-up does not stand in for the steady
+# state.
 go test -run '^$' -bench 'PathLookup|TreeLookup|TreeInsert|CreateTailFile|CommitLoop|DemandMiss|PartialOverwrite|RemountColdRead' -benchmem -benchtime 100x ./internal/fs/...
 go test -run '^$' -bench 'FullShardInsert|ReadAheadSteady|EnqueueDrain|Freeze' -benchmem -benchtime 100x ./internal/bcache ./internal/sched ./internal/journal
-go test -run '^$' -bench 'ReadBlock|WriteBatch|New|Snapshot' -benchmem -benchtime 100x ./internal/disk
+go test -run '^$' -bench 'ReadBlock|WriteBatch|New|Snapshot|Image' -benchmem -benchtime 100x ./internal/disk
 # And ixt3's block checksum over one 4 KiB block (docs/PERF.md,
 # "Redundancy path cost").
 go test -run '^$' -bench CksumBlock -benchtime 1x ./internal/fs/ext3
